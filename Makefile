@@ -33,9 +33,17 @@ race:
 # same GOMAXPROCS), and the fused end-to-end RunStreamed pipeline.
 BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)|BenchmarkRunStreamed
 
+# BENCH_CHAR selects the measurement-half benchmarks: sessionization,
+# the whole core.Characterize, the concurrency report with its Figure 8
+# autocorrelation, and the Figure 9 timeout sweep. They are
+# single-threaded, so they run at -cpu 1 and keep one row each whatever
+# the runner's core count.
+BENCH_CHAR := BenchmarkPipeline(Sessionize|FullCharacterization)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)
+
 # bench runs the streaming-pipeline benchmarks (sequential vs sharded
-# generation, streamed serving) and renders BENCH_streaming.json —
-# ns/op and bytes/op per benchmark — seeding the perf trajectory. The
+# generation, streamed serving) and the measurement-half benchmarks
+# (BENCH_CHAR) and renders BENCH_streaming.json — ns/op and bytes/op
+# per benchmark — seeding the perf trajectory. The
 # serve, generate, and end-to-end benchmarks additionally run a -cpu
 # 1,2,4,8 matrix so each parallel path's scaling
 # (metrics.speedup_vs_sequential, computed per GOMAXPROCS against its
@@ -48,6 +56,7 @@ BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Sh
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreaming' -benchmem -count 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 1 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_CHAR)' -benchmem -count 1 -cpu 1 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
 	$(GO) run ./cmd/benchjson < bench_streaming.txt > BENCH_streaming.json.tmp || { rm -f bench_streaming.txt BENCH_streaming.json.tmp; exit 1; }
 	mv BENCH_streaming.json.tmp BENCH_streaming.json
@@ -77,6 +86,7 @@ bench-gate:
 	    fi
 	$(GO) test -run '^$$' -bench 'BenchmarkStreaming' -benchmem -count 3 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 3 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_CHAR)' -benchmem -count 3 -cpu 1 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
 	$(GO) run ./cmd/benchjson < bench_streaming.txt > bench_fresh.json || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) run ./cmd/benchjson -compare BENCH_streaming.json -threshold 0.25 -min-cores 4 < bench_streaming.txt > bench_compare.txt 2>&1; \
@@ -88,15 +98,18 @@ bench-gate:
 bench-history:
 	$(GO) run ./cmd/benchjson -history BENCH_streaming.json
 
-# fuzz runs the wmslog codec fuzzers: the text AppendEntry/ParseAppend
-# round trip and the framed-binary round trip. `go test` runs one fuzz
-# target per invocation, hence the two steps; new failing inputs are
-# minimized into internal/wmslog/testdata/fuzz/ and reproduce with a
-# plain `go test ./internal/wmslog`.
+# fuzz runs the wmslog codec fuzzers — the text AppendEntry/ParseAppend
+# round trip and the framed-binary round trip — and the sessions fuzzer
+# (SweepTimeout's count = Sessionize's count at every timeout, plus the
+# Section 2.2 gap invariants). `go test` runs one fuzz target per
+# invocation, hence the three steps; new failing inputs are minimized
+# into the package's testdata/fuzz/ and reproduce with a plain
+# `go test` of that package.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEntryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a
@@ -130,16 +143,24 @@ e2e-fleet:
 
 # profile captures pprof/trace artifacts from a representative
 # streaming run (the generate → simulate → log pipeline at bench-like
-# density) under profiles/. Inspect with `go tool pprof
-# profiles/cpu.pprof` / `go tool trace profiles/trace.out`; CI uploads
-# the directory on demand (workflow_dispatch with profile=true).
+# density) and from the measurement half reading those logs back
+# (lsmcal: parse → characterize → fit) under profiles/. Inspect with
+# `go tool pprof profiles/cpu.pprof` (profiles/cal-cpu.pprof) /
+# `go tool trace profiles/trace.out`; CI uploads the directory on
+# demand (workflow_dispatch with profile=true).
 PROFILE_ARGS ?= -stream -scale 5 -days 7 -seed 1
+PROFILE_CAL_ARGS ?= -days 7 -seed 1
 profile:
 	$(GO) build -o $(BIN)/lsmgen ./cmd/lsmgen
+	$(GO) build -o $(BIN)/lsmcal ./cmd/lsmcal
 	mkdir -p profiles
 	rm -rf profiles/logs
 	$(BIN)/lsmgen -out profiles/logs $(PROFILE_ARGS) \
 		-cpuprofile profiles/cpu.pprof \
 		-memprofile profiles/mem.pprof \
 		-trace profiles/trace.out
+	$(BIN)/lsmcal -logs profiles/logs $(PROFILE_CAL_ARGS) \
+		-cpuprofile profiles/cal-cpu.pprof \
+		-memprofile profiles/cal-mem.pprof \
+		-trace profiles/cal-trace.out
 	@ls -l profiles/

@@ -650,9 +650,9 @@ func BenchmarkAblationConcurrencyResolution(b *testing.B) {
 func BenchmarkAblationZipfFitRange(b *testing.B) {
 	f := getFixture(b)
 	byClient := f.tr.ByClient()
-	counts := make([]int, 0, len(byClient))
-	for _, idxs := range byClient {
-		counts = append(counts, len(idxs))
+	counts := make([]int, byClient.Len())
+	for k := range counts {
+		counts[k] = len(byClient.Transfers(k))
 	}
 	full, err := dist.FitZipfCounts(counts)
 	if err != nil {

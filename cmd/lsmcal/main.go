@@ -9,6 +9,7 @@
 //
 //	lsmcal -logs logs/ [-days 7] [-timeout 1500] [-seed 1]
 //	       [-o model.json] [-twin] [-strict]
+//	       [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // Both text and framed binary daily logs are read (the parser
 // auto-detects the format per file). -o writes the fitted model spec
@@ -25,8 +26,7 @@ import (
 
 	"repro/internal/calibrate"
 	"repro/internal/core"
-	"repro/internal/trace"
-	"repro/internal/wmslog"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -38,14 +38,24 @@ func main() {
 		out     = flag.String("o", "", "path to write the fitted model spec JSON")
 		twin    = flag.Bool("twin", false, "regenerate a synthetic twin and validate it against the source")
 		strict  = flag.Bool("strict", false, "with -twin: exit nonzero if any KS test rejects")
+
+		profiles prof.Profiles
 	)
+	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *logs == "" {
 		fmt.Fprintln(os.Stderr, "lsmcal: -logs is required")
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "lsmcal:", err)
+		os.Exit(1)
+	}
 	code, err := run(*logs, *days, *timeout, *seed, *out, *twin, *strict)
+	if perr := profiles.Stop(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmcal:", err)
 		os.Exit(1)
@@ -54,7 +64,11 @@ func main() {
 }
 
 func run(logDir string, days int, timeout, seed int64, outPath string, twin, strict bool) (int, error) {
-	source, err := characterizeLogs(logDir, days, timeout, seed)
+	clean, err := core.LoadLogs(logDir, days, os.Stdout)
+	if err != nil {
+		return 0, err
+	}
+	source, err := core.Characterize(clean, timeout, nil, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -104,31 +118,4 @@ func run(logDir string, days int, timeout, seed int64, outPath string, twin, str
 		fmt.Printf("\nall KS tests pass at alpha %.2g\n", rep.Alpha)
 	}
 	return 0, nil
-}
-
-// characterizeLogs runs the logs → trace → characterization front half
-// shared with lsmchar.
-func characterizeLogs(logDir string, days int, timeout, seed int64) (*core.Characterization, error) {
-	paths, err := wmslog.FindLogs(logDir)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", logDir)
-	}
-	entries, st, err := wmslog.ReadFiles(paths, true)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("parsed %d entries from %d files (%d malformed lines skipped)\n",
-		st.Entries, len(paths), st.Malformed)
-
-	horizon := int64(days) * 86400
-	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, horizon)
-	if err != nil {
-		return nil, err
-	}
-	clean, sanReport := tr.Sanitize()
-	fmt.Println(sanReport)
-	return core.Characterize(clean, timeout, nil, seed)
 }

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	lsmchar -logs logs/ -days 7 [-timeout 1500] [-figs figures/]
+//	        [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // It prints Table 1 and the fitted distributions, and with -figs writes
 // one gnuplot-style .dat file per figure panel.
@@ -18,9 +19,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/prof"
 	"repro/internal/report"
-	"repro/internal/trace"
-	"repro/internal/wmslog"
 )
 
 func main() {
@@ -31,41 +31,35 @@ func main() {
 		figs    = flag.String("figs", "", "optional directory for figure .dat files")
 		seed    = flag.Int64("seed", 1, "seed for the Figure 6 Poisson replica")
 		plot    = flag.String("plot", "", "render one figure as ASCII (e.g. fig19); 'list' shows ids")
+
+		profiles prof.Profiles
 	)
+	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *logs == "" {
 		fmt.Fprintln(os.Stderr, "lsmchar: -logs is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*logs, *days, *timeout, *figs, *seed, *plot); err != nil {
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "lsmchar:", err)
+		os.Exit(1)
+	}
+	err := run(*logs, *days, *timeout, *figs, *seed, *plot)
+	if perr := profiles.Stop(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmchar:", err)
 		os.Exit(1)
 	}
 }
 
 func run(logDir string, days int, timeout int64, figDir string, seed int64, plot string) error {
-	paths, err := wmslog.FindLogs(logDir)
+	clean, err := core.LoadLogs(logDir, days, os.Stdout)
 	if err != nil {
 		return err
 	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", logDir)
-	}
-	entries, st, err := wmslog.ReadFiles(paths, true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("parsed %d entries from %d files (%d malformed lines skipped)\n",
-		st.Entries, len(paths), st.Malformed)
-
-	horizon := int64(days) * 86400
-	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, horizon)
-	if err != nil {
-		return err
-	}
-	clean, sanReport := tr.Sanitize()
-	fmt.Println(sanReport)
 	audit := clean.AuditServerLoad(10)
 	fmt.Printf("server load audit: %.4f%% of active time and %.4f%% of transfers below %.0f%% CPU\n",
 		audit.TimeBelowFrac*100, audit.TransferBelowFrac*100, audit.Threshold)

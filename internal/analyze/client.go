@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/sessions"
@@ -57,19 +56,16 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 		Interarrivals: ClientInterarrivals(set),
 	}
 
-	// Interest profile: per-client counts of transfers and sessions.
+	// Interest profile: per-client counts of transfers and sessions, in
+	// ascending client-id order. Every client has at least one session.
 	byClient := tr.ByClient()
-	out.TransfersPerClient = make([]int, 0, len(byClient))
-	for _, idxs := range byClient {
-		out.TransfersPerClient = append(out.TransfersPerClient, len(idxs))
+	out.TransfersPerClient = make([]int, byClient.Len())
+	out.SessionsPerClient = make([]int, byClient.Len())
+	for k := range out.TransfersPerClient {
+		out.TransfersPerClient[k] = len(byClient.Transfers(k))
 	}
-	sessCounts := make(map[int]int)
-	for _, s := range set.Sessions {
-		sessCounts[s.Client]++
-	}
-	out.SessionsPerClient = make([]int, 0, len(sessCounts))
-	for _, c := range sessCounts {
-		out.SessionsPerClient = append(out.SessionsPerClient, c)
+	for i := range set.Sessions {
+		out.SessionsPerClient[byClient.Slot(set.Sessions[i].Transfers[0])]++
 	}
 
 	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
@@ -86,21 +82,13 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 // paper's definition ("where sessions i and i+1 belong to different
 // clients").
 func ClientInterarrivals(set *sessions.Set) []float64 {
-	type arrival struct {
-		t      int64
-		client int
-	}
-	arr := make([]arrival, set.Count())
-	for i, s := range set.Sessions {
-		arr[i] = arrival{t: s.Start, client: s.Client}
-	}
-	sort.Slice(arr, func(i, j int) bool { return arr[i].t < arr[j].t })
-	out := make([]float64, 0, len(arr))
-	for i := 1; i < len(arr); i++ {
-		if arr[i].client == arr[i-1].client {
+	ss := set.Sessions // already in arrival (Start, Client) order
+	out := make([]float64, 0, len(ss))
+	for i := 1; i < len(ss); i++ {
+		if ss[i].Client == ss[i-1].Client {
 			continue
 		}
-		out = append(out, float64(arr[i].t-arr[i-1].t))
+		out = append(out, float64(ss[i].Start-ss[i-1].Start))
 	}
 	return out
 }
@@ -145,7 +133,8 @@ func AnalyzeDiversity(tr *trace.Trace) (*Diversity, error) {
 	ipsPerAS := make(map[int]map[string]struct{})
 	countryCount := make(map[string]int)
 	objectCount := make(map[int]int)
-	for _, t := range tr.Transfers {
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
 		transferPerAS[t.AS]++
 		objectCount[t.Object]++
 		set := ipsPerAS[t.AS]
@@ -159,24 +148,24 @@ func AnalyzeDiversity(tr *trace.Trace) (*Diversity, error) {
 
 	d := &Diversity{NumAS: len(transferPerAS), CountryShare: make(map[string]float64, len(countryCount))}
 	tCounts := make([]int, 0, len(transferPerAS))
-	for _, c := range transferPerAS {
+	for _, c := range transferPerAS { //lsm:nondet -- RankFrequencies sorts the counts; their total is an integer sum
 		tCounts = append(tCounts, c)
 	}
 	d.ASTransferShare = stats.RankFrequencies(tCounts)
 
 	ipCounts := make([]int, 0, len(ipsPerAS))
-	for _, set := range ipsPerAS {
+	for _, set := range ipsPerAS { //lsm:nondet -- RankFrequencies sorts the counts; their total is an integer sum
 		ipCounts = append(ipCounts, len(set))
 	}
 	d.ASIPShare = stats.RankFrequencies(ipCounts)
 
 	total := float64(tr.NumTransfers())
-	for c, n := range countryCount {
+	for c, n := range countryCount { //lsm:nondet -- map to map, each share computed on its own
 		d.CountryShare[c] = float64(n) / total
 	}
 
 	oCounts := make([]int, 0, len(objectCount))
-	for _, c := range objectCount {
+	for _, c := range objectCount { //lsm:nondet -- RankFrequencies sorts the counts; their total is an integer sum
 		oCounts = append(oCounts, c)
 	}
 	d.ObjectShare = stats.RankFrequencies(oCounts)

@@ -60,14 +60,16 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 	}
 	perSecond := concurrencyPerSecond(intervals, horizon)
 
-	// Marginal distribution of c(t).
-	samples := make([]float64, len(perSecond))
+	// Marginal distribution of c(t): c(t) is a small integer (at most
+	// len(intervals)), so a value -> seconds histogram carries the whole
+	// per-second sample.
 	peak := 0
-	for i, v := range perSecond {
-		samples[i] = float64(v)
-		if int(v) > peak {
-			peak = int(v)
-		}
+	for _, v := range perSecond {
+		peak = max(peak, int(v))
+	}
+	seconds := make([]int, peak+1)
+	for _, v := range perSecond {
+		seconds[v]++
 	}
 
 	binned, err := binMeanSeries(perSecond, TemporalBin)
@@ -105,7 +107,7 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 	}
 
 	return &ConcurrencyReport{
-		Marginal: stats.NewECDF(samples),
+		Marginal: stats.NewECDFCounts(seconds),
 		Binned:   binned,
 		WeekFold: weekFold,
 		DayFold:  dayFold,
@@ -114,7 +116,8 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 	}, nil
 }
 
-// concurrencyPerSecond sweeps the intervals with a difference array.
+// concurrencyPerSecond sweeps the intervals with a difference array,
+// then integrates it in place.
 func concurrencyPerSecond(intervals []Interval, horizon int64) []int32 {
 	diff := make([]int32, horizon+1)
 	for _, iv := range intervals {
@@ -134,16 +137,18 @@ func concurrencyPerSecond(intervals []Interval, horizon int64) []int32 {
 		diff[lo]++
 		diff[hi]--
 	}
-	out := make([]int32, horizon)
+	perSecond := diff[:horizon]
 	var run int32
-	for s := int64(0); s < horizon; s++ {
-		run += diff[s]
-		out[s] = run
+	for s, d := range perSecond {
+		run += d
+		perSecond[s] = run
 	}
-	return out
+	return perSecond
 }
 
-// binMeanSeries averages a per-second series into fixed-width bins.
+// binMeanSeries averages a per-second series into fixed-width bins. The
+// bin sums are integer, hence exact in float64 and independent of
+// summation order.
 func binMeanSeries(perSecond []int32, width int64) (stats.BinnedSeries, error) {
 	if width <= 0 {
 		return stats.BinnedSeries{}, fmt.Errorf("%w: bin width %d", ErrBadInput, width)
@@ -153,15 +158,12 @@ func binMeanSeries(perSecond []int32, width int64) (stats.BinnedSeries, error) {
 	values := make([]float64, n)
 	for b := 0; b < n; b++ {
 		lo := int64(b) * width
-		hi := lo + width
-		if hi > horizon {
-			hi = horizon
+		hi := min(lo+width, horizon)
+		var sum int64
+		for _, v := range perSecond[lo:hi] {
+			sum += int64(v)
 		}
-		var sum float64
-		for s := lo; s < hi; s++ {
-			sum += float64(perSecond[s])
-		}
-		values[b] = sum / float64(hi-lo)
+		values[b] = float64(sum) / float64(hi-lo)
 	}
 	return stats.BinnedSeries{Width: width, Values: values}, nil
 }

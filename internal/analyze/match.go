@@ -100,7 +100,7 @@ func CompareTraces(offered, served *trace.Trace, timeout int64) (*MatchReport, e
 	for _, s := range srvShapes {
 		diff[s]--
 	}
-	for _, d := range diff {
+	for _, d := range diff { //lsm:nondet -- integer sum of absolute differences
 		if d > 0 {
 			report.ShapeMismatches += d
 		} else {
@@ -113,19 +113,13 @@ func CompareTraces(offered, served *trace.Trace, timeout int64) (*MatchReport, e
 // clientShapes folds a sessionized trace into one shape per client,
 // sorted for determinism.
 func clientShapes(tr *trace.Trace, set *sessions.Set) []ClientShape {
-	byClient := make(map[int]*ClientShape)
-	for _, s := range set.Sessions {
-		sh := byClient[s.Client]
-		if sh == nil {
-			sh = &ClientShape{}
-			byClient[s.Client] = sh
-		}
+	byClient := tr.ByClient()
+	out := make([]ClientShape, byClient.Len())
+	for i := range set.Sessions {
+		s := &set.Sessions[i]
+		sh := &out[byClient.Slot(s.Transfers[0])]
 		sh.Sessions++
 		sh.Transfers += s.Count()
-	}
-	out := make([]ClientShape, 0, len(byClient))
-	for _, sh := range byClient {
-		out = append(out, *sh)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Transfers != out[j].Transfers {

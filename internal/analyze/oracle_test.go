@@ -1,0 +1,137 @@
+package analyze
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// bruteConcurrency is the per-second reference for Concurrency: count,
+// for every second, the intervals that cover it, then derive each report
+// field the way the code did before the histogram marginal and the
+// integer bin sums — a float sample of every second handed to
+// stats.NewECDF, float accumulation in the bins, one
+// stats.Autocorrelation call per lag.
+func bruteConcurrency(t *testing.T, intervals []Interval, horizon int64) *ConcurrencyReport {
+	t.Helper()
+	samples := make([]float64, horizon)
+	peak := 0
+	for s := int64(0); s < horizon; s++ {
+		c := 0
+		for _, iv := range intervals {
+			end := iv.End
+			if end <= iv.Start {
+				end = iv.Start + 1 // zero-length activity occupies its second
+			}
+			if iv.Start <= s && s < end {
+				c++
+			}
+		}
+		samples[s] = float64(c)
+		peak = max(peak, c)
+	}
+	binMeans := func(width int64) stats.BinnedSeries {
+		var values []float64
+		for lo := int64(0); lo < horizon; lo += width {
+			hi := min(lo+width, horizon)
+			var sum float64
+			for s := lo; s < hi; s++ {
+				sum += samples[s]
+			}
+			values = append(values, sum/float64(hi-lo))
+		}
+		return stats.BinnedSeries{Width: width, Values: values}
+	}
+	rep := &ConcurrencyReport{
+		Marginal: stats.NewECDF(samples),
+		Binned:   binMeans(TemporalBin),
+		WeekFold: stats.BinnedSeries{Width: TemporalBin},
+		Peak:     peak,
+	}
+	var err error
+	if horizon >= 7*86400 {
+		if rep.WeekFold, err = rep.Binned.FoldModulo(7 * 86400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.DayFold, err = rep.Binned.FoldModulo(86400); err != nil {
+		t.Fatal(err)
+	}
+	minutes := binMeans(ACFBin).Values
+	for l := 0; l <= min(MaxACFLagMinutes, len(minutes)-1) && len(minutes) > 1; l++ {
+		r, err := stats.Autocorrelation(minutes, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.ACF = append(rep.ACF, r)
+	}
+	return rep
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func TestConcurrencyMatchesPerSecondReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// Horizons that are not multiples of either bin width, one past a
+	// week so the weekly fold is exercised.
+	for _, horizon := range []int64{2*86400 + 1234, 86400 + 59, 7*86400 + 4321} {
+		intervals := make([]Interval, 20+rng.Intn(40))
+		for i := range intervals {
+			start := rng.Int63n(horizon+2000) - 1000 // some begin before 0 or after the horizon
+			var length int64
+			switch rng.Intn(4) {
+			case 0: // zero-length
+			case 1:
+				length = rng.Int63n(horizon) // long: clipped at the horizon, overlaps many
+			default:
+				length = rng.Int63n(20000)
+			}
+			intervals[i] = Interval{Start: start, End: start + length}
+		}
+		intervals[0] = Interval{Start: horizon - 1, End: horizon} // touches the horizon
+
+		got, err := Concurrency(intervals, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteConcurrency(t, intervals, horizon)
+
+		if got.Peak != want.Peak {
+			t.Errorf("horizon %d: Peak = %d, want %d", horizon, got.Peak, want.Peak)
+		}
+		for name, pair := range map[string][2][]float64{
+			"Binned":   {got.Binned.Values, want.Binned.Values},
+			"WeekFold": {got.WeekFold.Values, want.WeekFold.Values},
+			"DayFold":  {got.DayFold.Values, want.DayFold.Values},
+			"ACF":      {got.ACF, want.ACF},
+		} {
+			if !sameBits(pair[0], pair[1]) {
+				t.Errorf("horizon %d: %s differs from the per-second reference (%d vs %d values)", horizon, name, len(pair[0]), len(pair[1]))
+			}
+		}
+		gm, wm := got.Marginal, want.Marginal
+		if gm.N() != wm.N() {
+			t.Fatalf("horizon %d: marginal N = %d, want %d", horizon, gm.N(), wm.N())
+		}
+		gc, wc := gm.CDFPoints(), wm.CDFPoints()
+		gcc, wcc := gm.CCDFPoints(), wm.CCDFPoints()
+		if len(gc) != len(wc) || len(gcc) != len(wcc) {
+			t.Fatalf("horizon %d: marginal has %d/%d points, want %d/%d", horizon, len(gc), len(gcc), len(wc), len(wcc))
+		}
+		for i := range wc {
+			if gc[i] != wc[i] || gcc[i] != wcc[i] {
+				t.Errorf("horizon %d: marginal point %d = %v / %v, want %v / %v", horizon, i, gc[i], gcc[i], wc[i], wcc[i])
+			}
+		}
+		for _, p := range []float64{0, 0.1, 0.5, 0.9, 0.999, 1} {
+			if g, w := gm.Quantile(p), wm.Quantile(p); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("horizon %d: marginal Quantile(%v) = %v, want %v", horizon, p, g, w)
+			}
+		}
+	}
+}

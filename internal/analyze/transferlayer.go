@@ -64,7 +64,8 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	// Concurrency of transfers.
 	intervals := make([]Interval, tr.NumTransfers())
 	starts := make([]int64, tr.NumTransfers())
-	for i, t := range tr.Transfers {
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
 		intervals[i] = Interval{Start: t.Start, End: t.End()}
 		starts[i] = t.Start
 	}
@@ -89,8 +90,8 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 
 	// Transfer lengths.
 	lengths := make([]float64, tr.NumTransfers())
-	for i, t := range tr.Transfers {
-		lengths[i] = stats.LogDisplayValue(float64(t.Duration))
+	for i := range tr.Transfers {
+		lengths[i] = stats.LogDisplayValue(float64(tr.Transfers[i].Duration))
 	}
 	out.Lengths = lengths
 	fit, err := dist.FitLognormal(lengths)
@@ -104,8 +105,8 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 
 	// Bandwidth modes.
 	out.Bandwidths = make([]float64, tr.NumTransfers())
-	for i, t := range tr.Transfers {
-		out.Bandwidths[i] = float64(t.Bandwidth)
+	for i := range tr.Transfers {
+		out.Bandwidths[i] = float64(tr.Transfers[i].Bandwidth)
 	}
 	out.BandwidthModes, out.CongestionFrac = detectBandwidthModes(out.Bandwidths)
 	return out, nil

@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	randv2 "math/rand/v2"
 
 	"repro/internal/analyze"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/wmslog"
 )
 
 // ErrBadConfig reports invalid pipeline configuration.
@@ -194,6 +196,35 @@ func Run(cfg Config) (*Report, error) {
 		Peak:     res.PeakConcurrency,
 		Char:     char,
 	}, nil
+}
+
+// LoadLogs is the front half every log-reading command shares: find the
+// daily wms-*.log files under dir (text, gzip or framed binary), parse
+// them tolerantly, rebuild the trace over a days-long horizon and
+// sanitize it (Section 2.4). The parse and sanitize summaries are
+// written to w.
+func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
+	paths, err := wmslog.FindLogs(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", dir)
+	}
+	entries, st, err := wmslog.ReadFiles(paths, true)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "parsed %d entries from %d files (%d malformed lines skipped)\n",
+		st.Entries, len(paths), st.Malformed)
+
+	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, int64(days)*86400)
+	if err != nil {
+		return nil, err
+	}
+	clean, sanReport := tr.Sanitize()
+	fmt.Fprintln(w, sanReport)
+	return clean, nil
 }
 
 // Characterize runs the Sections 3–5 pipeline on an already-sanitized

@@ -28,6 +28,12 @@ var DeterministicPackages = map[string]bool{
 	// contract: equal (characterization, seed) inputs yield equal models,
 	// twins, and reports.
 	"repro/internal/calibrate": true,
+	// The measurement half, which lsmcal's pinned spec and stdout rest
+	// on: trace construction and the per-client index, the statistics
+	// substrate, and the three layer analyses.
+	"repro/internal/trace":   true,
+	"repro/internal/stats":   true,
+	"repro/internal/analyze": true,
 }
 
 // wallclockFuncs are the package time functions that read (or schedule

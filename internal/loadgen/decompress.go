@@ -61,10 +61,11 @@ func DecompressEntries(entries []*wmslog.Entry, begin time.Time, origin int64, c
 // re-expanded). Returns false if no gap-free band that wide exists.
 func SafeTimeout(tr *trace.Trace, slack int64) (int64, bool) {
 	gaps := []int64{0}
-	for _, idxs := range tr.ByClient() {
+	ci := tr.ByClient()
+	for k := 0; k < ci.Len(); k++ {
 		coverage := int64(-1)
-		for _, i := range idxs {
-			tx := tr.Transfers[i]
+		for _, i := range ci.Transfers(k) {
+			tx := &tr.Transfers[i]
 			if coverage >= 0 && tx.Start > coverage {
 				gaps = append(gaps, tx.Start-coverage)
 			}

@@ -1,9 +1,10 @@
 // Package prof wires the standard Go profilers into the pipeline
-// commands: every cmd that serves or replays at scale (lsmgen,
-// lsmload, lsmserve) registers -cpuprofile, -memprofile and -trace
-// flags through one Profiles value, so a perf investigation is always
-// one flag away from a pprof/trace artifact (`make profile` is the
-// canonical invocation; CI uploads its output on demand).
+// commands: every cmd that generates, serves, replays or characterizes
+// at scale (lsmgen, lsmload, lsmserve, lsmcal, lsmchar) registers
+// -cpuprofile, -memprofile and -trace flags through one Profiles value,
+// so a perf investigation is always one flag away from a pprof/trace
+// artifact (`make profile` is the canonical invocation; CI uploads its
+// output on demand).
 package prof
 
 import (

@@ -16,6 +16,8 @@ package sessions
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -50,49 +52,38 @@ type Set struct {
 }
 
 // Sessionize groups each client's transfers into sessions using timeout
-// T_o (seconds).
+// T_o (seconds): a client's running session closes whenever the silent
+// gap (next start minus the latest end so far) exceeds the timeout.
+// Overlapping transfers extend coverage and can never split a session.
+//
+// It is one walk over the trace. Transfers are (Start, Client)-sorted
+// and a session starts with its first transfer, so opening sessions in
+// walk order emits them already (Start, Client)-sorted; a session's
+// transfers are consecutive in its client's index row, so Transfers is
+// a window onto that row, not a copy.
 func Sessionize(tr *trace.Trace, timeout int64) (*Set, error) {
 	if timeout <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadTimeout, timeout)
 	}
+	ci := tr.ByClient()
+	seen := make([]int, ci.Len())   // transfers of the client walked so far
+	open := make([]int32, ci.Len()) // 1 + index in out of its running session
 	var out []Session
-	for client, idxs := range tr.ByClient() { //lsm:nondet -- the sort below re-imposes the (Start, Client) total order
-		out = append(out, sessionizeClient(tr, client, idxs, timeout)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
+		k := ci.Slot(i)
+		row, p := ci.Transfers(k), seen[k]
+		seen[k]++
+		if o := open[k]; o != 0 && t.Start-out[o-1].End <= timeout {
+			cur := &out[o-1]
+			cur.Transfers = row[p-len(cur.Transfers) : p+1 : p+1]
+			cur.End = max(cur.End, t.End())
+			continue
 		}
-		return out[i].Client < out[j].Client
-	})
+		out = append(out, Session{Client: ci.Client(k), Transfers: row[p : p+1 : p+1], Start: t.Start, End: t.End()})
+		open[k] = int32(len(out))
+	}
 	return &Set{Timeout: timeout, Sessions: out, tr: tr}, nil
-}
-
-// sessionizeClient walks one client's start-ordered transfers, closing the
-// running session whenever the silent gap (next start minus coverage end)
-// exceeds the timeout. Overlapping transfers extend coverage and can never
-// split a session.
-func sessionizeClient(tr *trace.Trace, client int, idxs []int, timeout int64) []Session {
-	var out []Session
-	var cur *Session
-	for _, i := range idxs {
-		t := tr.Transfers[i]
-		if cur != nil && t.Start-cur.End > timeout {
-			out = append(out, *cur)
-			cur = nil
-		}
-		if cur == nil {
-			cur = &Session{Client: client, Start: t.Start, End: t.End()}
-		}
-		cur.Transfers = append(cur.Transfers, i)
-		if t.End() > cur.End {
-			cur.End = t.End()
-		}
-	}
-	if cur != nil {
-		out = append(out, *cur)
-	}
-	return out
 }
 
 // Count returns the number of sessions.
@@ -114,22 +105,20 @@ func (s *Set) OnTimes() []float64 {
 // OffTimes returns the session OFF times f(i) = t(j) - t(i) - l(i) for
 // every pair of consecutive sessions (i, j) of the same client.
 func (s *Set) OffTimes() []float64 {
-	// Group session indices per client in start order (Sessions is
-	// globally start-sorted, so per-client order is preserved).
-	perClient := make(map[int][]int)
-	for i, sess := range s.Sessions {
-		perClient[sess.Client] = append(perClient[sess.Client], i)
-	}
+	// Sessions is start-sorted, so a client's previous session is the
+	// last one of that client walked so far.
+	ci := s.tr.ByClient()
+	prev := make([]int32, ci.Len()) // 1 + index of the client's previous session
 	var out []float64
-	for _, idxs := range perClient { //lsm:nondet -- sort.Float64s below re-imposes a total order
-		for k := 1; k < len(idxs); k++ {
-			prev := s.Sessions[idxs[k-1]]
-			next := s.Sessions[idxs[k]]
-			off := float64(next.Start - prev.Start - prev.On())
-			if off >= 0 {
-				out = append(out, off)
+	for i := range s.Sessions {
+		next := &s.Sessions[i]
+		k := ci.Slot(next.Transfers[0])
+		if p := prev[k]; p != 0 {
+			if off := next.Start - s.Sessions[p-1].End; off >= 0 {
+				out = append(out, float64(off))
 			}
 		}
+		prev[k] = int32(i + 1)
 	}
 	sort.Float64s(out)
 	return out
@@ -165,7 +154,7 @@ func (s *Set) TransferOffTimes() []float64 {
 	for _, sess := range s.Sessions {
 		coverageEnd := int64(-1)
 		for _, ti := range sess.Transfers {
-			t := s.tr.Transfers[ti]
+			t := &s.tr.Transfers[ti]
 			if coverageEnd >= 0 && t.Start > coverageEnd {
 				out = append(out, float64(t.Start-coverageEnd))
 			}
@@ -186,7 +175,7 @@ func (s *Set) TransferOnRuns() []float64 {
 		runStart := int64(-1)
 		coverageEnd := int64(-1)
 		for _, ti := range sess.Transfers {
-			t := s.tr.Transfers[ti]
+			t := &s.tr.Transfers[ti]
 			if runStart < 0 {
 				runStart, coverageEnd = t.Start, t.End()
 				continue
@@ -225,14 +214,51 @@ type SweepPoint struct {
 // SweepTimeout evaluates the number of sessions at each timeout value —
 // the sensitivity analysis of Figure 9 ("the number of sessions does not
 // change drastically for T_o > 1,500 seconds").
+//
+// It sessionizes nothing. A client's silent gap before its k-th transfer
+// is Start_k minus the latest end among its earlier transfers, whatever
+// the timeout (see silentGaps), and a session opens at a client's first
+// transfer and at every gap above T_o, so
+// sessions(T_o) = clients + #{gaps > T_o}: one walk, one sort, and a
+// binary search per timeout.
 func SweepTimeout(tr *trace.Trace, timeouts []int64) ([]SweepPoint, error) {
+	for _, to := range timeouts {
+		if to <= 0 {
+			return nil, fmt.Errorf("%w: %d", ErrBadTimeout, to)
+		}
+	}
+	gaps := silentGaps(tr)
+	slices.Sort(gaps)
 	out := make([]SweepPoint, 0, len(timeouts))
 	for _, to := range timeouts {
-		set, err := Sessionize(tr, to)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Timeout: to, Sessions: set.Count()})
+		above := len(gaps) - sort.Search(len(gaps), func(i int) bool { return gaps[i] > to })
+		out = append(out, SweepPoint{Timeout: to, Sessions: tr.NumClients() + above})
 	}
 	return out, nil
+}
+
+// silentGaps returns, in trace order, every positive gap between a
+// transfer's start and the latest end among the same client's earlier
+// transfers. These are exactly the gaps Sessionize compares with T_o:
+// its running End is the latest end within the current session only,
+// but a session split at transfer j means Start_j exceeded every
+// earlier end of the client, and later starts are no smaller, so ends
+// from closed sessions can never be the latest that matters.
+func silentGaps(tr *trace.Trace) []int64 {
+	ci := tr.ByClient()
+	const unseen = math.MinInt64
+	latest := make([]int64, ci.Len()) // latest end per client so far
+	for k := range latest {
+		latest[k] = unseen
+	}
+	var gaps []int64
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
+		k := ci.Slot(i)
+		if latest[k] != unseen && t.Start > latest[k] {
+			gaps = append(gaps, t.Start-latest[k])
+		}
+		latest[k] = max(latest[k], t.End())
+	}
+	return gaps
 }

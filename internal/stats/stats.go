@@ -92,17 +92,23 @@ func Quantile(xs []float64, p float64) (float64, error) {
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+	return quantileAt(len(sorted), func(i int) float64 { return sorted[i] }, p)
+}
+
+// quantileAt interpolates the p-quantile of an n-sample between the
+// order statistics at(i), 0 <= i < n.
+func quantileAt(n int, at func(int) float64, p float64) float64 {
+	if n == 1 {
+		return at(0)
 	}
-	pos := p * float64(len(sorted)-1)
+	pos := p * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // LogDisplayValue maps a time measurement t (seconds) to ⌊t⌋+1, the

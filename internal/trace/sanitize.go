@@ -31,7 +31,8 @@ func (r SanitizeReport) String() string {
 func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
 	report := SanitizeReport{Input: len(tr.Transfers)}
 	kept := make([]Transfer, 0, len(tr.Transfers))
-	for _, t := range tr.Transfers {
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
 		switch {
 		case t.Duration < 0:
 			report.DroppedNegative++
@@ -40,7 +41,7 @@ func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
 		case t.Start < 0 || t.End() > tr.Horizon:
 			report.DroppedOutside++
 		default:
-			kept = append(kept, t)
+			kept = append(kept, *t)
 		}
 	}
 	report.Kept = len(kept)

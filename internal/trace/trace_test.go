@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,11 +65,15 @@ func TestByClientAndCounts(t *testing.T) {
 		t.Errorf("clients=%d transfers=%d", tr.NumClients(), tr.NumTransfers())
 	}
 	byC := tr.ByClient()
-	if len(byC[1]) != 2 || len(byC[2]) != 1 {
-		t.Errorf("ByClient = %v", byC)
+	if byC.Len() != 2 || byC.Client(0) != 1 || byC.Client(1) != 2 {
+		t.Fatalf("ByClient clients = %d, want ids 1 and 2 ascending", byC.Len())
+	}
+	c1, c2 := byC.Transfers(0), byC.Transfers(1)
+	if len(c1) != 2 || len(c2) != 1 {
+		t.Errorf("ByClient rows = %v, %v", c1, c2)
 	}
 	// Indices must reference client-1 transfers in start order.
-	if tr.Transfers[byC[1][0]].Start != 100 || tr.Transfers[byC[1][1]].Start != 300 {
+	if tr.Transfers[c1[0]].Start != 100 || tr.Transfers[c1[1]].Start != 300 {
 		t.Error("ByClient indices out of order")
 	}
 }
@@ -232,5 +239,56 @@ func TestFromEntries(t *testing.T) {
 	}
 	if _, err := FromEntries(nil, epoch, 0); err == nil {
 		t.Error("zero horizon: want error")
+	}
+}
+
+// The client index must list, for every distinct client in ascending id
+// order, exactly that client's transfers in trace order — whether the
+// ids are compact enough for the direct-address table or not.
+func TestClientIndexMatchesMapGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, ids := range [][]int{
+		{0, 1, 2, 3, 4, 5},         // dense
+		{7, 900, 901, 5000},        // dense table with holes
+		{-3, 0, 4},                 // negative ids
+		{-1 << 50, 12, 1 << 50},    // too sparse for a table
+		{math.MinInt, math.MaxInt}, // span overflows int
+	} {
+		transfers := make([]Transfer, 1+rng.Intn(200))
+		for i := range transfers {
+			transfers[i] = mkTransfer(ids[rng.Intn(len(ids))], rng.Int63n(1000), 10)
+		}
+		tr, err := New(2000, transfers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[int][]int)
+		for i, tx := range tr.Transfers {
+			want[tx.Client] = append(want[tx.Client], i)
+		}
+		ci := tr.ByClient()
+		if ci.Len() != len(want) || tr.NumClients() != len(want) {
+			t.Fatalf("ids %v: %d clients, want %d", ids, ci.Len(), len(want))
+		}
+		for k := 0; k < ci.Len(); k++ {
+			if k > 0 && ci.Client(k-1) >= ci.Client(k) {
+				t.Fatalf("ids %v: client ids not ascending at slot %d", ids, k)
+			}
+			if got := ci.Transfers(k); !slices.Equal(got, want[ci.Client(k)]) {
+				t.Fatalf("ids %v: client %d row = %v, want %v", ids, ci.Client(k), got, want[ci.Client(k)])
+			}
+			for _, i := range ci.Transfers(k) {
+				if ci.Slot(i) != k {
+					t.Fatalf("ids %v: transfer %d has slot %d, is in row %d", ids, i, ci.Slot(i), k)
+				}
+			}
+		}
+	}
+	empty, err := New(10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.NumClients() != 0 {
+		t.Errorf("empty trace has %d clients", empty.NumClients())
 	}
 }
