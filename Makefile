@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: verify build lint test race bench bench-gate bench-history fuzz e2e e2e-fleet e2e-twin profile
+.PHONY: verify build lint test race examples bench bench-gate bench-history fuzz e2e e2e-fleet e2e-twin profile
 
 # Extra flags for the e2e binaries (CI passes E2E_BUILDFLAGS=-race to
 # run the socket smokes under the race detector).
@@ -27,11 +27,27 @@ test:
 race:
 	$(GO) test -race ./...
 
+# examples runs every program under examples/ to completion: they are
+# compiled by `build` but exercised by no test. Each gets 120 s; an
+# example that outgrows the budget gets a smaller scale, not a skip.
+examples:
+	@for d in examples/*/; do \
+	    echo "go run ./$$d"; \
+	    timeout 120 $(GO) run ./$$d > /dev/null || { echo "FAIL: $$d" >&2; exit 1; }; \
+	done
+
 # BENCH_MATRIX selects the benchmarks that run the -cpu 1,2,4,8
 # matrix: the parallel serve path, sharded generation (plus its
 # sequential baseline, which speedup_vs_sequential divides by at the
 # same GOMAXPROCS), and the fused end-to-end RunStreamed pipeline.
 BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)|BenchmarkRunStreamed
+
+# BENCH_CODEC selects the single-threaded streaming benchmarks the
+# matrix does not cover: the wmslog entry and whole-log codecs, and the
+# materializing drain of the generator. Like BENCH_CHAR they run at
+# -cpu 1, so every row's (name, gomaxprocs) key is the same on any
+# runner and the gate compares it instead of reporting NEW/GONE.
+BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|EncodeBinaryLog|GenerateMaterialized)$$
 
 # BENCH_CHAR selects the measurement-half benchmarks: sessionization,
 # the whole core.Characterize, the concurrency report with its Figure 8
@@ -40,21 +56,22 @@ BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Sh
 # the runner's core count.
 BENCH_CHAR := BenchmarkPipeline(Sessionize|FullCharacterization)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)
 
-# bench runs the streaming-pipeline benchmarks (sequential vs sharded
-# generation, streamed serving) and the measurement-half benchmarks
-# (BENCH_CHAR) and renders BENCH_streaming.json — ns/op and bytes/op
-# per benchmark — seeding the perf trajectory. The
-# serve, generate, and end-to-end benchmarks additionally run a -cpu
-# 1,2,4,8 matrix so each parallel path's scaling
+# bench runs the codec benchmarks (BENCH_CODEC), the streaming-pipeline
+# benchmarks (BENCH_MATRIX: sequential vs sharded generation, streamed
+# serving, the fused end-to-end run) and the measurement-half
+# benchmarks (BENCH_CHAR) and renders BENCH_streaming.json — ns/op and
+# bytes/op per benchmark — seeding the perf trajectory. The matrix runs
+# at -cpu 1,2,4,8 so each parallel path's scaling
 # (metrics.speedup_vs_sequential, computed per GOMAXPROCS against its
-# sequential baseline) is part of the record.
+# sequential baseline) is part of the record; the three selections are
+# disjoint, so the record holds one row per (name, gomaxprocs).
 # The bench output is written to a file first so a failing `go test`
 # fails the target instead of being masked by a pipe; every failing
 # step deletes the intermediate so a rerun never ingests stale output,
 # and the committed baseline is replaced atomically (write to .tmp,
 # then mv) so a failed render cannot truncate it.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkStreaming' -benchmem -count 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_CODEC)' -benchmem -count 1 -cpu 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 1 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_CHAR)' -benchmem -count 1 -cpu 1 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
@@ -84,7 +101,7 @@ bench-gate:
 	        echo "$${baselines:-  (none)}" >&2; \
 	        exit 1; \
 	    fi
-	$(GO) test -run '^$$' -bench 'BenchmarkStreaming' -benchmem -count 3 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_CODEC)' -benchmem -count 3 -cpu 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 3 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_CHAR)' -benchmem -count 3 -cpu 1 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt

@@ -69,13 +69,12 @@ func getFixture(b *testing.B) *benchFixture {
 		}
 		// Rebuild the sanitized trace and session set once for the
 		// per-figure benches.
-		rng := rand.New(rand.NewSource(benchSeed))
-		w, err := gismo.Generate(cfg.Model, rng)
+		w, err := gismo.GenerateSeeded(cfg.Model, benchSeed)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		res, err := simulate.Run(w, cfg.Server, rng.Uint64())
+		res, err := simulate.Run(w, cfg.Server, uint64(benchSeed))
 		if err != nil {
 			fixtureErr = err
 			return
@@ -509,7 +508,7 @@ func BenchmarkPipelineGenerate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gismo.Generate(m, rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := gismo.GenerateSeeded(m, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -520,7 +519,7 @@ func BenchmarkPipelineSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := gismo.Generate(m, rand.New(rand.NewSource(1)))
+	w, err := gismo.GenerateSeeded(m, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

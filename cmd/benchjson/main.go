@@ -148,14 +148,9 @@ func main() {
 	annotateSpeedup(report, specs)
 
 	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
+		base, err := loadBaseline(*baseline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		var base Report
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: parse baseline %s: %v\n", *baseline, err)
 			os.Exit(1)
 		}
 		opts := compareOpts{threshold: *threshold, speedup: specs, numCPU: runtime.NumCPU(), minCores: *minCores}
@@ -163,7 +158,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: WARNING: %d core(s) < -min-cores %d; multi-core variants and %s are not gated on this machine\n",
 				opts.numCPU, opts.minCores, speedupMetric)
 		}
-		regressions, compared := compare(&base, report, opts, os.Stdout)
+		regressions, compared := compare(base, report, opts, os.Stdout)
 		if compared == 0 {
 			// A gate that measured nothing must not pass: an empty
 			// intersection means the bench run or the baseline broke.
@@ -184,6 +179,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// loadBaseline reads a committed baseline. A baseline is one row per
+// (name, gomaxprocs): a duplicate means two bench passes recorded the
+// same variant, and the gate would silently compare against the better
+// of the two, so it is refused.
+func loadBaseline(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
+	}
+	seen := make(map[string]bool, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		key := variantKey(b.Name, b.Gomaxprocs)
+		if seen[key] {
+			return nil, fmt.Errorf("baseline %s has more than one row for %s; re-record it with `make bench`", path, key)
+		}
+		seen[key] = true
+	}
+	return &base, nil
 }
 
 func parseSpeedupSpecs(s string) ([]speedupSpec, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -348,5 +350,30 @@ func TestCompareBestOfNAndEmptyIntersection(t *testing.T) {
 	disjoint := &Report{Benchmarks: []Result{{Name: "BenchmarkRenamed", NsPerOp: 10}}}
 	if _, compared := compare(base, disjoint, gateOpts, &out); compared != 0 {
 		t.Fatalf("disjoint sets reported %d compared", compared)
+	}
+}
+
+// TestLoadBaselineRefusesDuplicateKey: a baseline holds one row per
+// (name, gomaxprocs); two rows for one variant are an error, whether
+// the single-proc row spells its gomaxprocs or leaves it out.
+func TestLoadBaselineRefusesDuplicateKey(t *testing.T) {
+	write := func(body string) string {
+		path := filepath.Join(t.TempDir(), "BENCH.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := write(`{"benchmarks":[
+		{"name":"BenchmarkA","gomaxprocs":1,"runs":1,"ns_per_op":10},
+		{"name":"BenchmarkA","gomaxprocs":2,"runs":1,"ns_per_op":9}]}`)
+	if base, err := loadBaseline(good); err != nil || len(base.Benchmarks) != 2 {
+		t.Fatalf("distinct variants refused: %v", err)
+	}
+	dup := write(`{"benchmarks":[
+		{"name":"BenchmarkA","runs":1,"ns_per_op":10},
+		{"name":"BenchmarkA","gomaxprocs":1,"runs":1,"ns_per_op":12}]}`)
+	if _, err := loadBaseline(dup); err == nil || !strings.Contains(err.Error(), "BenchmarkA") {
+		t.Fatalf("duplicate key accepted: %v", err)
 	}
 }

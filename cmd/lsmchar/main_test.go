@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -17,12 +16,11 @@ func writeTestLogs(t *testing.T) (dir string, days int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	w, err := gismo.Generate(m, rng)
+	w, err := gismo.GenerateSeeded(m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), rng.Uint64())
+	res, err := simulate.Run(w, simulate.DefaultConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

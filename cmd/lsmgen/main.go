@@ -5,8 +5,8 @@
 // Usage:
 //
 //	lsmgen -out logs/ [-scale 150] [-days 7] [-seed 1] [-model model.json]
-//	       [-save-model model.json] [-log-format text|binary] [-stream]
-//	       [-shards N] [-lanes N]
+//	       [-save-model model.json] [-log-format text|binary]
+//	       [-shards N] [-serve-lanes N]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
 // -log-format binary writes the daily files in the framed binary
@@ -14,15 +14,14 @@
 // reader); text stays the canonical form all md5 contracts are pinned
 // to, and `lsmlog convert` round-trips between the two losslessly.
 //
-// With -stream the pipeline runs in streaming mode: the sharded
-// generator feeds the sharded simulator event by event and log entries
-// go straight to the daily files, so memory stays O(active sessions)
-// instead of O(total requests) — the mode for paper-scale (-scale 1)
-// runs. -shards sets the generator shard count and -serve-lanes the
-// serve worker count (0 = one per schedulable CPU each; -lanes is the
-// deprecated alias). The emitted logs are byte-identical between the
-// streaming and the materializing path for the same seed, at any shard
-// or lane count.
+// The pipeline is one streamed pass: the sharded generator feeds the
+// sharded simulator event by event and log entries go straight to the
+// daily files, so memory stays O(active sessions) at any scale,
+// paper scale (-scale 1) included. -shards sets the generator shard
+// count and -serve-lanes the serve worker count (0 = one per
+// schedulable CPU each). The emitted logs are byte-identical for the
+// same seed at any shard or lane count. -stream is accepted and
+// ignored: streaming is the only mode.
 //
 // The profiling flags (internal/prof) capture the run as pprof/trace
 // artifacts; `make profile` is the canonical profiling invocation.
@@ -32,15 +31,12 @@
 // (e.g. one fitted by `lsmcal -o`) instead of the -scale/-days
 // parameterization; -save-model writes the effective model spec so the
 // run can be reproduced or adjusted. The two compose: `-model a.json
-// -save-model b.json` round-trips the spec byte-identically. (-load is
-// the deprecated alias of -model from when -model meant the write
-// path.)
+// -save-model b.json` round-trips the spec byte-identically.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 
@@ -58,42 +54,35 @@ type options struct {
 	seed       int64
 	savePath   string
 	loadPath   string
-	loadAlias  string
 	logFormat  string
-	stream     bool
 	shards     int
-	lanes      int
 	serveLanes int
+}
+
+// registerFlags binds the workload flags to o.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.out, "out", "", "directory for daily log files (required)")
+	fs.Float64Var(&o.scale, "scale", 150, "population/rate scale-down factor (1 = paper scale)")
+	fs.IntVar(&o.days, "days", 7, "trace length in days")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.StringVar(&o.loadPath, "model", "", "model spec JSON to load instead of -scale/-days (e.g. from lsmcal -o)")
+	fs.StringVar(&o.savePath, "save-model", "", "optional path to write the effective model spec JSON")
+	fs.StringVar(&o.logFormat, "log-format", "text", "daily log format: text (canonical) or binary (framed fast path)")
+	fs.Bool("stream", false, "ignored: streaming is the only mode (kept so existing command lines parse)")
+	fs.IntVar(&o.shards, "shards", 0, "generator shards (0 = one per CPU)")
+	fs.IntVar(&o.serveLanes, "serve-lanes", 0, "serve worker lanes (0 = one per schedulable CPU)")
 }
 
 func main() {
 	var o options
 	var profiles prof.Profiles
-	flag.StringVar(&o.out, "out", "", "directory for daily log files (required)")
-	flag.Float64Var(&o.scale, "scale", 150, "population/rate scale-down factor (1 = paper scale)")
-	flag.IntVar(&o.days, "days", 7, "trace length in days")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.StringVar(&o.loadPath, "model", "", "model spec JSON to load instead of -scale/-days (e.g. from lsmcal -o)")
-	flag.StringVar(&o.savePath, "save-model", "", "optional path to write the effective model spec JSON")
-	flag.StringVar(&o.loadAlias, "load", "", "deprecated alias for -model")
-	flag.StringVar(&o.logFormat, "log-format", "text", "daily log format: text (canonical) or binary (framed fast path)")
-	flag.BoolVar(&o.stream, "stream", false, "streaming mode: O(active sessions) memory, logs written as served")
-	flag.IntVar(&o.shards, "shards", 0, "generator shards in streaming mode (0 = one per CPU)")
-	flag.IntVar(&o.serveLanes, "serve-lanes", 0, "serve worker lanes in streaming mode (0 = one per schedulable CPU)")
-	flag.IntVar(&o.lanes, "lanes", 0, "deprecated alias for -serve-lanes")
+	registerFlags(flag.CommandLine, &o)
 	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if o.out == "" {
 		fmt.Fprintln(os.Stderr, "lsmgen: -out is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if o.loadAlias != "" {
-		if o.loadPath != "" && o.loadPath != o.loadAlias {
-			fmt.Fprintln(os.Stderr, "lsmgen: -load is a deprecated alias for -model; set only one")
-			os.Exit(2)
-		}
-		o.loadPath = o.loadAlias
 	}
 	if o.logFormat != "text" && o.logFormat != "binary" {
 		fmt.Fprintf(os.Stderr, "lsmgen: -log-format %q: want text or binary\n", o.logFormat)
@@ -113,87 +102,24 @@ func main() {
 	}
 }
 
+// run pipes the sharded generator straight into the sharded simulator
+// and the simulator straight into the daily log writer: no workload,
+// trace or entry slice is ever materialized, and both the session
+// expansion and the server-model draws run across CPUs.
 func run(o options) error {
 	model, err := resolveModel(o)
 	if err != nil {
 		return err
 	}
-	if o.stream {
-		err = runStreaming(o, model)
-	} else {
-		err = runMaterialized(o, model)
-	}
-	if err != nil {
-		return err
-	}
-	if o.savePath != "" {
-		if err := model.Save(o.savePath); err != nil {
-			return err
-		}
-		fmt.Printf("model written to %s\n", o.savePath)
-	}
-	return nil
-}
-
-func resolveModel(o options) (gismo.Model, error) {
-	if o.loadPath != "" {
-		return gismo.LoadModel(o.loadPath)
-	}
-	m, err := gismo.Scaled(o.scale, o.days)
-	if err != nil {
-		return m, err
-	}
-	return m, m.Validate()
-}
-
-// runMaterialized is the classic path: generate everything, serve
-// everything, then write the logs.
-func runMaterialized(o options, model gismo.Model) error {
-	rng := rand.New(rand.NewSource(o.seed))
-	fmt.Printf("generating: %d clients, %d-day horizon, seed %d\n",
-		model.NumClients, model.Horizon/86400, o.seed)
-	w, err := gismo.Generate(model, rng)
-	if err != nil {
-		return err
-	}
-	fmt.Println(w)
-
-	res, err := simulate.Run(w, simulate.DefaultConfig(), uint64(o.seed))
-	if err != nil {
-		return err
-	}
-	writeLogs := res.WriteLogs
-	if o.logFormat == "binary" {
-		writeLogs = res.WriteLogsBinary
-	}
-	files, err := writeLogs(o.out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("served %d transfers (peak concurrency %d, %d corrupt entries injected)\n",
-		res.Trace.NumTransfers(), res.PeakConcurrency, res.Injected)
-	fmt.Printf("wrote %d daily log files under %s\n", len(files), o.out)
-	return nil
-}
-
-// runStreaming pipes the sharded generator straight into the sharded
-// simulator and the simulator straight into the daily log writer: no
-// workload, trace or entry slice is ever materialized, and both the
-// session expansion and the server-model draws run across CPUs.
-func runStreaming(o options, model gismo.Model) error {
 	shards := o.shards
 	if shards == 0 {
 		shards = gismo.DefaultShards()
 	}
 	lanes := o.serveLanes
 	if lanes == 0 {
-		lanes = o.lanes // deprecated -lanes alias
-	}
-	if lanes == 0 {
 		lanes = simulate.DefaultServeLanes()
 	}
-	rng := rand.New(rand.NewSource(o.seed))
-	ws, err := gismo.NewStream(model, rng.Int63(), shards)
+	ws, err := gismo.NewStreamSeeded(model, o.seed, shards)
 	if err != nil {
 		return err
 	}
@@ -219,5 +145,22 @@ func runStreaming(o options, model gismo.Model) error {
 	fmt.Printf("served %d transfers from %d sessions (peak concurrency %d, %d corrupt entries injected)\n",
 		res.Transfers, ws.Sessions(), res.PeakConcurrency, res.Injected)
 	fmt.Printf("wrote %d daily log files under %s\n", len(dw.Files()), o.out)
+	if o.savePath != "" {
+		if err := model.Save(o.savePath); err != nil {
+			return err
+		}
+		fmt.Printf("model written to %s\n", o.savePath)
+	}
 	return nil
+}
+
+func resolveModel(o options) (gismo.Model, error) {
+	if o.loadPath != "" {
+		return gismo.LoadModel(o.loadPath)
+	}
+	m, err := gismo.Scaled(o.scale, o.days)
+	if err != nil {
+		return m, err
+	}
+	return m, m.Validate()
 }

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/gismo"
+	"repro/internal/simulate"
 	"repro/internal/wmslog"
 )
 
@@ -138,7 +141,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run(options{out: dir, scale: 100, days: 2, seed: 1, loadPath: filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("missing model file: want error")
 	}
-	if err := run(options{out: dir, scale: 100, days: 2, seed: 1, stream: true, shards: -1}); err == nil {
+	if err := run(options{out: dir, scale: 100, days: 2, seed: 1, shards: -1}); err == nil {
 		t.Error("negative shard count: want error")
 	}
 }
@@ -161,38 +164,83 @@ func logBytes(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// parseArgs runs args through the command's own flag definitions.
+func parseArgs(args ...string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("lsmgen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	registerFlags(fs, &o)
+	return o, fs.Parse(args)
+}
+
 // TestStreamingLogsByteIdentical is the CLI-level acceptance check:
-// the streaming path (-stream -shards N -lanes K) must write
-// byte-identical daily logs to the materializing path for the same
-// seed, for any generator shard count and any serve lane count.
+// for any generator shard count and any serve lane count, with or
+// without the ignored -stream flag, the command must write daily logs
+// byte-identical to the library's materializing reference
+// (GenerateSeeded → simulate.Run → WriteLogs) for the same seed.
 func TestStreamingLogsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	legacyDir := filepath.Join(dir, "legacy")
-	if err := run(options{out: legacyDir, scale: 500, days: 2, seed: 11}); err != nil {
+	m, err := gismo.Scaled(500, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := logBytes(t, legacyDir)
-	if len(legacy) == 0 {
-		t.Fatal("no legacy logs")
+	w, err := gismo.GenerateSeeded(m, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := simulate.Run(w, simulate.DefaultConfig(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDir := filepath.Join(dir, "reference")
+	if _, err := res.WriteLogs(refDir); err != nil {
+		t.Fatal(err)
+	}
+	ref := logBytes(t, refDir)
+	if len(ref) == 0 {
+		t.Fatal("no reference logs")
 	}
 
-	for _, c := range []struct{ shards, lanes int }{{1, 1}, {3, 1}, {1, 4}, {3, 8}} {
-		streamDir := filepath.Join(dir, "stream", fmt.Sprintf("s%dl%d", c.shards, c.lanes))
-		if err := run(options{out: streamDir, scale: 500, days: 2, seed: 11, stream: true, shards: c.shards, lanes: c.lanes}); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		shards, lanes int
+		stream        bool
+	}{{1, 1, true}, {3, 1, true}, {1, 4, true}, {3, 8, true}, {3, 8, false}} {
+		name := fmt.Sprintf("shards=%d lanes=%d stream=%v", c.shards, c.lanes, c.stream)
+		streamDir := filepath.Join(dir, "stream", fmt.Sprintf("s%dl%d%v", c.shards, c.lanes, c.stream))
+		args := []string{"-out", streamDir, "-scale", "500", "-days", "2", "-seed", "11",
+			"-shards", fmt.Sprint(c.shards), "-serve-lanes", fmt.Sprint(c.lanes)}
+		if c.stream {
+			args = append(args, "-stream")
+		}
+		o, err := parseArgs(args...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := run(o); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		streamed := logBytes(t, streamDir)
-		if len(streamed) != len(legacy) {
-			t.Fatalf("shards=%d lanes=%d: %d files vs %d", c.shards, c.lanes, len(streamed), len(legacy))
+		if len(streamed) != len(ref) {
+			t.Fatalf("%s: %d files vs %d", name, len(streamed), len(ref))
 		}
-		for name, want := range legacy {
-			got, ok := streamed[name]
+		for file, want := range ref {
+			got, ok := streamed[file]
 			if !ok {
-				t.Fatalf("shards=%d lanes=%d: missing file %s", c.shards, c.lanes, name)
+				t.Fatalf("%s: missing file %s", name, file)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("shards=%d lanes=%d: %s differs from the materializing path", c.shards, c.lanes, name)
+				t.Fatalf("%s: %s differs from the materializing reference", name, file)
 			}
+		}
+	}
+}
+
+// TestRemovedAliasesRejected: the deprecated -load and -lanes spellings
+// are gone, not silently accepted.
+func TestRemovedAliasesRejected(t *testing.T) {
+	for _, args := range [][]string{{"-load", "m.json"}, {"-lanes", "2"}} {
+		if _, err := parseArgs(args...); err == nil {
+			t.Errorf("%v: want a flag-parsing error", args)
 		}
 	}
 }

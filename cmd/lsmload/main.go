@@ -279,7 +279,7 @@ func (sp *spec) stream() (workload.Stream, gismo.Model, error) {
 	if shards == 0 {
 		shards = gismo.DefaultShards()
 	}
-	ws, err := gismo.NewStream(m, sp.Seed, shards)
+	ws, err := gismo.NewStreamSeeded(m, sp.Seed, shards)
 	if err != nil {
 		return nil, m, err
 	}

@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
+
+	"repro/internal/gismo"
 )
 
 func TestParsePair(t *testing.T) {
@@ -29,6 +32,25 @@ func TestParseFlash(t *testing.T) {
 		if _, err := parseFlash(bad); err == nil {
 			t.Errorf("parseFlash(%q) accepted", bad)
 		}
+	}
+}
+
+// TestSpecSeedMatchesGenerateSeeded: one -seed means one workload in
+// every command — the untransformed stream lsmload offers is exactly
+// the request sequence GenerateSeeded (and so lsmgen) produces for the
+// same model and seed.
+func TestSpecSeedMatchesGenerateSeeded(t *testing.T) {
+	sp := spec{Scale: 6000, Days: 1, Hours: 1, Seed: 5, Shards: 2, Rate: 0.05, NoRamp: true}
+	offered, m, err := sp.offeredEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := gismo.GenerateSeeded(m, sp.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offered) == 0 || !slices.Equal(offered, w.Requests) {
+		t.Fatalf("lsmload offers %d events, GenerateSeeded %d requests, or they differ", len(offered), len(w.Requests))
 	}
 }
 

@@ -8,8 +8,10 @@
 //
 //	lsmrepro [-scale 150] [-days 7] [-seed 1] [-outdir repro-out/]
 //
-// -scale 1 -days 28 reproduces the paper's full scale (~5.5M transfers;
-// needs a few GB of memory and several minutes).
+// lsmrepro runs core.Run, which holds the drained workload, the trace
+// and the log in memory. For equal -scale, -days and -seed that is the
+// workload lsmgen streams to disk, so at -scale 1 -days 28 (2.47M
+// transfers, a few GB here) use lsmgen, then lsmcal or lsmchar.
 package main
 
 import (

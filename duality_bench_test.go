@@ -88,7 +88,7 @@ func BenchmarkExtensionQoSAbandonment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := gismo.Generate(m, rand.New(rand.NewSource(77)))
+	w, err := gismo.GenerateSeeded(m, 77)
 	if err != nil {
 		b.Fatal(err)
 	}

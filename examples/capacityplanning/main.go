@@ -20,7 +20,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 
 	"repro/internal/analyze"
@@ -64,12 +63,11 @@ func planAt(scale float64) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(1234))
-	w, err := gismo.Generate(m, rng)
+	w, err := gismo.GenerateSeeded(m, 1234)
 	if err != nil {
 		return nil, err
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), rng.Uint64())
+	res, err := simulate.Run(w, simulate.DefaultConfig(), 1234)
 	if err != nil {
 		return nil, err
 	}

@@ -31,17 +31,15 @@ import (
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(42))
-
 	// Stored side: a clip library.
 	storedModel := gismo.DefaultStored(3, 2000, 0.15)
-	stored, err := gismo.GenerateStored(storedModel, rng)
+	stored, err := gismo.GenerateStored(storedModel, rand.New(rand.NewSource(42)))
 	fatal(err)
 
 	// Live side: the reality show.
 	liveModel, err := gismo.Scaled(100, 3)
 	fatal(err)
-	live, err := gismo.Generate(liveModel, rng)
+	live, err := gismo.GenerateSeeded(liveModel, 42)
 	fatal(err)
 
 	// --- Duality 1: what is Zipf? -------------------------------------

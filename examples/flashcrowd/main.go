@@ -18,7 +18,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/analyze"
 	"repro/internal/gismo"
@@ -64,12 +63,11 @@ type eventStats struct {
 }
 
 func study(name string, m gismo.Model, seed int64) (eventStats, error) {
-	rng := rand.New(rand.NewSource(seed))
-	w, err := gismo.Generate(m, rng)
+	w, err := gismo.GenerateSeeded(m, seed)
 	if err != nil {
 		return eventStats{}, err
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), rng.Uint64())
+	res, err := simulate.Run(w, simulate.DefaultConfig(), uint64(seed))
 	if err != nil {
 		return eventStats{}, err
 	}

@@ -1,11 +1,16 @@
 // Live replay: end-to-end over real sockets.
 //
 // This example closes the loop the discrete-event simulator takes in one
-// step, but over an actual TCP streaming server: generate a small
-// workload with the paper's model, replay it against the in-process live
-// server in compressed time (1 trace hour ≈ 5 wall seconds), decompress
-// the server's transfer log back into trace time, and run the
+// step, but over an actual TCP streaming server: generate one trace hour
+// with the paper's model, replay it against the in-process live server
+// in compressed time (1 trace hour ≈ 6 wall seconds), decompress the
+// server's transfer log back into trace time, and run the
 // characterization pipeline on what the *network* actually did.
+//
+// The server logs at 1-second resolution, so at 600× compression every
+// reconstructed instant is quantized to ±600 trace seconds: who watched
+// and how many at once survive the round trip, transfer lengths do not
+// (`lsmload -check` is the exact validation of the same loop).
 //
 // Run with:
 //
@@ -15,35 +20,41 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/liveserver"
+	"repro/internal/loadgen"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 )
 
 func main() {
-	// A tiny workload: ~2 days of trace, heavily compressed.
-	model, err := gismo.Scaled(2000, 2)
+	// One busy trace hour of a small audience.
+	model, err := gismo.Scaled(3000, 1)
 	fatal(err)
-	w, err := gismo.Generate(model, rand.New(rand.NewSource(7)))
+	model.Horizon = 3600
+	model.RampUpDays = 0 // the premiere ramp would empty a one-hour trace
+	model.BaseArrivalRate = 0.05
+	fatal(model.Validate())
+	ws, err := gismo.NewStreamSeeded(model, 7, gismo.DefaultShards())
 	fatal(err)
-	fmt.Println(w)
+	defer ws.Close()
 
-	// In-process live server capturing transfer records.
+	// In-process live server logging each completed transfer the way
+	// lsmserve does.
 	var mu sync.Mutex
-	var records []liveserver.TransferRecord
+	var logged []*wmslog.Entry
 	scfg := liveserver.DefaultServerConfig()
 	scfg.FrameBytes = 512
 	scfg.FrameInterval = 10 * time.Millisecond
 	scfg.MaxConns = 128
 	scfg.Sink = func(r liveserver.TransferRecord) {
+		e := liveserver.RecordEntry(r)
 		mu.Lock()
-		records = append(records, r)
+		logged = append(logged, e)
 		mu.Unlock()
 	}
 	srv, err := liveserver.Serve("127.0.0.1:0", scfg)
@@ -51,23 +62,18 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("live server on %s\n", srv.Addr())
 
-	rcfg := liveserver.ReplayConfig{
-		Compression:  20000,
-		MaxTransfers: 60,
-		Concurrency:  24,
-		MinWatch:     25 * time.Millisecond,
-	}
-	replayStart := time.Now()
-	res, err := liveserver.Replay(srv.Addr(), w, rcfg)
+	cfg := loadgen.DefaultConfig()
+	cfg.Compression = 600
+	cfg.MaxConns = 64
+	cfg.MinWatch = 25 * time.Millisecond
+	res, err := loadgen.Replay(srv.Addr(), ws, cfg)
 	fatal(err)
-	fmt.Printf("replayed %d transfers in %v wall time: %d ok, %d failed, %d bytes on the wire\n",
-		res.Attempted, res.Wall.Round(time.Millisecond), res.Completed, res.Failed, res.Bytes)
+	fmt.Println(res)
 
 	// Decompress the server's log back into trace time and characterize.
 	mu.Lock()
-	recs := append([]liveserver.TransferRecord(nil), records...)
+	entries, err := loadgen.DecompressEntries(logged, res.Begin, res.Origin, res.Compression, wmslog.TraceEpoch)
 	mu.Unlock()
-	entries, err := liveserver.EntriesFromRecords(recs, w, wmslog.TraceEpoch, replayStart, rcfg.Compression, rand.New(rand.NewSource(1)))
 	fatal(err)
 	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, model.Horizon)
 	fatal(err)
@@ -77,9 +83,8 @@ func main() {
 	char, err := core.Characterize(clean, 1500, []int64{500, 1500, 3000}, 1)
 	fatal(err)
 	fmt.Printf("\ncharacterization of the wire trace:\n")
-	fmt.Printf("  %d clients, %d sessions, %d transfers\n",
-		char.Basic.Users, char.Basic.Sessions, char.Basic.Transfers)
-	fmt.Printf("  transfer lengths: %s\n", char.Transfer.LengthFit)
+	fmt.Printf("  %d clients, %d sessions, %d transfers (%d offered)\n",
+		char.Basic.Users, char.Basic.Sessions, char.Basic.Transfers, res.Attempted)
 	fmt.Printf("  peak concurrent transfers: %d (server completed %d in total)\n",
 		char.Transfer.Concurrency.Peak, srv.ServedTransfers())
 	fmt.Println("\nThe same pipeline that characterizes month-scale simulated traces")

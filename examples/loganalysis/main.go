@@ -16,7 +16,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -35,12 +34,11 @@ func main() {
 	// --- 1. Fabricate a week of logs, imperfections included. ---------
 	model, err := gismo.Scaled(400, 7)
 	fatal(err)
-	rng := rand.New(rand.NewSource(99))
-	w, err := gismo.Generate(model, rng)
+	w, err := gismo.GenerateSeeded(model, 99)
 	fatal(err)
 	scfg := simulate.DefaultConfig()
 	scfg.SpanningPerMillion = 20000 // 2%: visible multi-harvest artifacts
-	res, err := simulate.Run(w, scfg, rng.Uint64())
+	res, err := simulate.Run(w, scfg, 99)
 	fatal(err)
 	files, err := res.WriteLogs(dir)
 	fatal(err)

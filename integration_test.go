@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -23,14 +22,13 @@ func TestEndToEndDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(77))
-	w, err := gismo.Generate(m, rng)
+	w, err := gismo.GenerateSeeded(m, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := simulate.DefaultConfig()
 	cfg.SpanningPerMillion = 10000 // 1%
-	res, err := simulate.Run(w, cfg, rng.Uint64())
+	res, err := simulate.Run(w, cfg, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +120,11 @@ func TestSeededRunsFullyReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(123))
-		w, err := gismo.Generate(m, rng)
+		w, err := gismo.GenerateSeeded(m, 123)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := simulate.Run(w, simulate.DefaultConfig(), rng.Uint64())
+		res, err := simulate.Run(w, simulate.DefaultConfig(), 123)
 		if err != nil {
 			t.Fatal(err)
 		}

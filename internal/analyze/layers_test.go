@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/gismo"
@@ -30,7 +29,7 @@ func getFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gismo.Generate(m, rand.New(rand.NewSource(42)))
+	w, err := gismo.GenerateSeeded(m, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

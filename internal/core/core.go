@@ -4,7 +4,7 @@
 //
 // It wires the substrates together:
 //
-//	gismo.Generate  -> synthetic request stream (Section 6 model)
+//	gismo.GenerateSeeded -> synthetic request stream (Section 6 model)
 //	simulate.Run    -> served transfers + WMS-style logs
 //	trace.Sanitize  -> Section 2.4 cleaning
 //	sessions        -> Section 2.2 sessionization at T_o

@@ -1,32 +1,12 @@
 package gismo
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/workload"
 )
-
-// Request is one generated transfer request: client ID, live object, start
-// time, and requested length (seconds). The simulator turns requests into
-// served transfers and log entries. Session and Seq preserve the
-// stream identity the request was generated under — the simulator's
-// per-transfer randomness is keyed by it, so a materialized workload
-// replayed through Stream serves byte-identically to the live event
-// stream.
-type Request struct {
-	Client   int
-	Object   int
-	Start    int64 // seconds since trace start
-	Duration int64 // seconds
-	Session  int   // global session index (arrival order)
-	Seq      int   // transfer index within the session
-}
-
-// End returns Start + Duration.
-func (r Request) End() int64 { return r.Start + r.Duration }
 
 // Workload is a fully materialized synthetic workload: the client
 // population plus the request stream in start order. It is the
@@ -36,13 +16,17 @@ func (r Request) End() int64 { return r.Start + r.Duration }
 type Workload struct {
 	Model      Model
 	Population *Population
-	Requests   []Request
+	// Requests are the generated transfers in stream order. Each keeps
+	// its (Session, Seq) identity, which keys the simulator's draws, so
+	// replaying them through Stream serves byte-identically to the live
+	// event stream.
+	Requests []workload.Event
 	// SessionCount is the number of generated sessions (one per client
 	// arrival).
 	SessionCount int
 }
 
-// Generate runs the Section 6 generative model:
+// GenerateSeeded runs the Section 6 generative model:
 //
 //  1. Client arrivals are drawn from a piecewise-stationary Poisson
 //     process modulated by the diurnal/weekly profile (Table 2 rows 1–2).
@@ -54,90 +38,34 @@ type Workload struct {
 //  4. Each transfer's length is a lognormal draw (row 6), truncated at
 //     the trace horizon.
 //
-// Generate is a thin wrapper that drains the sharded event stream
-// (NewStream) into a slice: rng contributes only the stream seed, and
-// the result is identical to consuming the stream at any shard count.
-func Generate(m Model, rng *rand.Rand) (*Workload, error) {
-	ws, err := NewStream(m, rng.Int63(), DefaultShards())
+// It is a thin wrapper that drains NewStreamSeeded into a slice: the
+// result is identical to consuming the stream at any shard count.
+func GenerateSeeded(m Model, seed int64) (*Workload, error) {
+	ws, err := NewStreamSeeded(m, seed, DefaultShards())
 	if err != nil {
 		return nil, err
 	}
-	return drain(ws, m)
+	defer ws.Close()
+	return &Workload{
+		Model:        m,
+		Population:   ws.Population(),
+		Requests:     workload.Drain(ws, ws.Sessions()*2),
+		SessionCount: ws.Sessions(),
+	}, nil
 }
 
-// GenerateSeeded is Generate for callers that hold only a seed: the
-// stream seed is derived exactly as Generate derives it from a
-// rand.New(rand.NewSource(seed)) generator, so the two forms produce
-// byte-identical workloads for equal seeds. It exists so consumers
-// outside this package need no legacy math/rand plumbing.
-func GenerateSeeded(m Model, seed int64) (*Workload, error) {
-	return Generate(m, rand.New(rand.NewSource(seed)))
-}
-
-// NewStreamSeeded is NewStream with the same seed derivation as
-// GenerateSeeded: equal seeds give a stream whose drained form is
-// byte-identical to GenerateSeeded's workload.
+// NewStreamSeeded is NewStream under the seed convention every command
+// shares: the stream seed is the first Int63 of a
+// rand.NewSource(seed) generator, so equal -seed values give the same
+// workload in lsmgen, lsmload and GenerateSeeded.
 func NewStreamSeeded(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	return NewStream(m, rand.New(rand.NewSource(seed)).Int63(), shards)
 }
 
-// drain materializes a stream into a Workload.
-func drain(ws *WorkloadStream, m Model) (*Workload, error) {
-	defer ws.Close()
-	w := &Workload{
-		Model:      m,
-		Population: ws.Population(),
-		Requests:   make([]Request, 0, ws.Sessions()*2),
-	}
-	for {
-		e, ok := ws.Next()
-		if !ok {
-			break
-		}
-		w.Requests = append(w.Requests, Request{
-			Client:   e.Client,
-			Object:   e.Object,
-			Start:    e.Start,
-			Duration: e.Duration,
-			Session:  e.Session,
-			Seq:      e.Seq,
-		})
-	}
-	w.SessionCount = ws.Sessions()
-	return w, nil
-}
-
 // Stream replays the materialized workload as an event stream, reading
-// the request slice in place (no copy). Requests carry their original
-// (Session, Seq) identity, so the replay is indistinguishable from the
-// live generator stream — including to the simulator's identity-keyed
-// randomness.
+// the request slice in place (no copy).
 func (w *Workload) Stream() workload.Stream {
-	return &requestStream{requests: w.Requests}
-}
-
-// requestStream is a zero-copy cursor over a request slice.
-type requestStream struct {
-	requests []Request
-	pos      int
-}
-
-// Next implements workload.Stream.
-func (rs *requestStream) Next() (workload.Event, bool) {
-	if rs.pos >= len(rs.requests) {
-		return workload.Event{}, false
-	}
-	r := rs.requests[rs.pos]
-	e := workload.Event{
-		Session:  r.Session,
-		Seq:      r.Seq,
-		Client:   r.Client,
-		Object:   r.Object,
-		Start:    r.Start,
-		Duration: r.Duration,
-	}
-	rs.pos++
-	return e, true
+	return workload.NewSliceStream(w.Requests)
 }
 
 // effectiveRate composes the periodic profile with the model's
@@ -209,10 +137,4 @@ func ExpectedSessions(m Model) (float64, error) {
 		return 0, err
 	}
 	return pp.ExpectedCount(float64(m.Horizon)), nil
-}
-
-// String summarizes the workload.
-func (w *Workload) String() string {
-	return fmt.Sprintf("gismo workload: %d clients, %d sessions, %d requests over %d s",
-		w.Population.Size(), w.SessionCount, len(w.Requests), w.Model.Horizon)
 }

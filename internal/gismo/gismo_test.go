@@ -3,7 +3,6 @@ package gismo
 import (
 	"encoding/json"
 	"math"
-	"math/rand"
 	randv2 "math/rand/v2"
 	"testing"
 
@@ -99,9 +98,8 @@ func TestModelValidateCatchesEachField(t *testing.T) {
 }
 
 func TestGenerateBasicShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	m := testModel()
-	w, err := Generate(m, rng)
+	w, err := GenerateSeeded(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +132,7 @@ func TestGenerateBasicShape(t *testing.T) {
 func TestGenerateDeterministicUnderSeed(t *testing.T) {
 	m := testModel()
 	gen := func() *Workload {
-		w, err := Generate(m, rand.New(rand.NewSource(99)))
+		w, err := GenerateSeeded(m, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +151,8 @@ func TestGenerateDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestGenerateTransferLengthsAreLognormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	m := testModel()
-	w, err := Generate(m, rng)
+	w, err := GenerateSeeded(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +177,8 @@ func TestGenerateTransferLengthsAreLognormal(t *testing.T) {
 }
 
 func TestGenerateDiurnalShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	m := testModel()
-	w, err := Generate(m, rng)
+	w, err := GenerateSeeded(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +200,8 @@ func TestGenerateDiurnalShape(t *testing.T) {
 }
 
 func TestGenerateInterestSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
 	m := testModel()
-	w, err := Generate(m, rng)
+	w, err := GenerateSeeded(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +222,9 @@ func TestGenerateInterestSkew(t *testing.T) {
 }
 
 func TestGenerateFeedPreference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	m := testModel()
 	m.FeedPreference = 0.6
-	w, err := Generate(m, rng)
+	w, err := GenerateSeeded(m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +241,9 @@ func TestGenerateFeedPreference(t *testing.T) {
 }
 
 func TestGenerateSingleObjectModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
 	m := testModel()
 	m.NumObjects = 1
-	w, err := Generate(m, rng)
+	w, err := GenerateSeeded(m, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +257,7 @@ func TestGenerateSingleObjectModel(t *testing.T) {
 func TestGenerateRejectsInvalidModel(t *testing.T) {
 	m := testModel()
 	m.Horizon = -1
-	if _, err := Generate(m, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := GenerateSeeded(m, 1); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package gismo
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -11,7 +10,7 @@ func TestRampUpSuppressesEarlyArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.DayVariability = 0 // isolate the ramp
-	w, err := Generate(m, rand.New(rand.NewSource(1)))
+	w, err := GenerateSeeded(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestRampUpDisabled(t *testing.T) {
 	}
 	m.RampUpDays = 0
 	m.DayVariability = 0
-	w, err := Generate(m, rand.New(rand.NewSource(2)))
+	w, err := GenerateSeeded(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestDayVariabilityPreservesMeanRoughly(t *testing.T) {
 		var total int
 		const runs = 5
 		for s := int64(0); s < runs; s++ {
-			w, err := Generate(m, rand.New(rand.NewSource(seed+s)))
+			w, err := GenerateSeeded(m, seed+s)
 			if err != nil {
 				t.Fatal(err)
 			}

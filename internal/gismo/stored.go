@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/dist"
+	"repro/internal/workload"
 )
 
 // Stored-media workload generation: GISMO's original mode, kept here as
@@ -87,7 +88,7 @@ type StoredWorkload struct {
 	Model StoredModel
 	// ObjectSeconds holds each object's full duration in seconds.
 	ObjectSeconds []int64
-	Requests      []Request
+	Requests      []workload.Event
 }
 
 // GenerateStored produces the stored-media workload: Poisson request
@@ -121,7 +122,7 @@ func GenerateStored(m StoredModel, rng *rand.Rand) (*StoredWorkload, error) {
 	}
 
 	arrivals := process.ArrivalsIn(rng, 0, float64(m.Horizon), nil)
-	w.Requests = make([]Request, 0, len(arrivals))
+	w.Requests = make([]workload.Event, 0, len(arrivals))
 	for _, at := range arrivals {
 		obj := popularity.SampleRank(rng) - 1
 		start := int64(at)
@@ -138,7 +139,7 @@ func GenerateStored(m StoredModel, rng *rand.Rand) (*StoredWorkload, error) {
 				continue
 			}
 		}
-		w.Requests = append(w.Requests, Request{
+		w.Requests = append(w.Requests, workload.Event{
 			Client:   rng.Intn(m.NumClients),
 			Object:   obj,
 			Start:    start,

@@ -113,7 +113,7 @@ func TestStoredDuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lw, err := Generate(live, rand.New(rand.NewSource(4)))
+	lw, err := GenerateSeeded(live, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,9 @@ const (
 	consumeSlab
 )
 
-// WorkloadStream is the sharded streaming form of Generate: the same
-// Section 6 generative model, emitted as a time-ordered event stream
-// whose working set is the arrival schedule (16 bytes per session) plus
+// WorkloadStream is the generator: the Section 6 generative model (its
+// steps are listed on GenerateSeeded), emitted as a time-ordered event
+// stream whose working set is the arrival schedule (16 bytes per session) plus
 // the active sessions' pending transfers — never the materialized
 // request slice.
 //
@@ -509,8 +509,8 @@ func advanceCursor(h *heapx.Heap[cursor]) []workload.Event {
 	return nil
 }
 
-// DefaultShards picks the shard count for the Generate compatibility
-// wrapper: one per CPU, capped. The stream is shard-count-invariant, so
+// DefaultShards is the shard count for callers with no reason to pick
+// one: one per CPU, capped. The stream is shard-count-invariant, so
 // this only affects speed, never output.
 func DefaultShards() int {
 	n := runtime.GOMAXPROCS(0)

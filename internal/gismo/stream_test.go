@@ -51,12 +51,13 @@ func TestStreamShardCountInvariant(t *testing.T) {
 }
 
 // TestStreamMatchesGenerate pins the compatibility wrapper to the
-// stream: Generate must be exactly a drained stream.
+// stream, and the seed convention to its definition: GenerateSeeded
+// must be exactly a drained stream seeded with the first Int63 of a
+// rand.NewSource(seed) generator.
 func TestStreamMatchesGenerate(t *testing.T) {
 	m := testModel()
-	rng := rand.New(rand.NewSource(404))
-	seed := rng.Int63()
-	w, err := Generate(m, rand.New(rand.NewSource(404)))
+	seed := rand.New(rand.NewSource(404)).Int63()
+	w, err := GenerateSeeded(m, 404)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +66,7 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		t.Fatalf("stream %d events vs Generate %d requests", len(events), len(w.Requests))
 	}
 	for i, e := range events {
-		r := w.Requests[i]
-		if e.Client != r.Client || e.Object != r.Object || e.Start != r.Start || e.Duration != r.Duration {
+		if r := w.Requests[i]; e != r {
 			t.Fatalf("event %d: %+v vs request %+v", i, e, r)
 		}
 	}
@@ -305,7 +305,7 @@ func TestNewStreamRejectsBadInputs(t *testing.T) {
 
 func TestWorkloadStreamReplay(t *testing.T) {
 	m := testModel()
-	w, err := Generate(m, rand.New(rand.NewSource(21)))
+	w, err := GenerateSeeded(m, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,7 @@ func TestWorkloadStreamReplay(t *testing.T) {
 		t.Fatalf("replayed %d events, want %d", len(replayed), len(w.Requests))
 	}
 	for i, e := range replayed {
-		r := w.Requests[i]
-		if e.Client != r.Client || e.Start != r.Start || e.Duration != r.Duration || e.Object != r.Object {
+		if e != w.Requests[i] {
 			t.Fatalf("event %d mismatch", i)
 		}
 		if i > 0 && e.Less(replayed[i-1]) {

@@ -1,15 +1,11 @@
 package liveserver
 
 import (
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/gismo"
-	"repro/internal/wmslog"
 )
 
 func fastConfig() ServerConfig {
@@ -274,93 +270,5 @@ func TestDialRejectsBadPlayerID(t *testing.T) {
 	}
 	if _, err := Dial("127.0.0.1:1", "two words"); err == nil {
 		t.Error("spacey player ID accepted")
-	}
-}
-
-func TestReplayWorkload(t *testing.T) {
-	var mu sync.Mutex
-	var records []TransferRecord
-	cfg := fastConfig()
-	cfg.MaxConns = 128
-	cfg.Sink = func(r TransferRecord) {
-		mu.Lock()
-		records = append(records, r)
-		mu.Unlock()
-	}
-	s := startServer(t, cfg)
-
-	m, err := gismo.Scaled(2000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := gismo.Generate(m, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := ReplayConfig{
-		Compression:  20000, // ~2 trace days in ~9 wall seconds
-		MaxTransfers: 40,
-		Concurrency:  16,
-		MinWatch:     20 * time.Millisecond,
-	}
-	replayStart := time.Now()
-	res, err := Replay(s.Addr(), w, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed < res.Attempted*8/10 {
-		t.Fatalf("completed %d / attempted %d (failed %d)", res.Completed, res.Attempted, res.Failed)
-	}
-	if res.Bytes == 0 {
-		t.Error("no bytes transferred")
-	}
-
-	mu.Lock()
-	recs := append([]TransferRecord(nil), records...)
-	mu.Unlock()
-	if len(recs) != res.Completed {
-		t.Errorf("server records %d, client completions %d", len(recs), res.Completed)
-	}
-
-	// Records decompress into valid log entries that survive the trace
-	// pipeline.
-	entries, err := EntriesFromRecords(recs, w, wmslog.TraceEpoch, replayStart, rcfg.Compression, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := e.Validate(); err != nil {
-			t.Fatalf("invalid entry from replay: %v (%+v)", err, e)
-		}
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Timestamp.Before(entries[i-1].Timestamp) {
-			t.Fatal("entries not sorted")
-		}
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	m, err := gismo.Scaled(2000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := gismo.Generate(m, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultReplayConfig()
-	bad.Compression = 0
-	if _, err := Replay("127.0.0.1:1", w, bad); err == nil {
-		t.Error("zero compression accepted")
-	}
-	if _, err := Replay("127.0.0.1:1", nil, DefaultReplayConfig()); err == nil {
-		t.Error("nil workload accepted")
-	}
-	if _, err := EntriesFromRecords(nil, w, wmslog.TraceEpoch, time.Now(), 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("zero compression in EntriesFromRecords accepted")
-	}
-	if _, err := EntriesFromRecords([]TransferRecord{{PlayerID: "ghost"}}, w, wmslog.TraceEpoch, time.Now(), 100, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("unknown player accepted")
 	}
 }

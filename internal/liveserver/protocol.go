@@ -1,15 +1,14 @@
 // Package liveserver is a working wire implementation of the live
 // streaming service the paper measured: a TCP server that streams live
 // object data to media clients over a minimal MMS-like control protocol,
-// plus a client and a workload replayer.
+// plus a client and the record-to-log-entry rendering (RecordEntry).
 //
 // The discrete-event simulator (package simulate) is how paper-scale
 // traces are produced; this package is the complement for small-scale
 // end-to-end validation — real sockets, real concurrency, real
 // backpressure — so the logging, sessionization and characterization
 // pipeline can be exercised against genuinely concurrent network I/O.
-// Workloads replay in compressed time (e.g. 1 trace hour per wall
-// second).
+// Package loadgen replays workloads against it in compressed time.
 //
 // # Wire protocol
 //

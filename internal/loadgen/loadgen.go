@@ -289,9 +289,11 @@ func (r *runner) acquireSlot(workers map[int]*worker) {
 	}
 }
 
+// releaseSlot books the close before freeing the token, or a waiting
+// acquireSlot books its open first and the peak gauge overshoots MaxConns.
 func (r *runner) releaseSlot() {
-	<-r.slots
 	r.m.connClosed()
+	<-r.slots
 }
 
 // reap retires parked pooled connections idle longer than IdleConn; if

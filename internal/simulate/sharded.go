@@ -299,14 +299,8 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 	if lanes < 1 || lanes > MaxServeLanes {
 		return nil, fmt.Errorf("%w: serve lanes %d", ErrBadConfig, lanes)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := checkServeArgs(&cfg, pop, horizon); err != nil {
 		return nil, err
-	}
-	if pop == nil || pop.Size() == 0 {
-		return nil, fmt.Errorf("%w: empty population", ErrBadConfig)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %d", ErrBadConfig, horizon)
 	}
 
 	stop := make(chan struct{}) // closed by the collector on abort
@@ -319,57 +313,40 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 		out[k] = ring.NewSPSC[laneResult](laneRingDepth, ring.NewGate(), collGate)
 	}
 
-	// Dispatcher: the serial prologue. Validates the stream, tracks
-	// concurrency, and fans events out by client hash through per-lane
-	// staging buffers (see laneRouter). When the source is a
-	// workload.ShardedStream, the K-way merge runs inline here over the
-	// shard slabs — the fused form skips the per-event interface call
-	// and the generator-side merge goroutine entirely. The dispatcher's
-	// error and the concurrency peak are published before the input
-	// rings close — which happens-before each worker's output ring
-	// closes, which happens-before the collector's final reads (via the
-	// WaitGroups below).
+	// Dispatcher: the serial prologue. Admits each event (the stream
+	// contract and the concurrency level, see admission) and fans it out
+	// by client hash through per-lane staging buffers (see laneRouter).
+	// When the source is a workload.ShardedStream, the K-way merge runs
+	// inline here over the shard slabs — the fused form skips the
+	// per-event interface call and the generator-side merge goroutine
+	// entirely. dispatchErr and adm belong to the dispatcher until it
+	// exits; the collector reads them only after dispatcherDone.Wait().
 	var dispatchErr error
-	var peak int
-	var admitted int64
+	adm := newAdmission(pop)
 	var dispatcherDone sync.WaitGroup
 	dispatcherDone.Add(1)
 	go func() {
 		defer dispatcherDone.Done()
-		concurrency := newConcurrencyTracker()
 		router := newLaneRouter(in, prodGate, stop)
-		var lastStart int64
-		var seq int64
 		defer func() {
 			workload.CloseStream(src)
-			peak = concurrency.peak
-			admitted = seq
 			for _, r := range in {
 				r.Close()
 			}
 		}()
-		// admit validates one event, records its concurrency level, and
+		// admit passes one event through the shared admission step and
 		// stages it for its lane. It returns false on a stream-contract
 		// violation (dispatchErr set) or on abort; either way staged but
 		// unflushed items are dropped — the run is failing and the
 		// collector only cross-checks counts on the success path.
 		admit := func(ev workload.Event) bool {
-			if ev.Client < 0 || ev.Client >= pop.Size() {
-				dispatchErr = fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, pop.Size())
+			conc, ok := adm.admit(ev)
+			if !ok {
+				dispatchErr = adm.violation(ev)
 				return false
 			}
-			if seq > 0 && ev.Start < lastStart {
-				dispatchErr = fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, lastStart)
-				return false
-			}
-			lastStart = ev.Start
-			conc := concurrency.admit(ev.Start, ev.End())
 			lane := int(dist.Mix64(uint64(ev.Client), laneHash) % uint64(lanes))
-			if !router.route(lane, laneItem{ev: ev, seq: seq, conc: int32(conc)}) {
-				return false // aborted
-			}
-			seq++
-			return true
+			return router.route(lane, laneItem{ev: ev, seq: adm.n - 1, conc: int32(conc)})
 		}
 		if ss, ok := src.(workload.ShardedStream); ok {
 			if !fusedDispatch(ss, admit) {
@@ -424,8 +401,7 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 	// order through the same transfer-sink / end-time-buffer emission
 	// logic as the sequential path, and release each entry's arena
 	// chunk once its sink call returns.
-	res := &StreamResult{}
-	pending := newPendingEntries(chunkReleaser{})
+	em := newEmitter(chunkReleaser{}, sinks)
 	reorder := ring.NewReorder[laneResult](reorderWindow(lanes))
 	var firstErr error
 	abort := func(err error) {
@@ -433,31 +409,6 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 			firstErr = err
 			close(stop)
 		}
-	}
-	emit := func(r *laneResult) error {
-		sv := &r.sv
-		if err := pending.flushThrough(r.start, false, sinks.Entry); err != nil {
-			releaseServed(sv)
-			return err
-		}
-		res.Transfers++
-		res.TotalBytes += sv.bytes
-		if sinks.Transfer != nil {
-			if err := sinks.Transfer(sv.transfer); err != nil {
-				releaseServed(sv)
-				return err
-			}
-		}
-		if sv.entry != nil {
-			pending.push(sv.end, sv.entry, sv.entryC)
-			if sv.dup != nil {
-				pending.push(sv.end, sv.dup, sv.dupC)
-			}
-		}
-		if sv.injected {
-			res.Injected++
-		}
-		return nil
 	}
 
 	// Done lanes are recorded once and then skipped: a permanently-Done
@@ -506,7 +457,8 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 			if !ok {
 				break
 			}
-			if err := emit(p); err != nil {
+			if err := em.emit(p.start, &p.sv); err != nil {
+				releaseServed(&p.sv) // not buffered: no sink will see it
 				abort(err)
 			}
 			reorder.Release()
@@ -545,43 +497,31 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 	workers.Wait()
 	dispatcherDone.Wait()
 
-	// Every ring is closed and drained; recycle anything still buffered
-	// before reporting an error (the sinks never see it).
-	drainBuffers := func() {
-		for reorder.Len() > 0 {
-			if p, ok := reorder.PeekNext(); ok {
-				releaseServed(&p.sv)
-				reorder.Release()
-			} else {
-				reorder.Skip()
-			}
+	// Every ring is closed and drained. The first failure wins; on any
+	// of them recycle what is still buffered (no sink will see it).
+	err := firstErr
+	switch {
+	case err != nil:
+	case dispatchErr != nil:
+		err = dispatchErr
+	case reorder.Len() != 0:
+		err = fmt.Errorf("simulate: sharded serve lost sequence %d (%d results stranded)", reorder.Next(), reorder.Len())
+	case int64(em.res.Transfers) != adm.n:
+		err = fmt.Errorf("simulate: sharded serve emitted %d of %d admitted transfers", em.res.Transfers, adm.n)
+	default:
+		var res *StreamResult
+		if res, err = em.finish(adm.concurrency.peak); err == nil {
+			return res, nil
 		}
-		_ = pending.flushThrough(0, true, nil) // nil sink never errors
 	}
-	if firstErr != nil {
-		drainBuffers()
-		return nil, firstErr
+	for reorder.Len() > 0 {
+		if p, ok := reorder.PeekNext(); ok {
+			releaseServed(&p.sv)
+			reorder.Release()
+		} else {
+			reorder.Skip()
+		}
 	}
-	if dispatchErr != nil {
-		drainBuffers()
-		return nil, dispatchErr
-	}
-	if n := reorder.Len(); n != 0 {
-		seq := reorder.Next()
-		drainBuffers()
-		return nil, fmt.Errorf("simulate: sharded serve lost sequence %d (%d results stranded)", seq, n)
-	}
-	if res.Transfers == 0 {
-		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
-	}
-	if int64(res.Transfers) != admitted {
-		drainBuffers()
-		return nil, fmt.Errorf("simulate: sharded serve emitted %d of %d admitted transfers", res.Transfers, admitted)
-	}
-	if err := pending.flushThrough(0, true, sinks.Entry); err != nil {
-		drainBuffers()
-		return nil, err
-	}
-	res.PeakConcurrency = peak
-	return res, nil
+	_ = em.pending.flushThrough(0, true, nil) // nil sink never errors
+	return nil, err
 }

@@ -105,33 +105,15 @@ func TestRunStreamShardedMatchesSinks(t *testing.T) {
 	}
 }
 
-// TestRunStreamShardedValidation: the sharded path must reject exactly
-// what the sequential path rejects, without deadlocking its pipeline.
+// TestRunStreamShardedValidation covers the one argument only the
+// sharded driver takes; everything both drivers refuse is in
+// TestRunStreamValidatesInput.
 func TestRunStreamShardedValidation(t *testing.T) {
 	w := testWorkload(t, 2)
-	cfg := DefaultConfig()
-
-	if _, err := RunStreamSharded(w.Stream(), w.Population, w.Model.Horizon, cfg, 1, 0, StreamSinks{}); err == nil {
-		t.Error("zero lanes accepted")
-	}
-	if _, err := RunStreamSharded(w.Stream(), nil, w.Model.Horizon, cfg, 1, 2, StreamSinks{}); err == nil {
-		t.Error("nil population accepted")
-	}
-	if _, err := RunStreamSharded(workload.NewSliceStream(nil), w.Population, w.Model.Horizon, cfg, 1, 2, StreamSinks{}); err == nil {
-		t.Error("empty stream accepted")
-	}
-	bad := workload.NewSliceStream([]workload.Event{
-		{Session: 0, Start: 100, Duration: 1},
-		{Session: 1, Start: 50, Duration: 1},
-	})
-	if _, err := RunStreamSharded(bad, w.Population, w.Model.Horizon, cfg, 1, 2, StreamSinks{}); err == nil {
-		t.Error("out-of-order stream accepted")
-	}
-	escape := workload.NewSliceStream([]workload.Event{
-		{Session: 0, Client: w.Population.Size(), Start: 1, Duration: 1},
-	})
-	if _, err := RunStreamSharded(escape, w.Population, w.Model.Horizon, cfg, 1, 2, StreamSinks{}); err == nil {
-		t.Error("client outside population accepted")
+	for _, lanes := range []int{0, -1, MaxServeLanes + 1} {
+		if _, err := RunStreamSharded(w.Stream(), w.Population, w.Model.Horizon, DefaultConfig(), 1, lanes, StreamSinks{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("lanes=%d: err = %v, want ErrBadConfig", lanes, err)
+		}
 	}
 }
 

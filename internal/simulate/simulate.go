@@ -129,9 +129,6 @@ type Result struct {
 // identical results at any serve-lane count. Scale-sensitive callers
 // should use RunStream or RunStreamSharded with sinks instead.
 func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if w == nil || len(w.Requests) == 0 {
 		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
 	}
@@ -167,21 +164,10 @@ func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
 // dir, mirroring the paper's daily log harvests. It returns the file
 // paths written.
 func (r *Result) WriteLogs(dir string) ([]string, error) {
-	return r.writeLogs(dir, false)
-}
-
-// WriteLogsBinary is WriteLogs in the framed binary wmslog format —
-// same daily rotation, same file names, auto-detected by every reader.
-func (r *Result) WriteLogsBinary(dir string) ([]string, error) {
-	return r.writeLogs(dir, true)
-}
-
-func (r *Result) writeLogs(dir string, binary bool) ([]string, error) {
 	dw, err := wmslog.NewDailyWriter(dir)
 	if err != nil {
 		return nil, err
 	}
-	dw.Binary = binary
 	for _, e := range r.Entries {
 		if err := dw.Write(e); err != nil {
 			dw.Close()

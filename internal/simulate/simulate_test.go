@@ -2,8 +2,6 @@ package simulate
 
 import (
 	"math"
-	"math/rand"
-	randv2 "math/rand/v2"
 	"testing"
 	"time"
 
@@ -18,7 +16,7 @@ func testWorkload(t *testing.T, seed int64) *gismo.Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gismo.Generate(m, rand.New(rand.NewSource(seed)))
+	w, err := gismo.GenerateSeeded(m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,61 +288,5 @@ func TestConcurrencyTrackerLongTransfers(t *testing.T) {
 func TestObjectURI(t *testing.T) {
 	if ObjectURI(0) != "/live/feed1" || ObjectURI(1) != "/live/feed2" {
 		t.Error("URI naming changed")
-	}
-}
-
-func TestFeedSchedule(t *testing.T) {
-	rng := randv2.New(randv2.NewPCG(11, 0))
-	fs, err := NewFeedSchedule(0, 86400, 300, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.Switches) < 100 {
-		t.Errorf("switches = %d, want ~288 for 300 s dwell over a day", len(fs.Switches))
-	}
-	if fs.Switches[0].At != 0 {
-		t.Error("schedule must start at 0")
-	}
-	for i := 1; i < len(fs.Switches); i++ {
-		if fs.Switches[i].At <= fs.Switches[i-1].At {
-			t.Fatal("switch times not increasing")
-		}
-		if fs.Switches[i].Camera == fs.Switches[i-1].Camera {
-			t.Fatal("consecutive switches to the same camera")
-		}
-		if fs.Switches[i].Camera < 0 || fs.Switches[i].Camera >= NumCameras {
-			t.Fatal("camera out of range")
-		}
-	}
-	// CameraAt agrees with the schedule.
-	for _, probe := range []int64{0, 1000, 40000, 86399} {
-		cam := fs.CameraAt(probe)
-		if cam < 0 || cam >= NumCameras {
-			t.Fatalf("CameraAt(%d) = %d", probe, cam)
-		}
-	}
-	dwells := fs.DwellTimes(86400)
-	if len(dwells) != len(fs.Switches) {
-		t.Fatal("dwell count mismatch")
-	}
-	var total float64
-	for _, d := range dwells {
-		if d <= 0 {
-			t.Fatal("non-positive dwell")
-		}
-		total += d
-	}
-	if total != 86400 {
-		t.Errorf("dwells sum to %v, want 86400", total)
-	}
-}
-
-func TestNewFeedScheduleErrors(t *testing.T) {
-	rng := randv2.New(randv2.NewPCG(12, 0))
-	if _, err := NewFeedSchedule(0, 0, 300, rng); err == nil {
-		t.Error("zero horizon: want error")
-	}
-	if _, err := NewFeedSchedule(0, 1000, 0, rng); err == nil {
-		t.Error("zero dwell: want error")
 	}
 }

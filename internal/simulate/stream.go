@@ -74,25 +74,17 @@ type StreamResult struct {
 // per-transfer Bernoulli draw at the same expected rate as the
 // original materializing path's fixed count.
 func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, sinks StreamSinks) (*StreamResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkServeArgs(&cfg, pop, horizon); err != nil {
 		return nil, err
-	}
-	if pop == nil || pop.Size() == 0 {
-		return nil, fmt.Errorf("%w: empty population", ErrBadConfig)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %d", ErrBadConfig, horizon)
 	}
 	defer workload.CloseStream(src)
 
 	// Single-goroutine serving recycles entries through a plain
-	// freelist; only the sharded path pays for sync.Pool.
+	// freelist; only the sharded path pays for per-lane arenas.
 	pool := &freeEntryPool{}
 	es := newEventServer(&cfg, pop, horizon, seed, pool, sinks)
-	res := &StreamResult{}
-	concurrency := newConcurrencyTracker()
-	pending := newPendingEntries(pool)
-	var lastStart int64
+	adm := newAdmission(pop)
+	em := newEmitter(pool, sinks)
 	var sv served
 
 	for {
@@ -100,45 +92,123 @@ func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Co
 		if !ok {
 			break
 		}
-		if ev.Client < 0 || ev.Client >= pop.Size() {
-			return nil, fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, pop.Size())
+		conc, ok := adm.admit(ev)
+		if !ok {
+			return nil, adm.violation(ev)
 		}
-		if res.Transfers > 0 && ev.Start < lastStart {
-			return nil, fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, lastStart)
-		}
-		lastStart = ev.Start
-		if err := pending.flushThrough(ev.Start, false, sinks.Entry); err != nil {
+		es.serve(ev, conc, &sv)
+		if err := em.emit(ev.Start, &sv); err != nil {
 			return nil, err
 		}
+	}
+	return em.finish(adm.concurrency.peak)
+}
 
-		conc := concurrency.admit(ev.Start, ev.End())
-		es.serve(ev, conc, &sv)
-		res.Transfers++
-		res.TotalBytes += sv.bytes
+// checkServeArgs validates the arguments every serve driver takes.
+func checkServeArgs(cfg *Config, pop *gismo.Population, horizon int64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if pop == nil || pop.Size() == 0 {
+		return fmt.Errorf("%w: empty population", ErrBadConfig)
+	}
+	if horizon <= 0 {
+		return fmt.Errorf("%w: horizon %d", ErrBadConfig, horizon)
+	}
+	return nil
+}
 
-		if sinks.Transfer != nil {
-			if err := sinks.Transfer(sv.transfer); err != nil {
-				return nil, err
-			}
-		}
-		if sv.entry != nil {
-			pending.push(sv.end, sv.entry, sv.entryC)
-			if sv.dup != nil {
-				pending.push(sv.end, sv.dup, sv.dupC)
-			}
-		}
-		if sv.injected {
-			res.Injected++
+// admission is the serial front of a serve run, shared by both
+// drivers: it holds the stream contract — every client inside the
+// population, starts non-decreasing — and the concurrency level each
+// event is admitted at, the only cross-event state of the server model.
+type admission struct {
+	clients     int
+	lastStart   int64
+	n           int64 // events admitted so far
+	concurrency *concurrencyTracker
+}
+
+func newAdmission(pop *gismo.Population) *admission {
+	return &admission{clients: pop.Size(), concurrency: newConcurrencyTracker()}
+}
+
+// admit checks ev against the stream contract and returns the
+// concurrency level including it. ok is false, and nothing is
+// recorded, when ev breaks the contract; violation names the breach.
+//
+//lsm:hotpath
+func (a *admission) admit(ev workload.Event) (conc int, ok bool) {
+	if ev.Client < 0 || ev.Client >= a.clients || (a.n > 0 && ev.Start < a.lastStart) {
+		return 0, false
+	}
+	a.lastStart = ev.Start
+	a.n++
+	return a.concurrency.admit(ev.Start, ev.End()), true
+}
+
+// violation renders the error for an event admit refused.
+func (a *admission) violation(ev workload.Event) error {
+	if ev.Client < 0 || ev.Client >= a.clients {
+		return fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, a.clients)
+	}
+	return fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, a.lastStart)
+}
+
+// emitter is the ordered back of a serve run, shared by both drivers:
+// fed served transfers in admission order, it drives the sinks and
+// accumulates the run summary.
+type emitter struct {
+	sinks   StreamSinks
+	pending pendingEntries
+	res     StreamResult
+}
+
+func newEmitter(pool entryPool, sinks StreamSinks) *emitter {
+	return &emitter{sinks: sinks, pending: newPendingEntries(pool)}
+}
+
+// emit is the emission sequence for one served transfer that started
+// at start: release every buffered entry the start watermark has
+// passed, count the transfer, hand it to the Transfer sink, then
+// buffer its entry (and spanning twin) until its end time. On error
+// sv's entries have not been buffered and remain the caller's.
+//
+//lsm:hotpath
+func (em *emitter) emit(start int64, sv *served) error {
+	if err := em.pending.flushThrough(start, false, em.sinks.Entry); err != nil {
+		return err
+	}
+	em.res.Transfers++
+	em.res.TotalBytes += sv.bytes
+	if em.sinks.Transfer != nil {
+		if err := em.sinks.Transfer(sv.transfer); err != nil {
+			return err
 		}
 	}
-	if res.Transfers == 0 {
+	if sv.entry != nil {
+		em.pending.push(sv.end, sv.entry, sv.entryC)
+		if sv.dup != nil {
+			em.pending.push(sv.end, sv.dup, sv.dupC)
+		}
+	}
+	if sv.injected {
+		em.res.Injected++
+	}
+	return nil
+}
+
+// finish flushes the entries still buffered and returns the summary;
+// a run that served nothing is an error.
+func (em *emitter) finish(peak int) (*StreamResult, error) {
+	if em.res.Transfers == 0 {
 		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
 	}
-	if err := pending.flushThrough(0, true, sinks.Entry); err != nil {
+	if err := em.pending.flushThrough(0, true, em.sinks.Entry); err != nil {
 		return nil, err
 	}
-	res.PeakConcurrency = concurrency.peak
-	return res, nil
+	em.res.PeakConcurrency = peak
+	return &em.res, nil
 }
 
 // served is one transfer's complete serving outcome: the trace record,

@@ -1,6 +1,8 @@
 package simulate
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -67,33 +69,59 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunStreamValidatesInput runs every bad-argument and bad-stream
+// case over both drivers: the sequential and the sharded path (at one
+// and at several lanes) must refuse exactly the same inputs with the
+// same error, and the sharded pipeline must not deadlock doing so.
 func TestRunStreamValidatesInput(t *testing.T) {
 	w := testWorkload(t, 2)
 	cfg := DefaultConfig()
+	pop, horizon := w.Population, w.Model.Horizon
 
-	if _, err := RunStream(w.Stream(), nil, w.Model.Horizon, cfg, 1, StreamSinks{}); err == nil {
-		t.Error("nil population accepted")
+	type driver struct {
+		name string
+		run  func(src workload.Stream, pop *gismo.Population, horizon int64) (*StreamResult, error)
 	}
-	if _, err := RunStream(w.Stream(), w.Population, 0, cfg, 1, StreamSinks{}); err == nil {
-		t.Error("zero horizon accepted")
+	drivers := []driver{{"sequential", func(src workload.Stream, pop *gismo.Population, horizon int64) (*StreamResult, error) {
+		return RunStream(src, pop, horizon, cfg, 1, StreamSinks{})
+	}}}
+	for _, lanes := range []int{1, 4} {
+		drivers = append(drivers, driver{fmt.Sprintf("lanes=%d", lanes), func(src workload.Stream, pop *gismo.Population, horizon int64) (*StreamResult, error) {
+			return RunStreamSharded(src, pop, horizon, cfg, 1, lanes, StreamSinks{})
+		}})
 	}
-	if _, err := RunStream(workload.NewSliceStream(nil), w.Population, w.Model.Horizon, cfg, 1, StreamSinks{}); err == nil {
-		t.Error("empty stream accepted")
+
+	cases := []struct {
+		name    string
+		src     func() workload.Stream
+		pop     *gismo.Population
+		horizon int64
+		want    string
+	}{
+		{"nil population", w.Stream, nil, horizon, "simulate: bad config: empty population"},
+		{"zero horizon", w.Stream, pop, 0, "simulate: bad config: horizon 0"},
+		{"empty stream", func() workload.Stream { return workload.NewSliceStream(nil) }, pop, horizon,
+			"simulate: bad config: empty workload"},
+		// An out-of-order stream must be rejected, not silently mis-served.
+		{"out-of-order start", func() workload.Stream {
+			return workload.NewSliceStream([]workload.Event{
+				{Session: 0, Start: 100, Duration: 1},
+				{Session: 1, Start: 50, Duration: 1},
+			})
+		}, pop, horizon, "simulate: bad config: stream not in start order (50 after 100)"},
+		{"client outside population", func() workload.Stream {
+			return workload.NewSliceStream([]workload.Event{
+				{Session: 0, Client: pop.Size(), Start: 1, Duration: 1},
+			})
+		}, pop, horizon, fmt.Sprintf("simulate: bad config: client %d outside population of %d", pop.Size(), pop.Size())},
 	}
-	// Out-of-order stream must be rejected, not silently mis-served.
-	bad := workload.NewSliceStream([]workload.Event{
-		{Session: 0, Start: 100, Duration: 1},
-		{Session: 1, Start: 50, Duration: 1},
-	})
-	if _, err := RunStream(bad, w.Population, w.Model.Horizon, cfg, 1, StreamSinks{}); err == nil {
-		t.Error("out-of-order stream accepted")
-	}
-	// Client outside the population must be rejected.
-	escape := workload.NewSliceStream([]workload.Event{
-		{Session: 0, Client: w.Population.Size(), Start: 1, Duration: 1},
-	})
-	if _, err := RunStream(escape, w.Population, w.Model.Horizon, cfg, 1, StreamSinks{}); err == nil {
-		t.Error("client outside population accepted")
+	for _, c := range cases {
+		for _, d := range drivers {
+			_, err := d.run(c.src(), c.pop, c.horizon)
+			if !errors.Is(err, ErrBadConfig) || err.Error() != c.want {
+				t.Errorf("%s, %s: err = %v, want %q", c.name, d.name, err, c.want)
+			}
+		}
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // AppendEntry appends e rendered as one log line (no trailing newline)
 // to b and returns the extended slice. The output is byte-identical to
-// the legacy fmt.Fprintf encoder (marshalLine) for every valid entry —
-// the equivalence the property tests in append_test.go pin — but does
+// the legacy fmt.Fprintf encoder for every valid entry — the
+// equivalence the property tests in append_test.go pin against their
+// copy of it (marshalLine) — but does
 // not allocate: all numeric fields go through strconv.Append*, the
 // timestamp is rendered digit by digit, and string fields are copied
 // straight from the entry.
@@ -106,8 +107,8 @@ func appendRawField(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendDashField is the append form of dashIfEmpty: "-" for the empty
-// string, spaces encoded as underscores otherwise.
+// appendDashField renders an optional field: "-" for the empty string,
+// spaces encoded as underscores otherwise.
 func appendDashField(b []byte, s string) []byte {
 	if s == "" {
 		return append(b, '-')

@@ -1,6 +1,7 @@
 package wmslog
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -50,8 +51,40 @@ func randomEntry(rng *rand.Rand) *Entry {
 	}
 }
 
-// legacyLine renders an entry through the original fmt-based encoder —
-// the reference AppendEntry must match byte for byte.
+// marshalLine is the original fmt-based encoder, kept as the oracle
+// AppendEntry must match byte for byte: one log line in Fields order.
+func (e *Entry) marshalLine(b *strings.Builder) {
+	b.WriteString(e.Timestamp.Format("2006-01-02"))
+	b.WriteByte(' ')
+	b.WriteString(e.Timestamp.Format("15:04:05"))
+	fmt.Fprintf(b, " %s %s %s %s %s %d %d %d %d %.2f %s %d %d %s",
+		e.ClientIP,
+		e.PlayerID,
+		dashIfEmpty(e.ClientOS),
+		dashIfEmpty(e.ClientCPU),
+		e.URIStem,
+		e.Duration,
+		e.Bytes,
+		e.AvgBandwidth,
+		e.PacketsLost,
+		e.ServerCPU,
+		dashIfEmpty(e.Referer),
+		e.Status,
+		e.ASNumber,
+		dashIfEmpty(e.Country),
+	)
+}
+
+func dashIfEmpty(s string) string {
+	if s == "" {
+		return "-"
+	}
+	// Field values are space-separated; spaces inside values would break
+	// the line format, so encode them.
+	return strings.ReplaceAll(s, " ", "_")
+}
+
+// legacyLine renders an entry through marshalLine.
 func legacyLine(e *Entry) string {
 	var b strings.Builder
 	e.marshalLine(&b)

@@ -306,10 +306,11 @@ func TestParserAutoDetect(t *testing.T) {
 // self-contained binary file per day that ReadFiles decodes back.
 func TestDailyWriterBinary(t *testing.T) {
 	dir := t.TempDir()
-	dw, err := NewDailyBinaryWriter(dir)
+	dw, err := NewDailyWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dw.Binary = true
 	entries := binaryTestEntries(2000)
 	epoch := time.Date(2002, 1, 7, 0, 0, 0, 0, time.UTC)
 	for i, e := range entries {

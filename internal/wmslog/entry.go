@@ -96,38 +96,6 @@ func (e *Entry) Start() time.Time {
 	return e.Timestamp.Add(-time.Duration(e.Duration) * time.Second)
 }
 
-// marshalLine renders the entry as one log line in Fields order.
-func (e *Entry) marshalLine(b *strings.Builder) {
-	b.WriteString(e.Timestamp.Format("2006-01-02"))
-	b.WriteByte(' ')
-	b.WriteString(e.Timestamp.Format("15:04:05"))
-	fmt.Fprintf(b, " %s %s %s %s %s %d %d %d %d %.2f %s %d %d %s",
-		e.ClientIP,
-		e.PlayerID,
-		dashIfEmpty(e.ClientOS),
-		dashIfEmpty(e.ClientCPU),
-		e.URIStem,
-		e.Duration,
-		e.Bytes,
-		e.AvgBandwidth,
-		e.PacketsLost,
-		e.ServerCPU,
-		dashIfEmpty(e.Referer),
-		e.Status,
-		e.ASNumber,
-		dashIfEmpty(e.Country),
-	)
-}
-
-func dashIfEmpty(s string) string {
-	if s == "" {
-		return "-"
-	}
-	// Field values are space-separated; spaces inside values would break
-	// the line format, so encode them.
-	return strings.ReplaceAll(s, " ", "_")
-}
-
 func undash(s string) string {
 	if s == "-" {
 		return ""

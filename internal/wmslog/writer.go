@@ -151,16 +151,6 @@ func NewDailyWriter(dir string) (*DailyWriter, error) {
 	return &DailyWriter{Dir: dir}, nil
 }
 
-// NewDailyBinaryWriter is NewDailyWriter with the binary framing.
-func NewDailyBinaryWriter(dir string) (*DailyWriter, error) {
-	dw, err := NewDailyWriter(dir)
-	if err != nil {
-		return nil, err
-	}
-	dw.Binary = true
-	return dw, nil
-}
-
 // Write routes the entry to the file for its calendar day. The day
 // check is a packed-integer compare, so the hot path formats no date
 // string — only an actual rotation (once per simulated day) does.

@@ -18,8 +18,6 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
-
-	"math/rand"
 )
 
 // benchStreamModel is a dense mid-size fixture: a small population
@@ -64,14 +62,14 @@ func BenchmarkStreamingGenerateShards2(b *testing.B)    { benchGenerate(b, 2) }
 func BenchmarkStreamingGenerateShards4(b *testing.B)    { benchGenerate(b, 4) }
 func BenchmarkStreamingGenerateShards8(b *testing.B)    { benchGenerate(b, 8) }
 
-// BenchmarkStreamingGenerateMaterialized is the legacy shape: drain the
-// stream into a request slice (what Generate does), for the memory
+// BenchmarkStreamingGenerateMaterialized drains the stream into a
+// request slice (what GenerateSeeded does), for the memory
 // contrast with the pure streaming pass above.
 func BenchmarkStreamingGenerateMaterialized(b *testing.B) {
 	m := benchStreamModel(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := gismo.Generate(m, rand.New(rand.NewSource(benchSeed))); err != nil {
+		if _, err := gismo.GenerateSeeded(m, benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
