@@ -49,21 +49,29 @@ BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Sh
 # runner and the gate compares it instead of reporting NEW/GONE.
 BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|EncodeBinaryLog|GenerateMaterialized)$$
 
-# BENCH_CHAR selects the measurement-half benchmarks: sessionization,
-# the whole core.Characterize, the concurrency report with its Figure 8
-# autocorrelation, and the Figure 9 timeout sweep. They are
-# single-threaded, so they run at -cpu 1 and keep one row each whatever
-# the runner's core count.
-BENCH_CHAR := BenchmarkPipeline(Sessionize|FullCharacterization)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)
+# BENCH_CHAR selects the measurement-half benchmarks: the log ingest
+# (files on disk → sanitized trace), sessionization, the whole
+# core.Characterize, the concurrency report with its Figure 8
+# autocorrelation, and the Figure 9 timeout sweep. They run at -cpu 1
+# and keep one row each whatever the runner's core count.
+BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)
+
+# BENCH_INGEST is the one measurement-half benchmark that scales with
+# GOMAXPROCS (a parse worker per core): its -cpu 1 row comes from
+# BENCH_CHAR, so the matrix pass adds only -cpu 2,4,8 and the record
+# still holds one row per (name, gomaxprocs); benchjson annotates those
+# rows with speedup_vs_sequential against the -cpu 1 row.
+BENCH_INGEST := BenchmarkPipelineLoadLogs$$
 
 # bench runs the codec benchmarks (BENCH_CODEC), the streaming-pipeline
 # benchmarks (BENCH_MATRIX: sequential vs sharded generation, streamed
 # serving, the fused end-to-end run) and the measurement-half
 # benchmarks (BENCH_CHAR) and renders BENCH_streaming.json — ns/op and
 # bytes/op per benchmark — seeding the perf trajectory. The matrix runs
-# at -cpu 1,2,4,8 so each parallel path's scaling
+# at -cpu 1,2,4,8 (BENCH_INGEST, whose -cpu 1 row is BENCH_CHAR's, at
+# -cpu 2,4,8) so each parallel path's scaling
 # (metrics.speedup_vs_sequential, computed per GOMAXPROCS against its
-# sequential baseline) is part of the record; the three selections are
+# sequential baseline) is part of the record; the selections are
 # disjoint, so the record holds one row per (name, gomaxprocs).
 # The bench output is written to a file first so a failing `go test`
 # fails the target instead of being masked by a pipe; every failing
@@ -74,6 +82,7 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_CODEC)' -benchmem -count 1 -cpu 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 1 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_CHAR)' -benchmem -count 1 -cpu 1 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_INGEST)' -benchmem -count 1 -cpu 2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
 	$(GO) run ./cmd/benchjson < bench_streaming.txt > BENCH_streaming.json.tmp || { rm -f bench_streaming.txt BENCH_streaming.json.tmp; exit 1; }
 	mv BENCH_streaming.json.tmp BENCH_streaming.json
@@ -104,6 +113,7 @@ bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_CODEC)' -benchmem -count 3 -cpu 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 3 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_CHAR)' -benchmem -count 3 -cpu 1 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_INGEST)' -benchmem -count 3 -cpu 2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
 	$(GO) run ./cmd/benchjson < bench_streaming.txt > bench_fresh.json || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) run ./cmd/benchjson -compare BENCH_streaming.json -threshold 0.25 -min-cores 4 < bench_streaming.txt > bench_compare.txt 2>&1; \
@@ -115,17 +125,20 @@ bench-gate:
 bench-history:
 	$(GO) run ./cmd/benchjson -history BENCH_streaming.json
 
-# fuzz runs the wmslog codec fuzzers — the text AppendEntry/ParseAppend
-# round trip and the framed-binary round trip — and the sessions fuzzer
-# (SweepTimeout's count = Sessionize's count at every timeout, plus the
-# Section 2.2 gap invariants). `go test` runs one fuzz target per
-# invocation, hence the three steps; new failing inputs are minimized
+# fuzz runs the wmslog fuzzers — the text AppendEntry/ParseAppend round
+# trip, the framed-binary round trip, and the scan differential
+# (arbitrary bytes through the reusing, interning scan = through the
+# allocating parser) — and the sessions fuzzer (SweepTimeout's count =
+# Sessionize's count at every timeout, plus the Section 2.2 gap
+# invariants). `go test` runs one fuzz target per invocation, hence the
+# four steps; new failing inputs are minimized
 # into the package's testdata/fuzz/ and reproduce with a plain
 # `go test` of that package.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEntryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesReadAll$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
 
 # e2e exercises the full socket path: build lsmserve, lsmload and

@@ -18,7 +18,10 @@
 package repro
 
 import (
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -30,6 +33,7 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/wmslog"
 )
 
 // benchScale and benchDays size the shared fixture. Scale 150 over 7
@@ -550,6 +554,95 @@ func BenchmarkPipelineFullCharacterization(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// loadLogsFixture caches, as bytes, the daily text logs of a 14-day
+// streamed run — the 3-day streaming fixture's population (scale 100)
+// at a fifth of its arrival density, ~110k entries, one file per day
+// so up to 15 files can parse at once. Rendering them is generator
+// work the benchmark must not time, and each benchmark invocation
+// needs them on disk under its own b.TempDir.
+var loadLogsFixture struct {
+	once    sync.Once
+	err     error
+	files   map[string][]byte
+	entries int64
+}
+
+func buildLoadLogsFixture() error {
+	m, err := gismo.Scaled(100, 14)
+	if err != nil {
+		return err
+	}
+	m.BaseArrivalRate *= 12
+	dir, err := os.MkdirTemp("", "loadlogs")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	ws, err := gismo.NewStream(m, benchSeed, 1)
+	if err != nil {
+		return err
+	}
+	defer ws.Close()
+	dw, err := wmslog.NewDailyWriter(dir)
+	if err != nil {
+		return err
+	}
+	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), benchSeed,
+		simulate.StreamSinks{Entry: dw.Write})
+	if cerr := dw.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	loadLogsFixture.entries = dw.Entries()
+	loadLogsFixture.files = make(map[string][]byte)
+	for _, path := range dw.Files() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		loadLogsFixture.files[filepath.Base(path)] = data
+	}
+	return nil
+}
+
+// BenchmarkPipelineLoadLogs times the observe path's front half as
+// lsmcal and lsmchar run it: daily log files on disk → sanitized trace
+// (core.LoadLogs: find, parse a file per core, merge, sort, sanitize).
+// At -cpu 1 it is the sequential ingest; the -cpu 2,4,8 rows are the
+// same call with more workers, which benchjson annotates with
+// speedup_vs_sequential against the -cpu 1 row.
+func BenchmarkPipelineLoadLogs(b *testing.B) {
+	fx := &loadLogsFixture
+	fx.once.Do(func() { fx.err = buildLoadLogsFixture() })
+	if fx.err != nil {
+		b.Fatal(fx.err)
+	}
+	dir := b.TempDir()
+	var size int64
+	for name, data := range fx.files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		size += int64(len(data))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := core.LoadLogs(dir, 14, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Sanitization drops the few injected spanning entries.
+		if n := int64(tr.NumTransfers()); n == 0 || n > fx.entries {
+			b.Fatalf("loaded %d transfers from %d entries", n, fx.entries)
+		}
+	}
+	b.ReportMetric(float64(fx.entries), "entries")
 }
 
 // --- Ablations (DESIGN.md section 5) -----------------------------------

@@ -15,7 +15,9 @@
 // generation, and fused end-to-end families against their sequential
 // forms), each variant also gets metrics.speedup_vs_sequential — the
 // pair's sequential baseline's ns/op at the same GOMAXPROCS divided
-// by its own.
+// by its own. A benchmark paired with itself (name=name) is one whose
+// parallelism comes from GOMAXPROCS alone and runs inline at 1: its
+// -cpu 1 row is the sequential baseline of its other rows.
 //
 // With -compare the tool becomes the CI perf gate: fresh bench output
 // on stdin is compared against a committed baseline JSON, and any
@@ -100,11 +102,13 @@ type speedupSpec struct {
 
 // defaultSpeedup pairs every parallel benchmark family with its
 // sequential baseline: sharded serve vs sequential serve, sharded
-// generation vs single-shard generation, and the fused end-to-end run
-// vs its single-shard form.
+// generation vs single-shard generation, the fused end-to-end run vs
+// its single-shard form, and the log ingest — one worker per
+// GOMAXPROCS, inline at 1 — vs its own -cpu 1 row.
 const defaultSpeedup = "BenchmarkStreamingServeSharded=BenchmarkStreamingServe," +
 	"BenchmarkStreamingGenerateShards=BenchmarkStreamingGenerateSequential," +
-	"BenchmarkRunStreamedShards=BenchmarkRunStreamedSequential"
+	"BenchmarkRunStreamedShards=BenchmarkRunStreamedSequential," +
+	"BenchmarkPipelineLoadLogs=BenchmarkPipelineLoadLogs"
 
 // compareOpts parameterizes the gate.
 type compareOpts struct {
@@ -240,8 +244,12 @@ func variantKey(name string, gomaxprocs int) string {
 // ns/op at the same GOMAXPROCS over this result's ns/op. Variants with
 // no same-GOMAXPROCS baseline are left unannotated — comparing across
 // different proc counts would flatter or slander the parallel path.
+// A self-paired benchmark (prefix == base) is the exception by
+// definition: GOMAXPROCS is its only parallelism knob, so its
+// GOMAXPROCS>1 rows are measured against its GOMAXPROCS=1 row.
 func annotateSpeedup(report *Report, specs []speedupSpec) {
 	for _, spec := range specs {
+		self := spec.prefix == spec.base
 		seq := make(map[int]float64)
 		for _, r := range report.Benchmarks {
 			if r.Name != spec.base || r.NsPerOp <= 0 {
@@ -256,10 +264,20 @@ func annotateSpeedup(report *Report, specs []speedupSpec) {
 		}
 		for i := range report.Benchmarks {
 			r := &report.Benchmarks[i]
-			if r.Name == spec.base || !strings.HasPrefix(r.Name, spec.prefix) || r.NsPerOp <= 0 {
+			// A pair annotates its family, never its base; a self-pair
+			// has no family but its base.
+			isBase := r.Name == spec.base
+			if r.NsPerOp <= 0 || isBase != self || !strings.HasPrefix(r.Name, spec.prefix) {
 				continue
 			}
-			base, ok := seq[r.Gomaxprocs]
+			at := r.Gomaxprocs
+			if self {
+				if at <= 1 {
+					continue
+				}
+				at = 1
+			}
+			base, ok := seq[at]
 			if !ok {
 				continue
 			}

@@ -105,6 +105,25 @@ func TestAnnotateSpeedup(t *testing.T) {
 	}
 }
 
+// TestAnnotateSpeedupSelfPaired: a benchmark paired with itself scales
+// with GOMAXPROCS alone, so its -cpu 1 row is the baseline of its other
+// rows — and of nothing else.
+func TestAnnotateSpeedupSelfPaired(t *testing.T) {
+	report := &Report{Benchmarks: []Result{
+		{Name: "BenchmarkLoad", Gomaxprocs: 1, NsPerOp: 1200},
+		{Name: "BenchmarkLoad", Gomaxprocs: 2, NsPerOp: 800},
+		{Name: "BenchmarkLoad", Gomaxprocs: 4, NsPerOp: 400},
+		{Name: "BenchmarkLoadOther", Gomaxprocs: 4, NsPerOp: 100},
+	}}
+	annotateSpeedup(report, []speedupSpec{{prefix: "BenchmarkLoad", base: "BenchmarkLoad"}})
+	want := []float64{0, 1.5, 3, 0}
+	for i, r := range report.Benchmarks {
+		if got := r.Metrics[speedupMetric]; got != want[i] {
+			t.Errorf("%s-%d speedup = %v, want %v", r.Name, r.Gomaxprocs, got, want[i])
+		}
+	}
+}
+
 // TestParseSpeedupSpecs: the flag is a comma-separated list of
 // prefix=base pairs; a malformed pair fails parsing loudly.
 func TestParseSpeedupSpecs(t *testing.T) {

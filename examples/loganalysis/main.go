@@ -55,13 +55,11 @@ func main() {
 	// --- 2. The operator's pipeline. -----------------------------------
 	paths, err := filepath.Glob(filepath.Join(dir, "wms-*.log"))
 	fatal(err)
-	entries, st, err := wmslog.ReadFiles(paths, true) // tolerant mode
+	// One call from bytes to trace: a tolerant parse (a file per core,
+	// no entry ever materialized), the trace rebuild and the sanitize.
+	clean, st, sanReport, err := trace.FromLogs(paths, wmslog.TraceEpoch, model.Horizon)
 	fatal(err)
 	fmt.Printf("parsed %d entries, skipped %d malformed lines\n", st.Entries, st.Malformed)
-
-	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, model.Horizon)
-	fatal(err)
-	clean, sanReport := tr.Sanitize()
 	fmt.Println(sanReport)
 
 	audit := clean.AuditServerLoad(10)

@@ -201,8 +201,9 @@ func Run(cfg Config) (*Report, error) {
 // LoadLogs is the front half every log-reading command shares: find the
 // daily wms-*.log files under dir (text, gzip or framed binary), parse
 // them tolerantly, rebuild the trace over a days-long horizon and
-// sanitize it (Section 2.4). The parse and sanitize summaries are
-// written to w.
+// sanitize it (Section 2.4) — one pass from bytes to trace
+// (trace.FromLogs), a file per core. The parse and sanitize summaries
+// are written to w.
 func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
 	paths, err := wmslog.FindLogs(dir)
 	if err != nil {
@@ -211,18 +212,12 @@ func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", dir)
 	}
-	entries, st, err := wmslog.ReadFiles(paths, true)
+	clean, st, sanReport, err := trace.FromLogs(paths, wmslog.TraceEpoch, int64(days)*86400)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(w, "parsed %d entries from %d files (%d malformed lines skipped)\n",
 		st.Entries, len(paths), st.Malformed)
-
-	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, int64(days)*86400)
-	if err != nil {
-		return nil, err
-	}
-	clean, sanReport := tr.Sanitize()
 	fmt.Fprintln(w, sanReport)
 	return clean, nil
 }

@@ -4,7 +4,11 @@
 // //lsm:retain grants audited ownership.
 package entryretain
 
-import "repro/internal/wmslog"
+import (
+	"io"
+
+	"repro/internal/wmslog"
+)
 
 type holder struct {
 	last *wmslog.Entry
@@ -58,4 +62,33 @@ func consume(e *wmslog.Entry) {
 //lsm:retain -- this fixture function owns its entries (parser-style)
 func owner(e *wmslog.Entry) {
 	global = e
+}
+
+// A wmslog.Scan callback is an entry sink like any other: the scan
+// decodes every record into ONE reused Entry, so the pointer a callback
+// keeps is overwritten by the next record. Func literals are checked
+// from their own *wmslog.Entry parameter.
+func scanRetains(r io.Reader) ([]*wmslog.Entry, *holder, error) {
+	var kept []*wmslog.Entry
+	h := &holder{}
+	_, err := wmslog.Scan(r, true, wmslog.NewInterner(), func(e *wmslog.Entry) error {
+		kept = append(kept, e) // want `appended to a slice`
+		h.last = e             // want `stored in a struct field`
+		return nil
+	})
+	return kept, h, err
+}
+
+// Cloning the value is the sanctioned way to keep a scanned entry, and
+// its strings may be kept as they are: they are immutable, owned by the
+// interner, never rewritten in place.
+func scanClones(r io.Reader) ([]wmslog.Entry, []string, error) {
+	var out []wmslog.Entry
+	var players []string
+	_, err := wmslog.Scan(r, true, wmslog.NewInterner(), func(e *wmslog.Entry) error {
+		out = append(out, *e)
+		players = append(players, e.PlayerID)
+		return nil
+	})
+	return out, players, err
 }

@@ -13,6 +13,7 @@ import (
 func TestWatchTaggedLogsSessionRef(t *testing.T) {
 	var mu sync.Mutex
 	var records []TransferRecord
+	sunk := make(chan struct{}, 2) // one send per expected record
 	cfg := DefaultServerConfig()
 	cfg.FrameBytes = 128
 	cfg.FrameInterval = 5 * time.Millisecond
@@ -20,6 +21,7 @@ func TestWatchTaggedLogsSessionRef(t *testing.T) {
 		mu.Lock()
 		records = append(records, r)
 		mu.Unlock()
+		sunk <- struct{}{}
 	}
 	s, err := Serve("127.0.0.1:0", cfg)
 	if err != nil {
@@ -39,6 +41,15 @@ func TestWatchTaggedLogsSessionRef(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server answers END before it emits the record, so the last
+	// record can trail the client's return: wait for both.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-sunk:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("sink saw %d of 2 records", i)
+		}
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(records) != 2 {

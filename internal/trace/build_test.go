@@ -1,0 +1,249 @@
+package trace
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/wmslog"
+)
+
+const fixtureDays = 6
+
+// writeLogFixture writes six daily logs that between them hold what an
+// ingest has to get right: a text, a gzip and a binary file next to
+// each other; garbage lines inside a text file; spanning entries
+// (duration beyond the horizon) and an entry stamped before the epoch
+// for Sanitize to drop; a player first seen on day 4 and reused on days
+// 5 and 6, so its id depends on every earlier file; and transfers that
+// tie on (Start, Client, Object) but differ in bytes, within a file and
+// across files. It returns the paths in shuffled order.
+func writeLogFixture(t *testing.T, dir string) []string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(15))
+	var paths []string
+	for day := 0; day < fixtureDays; day++ {
+		dayStart := wmslog.TraceEpoch.Add(time.Duration(day) * 24 * time.Hour)
+		var entries []*wmslog.Entry
+		add := func(sec int64, player int, uri string, dur, bytes int64) {
+			entries = append(entries, &wmslog.Entry{
+				Timestamp:    dayStart.Add(time.Duration(sec) * time.Second),
+				ClientIP:     fmt.Sprintf("10.0.%d.%d", player/200, player%200),
+				PlayerID:     fmt.Sprintf("player-%04d", player),
+				ClientOS:     []string{"Windows 98", "Windows XP", ""}[player%3],
+				ClientCPU:    "Pentium III",
+				URIStem:      uri,
+				Duration:     dur,
+				Bytes:        bytes,
+				AvgBandwidth: 56000,
+				ServerCPU:    float64(player%90) / 10,
+				Referer:      "http://show.example.br/aovivo",
+				Status:       200,
+				ASNumber:     1 + player%7,
+				Country:      []string{"BR", "US", ""}[player%3],
+			})
+		}
+		for sec := int64(600); sec < 86000; sec += 20 + rng.Int63n(120) {
+			// Later days draw on players the earlier files never saw.
+			player := rng.Intn(40 + 15*day)
+			add(sec, player, []string{"/live/feed1", "/live/feed2"}[rng.Intn(2)], rng.Int63n(500), 1000+rng.Int63n(1<<20))
+		}
+		add(40000, 7, "/live/feed1", 100, 111) // same start, client and object,
+		add(40000, 7, "/live/feed1", 100, 222) // different bytes: a true tie
+		add(40050, 7, "/live/feed1", 150, 333) // and a third one by another route
+		if day >= 3 {
+			add(50000+int64(day), 999, "/live/feed2", 30, 4242) // the late player
+		}
+		if day == 5 {
+			// Ends at second 40000 of day 0 + 5 days: ties with nothing, but
+			// the start (end - duration) lands inside day 0's tie cluster.
+			add(40000, 7, "/live/feed1", 100+5*86400, 555)
+		}
+		if day%2 == 1 {
+			add(70000, 3, "/live/feed1", (fixtureDays+10)*86400, 1) // spanning
+		}
+		if day == 0 {
+			add(30, 5, "/live/feed2", 600, 1) // starts before the epoch
+		}
+		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Timestamp.Before(entries[j].Timestamp) })
+
+		path := filepath.Join(dir, "wms-"+dayStart.Format("2006-01-02")+".log")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w wmslog.EntryWriter = wmslog.NewWriter(f)
+		if day == 2 || day == 4 {
+			w = wmslog.NewBinaryWriter(f)
+		}
+		for i, e := range entries {
+			if err := w.Write(e); err != nil {
+				t.Fatal(err)
+			}
+			if day == 3 && i%50 == 0 {
+				// Garbage between entries, through the same buffered writer.
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(f, "not a log line %d\n2002-13-45 oops\n", i)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if day == 1 {
+			if path, err = wmslog.CompressFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		paths = append(paths, path)
+	}
+	rng.Shuffle(len(paths), func(i, j int) { paths[i], paths[j] = paths[j], paths[i] })
+	return paths
+}
+
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestFromLogsMatchesFromEntries: the one-pass, file-parallel ingest
+// must yield exactly what materializing every entry and building the
+// trace sequentially does — same transfers in the same order with the
+// same ids, same parse bookkeeping, same sanitize report — whether it
+// runs inline or on more workers than there are files.
+func TestFromLogsMatchesFromEntries(t *testing.T) {
+	paths := writeLogFixture(t, t.TempDir())
+	const horizon = fixtureDays * 86400
+
+	entries, wantStats, err := wmslog.ReadFiles(paths, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := FromEntries(entries, wmslog.TraceEpoch, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantReport := raw.Sanitize()
+	if wantStats.Malformed == 0 || wantStats.Binary == 0 || wantStats.Binary == wantStats.Entries {
+		t.Fatalf("fixture lost its mix of garbage, binary and text: %+v", wantStats)
+	}
+	if wantReport.DroppedSpanning == 0 || wantReport.DroppedOutside == 0 {
+		t.Fatalf("fixture lost its entries to sanitize: %v", wantReport)
+	}
+
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
+			got, st, report, err := FromLogs(paths, wmslog.TraceEpoch, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != wantStats {
+				t.Errorf("parse stats %+v, want %+v", st, wantStats)
+			}
+			if report != wantReport {
+				t.Errorf("sanitize report %v, want %v", report, wantReport)
+			}
+			if got.Horizon != want.Horizon || len(got.Transfers) != len(want.Transfers) {
+				t.Fatalf("trace of %d transfers over %d s, want %d over %d s",
+					len(got.Transfers), got.Horizon, len(want.Transfers), want.Horizon)
+			}
+			for i := range got.Transfers {
+				if got.Transfers[i] != want.Transfers[i] {
+					t.Fatalf("transfer %d:\n got %+v\nwant %+v", i, got.Transfers[i], want.Transfers[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFromLogsReportsFirstFailingFile: with two corrupt files in the
+// set the error is the one a sequential pass in name order would hit,
+// on every run, however the workers interleave; and the workers are
+// gone when FromLogs returns.
+func TestFromLogsReportsFirstFailingFile(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeLogFixture(t, dir)
+	// Days 2 and 4 are the binary files: cut both mid-record.
+	var corrupt []string
+	for _, day := range []int{2, 4} {
+		path := filepath.Join(dir, "wms-"+wmslog.TraceEpoch.Add(time.Duration(day)*24*time.Hour).Format("2006-01-02")+".log")
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, info.Size()/2+1); err != nil {
+			t.Fatal(err)
+		}
+		corrupt = append(corrupt, path)
+	}
+	_, _, wantErr := wmslog.ReadFiles(paths, true)
+	if wantErr == nil || !strings.Contains(wantErr.Error(), corrupt[0]) {
+		t.Fatalf("sequential reference error %v, want one naming %s", wantErr, corrupt[0])
+	}
+
+	setGOMAXPROCS(t, 8)
+	before := runtime.NumGoroutine()
+	for run := 0; run < 25; run++ {
+		tr, _, _, err := FromLogs(paths, wmslog.TraceEpoch, fixtureDays*86400)
+		if tr != nil || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("run %d: trace %v, error %v, want the sequential error %v", run, tr != nil, err, wantErr)
+		}
+	}
+	// FromLogs joins its workers before returning; allow the runtime a
+	// bounded moment to retire them.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines before, %d after 25 failing ingests — workers leaked", before, got)
+	}
+}
+
+// TestTraceOrderMatchesReference: the trace order, ties included, is
+// the permutation the reference sort.Slice over the same comparison
+// produces — the order every recorded characterization was taken in.
+func TestTraceOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 7, 13, 100, 5000} {
+		in := make([]Transfer, n)
+		for i := range in {
+			in[i] = Transfer{
+				Client: rng.Intn(4),
+				Object: rng.Intn(2),
+				Start:  int64(i/6) + rng.Int63n(3), // nearly sorted, tie-heavy
+				Bytes:  int64(i),                   // tells tied transfers apart
+			}
+		}
+		want := slices.Clone(in)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Start != want[j].Start {
+				return want[i].Start < want[j].Start
+			}
+			if want[i].Client != want[j].Client {
+				return want[i].Client < want[j].Client
+			}
+			return want[i].Object < want[j].Object
+		})
+		tr, err := New(1000, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tr.Transfers, want) {
+			t.Errorf("n=%d: trace order differs from the sort.Slice reference", n)
+		}
+	}
+}

@@ -29,8 +29,16 @@ func (r SanitizeReport) String() string {
 //   - transfers whose [start, end] interval escapes [0, horizon];
 //   - transfers with negative start or duration.
 func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
+	out := &Trace{Horizon: tr.Horizon, Transfers: tr.Transfers}
+	report := out.sanitizeInto(make([]Transfer, 0, len(tr.Transfers)))
+	return out, report
+}
+
+// sanitizeInto filters tr's transfers into kept, which becomes tr's
+// slice. kept may be tr.Transfers[:0] — an owner compacting its trace
+// in place, as FromLogs does: a kept transfer only ever moves down.
+func (tr *Trace) sanitizeInto(kept []Transfer) SanitizeReport {
 	report := SanitizeReport{Input: len(tr.Transfers)}
-	kept := make([]Transfer, 0, len(tr.Transfers))
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		switch {
@@ -45,8 +53,8 @@ func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
 		}
 	}
 	report.Kept = len(kept)
-	out := &Trace{Horizon: tr.Horizon, Transfers: kept}
-	return out, report
+	tr.Transfers, tr.byClient = kept, nil
+	return report
 }
 
 // OverloadAudit is the server-load check of Section 2.4: the fraction of

@@ -12,9 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
-
-	"repro/internal/wmslog"
 )
 
 // ErrBadTrace reports structural problems with trace construction.
@@ -48,23 +45,38 @@ type Trace struct {
 }
 
 // New builds a trace from transfers, sorting them by start time (ties by
-// client then object, for determinism).
+// client then object, for determinism). The caller keeps its slice: New
+// sorts a copy.
 func New(horizon int64, transfers []Transfer) (*Trace, error) {
+	return newOwned(horizon, slices.Clone(transfers))
+}
+
+// newOwned is New for a slice the caller hands over: it is sorted in
+// place and becomes the trace's.
+func newOwned(horizon int64, ts []Transfer) (*Trace, error) {
 	if horizon <= 0 {
 		return nil, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
 	}
-	ts := make([]Transfer, len(transfers))
-	copy(ts, transfers)
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Start != ts[j].Start {
-			return ts[i].Start < ts[j].Start
-		}
-		if ts[i].Client != ts[j].Client {
-			return ts[i].Client < ts[j].Client
-		}
-		return ts[i].Object < ts[j].Object
-	})
+	sort.Sort(byStart(ts))
 	return &Trace{Horizon: horizon, Transfers: ts}, nil
+}
+
+// byStart is the trace order. It compares by index: a Transfer is 96
+// bytes, and handing two of them by value to a comparison function
+// (slices.SortFunc) costs more than the comparison.
+type byStart []Transfer
+
+func (s byStart) Len() int      { return len(s) }
+func (s byStart) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byStart) Less(i, j int) bool {
+	a, b := &s[i], &s[j]
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Client != b.Client {
+		return a.Client < b.Client
+	}
+	return a.Object < b.Object
 }
 
 // NumTransfers returns the number of transfers.
@@ -210,48 +222,4 @@ func (tr *Trace) DistinctObjects() int {
 		set[tr.Transfers[i].Object] = struct{}{}
 	}
 	return len(set)
-}
-
-// FromEntries converts parsed log entries into a Trace. epoch is the
-// wall-clock instant of trace second 0; horizon is the trace length in
-// seconds. Client and object identities are densified: player IDs and URI
-// stems are mapped to consecutive integers in first-seen order.
-//
-// Entries are timestamped at transfer end (that is when the server logs
-// them), so Start = timestamp - duration; entries whose computed interval
-// escapes [0, horizon] are kept here and removed by Sanitize, mirroring
-// the paper's two-step handling.
-func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trace, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
-	}
-	clients := make(map[string]int)
-	objects := make(map[string]int)
-	transfers := make([]Transfer, 0, len(entries))
-	for _, e := range entries {
-		cid, ok := clients[e.PlayerID]
-		if !ok {
-			cid = len(clients)
-			clients[e.PlayerID] = cid
-		}
-		oid, ok := objects[e.URIStem]
-		if !ok {
-			oid = len(objects)
-			objects[e.URIStem] = oid
-		}
-		end := int64(e.Timestamp.Sub(epoch) / time.Second)
-		transfers = append(transfers, Transfer{
-			Client:    cid,
-			IP:        e.ClientIP,
-			AS:        e.ASNumber,
-			Country:   e.Country,
-			Object:    oid,
-			Start:     end - e.Duration,
-			Duration:  e.Duration,
-			Bytes:     e.Bytes,
-			Bandwidth: e.AvgBandwidth,
-			ServerCPU: e.ServerCPU,
-		})
-	}
-	return New(horizon, transfers)
 }

@@ -1,6 +1,7 @@
 package wmslog
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
@@ -128,14 +129,23 @@ func appendDashField(b []byte, s string) []byte {
 // Fields order, 2-decimal s-cpu-util) into *e, overwriting every field.
 // It allocates only the retained string fields — timestamps and all
 // numeric columns are decoded in place, with no scratch split or
-// sub-string slices — so it is the fast path Parser.Next tries before
+// sub-string slices — so it is the fast path the parser tries before
 // falling back to the tolerant legacy column splitter (which accepts
 // repeated whitespace and arbitrary float formats).
 //
 // The line must not include the trailing newline.
+func ParseAppend(e *Entry, line []byte) error {
+	return parseAppend(e, line, nil)
+}
+
+// parseAppend is ParseAppend with the string fields drawn from in: a
+// field that repeats the value *e already holds (the previous record
+// of a reused entry) or one the interner knows costs no allocation, so
+// a scan over a real log allocates per distinct value. Referer takes
+// only the first shortcut — see Interner.
 //
 //lsm:hotpath
-func ParseAppend(e *Entry, line []byte) error {
+func parseAppend(e *Entry, line []byte, in *Interner) error {
 	cols := fieldSplitter{line: line}
 	date, ok := cols.next()
 	clock, ok2 := cols.next()
@@ -147,19 +157,19 @@ func ParseAppend(e *Entry, line []byte) error {
 		return err
 	}
 	e.Timestamp = ts
-	if e.ClientIP, ok = cols.nextString(); !ok {
+	if e.ClientIP, ok = cols.nextString(in, e.ClientIP); !ok {
 		return errMissing("c-ip")
 	}
-	if e.PlayerID, ok = cols.nextString(); !ok {
+	if e.PlayerID, ok = cols.nextString(in, e.PlayerID); !ok {
 		return errMissing("c-playerid")
 	}
-	if e.ClientOS, ok = cols.nextUndashed(); !ok {
+	if e.ClientOS, ok = cols.nextUndashed(in, e.ClientOS); !ok {
 		return errMissing("c-os")
 	}
-	if e.ClientCPU, ok = cols.nextUndashed(); !ok {
+	if e.ClientCPU, ok = cols.nextUndashed(in, e.ClientCPU); !ok {
 		return errMissing("c-cpu")
 	}
-	if e.URIStem, ok = cols.nextString(); !ok {
+	if e.URIStem, ok = cols.nextString(in, e.URIStem); !ok {
 		return errMissing("cs-uri-stem")
 	}
 	if e.Duration, err = cols.nextInt("x-duration"); err != nil {
@@ -177,7 +187,7 @@ func ParseAppend(e *Entry, line []byte) error {
 	if e.ServerCPU, err = cols.nextFixed2("s-cpu-util"); err != nil {
 		return err
 	}
-	if e.Referer, ok = cols.nextUndashed(); !ok {
+	if e.Referer, ok = cols.nextUndashed(nil, e.Referer); !ok {
 		return errMissing("cs(Referer)")
 	}
 	status, err := cols.nextInt("sc-status")
@@ -190,7 +200,7 @@ func ParseAppend(e *Entry, line []byte) error {
 		return err
 	}
 	e.ASNumber = int(asn)
-	if e.Country, ok = cols.nextUndashed(); !ok {
+	if e.Country, ok = cols.nextUndashed(in, e.Country); !ok {
 		return errMissing("s-country")
 	}
 	if !cols.done() {
@@ -222,39 +232,44 @@ type fieldSplitter struct {
 // differently (tabs, unicode whitespace), and over-rejecting is safe
 // because rejection only means falling back.
 func (f *fieldSplitter) next() ([]byte, bool) {
-	if f.pos >= len(f.line) {
-		return nil, false
+	line, start := f.line, f.pos
+	// A column byte is printable ASCII, 0x21..0x7f: one unsigned compare,
+	// on locals the loop keeps in registers.
+	i := start
+	for i < len(line) && line[i]-0x21 < 0x5f {
+		i++
 	}
-	start := f.pos
-	for f.pos < len(f.line) && f.line[f.pos] != ' ' {
-		if c := f.line[f.pos]; c < 0x21 || c >= 0x80 {
-			return nil, false
+	if i == start {
+		return nil, false // end of line, or an empty column: doubled space, not canonical
+	}
+	if i < len(line) {
+		if line[i] != ' ' {
+			return nil, false // control or non-ASCII byte
 		}
-		f.pos++
+		f.pos = i + 1 // skip the single separator
+	} else {
+		f.pos = i
 	}
-	col := f.line[start:f.pos]
-	if f.pos < len(f.line) {
-		f.pos++ // skip the single separator
-	}
-	if len(col) == 0 {
-		return nil, false // empty column: doubled space, not canonical
-	}
-	return col, true
+	return line[start:i], true
 }
 
 func (f *fieldSplitter) done() bool { return f.pos >= len(f.line) }
 
-func (f *fieldSplitter) nextString() (string, bool) {
+// nextString reads a mandatory string column through in; prev is the
+// value the entry being overwritten holds for it.
+func (f *fieldSplitter) nextString(in *Interner, prev string) (string, bool) {
 	col, ok := f.next()
 	if !ok {
 		return "", false
 	}
-	return string(col), true
+	return in.intern(col, prev), true
 }
 
 // nextUndashed reads a dash-encoded optional field: "-" decodes to the
-// empty string without allocating; underscores decode back to spaces.
-func (f *fieldSplitter) nextUndashed() (string, bool) {
+// empty string without allocating; underscores decode back to spaces
+// (in a stack scratch for any realistic length) before interning
+// through in.
+func (f *fieldSplitter) nextUndashed(in *Interner, prev string) (string, bool) {
 	col, ok := f.next()
 	if !ok {
 		return "", false
@@ -262,14 +277,17 @@ func (f *fieldSplitter) nextUndashed() (string, bool) {
 	if len(col) == 1 && col[0] == '-' {
 		return "", true
 	}
-	s := make([]byte, len(col))
-	for i, c := range col {
-		if c == '_' {
-			c = ' '
-		}
-		s[i] = c
+	if bytes.IndexByte(col, '_') < 0 {
+		return in.intern(col, prev), true
 	}
-	return string(s), true
+	var scratch [64]byte
+	s := append(scratch[:0], col...)
+	for i, c := range s {
+		if c == '_' {
+			s[i] = ' '
+		}
+	}
+	return in.intern(s, prev), true
 }
 
 func (f *fieldSplitter) nextInt(field string) (int64, error) {

@@ -195,12 +195,12 @@ func TestParseAppendAgreesWithLegacyParser(t *testing.T) {
 		if err := ParseAppend(&fast, line); err != nil {
 			t.Fatalf("fast path rejected canonical line %q: %v", line, err)
 		}
-		legacy, err := p.parseLine(string(line))
-		if err != nil {
+		var legacy Entry
+		if err := p.parseLine(&legacy, string(line)); err != nil {
 			t.Fatalf("legacy parser rejected canonical line %q: %v", line, err)
 		}
-		if fast != *legacy {
-			t.Fatalf("parsers disagree on %q\nfast:   %+v\nlegacy: %+v", line, fast, *legacy)
+		if fast != legacy {
+			t.Fatalf("parsers disagree on %q\nfast:   %+v\nlegacy: %+v", line, fast, legacy)
 		}
 	}
 }

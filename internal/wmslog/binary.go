@@ -132,17 +132,6 @@ func (d *BinaryDict) lookup(s string) (uint32, bool) {
 	return idx, ok
 }
 
-// stringSafe is Entry.Validate's charset rule for mandatory fields.
-func stringSafe(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n':
-			return false
-		}
-	}
-	return true
-}
-
 // AppendEntryBinary appends one framed binary record for e to b —
 // uvarint payload length, then the payload — threading string
 // interning through d, and returns the extended slice. It is the

@@ -70,13 +70,13 @@ func (e *Entry) Validate() error {
 	if e.Timestamp.IsZero() {
 		return fmt.Errorf("%w: zero timestamp", ErrFormat)
 	}
-	if e.ClientIP == "" || strings.ContainsAny(e.ClientIP, " \t\n") {
+	if e.ClientIP == "" || !stringSafe(e.ClientIP) {
 		return fmt.Errorf("%w: bad client IP %q", ErrFormat, e.ClientIP)
 	}
-	if e.PlayerID == "" || strings.ContainsAny(e.PlayerID, " \t\n") {
+	if e.PlayerID == "" || !stringSafe(e.PlayerID) {
 		return fmt.Errorf("%w: bad player ID %q", ErrFormat, e.PlayerID)
 	}
-	if e.URIStem == "" || strings.ContainsAny(e.URIStem, " \t\n") {
+	if e.URIStem == "" || !stringSafe(e.URIStem) {
 		return fmt.Errorf("%w: bad URI %q", ErrFormat, e.URIStem)
 	}
 	if e.Duration < 0 {
@@ -89,6 +89,21 @@ func (e *Entry) Validate() error {
 		return fmt.Errorf("%w: server CPU %v out of [0,100]", ErrFormat, e.ServerCPU)
 	}
 	return nil
+}
+
+// stringSafe is the charset rule of the mandatory text fields: no space,
+// tab or newline, the bytes that would break the space-separated line.
+// One byte loop instead of strings.ContainsAny, which builds an ASCII
+// set per call — Validate runs on every entry written and every line
+// parsed.
+func stringSafe(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '\n':
+			return false
+		}
+	}
+	return true
 }
 
 // Start returns the transfer start time (Timestamp minus Duration).

@@ -1,6 +1,7 @@
 package wmslog
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -37,6 +38,37 @@ func openLog(path string) (io.Reader, io.Closer, error) {
 		return nil, nil, fmt.Errorf("wmslog: gzip %s: %w", path, err)
 	}
 	return zr, &stackedCloser{inner: zr, outer: f}, nil
+}
+
+// Bytes one entry takes on disk, rounded down so EntryHint errs high: a
+// canonical text line is ~145 bytes; gzip packs it into ~27, and a
+// binary record is 25–45 depending on how often the file's dictionary
+// already holds its strings.
+const (
+	textBytesPerEntry   = 128
+	packedBytesPerEntry = 24 // gzip or binary
+)
+
+// EntryHint estimates, from its size and format alone, how many entries
+// the log file at path holds — a capacity for whatever collects them,
+// meant to be slightly high rather than exact. An unreadable file hints
+// 0; opening it for real reports the error.
+func EntryHint(path string) int {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0
+	}
+	per := int64(textBytesPerEntry)
+	magic := make([]byte, len(binaryMagic))
+	if n, _ := io.ReadFull(f, magic); strings.HasSuffix(path, ".gz") || bytes.Equal(magic[:n], binaryMagic) {
+		per = packedBytesPerEntry
+	}
+	return int(st.Size()/per) + 1
 }
 
 type stackedCloser struct {

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -44,8 +44,10 @@ const (
 // In strict mode (default) any malformed line aborts with an error
 // identifying the line number. In tolerant mode malformed text lines
 // are counted and skipped — the disposition a measurement pipeline
-// needs for month-scale production logs. Binary corruption is ALWAYS
-// fatal, tolerant or not: the length-prefixed framing cannot be
+// needs for month-scale production logs. A line longer than
+// maxLineBytes is one malformed line like any other: it is skipped to
+// its newline without ever being buffered whole. Binary corruption is
+// ALWAYS fatal, tolerant or not: the length-prefixed framing cannot be
 // resynchronized after a bad record, so skipping would silently drop
 // an unbounded tail. A truncated or corrupt binary file is a loud
 // error and never emits a partial entry.
@@ -54,13 +56,18 @@ type Parser struct {
 
 	br      *bufio.Reader
 	mode    parserMode
-	scanner *bufio.Scanner // text mode
-	dict    *BinaryDict    // binary mode
-	recBuf  []byte         // binary mode: buffer for records spanning br's window
-	slab    []Entry        // binary mode: batch-allocated entries, handed out once each
+	in      *Interner   // text mode; nil (Next): every string field is a fresh allocation
+	dict    *BinaryDict // binary mode
+	spill   []byte      // a text line or binary record spanning br's window
+	slab    []Entry     // Next: batch-allocated entries, handed out once each
 	stats   ParseStats
-	fields  []string // column order from the #Fields header, nil until seen
+	fields  []string // the #Fields header's columns when they are NOT Fields, else nil
+	readErr error    // text mode: read error held back behind the final unterminated line
 }
+
+// maxLineBytes bounds one text line. Anything longer is not a log entry
+// (a canonical line is ~150 bytes) but junk without a newline.
+const maxLineBytes = 1 << 20
 
 // NewParser wraps r.
 func NewParser(r io.Reader) *Parser {
@@ -69,6 +76,15 @@ func NewParser(r io.Reader) *Parser {
 
 // Stats returns the bookkeeping so far.
 func (p *Parser) Stats() ParseStats { return p.stats }
+
+// Add accumulates another stream's bookkeeping into s.
+func (s *ParseStats) Add(o ParseStats) {
+	s.Lines += o.Lines
+	s.Comments += o.Comments
+	s.Entries += o.Entries
+	s.Malformed += o.Malformed
+	s.Binary += o.Binary
+}
 
 // detect sniffs the stream format from its first bytes. A stream too
 // short to carry the magic is text (possibly empty).
@@ -81,57 +97,133 @@ func (p *Parser) detect() {
 		return
 	}
 	p.mode = modeText
-	p.scanner = bufio.NewScanner(p.br)
-	p.scanner.Buffer(make([]byte, 0, 1<<16), 1<<20)
 }
 
 // Next returns the next entry, or io.EOF when the stream is exhausted.
+// The entry is the caller's to keep: it comes from a batch-allocated
+// slab, handed out exactly once, and scan decodes straight into it.
+func (p *Parser) Next() (*Entry, error) {
+	if len(p.slab) == 0 {
+		p.slab = make([]Entry, 512)
+	}
+	e := &p.slab[0]
+	if err := p.scan(e); err != nil {
+		return nil, err
+	}
+	p.slab = p.slab[1:]
+	return e, nil
+}
+
+// scan decodes the next record into *e, overwriting every field, or
+// returns io.EOF when the stream is exhausted. It is the one parse loop
+// behind Next, Scan, ReadAll and ReadFiles. After an error *e holds
+// garbage.
 //
-// Text data lines go through the ParseAppend fast path first — the
+// Text data lines go through the parseAppend fast path first — the
 // strict canonical format the encoder emits, decoded without scratch
 // allocations — and only fall back to the tolerant legacy column
 // splitter (repeated whitespace, arbitrary float formats) when the
 // fast path rejects them. Binary streams decode record by record
 // through ParseBinary.
-func (p *Parser) Next() (*Entry, error) {
+//
+//lsm:hotpath
+func (p *Parser) scan(e *Entry) error {
 	if p.mode == modeUndetected {
 		p.detect()
 	}
 	if p.mode == modeBinary {
-		return p.nextBinary()
+		return p.scanBinary(e)
 	}
-	for p.scanner.Scan() {
-		p.stats.Lines++
-		raw := bytes.TrimSpace(p.scanner.Bytes())
-		if len(raw) == 0 {
-			p.stats.Comments++
-			continue
-		}
-		if raw[0] == '#' {
-			p.stats.Comments++
-			if rest, ok := bytes.CutPrefix(raw, []byte("#Fields:")); ok {
-				p.fields = strings.Fields(string(rest))
-			}
-			continue
-		}
-		e, err := p.parseData(raw)
+	for {
+		line, tooLong, err := p.readLine()
 		if err != nil {
-			p.stats.Malformed++
-			if p.Tolerant {
+			return err
+		}
+		p.stats.Lines++
+		if tooLong {
+			err = errLineTooLong
+		} else {
+			raw := bytes.TrimSpace(line)
+			if len(raw) == 0 {
+				p.stats.Comments++
 				continue
 			}
-			return nil, fmt.Errorf("line %d: %w", p.stats.Lines, err)
+			if raw[0] == '#' {
+				p.stats.Comments++
+				p.header(raw)
+				continue
+			}
+			if err = p.parseData(e, raw); err == nil {
+				p.stats.Entries++
+				return nil
+			}
 		}
-		p.stats.Entries++
-		return e, nil
+		p.stats.Malformed++
+		if !p.Tolerant {
+			return errAtLine(p.stats.Lines, err)
+		}
 	}
-	if err := p.scanner.Err(); err != nil {
-		return nil, fmt.Errorf("wmslog: scan: %w", err)
-	}
-	return nil, io.EOF
 }
 
-// nextBinary decodes one length-prefixed binary record. Any framing or
+var errLineTooLong = fmt.Errorf("%w: line longer than %d bytes", ErrFormat, maxLineBytes)
+
+func errAtLine(n int, err error) error { return fmt.Errorf("line %d: %w", n, err) }
+
+func errRead(err error) error { return fmt.Errorf("wmslog: scan: %w", err) }
+
+// header records a "#Fields:" directive. The column set is compared
+// here, once per header, not once per data line: fields stays nil
+// while the columns are the canonical ones.
+func (p *Parser) header(raw []byte) {
+	rest, ok := bytes.CutPrefix(raw, []byte("#Fields:"))
+	if !ok {
+		return
+	}
+	p.fields = strings.Fields(string(rest))
+	if slices.Equal(p.fields, Fields) {
+		p.fields = nil
+	}
+}
+
+// readLine returns the next text line, newline included if it had one.
+// The slice is only valid until the next read. A line that outgrows
+// br's window is assembled in spill; once it outgrows maxLineBytes too
+// it is no longer buffered, only skipped to its newline, and reported
+// as tooLong. A read error is held back until the bytes before it have
+// been delivered as a final line, as bufio.Scanner does.
+//
+//lsm:hotpath
+func (p *Parser) readLine() (line []byte, tooLong bool, err error) {
+	if p.readErr != nil {
+		return nil, false, p.readErr
+	}
+	line, err = p.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		p.spill = append(p.spill[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = p.br.ReadSlice('\n')
+			if len(p.spill)+len(line) > maxLineBytes {
+				tooLong = true
+			}
+			if !tooLong {
+				p.spill = append(p.spill, line...)
+			}
+		}
+		line = p.spill
+	}
+	if err != nil {
+		if err != io.EOF {
+			err = errRead(err)
+		}
+		if len(line) == 0 {
+			return nil, false, err
+		}
+		p.readErr = err
+	}
+	return line, tooLong, nil
+}
+
+// scanBinary decodes one length-prefixed binary record. Any framing or
 // decode error is fatal regardless of Tolerant: after a bad record the
 // stream offset is unknowable, so there is nothing to skip to.
 //
@@ -139,42 +231,35 @@ func (p *Parser) Next() (*Entry, error) {
 // bufio window and Discarded after the parse (ParseBinary never
 // retains the payload — inline strings are copied at interning), so no
 // bytes move. Only a record spanning the window boundary is copied out
-// through recBuf. Entries come from a batch-allocated slab, handed out
-// exactly once each, so a caller can retain them while the parser
-// amortizes the per-entry allocation.
-func (p *Parser) nextBinary() (*Entry, error) {
+// through spill.
+func (p *Parser) scanBinary(e *Entry) error {
 	n, err := binary.ReadUvarint(p.br)
 	if err == io.EOF {
-		return nil, io.EOF
+		return io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wmslog: binary record %d: length prefix: %w", p.stats.Lines+1, err)
+		return fmt.Errorf("wmslog: binary record %d: length prefix: %w", p.stats.Lines+1, err)
 	}
 	if n == 0 || n > maxBinaryRecord {
-		return nil, fmt.Errorf("wmslog: binary record %d: %w: record length %d", p.stats.Lines+1, ErrFormat, n)
+		return fmt.Errorf("wmslog: binary record %d: %w: record length %d", p.stats.Lines+1, ErrFormat, n)
 	}
 	rec, perr := p.br.Peek(int(n))
 	if perr != nil {
 		// Record spans the buffered window (or the stream is short):
 		// copy it out. ReadFull consumes what Peek only looked at.
-		if uint64(cap(p.recBuf)) < n {
-			p.recBuf = make([]byte, n)
+		if uint64(cap(p.spill)) < n {
+			p.spill = make([]byte, n)
 		}
-		rec = p.recBuf[:n]
+		rec = p.spill[:n]
 		if _, err := io.ReadFull(p.br, rec); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("wmslog: binary record %d: truncated: want %d payload bytes: %w", p.stats.Lines+1, n, io.ErrUnexpectedEOF)
+				return fmt.Errorf("wmslog: binary record %d: truncated: want %d payload bytes: %w", p.stats.Lines+1, n, io.ErrUnexpectedEOF)
 			}
-			return nil, fmt.Errorf("wmslog: binary record %d: %w", p.stats.Lines+1, err)
+			return fmt.Errorf("wmslog: binary record %d: %w", p.stats.Lines+1, err)
 		}
 	}
-	if len(p.slab) == 0 {
-		p.slab = make([]Entry, 512)
-	}
-	e := &p.slab[0]
-	p.slab = p.slab[1:]
 	if err := ParseBinary(e, rec, p.dict); err != nil {
-		return nil, fmt.Errorf("wmslog: binary record %d: %w", p.stats.Lines+1, err)
+		return fmt.Errorf("wmslog: binary record %d: %w", p.stats.Lines+1, err)
 	}
 	if perr == nil {
 		p.br.Discard(int(n))
@@ -182,72 +267,66 @@ func (p *Parser) nextBinary() (*Entry, error) {
 	p.stats.Lines++
 	p.stats.Entries++
 	p.stats.Binary++
-	return e, nil
+	return nil
 }
 
-// parseData decodes one data line: canonical fast path, then the
-// tolerant legacy splitter.
-func (p *Parser) parseData(raw []byte) (*Entry, error) {
-	if p.fields != nil && !sameFields(p.fields, Fields) {
-		return nil, fmt.Errorf("%w: unsupported field set %v", ErrFormat, p.fields)
+// parseData decodes one data line into *e: canonical fast path, then
+// the tolerant legacy splitter.
+func (p *Parser) parseData(e *Entry, raw []byte) error {
+	if p.fields != nil {
+		return fmt.Errorf("%w: unsupported field set %v", ErrFormat, p.fields)
 	}
-	e := &Entry{}
-	if err := ParseAppend(e, raw); err == nil {
-		return e, nil
+	if err := parseAppend(e, raw, p.in); err == nil {
+		return nil
 	}
-	return p.parseLine(string(raw))
+	return p.parseLine(e, string(raw))
 }
 
 // parseLine decodes one data line according to the canonical Fields
-// order with the tolerant legacy splitter.
-func (p *Parser) parseLine(line string) (*Entry, error) {
+// order with the tolerant legacy splitter. The columns alias line, so
+// the retained ones go through the interner (which clones on first
+// sight) rather than pinning the whole line per entry.
+func (p *Parser) parseLine(e *Entry, line string) error {
 	cols := strings.Fields(line)
 	if len(cols) != len(Fields) {
-		return nil, fmt.Errorf("%w: %d columns, want %d", ErrFormat, len(cols), len(Fields))
+		return fmt.Errorf("%w: %d columns, want %d", ErrFormat, len(cols), len(Fields))
 	}
 	ts, err := time.Parse("2006-01-02 15:04:05", cols[0]+" "+cols[1])
 	if err != nil {
-		return nil, fmt.Errorf("%w: timestamp %q %q: %v", ErrFormat, cols[0], cols[1], err)
+		return fmt.Errorf("%w: timestamp %q %q: %v", ErrFormat, cols[0], cols[1], err)
 	}
-	e := &Entry{
+	*e = Entry{
 		Timestamp: ts,
-		ClientIP:  cols[2],
-		PlayerID:  cols[3],
-		ClientOS:  undash(cols[4]),
-		ClientCPU: undash(cols[5]),
-		URIStem:   cols[6],
-		Referer:   undash(cols[12]),
-		Country:   undash(cols[15]),
+		ClientIP:  p.in.internString(cols[2]),
+		PlayerID:  p.in.internString(cols[3]),
+		ClientOS:  p.in.internString(undash(cols[4])),
+		ClientCPU: p.in.internString(undash(cols[5])),
+		URIStem:   p.in.internString(cols[6]),
+		Referer:   strings.Clone(undash(cols[12])),
+		Country:   p.in.internString(undash(cols[15])),
 	}
 	if e.Duration, err = parseInt(cols[7], "x-duration"); err != nil {
-		return nil, err
+		return err
 	}
 	if e.Bytes, err = parseInt(cols[8], "sc-bytes"); err != nil {
-		return nil, err
+		return err
 	}
 	if e.AvgBandwidth, err = parseInt(cols[9], "avgbandwidth"); err != nil {
-		return nil, err
+		return err
 	}
 	if e.PacketsLost, err = parseInt(cols[10], "c-pkts-lost"); err != nil {
-		return nil, err
+		return err
 	}
 	if e.ServerCPU, err = strconv.ParseFloat(cols[11], 64); err != nil {
-		return nil, fmt.Errorf("%w: s-cpu-util %q", ErrFormat, cols[11])
+		return fmt.Errorf("%w: s-cpu-util %q", ErrFormat, cols[11])
 	}
-	status, err := strconv.Atoi(cols[13])
-	if err != nil {
-		return nil, fmt.Errorf("%w: sc-status %q", ErrFormat, cols[13])
+	if e.Status, err = strconv.Atoi(cols[13]); err != nil {
+		return fmt.Errorf("%w: sc-status %q", ErrFormat, cols[13])
 	}
-	e.Status = status
-	asn, err := strconv.Atoi(cols[14])
-	if err != nil {
-		return nil, fmt.Errorf("%w: s-as %q", ErrFormat, cols[14])
+	if e.ASNumber, err = strconv.Atoi(cols[14]); err != nil {
+		return fmt.Errorf("%w: s-as %q", ErrFormat, cols[14])
 	}
-	e.ASNumber = asn
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e.Validate()
 }
 
 func parseInt(s, field string) (int64, error) {
@@ -256,62 +335,4 @@ func parseInt(s, field string) (int64, error) {
 		return 0, fmt.Errorf("%w: %s %q", ErrFormat, field, s)
 	}
 	return v, nil
-}
-
-func sameFields(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReadAll parses every entry from r, in tolerant or strict mode.
-func ReadAll(r io.Reader, tolerant bool) ([]*Entry, ParseStats, error) {
-	p := NewParser(r)
-	p.Tolerant = tolerant
-	var out []*Entry
-	for {
-		e, err := p.Next()
-		if err == io.EOF {
-			return out, p.Stats(), nil
-		}
-		if err != nil {
-			return out, p.Stats(), err
-		}
-		out = append(out, e)
-	}
-}
-
-// ReadFiles parses a set of daily log files (in name order, which is date
-// order for DailyWriter output) and concatenates their entries.
-func ReadFiles(paths []string, tolerant bool) ([]*Entry, ParseStats, error) {
-	sorted := make([]string, len(paths))
-	copy(sorted, paths)
-	sort.Strings(sorted)
-
-	var all []*Entry
-	var total ParseStats
-	for _, path := range sorted {
-		r, closer, err := openLog(path)
-		if err != nil {
-			return all, total, err
-		}
-		entries, st, err := ReadAll(r, tolerant)
-		closer.Close()
-		total.Lines += st.Lines
-		total.Comments += st.Comments
-		total.Entries += st.Entries
-		total.Malformed += st.Malformed
-		total.Binary += st.Binary
-		all = append(all, entries...)
-		if err != nil {
-			return all, total, fmt.Errorf("wmslog: parse %s: %w", path, err)
-		}
-	}
-	return all, total, nil
 }
