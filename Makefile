@@ -43,11 +43,13 @@ examples:
 BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)|BenchmarkRunStreamed
 
 # BENCH_CODEC selects the single-threaded streaming benchmarks the
-# matrix does not cover: the wmslog entry and whole-log codecs, and the
-# materializing drain of the generator. Like BENCH_CHAR they run at
+# matrix does not cover: the wmslog entry and whole-log codecs, the
+# materializing drain of the generator, and the generator's two
+# per-client kernels (the Zipf interest inversion at the gen_logs table
+# size, and the population build). Like BENCH_CHAR they run at
 # -cpu 1, so every row's (name, gomaxprocs) key is the same on any
 # runner and the gate compares it instead of reporting NEW/GONE.
-BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|EncodeBinaryLog|GenerateMaterialized)$$
+BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|EncodeBinaryLog|GenerateMaterialized)$$|BenchmarkZipfRankOfU$$|BenchmarkPopulation$$
 
 # BENCH_CHAR selects the measurement-half benchmarks: the log ingest
 # (files on disk → sanitized trace), sessionization, the whole
@@ -126,12 +128,13 @@ bench-history:
 	$(GO) run ./cmd/benchjson -history BENCH_streaming.json
 
 # fuzz runs the wmslog fuzzers — the text AppendEntry/ParseAppend round
-# trip, the framed-binary round trip, and the scan differential
+# trip, the framed-binary round trip, the scan differential
 # (arbitrary bytes through the reusing, interning scan = through the
-# allocating parser) — and the sessions fuzzer (SweepTimeout's count =
-# Sessionize's count at every timeout, plus the Section 2.2 gap
-# invariants). `go test` runs one fuzz target per invocation, hence the
-# four steps; new failing inputs are minimized
+# allocating parser) and the fixed-2 s-cpu-util encoder (any float64
+# bit pattern prints as strconv's %.2f) — and the sessions fuzzer
+# (SweepTimeout's count = Sessionize's count at every timeout, plus the
+# Section 2.2 gap invariants). `go test` runs one fuzz target per
+# invocation, hence the five steps; new failing inputs are minimized
 # into the package's testdata/fuzz/ and reproduce with a plain
 # `go test` of that package.
 FUZZTIME ?= 30s
@@ -139,6 +142,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEntryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesReadAll$$' -fuzztime $(FUZZTIME) ./internal/wmslog
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed2$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
 
 # e2e exercises the full socket path: build lsmserve, lsmload and

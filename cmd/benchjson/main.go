@@ -17,7 +17,9 @@
 // pair's sequential baseline's ns/op at the same GOMAXPROCS divided
 // by its own. A benchmark paired with itself (name=name) is one whose
 // parallelism comes from GOMAXPROCS alone and runs inline at 1: its
-// -cpu 1 row is the sequential baseline of its other rows.
+// -cpu 1 row is the sequential baseline of its other rows. A row that
+// ran with more procs than the machine has cores is never annotated:
+// time-slicing is not scaling.
 //
 // With -compare the tool becomes the CI perf gate: fresh bench output
 // on stdin is compared against a committed baseline JSON, and any
@@ -43,6 +45,10 @@
 //
 // Benchmarks present on only one side are reported but never fail the
 // gate — adding or retiring a benchmark is not a regression. A
+// benchmark with one row on each side whose keys differ only in
+// GOMAXPROCS (it ran outside the -cpu matrix, on machines with
+// different core counts) is the same benchmark: it is matched by name
+// and gated, not reported NEW and GONE. A
 // zero-valued baseline metric (a genuinely alloc-free benchmark, or a
 // legacy baseline recorded without -benchmem) gates on any growth:
 // regressing from 0 allocs/op is precisely the zero-alloc property
@@ -247,6 +253,12 @@ func variantKey(name string, gomaxprocs int) string {
 // A self-paired benchmark (prefix == base) is the exception by
 // definition: GOMAXPROCS is its only parallelism knob, so its
 // GOMAXPROCS>1 rows are measured against its GOMAXPROCS=1 row.
+//
+// A row that ran with more procs than the machine has cores
+// (report.NumCPU, when known) is never annotated: its goroutines were
+// time-sliced onto fewer cores, so the ratio measures the scheduler,
+// not the parallel path, and a committed "speed-up" there would be
+// read — and gated — as scaling the hardware could not exhibit.
 func annotateSpeedup(report *Report, specs []speedupSpec) {
 	for _, spec := range specs {
 		self := spec.prefix == spec.base
@@ -268,6 +280,9 @@ func annotateSpeedup(report *Report, specs []speedupSpec) {
 			// has no family but its base.
 			isBase := r.Name == spec.base
 			if r.NsPerOp <= 0 || isBase != self || !strings.HasPrefix(r.Name, spec.prefix) {
+				continue
+			}
+			if report.NumCPU > 0 && r.Gomaxprocs > report.NumCPU {
 				continue
 			}
 			at := r.Gomaxprocs
@@ -313,7 +328,12 @@ var gatedMetrics = []gatedMetric{
 // (name, GOMAXPROCS), so a -cpu matrix gates each row separately.
 // Missing and new benchmarks are informational only, and on a machine
 // with fewer than minCores cores the multi-core rows and the speedup
-// metric are SKIPped rather than judged. Repeated results for one
+// metric are SKIPped rather than judged. A benchmark that has a single
+// row on each side — one that ran outside the -cpu matrix, at whatever
+// GOMAXPROCS its machine defaulted to — is matched by name when the
+// keys differ only in that proc count, and gated: a runner with another
+// core count than the recorder's would otherwise report it NEW and
+// GONE and gate nothing. Repeated results for one
 // variant (`-count N`) are reduced to their per-metric minimum first —
 // best-of-N is the standard noise damper for gating on shared CI
 // hardware, where co-tenancy inflates individual runs far more often
@@ -323,6 +343,7 @@ func compare(base, fresh *Report, opts compareOpts, w io.Writer) (regressions, c
 	baseBy := bestByName(base)
 	freshBy := bestByName(fresh)
 	gateMulti := opts.numCPU >= opts.minCores
+	baseVariants, freshVariants := variantsByName(baseBy), variantsByName(freshBy)
 	reported := make(map[string]bool)
 	for _, r := range fresh.Benchmarks {
 		key := variantKey(r.Name, r.Gomaxprocs)
@@ -332,11 +353,18 @@ func compare(base, fresh *Report, opts compareOpts, w io.Writer) (regressions, c
 		reported[key] = true
 		f := freshBy[key]
 		b, ok := baseBy[key]
+		byName := false
+		if !ok && len(baseVariants[r.Name]) == 1 && len(freshVariants[r.Name]) == 1 {
+			baseKey := baseVariants[r.Name][0]
+			b, ok, byName = baseBy[baseKey], true, true
+			reported[baseKey] = true
+			key = fmt.Sprintf("%s (GOMAXPROCS %d -> %d)", r.Name, b.Gomaxprocs, f.Gomaxprocs)
+		}
 		if !ok {
 			fmt.Fprintf(w, "NEW   %-45s %14.0f ns/op\n", key, f.NsPerOp)
 			continue
 		}
-		if !gateMulti && f.Gomaxprocs > 1 {
+		if !gateMulti && f.Gomaxprocs > 1 && !byName {
 			fmt.Fprintf(w, "SKIP  %-45s (%d cores < %d: multi-core variant not gated)\n", key, opts.numCPU, opts.minCores)
 			continue
 		}
@@ -390,6 +418,15 @@ func compare(base, fresh *Report, opts compareOpts, w io.Writer) (regressions, c
 		}
 	}
 	return regressions, compared
+}
+
+// variantsByName lists each benchmark name's variant keys.
+func variantsByName(byKey map[string]Result) map[string][]string {
+	names := make(map[string][]string, len(byKey))
+	for key, r := range byKey {
+		names[r.Name] = append(names[r.Name], key)
+	}
+	return names
 }
 
 // bestByName reduces each benchmark variant's repeated results to

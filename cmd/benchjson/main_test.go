@@ -396,3 +396,118 @@ func TestLoadBaselineRefusesDuplicateKey(t *testing.T) {
 		t.Fatalf("duplicate key accepted: %v", err)
 	}
 }
+
+// TestAnnotateSpeedupRefusesTimeSlicedRows: a row that ran with more
+// procs than the machine has cores was time-sliced; it must carry no
+// speedup_vs_sequential, paired or self-paired, while rows the cores
+// can actually run in parallel keep theirs. An unknown core count
+// (legacy reports) refuses nothing.
+func TestAnnotateSpeedupRefusesTimeSlicedRows(t *testing.T) {
+	rows := func() []Result {
+		return []Result{
+			{Name: "BenchmarkServe", Gomaxprocs: 1, NsPerOp: 1000},
+			{Name: "BenchmarkServe", Gomaxprocs: 2, NsPerOp: 600},
+			{Name: "BenchmarkServe", Gomaxprocs: 4, NsPerOp: 700},
+			{Name: "BenchmarkServe", Gomaxprocs: 8, NsPerOp: 750},
+			{Name: "BenchmarkServeSharded4", Gomaxprocs: 1, NsPerOp: 1100},
+			{Name: "BenchmarkServeSharded4", Gomaxprocs: 2, NsPerOp: 500},
+			{Name: "BenchmarkServeSharded4", Gomaxprocs: 4, NsPerOp: 350},
+			{Name: "BenchmarkServeSharded4", Gomaxprocs: 8, NsPerOp: 300},
+			{Name: "BenchmarkLoad", Gomaxprocs: 1, NsPerOp: 1200},
+			{Name: "BenchmarkLoad", Gomaxprocs: 2, NsPerOp: 800},
+			{Name: "BenchmarkLoad", Gomaxprocs: 4, NsPerOp: 790},
+		}
+	}
+	specs := []speedupSpec{
+		{prefix: "BenchmarkServeSharded", base: "BenchmarkServe"},
+		{prefix: "BenchmarkLoad", base: "BenchmarkLoad"},
+	}
+	annotated := func(numCPU int) map[string]bool {
+		report := &Report{NumCPU: numCPU, Benchmarks: rows()}
+		annotateSpeedup(report, specs)
+		got := map[string]bool{}
+		for _, r := range report.Benchmarks {
+			if _, ok := r.Metrics[speedupMetric]; ok {
+				got[variantKey(r.Name, r.Gomaxprocs)] = true
+			}
+		}
+		return got
+	}
+	onTwoCores := annotated(2)
+	for _, key := range []string{"BenchmarkServeSharded4", "BenchmarkServeSharded4-2", "BenchmarkLoad-2"} {
+		if !onTwoCores[key] {
+			t.Errorf("2 cores: %s lost its speedup", key)
+		}
+	}
+	for _, key := range []string{"BenchmarkServeSharded4-4", "BenchmarkServeSharded4-8", "BenchmarkLoad-4"} {
+		if onTwoCores[key] {
+			t.Errorf("2 cores: %s carries a speedup measured by time-slicing", key)
+		}
+	}
+	if got := len(annotated(8)); got != 6 {
+		t.Errorf("8 cores: %d rows annotated, want all 6", got)
+	}
+	if got := len(annotated(0)); got != 6 {
+		t.Errorf("unknown core count: %d rows annotated, want all 6", got)
+	}
+}
+
+// TestCompareMatchesSingleRowBenchmarksByName: a benchmark recorded
+// outside the -cpu matrix carries the recorder's default GOMAXPROCS in
+// its key; on a runner with another core count it must still be
+// compared — and gated — rather than reported NEW and GONE. Matrix
+// benchmarks (several rows per name) keep matching by exact key.
+func TestCompareMatchesSingleRowBenchmarksByName(t *testing.T) {
+	base := &Report{NumCPU: 2, Benchmarks: []Result{
+		{Name: "BenchmarkStreamingEncodeEntry", Gomaxprocs: 2, NsPerOp: 400},
+		{Name: "BenchmarkStreamingParseEntry", Gomaxprocs: 2, NsPerOp: 420},
+		{Name: "BenchmarkServe", Gomaxprocs: 1, NsPerOp: 1000},
+		{Name: "BenchmarkServe", Gomaxprocs: 2, NsPerOp: 600},
+		{Name: "BenchmarkRetired", Gomaxprocs: 2, NsPerOp: 10},
+	}}
+	fresh := &Report{NumCPU: 8, Benchmarks: []Result{
+		{Name: "BenchmarkStreamingEncodeEntry", Gomaxprocs: 8, NsPerOp: 390},
+		{Name: "BenchmarkStreamingEncodeEntry", Gomaxprocs: 8, NsPerOp: 900}, // -count 2: best run gates
+		{Name: "BenchmarkStreamingParseEntry", Gomaxprocs: 8, NsPerOp: 800},  // +90 %
+		{Name: "BenchmarkServe", Gomaxprocs: 1, NsPerOp: 1000},
+		{Name: "BenchmarkServe", Gomaxprocs: 8, NsPerOp: 300}, // no -8 row in the baseline
+		{Name: "BenchmarkAdded", Gomaxprocs: 8, NsPerOp: 5},
+	}}
+	var out strings.Builder
+	regressions, compared := compare(base, fresh, gateOpts, &out)
+	if regressions != 1 || compared != 3 {
+		t.Fatalf("regressions = %d compared = %d, want 1 (ParseEntry) and 3\n%s", regressions, compared, out.String())
+	}
+	report := out.String()
+	for _, want := range []string{
+		"ok    BenchmarkStreamingEncodeEntry (GOMAXPROCS 2 -> 8)",
+		"REGRESSION BenchmarkStreamingParseEntry (GOMAXPROCS 2 -> 8)",
+		"NEW   BenchmarkServe-8",
+		"GONE  BenchmarkServe-2",
+		"NEW   BenchmarkAdded-8",
+		"GONE  BenchmarkRetired-2",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, wrong := range []string{"NEW   BenchmarkStreaming", "GONE  BenchmarkStreaming"} {
+		if strings.Contains(report, wrong) {
+			t.Errorf("single-row benchmark reported %q:\n%s", wrong, report)
+		}
+	}
+
+	// On a small runner the by-name rows still gate: their proc count
+	// is the machine's default, not a scaling claim.
+	out.Reset()
+	small := compareOpts{threshold: 0.25, numCPU: 2, minCores: 4}
+	fresh2 := &Report{NumCPU: 2, Benchmarks: []Result{
+		{Name: "BenchmarkStreamingEncodeEntry", Gomaxprocs: 2, NsPerOp: 1000},
+	}}
+	base1 := &Report{NumCPU: 1, Benchmarks: []Result{
+		{Name: "BenchmarkStreamingEncodeEntry", Gomaxprocs: 1, NsPerOp: 400},
+	}}
+	if regressions, compared := compare(base1, fresh2, small, &out); regressions != 1 || compared != 1 {
+		t.Fatalf("small runner: regressions = %d compared = %d, want 1 and 1\n%s", regressions, compared, out.String())
+	}
+}

@@ -76,7 +76,7 @@ func NewOnlineLayer(horizon int64) (*OnlineLayer, error) {
 		objects:  make(map[int]struct{}),
 		lengthQ:  lengthQ,
 		arrivals: arrivals,
-		ends:     heapx.New(func(a, b int64) bool { return a < b }),
+		ends:     heapx.New(func(a, b *int64) bool { return *a < *b }),
 	}, nil
 }
 

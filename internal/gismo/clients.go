@@ -3,6 +3,7 @@ package gismo
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 
 	"repro/internal/topology"
 )
@@ -78,7 +79,7 @@ func NewPopulation(n int, topoCfg topology.Config, rng *rand.Rand) (*Population,
 	for i := 0; i < n; i++ {
 		p.Clients[i] = Client{
 			ID:        i,
-			PlayerID:  fmt.Sprintf("player-%07d", i),
+			PlayerID:  playerID(i),
 			Placement: topo.Place(rng),
 			Access:    drawAccess(cum, rng),
 			OS:        clientOSes[rng.IntN(len(clientOSes))],
@@ -86,6 +87,18 @@ func NewPopulation(n int, topoCfg topology.Config, rng *rand.Rand) (*Population,
 		}
 	}
 	return p, nil
+}
+
+// playerID is client i's logged player identifier, "player-%07d" of a
+// non-negative i: zero-padded to seven digits, wider ids kept whole.
+func playerID(i int) string {
+	const prefix, width = "player-", 7
+	b := make([]byte, 0, len(prefix)+width)
+	b = append(b, prefix...)
+	for pad := 1_000_000; pad > i && pad > 1; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 func drawAccess(cum []float64, rng *rand.Rand) AccessClass {

@@ -395,11 +395,10 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 	}
 
 	for idx, at := range ws.schedule {
-		bound := workload.Event{Start: at, Session: idx}
 		// Release pending events that precede the next arrival: no
 		// later session can produce anything earlier.
-		for pending.Len() > 0 && pending.Peek().head().Less(bound) {
-			batch = append(batch, pending.Peek().head())
+		for pending.Len() > 0 && pending.Top().before(at, idx) {
+			batch = append(batch, pending.Top().head())
 			if len(batch) == streamBatch && !flushBatch() {
 				return
 			}
@@ -418,7 +417,7 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 		}
 	}
 	for pending.Len() > 0 {
-		batch = append(batch, pending.Peek().head())
+		batch = append(batch, pending.Top().head())
 		if len(batch) == streamBatch && !flushBatch() {
 			return
 		}
@@ -473,29 +472,44 @@ func expandSession(m *Model, session, client int, start int64, rng *rand.Rand, p
 
 // cursor walks one expanded session. Events within a session are in
 // stream order by construction (gaps are non-negative, Seq increases).
-// The head event is cached inline so heap comparisons — the hottest
-// loop of the generator — never chase the events slice.
+// It carries only the head event's ordering key — no two cursors share
+// a session, so (start, session) decides every comparison and Seq never
+// does — which keeps the element the heap sifts (the hottest loop of
+// the generator) at 48 bytes and its comparisons off the events slice.
 type cursor struct {
-	hd     workload.Event
-	events []workload.Event
-	pos    int
+	start   int64 // events[pos].Start
+	session int   // the session every event of this cursor belongs to
+	events  []workload.Event
+	pos     int
 }
 
 func newCursor(events []workload.Event) cursor {
-	return cursor{hd: events[0], events: events}
+	return cursor{start: events[0].Start, session: events[0].Session, events: events}
 }
 
-func (c cursor) head() workload.Event { return c.hd }
+// head returns the cursor's current event.
+func (c *cursor) head() workload.Event { return c.events[c.pos] }
+
+// before reports whether the head event precedes an event of another
+// session at (start, session) in the stream's total order.
+func (c *cursor) before(start int64, session int) bool {
+	if c.start != start {
+		return c.start < start
+	}
+	return c.session < session
+}
 
 // newCursorHeap builds the min-heap of session cursors keyed by head
 // event.
 func newCursorHeap() heapx.Heap[cursor] {
-	return heapx.New(func(a, b cursor) bool { return a.hd.Less(b.hd) })
+	return heapx.New(func(a, b *cursor) bool { return a.before(b.start, b.session) })
 }
 
 // advanceCursor consumes the top cursor's head event: steps it forward
 // in place, or removes the cursor when its session is exhausted — in
 // which case the session's event slice is returned for reuse.
+//
+//lsm:hotpath
 func advanceCursor(h *heapx.Heap[cursor]) []workload.Event {
 	top := h.Top()
 	top.pos++
@@ -504,7 +518,7 @@ func advanceCursor(h *heapx.Heap[cursor]) []workload.Event {
 		h.Pop()
 		return done
 	}
-	top.hd = top.events[top.pos]
+	top.start = top.events[top.pos].Start
 	h.FixTop()
 	return nil
 }

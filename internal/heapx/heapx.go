@@ -9,13 +9,23 @@ package heapx
 
 // Heap is a binary min-heap ordered by less. The zero value with a
 // non-nil less (use New) is ready to use.
+//
+// less takes pointers into the heap's own storage, so a comparison
+// copies no element whatever its size, and the sift loops move the
+// element being placed once — into the hole its smaller children or
+// larger parents leave — instead of swapping it level by level: wide
+// elements (session cursors, pending log entries) cost one copy per
+// level, not three. less must not retain or mutate its arguments.
 type Heap[T any] struct {
 	items []T
-	less  func(a, b T) bool
+	less  func(a, b *T) bool
+	// placing holds the element a sift is placing, so less can be
+	// handed its address without a per-call heap escape.
+	placing T
 }
 
 // New returns an empty heap ordered by less.
-func New[T any](less func(a, b T) bool) Heap[T] {
+func New[T any](less func(a, b *T) bool) Heap[T] {
 	return Heap[T]{less: less}
 }
 
@@ -26,21 +36,28 @@ func (h *Heap[T]) Len() int { return len(h.items) }
 func (h *Heap[T]) Peek() T { return h.items[0] }
 
 // Push adds v.
+//
+//lsm:hotpath
 func (h *Heap[T]) Push(v T) {
 	h.items = append(h.items, v)
-	i := len(h.items) - 1
+	items := h.items
+	i := len(items) - 1
+	h.placing = v
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !h.less(&h.placing, &items[parent]) {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		items[i] = items[parent]
 		i = parent
 	}
+	h.place(i)
 }
 
 // Pop removes and returns the minimum element. It panics on an empty
 // heap.
+//
+//lsm:hotpath
 func (h *Heap[T]) Pop() T {
 	top := h.items[0]
 	n := len(h.items) - 1
@@ -68,22 +85,40 @@ func (h *Heap[T]) FixTop() { h.siftDown() }
 // call FixTop afterwards. It panics on an empty heap.
 func (h *Heap[T]) Top() *T { return &h.items[0] }
 
+// siftDown places items[0]: each level's smaller child moves up into
+// the hole until the element fits. The comparisons — and so the final
+// layout — are those of a swap-per-level sift.
+//
+//lsm:hotpath
 func (h *Heap[T]) siftDown() {
-	n := len(h.items)
+	items := h.items
+	n := len(items)
+	if n < 2 {
+		return
+	}
+	h.placing = items[0]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(h.items[l], h.items[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(h.items[r], h.items[smallest]) {
-			smallest = r
+		if r := c + 1; r < n && h.less(&items[r], &items[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !h.less(&items[c], &h.placing) {
+			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		items[i] = items[c]
+		i = c
 	}
+	h.place(i)
+}
+
+// place drops the element being placed into the hole at i and clears
+// the holding slot, so the heap keeps no reference beyond its items.
+func (h *Heap[T]) place(i int) {
+	h.items[i] = h.placing
+	var zero T
+	h.placing = zero
 }

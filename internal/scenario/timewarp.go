@@ -33,7 +33,7 @@ func TimeWarp(f Warp) (Transform, error) {
 		return &warpStream{
 			inner: s,
 			f:     f,
-			h:     heapx.New(func(a, b workload.Event) bool { return a.Less(b) }),
+			h:     heapx.New(func(a, b *workload.Event) bool { return a.Less(*b) }),
 		}
 	}, nil
 }

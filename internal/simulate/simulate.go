@@ -209,7 +209,7 @@ const trackerRingSeconds = 1 << 13
 func newConcurrencyTracker() *concurrencyTracker {
 	return &concurrencyTracker{
 		ring:    make([]int32, trackerRingSeconds),
-		farEnds: heapx.New(func(a, b int64) bool { return a < b }),
+		farEnds: heapx.New(func(a, b *int64) bool { return *a < *b }),
 	}
 }
 

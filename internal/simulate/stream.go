@@ -407,7 +407,7 @@ type pendingEntry struct {
 }
 
 func newPendingEntries(pool entryPool) pendingEntries {
-	return pendingEntries{heap: heapx.New(func(a, b pendingEntry) bool {
+	return pendingEntries{heap: heapx.New(func(a, b *pendingEntry) bool {
 		if a.end != b.end {
 			return a.end < b.end
 		}

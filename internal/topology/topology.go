@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strconv"
 
 	"repro/internal/dist"
 )
@@ -142,6 +143,15 @@ func (m *Model) Place(rng *rand.Rand) Placement {
 // NumAS returns the number of ASes in the model.
 func (m *Model) NumAS() int { return len(m.ASes) }
 
+// formatIPv4 renders v as a dotted quad — one string per client of
+// the population, so it appends digits instead of going through fmt.
 func formatIPv4(v uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	b := make([]byte, 0, len("255.255.255.255"))
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(v>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return string(b)
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -148,5 +149,32 @@ func TestPlacementsDeterministicUnderSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("placement %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestFormatIPv4MatchesSprintf: the strconv builder prints the dotted
+// quad fmt.Sprintf("%d.%d.%d.%d") printed — every value of every octet
+// (the one-, two- and three-digit edges included) against varied
+// neighbours, plus seeded random addresses.
+func TestFormatIPv4MatchesSprintf(t *testing.T) {
+	legacy := func(v uint32) string {
+		return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+	check := func(v uint32) {
+		t.Helper()
+		if got, want := formatIPv4(v), legacy(v); got != want {
+			t.Fatalf("formatIPv4(%#08x) = %q, want %q", v, got, want)
+		}
+	}
+	for _, rest := range []uint32{0x00000000, 0xffffffff, 0x0a090a63, 0x6409ff00} {
+		for octet := uint32(0); octet < 256; octet++ {
+			for shift := 0; shift < 32; shift += 8 {
+				check(rest&^(0xff<<shift) | octet<<shift)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(16, 0))
+	for i := 0; i < 100_000; i++ {
+		check(rng.Uint32())
 	}
 }

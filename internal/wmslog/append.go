@@ -3,6 +3,7 @@ package wmslog
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -12,9 +13,10 @@ import (
 // the legacy fmt.Fprintf encoder for every valid entry — the
 // equivalence the property tests in append_test.go pin against their
 // copy of it (marshalLine) — but does
-// not allocate: all numeric fields go through strconv.Append*, the
-// timestamp is rendered digit by digit, and string fields are copied
-// straight from the entry.
+// not allocate: integer fields go through strconv.Append*, s-cpu-util
+// through the integer fixed-2 path (appendFixed2), the timestamp is
+// decoded once and rendered digit by digit, and string fields are
+// copied straight from the entry.
 //
 // This is the hot-path encoder: Writer, SyncWriter and DailyWriter all
 // route through it with a reused scratch buffer, so the serve pipeline
@@ -22,9 +24,7 @@ import (
 //
 //lsm:hotpath
 func AppendEntry(b []byte, e *Entry) []byte {
-	b = appendDate(b, e.Timestamp)
-	b = append(b, ' ')
-	b = appendClock(b, e.Timestamp)
+	b = appendTimestamp(b, e.Timestamp)
 	b = append(b, ' ')
 	b = appendRawField(b, e.ClientIP)
 	b = append(b, ' ')
@@ -44,7 +44,7 @@ func AppendEntry(b []byte, e *Entry) []byte {
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, e.PacketsLost, 10)
 	b = append(b, ' ')
-	b = strconv.AppendFloat(b, e.ServerCPU, 'f', 2, 64)
+	b = appendFixed2(b, e.ServerCPU)
 	b = append(b, ' ')
 	b = appendDashField(b, e.Referer)
 	b = append(b, ' ')
@@ -56,30 +56,91 @@ func AppendEntry(b []byte, e *Entry) []byte {
 	return b
 }
 
-// appendDate renders t's date as YYYY-MM-DD, matching Format("2006-01-02").
-func appendDate(b []byte, t time.Time) []byte {
-	y, m, d := t.Date()
-	b = appendPadInt(b, y, 4)
-	b = append(b, '-')
-	b = appendPadInt(b, int(m), 2)
-	b = append(b, '-')
-	return appendPadInt(b, d, 2)
+// fixed2Limit bounds the integer fixed-2 path: below 2^46 adjacent
+// float64s are less than 0.01 apart, so a value is the nearest double
+// of at most one k/100 and k stays under 2^53 (exact as a float64).
+const fixed2Limit = 1 << 46
+
+// exactCenti reports the k with v == float64(k)/100, when v is a
+// non-negative value below fixed2Limit that has one — every value the
+// parser's nextFixed2 produces and every math.Round(x*100)/100 the
+// simulator logs. Then "%.2f" of v is k's digits: v is the double
+// nearest k/100, so |v − k/100| ≤ ulp(v)/2 < 0.005, while every other
+// two-decimal value is at least 0.01 − ulp(v)/2 > 0.005 away — k/100 is
+// the strictly nearest one, which is what strconv's correctly rounded
+// 'f' formatting prints. The unsigned compare of the bit pattern turns
+// away negatives, −0 (printed "-0.00"), NaN and ±Inf in one test.
+//
+//lsm:hotpath
+func exactCenti(v float64) (uint64, bool) {
+	if math.Float64bits(v) >= math.Float64bits(fixed2Limit) {
+		return 0, false
+	}
+	k := uint64(v*100 + 0.5)
+	return k, float64(k)/100 == v
 }
 
-// appendClock renders t's time of day as HH:MM:SS, matching
-// Format("15:04:05") at the log's 1-second resolution.
-func appendClock(b []byte, t time.Time) []byte {
-	h, m, s := t.Clock()
-	b = appendPadInt(b, h, 2)
+// appendFixed2 renders v exactly as strconv.AppendFloat(b, v, 'f', 2, 64)
+// does — the encode twin of nextFixed2: integer digits when exactCenti
+// finds v's centi-units, strconv for everything else.
+//
+//lsm:hotpath
+func appendFixed2(b []byte, v float64) []byte {
+	k, ok := exactCenti(v)
+	if !ok {
+		return strconv.AppendFloat(b, v, 'f', 2, 64)
+	}
+	b = strconv.AppendUint(b, k/100, 10)
+	b = append(b, '.')
+	return append2(b, int(k%100))
+}
+
+// appendTimestamp renders t as "YYYY-MM-DD HH:MM:SS", matching
+// Format("2006-01-02 15:04:05") at the log's 1-second resolution, from
+// one calendar decode. A UTC stamp — everything the simulator and the
+// parser produce — takes its clock columns from the unix second of the
+// day; any other location goes through t.Clock.
+//
+//lsm:hotpath
+func appendTimestamp(b []byte, t time.Time) []byte {
+	y, mo, d := t.Date()
+	var h, mi, s int
+	if t.Location() == time.UTC {
+		sod := t.Unix() % 86400
+		if sod < 0 {
+			sod += 86400 // before 1970: Go's % truncates toward zero
+		}
+		h, mi, s = int(sod/3600), int(sod/60%60), int(sod%60)
+	} else {
+		h, mi, s = t.Clock()
+	}
+	if y >= 0 && y <= 9999 {
+		b = append2(b, y/100)
+		b = append2(b, y%100)
+	} else {
+		b = appendPadInt(b, y, 4)
+	}
+	b = append(b, '-')
+	b = append2(b, int(mo))
+	b = append(b, '-')
+	b = append2(b, d)
+	b = append(b, ' ')
+	b = append2(b, h)
 	b = append(b, ':')
-	b = appendPadInt(b, m, 2)
+	b = append2(b, mi)
 	b = append(b, ':')
-	return appendPadInt(b, s, 2)
+	return append2(b, s)
+}
+
+// append2 appends v ∈ [0, 99] as two digits.
+func append2(b []byte, v int) []byte {
+	return append(b, byte('0'+v/10), byte('0'+v%10))
 }
 
 // appendPadInt appends v left-padded with zeros to the given width,
 // like time.Time.Format's fixed-width verbs (a wider value keeps all
-// its digits; negatives fall back to plain formatting).
+// its digits; negatives fall back to plain formatting). Only years
+// outside [0, 9999] reach it.
 func appendPadInt(b []byte, v, width int) []byte {
 	if v < 0 {
 		return strconv.AppendInt(b, int64(v), 10)
@@ -89,9 +150,6 @@ func appendPadInt(b []byte, v, width int) []byte {
 	for x := v; x > 0; x /= 10 {
 		digits[n] = byte('0' + x%10)
 		n++
-	}
-	if n == 0 {
-		digits[0], n = '0', 1
 	}
 	for i := n; i < width; i++ {
 		b = append(b, '0')

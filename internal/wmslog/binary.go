@@ -186,21 +186,20 @@ func appendBinaryString(b []byte, s string, d *BinaryDict) []byte {
 }
 
 // centiOf renders ServerCPU at the text format's precision: the
-// centi-percent value "%.2f" would print. The fast path covers values
-// that are exactly representable centi-units (everything a parsed log
+// centi-percent value "%.2f" would print. The fast path is the text
+// encoder's own (exactCenti: every value a parsed log or the simulator
 // carries); the slow path formats through the same strconv rounding
-// the text encoder uses, so the two encoders can never disagree on the
-// last digit.
+// the text encoder falls back to, so the two encoders can never
+// disagree on the last digit.
 func centiOf(f float64) int64 {
-	c := int64(math.Round(f * 100))
-	if c >= -(1<<53)/100 && c <= (1<<53)/100 && float64(c)/100 == f {
-		return c
+	if k, ok := exactCenti(f); ok {
+		return int64(k)
 	}
 	var scratch [32]byte
 	s := strconv.AppendFloat(scratch[:0], f, 'f', 2, 64)
 	whole, err := atoi64(s[:len(s)-3])
 	if err != nil {
-		return c // non-finite: unreachable for validated entries
+		return int64(math.Round(f * 100)) // non-finite: unreachable for validated entries
 	}
 	frac := int64(s[len(s)-2]-'0')*10 + int64(s[len(s)-1]-'0')
 	if s[0] == '-' {

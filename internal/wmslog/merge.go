@@ -156,7 +156,7 @@ func MergeEntries(files [][]*Entry) []*Entry {
 		total += len(entries)
 	}
 
-	h := heapx.New(func(a, b *cursor) bool { return a.keys[a.pos].less(b.keys[b.pos]) })
+	h := heapx.New(func(a, b **cursor) bool { return (*a).keys[(*a).pos].less((*b).keys[(*b).pos]) })
 	for _, c := range cursors {
 		h.Push(c)
 	}

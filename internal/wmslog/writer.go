@@ -125,7 +125,9 @@ func (sw *SyncWriter) Count() int64 {
 // "wms-YYYY-MM-DD.log" inside Dir.
 //
 // Entries must be written in non-decreasing timestamp order; the writer
-// rotates when an entry's date moves past the current file's date.
+// rotates when an entry's date moves past the current file's date and
+// rejects an entry whose date lies before it (re-opening the earlier
+// day's file would truncate it). Order within a day is not checked.
 //
 // With Binary set, daily files carry the length-prefixed binary framing
 // instead of text lines. Each file opens its own dictionary (a reader
@@ -135,11 +137,15 @@ type DailyWriter struct {
 	Dir    string
 	Binary bool
 
-	cur     *os.File
-	curDay  int // packed y*10000 + m*100 + d of the open file, 0 when none
-	writer  EntryWriter
-	files   []string
-	entries int64
+	cur    *os.File
+	curDay int // packed y*10000 + m*100 + d of the open file, 0 when none
+	// [dayLo, dayHi) is the open file's calendar day as unix seconds in
+	// dayLoc, so the per-entry day check decodes no calendar date.
+	dayLo, dayHi int64
+	dayLoc       *time.Location
+	writer       EntryWriter
+	files        []string
+	entries      int64
 }
 
 // NewDailyWriter creates the directory if needed and returns a writer
@@ -152,13 +158,12 @@ func NewDailyWriter(dir string) (*DailyWriter, error) {
 }
 
 // Write routes the entry to the file for its calendar day. The day
-// check is a packed-integer compare, so the hot path formats no date
-// string — only an actual rotation (once per simulated day) does.
+// check is two integer compares against the open day's unix-second
+// window, so the hot path decodes no date — only an entry outside the
+// window (once per simulated day) or in another location does.
 func (dw *DailyWriter) Write(e *Entry) error {
-	y, m, d := e.Timestamp.Date()
-	day := y*10000 + int(m)*100 + d
-	if day != dw.curDay {
-		if err := dw.rotate(day, e.Timestamp); err != nil {
+	if unix := e.Timestamp.Unix(); unix < dw.dayLo || unix >= dw.dayHi || e.Timestamp.Location() != dw.dayLoc {
+		if err := dw.enterDay(e.Timestamp); err != nil {
 			return err
 		}
 	}
@@ -166,6 +171,28 @@ func (dw *DailyWriter) Write(e *Entry) error {
 		return err
 	}
 	dw.entries++
+	return nil
+}
+
+// enterDay is Write's slow path: ts fell outside the cached window. It
+// rotates to a later day, rejects an earlier one, and re-anchors the
+// window when only the location changed within the open day.
+func (dw *DailyWriter) enterDay(ts time.Time) error {
+	y, m, d := ts.Date()
+	day := y*10000 + int(m)*100 + d
+	if dw.curDay != 0 && day < dw.curDay {
+		return fmt.Errorf("%w: entry dated %s written after %s was opened: daily logs take non-decreasing dates",
+			ErrFormat, ts.Format("2006-01-02"), filepath.Base(dw.files[len(dw.files)-1]))
+	}
+	if day != dw.curDay {
+		if err := dw.rotate(day, ts); err != nil {
+			return err
+		}
+	}
+	loc := ts.Location()
+	dw.dayLo = time.Date(y, m, d, 0, 0, 0, 0, loc).Unix()
+	dw.dayHi = time.Date(y, m, d+1, 0, 0, 0, 0, loc).Unix()
+	dw.dayLoc = loc
 	return nil
 }
 

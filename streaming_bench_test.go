@@ -8,14 +8,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/gismo"
 	"repro/internal/sessions"
 	"repro/internal/simulate"
+	"repro/internal/topology"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
@@ -155,6 +158,49 @@ func benchRunStreamed(b *testing.B, shards int) {
 func BenchmarkRunStreamedSequential(b *testing.B) { benchRunStreamed(b, 1) }
 func BenchmarkRunStreamedShards4(b *testing.B)    { benchRunStreamed(b, 4) }
 func BenchmarkRunStreamedShards8(b *testing.B)    { benchRunStreamed(b, 8) }
+
+// genLogsClients is the client count of the repo benchmark's gen_logs
+// workload (lsmgen -scale 2): the table size the generator's per-client
+// kernels are measured at.
+const genLogsClients = 345_944
+
+var benchRankSink int
+
+// BenchmarkZipfRankOfU measures the interest-law inversion every
+// generated session pays once: counter-mode uniform variates (the
+// generator's own access pattern — no locality between draws) through
+// dist.Zipf.RankOfU over the gen_logs table.
+func BenchmarkZipfRankOfU(b *testing.B) {
+	z, err := dist.NewZipf(0.4704, genLogsClients)
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := z.Total()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := float64(dist.Mix64(uint64(benchSeed), uint64(i))>>11) / (1 << 53) * total
+		benchRankSink += z.RankOfU(u)
+	}
+}
+
+// BenchmarkPopulation measures the population build — placement,
+// access class, environment, and the two id strings per client — at
+// the gen_logs size: the serial prologue NewStream overlaps with the
+// arrival thinning.
+func BenchmarkPopulation(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(dist.NewSplitMix64(uint64(benchSeed)))
+		pop, err := gismo.NewPopulation(genLogsClients, topology.DefaultConfig(), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pop.Size() != genLogsClients {
+			b.Fatalf("population of %d, want %d", pop.Size(), genLogsClients)
+		}
+	}
+}
 
 // benchEntry is a representative serve-path log entry for the encoder
 // benchmarks.
