@@ -53,17 +53,20 @@ BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|Enco
 
 # BENCH_CHAR selects the measurement-half benchmarks: the log ingest
 # (files on disk → sanitized trace), sessionization, the whole
-# core.Characterize, the concurrency report with its Figure 8
-# autocorrelation, and the Figure 9 timeout sweep. They run at -cpu 1
-# and keep one row each whatever the runner's core count.
-BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)
+# core.Characterize, the calibration loop's regenerate and validate
+# halves (calibrate.Twin, calibrate.Validate), the concurrency report
+# with its Figure 8 autocorrelation, and the Figure 9 timeout sweep.
+# They run at -cpu 1 and keep one row each whatever the runner's core
+# count.
+BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization|Twin|Validate)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)
 
-# BENCH_INGEST is the one measurement-half benchmark that scales with
-# GOMAXPROCS (a parse worker per core): its -cpu 1 row comes from
+# BENCH_INGEST is the measurement-half benchmarks that scale with
+# GOMAXPROCS alone — the log ingest (a parse worker per core) and
+# core.Characterize (a task per layer): their -cpu 1 rows come from
 # BENCH_CHAR, so the matrix pass adds only -cpu 2,4,8 and the record
 # still holds one row per (name, gomaxprocs); benchjson annotates those
 # rows with speedup_vs_sequential against the -cpu 1 row.
-BENCH_INGEST := BenchmarkPipelineLoadLogs$$
+BENCH_INGEST := BenchmarkPipeline(LoadLogs|FullCharacterization)$$
 
 # bench runs the codec benchmarks (BENCH_CODEC), the streaming-pipeline
 # benchmarks (BENCH_MATRIX: sequential vs sharded generation, streamed
@@ -158,8 +161,9 @@ e2e:
 
 # e2e-twin exercises the calibration loop: generate a workload, fit a
 # model to its characterization, regenerate a twin and KS-validate it
-# strictly, then feed the fitted spec back through lsmgen and check the
-# spec round-trips byte-identically.
+# strictly — once on one core and once on the default, with the same
+# spec and stdout required of both — then feed the fitted spec back
+# through lsmgen and check the spec round-trips byte-identically.
 e2e-twin:
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmgen ./cmd/lsmgen
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmcal ./cmd/lsmcal

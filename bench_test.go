@@ -26,6 +26,7 @@ import (
 	"testing"
 
 	"repro/internal/analyze"
+	"repro/internal/calibrate"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gismo"
@@ -207,8 +208,8 @@ func BenchmarkFigure8Autocorrelation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.ACF) > 1440 {
-			acfDay = rep.ACF[1440]
+		if acf := rep.ACF(); len(acf) > 1440 {
+			acfDay = acf[1440]
 		}
 	}
 	b.ReportMetric(acfDay, "acf_1day")
@@ -554,6 +555,57 @@ func BenchmarkPipelineFullCharacterization(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// twinFixture caches the calibration loop's inputs on the shared
+// fixture: the model fitted to its characterization, and one twin.
+var twinFixture struct {
+	once  sync.Once
+	err   error
+	model gismo.Model
+	twin  *core.Characterization
+}
+
+func getTwinFixture(b *testing.B) (source, twin *core.Characterization, model gismo.Model) {
+	b.Helper()
+	source = getFixture(b).repo.Char
+	fx := &twinFixture
+	fx.once.Do(func() {
+		fx.model, _ = calibrate.Fit(source)
+		fx.twin, fx.err = calibrate.Twin(fx.model, benchSeed, 1500)
+	})
+	if fx.err != nil {
+		b.Fatal(fx.err)
+	}
+	return source, fx.twin, fx.model
+}
+
+// BenchmarkPipelineTwin times the regenerate half of the calibration
+// loop: generate and serve the fitted model, collect the twin's trace,
+// characterize it.
+func BenchmarkPipelineTwin(b *testing.B) {
+	_, _, model := getTwinFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := calibrate.Twin(model, benchSeed, 1500); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipelineValidate times the seven two-sample KS checks and
+// the comparison table of a source against its twin.
+func BenchmarkPipelineValidate(b *testing.B) {
+	source, twin, _ := getTwinFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rejects int
+	for i := 0; i < b.N; i++ {
+		rep := calibrate.Validate(source, twin)
+		rejects = len(rep.Rejections())
+	}
+	b.ReportMetric(float64(rejects), "ks_rejections")
 }
 
 // loadLogsFixture caches, as bytes, the daily text logs of a 14-day

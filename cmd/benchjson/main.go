@@ -109,12 +109,15 @@ type speedupSpec struct {
 // defaultSpeedup pairs every parallel benchmark family with its
 // sequential baseline: sharded serve vs sequential serve, sharded
 // generation vs single-shard generation, the fused end-to-end run vs
-// its single-shard form, and the log ingest — one worker per
-// GOMAXPROCS, inline at 1 — vs its own -cpu 1 row.
+// its single-shard form, and the two measurement-half passes whose
+// only parallelism knob is GOMAXPROCS — the log ingest (a worker per
+// core, inline at 1) and the characterization (a task per layer) — vs
+// their own -cpu 1 rows.
 const defaultSpeedup = "BenchmarkStreamingServeSharded=BenchmarkStreamingServe," +
 	"BenchmarkStreamingGenerateShards=BenchmarkStreamingGenerateSequential," +
 	"BenchmarkRunStreamedShards=BenchmarkRunStreamedSequential," +
-	"BenchmarkPipelineLoadLogs=BenchmarkPipelineLoadLogs"
+	"BenchmarkPipelineLoadLogs=BenchmarkPipelineLoadLogs," +
+	"BenchmarkPipelineFullCharacterization=BenchmarkPipelineFullCharacterization"
 
 // compareOpts parameterizes the gate.
 type compareOpts struct {

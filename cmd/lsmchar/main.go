@@ -135,8 +135,8 @@ func printCharacterization(c *core.Characterization) {
 	fmt.Printf("  peak concurrent clients: %d\n", c.Client.Concurrency.Peak)
 	fmt.Printf("  interest (transfers/client): %s\n", c.Client.InterestTransfers)
 	fmt.Printf("  interest (sessions/client):  %s\n", c.Client.InterestSessions)
-	if len(c.Client.Concurrency.ACF) > 1440 {
-		fmt.Printf("  ACF at 1-day lag: %.3f\n", c.Client.Concurrency.ACF[1440])
+	if acf := c.Client.Concurrency.ACF(); len(acf) > 1440 {
+		fmt.Printf("  ACF at 1-day lag: %.3f\n", acf[1440])
 	}
 	fmt.Printf("  piecewise-Poisson replica KS: %.4f (window %d s)\n", c.Poisson.KS, c.Poisson.Window)
 

@@ -78,9 +78,8 @@ func main() {
 		char.Session.OnMarginal().Quantile(0.5), char.Session.PerSessionFit)
 	fmt.Printf("  access quality:  %.1f%% of transfers congestion-bound\n",
 		char.Transfer.CongestionFrac*100)
-	if len(char.Client.Concurrency.ACF) > 1440 {
-		fmt.Printf("  rhythm:          daily autocorrelation %.2f — schedule capacity diurnally\n",
-			char.Client.Concurrency.ACF[1440])
+	if acf := char.Client.Concurrency.ACF(); len(acf) > 1440 {
+		fmt.Printf("  rhythm:          daily autocorrelation %.2f — schedule capacity diurnally\n", acf[1440])
 	}
 }
 

@@ -47,9 +47,8 @@ func main() {
 	fmt.Printf("  transfers/session are Zipf:     %s\n", c.Session.PerSessionFit)
 	fmt.Printf("  transfer lengths are lognormal: %s (client stickiness, not object size)\n",
 		c.Transfer.LengthFit)
-	if len(c.Client.Concurrency.ACF) > 1440 {
-		fmt.Printf("  diurnal synchrony: ACF of c(t) at the 1-day lag = %.3f\n",
-			c.Client.Concurrency.ACF[1440])
+	if acf := c.Client.Concurrency.ACF(); len(acf) > 1440 {
+		fmt.Printf("  diurnal synchrony: ACF of c(t) at the 1-day lag = %.3f\n", acf[1440])
 	}
 	fmt.Printf("  piecewise-Poisson arrivals match measured interarrivals: KS = %.4f\n",
 		c.Poisson.KS)

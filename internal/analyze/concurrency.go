@@ -7,6 +7,7 @@ package analyze
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -21,7 +22,9 @@ type Interval struct {
 
 // ConcurrencyReport characterizes a level-of-concurrency process c(t):
 // the number of simultaneously active intervals at each second. It backs
-// Figures 3/4 (active clients) and 15/16 (active transfers).
+// Figures 3/4 (active clients) and 15/16 (active transfers), and — on
+// demand, through ACF — Figure 8. It holds a sync.Once: use it through
+// the pointer Concurrency returns.
 type ConcurrencyReport struct {
 	// Marginal is the distribution of c(t) sampled each second over the
 	// trace (Figures 3 and 15).
@@ -33,11 +36,32 @@ type ConcurrencyReport struct {
 	// (Figures 4 and 16, center and right).
 	WeekFold stats.BinnedSeries
 	DayFold  stats.BinnedSeries
-	// ACF is the autocorrelation of the minute-binned series at lags
-	// 0..MaxACFLagMinutes (Figure 8).
-	ACF []float64
 	// Peak is the maximum concurrency observed.
 	Peak int
+
+	// minutes is the 1-minute mean of c(t), the series ACF correlates.
+	minutes []float64
+	acfOnce sync.Once
+	acf     []float64
+}
+
+// ACF returns the autocorrelation of the minute-binned series at lags
+// 0..MaxACFLagMinutes (Figure 8), or nil when it is undefined (a
+// constant series, or a trace shorter than two minutes). Only a figure
+// reads this series, so it is computed when the figure asks: once, on
+// the first call; concurrent callers get the same slice and must treat
+// it as read-only.
+func (r *ConcurrencyReport) ACF() []float64 {
+	r.acfOnce.Do(func() {
+		maxLag := min(MaxACFLagMinutes, len(r.minutes)-1)
+		if maxLag < 1 {
+			return
+		}
+		// The one error left is a constant series: ACF undefined,
+		// report none.
+		r.acf, _ = stats.AutocorrelationFunction(r.minutes, maxLag)
+	})
+	return r.acf
 }
 
 const (
@@ -90,20 +114,9 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 		return nil, err
 	}
 
-	acfSeries, err := binMeanSeries(perSecond, ACFBin)
+	minutes, err := binMeanSeries(perSecond, ACFBin)
 	if err != nil {
 		return nil, err
-	}
-	maxLag := MaxACFLagMinutes
-	if maxLag >= len(acfSeries.Values) {
-		maxLag = len(acfSeries.Values) - 1
-	}
-	var acf []float64
-	if maxLag >= 1 {
-		acf, err = stats.AutocorrelationFunction(acfSeries.Values, maxLag)
-		if err != nil {
-			acf = nil // constant series: ACF undefined, report none
-		}
 	}
 
 	return &ConcurrencyReport{
@@ -111,8 +124,8 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 		Binned:   binned,
 		WeekFold: weekFold,
 		DayFold:  dayFold,
-		ACF:      acf,
 		Peak:     peak,
+		minutes:  minutes.Values,
 	}, nil
 }
 
@@ -166,16 +179,4 @@ func binMeanSeries(perSecond []int32, width int64) (stats.BinnedSeries, error) {
 		values[b] = float64(sum) / float64(hi-lo)
 	}
 	return stats.BinnedSeries{Width: width, Values: values}, nil
-}
-
-// TransferIntervals extracts activity intervals from transfers.
-func TransferIntervals(starts, ends []int64) ([]Interval, error) {
-	if len(starts) != len(ends) {
-		return nil, fmt.Errorf("%w: %d starts vs %d ends", ErrBadInput, len(starts), len(ends))
-	}
-	out := make([]Interval, len(starts))
-	for i := range starts {
-		out[i] = Interval{Start: starts[i], End: ends[i]}
-	}
-	return out, nil
 }

@@ -124,17 +124,18 @@ func TestConcurrencyACFDailyPeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.ACF) < 1441 {
-		t.Fatalf("ACF has %d lags", len(rep.ACF))
+	acf := rep.ACF()
+	if len(acf) < 1441 {
+		t.Fatalf("ACF has %d lags", len(acf))
 	}
-	if rep.ACF[0] < 0.999 {
-		t.Errorf("ACF(0) = %v", rep.ACF[0])
+	if acf[0] < 0.999 {
+		t.Errorf("ACF(0) = %v", acf[0])
 	}
-	if rep.ACF[1440] < 0.7 {
-		t.Errorf("ACF(1440 min) = %v, want strong daily peak", rep.ACF[1440])
+	if acf[1440] < 0.7 {
+		t.Errorf("ACF(1440 min) = %v, want strong daily peak", acf[1440])
 	}
-	if rep.ACF[720] > 0 {
-		t.Errorf("ACF(720 min) = %v, want negative at half-day", rep.ACF[720])
+	if acf[720] > 0 {
+		t.Errorf("ACF(720 min) = %v, want negative at half-day", acf[720])
 	}
 }
 
@@ -148,18 +149,5 @@ func TestConcurrencyShortTraceSkipsWeekFold(t *testing.T) {
 	}
 	if len(rep.DayFold.Values) == 0 {
 		t.Error("day fold should exist for a one-day trace")
-	}
-}
-
-func TestTransferIntervals(t *testing.T) {
-	iv, err := TransferIntervals([]int64{1, 2}, []int64{5, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv[0] != (Interval{1, 5}) || iv[1] != (Interval{2, 9}) {
-		t.Errorf("intervals = %v", iv)
-	}
-	if _, err := TransferIntervals([]int64{1}, []int64{}); err == nil {
-		t.Error("length mismatch: want error")
 	}
 }

@@ -86,7 +86,7 @@ func TestClientLayerDiurnalACF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acf := cl.Concurrency.ACF
+	acf := cl.Concurrency.ACF()
 	if len(acf) < 1441 {
 		t.Fatalf("ACF too short: %d", len(acf))
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -14,8 +15,9 @@ import (
 // field the way the code did before the histogram marginal and the
 // integer bin sums — a float sample of every second handed to
 // stats.NewECDF, float accumulation in the bins, one
-// stats.Autocorrelation call per lag.
-func bruteConcurrency(t *testing.T, intervals []Interval, horizon int64) *ConcurrencyReport {
+// stats.Autocorrelation call per lag (returned beside the report: ACF
+// is an accessor, not a field).
+func bruteConcurrency(t *testing.T, intervals []Interval, horizon int64) (*ConcurrencyReport, []float64) {
 	t.Helper()
 	samples := make([]float64, horizon)
 	peak := 0
@@ -61,14 +63,15 @@ func bruteConcurrency(t *testing.T, intervals []Interval, horizon int64) *Concur
 		t.Fatal(err)
 	}
 	minutes := binMeans(ACFBin).Values
+	var acf []float64
 	for l := 0; l <= min(MaxACFLagMinutes, len(minutes)-1) && len(minutes) > 1; l++ {
 		r, err := stats.Autocorrelation(minutes, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep.ACF = append(rep.ACF, r)
+		acf = append(acf, r)
 	}
-	return rep
+	return rep, acf
 }
 
 func sameBits(a, b []float64) bool {
@@ -99,7 +102,7 @@ func TestConcurrencyMatchesPerSecondReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteConcurrency(t, intervals, horizon)
+		want, wantACF := bruteConcurrency(t, intervals, horizon)
 
 		if got.Peak != want.Peak {
 			t.Errorf("horizon %d: Peak = %d, want %d", horizon, got.Peak, want.Peak)
@@ -108,7 +111,7 @@ func TestConcurrencyMatchesPerSecondReference(t *testing.T) {
 			"Binned":   {got.Binned.Values, want.Binned.Values},
 			"WeekFold": {got.WeekFold.Values, want.WeekFold.Values},
 			"DayFold":  {got.DayFold.Values, want.DayFold.Values},
-			"ACF":      {got.ACF, want.ACF},
+			"ACF":      {got.ACF(), wantACF},
 		} {
 			if !sameBits(pair[0], pair[1]) {
 				t.Errorf("horizon %d: %s differs from the per-second reference (%d vs %d values)", horizon, name, len(pair[0]), len(pair[1]))
@@ -133,5 +136,79 @@ func TestConcurrencyMatchesPerSecondReference(t *testing.T) {
 				t.Errorf("horizon %d: marginal Quantile(%v) = %v, want %v", horizon, p, g, w)
 			}
 		}
+	}
+}
+
+// TestACFOnDemand: the Figure 8 series is computed when it is first
+// asked for and at no other time, and asking is safe from any number of
+// goroutines.
+func TestACFOnDemand(t *testing.T) {
+	const horizon = 3 * 86400
+	rng := rand.New(rand.NewSource(8))
+	intervals := make([]Interval, 200)
+	for i := range intervals {
+		start := rng.Int63n(horizon)
+		intervals[i] = Interval{Start: start, End: start + rng.Int63n(7200)}
+	}
+	rep, err := Concurrency(intervals, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 16 concurrent first callers: one computation, one slice.
+	got := make([][]float64, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = rep.ACF()
+		}()
+	}
+	wg.Wait()
+	_, want := bruteConcurrency(t, intervals, horizon)
+	if len(want) != MaxACFLagMinutes+1 || !sameBits(got[0], want) {
+		t.Fatalf("ACF() differs from the per-lag stats.Autocorrelation oracle (%d vs %d lags)", len(got[0]), len(want))
+	}
+	for i, acf := range got {
+		if &acf[0] != &got[0][0] || len(acf) != len(got[0]) {
+			t.Errorf("caller %d got its own slice", i)
+		}
+	}
+
+	// A constant series has no autocorrelation; so has one too short to
+	// have a lag.
+	flat, err := Concurrency([]Interval{{Start: 0, End: 7200}}, 7200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acf := flat.ACF(); acf != nil {
+		t.Errorf("constant series: ACF() has %d lags, want nil", len(acf))
+	}
+	short, err := Concurrency([]Interval{{Start: 0, End: 10}}, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acf := short.ACF(); acf != nil {
+		t.Errorf("one-minute series: ACF() has %d lags, want nil", len(acf))
+	}
+
+	// A report that is never asked performs no ACF: asking costs exactly
+	// the two allocations stats.AutocorrelationFunction makes (the
+	// deviations and the result), so Concurrency alone makes neither.
+	unasked := testing.AllocsPerRun(10, func() {
+		if _, err := Concurrency(intervals, horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	asked := testing.AllocsPerRun(10, func() {
+		rep, err := Concurrency(intervals, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.ACF()
+	})
+	if asked-unasked != 2 {
+		t.Errorf("Concurrency makes %v allocations, %v with ACF(): want exactly 2 more", unasked, asked)
 	}
 }

@@ -59,16 +59,21 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	out := &TransferLayer{}
-
-	// Concurrency of transfers.
-	intervals := make([]Interval, tr.NumTransfers())
-	starts := make([]int64, tr.NumTransfers())
+	// One walk over the trace fills every per-transfer column the
+	// analyses below read.
+	n := tr.NumTransfers()
+	intervals := make([]Interval, n)
+	starts := make([]int64, n)
+	out := &TransferLayer{Lengths: make([]float64, n), Bandwidths: make([]float64, n)}
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		intervals[i] = Interval{Start: t.Start, End: t.End()}
 		starts[i] = t.Start
+		out.Lengths[i] = stats.LogDisplayValue(float64(t.Duration))
+		out.Bandwidths[i] = float64(t.Bandwidth)
 	}
+
+	// Concurrency of transfers.
 	conc, err := Concurrency(intervals, tr.Horizon)
 	if err != nil {
 		return nil, err
@@ -76,38 +81,28 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	out.Concurrency = conc
 
 	// Interarrivals across all transfers (trace is start-sorted).
-	raw := make([]float64, 0, tr.NumTransfers()-1)
-	for i := 1; i < len(starts); i++ {
-		raw = append(raw, float64(starts[i]-starts[i-1]))
+	out.Interarrivals = make([]float64, n-1)
+	for i := range out.Interarrivals {
+		out.Interarrivals[i] = stats.LogDisplayValue(float64(starts[i+1] - starts[i]))
 	}
-	out.Interarrivals = InterarrivalDisplay(raw)
 	if err := out.fitInterarrivalTails(); err != nil {
 		return nil, err
 	}
-	if err := out.binInterarrivals(starts, raw, tr.Horizon); err != nil {
+	if err := out.binInterarrivals(starts, tr.Horizon); err != nil {
 		return nil, err
 	}
 
 	// Transfer lengths.
-	lengths := make([]float64, tr.NumTransfers())
-	for i := range tr.Transfers {
-		lengths[i] = stats.LogDisplayValue(float64(tr.Transfers[i].Duration))
-	}
-	out.Lengths = lengths
-	fit, err := dist.FitLognormal(lengths)
+	fit, err := dist.FitLognormal(out.Lengths)
 	if err != nil {
 		return nil, fmt.Errorf("transfer length fit: %w", err)
 	}
 	out.LengthFit = fit
-	if out.LengthKS, err = dist.KolmogorovSmirnov(lengths, fit.CDF); err != nil {
+	if out.LengthKS, err = dist.KolmogorovSmirnov(out.Lengths, fit.CDF); err != nil {
 		return nil, err
 	}
 
 	// Bandwidth modes.
-	out.Bandwidths = make([]float64, tr.NumTransfers())
-	for i := range tr.Transfers {
-		out.Bandwidths[i] = float64(tr.Transfers[i].Bandwidth)
-	}
 	out.BandwidthModes, out.CongestionFrac = detectBandwidthModes(out.Bandwidths)
 	return out, nil
 }
@@ -137,18 +132,14 @@ func (tl *TransferLayer) fitInterarrivalTails() error {
 }
 
 // binInterarrivals computes the Figure 18 temporal views: each
-// interarrival sample is attributed to the 15-minute bin of the earlier
+// interarrival sample (in display form: rounded up to the closest
+// second, minimum 1) is attributed to the 15-minute bin of the earlier
 // transfer's start.
-func (tl *TransferLayer) binInterarrivals(starts []int64, raw []float64, horizon int64) error {
-	if len(raw) == 0 {
+func (tl *TransferLayer) binInterarrivals(starts []int64, horizon int64) error {
+	if len(tl.Interarrivals) == 0 {
 		return nil
 	}
-	// Display convention: round up to the closest second, minimum 1.
-	vals := make([]float64, len(raw))
-	for i, v := range raw {
-		vals[i] = stats.LogDisplayValue(v)
-	}
-	binned, err := stats.BinMeans(starts[:len(raw)], vals, horizon, TemporalBin)
+	binned, err := stats.BinMeans(starts[:len(tl.Interarrivals)], tl.Interarrivals, horizon, TemporalBin)
 	if err != nil {
 		return err
 	}

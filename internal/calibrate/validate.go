@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/analyze"
 	"repro/internal/core"
@@ -113,34 +114,48 @@ func check(layer string, alpha float64, src, twin []float64) KSCheck {
 	return k
 }
 
-// Validate compares a twin characterization against its source layer by
-// layer: a two-sample KS test per fitted marginal (client
-// interarrivals, session ON/OFF times, transfers per session,
-// intra-session gaps, transfer lengths and interarrivals), plus
-// source-versus-twin comparison rows over the recovered Table 2
-// parameters and the headline counts. Interarrival-style quantities
-// compare in the paper's ⌊t+1⌋ display form, matching how their fits
-// were estimated.
-func Validate(source, twin *core.Characterization) ValidationReport {
-	rep := ValidationReport{Alpha: DefaultAlpha}
+// ksLayers are the compared marginals, in report order: each reads its
+// sample off a characterization the same way for source and twin.
+// Interarrival-style quantities compare in the paper's ⌊t+1⌋ display
+// form, matching how their fits were estimated.
+var ksLayers = []struct {
+	name   string
+	sample func(c *core.Characterization) []float64
+}{
+	{"client/interarrivals", func(c *core.Characterization) []float64 {
+		return analyze.InterarrivalDisplay(c.Client.Interarrivals)
+	}},
+	{"session/on-times", func(c *core.Characterization) []float64 {
+		return analyze.InterarrivalDisplay(c.Session.OnTimes)
+	}},
+	{"session/off-times", func(c *core.Characterization) []float64 { return c.Session.OffTimes }},
+	{"session/transfers", func(c *core.Characterization) []float64 {
+		return countsToFloats(c.Session.TransfersPerSession)
+	}},
+	{"session/intra-gaps", func(c *core.Characterization) []float64 {
+		return analyze.InterarrivalDisplay(c.Session.IntraArrivals)
+	}},
+	{"transfer/lengths", func(c *core.Characterization) []float64 { return c.Transfer.Lengths }},
+	{"transfer/interarrivals", func(c *core.Characterization) []float64 { return c.Transfer.Interarrivals }},
+}
 
-	rep.Checks = append(rep.Checks,
-		check("client/interarrivals", rep.Alpha,
-			analyze.InterarrivalDisplay(source.Client.Interarrivals),
-			analyze.InterarrivalDisplay(twin.Client.Interarrivals)),
-		check("session/on-times", rep.Alpha,
-			analyze.InterarrivalDisplay(source.Session.OnTimes),
-			analyze.InterarrivalDisplay(twin.Session.OnTimes)),
-		check("session/off-times", rep.Alpha, source.Session.OffTimes, twin.Session.OffTimes),
-		check("session/transfers", rep.Alpha,
-			countsToFloats(source.Session.TransfersPerSession),
-			countsToFloats(twin.Session.TransfersPerSession)),
-		check("session/intra-gaps", rep.Alpha,
-			analyze.InterarrivalDisplay(source.Session.IntraArrivals),
-			analyze.InterarrivalDisplay(twin.Session.IntraArrivals)),
-		check("transfer/lengths", rep.Alpha, source.Transfer.Lengths, twin.Transfer.Lengths),
-		check("transfer/interarrivals", rep.Alpha, source.Transfer.Interarrivals, twin.Transfer.Interarrivals),
-	)
+// Validate compares a twin characterization against its source layer by
+// layer: a two-sample KS test per fitted marginal (ksLayers), plus
+// source-versus-twin comparison rows over the recovered Table 2
+// parameters and the headline counts. The KS tests only read the two
+// characterizations, so they run concurrently, each into its own slot
+// of Checks: the report does not depend on the schedule.
+func Validate(source, twin *core.Characterization) ValidationReport {
+	rep := ValidationReport{Alpha: DefaultAlpha, Checks: make([]KSCheck, len(ksLayers))}
+	var wg sync.WaitGroup
+	for i, l := range ksLayers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep.Checks[i] = check(l.name, rep.Alpha, l.sample(source), l.sample(twin))
+		}()
+	}
+	wg.Wait()
 
 	cmp := func(layer, quantity string, src, tw float64, note string) {
 		rep.Comparison = append(rep.Comparison, report.Comparison{

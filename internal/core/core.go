@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	randv2 "math/rand/v2"
+	"sync"
 
 	"repro/internal/analyze"
 	"repro/internal/dist"
@@ -227,50 +228,84 @@ func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
 // splitmix lane (lanePoissonReplica), so equal (trace, seed) pairs
 // characterize identically — the measurement side honors the same
 // determinism contract as the generator and the server.
+//
+// The layers are independent analyses of one sessionized trace, so
+// after Sessionize (which builds the trace's shared ClientIndex) they
+// run as concurrent tasks. Each task only reads the trace, the index
+// and the session set and writes only its own result, none draws
+// randomness, and the replica — the one consumer of another task's
+// result and of the seed — runs after the join: the Characterization is
+// the same at any GOMAXPROCS, and a failure is reported in the fixed
+// layer order below whichever task hit it first.
 func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
 	set, err := sessions.Sessionize(tr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	client, err := analyze.AnalyzeClientLayer(set)
-	if err != nil {
-		return nil, fmt.Errorf("client layer: %w", err)
-	}
-	session, err := analyze.AnalyzeSessionLayer(set)
-	if err != nil {
-		return nil, fmt.Errorf("session layer: %w", err)
-	}
-	transfer, err := analyze.AnalyzeTransferLayer(tr)
-	if err != nil {
-		return nil, fmt.Errorf("transfer layer: %w", err)
-	}
-	divers, err := analyze.AnalyzeDiversity(tr)
-	if err != nil {
-		return nil, fmt.Errorf("diversity: %w", err)
-	}
 	if sweep == nil {
 		sweep = DefaultTimeoutSweep
 	}
-	sweepPoints, err := sessions.SweepTimeout(tr, sweep)
+	char := &Characterization{Horizon: tr.Horizon, Timeout: timeout}
+	err = firstError(
+		func() (err error) {
+			char.Client, err = analyze.AnalyzeClientLayer(set)
+			return taskError("client layer", err)
+		},
+		func() (err error) {
+			char.Session, err = analyze.AnalyzeSessionLayer(set)
+			return taskError("session layer", err)
+		},
+		func() (err error) {
+			char.Transfer, err = analyze.AnalyzeTransferLayer(tr)
+			return taskError("transfer layer", err)
+		},
+		func() (err error) {
+			char.Basic = basicStats(tr, set)
+			char.Divers, err = analyze.AnalyzeDiversity(tr)
+			return taskError("diversity", err)
+		},
+		func() (err error) {
+			char.Sweep, err = sessions.SweepTimeout(tr, sweep)
+			return taskError("timeout sweep", err)
+		},
+	)
 	if err != nil {
-		return nil, fmt.Errorf("timeout sweep: %w", err)
-	}
-
-	char := &Characterization{
-		Horizon:  tr.Horizon,
-		Timeout:  timeout,
-		Basic:    basicStats(tr, set),
-		Client:   client,
-		Session:  session,
-		Transfer: transfer,
-		Divers:   divers,
-		Sweep:    sweepPoints,
+		return nil, err
 	}
 	if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
 		char.ArrivalBins = bins
 	}
-	char.Poisson = BuildPoissonReplica(set, tr.Horizon, client.Interarrivals, seed)
+	char.Poisson = BuildPoissonReplica(set, tr.Horizon, char.Client.Interarrivals, seed)
 	return char, nil
+}
+
+// taskError names the task a non-nil err came from.
+func taskError(task string, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %w", task, err)
+	}
+	return nil
+}
+
+// firstError runs the tasks concurrently, waits for all of them, and
+// returns the error of the first task in argument order that failed.
+func firstError(tasks ...func() error) error {
+	errs := make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, task := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = task()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func basicStats(tr *trace.Trace, set *sessions.Set) BasicStats {

@@ -83,7 +83,7 @@ func (c *Characterization) Figures() []Figure {
 	out = append(out, Figure{
 		ID:      "fig08",
 		Caption: "Autocorrelation of number of clients over time (minute lags)",
-		Series:  []report.Series{report.FromACF("fig08_acf", cm.ACF)},
+		Series:  []report.Series{report.FromACF("fig08_acf", cm.ACF())},
 	})
 
 	sweepPts := make([]stats.Point, len(c.Sweep))

@@ -111,6 +111,11 @@ func TestSessionizeMatchesOracle(t *testing.T) {
 		if len(set.Sessions) != len(want) {
 			t.Fatalf("round %d, T_o %d: %d sessions, oracle %d", round, timeout, len(set.Sessions), len(want))
 		}
+		// Sessionize counts its sessions before it walks: one exact
+		// allocation, never grown.
+		if cap(set.Sessions) != len(want) {
+			t.Fatalf("round %d, T_o %d: Sessions has capacity %d for %d sessions", round, timeout, cap(set.Sessions), len(want))
+		}
 		for i := range want {
 			if !reflect.DeepEqual(set.Sessions[i], want[i]) {
 				t.Fatalf("round %d, T_o %d, session %d:\n got %+v\nwant %+v", round, timeout, i, set.Sessions[i], want[i])

@@ -68,7 +68,15 @@ func Sessionize(tr *trace.Trace, timeout int64) (*Set, error) {
 	ci := tr.ByClient()
 	seen := make([]int, ci.Len())   // transfers of the client walked so far
 	open := make([]int32, ci.Len()) // 1 + index in out of its running session
-	var out []Session
+	// A session opens at a client's first transfer and at every silent
+	// gap above the timeout (see SweepTimeout), so out is allocated once.
+	splits := 0
+	walkSilentGaps(tr, func(gap int64) {
+		if gap > timeout {
+			splits++
+		}
+	})
+	out := make([]Session, 0, ci.Len()+splits)
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		k := ci.Slot(i)
@@ -245,20 +253,25 @@ func SweepTimeout(tr *trace.Trace, timeouts []int64) ([]SweepPoint, error) {
 // earlier end of the client, and later starts are no smaller, so ends
 // from closed sessions can never be the latest that matters.
 func silentGaps(tr *trace.Trace) []int64 {
+	var gaps []int64
+	walkSilentGaps(tr, func(gap int64) { gaps = append(gaps, gap) })
+	return gaps
+}
+
+// walkSilentGaps calls visit with each silent gap, in trace order.
+func walkSilentGaps(tr *trace.Trace, visit func(gap int64)) {
 	ci := tr.ByClient()
 	const unseen = math.MinInt64
 	latest := make([]int64, ci.Len()) // latest end per client so far
 	for k := range latest {
 		latest[k] = unseen
 	}
-	var gaps []int64
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		k := ci.Slot(i)
 		if latest[k] != unseen && t.Start > latest[k] {
-			gaps = append(gaps, t.Start-latest[k])
+			visit(t.Start - latest[k])
 		}
 		latest[k] = max(latest[k], t.End())
 	}
-	return gaps
 }

@@ -113,6 +113,55 @@ func (b *builder) merge(o *builder) {
 	}
 }
 
+// Collector accumulates transfers, in any order, for a trace that will
+// own them — the in-memory counterpart of FromLogs, for a caller (the
+// calibration twin) that is handed transfers one at a time and cannot
+// know their number in advance. Transfers gather in fixed-size chunks,
+// so collecting allocates the sample once more than its size instead of
+// the several times over that append's geometric growth, with its
+// copying, costs. The zero value is ready to use.
+type Collector struct {
+	chunks [][]Transfer // every chunk but the last is full
+}
+
+// collectorChunk is the chunk length in transfers (1.5 MB): large
+// enough that the chunk list stays short at paper scale, small enough
+// that a short trace does not pay for it.
+const collectorChunk = 1 << 14
+
+// Add appends one transfer.
+func (c *Collector) Add(t Transfer) {
+	k := len(c.chunks) - 1
+	if k < 0 || len(c.chunks[k]) == collectorChunk {
+		c.chunks = append(c.chunks, make([]Transfer, 0, collectorChunk))
+		k++
+	}
+	c.chunks[k] = append(c.chunks[k], t)
+}
+
+// Trace moves the collected transfers into one exactly-sized slice,
+// sorts it into a trace over horizon seconds and sanitizes that trace
+// in place (Section 2.4): the result is what New followed by Sanitize
+// yields over the same transfers, without either copy. The collector is
+// empty afterwards.
+func (c *Collector) Trace(horizon int64) (*Trace, SanitizeReport, error) {
+	n := 0
+	for _, chunk := range c.chunks {
+		n += len(chunk)
+	}
+	all := make([]Transfer, 0, n)
+	for i, chunk := range c.chunks {
+		all = append(all, chunk...)
+		c.chunks[i] = nil // a chunk is garbage as soon as it is copied
+	}
+	c.chunks = nil
+	tr, err := newOwned(horizon, all)
+	if err != nil {
+		return nil, SanitizeReport{}, err
+	}
+	return tr, tr.sanitizeInto(tr.Transfers[:0]), nil
+}
+
 // FromEntries converts parsed log entries into a Trace. epoch is the
 // wall-clock instant of trace second 0; horizon is the trace length in
 // seconds. See builder for the id and interval conventions.

@@ -247,3 +247,53 @@ func TestTraceOrderMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorMatchesNewSanitize: a Collector's trace and report are
+// those of New followed by Sanitize over the transfers in the order
+// they were added — ties and dropped entries included — for an empty
+// collector, a part-filled chunk, an exactly full one and several; and
+// the collector is reusable afterwards.
+func TestCollectorMatchesNewSanitize(t *testing.T) {
+	const horizon = 20000
+	rng := rand.New(rand.NewSource(20))
+	var c Collector
+	for _, n := range []int{0, 5, collectorChunk, 2*collectorChunk + 77} {
+		in := make([]Transfer, n)
+		for i := range in {
+			in[i] = Transfer{
+				Client:   rng.Intn(50),
+				Object:   rng.Intn(2),
+				IP:       fmt.Sprintf("10.0.0.%d", rng.Intn(200)),
+				Start:    int64(i/4) + rng.Int63n(3) - 1, // nearly sorted, tie-heavy, a few before 0
+				Duration: rng.Int63n(horizon/2) - 5,      // some negative, some past the horizon
+				Bytes:    int64(i),                       // tells tied transfers apart
+			}
+			if i%1000 == 999 {
+				in[i].Duration = horizon + 1 // spanning
+			}
+			c.Add(in[i])
+		}
+		tr, err := New(horizon, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantReport := tr.Sanitize()
+		got, gotReport, err := c.Trace(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotReport != wantReport {
+			t.Errorf("n=%d: report %+v, want %+v", n, gotReport, wantReport)
+		}
+		if n > 5 && (wantReport.DroppedNegative == 0 || wantReport.DroppedOutside == 0 || wantReport.DroppedSpanning == 0) {
+			t.Errorf("n=%d: fixture exercises too little: %s", n, wantReport)
+		}
+		if got.Horizon != want.Horizon || !slices.Equal(got.Transfers, want.Transfers) {
+			t.Errorf("n=%d: collected trace differs from New + Sanitize (%d vs %d transfers)", n, got.NumTransfers(), want.NumTransfers())
+		}
+	}
+	c.Add(Transfer{})
+	if _, _, err := c.Trace(0); err == nil {
+		t.Error("zero horizon: want error")
+	}
+}

@@ -17,6 +17,7 @@ package wmslog
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -85,7 +86,9 @@ func (e *Entry) Validate() error {
 	if e.Bytes < 0 || e.AvgBandwidth < 0 || e.PacketsLost < 0 {
 		return fmt.Errorf("%w: negative transfer statistics", ErrFormat)
 	}
-	if e.ServerCPU < 0 || e.ServerCPU > 100 {
+	// The sign bit, not "< 0": −0 prints as "-0.00", reads back as 0 and
+	// re-encodes as "0.00" — a line that is not its own round trip.
+	if math.Signbit(e.ServerCPU) || e.ServerCPU > 100 {
 		return fmt.Errorf("%w: server CPU %v out of [0,100]", ErrFormat, e.ServerCPU)
 	}
 	return nil

@@ -320,6 +320,9 @@ func (p *Parser) parseLine(e *Entry, line string) error {
 	if e.ServerCPU, err = strconv.ParseFloat(cols[11], 64); err != nil {
 		return fmt.Errorf("%w: s-cpu-util %q", ErrFormat, cols[11])
 	}
+	if e.ServerCPU == 0 {
+		e.ServerCPU = 0 // a foreign "-0.00" reads as 0, as on the fast path
+	}
 	if e.Status, err = strconv.Atoi(cols[13]); err != nil {
 		return fmt.Errorf("%w: sc-status %q", ErrFormat, cols[13])
 	}

@@ -2,6 +2,8 @@ package wmslog
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +48,7 @@ func TestEntryValidate(t *testing.T) {
 		func(e *Entry) { e.AvgBandwidth = -1 },
 		func(e *Entry) { e.PacketsLost = -1 },
 		func(e *Entry) { e.ServerCPU = -0.1 },
+		func(e *Entry) { e.ServerCPU = math.Copysign(0, -1) },
 		func(e *Entry) { e.ServerCPU = 101 },
 	}
 	for i, mutate := range mutations {
@@ -200,6 +203,47 @@ func TestWriterRejectsInvalidEntry(t *testing.T) {
 	e.Duration = -1
 	if err := w.Write(e); err == nil {
 		t.Fatal("invalid entry accepted")
+	}
+}
+
+// TestNegativeZeroServerCPU: −0 is not its own round trip ("-0.00"
+// reads back as 0, which prints "0.00"; the binary framing writes centi
+// 0), so both writers refuse it — while a foreign "-0.00" still reads,
+// as 0, on the fast path and on the tolerant legacy one.
+func TestNegativeZeroServerCPU(t *testing.T) {
+	e := sampleEntry(TraceEpoch.Add(time.Hour))
+	e.ServerCPU = math.Copysign(0, -1)
+	if err := NewWriter(&bytes.Buffer{}).Write(e); !errors.Is(err, ErrFormat) {
+		t.Errorf("text writer: err = %v, want ErrFormat", err)
+	}
+	if err := NewBinaryWriter(&bytes.Buffer{}).Write(e); !errors.Is(err, ErrFormat) {
+		t.Errorf("binary writer: err = %v, want ErrFormat", err)
+	}
+
+	e.ServerCPU = 0
+	canonical := string(AppendEntry(nil, e))
+	foreign := strings.Replace(canonical, " 0.00 ", " -0.00 ", 1)
+	if foreign == canonical {
+		t.Fatalf("no s-cpu-util column to rewrite in %q", canonical)
+	}
+	var fast Entry
+	if err := ParseAppend(&fast, []byte(foreign)); err != nil {
+		t.Fatalf("ParseAppend(%q): %v", foreign, err)
+	}
+	// The fast path refuses a doubled separator, so this line goes
+	// through the legacy splitter and strconv.ParseFloat.
+	doubled := strings.Replace(foreign, " -0.00 ", "  -0.00 ", 1)
+	entries, _, err := ReadAll(strings.NewReader(doubled), false)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("legacy parse of %q: %d entries, err %v", doubled, len(entries), err)
+	}
+	for name, got := range map[string]*Entry{"fast": &fast, "legacy": entries[0]} {
+		if got.ServerCPU != 0 || math.Signbit(got.ServerCPU) {
+			t.Errorf("%s path: ServerCPU = %v, want +0", name, got.ServerCPU)
+		}
+		if back := string(AppendEntry(nil, got)); back != canonical {
+			t.Errorf("%s path re-encodes to %q, want %q", name, back, canonical)
+		}
 	}
 }
 
