@@ -18,10 +18,14 @@
 package repro
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -553,6 +557,58 @@ func BenchmarkPipelineFullCharacterization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Characterize(f.tr, 1500, nil, int64(i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipelineDiversity times Table 1's population counts and
+// Figure 2 as Characterize's diversity task produces them: one counting
+// walk over the trace's integer ids (trace.Census), then the shares.
+func BenchmarkPipelineDiversity(b *testing.B) {
+	f := getFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var d *analyze.Diversity
+	for i := 0; i < b.N; i++ {
+		var err error
+		if d, err = analyze.AnalyzeDiversity(f.tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(d.NumIPs), "IPs")
+}
+
+// BenchmarkSortSample times the sorted copy of a transfer-length
+// display sample (⌊t+1⌋ of lognormal seconds — what every KS distance,
+// ECDF and quantile of the characterization sorts) through
+// stats.SortedCopy and through the copy-then-sort.Float64s it replaced,
+// at a session-sized and a trace-sized sample.
+func BenchmarkSortSample(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		rng := rand.New(rand.NewSource(benchSeed))
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = stats.LogDisplayValue(math.Exp(4.4 + 1.4*rng.NormFloat64()))
+		}
+		for _, impl := range []struct {
+			name string
+			sort func([]float64) []float64
+		}{
+			{"kernel", stats.SortedCopy},
+			{"stdlib", func(xs []float64) []float64 {
+				sorted := slices.Clone(xs)
+				sort.Float64s(sorted)
+				return sorted
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", impl.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if sorted := impl.sort(xs); sorted[0] > sorted[n-1] {
+						b.Fatal("not sorted")
+					}
+				}
+			})
 		}
 	}
 }

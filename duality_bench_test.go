@@ -49,7 +49,7 @@ func BenchmarkExtensionLiveVsStoredDuality(b *testing.B) {
 		}
 
 		// Live: client interest Zipf + object-independent lengths.
-		liveCounts := make(map[int]int)
+		liveCounts := make(map[int32]int)
 		liveLen := make([]float64, 0, f.tr.NumTransfers())
 		liveObj := make([]float64, 0, f.tr.NumTransfers())
 		for _, t := range f.tr.Transfers {

@@ -115,8 +115,10 @@ type Diversity struct {
 	// CountryShare maps country code to its share of transfers
 	// (Figure 2 right).
 	CountryShare map[string]float64
-	// NumAS is the number of distinct ASes observed.
-	NumAS int
+	// NumAS and NumIPs are the numbers of distinct ASes and client IPs
+	// observed (Table 1).
+	NumAS  int
+	NumIPs int
 	// ObjectShare is the descending share of transfers per live object —
 	// the feed-preference split (Table 1 observes two feeds). Element 0
 	// is the dominant feed's share; calibrate.Fit reads FeedPreference
@@ -124,50 +126,27 @@ type Diversity struct {
 	ObjectShare []float64
 }
 
-// AnalyzeDiversity computes the Figure 2 series from a trace.
+// AnalyzeDiversity computes the Figure 2 series from a trace: one
+// counting walk over integer ids (trace.Census), then a share per
+// count. Names are read only to key CountryShare.
 func AnalyzeDiversity(tr *trace.Trace) (*Diversity, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	transferPerAS := make(map[int]int)
-	ipsPerAS := make(map[int]map[string]struct{})
-	countryCount := make(map[string]int)
-	objectCount := make(map[int]int)
-	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
-		transferPerAS[t.AS]++
-		objectCount[t.Object]++
-		set := ipsPerAS[t.AS]
-		if set == nil {
-			set = make(map[string]struct{})
-			ipsPerAS[t.AS] = set
-		}
-		set[t.IP] = struct{}{}
-		countryCount[t.Country]++
+	census := tr.Census()
+	d := &Diversity{
+		ASTransferShare: stats.RankFrequencies(census.ASTransfers),
+		ASIPShare:       stats.RankFrequencies(census.ASIPs),
+		CountryShare:    make(map[string]float64, len(census.CountryTransfers)),
+		NumAS:           len(census.ASTransfers),
+		NumIPs:          census.IPs,
+		ObjectShare:     stats.RankFrequencies(census.ObjectTransfers),
 	}
-
-	d := &Diversity{NumAS: len(transferPerAS), CountryShare: make(map[string]float64, len(countryCount))}
-	tCounts := make([]int, 0, len(transferPerAS))
-	for _, c := range transferPerAS { //lsm:nondet -- RankFrequencies sorts the counts; their total is an integer sum
-		tCounts = append(tCounts, c)
-	}
-	d.ASTransferShare = stats.RankFrequencies(tCounts)
-
-	ipCounts := make([]int, 0, len(ipsPerAS))
-	for _, set := range ipsPerAS { //lsm:nondet -- RankFrequencies sorts the counts; their total is an integer sum
-		ipCounts = append(ipCounts, len(set))
-	}
-	d.ASIPShare = stats.RankFrequencies(ipCounts)
-
 	total := float64(tr.NumTransfers())
-	for c, n := range countryCount { //lsm:nondet -- map to map, each share computed on its own
-		d.CountryShare[c] = float64(n) / total
+	for id, n := range census.CountryTransfers {
+		if n > 0 {
+			d.CountryShare[tr.CountryName(uint16(id))] = float64(n) / total
+		}
 	}
-
-	oCounts := make([]int, 0, len(objectCount))
-	for _, c := range objectCount { //lsm:nondet -- RankFrequencies sorts the counts; their total is an integer sum
-		oCounts = append(oCounts, c)
-	}
-	d.ObjectShare = stats.RankFrequencies(oCounts)
 	return d, nil
 }

@@ -11,10 +11,8 @@ func matchTrace(t *testing.T, rows ...[3]int64) *trace.Trace {
 	transfers := make([]trace.Transfer, 0, len(rows))
 	for _, r := range rows {
 		transfers = append(transfers, trace.Transfer{
-			Client:   int(r[0]),
-			IP:       "0.0.0.0",
+			Client:   int32(r[0]),
 			AS:       1,
-			Country:  "BR",
 			Start:    r[1],
 			Duration: r[2],
 			Bytes:    1,

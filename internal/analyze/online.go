@@ -30,8 +30,8 @@ type OnlineLayer struct {
 
 	clients *stats.HyperLogLog
 	ips     *stats.HyperLogLog
-	ases    map[int]struct{}
-	objects map[int]struct{}
+	ases    map[uint32]struct{}
+	objects map[uint16]struct{}
 
 	lengths   stats.Welford
 	lengthQ   *stats.LogQuantile
@@ -72,8 +72,8 @@ func NewOnlineLayer(horizon int64) (*OnlineLayer, error) {
 		horizon:  horizon,
 		clients:  clients,
 		ips:      ips,
-		ases:     make(map[int]struct{}),
-		objects:  make(map[int]struct{}),
+		ases:     make(map[uint32]struct{}),
+		objects:  make(map[uint16]struct{}),
 		lengthQ:  lengthQ,
 		arrivals: arrivals,
 		ends:     heapx.New(func(a, b *int64) bool { return *a < *b }),
@@ -94,7 +94,7 @@ func (o *OnlineLayer) Add(t trace.Transfer) error {
 	o.totalBytes += t.Bytes
 
 	o.clients.AddInt(int64(t.Client))
-	o.ips.AddString(t.IP)
+	o.ips.AddInt(int64(t.IP))
 	o.ases[t.AS] = struct{}{}
 	o.objects[t.Object] = struct{}{}
 

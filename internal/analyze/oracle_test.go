@@ -3,11 +3,13 @@ package analyze
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // bruteConcurrency is the per-second reference for Concurrency: count,
@@ -211,4 +213,123 @@ func TestACFOnDemand(t *testing.T) {
 	if asked-unasked != 2 {
 		t.Errorf("Concurrency makes %v allocations, %v with ACF(): want exactly 2 more", unasked, asked)
 	}
+}
+
+// oracleDiversity is AnalyzeDiversity as it shipped before the counts
+// moved onto integer ids, kept as the reference: a map per tally, IPs
+// and countries keyed by their strings, a set of IP strings per AS.
+func oracleDiversity(tr *trace.Trace) *Diversity {
+	transferPerAS := make(map[uint32]int)
+	ipsPerAS := make(map[uint32]map[string]struct{})
+	allIPs := make(map[string]struct{})
+	countryCount := make(map[string]int)
+	objectCount := make(map[uint16]int)
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
+		transferPerAS[t.AS]++
+		objectCount[t.Object]++
+		set := ipsPerAS[t.AS]
+		if set == nil {
+			set = make(map[string]struct{})
+			ipsPerAS[t.AS] = set
+		}
+		set[tr.IPName(t.IP)] = struct{}{}
+		allIPs[tr.IPName(t.IP)] = struct{}{}
+		countryCount[tr.CountryName(t.Country)]++
+	}
+
+	d := &Diversity{NumAS: len(transferPerAS), NumIPs: len(allIPs), CountryShare: make(map[string]float64, len(countryCount))}
+	tCounts := make([]int, 0, len(transferPerAS))
+	for _, c := range transferPerAS {
+		tCounts = append(tCounts, c)
+	}
+	d.ASTransferShare = stats.RankFrequencies(tCounts)
+	ipCounts := make([]int, 0, len(ipsPerAS))
+	for _, set := range ipsPerAS {
+		ipCounts = append(ipCounts, len(set))
+	}
+	d.ASIPShare = stats.RankFrequencies(ipCounts)
+	total := float64(tr.NumTransfers())
+	for c, n := range countryCount {
+		d.CountryShare[c] = float64(n) / total
+	}
+	oCounts := make([]int, 0, len(objectCount))
+	for _, c := range objectCount {
+		oCounts = append(oCounts, c)
+	}
+	d.ObjectShare = stats.RankFrequencies(oCounts)
+	return d
+}
+
+// awkwardPopulation returns a copy of tr in which some IPs turn up
+// under a second AS (one of them a 4-byte AS number), some clients
+// under a second IP, and one object and one country have lost every
+// transfer — with names, and again as bare ids without them.
+func awkwardPopulation(t *testing.T, tr *trace.Trace) []*trace.Trace {
+	t.Helper()
+	ts := slices.Clone(tr.Transfers)
+	lastOf := make(map[int32]int) // client → index of its latest transfer so far
+	movedIP, movedAS := 0, 0
+	for i := range ts {
+		if j, ok := lastOf[ts[i].Client]; ok && i%7 == 0 && ts[j].IP != ts[(i+1)%len(ts)].IP {
+			ts[i].IP = ts[(i+1)%len(ts)].IP // this client, under somebody else's address
+			movedIP++
+		}
+		if i%11 == 0 {
+			ts[i].AS = ts[(i+5)%len(ts)].AS + uint32(i%2)*4_000_000_000 // this IP, under another AS
+			movedAS++
+		}
+		lastOf[ts[i].Client] = i
+	}
+	if movedIP == 0 || movedAS == 0 {
+		t.Fatalf("fixture moved %d IPs and %d ASes", movedIP, movedAS)
+	}
+	// Drop an object and a country outright, as sanitizing might.
+	kept := ts[:0]
+	for _, x := range ts {
+		if x.Object != 1 && x.Country != ts[0].Country {
+			kept = append(kept, x)
+		}
+	}
+	named, err := trace.New(tr.Horizon, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named.Names = tr.Names
+	bare, err := trace.New(tr.Horizon, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*trace.Trace{named, bare}
+}
+
+// TestDiversityMatchesMapOracle: the flat-array Figure 2 counts equal
+// the string-keyed map ones field by field and bit by bit — on the
+// served fixture as it is, and with an IP under two ASes, a client
+// under two IPs, 4-byte AS numbers and ids the trace no longer uses.
+func TestDiversityMatchesMapOracle(t *testing.T) {
+	f := getFixture(t)
+	if f.tr.Names == nil || len(f.tr.Names.Countries) < 3 || f.tr.DistinctObjects() < 2 {
+		t.Fatalf("fixture too plain: names %v, %d objects", f.tr.Names != nil, f.tr.DistinctObjects())
+	}
+	for i, tr := range append([]*trace.Trace{f.tr}, awkwardPopulation(t, f.tr)...) {
+		want := oracleDiversity(tr)
+		got, err := AnalyzeDiversity(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pairs := intSum(tr.Census().ASIPs); i > 0 && pairs <= want.NumIPs {
+			t.Errorf("trace %d: no IP counts under two ASes (%d IPs, %d AS-IP pairs)", i, want.NumIPs, pairs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trace %d: AnalyzeDiversity differs from the map oracle:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+func intSum(xs []int) (s int) {
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/stats"
@@ -161,9 +160,7 @@ func detectBandwidthModes(bws []float64) ([]BandwidthMode, float64) {
 	if len(bws) == 0 {
 		return nil, 0
 	}
-	sorted := make([]float64, len(bws))
-	copy(sorted, bws)
-	sort.Float64s(sorted)
+	sorted := stats.SortedCopy(bws)
 
 	n := float64(len(sorted))
 	var modes []BandwidthMode

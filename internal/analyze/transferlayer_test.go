@@ -98,8 +98,8 @@ func TestAnalyzeTransferLayerSyntheticTwoRegimes(t *testing.T) {
 		}
 		tcur += gap
 		transfers = append(transfers, trace.Transfer{
-			Client: i % 500, Start: tcur, Duration: 10 + int64(rng.Intn(100)),
-			IP: "1.1.1.1", Country: "BR", AS: 1, Bandwidth: 56000, Bytes: 1,
+			Client: int32(i % 500), Start: tcur, Duration: 10 + int64(rng.Intn(100)),
+			AS: 1, Bandwidth: 56000, Bytes: 1,
 		})
 	}
 	tr, err := trace.New(tcur+1000, transfers)

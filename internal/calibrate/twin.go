@@ -45,6 +45,7 @@ func twinTrace(m gismo.Model, seed int64) (*trace.Trace, error) {
 			served.Add(t)
 			return nil
 		},
+		Names: func(n *trace.Names) { served.Names = n },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("calibrate: twin serve: %w", err)

@@ -24,7 +24,9 @@ func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 	}
 	defer ws.Close()
 	var served []trace.Transfer
+	var names *trace.Names
 	_, err = simulate.RunStreamSharded(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), seed, simulate.DefaultServeLanes(), simulate.StreamSinks{
+		Names: func(n *trace.Names) { names = n },
 		Transfer: func(tr trace.Transfer) error {
 			served = append(served, tr)
 			return nil
@@ -38,13 +40,16 @@ func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTrace(t, "twin trace", got, served, m.Horizon, 0)
+	if names == nil || len(names.IPs) == 0 || !reflect.DeepEqual(got.Names, names) {
+		t.Errorf("twin trace does not carry the serving run's name tables")
+	}
 
 	// The server ends every transfer by the horizon, so the stream above
 	// gives sanitization nothing to drop: run it again with one transfer
 	// that outlives the horizon and one that starts before the trace.
 	served = append(served,
-		trace.Transfer{Client: 1, IP: "10.0.0.1", AS: 1, Country: "BR", Start: m.Horizon - 5, Duration: 10},
-		trace.Transfer{Client: 2, IP: "10.0.0.2", AS: 1, Country: "BR", Start: -1, Duration: 10})
+		trace.Transfer{Client: 1, IP: 1, AS: 1, Start: m.Horizon - 5, Duration: 10},
+		trace.Transfer{Client: 2, IP: 2, AS: 1, Start: -1, Duration: 10})
 	var c trace.Collector
 	for _, tr := range served {
 		c.Add(tr)

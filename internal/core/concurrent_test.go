@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,7 +54,7 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 	char := &Characterization{
 		Horizon:  tr.Horizon,
 		Timeout:  timeout,
-		Basic:    basicStats(tr, set),
+		Basic:    basicStatsOracle(tr, set),
 		Client:   client,
 		Session:  session,
 		Transfer: transfer,
@@ -65,6 +66,78 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 	}
 	char.Poisson = BuildPoissonReplica(set, tr.Horizon, client.Interarrivals, seed)
 	return char, nil
+}
+
+// basicStatsOracle is basicStats as it shipped before Table 1's counts
+// moved onto integer ids, kept as the reference: a pass and a set per
+// count, IPs keyed by their strings.
+func basicStatsOracle(tr *trace.Trace, set *sessions.Set) BasicStats {
+	ips := make(map[string]struct{})
+	ases := make(map[uint32]struct{})
+	objects := make(map[uint16]struct{})
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
+		ips[tr.IPName(t.IP)] = struct{}{}
+		ases[t.AS] = struct{}{}
+		objects[t.Object] = struct{}{}
+	}
+	return BasicStats{
+		Days:       int(tr.Horizon / 86400),
+		Objects:    len(objects),
+		ASes:       len(ases),
+		IPs:        len(ips),
+		Users:      tr.NumClients(),
+		Sessions:   set.Count(),
+		Transfers:  tr.NumTransfers(),
+		TotalBytes: tr.TotalBytes(),
+	}
+}
+
+// TestBasicStatsMatchesMapOracle: Table 1 read off the diversity
+// analysis's one counting walk equals the string-keyed sets — on the
+// served week and on a copy where IPs recur under other ASes (4-byte AS
+// numbers among them), clients under other IPs, and one object id and
+// one country id have lost every transfer.
+func TestBasicStatsMatchesMapOracle(t *testing.T) {
+	week := weekTrace(t)
+	ts := slices.Clone(week.Transfers)
+	kept := ts[:0]
+	for i, x := range ts {
+		if i%7 == 0 {
+			x.IP = ts[(i+1)%len(ts)].IP
+		}
+		if i%11 == 0 {
+			x.AS = ts[(i+5)%len(ts)].AS + uint32(i%2)*4_000_000_000
+		}
+		if x.Object != 1 && x.Country != ts[0].Country {
+			kept = append(kept, x)
+		}
+	}
+	awkward, err := trace.New(week.Horizon, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awkward.Names = week.Names
+	if len(week.Names.Countries) < 3 {
+		t.Fatalf("fixture has %d countries", len(week.Names.Countries))
+	}
+	for _, tr := range []*trace.Trace{week, awkward} {
+		set, err := sessions.Sessionize(tr, sessions.DefaultTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		divers, err := analyze.AnalyzeDiversity(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := basicStatsOracle(tr, set)
+		if got := basicStats(tr, set, divers); got != want {
+			t.Errorf("basicStats = %+v, map oracle %+v", got, want)
+		}
+		if want.IPs != tr.DistinctIPs() || want.ASes != tr.DistinctAS() || want.Objects != tr.DistinctObjects() {
+			t.Errorf("trace counts %d IPs, %d ASes, %d objects; map oracle %+v", tr.DistinctIPs(), tr.DistinctAS(), tr.DistinctObjects(), want)
+		}
+	}
 }
 
 // dump writes every value reachable from v — exported or not, through
@@ -200,7 +273,7 @@ func TestCharacterizeMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := trace.New(86400, []trace.Transfer{{Client: 1, IP: "10.0.0.1", AS: 1, Country: "BR", Start: 10, Duration: 5, Bandwidth: 56000}})
+	single, err := trace.New(86400, []trace.Transfer{{Client: 1, AS: 1, Start: 10, Duration: 5, Bandwidth: 56000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,8 +260,9 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 			return taskError("transfer layer", err)
 		},
 		func() (err error) {
-			char.Basic = basicStats(tr, set)
-			char.Divers, err = analyze.AnalyzeDiversity(tr)
+			if char.Divers, err = analyze.AnalyzeDiversity(tr); err == nil {
+				char.Basic = basicStats(tr, set, char.Divers)
+			}
 			return taskError("diversity", err)
 		},
 		func() (err error) {
@@ -274,8 +275,8 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 	}
 	if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
 		char.ArrivalBins = bins
+		char.Poisson = poissonReplica(bins, tr.Horizon, char.Client.Interarrivals, seed)
 	}
-	char.Poisson = BuildPoissonReplica(set, tr.Horizon, char.Client.Interarrivals, seed)
 	return char, nil
 }
 
@@ -308,12 +309,14 @@ func firstError(tasks ...func() error) error {
 	return nil
 }
 
-func basicStats(tr *trace.Trace, set *sessions.Set) BasicStats {
+// basicStats assembles Table 1. Its three population counts are the
+// diversity analysis's: one walk of the trace counts for both.
+func basicStats(tr *trace.Trace, set *sessions.Set, divers *analyze.Diversity) BasicStats {
 	return BasicStats{
 		Days:       int(tr.Horizon / 86400),
-		Objects:    tr.DistinctObjects(),
-		ASes:       tr.DistinctAS(),
-		IPs:        tr.DistinctIPs(),
+		Objects:    len(divers.ObjectShare),
+		ASes:       divers.NumAS,
+		IPs:        divers.NumIPs,
 		Users:      tr.NumClients(),
 		Sessions:   set.Count(),
 		Transfers:  tr.NumTransfers(),
@@ -328,13 +331,18 @@ func basicStats(tr *trace.Trace, set *sessions.Set) BasicStats {
 // synthetic draws come from a splitmix generator on the seed's
 // dedicated replica lane.
 func BuildPoissonReplica(set *sessions.Set, horizon int64, measured []float64, seed int64) PoissonReplica {
-	const window = analyze.TemporalBin // 900 s, the paper's 15 minutes
-	rng := randv2.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), lanePoissonReplica)))
-	arrivals := set.ArrivalTimes()
-	counts, err := stats.BinCounts(arrivals, horizon, window)
+	counts, err := stats.BinCounts(set.ArrivalTimes(), horizon, analyze.TemporalBin)
 	if err != nil {
 		return PoissonReplica{}
 	}
+	return poissonReplica(counts, horizon, measured, seed)
+}
+
+// poissonReplica is BuildPoissonReplica over the session arrivals
+// already counted per TemporalBin — Characterize's ArrivalBins.
+func poissonReplica(counts stats.BinnedSeries, horizon int64, measured []float64, seed int64) PoissonReplica {
+	const window = analyze.TemporalBin // 900 s, the paper's 15 minutes
+	rng := randv2.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), lanePoissonReplica)))
 	dayFold, err := counts.FoldModulo(86400)
 	if err != nil {
 		return PoissonReplica{}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // LinearRegression fits y = slope·x + intercept by ordinary least
@@ -204,7 +206,7 @@ func FitTail(samples []float64, lo, hi float64) (TailFit, error) {
 	if len(sub) < 3 {
 		return TailFit{}, fmt.Errorf("%w: %d samples in tail window (%v, %v]", ErrBadFit, len(sub), lo, hi)
 	}
-	sort.Float64s(sub)
+	sub = stats.SortedCopy(sub)
 	n := float64(len(sub))
 	xs := make([]float64, 0, len(sub))
 	ys := make([]float64, 0, len(sub))

@@ -2,7 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+
+	"repro/internal/stats"
 )
 
 // KolmogorovSmirnov computes the one-sample KS distance between the
@@ -16,9 +17,7 @@ func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, e
 	if cdf == nil {
 		return 0, fmt.Errorf("%w: KS with nil CDF", ErrBadFit)
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
+	sorted := stats.SortedCopy(samples)
 	n := float64(len(sorted))
 	var d float64
 	for i, x := range sorted {
@@ -42,12 +41,7 @@ func KolmogorovSmirnov2(a, b []float64) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, fmt.Errorf("%w: two-sample KS on %d vs %d samples", ErrBadFit, len(a), len(b))
 	}
-	sa := make([]float64, len(a))
-	copy(sa, a)
-	sort.Float64s(sa)
-	sb := make([]float64, len(b))
-	copy(sb, b)
-	sort.Float64s(sb)
+	sa, sb := stats.SortedCopy(a), stats.SortedCopy(b)
 
 	na, nb := float64(len(sa)), float64(len(sb))
 	var i, j int

@@ -100,16 +100,22 @@ func SafeTimeout(tr *trace.Trace, slack int64) (int64, bool) {
 func OfferedTrace(events []workload.Event, horizon int64) (*trace.Trace, error) {
 	transfers := make([]trace.Transfer, 0, len(events))
 	for _, e := range events {
+		if e.Client != int(int32(e.Client)) || e.Object != int(uint16(e.Object)) {
+			return nil, fmt.Errorf("%w: client %d or object %d beyond what a transfer can number", trace.ErrBadTrace, e.Client, e.Object)
+		}
 		transfers = append(transfers, trace.Transfer{
-			Client:   e.Client,
-			IP:       "0.0.0.0",
+			Client:   int32(e.Client),
 			AS:       1,
-			Country:  "BR",
-			Object:   e.Object,
+			Object:   uint16(e.Object),
 			Start:    e.Start,
 			Duration: e.Duration,
 			Bytes:    1,
 		})
 	}
-	return trace.New(horizon, transfers)
+	tr, err := trace.New(horizon, transfers)
+	if err != nil {
+		return nil, err
+	}
+	tr.Names = &trace.Names{IPs: []string{"0.0.0.0"}, Countries: []string{"BR"}}
+	return tr, nil
 }

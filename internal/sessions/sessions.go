@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -128,8 +129,7 @@ func (s *Set) OffTimes() []float64 {
 		}
 		prev[k] = int32(i + 1)
 	}
-	sort.Float64s(out)
-	return out
+	return stats.SortedCopy(out)
 }
 
 // TransfersPerSession returns the transfer count of every session.

@@ -15,8 +15,7 @@ func mk(t *testing.T, horizon int64, rows ...[3]int64) *trace.Trace {
 	transfers := make([]trace.Transfer, len(rows))
 	for i, r := range rows {
 		transfers[i] = trace.Transfer{
-			Client: int(r[0]), Start: r[1], Duration: r[2],
-			IP: "1.1.1.1", Country: "BR", AS: 1,
+			Client: int32(r[0]), Start: r[1], Duration: r[2], AS: 1,
 		}
 	}
 	tr, err := trace.New(horizon, transfers)
@@ -258,7 +257,7 @@ func TestSessionizePartitionProperty(t *testing.T) {
 		}
 		transfers := make([]trace.Transfer, len(rows))
 		for i, r := range rows {
-			transfers[i] = trace.Transfer{Client: int(r[0]), Start: r[1], Duration: r[2], IP: "x", Country: "BR", AS: 1}
+			transfers[i] = trace.Transfer{Client: int32(r[0]), Start: r[1], Duration: r[2], AS: 1}
 		}
 		tr, err := trace.New(1000000, transfers)
 		if err != nil {

@@ -71,6 +71,7 @@ func ApplyQoSAbandonment(tr *trace.Trace, cfg QoSConfig, congestionBps int64, rn
 	if err != nil {
 		return nil, 0, err
 	}
+	out.Names = tr.Names
 	return out, cut, nil
 }
 

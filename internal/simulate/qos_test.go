@@ -9,9 +9,9 @@ import (
 
 func TestApplyQoSAbandonmentCutsOnlyCongested(t *testing.T) {
 	transfers := []trace.Transfer{
-		{Client: 1, Start: 0, Duration: 1000, Bandwidth: 56000, IP: "a", Country: "BR", AS: 1},
-		{Client: 2, Start: 0, Duration: 1000, Bandwidth: 5000, IP: "b", Country: "BR", AS: 1},
-		{Client: 3, Start: 0, Duration: 1000, Bandwidth: 3000, IP: "c", Country: "BR", AS: 1},
+		{Client: 1, Start: 0, Duration: 1000, Bandwidth: 56000, IP: 0, AS: 1},
+		{Client: 2, Start: 0, Duration: 1000, Bandwidth: 5000, IP: 1, AS: 1},
+		{Client: 3, Start: 0, Duration: 1000, Bandwidth: 3000, IP: 2, AS: 1},
 	}
 	tr, err := trace.New(10000, transfers)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestApplyQoSAbandonmentCutsOnlyCongested(t *testing.T) {
 
 func TestApplyQoSAbandonmentZeroProb(t *testing.T) {
 	tr, err := trace.New(100, []trace.Transfer{
-		{Client: 1, Start: 0, Duration: 50, Bandwidth: 1000, IP: "a", Country: "BR", AS: 1},
+		{Client: 1, Start: 0, Duration: 50, Bandwidth: 1000, IP: 0, AS: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestRunQoSStudyShowsCounterfactualCorrelation(t *testing.T) {
 
 func TestLengthBandwidthCorrelationErrors(t *testing.T) {
 	tr, err := trace.New(100, []trace.Transfer{
-		{Client: 1, Start: 0, Duration: 50, Bandwidth: 1000, IP: "a", Country: "BR", AS: 1},
+		{Client: 1, Start: 0, Duration: 50, Bandwidth: 1000, IP: 0, AS: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

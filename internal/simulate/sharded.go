@@ -302,6 +302,10 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 	if err := checkServeArgs(&cfg, pop, horizon); err != nil {
 		return nil, err
 	}
+	rows, err := newRowIDs(pop, sinks)
+	if err != nil {
+		return nil, err
+	}
 
 	stop := make(chan struct{}) // closed by the collector on abort
 	collGate := ring.NewGate()  // shared consumer gate: one park site for all output rings
@@ -322,7 +326,7 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 	// entirely. dispatchErr and adm belong to the dispatcher until it
 	// exits; the collector reads them only after dispatcherDone.Wait().
 	var dispatchErr error
-	adm := newAdmission(pop)
+	adm := newAdmission(pop, rows)
 	var dispatcherDone sync.WaitGroup
 	dispatcherDone.Add(1)
 	go func() {
@@ -378,7 +382,7 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 			defer out[k].Close()
 			arena := newLaneArena()
 			defer arena.close()
-			es := newEventServer(&cfg, pop, horizon, seed, arena, sinks)
+			es := newEventServer(&cfg, pop, horizon, seed, arena, sinks, rows)
 			var r laneResult
 			for {
 				it, ok := in[k].Pop(stop)
@@ -499,7 +503,7 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 
 	// Every ring is closed and drained. The first failure wins; on any
 	// of them recycle what is still buffered (no sink will see it).
-	err := firstErr
+	err = firstErr
 	switch {
 	case err != nil:
 	case dispatchErr != nil:

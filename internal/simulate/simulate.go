@@ -134,11 +134,13 @@ func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
 	}
 	transfers := make([]trace.Transfer, 0, len(w.Requests))
 	entries := make([]*wmslog.Entry, 0, len(w.Requests))
+	var names *trace.Names
 	res, err := RunStream(w.Stream(), w.Population, w.Model.Horizon, cfg, seed, StreamSinks{
 		Transfer: func(t trace.Transfer) error {
 			transfers = append(transfers, t)
 			return nil
 		},
+		Names: func(n *trace.Names) { names = n },
 		Entry: func(e *wmslog.Entry) error {
 			cp := *e
 			entries = append(entries, &cp)
@@ -152,6 +154,7 @@ func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr.Names = names
 	return &Result{
 		Trace:           tr,
 		Entries:         entries,

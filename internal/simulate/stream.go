@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -37,11 +38,15 @@ const laneHash uint64 = 6
 // still-active transfer can end earlier). Either may be nil. A sink
 // error aborts the run.
 //
+// A transfer names its client's IP and country by dense id; Names, if
+// set, is handed the id → name tables once, before the first transfer.
+//
 // The *wmslog.Entry passed to Entry is pooled: it is valid only for
 // the duration of the call and is recycled afterwards. A sink that
 // needs to retain it must copy the value.
 type StreamSinks struct {
 	Transfer func(trace.Transfer) error
+	Names    func(*trace.Names)
 	Entry    func(*wmslog.Entry) error
 }
 
@@ -79,11 +84,16 @@ func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Co
 	}
 	defer workload.CloseStream(src)
 
+	rows, err := newRowIDs(pop, sinks)
+	if err != nil {
+		return nil, err
+	}
+
 	// Single-goroutine serving recycles entries through a plain
 	// freelist; only the sharded path pays for per-lane arenas.
 	pool := &freeEntryPool{}
-	es := newEventServer(&cfg, pop, horizon, seed, pool, sinks)
-	adm := newAdmission(pop)
+	es := newEventServer(&cfg, pop, horizon, seed, pool, sinks, rows)
+	adm := newAdmission(pop, rows)
 	em := newEmitter(pool, sinks)
 	var sv served
 
@@ -118,19 +128,68 @@ func checkServeArgs(cfg *Config, pop *gismo.Population, horizon int64) error {
 	return nil
 }
 
+// rowIDs is what a run with a Transfer sink holds beyond the
+// population: every client's IP and country as the dense ids a
+// trace.Transfer carries, numbered in client order once per run — one
+// string hash per client, none per transfer — and the id → name tables
+// the resulting trace needs. A run without a Transfer sink (lsmgen)
+// never builds one.
+type rowIDs struct {
+	ip      []uint32 // per client
+	country []uint16 // per client
+	names   trace.Names
+}
+
+// maxRowObjects is the number of objects a trace.Transfer can tell
+// apart.
+const maxRowObjects = math.MaxUint16 + 1
+
+// newRowIDs numbers pop for sinks' Transfer sink and hands the tables
+// to its Names sink; it returns nil when there is no Transfer sink.
+func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
+	if sinks.Transfer == nil {
+		return nil, nil
+	}
+	n := pop.Size()
+	if int64(n) > math.MaxInt32+1 {
+		return nil, fmt.Errorf("%w: %d clients are more than a trace can number", ErrBadConfig, n)
+	}
+	r := &rowIDs{ip: make([]uint32, n), country: make([]uint16, n)}
+	ids := wmslog.NewInterner()
+	for i := range pop.Clients {
+		p := &pop.Clients[i].Placement
+		country := ids.Ordinal(wmslog.ColCountry, p.Country)
+		if country > math.MaxUint16 {
+			return nil, fmt.Errorf("%w: more than %d countries in the population", ErrBadConfig, math.MaxUint16+1)
+		}
+		r.ip[i], r.country[i] = ids.Ordinal(wmslog.ColIP, p.IP), uint16(country)
+	}
+	r.names = trace.Names{IPs: ids.Names(wmslog.ColIP), Countries: ids.Names(wmslog.ColCountry)}
+	if sinks.Names != nil {
+		sinks.Names(&r.names)
+	}
+	return r, nil
+}
+
 // admission is the serial front of a serve run, shared by both
 // drivers: it holds the stream contract — every client inside the
-// population, starts non-decreasing — and the concurrency level each
-// event is admitted at, the only cross-event state of the server model.
+// population, every object one the output can name, starts
+// non-decreasing — and the concurrency level each event is admitted
+// at, the only cross-event state of the server model.
 type admission struct {
 	clients     int
+	objects     int // object ids the sinks can carry
 	lastStart   int64
 	n           int64 // events admitted so far
 	concurrency *concurrencyTracker
 }
 
-func newAdmission(pop *gismo.Population) *admission {
-	return &admission{clients: pop.Size(), concurrency: newConcurrencyTracker()}
+func newAdmission(pop *gismo.Population, rows *rowIDs) *admission {
+	a := &admission{clients: pop.Size(), objects: math.MaxInt, concurrency: newConcurrencyTracker()}
+	if rows != nil {
+		a.objects = maxRowObjects
+	}
+	return a
 }
 
 // admit checks ev against the stream contract and returns the
@@ -139,7 +198,7 @@ func newAdmission(pop *gismo.Population) *admission {
 //
 //lsm:hotpath
 func (a *admission) admit(ev workload.Event) (conc int, ok bool) {
-	if ev.Client < 0 || ev.Client >= a.clients || (a.n > 0 && ev.Start < a.lastStart) {
+	if ev.Client < 0 || ev.Client >= a.clients || uint(ev.Object) >= uint(a.objects) || (a.n > 0 && ev.Start < a.lastStart) {
 		return 0, false
 	}
 	a.lastStart = ev.Start
@@ -151,6 +210,9 @@ func (a *admission) admit(ev workload.Event) (conc int, ok bool) {
 func (a *admission) violation(ev workload.Event) error {
 	if ev.Client < 0 || ev.Client >= a.clients {
 		return fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, a.clients)
+	}
+	if uint(ev.Object) >= uint(a.objects) {
+		return fmt.Errorf("%w: object %d outside the %d a transfer can number", ErrBadConfig, ev.Object, a.objects)
 	}
 	return fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, a.lastStart)
 }
@@ -237,32 +299,32 @@ type served struct {
 // byte-identical logs. Not safe for concurrent use; sharded serving
 // gives each lane its own eventServer over the same seed.
 type eventServer struct {
-	cfg          *Config
-	pop          *gismo.Population
-	root         uint64
-	src          *dist.SplitMix64
-	rng          *rand.Rand
-	uris         []string // lazily built object-URI cache, shared by entries
-	horizon      int64
-	injectP      float64
-	pool         entryPool
-	wantTransfer bool
-	wantEntry    bool
+	cfg       *Config
+	pop       *gismo.Population
+	root      uint64
+	src       *dist.SplitMix64
+	rng       *rand.Rand
+	uris      []string // lazily built object-URI cache, shared by entries
+	horizon   int64
+	injectP   float64
+	pool      entryPool
+	rows      *rowIDs // non-nil exactly when the run has a Transfer sink
+	wantEntry bool
 }
 
-func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, pool entryPool, sinks StreamSinks) *eventServer {
+func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, pool entryPool, sinks StreamSinks, rows *rowIDs) *eventServer {
 	src := dist.NewSplitMix64(0)
 	return &eventServer{
-		cfg:          cfg,
-		pop:          pop,
-		root:         dist.Mix64(seed, serveLane),
-		src:          src,
-		rng:          rand.New(src),
-		horizon:      horizon,
-		injectP:      float64(cfg.SpanningPerMillion) / 1_000_000,
-		pool:         pool,
-		wantTransfer: sinks.Transfer != nil,
-		wantEntry:    sinks.Entry != nil,
+		cfg:       cfg,
+		pop:       pop,
+		root:      dist.Mix64(seed, serveLane),
+		src:       src,
+		rng:       rand.New(src),
+		horizon:   horizon,
+		injectP:   float64(cfg.SpanningPerMillion) / 1_000_000,
+		pool:      pool,
+		rows:      rows,
+		wantEntry: sinks.Entry != nil,
 	}
 }
 
@@ -290,18 +352,19 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 	loss := cfg.drawLoss(ev.Duration, congested, es.rng)
 
 	*sv = served{end: ev.End(), bytes: bytes}
-	if es.wantTransfer {
+	if rows := es.rows; rows != nil {
+		// admission has checked that client and object fit their fields.
 		sv.transfer = trace.Transfer{
-			Client:    ev.Client,
-			IP:        client.Placement.IP,
-			AS:        client.Placement.ASIndex + 1,
-			Country:   client.Placement.Country,
-			Object:    ev.Object,
 			Start:     ev.Start,
 			Duration:  ev.Duration,
 			Bytes:     bytes,
 			Bandwidth: bw,
 			ServerCPU: cpu,
+			Client:    int32(ev.Client),
+			IP:        rows.ip[ev.Client],
+			AS:        uint32(client.Placement.ASIndex + 1),
+			Country:   rows.country[ev.Client],
+			Object:    uint16(ev.Object),
 		}
 	}
 	if es.wantEntry {

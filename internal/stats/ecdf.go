@@ -21,9 +21,7 @@ type ECDF struct {
 // NewECDF copies and sorts xs. An empty sample is allowed but evaluates to
 // a zero distribution.
 func NewECDF(xs []float64) *ECDF {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := SortedCopy(xs)
 	e := &ECDF{vals: sorted[:0]} // runs are written behind the read position
 	for i, x := range sorted {
 		if i+1 < len(sorted) && sorted[i+1] == x {

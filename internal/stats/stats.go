@@ -9,7 +9,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty reports an operation on an empty data set.
@@ -36,9 +35,7 @@ func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := SortedCopy(xs)
 
 	var sum, sumSq float64
 	for _, x := range sorted {
@@ -85,10 +82,7 @@ func Quantile(xs []float64, p float64) (float64, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return 0, ErrBadArgument
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, p), nil
+	return quantileSorted(SortedCopy(xs), p), nil
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {

@@ -29,7 +29,7 @@ func (r SanitizeReport) String() string {
 //   - transfers whose [start, end] interval escapes [0, horizon];
 //   - transfers with negative start or duration.
 func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
-	out := &Trace{Horizon: tr.Horizon, Transfers: tr.Transfers}
+	out := &Trace{Horizon: tr.Horizon, Transfers: tr.Transfers, Names: tr.Names}
 	report := out.sanitizeInto(make([]Transfer, 0, len(tr.Transfers)))
 	return out, report
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // ErrBadTrace reports structural problems with trace construction.
@@ -19,29 +20,64 @@ var ErrBadTrace = errors.New("trace: bad trace")
 
 // Transfer is one unicast live-object transfer: the result of a start/stop
 // request pair by a client (Section 2.2, Transfer Layer).
+//
+// The row is 56 bytes and holds no pointer: every identity is a dense
+// integer, so a trace is one block the garbage collector never scans
+// and sorting it moves no pointer. IP and Country index the trace's
+// Names; Client and Object are ids in their own right.
 type Transfer struct {
-	Client    int    // dense client index (player ID)
-	IP        string // client IP for this session
-	AS        int    // origin autonomous system (1-based)
-	Country   string
-	Object    int   // live object index (0-based; the paper has 2)
 	Start     int64 // seconds since trace start
 	Duration  int64 // transfer length in seconds
 	Bytes     int64
 	Bandwidth int64 // average bits/second
 	ServerCPU float64
+	Client    int32  // dense client index (player ID)
+	IP        uint32 // client IP for this session: Trace.IPName
+	AS        uint32 // origin autonomous system number
+	Country   uint16 // Trace.CountryName
+	Object    uint16 // live object index (0-based; the paper has 2)
 }
 
 // End returns Start + Duration.
 func (t Transfer) End() int64 { return t.Start + t.Duration }
+
+// Names are the id → name tables behind Transfer.IP and
+// Transfer.Country. A table may be longer than the ids a trace uses
+// (sanitizing drops transfers, not names).
+type Names struct {
+	IPs       []string
+	Countries []string
+}
 
 // Trace is a complete workload: transfers sorted by start time over a
 // fixed horizon.
 type Trace struct {
 	Horizon   int64 // trace length in seconds (paper: 28 days)
 	Transfers []Transfer
+	// Names gives the transfers' IP and Country ids their strings. It is
+	// nil for a trace assembled from bare ids (New); a trace derived
+	// from another (Sanitize, a what-if copy) shares its parent's.
+	Names *Names
 
 	byClient *ClientIndex // built on first use
+}
+
+// IPName returns the address behind IP id; an id the trace has no name
+// for is rendered as "#id".
+func (tr *Trace) IPName(id uint32) string {
+	if tr.Names != nil && int(id) < len(tr.Names.IPs) {
+		return tr.Names.IPs[id]
+	}
+	return "#" + strconv.FormatUint(uint64(id), 10)
+}
+
+// CountryName returns the country code behind Country id; an id the
+// trace has no name for is rendered as "#id".
+func (tr *Trace) CountryName(id uint16) string {
+	if tr.Names != nil && int(id) < len(tr.Names.Countries) {
+		return tr.Names.Countries[id]
+	}
+	return "#" + strconv.FormatUint(uint64(id), 10)
 }
 
 // New builds a trace from transfers, sorting them by start time (ties by
@@ -61,8 +97,8 @@ func newOwned(horizon int64, ts []Transfer) (*Trace, error) {
 	return &Trace{Horizon: horizon, Transfers: ts}, nil
 }
 
-// byStart is the trace order. It compares by index: a Transfer is 96
-// bytes, and handing two of them by value to a comparison function
+// byStart is the trace order. It compares by index: handing two
+// 56-byte transfers by value to a comparison function
 // (slices.SortFunc) costs more than the comparison.
 type byStart []Transfer
 
@@ -101,7 +137,7 @@ func (tr *Trace) ByClient() *ClientIndex {
 // shared array, so the index costs two allocations of the trace's
 // length however many clients there are.
 type ClientIndex struct {
-	ids   []int   // ids[k] is slot k's client id, ascending
+	ids   []int32 // ids[k] is slot k's client id, ascending
 	off   []int   // slot k's row is order[off[k]:off[k+1]]
 	order []int   // transfer indices grouped by slot
 	slot  []int32 // slot[i] is the slot of transfer i
@@ -111,7 +147,7 @@ type ClientIndex struct {
 func (ci *ClientIndex) Len() int { return len(ci.ids) }
 
 // Client returns the client id of slot k.
-func (ci *ClientIndex) Client(k int) int { return ci.ids[k] }
+func (ci *ClientIndex) Client(k int) int { return int(ci.ids[k]) }
 
 // Transfers returns slot k's transfer indices in start order. The slice
 // is shared with the index (and with every sessions.Session cut from
@@ -128,8 +164,8 @@ func (ci *ClientIndex) Slot(i int) int { return int(ci.slot[i]) }
 // transfers are compact enough for a direct-address table: at most a
 // few table entries per transfer, or a few MB outright (a short trace
 // of a large population).
-func denseSpan(lo, hi, n int) bool {
-	return uint64(hi)-uint64(lo) <= uint64(8*n)+1<<20
+func denseSpan(lo, hi int32, n int) bool {
+	return int64(hi)-int64(lo) <= int64(8*n)+1<<20
 }
 
 func newClientIndex(ts []Transfer) *ClientIndex {
@@ -145,21 +181,22 @@ func newClientIndex(ts []Transfer) *ClientIndex {
 	}
 	if denseSpan(lo, hi, n) {
 		// Generator, server and FromEntries all hand out dense ids.
-		table := make([]int32, hi-lo+1)
+		base := int64(lo)
+		table := make([]int32, int64(hi)-base+1)
 		for i := range ts {
-			table[ts[i].Client-lo] = 1
+			table[int64(ts[i].Client)-base] = 1
 		}
 		for v, seen := range table {
 			if seen != 0 {
 				table[v] = int32(len(ci.ids))
-				ci.ids = append(ci.ids, lo+v)
+				ci.ids = append(ci.ids, int32(base+int64(v)))
 			}
 		}
 		for i := range ts {
-			ci.slot[i] = table[ts[i].Client-lo]
+			ci.slot[i] = table[int64(ts[i].Client)-base]
 		}
 	} else {
-		ci.ids = make([]int, n)
+		ci.ids = make([]int32, n)
 		for i := range ts {
 			ci.ids[i] = ts[i].Client
 		}
@@ -195,31 +232,4 @@ func (tr *Trace) TotalBytes() int64 {
 		sum += tr.Transfers[i].Bytes
 	}
 	return sum
-}
-
-// DistinctIPs counts distinct client IPs in the trace.
-func (tr *Trace) DistinctIPs() int {
-	set := make(map[string]struct{})
-	for i := range tr.Transfers {
-		set[tr.Transfers[i].IP] = struct{}{}
-	}
-	return len(set)
-}
-
-// DistinctAS counts distinct origin ASes.
-func (tr *Trace) DistinctAS() int {
-	set := make(map[int]struct{})
-	for i := range tr.Transfers {
-		set[tr.Transfers[i].AS] = struct{}{}
-	}
-	return len(set)
-}
-
-// DistinctObjects counts distinct live objects.
-func (tr *Trace) DistinctObjects() int {
-	set := make(map[int]struct{})
-	for i := range tr.Transfers {
-		set[tr.Transfers[i].Object] = struct{}{}
-	}
-	return len(set)
 }

@@ -12,11 +12,8 @@ import (
 
 func mkTransfer(client int, start, dur int64) Transfer {
 	return Transfer{
-		Client:   client,
-		IP:       "10.0.0.1",
+		Client:   int32(client),
 		AS:       1,
-		Country:  "BR",
-		Object:   0,
 		Start:    start,
 		Duration: dur,
 		Bytes:    dur * 4000,
@@ -81,7 +78,7 @@ func TestByClientAndCounts(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	a := mkTransfer(1, 0, 10)
 	b := mkTransfer(2, 5, 10)
-	b.IP = "10.0.0.2"
+	b.IP = 1
 	b.AS = 2
 	b.Object = 1
 	tr, err := New(100, []Transfer{a, b})
@@ -99,12 +96,12 @@ func TestAggregates(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	horizon := int64(1000)
 	transfers := []Transfer{
-		mkTransfer(1, 100, 50),  // kept
-		mkTransfer(2, 0, 1000),  // kept (exactly fills horizon)
-		mkTransfer(3, 10, 2000), // spanning: duration > horizon
-		mkTransfer(4, 990, 50),  // outside: end > horizon
-		mkTransfer(5, -10, 20),  // outside: start < 0
-		{Client: 6, Start: 5, Duration: -3, IP: "x", Country: "BR"}, // negative
+		mkTransfer(1, 100, 50),              // kept
+		mkTransfer(2, 0, 1000),              // kept (exactly fills horizon)
+		mkTransfer(3, 10, 2000),             // spanning: duration > horizon
+		mkTransfer(4, 990, 50),              // outside: end > horizon
+		mkTransfer(5, -10, 20),              // outside: start < 0
+		{Client: 6, Start: 5, Duration: -3}, // negative
 	}
 	tr, err := New(horizon, transfers)
 	if err != nil {
@@ -248,11 +245,11 @@ func TestFromEntries(t *testing.T) {
 func TestClientIndexMatchesMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, ids := range [][]int{
-		{0, 1, 2, 3, 4, 5},         // dense
-		{7, 900, 901, 5000},        // dense table with holes
-		{-3, 0, 4},                 // negative ids
-		{-1 << 50, 12, 1 << 50},    // too sparse for a table
-		{math.MinInt, math.MaxInt}, // span overflows int
+		{0, 1, 2, 3, 4, 5},             // dense
+		{7, 900, 901, 5000},            // dense table with holes
+		{-3, 0, 4},                     // negative ids
+		{-1 << 30, 12, 1 << 30},        // too sparse for a table
+		{math.MinInt32, math.MaxInt32}, // span overflows the id type
 	} {
 		transfers := make([]Transfer, 1+rng.Intn(200))
 		for i := range transfers {
@@ -264,7 +261,7 @@ func TestClientIndexMatchesMapGrouping(t *testing.T) {
 		}
 		want := make(map[int][]int)
 		for i, tx := range tr.Transfers {
-			want[tx.Client] = append(want[tx.Client], i)
+			want[int(tx.Client)] = append(want[int(tx.Client)], i)
 		}
 		ci := tr.ByClient()
 		if ci.Len() != len(want) || tr.NumClients() != len(want) {

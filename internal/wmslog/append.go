@@ -215,21 +215,26 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 		return err
 	}
 	e.Timestamp = ts
-	if e.ClientIP, ok = cols.nextString(in, e.ClientIP); !ok {
+	ip, ok := cols.next()
+	if !ok {
 		return errMissing("c-ip")
 	}
-	if e.PlayerID, ok = cols.nextString(in, e.PlayerID); !ok {
+	pid, ok := cols.next()
+	if !ok {
 		return errMissing("c-playerid")
 	}
-	if e.ClientOS, ok = cols.nextUndashed(in, e.ClientOS); !ok {
+	e.ClientIP, e.PlayerID = in.client(ip, pid, e.ClientIP, e.PlayerID)
+	if e.ClientOS, ok = cols.nextUndashed(in, colOS, e.ClientOS); !ok {
 		return errMissing("c-os")
 	}
-	if e.ClientCPU, ok = cols.nextUndashed(in, e.ClientCPU); !ok {
+	if e.ClientCPU, ok = cols.nextUndashed(in, colCPU, e.ClientCPU); !ok {
 		return errMissing("c-cpu")
 	}
-	if e.URIStem, ok = cols.nextString(in, e.URIStem); !ok {
+	uri, ok := cols.next()
+	if !ok {
 		return errMissing("cs-uri-stem")
 	}
+	e.URIStem = in.intern(ColURI, uri, e.URIStem)
 	if e.Duration, err = cols.nextInt("x-duration"); err != nil {
 		return err
 	}
@@ -245,7 +250,7 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 	if e.ServerCPU, err = cols.nextFixed2("s-cpu-util"); err != nil {
 		return err
 	}
-	if e.Referer, ok = cols.nextUndashed(nil, e.Referer); !ok {
+	if e.Referer, ok = cols.nextUndashed(nil, 0, e.Referer); !ok {
 		return errMissing("cs(Referer)")
 	}
 	status, err := cols.nextInt("sc-status")
@@ -258,7 +263,7 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 		return err
 	}
 	e.ASNumber = int(asn)
-	if e.Country, ok = cols.nextUndashed(in, e.Country); !ok {
+	if e.Country, ok = cols.nextUndashed(in, ColCountry, e.Country); !ok {
 		return errMissing("s-country")
 	}
 	if !cols.done() {
@@ -313,21 +318,12 @@ func (f *fieldSplitter) next() ([]byte, bool) {
 
 func (f *fieldSplitter) done() bool { return f.pos >= len(f.line) }
 
-// nextString reads a mandatory string column through in; prev is the
-// value the entry being overwritten holds for it.
-func (f *fieldSplitter) nextString(in *Interner, prev string) (string, bool) {
-	col, ok := f.next()
-	if !ok {
-		return "", false
-	}
-	return in.intern(col, prev), true
-}
-
 // nextUndashed reads a dash-encoded optional field: "-" decodes to the
 // empty string without allocating; underscores decode back to spaces
 // (in a stack scratch for any realistic length) before interning
-// through in.
-func (f *fieldSplitter) nextUndashed(in *Interner, prev string) (string, bool) {
+// through column c of in; prev is the value the entry being
+// overwritten holds for the field.
+func (f *fieldSplitter) nextUndashed(in *Interner, c Column, prev string) (string, bool) {
 	col, ok := f.next()
 	if !ok {
 		return "", false
@@ -336,7 +332,7 @@ func (f *fieldSplitter) nextUndashed(in *Interner, prev string) (string, bool) {
 		return "", true
 	}
 	if bytes.IndexByte(col, '_') < 0 {
-		return in.intern(col, prev), true
+		return in.intern(c, col, prev), true
 	}
 	var scratch [64]byte
 	s := append(scratch[:0], col...)
@@ -345,7 +341,7 @@ func (f *fieldSplitter) nextUndashed(in *Interner, prev string) (string, bool) {
 			s[i] = ' '
 		}
 	}
-	return in.intern(s, prev), true
+	return in.intern(c, s, prev), true
 }
 
 func (f *fieldSplitter) nextInt(field string) (int64, error) {

@@ -212,7 +212,8 @@ func centiOf(f float64) int64 {
 // prefix) into *e, overwriting every field and threading string
 // interning through d. It enforces the same invariants Entry.Validate
 // does — mandatory fields non-empty and space-free, non-negative
-// transfer statistics, ServerCPU within [0,100], non-zero timestamp —
+// transfer statistics and status, a 32-bit AS number, ServerCPU within
+// [0,100], non-zero timestamp —
 // inline, using the dictionary's cached charset verdicts so repeated
 // strings are validated by index lookup, not by rescanning.
 //
@@ -249,11 +250,11 @@ func ParseBinary(e *Entry, rec []byte, d *BinaryDict) error {
 	}
 	e.PacketsLost = int64(v)
 	var sv int64
-	if sv, rec, ok = takeVarint(rec); !ok || sv < math.MinInt32 || sv > math.MaxInt32 {
+	if sv, rec, ok = takeVarint(rec); !ok || sv < 0 || sv > math.MaxInt32 {
 		return errBinaryField("sc-status")
 	}
 	e.Status = int(sv)
-	if sv, rec, ok = takeVarint(rec); !ok || sv < math.MinInt32 || sv > math.MaxInt32 {
+	if sv, rec, ok = takeVarint(rec); !ok || sv < 0 || sv > math.MaxUint32 {
 		return errBinaryField("s-as")
 	}
 	e.ASNumber = int(sv)

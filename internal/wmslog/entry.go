@@ -91,6 +91,14 @@ func (e *Entry) Validate() error {
 	if math.Signbit(e.ServerCPU) || e.ServerCPU > 100 {
 		return fmt.Errorf("%w: server CPU %v out of [0,100]", ErrFormat, e.ServerCPU)
 	}
+	if e.Status < 0 {
+		return fmt.Errorf("%w: negative status %d", ErrFormat, e.Status)
+	}
+	// AS numbers are 32-bit (RFC 6793); one unsigned compare turns away
+	// the negatives with the oversized.
+	if uint64(e.ASNumber) > math.MaxUint32 {
+		return fmt.Errorf("%w: AS number %d out of [0, 2^32)", ErrFormat, e.ASNumber)
+	}
 	return nil
 }
 

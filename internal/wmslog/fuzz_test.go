@@ -19,11 +19,16 @@ func FuzzAppendEntryRoundTrip(f *testing.F) {
 	f.Add(int64(0), "a", "b", "", "", "/", int64(0), int64(0), int64(0), int64(0),
 		int64(0), "", 0, 0, "")
 	f.Add(int64(1<<40), "x", "y", "has space", "-", "/u", int64(1<<60), int64(1<<60),
-		int64(1<<60), int64(1<<60), int64(10000), "ref", -5, -6, "B R")
+		int64(1<<60), int64(1<<60), int64(10000), "ref", 404, 1<<32-1, "B R")
 	// cpuCenti MinInt64 stands for a −0 s-cpu-util, which Validate must
 	// refuse: "-0.00" is not a fixpoint of the round trip below.
 	f.Add(int64(1010275384), "10.0.0.1", "player-1", "", "", "/live/feed1", int64(1),
 		int64(1), int64(1), int64(0), int64(math.MinInt64), "", 200, 1, "BR")
+	// A negative sc-status and an s-as outside [0, 2³²): refused too.
+	f.Add(int64(1<<40), "x", "y", "has space", "-", "/u", int64(1), int64(1),
+		int64(1), int64(1), int64(10000), "ref", -5, -6, "B R")
+	f.Add(int64(1<<40), "x", "y", "", "", "/u", int64(1), int64(1),
+		int64(1), int64(1), int64(10000), "", 200, 1<<32, "")
 
 	f.Fuzz(func(t *testing.T, unix int64, ip, player, osName, cpu, uri string,
 		duration, bytesServed, bw, lost int64, cpuCenti int64,
@@ -148,9 +153,8 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err := e.Validate(); err != nil {
 			t.Skip() // fuzzer fabricated an entry the writer would refuse
 		}
-		if e.Status < math.MinInt32 || e.Status > math.MaxInt32 ||
-			e.ASNumber < math.MinInt32 || e.ASNumber > math.MaxInt32 {
-			t.Skip() // beyond the wire format's int32 range for these fields
+		if e.Status > math.MaxInt32 {
+			t.Skip() // beyond the wire format's range for the field
 		}
 
 		// Binary → Entry: encode twice through one dictionary so both the

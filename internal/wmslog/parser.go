@@ -25,6 +25,10 @@ type ParseStats struct {
 	Malformed int
 	// Binary counts entries decoded from the binary framing.
 	Binary int
+	// Fallback counts text entries the canonical fast path refused and
+	// the tolerant legacy splitter accepted (repeated whitespace, tabs,
+	// a foreign float format).
+	Fallback int
 }
 
 // parserMode is the detected stream format.
@@ -84,6 +88,7 @@ func (s *ParseStats) Add(o ParseStats) {
 	s.Entries += o.Entries
 	s.Malformed += o.Malformed
 	s.Binary += o.Binary
+	s.Fallback += o.Fallback
 }
 
 // detect sniffs the stream format from its first bytes. A stream too
@@ -279,7 +284,11 @@ func (p *Parser) parseData(e *Entry, raw []byte) error {
 	if err := parseAppend(e, raw, p.in); err == nil {
 		return nil
 	}
-	return p.parseLine(e, string(raw))
+	if err := p.parseLine(e, string(raw)); err != nil {
+		return err
+	}
+	p.stats.Fallback++
+	return nil
 }
 
 // parseLine decodes one data line according to the canonical Fields
@@ -297,13 +306,13 @@ func (p *Parser) parseLine(e *Entry, line string) error {
 	}
 	*e = Entry{
 		Timestamp: ts,
-		ClientIP:  p.in.internString(cols[2]),
-		PlayerID:  p.in.internString(cols[3]),
-		ClientOS:  p.in.internString(undash(cols[4])),
-		ClientCPU: p.in.internString(undash(cols[5])),
-		URIStem:   p.in.internString(cols[6]),
+		ClientIP:  p.in.internString(ColIP, cols[2]),
+		PlayerID:  p.in.internString(ColPlayer, cols[3]),
+		ClientOS:  p.in.internString(colOS, undash(cols[4])),
+		ClientCPU: p.in.internString(colCPU, undash(cols[5])),
+		URIStem:   p.in.internString(ColURI, cols[6]),
 		Referer:   strings.Clone(undash(cols[12])),
-		Country:   p.in.internString(undash(cols[15])),
+		Country:   p.in.internString(ColCountry, undash(cols[15])),
 	}
 	if e.Duration, err = parseInt(cols[7], "x-duration"); err != nil {
 		return err

@@ -4,66 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 )
-
-// Interner deduplicates the string fields of entries scanned from text
-// logs. An access log repeats its strings heavily — every transfer of a
-// player repeats the player ID and usually the IP, and OS, CPU, URI and
-// country come from small sets — so a scan that hands out one canonical
-// string per distinct value allocates per distinct value, not per
-// entry. (A binary log needs none of this: its strings are dictionary-
-// coded, one allocation per distinct value per file already.)
-//
-// The table grows with the number of distinct values, never with the
-// number of entries: the referer column, the one field a tagged serve
-// log makes unique per entry (SessionRef), bypasses it. An Interner is
-// not safe for concurrent use; a parallel ingest gives each worker its
-// own. The nil *Interner is valid and interns nothing.
-type Interner struct {
-	m map[string]string
-}
-
-// NewInterner returns an empty table.
-func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string, 1024)}
-}
-
-// intern returns b as a string: prev when b still holds the value the
-// reused entry carried for this field on the previous record (no
-// lookup), the canonical instance when the table knows it, a fresh
-// allocation otherwise.
-//
-//lsm:hotpath
-func (in *Interner) intern(b []byte, prev string) string {
-	if string(b) == prev {
-		return prev
-	}
-	if in == nil {
-		return string(b)
-	}
-	if s, ok := in.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	in.m[s] = s
-	return s
-}
-
-// internString is intern for a value that is already a string (the
-// tolerant splitter's columns, which alias the whole line): the
-// canonical instance, so the entry does not pin the line.
-func (in *Interner) internString(s string) string {
-	if in == nil {
-		return s
-	}
-	if c, ok := in.m[s]; ok {
-		return c
-	}
-	s = strings.Clone(s)
-	in.m[s] = s
-	return s
-}
 
 // Scan decodes every record of r — text or framed binary, detected by
 // magic bytes exactly as Parser does — into ONE reused Entry and hands

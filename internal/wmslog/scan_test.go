@@ -94,12 +94,14 @@ func TestValidateCharsetEveryByte(t *testing.T) {
 }
 
 // scanAll collects what a reusing, interning Scan yields: a value copy
-// of every entry, the stats and the error.
+// of every entry, the stats and the error — holding the interner to its
+// ordinal contract (checkOrdinals) on every entry as it goes by.
 func scanAll(data []byte, tolerant bool) ([]Entry, ParseStats, error) {
 	var out []Entry
-	st, err := Scan(bytes.NewReader(data), tolerant, NewInterner(), func(e *Entry) error {
+	c := newCheckOrdinals()
+	st, err := Scan(bytes.NewReader(data), tolerant, c.in, func(e *Entry) error {
 		out = append(out, *e)
-		return nil
+		return c.check(e)
 	})
 	return out, st, err
 }
@@ -134,7 +136,9 @@ func errText(err error) string {
 // to the allocating path (a fresh entry per record, fresh strings): the
 // entries, the stats and the error must be the same in both modes. A
 // stale field surviving reuse, or an interned string standing in for a
-// different value, shows up as a differing entry.
+// different value, shows up as a differing entry; an ordinal that does
+// not name its entry's string, or two strings sharing one, as a scan
+// error the allocating path does not have.
 func FuzzScanMatchesReadAll(f *testing.F) {
 	var bin bytes.Buffer
 	bw := NewBinaryWriter(&bin)
