@@ -55,11 +55,12 @@ BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|Enco
 # (files on disk → sanitized trace), sessionization, the whole
 # core.Characterize, the calibration loop's regenerate and validate
 # halves (calibrate.Twin, calibrate.Validate), the concurrency report
-# with its Figure 8 autocorrelation, the Figure 9 timeout sweep, the
+# alone at a sparse and at the paper-scale shape (B/op included: it may
+# not grow with the horizon) and with its Figure 8 autocorrelation, the Figure 9 timeout sweep, the
 # Table 1 / Figure 2 counting walk, and the sample sort kernel against
 # the stdlib sort it replaced. They run at -cpu 1 and keep one row each
 # whatever the runner's core count.
-BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization|Twin|Validate|Diversity)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)|BenchmarkSortSample
+BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization|Twin|Validate|Diversity|Concurrency)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)|BenchmarkSortSample
 
 # BENCH_INGEST is the measurement-half benchmarks that scale with
 # GOMAXPROCS alone — the log ingest (a parse worker per core) and
@@ -138,9 +139,11 @@ bench-history:
 # strings) and the fixed-2 s-cpu-util encoder (any float64 bit pattern
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
 # = Sessionize's count at every timeout, plus the Section 2.2 gap
-# invariants) and the sample-sort fuzzer (stats.SortedCopy of any
-# float64 bit patterns = sort.Float64s of a copy). `go test` runs one
-# fuzz target per invocation, hence the six steps; new failing inputs are minimized
+# invariants), the sample-sort fuzzer (stats.SortedCopy of any
+# float64 bit patterns = sort.Float64s of a copy) and the concurrency
+# fuzzer (the event sweep's report = a count of every second, field by
+# field). `go test` runs one fuzz target per invocation, hence the
+# seven steps; new failing inputs are minimized
 # into the package's testdata/fuzz/ and reproduce with a plain
 # `go test` of that package.
 FUZZTIME ?= 30s
@@ -151,6 +154,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed2$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzConcurrencyMatchesPerSecond$$' -fuzztime $(FUZZTIME) ./internal/analyze
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

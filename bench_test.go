@@ -561,6 +561,55 @@ func BenchmarkPipelineFullCharacterization(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineConcurrency times the c(t) report at the two shapes
+// that bound it, over the paper's 28 days. sparse: the transfers of a
+// scale-20 run (≈ 120 k intervals, 1 per 20 s of horizon), where a
+// per-second walk is all horizon. dense: one interval starting every
+// second, n = horizon = 2.4 M — paper scale — where the event sweep
+// must not lose to the walk. B/op is the point as much as ns/op:
+// nothing may be sized by the second.
+func BenchmarkPipelineConcurrency(b *testing.B) {
+	const horizon = 28 * 86400
+	m, err := gismo.Scaled(20, 28)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := gismo.GenerateSeeded(m, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := simulate.Run(w, simulate.DefaultConfig(), benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clean, _ := res.Trace.Sanitize()
+	sparse := make([]analyze.Interval, clean.NumTransfers())
+	for i, t := range clean.Transfers {
+		sparse[i] = analyze.Interval{Start: t.Start, End: t.End()}
+	}
+	rng := rand.New(rand.NewSource(benchSeed))
+	dense := make([]analyze.Interval, horizon)
+	for i := range dense {
+		dense[i] = analyze.Interval{Start: int64(i), End: int64(i) + int64(math.Exp(4.4+1.4*rng.NormFloat64()))}
+	}
+	b.Run("sparse", func(b *testing.B) { benchConcurrency(b, sparse, horizon) })
+	b.Run("dense", func(b *testing.B) { benchConcurrency(b, dense, horizon) })
+}
+
+func benchConcurrency(b *testing.B, iv []analyze.Interval, horizon int64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep *analyze.ConcurrencyReport
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rep, err = analyze.Concurrency(iv, horizon); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(iv)), "intervals")
+	b.ReportMetric(float64(rep.Peak), "peak")
+}
+
 // BenchmarkPipelineDiversity times Table 1's population counts and
 // Figure 2 as Characterize's diversity task produces them: one counting
 // walk over the trace's integer ids (trace.Census), then the shares.

@@ -42,11 +42,14 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 	}
 
 	// c(t): a client is active while one of its sessions is ongoing.
-	intervals := make([]Interval, set.Count())
-	for i, s := range set.Sessions {
-		intervals[i] = Interval{Start: s.Start, End: s.End}
+	ev, err := newEvents(set.Count(), tr.Horizon)
+	if err != nil {
+		return nil, err
 	}
-	conc, err := Concurrency(intervals, tr.Horizon)
+	for i := range set.Sessions {
+		ev.add(set.Sessions[i].Start, set.Sessions[i].End)
+	}
+	conc, err := ev.report()
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,8 @@ package analyze
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/stats"
@@ -73,37 +75,122 @@ const (
 	MaxACFLagMinutes = 4000
 )
 
+// The 15-minute sums are sums of whole 1-minute sums. This fails to
+// compile if TemporalBin stops being a multiple of ACFBin; the sweep
+// would then have to accumulate each bin width directly.
+const _ = uint64(-(TemporalBin % ACFBin))
+
 // Concurrency computes the full concurrency report for a set of activity
 // intervals over [0, horizon). Intervals outside the horizon are clipped.
+// It costs O(n + horizon/60) time and memory for n intervals: the
+// intervals are swept as events, never expanded per second.
 func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %d", ErrBadInput, horizon)
+	ev, err := newEvents(len(intervals), horizon)
+	if err != nil {
+		return nil, err
 	}
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("%w: no intervals", ErrBadInput)
 	}
-	perSecond := concurrencyPerSecond(intervals, horizon)
+	for _, iv := range intervals {
+		ev.add(iv.Start, iv.End)
+	}
+	return ev.report()
+}
 
-	// Marginal distribution of c(t): c(t) is a small integer (at most
-	// len(intervals)), so a value -> seconds histogram carries the whole
-	// per-second sample.
-	peak := 0
-	for _, v := range perSecond {
-		peak = max(peak, int(v))
-	}
-	seconds := make([]int, peak+1)
-	for _, v := range perSecond {
-		seconds[v]++
-	}
+// events holds the activity intervals of one c(t) process as two int32
+// columns: the second each interval that reaches into [0, horizon)
+// starts in and the second it ends at, both clipped to the horizon.
+// The layers fill it straight from their rows.
+type events struct {
+	horizon      int64
+	starts, ends []int32
+}
 
-	binned, err := binMeanSeries(perSecond, TemporalBin)
-	if err != nil {
-		return nil, err
+// newEvents makes room for n intervals. Event seconds are int32, so a
+// horizon of 2³¹ seconds (68 years) or more is refused, never wrapped.
+func newEvents(n int, horizon int64) (*events, error) {
+	if horizon <= 0 || horizon > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: horizon %d", ErrBadInput, horizon)
 	}
+	return &events{horizon: horizon, starts: make([]int32, 0, n), ends: make([]int32, 0, n)}, nil
+}
+
+// add records the interval [start, end), clipped; one that misses the
+// horizon altogether is dropped.
+func (e *events) add(start, end int64) {
+	if end <= start {
+		end = start + 1 // zero-length activity still occupies its second
+	}
+	start, end = max(start, 0), min(end, e.horizon)
+	if end <= start {
+		return
+	}
+	e.starts = append(e.starts, int32(start))
+	e.ends = append(e.ends, int32(end))
+}
+
+// report sweeps the events in time order. Between two consecutive event
+// seconds c(t) holds one level L, so the segment [prev, t) is t − prev
+// seconds of the marginal at L and L × overlap of every 1-minute sum it
+// spans, and the peak is the highest L any segment held — the integers
+// a per-second walk collects one second at a time. The columns are
+// sorted in place.
+//
+//lsm:hotpath
+func (e *events) report() (*ConcurrencyReport, error) {
+	width := bits.Len64(uint64(e.horizon))
+	stats.SortByKeyBits(e.starts, 0, width)
+	stats.SortByKeyBits(e.ends, 0, width)
+	starts, ends := e.starts, e.ends
+
+	minuteSums := make([]int64, (e.horizon+ACFBin-1)/ACFBin)
+	seconds := make([]int, 1, 64) // seconds[L]: for how long c(t) = L
+	level := 0
+	var prev int64
+	for i, j := 0, 0; j < len(ends); {
+		// The next event: every interval ends after it starts, so no
+		// start is pending once the ends run out. Events of one second
+		// pass with no time between them — only the level they leave
+		// behind is ever held.
+		var t int64
+		step := -1
+		if i < len(starts) && starts[i] <= ends[j] {
+			t, step = int64(starts[i]), 1
+			i++
+		} else {
+			t = int64(ends[j])
+			j++
+		}
+		if t > prev {
+			for level >= len(seconds) {
+				seconds = append(seconds, 0)
+			}
+			seconds[level] += int(t - prev)
+			if level > 0 {
+				for m := prev / ACFBin; prev < t; m++ {
+					next := min((m+1)*ACFBin, t)
+					minuteSums[m] += int64(level) * (next - prev)
+					prev = next
+				}
+			}
+			prev = t
+		}
+		level += step
+	}
+	seconds[0] += int(e.horizon - prev) // nothing is active past the last end
+
+	quarterSums := make([]int64, (e.horizon+TemporalBin-1)/TemporalBin)
+	for m, sum := range minuteSums {
+		quarterSums[m/int(TemporalBin/ACFBin)] += sum
+	}
+	binned := stats.BinnedSeries{Width: TemporalBin, Values: binMeans(quarterSums, TemporalBin, e.horizon)}
+
 	// The weekly view needs at least one full week of data to be
 	// meaningful; shorter traces skip it.
 	weekFold := stats.BinnedSeries{Width: TemporalBin}
-	if horizon >= 7*86400 {
+	var err error
+	if e.horizon >= 7*86400 {
 		weekFold, err = binned.FoldModulo(7 * 86400)
 		if err != nil {
 			weekFold = stats.BinnedSeries{Width: TemporalBin}
@@ -113,70 +200,25 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 	if err != nil {
 		return nil, err
 	}
-
-	minutes, err := binMeanSeries(perSecond, ACFBin)
-	if err != nil {
-		return nil, err
-	}
-
 	return &ConcurrencyReport{
 		Marginal: stats.NewECDFCounts(seconds),
 		Binned:   binned,
 		WeekFold: weekFold,
 		DayFold:  dayFold,
-		Peak:     peak,
-		minutes:  minutes.Values,
+		Peak:     len(seconds) - 1, // seconds grows only to a level that held
+		minutes:  binMeans(minuteSums, ACFBin, e.horizon),
 	}, nil
 }
 
-// concurrencyPerSecond sweeps the intervals with a difference array,
-// then integrates it in place.
-func concurrencyPerSecond(intervals []Interval, horizon int64) []int32 {
-	diff := make([]int32, horizon+1)
-	for _, iv := range intervals {
-		lo, hi := iv.Start, iv.End
-		if hi <= lo {
-			hi = lo + 1 // zero-length activity still occupies its second
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > horizon {
-			hi = horizon
-		}
-		if lo >= horizon || hi <= 0 || hi <= lo {
-			continue
-		}
-		diff[lo]++
-		diff[hi]--
-	}
-	perSecond := diff[:horizon]
-	var run int32
-	for s, d := range perSecond {
-		run += d
-		perSecond[s] = run
-	}
-	return perSecond
-}
-
-// binMeanSeries averages a per-second series into fixed-width bins. The
-// bin sums are integer, hence exact in float64 and independent of
-// summation order.
-func binMeanSeries(perSecond []int32, width int64) (stats.BinnedSeries, error) {
-	if width <= 0 {
-		return stats.BinnedSeries{}, fmt.Errorf("%w: bin width %d", ErrBadInput, width)
-	}
-	horizon := int64(len(perSecond))
-	n := int((horizon + width - 1) / width)
-	values := make([]float64, n)
-	for b := 0; b < n; b++ {
+// binMeans divides each bin's sum of c(t) by the bin's length in
+// seconds — the last bin may be cut short by the horizon. The sums are
+// integers, hence exact in float64: the means are those of a per-second
+// average whatever order the seconds were added in.
+func binMeans(sums []int64, width, horizon int64) []float64 {
+	means := make([]float64, len(sums))
+	for b, sum := range sums {
 		lo := int64(b) * width
-		hi := min(lo+width, horizon)
-		var sum int64
-		for _, v := range perSecond[lo:hi] {
-			sum += int64(v)
-		}
-		values[b] = float64(sum) / float64(hi-lo)
+		means[b] = float64(sum) / float64(min(lo+width, horizon)-lo)
 	}
-	return stats.BinnedSeries{Width: width, Values: values}, nil
+	return means
 }

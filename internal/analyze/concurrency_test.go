@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -61,6 +62,10 @@ func TestConcurrencyErrors(t *testing.T) {
 	}
 	if _, err := Concurrency([]Interval{{0, 1}}, 0); err == nil {
 		t.Error("zero horizon: want error")
+	}
+	// Event seconds are int32: a horizon they cannot hold is refused.
+	if _, err := Concurrency([]Interval{{0, 1}}, 1<<31); !errors.Is(err, ErrBadInput) {
+		t.Errorf("horizon 2^31: err = %v, want ErrBadInput", err)
 	}
 }
 

@@ -1,9 +1,12 @@
 package analyze
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -69,7 +72,7 @@ func bruteConcurrency(t *testing.T, intervals []Interval, horizon int64) (*Concu
 	for l := 0; l <= min(MaxACFLagMinutes, len(minutes)-1) && len(minutes) > 1; l++ {
 		r, err := stats.Autocorrelation(minutes, l)
 		if err != nil {
-			t.Fatal(err)
+			return rep, nil // a constant series: no autocorrelation at any lag
 		}
 		acf = append(acf, r)
 	}
@@ -80,12 +83,147 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
+// denseConcurrency is Concurrency as it shipped before the event sweep,
+// kept as the reference the brute-force count is too slow for: a
+// difference array over every second of the horizon, integrated in
+// place, then walked once each for the peak, the marginal histogram and
+// the two bin widths.
+func denseConcurrency(t *testing.T, intervals []Interval, horizon int64) *ConcurrencyReport {
+	t.Helper()
+	perSecond := concurrencyPerSecond(intervals, horizon)
+	peak := 0
+	for _, v := range perSecond {
+		peak = max(peak, int(v))
+	}
+	seconds := make([]int, peak+1)
+	for _, v := range perSecond {
+		seconds[v]++
+	}
+	rep := &ConcurrencyReport{
+		Marginal: stats.NewECDFCounts(seconds),
+		Binned:   binMeanSeries(perSecond, TemporalBin),
+		WeekFold: stats.BinnedSeries{Width: TemporalBin},
+		Peak:     peak,
+		minutes:  binMeanSeries(perSecond, ACFBin).Values,
+	}
+	var err error
+	if horizon >= 7*86400 {
+		if rep.WeekFold, err = rep.Binned.FoldModulo(7 * 86400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.DayFold, err = rep.Binned.FoldModulo(86400); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// concurrencyPerSecond sweeps the intervals with a difference array,
+// then integrates it in place.
+func concurrencyPerSecond(intervals []Interval, horizon int64) []int32 {
+	diff := make([]int32, horizon+1)
+	for _, iv := range intervals {
+		lo, hi := iv.Start, iv.End
+		if hi <= lo {
+			hi = lo + 1 // zero-length activity still occupies its second
+		}
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > horizon {
+			hi = horizon
+		}
+		if lo >= horizon || hi <= 0 || hi <= lo {
+			continue
+		}
+		diff[lo]++
+		diff[hi]--
+	}
+	perSecond := diff[:horizon]
+	var run int32
+	for s, d := range perSecond {
+		run += d
+		perSecond[s] = run
+	}
+	return perSecond
+}
+
+// binMeanSeries averages a per-second series into fixed-width bins.
+func binMeanSeries(perSecond []int32, width int64) stats.BinnedSeries {
+	horizon := int64(len(perSecond))
+	n := int((horizon + width - 1) / width)
+	values := make([]float64, n)
+	for b := 0; b < n; b++ {
+		lo := int64(b) * width
+		hi := min(lo+width, horizon)
+		var sum int64
+		for _, v := range perSecond[lo:hi] {
+			sum += int64(v)
+		}
+		values[b] = float64(sum) / float64(hi-lo)
+	}
+	return stats.BinnedSeries{Width: width, Values: values}
+}
+
+// sameConcurrency holds got to want field by field and bit by bit:
+// peak, the three binned views, the ACF (wantACF when the caller has an
+// independent one, want's own otherwise) and every point and quantile
+// of the marginal.
+func sameConcurrency(t *testing.T, name string, got, want *ConcurrencyReport, wantACF []float64) {
+	t.Helper()
+	if wantACF == nil {
+		wantACF = want.ACF()
+	}
+	if got.Peak != want.Peak {
+		t.Errorf("%s: Peak = %d, want %d", name, got.Peak, want.Peak)
+	}
+	for _, s := range []struct {
+		field     string
+		got, want []float64
+	}{
+		{"Binned", got.Binned.Values, want.Binned.Values},
+		{"WeekFold", got.WeekFold.Values, want.WeekFold.Values},
+		{"DayFold", got.DayFold.Values, want.DayFold.Values},
+		{"ACF", got.ACF(), wantACF},
+	} {
+		if !sameBits(s.got, s.want) {
+			t.Errorf("%s: %s differs from the per-second reference (%d vs %d values)", name, s.field, len(s.got), len(s.want))
+		}
+	}
+	if got.Binned.Width != want.Binned.Width || got.WeekFold.Width != want.WeekFold.Width || got.DayFold.Width != want.DayFold.Width {
+		t.Errorf("%s: bin widths %d/%d/%d, want %d/%d/%d", name, got.Binned.Width, got.WeekFold.Width, got.DayFold.Width,
+			want.Binned.Width, want.WeekFold.Width, want.DayFold.Width)
+	}
+	gm, wm := got.Marginal, want.Marginal
+	if gm.N() != wm.N() {
+		t.Fatalf("%s: marginal N = %d, want %d", name, gm.N(), wm.N())
+	}
+	gc, wc := gm.CDFPoints(), wm.CDFPoints()
+	gcc, wcc := gm.CCDFPoints(), wm.CCDFPoints()
+	if len(gc) != len(wc) || len(gcc) != len(wcc) {
+		t.Fatalf("%s: marginal has %d/%d points, want %d/%d", name, len(gc), len(gcc), len(wc), len(wcc))
+	}
+	for i := range wc {
+		if gc[i] != wc[i] || gcc[i] != wcc[i] {
+			t.Errorf("%s: marginal point %d = %v / %v, want %v / %v", name, i, gc[i], gcc[i], wc[i], wcc[i])
+		}
+	}
+	for _, p := range []float64{0, 0.1, 0.5, 0.9, 0.999, 1} {
+		if g, w := gm.Quantile(p), wm.Quantile(p); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: marginal Quantile(%v) = %v, want %v", name, p, g, w)
+		}
+	}
+}
+
+// TestConcurrencyMatchesPerSecondReference: the event sweep reports
+// what a walk over every second reports. Small inputs are held to the
+// brute-force count (and the dense walk with them, so it can stand in
+// where n × horizon is out of the brute force's reach); the rest to the
+// dense walk.
 func TestConcurrencyMatchesPerSecondReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	// Horizons that are not multiples of either bin width, one past a
-	// week so the weekly fold is exercised.
-	for _, horizon := range []int64{2*86400 + 1234, 86400 + 59, 7*86400 + 4321} {
-		intervals := make([]Interval, 20+rng.Intn(40))
+	random := func(n int, horizon int64) []Interval {
+		intervals := make([]Interval, n)
 		for i := range intervals {
 			start := rng.Int63n(horizon+2000) - 1000 // some begin before 0 or after the horizon
 			var length int64
@@ -99,45 +237,169 @@ func TestConcurrencyMatchesPerSecondReference(t *testing.T) {
 			intervals[i] = Interval{Start: start, End: start + length}
 		}
 		intervals[0] = Interval{Start: horizon - 1, End: horizon} // touches the horizon
+		return intervals
+	}
+	// short intervals in start order, as a layer hands them over
+	sorted := func(n int, horizon int64) []Interval {
+		intervals := make([]Interval, n)
+		for i := range intervals {
+			start := int64(i) * horizon / int64(n)
+			intervals[i] = Interval{Start: start, End: start + rng.Int63n(600)}
+		}
+		return intervals
+	}
+
+	type fixture struct {
+		name      string
+		horizon   int64
+		intervals []Interval
+		brute     bool
+	}
+	var cases []fixture
+	// Horizons that are not multiples of either bin width, one past a
+	// week so the weekly fold is exercised.
+	for _, horizon := range []int64{2*86400 + 1234, 86400 + 59, 7*86400 + 4321, 7*86400 + 1} {
+		cases = append(cases, fixture{"random", horizon, random(20+rng.Intn(40), horizon), true})
+	}
+	// Around one bin of either width, and a single second.
+	for _, horizon := range []int64{1, 59, 60, 61, 899, 900, 901} {
+		cases = append(cases, fixture{"short horizon", horizon, random(1+rng.Intn(300), horizon), true})
+	}
+	// Past the radix cut-over, unsorted and sorted, n up to the horizon's
+	// order (the paper-scale shape).
+	for _, n := range []int{767, 768, 10_000, 100_000} {
+		cases = append(cases,
+			fixture{"unsorted", 2*86400 + 77, random(n, 2*86400+77), false},
+			fixture{"start order", 3*86400 + 5, sorted(n, 3*86400+5), false})
+	}
+	// Thousands of events in one second: a flash crowd that arrives at
+	// 5000 and leaves at 9000, among stragglers.
+	crowd := random(500, 86400)
+	for i := 0; i < 4000; i++ {
+		crowd = append(crowd, Interval{Start: 5000, End: 9000})
+	}
+	cases = append(cases, fixture{"flash crowd", 86400, crowd, false})
+	// Everything outside the horizon except one interval.
+	outside := []Interval{{Start: -500, End: -1}, {Start: -3, End: -3}, {Start: 4000, End: 5000}, {Start: 3600, End: 3600}, {Start: 1800, End: 1830}}
+	for i := 0; i < 1000; i++ {
+		outside = append(outside, Interval{Start: 3600 + int64(i), End: 9000})
+	}
+	cases = append(cases, fixture{"one inside", 3600, outside, true})
+	// Bursts with silence between them: the level returns to 0, for
+	// minutes and for whole 15-minute bins.
+	var bursts []Interval
+	for b := int64(0); b < 40; b++ {
+		for k := int64(0); k < 1+b%7; k++ {
+			bursts = append(bursts, Interval{Start: b*4000 + k, End: b*4000 + 30 + 50*k})
+		}
+	}
+	cases = append(cases, fixture{"bursts", 2 * 86400, bursts, true})
+
+	for _, c := range cases {
+		name := fmt.Sprintf("%s, %d intervals over %d s", c.name, len(c.intervals), c.horizon)
+		got, err := Concurrency(c.intervals, c.horizon)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dense := denseConcurrency(t, c.intervals, c.horizon)
+		sameConcurrency(t, name, got, dense, nil)
+		if c.brute {
+			want, wantACF := bruteConcurrency(t, c.intervals, c.horizon)
+			sameConcurrency(t, name+" (brute force)", got, want, wantACF)
+		}
+	}
+}
+
+// FuzzConcurrencyMatchesPerSecond reads the fuzz input as a horizon of
+// at most 10⁵ seconds and a list of intervals — zero-length, ordinary,
+// long enough to be clipped, starting before 0 or past the horizon, in
+// any order — repeated with a shift past the radix cut-over, and holds
+// every field of the report to the brute-force count, bit for bit.
+func FuzzConcurrencyMatchesPerSecond(f *testing.F) {
+	le := func(horizon uint32, ivs ...[2]uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, horizon)
+		for _, iv := range ivs {
+			b = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(b, iv[0]), uint16(iv[1]))
+		}
+		return b
+	}
+	f.Add(le(86400, [2]uint32{1000, 0}, [2]uint32{5000, 3 | 600<<2}, [2]uint32{900, 1 | 9000<<2}), uint8(1))
+	f.Add(le(59, [2]uint32{1058, 2 | 1<<2}, [2]uint32{0, 2 | 70<<2}), uint8(3))
+	f.Add(le(901, [2]uint32{1900, 2 | 30<<2}, [2]uint32{1900, 2 | 30<<2}, [2]uint32{1400, 0}), uint8(200))
+	f.Add(le(0), uint8(0))
+	f.Add([]byte{7}, uint8(9))
+
+	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
+		if len(data) < 4 {
+			return
+		}
+		horizon := int64(binary.LittleEndian.Uint32(data)%100_000) + 1
+		data = data[4:]
+		base := make([]Interval, min(len(data)/6, 512))
+		for i := range base {
+			start := int64(binary.LittleEndian.Uint32(data[6*i:])%uint32(horizon+2000)) - 1000
+			code := int64(binary.LittleEndian.Uint16(data[6*i+4:]))
+			var length int64
+			switch code & 3 {
+			case 0: // zero-length
+			case 1:
+				length = (code >> 2) * horizon >> 14 // up to the whole horizon
+			default:
+				length = code >> 2
+			}
+			base[i] = Interval{Start: start, End: start + length}
+		}
+		if len(base) == 0 {
+			return
+		}
+		intervals := make([]Interval, 0, len(base)*(int(repeat)%8+1))
+		for k := int64(0); k <= int64(repeat)%8; k++ {
+			for _, iv := range base {
+				intervals = append(intervals, Interval{Start: iv.Start + 7*k, End: iv.End + 11*k})
+			}
+		}
+		// Keep the brute force's n × horizon within a few 10⁶.
+		horizon = min(horizon, max(1, 4_000_000/int64(len(intervals))))
 
 		got, err := Concurrency(intervals, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, wantACF := bruteConcurrency(t, intervals, horizon)
+		sameConcurrency(t, fmt.Sprintf("%d intervals over %d s", len(intervals), horizon), got, want, wantACF)
+	})
+}
 
-		if got.Peak != want.Peak {
-			t.Errorf("horizon %d: Peak = %d, want %d", horizon, got.Peak, want.Peak)
+// TestConcurrencyMemoryIndependentOfHorizon: nothing in Concurrency is
+// sized by the second. The same 10⁴ intervals over ten times the
+// horizon allocate more only by what the longer 1-minute and 15-minute
+// series take — sums and means, 8 bytes each per bin — where a
+// per-second array would take 4 bytes for every added second.
+func TestConcurrencyMemoryIndependentOfHorizon(t *testing.T) {
+	const short, long = 28 * 86400, 280 * 86400
+	rng := rand.New(rand.NewSource(5))
+	intervals := make([]Interval, 10_000)
+	for i := range intervals {
+		start := rng.Int63n(short)
+		intervals[i] = Interval{Start: start, End: start + rng.Int63n(3600)}
+	}
+	allocated := func(horizon int64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Concurrency(intervals, horizon); err != nil {
+			t.Fatal(err)
 		}
-		for name, pair := range map[string][2][]float64{
-			"Binned":   {got.Binned.Values, want.Binned.Values},
-			"WeekFold": {got.WeekFold.Values, want.WeekFold.Values},
-			"DayFold":  {got.DayFold.Values, want.DayFold.Values},
-			"ACF":      {got.ACF(), wantACF},
-		} {
-			if !sameBits(pair[0], pair[1]) {
-				t.Errorf("horizon %d: %s differs from the per-second reference (%d vs %d values)", horizon, name, len(pair[0]), len(pair[1]))
-			}
-		}
-		gm, wm := got.Marginal, want.Marginal
-		if gm.N() != wm.N() {
-			t.Fatalf("horizon %d: marginal N = %d, want %d", horizon, gm.N(), wm.N())
-		}
-		gc, wc := gm.CDFPoints(), wm.CDFPoints()
-		gcc, wcc := gm.CCDFPoints(), wm.CCDFPoints()
-		if len(gc) != len(wc) || len(gcc) != len(wcc) {
-			t.Fatalf("horizon %d: marginal has %d/%d points, want %d/%d", horizon, len(gc), len(gcc), len(wc), len(wcc))
-		}
-		for i := range wc {
-			if gc[i] != wc[i] || gcc[i] != wcc[i] {
-				t.Errorf("horizon %d: marginal point %d = %v / %v, want %v / %v", horizon, i, gc[i], gcc[i], wc[i], wcc[i])
-			}
-		}
-		for _, p := range []float64{0, 0.1, 0.5, 0.9, 0.999, 1} {
-			if g, w := gm.Quantile(p), wm.Quantile(p); math.Float64bits(g) != math.Float64bits(w) {
-				t.Errorf("horizon %d: marginal Quantile(%v) = %v, want %v", horizon, p, g, w)
-			}
-		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(short) // warm up
+	a, b := allocated(short), allocated(long)
+	series := uint64(2*8*(long-short)/ACFBin + 2*8*(long-short)/TemporalBin)
+	if limit := a + series + series/8 + 1<<16; b > limit { // an eighth for size-class rounding
+		t.Errorf("Concurrency allocates %d B over 28 days and %d B over 280: want at most %d more (the minute and 15-minute series)", a, b, limit-a)
+	}
+	if perSecond := uint64(4 * (long - short)); b-a >= perSecond/4 {
+		t.Errorf("allocation grew by %d B for %d more seconds: that is per-second storage", b-a, long-short)
 	}
 }
 

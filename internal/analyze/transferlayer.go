@@ -59,35 +59,34 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
 	// One walk over the trace fills every per-transfer column the
-	// analyses below read.
+	// analyses below read; starts are read off the rows.
 	n := tr.NumTransfers()
-	intervals := make([]Interval, n)
-	starts := make([]int64, n)
+	ev, err := newEvents(n, tr.Horizon)
+	if err != nil {
+		return nil, err
+	}
 	out := &TransferLayer{Lengths: make([]float64, n), Bandwidths: make([]float64, n)}
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
-		intervals[i] = Interval{Start: t.Start, End: t.End()}
-		starts[i] = t.Start
+		ev.add(t.Start, t.End())
 		out.Lengths[i] = stats.LogDisplayValue(float64(t.Duration))
 		out.Bandwidths[i] = float64(t.Bandwidth)
 	}
 
 	// Concurrency of transfers.
-	conc, err := Concurrency(intervals, tr.Horizon)
-	if err != nil {
+	if out.Concurrency, err = ev.report(); err != nil {
 		return nil, err
 	}
-	out.Concurrency = conc
 
 	// Interarrivals across all transfers (trace is start-sorted).
 	out.Interarrivals = make([]float64, n-1)
 	for i := range out.Interarrivals {
-		out.Interarrivals[i] = stats.LogDisplayValue(float64(starts[i+1] - starts[i]))
+		out.Interarrivals[i] = stats.LogDisplayValue(float64(tr.Transfers[i+1].Start - tr.Transfers[i].Start))
 	}
 	if err := out.fitInterarrivalTails(); err != nil {
 		return nil, err
 	}
-	if err := out.binInterarrivals(starts, tr.Horizon); err != nil {
+	if err := out.binInterarrivals(tr); err != nil {
 		return nil, err
 	}
 
@@ -134,14 +133,18 @@ func (tl *TransferLayer) fitInterarrivalTails() error {
 // interarrival sample (in display form: rounded up to the closest
 // second, minimum 1) is attributed to the 15-minute bin of the earlier
 // transfer's start.
-func (tl *TransferLayer) binInterarrivals(starts []int64, horizon int64) error {
+func (tl *TransferLayer) binInterarrivals(tr *trace.Trace) error {
 	if len(tl.Interarrivals) == 0 {
 		return nil
 	}
-	binned, err := stats.BinMeans(starts[:len(tl.Interarrivals)], tl.Interarrivals, horizon, TemporalBin)
+	bins, err := stats.NewMeanBins(tr.Horizon, TemporalBin)
 	if err != nil {
 		return err
 	}
+	for i, gap := range tl.Interarrivals {
+		bins.Add(tr.Transfers[i].Start, gap)
+	}
+	binned := bins.Series()
 	tl.InterarrivalBinned = binned
 	if week, err := binned.FoldModulo(7 * 86400); err == nil {
 		tl.InterarrivalWeek = week

@@ -232,9 +232,10 @@ func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
 // The layers are independent analyses of one sessionized trace, so
 // after Sessionize (which builds the trace's shared ClientIndex) they
 // run as concurrent tasks. Each task only reads the trace, the index
-// and the session set and writes only its own result, none draws
-// randomness, and the replica — the one consumer of another task's
-// result and of the seed — runs after the join: the Characterization is
+// and the session set and writes only its own result, and the Figure 6
+// replica — the one consumer of a layer's result and of the seed, which
+// it draws from on a lane of its own — runs inside the client task,
+// behind the interarrivals it compares against: the Characterization is
 // the same at any GOMAXPROCS, and a failure is reported in the fixed
 // layer order below whichever task hit it first.
 func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
@@ -248,8 +249,14 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 	char := &Characterization{Horizon: tr.Horizon, Timeout: timeout}
 	err = firstError(
 		func() (err error) {
-			char.Client, err = analyze.AnalyzeClientLayer(set)
-			return taskError("client layer", err)
+			if char.Client, err = analyze.AnalyzeClientLayer(set); err != nil {
+				return taskError("client layer", err)
+			}
+			if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
+				char.ArrivalBins = bins
+				char.Poisson = poissonReplica(bins, tr.Horizon, char.Client.Interarrivals, seed)
+			}
+			return nil
 		},
 		func() (err error) {
 			char.Session, err = analyze.AnalyzeSessionLayer(set)
@@ -272,10 +279,6 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 	)
 	if err != nil {
 		return nil, err
-	}
-	if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
-		char.ArrivalBins = bins
-		char.Poisson = poissonReplica(bins, tr.Horizon, char.Client.Interarrivals, seed)
 	}
 	return char, nil
 }

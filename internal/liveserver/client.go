@@ -7,14 +7,28 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
 // Client is one media player connected to the streaming server.
 type Client struct {
 	conn   net.Conn
-	reader *bufio.Reader
+	reader *bufio.Reader // from readers; nil once Close has handed it back
 	player string
+}
+
+// readers recycles the clients' 64 KB read buffers: a session dials,
+// watches a handful of transfers and closes, so a buffer per Dial is
+// garbage a few transfers later. A buffer is in the pool only while no
+// Client holds it.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64*1024) }}
+
+// release hands the read buffer back; the client reads nothing after.
+func (c *Client) release() {
+	c.reader.Reset(nil)
+	readers.Put(c.reader)
+	c.reader = nil
 }
 
 // TransferResult summarizes one completed transfer from the client side.
@@ -38,12 +52,15 @@ func Dial(addr, playerID string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("liveserver: dial: %w", err)
 	}
-	c := &Client{conn: conn, reader: bufio.NewReaderSize(conn, 64*1024), player: playerID}
+	c := &Client{conn: conn, reader: readers.Get().(*bufio.Reader), player: playerID}
+	c.reader.Reset(conn)
 	if err := c.send("HELLO " + playerID); err != nil {
+		c.release()
 		conn.Close()
 		return nil, err
 	}
 	if err := c.expect("OK HELLO"); err != nil {
+		c.release()
 		conn.Close()
 		return nil, err
 	}
@@ -90,7 +107,6 @@ func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.D
 	c.conn.SetReadDeadline(time.Now().Add(duration + 10*time.Second))
 	defer c.conn.SetReadDeadline(time.Time{})
 
-	buf := make([]byte, MaxFrameBytes)
 	for {
 		line, err := readLine(c.reader)
 		if err != nil {
@@ -102,7 +118,12 @@ func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.D
 			if err != nil {
 				return res, err
 			}
-			if _, err := io.ReadFull(c.reader, buf[:n]); err != nil {
+			// The payload is counted, not kept: skip it in the read
+			// buffer. A frame cut short reads as io.ReadFull reports it.
+			if got, err := c.reader.Discard(n); err != nil {
+				if err == io.EOF && got > 0 {
+					err = io.ErrUnexpectedEOF
+				}
 				return res, fmt.Errorf("liveserver: frame payload: %w", err)
 			}
 			res.Bytes += int64(n)
@@ -126,11 +147,16 @@ func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.D
 	}
 }
 
-// Close sends QUIT and closes the connection.
+// Close sends QUIT and closes the connection. The client is spent: a
+// Watch after Close fails on the closed connection.
 func (c *Client) Close() error {
+	if c.reader == nil {
+		return c.conn.Close()
+	}
 	_ = c.send("QUIT")
 	c.conn.SetReadDeadline(time.Now().Add(time.Second))
 	_, _ = readLine(c.reader) // best-effort OK BYE
+	c.release()
 	return c.conn.Close()
 }
 

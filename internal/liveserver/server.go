@@ -258,6 +258,10 @@ type inbound struct {
 	err error
 }
 
+// writers recycles the handlers' 32 KB write buffers across
+// connections; one is in the pool only while no handler holds it.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32*1024) }}
+
 // handle runs one connection's control state machine. Control lines are
 // read by a dedicated goroutine and forwarded over a channel so the
 // streaming loop can notice STOP between frames; the done channel keeps
@@ -266,7 +270,15 @@ type inbound struct {
 // receiving).
 func (s *Server) handle(conn net.Conn) {
 	reader := bufio.NewReaderSize(conn, 4096)
-	writer := bufio.NewWriterSize(conn, 32*1024)
+	// Only this goroutine writes, so the write buffer can go back the
+	// moment it returns. The read buffer cannot: its goroutine may
+	// still be inside a read then.
+	writer := writers.Get().(*bufio.Writer)
+	writer.Reset(conn)
+	defer func() {
+		writer.Reset(nil)
+		writers.Put(writer)
+	}()
 
 	in := make(chan inbound)
 	done := make(chan struct{})

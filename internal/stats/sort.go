@@ -1,16 +1,18 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
 const (
-	// radixMinLen is the sample size below which SortedCopy leaves the
-	// work to the standard library: the radix passes cost a histogram
-	// per digit whatever the length, and measured slower under ≈ 700
-	// elements (BenchmarkSortSample).
+	// radixMinLen is the length below which SortedCopy and
+	// SortByKeyBits leave the work to the standard library: the radix
+	// passes cost a histogram per digit whatever the length, and
+	// measured slower under ≈ 700 elements (BenchmarkSortSample).
 	radixMinLen = 768
 	// radixDigitBits is the widest digit a pass sorts on: 2048 buckets,
 	// whose counters and write heads stay cache-resident.
@@ -117,4 +119,74 @@ func SortedCopy(xs []float64) []float64 {
 		}
 	}
 	return src
+}
+
+// SortByKeyBits sorts xs in place, ascending and stably, by the
+// unsigned value of bits [lo, lo+width) of each element; the other
+// bits ride along. Elements must not be negative. It backs the event
+// sweeps — whole seconds below a horizon, or a second packed above an
+// ordinal — where the key is bounded and n may reach the bound: LSD
+// radix passes over 11-bit digits, O(n) whatever the order, after one
+// walk that returns at once on input already in order (a start column
+// read off a start-sorted trace is).
+//
+//lsm:hotpath
+func SortByKeyBits[T ~int32 | ~uint64](xs []T, lo, width int) {
+	mask := uint64(1)<<width - 1
+	sorted := true
+	for i := 1; i < len(xs); i++ {
+		if uint64(xs[i])>>lo&mask < uint64(xs[i-1])>>lo&mask {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return
+	}
+	if len(xs) < radixMinLen || len(xs) > math.MaxUint32 {
+		slices.SortStableFunc(xs, func(a, b T) int {
+			return cmp.Compare(uint64(a)>>lo&mask, uint64(b)>>lo&mask)
+		})
+		return
+	}
+
+	// Equal digits, as in SortedCopy; one walk fills every histogram.
+	passes := (width + radixDigitBits - 1) / radixDigitBits
+	digit := (width + passes - 1) / passes
+	dmask := uint64(1)<<digit - 1
+	var stack [3 << radixDigitBits]uint32
+	counts := stack[:]
+	if passes<<digit > len(stack) {
+		counts = make([]uint32, passes<<digit)
+	}
+	for _, x := range xs {
+		key := uint64(x) >> lo & mask
+		for p := 0; p < passes; p++ {
+			counts[p<<digit|int(key&dmask)]++
+			key >>= digit
+		}
+	}
+
+	src, dst := xs, make([]T, len(xs))
+	for p := 0; p < passes; p++ {
+		heads := counts[p<<digit : (p+1)<<digit]
+		shift := p * digit
+		if int(heads[(uint64(xs[0])>>lo&mask)>>shift&dmask]) == len(xs) {
+			continue // every element carries the same digit here
+		}
+		var sum uint32
+		for d, c := range heads {
+			heads[d] = sum
+			sum += c
+		}
+		for _, x := range src {
+			d := (uint64(x) >> lo & mask) >> shift & dmask
+			dst[heads[d]] = x
+			heads[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -134,4 +135,53 @@ func FuzzSortMatchesStdlib(f *testing.F) {
 		}
 		checkSortedCopy(t, "tiled", xs)
 	})
+}
+
+// checkSortByKeyBits holds SortByKeyBits to a stable comparison sort on
+// the same key field, element for element — the bits outside the field
+// included, which is what makes stability visible.
+func checkSortByKeyBits[T ~int32 | ~uint64](t *testing.T, name string, xs []T, lo, width int) {
+	t.Helper()
+	mask := uint64(1)<<width - 1
+	want := slices.Clone(xs)
+	slices.SortStableFunc(want, func(a, b T) int {
+		return cmp.Compare(uint64(a)>>lo&mask, uint64(b)>>lo&mask)
+	})
+	SortByKeyBits(xs, lo, width)
+	if !slices.Equal(xs, want) {
+		t.Fatalf("%s: %d elements by bits [%d, %d) differ from the stable comparison sort", name, len(xs), lo, lo+width)
+	}
+}
+
+// TestSortByKeyBitsMatchesStableSort: whole seconds below a horizon as
+// int32, and a second packed above an ordinal as uint64 (sorted on the
+// second alone, the ordinal must keep its order), from the empty slice
+// across the radix cut-over to 10⁵, in random, sorted, reversed and
+// constant order, with key widths that do and do not fill their digits.
+func TestSortByKeyBitsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 2, radixMinLen - 1, radixMinLen, radixMinLen + 1, 5000, 100_000} {
+		for _, width := range []int{1, 7, 11, 12, 17, 22, 23, 31} {
+			limit := int64(1) << width
+			orders := map[string]func(i int) int64{
+				"random":   func(i int) int64 { return rng.Int63n(limit) },
+				"sorted":   func(i int) int64 { return int64(i) * (limit - 1) / int64(max(n, 1)) },
+				"reversed": func(i int) int64 { return int64(n-i) * (limit - 1) / int64(max(n, 1)) },
+				"constant": func(i int) int64 { return limit - 1 },
+				"few":      func(i int) int64 { return rng.Int63n(min(limit, 3)) },
+			}
+			for name, key := range orders {
+				seconds := make([]int32, n)
+				packed := make([]uint64, n)
+				for i := range seconds {
+					k := key(i)
+					seconds[i] = int32(k)
+					// the ordinal below, noise above the key field
+					packed[i] = uint64(rng.Int63n(2))<<(32+width)&(1<<63-1) | uint64(k)<<32 | uint64(i)
+				}
+				checkSortByKeyBits(t, name+" int32", seconds, 0, width)
+				checkSortByKeyBits(t, name+" packed", packed, 32, width)
+			}
+		}
+	}
 }

@@ -40,32 +40,60 @@ func BinCounts(timestamps []int64, horizon, width int64) (BinnedSeries, error) {
 }
 
 // BinMeans buckets (timestamp, value) samples into fixed-width bins and
-// returns the per-bin mean of the values; empty bins hold 0. It backs
-// Figure 18 (mean transfer interarrival per 15-minute bin).
+// returns the per-bin mean of the values; empty bins hold 0.
 func BinMeans(timestamps []int64, values []float64, horizon, width int64) (BinnedSeries, error) {
-	if width <= 0 || horizon <= 0 {
-		return BinnedSeries{}, fmt.Errorf("%w: horizon=%d width=%d", ErrBadArgument, horizon, width)
-	}
 	if len(timestamps) != len(values) {
 		return BinnedSeries{}, fmt.Errorf("%w: %d timestamps vs %d values", ErrBadArgument, len(timestamps), len(values))
 	}
-	n := numBins(horizon, width)
-	sums := make([]float64, n)
-	counts := make([]int, n)
+	bins, err := NewMeanBins(horizon, width)
+	if err != nil {
+		return BinnedSeries{}, err
+	}
 	for i, t := range timestamps {
-		if t < 0 || t >= horizon {
-			continue
-		}
-		b := t / width
-		sums[b] += values[i]
-		counts[b]++
+		bins.Add(t, values[i])
 	}
-	for i := range sums {
-		if counts[i] > 0 {
-			sums[i] /= float64(counts[i])
+	return bins.Series(), nil
+}
+
+// MeanBins is BinMeans one sample at a time, for a caller whose
+// timestamps are not a column: fixed-width bins over [0, horizon), each
+// summing its values in the order they arrive. It backs Figure 18 (mean
+// transfer interarrival per 15-minute bin).
+type MeanBins struct {
+	horizon, width int64
+	sums           []float64
+	counts         []int
+}
+
+// NewMeanBins allocates the bins.
+func NewMeanBins(horizon, width int64) (*MeanBins, error) {
+	if width <= 0 || horizon <= 0 {
+		return nil, fmt.Errorf("%w: horizon=%d width=%d", ErrBadArgument, horizon, width)
+	}
+	n := numBins(horizon, width)
+	return &MeanBins{horizon: horizon, width: width, sums: make([]float64, n), counts: make([]int, n)}, nil
+}
+
+// Add puts value v in the bin of timestamp t (seconds since trace
+// start); a timestamp outside [0, horizon) is ignored.
+func (b *MeanBins) Add(t int64, v float64) {
+	if t < 0 || t >= b.horizon {
+		return
+	}
+	i := t / b.width
+	b.sums[i] += v
+	b.counts[i]++
+}
+
+// Series turns the sums into means — empty bins hold 0 — and returns
+// them. Call it once, after the last Add.
+func (b *MeanBins) Series() BinnedSeries {
+	for i, c := range b.counts {
+		if c > 0 {
+			b.sums[i] /= float64(c)
 		}
 	}
-	return BinnedSeries{Width: width, Values: sums}, nil
+	return BinnedSeries{Width: b.width, Values: b.sums}
 }
 
 // FoldModulo folds the series onto a revolving period of the given length

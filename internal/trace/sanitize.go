@@ -2,6 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
+
+	"repro/internal/stats"
 )
 
 // SanitizeReport records what sanitization removed and why, echoing
@@ -87,17 +90,21 @@ func (tr *Trace) AuditServerLoad(threshold float64) OverloadAudit {
 	}
 	audit.TransferBelowFrac = float64(below) / float64(len(tr.Transfers))
 
-	// Per-second audit via a sweep over transfer intervals: accumulate
-	// (sum, count) per second only for seconds with activity. To bound
-	// memory for month-long traces we bin at 1-second resolution using a
-	// difference-array over the horizon.
+	// Per-second audit as a sweep over events, not over seconds: a start
+	// adds the transfer's reading to the running sum, an end takes it
+	// away, and between two event seconds every second reads the same
+	// runSum / runCnt. An event is its second packed above its
+	// transfer's index (a horizon fits 31 bits: New), so one stable
+	// sort by second leaves each second's events in transfer order —
+	// the order their readings must be added in for the float sum to
+	// be the per-second array's.
 	if tr.Horizon <= 0 {
 		audit.TimeBelowFrac = 1
 		return audit
 	}
-	sum := make([]float64, tr.Horizon+1)
-	cnt := make([]int32, tr.Horizon+1)
-	for _, t := range tr.Transfers {
+	events := make([]uint64, 0, 2*len(tr.Transfers))
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
 		lo, hi := t.Start, t.End()
 		if lo < 0 {
 			lo = 0
@@ -111,24 +118,44 @@ func (tr *Trace) AuditServerLoad(threshold float64) OverloadAudit {
 				continue
 			}
 		}
-		sum[lo] += t.ServerCPU
-		sum[hi] -= t.ServerCPU
-		cnt[lo]++
-		cnt[hi]--
+		events = append(events, uint64(lo)<<32|uint64(i)<<1)
+		if hi < tr.Horizon { // an end at the horizon changes no second below it
+			events = append(events, uint64(hi)<<32|uint64(i)<<1|1)
+		}
 	}
+	stats.SortByKeyBits(events, 32, bits.Len64(uint64(tr.Horizon)))
+
 	var active, belowTime int64
 	var runSum float64
-	var runCnt int32
-	for s := int64(0); s < tr.Horizon; s++ {
-		runSum += sum[s]
-		runCnt += cnt[s]
+	var runCnt int64
+	// elapse accounts for the seconds [from, to) at the current reading.
+	elapse := func(from, to int64) {
 		if runCnt > 0 {
-			active++
+			active += to - from
 			if runSum/float64(runCnt) < threshold {
-				belowTime++
+				belowTime += to - from
 			}
 		}
 	}
+	var prev int64
+	for k := 0; k < len(events); {
+		second := int64(events[k] >> 32)
+		elapse(prev, second)
+		prev = second
+		var delta float64 // the second's net reading, summed from zero as its array slot was
+		for ; k < len(events) && int64(events[k]>>32) == second; k++ {
+			cpu := tr.Transfers[uint32(events[k])>>1].ServerCPU
+			if events[k]&1 == 0 {
+				delta += cpu
+				runCnt++
+			} else {
+				delta -= cpu
+				runCnt--
+			}
+		}
+		runSum += delta
+	}
+	elapse(prev, tr.Horizon)
 	if active == 0 {
 		audit.TimeBelowFrac = 1
 	} else {

@@ -10,6 +10,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -90,7 +91,9 @@ func New(horizon int64, transfers []Transfer) (*Trace, error) {
 // newOwned is New for a slice the caller hands over: it is sorted in
 // place and becomes the trace's.
 func newOwned(horizon int64, ts []Transfer) (*Trace, error) {
-	if horizon <= 0 {
+	// Downstream sweeps hold a second in 31 bits: 68 years is horizon
+	// enough.
+	if horizon <= 0 || horizon > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
 	}
 	sort.Sort(byStart(ts))
