@@ -140,10 +140,12 @@ bench-history:
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
 # = Sessionize's count at every timeout, plus the Section 2.2 gap
 # invariants), the sample-sort fuzzer (stats.SortedCopy of any
-# float64 bit patterns = sort.Float64s of a copy) and the concurrency
+# float64 bit patterns = sort.Float64s of a copy), the concurrency
 # fuzzer (the event sweep's report = a count of every second, field by
-# field). `go test` runs one fuzz target per invocation, hence the
-# seven steps; new failing inputs are minimized
+# field) and the population fuzzer (the client table = the []Client
+# builder, every field of every client and the draws consumed).
+# `go test` runs one fuzz target per invocation, hence the
+# eight steps; new failing inputs are minimized
 # into the package's testdata/fuzz/ and reproduce with a plain
 # `go test` of that package.
 FUZZTIME ?= 30s
@@ -155,6 +157,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzConcurrencyMatchesPerSecond$$' -fuzztime $(FUZZTIME) ./internal/analyze
+	$(GO) test -run '^$$' -fuzz '^FuzzPopulationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/gismo
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

@@ -33,10 +33,11 @@ func DefaultEvents() EventConfig {
 
 // Validate checks the configuration; a zero PerDay disables events.
 func (c *EventConfig) Validate() error {
-	if c.PerDay < 0 {
+	if !nonNegative(c.PerDay) {
 		return fmt.Errorf("%w: events per day %v", ErrBadModel, c.PerDay)
 	}
-	if c.PerDay > 0 && (c.MeanDuration <= 0 || c.Amplitude <= 0) {
+	if !finite(c.MeanDuration) || !finite(c.Amplitude) ||
+		c.PerDay > 0 && (c.MeanDuration <= 0 || c.Amplitude <= 0) {
 		return fmt.Errorf("%w: event duration %v / amplitude %v", ErrBadModel, c.MeanDuration, c.Amplitude)
 	}
 	return nil

@@ -1,12 +1,18 @@
 package gismo
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	randv2 "math/rand/v2"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/topology"
 )
 
 // testModel returns a small, fast model with the paper's distributional
@@ -273,7 +279,11 @@ func TestPopulation(t *testing.T) {
 		t.Fatalf("size = %d", pop.Size())
 	}
 	ids := map[string]bool{}
-	for _, c := range pop.Clients {
+	for i := 0; i < pop.Size(); i++ {
+		c := pop.Client(i)
+		if c.ID != i {
+			t.Fatalf("client %d has ID %d", i, c.ID)
+		}
 		if c.PlayerID == "" || ids[c.PlayerID] {
 			t.Fatal("player IDs must be unique and non-empty")
 		}
@@ -347,5 +357,89 @@ func TestModelJSONWithProfile(t *testing.T) {
 	}
 	if math.Abs(back.Profile.Rate(21*3600)-p.Rate(21*3600)) > 1e-9 {
 		t.Error("profile shape changed")
+	}
+}
+
+// TestValidateRejectsUnrepresentable: every float field refuses NaN
+// and ±Inf — the ordered comparisons Validate used to make are all
+// false on NaN, so a fit on a degenerate trace passed — and the sizes
+// refuse what the generator's rows cannot number.
+func TestValidateRejectsUnrepresentable(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	floats := []struct {
+		field string
+		at    func(*Model) *float64
+	}{
+		{"BaseArrivalRate", func(m *Model) *float64 { return &m.BaseArrivalRate }},
+		{"PoissonWindow", func(m *Model) *float64 { return &m.PoissonWindow }},
+		{"Interest.Alpha", func(m *Model) *float64 { return &m.Interest.Alpha }},
+		{"TransfersPerSession.Alpha", func(m *Model) *float64 { return &m.TransfersPerSession.Alpha }},
+		{"IntraSessionGap.Mu", func(m *Model) *float64 { return &m.IntraSessionGap.Mu }},
+		{"IntraSessionGap.Sigma", func(m *Model) *float64 { return &m.IntraSessionGap.Sigma }},
+		{"TransferLength.Mu", func(m *Model) *float64 { return &m.TransferLength.Mu }},
+		{"TransferLength.Sigma", func(m *Model) *float64 { return &m.TransferLength.Sigma }},
+		{"FeedPreference", func(m *Model) *float64 { return &m.FeedPreference }},
+		{"DayVariability", func(m *Model) *float64 { return &m.DayVariability }},
+		{"RampUpDays", func(m *Model) *float64 { return &m.RampUpDays }},
+		{"RampUpFloor", func(m *Model) *float64 { return &m.RampUpFloor }},
+		{"Events.PerDay", func(m *Model) *float64 { return &m.Events.PerDay }},
+		{"Events.MeanDuration", func(m *Model) *float64 { return &m.Events.MeanDuration }},
+		{"Events.Amplitude", func(m *Model) *float64 { return &m.Events.Amplitude }},
+	}
+	for _, f := range floats {
+		for _, v := range []float64{nan, inf, -inf} {
+			m := Default()
+			*f.at(&m) = v
+			if err := m.Validate(); !errors.Is(err, ErrBadModel) {
+				t.Errorf("%s = %v: %v, want ErrBadModel", f.field, v, err)
+			}
+		}
+	}
+	// RampUpFloor is only read under a ramp, but a spec cannot carry NaN.
+	m := Default()
+	m.RampUpDays, m.RampUpFloor = 0, nan
+	if err := m.Validate(); !errors.Is(err, ErrBadModel) {
+		t.Errorf("unused NaN ramp-up floor: %v, want ErrBadModel", err)
+	}
+
+	sizes := []struct {
+		field  string
+		mutate func(*Model)
+	}{
+		{"NumClients", func(m *Model) { m.NumClients = MaxClients + 1; m.Interest.N = 1 }},
+		{"Topology.NumAS", func(m *Model) { m.Topology.NumAS = topology.MaxAS + 1 }},
+	}
+	for _, s := range sizes {
+		m := Default()
+		s.mutate(&m)
+		if err := m.Validate(); !errors.Is(err, ErrBadModel) {
+			t.Errorf("%s past what a row numbers: %v, want ErrBadModel", s.field, err)
+		}
+	}
+	m = Default()
+	m.NumClients, m.Topology.NumAS = MaxClients, topology.MaxAS
+	if err := m.Validate(); err != nil {
+		t.Errorf("the largest representable model: %v", err)
+	}
+}
+
+// TestLoadModelHugePopulation: a spec asking for 10¹² clients fails at
+// load with an error naming the field; it used to pass and die in make.
+func TestLoadModelHugePopulation(t *testing.T) {
+	data, err := json.Marshal(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Replace(data, []byte(`"num_clients":691889`), []byte(`"num_clients":1000000000000`), 1)
+	if bytes.Equal(huge, data) {
+		t.Fatal("spec has no num_clients to replace")
+	}
+	path := filepath.Join(t.TempDir(), "huge.json")
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadModel(path)
+	if !errors.Is(err, ErrBadModel) || !strings.Contains(err.Error(), "num_clients") {
+		t.Fatalf("LoadModel of a 10^12-client spec: %v, want ErrBadModel naming num_clients", err)
 	}
 }

@@ -169,54 +169,67 @@ func Scaled(factor float64, horizonDays int) (Model, error) {
 	return m, nil
 }
 
-// Validate checks all parameters.
+// finite reports whether x is a number: neither NaN nor ±Inf. JSON
+// cannot carry either, but a fit on a degenerate trace can produce
+// them, and the ordered comparisons below are all false on NaN.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// positive reports whether x is a finite number above zero.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegative reports whether x is a finite number, zero or above.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// Validate checks all parameters, including that the generator can
+// hold the model: a population or topology the client rows cannot
+// number is an error here, not a panic when it is built.
 func (m *Model) Validate() error {
 	if m.Horizon <= 0 {
 		return fmt.Errorf("%w: horizon %d", ErrBadModel, m.Horizon)
 	}
-	if m.NumClients < 1 {
-		return fmt.Errorf("%w: %d clients", ErrBadModel, m.NumClients)
+	if m.NumClients < 1 || m.NumClients > MaxClients {
+		return fmt.Errorf("%w: num_clients %d, want 1..%d", ErrBadModel, m.NumClients, MaxClients)
 	}
 	if m.NumObjects < 1 {
 		return fmt.Errorf("%w: %d objects", ErrBadModel, m.NumObjects)
 	}
-	if m.BaseArrivalRate <= 0 || math.IsNaN(m.BaseArrivalRate) {
+	if !positive(m.BaseArrivalRate) {
 		return fmt.Errorf("%w: base arrival rate %v", ErrBadModel, m.BaseArrivalRate)
 	}
-	if m.PoissonWindow <= 0 {
+	if !positive(m.PoissonWindow) {
 		return fmt.Errorf("%w: poisson window %v", ErrBadModel, m.PoissonWindow)
 	}
-	if m.Interest.Alpha <= 0 || m.Interest.N < 1 {
+	if !positive(m.Interest.Alpha) || m.Interest.N < 1 {
 		return fmt.Errorf("%w: interest %+v", ErrBadModel, m.Interest)
 	}
 	if m.Interest.N > m.NumClients {
 		return fmt.Errorf("%w: interest support %d exceeds population %d", ErrBadModel, m.Interest.N, m.NumClients)
 	}
-	if m.TransfersPerSession.Alpha <= 0 || m.TransfersPerSession.N < 1 {
+	if !positive(m.TransfersPerSession.Alpha) || m.TransfersPerSession.N < 1 {
 		return fmt.Errorf("%w: transfers per session %+v", ErrBadModel, m.TransfersPerSession)
 	}
-	if m.IntraSessionGap.Sigma <= 0 {
+	if !positive(m.IntraSessionGap.Sigma) || !finite(m.IntraSessionGap.Mu) {
 		return fmt.Errorf("%w: intra-session gap %+v", ErrBadModel, m.IntraSessionGap)
 	}
-	if m.TransferLength.Sigma <= 0 {
+	if !positive(m.TransferLength.Sigma) || !finite(m.TransferLength.Mu) {
 		return fmt.Errorf("%w: transfer length %+v", ErrBadModel, m.TransferLength)
 	}
-	if m.FeedPreference < 0 || m.FeedPreference > 1 {
+	if !(m.FeedPreference >= 0 && m.FeedPreference <= 1) {
 		return fmt.Errorf("%w: feed preference %v", ErrBadModel, m.FeedPreference)
 	}
-	if m.DayVariability < 0 || math.IsNaN(m.DayVariability) {
+	if !nonNegative(m.DayVariability) {
 		return fmt.Errorf("%w: day variability %v", ErrBadModel, m.DayVariability)
 	}
-	if m.RampUpDays < 0 || math.IsNaN(m.RampUpDays) {
+	if !nonNegative(m.RampUpDays) {
 		return fmt.Errorf("%w: ramp-up days %v", ErrBadModel, m.RampUpDays)
 	}
-	if m.RampUpDays > 0 && (m.RampUpFloor <= 0 || m.RampUpFloor > 1) {
+	if !finite(m.RampUpFloor) || m.RampUpDays > 0 && (m.RampUpFloor <= 0 || m.RampUpFloor > 1) {
 		return fmt.Errorf("%w: ramp-up floor %v", ErrBadModel, m.RampUpFloor)
 	}
-	if err := m.Events.Validate(); err != nil {
-		return err
+	if m.Topology.NumAS > topology.MaxAS {
+		return fmt.Errorf("%w: topology of %d ASes, at most %d", ErrBadModel, m.Topology.NumAS, topology.MaxAS)
 	}
-	return nil
+	return m.Events.Validate()
 }
 
 // MarshalJSON includes the profile shape alongside the scalar parameters.

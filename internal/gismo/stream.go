@@ -2,6 +2,7 @@ package gismo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"runtime"
@@ -124,16 +125,7 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	profile, err := m.profile()
-	if err != nil {
-		return nil, err
-	}
-	rateRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneRate)))
-	rateFn, err := m.effectiveRate(profile.Rate, rateRng)
-	if err != nil {
-		return nil, err
-	}
-	pp, err := dist.NewPiecewisePoisson(rateFn, m.PoissonWindow)
+	pp, err := m.arrivalProcess(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -181,14 +173,7 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	// instant. Shards share this schedule read-only; everything
 	// per-session happens in them.
 	arrRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals)))
-	arrivals := pp.Stream(arrRng, float64(m.Horizon))
-	for {
-		at, ok := arrivals.Next()
-		if !ok {
-			break
-		}
-		ws.schedule = append(ws.schedule, int64(at))
-	}
+	ws.schedule = drawSchedule(pp.Stream(arrRng, float64(m.Horizon)), scheduleHint(pp.ExpectedCount(float64(m.Horizon))))
 
 	ws.rings = make([]shardRings, shards)
 	for s := 0; s < shards; s++ {
@@ -206,6 +191,52 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	}
 	ws.pop = outcome.pop
 	return ws, nil
+}
+
+// arrivalProcess is the session arrival process under seed: the
+// model's profile composed with the rate lane's day factors, ramp and
+// event schedule, stationary within PoissonWindow.
+func (m *Model) arrivalProcess(seed int64) (*dist.PiecewisePoisson, error) {
+	profile, err := m.profile()
+	if err != nil {
+		return nil, err
+	}
+	rateRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneRate)))
+	rateFn, err := m.effectiveRate(profile.Rate, rateRng)
+	if err != nil {
+		return nil, err
+	}
+	return dist.NewPiecewisePoisson(rateFn, m.PoissonWindow)
+}
+
+// maxScheduleHint caps the capacity a schedule is made with (128 MB of
+// instants, ten times the paper's 1.5 M sessions): a spec whose rate ×
+// horizon is absurd gets a schedule that grows as it fills, not a
+// panic in make.
+const maxScheduleHint = 1 << 24
+
+// scheduleHint sizes the arrival schedule once: the Poisson count's
+// mean plus six standard deviations, so append never has to double a
+// multi-megabyte array (and hold the old and new copies at once).
+func scheduleHint(mean float64) int {
+	hint := mean + 6*math.Sqrt(mean) + 16
+	if !(hint < maxScheduleHint) { // also NaN
+		return maxScheduleHint
+	}
+	return int(hint)
+}
+
+// drawSchedule drains the thinning pass into a schedule made with
+// capacity hint; a short hint costs growth, never arrivals.
+func drawSchedule(arrivals *dist.PoissonStream, hint int) []int64 {
+	schedule := make([]int64, 0, hint)
+	for {
+		at, ok := arrivals.Next()
+		if !ok {
+			return schedule
+		}
+		schedule = append(schedule, int64(at))
+	}
 }
 
 // interestUniform is session idx's interest variate in [0, 1): the

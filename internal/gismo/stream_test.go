@@ -1,11 +1,13 @@
 package gismo
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/workload"
 )
 
@@ -320,5 +322,64 @@ func TestWorkloadStreamReplay(t *testing.T) {
 		if i > 0 && e.Less(replayed[i-1]) {
 			t.Fatal("replayed stream out of order")
 		}
+	}
+}
+
+// scheduleFixture is the 110k-transfer bench fixture's model
+// (Scaled(100, 3) at sixty times the arrival rate) and its arrival
+// process under seed.
+func scheduleFixture(t *testing.T, seed int64) (*dist.PiecewisePoisson, Model) {
+	t.Helper()
+	m, err := Scaled(100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.BaseArrivalRate *= 60
+	pp, err := m.arrivalProcess(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp, m
+}
+
+// TestScheduleSizedOnce: the schedule a stream is built with never
+// outgrows the capacity it was made with — no doubling, no old and new
+// copy alive at once — and a hint that is too short (a clamped one)
+// costs growth, not arrivals.
+func TestScheduleSizedOnce(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		pp, m := scheduleFixture(t, seed)
+		hint := scheduleHint(pp.ExpectedCount(float64(m.Horizon)))
+		ws, err := NewStream(m, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.Close()
+		if len(ws.schedule) == 0 || cap(ws.schedule) != hint {
+			t.Errorf("seed %d: schedule of %d arrivals has capacity %d, made with %d", seed, len(ws.schedule), cap(ws.schedule), hint)
+		}
+		if seed > 1 {
+			continue
+		}
+		arrivals := func() *dist.PoissonStream {
+			return pp.Stream(rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals))), float64(m.Horizon))
+		}
+		short := drawSchedule(arrivals(), 16)
+		if len(short) != len(ws.schedule) {
+			t.Fatalf("short hint: %d arrivals, want %d", len(short), len(ws.schedule))
+		}
+		for i := range short {
+			if short[i] != ws.schedule[i] {
+				t.Fatalf("short hint: arrival %d = %d, want %d", i, short[i], ws.schedule[i])
+			}
+		}
+	}
+	for _, mean := range []float64{math.NaN(), math.Inf(1), 1e30, maxScheduleHint} {
+		if got := scheduleHint(mean); got != maxScheduleHint {
+			t.Errorf("scheduleHint(%v) = %d, want the clamp %d", mean, got, maxScheduleHint)
+		}
+	}
+	if got := scheduleHint(0); got != 16 {
+		t.Errorf("scheduleHint(0) = %d, want 16", got)
 	}
 }

@@ -34,6 +34,9 @@ var DeterministicPackages = map[string]bool{
 	"repro/internal/trace":   true,
 	"repro/internal/stats":   true,
 	"repro/internal/analyze": true,
+	// Client placement — the AS draw and the address every log line
+	// carries — is part of the generator's byte-identity contract.
+	"repro/internal/topology": true,
 }
 
 // wallclockFuncs are the package time functions that read (or schedule

@@ -156,8 +156,8 @@ func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 	}
 	r := &rowIDs{ip: make([]uint32, n), country: make([]uint16, n)}
 	ids := wmslog.NewInterner()
-	for i := range pop.Clients {
-		p := &pop.Clients[i].Placement
+	for i := 0; i < n; i++ {
+		p := pop.Client(i).Placement
 		country := ids.Ordinal(wmslog.ColCountry, p.Country)
 		if country > math.MaxUint16 {
 			return nil, fmt.Errorf("%w: more than %d countries in the population", ErrBadConfig, math.MaxUint16+1)
@@ -340,7 +340,7 @@ func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint
 //lsm:hotpath
 func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 	es.src.Seed(int64(dist.Mix64(dist.Mix64(es.root, uint64(ev.Session)), uint64(ev.Seq))))
-	client := &es.pop.Clients[ev.Client]
+	client := es.pop.Client(ev.Client)
 	cfg := es.cfg
 	cpu := cfg.cpuAt(conc, es.rng)
 	bw, congested := cfg.drawBandwidth(client.Access.Bps, es.rng)

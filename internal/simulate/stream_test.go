@@ -219,3 +219,37 @@ func TestPendingEntriesOrdering(t *testing.T) {
 		t.Fatal("heap not drained")
 	}
 }
+
+// TestServeAllocatesNothing: once the entry pool and the URI cache are
+// warm, serving a transfer with an entry sink allocates nothing — the
+// client's log text is read out of the population's table, not built.
+func TestServeAllocatesNothing(t *testing.T) {
+	pop, err := gismo.NewPopulation(500, gismo.Default().Topology, rand.New(rand.NewPCG(4, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	pool := &freeEntryPool{}
+	sinks := StreamSinks{Entry: func(*wmslog.Entry) error { return nil }}
+	es := newEventServer(&cfg, pop, 86400, 9, pool, sinks, nil)
+	var sv served
+	i := 0
+	serveOne := func() {
+		ev := workload.Event{Client: i % pop.Size(), Object: i % 2, Start: int64(i), Duration: 30, Session: i / 3, Seq: i % 3}
+		es.serve(ev, 1+i%50, &sv)
+		if got, want := sv.entry.PlayerID, pop.Client(ev.Client).PlayerID; got != want {
+			t.Fatalf("event %d: entry of %q, client is %q", i, got, want)
+		}
+		pool.put(sv.entry, sv.entryC)
+		if sv.dup != nil {
+			pool.put(sv.dup, sv.dupC)
+		}
+		i++
+	}
+	for i < 10 {
+		serveOne()
+	}
+	if allocs := testing.AllocsPerRun(2_000, serveOne); allocs != 0 {
+		t.Errorf("%v allocations per served transfer, want 0", allocs)
+	}
+}

@@ -43,6 +43,10 @@ var CountryWeights = []float64{
 	0.00002, // SV
 }
 
+// MaxAS is the most ASes a model holds: an AS index fits 16 bits, which
+// is what a client row of the generator's population stores.
+const MaxAS = 1 << 16
+
 // AS describes one synthetic Autonomous System.
 type AS struct {
 	Number  int    // synthetic AS number (1-based rank order)
@@ -87,10 +91,10 @@ func DefaultConfig() Config {
 // New builds a topology: ASes are assigned countries by weighted draw and
 // popularity weights k^(-alpha) by construction rank.
 func New(cfg Config, rng *rand.Rand) (*Model, error) {
-	if cfg.NumAS < 1 {
-		return nil, fmt.Errorf("%w: NumAS=%d", ErrBadModel, cfg.NumAS)
+	if cfg.NumAS < 1 || cfg.NumAS > MaxAS {
+		return nil, fmt.Errorf("%w: NumAS=%d, want 1..%d", ErrBadModel, cfg.NumAS, MaxAS)
 	}
-	if cfg.Alpha <= 0 || math.IsNaN(cfg.Alpha) {
+	if !(cfg.Alpha > 0) || math.IsInf(cfg.Alpha, 0) {
 		return nil, fmt.Errorf("%w: Alpha=%v", ErrBadModel, cfg.Alpha)
 	}
 	if len(cfg.Countries) == 0 || len(cfg.Countries) != len(cfg.Weights) {
@@ -126,32 +130,27 @@ func New(cfg Config, rng *rand.Rand) (*Model, error) {
 	return m, nil
 }
 
-// Place draws a placement for one client: a Zipf-ranked AS, a synthetic
-// IP in its block, and the AS's country.
-func (m *Model) Place(rng *rand.Rand) Placement {
-	i := m.alias.DrawV2(rng)
-	as := m.ASes[i]
+// PlaceAddr draws one client's placement as numbers: the index of a
+// Zipf-ranked AS and a synthetic address in its block. The caller
+// renders the address (AppendIPv4) and reads the country off
+// ASes[as] only where it needs them.
+func (m *Model) PlaceAddr(rng *rand.Rand) (as int, ip uint32) {
+	as = m.alias.DrawV2(rng)
 	host := rng.Uint32() & 0xFFFF // host bits within the AS /16 block
-	ip := as.ipBase | host
-	return Placement{
-		ASIndex: i,
-		IP:      formatIPv4(ip),
-		Country: as.Country,
-	}
+	return as, m.ASes[as].ipBase | host
 }
 
 // NumAS returns the number of ASes in the model.
 func (m *Model) NumAS() int { return len(m.ASes) }
 
-// formatIPv4 renders v as a dotted quad — one string per client of
-// the population, so it appends digits instead of going through fmt.
-func formatIPv4(v uint32) string {
-	b := make([]byte, 0, len("255.255.255.255"))
+// AppendIPv4 appends v as a dotted quad — one per client of the
+// population, so it appends digits instead of going through fmt.
+func AppendIPv4(b []byte, v uint32) []byte {
 	for shift := 24; shift >= 0; shift -= 8 {
 		b = strconv.AppendUint(b, uint64(byte(v>>shift)), 10)
 		if shift > 0 {
 			b = append(b, '.')
 		}
 	}
-	return string(b)
+	return b
 }
