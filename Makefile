@@ -37,9 +37,10 @@ examples:
 	done
 
 # BENCH_MATRIX selects the benchmarks that run the -cpu 1,2,4,8
-# matrix: the parallel serve path, sharded generation (plus its
-# sequential baseline, which speedup_vs_sequential divides by at the
-# same GOMAXPROCS), and the fused end-to-end RunStreamed pipeline.
+# matrix: the generate → serve pipeline (its speedup_vs_sequential is
+# against its own -cpu 1 row), sharded generation (plus its sequential
+# baseline, which speedup_vs_sequential divides by at the same
+# GOMAXPROCS), and the end-to-end RunStreamed pipeline.
 BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)|BenchmarkRunStreamed
 
 # BENCH_CODEC selects the single-threaded streaming benchmarks the
@@ -72,7 +73,7 @@ BENCH_INGEST := BenchmarkPipeline(LoadLogs|FullCharacterization)$$
 
 # bench runs the codec benchmarks (BENCH_CODEC), the streaming-pipeline
 # benchmarks (BENCH_MATRIX: sequential vs sharded generation, streamed
-# serving, the fused end-to-end run) and the measurement-half
+# serving, the end-to-end run) and the measurement-half
 # benchmarks (BENCH_CHAR) and renders BENCH_streaming.json — ns/op and
 # bytes/op per benchmark — seeding the perf trajectory. The matrix runs
 # at -cpu 1,2,4,8 (BENCH_INGEST, whose -cpu 1 row is BENCH_CHAR's, at

@@ -11,14 +11,13 @@
 // discarded, and the report records the machine's core count
 // (num_cpu) so a reader can judge what the multi-core rows mean. For
 // parallel benchmarks named by -speedup (comma-separated
-// prefix=sequentialBase pairs; by default the sharded serve, sharded
-// generation, and fused end-to-end families against their sequential
-// forms), each variant also gets metrics.speedup_vs_sequential — the
-// pair's sequential baseline's ns/op at the same GOMAXPROCS divided
-// by its own. A benchmark paired with itself (name=name) is one whose
-// parallelism comes from GOMAXPROCS alone and runs inline at 1: its
-// -cpu 1 row is the sequential baseline of its other rows. A row that
-// ran with more procs than the machine has cores is never annotated:
+// prefix=sequentialBase pairs; by default the sharded generation and
+// end-to-end families against their sequential forms), each variant
+// also gets metrics.speedup_vs_sequential — the pair's sequential
+// baseline's ns/op at the same GOMAXPROCS divided by its own. A
+// benchmark paired with itself (name=name) is one whose parallelism
+// comes from GOMAXPROCS alone: its -cpu 1 row is the sequential
+// baseline of its other rows. A row that ran with more procs than the machine has cores is never annotated:
 // time-slicing is not scaling.
 //
 // With -compare the tool becomes the CI perf gate: fresh bench output
@@ -107,13 +106,13 @@ type speedupSpec struct {
 }
 
 // defaultSpeedup pairs every parallel benchmark family with its
-// sequential baseline: sharded serve vs sequential serve, sharded
-// generation vs single-shard generation, the fused end-to-end run vs
-// its single-shard form, and the two measurement-half passes whose
-// only parallelism knob is GOMAXPROCS — the log ingest (a worker per
-// core, inline at 1) and the characterization (a task per layer) — vs
-// their own -cpu 1 rows.
-const defaultSpeedup = "BenchmarkStreamingServeSharded=BenchmarkStreamingServe," +
+// sequential baseline: sharded generation vs single-shard generation
+// and the end-to-end run vs its single-shard form; and the passes whose
+// only parallelism knob is GOMAXPROCS — the generate → serve pipeline
+// (generator shards, serve goroutine, emitter), the log ingest (a
+// worker per core, inline at 1) and the characterization (a task per
+// layer) — vs their own -cpu 1 rows.
+const defaultSpeedup = "BenchmarkStreamingServe=BenchmarkStreamingServe," +
 	"BenchmarkStreamingGenerateShards=BenchmarkStreamingGenerateSequential," +
 	"BenchmarkRunStreamedShards=BenchmarkRunStreamedSequential," +
 	"BenchmarkPipelineLoadLogs=BenchmarkPipelineLoadLogs," +

@@ -6,7 +6,7 @@
 //
 //	lsmgen -out logs/ [-scale 150] [-days 7] [-seed 1] [-model model.json]
 //	       [-save-model model.json] [-log-format text|binary]
-//	       [-shards N] [-serve-lanes N]
+//	       [-shards N]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
 // -log-format binary writes the daily files in the framed binary
@@ -15,12 +15,12 @@
 // to, and `lsmlog convert` round-trips between the two losslessly.
 //
 // The pipeline is one streamed pass: the sharded generator feeds the
-// sharded simulator event by event and log entries go straight to the
-// daily files, so memory stays O(active sessions) at any scale,
-// paper scale (-scale 1) included. -shards sets the generator shard
-// count and -serve-lanes the serve worker count (0 = one per
-// schedulable CPU each). The emitted logs are byte-identical for the
-// same seed at any shard or lane count. -stream is accepted and
+// simulator's serve goroutine event by event, and log entries go
+// straight to the daily files from the calling goroutine, so memory
+// stays O(active sessions) at any scale, paper scale (-scale 1)
+// included. -shards sets the generator shard count (0 = one per
+// schedulable CPU). The emitted logs are byte-identical for the same
+// seed at any shard count and GOMAXPROCS. -stream is accepted and
 // ignored: streaming is the only mode.
 //
 // The profiling flags (internal/prof) capture the run as pprof/trace
@@ -48,15 +48,14 @@ import (
 
 // options collects the CLI parameters.
 type options struct {
-	out        string
-	scale      float64
-	days       int
-	seed       int64
-	savePath   string
-	loadPath   string
-	logFormat  string
-	shards     int
-	serveLanes int
+	out       string
+	scale     float64
+	days      int
+	seed      int64
+	savePath  string
+	loadPath  string
+	logFormat string
+	shards    int
 }
 
 // registerFlags binds the workload flags to o.
@@ -70,7 +69,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.logFormat, "log-format", "text", "daily log format: text (canonical) or binary (framed fast path)")
 	fs.Bool("stream", false, "ignored: streaming is the only mode (kept so existing command lines parse)")
 	fs.IntVar(&o.shards, "shards", 0, "generator shards (0 = one per CPU)")
-	fs.IntVar(&o.serveLanes, "serve-lanes", 0, "serve worker lanes (0 = one per schedulable CPU)")
 }
 
 func main() {
@@ -102,10 +100,11 @@ func main() {
 	}
 }
 
-// run pipes the sharded generator straight into the sharded simulator
-// and the simulator straight into the daily log writer: no workload,
-// trace or entry slice is ever materialized, and both the session
-// expansion and the server-model draws run across CPUs.
+// run pipes the sharded generator straight into the simulator and the
+// simulator straight into the daily log writer: no workload, trace or
+// entry slice is ever materialized. Session expansion runs across the
+// generator's shards, the server-model draws on the serve goroutine,
+// and log encoding on this one.
 func run(o options) error {
 	model, err := resolveModel(o)
 	if err != nil {
@@ -115,24 +114,20 @@ func run(o options) error {
 	if shards == 0 {
 		shards = gismo.DefaultShards()
 	}
-	lanes := o.serveLanes
-	if lanes == 0 {
-		lanes = simulate.DefaultServeLanes()
-	}
 	ws, err := gismo.NewStreamSeeded(model, o.seed, shards)
 	if err != nil {
 		return err
 	}
 	defer ws.Close()
-	fmt.Printf("streaming: %d clients, %d-day horizon, seed %d, %d shards, %d serve lanes, GOMAXPROCS %d\n",
-		model.NumClients, model.Horizon/86400, o.seed, shards, lanes, runtime.GOMAXPROCS(0))
+	fmt.Printf("streaming: %d clients, %d-day horizon, seed %d, %d shards, GOMAXPROCS %d\n",
+		model.NumClients, model.Horizon/86400, o.seed, shards, runtime.GOMAXPROCS(0))
 
 	dw, err := wmslog.NewDailyWriter(o.out)
 	if err != nil {
 		return err
 	}
 	dw.Binary = o.logFormat == "binary"
-	res, err := simulate.RunStreamSharded(ws, ws.Population(), model.Horizon, simulate.DefaultConfig(), uint64(o.seed), lanes, simulate.StreamSinks{
+	res, err := simulate.RunStream(ws, ws.Population(), model.Horizon, simulate.DefaultConfig(), uint64(o.seed), simulate.StreamSinks{
 		Entry: dw.Write,
 	})
 	if err != nil {

@@ -174,10 +174,10 @@ func parseArgs(args ...string) (options, error) {
 }
 
 // TestStreamingLogsByteIdentical is the CLI-level acceptance check:
-// for any generator shard count and any serve lane count, with or
-// without the ignored -stream flag, the command must write daily logs
-// byte-identical to the library's materializing reference
-// (GenerateSeeded → simulate.Run → WriteLogs) for the same seed.
+// for any generator shard count, with or without the ignored -stream
+// flag, the command must write daily logs byte-identical to the
+// library's materializing reference (GenerateSeeded → simulate.Run →
+// WriteLogs) for the same seed.
 func TestStreamingLogsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	m, err := gismo.Scaled(500, 2)
@@ -202,13 +202,13 @@ func TestStreamingLogsByteIdentical(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		shards, lanes int
-		stream        bool
-	}{{1, 1, true}, {3, 1, true}, {1, 4, true}, {3, 8, true}, {3, 8, false}} {
-		name := fmt.Sprintf("shards=%d lanes=%d stream=%v", c.shards, c.lanes, c.stream)
-		streamDir := filepath.Join(dir, "stream", fmt.Sprintf("s%dl%d%v", c.shards, c.lanes, c.stream))
+		shards int
+		stream bool
+	}{{1, true}, {3, true}, {8, true}, {3, false}} {
+		name := fmt.Sprintf("shards=%d stream=%v", c.shards, c.stream)
+		streamDir := filepath.Join(dir, "stream", fmt.Sprintf("s%d%v", c.shards, c.stream))
 		args := []string{"-out", streamDir, "-scale", "500", "-days", "2", "-seed", "11",
-			"-shards", fmt.Sprint(c.shards), "-serve-lanes", fmt.Sprint(c.lanes)}
+			"-shards", fmt.Sprint(c.shards)}
 		if c.stream {
 			args = append(args, "-stream")
 		}
@@ -236,9 +236,9 @@ func TestStreamingLogsByteIdentical(t *testing.T) {
 }
 
 // TestRemovedAliasesRejected: the deprecated -load and -lanes spellings
-// are gone, not silently accepted.
+// and the removed -serve-lanes flag are gone, not silently accepted.
 func TestRemovedAliasesRejected(t *testing.T) {
-	for _, args := range [][]string{{"-load", "m.json"}, {"-lanes", "2"}} {
+	for _, args := range [][]string{{"-load", "m.json"}, {"-lanes", "2"}, {"-serve-lanes", "2"}} {
 		if _, err := parseArgs(args...); err == nil {
 			t.Errorf("%v: want a flag-parsing error", args)
 		}

@@ -8,7 +8,6 @@
 //	lsmserve [-addr 127.0.0.1:8555] [-log transfers.log] [-log-format text|binary]
 //	         [-metrics host:port] [-rate 110000]
 //	         [-max-conns 256] [-write-timeout 10s] [-idle-timeout 60s]
-//	         [-serve-lanes N]
 //	         [-fleet host:port] [-advertise host:port] [-beat 500ms]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
@@ -19,10 +18,8 @@
 // http://host:port/metrics, the ops surface scripts poll instead of
 // grepping logs.
 //
-// -serve-lanes caps how many CPUs the server schedules across
-// (GOMAXPROCS); 0 — the default — uses every schedulable CPU, matching
-// the simulator's serve-lane default so a node sized for N lanes
-// behaves the same offline and online.
+// The GOMAXPROCS environment variable caps how many CPUs the server
+// schedules across; by default it uses every schedulable CPU.
 //
 // -fleet joins the node to an lsmfleet redirector: the node registers
 // its address (-advertise overrides what it announces, for NAT or
@@ -61,32 +58,39 @@ import (
 	"repro/internal/wmslog"
 )
 
+// options collects the CLI parameters.
+type options struct {
+	addr, logPath, logFmt, metrics string
+	rate, maxConn                  int
+	writeTO, idleTO                time.Duration
+	fleet, advertise               string
+	beat                           time.Duration
+}
+
+// registerFlags binds the command's flags to o.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8555", "listen address")
+	fs.StringVar(&o.logPath, "log", "", "optional path for WMS-style transfer log")
+	fs.StringVar(&o.logFmt, "log-format", "text", "transfer log format: text (canonical) or binary (framed fast path)")
+	fs.StringVar(&o.metrics, "metrics", "", "optional address for the plain-text /metrics endpoint")
+	fs.IntVar(&o.rate, "rate", 110000, "stream rate in bits/second")
+	fs.IntVar(&o.maxConn, "max-conns", 256, "maximum concurrent connections; extras get 'ERR busy', never a hang")
+	fs.DurationVar(&o.writeTO, "write-timeout", 10*time.Second, "disconnect a client that stops reading after this long (0 disables)")
+	fs.DurationVar(&o.idleTO, "idle-timeout", 60*time.Second, "drop connections silent outside a transfer for this long (0 disables)")
+	fs.StringVar(&o.fleet, "fleet", "", "register with the lsmfleet redirector at this address and heartbeat load")
+	fs.StringVar(&o.advertise, "advertise", "", "address to advertise to the fleet (default: the actual listen address)")
+	fs.DurationVar(&o.beat, "beat", 500*time.Millisecond, "fleet heartbeat interval")
+}
+
 func main() {
-	var (
-		addr    = flag.String("addr", "127.0.0.1:8555", "listen address")
-		logPath = flag.String("log", "", "optional path for WMS-style transfer log")
-		logFmt  = flag.String("log-format", "text", "transfer log format: text (canonical) or binary (framed fast path)")
-		metrics = flag.String("metrics", "", "optional address for the plain-text /metrics endpoint")
-		rate    = flag.Int("rate", 110000, "stream rate in bits/second")
-		maxConn = flag.Int("max-conns", 256, "maximum concurrent connections; extras get 'ERR busy', never a hang")
-		writeTO = flag.Duration("write-timeout", 10*time.Second, "disconnect a client that stops reading after this long (0 disables)")
-		idleTO  = flag.Duration("idle-timeout", 60*time.Second, "drop connections silent outside a transfer for this long (0 disables)")
-		lanes   = flag.Int("serve-lanes", 0, "CPUs to schedule across (GOMAXPROCS; 0 = all)")
-
-		fleet     = flag.String("fleet", "", "register with the lsmfleet redirector at this address and heartbeat load")
-		advertise = flag.String("advertise", "", "address to advertise to the fleet (default: the actual listen address)")
-		beat      = flag.Duration("beat", 500*time.Millisecond, "fleet heartbeat interval")
-
-		profiles prof.Profiles
-	)
+	var o options
+	var profiles prof.Profiles
+	registerFlags(flag.CommandLine, &o)
 	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if *logFmt != "text" && *logFmt != "binary" {
-		fmt.Fprintf(os.Stderr, "lsmserve: -log-format %q: want text or binary\n", *logFmt)
+	if o.logFmt != "text" && o.logFmt != "binary" {
+		fmt.Fprintf(os.Stderr, "lsmserve: -log-format %q: want text or binary\n", o.logFmt)
 		os.Exit(2)
-	}
-	if *lanes > 0 {
-		runtime.GOMAXPROCS(*lanes)
 	}
 	if err := profiles.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "lsmserve:", err)
@@ -94,33 +98,33 @@ func main() {
 	}
 
 	app, err := newApp(appConfig{
-		addr:         *addr,
-		logPath:      *logPath,
-		logBinary:    *logFmt == "binary",
-		metricsAddr:  *metrics,
-		rateBps:      *rate,
-		maxConns:     *maxConn,
-		writeTimeout: *writeTO,
-		idleTimeout:  *idleTO,
+		addr:         o.addr,
+		logPath:      o.logPath,
+		logBinary:    o.logFmt == "binary",
+		metricsAddr:  o.metrics,
+		rateBps:      o.rate,
+		maxConns:     o.maxConn,
+		writeTimeout: o.writeTO,
+		idleTimeout:  o.idleTO,
 	})
 	if err != nil {
 		profiles.Stop()
 		fmt.Fprintln(os.Stderr, "lsmserve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("live streaming server on %s (%d bit/s, %d serve lanes)\n",
-		app.srv.Addr(), *rate, runtime.GOMAXPROCS(0))
+	fmt.Printf("live streaming server on %s (%d bit/s, GOMAXPROCS %d)\n",
+		app.srv.Addr(), o.rate, runtime.GOMAXPROCS(0))
 	if app.metrics != nil {
 		fmt.Printf("metrics on http://%s/metrics\n", app.metrics.Addr())
 	}
-	if *fleet != "" {
-		if err := app.joinFleet(*fleet, *advertise, *beat); err != nil {
+	if o.fleet != "" {
+		if err := app.joinFleet(o.fleet, o.advertise, o.beat); err != nil {
 			app.shutdown()
 			profiles.Stop()
 			fmt.Fprintln(os.Stderr, "lsmserve:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("registered with fleet redirector %s\n", *fleet)
+		fmt.Printf("registered with fleet redirector %s\n", o.fleet)
 	}
 
 	interrupt := make(chan os.Signal, 1)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -154,5 +155,17 @@ func TestShutdownWithActiveTransfer(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("completed transfer missing from flushed log (%d entries)", len(entries))
+	}
+}
+
+// TestRemovedFlagsRejected: the removed -serve-lanes flag (GOMAXPROCS
+// does its job) is a flag-parsing error, not silently accepted.
+func TestRemovedFlagsRejected(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("lsmserve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	registerFlags(fs, &o)
+	if err := fs.Parse([]string{"-serve-lanes", "2"}); err == nil {
+		t.Error("-serve-lanes 2: want a flag-parsing error")
 	}
 }

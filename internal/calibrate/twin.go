@@ -12,8 +12,8 @@ import (
 // Twin regenerates a synthetic workload from a fitted model and runs it
 // through the same serve → sanitize → characterize pipeline the source
 // went through, so Validate compares like with like. Generation rides
-// the sharded event stream and the sharded simulator; the realization
-// is a pure function of (model, seed) at any shard count.
+// the sharded event stream into the simulator; the realization is a
+// pure function of (model, seed) at any shard count.
 func Twin(m gismo.Model, seed int64, timeout int64) (*core.Characterization, error) {
 	clean, err := twinTrace(m, seed)
 	if err != nil {
@@ -40,7 +40,7 @@ func twinTrace(m gismo.Model, seed int64) (*trace.Trace, error) {
 	defer ws.Close()
 
 	var served trace.Collector
-	_, err = simulate.RunStreamSharded(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), uint64(seed), simulate.DefaultServeLanes(), simulate.StreamSinks{
+	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), uint64(seed), simulate.StreamSinks{
 		Transfer: func(t trace.Transfer) error {
 			served.Add(t)
 			return nil

@@ -25,7 +25,7 @@ func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 	defer ws.Close()
 	var served []trace.Transfer
 	var names *trace.Names
-	_, err = simulate.RunStreamSharded(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), seed, simulate.DefaultServeLanes(), simulate.StreamSinks{
+	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), seed, simulate.StreamSinks{
 		Names: func(n *trace.Names) { names = n },
 		Transfer: func(tr trace.Transfer) error {
 			served = append(served, tr)

@@ -39,11 +39,11 @@ var ErrBadConfig = errors.New("core: bad config")
 
 // lanePoissonReplica is the seed-derivation lane of the measurement
 // side's only random draw — the Figure 6 piecewise-Poisson replica —
-// disjoint from the generator's lanes 0–4, the server's serveLane 5,
-// and the dispatcher's laneHash 6, so characterizing a trace with the
-// same seed that generated it cannot correlate the replica's synthetic
-// arrivals with the trace's own randomness (lsmvet's seedlane analyzer
-// keeps the namespace collision-free).
+// disjoint from the generator's lanes 0–4 and the server's serveLane
+// 5, so characterizing a trace with the same seed that generated it
+// cannot correlate the replica's synthetic arrivals with the trace's
+// own randomness (lsmvet's seedlane analyzer keeps the namespace
+// collision-free).
 const lanePoissonReplica uint64 = 7
 
 // Config parameterizes a full reproduction run.

@@ -25,7 +25,7 @@ type StreamReport struct {
 }
 
 // RunStreamed executes the streaming pipeline: sharded generation,
-// sharded serving (one serve lane per generator shard), online
+// serving (one serve goroutine beside the shards), online
 // measurement — one pass, no materialized workload, trace or log
 // slice. For equal seeds it serves the exact request sequence Run
 // serves (the stream is shard-count invariant, Run's generator is a
@@ -48,7 +48,7 @@ func RunStreamed(cfg Config, shards int) (*StreamReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := simulate.RunStreamSharded(ws, ws.Population(), cfg.Model.Horizon, cfg.Server, uint64(cfg.Seed), shards, simulate.StreamSinks{
+	res, err := simulate.RunStream(ws, ws.Population(), cfg.Model.Horizon, cfg.Server, uint64(cfg.Seed), simulate.StreamSinks{
 		Transfer: online.Add,
 	})
 	if err != nil {

@@ -46,16 +46,6 @@ const (
 	MaxShards = 1024
 )
 
-// Consumption modes: a stream is drained through exactly one API —
-// Next (event-at-a-time K-way merge) or NextSlab/RecycleSlab (the
-// fused dispatcher's batch form). Mixing them would split the merge
-// state across two consumers, so the first call locks the mode.
-const (
-	consumeUnset int8 = iota
-	consumeNext
-	consumeSlab
-)
-
 // WorkloadStream is the generator: the Section 6 generative model (its
 // steps are listed on GenerateSeeded), emitted as a time-ordered event
 // stream whose working set is the arrival schedule (16 bytes per session) plus
@@ -79,12 +69,9 @@ const (
 // Each shard emits 512-event slabs over a bounded SPSC ring
 // (internal/ring) — park/wake backpressure, no channel scheduling —
 // and drained slabs return to their producing shard over a recycle
-// ring, so steady-state generation allocates nothing at the seam. The
-// K ordered shard outputs merge back into the (Start, Session, Seq)
-// total order either event-at-a-time through Next, or slab-at-a-time
-// through the workload.ShardedStream batch API (NextSlab/RecycleSlab),
-// which the fused serve dispatcher consumes directly. Both views are
-// byte-identical for every shard count.
+// ring, so steady-state generation allocates nothing at the seam. Next
+// merges the K ordered shard outputs back into the (Start, Session,
+// Seq) total order, byte-identical for every shard count.
 type WorkloadStream struct {
 	model      Model
 	seed       int64
@@ -92,8 +79,7 @@ type WorkloadStream struct {
 	pop        *Population
 	schedule   []int64 // session arrival instants, ascending
 	rings      []shardRings
-	cursors    []mergeCursor // Next()'s K-way merge state, lazily built
-	mode       int8          // consumeUnset / consumeNext / consumeSlab
+	cursors    []mergeCursor // Next()'s K-way merge state; nil until the first call
 	done       chan struct{}
 	closed     atomic.Bool
 	slabAllocs atomic.Int64 // fresh slab allocations (recycle misses)
@@ -257,11 +243,7 @@ func (ws *WorkloadStream) Next() (workload.Event, bool) {
 	if ws.closed.Load() {
 		return workload.Event{}, false
 	}
-	if ws.mode != consumeNext {
-		if ws.mode == consumeSlab {
-			panic("gismo: WorkloadStream consumed through both Next and NextSlab")
-		}
-		ws.mode = consumeNext
+	if ws.cursors == nil {
 		ws.initCursors()
 	}
 	n := len(ws.cursors)
@@ -328,35 +310,6 @@ func (ws *WorkloadStream) popSlab(s int) ([]workload.Event, bool) {
 	}
 }
 
-// NextSlab implements workload.ShardedStream: the fused dispatcher's
-// batch intake. It must not be mixed with Next on the same stream.
-//
-//lsm:hotpath
-func (ws *WorkloadStream) NextSlab(shard int) ([]workload.Event, bool) {
-	if ws.mode != consumeSlab {
-		if ws.mode == consumeNext {
-			panic("gismo: WorkloadStream consumed through both Next and NextSlab")
-		}
-		ws.mode = consumeSlab
-	}
-	if ws.closed.Load() {
-		return nil, false
-	}
-	return ws.popSlab(shard)
-}
-
-// RecycleSlab implements workload.ShardedStream: the drained slab's
-// backing array returns to its producing shard (or, if the shard's
-// recycle ring is full, falls to the garbage collector).
-//
-//lsm:hotpath
-func (ws *WorkloadStream) RecycleSlab(shard int, slab []workload.Event) {
-	if cap(slab) == 0 {
-		return
-	}
-	ws.rings[shard].rec.TryPush(slab[:0])
-}
-
 // Close releases the shard goroutines of a stream that will not be
 // drained. It is idempotent; draining to exhaustion makes it a no-op.
 func (ws *WorkloadStream) Close() {
@@ -373,9 +326,6 @@ func (ws *WorkloadStream) Model() Model { return ws.model }
 
 // Sessions returns the number of generated sessions (client arrivals).
 func (ws *WorkloadStream) Sessions() int { return len(ws.schedule) }
-
-// Shards returns the shard count.
-func (ws *WorkloadStream) Shards() int { return ws.shards }
 
 // runShard generates the events of the sessions owned by shard s, in
 // stream order, batching them into slabs on the shard's output ring.

@@ -11,10 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// The sharded generator is the canonical producer behind the fused
-// serve dispatcher's batch intake.
-var _ workload.ShardedStream = (*WorkloadStream)(nil)
-
 func drainStream(t *testing.T, m Model, seed int64, shards int) ([]workload.Event, int) {
 	t.Helper()
 	ws, err := NewStream(m, seed, shards)
@@ -138,63 +134,6 @@ func TestStreamCloseWithoutDraining(t *testing.T) {
 	}
 }
 
-// TestStreamSlabAPIMatchesNext: merging the NextSlab/RecycleSlab batch
-// view by Event.Less must reproduce exactly the sequence Next yields —
-// the workload.ShardedStream contract the fused dispatcher relies on.
-// Draining every shard to exhaustion also proves no slab (and no
-// event) is lost at the ring seam.
-func TestStreamSlabAPIMatchesNext(t *testing.T) {
-	m := testModel()
-	const seed = 20020106
-	want, _ := drainStream(t, m, seed, 1)
-
-	ws, err := NewStream(m, seed, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ws.Close()
-	type cur struct {
-		slab  []workload.Event
-		pos   int
-		shard int
-	}
-	var cursors []cur
-	for s := 0; s < ws.Shards(); s++ {
-		if slab, ok := ws.NextSlab(s); ok {
-			cursors = append(cursors, cur{slab: slab, shard: s})
-		}
-	}
-	var got []workload.Event
-	for len(cursors) > 0 {
-		best := 0
-		for i := 1; i < len(cursors); i++ {
-			if cursors[i].slab[cursors[i].pos].Less(cursors[best].slab[cursors[best].pos]) {
-				best = i
-			}
-		}
-		c := &cursors[best]
-		got = append(got, c.slab[c.pos])
-		c.pos++
-		if c.pos == len(c.slab) {
-			ws.RecycleSlab(c.shard, c.slab)
-			if slab, ok := ws.NextSlab(c.shard); ok {
-				c.slab, c.pos = slab, 0
-			} else {
-				cursors[best] = cursors[len(cursors)-1]
-				cursors = cursors[:len(cursors)-1]
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("slab API yielded %d events, Next yields %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d differs: slab API %+v vs Next %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestStreamSlabRecyclingBounded: drained slabs must return to their
 // producing shard, so a full drain allocates only the slabs that can be
 // simultaneously in flight per shard (output ring + fill + drain), not
@@ -228,66 +167,32 @@ func TestStreamSlabRecyclingBounded(t *testing.T) {
 
 // TestStreamCloseMidDrain: closing a stream halfway through a drain
 // must release every shard goroutine even while shards are parked on
-// full output rings, and must stay safe through both consumption APIs.
+// full output rings.
 func TestStreamCloseMidDrain(t *testing.T) {
 	m := testModel()
-	for name, drain := range map[string]func(ws *WorkloadStream){
-		"next": func(ws *WorkloadStream) {
-			for i := 0; i < 100; i++ {
-				if _, ok := ws.Next(); !ok {
-					t.Fatal("stream ended before 100 events")
-				}
-			}
-		},
-		"slab": func(ws *WorkloadStream) {
-			slab, ok := ws.NextSlab(0)
-			if !ok {
-				t.Fatal("shard 0 produced no slab")
-			}
-			ws.RecycleSlab(0, slab)
-		},
-	} {
-		before := runtime.NumGoroutine()
-		ws, err := NewStream(m, 1, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drain(ws)
-		ws.Close()
-		// The shard goroutines observe the abort at their next ring
-		// operation; give them a bounded moment to exit.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if got := runtime.NumGoroutine(); got > before {
-			t.Errorf("%s: %d goroutines before stream, %d after Close — shard goroutines leaked", name, before, got)
-		}
-		if _, ok := ws.Next(); ok && name == "next" {
-			t.Errorf("%s: closed stream yielded an event", name)
-		}
-	}
-}
-
-// TestStreamModeGuard: a stream consumed through Next must panic if the
-// slab API is then used on it (and vice versa) — mixing the two would
-// split the merge state across consumers and corrupt the order.
-func TestStreamModeGuard(t *testing.T) {
-	m := testModel()
-	ws, err := NewStream(m, 3, 2)
+	before := runtime.NumGoroutine()
+	ws, err := NewStream(m, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Close()
-	if _, ok := ws.Next(); !ok {
-		t.Fatal("empty stream")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NextSlab after Next did not panic")
+	for i := 0; i < 100; i++ {
+		if _, ok := ws.Next(); !ok {
+			t.Fatal("stream ended before 100 events")
 		}
-	}()
-	ws.NextSlab(0)
+	}
+	ws.Close()
+	// The shard goroutines observe the abort at their next ring
+	// operation; give them a bounded moment to exit.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines before stream, %d after Close — shard goroutines leaked", before, got)
+	}
+	if _, ok := ws.Next(); ok {
+		t.Error("closed stream yielded an event")
+	}
 }
 
 func TestNewStreamRejectsBadInputs(t *testing.T) {

@@ -14,7 +14,8 @@ import (
 // stream in the system is derived as dist.Mix64(seed, lane); the
 // streams are only independent while the lane numbers are unique
 // (gismo owns 0–4, the simulator's per-transfer draws own lane 5 — the
-// contract RunStreamSharded depends on). The analyzer collects, across
+// contract that keeps the served log independent of the generator's
+// shard count). The analyzer collects, across
 // the whole repo,
 //
 //   - integer constants following the lane naming convention

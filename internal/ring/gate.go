@@ -1,9 +1,8 @@
-// Package ring provides the bounded, allocation-free buffers the
-// sharded serve pipeline rides on: a single-producer single-consumer
-// ring (SPSC) for the dispatcher→lane and lane→collector handoffs, a
-// dense-sequence reorder window (Reorder) for the collector's
-// order-restoring merge, and the park/wake primitive (Gate) both use
-// on their slow paths.
+// Package ring provides the bounded, allocation-free seam the
+// generate → serve pipeline rides on: a single-producer
+// single-consumer ring (SPSC) for the generator-shard → merge and
+// serve → emit slab handoffs, and the park/wake primitive (Gate) it
+// uses on its slow paths.
 //
 // The design target is that the fast path of every operation is a
 // couple of plain loads/stores plus one atomic publish — no channel

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -137,8 +136,7 @@ func TestSPSCCloseWakesConsumer(t *testing.T) {
 	}
 }
 
-// TestSPSCSharedConsumerGate is the collector topology: one consumer
-// multiplexes several rings through a single shared gate, re-scanning
+// TestSPSCSharedConsumerGate: one consumer multiplexes several rings through a single shared gate, re-scanning
 // on every wake. All items from all producers must arrive.
 func TestSPSCSharedConsumerGate(t *testing.T) {
 	const lanes = 4
@@ -157,8 +155,7 @@ func TestSPSCSharedConsumerGate(t *testing.T) {
 		}(k)
 	}
 
-	// The consumer mirrors the collector's topology: done rings are
-	// recorded once and then skipped — a ring that stays Done must not
+	// Done rings are recorded once and then skipped — a ring that stays Done must not
 	// count as fresh work in the park re-check, or the consumer would
 	// busy-spin (and starve the producers) from the moment the first
 	// producer finishes.
@@ -212,86 +209,6 @@ func TestSPSCSharedConsumerGate(t *testing.T) {
 	}
 	if seen != lanes*perLane {
 		t.Fatalf("consumed %d items, want %d", seen, lanes*perLane)
-	}
-}
-
-func TestReorderInOrder(t *testing.T) {
-	r := NewReorder[string](4)
-	// Arrive out of order: 2, 0, 1, 3.
-	for _, seq := range []uint64{2, 0, 1, 3} {
-		if err := r.Place(seq, strings.Repeat("x", int(seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for want := uint64(0); want < 4; want++ {
-		p, ok := r.PeekNext()
-		if !ok {
-			t.Fatalf("sequence %d not drainable", want)
-		}
-		if uint64(len(*p)) != want {
-			t.Fatalf("drained wrong item for sequence %d", want)
-		}
-		r.Release()
-	}
-	if r.Len() != 0 {
-		t.Fatalf("window not empty after drain: %d", r.Len())
-	}
-}
-
-// TestReorderWindowSlides exercises wraparound: the window must keep
-// accepting dense sequences far beyond its capacity as it slides.
-func TestReorderWindowSlides(t *testing.T) {
-	r := NewReorder[uint64](8)
-	for seq := uint64(0); seq < 1000; seq++ {
-		if !r.Placeable(seq) {
-			t.Fatalf("sequence %d not placeable in an empty window", seq)
-		}
-		if err := r.Place(seq, seq); err != nil {
-			t.Fatal(err)
-		}
-		p, ok := r.PeekNext()
-		if !ok || *p != seq {
-			t.Fatalf("sequence %d did not drain immediately", seq)
-		}
-		r.Release()
-	}
-	if r.Next() != 1000 {
-		t.Fatalf("window lower bound = %d, want 1000", r.Next())
-	}
-}
-
-// TestReorderOverflowDiagnostics: out-of-window and duplicate
-// placements are pipeline invariant violations and must return loud
-// diagnostic errors — never wedge or silently drop.
-func TestReorderOverflowDiagnostics(t *testing.T) {
-	r := NewReorder[int](4)
-
-	if err := r.Place(4, 0); err == nil {
-		t.Error("placement beyond the window accepted")
-	} else if !strings.Contains(err.Error(), "overflow") {
-		t.Errorf("overflow error %q does not name the condition", err)
-	}
-	if r.Placeable(4) {
-		t.Error("sequence beyond the window reported placeable")
-	}
-
-	if err := r.Place(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Place(1, 0); err == nil {
-		t.Error("duplicate placement accepted")
-	} else if !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate error %q does not name the condition", err)
-	}
-
-	if err := r.Place(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	r.Release() // release 0
-	if err := r.Place(0, 0); err == nil {
-		t.Error("stale placement accepted")
-	} else if !strings.Contains(err.Error(), "already released") {
-		t.Errorf("stale error %q does not name the condition", err)
 	}
 }
 

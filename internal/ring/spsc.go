@@ -80,35 +80,6 @@ func (r *SPSC[T]) TryPush(v T) bool {
 	return true
 }
 
-// TryPushN appends as many items of vs as the ring has space for,
-// in order, and returns how many it took. The copies are published with
-// a single tail store and a single consumer wake, so a batch of N
-// costs one atomic publish instead of N — the dispatcher's staged
-// lane flush rides on this. Producer side only.
-//
-//lsm:hotpath
-func (r *SPSC[T]) TryPushN(vs []T) int {
-	t := r.tail.Load()
-	free := uint64(len(r.buf)) - (t - r.headCache)
-	if free < uint64(len(vs)) {
-		r.headCache = r.head.Load()
-		free = uint64(len(r.buf)) - (t - r.headCache)
-	}
-	n := len(vs)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	if n == 0 {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(t+uint64(i))&r.mask] = vs[i]
-	}
-	r.tail.Store(t + uint64(n))
-	r.cons.Wake()
-	return n
-}
-
 // Push appends v, parking while the ring is full. It returns false if
 // abort is closed while waiting (v is not pushed). Producer side only.
 func (r *SPSC[T]) Push(v T, abort <-chan struct{}) bool {

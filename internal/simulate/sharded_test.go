@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/md5"
 	"errors"
-	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -16,114 +16,181 @@ import (
 	"repro/internal/workload"
 )
 
-// serveToLog runs the given serve function over a fresh replay of w and
-// returns the md5 of the emitted WMS log plus the run summary.
-func serveToLog(t *testing.T, w interface {
-	Stream() workload.Stream
-}, run func(src workload.Stream, sinks StreamSinks) (*StreamResult, error)) ([md5.Size]byte, *StreamResult) {
+// The tests in this file serve live sharded generator streams
+// (gismo.WorkloadStream) through RunStream, compare what the sinks see
+// to referenceRunStream's sequential loop, and check that every run —
+// including every failing one — closes the stream and leaves no
+// goroutine behind.
+
+// liveSeed seeds every live stream in this file.
+const liveSeed = 31
+
+// liveModel is the fixture the live-stream tests generate: a few
+// thousand transfers, so a run spans many serve slabs.
+func liveModel(t *testing.T) gismo.Model {
 	t.Helper()
-	var buf bytes.Buffer
-	lw := wmslog.NewWriter(&buf)
-	res, err := run(w.Stream(), StreamSinks{Entry: lw.Write})
+	m, err := gismo.Scaled(100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.Flush(); err != nil {
+	return m
+}
+
+// liveStream starts the fixture's sharded generator.
+func liveStream(t *testing.T, m gismo.Model, shards int) *gismo.WorkloadStream {
+	t.Helper()
+	ws, err := gismo.NewStreamSeeded(m, liveSeed, shards)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return md5.Sum(buf.Bytes()), res
+	return ws
 }
 
-// TestRunStreamShardedLogInvariant is the sharded-serve contract: the
-// served WMS log must be md5-identical between the sequential path and
-// the sharded path at every lane count, for the same seed.
-func TestRunStreamShardedLogInvariant(t *testing.T) {
-	w := testWorkload(t, 21)
-	cfg := DefaultConfig()
-	cfg.SpanningPerMillion = 2000 // exercise injection across lanes
-	const seed = 99
-
-	sums := map[string][md5.Size]byte{}
-	results := map[string]*StreamResult{}
-	sums["sequential"], results["sequential"] = serveToLog(t, w,
-		func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
-			return RunStream(src, w.Population, w.Model.Horizon, cfg, seed, sinks)
-		})
-	for _, lanes := range []int{1, 4, 8} {
-		key := fmt.Sprintf("lanes=%d", lanes)
-		sums[key], results[key] = serveToLog(t, w,
-			func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
-				return RunStreamSharded(src, w.Population, w.Model.Horizon, cfg, seed, lanes, sinks)
-			})
+// serveLog runs one serve driver over src with a log writer as the
+// Entry sink and returns the md5 of the log plus the run summary.
+func serveLog(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, run func(workload.Stream, *gismo.Population, int64, Config, uint64, StreamSinks) (*StreamResult, error)) ([md5.Size]byte, *StreamResult, error) {
+	var buf bytes.Buffer
+	lw := wmslog.NewWriter(&buf)
+	res, err := run(src, pop, horizon, cfg, liveSeed, StreamSinks{Entry: lw.Write})
+	if err != nil {
+		return [md5.Size]byte{}, nil, err
 	}
+	if err := lw.Flush(); err != nil {
+		return [md5.Size]byte{}, nil, err
+	}
+	return md5.Sum(buf.Bytes()), res, nil
+}
 
-	base := results["sequential"]
-	if base.Injected == 0 {
+// withinDeadline runs f, failing the test if it has not returned after
+// 60 s: a wedged pipeline fails instead of hanging the suite.
+func withinDeadline(t *testing.T, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("serve run wedged")
+	}
+}
+
+// checkGoroutines fails the test unless the goroutine count comes back
+// to baseline within a bounded moment: the generator's shards observe
+// the close at their next ring operation.
+func checkGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Errorf("%d goroutines after the run, %d before: the serve goroutine or the generator's shards leaked", got, baseline)
+	}
+}
+
+// TestRunStreamShardedLogInvariant: the WMS log RunStream serves from a
+// live sharded stream is md5-identical to the sequential reference's at
+// every shard count, spanning twins included.
+func TestRunStreamShardedLogInvariant(t *testing.T) {
+	m := liveModel(t)
+	cfg := DefaultConfig()
+	cfg.SpanningPerMillion = 2000 // exercise injection
+	ref := liveStream(t, m, 1)
+	wantSum, want, err := serveLog(ref, ref.Population(), m.Horizon, cfg, referenceRunStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Injected == 0 {
 		t.Fatal("fixture injected nothing; the test would not cover spanning twins")
 	}
-	for key, sum := range sums {
-		if sum != sums["sequential"] {
-			t.Errorf("%s: log md5 differs from sequential", key)
+	if want.Transfers < 4*serveSlab {
+		t.Fatalf("fixture of %d transfers spans too few slabs", want.Transfers)
+	}
+	for _, shards := range []int{1, 3, 8} {
+		ws := liveStream(t, m, shards)
+		sum, res, err := serveLog(ws, ws.Population(), m.Horizon, cfg, RunStream)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		r := results[key]
-		if *r != *base {
-			t.Errorf("%s: result %+v differs from sequential %+v", key, r, base)
+		if sum != wantSum {
+			t.Errorf("shards=%d: log md5 differs from the reference", shards)
+		}
+		if *res != *want {
+			t.Errorf("shards=%d: result %+v, reference %+v", shards, *res, *want)
 		}
 	}
 }
 
-// TestRunStreamShardedMatchesSinks pins the transfer-sink order and
-// content of the sharded path to the sequential one.
+// TestRunStreamShardedMatchesSinks pins the Transfer sink's order and
+// content, and the Names tables, to the reference.
 func TestRunStreamShardedMatchesSinks(t *testing.T) {
-	w := testWorkload(t, 22)
+	m := liveModel(t)
 	cfg := DefaultConfig()
-	const seed = 7
-
-	collect := func(run func(src workload.Stream, sinks StreamSinks) (*StreamResult, error)) []trace.Transfer {
+	collect := func(run func(workload.Stream, *gismo.Population, int64, Config, uint64, StreamSinks) (*StreamResult, error)) ([]trace.Transfer, *trace.Names) {
+		ws := liveStream(t, m, 4)
 		var out []trace.Transfer
-		_, err := run(w.Stream(), StreamSinks{
+		var names *trace.Names
+		_, err := run(ws, ws.Population(), m.Horizon, cfg, liveSeed, StreamSinks{
 			Transfer: func(tr trace.Transfer) error { out = append(out, tr); return nil },
+			Names:    func(n *trace.Names) { names = n },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return out, names
 	}
-	seqT := collect(func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
-		return RunStream(src, w.Population, w.Model.Horizon, cfg, seed, sinks)
-	})
-	shT := collect(func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
-		return RunStreamSharded(src, w.Population, w.Model.Horizon, cfg, seed, 5, sinks)
-	})
-	if len(seqT) != len(shT) {
-		t.Fatalf("transfer counts differ: %d vs %d", len(seqT), len(shT))
+	want, wantNames := collect(referenceRunStream)
+	got, gotNames := collect(RunStream)
+	if len(got) != len(want) {
+		t.Fatalf("transfer counts differ: %d vs reference %d", len(got), len(want))
 	}
-	for i := range seqT {
-		if seqT[i] != shT[i] {
-			t.Fatalf("transfer %d differs:\nseq:     %+v\nsharded: %+v", i, seqT[i], shT[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("transfer %d differs:\ngot:       %+v\nreference: %+v", i, got[i], want[i])
 		}
+	}
+	if gotNames == nil || !reflect.DeepEqual(gotNames, wantNames) {
+		t.Error("name tables differ from the reference")
 	}
 }
 
-// TestRunStreamShardedValidation covers the one argument only the
-// sharded driver takes; everything both drivers refuse is in
-// TestRunStreamValidatesInput.
+// TestRunStreamShardedValidation: an argument error returns
+// ErrBadConfig and still closes the live stream it was handed — no
+// generator shard outlives the call.
 func TestRunStreamShardedValidation(t *testing.T) {
-	w := testWorkload(t, 2)
-	for _, lanes := range []int{0, -1, MaxServeLanes + 1} {
-		if _, err := RunStreamSharded(w.Stream(), w.Population, w.Model.Horizon, DefaultConfig(), 1, lanes, StreamSinks{}); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("lanes=%d: err = %v, want ErrBadConfig", lanes, err)
+	m := liveModel(t)
+	badCfg := DefaultConfig()
+	badCfg.EncodingBps = 0
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		nilPop  bool
+		horizon int64
+	}{
+		{"zero horizon", DefaultConfig(), false, 0},
+		{"nil population", DefaultConfig(), true, m.Horizon},
+		{"bad config", badCfg, false, m.Horizon},
+	} {
+		baseline := runtime.NumGoroutine()
+		ws := liveStream(t, m, 4)
+		pop := ws.Population()
+		if c.nilPop {
+			pop = nil
 		}
+		if _, err := RunStream(ws, pop, c.horizon, c.cfg, liveSeed, StreamSinks{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", c.name, err)
+		}
+		checkGoroutines(t, baseline)
 	}
 }
 
-// TestRunStreamShardedSkewedLanes is the liveness regression test for
-// the hash-skew deadlock: a stream whose events all hash to one lane
-// (a single client) must still complete at any lane count — the
-// collector must never block on a cold lane while hot lanes stall the
-// pipeline — AND the maximally skewed log must stay md5-identical to
-// the sequential one. Guarded by a timeout so a regression fails
-// instead of hanging the suite.
+// TestRunStreamShardedSkewedLanes: a stream whose events all belong to
+// one client — the distribution that starves any per-client partition
+// of the serve work — completes and matches the reference byte for
+// byte.
 func TestRunStreamShardedSkewedLanes(t *testing.T) {
 	m, err := gismo.Scaled(5000, 2)
 	if err != nil {
@@ -136,153 +203,207 @@ func TestRunStreamShardedSkewedLanes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SpanningPerMillion = 0 // entry count must equal the event count
 	const n = 20_000
-	const seed = 9
-
-	logMD5 := func(run func(src workload.Stream, sinks StreamSinks) (*StreamResult, error)) ([md5.Size]byte, int, error) {
-		var buf bytes.Buffer
-		lw := wmslog.NewWriter(&buf)
-		res, err := run(&syntheticStream{n: n, clients: 1}, StreamSinks{Entry: lw.Write})
-		if err != nil {
-			return [md5.Size]byte{}, 0, err
-		}
-		if err := lw.Flush(); err != nil {
-			return [md5.Size]byte{}, 0, err
-		}
-		return md5.Sum(buf.Bytes()), res.Transfers, nil
-	}
-	seqSum, seqN, err := logMD5(func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
-		return RunStream(src, pop, int64(n), cfg, seed, sinks)
-	})
+	wantSum, want, err := serveLog(&syntheticStream{n: n, clients: 1}, pop, n, cfg, referenceRunStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqN != n {
-		t.Fatalf("sequential served %d/%d transfers", seqN, n)
-	}
+	withinDeadline(t, func() {
+		sum, res, err := serveLog(&syntheticStream{n: n, clients: 1}, pop, n, cfg, RunStream)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if res.Transfers != n || *res != *want {
+			t.Errorf("result %+v, reference %+v", *res, *want)
+		}
+		if sum != wantSum {
+			t.Error("single-client log md5 differs from the reference")
+		}
+	})
+}
 
-	for _, lanes := range []int{2, 4, 8} {
-		type outcome struct {
-			sum [md5.Size]byte
-			n   int
-			err error
+// failAt returns a sink body that fails with boom on its k-th call.
+func failAt(k int, boom error) func() error {
+	n := 0
+	return func() error {
+		n++
+		if n == k {
+			return boom
 		}
-		done := make(chan outcome, 1)
-		go func() {
-			sum, served, err := logMD5(func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
-				return RunStreamSharded(src, pop, int64(n), cfg, seed, lanes, sinks)
-			})
-			done <- outcome{sum, served, err}
-		}()
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatalf("lanes=%d: %v", lanes, o.err)
-			}
-			if o.n != n {
-				t.Fatalf("lanes=%d: served %d/%d transfers", lanes, o.n, n)
-			}
-			if o.sum != seqSum {
-				t.Errorf("lanes=%d: skewed log md5 differs from sequential", lanes)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("lanes=%d: sharded serve deadlocked on a skewed lane distribution", lanes)
-		}
+		return nil
 	}
 }
 
-// TestRunStreamShardedSinkError: a failing sink mid-run aborts the
-// whole pipeline promptly — dispatcher, every lane worker, and the
-// collector — surfacing the sink's error rather than deadlocking,
-// whichever sink fails and at any lane count. Timeout-guarded so a
-// liveness regression fails instead of hanging the suite.
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errWriterFull = errors.New("writer full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errWriterFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRunStreamShardedSinkError is the abort contract: a sink that
+// fails at the first transfer, in the middle of a slab, or on the last
+// call (the final flush, for the Entry sink) makes RunStream return
+// that error — with a live sharded stream as the source, whose shards
+// must be gone afterwards as well as the serve goroutine. A
+// wmslog.Writer whose io.Writer fails part-way is the realistic Entry
+// sink failure.
 func TestRunStreamShardedSinkError(t *testing.T) {
-	w := testWorkload(t, 23)
+	m := liveModel(t)
 	cfg := DefaultConfig()
 	cfg.SpanningPerMillion = 2000
+	ref := liveStream(t, m, 1)
+	total, err := referenceRunStream(ref, ref.Population(), m.Horizon, cfg, liveSeed, StreamSinks{Entry: func(*wmslog.Entry) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := total.Transfers + total.Injected
+	if total.Transfers < 4*serveSlab {
+		t.Fatalf("fixture of %d transfers spans too few slabs", total.Transfers)
+	}
 	boom := errors.New("sink boom")
 
-	for _, lanes := range []int{1, 4, 8} {
-		for _, kind := range []string{"transfer", "entry"} {
-			t.Run(fmt.Sprintf("%s/lanes=%d", kind, lanes), func(t *testing.T) {
-				n := 0
-				fail := func() error {
-					n++
-					if n == 10 {
-						return boom
-					}
-					return nil
+	type sinkCase struct {
+		name  string
+		sinks func() StreamSinks
+		want  error
+	}
+	var cases []sinkCase
+	for _, at := range []struct {
+		name            string
+		transfer, entry int
+	}{
+		{"first", 1, 1},
+		{"mid-slab", serveSlab + serveSlab/2, serveSlab + serveSlab/2},
+		{"final-flush", total.Transfers, entries},
+	} {
+		cases = append(cases,
+			sinkCase{"transfer/" + at.name, func() StreamSinks {
+				fail := failAt(at.transfer, boom)
+				// Entries must still be produced, and dropped without
+				// leaking, when the other sink aborts.
+				return StreamSinks{
+					Transfer: func(trace.Transfer) error { return fail() },
+					Entry:    func(*wmslog.Entry) error { return nil },
 				}
-				sinks := StreamSinks{}
-				switch kind {
-				case "transfer":
-					sinks.Transfer = func(tr trace.Transfer) error { return fail() }
-					// Entries must still be produced (and then drained
-					// without leaking) when the other sink aborts.
-					sinks.Entry = func(e *wmslog.Entry) error { return nil }
-				case "entry":
-					sinks.Entry = func(e *wmslog.Entry) error { return fail() }
-				}
-				done := make(chan error, 1)
-				go func() {
-					_, err := RunStreamSharded(w.Stream(), w.Population, w.Model.Horizon, cfg, 1, lanes, sinks)
-					done <- err
-				}()
-				select {
-				case err := <-done:
-					if !errors.Is(err, boom) {
-						t.Fatalf("err = %v, want sink error", err)
-					}
-				case <-time.After(60 * time.Second):
-					t.Fatal("sharded serve wedged after a sink error")
+			}, boom},
+			sinkCase{"entry/" + at.name, func() StreamSinks {
+				fail := failAt(at.entry, boom)
+				return StreamSinks{Entry: func(*wmslog.Entry) error { return fail() }}
+			}, boom})
+	}
+	cases = append(cases, sinkCase{"entry/writer-fails", func() StreamSinks {
+		return StreamSinks{Entry: wmslog.NewWriter(&failingWriter{n: 100_000}).Write}
+	}, errWriterFull})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ws := liveStream(t, m, 4)
+			withinDeadline(t, func() {
+				if _, err := RunStream(ws, ws.Population(), m.Horizon, cfg, liveSeed, c.sinks()); !errors.Is(err, c.want) {
+					t.Errorf("err = %v, want %v", err, c.want)
 				}
 			})
-		}
+			checkGoroutines(t, baseline)
+		})
 	}
 }
 
-// TestRunStreamShardedMemoryBounded is the arena-recycling contract:
-// a long sharded run's live heap must stay bounded by the pipeline's
-// occupancy (rings + reorder window + in-flight arena chunks), not
-// grow with the transfer count — chunks must actually cycle back from
-// the collector to the lane workers.
+// violatingStream passes a live stream through until after event at,
+// then yields an event that starts before everything served so far.
+type violatingStream struct {
+	ws *gismo.WorkloadStream
+	n  int
+	at int
+}
+
+func (s *violatingStream) Next() (workload.Event, bool) {
+	s.n++
+	if s.n == s.at {
+		return workload.Event{Start: -1, Duration: 1}, true
+	}
+	return s.ws.Next()
+}
+
+func (s *violatingStream) Close() { s.ws.Close() }
+
+// TestRunStreamShardedContractViolation: a stream that breaks start
+// order after the first slab has crossed to the sinks fails exactly as
+// the reference does — the sinks see every event before the violation
+// and the error names it — and the stream is closed.
+func TestRunStreamShardedContractViolation(t *testing.T) {
+	m := liveModel(t)
+	cfg := DefaultConfig()
+	const at = 2*serveSlab + 17
+	run := func(ws *gismo.WorkloadStream, driver func(workload.Stream, *gismo.Population, int64, Config, uint64, StreamSinks) (*StreamResult, error)) (int, error) {
+		seen := 0
+		_, err := driver(&violatingStream{ws: ws, at: at}, ws.Population(), m.Horizon, cfg, liveSeed, StreamSinks{
+			Transfer: func(trace.Transfer) error { seen++; return nil },
+		})
+		return seen, err
+	}
+	wantSeen, wantErr := run(liveStream(t, m, 4), referenceRunStream)
+	if !errors.Is(wantErr, ErrBadConfig) || wantSeen != at-1 {
+		t.Fatalf("reference: %d transfers then %v, want %d then a start-order violation", wantSeen, wantErr, at-1)
+	}
+	baseline := runtime.NumGoroutine()
+	ws := liveStream(t, m, 4)
+	withinDeadline(t, func() {
+		seen, err := run(ws, RunStream)
+		if err == nil || err.Error() != wantErr.Error() || seen != wantSeen {
+			t.Errorf("%d transfers then %v, reference %d then %v", seen, err, wantSeen, wantErr)
+		}
+	})
+	checkGoroutines(t, baseline)
+}
+
+// TestRunStreamShardedMemoryBounded: a long run from a live sharded
+// stream holds a live heap bounded by the pipeline's occupancy — the
+// generator's and the serve stage's slab rings, and the entries of
+// transfers still active — not one that grows with the transfer count:
+// slabs must cycle back through both recycle rings.
 func TestRunStreamShardedMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement in -short mode")
 	}
-	m, err := gismo.Scaled(5000, 2)
+	m, err := gismo.Scaled(100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := gismo.NewPopulation(64, m.Topology, rand.New(rand.NewPCG(5, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m.BaseArrivalRate *= 70
+	cfg := DefaultConfig()
+	cfg.SpanningPerMillion = 0
+	ws := liveStream(t, m, 4)
 
-	const n = 400_000
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-
-	cfg := DefaultConfig()
-	cfg.SpanningPerMillion = 0
-	var served int
-	res, err := RunStreamSharded(&syntheticStream{n: n, clients: pop.Size()}, pop, int64(n), cfg, 3, 4, StreamSinks{
+	served := 0
+	res, err := RunStream(ws, ws.Population(), m.Horizon, cfg, liveSeed, StreamSinks{
 		Entry: func(e *wmslog.Entry) error { served++; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if res.Transfers != n || served != n {
-		t.Fatalf("served %d/%d transfers (%d entries)", res.Transfers, n, served)
+	if res.Transfers != served || served < 400_000 {
+		t.Fatalf("served %d entries of %d transfers, want ≥ 400k", served, res.Transfers)
 	}
 
-	// Buffering the entries would cost ~100 MB; the pipeline needs only
-	// its rings, the reorder window, and the circulating chunks. Allow
-	// a generous 24 MB for noise.
+	// Materializing the entries would cost ~100 MB; the pipeline needs
+	// its rings and the reorder buffer. Allow a generous 24 MB for noise.
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	const limit = 24 << 20
 	if growth > limit {
-		t.Errorf("live heap grew %d bytes during sharded run, want < %d", growth, limit)
+		t.Errorf("live heap grew %d bytes during the run, want < %d", growth, limit)
 	}
 }

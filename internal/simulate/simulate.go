@@ -126,8 +126,8 @@ type Result struct {
 // workload is replayed as an event stream and every transfer and log
 // entry is collected in memory (entries are copied out of the stream's
 // pool). seed drives every server-model draw; equal seeds give
-// identical results at any serve-lane count. Scale-sensitive callers
-// should use RunStream or RunStreamSharded with sinks instead.
+// identical results. Scale-sensitive callers should use RunStream with
+// sinks instead.
 func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
 	if w == nil || len(w.Requests) == 0 {
 		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)

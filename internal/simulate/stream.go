@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gismo"
 	"repro/internal/heapx"
+	"repro/internal/ring"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
@@ -19,24 +20,32 @@ import (
 // reuse one seed for generation and serving without correlating the
 // two. Every per-transfer draw comes from a splitmix stream keyed by
 // (seed, serveLane, event.Session, event.Seq) — a pure function of the
-// event identity. That is the sharded-serve contract: any partition of
-// events across serve lanes draws exactly the same values, so the log
-// bytes are invariant under the lane count (mirroring the generator's
-// shard-seeding scheme, DESIGN.md).
+// event identity, so the log bytes do not depend on how the events
+// were generated or scheduled (mirroring the generator's shard-seeding
+// scheme, DESIGN.md).
 const serveLane uint64 = 5
 
-// laneHash is the lane the sharded dispatcher's client→lane hash is
-// keyed on (Mix64(client, laneHash)). It never derives a random
-// stream, but it lives in the lane namespace so no future stream can
-// accidentally share its keying — lsmvet's seedlane analyzer keeps the
-// whole namespace collision-free.
-const laneHash uint64 = 6
+const (
+	// serveSlab is the number of served transfers per slab: the unit
+	// the serve goroutine hands to the caller's goroutine per ring
+	// operation.
+	serveSlab = 256
+	// serveRingDepth is the depth of the out ring: how many slabs the
+	// serve goroutine may run ahead of the sinks before it parks.
+	serveRingDepth = 8
+	// serveRecycleDepth is the depth of the recycle ring. It holds every
+	// slab that can exist — the out ring's, the one being filled and the
+	// one being drained — so a drained slab is never dropped and steady
+	// state allocates none.
+	serveRecycleDepth = serveRingDepth + 2
+)
 
 // StreamSinks receives the simulator's output as it is produced.
 // Transfer is called in request-start order; Entry is called in log
 // order (non-decreasing timestamp — entries are released once no
 // still-active transfer can end earlier). Either may be nil. A sink
-// error aborts the run.
+// error aborts the run. Every sink runs on the goroutine that called
+// RunStream.
 //
 // A transfer names its client's IP and country by dense id; Names, if
 // set, is handed the id → name tables once, before the first transfer.
@@ -64,57 +73,148 @@ type StreamResult struct {
 	TotalBytes int64
 }
 
-// RunStream serves an event stream sequentially, holding O(active
-// transfers) of state: the concurrency heap plus a reorder buffer of
-// log entries for transfers that have started but not yet ended
-// (entries are timestamped at transfer end, requests arrive in start
-// order). Run is a materializing wrapper around it; RunStreamSharded
-// is the parallel form, byte-identical at any lane count.
+// RunStream serves an event stream, holding O(active transfers) of
+// state: the concurrency tracker plus a reorder buffer of log entries
+// for transfers that have started but not yet ended (entries are
+// timestamped at transfer end, requests arrive in start order). Run is
+// a materializing wrapper around it.
+//
+// It is a two-stage pipeline. One serve goroutine pulls src, admits
+// each event (the stream contract and the concurrency level, see
+// admission) and computes its server-model outcome into fixed-size
+// slabs of by-value results; the slabs cross to the calling goroutine
+// over an SPSC out/recycle ring pair, where the emitter drives the
+// sinks in admission order. No pointer crosses the seam: each entry is
+// copied into the emitter's own pooled entry when it is buffered.
 //
 // pop must cover every client ID in the stream; horizon bounds the
 // trace. seed drives every server-model draw deterministically:
 // per-transfer randomness is keyed by (seed, event identity), so equal
-// seeds give identical logs regardless of how the serving is
-// parallelized. Spanning-entry injection (cfg.SpanningPerMillion) is a
+// seeds give identical logs at any generator shard count and
+// GOMAXPROCS. Spanning-entry injection (cfg.SpanningPerMillion) is a
 // per-transfer Bernoulli draw at the same expected rate as the
 // original materializing path's fixed count.
+//
+// RunStream owns src from the call on: it closes it (see
+// workload.CloseStream) on every return path, errors included.
 func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, sinks StreamSinks) (*StreamResult, error) {
+	defer workload.CloseStream(src)
 	if err := checkServeArgs(&cfg, pop, horizon); err != nil {
 		return nil, err
 	}
-	defer workload.CloseStream(src)
-
 	rows, err := newRowIDs(pop, sinks)
 	if err != nil {
 		return nil, err
 	}
 
-	// Single-goroutine serving recycles entries through a plain
-	// freelist; only the sharded path pays for per-lane arenas.
-	pool := &freeEntryPool{}
-	es := newEventServer(&cfg, pop, horizon, seed, pool, sinks, rows)
-	adm := newAdmission(pop, rows)
-	em := newEmitter(pool, sinks)
-	var sv served
+	st := newServeStage(newEventServer(&cfg, pop, horizon, seed, sinks, rows), newAdmission(pop, rows))
+	go st.run(src)
 
+	// Stage 2, this goroutine: emit every served transfer in slab order.
+	// After a sink error it keeps draining (and recycling) slabs until
+	// the serve goroutine has seen the stop and closed the out ring.
+	em := newEmitter(sinks)
+	for {
+		slab, ok := st.out.Pop(nil)
+		if !ok {
+			break
+		}
+		for i := 0; err == nil && i < len(slab); i++ {
+			if err = em.emit(&slab[i]); err != nil {
+				close(st.stop)
+			}
+		}
+		st.rec.TryPush(slab[:0])
+	}
+	<-st.done
+	if err == nil {
+		err = st.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return em.finish(st.adm.concurrency.peak)
+}
+
+// serveStage is stage 1 of RunStream: the goroutine that admits and
+// serves events into slabs. err and adm are its own until done is
+// closed.
+type serveStage struct {
+	es   *eventServer
+	adm  *admission
+	out  *ring.SPSC[[]served] // filled slabs, to the emitter
+	rec  *ring.SPSC[[]served] // drained slabs, back to the serve goroutine
+	stop chan struct{}        // closed by the emitter on a sink error
+	done chan struct{}        // closed when run returns
+	err  error                // the stream-contract violation that ended the run, if any
+	made int                  // slabs allocated, at most serveRecycleDepth
+}
+
+func newServeStage(es *eventServer, adm *admission) *serveStage {
+	return &serveStage{
+		es:   es,
+		adm:  adm,
+		out:  ring.NewSPSC[[]served](serveRingDepth, ring.NewGate(), ring.NewGate()),
+		rec:  ring.NewSPSC[[]served](serveRecycleDepth, ring.NewGate(), ring.NewGate()),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+}
+
+// run serves src to exhaustion, a stream-contract violation, or a
+// stop. The slab in progress when the stream ends or breaks the
+// contract is still handed over, so the sinks see every event admitted
+// before the violation — exactly what a sequential loop would show them.
+func (st *serveStage) run(src workload.Stream) {
+	defer close(st.done)
+	defer st.out.Close()
+	slab := st.newSlab()
 	for {
 		ev, ok := src.Next()
 		if !ok {
 			break
 		}
-		conc, ok := adm.admit(ev)
+		conc, ok := st.adm.admit(ev)
 		if !ok {
-			return nil, adm.violation(ev)
+			st.err = st.adm.violation(ev)
+			break
 		}
-		es.serve(ev, conc, &sv)
-		if err := em.emit(ev.Start, &sv); err != nil {
-			return nil, err
+		n := len(slab)
+		slab = slab[:n+1]
+		st.es.serve(ev, conc, &slab[n])
+		if n+1 == serveSlab {
+			if !st.push(slab) {
+				return
+			}
+			slab = st.newSlab()
 		}
 	}
-	return em.finish(adm.concurrency.peak)
+	if len(slab) > 0 {
+		st.push(slab)
+	}
 }
 
-// checkServeArgs validates the arguments every serve driver takes.
+// newSlab reuses a slab the emitter has drained, or makes one.
+func (st *serveStage) newSlab() []served {
+	if slab, ok := st.rec.TryPop(); ok {
+		return slab
+	}
+	st.made++
+	return make([]served, 0, serveSlab)
+}
+
+// push hands a full slab to the emitter, parking while the out ring is
+// full. It returns false once the emitter has stopped the run.
+func (st *serveStage) push(slab []served) bool {
+	select {
+	case <-st.stop:
+		return false
+	default:
+	}
+	return st.out.Push(slab, st.stop)
+}
+
+// checkServeArgs validates RunStream's arguments.
 func checkServeArgs(cfg *Config, pop *gismo.Population, horizon int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -171,8 +271,8 @@ func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 	return r, nil
 }
 
-// admission is the serial front of a serve run, shared by both
-// drivers: it holds the stream contract — every client inside the
+// admission is the serial front of a serve run, on the serve
+// goroutine: it holds the stream contract — every client inside the
 // population, every object one the output can name, starts
 // non-decreasing — and the concurrency level each event is admitted
 // at, the only cross-event state of the server model.
@@ -217,28 +317,27 @@ func (a *admission) violation(ev workload.Event) error {
 	return fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, a.lastStart)
 }
 
-// emitter is the ordered back of a serve run, shared by both drivers:
-// fed served transfers in admission order, it drives the sinks and
-// accumulates the run summary.
+// emitter is the ordered back of a serve run, on the calling
+// goroutine: fed served transfers in admission order, it drives the
+// sinks and accumulates the run summary.
 type emitter struct {
 	sinks   StreamSinks
 	pending pendingEntries
 	res     StreamResult
 }
 
-func newEmitter(pool entryPool, sinks StreamSinks) *emitter {
-	return &emitter{sinks: sinks, pending: newPendingEntries(pool)}
+func newEmitter(sinks StreamSinks) *emitter {
+	return &emitter{sinks: sinks, pending: newPendingEntries()}
 }
 
-// emit is the emission sequence for one served transfer that started
-// at start: release every buffered entry the start watermark has
-// passed, count the transfer, hand it to the Transfer sink, then
-// buffer its entry (and spanning twin) until its end time. On error
-// sv's entries have not been buffered and remain the caller's.
+// emit is the emission sequence for one served transfer: release every
+// buffered entry the transfer's start has passed, count the transfer,
+// hand it to the Transfer sink, then buffer a copy of its entry (and
+// of its spanning twin) until its end time.
 //
 //lsm:hotpath
-func (em *emitter) emit(start int64, sv *served) error {
-	if err := em.pending.flushThrough(start, false, em.sinks.Entry); err != nil {
+func (em *emitter) emit(sv *served) error {
+	if err := em.pending.flushThrough(sv.start, false, em.sinks.Entry); err != nil {
 		return err
 	}
 	em.res.Transfers++
@@ -248,13 +347,15 @@ func (em *emitter) emit(start int64, sv *served) error {
 			return err
 		}
 	}
-	if sv.entry != nil {
-		em.pending.push(sv.end, sv.entry, sv.entryC)
-		if sv.dup != nil {
-			em.pending.push(sv.end, sv.dup, sv.dupC)
+	if em.sinks.Entry != nil {
+		em.pending.push(sv.end, &sv.entry)
+		if sv.span > 0 {
+			twin := em.pending.push(sv.end, &sv.entry)
+			twin.Duration = sv.span
+			twin.Bytes = sv.span * 1000
 		}
 	}
-	if sv.injected {
+	if sv.span > 0 {
 		em.res.Injected++
 	}
 	return nil
@@ -273,31 +374,26 @@ func (em *emitter) finish(peak int) (*StreamResult, error) {
 	return &em.res, nil
 }
 
-// served is one transfer's complete serving outcome: the trace record,
-// the pooled log entry, and — for the rare Section 2.4 injection — a
-// corrupt spanning twin. transfer and entry are only populated when
-// the run has the corresponding sink. entryC/dupC are the arena chunks
-// owning the entries on the sharded path (nil on the sequential path,
-// whose freelist pool has no chunks); they ride along so the collector
-// can release each entry to its owning lane.
+// served is one transfer's complete serving outcome, by value: the
+// trace record, the log entry, and — for the rare Section 2.4
+// injection — the duration of a corrupt spanning twin, which the
+// emitter rebuilds from the entry. transfer and entry are only
+// populated when the run has the corresponding sink.
 type served struct {
 	transfer trace.Transfer
-	entry    *wmslog.Entry
-	entryC   *entryChunk
-	dup      *wmslog.Entry
-	dupC     *entryChunk
+	entry    wmslog.Entry
+	start    int64
 	end      int64
 	bytes    int64
-	injected bool
+	span     int64 // the spanning twin's duration; 0 when none was injected
 }
 
 // eventServer computes one transfer's server-model outcome from the
-// event alone (plus the concurrency level the dispatcher observed).
-// Each serve reseeds a splitmix source with the event's derived seed,
-// so the draws are a pure function of (seed, Session, Seq) — the
-// property both the sequential and the sharded serve paths rely on for
-// byte-identical logs. Not safe for concurrent use; sharded serving
-// gives each lane its own eventServer over the same seed.
+// event alone (plus the concurrency level admission observed). Each
+// serve reseeds a splitmix source with the event's derived seed, so
+// the draws are a pure function of (seed, Session, Seq) — the property
+// that makes the log independent of how the stream was generated. Not
+// safe for concurrent use.
 type eventServer struct {
 	cfg       *Config
 	pop       *gismo.Population
@@ -307,12 +403,11 @@ type eventServer struct {
 	uris      []string // lazily built object-URI cache, shared by entries
 	horizon   int64
 	injectP   float64
-	pool      entryPool
 	rows      *rowIDs // non-nil exactly when the run has a Transfer sink
 	wantEntry bool
 }
 
-func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, pool entryPool, sinks StreamSinks, rows *rowIDs) *eventServer {
+func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, sinks StreamSinks, rows *rowIDs) *eventServer {
 	src := dist.NewSplitMix64(0)
 	return &eventServer{
 		cfg:       cfg,
@@ -322,7 +417,6 @@ func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint
 		rng:       rand.New(src),
 		horizon:   horizon,
 		injectP:   float64(cfg.SpanningPerMillion) / 1_000_000,
-		pool:      pool,
 		rows:      rows,
 		wantEntry: sinks.Entry != nil,
 	}
@@ -351,7 +445,7 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 	bytes := payload * ev.Duration / 8
 	loss := cfg.drawLoss(ev.Duration, congested, es.rng)
 
-	*sv = served{end: ev.End(), bytes: bytes}
+	*sv = served{start: ev.Start, end: ev.End(), bytes: bytes}
 	if rows := es.rows; rows != nil {
 		// admission has checked that client and object fit their fields.
 		sv.transfer = trace.Transfer{
@@ -368,9 +462,7 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 		}
 	}
 	if es.wantEntry {
-		entry, chunk := es.pool.get()
-		sv.entryC = chunk
-		*entry = wmslog.Entry{
+		sv.entry = wmslog.Entry{
 			Timestamp:    cfg.Epoch.Add(time.Duration(sv.end) * time.Second),
 			ClientIP:     client.Placement.IP,
 			PlayerID:     client.PlayerID,
@@ -387,23 +479,13 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 			ASNumber:     client.Placement.ASIndex + 1,
 			Country:      client.Placement.Country,
 		}
-		sv.entry = entry
 	}
 
 	// Section 2.4 multi-harvest artifacts: with probability
 	// SpanningPerMillion/1e6 the entry gains a corrupt twin whose
 	// duration exceeds the trace period.
 	if es.injectP > 0 && es.rng.Float64() < es.injectP {
-		sv.injected = true
-		dur := es.horizon + int64(es.rng.IntN(1_000_000)) + 1
-		if sv.entry != nil {
-			dup, chunk := es.pool.get()
-			*dup = *sv.entry
-			dup.Duration = dur
-			dup.Bytes = dur * 1000
-			sv.dup = dup
-			sv.dupC = chunk
-		}
+		sv.span = es.horizon + int64(es.rng.IntN(1_000_000)) + 1
 	}
 }
 
@@ -419,71 +501,50 @@ func (es *eventServer) uri(obj int) string {
 	return es.uris[obj]
 }
 
-// entryPool recycles wmslog.Entry values between the serve workers and
-// the sink: a transfer's entry is recycled as soon as the Entry sink
-// returns, so a streamed run allocates entries proportional to the
-// reorder buffer's high-water mark (~peak concurrency), not to the
-// transfer count. get may hand back the entry's owning arena chunk
-// (nil for chunkless pools); callers thread it to the matching put so
-// arena-backed entries release to the right lane.
-type entryPool interface {
-	get() (*wmslog.Entry, *entryChunk)
-	put(*wmslog.Entry, *entryChunk)
-}
-
-// freeEntryPool is the single-goroutine pool the sequential path uses:
-// a plain LIFO freelist, no synchronization, no chunks. The sharded
-// path uses per-lane arenas instead (see arena.go).
-type freeEntryPool struct {
-	free []*wmslog.Entry
-}
-
-func (ep *freeEntryPool) get() (*wmslog.Entry, *entryChunk) {
-	if n := len(ep.free); n > 0 {
-		e := ep.free[n-1]
-		ep.free = ep.free[:n-1]
-		return e, nil
-	}
-	return new(wmslog.Entry), nil
-}
-
-// put returns an entry to the freelist.
-//
-//lsm:retain -- the pool is the recycler: entries are handed back here precisely when the sink is done with them
-func (ep *freeEntryPool) put(e *wmslog.Entry, _ *entryChunk) { ep.free = append(ep.free, e) }
-
 // pendingEntries is the reorder buffer of not-yet-emitted log entries,
 // a min-heap on (transfer end, admission order). The secondary key
 // makes the emission order — and therefore the log bytes — fully
-// deterministic under timestamp ties.
+// deterministic under timestamp ties. Entries are recycled through a
+// freelist as soon as the Entry sink returns, so a run allocates
+// entries proportional to the buffer's high-water mark (~peak
+// concurrency), not to the transfer count.
 type pendingEntries struct {
 	heap heapx.Heap[pendingEntry]
 	seq  int64
-	pool entryPool
+	free []*wmslog.Entry
 }
 
 type pendingEntry struct {
 	end   int64
 	seq   int64
 	entry *wmslog.Entry
-	chunk *entryChunk
 }
 
-func newPendingEntries(pool entryPool) pendingEntries {
+func newPendingEntries() pendingEntries {
 	return pendingEntries{heap: heapx.New(func(a, b *pendingEntry) bool {
 		if a.end != b.end {
 			return a.end < b.end
 		}
 		return a.seq < b.seq
-	}), pool: pool}
+	})}
 }
 
-// push buffers an entry until the start watermark passes its end time.
+// push buffers a copy of *e until the start watermark passes end, and
+// returns the copy.
 //
-//lsm:retain -- the reorder buffer owns entries between push and pop; flushThrough recycles them into the pool after the sink call
-func (p *pendingEntries) push(end int64, e *wmslog.Entry, c *entryChunk) {
-	p.heap.Push(pendingEntry{end: end, seq: p.seq, entry: e, chunk: c})
+//lsm:hotpath
+func (p *pendingEntries) push(end int64, e *wmslog.Entry) *wmslog.Entry {
+	var cp *wmslog.Entry
+	if n := len(p.free); n > 0 {
+		cp = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		cp = new(wmslog.Entry)
+	}
+	*cp = *e
+	p.heap.Push(pendingEntry{end: end, seq: p.seq, entry: cp})
 	p.seq++
+	return cp
 }
 
 // flushThrough emits (and recycles) every buffered entry whose end
@@ -492,13 +553,20 @@ func (p *pendingEntries) push(end int64, e *wmslog.Entry, c *entryChunk) {
 func (p *pendingEntries) flushThrough(start int64, all bool, sink func(*wmslog.Entry) error) error {
 	for p.heap.Len() > 0 && (all || p.heap.Peek().end <= start) {
 		pe := p.heap.Pop()
-		if sink != nil {
-			if err := sink(pe.entry); err != nil {
-				p.pool.put(pe.entry, pe.chunk)
-				return err
-			}
+		p.free = append(p.free, pe.entry)
+		if err := sink(pe.entry); err != nil {
+			return err
 		}
-		p.pool.put(pe.entry, pe.chunk)
 	}
 	return nil
 }
+
+// RunStreamSharded is RunStream; lanes is ignored. It remains for
+// callers written against the former laned serve driver.
+func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, lanes int, sinks StreamSinks) (*StreamResult, error) {
+	return RunStream(src, pop, horizon, cfg, seed, sinks)
+}
+
+// DefaultServeLanes is the lane count RunStreamSharded ignores: one,
+// the number of serve goroutines RunStream runs.
+func DefaultServeLanes() int { return 1 }

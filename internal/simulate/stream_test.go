@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/gismo"
 	"repro/internal/trace"
@@ -70,26 +71,17 @@ func TestRunStreamMatchesRun(t *testing.T) {
 }
 
 // TestRunStreamValidatesInput runs every bad-argument and bad-stream
-// case over both drivers: the sequential and the sharded path (at one
-// and at several lanes) must refuse exactly the same inputs with the
-// same error, and the sharded pipeline must not deadlock doing so.
+// case through RunStream and the sequential reference: both must
+// refuse exactly the same inputs with the same error.
 func TestRunStreamValidatesInput(t *testing.T) {
 	w := testWorkload(t, 2)
 	cfg := DefaultConfig()
 	pop, horizon := w.Population, w.Model.Horizon
 
-	type driver struct {
+	drivers := []struct {
 		name string
-		run  func(src workload.Stream, pop *gismo.Population, horizon int64) (*StreamResult, error)
-	}
-	drivers := []driver{{"sequential", func(src workload.Stream, pop *gismo.Population, horizon int64) (*StreamResult, error) {
-		return RunStream(src, pop, horizon, cfg, 1, StreamSinks{})
-	}}}
-	for _, lanes := range []int{1, 4} {
-		drivers = append(drivers, driver{fmt.Sprintf("lanes=%d", lanes), func(src workload.Stream, pop *gismo.Population, horizon int64) (*StreamResult, error) {
-			return RunStreamSharded(src, pop, horizon, cfg, 1, lanes, StreamSinks{})
-		}})
-	}
+		run  func(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, sinks StreamSinks) (*StreamResult, error)
+	}{{"reference", referenceRunStream}, {"RunStream", RunStream}}
 
 	cases := []struct {
 		name    string
@@ -117,7 +109,7 @@ func TestRunStreamValidatesInput(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, d := range drivers {
-			_, err := d.run(c.src(), c.pop, c.horizon)
+			_, err := d.run(c.src(), c.pop, c.horizon, cfg, 1, StreamSinks{})
 			if !errors.Is(err, ErrBadConfig) || err.Error() != c.want {
 				t.Errorf("%s, %s: err = %v, want %q", c.name, d.name, err, c.want)
 			}
@@ -197,10 +189,10 @@ func TestRunStreamMemoryBounded(t *testing.T) {
 }
 
 func TestPendingEntriesOrdering(t *testing.T) {
-	p := newPendingEntries(&freeEntryPool{})
+	p := newPendingEntries()
 	ends := []int64{9, 3, 7, 3, 11, 1, 3}
 	for i, e := range ends {
-		p.push(e, &wmslog.Entry{Duration: int64(i)}, nil)
+		p.push(e, &wmslog.Entry{Duration: int64(i)})
 	}
 	var lastEnd int64 = -1
 	var lastSeq int64 = -1
@@ -220,18 +212,18 @@ func TestPendingEntriesOrdering(t *testing.T) {
 	}
 }
 
-// TestServeAllocatesNothing: once the entry pool and the URI cache are
-// warm, serving a transfer with an entry sink allocates nothing — the
-// client's log text is read out of the population's table, not built.
+// TestServeAllocatesNothing: once the URI cache is warm, serving a
+// transfer with an entry sink allocates nothing — the entry is rendered
+// by value into the slab, and the client's log text is read out of the
+// population's table, not built.
 func TestServeAllocatesNothing(t *testing.T) {
 	pop, err := gismo.NewPopulation(500, gismo.Default().Topology, rand.New(rand.NewPCG(4, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	pool := &freeEntryPool{}
 	sinks := StreamSinks{Entry: func(*wmslog.Entry) error { return nil }}
-	es := newEventServer(&cfg, pop, 86400, 9, pool, sinks, nil)
+	es := newEventServer(&cfg, pop, 86400, 9, sinks, nil)
 	var sv served
 	i := 0
 	serveOne := func() {
@@ -239,10 +231,6 @@ func TestServeAllocatesNothing(t *testing.T) {
 		es.serve(ev, 1+i%50, &sv)
 		if got, want := sv.entry.PlayerID, pop.Client(ev.Client).PlayerID; got != want {
 			t.Fatalf("event %d: entry of %q, client is %q", i, got, want)
-		}
-		pool.put(sv.entry, sv.entryC)
-		if sv.dup != nil {
-			pool.put(sv.dup, sv.dupC)
 		}
 		i++
 	}
@@ -252,4 +240,102 @@ func TestServeAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2_000, serveOne); allocs != 0 {
 		t.Errorf("%v allocations per served transfer, want 0", allocs)
 	}
+}
+
+// TestEmitAllocatesNothing: once the entry freelist is warm, emitting a
+// transfer — buffering a copy of its entry and releasing the entries
+// it passes to the sink — allocates nothing.
+func TestEmitAllocatesNothing(t *testing.T) {
+	em := newEmitter(StreamSinks{Entry: func(*wmslog.Entry) error { return nil }})
+	var sv served
+	i := 0
+	emitOne := func() {
+		sv.start, sv.end = int64(i), int64(i+30)
+		sv.span = int64(i%7) * 100_000 // a spanning twin now and then
+		if err := em.emit(&sv); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 100 {
+		emitOne()
+	}
+	if allocs := testing.AllocsPerRun(2_000, emitOne); allocs != 0 {
+		t.Errorf("%v allocations per emitted transfer, want 0", allocs)
+	}
+}
+
+// TestServeStageRecyclesSlabs: the recycle ring holds every slab that
+// can exist, so no drained slab is ever dropped and a run allocates at
+// most the out ring's slabs plus the one being filled and the one being
+// drained — however the consumer's pace changes.
+func TestServeStageRecyclesSlabs(t *testing.T) {
+	m, err := gismo.Scaled(5000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := gismo.NewPopulation(64, m.Topology, rand.New(rand.NewPCG(6, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	sinks := StreamSinks{Entry: func(*wmslog.Entry) error { return nil }}
+	st := newServeStage(newEventServer(&cfg, pop, 1<<20, 3, sinks, nil), newAdmission(pop, nil))
+	go st.run(&syntheticStream{n: 200 * serveSlab, clients: pop.Size()})
+	// Drain as RunStream does, alternately slower and faster than the
+	// serve goroutine, so every slab in circulation piles up first in the
+	// out ring, then in the recycle ring.
+	slabs := 0
+	for {
+		slab, ok := st.out.Pop(nil)
+		if !ok {
+			break
+		}
+		slabs++
+		if slabs/20%2 == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		st.rec.TryPush(slab[:0])
+	}
+	<-st.done
+	if slabs != 200 {
+		t.Fatalf("drained %d slabs, want 200", slabs)
+	}
+	if limit := serveRingDepth + 2; st.made > limit {
+		t.Errorf("%d slabs allocated for %d handed over, want <= %d (a drained slab was dropped)", st.made, slabs, limit)
+	}
+}
+
+// referenceRunStream is the sequential serve loop RunStream's pipeline
+// must reproduce: admit, serve and emit each event in turn on one
+// goroutine. It is the oracle of every equivalence test in this
+// package.
+func referenceRunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, sinks StreamSinks) (*StreamResult, error) {
+	defer workload.CloseStream(src)
+	if err := checkServeArgs(&cfg, pop, horizon); err != nil {
+		return nil, err
+	}
+	rows, err := newRowIDs(pop, sinks)
+	if err != nil {
+		return nil, err
+	}
+	es := newEventServer(&cfg, pop, horizon, seed, sinks, rows)
+	adm := newAdmission(pop, rows)
+	em := newEmitter(sinks)
+	var sv served
+	for {
+		ev, ok := src.Next()
+		if !ok {
+			break
+		}
+		conc, ok := adm.admit(ev)
+		if !ok {
+			return nil, adm.violation(ev)
+		}
+		es.serve(ev, conc, &sv)
+		if err := em.emit(&sv); err != nil {
+			return nil, err
+		}
+	}
+	return em.finish(adm.concurrency.peak)
 }

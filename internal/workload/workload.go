@@ -65,38 +65,6 @@ func CloseStream(s Stream) {
 	}
 }
 
-// ShardedStream is the batch form of a sharded Stream: the producer
-// emits K independent, internally ordered per-shard slabs, and a
-// consumer that understands the shard structure (the fused serve
-// dispatcher) pulls whole slabs per shard and runs the K-way merge
-// itself — skipping the event-at-a-time Next interface hop and the
-// intermediate copy a generic merge stage would cost.
-//
-// The contract mirrors the sharded generator's: the concatenation of
-// each shard's slabs is in (Start, Session, Seq) stream order, shards
-// never repeat a (Session, Seq) pair, and merging the K shard
-// sequences by Event.Less reproduces exactly the sequence Next yields.
-// A returned slab is valid until the matching RecycleSlab; recycling
-// hands the backing array to the producing shard for reuse, so a
-// consumer that recycles promptly keeps the seam allocation-free.
-//
-// A stream must be consumed through exactly one of the two APIs —
-// Next, or the NextSlab/RecycleSlab pair; mixing them would split the
-// merge state and corrupt the order.
-type ShardedStream interface {
-	Stream
-	Closer
-	// Shards returns the shard count K. Shard indices are 0..K-1.
-	Shards() int
-	// NextSlab returns the shard's next ordered slab of events,
-	// blocking until one is ready, or false when the shard is
-	// exhausted (or the stream was closed).
-	NextSlab(shard int) ([]Event, bool)
-	// RecycleSlab returns a fully consumed slab to its producing
-	// shard. The slab must not be touched afterwards.
-	RecycleSlab(shard int, slab []Event)
-}
-
 // SliceStream replays a materialized event slice. The slice must
 // already be in stream order.
 type SliceStream struct {

@@ -79,8 +79,9 @@ func BenchmarkStreamingGenerateMaterialized(b *testing.B) {
 }
 
 // BenchmarkStreamingServe times the full streamed pipeline: 8-shard
-// generation into the sequential streaming simulator with a counting
-// entry sink, so the whole entry/reorder path stays hot.
+// generation into the simulator with a no-op entry sink, so the whole
+// serve → emit → reorder path stays hot. Under the -cpu matrix its
+// rows carry the pipeline's own speed-up over one CPU.
 func BenchmarkStreamingServe(b *testing.B) {
 	m := benchStreamModel(b)
 	cfg := simulate.DefaultConfig()
@@ -102,40 +103,10 @@ func BenchmarkStreamingServe(b *testing.B) {
 	}
 }
 
-// benchServeSharded times the parallel serve path at a fixed lane
-// count over the same fixture as BenchmarkStreamingServe — the
-// ISSUE 4 acceptance benchmark.
-func benchServeSharded(b *testing.B, lanes int) {
-	m := benchStreamModel(b)
-	cfg := simulate.DefaultConfig()
-	sinks := simulate.StreamSinks{Entry: func(e *wmslog.Entry) error { return nil }}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ws, err := gismo.NewStream(m, benchSeed, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := simulate.RunStreamSharded(ws, ws.Population(), m.Horizon, cfg, benchSeed, lanes, sinks)
-		ws.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.Transfers), "transfers")
-		}
-	}
-}
-
-func BenchmarkStreamingServeSharded1(b *testing.B) { benchServeSharded(b, 1) }
-func BenchmarkStreamingServeSharded4(b *testing.B) { benchServeSharded(b, 4) }
-func BenchmarkStreamingServeSharded8(b *testing.B) { benchServeSharded(b, 8) }
-
 // benchRunStreamed times the whole pipeline end to end —
-// core.RunStreamed: sharded generation fused into the sharded serve
-// dispatcher (one serve lane per generator shard) plus the online
-// measurement layer — over the same fixture as the component benches.
-// This is the number the generate-front-half work moves: generation,
-// merge, dispatch, serve and measurement all overlap.
+// core.RunStreamed: sharded generation into the simulator plus the
+// online measurement layer — over the same fixture as the component
+// benches. Generation, serve and measurement all overlap.
 func benchRunStreamed(b *testing.B, shards int) {
 	cfg := core.Config{
 		Model:          benchStreamModel(b),

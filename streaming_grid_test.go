@@ -1,14 +1,14 @@
-// The shards×lanes parity grid: the generation shard count and the
-// serve lane count are both pure throughput knobs — the served WMS log
-// must be byte-identical (same md5) at every combination, including
-// through the fused ShardedStream dispatcher intake that skips the
-// event-at-a-time merge. This is the acceptance test for the ring-seam
-// generation front half.
+// The shards × GOMAXPROCS parity grid: the generation shard count and
+// the scheduler's CPU count are pure throughput knobs — the served WMS
+// log must be byte-identical (same md5) at every combination. This is
+// the acceptance test for the generate → serve pipeline.
 package repro
 
 import (
 	"crypto/md5"
+	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/gismo"
@@ -28,54 +28,43 @@ func gridModel(t *testing.T) gismo.Model {
 	return m
 }
 
+// The log md5 and run summary the sequential serve loop
+// (referenceRunStream in internal/simulate) produces for gridModel at
+// benchSeed. Pinned, so the grid is checked against the reference's
+// bytes rather than against one of its own cells.
+const gridLogMD5 = "e7754bdb787e60b21aba52327970b9d6"
+
+var gridResult = simulate.StreamResult{Transfers: 110341, PeakConcurrency: 307, Injected: 4, TotalBytes: 169518481517}
+
 func TestStreamShardLaneGrid(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full shards×lanes md5 parity grid")
+		t.Skip("full shards×GOMAXPROCS md5 parity grid")
 	}
 	m := gridModel(t)
 	cfg := simulate.DefaultConfig()
-	const seed = benchSeed
-
-	serveMD5 := func(shards int, run func(ws *gismo.WorkloadStream, sinks simulate.StreamSinks) (*simulate.StreamResult, error)) ([md5.Size]byte, *simulate.StreamResult) {
-		t.Helper()
-		ws, err := gismo.NewStream(m, seed, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ws.Close()
-		h := md5.New()
-		lw := wmslog.NewWriter(h)
-		res, err := run(ws, simulate.StreamSinks{Entry: lw.Write})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var sum [md5.Size]byte
-		h.Sum(sum[:0])
-		return sum, res
-	}
-
-	baseSum, baseRes := serveMD5(1, func(ws *gismo.WorkloadStream, sinks simulate.StreamSinks) (*simulate.StreamResult, error) {
-		return simulate.RunStream(ws, ws.Population(), m.Horizon, cfg, seed, sinks)
-	})
-	if baseRes.Transfers < 100_000 {
-		t.Fatalf("fixture too small for the grid to mean anything: %d transfers", baseRes.Transfers)
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, lanes := range []int{1, 2, 4, 8} {
-			key := fmt.Sprintf("shards=%d/lanes=%d", shards, lanes)
-			lanes := lanes
-			sum, res := serveMD5(shards, func(ws *gismo.WorkloadStream, sinks simulate.StreamSinks) (*simulate.StreamResult, error) {
-				return simulate.RunStreamSharded(ws, ws.Population(), m.Horizon, cfg, seed, lanes, sinks)
-			})
-			if sum != baseSum {
-				t.Errorf("%s: served log md5 differs from sequential", key)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4, 8} {
+			key := fmt.Sprintf("shards=%d/GOMAXPROCS=%d", shards, procs)
+			ws, err := gismo.NewStream(m, benchSeed, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if *res != *baseRes {
-				t.Errorf("%s: result %+v differs from sequential %+v", key, *res, *baseRes)
+			h := md5.New()
+			lw := wmslog.NewWriter(h)
+			res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, cfg, benchSeed, simulate.StreamSinks{Entry: lw.Write})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if err := lw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if sum := hex.EncodeToString(h.Sum(nil)); sum != gridLogMD5 {
+				t.Errorf("%s: served log md5 %s, reference %s", key, sum, gridLogMD5)
+			}
+			if *res != gridResult {
+				t.Errorf("%s: result %+v, reference %+v", key, *res, gridResult)
 			}
 		}
 	}
