@@ -145,10 +145,12 @@ bench-history:
 # float64 bit patterns = sort.Float64s of a copy), the concurrency
 # fuzzer (the event sweep's report = a count of every second, field by
 # field), the population fuzzer (the client table = the []Client
-# builder, every field of every client and the draws consumed) and the
-# ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
+# builder, every field of every client and the draws consumed), the
+# session-cursor fuzzer (a session drawn transfer by transfer from its
+# cursor = the eager expansion, event for event and draw for draw) and
+# the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
-# 4). `go test` runs one fuzz target per invocation, hence the nine
+# 4). `go test` runs one fuzz target per invocation, hence the ten
 # steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
@@ -164,6 +166,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzConcurrencyMatchesPerSecond$$' -fuzztime $(FUZZTIME) ./internal/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzPopulationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/gismo
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionCursorMatchesExpand$$' -fuzztime $(FUZZTIME) ./internal/gismo
 	$(GO) test -run '^$$' -fuzz '^FuzzFromLogsMatchesFromEntries$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
 
 # e2e exercises the full socket path: build lsmserve, lsmload and

@@ -16,12 +16,15 @@
 //
 // The pipeline is one streamed pass: the sharded generator feeds the
 // simulator's serve goroutine event by event, and log entries go
-// straight to the daily files from the calling goroutine, so memory
-// stays O(active sessions) at any scale, paper scale (-scale 1)
-// included. -shards sets the generator shard count (0 = one per
-// schedulable CPU). The emitted logs are byte-identical for the same
-// seed at any shard count and GOMAXPROCS. -stream is accepted and
-// ignored: streaming is the only mode.
+// straight to the daily files from the calling goroutine, so memory is
+// the client population, about a byte per session (the arrival
+// schedule, kept as varint gaps) and O(active sessions) — a 48-byte
+// cursor per pending session, plus the simulator's in-flight transfers
+// — at any scale, paper scale (-scale 1) included. -shards sets the
+// generator shard count (0 = one per schedulable CPU). The emitted
+// logs are byte-identical for the same seed at any shard count and
+// GOMAXPROCS. -stream is accepted and ignored: streaming is the only
+// mode.
 //
 // The profiling flags (internal/prof) capture the run as pprof/trace
 // artifacts; `make profile` is the canonical profiling invocation.

@@ -363,7 +363,8 @@ func TestModelJSONWithProfile(t *testing.T) {
 // TestValidateRejectsUnrepresentable: every float field refuses NaN
 // and ±Inf — the ordered comparisons Validate used to make are all
 // false on NaN, so a fit on a degenerate trace passed — and the sizes
-// refuse what the generator's rows cannot number.
+// refuse what the generator's client rows and session cursors cannot
+// number.
 func TestValidateRejectsUnrepresentable(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	floats := []struct {
@@ -408,16 +409,19 @@ func TestValidateRejectsUnrepresentable(t *testing.T) {
 	}{
 		{"NumClients", func(m *Model) { m.NumClients = MaxClients + 1; m.Interest.N = 1 }},
 		{"Topology.NumAS", func(m *Model) { m.Topology.NumAS = topology.MaxAS + 1 }},
+		{"NumObjects", func(m *Model) { m.NumObjects = math.MaxInt32 + 1 }},
+		{"TransfersPerSession.N", func(m *Model) { m.TransfersPerSession.N = math.MaxInt32 + 1 }},
 	}
 	for _, s := range sizes {
 		m := Default()
 		s.mutate(&m)
 		if err := m.Validate(); !errors.Is(err, ErrBadModel) {
-			t.Errorf("%s past what a row numbers: %v, want ErrBadModel", s.field, err)
+			t.Errorf("%s past what a row or cursor numbers: %v, want ErrBadModel", s.field, err)
 		}
 	}
 	m = Default()
 	m.NumClients, m.Topology.NumAS = MaxClients, topology.MaxAS
+	m.NumObjects, m.TransfersPerSession.N = math.MaxInt32, math.MaxInt32
 	if err := m.Validate(); err != nil {
 		t.Errorf("the largest representable model: %v", err)
 	}

@@ -182,7 +182,9 @@ func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Validate checks all parameters, including that the generator can
 // hold the model: a population or topology the client rows cannot
-// number is an error here, not a panic when it is built.
+// number, or an object count or transfer count a session cursor's
+// int32 fields cannot, is an error here, not a panic or a wrapped
+// value when it is built.
 func (m *Model) Validate() error {
 	if m.Horizon <= 0 {
 		return fmt.Errorf("%w: horizon %d", ErrBadModel, m.Horizon)
@@ -190,8 +192,8 @@ func (m *Model) Validate() error {
 	if m.NumClients < 1 || m.NumClients > MaxClients {
 		return fmt.Errorf("%w: num_clients %d, want 1..%d", ErrBadModel, m.NumClients, MaxClients)
 	}
-	if m.NumObjects < 1 {
-		return fmt.Errorf("%w: %d objects", ErrBadModel, m.NumObjects)
+	if m.NumObjects < 1 || m.NumObjects > math.MaxInt32 {
+		return fmt.Errorf("%w: %d objects, want 1..%d", ErrBadModel, m.NumObjects, math.MaxInt32)
 	}
 	if !positive(m.BaseArrivalRate) {
 		return fmt.Errorf("%w: base arrival rate %v", ErrBadModel, m.BaseArrivalRate)
@@ -205,7 +207,7 @@ func (m *Model) Validate() error {
 	if m.Interest.N > m.NumClients {
 		return fmt.Errorf("%w: interest support %d exceeds population %d", ErrBadModel, m.Interest.N, m.NumClients)
 	}
-	if !positive(m.TransfersPerSession.Alpha) || m.TransfersPerSession.N < 1 {
+	if !positive(m.TransfersPerSession.Alpha) || m.TransfersPerSession.N < 1 || m.TransfersPerSession.N > math.MaxInt32 {
 		return fmt.Errorf("%w: transfers per session %+v", ErrBadModel, m.TransfersPerSession)
 	}
 	if !positive(m.IntraSessionGap.Sigma) || !finite(m.IntraSessionGap.Mu) {

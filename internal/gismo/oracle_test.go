@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	mathrand "math/rand"
 	"math/rand/v2"
 	"net"
 	"strconv"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // The population as it was before it became a table — a []Client of
@@ -165,4 +168,42 @@ func TestPopulationBounds(t *testing.T) {
 	if _, err := NewPopulation(10, topology.DefaultConfig(), rng); !errors.Is(err, ErrBadModel) {
 		t.Errorf("OS table past a row index: %v, want ErrBadModel", err)
 	}
+}
+
+// referenceExpandSession is the generator's session body as it was
+// before sessions became cursors: the whole session drawn at arrival
+// into an event slice — transfer count (Zipf), then per transfer the
+// gap, the length and the object, truncated at the horizon. Kept as the
+// oracle sessionDraws is held to, draw for draw.
+func referenceExpandSession(m *Model, session, client int, start int64, rng *mathrand.Rand, perSession *dist.Zipf, gap, length dist.Lognormal) []workload.Event {
+	n := perSession.SampleRank(rng)
+	events := make([]workload.Event, 0, n)
+	t := start
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			t += int64(gap.Sample(rng))
+		}
+		if t >= m.Horizon {
+			break
+		}
+		d := int64(length.Sample(rng))
+		if d < 1 {
+			d = 1
+		}
+		if t+d > m.Horizon {
+			d = m.Horizon - t
+			if d < 1 {
+				break
+			}
+		}
+		events = append(events, workload.Event{
+			Session:  session,
+			Seq:      len(events),
+			Client:   client,
+			Object:   m.pickObject(rng),
+			Start:    t,
+			Duration: d,
+		})
+	}
+	return events
 }

@@ -1,6 +1,7 @@
 package gismo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,9 +49,9 @@ const (
 
 // WorkloadStream is the generator: the Section 6 generative model (its
 // steps are listed on GenerateSeeded), emitted as a time-ordered event
-// stream whose working set is the arrival schedule (16 bytes per session) plus
-// the active sessions' pending transfers — never the materialized
-// request slice.
+// stream whose working set is the arrival schedule (about a byte per
+// session) plus a 48-byte cursor per active session — never the
+// materialized request slice.
 //
 // Construction draws the global arrival schedule once — the Poisson
 // thinning, the inherently serial sliver of the work — from the seed's
@@ -62,9 +63,10 @@ const (
 // shard can compute it in O(1), and ownership is the variate's
 // K-quantile band: clients are partitioned across shards in contiguous
 // interest-weight bands, each carrying ~1/K of the sessions, and only
-// the owner pays the O(log N) Zipf inversion. Owned sessions are
-// expanded eagerly from a per-session splitmix RNG and released once
-// the schedule cursor guarantees nothing earlier can appear.
+// the owner pays the O(log N) Zipf inversion. An owned session is a
+// cursor over its per-session splitmix RNG: each transfer is drawn when
+// the one before it is released, which happens once the schedule walk
+// guarantees nothing earlier can appear.
 //
 // Each shard emits 512-event slabs over a bounded SPSC ring
 // (internal/ring) — park/wake backpressure, no channel scheduling —
@@ -77,7 +79,8 @@ type WorkloadStream struct {
 	seed       int64
 	shards     int
 	pop        *Population
-	schedule   []int64 // session arrival instants, ascending
+	schedule   []byte // uvarint gaps between session arrival seconds
+	sessions   int    // arrivals in schedule
 	rings      []shardRings
 	cursors    []mergeCursor // Next()'s K-way merge state; nil until the first call
 	done       chan struct{}
@@ -136,7 +139,7 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	// own seed lane and the shards never touch it (only the serve side
 	// does), so it overlaps with the thinning pass and the shard
 	// launch: cold-start latency is max(population, thinning) instead
-	// of their sum, and the shards are already expanding sessions while
+	// of their sum, and the shards are already drawing sessions while
 	// the population is still placing clients.
 	type popOutcome struct {
 		pop *Population
@@ -159,7 +162,7 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	// instant. Shards share this schedule read-only; everything
 	// per-session happens in them.
 	arrRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals)))
-	ws.schedule = drawSchedule(pp.Stream(arrRng, float64(m.Horizon)), scheduleHint(pp.ExpectedCount(float64(m.Horizon))))
+	ws.schedule, ws.sessions = drawSchedule(pp.Stream(arrRng, float64(m.Horizon)), scheduleHint(pp.ExpectedCount(float64(m.Horizon)), m.Horizon))
 
 	ws.rings = make([]shardRings, shards)
 	for s := 0; s < shards; s++ {
@@ -195,33 +198,43 @@ func (m *Model) arrivalProcess(seed int64) (*dist.PiecewisePoisson, error) {
 	return dist.NewPiecewisePoisson(rateFn, m.PoissonWindow)
 }
 
-// maxScheduleHint caps the capacity a schedule is made with (128 MB of
-// instants, ten times the paper's 1.5 M sessions): a spec whose rate ×
+// maxScheduleHint caps the capacity a schedule is made with (16 MB of
+// gaps, ten times the paper's 1.5 M sessions): a spec whose rate ×
 // horizon is absurd gets a schedule that grows as it fills, not a
 // panic in make.
 const maxScheduleHint = 1 << 24
 
-// scheduleHint sizes the arrival schedule once: the Poisson count's
-// mean plus six standard deviations, so append never has to double a
-// multi-megabyte array (and hold the old and new copies at once).
-func scheduleHint(mean float64) int {
-	hint := mean + 6*math.Sqrt(mean) + 16
+// scheduleHint sizes the arrival schedule once, so append never has to
+// double a multi-megabyte array (and hold the old and new copies at
+// once): a byte per arrival — the Poisson count's mean plus six
+// standard deviations — plus the longer gaps' extra bytes. A varint
+// gap takes a byte per seven bits, and the gaps sum to at most the
+// horizon, so at most horizon/2⁷ of them take a second byte, at most
+// horizon/2¹⁴ a third, and so on: horizon/127 bytes bound them all.
+func scheduleHint(mean float64, horizon int64) int {
+	hint := mean + 6*math.Sqrt(mean) + 16 + float64(horizon)/127
 	if !(hint < maxScheduleHint) { // also NaN
 		return maxScheduleHint
 	}
 	return int(hint)
 }
 
-// drawSchedule drains the thinning pass into a schedule made with
-// capacity hint; a short hint costs growth, never arrivals.
-func drawSchedule(arrivals *dist.PoissonStream, hint int) []int64 {
-	schedule := make([]int64, 0, hint)
+// drawSchedule drains the thinning pass into a schedule of varint gaps
+// between consecutive arrival seconds (the first from 0), made with
+// capacity hint, and counts the arrivals; a short hint costs growth,
+// never arrivals.
+func drawSchedule(arrivals *dist.PoissonStream, hint int) (gaps []byte, n int) {
+	gaps = make([]byte, 0, hint)
+	var prev int64
 	for {
 		at, ok := arrivals.Next()
 		if !ok {
-			return schedule
+			return gaps, n
 		}
-		schedule = append(schedule, int64(at))
+		t := int64(at)
+		gaps = binary.AppendUvarint(gaps, uint64(t-prev))
+		prev = t
+		n++
 	}
 }
 
@@ -325,7 +338,7 @@ func (ws *WorkloadStream) Population() *Population { return ws.pop }
 func (ws *WorkloadStream) Model() Model { return ws.model }
 
 // Sessions returns the number of generated sessions (client arrivals).
-func (ws *WorkloadStream) Sessions() int { return len(ws.schedule) }
+func (ws *WorkloadStream) Sessions() int { return ws.sessions }
 
 // runShard generates the events of the sessions owned by shard s, in
 // stream order, batching them into slabs on the shard's output ring.
@@ -334,12 +347,10 @@ func (ws *WorkloadStream) Sessions() int { return len(ws.schedule) }
 // otherwise (cold start, or a consumer that dropped one).
 func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *dist.Zipf, gap, length dist.Lognormal) {
 	defer rr.out.Close()
-	m := ws.model
 	sessionRoot := dist.Mix64(uint64(ws.seed), laneSessions)
 	interestRoot := dist.Mix64(uint64(ws.seed), laneInterest)
 	interestTotal := interest.Total()
-	sessSrc := dist.NewSplitMix64(0)
-	sessRng := rand.New(sessSrc)
+	sd := newSessionDraws(&ws.model, perSession, gap, length)
 
 	pending := newCursorHeap()
 	newSlab := func() []workload.Event {
@@ -357,25 +368,12 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 		batch = newSlab()
 		return true
 	}
-	// Exhausted sessions donate their event slices back; expansion
-	// reuses them, so steady-state generation allocates one slice per
-	// *concurrently pending* session, not per session.
-	var spare [][]workload.Event
-	step := func() {
-		if done := advanceCursor(&pending); done != nil {
-			spare = append(spare, done[:0])
-		}
-	}
-	nextBuf := func() []workload.Event {
-		if n := len(spare); n > 0 {
-			b := spare[n-1]
-			spare = spare[:n-1]
-			return b
-		}
-		return nil
-	}
 
-	for idx, at := range ws.schedule {
+	var at int64
+	for idx, pos := 0, 0; pos < len(ws.schedule); idx++ {
+		delta, w := binary.Uvarint(ws.schedule[pos:])
+		pos += w
+		at += int64(delta)
 		// Release pending events that precede the next arrival: no
 		// later session can produce anything earlier.
 		for pending.Len() > 0 && pending.Top().before(at, idx) {
@@ -383,17 +381,14 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 			if len(batch) == streamBatch && !flushBatch() {
 				return
 			}
-			step()
+			sd.advance(&pending)
 		}
 		u := interestUniform(interestRoot, idx)
 		if owner := int(u * float64(ws.shards)); owner == s ||
 			(owner >= ws.shards && s == ws.shards-1) { // guard float rounding at u→1
 			client := interest.RankOfU(u*interestTotal) - 1
-			sessSrc.Seed(int64(dist.Mix64(sessionRoot, uint64(idx))))
-			if events := expandSession(&m, idx, client, at, sessRng, perSession, gap, length, nextBuf()); len(events) > 0 {
-				pending.Push(newCursor(events))
-			} else if events != nil {
-				spare = append(spare, events[:0])
+			if c, ok := sd.open(dist.Mix64(sessionRoot, uint64(idx)), idx, client, at); ok {
+				pending.Push(c)
 			}
 		}
 	}
@@ -402,74 +397,48 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 		if len(batch) == streamBatch && !flushBatch() {
 			return
 		}
-		step()
+		sd.advance(&pending)
 	}
 	if len(batch) > 0 {
 		flushBatch()
 	}
 }
 
-// expandSession draws one session's transfers from its dedicated RNG:
-// transfer count (Zipf), intra-session gaps and lengths (lognormal),
-// object choice — the same draw order per transfer as the original
-// materializing generator, truncated at the horizon. buf, when
-// non-nil, is a recycled slice to expand into (its capacity is reused;
-// growth falls back to append's normal allocation).
-func expandSession(m *Model, session, client int, start int64, rng *rand.Rand, perSession *dist.Zipf, gap, length dist.Lognormal, buf []workload.Event) []workload.Event {
-	n := perSession.SampleRank(rng)
-	events := buf
-	if events == nil {
-		events = make([]workload.Event, 0, n)
-	}
-	t := start
-	for k := 0; k < n; k++ {
-		if k > 0 {
-			t += int64(gap.Sample(rng))
-		}
-		if t >= m.Horizon {
-			break
-		}
-		d := int64(length.Sample(rng))
-		if d < 1 {
-			d = 1
-		}
-		if t+d > m.Horizon {
-			d = m.Horizon - t
-			if d < 1 {
-				break
-			}
-		}
-		events = append(events, workload.Event{
-			Session:  session,
-			Seq:      len(events),
-			Client:   client,
-			Object:   m.pickObject(rng),
-			Start:    t,
-			Duration: d,
-		})
-	}
-	return events
-}
-
-// cursor walks one expanded session. Events within a session are in
-// stream order by construction (gaps are non-negative, Seq increases).
-// It carries only the head event's ordering key — no two cursors share
-// a session, so (start, session) decides every comparison and Seq never
-// does — which keeps the element the heap sifts (the hottest loop of
-// the generator) at 48 bytes and its comparisons off the events slice.
+// cursor is one pending session: its head event and the session RNG's
+// state after the head's draws — everything the rest of the session
+// depends on, so the next transfer is drawn when the head is released
+// instead of the whole session being expanded at arrival. Events within
+// a session are in stream order by construction (gaps are
+// non-negative, Seq increases), and no two cursors share a session, so
+// (start, session) decides every heap comparison. The element the heap
+// sifts — the hottest loop of the generator — stays at 48 bytes:
+// Model.Validate bounds every int32 field (client < NumClients, object
+// < NumObjects, seq and left < TransfersPerSession.N).
 type cursor struct {
-	start   int64 // events[pos].Start
-	session int   // the session every event of this cursor belongs to
-	events  []workload.Event
-	pos     int
+	start    int64 // head event's Start
+	session  int   // the session every event of this cursor belongs to
+	duration int64 // head event's Duration
+	rng      dist.SplitMix64
+	client   int32
+	seq      int32 // head event's Seq
+	left     int32 // transfers still to draw after the head
+	object   int32
 }
 
-func newCursor(events []workload.Event) cursor {
-	return cursor{start: events[0].Start, session: events[0].Session, events: events}
-}
+// A client id must fit cursor.client.
+const _ = int32(MaxClients - 1)
 
 // head returns the cursor's current event.
-func (c *cursor) head() workload.Event { return c.events[c.pos] }
+func (c *cursor) head() workload.Event {
+	return workload.Event{
+		Session:  c.session,
+		Seq:      int(c.seq),
+		Client:   int(c.client),
+		Object:   int(c.object),
+		Start:    c.start,
+		Duration: c.duration,
+	}
+}
 
 // before reports whether the head event precedes an event of another
 // session at (start, session) in the stream's total order.
@@ -486,22 +455,90 @@ func newCursorHeap() heapx.Heap[cursor] {
 	return heapx.New(func(a, b *cursor) bool { return a.before(b.start, b.session) })
 }
 
-// advanceCursor consumes the top cursor's head event: steps it forward
-// in place, or removes the cursor when its session is exhausted — in
-// which case the session's event slice is returned for reuse.
+// sessionDraws is a shard's session-body sampler. It owns one splitmix
+// source, which a cursor's saved state is copied into before a draw and
+// back out of after it, so a pending session costs its 8 bytes of RNG
+// state and not a source of its own.
+type sessionDraws struct {
+	m           *Model
+	src         *dist.SplitMix64
+	rng         *rand.Rand
+	perSession  *dist.Zipf
+	gap, length dist.Lognormal
+}
+
+func newSessionDraws(m *Model, perSession *dist.Zipf, gap, length dist.Lognormal) *sessionDraws {
+	src := dist.NewSplitMix64(0)
+	return &sessionDraws{m: m, src: src, rng: rand.New(src), perSession: perSession, gap: gap, length: length}
+}
+
+// open seeds the source with the session's seed and draws a session
+// arriving at start: its transfer count (Zipf), then its first
+// transfer. false means the session has no transfer inside the
+// horizon.
+func (sd *sessionDraws) open(seed uint64, session, client int, start int64) (cursor, bool) {
+	sd.src.Seed(int64(seed))
+	n := sd.perSession.SampleRank(sd.rng)
+	c := cursor{session: session, client: int32(client), left: int32(n - 1)}
+	return c, sd.transfer(&c, start)
+}
+
+// advance consumes the top cursor's head event: draws the session's
+// next transfer into it in place, or removes the cursor when the
+// session has none left inside the horizon.
 //
 //lsm:hotpath
-func advanceCursor(h *heapx.Heap[cursor]) []workload.Event {
-	top := h.Top()
-	top.pos++
-	if top.pos >= len(top.events) {
-		done := top.events
-		h.Pop()
-		return done
+func (sd *sessionDraws) advance(h *heapx.Heap[cursor]) {
+	if sd.step(h.Top()) {
+		h.FixTop()
+		return
 	}
-	top.start = top.events[top.pos].Start
-	h.FixTop()
-	return nil
+	h.Pop()
+}
+
+// step draws c's next transfer — the gap from the head, then the
+// transfer itself — from c's saved RNG state. false means the session
+// is exhausted: its count is used up, or the transfer falls outside
+// the horizon.
+//
+//lsm:hotpath
+func (sd *sessionDraws) step(c *cursor) bool {
+	if c.left == 0 {
+		return false
+	}
+	c.left--
+	c.seq++
+	*sd.src = c.rng
+	return sd.transfer(c, c.start+int64(sd.gap.Sample(sd.rng)))
+}
+
+// transfer draws the transfer starting at t — its length (lognormal,
+// clamped to at least a second and truncated at the horizon), then its
+// object — into c's head and saves the RNG state. The per-transfer
+// draw order (gap, length, object) and the truncation are part of the
+// generated bytes: TestSessionCursorMatchesExpand holds them to the
+// whole-session expansion in oracle_test.go.
+//
+//lsm:hotpath
+func (sd *sessionDraws) transfer(c *cursor, t int64) bool {
+	horizon := sd.m.Horizon
+	if t >= horizon {
+		return false
+	}
+	d := int64(sd.length.Sample(sd.rng))
+	if d < 1 {
+		d = 1
+	}
+	if t+d > horizon {
+		d = horizon - t
+		if d < 1 {
+			return false
+		}
+	}
+	c.start, c.duration = t, d
+	c.object = int32(sd.m.pickObject(sd.rng))
+	c.rng = *sd.src
+	return true
 }
 
 // DefaultShards is the shard count for callers with no reason to pick

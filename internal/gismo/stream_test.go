@@ -1,13 +1,16 @@
 package gismo
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/rate"
 	"repro/internal/workload"
 )
 
@@ -247,44 +250,179 @@ func scheduleFixture(t *testing.T, seed int64) (*dist.PiecewisePoisson, Model) {
 	return pp, m
 }
 
-// TestScheduleSizedOnce: the schedule a stream is built with never
-// outgrows the capacity it was made with — no doubling, no old and new
-// copy alive at once — and a hint that is too short (a clamped one)
-// costs growth, not arrivals.
+// arrivalStream is the thinning pass NewStream draws m's schedule from
+// under seed.
+func arrivalStream(pp *dist.PiecewisePoisson, m Model, seed int64) *dist.PoissonStream {
+	return pp.Stream(rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals))), float64(m.Horizon))
+}
+
+// referenceSchedule is the schedule as it was before it became gaps:
+// every arrival's second as an int64.
+func referenceSchedule(arrivals *dist.PoissonStream) []int64 {
+	var schedule []int64
+	for {
+		at, ok := arrivals.Next()
+		if !ok {
+			return schedule
+		}
+		schedule = append(schedule, int64(at))
+	}
+}
+
+// decodeSchedule walks a gap schedule as the shards do, returning the
+// instants and how many gaps took each varint width.
+func decodeSchedule(t *testing.T, gaps []byte) (instants []int64, widths map[int]int) {
+	t.Helper()
+	widths = map[int]int{}
+	var at int64
+	for pos := 0; pos < len(gaps); {
+		delta, w := binary.Uvarint(gaps[pos:])
+		if w <= 0 {
+			t.Fatalf("bad varint at byte %d", pos)
+		}
+		pos += w
+		at += int64(delta)
+		instants = append(instants, at)
+		widths[w]++
+	}
+	return instants, widths
+}
+
+// sameSchedule holds a stream's gap schedule to the int64 thinning pass.
+func sameSchedule(t *testing.T, ws *WorkloadStream, want []int64) map[int]int {
+	t.Helper()
+	got, widths := decodeSchedule(t, ws.schedule)
+	if len(got) != len(want) || ws.Sessions() != len(want) {
+		t.Fatalf("schedule decodes to %d arrivals, Sessions() = %d, the thinning pass drew %d", len(got), ws.Sessions(), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("arrival %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	return widths
+}
+
+// sparseModel is Scaled(400, 3) with its second day silent: gaps of
+// minutes take two varint bytes, the day-long gap three.
+func sparseModel(t *testing.T) Model {
+	t.Helper()
+	m, err := Scaled(400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daily := rate.RealityShowDaily
+	daily[1] = 0
+	if m.Profile, err = rate.New(m.BaseArrivalRate, rate.RealityShowHourly, daily, 0); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestScheduleSizedOnce: a stream's schedule of varint gaps decodes to
+// exactly the arrivals the thinning pass draws, including gaps that take
+// two and three bytes; on the dense fixture it never outgrows the
+// capacity it was made with — no doubling, no old and new copy alive at
+// once — and a hint that is too short (a clamped one) costs growth, not
+// arrivals. The sizing holds at any rate: the gaps past a byte are
+// bounded by the horizon, not the count.
 func TestScheduleSizedOnce(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		pp, m := scheduleFixture(t, seed)
-		hint := scheduleHint(pp.ExpectedCount(float64(m.Horizon)))
+		hint := scheduleHint(pp.ExpectedCount(float64(m.Horizon)), m.Horizon)
 		ws, err := NewStream(m, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws.Close()
-		if len(ws.schedule) == 0 || cap(ws.schedule) != hint {
-			t.Errorf("seed %d: schedule of %d arrivals has capacity %d, made with %d", seed, len(ws.schedule), cap(ws.schedule), hint)
+		sameSchedule(t, ws, referenceSchedule(arrivalStream(pp, m, seed)))
+		if cap(ws.schedule) != hint {
+			t.Errorf("seed %d: schedule of %d bytes has capacity %d, made with %d", seed, len(ws.schedule), cap(ws.schedule), hint)
 		}
+
+		sparse := sparseModel(t)
+		spp, err := sparse.arrivalProcess(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sws, err := NewStream(sparse, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sws.Close()
+		widths := sameSchedule(t, sws, referenceSchedule(arrivalStream(spp, sparse, seed)))
+		if widths[2] == 0 || widths[3] == 0 {
+			t.Errorf("seed %d: sparse schedule's varint widths %v, want 2- and 3-byte gaps", seed, widths)
+		}
+		if hint := scheduleHint(spp.ExpectedCount(float64(sparse.Horizon)), sparse.Horizon); cap(sws.schedule) != hint {
+			t.Errorf("seed %d: sparse schedule of %d bytes has capacity %d, made with %d", seed, len(sws.schedule), cap(sws.schedule), hint)
+		}
+
 		if seed > 1 {
 			continue
 		}
-		arrivals := func() *dist.PoissonStream {
-			return pp.Stream(rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals))), float64(m.Horizon))
-		}
-		short := drawSchedule(arrivals(), 16)
-		if len(short) != len(ws.schedule) {
-			t.Fatalf("short hint: %d arrivals, want %d", len(short), len(ws.schedule))
-		}
-		for i := range short {
-			if short[i] != ws.schedule[i] {
-				t.Fatalf("short hint: arrival %d = %d, want %d", i, short[i], ws.schedule[i])
-			}
+		short, n := drawSchedule(arrivalStream(pp, m, seed), 16)
+		if n != ws.Sessions() || string(short) != string(ws.schedule) {
+			t.Fatalf("short hint: %d arrivals in %d bytes, want %d in %d", n, len(short), ws.Sessions(), len(ws.schedule))
 		}
 	}
 	for _, mean := range []float64{math.NaN(), math.Inf(1), 1e30, maxScheduleHint} {
-		if got := scheduleHint(mean); got != maxScheduleHint {
+		if got := scheduleHint(mean, 86400); got != maxScheduleHint {
 			t.Errorf("scheduleHint(%v) = %d, want the clamp %d", mean, got, maxScheduleHint)
 		}
 	}
-	if got := scheduleHint(0); got != 16 {
-		t.Errorf("scheduleHint(0) = %d, want 16", got)
+	if got := scheduleHint(0, math.MaxInt64); got != maxScheduleHint {
+		t.Errorf("scheduleHint(0, MaxInt64) = %d, want the clamp %d", got, maxScheduleHint)
+	}
+	if got := scheduleHint(0, 127); got != 17 {
+		t.Errorf("scheduleHint(0, 127) = %d, want 17", got)
+	}
+}
+
+// TestStreamBytesPerSession: everything a drained stream allocates
+// beyond its population — the schedule, the cursors, the slabs, the
+// samplers — is a fixed cost plus at most three bytes per session, over
+// horizons that differ eightfold in session count. A schedule of int64
+// instants (8 B a session) or a session expanded into a slice (48 B a
+// transfer) breaks it.
+func TestStreamBytesPerSession(t *testing.T) {
+	const perSession, allowance = 3, 384 << 10
+	for _, days := range []int{7, 28, 56} {
+		m, err := Scaled(100, days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.BaseArrivalRate *= 10
+		const seed = 2002
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		popRng := randv2.New(dist.NewSplitMix64(dist.Mix64(seed, lanePopulation)))
+		if _, err := NewPopulation(m.NumClients, m.Topology, popRng); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		population := after.TotalAlloc - before.TotalAlloc
+
+		runtime.ReadMemStats(&before)
+		ws, err := NewStream(m, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		for {
+			if _, ok := ws.Next(); !ok {
+				break
+			}
+			events++
+		}
+		runtime.ReadMemStats(&after)
+		stream := after.TotalAlloc - before.TotalAlloc - population
+		sessions := ws.Sessions()
+		t.Logf("%d days: %d sessions, %d events, %d B beyond the population (%.2f B/session)",
+			days, sessions, events, stream, float64(stream)/float64(sessions))
+		if limit := uint64(perSession*sessions + allowance); stream > limit {
+			t.Errorf("%d days: %d sessions allocated %d B beyond the population, want <= %d (%d B/session + %d)",
+				days, sessions, stream, limit, perSession, allowance)
+		}
 	}
 }
