@@ -141,8 +141,9 @@ bench-history:
 # them) and the fixed-2 s-cpu-util encoder (any float64 bit pattern
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
 # = Sessionize's count at every timeout, plus the Section 2.2 gap
-# invariants), the sample-sort fuzzer (stats.SortedCopy of any
-# float64 bit patterns = sort.Float64s of a copy), the concurrency
+# invariants), the sample-sort fuzzer (stats.SortedCopy, SortInPlace
+# and SortedView of any float64 bit patterns = sort.Float64s of a
+# copy), the concurrency
 # fuzzer (the event sweep's report = a count of every second, field by
 # field), the population fuzzer (the client table = the []Client
 # builder, every field of every client and the draws consumed), the

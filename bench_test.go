@@ -238,7 +238,8 @@ func BenchmarkFigure5ClientInterarrivals(b *testing.B) {
 
 func BenchmarkFigure6PiecewisePoisson(b *testing.B) {
 	f := getFixture(b)
-	measured := analyze.ClientInterarrivals(f.set)
+	measured := analyze.ToDisplay(analyze.ClientInterarrivals(f.set))
+	stats.SortInPlace(measured) // the form ClientLayer.Interarrivals holds
 	b.ResetTimer()
 	var rep core.PoissonReplica
 	for i := 0; i < b.N; i++ {
@@ -308,7 +309,7 @@ func BenchmarkFigure10OnTimeVsHour(b *testing.B) {
 
 func BenchmarkFigure11SessionOnTime(b *testing.B) {
 	f := getFixture(b)
-	on := analyze.InterarrivalDisplay(f.set.OnTimes())
+	on := analyze.ToDisplay(f.set.OnTimes())
 	b.ResetTimer()
 	var fit dist.Lognormal
 	for i := 0; i < b.N; i++ {
@@ -359,7 +360,7 @@ func BenchmarkFigure14SessionTransferInterarrivals(b *testing.B) {
 	b.ResetTimer()
 	var fit dist.Lognormal
 	for i := 0; i < b.N; i++ {
-		gaps := analyze.InterarrivalDisplay(f.set.IntraSessionInterarrivals())
+		gaps := analyze.ToDisplay(f.set.IntraSessionInterarrivals())
 		var err error
 		fit, err = dist.FitLognormal(gaps)
 		if err != nil {
@@ -627,11 +628,12 @@ func BenchmarkPipelineDiversity(b *testing.B) {
 	b.ReportMetric(float64(d.NumIPs), "IPs")
 }
 
-// BenchmarkSortSample times the sorted copy of a transfer-length
-// display sample (⌊t+1⌋ of lognormal seconds — what every KS distance,
-// ECDF and quantile of the characterization sorts) through
-// stats.SortedCopy and through the copy-then-sort.Float64s it replaced,
-// at a session-sized and a trace-sized sample.
+// BenchmarkSortSample times sorting a transfer-length display sample
+// (⌊t+1⌋ of lognormal seconds — what each sample of the
+// characterization is sorted as, once, by its producer) through
+// stats.SortInPlace over a reused working slice, as a producer sorts
+// the sample it built, and through the copy-then-sort.Float64s the
+// kernel replaced, at a session-sized and a trace-sized sample.
 func BenchmarkSortSample(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		rng := rand.New(rand.NewSource(benchSeed))
@@ -639,11 +641,16 @@ func BenchmarkSortSample(b *testing.B) {
 		for i := range xs {
 			xs[i] = stats.LogDisplayValue(math.Exp(4.4 + 1.4*rng.NormFloat64()))
 		}
+		work := make([]float64, n)
 		for _, impl := range []struct {
 			name string
 			sort func([]float64) []float64
 		}{
-			{"kernel", stats.SortedCopy},
+			{"kernel", func(xs []float64) []float64 {
+				copy(work, xs)
+				stats.SortInPlace(work)
+				return work
+			}},
 			{"stdlib", func(xs []float64) []float64 {
 				sorted := slices.Clone(xs)
 				sort.Float64s(sorted)
@@ -831,7 +838,7 @@ func BenchmarkAblationSessionTimeout(b *testing.B) {
 // 4-hour window versus the paper's 15 minutes.
 func BenchmarkAblationPoissonWindow(b *testing.B) {
 	f := getFixture(b)
-	measured := analyze.InterarrivalDisplay(analyze.ClientInterarrivals(f.set))
+	measured := analyze.ToDisplay(analyze.ClientInterarrivals(f.set))
 	arrivals := f.set.ArrivalTimes()
 	counts, err := stats.BinCounts(arrivals, f.tr.Horizon, 900)
 	if err != nil {

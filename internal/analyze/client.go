@@ -17,8 +17,10 @@ type ClientLayer struct {
 	Concurrency *ConcurrencyReport
 
 	// Interarrivals are the gaps a(i) = t(i+1) - t(i) between session
-	// arrivals of different clients, in seconds (Figure 5). Zero gaps are
-	// kept; display code applies the ⌊t+1⌋ convention.
+	// arrivals of different clients (Figure 5), in the ⌊t+1⌋ display form
+	// and sorted ascending: all three readers — the Figure 6 Poisson
+	// replica, the Figure 5 ECDF and calibrate.Validate — take that form
+	// and none the arrival order. Zero gaps are kept (they display as 1).
 	Interarrivals []float64
 
 	// TransfersPerClient and SessionsPerClient are the per-client access
@@ -56,8 +58,9 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 
 	out := &ClientLayer{
 		Concurrency:   conc,
-		Interarrivals: ClientInterarrivals(set),
+		Interarrivals: ToDisplay(ClientInterarrivals(set)),
 	}
+	stats.SortInPlace(out.Interarrivals)
 
 	// Interest profile: per-client counts of transfers and sessions, in
 	// ascending client-id order. Every client has at least one session.
@@ -96,14 +99,14 @@ func ClientInterarrivals(set *sessions.Set) []float64 {
 	return out
 }
 
-// InterarrivalDisplay returns the interarrivals shifted by the paper's
-// ⌊t+1⌋ display convention, for log-scale plotting and fitting.
-func InterarrivalDisplay(xs []float64) []float64 {
-	out := make([]float64, len(xs))
+// ToDisplay rewrites every element of xs in place into the paper's
+// ⌊t+1⌋ display form (stats.LogDisplayValue), the form the timing
+// samples are plotted, fitted and compared in, and returns xs.
+func ToDisplay(xs []float64) []float64 {
 	for i, x := range xs {
-		out[i] = stats.LogDisplayValue(x)
+		xs[i] = stats.LogDisplayValue(x)
 	}
-	return out
+	return xs
 }
 
 // Diversity is the Figure 2 characterization of the client population's

@@ -314,9 +314,14 @@ func TestOffRipples(t *testing.T) {
 	}
 }
 
+// TestInterarrivalDisplay: ToDisplay maps each time to ⌊t+1⌋ in place.
 func TestInterarrivalDisplay(t *testing.T) {
-	got := InterarrivalDisplay([]float64{0, 0.5, 1, 2.9})
+	xs := []float64{0, 0.5, 1, 2.9}
+	got := ToDisplay(xs)
 	want := []float64{1, 1, 2, 3}
+	if &got[0] != &xs[0] {
+		t.Error("ToDisplay returned a copy, want its argument")
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("display[%d] = %v, want %v", i, got[i], want[i])

@@ -10,17 +10,21 @@ import (
 
 // SessionLayer is the Section 4 characterization: session ON/OFF times,
 // transfers per session, and intra-session transfer interarrivals.
+//
+// The three float samples are stored sorted ascending, each in the form
+// every reader takes it in, so the fits' KS tests, the figures' ECDFs
+// and calibrate.Validate read them in place.
 type SessionLayer struct {
-	// OnTimes holds l(i) for every session; OnFit is the lognormal body
-	// fit (Figure 11; paper: μ = 5.23553, σ = 1.54432) with OnKS its KS
-	// distance.
+	// OnTimes holds l(i) for every session in the ⌊t+1⌋ display form,
+	// sorted; OnFit is the lognormal body fit on it (Figure 11; paper:
+	// μ = 5.23553, σ = 1.54432) with OnKS its KS distance.
 	OnTimes []float64
 	OnFit   dist.Lognormal
 	OnKS    float64
 
-	// OffTimes holds f(i) for consecutive same-client sessions; OffFit is
-	// the exponential fit (Figure 12; paper: mean = 203,150 s) with OffKS
-	// its KS distance.
+	// OffTimes holds f(i) for consecutive same-client sessions in
+	// seconds, sorted; OffFit is the exponential fit (Figure 12; paper:
+	// mean = 203,150 s) with OffKS its KS distance.
 	OffTimes []float64
 	OffFit   dist.Exponential
 	OffKS    float64
@@ -31,9 +35,9 @@ type SessionLayer struct {
 	TransfersPerSession []int
 	PerSessionFit       dist.ZipfFit
 
-	// IntraArrivals holds the within-session transfer interarrival times;
-	// IntraFit is the lognormal fit (Figure 14; paper: μ = 4.89991,
-	// σ = 1.32074).
+	// IntraArrivals holds the within-session transfer interarrival times
+	// in the ⌊t+1⌋ display form, sorted; IntraFit is the lognormal fit on
+	// it (Figure 14; paper: μ = 4.89991, σ = 1.32074).
 	IntraArrivals []float64
 	IntraFit      dist.Lognormal
 	IntraKS       float64
@@ -51,21 +55,22 @@ func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
 	}
 	out := &SessionLayer{
-		OnTimes:       set.OnTimes(),
+		OnTimes:       ToDisplay(set.OnTimes()),
 		OffTimes:      set.OffTimes(),
-		IntraArrivals: set.IntraSessionInterarrivals(),
+		IntraArrivals: ToDisplay(set.IntraSessionInterarrivals()),
 	}
 	out.TransfersPerSession = set.TransfersPerSession()
 
 	// Lognormal fit on display values (⌊t+1⌋): the log resolution floor
-	// makes sub-second ON times display as 1 s.
-	onDisplay := InterarrivalDisplay(out.OnTimes)
-	fit, err := dist.FitLognormal(onDisplay)
+	// makes sub-second ON times display as 1 s. The fit sums in sample
+	// order, so it runs before the sample is sorted for its readers.
+	fit, err := dist.FitLognormal(out.OnTimes)
 	if err != nil {
 		return nil, fmt.Errorf("session ON fit: %w", err)
 	}
 	out.OnFit = fit
-	if out.OnKS, err = dist.KolmogorovSmirnov(onDisplay, fit.CDF); err != nil {
+	stats.SortInPlace(out.OnTimes)
+	if out.OnKS, err = dist.KolmogorovSmirnov(out.OnTimes, fit.CDF); err != nil {
 		return nil, err
 	}
 
@@ -85,13 +90,13 @@ func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 	}
 
 	if len(out.IntraArrivals) >= 2 {
-		intraDisplay := InterarrivalDisplay(out.IntraArrivals)
-		intraFit, err := dist.FitLognormal(intraDisplay)
+		intraFit, err := dist.FitLognormal(out.IntraArrivals)
 		if err != nil {
 			return nil, fmt.Errorf("intra-session fit: %w", err)
 		}
 		out.IntraFit = intraFit
-		if out.IntraKS, err = dist.KolmogorovSmirnov(intraDisplay, intraFit.CDF); err != nil {
+		stats.SortInPlace(out.IntraArrivals)
+		if out.IntraKS, err = dist.KolmogorovSmirnov(out.IntraArrivals, intraFit.CDF); err != nil {
 			return nil, err
 		}
 	}
@@ -203,7 +208,7 @@ func (sl *SessionLayer) OffRipples(maxDays int, tolerance float64) []float64 {
 // OnMarginal returns the ECDF of session ON display values for plotting
 // Figure 11's cumulative and CCDF panels.
 func (sl *SessionLayer) OnMarginal() *stats.ECDF {
-	return stats.NewECDF(InterarrivalDisplay(sl.OnTimes))
+	return stats.NewECDF(sl.OnTimes)
 }
 
 // OffMarginal returns the ECDF of session OFF times (Figure 12).

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/stats"
@@ -14,13 +15,18 @@ const TailSplit = 100.0
 
 // TransferLayer is the Section 5 characterization: transfer concurrency,
 // interarrivals (with the two-regime tail), lengths, and bandwidth.
+//
+// The three float samples are stored sorted ascending: each is put in
+// order once, after the last analysis that reads it in trace order, and
+// the tail fits, the KS test, the mode detector, the figures and
+// calibrate.Validate read it in place.
 type TransferLayer struct {
 	// Concurrency is the number of simultaneously active transfers
 	// (Figures 15 and 16).
 	Concurrency *ConcurrencyReport
 
 	// Interarrivals are the gaps between consecutive transfer starts
-	// across all clients (Figure 17), in display form ⌊t+1⌋.
+	// across all clients (Figure 17), in display form ⌊t+1⌋, sorted.
 	Interarrivals []float64
 	// TailBody and TailFar are the two power-law regimes of the
 	// interarrival CCDF (Figure 17 right; paper: α≈2.8 then α≈1).
@@ -33,15 +39,17 @@ type TransferLayer struct {
 	InterarrivalWeek   stats.BinnedSeries
 	InterarrivalDay    stats.BinnedSeries
 
-	// Lengths are the transfer lengths l(j) in display form; LengthFit is
-	// the lognormal fit (Figure 19; paper: μ = 4.383921, σ = 1.427247).
+	// Lengths are the transfer lengths l(j) in display form, sorted;
+	// LengthFit is the lognormal fit (Figure 19; paper: μ = 4.383921,
+	// σ = 1.427247).
 	Lengths   []float64
 	LengthFit dist.Lognormal
 	LengthKS  float64
 
-	// Bandwidths are the per-transfer average bandwidths (bits/second);
-	// BandwidthModes are the detected client-bound spikes; CongestionFrac
-	// estimates the congestion-bound share (Figure 20; paper: ~10%).
+	// Bandwidths are the per-transfer average bandwidths (bits/second),
+	// sorted; BandwidthModes are the detected client-bound spikes;
+	// CongestionFrac estimates the congestion-bound share (Figure 20;
+	// paper: ~10%).
 	Bandwidths     []float64
 	BandwidthModes []BandwidthMode
 	CongestionFrac float64
@@ -78,29 +86,35 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 		return nil, err
 	}
 
-	// Interarrivals across all transfers (trace is start-sorted).
+	// Interarrivals across all transfers (trace is start-sorted). The
+	// Figure 18 bins attribute each gap to its transfer's start, so they
+	// are filled before the sample is sorted for the tail fits.
 	out.Interarrivals = make([]float64, n-1)
 	for i := range out.Interarrivals {
 		out.Interarrivals[i] = stats.LogDisplayValue(float64(tr.Transfers[i+1].Start - tr.Transfers[i].Start))
 	}
-	if err := out.fitInterarrivalTails(); err != nil {
-		return nil, err
-	}
 	if err := out.binInterarrivals(tr); err != nil {
 		return nil, err
 	}
+	stats.SortInPlace(out.Interarrivals)
+	if err := out.fitInterarrivalTails(); err != nil {
+		return nil, err
+	}
 
-	// Transfer lengths.
+	// Transfer lengths: the fit sums in trace order, the KS test reads
+	// the sorted sample.
 	fit, err := dist.FitLognormal(out.Lengths)
 	if err != nil {
 		return nil, fmt.Errorf("transfer length fit: %w", err)
 	}
 	out.LengthFit = fit
+	stats.SortInPlace(out.Lengths)
 	if out.LengthKS, err = dist.KolmogorovSmirnov(out.Lengths, fit.CDF); err != nil {
 		return nil, err
 	}
 
 	// Bandwidth modes.
+	stats.SortInPlace(out.Bandwidths)
 	out.BandwidthModes, out.CongestionFrac = detectBandwidthModes(out.Bandwidths)
 	return out, nil
 }
@@ -115,13 +129,7 @@ func (tl *TransferLayer) fitInterarrivalTails() error {
 	if fit, err := dist.FitTail(tl.Interarrivals, 2, TailSplit); err == nil {
 		tl.TailBody = fit
 	}
-	maxV := 0.0
-	for _, x := range tl.Interarrivals {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	if maxV > TailSplit*2 {
+	if maxV := slices.Max(tl.Interarrivals); maxV > TailSplit*2 {
 		if fit, err := dist.FitTail(tl.Interarrivals, TailSplit, maxV); err == nil {
 			tl.TailFar = fit
 		}
@@ -158,12 +166,13 @@ func (tl *TransferLayer) binInterarrivals(tr *trace.Trace) error {
 // detectBandwidthModes finds spikes in the bandwidth distribution: values
 // are clustered within a ±5% relative window; clusters holding at least
 // 1% of transfers count as client-bound modes. The congestion share is
-// the fraction of transfers below half the smallest mode center.
+// the fraction of transfers below half the smallest mode center. A
+// sample in sorted form is read in place (stats.SortedView).
 func detectBandwidthModes(bws []float64) ([]BandwidthMode, float64) {
 	if len(bws) == 0 {
 		return nil, 0
 	}
-	sorted := stats.SortedCopy(bws)
+	sorted := stats.SortedView(bws)
 
 	n := float64(len(sorted))
 	var modes []BandwidthMode

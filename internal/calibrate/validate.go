@@ -6,10 +6,10 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/analyze"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/report"
+	"repro/internal/stats"
 )
 
 // DefaultAlpha is the significance level of the per-layer KS tests. At
@@ -117,24 +117,21 @@ func check(layer string, alpha float64, src, twin []float64) KSCheck {
 // ksLayers are the compared marginals, in report order: each reads its
 // sample off a characterization the same way for source and twin.
 // Interarrival-style quantities compare in the paper's ⌊t+1⌋ display
-// form, matching how their fits were estimated.
+// form, matching how their fits were estimated. The layers store every
+// float sample in that form and sorted, so the KS tests read them in
+// place; only the integer transfers-per-session counts are widened and
+// sorted here.
 var ksLayers = []struct {
 	name   string
 	sample func(c *core.Characterization) []float64
 }{
-	{"client/interarrivals", func(c *core.Characterization) []float64 {
-		return analyze.InterarrivalDisplay(c.Client.Interarrivals)
-	}},
-	{"session/on-times", func(c *core.Characterization) []float64 {
-		return analyze.InterarrivalDisplay(c.Session.OnTimes)
-	}},
+	{"client/interarrivals", func(c *core.Characterization) []float64 { return c.Client.Interarrivals }},
+	{"session/on-times", func(c *core.Characterization) []float64 { return c.Session.OnTimes }},
 	{"session/off-times", func(c *core.Characterization) []float64 { return c.Session.OffTimes }},
 	{"session/transfers", func(c *core.Characterization) []float64 {
-		return countsToFloats(c.Session.TransfersPerSession)
+		return sortedFloats(c.Session.TransfersPerSession)
 	}},
-	{"session/intra-gaps", func(c *core.Characterization) []float64 {
-		return analyze.InterarrivalDisplay(c.Session.IntraArrivals)
-	}},
+	{"session/intra-gaps", func(c *core.Characterization) []float64 { return c.Session.IntraArrivals }},
 	{"transfer/lengths", func(c *core.Characterization) []float64 { return c.Transfer.Lengths }},
 	{"transfer/interarrivals", func(c *core.Characterization) []float64 { return c.Transfer.Interarrivals }},
 }
@@ -178,11 +175,14 @@ func Validate(source, twin *core.Characterization) ValidationReport {
 	return rep
 }
 
-// countsToFloats widens an int sample for the KS test.
-func countsToFloats(counts []int) []float64 {
+// sortedFloats widens an int sample for the KS test, sorted ascending.
+// The counts themselves stay in session order: calibrate.Fit's Zipf MLE
+// sums their logarithms in that order.
+func sortedFloats(counts []int) []float64 {
 	out := make([]float64, len(counts))
 	for i, c := range counts {
 		out[i] = float64(c)
 	}
+	stats.SortInPlace(out)
 	return out
 }

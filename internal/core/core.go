@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	randv2 "math/rand/v2"
 	"sync"
 
@@ -136,7 +137,8 @@ type Characterization struct {
 
 // PoissonReplica is the Figure 6 experiment.
 type PoissonReplica struct {
-	// Interarrivals are the synthetic interarrival display values.
+	// Interarrivals are the synthetic interarrival display values,
+	// sorted ascending.
 	Interarrivals []float64
 	// KS is the two-sample KS distance between measured and synthetic
 	// interarrival distributions; the paper calls the two "surprisingly
@@ -333,6 +335,10 @@ func basicStats(tr *trace.Trace, set *sessions.Set, divers *analyze.Diversity) B
 // the same horizon, and compare interarrival distributions. The
 // synthetic draws come from a splitmix generator on the seed's
 // dedicated replica lane.
+//
+// measured is the client interarrival sample in its ⌊t+1⌋ display form
+// — ClientLayer.Interarrivals, which is stored sorted and so is read in
+// place; a sample in any other order is sorted into a temporary copy.
 func BuildPoissonReplica(set *sessions.Set, horizon int64, measured []float64, seed int64) PoissonReplica {
 	counts, err := stats.BinCounts(set.ArrivalTimes(), horizon, analyze.TemporalBin)
 	if err != nil {
@@ -361,15 +367,22 @@ func poissonReplica(counts stats.BinnedSeries, horizon int64, measured []float64
 	if err != nil {
 		return PoissonReplica{}
 	}
-	synth := pp.ArrivalsV2(rng, float64(horizon), nil)
-	gaps := make([]float64, 0, len(synth))
-	for i := 1; i < len(synth); i++ {
-		gaps = append(gaps, stats.LogDisplayValue(synth[i]-synth[i-1]))
-	}
+	// The arrival count is Poisson with the integrated rate as its mean:
+	// five standard deviations over it hold every gap in one allocation
+	// but with vanishing odds.
+	expected := pp.ExpectedCount(float64(horizon))
+	gaps := make([]float64, 0, int(expected+5*math.Sqrt(expected))+1)
+	prev, started := 0.0, false
+	pp.EachArrivalV2(rng, float64(horizon), func(t float64) {
+		if started {
+			gaps = append(gaps, stats.LogDisplayValue(t-prev))
+		}
+		prev, started = t, true
+	})
+	stats.SortInPlace(gaps)
 	rep := PoissonReplica{Interarrivals: gaps, Window: int64(window)}
 	if len(gaps) > 0 && len(measured) > 0 {
-		disp := analyze.InterarrivalDisplay(measured)
-		if ks, err := dist.KolmogorovSmirnov2(disp, gaps); err == nil {
+		if ks, err := dist.KolmogorovSmirnov2(measured, gaps); err == nil {
 			rep.KS = ks
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/analyze"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -48,8 +47,7 @@ func (c *Characterization) Figures() []Figure {
 		},
 	})
 
-	interDisp := analyze.InterarrivalDisplay(c.Client.Interarrivals)
-	interECDF := stats.NewECDF(interDisp)
+	interECDF := stats.NewECDF(c.Client.Interarrivals)
 	out = append(out, Figure{
 		ID:      "fig05",
 		Caption: "Marginal distribution of client interarrival times",
@@ -144,7 +142,7 @@ func (c *Characterization) Figures() []Figure {
 		},
 	})
 
-	intraECDF := stats.NewECDF(analyze.InterarrivalDisplay(c.Session.IntraArrivals))
+	intraECDF := stats.NewECDF(c.Session.IntraArrivals)
 	out = append(out, Figure{
 		ID:      "fig14",
 		Caption: "Marginal distribution of transfer interarrivals within a session (lognormal)",

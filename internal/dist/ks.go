@@ -9,7 +9,8 @@ import (
 // KolmogorovSmirnov computes the one-sample KS distance between the
 // empirical distribution of samples and a model CDF: the supremum of
 // |F_n(x) - F(x)|. The paper reports this distance for every Table 2
-// body fit.
+// body fit. A sample in sorted form (stats.SortedForm) is read in place;
+// any other is sorted into a temporary copy.
 func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("%w: KS on empty sample", ErrBadFit)
@@ -17,7 +18,7 @@ func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, e
 	if cdf == nil {
 		return 0, fmt.Errorf("%w: KS with nil CDF", ErrBadFit)
 	}
-	sorted := stats.SortedCopy(samples)
+	sorted := stats.SortedView(samples)
 	n := float64(len(sorted))
 	var d float64
 	for i, x := range sorted {
@@ -36,12 +37,13 @@ func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, e
 
 // KolmogorovSmirnov2 computes the two-sample KS distance between the
 // empirical distributions of a and b — the Figure 6 comparison between
-// measured and synthesized interarrivals.
+// measured and synthesized interarrivals. Each side is read as
+// KolmogorovSmirnov reads its sample: in place when in sorted form.
 func KolmogorovSmirnov2(a, b []float64) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, fmt.Errorf("%w: two-sample KS on %d vs %d samples", ErrBadFit, len(a), len(b))
 	}
-	sa, sb := stats.SortedCopy(a), stats.SortedCopy(b)
+	sa, sb := stats.SortedView(a), stats.SortedView(b)
 
 	na, nb := float64(len(sa)), float64(len(sb))
 	var i, j int

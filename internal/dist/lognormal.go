@@ -52,26 +52,28 @@ func (l Lognormal) String() string {
 
 // FitLognormal estimates (Mu, Sigma) by maximum likelihood: the mean and
 // standard deviation of the log-samples. All samples must be positive.
+// Both sums run in sample order, so the fit depends on the order of
+// samples in its last bits: a producer fits a sample before sorting it.
+// The second pass recomputes each logarithm rather than keeping a
+// sample-sized slice of them.
 func FitLognormal(samples []float64) (Lognormal, error) {
 	if len(samples) < 2 {
 		return Lognormal{}, fmt.Errorf("%w: lognormal fit needs >= 2 samples, got %d", ErrBadFit, len(samples))
 	}
 	var sum float64
-	logs := make([]float64, len(samples))
-	for i, x := range samples {
+	for _, x := range samples {
 		if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 			return Lognormal{}, fmt.Errorf("%w: lognormal fit sample %v", ErrBadFit, x)
 		}
-		logs[i] = math.Log(x)
-		sum += logs[i]
+		sum += math.Log(x)
 	}
-	mu := sum / float64(len(logs))
+	mu := sum / float64(len(samples))
 	var ss float64
-	for _, lx := range logs {
-		d := lx - mu
+	for _, x := range samples {
+		d := math.Log(x) - mu
 		ss += d * d
 	}
-	sigma := math.Sqrt(ss / float64(len(logs)-1))
+	sigma := math.Sqrt(ss / float64(len(samples)-1))
 	if sigma <= 0 {
 		return Lognormal{}, fmt.Errorf("%w: degenerate lognormal sample (zero variance)", ErrBadFit)
 	}

@@ -28,14 +28,15 @@ func (l Lognormal) SampleV2(rng *randv2.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
 }
 
-// ArrivalsV2 is Arrivals for a math/rand/v2 generator: the same
+// EachArrivalV2 is Arrivals for a math/rand/v2 generator, handing each
+// arrival instant to emit instead of appending it to a slice: the same
 // Lewis–Shedler thinning, draw for draw, over a v2 source. It exists
-// for consumers that key their randomness to a splitmix seed lane
-// (core's Figure 6 Poisson replica) instead of a legacy *rand.Rand.
-func (p *PiecewisePoisson) ArrivalsV2(rng *randv2.Rand, horizon float64, buf []float64) []float64 {
-	out := buf[:0]
+// for consumers that key their randomness to a splitmix seed lane and
+// keep only something derived from the instants (core's Figure 6
+// Poisson replica keeps the gaps between them).
+func (p *PiecewisePoisson) EachArrivalV2(rng *randv2.Rand, horizon float64, emit func(t float64)) {
 	if horizon <= 0 {
-		return out
+		return
 	}
 	rates := p.windowRates(horizon)
 	var maxRate float64
@@ -45,7 +46,7 @@ func (p *PiecewisePoisson) ArrivalsV2(rng *randv2.Rand, horizon float64, buf []f
 		}
 	}
 	if maxRate == 0 {
-		return out
+		return
 	}
 	t := rng.ExpFloat64() / maxRate
 	for t < horizon {
@@ -54,9 +55,8 @@ func (p *PiecewisePoisson) ArrivalsV2(rng *randv2.Rand, horizon float64, buf []f
 			k = len(rates) - 1
 		}
 		if rng.Float64()*maxRate < rates[k] {
-			out = append(out, t)
+			emit(t)
 		}
 		t += rng.ExpFloat64() / maxRate
 	}
-	return out
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 )
 
@@ -102,5 +103,77 @@ func TestPoissonStreamEmptyHorizon(t *testing.T) {
 	st := pp.Stream(rand.New(rand.NewSource(1)), 0)
 	if _, ok := st.Next(); ok {
 		t.Error("zero horizon produced an arrival")
+	}
+}
+
+// referenceArrivalsV2 is the slice-returning ArrivalsV2 that
+// EachArrivalV2 replaced, kept as its reference.
+func referenceArrivalsV2(p *PiecewisePoisson, rng *randv2.Rand, horizon float64, buf []float64) []float64 {
+	out := buf[:0]
+	if horizon <= 0 {
+		return out
+	}
+	rates := p.windowRates(horizon)
+	var maxRate float64
+	for _, r := range rates {
+		if r > maxRate {
+			maxRate = r
+		}
+	}
+	if maxRate == 0 {
+		return out
+	}
+	t := rng.ExpFloat64() / maxRate
+	for t < horizon {
+		k := int(t / p.window)
+		if k >= len(rates) {
+			k = len(rates) - 1
+		}
+		if rng.Float64()*maxRate < rates[k] {
+			out = append(out, t)
+		}
+		t += rng.ExpFloat64() / maxRate
+	}
+	return out
+}
+
+// TestEachArrivalV2MatchesReference: the callback form emits the
+// reference's instants bit for bit and leaves the generator where the
+// reference does — over a modulated rate, one with silent windows, a
+// partial last window and an empty horizon.
+func TestEachArrivalV2MatchesReference(t *testing.T) {
+	rates := map[string]RateFunc{
+		"modulated": func(t float64) float64 { return 0.02 + 0.01*math.Sin(t/3600) },
+		"silent windows": func(t float64) float64 {
+			if int(t/900)%3 == 0 {
+				return 0
+			}
+			return 0.05
+		},
+		"all silent": func(float64) float64 { return 0 },
+	}
+	for name, rate := range rates {
+		pp, err := NewPiecewisePoisson(rate, 900)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, horizon := range []float64{0, 1000, 86_400.5, 200_000} {
+			ref := randv2.New(NewSplitMix64(Mix64(11, 7)))
+			want := referenceArrivalsV2(pp, ref, horizon, nil)
+			rng := randv2.New(NewSplitMix64(Mix64(11, 7)))
+			var got []float64
+			pp.EachArrivalV2(rng, horizon, func(t float64) { got = append(got, t) })
+			if len(got) != len(want) {
+				t.Fatalf("%s over %v s: %d arrivals, reference %d", name, horizon, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s over %v s: arrival %d is %v, reference %v", name, horizon, i, got[i], want[i])
+				}
+			}
+			if a, b := rng.Uint64(), ref.Uint64(); a != b {
+				t.Errorf("%s over %v s: next draw %#x, reference %#x", name, horizon, a, b)
+			}
+		}
 	}
 }

@@ -112,13 +112,15 @@ func (s *Set) OnTimes() []float64 {
 }
 
 // OffTimes returns the session OFF times f(i) = t(j) - t(i) - l(i) for
-// every pair of consecutive sessions (i, j) of the same client.
+// every pair of consecutive sessions (i, j) of the same client, sorted
+// ascending. Every client has a session, so there are at most
+// Count() - clients pairs: the slice is made once at that size.
 func (s *Set) OffTimes() []float64 {
 	// Sessions is start-sorted, so a client's previous session is the
 	// last one of that client walked so far.
 	ci := s.tr.ByClient()
 	prev := make([]int32, ci.Len()) // 1 + index of the client's previous session
-	var out []float64
+	out := make([]float64, 0, max(len(s.Sessions)-ci.Len(), 0))
 	for i := range s.Sessions {
 		next := &s.Sessions[i]
 		k := ci.Slot(next.Transfers[0])
@@ -129,7 +131,8 @@ func (s *Set) OffTimes() []float64 {
 		}
 		prev[k] = int32(i + 1)
 	}
-	return stats.SortedCopy(out)
+	stats.SortInPlace(out)
+	return out
 }
 
 // TransfersPerSession returns the transfer count of every session.
@@ -142,9 +145,11 @@ func (s *Set) TransfersPerSession() []int {
 }
 
 // IntraSessionInterarrivals returns the gaps between consecutive transfer
-// start times within each session (Figure 14's variable).
+// start times within each session (Figure 14's variable), in session
+// order. Each session of k transfers has k-1 gaps, so the slice is made
+// once at the trace's transfer count less the session count.
 func (s *Set) IntraSessionInterarrivals() []float64 {
-	var out []float64
+	out := make([]float64, 0, max(s.tr.NumTransfers()-len(s.Sessions), 0))
 	for _, sess := range s.Sessions {
 		for k := 1; k < len(sess.Transfers); k++ {
 			a := s.tr.Transfers[sess.Transfers[k-1]].Start

@@ -18,11 +18,20 @@ type ECDF struct {
 	cum  []int     // cum[j] samples are <= vals[j]
 }
 
-// NewECDF copies and sorts xs. An empty sample is allowed but evaluates to
-// a zero distribution.
+// NewECDF builds the ECDF of xs, which it only reads. A sample in sorted
+// form (SortedForm) is read in place; any other is sorted into a
+// temporary copy. The runs are held in slices of their own length, so
+// the ECDF keeps nothing sample-sized. An empty sample is allowed but
+// evaluates to a zero distribution.
 func NewECDF(xs []float64) *ECDF {
-	sorted := SortedCopy(xs)
-	e := &ECDF{vals: sorted[:0]} // runs are written behind the read position
+	sorted := SortedView(xs)
+	runs := 0
+	for i, x := range sorted {
+		if i+1 == len(sorted) || sorted[i+1] != x {
+			runs++
+		}
+	}
+	e := &ECDF{vals: make([]float64, 0, runs), cum: make([]int, 0, runs)}
 	for i, x := range sorted {
 		if i+1 < len(sorted) && sorted[i+1] == x {
 			continue

@@ -6,10 +6,11 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 const (
-	// radixMinLen is the length below which SortedCopy and
+	// radixMinLen is the length below which SortInPlace and
 	// SortByKeyBits leave the work to the standard library: the radix
 	// passes cost a histogram per digit whatever the length, and
 	// measured slower under ≈ 700 elements (BenchmarkSortSample).
@@ -24,48 +25,101 @@ const (
 // with the sign bit set: negative values, −0 and the other NaNs.
 const infBits = 0x7FF0000000000000
 
+// sampleSorts counts the SortInPlace calls (SortedCopy's included) of
+// the program's lifetime; SampleSorts reads it.
+var sampleSorts atomic.Int64
+
+// SampleSorts returns how many samples SortInPlace and SortedCopy have
+// been asked to sort since the program started — a work counter that
+// does not depend on the machine: a consumer that sorts a sample it
+// could have read in place shows as one count more.
+func SampleSorts() int64 { return sampleSorts.Load() }
+
+// SortedForm reports whether xs is ascending by IEEE-754 bit pattern
+// and holds no NaN, no negative value and no −0. On that domain the
+// patterns, read as unsigned integers, order exactly as the values do,
+// and two elements that compare equal are the same pattern, so there
+// is one ascending arrangement and every correct sort produces it: a
+// slice in sorted form is, element for element, what SortedCopy and
+// sort.Float64s would make of it.
+func SortedForm(xs []float64) bool {
+	var prev uint64
+	for _, x := range xs {
+		b := math.Float64bits(x)
+		if b < prev || b > infBits {
+			return false
+		}
+		prev = b
+	}
+	return true
+}
+
+// SortedView returns xs itself when it is in sorted form (SortedForm)
+// and SortedCopy(xs) otherwise: either way the elements of xs in
+// ascending order, exactly as SortedCopy has them. The result must
+// only be read — it may be the caller's slice. It is how a consumer
+// reads a sample its producer already sorted without copying it.
+func SortedView(xs []float64) []float64 {
+	if SortedForm(xs) {
+		return xs
+	}
+	return SortedCopy(xs)
+}
+
 // SortedCopy returns the elements of xs in ascending order in a new
 // slice, element for element what sort.Float64s leaves in a copy of xs;
 // xs itself is only read.
-//
-// A sample with neither NaNs nor negative values nor −0 — every timing
-// and size sample the characterization takes — is sorted by LSD radix
-// passes over the IEEE-754 bit patterns. On that domain the patterns,
-// read as unsigned integers, order exactly as the values do, and two
-// elements that compare equal are the same pattern, so there is one
-// ascending arrangement and any correct sort produces it. Only the
-// bits some pair of elements differs in are sorted on: whole-second
-// readings below 2²² span 33 of the 64, three passes. Anything else —
-// and any sample too short to repay the histograms — is copied and
-// handed to sort.Float64s.
-//
-//lsm:hotpath
 func SortedCopy(xs []float64) []float64 {
 	out := make([]float64, len(xs))
-	var or uint64
+	copy(out, xs)
+	SortInPlace(out)
+	return out
+}
+
+// SortInPlace sorts xs ascending, leaving exactly what sort.Float64s
+// (and SortedCopy) would: bit for bit, NaN payloads and the sign of
+// zero included.
+//
+// A slice already in sorted form (SortedForm) is left as it is after
+// one read. Otherwise a sample with neither NaNs nor negative values
+// nor −0 — every timing and size sample the characterization takes —
+// is sorted by LSD radix passes over the IEEE-754 bit patterns, whose
+// order on that domain is the values' order. Only the bits some pair
+// of elements differs in are sorted on: whole-second readings below
+// 2²² span 33 of the 64, three passes, which alternate between xs and
+// one scratch slice of its length. Anything else — and any sample too
+// short to repay the histograms — goes to sort.Float64s.
+//
+//lsm:hotpath
+func SortInPlace(xs []float64) {
+	sampleSorts.Add(1)
+	var prev, or uint64
 	and := ^uint64(0)
-	radix := len(xs) >= radixMinLen && len(xs) <= math.MaxUint32
-	if radix {
-		for _, x := range xs {
-			b := math.Float64bits(x)
-			or |= b
-			and &= b
-			if b > infBits {
-				radix = false
-				break
-			}
+	sorted, radix := true, true
+	for _, x := range xs {
+		b := math.Float64bits(x)
+		if b > infBits {
+			radix = false
+			break
 		}
+		if b < prev {
+			sorted = false
+		}
+		prev = b
+		or |= b
+		and &= b
 	}
-	diff := or ^ and
-	if !radix || diff == 0 {
-		copy(out, xs)
-		if !radix {
-			sort.Float64s(out)
-		}
-		return out
+	if radix && sorted {
+		return
+	}
+	if !radix || len(xs) < radixMinLen || len(xs) > math.MaxUint32 {
+		sort.Float64s(xs)
+		return
 	}
 
-	// Split the differing bits [lo, lo+width) into equal digits.
+	// Split the differing bits [lo, lo+width) into equal digits; an
+	// unsorted slice has at least one.
+	diff := or ^ and
 	lo := bits.TrailingZeros64(diff)
 	width := 64 - bits.LeadingZeros64(diff) - lo
 	passes := (width + radixDigitBits - 1) / radixDigitBits
@@ -87,12 +141,10 @@ func SortedCopy(xs []float64) []float64 {
 		}
 	}
 
-	// Each pass scatters src into dst by one digit, stably. The first
-	// reads the caller's slice; the rest ping-pong between out and a
-	// second buffer, allocated only when a second pass runs. The digit
-	// holding the highest differing bit is never skipped, so src ends as
-	// one of the two buffers.
-	src, dst := xs, out
+	// Each pass scatters src into the other of xs and scratch by one
+	// digit, stably; a digit every element shares is skipped.
+	var scratch []float64
+	src := xs
 	for p := 0; p < passes; p++ {
 		heads := counts[p<<digit : (p+1)<<digit]
 		shift := lo + p*digit
@@ -104,21 +156,23 @@ func SortedCopy(xs []float64) []float64 {
 			heads[d] = sum
 			sum += c
 		}
-		if dst == nil {
-			dst = make([]float64, len(xs))
+		if scratch == nil {
+			scratch = make([]float64, len(xs))
+		}
+		dst := scratch
+		if &src[0] == &scratch[0] {
+			dst = xs
 		}
 		for _, x := range src {
 			d := math.Float64bits(x) >> shift & mask
 			dst[heads[d]] = x
 			heads[d]++
 		}
-		if &src[0] == &xs[0] {
-			src, dst = out, nil
-		} else {
-			src, dst = dst, src
-		}
+		src = dst
 	}
-	return src
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
 }
 
 // SortByKeyBits sorts xs in place, ascending and stably, by the
@@ -150,7 +204,7 @@ func SortByKeyBits[T ~int32 | ~uint64](xs []T, lo, width int) {
 		return
 	}
 
-	// Equal digits, as in SortedCopy; one walk fills every histogram.
+	// Equal digits, as in SortInPlace; one walk fills every histogram.
 	passes := (width + radixDigitBits - 1) / radixDigitBits
 	digit := (width + passes - 1) / passes
 	dmask := uint64(1)<<digit - 1

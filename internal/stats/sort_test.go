@@ -19,35 +19,67 @@ func stdlibSortedCopy(xs []float64) []float64 {
 	return sorted
 }
 
-// checkSortedCopy compares SortedCopy with the stdlib reference bit for
-// bit (NaN payloads and the sign of zero included) and checks that the
-// input is left alone and not aliased by the result.
-func checkSortedCopy(t *testing.T, name string, xs []float64) {
+// checkSorts holds the three sorts of a sample to the stdlib reference
+// bit for bit (NaN payloads and the sign of zero included): SortedCopy,
+// which must leave the input alone and not alias it; SortInPlace of a
+// copy; and SortedView, which must return the caller's own slice
+// exactly when the input is in sorted form — ascending with no NaN, no
+// negative value and no −0, judged here by value, independently of the
+// bit-pattern test SortedForm makes — and otherwise a copy, leaving the
+// input alone.
+func checkSorts(t *testing.T, name string, xs []float64) {
 	t.Helper()
 	before := slices.Clone(xs)
 	want := stdlibSortedCopy(xs)
+	same := func(what string, got []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %s has %d elements, want %d", name, what, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: %s element %d of %d is %v (%#x), sort.Float64s has %v (%#x)",
+					name, what, i, len(got), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	untouched := func(what string) {
+		t.Helper()
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: %s modified input element %d", name, what, i)
+			}
+		}
+	}
+
 	got := SortedCopy(xs)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d of %d is %v (%#x), sort.Float64s has %v (%#x)",
-				name, i, len(got), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-	for i := range xs {
-		if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
-			t.Fatalf("%s: input element %d was modified", name, i)
-		}
-	}
+	same("SortedCopy", got)
+	untouched("SortedCopy")
 	if len(xs) > 0 && &got[0] == &xs[0] {
-		t.Fatalf("%s: result aliases the input", name)
+		t.Fatalf("%s: SortedCopy aliases the input", name)
+	}
+
+	inPlace := slices.Clone(xs)
+	SortInPlace(inPlace)
+	same("SortInPlace", inPlace)
+
+	sortedForm := slices.IsSorted(xs) && !slices.ContainsFunc(xs, func(x float64) bool {
+		return math.IsNaN(x) || math.Signbit(x)
+	})
+	if SortedForm(xs) != sortedForm {
+		t.Fatalf("%s: SortedForm = %t, want %t", name, !sortedForm, sortedForm)
+	}
+	view := SortedView(xs)
+	same("SortedView", view)
+	untouched("SortedView")
+	if len(xs) > 0 && (&view[0] == &xs[0]) != sortedForm {
+		t.Fatalf("%s: SortedView aliases the input = %t, want %t (sorted form)", name, !sortedForm, sortedForm)
 	}
 }
 
-// TestSortMatchesStdlib: SortedCopy is sort.Float64s of a copy, bit for
-// bit, on the inputs the radix passes take (whole seconds, continuous
+// TestSortMatchesStdlib: SortedCopy, SortInPlace and SortedView are
+// sort.Float64s of a copy, bit for bit (checkSorts), on the inputs the
+// radix passes take (whole seconds, continuous
 // draws, constants, sorted runs, +Inf, subnormals) and on those that
 // must fall back (a NaN, a negative value, a −0 — each alone among
 // otherwise radix-sortable data), from the empty sample to 10⁵.
@@ -82,7 +114,8 @@ func TestSortMatchesStdlib(t *testing.T) {
 			for i := range xs {
 				xs[i] = gen(i, n)
 			}
-			checkSortedCopy(t, name, xs)
+			checkSorts(t, name, xs)
+			checkSorts(t, name+" sorted", stdlibSortedCopy(xs))
 			if n == 0 {
 				continue
 			}
@@ -90,7 +123,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 				at := rng.Intn(n)
 				keep := xs[at]
 				xs[at] = v
-				checkSortedCopy(t, name+" + "+sname, xs)
+				checkSorts(t, name+" + "+sname, xs)
 				xs[at] = keep
 			}
 		}
@@ -99,8 +132,10 @@ func TestSortMatchesStdlib(t *testing.T) {
 
 // FuzzSortMatchesStdlib reads the fuzz input as raw float64 bit
 // patterns — any mix of NaN payloads, signed zeros, infinities and
-// subnormals — repeated past the radix threshold, and holds SortedCopy
-// to the stdlib result.
+// subnormals — repeated past the radix threshold, and holds SortedCopy,
+// SortInPlace and SortedView to the stdlib result, on the input as
+// given and on its sorted arrangement (where SortedView must hand back
+// the caller's slice exactly when it holds no NaN, negative or −0).
 func FuzzSortMatchesStdlib(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		var b []byte
@@ -120,7 +155,8 @@ func FuzzSortMatchesStdlib(f *testing.F) {
 		for i := range base {
 			base[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		checkSortedCopy(t, "as given", base)
+		checkSorts(t, "as given", base)
+		checkSorts(t, "sorted", stdlibSortedCopy(base))
 		if len(base) == 0 {
 			return
 		}
@@ -133,7 +169,8 @@ func FuzzSortMatchesStdlib(f *testing.F) {
 				xs = append(xs, math.Float64frombits(math.Float64bits(v)^uint64(k&3)))
 			}
 		}
-		checkSortedCopy(t, "tiled", xs)
+		checkSorts(t, "tiled", xs)
+		checkSorts(t, "tiled sorted", stdlibSortedCopy(xs))
 	})
 }
 
@@ -183,5 +220,30 @@ func TestSortByKeyBitsMatchesStableSort(t *testing.T) {
 				checkSortByKeyBits(t, name+" packed", packed, 32, width)
 			}
 		}
+	}
+}
+
+// TestSortInPlaceScratch: SortInPlace allocates nothing for a slice
+// already in sorted form, and one scratch slice — not the two a sorted
+// copy takes — for a radix sort of any number of passes.
+func TestSortInPlaceScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	xs := make([]float64, 10_000)
+	for i := range xs {
+		xs[i] = LogDisplayValue(float64(rng.Int63n(1 << 22)))
+	}
+	shuffled := slices.Clone(xs)
+	work := make([]float64, len(xs))
+	if got := testing.AllocsPerRun(10, func() {
+		copy(work, shuffled)
+		SortInPlace(work)
+	}); got != 1 {
+		t.Errorf("unsorted sample: %v allocations per SortInPlace, want 1", got)
+	}
+	if !SortedForm(work) {
+		t.Fatal("SortInPlace left the sample out of sorted form")
+	}
+	if got := testing.AllocsPerRun(10, func() { SortInPlace(work) }); got != 0 {
+		t.Errorf("sorted sample: %v allocations per SortInPlace, want 0", got)
 	}
 }

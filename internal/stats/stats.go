@@ -30,12 +30,14 @@ type Summary struct {
 	P99      float64
 }
 
-// Summarize computes a Summary of xs.
+// Summarize computes a Summary of xs, reading a sample in sorted form
+// in place (SortedView). The moments are summed in ascending order
+// whatever the order of xs.
 func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
-	sorted := SortedCopy(xs)
+	sorted := SortedView(xs)
 
 	var sum, sumSq float64
 	for _, x := range sorted {
@@ -74,7 +76,8 @@ func Mean(xs []float64) float64 {
 }
 
 // Quantile returns the p-quantile of xs using linear interpolation between
-// order statistics. p must be in [0, 1].
+// order statistics. p must be in [0, 1]. A sample in sorted form is read
+// in place (SortedView).
 func Quantile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -82,7 +85,7 @@ func Quantile(xs []float64, p float64) (float64, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return 0, ErrBadArgument
 	}
-	return quantileSorted(SortedCopy(xs), p), nil
+	return quantileSorted(SortedView(xs), p), nil
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {

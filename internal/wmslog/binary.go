@@ -403,6 +403,16 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	}
 }
 
+// reset points the writer at w as if it were new — the magic is written
+// again before the next entry, with a fresh dictionary, and the count
+// restarts — keeping its write buffer.
+func (bw *BinaryWriter) reset(w io.Writer) {
+	bw.w.Reset(w)
+	bw.dict = NewBinaryDict()
+	bw.wroteMagic = false
+	bw.count = 0
+}
+
 // Write validates and appends one entry.
 func (bw *BinaryWriter) Write(e *Entry) error {
 	if err := e.Validate(); err != nil {

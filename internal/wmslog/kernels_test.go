@@ -1,6 +1,8 @@
 package wmslog
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -325,4 +327,68 @@ func TestDailyWriterOtherLocations(t *testing.T) {
 	if dw.Entries() != 7 {
 		t.Errorf("Entries = %d, want 7", dw.Entries())
 	}
+}
+
+// TestDailyWriterReusesOneBuffer: thirty days through a DailyWriter go
+// through one write buffer — a rotation re-points the day's writer at
+// the new file instead of making another — and every daily file is
+// byte for byte what a fresh Writer (BinaryWriter) writes, the header
+// (magic and dictionary) included. Player ids recur across days, so a
+// dictionary carried over from the previous file would show.
+func TestDailyWriterReusesOneBuffer(t *testing.T) {
+	dailyModes(t, func(t *testing.T, dw *DailyWriter) {
+		const days = 30
+		perDay := make([][]*Entry, days)
+		var first *bufio.Writer
+		for d := 0; d < days; d++ {
+			for k := 0; k < 3; k++ {
+				e := sampleEntry(TraceEpoch.Add(time.Duration(d*86400+k*3600+5) * time.Second))
+				e.PlayerID = "player-" + strconv.Itoa((d+k)%4)
+				if err := dw.Write(e); err != nil {
+					t.Fatal(err)
+				}
+				perDay[d] = append(perDay[d], e)
+			}
+			var buf *bufio.Writer
+			if dw.Binary {
+				buf = dw.bin.w
+			} else {
+				buf = dw.text.w
+			}
+			if first == nil {
+				first = buf
+			} else if buf != first {
+				t.Fatalf("day %d writes through a new buffer", d)
+			}
+		}
+		if err := dw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := dw.Files()
+		if len(files) != days {
+			t.Fatalf("%d files, want %d", len(files), days)
+		}
+		for d, f := range files {
+			var want bytes.Buffer
+			var w EntryWriter = NewWriter(&want)
+			if dw.Binary {
+				w = NewBinaryWriter(&want)
+			}
+			for _, e := range perDay[d] {
+				if err := w.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%s differs from a fresh writer's bytes", filepath.Base(f))
+			}
+		}
+	})
 }

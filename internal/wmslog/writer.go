@@ -75,6 +75,15 @@ func (lw *Writer) writeHeader() error {
 	return nil
 }
 
+// reset points the writer at w as if it were new — the header is
+// written again before the next entry and the count restarts — keeping
+// its buffers.
+func (lw *Writer) reset(w io.Writer) {
+	lw.w.Reset(w)
+	lw.wroteHeader = false
+	lw.count = 0
+}
+
 // Count returns the number of entries written.
 func (lw *Writer) Count() int64 { return lw.count }
 
@@ -133,6 +142,10 @@ func (sw *SyncWriter) Count() int64 {
 // instead of text lines. Each file opens its own dictionary (a reader
 // never needs cross-file state), and downstream readers auto-detect the
 // format by magic bytes, so mixed text/binary directories merge fine.
+//
+// One text and one binary writer, each made at its first file, serve
+// every day: a rotation points the writer at the new file, so a run of
+// any length holds one 64 KB write buffer per format.
 type DailyWriter struct {
 	Dir    string
 	Binary bool
@@ -143,7 +156,9 @@ type DailyWriter struct {
 	// dayLoc, so the per-entry day check decodes no calendar date.
 	dayLo, dayHi int64
 	dayLoc       *time.Location
-	writer       EntryWriter
+	writer       EntryWriter   // the open file's: text or bin, nil when none
+	text         *Writer       // reused across rotations once made
+	bin          *BinaryWriter // reused across rotations once made
 	files        []string
 	entries      int64
 }
@@ -208,9 +223,19 @@ func (dw *DailyWriter) rotate(day int, ts time.Time) error {
 	dw.cur = f
 	dw.curDay = day
 	if dw.Binary {
-		dw.writer = NewBinaryWriter(f)
+		if dw.bin == nil {
+			dw.bin = NewBinaryWriter(f)
+		} else {
+			dw.bin.reset(f)
+		}
+		dw.writer = dw.bin
 	} else {
-		dw.writer = NewWriter(f)
+		if dw.text == nil {
+			dw.text = NewWriter(f)
+		} else {
+			dw.text.reset(f)
+		}
+		dw.writer = dw.text
 	}
 	dw.files = append(dw.files, name)
 	return nil
