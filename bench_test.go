@@ -628,12 +628,11 @@ func BenchmarkPipelineDiversity(b *testing.B) {
 	b.ReportMetric(float64(d.NumIPs), "IPs")
 }
 
-// BenchmarkSortSample times sorting a transfer-length display sample
-// (⌊t+1⌋ of lognormal seconds — what each sample of the
-// characterization is sorted as, once, by its producer) through
-// stats.SortInPlace over a reused working slice, as a producer sorts
-// the sample it built, and through the copy-then-sort.Float64s the
-// kernel replaced, at a session-sized and a trace-sized sample.
+// BenchmarkSortSample times the sorted copy of a transfer-length
+// display sample (⌊t+1⌋ of lognormal seconds — what every KS distance,
+// ECDF and quantile of the characterization sorts) through
+// stats.SortedCopy and through the copy-then-sort.Float64s it replaced,
+// at a session-sized and a trace-sized sample.
 func BenchmarkSortSample(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		rng := rand.New(rand.NewSource(benchSeed))
@@ -641,16 +640,11 @@ func BenchmarkSortSample(b *testing.B) {
 		for i := range xs {
 			xs[i] = stats.LogDisplayValue(math.Exp(4.4 + 1.4*rng.NormFloat64()))
 		}
-		work := make([]float64, n)
 		for _, impl := range []struct {
 			name string
 			sort func([]float64) []float64
 		}{
-			{"kernel", func(xs []float64) []float64 {
-				copy(work, xs)
-				stats.SortInPlace(work)
-				return work
-			}},
+			{"kernel", stats.SortedCopy},
 			{"stdlib", func(xs []float64) []float64 {
 				sorted := slices.Clone(xs)
 				sort.Float64s(sorted)

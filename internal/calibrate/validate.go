@@ -129,7 +129,7 @@ var ksLayers = []struct {
 	{"session/on-times", func(c *core.Characterization) []float64 { return c.Session.OnTimes }},
 	{"session/off-times", func(c *core.Characterization) []float64 { return c.Session.OffTimes }},
 	{"session/transfers", func(c *core.Characterization) []float64 {
-		return sortedFloats(c.Session.TransfersPerSession)
+		return stats.SortedFloats(c.Session.TransfersPerSession)
 	}},
 	{"session/intra-gaps", func(c *core.Characterization) []float64 { return c.Session.IntraArrivals }},
 	{"transfer/lengths", func(c *core.Characterization) []float64 { return c.Transfer.Lengths }},
@@ -173,16 +173,4 @@ func Validate(source, twin *core.Characterization) ValidationReport {
 	cmp("transfer", "length lognormal sigma", source.Transfer.LengthFit.Sigma, twin.Transfer.LengthFit.Sigma, "Figure 19, Table 2")
 	cmp("transfer", "peak concurrent transfers", float64(source.Transfer.Concurrency.Peak), float64(twin.Transfer.Concurrency.Peak), "Figure 15")
 	return rep
-}
-
-// sortedFloats widens an int sample for the KS test, sorted ascending.
-// The counts themselves stay in session order: calibrate.Fit's Zipf MLE
-// sums their logarithms in that order.
-func sortedFloats(counts []int) []float64 {
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c)
-	}
-	stats.SortInPlace(out)
-	return out
 }

@@ -128,11 +128,7 @@ func (c *Characterization) Figures() []Figure {
 		},
 	})
 
-	perSession := make([]float64, len(c.Session.TransfersPerSession))
-	for i, v := range c.Session.TransfersPerSession {
-		perSession[i] = float64(v)
-	}
-	psECDF := stats.NewECDF(perSession)
+	psECDF := stats.NewECDF(stats.SortedFloats(c.Session.TransfersPerSession))
 	out = append(out, Figure{
 		ID:      "fig13",
 		Caption: "Marginal distribution of number of transfers per session (Zipf)",

@@ -72,8 +72,9 @@ func TestCharacterizeSortsEachSampleOnce(t *testing.T) {
 // Characterize of the served week allocates. The count is exact for
 // the code and the fixture, so unlike a time it holds on any machine:
 // the bound is the count measured when samples became sorted once in
-// place, plus 10 % headroom for the scheduler's and the runtime's own
-// allocations. A sample copied again per consumer costs more than that.
+// place, plus about 10 % headroom for the scheduler's and the
+// runtime's own allocations. A sample copied again per consumer costs
+// more than that.
 func TestCharacterizeAllocationBudget(t *testing.T) {
 	week := weekTrace(t)
 	got := allocated(func() {
@@ -81,7 +82,7 @@ func TestCharacterizeAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 1_470_000 // measured 1,334,400–1,335,300; 1,791,500 before
+	const budget = 1_470_000 // measured 1,334,400–1,343,600; 1,791,500 before
 	if got > budget {
 		t.Errorf("Characterize allocated %d bytes, budget %d", got, budget)
 	}

@@ -14,77 +14,37 @@ func LinearRegression(xs, ys []float64) (slope, intercept, r2 float64, err error
 	if len(xs) != len(ys) {
 		return 0, 0, 0, fmt.Errorf("%w: regression over %d xs vs %d ys", ErrBadFit, len(xs), len(ys))
 	}
-	var o ols
+	n := float64(len(xs))
+	if len(xs) < 2 {
+		return 0, 0, 0, fmt.Errorf("%w: regression needs >= 2 points, got %d", ErrBadFit, len(xs))
+	}
+	var sx, sy float64
 	for i := range xs {
-		o.add(xs[i], ys[i])
+		if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) || math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
+			return 0, 0, 0, fmt.Errorf("%w: regression point (%v, %v)", ErrBadFit, xs[i], ys[i])
+		}
+		sx += xs[i]
+		sy += ys[i]
 	}
-	if err := o.center(); err != nil {
-		return 0, 0, 0, err
-	}
+	mx, my := sx/n, sy/n
+	var sxx, sxy, syy float64
 	for i := range xs {
-		o.add(xs[i], ys[i])
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxx += dx * dx
+		sxy += dx * dy
+		syy += dy * dy
 	}
-	return o.fit()
-}
-
-// ols is an ordinary least-squares fit accumulated over two walks of
-// the same points: add each point, center, add each point again, fit.
-// A fit over points derived on the fly (FitTail's) recomputes them on
-// the second walk instead of holding two point-sized slices.
-type ols struct {
-	n             int
-	sx, sy        float64 // first walk: the sums
-	mx, my        float64 // the means, once centered
-	sxx, sxy, syy float64 // second walk: the centered products
-	bad           [2]float64
-	badSeen       bool
-	centered      bool
-}
-
-// add takes one point into the walk under way.
-func (o *ols) add(x, y float64) {
-	if o.centered {
-		dx, dy := x-o.mx, y-o.my
-		o.sxx += dx * dx
-		o.sxy += dx * dy
-		o.syy += dy * dy
-		return
-	}
-	if !o.badSeen && (math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0)) {
-		o.bad, o.badSeen = [2]float64{x, y}, true
-	}
-	o.sx += x
-	o.sy += y
-	o.n++
-}
-
-// center ends the first walk, refusing fewer than two points or a
-// non-finite one.
-func (o *ols) center() error {
-	if o.n < 2 {
-		return fmt.Errorf("%w: regression needs >= 2 points, got %d", ErrBadFit, o.n)
-	}
-	if o.badSeen {
-		return fmt.Errorf("%w: regression point (%v, %v)", ErrBadFit, o.bad[0], o.bad[1])
-	}
-	n := float64(o.n)
-	o.mx, o.my = o.sx/n, o.sy/n
-	o.centered = true
-	return nil
-}
-
-// fit ends the second walk.
-func (o *ols) fit() (slope, intercept, r2 float64, err error) {
-	if o.sxx == 0 {
+	if sxx == 0 {
 		return 0, 0, 0, fmt.Errorf("%w: regression with zero x variance", ErrBadFit)
 	}
-	slope = o.sxy / o.sxx
-	intercept = o.my - slope*o.mx
-	if o.syy == 0 {
+	slope = sxy / sxx
+	intercept = my - slope*mx
+	if syy == 0 {
 		// A perfectly flat line is fit exactly.
 		return slope, intercept, 1, nil
 	}
-	return slope, intercept, o.sxy * o.sxy / (o.sxx * o.syy), nil
+	r2 = sxy * sxy / (sxx * syy)
+	return slope, intercept, r2, nil
 }
 
 // ZipfFit is an estimated Zipf law: the magnitude of the log-log
@@ -234,68 +194,49 @@ func (f TailFit) String() string {
 // values. Restricting the CCDF to the window isolates each regime, so
 // the heavy far tail does not flatten the body estimate.
 //
-// samples is only read. In sorted form (stats.SortedForm) the window is
-// a run of it, found by binary search, and the fit allocates nothing;
-// any other sample has its window copied out and sorted.
+// samples is only read, through stats.SortedView: the window is a run
+// of the sorted sample, found by binary search, so a sample already in
+// sorted form is not copied.
 func FitTail(samples []float64, lo, hi float64) (TailFit, error) {
 	if !(lo < hi) || lo < 0 || math.IsNaN(lo) || math.IsNaN(hi) {
 		return TailFit{}, fmt.Errorf("%w: tail window (%v, %v]", ErrBadFit, lo, hi)
 	}
-	inWindow := func(x float64) bool { return x > lo && x <= hi }
-	var sub []float64
-	if stats.SortedForm(samples) {
-		from := sort.Search(len(samples), func(i int) bool { return samples[i] > lo })
-		to := sort.Search(len(samples), func(i int) bool { return samples[i] > hi })
-		sub = samples[from:to]
-	} else {
-		k := 0
-		for _, x := range samples {
-			if inWindow(x) {
-				k++
-			}
-		}
-		sub = make([]float64, 0, k)
-		for _, x := range samples {
-			if inWindow(x) {
-				sub = append(sub, x)
-			}
-		}
-		stats.SortInPlace(sub)
-	}
+	s := stats.SortedView(samples)
+	from := sort.Search(len(s), func(i int) bool { return s[i] > lo })
+	to := sort.Search(len(s), func(i int) bool { return s[i] > hi })
+	sub := s[from:to]
 	if len(sub) < 3 {
 		return TailFit{}, fmt.Errorf("%w: %d samples in tail window (%v, %v]", ErrBadFit, len(sub), lo, hi)
 	}
-	var o ols
-	addTailPoints(&o, sub)
-	if o.n < 3 {
-		return TailFit{}, fmt.Errorf("%w: %d distinct values in tail window (%v, %v]", ErrBadFit, o.n, lo, hi)
+	runs := 0
+	for i := range sub {
+		if i == 0 || sub[i] != sub[i-1] {
+			runs++
+		}
 	}
-	if err := o.center(); err != nil {
-		return TailFit{}, err
-	}
-	addTailPoints(&o, sub)
-	slope, intercept, r2, err := o.fit()
-	if err != nil {
-		return TailFit{}, err
-	}
-	return TailFit{Alpha: -slope, Intercept: intercept, R2: r2, Points: o.n, Lo: lo, Hi: hi}, nil
-}
-
-// addTailPoints walks the runs of a sorted window and adds to o the
-// point (log v, log CCDF(v)) of each distinct value v, where the CCDF
-// at v is the fraction of the window's samples strictly above v. The
-// largest value has CCDF 0 and is skipped (log undefined).
-func addTailPoints(o *ols, sub []float64) {
 	n := float64(len(sub))
+	xs := make([]float64, 0, runs)
+	ys := make([]float64, 0, runs)
 	for i := 0; i < len(sub); {
 		v := sub[i]
 		j := i
 		for j < len(sub) && sub[j] == v {
 			j++
 		}
+		// CCDF at v: fraction of the window's samples strictly above v.
+		// The largest value has CCDF 0 and is skipped (log undefined).
 		if ccdf := float64(len(sub)-j) / n; ccdf > 0 && v > 0 {
-			o.add(math.Log(v), math.Log(ccdf))
+			xs = append(xs, math.Log(v))
+			ys = append(ys, math.Log(ccdf))
 		}
 		i = j
 	}
+	if len(xs) < 3 {
+		return TailFit{}, fmt.Errorf("%w: %d distinct values in tail window (%v, %v]", ErrBadFit, len(xs), lo, hi)
+	}
+	slope, intercept, r2, err := LinearRegression(xs, ys)
+	if err != nil {
+		return TailFit{}, err
+	}
+	return TailFit{Alpha: -slope, Intercept: intercept, R2: r2, Points: len(xs), Lo: lo, Hi: hi}, nil
 }

@@ -76,6 +76,19 @@ func SortedCopy(xs []float64) []float64 {
 	return out
 }
 
+// SortedFloats returns the counts widened to float64 and sorted
+// ascending, in sorted form (SortedForm) when no count is negative, so
+// that the KS tests and NewECDF read it without another copy. counts
+// itself is only read.
+func SortedFloats(counts []int) []float64 {
+	out := make([]float64, len(counts))
+	for i, c := range counts {
+		out[i] = float64(c)
+	}
+	SortInPlace(out)
+	return out
+}
+
 // SortInPlace sorts xs ascending, leaving exactly what sort.Float64s
 // (and SortedCopy) would: bit for bit, NaN payloads and the sign of
 // zero included.

@@ -247,3 +247,30 @@ func TestSortInPlaceScratch(t *testing.T) {
 		t.Errorf("sorted sample: %v allocations per SortInPlace, want 0", got)
 	}
 }
+
+// TestSortedFloats: the widened counts come back sorted exactly as the
+// reference sorts them and in sorted form, so SortedView hands them to
+// a reader without a copy; the counts keep their order.
+func TestSortedFloats(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 5, radixMinLen + 1, 4000} {
+		counts := make([]int, n)
+		widened := make([]float64, n)
+		for i := range counts {
+			counts[i] = 1 + int(rng.ExpFloat64()*20)
+			widened[i] = float64(counts[i])
+		}
+		before := slices.Clone(counts)
+		got := SortedFloats(counts)
+		want := stdlibSortedCopy(widened)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: SortedFloats differs from the widened reference sort", n)
+		}
+		if !slices.Equal(counts, before) {
+			t.Fatalf("n=%d: SortedFloats reordered the counts", n)
+		}
+		if v := SortedView(got); n > 0 && &v[0] != &got[0] {
+			t.Fatalf("n=%d: SortedView copied SortedFloats' result", n)
+		}
+	}
+}
