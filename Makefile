@@ -54,14 +54,15 @@ BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|Enco
 
 # BENCH_CHAR selects the measurement-half benchmarks: the log ingest
 # (files on disk → sanitized trace), sessionization, the whole
-# core.Characterize, the calibration loop's regenerate and validate
+# core.Characterize and its calibration core alone (core.Observe),
+# the calibration loop's regenerate and validate
 # halves (calibrate.Twin, calibrate.Validate), the concurrency report
 # alone at a sparse and at the paper-scale shape (B/op included: it may
 # not grow with the horizon) and with its Figure 8 autocorrelation, the Figure 9 timeout sweep, the
 # Table 1 / Figure 2 counting walk, and the sample sort kernel against
 # the stdlib sort it replaced. They run at -cpu 1 and keep one row each
 # whatever the runner's core count.
-BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization|Twin|Validate|Diversity|Concurrency)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)|BenchmarkSortSample
+BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization|Observe|Twin|Validate|Diversity|Concurrency)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)|BenchmarkSortSample
 
 # BENCH_INGEST is the measurement-half benchmarks that scale with
 # GOMAXPROCS alone — the log ingest (a parse worker per core) and

@@ -254,14 +254,17 @@ func BenchmarkFigure7ClientInterest(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	var cl *analyze.ClientLayer
+	var cf *analyze.ClientFigures
 	for i := 0; i < b.N; i++ {
 		var err error
-		cl, err = analyze.AnalyzeClientLayer(f.set)
-		if err != nil {
+		if cl, err = analyze.AnalyzeClientLayer(f.set); err != nil {
+			b.Fatal(err)
+		}
+		if cf, err = analyze.DescribeClientLayer(f.set); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(cl.InterestTransfers.Alpha, "alpha_transfers")
+	b.ReportMetric(cf.InterestTransfers.Alpha, "alpha_transfers")
 	b.ReportMetric(cl.InterestSessions.Alpha, "alpha_sessions")
 }
 
@@ -296,15 +299,17 @@ func BenchmarkFigure9SessionsVsTimeout(b *testing.B) {
 func BenchmarkFigure10OnTimeVsHour(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
-	var sl *analyze.SessionLayer
+	var sf *analyze.SessionFigures
 	for i := 0; i < b.N; i++ {
-		var err error
-		sl, err = analyze.AnalyzeSessionLayer(f.set)
+		sl, err := analyze.AnalyzeSessionLayer(f.set)
 		if err != nil {
 			b.Fatal(err)
 		}
+		if sf, err = analyze.DescribeSessionLayer(f.set, sl); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(sl.OnHourR2, "hour_r2")
+	b.ReportMetric(sf.OnHourR2, "hour_r2")
 }
 
 func BenchmarkFigure11SessionOnTime(b *testing.B) {
@@ -417,28 +422,22 @@ func BenchmarkFigure16TransferTemporal(b *testing.B) {
 func BenchmarkFigure17TransferInterarrivals(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
-	var tl *analyze.TransferLayer
+	var tf *analyze.TransferFigures
 	for i := 0; i < b.N; i++ {
-		var err error
-		tl, err = analyze.AnalyzeTransferLayer(f.tr)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tf = transferFigures(b, f)
 	}
-	b.ReportMetric(tl.TailBody.Alpha, "tail_alpha_body")
-	b.ReportMetric(tl.TailFar.Alpha, "tail_alpha_far")
+	b.ReportMetric(tf.TailBody.Alpha, "tail_alpha_body")
+	b.ReportMetric(tf.TailFar.Alpha, "tail_alpha_far")
 }
 
 func BenchmarkFigure18TransferInterarrivalTemporal(b *testing.B) {
 	f := getFixture(b)
-	tl, err := analyze.AnalyzeTransferLayer(f.tr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tf := transferFigures(b, f)
 	b.ResetTimer()
 	var day stats.BinnedSeries
+	var err error
 	for i := 0; i < b.N; i++ {
-		day, err = tl.InterarrivalBinned.FoldModulo(86400)
+		day, err = tf.InterarrivalBinned.FoldModulo(86400)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,16 +470,26 @@ func BenchmarkFigure19TransferLength(b *testing.B) {
 func BenchmarkFigure20TransferBandwidth(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
-	var tl *analyze.TransferLayer
+	var tf *analyze.TransferFigures
 	for i := 0; i < b.N; i++ {
-		var err error
-		tl, err = analyze.AnalyzeTransferLayer(f.tr)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tf = transferFigures(b, f)
 	}
-	b.ReportMetric(float64(len(tl.BandwidthModes)), "modes")
-	b.ReportMetric(tl.CongestionFrac, "congestion_frac")
+	b.ReportMetric(float64(len(tf.BandwidthModes)), "modes")
+	b.ReportMetric(tf.CongestionFrac, "congestion_frac")
+}
+
+// transferFigures runs the whole Section 5 analysis — the layer and its
+// figure step — on the fixture's trace.
+func transferFigures(b *testing.B, f *benchFixture) *analyze.TransferFigures {
+	tl, err := analyze.AnalyzeTransferLayer(f.tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf, err := analyze.DescribeTransferLayer(f.tr, tl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tf
 }
 
 // --- Table 2: the generative model round trip -------------------------
@@ -557,6 +566,20 @@ func BenchmarkPipelineFullCharacterization(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Characterize(f.tr, 1500, nil, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipelineObserve times the calibration core alone — what
+// lsmcal and the twin characterize — on the FullCharacterization
+// fixture: the gap between the two rows is the figure step.
+func BenchmarkPipelineObserve(b *testing.B) {
+	f := getFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Observe(f.tr, 1500); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -688,7 +711,7 @@ func getTwinFixture(b *testing.B) (source, twin *core.Characterization, model gi
 
 // BenchmarkPipelineTwin times the regenerate half of the calibration
 // loop: generate and serve the fitted model, collect the twin's trace,
-// characterize it.
+// observe it.
 func BenchmarkPipelineTwin(b *testing.B) {
 	_, _, model := getTwinFixture(b)
 	b.ReportAllocs()

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/calibrate"
@@ -34,7 +35,7 @@ func main() {
 		logs    = flag.String("logs", "", "directory of wms-*.log files, text or binary (required)")
 		days    = flag.Int("days", 7, "trace horizon in days")
 		timeout = flag.Int64("timeout", 1500, "session timeout T_o in seconds")
-		seed    = flag.Int64("seed", 1, "seed for the twin regeneration and the Poisson replica")
+		seed    = flag.Int64("seed", 1, "seed for the twin regeneration")
 		out     = flag.String("o", "", "path to write the fitted model spec JSON")
 		twin    = flag.Bool("twin", false, "regenerate a synthetic twin and validate it against the source")
 		strict  = flag.Bool("strict", false, "with -twin: exit nonzero if any KS test rejects")
@@ -52,7 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lsmcal:", err)
 		os.Exit(1)
 	}
-	code, err := run(*logs, *days, *timeout, *seed, *out, *twin, *strict)
+	code, err := run(os.Stdout, *logs, *days, *timeout, *seed, *out, *twin, *strict)
 	if perr := profiles.Stop(); err == nil {
 		err = perr
 	}
@@ -63,59 +64,59 @@ func main() {
 	os.Exit(code)
 }
 
-func run(logDir string, days int, timeout, seed int64, outPath string, twin, strict bool) (int, error) {
-	clean, err := core.LoadLogs(logDir, days, os.Stdout)
+func run(w io.Writer, logDir string, days int, timeout, seed int64, outPath string, twin, strict bool) (int, error) {
+	clean, err := core.LoadLogs(logDir, days, w)
 	if err != nil {
 		return 0, err
 	}
-	source, err := core.Characterize(clean, timeout, nil, seed)
+	source, err := core.Observe(clean, timeout)
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("source: %d clients, %d sessions, %d transfers over %d day(s)\n",
+	fmt.Fprintf(w, "source: %d clients, %d sessions, %d transfers over %d day(s)\n",
 		source.Basic.Users, source.Basic.Sessions, source.Basic.Transfers, source.Basic.Days)
 
 	model, fitRep := calibrate.Fit(source)
-	fmt.Printf("\nfitted model: %d clients, %d objects, base rate %.6g/s, interest alpha %.4f (R2 %.3f), transfers/session alpha %.4f (R2 %.3f)\n",
+	fmt.Fprintf(w, "\nfitted model: %d clients, %d objects, base rate %.6g/s, interest alpha %.4f (R2 %.3f), transfers/session alpha %.4f (R2 %.3f)\n",
 		model.NumClients, model.NumObjects, model.BaseArrivalRate,
 		model.Interest.Alpha, fitRep.InterestR2,
 		model.TransfersPerSession.Alpha, fitRep.PerSessionR2)
-	fmt.Printf("  gaps lognormal(mu %.4f, sigma %.4f), lengths lognormal(mu %.4f, sigma %.4f), feed preference %.3f\n",
+	fmt.Fprintf(w, "  gaps lognormal(mu %.4f, sigma %.4f), lengths lognormal(mu %.4f, sigma %.4f), feed preference %.3f\n",
 		model.IntraSessionGap.Mu, model.IntraSessionGap.Sigma,
 		model.TransferLength.Mu, model.TransferLength.Sigma, model.FeedPreference)
-	fmt.Printf("  arrival calibration: %d observed sessions, %.1f expected from the fitted process (%d profile day(s))\n",
+	fmt.Fprintf(w, "  arrival calibration: %d observed sessions, %.1f expected from the fitted process (%d profile day(s))\n",
 		fitRep.SourceSessions, fitRep.ExpectedSessions, fitRep.ProfileDays)
 	for _, n := range fitRep.Notes {
-		fmt.Printf("  note: %s\n", n)
+		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 
 	if outPath != "" {
 		if err := model.Save(outPath); err != nil {
 			return 0, err
 		}
-		fmt.Printf("\nmodel spec written to %s\n", outPath)
+		fmt.Fprintf(w, "\nmodel spec written to %s\n", outPath)
 	}
 	if !twin {
 		return 0, nil
 	}
 
-	fmt.Printf("\nregenerating twin (seed %d)...\n", seed)
+	fmt.Fprintf(w, "\nregenerating twin (seed %d)...\n", seed)
 	twinChar, err := calibrate.Twin(model, seed, timeout)
 	if err != nil {
 		return 0, err
 	}
 	rep := calibrate.Validate(source, twinChar)
-	fmt.Println()
-	if err := rep.Render(os.Stdout); err != nil {
+	fmt.Fprintln(w)
+	if err := rep.Render(w); err != nil {
 		return 0, err
 	}
 	if rejects := rep.Rejections(); len(rejects) > 0 {
-		fmt.Printf("\n%d of %d KS tests reject at alpha %.2g\n", len(rejects), len(rep.Checks), rep.Alpha)
+		fmt.Fprintf(w, "\n%d of %d KS tests reject at alpha %.2g\n", len(rejects), len(rep.Checks), rep.Alpha)
 		if strict {
 			return 1, nil
 		}
 	} else {
-		fmt.Printf("\nall KS tests pass at alpha %.2g\n", rep.Alpha)
+		fmt.Fprintf(w, "\nall KS tests pass at alpha %.2g\n", rep.Alpha)
 	}
 	return 0, nil
 }

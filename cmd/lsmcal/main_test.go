@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gismo"
@@ -34,7 +37,7 @@ func writeTestLogs(t *testing.T) string {
 func TestRunFitsAndValidatesTwin(t *testing.T) {
 	logDir := writeTestLogs(t)
 	outPath := filepath.Join(t.TempDir(), "model.json")
-	code, err := run(logDir, 2, 1500, 5, outPath, true, true)
+	code, err := run(io.Discard, logDir, 2, 1500, 5, outPath, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestRunFitsAndValidatesTwin(t *testing.T) {
 func TestRunWithoutTwinWritesSpecOnly(t *testing.T) {
 	logDir := writeTestLogs(t)
 	outPath := filepath.Join(t.TempDir(), "model.json")
-	code, err := run(logDir, 2, 1500, 1, outPath, false, false)
+	code, err := run(io.Discard, logDir, 2, 1500, 1, outPath, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,47 @@ func TestRunWithoutTwinWritesSpecOnly(t *testing.T) {
 }
 
 func TestRunRejectsEmptyDir(t *testing.T) {
-	if _, err := run(t.TempDir(), 2, 1500, 1, "", false, false); err == nil {
+	if _, err := run(io.Discard, t.TempDir(), 2, 1500, 1, "", false, false); err == nil {
 		t.Error("empty log dir: want error")
+	}
+}
+
+// TestRunGolden pins lsmcal -twin over the two-day fixture byte for
+// byte: its stdout, with the spec path written as OUT, and the spec it
+// writes. Both goldens were recorded when the calibration loop still
+// characterized every figure, so they hold the loop's output to what
+// it was before it stopped computing what it never prints; regenerate
+// with UPDATE_GOLDEN=1 go test ./cmd/lsmcal.
+func TestRunGolden(t *testing.T) {
+	logDir := writeTestLogs(t)
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "model.json")
+	var stdout bytes.Buffer
+	if _, err := run(&stdout, logDir, 2, 1500, 5, outPath, true, false); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]byte{
+		"run_twin.stdout.golden": []byte(strings.ReplaceAll(stdout.String(), outPath, "OUT")),
+		"run_twin.spec.golden":   spec,
+	}
+	for name, data := range got {
+		path := filepath.Join("testdata", name)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s differs from the golden:\n%s", name, data)
+		}
 	}
 }

@@ -72,7 +72,7 @@ func run(logDir string, days int, timeout int64, figDir string, seed int64, plot
 
 	if figDir != "" {
 		var count int
-		for _, fig := range char.Figures() {
+		for _, fig := range char.Plots() {
 			for _, s := range fig.Series {
 				if len(s.Points) == 0 {
 					continue
@@ -94,7 +94,7 @@ func run(logDir string, days int, timeout int64, figDir string, seed int64, plot
 // renderPlot draws one figure's panels as ASCII scatter plots. The
 // marginal figures render on log-log axes like the paper's panels.
 func renderPlot(char *core.Characterization, id string) error {
-	figs := char.Figures()
+	figs := char.Plots()
 	if id == "list" {
 		for _, f := range figs {
 			fmt.Printf("  %s  %s\n", f.ID, f.Caption)
@@ -127,40 +127,40 @@ func renderPlot(char *core.Characterization, id string) error {
 }
 
 func printCharacterization(c *core.Characterization) {
-	b := c.Basic
+	b, f := c.Basic, c.Figures
 	fmt.Printf("\nTable 1 (measured): %d days, %d objects, %d ASes, %d IPs, %d users, %d sessions, %d transfers, %.2f GB\n",
 		b.Days, b.Objects, b.ASes, b.IPs, b.Users, b.Sessions, b.Transfers, float64(b.TotalBytes)/1e9)
 
 	fmt.Println("\nClient layer (Section 3):")
 	fmt.Printf("  peak concurrent clients: %d\n", c.Client.Concurrency.Peak)
-	fmt.Printf("  interest (transfers/client): %s\n", c.Client.InterestTransfers)
+	fmt.Printf("  interest (transfers/client): %s\n", f.Client.InterestTransfers)
 	fmt.Printf("  interest (sessions/client):  %s\n", c.Client.InterestSessions)
 	if acf := c.Client.Concurrency.ACF(); len(acf) > 1440 {
 		fmt.Printf("  ACF at 1-day lag: %.3f\n", acf[1440])
 	}
-	fmt.Printf("  piecewise-Poisson replica KS: %.4f (window %d s)\n", c.Poisson.KS, c.Poisson.Window)
+	fmt.Printf("  piecewise-Poisson replica KS: %.4f (window %d s)\n", f.Poisson.KS, f.Poisson.Window)
 
 	fmt.Println("\nSession layer (Section 4):")
-	fmt.Printf("  ON times:  %s (KS %.4f)\n", c.Session.OnFit, c.Session.OnKS)
+	fmt.Printf("  ON times:  %s (KS %.4f)\n", c.Session.OnFit, f.Session.OnKS)
 	if len(c.Session.OffTimes) > 0 {
-		fmt.Printf("  OFF times: %s (KS %.4f)\n", c.Session.OffFit, c.Session.OffKS)
+		fmt.Printf("  OFF times: %s (KS %.4f)\n", f.Session.OffFit, f.Session.OffKS)
 	}
 	fmt.Printf("  transfers/session: %s\n", c.Session.PerSessionFit)
-	fmt.Printf("  intra-session gaps: %s (KS %.4f)\n", c.Session.IntraFit, c.Session.IntraKS)
-	fmt.Printf("  ON-vs-hour correlation R2: %.4f (weak per Figure 10)\n", c.Session.OnHourR2)
+	fmt.Printf("  intra-session gaps: %s (KS %.4f)\n", c.Session.IntraFit, f.Session.IntraKS)
+	fmt.Printf("  ON-vs-hour correlation R2: %.4f (weak per Figure 10)\n", f.Session.OnHourR2)
 
 	fmt.Println("\nTransfer layer (Section 5):")
 	fmt.Printf("  peak concurrent transfers: %d\n", c.Transfer.Concurrency.Peak)
-	if c.Transfer.TailBody.Points > 0 {
-		fmt.Printf("  interarrival tail (<=100 s): %s\n", c.Transfer.TailBody)
+	if f.Transfer.TailBody.Points > 0 {
+		fmt.Printf("  interarrival tail (<=100 s): %s\n", f.Transfer.TailBody)
 	}
-	if c.Transfer.TailFar.Points > 0 {
-		fmt.Printf("  interarrival tail (>100 s):  %s\n", c.Transfer.TailFar)
+	if f.Transfer.TailFar.Points > 0 {
+		fmt.Printf("  interarrival tail (>100 s):  %s\n", f.Transfer.TailFar)
 	}
-	fmt.Printf("  lengths: %s (KS %.4f)\n", c.Transfer.LengthFit, c.Transfer.LengthKS)
+	fmt.Printf("  lengths: %s (KS %.4f)\n", c.Transfer.LengthFit, f.Transfer.LengthKS)
 	fmt.Printf("  bandwidth modes: %d detected, congestion-bound fraction %.3f\n",
-		len(c.Transfer.BandwidthModes), c.Transfer.CongestionFrac)
-	for _, m := range c.Transfer.BandwidthModes {
+		len(f.Transfer.BandwidthModes), f.Transfer.CongestionFrac)
+	for _, m := range f.Transfer.BandwidthModes {
 		fmt.Printf("    mode at %.0f bps (share %.3f)\n", m.Bps, m.Share)
 	}
 }

@@ -67,7 +67,7 @@ func run(scale float64, days int, seed int64, outdir string) error {
 	if outdir != "" {
 		figDir := filepath.Join(outdir, "figures")
 		var count int
-		for _, fig := range rep.Char.Figures() {
+		for _, fig := range rep.Char.Plots() {
 			for _, s := range fig.Series {
 				if len(s.Points) == 0 {
 					continue

@@ -77,7 +77,7 @@ func main() {
 	fmt.Printf("  engagement:      median session %v s, %s\n",
 		char.Session.OnMarginal().Quantile(0.5), char.Session.PerSessionFit)
 	fmt.Printf("  access quality:  %.1f%% of transfers congestion-bound\n",
-		char.Transfer.CongestionFrac*100)
+		char.Figures.Transfer.CongestionFrac*100)
 	if acf := char.Client.Concurrency.ACF(); len(acf) > 1440 {
 		fmt.Printf("  rhythm:          daily autocorrelation %.2f — schedule capacity diurnally\n", acf[1440])
 	}

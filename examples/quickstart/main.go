@@ -43,7 +43,7 @@ func main() {
 		c.Basic.Users, c.Basic.Objects)
 	fmt.Printf("  client interest is Zipf-like:   %s\n", c.Client.InterestSessions)
 	fmt.Printf("  session ON times are lognormal: %s\n", c.Session.OnFit)
-	fmt.Printf("  session OFF times exponential:  %s\n", c.Session.OffFit)
+	fmt.Printf("  session OFF times exponential:  %s\n", c.Figures.Session.OffFit)
 	fmt.Printf("  transfers/session are Zipf:     %s\n", c.Session.PerSessionFit)
 	fmt.Printf("  transfer lengths are lognormal: %s (client stickiness, not object size)\n",
 		c.Transfer.LengthFit)
@@ -51,7 +51,7 @@ func main() {
 		fmt.Printf("  diurnal synchrony: ACF of c(t) at the 1-day lag = %.3f\n", acf[1440])
 	}
 	fmt.Printf("  piecewise-Poisson arrivals match measured interarrivals: KS = %.4f\n",
-		c.Poisson.KS)
+		c.Figures.Poisson.KS)
 
 	fmt.Println("\nPaper vs measured:")
 	if err := report.MarkdownTable(os.Stdout, rep.Comparisons()); err != nil {

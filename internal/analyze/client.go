@@ -9,8 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ClientLayer is the Section 3 characterization: the client population's
-// concurrency profile, interarrival process, and interest profile.
+// ClientLayer is the Section 3 characterization as the calibration loop
+// reads it: the client population's concurrency profile, interarrival
+// process, and session-interest profile. The figure-only remainder is
+// ClientFigures (DescribeClientLayer).
 type ClientLayer struct {
 	// Concurrency is c(t), the number of clients with an ongoing session
 	// (Figures 3, 4 and 8).
@@ -23,17 +25,25 @@ type ClientLayer struct {
 	// and none the arrival order. Zero gaps are kept (they display as 1).
 	Interarrivals []float64
 
-	// TransfersPerClient and SessionsPerClient are the per-client access
-	// counts behind the interest profile.
+	// SessionsPerClient is the per-client session count behind the
+	// interest profile, in ascending client-id order.
+	SessionsPerClient []int
+
+	// InterestSessions is the Zipf fit of session frequency versus client
+	// rank (Figure 7 right; paper: α = 0.4704).
+	InterestSessions dist.ZipfFit
+}
+
+// ClientFigures is the part of the Section 3 characterization only the
+// figures and the paper comparison read: the transfer-interest profile.
+type ClientFigures struct {
+	// TransfersPerClient is the per-client transfer count, in ascending
+	// client-id order.
 	TransfersPerClient []int
-	SessionsPerClient  []int
 
 	// InterestTransfers is the Zipf fit of transfer frequency versus
 	// client rank (Figure 7 left; paper: α = 0.7194).
 	InterestTransfers dist.ZipfFit
-	// InterestSessions is the Zipf fit of session frequency versus client
-	// rank (Figure 7 right; paper: α = 0.4704).
-	InterestSessions dist.ZipfFit
 }
 
 // AnalyzeClientLayer runs the Section 3 pipeline on a sessionized trace.
@@ -62,23 +72,34 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 	}
 	stats.SortInPlace(out.Interarrivals)
 
-	// Interest profile: per-client counts of transfers and sessions, in
-	// ascending client-id order. Every client has at least one session.
+	// Interest profile: per-client session counts, in ascending
+	// client-id order. Every client has at least one session.
 	byClient := tr.ByClient()
-	out.TransfersPerClient = make([]int, byClient.Len())
 	out.SessionsPerClient = make([]int, byClient.Len())
-	for k := range out.TransfersPerClient {
-		out.TransfersPerClient[k] = len(byClient.Transfers(k))
-	}
 	for i := range set.Sessions {
 		out.SessionsPerClient[byClient.Slot(set.Sessions[i].Transfers[0])]++
 	}
-
-	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
-		return nil, fmt.Errorf("interest (transfers): %w", err)
-	}
 	if out.InterestSessions, err = dist.FitZipfCounts(out.SessionsPerClient); err != nil {
 		return nil, fmt.Errorf("interest (sessions): %w", err)
+	}
+	return out, nil
+}
+
+// DescribeClientLayer computes the figure-only part of the Section 3
+// characterization of a sessionized trace: the Figure 7 left panel.
+func DescribeClientLayer(set *sessions.Set) (*ClientFigures, error) {
+	tr := set.Trace()
+	if tr == nil || set.Count() == 0 {
+		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
+	}
+	byClient := tr.ByClient()
+	out := &ClientFigures{TransfersPerClient: make([]int, byClient.Len())}
+	for k := range out.TransfersPerClient {
+		out.TransfersPerClient[k] = len(byClient.Transfers(k))
+	}
+	var err error
+	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
+		return nil, fmt.Errorf("interest (transfers): %w", err)
 	}
 	return out, nil
 }

@@ -65,17 +65,21 @@ func TestClientLayer(t *testing.T) {
 			t.Fatal("negative interarrival")
 		}
 	}
+	cf, err := DescribeClientLayer(f.set)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Interest profile: Zipf-like skew must be present and fits must be
 	// plausible.
-	if cl.InterestSessions.Alpha <= 0 || cl.InterestTransfers.Alpha <= 0 {
+	if cl.InterestSessions.Alpha <= 0 || cf.InterestTransfers.Alpha <= 0 {
 		t.Errorf("interest fits: sessions=%+v transfers=%+v",
-			cl.InterestSessions, cl.InterestTransfers)
+			cl.InterestSessions, cf.InterestTransfers)
 	}
-	if cl.InterestTransfers.Alpha < cl.InterestSessions.Alpha {
+	if cf.InterestTransfers.Alpha < cl.InterestSessions.Alpha {
 		t.Errorf("transfers-per-client skew (%v) should be at least the sessions-per-client skew (%v), as in Figure 7",
-			cl.InterestTransfers.Alpha, cl.InterestSessions.Alpha)
+			cf.InterestTransfers.Alpha, cl.InterestSessions.Alpha)
 	}
-	if len(cl.TransfersPerClient) == 0 || len(cl.SessionsPerClient) == 0 {
+	if len(cf.TransfersPerClient) == 0 || len(cl.SessionsPerClient) == 0 {
 		t.Error("missing per-client counts")
 	}
 }
@@ -110,14 +114,18 @@ func TestSessionLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sf, err := DescribeSessionLayer(f.set, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Session ON times: the generator composes them from Zipf transfer
 	// counts and lognormal gaps/lengths, so the fitted body should be a
 	// plausible lognormal (Figure 11's message), not a precise recovery.
 	if sl.OnFit.Sigma <= 0.5 || sl.OnFit.Sigma > 3 {
 		t.Errorf("ON sigma = %v, want high variability", sl.OnFit.Sigma)
 	}
-	if sl.OnKS > 0.2 {
-		t.Errorf("ON lognormal KS = %v, body fit too poor", sl.OnKS)
+	if sf.OnKS > 0.2 {
+		t.Errorf("ON lognormal KS = %v, body fit too poor", sf.OnKS)
 	}
 	// Transfers per session: recover the model's Zipf alpha = 2.70417.
 	if math.Abs(sl.PerSessionFit.Alpha-f.model.TransfersPerSession.Alpha) > 0.4 {
@@ -132,12 +140,12 @@ func TestSessionLayer(t *testing.T) {
 		t.Errorf("intra sigma = %v, want ~%v", sl.IntraFit.Sigma, f.model.IntraSessionGap.Sigma)
 	}
 	// Session OFF times: exponential fit exists with a large mean.
-	if len(sl.OffTimes) > 0 && sl.OffFit.MeanValue <= 0 {
+	if len(sl.OffTimes) > 0 && sf.OffFit.MeanValue <= 0 {
 		t.Error("OFF fit missing")
 	}
 	// Figure 10: weak hour-of-day correlation.
-	if sl.OnHourR2 > 0.1 {
-		t.Errorf("ON-vs-hour R2 = %v, want weak (Figure 10)", sl.OnHourR2)
+	if sf.OnHourR2 > 0.1 {
+		t.Errorf("ON-vs-hour R2 = %v, want weak (Figure 10)", sf.OnHourR2)
 	}
 }
 
@@ -147,8 +155,12 @@ func TestSessionLayerOnByHourPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sf, err := DescribeSessionLayer(f.set, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var nonzero int
-	for _, v := range sl.OnByHour {
+	for _, v := range sf.OnByHour {
 		if v > 0 {
 			nonzero++
 		}
@@ -164,6 +176,10 @@ func TestTransferLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tf, err := DescribeTransferLayer(f.tr, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Transfer lengths: recover lognormal(4.384, 1.427).
 	if math.Abs(tl.LengthFit.Mu-f.model.TransferLength.Mu) > 0.25 {
 		t.Errorf("length mu = %v, want ~%v", tl.LengthFit.Mu, f.model.TransferLength.Mu)
@@ -171,8 +187,8 @@ func TestTransferLayer(t *testing.T) {
 	if math.Abs(tl.LengthFit.Sigma-f.model.TransferLength.Sigma) > 0.25 {
 		t.Errorf("length sigma = %v, want ~%v", tl.LengthFit.Sigma, f.model.TransferLength.Sigma)
 	}
-	if tl.LengthKS > 0.1 {
-		t.Errorf("length KS = %v", tl.LengthKS)
+	if tf.LengthKS > 0.1 {
+		t.Errorf("length KS = %v", tf.LengthKS)
 	}
 	// Interarrivals present and non-negative (display >= 1).
 	if len(tl.Interarrivals) == 0 {
@@ -184,11 +200,11 @@ func TestTransferLayer(t *testing.T) {
 		}
 	}
 	// Bandwidth: bimodal with ~10% congestion-bound (Figure 20).
-	if len(tl.BandwidthModes) < 3 {
-		t.Errorf("detected %d bandwidth modes, want several access-speed spikes", len(tl.BandwidthModes))
+	if len(tf.BandwidthModes) < 3 {
+		t.Errorf("detected %d bandwidth modes, want several access-speed spikes", len(tf.BandwidthModes))
 	}
-	if tl.CongestionFrac < 0.04 || tl.CongestionFrac > 0.16 {
-		t.Errorf("congestion fraction = %v, want ~0.10", tl.CongestionFrac)
+	if tf.CongestionFrac < 0.04 || tf.CongestionFrac > 0.16 {
+		t.Errorf("congestion fraction = %v, want ~0.10", tf.CongestionFrac)
 	}
 	if tl.Concurrency.Peak < 1 {
 		t.Error("no transfer concurrency")
@@ -201,8 +217,12 @@ func TestTransferLayerTemporalInterarrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tl.InterarrivalDay.Values) != 96 {
-		t.Fatalf("day fold bins = %d", len(tl.InterarrivalDay.Values))
+	tf, err := DescribeTransferLayer(f.tr, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tf.InterarrivalDay.Values) != 96 {
+		t.Fatalf("day fold bins = %d", len(tf.InterarrivalDay.Values))
 	}
 	// Figure 18 (right): interarrivals in the 5–11 am trough are longer
 	// than in the evening peak.
@@ -210,7 +230,7 @@ func TestTransferLayerTemporalInterarrivals(t *testing.T) {
 	var nt, ne int
 	for h := 5; h < 11; h++ {
 		for q := 0; q < 4; q++ {
-			v := tl.InterarrivalDay.Values[h*4+q]
+			v := tf.InterarrivalDay.Values[h*4+q]
 			if v > 0 {
 				trough += v
 				nt++
@@ -219,7 +239,7 @@ func TestTransferLayerTemporalInterarrivals(t *testing.T) {
 	}
 	for h := 19; h < 23; h++ {
 		for q := 0; q < 4; q++ {
-			v := tl.InterarrivalDay.Values[h*4+q]
+			v := tf.InterarrivalDay.Values[h*4+q]
 			if v > 0 {
 				evening += v
 				ne++
@@ -291,6 +311,15 @@ func TestAnalyzeEmptyInputs(t *testing.T) {
 	}
 	if _, err := AnalyzeSessionLayer(set); err == nil {
 		t.Error("empty session set: want error")
+	}
+	if _, err := DescribeClientLayer(set); err == nil {
+		t.Error("empty session set: want error")
+	}
+	if _, err := DescribeSessionLayer(set, &SessionLayer{}); err == nil {
+		t.Error("empty session set: want error")
+	}
+	if _, err := DescribeTransferLayer(tr, &TransferLayer{}); err == nil {
+		t.Error("empty trace: want error")
 	}
 }
 

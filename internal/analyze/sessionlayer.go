@@ -8,8 +8,10 @@ import (
 	"repro/internal/stats"
 )
 
-// SessionLayer is the Section 4 characterization: session ON/OFF times,
-// transfers per session, and intra-session transfer interarrivals.
+// SessionLayer is the Section 4 characterization as the calibration
+// loop reads it: session ON/OFF times, transfers per session, and
+// intra-session transfer interarrivals, with the fits the model takes.
+// The figure-only remainder is SessionFigures (DescribeSessionLayer).
 //
 // The three float samples are stored sorted ascending, each in the form
 // every reader takes it in, so the fits' KS tests, the figures' ECDFs
@@ -17,17 +19,13 @@ import (
 type SessionLayer struct {
 	// OnTimes holds l(i) for every session in the ⌊t+1⌋ display form,
 	// sorted; OnFit is the lognormal body fit on it (Figure 11; paper:
-	// μ = 5.23553, σ = 1.54432) with OnKS its KS distance.
+	// μ = 5.23553, σ = 1.54432).
 	OnTimes []float64
 	OnFit   dist.Lognormal
-	OnKS    float64
 
 	// OffTimes holds f(i) for consecutive same-client sessions in
-	// seconds, sorted; OffFit is the exponential fit (Figure 12; paper:
-	// mean = 203,150 s) with OffKS its KS distance.
+	// seconds, sorted (Figure 12).
 	OffTimes []float64
-	OffFit   dist.Exponential
-	OffKS    float64
 
 	// TransfersPerSession holds each session's transfer count;
 	// PerSessionFit is its Zipf frequency fit (Figure 13; paper:
@@ -40,7 +38,21 @@ type SessionLayer struct {
 	// it (Figure 14; paper: μ = 4.89991, σ = 1.32074).
 	IntraArrivals []float64
 	IntraFit      dist.Lognormal
-	IntraKS       float64
+}
+
+// SessionFigures is the part of the Section 4 characterization only the
+// figures and the paper comparison read.
+type SessionFigures struct {
+	// OnKS is the KS distance of SessionLayer.OnFit (Figure 11).
+	OnKS float64
+
+	// OffFit is the exponential fit on SessionLayer.OffTimes (Figure 12;
+	// paper: mean = 203,150 s) with OffKS its KS distance.
+	OffFit dist.Exponential
+	OffKS  float64
+
+	// IntraKS is the KS distance of SessionLayer.IntraFit (Figure 14).
+	IntraKS float64
 
 	// OnByHour is the mean session ON time by starting hour of day
 	// (Figure 10); OnHourSlope/OnHourR2 quantify the (weak) correlation.
@@ -70,20 +82,6 @@ func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 	}
 	out.OnFit = fit
 	stats.SortInPlace(out.OnTimes)
-	if out.OnKS, err = dist.KolmogorovSmirnov(out.OnTimes, fit.CDF); err != nil {
-		return nil, err
-	}
-
-	if len(out.OffTimes) > 0 {
-		offFit, err := dist.FitExponential(out.OffTimes)
-		if err != nil {
-			return nil, fmt.Errorf("session OFF fit: %w", err)
-		}
-		out.OffFit = offFit
-		if out.OffKS, err = dist.KolmogorovSmirnov(out.OffTimes, offFit.CDF); err != nil {
-			return nil, err
-		}
-	}
 
 	if out.PerSessionFit, err = dist.FitZipfFrequencies(perSessionFrequencies(out.TransfersPerSession)); err != nil {
 		return nil, fmt.Errorf("transfers-per-session fit: %w", err)
@@ -96,11 +94,36 @@ func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 		}
 		out.IntraFit = intraFit
 		stats.SortInPlace(out.IntraArrivals)
-		if out.IntraKS, err = dist.KolmogorovSmirnov(out.IntraArrivals, intraFit.CDF); err != nil {
+	}
+	return out, nil
+}
+
+// DescribeSessionLayer computes the figure-only part of the Section 4
+// characterization from the session set and its layer: the KS
+// distances of the body fits, the OFF-time fit, and Figure 10's ON time
+// by starting hour.
+func DescribeSessionLayer(set *sessions.Set, sl *SessionLayer) (*SessionFigures, error) {
+	if set.Count() == 0 {
+		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
+	}
+	out := &SessionFigures{}
+	var err error
+	if out.OnKS, err = dist.KolmogorovSmirnov(sl.OnTimes, sl.OnFit.CDF); err != nil {
+		return nil, err
+	}
+	if len(sl.OffTimes) > 0 {
+		if out.OffFit, err = dist.FitExponential(sl.OffTimes); err != nil {
+			return nil, fmt.Errorf("session OFF fit: %w", err)
+		}
+		if out.OffKS, err = dist.KolmogorovSmirnov(sl.OffTimes, out.OffFit.CDF); err != nil {
 			return nil, err
 		}
 	}
-
+	if len(sl.IntraArrivals) >= 2 {
+		if out.IntraKS, err = dist.KolmogorovSmirnov(sl.IntraArrivals, sl.IntraFit.CDF); err != nil {
+			return nil, err
+		}
+	}
 	out.computeOnByHour(set)
 	return out, nil
 }
@@ -156,7 +179,7 @@ func perSessionFrequencies(counts []int) []float64 {
 
 // computeOnByHour evaluates mean ON time per session starting hour and
 // the regression of ON time on hour (Figure 10's weak correlation).
-func (sl *SessionLayer) computeOnByHour(set *sessions.Set) {
+func (sf *SessionFigures) computeOnByHour(set *sessions.Set) {
 	var sums, counts [24]float64
 	hours := make([]float64, 0, set.Count())
 	ons := make([]float64, 0, set.Count())
@@ -173,12 +196,12 @@ func (sl *SessionLayer) computeOnByHour(set *sessions.Set) {
 	}
 	for h := 0; h < 24; h++ {
 		if counts[h] > 0 {
-			sl.OnByHour[h] = sums[h] / counts[h]
+			sf.OnByHour[h] = sums[h] / counts[h]
 		}
 	}
 	if slope, _, r2, err := dist.LinearRegression(hours, ons); err == nil {
-		sl.OnHourSlope = slope
-		sl.OnHourR2 = r2
+		sf.OnHourSlope = slope
+		sf.OnHourR2 = r2
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 // regimes: α ≈ 2.8 below 100 seconds, α ≈ 1 above.
 const TailSplit = 100.0
 
-// TransferLayer is the Section 5 characterization: transfer concurrency,
-// interarrivals (with the two-regime tail), lengths, and bandwidth.
+// TransferLayer is the Section 5 characterization as the calibration
+// loop reads it: transfer concurrency, interarrivals and lengths. The
+// figure-only remainder is TransferFigures (DescribeTransferLayer).
 //
-// The three float samples are stored sorted ascending: each is put in
+// The two float samples are stored sorted ascending: each is put in
 // order once, after the last analysis that reads it in trace order, and
-// the tail fits, the KS test, the mode detector, the figures and
-// calibrate.Validate read it in place.
+// every later reader takes it in place.
 type TransferLayer struct {
 	// Concurrency is the number of simultaneously active transfers
 	// (Figures 15 and 16).
@@ -28,6 +28,17 @@ type TransferLayer struct {
 	// Interarrivals are the gaps between consecutive transfer starts
 	// across all clients (Figure 17), in display form ⌊t+1⌋, sorted.
 	Interarrivals []float64
+
+	// Lengths are the transfer lengths l(j) in display form, sorted;
+	// LengthFit is the lognormal fit (Figure 19; paper: μ = 4.383921,
+	// σ = 1.427247).
+	Lengths   []float64
+	LengthFit dist.Lognormal
+}
+
+// TransferFigures is the part of the Section 5 characterization only
+// the figures and the paper comparison read.
+type TransferFigures struct {
 	// TailBody and TailFar are the two power-law regimes of the
 	// interarrival CCDF (Figure 17 right; paper: α≈2.8 then α≈1).
 	TailBody dist.TailFit
@@ -39,12 +50,8 @@ type TransferLayer struct {
 	InterarrivalWeek   stats.BinnedSeries
 	InterarrivalDay    stats.BinnedSeries
 
-	// Lengths are the transfer lengths l(j) in display form, sorted;
-	// LengthFit is the lognormal fit (Figure 19; paper: μ = 4.383921,
-	// σ = 1.427247).
-	Lengths   []float64
-	LengthFit dist.Lognormal
-	LengthKS  float64
+	// LengthKS is the KS distance of TransferLayer.LengthFit (Figure 19).
+	LengthKS float64
 
 	// Bandwidths are the per-transfer average bandwidths (bits/second),
 	// sorted; BandwidthModes are the detected client-bound spikes;
@@ -66,19 +73,18 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	// One walk over the trace fills every per-transfer column the
-	// analyses below read; starts are read off the rows.
+	// One walk over the trace fills the concurrency events and the
+	// length column; starts are read off the rows.
 	n := tr.NumTransfers()
 	ev, err := newEvents(n, tr.Horizon)
 	if err != nil {
 		return nil, err
 	}
-	out := &TransferLayer{Lengths: make([]float64, n), Bandwidths: make([]float64, n)}
+	out := &TransferLayer{Lengths: make([]float64, n)}
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		ev.add(t.Start, t.End())
 		out.Lengths[i] = stats.LogDisplayValue(float64(t.Duration))
-		out.Bandwidths[i] = float64(t.Bandwidth)
 	}
 
 	// Concurrency of transfers.
@@ -86,22 +92,14 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 		return nil, err
 	}
 
-	// Interarrivals across all transfers (trace is start-sorted). The
-	// Figure 18 bins attribute each gap to its transfer's start, so they
-	// are filled before the sample is sorted for the tail fits.
+	// Interarrivals across all transfers (trace is start-sorted).
 	out.Interarrivals = make([]float64, n-1)
 	for i := range out.Interarrivals {
-		out.Interarrivals[i] = stats.LogDisplayValue(float64(tr.Transfers[i+1].Start - tr.Transfers[i].Start))
-	}
-	if err := out.binInterarrivals(tr); err != nil {
-		return nil, err
+		out.Interarrivals[i] = transferGap(tr, i)
 	}
 	stats.SortInPlace(out.Interarrivals)
-	if err := out.fitInterarrivalTails(); err != nil {
-		return nil, err
-	}
 
-	// Transfer lengths: the fit sums in trace order, the KS test reads
+	// Transfer lengths: the fit sums in trace order, the readers take
 	// the sorted sample.
 	fit, err := dist.FitLognormal(out.Lengths)
 	if err != nil {
@@ -109,56 +107,81 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	}
 	out.LengthFit = fit
 	stats.SortInPlace(out.Lengths)
-	if out.LengthKS, err = dist.KolmogorovSmirnov(out.Lengths, fit.CDF); err != nil {
+	return out, nil
+}
+
+// transferGap is the display-form gap between the starts of transfers
+// i and i+1 of a start-sorted trace.
+func transferGap(tr *trace.Trace, i int) float64 {
+	return stats.LogDisplayValue(float64(tr.Transfers[i+1].Start - tr.Transfers[i].Start))
+}
+
+// DescribeTransferLayer computes the figure-only part of the Section 5
+// characterization from the trace and its layer: the two interarrival
+// tail regimes, the Figure 18 bins, the length fit's KS distance and the
+// Figure 20 bandwidth sample and modes.
+func DescribeTransferLayer(tr *trace.Trace, tl *TransferLayer) (*TransferFigures, error) {
+	if tr.NumTransfers() == 0 {
+		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
+	}
+	out := &TransferFigures{}
+	out.fitInterarrivalTails(tl.Interarrivals)
+	if err := out.binInterarrivals(tr); err != nil {
 		return nil, err
 	}
-
-	// Bandwidth modes.
+	var err error
+	if out.LengthKS, err = dist.KolmogorovSmirnov(tl.Lengths, tl.LengthFit.CDF); err != nil {
+		return nil, err
+	}
+	out.Bandwidths = make([]float64, tr.NumTransfers())
+	for i := range tr.Transfers {
+		out.Bandwidths[i] = float64(tr.Transfers[i].Bandwidth)
+	}
 	stats.SortInPlace(out.Bandwidths)
 	out.BandwidthModes, out.CongestionFrac = detectBandwidthModes(out.Bandwidths)
 	return out, nil
 }
 
-// fitInterarrivalTails fits the two regimes of the interarrival CCDF.
-// Either fit may fail on a short trace; a zero TailFit marks "not
-// estimable".
-func (tl *TransferLayer) fitInterarrivalTails() error {
-	if len(tl.Interarrivals) < 10 {
-		return nil
+// fitInterarrivalTails fits the two regimes of the sorted interarrival
+// sample's CCDF. Either fit may fail on a short trace; a zero TailFit
+// marks "not estimable".
+func (tf *TransferFigures) fitInterarrivalTails(sorted []float64) {
+	if len(sorted) < 10 {
+		return
 	}
-	if fit, err := dist.FitTail(tl.Interarrivals, 2, TailSplit); err == nil {
-		tl.TailBody = fit
+	if fit, err := dist.FitTail(sorted, 2, TailSplit); err == nil {
+		tf.TailBody = fit
 	}
-	if maxV := slices.Max(tl.Interarrivals); maxV > TailSplit*2 {
-		if fit, err := dist.FitTail(tl.Interarrivals, TailSplit, maxV); err == nil {
-			tl.TailFar = fit
+	if maxV := slices.Max(sorted); maxV > TailSplit*2 {
+		if fit, err := dist.FitTail(sorted, TailSplit, maxV); err == nil {
+			tf.TailFar = fit
 		}
 	}
-	return nil
 }
 
 // binInterarrivals computes the Figure 18 temporal views: each
 // interarrival sample (in display form: rounded up to the closest
 // second, minimum 1) is attributed to the 15-minute bin of the earlier
-// transfer's start.
-func (tl *TransferLayer) binInterarrivals(tr *trace.Trace) error {
-	if len(tl.Interarrivals) == 0 {
+// transfer's start. The bins sum in trace order, so they walk the
+// trace's starts again rather than the sorted sample.
+func (tf *TransferFigures) binInterarrivals(tr *trace.Trace) error {
+	if tr.NumTransfers() < 2 {
 		return nil
 	}
 	bins, err := stats.NewMeanBins(tr.Horizon, TemporalBin)
 	if err != nil {
 		return err
 	}
-	for i, gap := range tl.Interarrivals {
-		bins.Add(tr.Transfers[i].Start, gap)
+	for i := 0; i+1 < tr.NumTransfers(); i++ {
+		bins.Add(tr.Transfers[i].Start, transferGap(tr, i))
 	}
 	binned := bins.Series()
-	tl.InterarrivalBinned = binned
+	tf.InterarrivalBinned = binned
 	if week, err := binned.FoldModulo(7 * 86400); err == nil {
-		tl.InterarrivalWeek = week
+		tf.InterarrivalWeek = week
 	}
 	if day, err := binned.FoldModulo(86400); err == nil {
-		tl.InterarrivalDay = day
+		tf.InterarrivalDay = day
 	}
 	return nil
 }

@@ -65,11 +65,9 @@ func TestDetectBandwidthModesSingleCluster(t *testing.T) {
 }
 
 func TestFitInterarrivalTailsShortInput(t *testing.T) {
-	tl := &TransferLayer{Interarrivals: []float64{1, 2, 3}}
-	if err := tl.fitInterarrivalTails(); err != nil {
-		t.Fatal(err)
-	}
-	if tl.TailBody.Points != 0 || tl.TailFar.Points != 0 {
+	var tf TransferFigures
+	tf.fitInterarrivalTails([]float64{1, 2, 3})
+	if tf.TailBody.Points != 0 || tf.TailFar.Points != 0 {
 		t.Error("short input should not produce fits")
 	}
 }
@@ -110,11 +108,15 @@ func TestAnalyzeTransferLayerSyntheticTwoRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.TailBody.Points == 0 || tl.TailFar.Points == 0 {
+	tf, err := DescribeTransferLayer(tr, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tf.TailBody.Points == 0 || tf.TailFar.Points == 0 {
 		t.Fatal("expected both tail fits")
 	}
-	if tl.TailBody.Alpha <= tl.TailFar.Alpha {
+	if tf.TailBody.Alpha <= tf.TailFar.Alpha {
 		t.Errorf("body alpha %v should exceed far alpha %v (paper's two-regime ordering)",
-			tl.TailBody.Alpha, tl.TailFar.Alpha)
+			tf.TailBody.Alpha, tf.TailFar.Alpha)
 	}
 }

@@ -2,21 +2,37 @@ package calibrate
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/analyze"
 	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/simulate"
+	"repro/internal/trace"
 )
 
 // buildSource generates a workload from a known model, serves it, and
-// characterizes the result — the ground truth the round-trip tests fit
+// observes the result — the ground truth the round-trip tests fit
 // against.
 func buildSource(t *testing.T) (*core.Characterization, gismo.Model) {
+	t.Helper()
+	clean, truth := sourceTrace(t)
+	char, err := core.Observe(clean, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return char, truth
+}
+
+// sourceTrace generates and serves the known model behind buildSource
+// and returns the sanitized trace with the model.
+func sourceTrace(t *testing.T) (*trace.Trace, gismo.Model) {
 	t.Helper()
 	truth, err := gismo.Scaled(200, 3)
 	if err != nil {
@@ -31,11 +47,62 @@ func buildSource(t *testing.T) (*core.Characterization, gismo.Model) {
 		t.Fatal(err)
 	}
 	clean, _ := res.Trace.Sanitize()
-	char, err := core.Characterize(clean, 1500, nil, 11)
+	return clean, truth
+}
+
+// TestObserveMatchesCharacterize: Observe is Characterize without the
+// figure material, at every core count. On a source trace and on its
+// twin's, Observe leaves Figures nil and every other field deep-equals
+// Characterize's; Fit gives the same model and report from either
+// source characterization, and Validate the same report from either
+// pair.
+func TestObserveMatchesCharacterize(t *testing.T) {
+	src, _ := sourceTrace(t)
+	m, _ := Fit(observe(t, src))
+	tw, err := twinTrace(m, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return char, truth
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var observed, characterized [2]*core.Characterization
+			for i, tr := range []*trace.Trace{src, tw} {
+				observed[i] = observe(t, tr)
+				full, err := core.Characterize(tr, 1500, nil, 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if observed[i].Figures != nil || full.Figures == nil {
+					t.Fatalf("trace %d: Figures is %p after Observe, %p after Characterize; want nil, non-nil", i, observed[i].Figures, full.Figures)
+				}
+				characterized[i] = full
+				coreOnly := *full
+				coreOnly.Figures = nil
+				if !reflect.DeepEqual(observed[i], &coreOnly) {
+					t.Errorf("trace %d: Observe's core differs from Characterize's", i)
+				}
+			}
+			om, orep := Fit(observed[0])
+			cm, crep := Fit(characterized[0])
+			if !reflect.DeepEqual(om, cm) || !reflect.DeepEqual(orep, crep) {
+				t.Error("Fit differs between Observe and Characterize")
+			}
+			if ov, cv := Validate(observed[0], observed[1]), Validate(characterized[0], characterized[1]); !reflect.DeepEqual(ov, cv) {
+				t.Error("Validate differs between Observe and Characterize")
+			}
+		})
+	}
+}
+
+// observe is core.Observe at the calibration tests' timeout.
+func observe(t *testing.T, tr *trace.Trace) *core.Characterization {
+	t.Helper()
+	char, err := core.Observe(tr, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return char
 }
 
 // within asserts |got - want| / |want| <= tol.
@@ -139,8 +206,8 @@ func TestTwinDeterministic(t *testing.T) {
 	if a.Basic != b.Basic {
 		t.Errorf("twin basics differ: %+v vs %+v", a.Basic, b.Basic)
 	}
-	if a.Poisson.KS != b.Poisson.KS {
-		t.Errorf("replica KS differs: %v vs %v", a.Poisson.KS, b.Poisson.KS)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("twin characterizations differ")
 	}
 }
 

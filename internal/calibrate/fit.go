@@ -1,5 +1,5 @@
 // Package calibrate closes the paper's digital-twin loop: it maps a
-// hierarchical characterization (core.Characterize) back onto the
+// hierarchical characterization (core.Observe) back onto the
 // Table 2 parameter set of the extended GISMO generator, regenerates a
 // synthetic twin workload from the fitted model, and validates the twin
 // against its source layer by layer — the observe → fit → generate →

@@ -10,18 +10,19 @@ import (
 )
 
 // Twin regenerates a synthetic workload from a fitted model and runs it
-// through the same serve → sanitize → characterize pipeline the source
-// went through, so Validate compares like with like. Generation rides
-// the sharded event stream into the simulator; the realization is a
-// pure function of (model, seed) at any shard count.
+// through the same serve → sanitize → observe pipeline the source went
+// through, so Validate compares like with like. It observes (core.Observe)
+// rather than characterizes: Validate reads only the calibration core.
+// Generation rides the sharded event stream into the simulator; the
+// realization is a pure function of (model, seed) at any shard count.
 func Twin(m gismo.Model, seed int64, timeout int64) (*core.Characterization, error) {
 	clean, err := twinTrace(m, seed)
 	if err != nil {
 		return nil, err
 	}
-	char, err := core.Characterize(clean, timeout, nil, seed)
+	char, err := core.Observe(clean, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("calibrate: twin characterize: %w", err)
+		return nil, fmt.Errorf("calibrate: twin observe: %w", err)
 	}
 	return char, nil
 }

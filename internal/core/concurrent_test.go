@@ -21,8 +21,7 @@ import (
 
 // characterizeSequential is the oracle for Characterize: the same layer
 // calls composed one after the other on the calling goroutine, returning
-// at the first failure — the body Characterize had before its layers
-// became concurrent tasks.
+// at the first failure — the core's layers, then the figure step's.
 func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
 	set, err := sessions.Sessionize(tr, timeout)
 	if err != nil {
@@ -44,6 +43,18 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 	if err != nil {
 		return nil, fmt.Errorf("diversity: %w", err)
 	}
+	clientFigs, err := analyze.DescribeClientLayer(set)
+	if err != nil {
+		return nil, fmt.Errorf("client layer: %w", err)
+	}
+	sessionFigs, err := analyze.DescribeSessionLayer(set, session)
+	if err != nil {
+		return nil, fmt.Errorf("session layer: %w", err)
+	}
+	transferFigs, err := analyze.DescribeTransferLayer(tr, transfer)
+	if err != nil {
+		return nil, fmt.Errorf("transfer layer: %w", err)
+	}
 	if sweep == nil {
 		sweep = DefaultTimeoutSweep
 	}
@@ -59,12 +70,17 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 		Session:  session,
 		Transfer: transfer,
 		Divers:   divers,
-		Sweep:    sweepPoints,
+		Figures: &FigureData{
+			Client:   clientFigs,
+			Session:  sessionFigs,
+			Transfer: transferFigs,
+			Sweep:    sweepPoints,
+			Poisson:  BuildPoissonReplica(set, tr.Horizon, client.Interarrivals, seed),
+		},
 	}
 	if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
 		char.ArrivalBins = bins
 	}
-	char.Poisson = BuildPoissonReplica(set, tr.Horizon, client.Interarrivals, seed)
 	return char, nil
 }
 

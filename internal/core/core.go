@@ -108,8 +108,11 @@ type BasicStats struct {
 	TotalBytes int64
 }
 
-// Characterization bundles every layer analysis of a sanitized trace —
-// all the material behind Figures 2–20.
+// Characterization bundles the layer analyses of a sanitized trace.
+// Observe fills the calibration core — every field calibrate.Fit,
+// calibrate.Validate and lsmcal's report read — and leaves Figures nil;
+// Characterize fills Figures too, which with the core is all the
+// material behind Figures 2–20.
 type Characterization struct {
 	// Horizon is the trace length in seconds — carried so downstream
 	// consumers (the calibrate.Fit parameter recovery) need no second
@@ -121,12 +124,25 @@ type Characterization struct {
 	Session  *analyze.SessionLayer
 	Transfer *analyze.TransferLayer
 	Divers   *analyze.Diversity
-	Sweep    []sessions.SweepPoint
 
 	// ArrivalBins counts session arrivals per 15-minute bin over the
 	// horizon — the binned arrival series behind Figure 4, and the
 	// series calibrate.Fit reads the empirical rate profile off.
 	ArrivalBins stats.BinnedSeries
+
+	// Figures is the figure-only material: nil after Observe, set by
+	// Characterize.
+	Figures *FigureData
+}
+
+// FigureData is what only the paper's figures, lsmchar's report and the
+// paper comparison read: the figure-only part of each layer, the
+// Figure 9 timeout sweep and the Figure 6 Poisson replica.
+type FigureData struct {
+	Client   *analyze.ClientFigures
+	Session  *analyze.SessionFigures
+	Transfer *analyze.TransferFigures
+	Sweep    []sessions.SweepPoint
 
 	// Poisson is the Figure 6 replica: interarrivals synthesized from a
 	// piecewise-stationary Poisson process whose rates are read off the
@@ -225,28 +241,28 @@ func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
 	return clean, nil
 }
 
-// Characterize runs the Sections 3–5 pipeline on an already-sanitized
-// trace. seed drives the Figure 6 Poisson replica through a dedicated
-// splitmix lane (lanePoissonReplica), so equal (trace, seed) pairs
-// characterize identically — the measurement side honors the same
-// determinism contract as the generator and the server.
+// Observe runs the calibration core of the Sections 3–5 pipeline on an
+// already-sanitized trace: Table 1, the diversity counts, the binned
+// session arrivals, and each layer's samples and the fits the model
+// takes (analyze.Analyze*Layer). It draws nothing at random, so it
+// takes no seed, and it leaves Figures nil.
 //
 // The layers are independent analyses of one sessionized trace, so
 // after Sessionize (which builds the trace's shared ClientIndex) they
 // run as concurrent tasks. Each task only reads the trace, the index
-// and the session set and writes only its own result, and the Figure 6
-// replica — the one consumer of a layer's result and of the seed, which
-// it draws from on a lane of its own — runs inside the client task,
-// behind the interarrivals it compares against: the Characterization is
-// the same at any GOMAXPROCS, and a failure is reported in the fixed
-// layer order below whichever task hit it first.
-func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
+// and the session set and writes only its own result: the
+// Characterization is the same at any GOMAXPROCS, and a failure is
+// reported in the fixed layer order below whichever task hit it first.
+func Observe(tr *trace.Trace, timeout int64) (*Characterization, error) {
+	char, _, err := observe(tr, timeout)
+	return char, err
+}
+
+// observe is Observe, also returning the session set it characterized.
+func observe(tr *trace.Trace, timeout int64) (*Characterization, *sessions.Set, error) {
 	set, err := sessions.Sessionize(tr, timeout)
 	if err != nil {
-		return nil, err
-	}
-	if sweep == nil {
-		sweep = DefaultTimeoutSweep
+		return nil, nil, err
 	}
 	char := &Characterization{Horizon: tr.Horizon, Timeout: timeout}
 	err = firstError(
@@ -256,7 +272,6 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 			}
 			if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
 				char.ArrivalBins = bins
-				char.Poisson = poissonReplica(bins, tr.Horizon, char.Client.Interarrivals, seed)
 			}
 			return nil
 		},
@@ -274,15 +289,71 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 			}
 			return taskError("diversity", err)
 		},
+	)
+	if err != nil {
+		return nil, nil, err
+	}
+	return char, set, nil
+}
+
+// Characterize runs the whole Sections 3–5 pipeline on an
+// already-sanitized trace: Observe, then the figure step that fills
+// Figures from the trace, the session set and the core. sweep holds
+// the Figure 9 timeouts (nil selects DefaultTimeoutSweep). seed drives
+// the Figure 6 Poisson replica through a dedicated splitmix lane
+// (lanePoissonReplica), so equal (trace, seed) pairs characterize
+// identically — the measurement side honors the same determinism
+// contract as the generator and the server.
+//
+// The figure step's tasks run concurrently like Observe's, each
+// reading the core and writing only its own part of Figures, so the
+// result does not depend on GOMAXPROCS either; an error is reported in
+// the same layer order, Observe's before the figure step's.
+func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
+	char, set, err := observe(tr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if char.Figures, err = describe(tr, set, char, sweep, seed); err != nil {
+		return nil, err
+	}
+	return char, nil
+}
+
+// describe is the figure step: everything Characterize adds to
+// Observe's core.
+func describe(tr *trace.Trace, set *sessions.Set, char *Characterization, sweep []int64, seed int64) (*FigureData, error) {
+	if sweep == nil {
+		sweep = DefaultTimeoutSweep
+	}
+	figs := &FigureData{}
+	err := firstError(
 		func() (err error) {
-			char.Sweep, err = sessions.SweepTimeout(tr, sweep)
+			if figs.Client, err = analyze.DescribeClientLayer(set); err != nil {
+				return taskError("client layer", err)
+			}
+			if len(char.ArrivalBins.Values) > 0 { // empty only if the arrivals could not be binned
+				figs.Poisson = poissonReplica(char.ArrivalBins, tr.Horizon, char.Client.Interarrivals, seed)
+			}
+			return nil
+		},
+		func() (err error) {
+			figs.Session, err = analyze.DescribeSessionLayer(set, char.Session)
+			return taskError("session layer", err)
+		},
+		func() (err error) {
+			figs.Transfer, err = analyze.DescribeTransferLayer(tr, char.Transfer)
+			return taskError("transfer layer", err)
+		},
+		func() (err error) {
+			figs.Sweep, err = sessions.SweepTimeout(tr, sweep)
 			return taskError("timeout sweep", err)
 		},
 	)
 	if err != nil {
 		return nil, err
 	}
-	return char, nil
+	return figs, nil
 }
 
 // taskError names the task a non-nil err came from.
@@ -348,7 +419,7 @@ func BuildPoissonReplica(set *sessions.Set, horizon int64, measured []float64, s
 }
 
 // poissonReplica is BuildPoissonReplica over the session arrivals
-// already counted per TemporalBin — Characterize's ArrivalBins.
+// already counted per TemporalBin — Observe's ArrivalBins.
 func poissonReplica(counts stats.BinnedSeries, horizon int64, measured []float64, seed int64) PoissonReplica {
 	const window = analyze.TemporalBin // 900 s, the paper's 15 minutes
 	rng := randv2.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), lanePoissonReplica)))

@@ -137,7 +137,7 @@ func TestRoundTripRecoversTable2(t *testing.T) {
 
 func TestPoissonReplicaMatches(t *testing.T) {
 	rep := getReport(t)
-	p := rep.Char.Poisson
+	p := rep.Char.Figures.Poisson
 	if len(p.Interarrivals) == 0 {
 		t.Fatal("no Poisson replica generated")
 	}
@@ -155,7 +155,7 @@ func TestPoissonReplicaMatches(t *testing.T) {
 
 func TestTimeoutSweepShape(t *testing.T) {
 	rep := getReport(t)
-	sweep := rep.Char.Sweep
+	sweep := rep.Char.Figures.Sweep
 	if len(sweep) != len(DefaultTimeoutSweep) {
 		t.Fatalf("sweep has %d points", len(sweep))
 	}
@@ -232,7 +232,7 @@ func TestTable1Renders(t *testing.T) {
 
 func TestFiguresComplete(t *testing.T) {
 	rep := getReport(t)
-	figs := rep.Char.Figures()
+	figs := rep.Char.Plots()
 	wantIDs := []string{
 		"fig02", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08",
 		"fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",

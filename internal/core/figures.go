@@ -13,9 +13,15 @@ type Figure struct {
 	Series  []report.Series
 }
 
-// Figures renders every reproduced figure's data series from a
-// characterization. The returned slice is ordered by figure number.
-func (c *Characterization) Figures() []Figure {
+// Plots renders every reproduced figure's data series from a
+// characterization made by Characterize: an Observe result carries no
+// figure material, and Plots panics on one. The returned slice is
+// ordered by figure number.
+func (c *Characterization) Plots() []Figure {
+	if c.Figures == nil {
+		panic("core: Plots of a characterization without figure material (Observe); use Characterize")
+	}
+	fd := c.Figures
 	var out []Figure
 
 	out = append(out, Figure{
@@ -57,8 +63,8 @@ func (c *Characterization) Figures() []Figure {
 		},
 	})
 
-	if len(c.Poisson.Interarrivals) > 0 {
-		pECDF := stats.NewECDF(c.Poisson.Interarrivals)
+	if len(fd.Poisson.Interarrivals) > 0 {
+		pECDF := stats.NewECDF(fd.Poisson.Interarrivals)
 		out = append(out, Figure{
 			ID:      "fig06",
 			Caption: "Interarrival times from a piecewise-stationary Poisson process",
@@ -73,7 +79,7 @@ func (c *Characterization) Figures() []Figure {
 		ID:      "fig07",
 		Caption: "Client interest profile: transfer and session frequency vs client rank",
 		Series: []report.Series{
-			report.FromRankShare("fig07_transfers", stats.RankFrequencies(c.Client.TransfersPerClient)),
+			report.FromRankShare("fig07_transfers", stats.RankFrequencies(fd.Client.TransfersPerClient)),
 			report.FromRankShare("fig07_sessions", stats.RankFrequencies(c.Client.SessionsPerClient)),
 		},
 	})
@@ -84,8 +90,8 @@ func (c *Characterization) Figures() []Figure {
 		Series:  []report.Series{report.FromACF("fig08_acf", cm.ACF())},
 	})
 
-	sweepPts := make([]stats.Point, len(c.Sweep))
-	for i, p := range c.Sweep {
+	sweepPts := make([]stats.Point, len(fd.Sweep))
+	for i, p := range fd.Sweep {
 		sweepPts[i] = stats.Point{X: float64(p.Timeout), Y: float64(p.Sessions)}
 	}
 	out = append(out, Figure{
@@ -98,7 +104,7 @@ func (c *Characterization) Figures() []Figure {
 
 	hourPts := make([]stats.Point, 24)
 	for h := 0; h < 24; h++ {
-		hourPts[h] = stats.Point{X: float64(h), Y: c.Session.OnByHour[h]}
+		hourPts[h] = stats.Point{X: float64(h), Y: fd.Session.OnByHour[h]}
 	}
 	out = append(out, Figure{
 		ID:      "fig10",
@@ -180,9 +186,9 @@ func (c *Characterization) Figures() []Figure {
 		ID:      "fig18",
 		Caption: "Temporal behavior of transfer interarrival times",
 		Series: []report.Series{
-			report.FromBinned("fig18_trace", c.Transfer.InterarrivalBinned, "seconds", "interarrival (s)"),
-			report.FromBinned("fig18_week", c.Transfer.InterarrivalWeek, "seconds mod week", "interarrival (s)"),
-			report.FromBinned("fig18_day", c.Transfer.InterarrivalDay, "seconds mod day", "interarrival (s)"),
+			report.FromBinned("fig18_trace", fd.Transfer.InterarrivalBinned, "seconds", "interarrival (s)"),
+			report.FromBinned("fig18_week", fd.Transfer.InterarrivalWeek, "seconds mod week", "interarrival (s)"),
+			report.FromBinned("fig18_day", fd.Transfer.InterarrivalDay, "seconds mod day", "interarrival (s)"),
 		},
 	})
 
@@ -196,8 +202,8 @@ func (c *Characterization) Figures() []Figure {
 		},
 	})
 
-	bwSeries := bandwidthHistogram("fig20_hist", c.Transfer.Bandwidths)
-	bwECDF := stats.NewECDF(c.Transfer.Bandwidths)
+	bwSeries := bandwidthHistogram("fig20_hist", fd.Transfer.Bandwidths)
+	bwECDF := stats.NewECDF(fd.Transfer.Bandwidths)
 	out = append(out, Figure{
 		ID:      "fig20",
 		Caption: "Transfer bandwidth: bimodal frequency and cumulative distribution",

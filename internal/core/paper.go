@@ -93,7 +93,7 @@ func (r *Report) Comparisons() []report.Comparison {
 	c := r.Char
 	out := []report.Comparison{
 		{Experiment: "Figure 7L", Quantity: "client interest alpha (transfers/client)",
-			Paper: Paper.InterestTransfersAlpha, Measured: c.Client.InterestTransfers.Alpha,
+			Paper: Paper.InterestTransfersAlpha, Measured: c.Figures.Client.InterestTransfers.Alpha,
 			Note: "Zipf log-log slope"},
 		{Experiment: "Figure 7R", Quantity: "client interest alpha (sessions/client)",
 			Paper: Paper.InterestSessionsAlpha, Measured: c.Client.InterestSessions.Alpha,
@@ -120,28 +120,28 @@ func (r *Report) Comparisons() []report.Comparison {
 			Paper: Paper.LengthSigma, Measured: c.Transfer.LengthFit.Sigma,
 			Note: "model round trip"},
 		{Experiment: "Figure 20", Quantity: "congestion-bound transfer fraction",
-			Paper: Paper.CongestionFrac, Measured: c.Transfer.CongestionFrac,
+			Paper: Paper.CongestionFrac, Measured: c.Figures.Transfer.CongestionFrac,
 			Note: "bimodal bandwidth"},
 		{Experiment: "Section 2.4", Quantity: "fraction of transfers below 10% CPU",
 			Paper: Paper.CPUBelowTransferFrac, Measured: r.Audit.TransferBelowFrac,
 			Note: "lower bound in paper"},
 	}
-	if c.Transfer.TailBody.Points > 0 {
+	if c.Figures.Transfer.TailBody.Points > 0 {
 		out = append(out, report.Comparison{
 			Experiment: "Figure 17", Quantity: "interarrival tail alpha (<= 100 s)",
-			Paper: Paper.TailBodyAlpha, Measured: c.Transfer.TailBody.Alpha,
+			Paper: Paper.TailBodyAlpha, Measured: c.Figures.Transfer.TailBody.Alpha,
 			Note: "power-law CCDF regression"})
 	}
-	if c.Transfer.TailFar.Points > 0 {
+	if c.Figures.Transfer.TailFar.Points > 0 {
 		out = append(out, report.Comparison{
 			Experiment: "Figure 17", Quantity: "interarrival tail alpha (> 100 s)",
-			Paper: Paper.TailFarAlpha, Measured: c.Transfer.TailFar.Alpha,
+			Paper: Paper.TailFarAlpha, Measured: c.Figures.Transfer.TailFar.Alpha,
 			Note: "power-law CCDF regression"})
 	}
 	if len(c.Session.OffTimes) > 0 {
 		out = append(out, report.Comparison{
 			Experiment: "Figure 12", Quantity: "session OFF exponential mean (s)",
-			Paper: Paper.SessionOffMean, Measured: c.Session.OffFit.MeanValue,
+			Paper: Paper.SessionOffMean, Measured: c.Figures.Session.OffFit.MeanValue,
 			Note: "scale-dependent: shorter horizon compresses OFF times"})
 	}
 	return out

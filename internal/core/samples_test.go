@@ -9,18 +9,22 @@ import (
 	"repro/internal/stats"
 )
 
-// sampleFields names every marginal sample a characterization stores.
+// sampleFields names every marginal sample a characterization stores:
+// the core's, and the figure material's when it has any.
 func sampleFields(c *Characterization) map[string][]float64 {
-	return map[string][]float64{
+	fields := map[string][]float64{
 		"Client.Interarrivals":   c.Client.Interarrivals,
 		"Session.OnTimes":        c.Session.OnTimes,
 		"Session.OffTimes":       c.Session.OffTimes,
 		"Session.IntraArrivals":  c.Session.IntraArrivals,
 		"Transfer.Interarrivals": c.Transfer.Interarrivals,
 		"Transfer.Lengths":       c.Transfer.Lengths,
-		"Transfer.Bandwidths":    c.Transfer.Bandwidths,
-		"Poisson.Interarrivals":  c.Poisson.Interarrivals,
 	}
+	if c.Figures != nil {
+		fields["Figures.Transfer.Bandwidths"] = c.Figures.Transfer.Bandwidths
+		fields["Figures.Poisson.Interarrivals"] = c.Figures.Poisson.Interarrivals
+	}
+	return fields
 }
 
 // allocated returns the bytes f allocates on the heap (TotalAlloc), a
@@ -71,10 +75,10 @@ func TestCharacterizeSortsEachSampleOnce(t *testing.T) {
 // TestCharacterizeAllocationBudget bounds the heap bytes one
 // Characterize of the served week allocates. The count is exact for
 // the code and the fixture, so unlike a time it holds on any machine:
-// the bound is the count measured when samples became sorted once in
-// place, plus about 10 % headroom for the scheduler's and the
-// runtime's own allocations. A sample copied again per consumer costs
-// more than that.
+// the bound is the count measured when the timeout sweep stopped
+// collecting its gaps, plus about 10 % headroom for the scheduler's
+// and the runtime's own allocations. A sample copied again per
+// consumer, or the sweep's gaps kept again, costs more than that.
 func TestCharacterizeAllocationBudget(t *testing.T) {
 	week := weekTrace(t)
 	got := allocated(func() {
@@ -82,8 +86,53 @@ func TestCharacterizeAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 1_470_000 // measured 1,334,400–1,343,600; 1,791,500 before
+	const budget = 1_320_000 // measured 1,194,900–1,197,000; 1,334,400–1,343,600 before the sweep counted its gaps
 	if got > budget {
 		t.Errorf("Characterize allocated %d bytes, budget %d", got, budget)
 	}
+}
+
+// TestObserveSortsEachSampleOnce: Observe sorts exactly the marginal
+// samples it keeps, each once, and leaves the figure material nil.
+func TestObserveSortsEachSampleOnce(t *testing.T) {
+	week := weekTrace(t)
+	before := stats.SampleSorts()
+	char, err := Observe(week, sessions.DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if char.Figures != nil {
+		t.Fatal("Observe filled Figures")
+	}
+	if got, want := stats.SampleSorts()-before, int64(len(sampleFields(char))); got != want || want != 6 {
+		t.Errorf("Observe sorted %d samples, want %d: one per core marginal", got, want)
+	}
+}
+
+// TestObserveAllocationBudget bounds the heap bytes one Observe of the
+// served week allocates, below Characterize's budget by the figure
+// step's share: the Figure 9 sweep, the Figure 6 replica, the Figure 18
+// bins and the Figure 20 bandwidth sample are not made. Like
+// TestCharacterizeAllocationBudget, the bound is the measured count
+// plus about 10 % headroom.
+func TestObserveAllocationBudget(t *testing.T) {
+	week := weekTrace(t)
+	got := allocated(func() {
+		if _, err := Observe(week, sessions.DefaultTimeout); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 1_170_000 // measured 1,062,000–1,063,900
+	if got > budget {
+		t.Errorf("Observe allocated %d bytes, budget %d", got, budget)
+	}
+	full := allocated(func() {
+		if _, err := Characterize(week, sessions.DefaultTimeout, nil, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= full {
+		t.Errorf("Observe allocated %d bytes, Characterize %d: want less", got, full)
+	}
+	t.Logf("Observe %d B, Characterize %d B", got, full)
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -11,6 +12,11 @@ import (
 // |F_n(x) - F(x)|. The paper reports this distance for every Table 2
 // body fit. A sample in sorted form (stats.SortedForm) is read in place;
 // any other is sorted into a temporary copy.
+//
+// The CDF is evaluated once per distinct value: a run of ties
+// occupying [a, b) of the sorted sample contributes f − a/n and
+// b/n − f, the extremes the per-element steps reach over the run, so D
+// is the same to the bit.
 func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("%w: KS on empty sample", ErrBadFit)
@@ -21,16 +27,22 @@ func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, e
 	sorted := stats.SortedView(samples)
 	n := float64(len(sorted))
 	var d float64
-	for i, x := range sorted {
+	for a := 0; a < len(sorted); {
+		x := sorted[a]
+		b := a + 1
+		for b < len(sorted) && math.Float64bits(sorted[b]) == math.Float64bits(x) {
+			b++
+		}
 		f := cdf(x)
-		// The empirical CDF jumps from i/n to (i+1)/n at x; the model can
-		// deviate most on either side of the step.
-		if below := f - float64(i)/n; below > d {
+		// The empirical CDF climbs from a/n to b/n at x; the model can
+		// deviate most on either side of the climb.
+		if below := f - float64(a)/n; below > d {
 			d = below
 		}
-		if above := float64(i+1)/n - f; above > d {
+		if above := float64(b)/n - f; above > d {
 			d = above
 		}
+		a = b
 	}
 	return d, nil
 }

@@ -79,6 +79,31 @@ func referenceFitTail(samples []float64, lo, hi float64) (TailFit, error) {
 	return TailFit{Alpha: -slope, Intercept: intercept, R2: r2, Points: len(xs), Lo: lo, Hi: hi}, nil
 }
 
+// referenceKolmogorovSmirnov is the one-sample KS test as it was
+// before it evaluated the CDF once per distinct value: one evaluation
+// and two step comparisons per sample element.
+func referenceKolmogorovSmirnov(samples []float64, cdf func(float64) float64) (float64, error) {
+	if len(samples) == 0 {
+		return 0, fmt.Errorf("%w: KS on empty sample", ErrBadFit)
+	}
+	if cdf == nil {
+		return 0, fmt.Errorf("%w: KS with nil CDF", ErrBadFit)
+	}
+	sorted := stats.SortedView(samples)
+	n := float64(len(sorted))
+	var d float64
+	for i, x := range sorted {
+		f := cdf(x)
+		if below := f - float64(i)/n; below > d {
+			d = below
+		}
+		if above := float64(i+1)/n - f; above > d {
+			d = above
+		}
+	}
+	return d, nil
+}
+
 // sameResult fails unless two estimator results agree: the same error
 // text, or no error and the same float bits in every field.
 func sameResult(t *testing.T, name string, got, want []float64, gotErr, wantErr error) {
@@ -106,6 +131,7 @@ func estimatorSamples() map[string][]float64 {
 		"with negative": {3, -1, 9, 4},
 		"with NaN":      {3, math.NaN(), 9, 4},
 		"with +Inf":     {3, math.Inf(1), 9, 400, 4, 250, 300},
+		"signed zeros":  {0, math.Copysign(0, -1), 3, 0, math.Copysign(0, -1), 3},
 	}
 	for _, n := range []int{20, 700, 5000} {
 		cont := make([]float64, n)
@@ -146,6 +172,44 @@ func TestFitsMatchReference(t *testing.T) {
 		for i := range xs {
 			if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
 				t.Fatalf("%s: an estimator modified sample element %d", name, i)
+			}
+		}
+	}
+}
+
+// TestKolmogorovSmirnovMatchesReference: the one-sample KS test over
+// distinct values gives the per-element reference's D bit for bit — on
+// tie-heavy display-second samples, tie-free continuous ones and the
+// degenerate ones, as drawn and sorted, under CDFs that are smooth,
+// flat, and that tell −0 from +0 — and evaluates the CDF once per run
+// of equal values.
+func TestKolmogorovSmirnovMatchesReference(t *testing.T) {
+	cdfs := map[string]func(float64) float64{
+		"lognormal": Lognormal{Mu: 4.4, Sigma: 1.4}.CDF,
+		"uniform":   func(x float64) float64 { return math.Min(math.Max(x/1000, 0), 1) },
+		"signed": func(x float64) float64 {
+			if math.Signbit(x) {
+				return 0.75
+			}
+			return 0.25
+		},
+	}
+	for name, xs := range estimatorSamples() {
+		for cname, cdf := range cdfs {
+			calls := 0
+			counted := func(x float64) float64 { calls++; return cdf(x) }
+			got, gotErr := KolmogorovSmirnov(xs, counted)
+			want, wantErr := referenceKolmogorovSmirnov(xs, cdf)
+			sameResult(t, name+" KS "+cname, []float64{got}, []float64{want}, gotErr, wantErr)
+			runs := 0
+			sorted := stats.SortedCopy(xs)
+			for i := range sorted {
+				if i == 0 || math.Float64bits(sorted[i]) != math.Float64bits(sorted[i-1]) {
+					runs++
+				}
+			}
+			if calls != runs {
+				t.Errorf("%s KS %s: %d CDF calls, want one per run of equal values (%d)", name, cname, calls, runs)
 			}
 		}
 	}

@@ -54,6 +54,13 @@ func oracleSessionizeClient(tr *trace.Trace, client int, idxs []int, timeout int
 	return out
 }
 
+// silentGaps collects the gaps walkSilentGaps visits, in trace order.
+func silentGaps(tr *trace.Trace) []int64 {
+	var gaps []int64
+	walkSilentGaps(tr, func(gap int64) { gaps = append(gaps, gap) })
+	return gaps
+}
+
 // oracleSweep is the old SweepTimeout: one full sessionization per
 // timeout, counted.
 func oracleSweep(tr *trace.Trace, timeouts []int64) []SweepPoint {

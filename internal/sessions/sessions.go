@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -230,40 +229,47 @@ type SweepPoint struct {
 //
 // It sessionizes nothing. A client's silent gap before its k-th transfer
 // is Start_k minus the latest end among its earlier transfers, whatever
-// the timeout (see silentGaps), and a session opens at a client's first
-// transfer and at every gap above T_o, so
-// sessions(T_o) = clients + #{gaps > T_o}: one walk, one sort, and a
-// binary search per timeout.
+// the timeout (see walkSilentGaps), and a session opens at a client's
+// first transfer and at every gap above T_o, so
+// sessions(T_o) = clients + #{gaps > T_o}. One walk tallies each gap
+// against the sorted timeouts — the number of timeouts it exceeds, by
+// binary search — and a suffix sum over the tally counts, for each
+// timeout, the gaps above it. No gap is kept.
 func SweepTimeout(tr *trace.Trace, timeouts []int64) ([]SweepPoint, error) {
 	for _, to := range timeouts {
 		if to <= 0 {
 			return nil, fmt.Errorf("%w: %d", ErrBadTimeout, to)
 		}
 	}
-	gaps := silentGaps(tr)
-	slices.Sort(gaps)
+	sorted := slices.Clone(timeouts)
+	slices.Sort(sorted)
+	// exceeds[k] counts the gaps above exactly the k smallest timeouts.
+	exceeds := make([]int, len(sorted)+1)
+	walkSilentGaps(tr, func(gap int64) {
+		k, _ := slices.BinarySearch(sorted, gap) // sorted[:k] < gap <= sorted[k:]
+		exceeds[k]++
+	})
+	// above[j] = #{gaps > sorted[j]} = the tally of every k > j.
+	above := exceeds[1:]
+	for j := len(above) - 2; j >= 0; j-- {
+		above[j] += above[j+1]
+	}
 	out := make([]SweepPoint, 0, len(timeouts))
 	for _, to := range timeouts {
-		above := len(gaps) - sort.Search(len(gaps), func(i int) bool { return gaps[i] > to })
-		out = append(out, SweepPoint{Timeout: to, Sessions: tr.NumClients() + above})
+		j, _ := slices.BinarySearch(sorted, to)
+		out = append(out, SweepPoint{Timeout: to, Sessions: tr.NumClients() + above[j]})
 	}
 	return out, nil
 }
 
-// silentGaps returns, in trace order, every positive gap between a
-// transfer's start and the latest end among the same client's earlier
-// transfers. These are exactly the gaps Sessionize compares with T_o:
-// its running End is the latest end within the current session only,
-// but a session split at transfer j means Start_j exceeded every
-// earlier end of the client, and later starts are no smaller, so ends
-// from closed sessions can never be the latest that matters.
-func silentGaps(tr *trace.Trace) []int64 {
-	var gaps []int64
-	walkSilentGaps(tr, func(gap int64) { gaps = append(gaps, gap) })
-	return gaps
-}
-
-// walkSilentGaps calls visit with each silent gap, in trace order.
+// walkSilentGaps calls visit, in trace order, with every positive gap
+// between a transfer's start and the latest end among the same
+// client's earlier transfers. These are exactly the gaps Sessionize
+// compares with T_o: its running End is the latest end within the
+// current session only, but a session split at transfer j means
+// Start_j exceeded every earlier end of the client, and later starts
+// are no smaller, so ends from closed sessions can never be the latest
+// that matters.
 func walkSilentGaps(tr *trace.Trace, visit func(gap int64)) {
 	ci := tr.ByClient()
 	const unseen = math.MinInt64

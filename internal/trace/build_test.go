@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -518,8 +519,11 @@ func TestTraceOrderIsTotal(t *testing.T) {
 // TestCollectorMatchesNewSanitize: a Collector's trace and report are
 // those of New followed by Sanitize over the transfers in the order
 // they were added — ties and dropped entries included — for an empty
-// collector, a part-filled chunk, an exactly full one and several; and
-// the collector is reusable afterwards.
+// collector, a part-filled chunk, an exactly full one and several,
+// with the transfers added out of start order (the full sort) and in
+// start order with ties in arrival order (a sort per run of equal
+// starts, as a serve run adds them); and the collector is reusable
+// afterwards.
 func TestCollectorMatchesNewSanitize(t *testing.T) {
 	const horizon = 20000
 	rng := rand.New(rand.NewSource(20))
@@ -538,30 +542,69 @@ func TestCollectorMatchesNewSanitize(t *testing.T) {
 			if i%1000 == 999 {
 				in[i].Duration = horizon + 1 // spanning
 			}
-			c.Add(in[i])
 		}
-		tr, err := New(horizon, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantReport := tr.Sanitize()
-		got, gotReport, err := c.Trace(horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotReport != wantReport {
-			t.Errorf("n=%d: report %+v, want %+v", n, gotReport, wantReport)
-		}
-		if n > 5 && (wantReport.DroppedNegative == 0 || wantReport.DroppedOutside == 0 || wantReport.DroppedSpanning == 0) {
-			t.Errorf("n=%d: fixture exercises too little: %s", n, wantReport)
-		}
-		if got.Horizon != want.Horizon || !slices.Equal(got.Transfers, want.Transfers) {
-			t.Errorf("n=%d: collected trace differs from New + Sanitize (%d vs %d transfers)", n, got.NumTransfers(), want.NumTransfers())
+		startOrdered := slices.Clone(in)
+		slices.SortStableFunc(startOrdered, func(a, b Transfer) int { return cmp.Compare(a.Start, b.Start) })
+		for _, o := range []struct {
+			order string
+			in    []Transfer
+		}{{"drawn", in}, {"start-ordered", startOrdered}} {
+			order, in := o.order, o.in
+			for _, x := range in {
+				c.Add(x)
+			}
+			tr, err := New(horizon, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantReport := tr.Sanitize()
+			got, gotReport, err := c.Trace(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotReport != wantReport {
+				t.Errorf("n=%d %s: report %+v, want %+v", n, order, gotReport, wantReport)
+			}
+			if n > 5 && (wantReport.DroppedNegative == 0 || wantReport.DroppedOutside == 0 || wantReport.DroppedSpanning == 0) {
+				t.Errorf("n=%d %s: fixture exercises too little: %s", n, order, wantReport)
+			}
+			if got.Horizon != want.Horizon || !slices.Equal(got.Transfers, want.Transfers) {
+				t.Errorf("n=%d %s: collected trace differs from New + Sanitize (%d vs %d transfers)", n, order, got.NumTransfers(), want.NumTransfers())
+			}
 		}
 	}
 	c.Add(Transfer{})
 	if _, _, err := c.Trace(0); err == nil {
 		t.Error("zero horizon: want error")
+	}
+}
+
+// TestSortTraceOrderMatchesFullSort: sorting per run of equal starts
+// gives the full sort's result on start-ordered input whose ties
+// arrive in every order, and the fallback does on input with a start
+// out of order anywhere — first, last or in the middle of a tie run.
+func TestSortTraceOrderMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(300)
+		ts := make([]Transfer, n)
+		start := int64(0)
+		for i := range ts {
+			if rng.Intn(3) == 0 {
+				start += rng.Int63n(5)
+			}
+			ts[i] = Transfer{Client: int32(rng.Intn(4)), Object: uint16(rng.Intn(2)), Start: start, Duration: rng.Int63n(3), Bytes: rng.Int63n(3)}
+		}
+		if round%2 == 1 {
+			k := rng.Intn(n)
+			ts[k].Start -= 1 + rng.Int63n(3)
+		}
+		want := slices.Clone(ts)
+		sort.Sort(byStart(want))
+		sortTraceOrder(ts)
+		if !slices.Equal(ts, want) {
+			t.Fatalf("round %d: per-run sort differs from the full sort", round)
+		}
 	}
 }
 

@@ -94,8 +94,31 @@ func newOwned(horizon int64, ts []Transfer) (*Trace, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err
 	}
-	sort.Sort(byStart(ts))
+	sortTraceOrder(ts)
 	return &Trace{Horizon: horizon, Transfers: ts}, nil
+}
+
+// sortTraceOrder sorts ts into the trace order (before). Transfers
+// already in start order — a serve run hands them to its Transfer sink
+// so — need only each run of equal starts put in order: one walk
+// checks the starts and sorts those runs, and the first start out of
+// order sends the whole slice to the full sort instead. The order is
+// total, so either way the result is the same.
+func sortTraceOrder(ts []Transfer) {
+	for a := 0; a < len(ts); {
+		b := a + 1
+		for b < len(ts) && ts[b].Start == ts[a].Start {
+			b++
+		}
+		if b < len(ts) && ts[b].Start < ts[a].Start {
+			sort.Sort(byStart(ts))
+			return
+		}
+		if b-a > 1 {
+			sort.Sort(byStart(ts[a:b]))
+		}
+		a = b
+	}
 }
 
 // checkHorizon refuses a horizon no trace can have. Downstream sweeps
