@@ -135,7 +135,9 @@ bench-history:
 	$(GO) run ./cmd/benchjson -history BENCH_streaming.json
 
 # fuzz runs the wmslog fuzzers — the text AppendEntry/ParseAppend round
-# trip, the framed-binary round trip, the scan differential
+# trip, the generator's line renderer (AppendLine of any numeric record
+# and table strings = AppendEntry of its Entry, byte for byte, and a
+# ParseAppend fixpoint), the framed-binary round trip, the scan differential
 # (arbitrary bytes through the reusing, interning scan and through the
 # deferred scan = through the allocating parser, with the interner's
 # ordinals naming every entry's strings and Identity's bytes equal to
@@ -146,13 +148,14 @@ bench-history:
 # and SortedView of any float64 bit patterns = sort.Float64s of a
 # copy), the concurrency
 # fuzzer (the event sweep's report = a count of every second, field by
-# field), the population fuzzer (the client table = the []Client
-# builder, every field of every client and the draws consumed), the
+# field), the population fuzzer (the client table, with each client's
+# IP and player id rendered, = the []Client builder, every field of
+# every client and the draws consumed), the
 # session-cursor fuzzer (a session drawn transfer by transfer from its
 # cursor = the eager expansion, event for event and draw for draw) and
 # the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
-# 4). `go test` runs one fuzz target per invocation, hence the ten
+# 4). `go test` runs one fuzz target per invocation, hence the eleven
 # steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
@@ -161,6 +164,7 @@ bench-history:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEntryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
+	$(GO) test -run '^$$' -fuzz '^FuzzLineMatchesAppendEntry$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesReadAll$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed2$$' -fuzztime $(FUZZTIME) ./internal/wmslog

@@ -15,12 +15,17 @@
 // to, and `lsmlog convert` round-trips between the two losslessly.
 //
 // The pipeline is one streamed pass: the sharded generator feeds the
-// simulator's serve goroutine event by event, and log entries go
+// simulator's serve goroutine event by event, and log lines go
 // straight to the daily files from the calling goroutine, so memory is
-// the client population, about a byte per session (the arrival
-// schedule, kept as varint gaps) and O(active sessions) — a 48-byte
-// cursor per pending session, plus the simulator's in-flight transfers
-// — at any scale, paper scale (-scale 1) included. -shards sets the
+// the client population (a 12-byte row per client: numbers, no text),
+// about a byte per session (the arrival schedule, kept as varint gaps)
+// and O(active sessions) — a 48-byte cursor per pending session, plus
+// the simulator's in-flight transfers as numeric log records — at any
+// scale, paper scale (-scale 1) included. A text line is rendered from
+// those numbers only as it is written (simulate's Line sink into
+// DailyWriter.WriteLine); -log-format binary takes the records as
+// wmslog.Entry values instead, and so holds every client's IP and
+// player id as text for the run. -shards sets the
 // generator shard count (0 = one per schedulable CPU). The emitted
 // logs are byte-identical for the same seed at any shard count and
 // GOMAXPROCS. -stream is accepted and ignored: streaming is the only
@@ -107,7 +112,7 @@ func main() {
 // simulator straight into the daily log writer: no workload, trace or
 // entry slice is ever materialized. Session expansion runs across the
 // generator's shards, the server-model draws on the serve goroutine,
-// and log encoding on this one.
+// and log rendering on this one.
 func run(o options) error {
 	model, err := resolveModel(o)
 	if err != nil {
@@ -129,10 +134,12 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	dw.Binary = o.logFormat == "binary"
-	res, err := simulate.RunStream(ws, ws.Population(), model.Horizon, simulate.DefaultConfig(), uint64(o.seed), simulate.StreamSinks{
-		Entry: dw.Write,
-	})
+	sinks := simulate.StreamSinks{Line: dw.WriteLine}
+	if o.logFormat == "binary" {
+		dw.Binary = true
+		sinks = simulate.StreamSinks{Entry: dw.Write}
+	}
+	res, err := simulate.RunStream(ws, ws.Population(), model.Horizon, simulate.DefaultConfig(), uint64(o.seed), sinks)
 	if err != nil {
 		dw.Close()
 		return err

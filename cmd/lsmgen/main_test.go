@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/gismo"
@@ -230,6 +233,72 @@ func TestStreamingLogsByteIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: %s differs from the materializing reference", name, file)
+			}
+		}
+	}
+}
+
+// binaryLogMD5 is the md5 of the daily files of `lsmgen -log-format
+// binary -scale 500 -days 2 -seed 11`, concatenated in name order, as
+// recorded before the text path stopped building entries: the binary
+// path still takes them, and its bytes must not move.
+const binaryLogMD5 = "7f02a1d2de45f7e8ac1d8dd73a020ef8"
+
+// TestBinaryLogFormat: -log-format binary writes, at any shard count,
+// the pinned bytes, which decode to exactly the entries the text run's
+// files decode to.
+func TestBinaryLogFormat(t *testing.T) {
+	dir := t.TempDir()
+	readDir := func(sub string) []*wmslog.Entry {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, sub, "wms-*.log"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: no logs (%v)", sub, err)
+		}
+		entries, _, err := wmslog.ReadFiles(paths, false)
+		if err != nil {
+			t.Fatalf("%s: %v", sub, err)
+		}
+		return entries
+	}
+	gen := func(sub string, args ...string) {
+		t.Helper()
+		o, err := parseArgs(append([]string{"-out", filepath.Join(dir, sub), "-scale", "500", "-days", "2", "-seed", "11"}, args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(o); err != nil {
+			t.Fatalf("%s: %v", sub, err)
+		}
+	}
+	gen("text")
+	text := readDir("text")
+	for _, shards := range []string{"1", "3"} {
+		sub := "binary" + shards
+		gen(sub, "-log-format", "binary", "-shards", shards)
+		files := logBytes(t, filepath.Join(dir, sub))
+		names := make([]string, 0, len(files))
+		for name, data := range files {
+			if !bytes.HasPrefix(data, []byte("\xbfWMSB1")) {
+				t.Errorf("shards=%s: %s is not a binary log", shards, name)
+			}
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		h := md5.New()
+		for _, name := range names {
+			h.Write(files[name])
+		}
+		if sum := hex.EncodeToString(h.Sum(nil)); sum != binaryLogMD5 {
+			t.Errorf("shards=%s: binary logs md5 %s, want %s", shards, sum, binaryLogMD5)
+		}
+		got := readDir(sub)
+		if len(got) != len(text) {
+			t.Fatalf("shards=%s: %d binary entries, %d text", shards, len(got), len(text))
+		}
+		for i := range text {
+			if *got[i] != *text[i] {
+				t.Fatalf("shards=%s: entry %d\nbinary: %+v\ntext:   %+v", shards, i, *got[i], *text[i])
 			}
 		}
 	}

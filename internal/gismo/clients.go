@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"strconv"
-	"strings"
 
 	"repro/internal/topology"
 )
@@ -32,61 +31,52 @@ var AccessClasses = []AccessClass{
 	{Name: "cable-1m", Bps: 1000000, Frac: 0.03},
 }
 
-// clientOSes and clientCPUs populate the "client environment
-// specification" log fields.
-var clientOSes = []string{
+// ClientOSes and ClientCPUs populate the "client environment
+// specification" log fields; a ClientRow holds an index into each.
+var ClientOSes = []string{
 	"Windows 98", "Windows 2000", "Windows ME", "Windows NT 4.0", "Windows XP",
 }
 
-var clientCPUs = []string{
+var ClientCPUs = []string{
 	"Pentium II", "Pentium III", "Pentium 4", "Celeron", "AMD K6",
 }
 
-// Client is one unique client entity — the paper's GISMO extension
-// "required us to introduce clients as unique entities" (Section 6.2).
-type Client struct {
-	ID        int
-	PlayerID  string // logged player identifier
-	Placement topology.Placement
-	Access    AccessClass
-	OS        string
-	CPU       string
-}
-
-// clientRow is one client as the population stores it: where its text
-// starts, its AS, and indices into the access / OS / CPU tables — 12
-// bytes, so serving a transfer reads one row, not a struct of strings.
-type clientRow struct {
-	text   uint32 // offset of the dotted quad in Population.text
-	as     uint16 // index into the topology's ASes
-	ipLen  uint8  // the dotted quad is text[text : text+ipLen],
-	idLen  uint8  // the player id the idLen bytes after it
-	access uint8  // index into AccessClasses
-	os     uint8  // index into clientOSes
-	cpu    uint8  // index into clientCPUs
+// ClientRow is one unique client entity — the paper's GISMO extension
+// "required us to introduce clients as unique entities" (Section 6.2)
+// — as numbers: its address, its AS, and indices into the access / OS
+// / CPU tables, 12 bytes. The client's log text is rendered from it
+// where a line is written: the dotted quad by topology.AppendIPv4 of
+// IP, the player id by AppendPlayerID of the client's index, the
+// country from the AS.
+type ClientRow struct {
+	IP     uint32 // synthetic IPv4 address in the AS's block
+	AS     uint16 // index into the topology's ASes
+	Access uint8  // index into AccessClasses
+	OS     uint8  // index into ClientOSes
+	CPU    uint8  // index into ClientCPUs
 }
 
 const (
-	// maxClientText bounds one client's share of Population.text: a
-	// dotted quad and "player-" with the widest id MaxClients allows.
+	// maxClientText bounds one client's log text: a dotted quad and
+	// "player-" with the widest id MaxClients allows.
 	maxClientText = len("255.255.255.255") + len("player-") + 10
-	// MaxClients is the largest population the rows can number: every
-	// text offset fits clientRow.text, and the text's length an int on
-	// any platform.
+	// MaxClients is the largest population a run can name: the log
+	// text of all its clients stays under 2³¹ bytes, so a table of it
+	// (the simulator's Entry-sink names) takes uint32 offsets and its
+	// length is an int on any platform.
 	MaxClients = math.MaxInt32 / maxClientText
 	// maxRowTable is the longest table a one-byte row index reaches.
 	maxRowTable = math.MaxUint8 + 1
 )
 
-// An AS index must fit clientRow.as.
+// An AS index must fit ClientRow.AS.
 const _ = uint16(topology.MaxAS - 1)
 
-// Population is the generated client population, indexed by dense client
-// ID: a row per client over one shared text, every client's dotted quad
-// then its player id, back to back. Client assembles the Client value.
+// Population is the generated client population, indexed by dense
+// client ID: one ClientRow per client and the topology the rows' AS
+// indices point into. It holds no text.
 type Population struct {
-	rows []clientRow
-	text string
+	rows []ClientRow
 	topo *topology.Model // AS index → country
 }
 
@@ -96,7 +86,7 @@ func NewPopulation(n int, topoCfg topology.Config, rng *rand.Rand) (*Population,
 	if n < 1 || n > MaxClients {
 		return nil, fmt.Errorf("%w: population size %d, want 1..%d", ErrBadModel, n, MaxClients)
 	}
-	if len(AccessClasses) > maxRowTable || len(clientOSes) > maxRowTable || len(clientCPUs) > maxRowTable {
+	if len(AccessClasses) > maxRowTable || len(ClientOSes) > maxRowTable || len(ClientCPUs) > maxRowTable {
 		return nil, fmt.Errorf("%w: an access, OS or CPU table of more than %d entries", ErrBadModel, maxRowTable)
 	}
 	topo, err := topology.New(topoCfg, rng)
@@ -111,56 +101,35 @@ func NewPopulation(n int, topoCfg topology.Config, rng *rand.Rand) (*Population,
 		cum[i] = acc
 	}
 
-	p := &Population{rows: make([]clientRow, n), topo: topo}
-	var text strings.Builder
-	text.Grow(n * (len("255.255.255.255") + len("player-0000000")))
-	var scratch [maxClientText]byte
+	p := &Population{rows: make([]ClientRow, n), topo: topo}
 	for i := range p.rows {
 		as, ip := topo.PlaceAddr(rng)
-		b := topology.AppendIPv4(scratch[:0], ip)
-		ipLen := len(b)
-		b = appendPlayerID(b, i)
-		p.rows[i] = clientRow{
-			text:   uint32(text.Len()),
-			as:     uint16(as),
-			ipLen:  uint8(ipLen),
-			idLen:  uint8(len(b) - ipLen),
-			access: uint8(drawAccess(cum, rng)),
-			os:     uint8(rng.IntN(len(clientOSes))),
-			cpu:    uint8(rng.IntN(len(clientCPUs))),
+		p.rows[i] = ClientRow{
+			IP:     ip,
+			AS:     uint16(as),
+			Access: uint8(drawAccess(cum, rng)),
+			OS:     uint8(rng.IntN(len(ClientOSes))),
+			CPU:    uint8(rng.IntN(len(ClientCPUs))),
 		}
-		text.Write(b)
 	}
-	p.text = text.String()
 	return p, nil
 }
 
-// Client assembles client i: its IP and player id are substrings of the
-// population's text, the rest comes from the package tables, so the
-// call allocates nothing.
+// Row returns client i's row.
 //
 //lsm:hotpath
-func (p *Population) Client(i int) Client {
-	r := p.rows[i]
-	ip := r.text + uint32(r.ipLen)
-	return Client{
-		ID:       i,
-		PlayerID: p.text[ip : ip+uint32(r.idLen)],
-		Placement: topology.Placement{
-			ASIndex: int(r.as),
-			IP:      p.text[r.text:ip],
-			Country: p.topo.ASes[r.as].Country,
-		},
-		Access: AccessClasses[r.access],
-		OS:     clientOSes[r.os],
-		CPU:    clientCPUs[r.cpu],
-	}
-}
+func (p *Population) Row(i int) ClientRow { return p.rows[i] }
 
-// appendPlayerID appends client i's logged player identifier,
+// Topology returns the AS table the rows index: an AS's number and
+// country.
+func (p *Population) Topology() *topology.Model { return p.topo }
+
+// AppendPlayerID appends client i's logged player identifier,
 // "player-%07d" of a non-negative i: zero-padded to seven digits, wider
 // ids kept whole.
-func appendPlayerID(b []byte, i int) []byte {
+//
+//lsm:hotpath
+func AppendPlayerID(b []byte, i int) []byte {
 	b = append(b, "player-"...)
 	for pad := 1_000_000; pad > i && pad > 1; pad /= 10 {
 		b = append(b, '0')

@@ -280,18 +280,19 @@ func TestPopulation(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for i := 0; i < pop.Size(); i++ {
-		c := pop.Client(i)
-		if c.ID != i {
-			t.Fatalf("client %d has ID %d", i, c.ID)
-		}
-		if c.PlayerID == "" || ids[c.PlayerID] {
+		c := pop.Row(i)
+		id := string(AppendPlayerID(nil, i))
+		if id == "" || ids[id] {
 			t.Fatal("player IDs must be unique and non-empty")
 		}
-		ids[c.PlayerID] = true
-		if c.Access.Bps <= 0 {
+		ids[id] = true
+		if int(c.AS) >= pop.Topology().NumAS() {
+			t.Fatalf("client %d in AS %d of %d", i, c.AS, pop.Topology().NumAS())
+		}
+		if AccessClasses[c.Access].Bps <= 0 {
 			t.Fatal("client without access class")
 		}
-		if c.OS == "" || c.CPU == "" {
+		if ClientOSes[c.OS] == "" || ClientCPUs[c.CPU] == "" {
 			t.Fatal("client without environment")
 		}
 	}

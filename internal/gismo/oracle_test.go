@@ -17,11 +17,29 @@ import (
 
 // The population as it was before it became a table — a []Client of
 // by-value structs, two strings allocated per client — kept as the
-// oracle NewPopulation and Population.Client are held to. The one
+// oracle NewPopulation's rows, and the log text rendered from them, are
+// held to. The one
 // piece that cannot be verbatim is the placement draw: Model.Place
 // lives on as the oracle of topology's own tests (which hold PlaceAddr
 // to it draw for draw), so referencePlace renders PlaceAddr's address
 // through net.IP instead.
+
+// referenceClient is the by-value client the reference builds.
+type referenceClient struct {
+	ID        int
+	PlayerID  string // logged player identifier
+	Placement referencePlacement
+	Access    AccessClass
+	OS        string
+	CPU       string
+}
+
+// referencePlacement is a client's network placement as strings.
+type referencePlacement struct {
+	ASIndex int    // index into the topology's ASes
+	IP      string // dotted-quad synthetic IP
+	Country string
+}
 
 // playerID is client i's logged player identifier as a fresh string.
 func playerID(i int) string {
@@ -34,9 +52,9 @@ func playerID(i int) string {
 	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
-func referencePlace(m *topology.Model, rng *rand.Rand) topology.Placement {
+func referencePlace(m *topology.Model, rng *rand.Rand) referencePlacement {
 	as, ip := m.PlaceAddr(rng)
-	return topology.Placement{
+	return referencePlacement{
 		ASIndex: as,
 		IP:      net.IPv4(byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip)).String(),
 		Country: m.ASes[as].Country,
@@ -53,7 +71,7 @@ func referenceDrawAccess(cum []float64, rng *rand.Rand) AccessClass {
 	return AccessClasses[len(AccessClasses)-1]
 }
 
-func referencePopulation(n int, topoCfg topology.Config, rng *rand.Rand) ([]Client, error) {
+func referencePopulation(n int, topoCfg topology.Config, rng *rand.Rand) ([]referenceClient, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: population size %d", ErrBadModel, n)
 	}
@@ -67,22 +85,42 @@ func referencePopulation(n int, topoCfg topology.Config, rng *rand.Rand) ([]Clie
 		acc += c.Frac
 		cum[i] = acc
 	}
-	clients := make([]Client, n)
+	clients := make([]referenceClient, n)
 	for i := 0; i < n; i++ {
-		clients[i] = Client{
+		clients[i] = referenceClient{
 			ID:        i,
 			PlayerID:  playerID(i),
 			Placement: referencePlace(topo, rng),
 			Access:    referenceDrawAccess(cum, rng),
-			OS:        clientOSes[rng.IntN(len(clientOSes))],
-			CPU:       clientCPUs[rng.IntN(len(clientCPUs))],
+			OS:        ClientOSes[rng.IntN(len(ClientOSes))],
+			CPU:       ClientCPUs[rng.IntN(len(ClientCPUs))],
 		}
 	}
 	return clients, nil
 }
 
+// renderClient is client i of pop as the reference's value: the dotted
+// quad and player id rendered by the append helpers a log writer uses,
+// the rest read through the row's indices.
+func renderClient(pop *Population, i int) referenceClient {
+	r := pop.Row(i)
+	return referenceClient{
+		ID:       i,
+		PlayerID: string(AppendPlayerID(nil, i)),
+		Placement: referencePlacement{
+			ASIndex: int(r.AS),
+			IP:      string(topology.AppendIPv4(nil, r.IP)),
+			Country: pop.Topology().ASes[r.AS].Country,
+		},
+		Access: AccessClasses[r.Access],
+		OS:     ClientOSes[r.OS],
+		CPU:    ClientCPUs[r.CPU],
+	}
+}
+
 // samePopulation builds n clients both ways from equal generators and
-// holds every field of every client, and the generators' next draw —
+// holds every field of every client — the rendered IP and player id
+// equal to the reference's strings — and the generators' next draw —
 // the number of draws consumed — to the reference.
 func samePopulation(t *testing.T, n int, cfg topology.Config, seed uint64) {
 	t.Helper()
@@ -99,7 +137,7 @@ func samePopulation(t *testing.T, n int, cfg topology.Config, seed uint64) {
 		t.Fatalf("n=%d: Size() = %d", n, pop.Size())
 	}
 	for i := range want {
-		if got := pop.Client(i); got != want[i] {
+		if got := renderClient(pop, i); got != want[i] {
 			t.Fatalf("n=%d NumAS=%d seed=%d: client %d = %+v, want %+v", n, cfg.NumAS, seed, i, got, want[i])
 		}
 	}
@@ -141,11 +179,11 @@ func FuzzPopulationMatchesReference(f *testing.F) {
 func TestAppendPlayerID(t *testing.T) {
 	for _, i := range []int{0, 9, 10, 999_999, 1_000_000, 9_999_999, 10_000_000, math.MaxInt32} {
 		want := fmt.Sprintf("player-%07d", i)
-		if got := string(appendPlayerID(nil, i)); got != want {
-			t.Errorf("appendPlayerID(%d) = %q, want %q", i, got, want)
+		if got := string(AppendPlayerID(nil, i)); got != want {
+			t.Errorf("AppendPlayerID(%d) = %q, want %q", i, got, want)
 		}
-		if got := string(appendPlayerID([]byte("10.0.0.1"), i)); got != "10.0.0.1"+want {
-			t.Errorf("appendPlayerID(%d) onto a prefix = %q", i, got)
+		if got := string(AppendPlayerID([]byte("10.0.0.1"), i)); got != "10.0.0.1"+want {
+			t.Errorf("AppendPlayerID(%d) onto a prefix = %q", i, got)
 		}
 	}
 }
@@ -162,9 +200,9 @@ func TestPopulationBounds(t *testing.T) {
 	if _, err := NewPopulation(10, cfg, rng); !errors.Is(err, topology.ErrBadModel) {
 		t.Errorf("topology past MaxAS: %v, want topology.ErrBadModel", err)
 	}
-	saved := clientOSes
-	defer func() { clientOSes = saved }()
-	clientOSes = make([]string, maxRowTable+1)
+	saved := ClientOSes
+	defer func() { ClientOSes = saved }()
+	ClientOSes = make([]string, maxRowTable+1)
 	if _, err := NewPopulation(10, topology.DefaultConfig(), rng); !errors.Is(err, ErrBadModel) {
 		t.Errorf("OS table past a row index: %v, want ErrBadModel", err)
 	}

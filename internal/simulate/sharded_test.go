@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -120,6 +121,60 @@ func TestRunStreamShardedLogInvariant(t *testing.T) {
 		}
 		if *res != *want {
 			t.Errorf("shards=%d: result %+v, reference %+v", shards, *res, *want)
+		}
+	}
+}
+
+// TestLineMatchesEntry: the two log sinks carry one log. In a run with
+// both, every line the Line sink is handed — spanning twins included —
+// is wmslog.AppendEntry of the entry the Entry sink is handed next for
+// the same record, stamped with that entry's timestamp, at any
+// GOMAXPROCS.
+func TestLineMatchesEntry(t *testing.T) {
+	m := liveModel(t)
+	cfg := DefaultConfig()
+	cfg.SpanningPerMillion = 20_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		ws := liveStream(t, m, 4)
+		var (
+			line           []byte
+			stamp          time.Time
+			lines, entries int
+			twins          int
+		)
+		res, err := RunStream(ws, ws.Population(), m.Horizon, cfg, liveSeed, StreamSinks{
+			Line: func(ts time.Time, l []byte) error {
+				line, stamp = append(line[:0], l...), ts
+				lines++
+				return nil
+			},
+			Entry: func(e *wmslog.Entry) error {
+				entries++
+				if lines != entries {
+					return fmt.Errorf("entry %d after %d lines", entries, lines)
+				}
+				if want := wmslog.AppendEntry(nil, e); !bytes.Equal(line, want) {
+					return fmt.Errorf("record %d:\nline:  %q\nentry: %q", entries, line, want)
+				}
+				if !stamp.Equal(e.Timestamp) {
+					return fmt.Errorf("record %d: line stamped %v, entry %v", entries, stamp, e.Timestamp)
+				}
+				if e.Duration > m.Horizon {
+					twins++
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if twins == 0 || twins != res.Injected {
+			t.Errorf("GOMAXPROCS=%d: %d spanning twins logged, %d injected; want equal and some", procs, twins, res.Injected)
+		}
+		if lines != res.Transfers+res.Injected {
+			t.Errorf("GOMAXPROCS=%d: %d lines for %d transfers and %d twins", procs, lines, res.Transfers, res.Injected)
 		}
 	}
 }
@@ -298,10 +353,17 @@ func TestRunStreamShardedSinkError(t *testing.T) {
 			sinkCase{"entry/" + at.name, func() StreamSinks {
 				fail := failAt(at.entry, boom)
 				return StreamSinks{Entry: func(*wmslog.Entry) error { return fail() }}
+			}, boom},
+			sinkCase{"line/" + at.name, func() StreamSinks {
+				fail := failAt(at.entry, boom)
+				return StreamSinks{Line: func(time.Time, []byte) error { return fail() }}
 			}, boom})
 	}
 	cases = append(cases, sinkCase{"entry/writer-fails", func() StreamSinks {
 		return StreamSinks{Entry: wmslog.NewWriter(&failingWriter{n: 100_000}).Write}
+	}, errWriterFull}, sinkCase{"line/writer-fails", func() StreamSinks {
+		lw := wmslog.NewWriter(&failingWriter{n: 100_000})
+		return StreamSinks{Line: func(_ time.Time, line []byte) error { return lw.WriteLine(line) }}
 	}, errWriterFull})
 
 	for _, c := range cases {

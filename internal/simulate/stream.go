@@ -10,6 +10,7 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/heapx"
 	"repro/internal/ring"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
@@ -41,21 +42,30 @@ const (
 )
 
 // StreamSinks receives the simulator's output as it is produced.
-// Transfer is called in request-start order; Entry is called in log
-// order (non-decreasing timestamp — entries are released once no
-// still-active transfer can end earlier). Either may be nil. A sink
-// error aborts the run. Every sink runs on the goroutine that called
-// RunStream.
+// Transfer is called in request-start order; Line and Entry are called
+// in log order (non-decreasing timestamp — a transfer's log record is
+// released once no still-active transfer can end earlier), Line first
+// when both are set. Any may be nil. A sink error aborts the run. Every
+// sink runs on the goroutine that called RunStream.
 //
 // A transfer names its client's IP and country by dense id; Names, if
 // set, is handed the id → name tables once, before the first transfer.
 //
-// The *wmslog.Entry passed to Entry is pooled: it is valid only for
-// the duration of the call and is recycled afterwards. A sink that
-// needs to retain it must copy the value.
+// Line is handed each log record rendered as one text line (no
+// newline) stamped ts: wmslog.AppendLine's bytes, equal to
+// wmslog.AppendEntry of the entry the Entry sink is handed for the same
+// record. The slice is reused: it is valid only for the duration of
+// the call.
+//
+// Entry is handed the same record as a *wmslog.Entry, for a sink that
+// wants fields rather than text (the binary format, a collector). The
+// entry is one the emitter reuses for every record: it is valid only
+// for the duration of the call, and a sink that needs to retain it
+// must copy the value.
 type StreamSinks struct {
 	Transfer func(trace.Transfer) error
 	Names    func(*trace.Names)
+	Line     func(ts time.Time, line []byte) error
 	Entry    func(*wmslog.Entry) error
 }
 
@@ -74,8 +84,8 @@ type StreamResult struct {
 }
 
 // RunStream serves an event stream, holding O(active transfers) of
-// state: the concurrency tracker plus a reorder buffer of log entries
-// for transfers that have started but not yet ended (entries are
+// state: the concurrency tracker plus a reorder buffer of log records
+// for transfers that have started but not yet ended (log lines are
 // timestamped at transfer end, requests arrive in start order). Run is
 // a materializing wrapper around it.
 //
@@ -84,8 +94,9 @@ type StreamResult struct {
 // admission) and computes its server-model outcome into fixed-size
 // slabs of by-value results; the slabs cross to the calling goroutine
 // over an SPSC out/recycle ring pair, where the emitter drives the
-// sinks in admission order. No pointer crosses the seam: each entry is
-// copied into the emitter's own pooled entry when it is buffered.
+// sinks in admission order. No pointer crosses the seam: a result's log
+// record is numbers, copied into the emitter's reorder buffer, and its
+// text is rendered only when the record is released to the sinks.
 //
 // pop must cover every client ID in the stream; horizon bounds the
 // trace. seed drives every server-model draw deterministically:
@@ -107,13 +118,16 @@ func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Co
 		return nil, err
 	}
 
-	st := newServeStage(newEventServer(&cfg, pop, horizon, seed, sinks, rows), newAdmission(pop, rows))
+	em, err := newEmitter(&cfg, pop, sinks)
+	if err != nil {
+		return nil, err
+	}
+	st := newServeStage(newEventServer(&cfg, pop, horizon, seed, rows), newAdmission(pop, rows))
 	go st.run(src)
 
 	// Stage 2, this goroutine: emit every served transfer in slab order.
 	// After a sink error it keeps draining (and recycling) slabs until
 	// the serve goroutine has seen the stop and closed the out ring.
-	em := newEmitter(sinks)
 	for {
 		slab, ok := st.out.Pop(nil)
 		if !ok {
@@ -231,7 +245,7 @@ func checkServeArgs(cfg *Config, pop *gismo.Population, horizon int64) error {
 // rowIDs is what a run with a Transfer sink holds beyond the
 // population: every client's IP and country as the dense ids a
 // trace.Transfer carries, numbered in client order once per run — one
-// string hash per client, none per transfer — and the id → name tables
+// map probe per client, none per transfer — and the id → name tables
 // the resulting trace needs. A run without a Transfer sink (lsmgen)
 // never builds one.
 type rowIDs struct {
@@ -245,7 +259,9 @@ type rowIDs struct {
 const maxRowObjects = math.MaxUint16 + 1
 
 // newRowIDs numbers pop for sinks' Transfer sink and hands the tables
-// to its Names sink; it returns nil when there is no Transfer sink.
+// to its Names sink; it returns nil when there is no Transfer sink. An
+// IP is numbered by its address, in the order its first client comes,
+// and named by its dotted quad, all of them rendered into one string.
 func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 	if sinks.Transfer == nil {
 		return nil, nil
@@ -255,16 +271,31 @@ func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 		return nil, fmt.Errorf("%w: %d clients are more than a trace can number", ErrBadConfig, n)
 	}
 	r := &rowIDs{ip: make([]uint32, n), country: make([]uint16, n)}
-	ids := wmslog.NewInterner()
+	countries := wmslog.NewInterner()
+	ases := pop.Topology().ASes
+	ipIDs := make(map[uint32]uint32, n)
+	text := make([]byte, 0, n*len("255.255.255.255"))
+	ends := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		p := pop.Client(i).Placement
-		country := ids.Ordinal(wmslog.ColCountry, p.Country)
+		row := pop.Row(i)
+		country := countries.Ordinal(wmslog.ColCountry, ases[row.AS].Country)
 		if country > math.MaxUint16 {
 			return nil, fmt.Errorf("%w: more than %d countries in the population", ErrBadConfig, math.MaxUint16+1)
 		}
-		r.ip[i], r.country[i] = ids.Ordinal(wmslog.ColIP, p.IP), uint16(country)
+		id, ok := ipIDs[row.IP]
+		if !ok {
+			id = uint32(len(ends))
+			ipIDs[row.IP] = id
+			text = topology.AppendIPv4(text, row.IP)
+			ends = append(ends, len(text))
+		}
+		r.ip[i], r.country[i] = id, uint16(country)
 	}
-	r.names = trace.Names{IPs: ids.Names(wmslog.ColIP), Countries: ids.Names(wmslog.ColCountry)}
+	all, ips, start := string(text), make([]string, len(ends)), 0
+	for k, end := range ends {
+		ips[k], start = all[start:end], end
+	}
+	r.names = trace.Names{IPs: ips, Countries: countries.Names(wmslog.ColCountry)}
 	if sinks.Names != nil {
 		sinks.Names(&r.names)
 	}
@@ -322,37 +353,50 @@ func (a *admission) violation(ev workload.Event) error {
 // sinks and accumulates the run summary.
 type emitter struct {
 	sinks   StreamSinks
-	pending pendingEntries
+	pending pendingRecords
 	res     StreamResult
+	log     *logTables // nil when the run has no Line and no Entry sink
+	id      []byte     // scratch: a line's dotted quad, then its player id
+	line    []byte     // scratch: the line handed to the Line sink
+	entry   wmslog.Entry
 }
 
-func newEmitter(sinks StreamSinks) *emitter {
-	return &emitter{sinks: sinks, pending: newPendingEntries()}
+func newEmitter(cfg *Config, pop *gismo.Population, sinks StreamSinks) (*emitter, error) {
+	em := &emitter{sinks: sinks, pending: newPendingRecords()}
+	if sinks.Line == nil && sinks.Entry == nil {
+		return em, nil
+	}
+	log, err := newLogTables(cfg, pop, sinks)
+	if err != nil {
+		return nil, err
+	}
+	em.log = log
+	return em, nil
 }
 
 // emit is the emission sequence for one served transfer: release every
-// buffered entry the transfer's start has passed, count the transfer,
-// hand it to the Transfer sink, then buffer a copy of its entry (and
-// of its spanning twin) until its end time.
+// buffered record the transfer's start has passed, count the transfer,
+// hand it to the Transfer sink, then buffer a copy of its log record
+// (and of its spanning twin) until its end time.
 //
 //lsm:hotpath
 func (em *emitter) emit(sv *served) error {
-	if err := em.pending.flushThrough(sv.start, false, em.sinks.Entry); err != nil {
+	if err := em.flushThrough(sv.start, false); err != nil {
 		return err
 	}
 	em.res.Transfers++
-	em.res.TotalBytes += sv.bytes
+	em.res.TotalBytes += sv.rec.bytes
 	if em.sinks.Transfer != nil {
 		if err := em.sinks.Transfer(sv.transfer); err != nil {
 			return err
 		}
 	}
-	if em.sinks.Entry != nil {
-		em.pending.push(sv.end, &sv.entry)
+	if em.log != nil {
+		em.pending.push(&sv.rec)
 		if sv.span > 0 {
-			twin := em.pending.push(sv.end, &sv.entry)
-			twin.Duration = sv.span
-			twin.Bytes = sv.span * 1000
+			twin := em.pending.push(&sv.rec)
+			twin.duration = sv.span
+			twin.bytes = sv.span * 1000
 		}
 	}
 	if sv.span > 0 {
@@ -361,31 +405,60 @@ func (em *emitter) emit(sv *served) error {
 	return nil
 }
 
-// finish flushes the entries still buffered and returns the summary;
+// finish releases the records still buffered and returns the summary;
 // a run that served nothing is an error.
 func (em *emitter) finish(peak int) (*StreamResult, error) {
 	if em.res.Transfers == 0 {
 		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
 	}
-	if err := em.pending.flushThrough(0, true, em.sinks.Entry); err != nil {
+	if err := em.flushThrough(0, true); err != nil {
 		return nil, err
 	}
 	em.res.PeakConcurrency = peak
 	return &em.res, nil
 }
 
+// flushThrough releases (and recycles) every buffered record whose end
+// time is at or before the start watermark — no still-active transfer
+// can end earlier — or everything when all is set.
+func (em *emitter) flushThrough(start int64, all bool) error {
+	p := &em.pending
+	for p.heap.Len() > 0 && (all || p.heap.Peek().end <= start) {
+		slot := p.heap.Pop().slot
+		p.free = append(p.free, slot)
+		if err := em.release(&p.slots[slot]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // served is one transfer's complete serving outcome, by value: the
-// trace record, the log entry, and — for the rare Section 2.4
-// injection — the duration of a corrupt spanning twin, which the
-// emitter rebuilds from the entry. transfer and entry are only
-// populated when the run has the corresponding sink.
+// trace record (populated only when the run has a Transfer sink), the
+// log record, the start, and — for the rare Section 2.4 injection — the
+// duration of a corrupt spanning twin, which the emitter makes from the
+// record.
 type served struct {
 	transfer trace.Transfer
-	entry    wmslog.Entry
+	rec      logRecord
 	start    int64
-	end      int64
-	bytes    int64
 	span     int64 // the spanning twin's duration; 0 when none was injected
+}
+
+// logRecord is one log line as numbers: the transfer's end (seconds
+// past the epoch), every count the line prints, the object and client
+// indices and the client's row, which the line's identity and
+// environment columns are rendered from.
+type logRecord struct {
+	end      int64
+	duration int64
+	bytes    int64
+	bw       int64
+	loss     int64
+	cpu      float64
+	object   int
+	client   int32
+	row      gismo.ClientRow
 }
 
 // eventServer computes one transfer's server-model outcome from the
@@ -395,30 +468,27 @@ type served struct {
 // that makes the log independent of how the stream was generated. Not
 // safe for concurrent use.
 type eventServer struct {
-	cfg       *Config
-	pop       *gismo.Population
-	root      uint64
-	src       *dist.SplitMix64
-	rng       *rand.Rand
-	uris      []string // lazily built object-URI cache, shared by entries
-	horizon   int64
-	injectP   float64
-	rows      *rowIDs // non-nil exactly when the run has a Transfer sink
-	wantEntry bool
+	cfg     *Config
+	pop     *gismo.Population
+	root    uint64
+	src     *dist.SplitMix64
+	rng     *rand.Rand
+	horizon int64
+	injectP float64
+	rows    *rowIDs // non-nil exactly when the run has a Transfer sink
 }
 
-func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, sinks StreamSinks, rows *rowIDs) *eventServer {
+func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, rows *rowIDs) *eventServer {
 	src := dist.NewSplitMix64(0)
 	return &eventServer{
-		cfg:       cfg,
-		pop:       pop,
-		root:      dist.Mix64(seed, serveLane),
-		src:       src,
-		rng:       rand.New(src),
-		horizon:   horizon,
-		injectP:   float64(cfg.SpanningPerMillion) / 1_000_000,
-		rows:      rows,
-		wantEntry: sinks.Entry != nil,
+		cfg:     cfg,
+		pop:     pop,
+		root:    dist.Mix64(seed, serveLane),
+		src:     src,
+		rng:     rand.New(src),
+		horizon: horizon,
+		injectP: float64(cfg.SpanningPerMillion) / 1_000_000,
+		rows:    rows,
 	}
 }
 
@@ -427,17 +497,17 @@ func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint
 // copies no large struct). The draw order (CPU, bandwidth, loss,
 // injection) is fixed — it is part of the deterministic-serve
 // contract — and every draw is made regardless of which sinks exist,
-// so the outcome never depends on who is listening. Only the
-// materialization of the trace record and the log entry is skipped
-// for absent sinks.
+// so the outcome never depends on who is listening. Only the trace
+// record is skipped for a run without a Transfer sink; the log record
+// is numbers and always made.
 //
 //lsm:hotpath
 func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 	es.src.Seed(int64(dist.Mix64(dist.Mix64(es.root, uint64(ev.Session)), uint64(ev.Seq))))
-	client := es.pop.Client(ev.Client)
+	row := es.pop.Row(ev.Client)
 	cfg := es.cfg
 	cpu := cfg.cpuAt(conc, es.rng)
-	bw, congested := cfg.drawBandwidth(client.Access.Bps, es.rng)
+	bw, congested := cfg.drawBandwidth(gismo.AccessClasses[row.Access].Bps, es.rng)
 	payload := bw
 	if payload > cfg.EncodingBps {
 		payload = cfg.EncodingBps
@@ -445,9 +515,19 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 	bytes := payload * ev.Duration / 8
 	loss := cfg.drawLoss(ev.Duration, congested, es.rng)
 
-	*sv = served{start: ev.Start, end: ev.End(), bytes: bytes}
+	// admission has checked that client and object fit their fields.
+	*sv = served{start: ev.Start, rec: logRecord{
+		end:      ev.End(),
+		duration: ev.Duration,
+		bytes:    bytes,
+		bw:       bw,
+		loss:     loss,
+		cpu:      cpu,
+		object:   ev.Object,
+		client:   int32(ev.Client),
+		row:      row,
+	}}
 	if rows := es.rows; rows != nil {
-		// admission has checked that client and object fit their fields.
 		sv.transfer = trace.Transfer{
 			Start:     ev.Start,
 			Duration:  ev.Duration,
@@ -456,72 +536,42 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 			ServerCPU: cpu,
 			Client:    int32(ev.Client),
 			IP:        rows.ip[ev.Client],
-			AS:        uint32(client.Placement.ASIndex + 1),
+			AS:        uint32(row.AS) + 1,
 			Country:   rows.country[ev.Client],
 			Object:    uint16(ev.Object),
 		}
 	}
-	if es.wantEntry {
-		sv.entry = wmslog.Entry{
-			Timestamp:    cfg.Epoch.Add(time.Duration(sv.end) * time.Second),
-			ClientIP:     client.Placement.IP,
-			PlayerID:     client.PlayerID,
-			ClientOS:     client.OS,
-			ClientCPU:    client.CPU,
-			URIStem:      es.uri(ev.Object),
-			Duration:     ev.Duration,
-			Bytes:        bytes,
-			AvgBandwidth: bw,
-			PacketsLost:  loss,
-			ServerCPU:    cpu,
-			Referer:      "http://show.example.br/aovivo",
-			Status:       200,
-			ASNumber:     client.Placement.ASIndex + 1,
-			Country:      client.Placement.Country,
-		}
-	}
 
 	// Section 2.4 multi-harvest artifacts: with probability
-	// SpanningPerMillion/1e6 the entry gains a corrupt twin whose
+	// SpanningPerMillion/1e6 the record gains a corrupt twin whose
 	// duration exceeds the trace period.
 	if es.injectP > 0 && es.rng.Float64() < es.injectP {
 		sv.span = es.horizon + int64(es.rng.IntN(1_000_000)) + 1
 	}
 }
 
-// uri returns the cached URI string for an object index, so the hot
-// path never re-renders it (entries share the cached string).
-func (es *eventServer) uri(obj int) string {
-	for obj >= len(es.uris) {
-		es.uris = append(es.uris, "")
-	}
-	if es.uris[obj] == "" {
-		es.uris[obj] = ObjectURI(obj)
-	}
-	return es.uris[obj]
-}
-
-// pendingEntries is the reorder buffer of not-yet-emitted log entries,
-// a min-heap on (transfer end, admission order). The secondary key
-// makes the emission order — and therefore the log bytes — fully
-// deterministic under timestamp ties. Entries are recycled through a
-// freelist as soon as the Entry sink returns, so a run allocates
-// entries proportional to the buffer's high-water mark (~peak
+// pendingRecords is the reorder buffer of not-yet-released log records:
+// the records by value in a slot pool, and a min-heap of (transfer end,
+// admission order, slot) over it. The secondary key makes the release
+// order — and therefore the log bytes — fully deterministic under
+// timestamp ties. A slot returns to the freelist as its record is
+// released, so the pool grows to the buffer's high-water mark (~peak
 // concurrency), not to the transfer count.
-type pendingEntries struct {
-	heap heapx.Heap[pendingEntry]
-	seq  int64
-	free []*wmslog.Entry
-}
-
-type pendingEntry struct {
-	end   int64
+type pendingRecords struct {
+	heap  heapx.Heap[pendingKey]
 	seq   int64
-	entry *wmslog.Entry
+	slots []logRecord
+	free  []int32
 }
 
-func newPendingEntries() pendingEntries {
-	return pendingEntries{heap: heapx.New(func(a, b *pendingEntry) bool {
+type pendingKey struct {
+	end  int64
+	seq  int64
+	slot int32
+}
+
+func newPendingRecords() pendingRecords {
+	return pendingRecords{heap: heapx.New(func(a, b *pendingKey) bool {
 		if a.end != b.end {
 			return a.end < b.end
 		}
@@ -529,36 +579,23 @@ func newPendingEntries() pendingEntries {
 	})}
 }
 
-// push buffers a copy of *e until the start watermark passes end, and
-// returns the copy.
+// push buffers a copy of *r until the start watermark passes its end,
+// and returns the copy.
 //
 //lsm:hotpath
-func (p *pendingEntries) push(end int64, e *wmslog.Entry) *wmslog.Entry {
-	var cp *wmslog.Entry
+func (p *pendingRecords) push(r *logRecord) *logRecord {
+	var slot int32
 	if n := len(p.free); n > 0 {
-		cp = p.free[n-1]
+		slot = p.free[n-1]
 		p.free = p.free[:n-1]
 	} else {
-		cp = new(wmslog.Entry)
+		slot = int32(len(p.slots))
+		p.slots = append(p.slots, logRecord{})
 	}
-	*cp = *e
-	p.heap.Push(pendingEntry{end: end, seq: p.seq, entry: cp})
+	p.slots[slot] = *r
+	p.heap.Push(pendingKey{end: r.end, seq: p.seq, slot: slot})
 	p.seq++
-	return cp
-}
-
-// flushThrough emits (and recycles) every buffered entry whose end
-// time is at or before the start watermark — no still-active transfer
-// can end earlier — or everything when all is set.
-func (p *pendingEntries) flushThrough(start int64, all bool, sink func(*wmslog.Entry) error) error {
-	for p.heap.Len() > 0 && (all || p.heap.Peek().end <= start) {
-		pe := p.heap.Pop()
-		p.free = append(p.free, pe.entry)
-		if err := sink(pe.entry); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &p.slots[slot]
 }
 
 // RunStreamSharded is RunStream; lanes is ignored. It remains for

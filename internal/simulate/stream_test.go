@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/gismo"
 	"repro/internal/trace"
@@ -189,16 +190,18 @@ func TestRunStreamMemoryBounded(t *testing.T) {
 }
 
 func TestPendingEntriesOrdering(t *testing.T) {
-	p := newPendingEntries()
+	p := newPendingRecords()
 	ends := []int64{9, 3, 7, 3, 11, 1, 3}
 	for i, e := range ends {
-		p.push(e, &wmslog.Entry{Duration: int64(i)})
+		p.push(&logRecord{end: e, duration: int64(i)})
 	}
 	var lastEnd int64 = -1
 	var lastSeq int64 = -1
 	for range ends {
-		top := p.heap.Peek()
-		p.heap.Pop()
+		top := p.heap.Pop()
+		if rec := p.slots[top.slot]; rec.end != top.end || ends[rec.duration] != rec.end {
+			t.Fatalf("slot %d holds %+v under key end %d", top.slot, rec, top.end)
+		}
 		if top.end < lastEnd {
 			t.Fatalf("pop out of end order: %d after %d", top.end, lastEnd)
 		}
@@ -212,25 +215,23 @@ func TestPendingEntriesOrdering(t *testing.T) {
 	}
 }
 
-// TestServeAllocatesNothing: once the URI cache is warm, serving a
-// transfer with an entry sink allocates nothing — the entry is rendered
-// by value into the slab, and the client's log text is read out of the
-// population's table, not built.
+// TestServeAllocatesNothing: serving a transfer allocates nothing — the
+// log record is numbers written by value into the slab, the client's
+// row copied out of the population's table.
 func TestServeAllocatesNothing(t *testing.T) {
 	pop, err := gismo.NewPopulation(500, gismo.Default().Topology, rand.New(rand.NewPCG(4, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	sinks := StreamSinks{Entry: func(*wmslog.Entry) error { return nil }}
-	es := newEventServer(&cfg, pop, 86400, 9, sinks, nil)
+	es := newEventServer(&cfg, pop, 86400, 9, nil)
 	var sv served
 	i := 0
 	serveOne := func() {
 		ev := workload.Event{Client: i % pop.Size(), Object: i % 2, Start: int64(i), Duration: 30, Session: i / 3, Seq: i % 3}
 		es.serve(ev, 1+i%50, &sv)
-		if got, want := sv.entry.PlayerID, pop.Client(ev.Client).PlayerID; got != want {
-			t.Fatalf("event %d: entry of %q, client is %q", i, got, want)
+		if got, want := sv.rec.row, pop.Row(ev.Client); got != want || int(sv.rec.client) != ev.Client {
+			t.Fatalf("event %d: record of client %d row %+v, client %d is %+v", i, sv.rec.client, got, ev.Client, want)
 		}
 		i++
 	}
@@ -242,15 +243,38 @@ func TestServeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestEmitAllocatesNothing: once the entry freelist is warm, emitting a
-// transfer — buffering a copy of its entry and releasing the entries
-// it passes to the sink — allocates nothing.
+// TestLogRecordSize: a buffered transfer costs the reorder buffer a
+// 72-byte record of numbers, not the 192-byte wmslog.Entry it held
+// before (DESIGN.md §1b).
+func TestLogRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(logRecord{}); size != 72 {
+		t.Errorf("logRecord is %d bytes, want 72", size)
+	}
+}
+
+// TestEmitAllocatesNothing: once the slot pool and the URI cache are
+// warm, emitting a transfer — buffering a copy of its record and
+// releasing the records it passes to the sinks, rendered as a line and
+// as the reused entry — allocates nothing.
 func TestEmitAllocatesNothing(t *testing.T) {
-	em := newEmitter(StreamSinks{Entry: func(*wmslog.Entry) error { return nil }})
+	pop, err := gismo.NewPopulation(500, gismo.Default().Topology, rand.New(rand.NewPCG(4, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	lines := 0
+	em, err := newEmitter(&cfg, pop, StreamSinks{
+		Line:  func(time.Time, []byte) error { lines++; return nil },
+		Entry: func(*wmslog.Entry) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sv served
 	i := 0
 	emitOne := func() {
-		sv.start, sv.end = int64(i), int64(i+30)
+		sv.start, sv.rec.end = int64(i), int64(i+30)
+		sv.rec.client, sv.rec.object, sv.rec.row = int32(i%pop.Size()), i%3, pop.Row(i%pop.Size())
 		sv.span = int64(i%7) * 100_000 // a spanning twin now and then
 		if err := em.emit(&sv); err != nil {
 			t.Fatal(err)
@@ -262,6 +286,9 @@ func TestEmitAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(2_000, emitOne); allocs != 0 {
 		t.Errorf("%v allocations per emitted transfer, want 0", allocs)
+	}
+	if lines == 0 {
+		t.Error("no line released")
 	}
 }
 
@@ -279,8 +306,7 @@ func TestServeStageRecyclesSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	sinks := StreamSinks{Entry: func(*wmslog.Entry) error { return nil }}
-	st := newServeStage(newEventServer(&cfg, pop, 1<<20, 3, sinks, nil), newAdmission(pop, nil))
+	st := newServeStage(newEventServer(&cfg, pop, 1<<20, 3, nil), newAdmission(pop, nil))
 	go st.run(&syntheticStream{n: 200 * serveSlab, clients: pop.Size()})
 	// Drain as RunStream does, alternately slower and faster than the
 	// serve goroutine, so every slab in circulation piles up first in the
@@ -319,9 +345,12 @@ func referenceRunStream(src workload.Stream, pop *gismo.Population, horizon int6
 	if err != nil {
 		return nil, err
 	}
-	es := newEventServer(&cfg, pop, horizon, seed, sinks, rows)
+	em, err := newEmitter(&cfg, pop, sinks)
+	if err != nil {
+		return nil, err
+	}
+	es := newEventServer(&cfg, pop, horizon, seed, rows)
 	adm := newAdmission(pop, rows)
-	em := newEmitter(sinks)
 	var sv served
 	for {
 		ev, ok := src.Next()

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strconv"
 
 	"repro/internal/dist"
 )
@@ -60,13 +59,6 @@ type AS struct {
 type Model struct {
 	ASes  []AS
 	alias *dist.Alias // Zipf-weighted AS selector
-}
-
-// Placement is one client's network placement.
-type Placement struct {
-	ASIndex int    // index into Model.ASes
-	IP      string // dotted-quad synthetic IP
-	Country string
 }
 
 // Config parameterizes the topology model. The zero value is not valid;
@@ -143,11 +135,22 @@ func (m *Model) PlaceAddr(rng *rand.Rand) (as int, ip uint32) {
 // NumAS returns the number of ASes in the model.
 func (m *Model) NumAS() int { return len(m.ASes) }
 
-// AppendIPv4 appends v as a dotted quad — one per client of the
-// population, so it appends digits instead of going through fmt.
+// AppendIPv4 appends v as a dotted quad. A log writer renders one per
+// generated line, so each octet is one to three digits appended
+// directly rather than a strconv call.
+//
+//lsm:hotpath
 func AppendIPv4(b []byte, v uint32) []byte {
 	for shift := 24; shift >= 0; shift -= 8 {
-		b = strconv.AppendUint(b, uint64(byte(v>>shift)), 10)
+		o := byte(v >> shift)
+		switch {
+		case o >= 100:
+			b = append(b, '0'+o/100, '0'+o/10%10, '0'+o%10)
+		case o >= 10:
+			b = append(b, '0'+o/10, '0'+o%10)
+		default:
+			b = append(b, '0'+o)
+		}
 		if shift > 0 {
 			b = append(b, '.')
 		}

@@ -11,8 +11,16 @@ import (
 	"repro/internal/dist"
 )
 
-// place assembles a Placement from the production pieces, the way the
-// generator's population does.
+// Placement is one client's network placement as the population once
+// held it, before it became numbers.
+type Placement struct {
+	ASIndex int    // index into Model.ASes
+	IP      string // dotted-quad synthetic IP
+	Country string
+}
+
+// place assembles a Placement from the production pieces, the way a log
+// writer renders a client of the generator's population.
 func place(m *Model, rng *rand.Rand) Placement {
 	as, ip := m.PlaceAddr(rng)
 	return Placement{ASIndex: as, IP: string(AppendIPv4(nil, ip)), Country: m.ASes[as].Country}
@@ -87,6 +95,13 @@ func TestAppendIPv4(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// Every octet value, in every position.
+	for o := uint32(0); o < 256; o++ {
+		v := o<<24 | (255-o)<<16 | o<<8 | (o*7)%256
+		if got, want := string(AppendIPv4(nil, v)), formatIPv4(v); got != want {
+			t.Fatalf("AppendIPv4(%#08x) = %q, want %q", v, got, want)
 		}
 	}
 	if got := string(AppendIPv4([]byte("ip="), 0x0a00ff01)); got != "ip=10.0.255.1" {

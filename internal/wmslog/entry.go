@@ -77,12 +77,17 @@ func (e *Entry) Validate() error {
 	if e.URIStem == "" || !stringSafe(e.URIStem) {
 		return fmt.Errorf("%w: bad URI %q", ErrFormat, e.URIStem)
 	}
+	if !optionalSafe(e.ClientOS) || !optionalSafe(e.ClientCPU) || !optionalSafe(e.Referer) || !optionalSafe(e.Country) {
+		return fmt.Errorf("%w: a tab or newline in c-os %q, c-cpu %q, cs(Referer) %q or s-country %q",
+			ErrFormat, e.ClientOS, e.ClientCPU, e.Referer, e.Country)
+	}
 	return e.validateValues()
 }
 
-// validateValues is Validate without the rule for the mandatory text
-// fields — the check of a line the canonical fast path split, whose
-// columns satisfy that rule by construction.
+// validateValues is Validate without the rules for the text fields —
+// the check of a line the canonical fast path split, whose columns
+// satisfy those rules by construction, and of a Line, whose Fields
+// were checked when they were made.
 func (e *Entry) validateValues() error {
 	if e.Timestamp.IsZero() {
 		return fmt.Errorf("%w: zero timestamp", ErrFormat)
@@ -118,6 +123,20 @@ func stringSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\n':
+			return false
+		}
+	}
+	return true
+}
+
+// optionalSafe is the charset rule of the optional, dash-encoded text
+// fields: no tab or newline. A space is encoded as an underscore, but
+// either of those would split the line, which a tolerant scan then
+// drops without an error.
+func optionalSafe(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\t', '\n':
 			return false
 		}
 	}

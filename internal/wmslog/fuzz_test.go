@@ -29,6 +29,9 @@ func FuzzAppendEntryRoundTrip(f *testing.F) {
 		int64(1), int64(1), int64(10000), "ref", -5, -6, "B R")
 	f.Add(int64(1<<40), "x", "y", "", "", "/u", int64(1), int64(1),
 		int64(1), int64(1), int64(10000), "", 200, 1<<32, "")
+	// A tab or newline in an optional field would split the line: refused.
+	f.Add(int64(1010275384), "10.0.0.1", "player-1", "Win\n98", "Pentium\tIII",
+		"/live/feed1", int64(1), int64(1), int64(1), int64(0), int64(1), "a\tb", 200, 1, "B\nR")
 
 	f.Fuzz(func(t *testing.T, unix int64, ip, player, osName, cpu, uri string,
 		duration, bytesServed, bw, lost int64, cpuCenti int64,
@@ -63,6 +66,9 @@ func FuzzAppendEntryRoundTrip(f *testing.F) {
 		}
 
 		line := AppendEntry(nil, e)
+		if strings.ContainsAny(string(line), "\t\n") {
+			t.Fatalf("a field's tab or newline split the line %q", line)
+		}
 
 		// Property 1: byte-identical to the legacy encoder.
 		var legacy strings.Builder
@@ -74,8 +80,9 @@ func FuzzAppendEntryRoundTrip(f *testing.F) {
 		// Property 2: ParseAppend accepts every encoder-produced line
 		// made of the fast path's byte alphabet and re-encodes it to
 		// the same bytes. Lines carrying control or non-ASCII bytes in
-		// field content are deliberately deferred to the tolerant
-		// legacy parser, so a rejection is only legal for those.
+		// field content — never a tab or newline, which Validate
+		// refuses — are deliberately deferred to the tolerant legacy
+		// parser, so a rejection is only legal for those.
 		var back Entry
 		if err := ParseAppend(&back, line); err != nil {
 			for _, c := range line {

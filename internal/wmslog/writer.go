@@ -2,6 +2,7 @@ package wmslog
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -54,8 +55,32 @@ func (lw *Writer) Write(e *Entry) error {
 		lw.wroteHeader = true
 	}
 	lw.buf = AppendEntry(lw.buf[:0], e)
-	lw.buf = append(lw.buf, '\n')
-	if _, err := lw.w.Write(lw.buf); err != nil {
+	return lw.writeLine(lw.buf)
+}
+
+// WriteLine appends one rendered line — AppendEntry's or AppendLine's
+// bytes, without the newline — under the same header and count as
+// Write. The line's fields are not checked again: a line carrying a
+// newline, or none at all, is refused, since it would not be one line.
+func (lw *Writer) WriteLine(line []byte) error {
+	if len(line) == 0 || bytes.IndexByte(line, '\n') >= 0 {
+		return fmt.Errorf("%w: a log line of %d bytes that is not one line", ErrFormat, len(line))
+	}
+	if !lw.wroteHeader {
+		if err := lw.writeHeader(); err != nil {
+			return err
+		}
+		lw.wroteHeader = true
+	}
+	return lw.writeLine(line)
+}
+
+// writeLine writes line and its newline and counts it.
+func (lw *Writer) writeLine(line []byte) error {
+	if _, err := lw.w.Write(line); err != nil {
+		return fmt.Errorf("wmslog: write entry: %w", err)
+	}
+	if err := lw.w.WriteByte('\n'); err != nil {
 		return fmt.Errorf("wmslog: write entry: %w", err)
 	}
 	lw.count++
@@ -177,15 +202,39 @@ func NewDailyWriter(dir string) (*DailyWriter, error) {
 // window, so the hot path decodes no date — only an entry outside the
 // window (once per simulated day) or in another location does.
 func (dw *DailyWriter) Write(e *Entry) error {
-	if unix := e.Timestamp.Unix(); unix < dw.dayLo || unix >= dw.dayHi || e.Timestamp.Location() != dw.dayLoc {
-		if err := dw.enterDay(e.Timestamp); err != nil {
-			return err
-		}
+	if err := dw.day(e.Timestamp); err != nil {
+		return err
 	}
 	if err := dw.writer.Write(e); err != nil {
 		return err
 	}
 	dw.entries++
+	return nil
+}
+
+// WriteLine routes one rendered text line (Writer.WriteLine) stamped
+// ts to the file for its calendar day, by Write's rotation, date-order,
+// header and count rules. A binary DailyWriter refuses it: its files
+// take entries.
+func (dw *DailyWriter) WriteLine(ts time.Time, line []byte) error {
+	if dw.Binary {
+		return fmt.Errorf("%w: a text line written to a binary daily log", ErrFormat)
+	}
+	if err := dw.day(ts); err != nil {
+		return err
+	}
+	if err := dw.text.WriteLine(line); err != nil {
+		return err
+	}
+	dw.entries++
+	return nil
+}
+
+// day makes the open file the one for ts's calendar day.
+func (dw *DailyWriter) day(ts time.Time) error {
+	if unix := ts.Unix(); unix < dw.dayLo || unix >= dw.dayHi || ts.Location() != dw.dayLoc {
+		return dw.enterDay(ts)
+	}
 	return nil
 }
 

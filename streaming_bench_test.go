@@ -156,8 +156,8 @@ func BenchmarkZipfRankOfU(b *testing.B) {
 }
 
 // BenchmarkPopulation measures the population build — placement,
-// access class, environment, and the two id strings per client — at
-// the gen_logs size: the serial prologue NewStream overlaps with the
+// access class and environment drawn into a 12-byte row per client —
+// at the gen_logs size: the serial prologue NewStream overlaps with the
 // arrival thinning.
 func BenchmarkPopulation(b *testing.B) {
 	b.ReportAllocs()

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/gismo"
 	"repro/internal/simulate"
@@ -42,29 +43,40 @@ func TestStreamShardLaneGrid(t *testing.T) {
 	}
 	m := gridModel(t)
 	cfg := simulate.DefaultConfig()
+	// Each cell runs through both log sinks: the Line sink lsmgen writes
+	// text through, and the Entry sink the binary format and every
+	// collector take.
+	sinks := map[string]func(lw *wmslog.Writer) simulate.StreamSinks{
+		"line": func(lw *wmslog.Writer) simulate.StreamSinks {
+			return simulate.StreamSinks{Line: func(_ time.Time, line []byte) error { return lw.WriteLine(line) }}
+		},
+		"entry": func(lw *wmslog.Writer) simulate.StreamSinks { return simulate.StreamSinks{Entry: lw.Write} },
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 4, 8} {
-			key := fmt.Sprintf("shards=%d/GOMAXPROCS=%d", shards, procs)
-			ws, err := gismo.NewStream(m, benchSeed, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := md5.New()
-			lw := wmslog.NewWriter(h)
-			res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, cfg, benchSeed, simulate.StreamSinks{Entry: lw.Write})
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			if err := lw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if sum := hex.EncodeToString(h.Sum(nil)); sum != gridLogMD5 {
-				t.Errorf("%s: served log md5 %s, reference %s", key, sum, gridLogMD5)
-			}
-			if *res != gridResult {
-				t.Errorf("%s: result %+v, reference %+v", key, *res, gridResult)
+			for sink, sinksOf := range sinks {
+				key := fmt.Sprintf("shards=%d/GOMAXPROCS=%d/%s", shards, procs, sink)
+				ws, err := gismo.NewStream(m, benchSeed, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := md5.New()
+				lw := wmslog.NewWriter(h)
+				res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, cfg, benchSeed, sinksOf(lw))
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if err := lw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if sum := hex.EncodeToString(h.Sum(nil)); sum != gridLogMD5 {
+					t.Errorf("%s: served log md5 %s, reference %s", key, sum, gridLogMD5)
+				}
+				if *res != gridResult {
+					t.Errorf("%s: result %+v, reference %+v", key, *res, gridResult)
+				}
 			}
 		}
 	}
