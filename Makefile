@@ -40,8 +40,8 @@ examples:
 # matrix: the generate → serve pipeline (its speedup_vs_sequential is
 # against its own -cpu 1 row), sharded generation (plus its sequential
 # baseline, which speedup_vs_sequential divides by at the same
-# GOMAXPROCS), and the end-to-end RunStreamed pipeline.
-BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)|BenchmarkRunStreamed
+# GOMAXPROCS).
+BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)
 
 # BENCH_CODEC selects the single-threaded streaming benchmarks the
 # matrix does not cover: the wmslog entry and whole-log codecs, the

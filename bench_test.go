@@ -71,24 +71,18 @@ func getFixture(b *testing.B) *benchFixture {
 			fixtureErr = err
 			return
 		}
-		rep, err := core.Run(cfg)
+		served, err := core.Serve(cfg.Model, cfg.Server, cfg.Seed)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		// Rebuild the sanitized trace and session set once for the
-		// per-figure benches.
-		w, err := gismo.GenerateSeeded(cfg.Model, benchSeed)
+		clean := served.Trace
+		char, err := core.Characterize(clean, cfg.SessionTimeout, cfg.TimeoutSweep, cfg.Seed)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		res, err := simulate.Run(w, cfg.Server, uint64(benchSeed))
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		clean, _ := res.Trace.Sanitize()
+		rep := &core.Report{Config: cfg, Sanitize: served.Sanitize, Peak: served.Peak, Char: char}
 		set, err := sessions.Sessionize(clean, cfg.SessionTimeout)
 		if err != nil {
 			fixtureErr = err

@@ -106,15 +106,13 @@ type speedupSpec struct {
 }
 
 // defaultSpeedup pairs every parallel benchmark family with its
-// sequential baseline: sharded generation vs single-shard generation
-// and the end-to-end run vs its single-shard form; and the passes whose
-// only parallelism knob is GOMAXPROCS — the generate → serve pipeline
-// (generator shards, serve goroutine, emitter), the log ingest (a
-// worker per core, inline at 1) and the characterization (a task per
-// layer) — vs their own -cpu 1 rows.
+// sequential baseline: sharded generation vs single-shard generation;
+// and the passes whose only parallelism knob is GOMAXPROCS — the
+// generate → serve pipeline (generator shards, serve goroutine,
+// emitter), the log ingest (a worker per core, inline at 1) and the
+// characterization (a task per layer) — vs their own -cpu 1 rows.
 const defaultSpeedup = "BenchmarkStreamingServe=BenchmarkStreamingServe," +
 	"BenchmarkStreamingGenerateShards=BenchmarkStreamingGenerateSequential," +
-	"BenchmarkRunStreamedShards=BenchmarkRunStreamedSequential," +
 	"BenchmarkPipelineLoadLogs=BenchmarkPipelineLoadLogs," +
 	"BenchmarkPipelineFullCharacterization=BenchmarkPipelineFullCharacterization"
 

@@ -97,18 +97,9 @@ func runConvert(args []string, w io.Writer) error {
 		os.Remove(outPath)
 		return err
 	}
-	p := wmslog.NewParser(r)
-	for {
-		e, err := p.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fail(fmt.Errorf("convert %s: %w", inPath, err))
-		}
-		if err := ew.Write(e); err != nil {
-			return fail(err)
-		}
+	st, err := wmslog.Scan(r, false, wmslog.NewInterner(), ew.Write)
+	if err != nil {
+		return fail(fmt.Errorf("convert %s: %w", inPath, err))
 	}
 	if err := ew.Flush(); err != nil {
 		return fail(err)
@@ -122,7 +113,6 @@ func runConvert(args []string, w io.Writer) error {
 		os.Remove(outPath)
 		return err
 	}
-	st := p.Stats()
 	fmt.Fprintf(w, "converted %d entries (%d binary in) from %s to %s (%s)\n",
 		st.Entries, st.Binary, inPath, outPath, *to)
 	return nil

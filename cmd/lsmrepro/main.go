@@ -8,15 +8,17 @@
 //
 //	lsmrepro [-scale 150] [-days 7] [-seed 1] [-outdir repro-out/]
 //
-// lsmrepro runs core.Run, which holds the drained workload, the trace
-// and the log in memory. For equal -scale, -days and -seed that is the
-// workload lsmgen streams to disk, so at -scale 1 -days 28 (2.47M
-// transfers, a few GB here) use lsmgen, then lsmcal or lsmchar.
+// lsmrepro runs core.Run: generation streams straight into the
+// simulator, and only the trace the log holds is kept in memory, so
+// paper scale (-scale 1 -days 28, 2.47M transfers) runs in well under a
+// GB. For equal -scale, -days and -seed it characterizes the workload
+// lsmgen writes to disk.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -32,35 +34,35 @@ func main() {
 		outdir = flag.String("outdir", "", "optional output directory for figures and comparisons")
 	)
 	flag.Parse()
-	if err := run(*scale, *days, *seed, *outdir); err != nil {
+	if err := run(os.Stdout, *scale, *days, *seed, *outdir); err != nil {
 		fmt.Fprintln(os.Stderr, "lsmrepro:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scale float64, days int, seed int64, outdir string) error {
+func run(w io.Writer, scale float64, days int, seed int64, outdir string) error {
 	cfg, err := core.DefaultConfig(scale, days, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reproduction run: scale 1/%.0f, %d days, seed %d\n", scale, days, seed)
+	fmt.Fprintf(w, "reproduction run: scale 1/%.0f, %d days, seed %d\n", scale, days, seed)
 	rep, err := core.Run(cfg)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("\n%s\n", rep.Sanitize)
-	fmt.Printf("server load audit: %.4f%% of active seconds below 10%% CPU, %.4f%% of transfers\n",
+	fmt.Fprintf(w, "\n%s\n", rep.Sanitize)
+	fmt.Fprintf(w, "server load audit: %.4f%% of active seconds below 10%% CPU, %.4f%% of transfers\n",
 		rep.Audit.TimeBelowFrac*100, rep.Audit.TransferBelowFrac*100)
-	fmt.Printf("peak concurrent transfers: %d\n\n", rep.Peak)
+	fmt.Fprintf(w, "peak concurrent transfers: %d\n\n", rep.Peak)
 
-	if err := rep.Table1().Render(os.Stdout); err != nil {
+	if err := rep.Table1().Render(w); err != nil {
 		return err
 	}
 
 	comps := rep.Comparisons()
-	fmt.Println("\nPaper vs measured (Table 2 and headline fits):")
-	if err := report.MarkdownTable(os.Stdout, comps); err != nil {
+	fmt.Fprintln(w, "\nPaper vs measured (Table 2 and headline fits):")
+	if err := report.MarkdownTable(w, comps); err != nil {
 		return err
 	}
 
@@ -90,7 +92,7 @@ func run(scale float64, days int, seed int64, outdir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %d figure series under %s and comparisons to %s\n", count, figDir, compPath)
+		fmt.Fprintf(w, "\nwrote %d figure series under %s and comparisons to %s\n", count, figDir, compPath)
 	}
 	return nil
 }

@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"repro/internal/analyze"
+	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/report"
 	"repro/internal/simulate"
@@ -63,18 +64,15 @@ func planAt(scale float64) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := gismo.GenerateSeeded(m, 1234)
+	s, err := core.Serve(m, simulate.DefaultConfig(), 1234)
 	if err != nil {
 		return nil, err
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), 1234)
-	if err != nil {
-		return nil, err
-	}
+	tr := s.Trace
 
 	// Concurrency profile of transfers.
-	intervals := make([]analyze.Interval, res.Trace.NumTransfers())
-	for i, t := range res.Trace.Transfers {
+	intervals := make([]analyze.Interval, tr.NumTransfers())
+	for i, t := range tr.Transfers {
 		intervals[i] = analyze.Interval{Start: t.Start, End: t.End()}
 	}
 	conc, err := analyze.Concurrency(intervals, m.Horizon)
@@ -88,10 +86,10 @@ func planAt(scale float64) ([]string, error) {
 	// window, each at its average transfer bandwidth. Approximate with
 	// peak concurrency x mean per-transfer bandwidth.
 	var bwSum float64
-	for _, t := range res.Trace.Transfers {
+	for _, t := range tr.Transfers {
 		bwSum += float64(t.Bandwidth)
 	}
-	meanBw := bwSum / float64(res.Trace.NumTransfers())
+	meanBw := bwSum / float64(tr.NumTransfers())
 	peakMbps := peakConc * meanBw / 1e6
 
 	ratio := 0.0
@@ -100,8 +98,8 @@ func planAt(scale float64) ([]string, error) {
 	}
 	return []string{
 		fmt.Sprintf("%.0f", scale),
-		fmt.Sprintf("%d", w.SessionCount),
-		fmt.Sprintf("%d", res.Trace.NumTransfers()),
+		fmt.Sprintf("%d", s.Sessions),
+		fmt.Sprintf("%d", tr.NumTransfers()),
 		fmt.Sprintf("%.0f", peakConc),
 		fmt.Sprintf("%.1f", meanConc),
 		fmt.Sprintf("%.1fx", ratio),

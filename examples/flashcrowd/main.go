@@ -20,6 +20,7 @@ import (
 	"log"
 
 	"repro/internal/analyze"
+	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/rate"
 	"repro/internal/simulate"
@@ -63,17 +64,14 @@ type eventStats struct {
 }
 
 func study(name string, m gismo.Model, seed int64) (eventStats, error) {
-	w, err := gismo.GenerateSeeded(m, seed)
+	s, err := core.Serve(m, simulate.DefaultConfig(), seed)
 	if err != nil {
 		return eventStats{}, err
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), uint64(seed))
-	if err != nil {
-		return eventStats{}, err
-	}
+	tr := s.Trace
 
-	intervals := make([]analyze.Interval, res.Trace.NumTransfers())
-	for i, t := range res.Trace.Transfers {
+	intervals := make([]analyze.Interval, tr.NumTransfers())
+	for i, t := range tr.Transfers {
 		intervals[i] = analyze.Interval{Start: t.Start, End: t.End()}
 	}
 	conc, err := analyze.Concurrency(intervals, m.Horizon)
@@ -90,7 +88,7 @@ func study(name string, m gismo.Model, seed int64) (eventStats, error) {
 
 	// Busiest contiguous 2-hour (8-bin) window share of transfer starts.
 	perBin := make([]int, (m.Horizon+899)/900)
-	for _, t := range res.Trace.Transfers {
+	for _, t := range tr.Transfers {
 		perBin[t.Start/900]++
 	}
 	best, window := 0, 8
@@ -106,11 +104,11 @@ func study(name string, m gismo.Model, seed int64) (eventStats, error) {
 	}
 
 	fmt.Printf("%-28s %7d sessions %8d transfers, peak concurrency %4.0f\n",
-		name+":", w.SessionCount, res.Trace.NumTransfers(), peak)
+		name+":", s.Sessions, tr.NumTransfers(), peak)
 
 	return eventStats{
 		peakToMean: peak / meanV,
-		busiest2h:  float64(best) / float64(res.Trace.NumTransfers()),
+		busiest2h:  float64(best) / float64(tr.NumTransfers()),
 	}, nil
 }
 

@@ -69,9 +69,18 @@ func TestEndToEndDiskRoundTrip(t *testing.T) {
 		t.Errorf("sanitize dropped %d spanning, injected %d", report.DroppedSpanning, res.Injected)
 	}
 
+	// The simulator's in-memory trace is the log's, spanning entries
+	// included: it has a row per entry and sanitizes to the same report.
+	if res.Trace.NumTransfers() != len(res.Entries) {
+		t.Errorf("in-memory trace has %d transfers for %d log entries", res.Trace.NumTransfers(), len(res.Entries))
+	}
+	mem, memReport := res.Trace.Sanitize()
+	if memReport != report {
+		t.Errorf("in-memory %s, log %s", memReport, report)
+	}
+
 	// The disk-round-tripped trace must match the simulator's in-memory
 	// trace on every aggregate the characterization uses.
-	mem := res.Trace
 	if clean.NumTransfers() != mem.NumTransfers() {
 		t.Errorf("transfers: %d vs %d", clean.NumTransfers(), mem.NumTransfers())
 	}

@@ -38,16 +38,11 @@ func sourceTrace(t *testing.T) (*trace.Trace, gismo.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gismo.GenerateSeeded(truth, 11)
+	s, err := core.Serve(truth, simulate.DefaultConfig(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, _ := res.Trace.Sanitize()
-	return clean, truth
+	return s.Trace, truth
 }
 
 // TestObserveMatchesCharacterize: Observe is Characterize without the
@@ -59,10 +54,11 @@ func sourceTrace(t *testing.T) (*trace.Trace, gismo.Model) {
 func TestObserveMatchesCharacterize(t *testing.T) {
 	src, _ := sourceTrace(t)
 	m, _ := Fit(observe(t, src))
-	tw, err := twinTrace(m, 11)
+	served, err := core.Serve(m, simulate.DefaultConfig(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tw := served.Trace
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

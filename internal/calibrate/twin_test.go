@@ -4,13 +4,15 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/simulate"
 	"repro/internal/trace"
 )
 
-// TestTwinOwnedTraceMatchesNew: the trace the twin collects, sorts and
-// sanitizes in place is the one trace.New followed by Sanitize builds,
+// TestTwinOwnedTraceMatchesNew: the trace the twin observes —
+// core.Serve's under the default server, collected, sanitized and
+// sorted in place — is the one trace.New followed by Sanitize builds,
 // with their two copies, over the same served transfers — including
 // transfers that escape the horizon, which sanitization drops.
 func TestTwinOwnedTraceMatchesNew(t *testing.T) {
@@ -35,10 +37,11 @@ func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := twinTrace(m, seed)
+	s, err := core.Serve(m, simulate.DefaultConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := s.Trace
 	sameTrace(t, "twin trace", got, served, m.Horizon, 0)
 	if names == nil || len(names.IPs) == 0 || !reflect.DeepEqual(got.Names, names) {
 		t.Errorf("twin trace does not carry the serving run's name tables")
@@ -72,7 +75,7 @@ func sameTrace(t *testing.T, name string, got *trace.Trace, served []trace.Trans
 		t.Fatal(err)
 	}
 	want, report := tr.Sanitize()
-	if report.DroppedOutside != dropped || report.Kept != len(served)-dropped {
+	if report.DroppedOutside != dropped || report.Kept != len(served)-dropped-report.DroppedSpanning {
 		t.Fatalf("%s: reference %s, want %d dropped outside", name, report, dropped)
 	}
 	if got.Horizon != want.Horizon || !reflect.DeepEqual(got.Transfers, want.Transfers) {

@@ -244,15 +244,11 @@ func weekTrace(t *testing.T) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gismo.GenerateSeeded(m, 7)
+	s, err := Serve(m, simulate.DefaultConfig(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, _ := res.Trace.Sanitize()
+	clean := s.Trace
 	if clean.DistinctObjects() < 2 || clean.Horizon < 7*86400 {
 		t.Fatalf("fixture has %d object(s) over %d s, want >= 2 over a week", clean.DistinctObjects(), clean.Horizon)
 	}

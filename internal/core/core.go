@@ -4,12 +4,12 @@
 //
 // It wires the substrates together:
 //
-//	gismo.GenerateSeeded -> synthetic request stream (Section 6 model)
-//	simulate.Run    -> served transfers + WMS-style logs
-//	trace.Sanitize  -> Section 2.4 cleaning
-//	sessions        -> Section 2.2 sessionization at T_o
-//	analyze         -> Sections 3-5 layer characterizations
-//	report          -> figures, tables, paper-vs-measured comparisons
+//	gismo.NewStreamSeeded -> synthetic request stream (Section 6 model)
+//	simulate.RunStream    -> served transfers, as the WMS-style log holds them
+//	trace.Collector       -> Section 2.4 cleaning
+//	sessions              -> Section 2.2 sessionization at T_o
+//	analyze               -> Sections 3-5 layer characterizations
+//	report                -> figures, tables, paper-vs-measured comparisons
 //
 // The headline artifact is the round trip: instantiate the generative
 // model with the paper's Table 2 parameters, push it through the server
@@ -167,54 +167,80 @@ type PoissonReplica struct {
 // Report is the result of a full generative run.
 type Report struct {
 	Config   Config
-	Sessions int // sessions emitted by the generator
 	Sanitize trace.SanitizeReport
 	Audit    trace.OverloadAudit
 	Peak     int // peak concurrent transfers in the simulator
 	Char     *Characterization
 }
 
-// Run executes the full pipeline: generate, serve, sanitize, sessionize,
-// characterize.
+// Run executes the full pipeline: generate and serve (Serve), then
+// characterize the sanitized trace and audit its server load.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := gismo.GenerateSeeded(cfg.Model, cfg.Seed)
+	s, err := Serve(cfg.Model, cfg.Server, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("generate: %w", err)
+		return nil, err
 	}
-	// The simulator derives all server-model draws from the seed alone
-	// (per-event splitmix streams), so Run and RunStreamed serve
-	// byte-identical results for equal seeds.
-	res, err := simulate.Run(w, cfg.Server, uint64(cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("simulate: %w", err)
-	}
-	// The in-memory trace from the simulator contains only genuine
-	// transfers, but the log path may include injected spanning entries;
-	// to exercise the paper's pipeline we go through entries when
-	// injection is enabled.
-	tr := res.Trace
-	if res.Injected > 0 {
-		tr, err = trace.FromEntries(res.Entries, cfg.Server.Epoch, cfg.Model.Horizon)
-		if err != nil {
-			return nil, fmt.Errorf("rebuild from entries: %w", err)
-		}
-	}
-	clean, sanReport := tr.Sanitize()
-	char, err := Characterize(clean, cfg.SessionTimeout, cfg.TimeoutSweep, cfg.Seed)
+	char, err := Characterize(s.Trace, cfg.SessionTimeout, cfg.TimeoutSweep, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return &Report{
 		Config:   cfg,
-		Sessions: w.SessionCount,
-		Sanitize: sanReport,
-		Audit:    clean.AuditServerLoad(10),
-		Peak:     res.PeakConcurrency,
+		Sanitize: s.Sanitize,
+		Audit:    s.Trace.AuditServerLoad(10),
+		Peak:     s.Peak,
 		Char:     char,
 	}, nil
+}
+
+// Served is a model's workload as its server logged it: Serve's result.
+type Served struct {
+	// Trace is the log's trace, sanitized (Section 2.4).
+	Trace *trace.Trace
+	// Sanitize is what sanitizing dropped: the spanning entries the
+	// server injected (simulate.Config.SpanningPerMillion) and any
+	// transfer that escapes the horizon.
+	Sanitize trace.SanitizeReport
+	// Peak is the peak number of concurrent transfers in the simulator.
+	Peak int
+	// Sessions is the number of sessions the generator emitted.
+	Sessions int
+}
+
+// Serve generates m's workload from seed on the sharded event stream
+// (gismo.DefaultShards), serves it (simulate.RunStream) and returns the
+// trace its log holds, sanitized — the one model → trace path behind
+// Run, calibrate.Twin and the examples. The served rows, the injected
+// spanning entries' included, go straight into a trace.Collector: no
+// workload, log or entry slice is materialized, and the trace equals
+// the one trace.FromEntries rebuilds from the same run's log (up to
+// how the two number clients and IPs). The result is a pure function of
+// (m, server, seed) at any GOMAXPROCS.
+func Serve(m gismo.Model, server simulate.Config, seed int64) (*Served, error) {
+	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
+	if err != nil {
+		return nil, fmt.Errorf("generate: %w", err)
+	}
+	defer ws.Close()
+	var c trace.Collector
+	res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, server, uint64(seed), simulate.StreamSinks{
+		Transfer: func(t trace.Transfer) error {
+			c.Add(t)
+			return nil
+		},
+		Names: func(n *trace.Names) { c.Names = n },
+	})
+	if err != nil {
+		return nil, fmt.Errorf("simulate: %w", err)
+	}
+	clean, report, err := c.Trace(m.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	return &Served{Trace: clean, Sanitize: report, Peak: res.PeakConcurrency, Sessions: ws.Sessions()}, nil
 }
 
 // LoadLogs is the front half every log-reading command shares: find the

@@ -110,6 +110,9 @@ func (c *Config) Validate() error {
 
 // Result is the outcome of a simulation run.
 type Result struct {
+	// Trace is the log's trace: every entry of Entries as a transfer,
+	// injected spanning entries included (see StreamSinks). Sanitize it
+	// before analysis.
 	Trace *trace.Trace
 	// Entries are the log entries in timestamp (transfer end) order,
 	// including any injected corrupt entries.

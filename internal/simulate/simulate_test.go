@@ -1,7 +1,9 @@
 package simulate
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -178,6 +180,28 @@ func TestSpanningInjection(t *testing.T) {
 	}
 	if clean.NumTransfers() != len(w.Requests) {
 		t.Errorf("clean trace has %d transfers, want %d", clean.NumTransfers(), len(w.Requests))
+	}
+	// The Transfer sink carries what the log carries: every spanning
+	// row as its log line parses (ids aside, which the log numbers its
+	// own way).
+	if res.Trace.NumTransfers() != len(res.Entries) {
+		t.Errorf("trace has %d transfers for %d log entries", res.Trace.NumTransfers(), len(res.Entries))
+	}
+	spanningRows := func(tr *trace.Trace) []trace.Transfer {
+		var out []trace.Transfer
+		for _, x := range tr.Transfers {
+			if x.Duration > tr.Horizon {
+				x.Client, x.IP, x.Country, x.Object = 0, 0, 0, 0
+				out = append(out, x)
+			}
+		}
+		slices.SortFunc(out, func(a, b trace.Transfer) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Duration, b.Duration), cmp.Compare(a.ServerCPU, b.ServerCPU))
+		})
+		return out
+	}
+	if got, want := spanningRows(res.Trace), spanningRows(tr); !slices.Equal(got, want) {
+		t.Errorf("spanning rows differ from the log's:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -48,6 +48,15 @@ const (
 // when both are set. Any may be nil. A sink error aborts the run. Every
 // sink runs on the goroutine that called RunStream.
 //
+// Transfer sees what the log holds: a transfer that gains a corrupt
+// spanning twin (Config.SpanningPerMillion) is followed by the row the
+// twin's log line parses to — the same end, Duration the span (longer
+// than the horizon), Start end − span (negative, out of start order),
+// Bytes span·1000, every other field the genuine row's. The rows are
+// the log's trace, spanning entries included: sanitize them (Section
+// 2.4; trace.Collector does) before analysis. StreamResult's Transfers
+// and TotalBytes count the genuine transfers only.
+//
 // A transfer names its client's IP and country by dense id; Names, if
 // set, is handed the id → name tables once, before the first transfer.
 //
@@ -376,8 +385,9 @@ func newEmitter(cfg *Config, pop *gismo.Population, sinks StreamSinks) (*emitter
 
 // emit is the emission sequence for one served transfer: release every
 // buffered record the transfer's start has passed, count the transfer,
-// hand it to the Transfer sink, then buffer a copy of its log record
-// (and of its spanning twin) until its end time.
+// hand it to the Transfer sink, buffer a copy of its log record (and of
+// its spanning twin) until its end time, and hand the twin's row to the
+// Transfer sink too.
 //
 //lsm:hotpath
 func (em *emitter) emit(sv *served) error {
@@ -401,6 +411,15 @@ func (em *emitter) emit(sv *served) error {
 	}
 	if sv.span > 0 {
 		em.res.Injected++
+		if em.sinks.Transfer != nil {
+			// The twin as its log line parses: the same end, every other
+			// field the genuine row's.
+			twin := sv.transfer
+			twin.Start = sv.rec.end - sv.span
+			twin.Duration = sv.span
+			twin.Bytes = sv.span * 1000
+			return em.sinks.Transfer(twin)
+		}
 	}
 	return nil
 }

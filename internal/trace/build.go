@@ -320,9 +320,11 @@ func (c *Collector) Add(t Transfer) {
 }
 
 // Trace moves the collected transfers into one exactly-sized slice,
-// sorts it into a trace over horizon seconds and sanitizes that trace
-// in place (Section 2.4): the result is what New followed by Sanitize
-// yields over the same transfers, without either copy. The collector is
+// sanitizes it in place (Section 2.4) and sorts what is kept into a
+// trace over horizon seconds: the result is what New followed by
+// Sanitize yields over the same transfers, without either copy.
+// Sanitizing first drops a serve run's spanning rows — the only ones it
+// adds out of start order — before the sort sees them. The collector is
 // empty afterwards.
 func (c *Collector) Trace(horizon int64) (*Trace, SanitizeReport, error) {
 	n := 0
@@ -335,12 +337,13 @@ func (c *Collector) Trace(horizon int64) (*Trace, SanitizeReport, error) {
 		c.chunks[i] = nil // a chunk is garbage as soon as it is copied
 	}
 	c.chunks = nil
-	tr, err := newOwned(horizon, all)
-	if err != nil {
+	if err := checkHorizon(horizon); err != nil {
 		return nil, SanitizeReport{}, err
 	}
-	tr.Names = c.Names
-	return tr, tr.sanitizeInto(tr.Transfers[:0]), nil
+	tr := &Trace{Horizon: horizon, Transfers: all, Names: c.Names}
+	report := tr.sanitizeInto(all[:0])
+	sortTraceOrder(tr.Transfers)
+	return tr, report, nil
 }
 
 // FromEntries converts parsed log entries into a Trace. epoch is the

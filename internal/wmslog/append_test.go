@@ -187,7 +187,7 @@ func TestAppendEntryParseRoundTrip(t *testing.T) {
 // decode identically through the fast path and the tolerant splitter.
 func TestParseAppendAgreesWithLegacyParser(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 0))
-	p := &Parser{}
+	p := &parser{}
 	for i := 0; i < 2000; i++ {
 		e := randomEntry(rng)
 		line := AppendEntry(nil, e)

@@ -17,7 +17,7 @@ import (
 
 // Open opens a log file for reading, transparently decompressing ".gz"
 // files. The returned closer closes both layers. The reader carries
-// whatever format the file holds — feed it to NewParser, which detects
+// whatever format the file holds — feed it to Scan, which detects
 // text vs binary by magic bytes.
 func Open(path string) (io.Reader, io.Closer, error) {
 	return openLog(path)

@@ -40,7 +40,7 @@ const (
 	modeBinary
 )
 
-// Parser reads entries from a single log stream, auto-detecting the
+// parser reads entries from a single log stream, auto-detecting the
 // format by magic bytes: a stream opening with the binary magic is
 // decoded as framed binary records, anything else as the W3C-style
 // text format. No flag ever selects the format — the bytes do.
@@ -55,15 +55,14 @@ const (
 // resynchronized after a bad record, so skipping would silently drop
 // an unbounded tail. A truncated or corrupt binary file is a loud
 // error and never emits a partial entry.
-type Parser struct {
-	Tolerant bool
+type parser struct {
+	tolerant bool
 
 	br      *bufio.Reader
 	mode    parserMode
-	in      *Interner   // text mode; nil (Next): every string field is a fresh allocation
+	in      *Interner   // text mode; nil: every string field is a fresh allocation
 	dict    *BinaryDict // binary mode
 	spill   []byte      // a text line or binary record spanning br's window
-	slab    []Entry     // Next: batch-allocated entries, handed out once each
 	stats   ParseStats
 	fields  []string // the #Fields header's columns when they are NOT Fields, else nil
 	readErr error    // text mode: read error held back behind the final unterminated line
@@ -73,13 +72,10 @@ type Parser struct {
 // (a canonical line is ~150 bytes) but junk without a newline.
 const maxLineBytes = 1 << 20
 
-// NewParser wraps r.
-func NewParser(r io.Reader) *Parser {
-	return &Parser{br: bufio.NewReaderSize(r, 1<<16)}
+// newParser wraps r.
+func newParser(r io.Reader, tolerant bool, in *Interner) *parser {
+	return &parser{br: bufio.NewReaderSize(r, 1<<16), tolerant: tolerant, in: in}
 }
-
-// Stats returns the bookkeeping so far.
-func (p *Parser) Stats() ParseStats { return p.stats }
 
 // Add accumulates another stream's bookkeeping into s.
 func (s *ParseStats) Add(o ParseStats) {
@@ -93,7 +89,7 @@ func (s *ParseStats) Add(o ParseStats) {
 
 // detect sniffs the stream format from its first bytes. A stream too
 // short to carry the magic is text (possibly empty).
-func (p *Parser) detect() {
+func (p *parser) detect() {
 	prefix, _ := p.br.Peek(len(binaryMagic))
 	if bytes.Equal(prefix, binaryMagic) {
 		p.br.Discard(len(binaryMagic))
@@ -104,25 +100,10 @@ func (p *Parser) detect() {
 	p.mode = modeText
 }
 
-// Next returns the next entry, or io.EOF when the stream is exhausted.
-// The entry is the caller's to keep: it comes from a batch-allocated
-// slab, handed out exactly once, and scan decodes straight into it.
-func (p *Parser) Next() (*Entry, error) {
-	if len(p.slab) == 0 {
-		p.slab = make([]Entry, 512)
-	}
-	e := &p.slab[0]
-	if err := p.scan(e); err != nil {
-		return nil, err
-	}
-	p.slab = p.slab[1:]
-	return e, nil
-}
-
 // scan decodes the next record into *e, overwriting every field, or
 // returns io.EOF when the stream is exhausted. It is the one parse loop
-// behind Next, Scan, ReadAll and ReadFiles. After an error *e holds
-// garbage.
+// behind Scan, and so behind ScanFile, ReadAll and ReadFiles. After an
+// error *e holds garbage.
 //
 // Text data lines go through the parseAppend fast path first — the
 // strict canonical format the encoder emits, decoded without scratch
@@ -132,7 +113,7 @@ func (p *Parser) Next() (*Entry, error) {
 // through ParseBinary.
 //
 //lsm:hotpath
-func (p *Parser) scan(e *Entry) error {
+func (p *parser) scan(e *Entry) error {
 	if p.mode == modeUndetected {
 		p.detect()
 	}
@@ -164,7 +145,7 @@ func (p *Parser) scan(e *Entry) error {
 			}
 		}
 		p.stats.Malformed++
-		if !p.Tolerant {
+		if !p.tolerant {
 			return errAtLine(p.stats.Lines, err)
 		}
 	}
@@ -179,7 +160,7 @@ func errRead(err error) error { return fmt.Errorf("wmslog: scan: %w", err) }
 // header records a "#Fields:" directive. The column set is compared
 // here, once per header, not once per data line: fields stays nil
 // while the columns are the canonical ones.
-func (p *Parser) header(raw []byte) {
+func (p *parser) header(raw []byte) {
 	rest, ok := bytes.CutPrefix(raw, []byte("#Fields:"))
 	if !ok {
 		return
@@ -198,7 +179,7 @@ func (p *Parser) header(raw []byte) {
 // been delivered as a final line, as bufio.Scanner does.
 //
 //lsm:hotpath
-func (p *Parser) readLine() (line []byte, tooLong bool, err error) {
+func (p *parser) readLine() (line []byte, tooLong bool, err error) {
 	if p.readErr != nil {
 		return nil, false, p.readErr
 	}
@@ -229,7 +210,7 @@ func (p *Parser) readLine() (line []byte, tooLong bool, err error) {
 }
 
 // scanBinary decodes one length-prefixed binary record. Any framing or
-// decode error is fatal regardless of Tolerant: after a bad record the
+// decode error is fatal regardless of tolerant: after a bad record the
 // stream offset is unknowable, so there is nothing to skip to.
 //
 // The common case decodes in place: the record is Peeked out of the
@@ -237,7 +218,7 @@ func (p *Parser) readLine() (line []byte, tooLong bool, err error) {
 // retains the payload — inline strings are copied at interning), so no
 // bytes move. Only a record spanning the window boundary is copied out
 // through spill.
-func (p *Parser) scanBinary(e *Entry) error {
+func (p *parser) scanBinary(e *Entry) error {
 	n, err := binary.ReadUvarint(p.br)
 	if err == io.EOF {
 		return io.EOF
@@ -277,7 +258,7 @@ func (p *Parser) scanBinary(e *Entry) error {
 
 // parseData decodes one data line into *e: canonical fast path, then
 // the tolerant legacy splitter.
-func (p *Parser) parseData(e *Entry, raw []byte) error {
+func (p *parser) parseData(e *Entry, raw []byte) error {
 	if p.fields != nil {
 		return fmt.Errorf("%w: unsupported field set %v", ErrFormat, p.fields)
 	}
@@ -295,7 +276,7 @@ func (p *Parser) parseData(e *Entry, raw []byte) error {
 // order with the tolerant legacy splitter. The columns alias line, so
 // the retained ones go through the interner (which clones on first
 // sight) rather than pinning the whole line per entry.
-func (p *Parser) parseLine(e *Entry, line string) error {
+func (p *parser) parseLine(e *Entry, line string) error {
 	cols := strings.Fields(line)
 	if len(cols) != len(Fields) {
 		return fmt.Errorf("%w: %d columns, want %d", ErrFormat, len(cols), len(Fields))

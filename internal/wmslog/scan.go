@@ -7,13 +7,14 @@ import (
 )
 
 // Scan decodes every record of r — text or framed binary, detected by
-// magic bytes exactly as Parser does — into ONE reused Entry and hands
-// it to fn, record by record. It is the allocation-free way to consume
-// a log: nothing is materialized, and the entry's string fields are
-// canonical instances — owned by in (when non-nil) for a text log, by
-// the file's dictionary for a binary one. Through a deferred interner a
-// canonical text line's c-ip and c-playerid are not strings at all but
-// bytes, read with in.Identity(e).
+// magic bytes (see parser) — into ONE reused Entry and hands it to fn,
+// record by record. It is the one way to read a log: nothing is
+// materialized, and the entry's string fields are canonical instances —
+// owned by in (when non-nil) for a text log, by the file's dictionary
+// for a binary one; with a nil in every text string is a fresh
+// allocation. Through a deferred interner a canonical text line's c-ip
+// and c-playerid are not strings at all but bytes, read with
+// in.Identity(e).
 //
 // The entry-reuse contract: *e is overwritten by the next record, so fn
 // must not retain the pointer (lsmvet's entryretain analyzer checks
@@ -22,14 +23,12 @@ import (
 // keeping any of its strings: strings are immutable, and a string field
 // is never rewritten in place.
 //
-// Tolerant and strict mode, ParseStats and errors are Parser's; an
+// Tolerant and strict mode, ParseStats and errors are the parser's; an
 // error returned by fn stops the scan and is returned as is.
 //
 //lsm:hotpath
 func Scan(r io.Reader, tolerant bool, in *Interner, fn func(*Entry) error) (ParseStats, error) {
-	p := NewParser(r)
-	p.Tolerant = tolerant
-	p.in = in
+	p := newParser(r, tolerant, in)
 	var e Entry
 	for {
 		err := p.scan(&e)

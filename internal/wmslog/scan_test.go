@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -128,22 +127,18 @@ func scanDeferred(data []byte, tolerant bool) ([]Entry, ParseStats, error) {
 	return out, st, err
 }
 
-// nextAll is the allocating reference: Parser.Next until the stream
-// ends, every entry fresh and no interner.
+// nextAll is the allocating reference: a scan with no interner, every
+// string fresh, each entry kept as a value copy. Zeroing the entry
+// after the copy makes every record decode into a blank one, so no
+// field can carry over from the record before.
 func nextAll(data []byte, tolerant bool) ([]Entry, ParseStats, error) {
-	p := NewParser(bytes.NewReader(data))
-	p.Tolerant = tolerant
 	var out []Entry
-	for {
-		e, err := p.Next()
-		if err == io.EOF {
-			return out, p.Stats(), nil
-		}
-		if err != nil {
-			return out, p.Stats(), err
-		}
+	st, err := Scan(bytes.NewReader(data), tolerant, nil, func(e *Entry) error {
 		out = append(out, *e)
-	}
+		*e = Entry{}
+		return nil
+	})
+	return out, st, err
 }
 
 func errText(err error) string {

@@ -13,10 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gismo"
-	"repro/internal/sessions"
 	"repro/internal/simulate"
 	"repro/internal/topology"
 	"repro/internal/wmslog"
@@ -102,33 +100,6 @@ func BenchmarkStreamingServe(b *testing.B) {
 		}
 	}
 }
-
-// benchRunStreamed times the whole pipeline end to end —
-// core.RunStreamed: sharded generation into the simulator plus the
-// online measurement layer — over the same fixture as the component
-// benches. Generation, serve and measurement all overlap.
-func benchRunStreamed(b *testing.B, shards int) {
-	cfg := core.Config{
-		Model:          benchStreamModel(b),
-		Server:         simulate.DefaultConfig(),
-		SessionTimeout: sessions.DefaultTimeout,
-		Seed:           benchSeed,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := core.RunStreamed(cfg, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(rep.Served.Transfers), "transfers")
-		}
-	}
-}
-
-func BenchmarkRunStreamedSequential(b *testing.B) { benchRunStreamed(b, 1) }
-func BenchmarkRunStreamedShards4(b *testing.B)    { benchRunStreamed(b, 4) }
-func BenchmarkRunStreamedShards8(b *testing.B)    { benchRunStreamed(b, 8) }
 
 // genLogsClients is the client count of the repo benchmark's gen_logs
 // workload (lsmgen -scale 2): the table size the generator's per-client
@@ -288,22 +259,19 @@ func buildBenchLog() error {
 }
 
 // benchParseLog drains one rendering of the fixture log through the
-// auto-detecting Parser and checks the entry count.
+// auto-detecting scan, with no interner (every text string a fresh
+// allocation), and checks the entry count.
 func benchParseLog(b *testing.B, data []byte, want int) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := wmslog.NewParser(bytes.NewReader(data))
 		got := 0
-		for {
-			_, err := p.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
+		_, err := wmslog.Scan(bytes.NewReader(data), false, nil, func(*wmslog.Entry) error {
 			got++
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 		if got != want {
 			b.Fatalf("parsed %d entries, want %d", got, want)
@@ -320,7 +288,7 @@ func BenchmarkStreamingParseTextLog(b *testing.B) {
 }
 
 // BenchmarkStreamingParseBinaryLog re-parses the same log in the
-// framed binary format (same Parser, detected by magic bytes).
+// framed binary format (same scan, detected by magic bytes).
 func BenchmarkStreamingParseBinaryLog(b *testing.B) {
 	_, bin, entries := benchLogFixture(b)
 	benchParseLog(b, bin, entries)
