@@ -155,8 +155,11 @@ bench-history:
 # cursor = the eager expansion, event for event and draw for draw) and
 # the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
-# 4). `go test` runs one fuzz target per invocation, hence the eleven
-# steps; new failing inputs are minimized into the package's
+# 4) and the observer fuzzer (core.Observe's one streaming walk over a
+# small random trace — tied starts, overlapping transfers of a client,
+# gaps of exactly T_o and T_o+1 — = the batch reference, every core
+# field). `go test` runs one fuzz target per invocation, hence the
+# twelve steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -174,6 +177,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPopulationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/gismo
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionCursorMatchesExpand$$' -fuzztime $(FUZZTIME) ./internal/gismo
 	$(GO) test -run '^$$' -fuzz '^FuzzFromLogsMatchesFromEntries$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzObserverMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

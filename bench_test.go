@@ -217,10 +217,11 @@ func BenchmarkFigure8Autocorrelation(b *testing.B) {
 
 func BenchmarkFigure5ClientInterarrivals(b *testing.B) {
 	f := getFixture(b)
+	z := f.set.Sessionizer()
 	b.ResetTimer()
 	var inter []float64
 	for i := 0; i < b.N; i++ {
-		inter = analyze.ClientInterarrivals(f.set)
+		inter = analyze.ClientInterarrivals(z)
 	}
 	s, err := stats.Summarize(inter)
 	if err != nil {
@@ -232,7 +233,7 @@ func BenchmarkFigure5ClientInterarrivals(b *testing.B) {
 
 func BenchmarkFigure6PiecewisePoisson(b *testing.B) {
 	f := getFixture(b)
-	measured := analyze.ToDisplay(analyze.ClientInterarrivals(f.set))
+	measured := analyze.ToDisplay(analyze.ClientInterarrivals(f.set.Sessionizer()))
 	stats.SortInPlace(measured) // the form ClientLayer.Interarrivals holds
 	b.ResetTimer()
 	var rep core.PoissonReplica
@@ -254,7 +255,7 @@ func BenchmarkFigure7ClientInterest(b *testing.B) {
 		if cl, err = analyze.AnalyzeClientLayer(f.set); err != nil {
 			b.Fatal(err)
 		}
-		if cf, err = analyze.DescribeClientLayer(f.set); err != nil {
+		if cf, err = analyze.DescribeClientLayer(f.tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +300,7 @@ func BenchmarkFigure10OnTimeVsHour(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sf, err = analyze.DescribeSessionLayer(f.set, sl); err != nil {
+		if sf, err = analyze.DescribeSessionLayer(f.set.Sessionizer(), sl); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -849,7 +850,7 @@ func BenchmarkAblationSessionTimeout(b *testing.B) {
 // 4-hour window versus the paper's 15 minutes.
 func BenchmarkAblationPoissonWindow(b *testing.B) {
 	f := getFixture(b)
-	measured := analyze.ToDisplay(analyze.ClientInterarrivals(f.set))
+	measured := analyze.ToDisplay(analyze.ClientInterarrivals(f.set.Sessionizer()))
 	arrivals := f.set.ArrivalTimes()
 	counts, err := stats.BinCounts(arrivals, f.tr.Horizon, 900)
 	if err != nil {

@@ -15,8 +15,9 @@
 // auto-detects the format per file). -o writes the fitted model spec
 // JSON, which lsmgen loads directly via -model. -twin runs the full
 // loop — generate from the fitted spec, serve, re-characterize,
-// validate — and prints the source-versus-twin report; with -strict the
-// exit code is nonzero when any KS test rejects.
+// validate — and prints the source-versus-twin report; with -strict
+// (which needs -twin) the exit code is nonzero when any KS test
+// rejects.
 package main
 
 import (
@@ -46,6 +47,11 @@ func main() {
 	flag.Parse()
 	if *logs == "" {
 		fmt.Fprintln(os.Stderr, "lsmcal: -logs is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *strict && !*twin {
+		fmt.Fprintln(os.Stderr, "lsmcal: -strict needs -twin: it judges the twin's KS tests")
 		flag.Usage()
 		os.Exit(2)
 	}

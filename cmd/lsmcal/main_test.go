@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +13,50 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/simulate"
 )
+
+// TestMain runs the command itself when a test re-executes the test
+// binary with LSMCAL_MAIN=1, so a test can check its exit code.
+func TestMain(m *testing.M) {
+	if os.Getenv("LSMCAL_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// lsmcal runs the command with args and returns its exit code and
+// standard error.
+func lsmcal(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LSMCAL_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	}
+	t.Fatal(err)
+	return 0, ""
+}
+
+// TestStrictWithoutTwinIsUsageError: -strict judges the twin's KS
+// tests, so without -twin it is a usage error (exit 2) — it used to be
+// ignored, and the run exited 0 — while with -twin it is accepted.
+func TestStrictWithoutTwinIsUsageError(t *testing.T) {
+	logDir := writeTestLogs(t)
+	code, stderr := lsmcal(t, "-logs", logDir, "-days", "2", "-strict")
+	if code != 2 || !strings.Contains(stderr, "-strict needs -twin") {
+		t.Errorf("-strict without -twin: exit %d, stderr %q; want exit 2 naming the flag", code, stderr)
+	}
+	if code, stderr := lsmcal(t, "-logs", logDir, "-days", "2", "-seed", "5", "-twin", "-strict"); code != 0 {
+		t.Errorf("-strict with -twin: exit %d, stderr %q; want 0", code, stderr)
+	}
+}
 
 // writeTestLogs fabricates a small two-day log directory.
 func writeTestLogs(t *testing.T) string {

@@ -46,20 +46,31 @@ type ClientFigures struct {
 	InterestTransfers dist.ZipfFit
 }
 
-// AnalyzeClientLayer runs the Section 3 pipeline on a sessionized trace.
+// AnalyzeClientLayer runs the Section 3 pipeline on a sessionized trace:
+// ClientLayerFrom the set's Sessionizer.
 func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 	tr := set.Trace()
 	if tr == nil || set.Count() == 0 {
 		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
 	}
+	return ClientLayerFrom(set.Sessionizer(), tr.Horizon)
+}
+
+// ClientLayerFrom runs the Section 3 pipeline on a Sessionizer fed a
+// whole trace of horizon seconds. It reads the Sessionizer and changes
+// nothing in it.
+func ClientLayerFrom(z *sessions.Sessionizer, horizon int64) (*ClientLayer, error) {
+	if z.Sessions() == 0 {
+		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
+	}
 
 	// c(t): a client is active while one of its sessions is ongoing.
-	ev, err := newEvents(set.Count(), tr.Horizon)
+	ev, err := newEvents(z.Sessions(), horizon)
 	if err != nil {
 		return nil, err
 	}
-	for i := range set.Sessions {
-		ev.add(set.Sessions[i].Start, set.Sessions[i].End)
+	for s := range z.Spans() {
+		ev.add(s.Start, s.End)
 	}
 	conc, err := ev.report()
 	if err != nil {
@@ -68,17 +79,13 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 
 	out := &ClientLayer{
 		Concurrency:   conc,
-		Interarrivals: ToDisplay(ClientInterarrivals(set)),
+		Interarrivals: ToDisplay(ClientInterarrivals(z)),
 	}
 	stats.SortInPlace(out.Interarrivals)
 
 	// Interest profile: per-client session counts, in ascending
 	// client-id order. Every client has at least one session.
-	byClient := tr.ByClient()
-	out.SessionsPerClient = make([]int, byClient.Len())
-	for i := range set.Sessions {
-		out.SessionsPerClient[byClient.Slot(set.Sessions[i].Transfers[0])]++
-	}
+	out.SessionsPerClient = z.SessionsPerClient()
 	if out.InterestSessions, err = dist.FitZipfCounts(out.SessionsPerClient); err != nil {
 		return nil, fmt.Errorf("interest (sessions): %w", err)
 	}
@@ -86,11 +93,10 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 }
 
 // DescribeClientLayer computes the figure-only part of the Section 3
-// characterization of a sessionized trace: the Figure 7 left panel.
-func DescribeClientLayer(set *sessions.Set) (*ClientFigures, error) {
-	tr := set.Trace()
-	if tr == nil || set.Count() == 0 {
-		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
+// characterization of a trace: the Figure 7 left panel.
+func DescribeClientLayer(tr *trace.Trace) (*ClientFigures, error) {
+	if tr.NumTransfers() == 0 {
+		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
 	byClient := tr.ByClient()
 	out := &ClientFigures{TransfersPerClient: make([]int, byClient.Len())}
@@ -104,18 +110,19 @@ func DescribeClientLayer(set *sessions.Set) (*ClientFigures, error) {
 	return out, nil
 }
 
-// ClientInterarrivals computes a(i) = t(i+1) - t(i) over session arrivals,
-// skipping consecutive pairs that belong to the same client per the
-// paper's definition ("where sessions i and i+1 belong to different
-// clients").
-func ClientInterarrivals(set *sessions.Set) []float64 {
-	ss := set.Sessions // already in arrival (Start, Client) order
-	out := make([]float64, 0, len(ss))
-	for i := 1; i < len(ss); i++ {
-		if ss[i].Client == ss[i-1].Client {
-			continue
+// ClientInterarrivals computes a(i) = t(i+1) - t(i) over the session
+// arrivals z holds, skipping consecutive pairs that belong to the same
+// client per the paper's definition ("where sessions i and i+1 belong
+// to different clients").
+func ClientInterarrivals(z *sessions.Sessionizer) []float64 {
+	out := make([]float64, 0, z.Sessions())
+	var prev sessions.Span
+	first := true
+	for s := range z.Spans() {
+		if !first && s.Client != prev.Client {
+			out = append(out, float64(s.Start-prev.Start))
 		}
-		out = append(out, float64(ss[i].Start-ss[i-1].Start))
+		prev, first = s, false
 	}
 	return out
 }
@@ -154,13 +161,21 @@ type Diversity struct {
 }
 
 // AnalyzeDiversity computes the Figure 2 series from a trace: one
-// counting walk over integer ids (trace.Census), then a share per
-// count. Names are read only to key CountryShare.
+// counting walk over integer ids (trace.Census), then DiversityFrom.
 func AnalyzeDiversity(tr *trace.Trace) (*Diversity, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	census := tr.Census()
+	return DiversityFrom(tr.Census(), tr.NumTransfers(), tr.Names)
+}
+
+// DiversityFrom computes the Figure 2 series from a census of the
+// given number of transfers, a share per count. names gives the
+// country ids their strings; it is read only to key CountryShare.
+func DiversityFrom(census *trace.Census, transfers int, names *trace.Names) (*Diversity, error) {
+	if transfers == 0 {
+		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
+	}
 	d := &Diversity{
 		ASTransferShare: stats.RankFrequencies(census.ASTransfers),
 		ASIPShare:       stats.RankFrequencies(census.ASIPs),
@@ -169,10 +184,10 @@ func AnalyzeDiversity(tr *trace.Trace) (*Diversity, error) {
 		NumIPs:          census.IPs,
 		ObjectShare:     stats.RankFrequencies(census.ObjectTransfers),
 	}
-	total := float64(tr.NumTransfers())
+	total := float64(transfers)
 	for id, n := range census.CountryTransfers {
 		if n > 0 {
-			d.CountryShare[tr.CountryName(uint16(id))] = float64(n) / total
+			d.CountryShare[names.CountryName(uint16(id))] = float64(n) / total
 		}
 	}
 	return d, nil

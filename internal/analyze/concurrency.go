@@ -144,7 +144,9 @@ func (e *events) report() (*ConcurrencyReport, error) {
 	stats.SortByKeyBits(e.ends, 0, width)
 	starts, ends := e.starts, e.ends
 
-	minuteSums := make([]int64, (e.horizon+ACFBin-1)/ACFBin)
+	// The 1-minute sums are whole numbers far below 2⁵³, so float64
+	// holds them exactly; they become the minute means in place.
+	minuteSums := make([]float64, (e.horizon+ACFBin-1)/ACFBin)
 	seconds := make([]int, 1, 64) // seconds[L]: for how long c(t) = L
 	level := 0
 	var prev int64
@@ -170,7 +172,7 @@ func (e *events) report() (*ConcurrencyReport, error) {
 			if level > 0 {
 				for m := prev / ACFBin; prev < t; m++ {
 					next := min((m+1)*ACFBin, t)
-					minuteSums[m] += int64(level) * (next - prev)
+					minuteSums[m] += float64(int64(level) * (next - prev))
 					prev = next
 				}
 			}
@@ -182,7 +184,7 @@ func (e *events) report() (*ConcurrencyReport, error) {
 
 	quarterSums := make([]int64, (e.horizon+TemporalBin-1)/TemporalBin)
 	for m, sum := range minuteSums {
-		quarterSums[m/int(TemporalBin/ACFBin)] += sum
+		quarterSums[m/int(TemporalBin/ACFBin)] += int64(sum)
 	}
 	binned := stats.BinnedSeries{Width: TemporalBin, Values: binMeans(quarterSums, TemporalBin, e.horizon)}
 
@@ -206,7 +208,7 @@ func (e *events) report() (*ConcurrencyReport, error) {
 		WeekFold: weekFold,
 		DayFold:  dayFold,
 		Peak:     len(seconds) - 1, // seconds grows only to a level that held
-		minutes:  binMeans(minuteSums, ACFBin, e.horizon),
+		minutes:  meansInPlace(minuteSums, ACFBin, e.horizon),
 	}, nil
 }
 
@@ -217,8 +219,17 @@ func (e *events) report() (*ConcurrencyReport, error) {
 func binMeans(sums []int64, width, horizon int64) []float64 {
 	means := make([]float64, len(sums))
 	for b, sum := range sums {
-		lo := int64(b) * width
-		means[b] = float64(sum) / float64(min(lo+width, horizon)-lo)
+		means[b] = float64(sum)
 	}
-	return means
+	return meansInPlace(means, width, horizon)
+}
+
+// meansInPlace is binMeans over sums already held, exactly, as float64:
+// it turns them into the means in place and returns them.
+func meansInPlace(sums []float64, width, horizon int64) []float64 {
+	for b := range sums {
+		lo := int64(b) * width
+		sums[b] /= float64(min(lo+width, horizon) - lo)
+	}
+	return sums
 }

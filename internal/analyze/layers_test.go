@@ -65,7 +65,7 @@ func TestClientLayer(t *testing.T) {
 			t.Fatal("negative interarrival")
 		}
 	}
-	cf, err := DescribeClientLayer(f.set)
+	cf, err := DescribeClientLayer(f.set.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSessionLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := DescribeSessionLayer(f.set, sl)
+	sf, err := DescribeSessionLayer(f.set.Sessionizer(), sl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSessionLayerOnByHourPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := DescribeSessionLayer(f.set, sl)
+	sf, err := DescribeSessionLayer(f.set.Sessionizer(), sl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +312,10 @@ func TestAnalyzeEmptyInputs(t *testing.T) {
 	if _, err := AnalyzeSessionLayer(set); err == nil {
 		t.Error("empty session set: want error")
 	}
-	if _, err := DescribeClientLayer(set); err == nil {
+	if _, err := DescribeClientLayer(set.Trace()); err == nil {
 		t.Error("empty session set: want error")
 	}
-	if _, err := DescribeSessionLayer(set, &SessionLayer{}); err == nil {
+	if _, err := DescribeSessionLayer(set.Sessionizer(), &SessionLayer{}); err == nil {
 		t.Error("empty session set: want error")
 	}
 	if _, err := DescribeTransferLayer(tr, &TransferLayer{}); err == nil {

@@ -61,17 +61,33 @@ type SessionFigures struct {
 	OnHourR2    float64
 }
 
-// AnalyzeSessionLayer runs the Section 4 pipeline.
+// AnalyzeSessionLayer runs the Section 4 pipeline on a sessionized
+// trace: SessionLayerFrom the set's Sessionizer.
 func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 	if set.Count() == 0 {
 		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
 	}
-	out := &SessionLayer{
-		OnTimes:       ToDisplay(set.OnTimes()),
-		OffTimes:      set.OffTimes(),
-		IntraArrivals: ToDisplay(set.IntraSessionInterarrivals()),
+	return SessionLayerFrom(set.Sessionizer())
+}
+
+// SessionLayerFrom runs the Section 4 pipeline on a Sessionizer fed a
+// whole trace. The layer takes over the Sessionizer's OFF and
+// intra-session samples: they become its fields, sorted.
+func SessionLayerFrom(z *sessions.Sessionizer) (*SessionLayer, error) {
+	if z.Sessions() == 0 {
+		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
 	}
-	out.TransfersPerSession = set.TransfersPerSession()
+	out := &SessionLayer{
+		OnTimes:             make([]float64, 0, z.Sessions()),
+		OffTimes:            z.OffTimes(),
+		TransfersPerSession: make([]int, 0, z.Sessions()),
+		IntraArrivals:       ToDisplay(z.IntraArrivals()),
+	}
+	for s := range z.Spans() {
+		out.OnTimes = append(out.OnTimes, stats.LogDisplayValue(float64(s.On())))
+		out.TransfersPerSession = append(out.TransfersPerSession, int(s.Count))
+	}
+	stats.SortInPlace(out.OffTimes)
 
 	// Lognormal fit on display values (⌊t+1⌋): the log resolution floor
 	// makes sub-second ON times display as 1 s. The fit sums in sample
@@ -99,11 +115,11 @@ func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 }
 
 // DescribeSessionLayer computes the figure-only part of the Section 4
-// characterization from the session set and its layer: the KS
+// characterization from the sessions z holds and their layer: the KS
 // distances of the body fits, the OFF-time fit, and Figure 10's ON time
 // by starting hour.
-func DescribeSessionLayer(set *sessions.Set, sl *SessionLayer) (*SessionFigures, error) {
-	if set.Count() == 0 {
+func DescribeSessionLayer(z *sessions.Sessionizer, sl *SessionLayer) (*SessionFigures, error) {
+	if z.Sessions() == 0 {
 		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
 	}
 	out := &SessionFigures{}
@@ -124,7 +140,7 @@ func DescribeSessionLayer(set *sessions.Set, sl *SessionLayer) (*SessionFigures,
 			return nil, err
 		}
 	}
-	out.computeOnByHour(set)
+	out.computeOnByHour(z)
 	return out, nil
 }
 
@@ -179,11 +195,11 @@ func perSessionFrequencies(counts []int) []float64 {
 
 // computeOnByHour evaluates mean ON time per session starting hour and
 // the regression of ON time on hour (Figure 10's weak correlation).
-func (sf *SessionFigures) computeOnByHour(set *sessions.Set) {
+func (sf *SessionFigures) computeOnByHour(z *sessions.Sessionizer) {
 	var sums, counts [24]float64
-	hours := make([]float64, 0, set.Count())
-	ons := make([]float64, 0, set.Count())
-	for _, s := range set.Sessions {
+	hours := make([]float64, 0, z.Sessions())
+	ons := make([]float64, 0, z.Sessions())
+	for s := range z.Spans() {
 		h := int((s.Start % 86400) / 3600)
 		if h < 0 {
 			h = 0

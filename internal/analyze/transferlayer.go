@@ -68,34 +68,69 @@ type BandwidthMode struct {
 	Share float64 // fraction of transfers in the spike
 }
 
-// AnalyzeTransferLayer runs the Section 5 pipeline on a trace.
+// AnalyzeTransferLayer runs the Section 5 pipeline on a trace: a
+// TransferAccumulator fed its transfers.
 func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	// One walk over the trace fills the concurrency events and the
-	// length column; starts are read off the rows.
-	n := tr.NumTransfers()
-	ev, err := newEvents(n, tr.Horizon)
-	if err != nil {
-		return nil, err
-	}
-	out := &TransferLayer{Lengths: make([]float64, n)}
+	a := NewTransferAccumulator(tr.Horizon, tr.NumTransfers())
 	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
-		ev.add(t.Start, t.End())
-		out.Lengths[i] = stats.LogDisplayValue(float64(t.Duration))
+		a.Add(&tr.Transfers[i])
 	}
+	return a.Layer()
+}
 
-	// Concurrency of transfers.
-	if out.Concurrency, err = ev.report(); err != nil {
+// TransferAccumulator is the Section 5 pipeline fed one transfer at a
+// time, in the trace order: each transfer adds its concurrency event,
+// its length and its gap from the previous start, and Layer sorts and
+// fits what was gathered.
+type TransferAccumulator struct {
+	ev      *events
+	evErr   error // why there are no events: a horizon they cannot have
+	lengths []float64
+	gaps    []float64
+	last    int64 // the previous transfer's start
+}
+
+// NewTransferAccumulator returns an empty accumulator for a trace of
+// horizon seconds, with room for sizeHint transfers.
+func NewTransferAccumulator(horizon int64, sizeHint int) *TransferAccumulator {
+	ev, err := newEvents(sizeHint, horizon)
+	return &TransferAccumulator{
+		ev:      ev,
+		evErr:   err,
+		lengths: make([]float64, 0, sizeHint),
+		gaps:    make([]float64, 0, max(sizeHint-1, 0)),
+	}
+}
+
+// Add takes the next transfer in the trace order.
+func (a *TransferAccumulator) Add(t *trace.Transfer) {
+	if a.ev != nil {
+		a.ev.add(t.Start, t.End())
+	}
+	if len(a.lengths) > 0 {
+		a.gaps = append(a.gaps, stats.LogDisplayValue(float64(t.Start-a.last)))
+	}
+	a.last = t.Start
+	a.lengths = append(a.lengths, stats.LogDisplayValue(float64(t.Duration)))
+}
+
+// Layer finishes the pipeline: the concurrency report, the sorted
+// interarrivals, and the length fit on the lengths in trace order
+// before they are sorted. The layer takes over what was gathered.
+func (a *TransferAccumulator) Layer() (*TransferLayer, error) {
+	if len(a.lengths) == 0 {
+		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
+	}
+	if a.evErr != nil {
+		return nil, a.evErr
+	}
+	out := &TransferLayer{Interarrivals: a.gaps, Lengths: a.lengths}
+	var err error
+	if out.Concurrency, err = a.ev.report(); err != nil {
 		return nil, err
-	}
-
-	// Interarrivals across all transfers (trace is start-sorted).
-	out.Interarrivals = make([]float64, n-1)
-	for i := range out.Interarrivals {
-		out.Interarrivals[i] = transferGap(tr, i)
 	}
 	stats.SortInPlace(out.Interarrivals)
 

@@ -1,7 +1,9 @@
 package calibrate
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TestTwinOwnedTraceMatchesNew: the trace the twin observes —
+// TestTwinOwnedTraceMatchesNew: the trace the twin's rows add up to —
 // core.Serve's under the default server, collected, sanitized and
 // sorted in place — is the one trace.New followed by Sanitize builds,
 // with their two copies, over the same served transfers — including
@@ -65,6 +67,32 @@ func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 		t.Errorf("collector report: %s, want 2 dropped outside", report)
 	}
 	sameTrace(t, "collected trace", got, served, m.Horizon, 2)
+}
+
+// TestTwinMatchesObserveOfServe: the twin, observed as it is served
+// with no trace built, is core.Observe of core.Serve's trace under the
+// default server, field for field, at every core count.
+func TestTwinMatchesObserveOfServe(t *testing.T) {
+	char, _ := buildSource(t)
+	m, _ := Fit(char)
+	const seed = 11
+	s, err := core.Serve(m, simulate.DefaultConfig(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := observe(t, s.Trace)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, err := Twin(m, seed, 1500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("Twin differs from Observe of Serve's trace")
+			}
+		})
+	}
 }
 
 // sameTrace checks got against trace.New + Sanitize over served.

@@ -43,11 +43,11 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 	if err != nil {
 		return nil, fmt.Errorf("diversity: %w", err)
 	}
-	clientFigs, err := analyze.DescribeClientLayer(set)
+	clientFigs, err := analyze.DescribeClientLayer(tr)
 	if err != nil {
 		return nil, fmt.Errorf("client layer: %w", err)
 	}
-	sessionFigs, err := analyze.DescribeSessionLayer(set, session)
+	sessionFigs, err := analyze.DescribeSessionLayer(set.Sessionizer(), session)
 	if err != nil {
 		return nil, fmt.Errorf("session layer: %w", err)
 	}
@@ -109,8 +109,9 @@ func basicStatsOracle(tr *trace.Trace, set *sessions.Set) BasicStats {
 	}
 }
 
-// TestBasicStatsMatchesMapOracle: Table 1 read off the diversity
-// analysis's one counting walk equals the string-keyed sets — on the
+// TestBasicStatsMatchesMapOracle: Table 1 as Observe reads it off its
+// one walk (the census, the Sessionizer, its own counts) equals the
+// string-keyed sets — on the
 // served week and on a copy where IPs recur under other ASes (4-byte AS
 // numbers among them), clients under other IPs, and one object id and
 // one country id have lost every transfer.
@@ -142,13 +143,13 @@ func TestBasicStatsMatchesMapOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		divers, err := analyze.AnalyzeDiversity(tr)
+		char, err := Observe(tr, sessions.DefaultTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := basicStatsOracle(tr, set)
-		if got := basicStats(tr, set, divers); got != want {
-			t.Errorf("basicStats = %+v, map oracle %+v", got, want)
+		if got := char.Basic; got != want {
+			t.Errorf("Observe's Table 1 = %+v, map oracle %+v", got, want)
 		}
 		if want.IPs != tr.DistinctIPs() || want.ASes != tr.DistinctAS() || want.Objects != tr.DistinctObjects() {
 			t.Errorf("trace counts %d IPs, %d ASes, %d objects; map oracle %+v", tr.DistinctIPs(), tr.DistinctAS(), tr.DistinctObjects(), want)

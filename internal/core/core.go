@@ -6,7 +6,7 @@
 //
 //	gismo.NewStreamSeeded -> synthetic request stream (Section 6 model)
 //	simulate.RunStream    -> served transfers, as the WMS-style log holds them
-//	trace.Collector       -> Section 2.4 cleaning
+//	trace.Collector       -> Section 2.4 cleaning (trace.Stream for the twin)
 //	sessions              -> Section 2.2 sessionization at T_o
 //	analyze               -> Sections 3-5 layer characterizations
 //	report                -> figures, tables, paper-vs-measured comparisons
@@ -212,21 +212,16 @@ type Served struct {
 
 // Serve generates m's workload from seed on the sharded event stream
 // (gismo.DefaultShards), serves it (simulate.RunStream) and returns the
-// trace its log holds, sanitized — the one model → trace path behind
-// Run, calibrate.Twin and the examples. The served rows, the injected
-// spanning entries' included, go straight into a trace.Collector: no
-// workload, log or entry slice is materialized, and the trace equals
-// the one trace.FromEntries rebuilds from the same run's log (up to
-// how the two number clients and IPs). The result is a pure function of
+// trace its log holds, sanitized — the model → trace path behind Run
+// and the examples. The served rows, the injected spanning entries'
+// included, go straight into a trace.Collector: no workload, log or
+// entry slice is materialized, and the trace equals the one
+// trace.FromEntries rebuilds from the same run's log (up to how the two
+// number clients and IPs). The result is a pure function of
 // (m, server, seed) at any GOMAXPROCS.
 func Serve(m gismo.Model, server simulate.Config, seed int64) (*Served, error) {
-	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
-	if err != nil {
-		return nil, fmt.Errorf("generate: %w", err)
-	}
-	defer ws.Close()
 	var c trace.Collector
-	res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, server, uint64(seed), simulate.StreamSinks{
+	res, sessions, err := serve(m, server, seed, simulate.StreamSinks{
 		Transfer: func(t trace.Transfer) error {
 			c.Add(t)
 			return nil
@@ -234,13 +229,51 @@ func Serve(m gismo.Model, server simulate.Config, seed int64) (*Served, error) {
 		Names: func(n *trace.Names) { c.Names = n },
 	})
 	if err != nil {
-		return nil, fmt.Errorf("simulate: %w", err)
+		return nil, err
 	}
 	clean, report, err := c.Trace(m.Horizon)
 	if err != nil {
 		return nil, err
 	}
-	return &Served{Trace: clean, Sanitize: report, Peak: res.PeakConcurrency, Sessions: ws.Sessions()}, nil
+	return &Served{Trace: clean, Sanitize: report, Peak: res.PeakConcurrency, Sessions: sessions}, nil
+}
+
+// ObserveServed is Observe of Serve's trace, with no trace built: the
+// served rows are sanitized and put in the trace order as they come
+// (trace.Stream) and fed straight into an Observer. The result equals
+// Observe(Serve(m, server, seed).Trace, timeout) — the calibration
+// twin's path (calibrate.Twin).
+func ObserveServed(m gismo.Model, server simulate.Config, seed, timeout int64) (*Characterization, error) {
+	o, err := NewObserver(m.Horizon, timeout, 0, m.NumClients)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := trace.NewStream(m.Horizon, o.Add)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := serve(m, server, seed, simulate.StreamSinks{Transfer: rows.Add, Names: o.SetNames}); err != nil {
+		return nil, err
+	}
+	rows.Close()
+	return o.Characterization()
+}
+
+// serve is the one model → rows driver under Serve and ObserveServed:
+// it runs m's sharded event stream from seed through the server into
+// sinks, and returns the run's summary and the number of sessions the
+// generator emitted.
+func serve(m gismo.Model, server simulate.Config, seed int64, sinks simulate.StreamSinks) (*simulate.StreamResult, int, error) {
+	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
+	if err != nil {
+		return nil, 0, fmt.Errorf("generate: %w", err)
+	}
+	defer ws.Close()
+	res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, server, uint64(seed), sinks)
+	if err != nil {
+		return nil, 0, fmt.Errorf("simulate: %w", err)
+	}
+	return res, ws.Sessions(), nil
 }
 
 // LoadLogs is the front half every log-reading command shares: find the
@@ -270,77 +303,163 @@ func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
 // Observe runs the calibration core of the Sections 3–5 pipeline on an
 // already-sanitized trace: Table 1, the diversity counts, the binned
 // session arrivals, and each layer's samples and the fits the model
-// takes (analyze.Analyze*Layer). It draws nothing at random, so it
-// takes no seed, and it leaves Figures nil.
-//
-// The layers are independent analyses of one sessionized trace, so
-// after Sessionize (which builds the trace's shared ClientIndex) they
-// run as concurrent tasks. Each task only reads the trace, the index
-// and the session set and writes only its own result: the
-// Characterization is the same at any GOMAXPROCS, and a failure is
-// reported in the fixed layer order below whichever task hit it first.
+// takes. It is an Observer walked over the trace's transfers: it draws
+// nothing at random, so it takes no seed, and it leaves Figures nil.
 func Observe(tr *trace.Trace, timeout int64) (*Characterization, error) {
 	char, _, err := observe(tr, timeout)
 	return char, err
 }
 
-// observe is Observe, also returning the session set it characterized.
-func observe(tr *trace.Trace, timeout int64) (*Characterization, *sessions.Set, error) {
-	set, err := sessions.Sessionize(tr, timeout)
+// observe is Observe, also returning the sessions it observed.
+func observe(tr *trace.Trace, timeout int64) (*Characterization, *sessions.Sessionizer, error) {
+	clients := 0 // the ids a direct client table spans
+	for i := range tr.Transfers {
+		clients = max(clients, int(tr.Transfers[i].Client)+1)
+	}
+	o, err := NewObserver(tr.Horizon, timeout, tr.NumTransfers(), clients)
 	if err != nil {
 		return nil, nil, err
 	}
-	char := &Characterization{Horizon: tr.Horizon, Timeout: timeout}
-	err = firstError(
+	o.SetNames(tr.Names)
+	for i := range tr.Transfers {
+		o.Add(&tr.Transfers[i])
+	}
+	char, err := o.Characterization()
+	return char, o.sessions, err
+}
+
+// Observer is the calibration core taken one transfer at a time: fed a
+// sanitized trace's transfers in the trace order (trace order: Start,
+// Client, Object, then every other field — what trace.New sorts into
+// and trace.Stream emits), it returns the Characterization Observe
+// returns for that trace, without the trace. It holds, per client, the
+// open session at T_o (sessions.Sessionizer), a compact span per
+// session, the population census (trace.CensusCounter), the
+// concurrency events and the per-transfer samples
+// (analyze.TransferAccumulator) — nothing that refers back to a
+// transfer.
+type Observer struct {
+	horizon, timeout int64
+	countries        []string // the country table the transfers' ids index
+
+	sessions  *sessions.Sessionizer
+	transfers *analyze.TransferAccumulator
+	census    *trace.CensusCounter
+
+	n     int
+	bytes int64
+}
+
+// NewObserver returns an observer for a trace of horizon seconds at
+// session timeout T_o, with room for transfers transfers and for client
+// ids in [0, clients) — 0 for either if unknown. A non-positive timeout
+// is sessions.ErrBadTimeout, as for Sessionize.
+func NewObserver(horizon, timeout int64, transfers, clients int) (*Observer, error) {
+	z, err := sessions.NewSessionizer(timeout, clients)
+	if err != nil {
+		return nil, err
+	}
+	return &Observer{
+		horizon:   horizon,
+		timeout:   timeout,
+		sessions:  z,
+		transfers: analyze.NewTransferAccumulator(horizon, transfers),
+		census:    trace.NewCensusCounter(0, 0),
+	}, nil
+}
+
+// SetNames gives the observer the tables the transfers' IP and Country
+// ids index (trace.Names): it keeps the country names, which key the
+// country shares, and sizes its census by both tables. Set them before
+// the first transfer, as a serve run's Names sink does.
+func (o *Observer) SetNames(n *trace.Names) {
+	if n != nil {
+		o.countries = n.Countries
+		o.census = trace.NewCensusCounter(len(n.IPs), len(n.Countries))
+	}
+}
+
+// Add takes the next transfer in the trace order.
+func (o *Observer) Add(t *trace.Transfer) {
+	o.sessions.Add(t)
+	o.transfers.Add(t)
+	o.census.Add(t)
+	o.n++
+	o.bytes += t.Bytes
+}
+
+// Characterization finishes the core over the transfers added: the
+// client, session and transfer layers and the diversity counts run as
+// concurrent tasks. Each reads only the observer's state and writes
+// only its own result — the session layer takes over the Sessionizer's
+// samples, which no other task reads — so the Characterization is the
+// same at any GOMAXPROCS, and a failure is reported in the fixed layer
+// order below whichever task hit it first. The observer is used up.
+func (o *Observer) Characterization() (*Characterization, error) {
+	char := &Characterization{Horizon: o.horizon, Timeout: o.timeout}
+	names := &trace.Names{Countries: o.countries}
+	err := firstError(
 		func() (err error) {
-			if char.Client, err = analyze.AnalyzeClientLayer(set); err != nil {
+			if char.Client, err = analyze.ClientLayerFrom(o.sessions, o.horizon); err != nil {
 				return taskError("client layer", err)
 			}
-			if bins, err := stats.BinCounts(set.ArrivalTimes(), tr.Horizon, analyze.TemporalBin); err == nil {
-				char.ArrivalBins = bins
+			if bins, err := stats.NewOnlineBins(o.horizon, analyze.TemporalBin); err == nil {
+				for s := range o.sessions.Spans() {
+					bins.Add(s.Start)
+				}
+				char.ArrivalBins = bins.Series()
 			}
 			return nil
 		},
 		func() (err error) {
-			char.Session, err = analyze.AnalyzeSessionLayer(set)
+			char.Session, err = analyze.SessionLayerFrom(o.sessions)
 			return taskError("session layer", err)
 		},
 		func() (err error) {
-			char.Transfer, err = analyze.AnalyzeTransferLayer(tr)
+			char.Transfer, err = o.transfers.Layer()
 			return taskError("transfer layer", err)
 		},
 		func() (err error) {
-			if char.Divers, err = analyze.AnalyzeDiversity(tr); err == nil {
-				char.Basic = basicStats(tr, set, char.Divers)
+			if char.Divers, err = analyze.DiversityFrom(o.census.Census(), o.n, names); err == nil {
+				char.Basic = BasicStats{
+					Days:       int(o.horizon / 86400),
+					Objects:    len(char.Divers.ObjectShare),
+					ASes:       char.Divers.NumAS,
+					IPs:        char.Divers.NumIPs,
+					Users:      o.sessions.Clients(),
+					Sessions:   o.sessions.Sessions(),
+					Transfers:  o.n,
+					TotalBytes: o.bytes,
+				}
 			}
 			return taskError("diversity", err)
 		},
 	)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return char, set, nil
+	return char, nil
 }
 
 // Characterize runs the whole Sections 3–5 pipeline on an
 // already-sanitized trace: Observe, then the figure step that fills
-// Figures from the trace, the session set and the core. sweep holds
-// the Figure 9 timeouts (nil selects DefaultTimeoutSweep). seed drives
-// the Figure 6 Poisson replica through a dedicated splitmix lane
-// (lanePoissonReplica), so equal (trace, seed) pairs characterize
-// identically — the measurement side honors the same determinism
-// contract as the generator and the server.
+// Figures from the trace, the sessions Observe found and the core.
+// sweep holds the Figure 9 timeouts (nil selects DefaultTimeoutSweep).
+// seed drives the Figure 6 Poisson replica through a dedicated
+// splitmix lane (lanePoissonReplica), so equal (trace, seed) pairs
+// characterize identically — the measurement side honors the same
+// determinism contract as the generator and the server.
 //
 // The figure step's tasks run concurrently like Observe's, each
 // reading the core and writing only its own part of Figures, so the
 // result does not depend on GOMAXPROCS either; an error is reported in
 // the same layer order, Observe's before the figure step's.
 func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
-	char, set, err := observe(tr, timeout)
+	char, z, err := observe(tr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	if char.Figures, err = describe(tr, set, char, sweep, seed); err != nil {
+	if char.Figures, err = describe(tr, z, char, sweep, seed); err != nil {
 		return nil, err
 	}
 	return char, nil
@@ -348,14 +467,15 @@ func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*C
 
 // describe is the figure step: everything Characterize adds to
 // Observe's core.
-func describe(tr *trace.Trace, set *sessions.Set, char *Characterization, sweep []int64, seed int64) (*FigureData, error) {
+func describe(tr *trace.Trace, z *sessions.Sessionizer, char *Characterization, sweep []int64, seed int64) (*FigureData, error) {
 	if sweep == nil {
 		sweep = DefaultTimeoutSweep
 	}
 	figs := &FigureData{}
+	tr.ByClient() // built once here: two of the tasks read it
 	err := firstError(
 		func() (err error) {
-			if figs.Client, err = analyze.DescribeClientLayer(set); err != nil {
+			if figs.Client, err = analyze.DescribeClientLayer(tr); err != nil {
 				return taskError("client layer", err)
 			}
 			if len(char.ArrivalBins.Values) > 0 { // empty only if the arrivals could not be binned
@@ -364,7 +484,7 @@ func describe(tr *trace.Trace, set *sessions.Set, char *Characterization, sweep 
 			return nil
 		},
 		func() (err error) {
-			figs.Session, err = analyze.DescribeSessionLayer(set, char.Session)
+			figs.Session, err = analyze.DescribeSessionLayer(z, char.Session)
 			return taskError("session layer", err)
 		},
 		func() (err error) {
@@ -409,21 +529,6 @@ func firstError(tasks ...func() error) error {
 		}
 	}
 	return nil
-}
-
-// basicStats assembles Table 1. Its three population counts are the
-// diversity analysis's: one walk of the trace counts for both.
-func basicStats(tr *trace.Trace, set *sessions.Set, divers *analyze.Diversity) BasicStats {
-	return BasicStats{
-		Days:       int(tr.Horizon / 86400),
-		Objects:    len(divers.ObjectShare),
-		ASes:       divers.NumAS,
-		IPs:        divers.NumIPs,
-		Users:      tr.NumClients(),
-		Sessions:   set.Count(),
-		Transfers:  tr.NumTransfers(),
-		TotalBytes: tr.TotalBytes(),
-	}
 }
 
 // BuildPoissonReplica reproduces the Figure 6 experiment: read the mean

@@ -1,0 +1,431 @@
+package core
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/analyze"
+	"repro/internal/dist"
+	"repro/internal/gismo"
+	"repro/internal/sessions"
+	"repro/internal/simulate"
+	"repro/internal/stats"
+	"repro/internal/trace"
+)
+
+// referenceObserve is Observe as it ran before the observer, kept as
+// the reference: the trace sessionized into windows of its client
+// index, then the four layers as concurrent tasks, each drawing its
+// samples from the session set and the trace's rows. Its sessionizer
+// and its layer bodies are those of that version, so the observer is
+// held to code it shares nothing with but the fits and the sorts.
+func referenceObserve(tr *trace.Trace, timeout int64) (*Characterization, error) {
+	set, err := referenceSessionize(tr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	char := &Characterization{Horizon: tr.Horizon, Timeout: timeout}
+	err = firstError(
+		func() (err error) {
+			if char.Client, err = referenceClientLayer(tr, set); err != nil {
+				return taskError("client layer", err)
+			}
+			starts := make([]int64, len(set))
+			for i, s := range set {
+				starts[i] = s.Start
+			}
+			if bins, err := stats.BinCounts(starts, tr.Horizon, analyze.TemporalBin); err == nil {
+				char.ArrivalBins = bins
+			}
+			return nil
+		},
+		func() (err error) {
+			char.Session, err = referenceSessionLayer(tr, set)
+			return taskError("session layer", err)
+		},
+		func() (err error) {
+			char.Transfer, err = referenceTransferLayer(tr)
+			return taskError("transfer layer", err)
+		},
+		func() (err error) {
+			if char.Divers, err = analyze.AnalyzeDiversity(tr); err == nil {
+				char.Basic = BasicStats{
+					Days:       int(tr.Horizon / 86400),
+					Objects:    len(char.Divers.ObjectShare),
+					ASes:       char.Divers.NumAS,
+					IPs:        char.Divers.NumIPs,
+					Users:      tr.NumClients(),
+					Sessions:   len(set),
+					Transfers:  tr.NumTransfers(),
+					TotalBytes: tr.TotalBytes(),
+				}
+			}
+			return taskError("diversity", err)
+		},
+	)
+	if err != nil {
+		return nil, err
+	}
+	return char, nil
+}
+
+// referenceSessionize is the one-walk sessionization over the client
+// index that Sessionize was before the Sessionizer.
+func referenceSessionize(tr *trace.Trace, timeout int64) ([]sessions.Session, error) {
+	if timeout <= 0 {
+		return nil, fmt.Errorf("%w: %d", sessions.ErrBadTimeout, timeout)
+	}
+	ci := tr.ByClient()
+	seen := make([]int, ci.Len())
+	open := make([]int32, ci.Len())
+	var out []sessions.Session
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
+		k := ci.Slot(i)
+		row, p := ci.Transfers(k), seen[k]
+		seen[k]++
+		if o := open[k]; o != 0 && t.Start-out[o-1].End <= timeout {
+			cur := &out[o-1]
+			cur.Transfers = row[p-len(cur.Transfers) : p+1 : p+1]
+			cur.End = max(cur.End, t.End())
+			continue
+		}
+		out = append(out, sessions.Session{Client: ci.Client(k), Transfers: row[p : p+1 : p+1], Start: t.Start, End: t.End()})
+		open[k] = int32(len(out))
+	}
+	return out, nil
+}
+
+var errEmptySet = fmt.Errorf("%w: empty session set", analyze.ErrBadInput)
+
+// referenceClientLayer is the Section 3 layer as it was computed from a
+// session set.
+func referenceClientLayer(tr *trace.Trace, set []sessions.Session) (*analyze.ClientLayer, error) {
+	if len(set) == 0 {
+		return nil, errEmptySet
+	}
+	ivs := make([]analyze.Interval, len(set))
+	for i, s := range set {
+		ivs[i] = analyze.Interval{Start: s.Start, End: s.End}
+	}
+	conc, err := analyze.Concurrency(ivs, tr.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	out := &analyze.ClientLayer{Concurrency: conc, Interarrivals: make([]float64, 0, len(set))}
+	for i := 1; i < len(set); i++ {
+		if set[i].Client != set[i-1].Client {
+			out.Interarrivals = append(out.Interarrivals, stats.LogDisplayValue(float64(set[i].Start-set[i-1].Start)))
+		}
+	}
+	stats.SortInPlace(out.Interarrivals)
+	ci := tr.ByClient()
+	out.SessionsPerClient = make([]int, ci.Len())
+	for _, s := range set {
+		out.SessionsPerClient[ci.Slot(s.Transfers[0])]++
+	}
+	if out.InterestSessions, err = dist.FitZipfCounts(out.SessionsPerClient); err != nil {
+		return nil, fmt.Errorf("interest (sessions): %w", err)
+	}
+	return out, nil
+}
+
+// referenceSessionLayer is the Section 4 layer as it was computed from
+// a session set: OFF times through the client index, intra-session
+// gaps through each session's window of transfer indices.
+func referenceSessionLayer(tr *trace.Trace, set []sessions.Session) (*analyze.SessionLayer, error) {
+	if len(set) == 0 {
+		return nil, errEmptySet
+	}
+	ci := tr.ByClient()
+	out := &analyze.SessionLayer{
+		OnTimes:             make([]float64, len(set)),
+		OffTimes:            make([]float64, 0, len(set)),
+		TransfersPerSession: make([]int, len(set)),
+		IntraArrivals:       make([]float64, 0, tr.NumTransfers()),
+	}
+	prev := make([]int, ci.Len()) // 1 + index of the client's previous session
+	for i, s := range set {
+		out.OnTimes[i] = stats.LogDisplayValue(float64(s.On()))
+		out.TransfersPerSession[i] = s.Count()
+		k := ci.Slot(s.Transfers[0])
+		if p := prev[k]; p != 0 {
+			if off := s.Start - set[p-1].End; off >= 0 {
+				out.OffTimes = append(out.OffTimes, float64(off))
+			}
+		}
+		prev[k] = i + 1
+		for j := 1; j < len(s.Transfers); j++ {
+			gap := tr.Transfers[s.Transfers[j]].Start - tr.Transfers[s.Transfers[j-1]].Start
+			out.IntraArrivals = append(out.IntraArrivals, stats.LogDisplayValue(float64(gap)))
+		}
+	}
+	stats.SortInPlace(out.OffTimes)
+	fit, err := dist.FitLognormal(out.OnTimes)
+	if err != nil {
+		return nil, fmt.Errorf("session ON fit: %w", err)
+	}
+	out.OnFit = fit
+	stats.SortInPlace(out.OnTimes)
+	if out.PerSessionFit, err = dist.FitZipfFrequencies(referencePerSessionFrequencies(out.TransfersPerSession)); err != nil {
+		return nil, fmt.Errorf("transfers-per-session fit: %w", err)
+	}
+	if len(out.IntraArrivals) >= 2 {
+		if out.IntraFit, err = dist.FitLognormal(out.IntraArrivals); err != nil {
+			return nil, fmt.Errorf("intra-session fit: %w", err)
+		}
+		stats.SortInPlace(out.IntraArrivals)
+	}
+	return out, nil
+}
+
+// referencePerSessionFrequencies is Figure 13's frequency vector with
+// the bins of fewer than five sessions dropped, unless that leaves
+// fewer than three.
+func referencePerSessionFrequencies(counts []int) []float64 {
+	maxV := 0
+	for _, c := range counts {
+		maxV = max(maxV, c)
+	}
+	freq := make([]float64, maxV)
+	for _, c := range counts {
+		if c >= 1 {
+			freq[c-1]++
+		}
+	}
+	for i := range freq {
+		freq[i] /= float64(len(counts))
+	}
+	threshold := 5 / float64(len(counts))
+	filtered := make([]float64, len(freq))
+	kept := 0
+	for i, f := range freq {
+		if f >= threshold {
+			filtered[i] = f
+			kept++
+		}
+	}
+	if kept < 3 {
+		return freq
+	}
+	return filtered
+}
+
+// referenceTransferLayer is the Section 5 layer as it was computed from
+// a trace's rows.
+func referenceTransferLayer(tr *trace.Trace) (*analyze.TransferLayer, error) {
+	n := tr.NumTransfers()
+	if n == 0 {
+		return nil, fmt.Errorf("%w: empty trace", analyze.ErrBadInput)
+	}
+	ivs := make([]analyze.Interval, n)
+	out := &analyze.TransferLayer{Lengths: make([]float64, n), Interarrivals: make([]float64, n-1)}
+	for i, t := range tr.Transfers {
+		ivs[i] = analyze.Interval{Start: t.Start, End: t.End()}
+		out.Lengths[i] = stats.LogDisplayValue(float64(t.Duration))
+		if i > 0 {
+			out.Interarrivals[i-1] = stats.LogDisplayValue(float64(t.Start - tr.Transfers[i-1].Start))
+		}
+	}
+	var err error
+	if out.Concurrency, err = analyze.Concurrency(ivs, tr.Horizon); err != nil {
+		return nil, err
+	}
+	stats.SortInPlace(out.Interarrivals)
+	if out.LengthFit, err = dist.FitLognormal(out.Lengths); err != nil {
+		return nil, fmt.Errorf("transfer length fit: %w", err)
+	}
+	stats.SortInPlace(out.Lengths)
+	return out, nil
+}
+
+// checkObserveMatchesReference observes tr and holds the result to
+// the reference, every core field deep-equal — the minute series the
+// on-demand ACFs are computed from included — or the same error.
+func checkObserveMatchesReference(t *testing.T, tr *trace.Trace, timeout int64) {
+	t.Helper()
+	want, wantErr := referenceObserve(tr, timeout)
+	got, err := Observe(tr, timeout)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("Observe error %v, reference %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) && dumpChar(got) != dumpChar(want) { // the dump tells a NaN from itself
+		t.Fatalf("Observe differs from the reference: %s", firstDiff(dumpChar(got), dumpChar(want)))
+	}
+}
+
+// logTrace writes a served week with spanning entries as daily logs
+// and loads them back (LoadLogs → trace.FromLogs).
+func logTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	m, err := gismo.Scaled(150, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := gismo.GenerateSeeded(m, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simulate.DefaultConfig()
+	cfg.SpanningPerMillion = 20000
+	res, err := simulate.Run(w, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := res.WriteLogs(dir); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadLogs(dir, 7, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestObserverMatchesReference: the observer's one walk gives every
+// core field the batch reference gives, bit for bit, at any core count
+// — on a trace ingested from daily logs and on a served run whose log
+// carries spanning entries — and so does the twin's path, which
+// observes the served rows as they come and builds no trace.
+func TestObserverMatchesReference(t *testing.T) {
+	fromLogs := logTrace(t)
+	m, err := gismo.Scaled(150, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simulate.DefaultConfig()
+	cfg.SpanningPerMillion = 20000
+	served, err := Serve(m, cfg, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Sanitize.DroppedSpanning == 0 {
+		t.Fatal("the served run has no spanning entries")
+	}
+	atGOMAXPROCS(t, func(t *testing.T) {
+		for _, c := range []struct {
+			name string
+			tr   *trace.Trace
+		}{{"FromLogs", fromLogs}, {"Serve", served.Trace}} {
+			t.Run(c.name, func(t *testing.T) {
+				for _, timeout := range []int64{sessions.DefaultTimeout, 60} {
+					checkObserveMatchesReference(t, c.tr, timeout)
+				}
+			})
+		}
+		t.Run("ObserveServed", func(t *testing.T) {
+			got, err := ObserveServed(m, cfg, 9, sessions.DefaultTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceObserve(served.Trace, sessions.DefaultTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ObserveServed differs from the reference over Serve's trace: %s", firstDiff(dumpChar(got), dumpChar(want)))
+			}
+		})
+	})
+}
+
+// TestObserverErrorsMatchReference: the observer fails where the
+// reference does, with the same error — a bad timeout, an empty trace,
+// one transfer, a horizon the concurrency sweep cannot hold.
+func TestObserverErrorsMatchReference(t *testing.T) {
+	empty, err := trace.New(86400, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := trace.New(86400, []trace.Transfer{{Client: 1, AS: 1, Start: 10, Duration: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := &trace.Trace{Horizon: math.MaxInt32 + 1, Transfers: one.Transfers}
+	for _, c := range []struct {
+		name    string
+		tr      *trace.Trace
+		timeout int64
+	}{{"bad timeout", one, 0}, {"empty", empty, 1500}, {"one transfer", one, 1500}, {"wide horizon", wide, 1500}} {
+		t.Run(c.name, func(t *testing.T) {
+			_, wantErr := referenceObserve(c.tr, c.timeout)
+			if wantErr == nil {
+				t.Fatal("the reference does not fail")
+			}
+			checkObserveMatchesReference(t, c.tr, c.timeout)
+		})
+	}
+}
+
+// fuzzTrace draws a small trace from the fuzzer's bytes: few clients,
+// sparse and negative ids among them, starts on a coarse grid so that
+// starts tie, transfers of one client that overlap, silent gaps of
+// exactly T_o and T_o+1, one-transfer sessions, and zero-length
+// transfers and transfers that end on the horizon.
+func fuzzTrace(seed int64, n uint8, timeout int64) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	const horizon = 4 * 86400
+	ids := []int32{0, 1, 2, 5, 9, -3, 1 << 25}
+	ids = ids[:1+rng.Intn(len(ids))]
+	last := make(map[int32]int64) // a client's latest end so far
+	ts := make([]trace.Transfer, 0, int(n)+1)
+	for i := 0; i <= int(n); i++ {
+		c := ids[rng.Intn(len(ids))]
+		var start int64
+		switch end, seen := last[c]; {
+		case seen && rng.Intn(3) == 0:
+			start = end + timeout + int64(rng.Intn(2)) // a gap of T_o or T_o+1
+		case seen && rng.Intn(3) == 0:
+			start = max(end-int64(rng.Intn(50)), 0) // overlaps the client's latest
+		default:
+			start = int64(rng.Intn(horizon/60)) * 60 // a coarse grid: ties
+		}
+		var dur int64
+		switch rng.Intn(4) {
+		case 0: // zero-length
+		case 1:
+			dur = int64(rng.Intn(3 * int(timeout)))
+		default:
+			dur = int64(rng.Intn(600))
+		}
+		if start+dur > horizon {
+			start, dur = min(start, horizon), horizon-min(start, horizon) // ends on the horizon
+		}
+		last[c] = max(last[c], start+dur)
+		ts = append(ts, trace.Transfer{
+			Client: c, Start: start, Duration: dur, Object: uint16(rng.Intn(2)),
+			Bytes: int64(rng.Intn(1 << 20)), Bandwidth: int64(rng.Intn(300000)),
+			IP: uint32(rng.Intn(12)), AS: uint32(1 + rng.Intn(4)), Country: uint16(rng.Intn(3)),
+		})
+	}
+	tr, err := trace.New(horizon, ts)
+	if err != nil {
+		panic(err)
+	}
+	tr.Names = &trace.Names{Countries: []string{"BR", "US"}}
+	return tr
+}
+
+// FuzzObserverMatchesReference: over small random traces — equal
+// starts, overlapping transfers of one client, gaps of exactly T_o and
+// T_o+1, one-transfer sessions — Observe equals the reference field
+// for field, or fails with the same error.
+func FuzzObserverMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), int64(1500))
+	f.Add(int64(2), uint8(40), int64(1500))
+	f.Add(int64(3), uint8(200), int64(60))
+	f.Add(int64(4), uint8(255), int64(1))
+	f.Add(int64(5), uint8(120), int64(900))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, timeout int64) {
+		timeout = 1 + (timeout%4000+4000)%4000
+		checkObserveMatchesReference(t, fuzzTrace(seed, n, timeout), timeout)
+	})
+}

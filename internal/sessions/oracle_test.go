@@ -3,6 +3,7 @@ package sessions
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -128,6 +129,108 @@ func TestSessionizeMatchesOracle(t *testing.T) {
 				t.Fatalf("round %d, T_o %d, session %d:\n got %+v\nwant %+v", round, timeout, i, set.Sessions[i], want[i])
 			}
 		}
+	}
+}
+
+// oracleSamples is what the session and client layers read of a
+// session list, computed the way Set's methods did before the
+// Sessionizer: OFF times in session order through a per-client walk
+// (unsorted), intra-session gaps through each session's window of
+// transfer indices, and per-client session counts in ascending
+// client-id order.
+func oracleSamples(tr *trace.Trace, ss []Session) (offs, intra []float64, perClient []int) {
+	offs, intra = []float64{}, []float64{}
+	prev := make(map[int]int) // client → 1 + index of its previous session
+	counts := make(map[int]int)
+	for i, s := range ss {
+		if p := prev[s.Client]; p != 0 {
+			if off := s.Start - ss[p-1].End; off >= 0 {
+				offs = append(offs, float64(off))
+			}
+		}
+		prev[s.Client] = i + 1
+		counts[s.Client]++
+		for k := 1; k < len(s.Transfers); k++ {
+			intra = append(intra, float64(tr.Transfers[s.Transfers[k]].Start-tr.Transfers[s.Transfers[k-1]].Start))
+		}
+	}
+	ids := make([]int, 0, len(counts))
+	for id := range counts {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		perClient = append(perClient, counts[id])
+	}
+	return offs, intra, perClient
+}
+
+// TestSessionizerMatchesOracle: fed a trace one transfer at a time, the
+// Sessionizer keeps exactly the oracle's sessions as spans, and the
+// samples the oracle's session list yields — OFF times, intra-session
+// gaps in session order, per-client session counts and the client
+// count.
+func TestSessionizerMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var err error
+	for round := 0; round < 300; round++ {
+		tr, timeout := randomTrace(t, rng, rng.Intn(400)), 1+rng.Int63n(5000)
+		if round%60 == 0 { // sessions enough for several blocks of spans
+			ts := make([]trace.Transfer, 3*spanBlock)
+			for i := range ts {
+				ts[i] = trace.Transfer{Client: int32(rng.Intn(4 * spanBlock)), Start: int64(i) * 3, Duration: rng.Int63n(3)}
+			}
+			if tr, err = trace.New(int64(len(ts))*3, ts); err != nil {
+				t.Fatal(err)
+			}
+			timeout = 1
+		}
+		z, err := NewSessionizer(timeout, rng.Intn(50)) // a client hint too short, exact or too long
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleSessionize(tr, timeout)
+		opened := 0
+		for i := range tr.Transfers {
+			s, open := z.Add(&tr.Transfers[i])
+			if open {
+				opened++
+			}
+			if sp := z.span(s); int(sp.Client) != int(tr.Transfers[i].Client) || s >= opened {
+				t.Fatalf("round %d: transfer %d assigned to session %d of client %d", round, i, s, sp.Client)
+			}
+		}
+		if round%60 == 0 && z.Sessions() <= spanBlock {
+			t.Fatalf("round %d: %d sessions fill one block of spans", round, z.Sessions())
+		}
+		spans := slices.Collect(z.Spans())
+		if len(spans) != len(want) || z.Sessions() != len(want) {
+			t.Fatalf("round %d, T_o %d: %d spans, oracle %d sessions", round, timeout, len(spans), len(want))
+		}
+		for i, w := range want {
+			if got := spans[i]; got != (Span{Start: w.Start, End: w.End, Client: int32(w.Client), Count: int32(w.Count())}) || got.On() != w.On() {
+				t.Fatalf("round %d, session %d: span %+v, oracle %+v", round, i, got, w)
+			}
+		}
+		offs, intra, perClient := oracleSamples(tr, want)
+		if got := z.OffTimes(); !reflect.DeepEqual(got, offs) {
+			t.Fatalf("round %d: OffTimes %v, oracle %v", round, got, offs)
+		}
+		if got := z.IntraArrivals(); !reflect.DeepEqual(got, intra) {
+			t.Fatalf("round %d: IntraArrivals %v, oracle %v", round, got, intra)
+		}
+		if got := z.IntraArrivals(); !reflect.DeepEqual(got, intra) {
+			t.Fatalf("round %d: IntraArrivals a second time %v, oracle %v", round, got, intra)
+		}
+		if got := z.SessionsPerClient(); !reflect.DeepEqual(got, perClient) && len(got)+len(perClient) > 0 {
+			t.Fatalf("round %d: SessionsPerClient %v, oracle %v", round, got, perClient)
+		}
+		if z.Clients() != len(perClient) || z.Clients() != tr.NumClients() {
+			t.Fatalf("round %d: Clients %d, oracle %d, trace %d", round, z.Clients(), len(perClient), tr.NumClients())
+		}
+	}
+	if _, err := NewSessionizer(0, 0); err == nil {
+		t.Error("zero timeout: want error")
 	}
 }
 

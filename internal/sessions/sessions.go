@@ -16,6 +16,7 @@ package sessions
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 
@@ -94,6 +95,234 @@ func Sessionize(tr *trace.Trace, timeout int64) (*Set, error) {
 	return &Set{Timeout: timeout, Sessions: out, tr: tr}, nil
 }
 
+// Span is a session without its transfer list: whose it is, when it
+// starts and ends (as Session's) and how many transfers it holds.
+type Span struct {
+	Start, End int64
+	Client     int32
+	Count      int32
+}
+
+// On returns the session ON time End - Start, in seconds.
+func (s Span) On() int64 { return s.End - s.Start }
+
+// Sessionizer is sessionization one transfer at a time: fed a trace's
+// transfers in the trace order, it assigns each to its client's session
+// as Sessionize does over the whole trace, and keeps only what the
+// session and client layers read — a Span per session, each client's
+// session count, the session OFF times and the intra-session
+// interarrival times — never the transfers or their indices. Its
+// memory is a few words per session and per client, and 12 bytes per
+// transfer that joins a running session.
+type Sessionizer struct {
+	timeout int64
+
+	direct []clientState          // by client id, for ids in [0, directClients)
+	sparse map[int32]*clientState // the other ids
+
+	// spans holds every session so far, in open order, in blocks of
+	// spanBlock: all but the last are full.
+	spans  [][]Span
+	nspans int
+
+	offs []float64 // OFF times, in the order their second session opened
+
+	// gaps holds the intra-session interarrival times in walk order,
+	// gapSession beside each the index of its session; IntraArrivals
+	// permutes them into session order.
+	gaps       []float64
+	gapSession []int32
+}
+
+// clientState is what a Sessionizer holds per client.
+type clientState struct {
+	latest    int32 // 1 + index of the client's latest session; 0 before its first
+	sessions  int32 // the client's session count
+	lastStart int64 // start of the client's latest transfer
+}
+
+// directClients bounds the direct-address half of a Sessionizer's
+// client table: the generator, the server and the log ingest number
+// clients densely from 0, so their ids index a slice (16 bytes an id,
+// up to the largest id met); any other id goes through a map.
+const directClients = 1 << 22
+
+// NewSessionizer returns an empty Sessionizer at timeout T_o (seconds)
+// with room for the ids [0, clients) — the population's, when the
+// caller knows it (0 if not): a table sized once.
+func NewSessionizer(timeout int64, clients int) (*Sessionizer, error) {
+	if timeout <= 0 {
+		return nil, fmt.Errorf("%w: %d", ErrBadTimeout, timeout)
+	}
+	return &Sessionizer{
+		timeout: timeout,
+		direct:  make([]clientState, 0, min(max(clients, 0), directClients)),
+		sparse:  make(map[int32]*clientState),
+		// Empty, not nil, when there is nothing to keep: the samples
+		// are the layers' fields as they are.
+		offs:       []float64{},
+		gaps:       []float64{},
+		gapSession: []int32{},
+	}, nil
+}
+
+// client returns the state of client id, made on first use.
+func (z *Sessionizer) client(id int32) *clientState {
+	if id >= 0 && id < directClients {
+		if int(id) >= len(z.direct) {
+			// Without a hint ids come densely, often one new id at a
+			// time: the table doubles, so it is copied a logarithmic
+			// number of times.
+			if int(id) >= cap(z.direct) {
+				grown := make([]clientState, len(z.direct), max(int(id)+1, 2*cap(z.direct)))
+				copy(grown, z.direct)
+				z.direct = grown
+			}
+			z.direct = z.direct[:id+1]
+		}
+		return &z.direct[id]
+	}
+	c := z.sparse[id]
+	if c == nil {
+		c = &clientState{}
+		z.sparse[id] = c
+	}
+	return c
+}
+
+// Add assigns t, the next transfer in the trace order, to a session:
+// the client's running one when t starts no more than T_o after the
+// latest end among that session's transfers, else a new one. It
+// returns the session's index in Spans and whether t opened it.
+//
+//lsm:hotpath
+func (z *Sessionizer) Add(t *trace.Transfer) (session int, opened bool) {
+	c := z.client(t.Client)
+	if c.latest != 0 {
+		cur := z.span(int(c.latest - 1))
+		if t.Start-cur.End <= z.timeout {
+			cur.End = max(cur.End, t.End())
+			cur.Count++
+			z.gaps = append(z.gaps, float64(t.Start-c.lastStart))
+			z.gapSession = append(z.gapSession, c.latest-1)
+			c.lastStart = t.Start
+			return int(c.latest - 1), false
+		}
+		if off := t.Start - cur.End; off >= 0 {
+			z.offs = append(z.offs, float64(off))
+		}
+	}
+	if z.nspans%spanBlock == 0 {
+		z.spans = append(z.spans, make([]Span, 0, spanBlock))
+	}
+	last := &z.spans[len(z.spans)-1]
+	*last = append(*last, Span{Start: t.Start, End: t.End(), Client: t.Client, Count: 1})
+	z.nspans++
+	c.latest = int32(z.nspans)
+	c.sessions++
+	c.lastStart = t.Start
+	return z.nspans - 1, true
+}
+
+// spanBlock is the length of a block of spans (24 KB). The spans are
+// held in blocks so that a Sessionizer never copies one as it grows and
+// holds at most one block more than it needs.
+const spanBlock = 1 << 10
+
+// span returns session i's span.
+func (z *Sessionizer) span(i int) *Span { return &z.spans[i/spanBlock][i%spanBlock] }
+
+// Sessions returns the number of sessions so far.
+func (z *Sessionizer) Sessions() int { return z.nspans }
+
+// Spans yields every session so far in the trace's session order,
+// (Start, Client) — Sessionize's.
+func (z *Sessionizer) Spans() iter.Seq[Span] {
+	return func(yield func(Span) bool) {
+		for _, block := range z.spans {
+			for _, s := range block {
+				if !yield(s) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Clients returns the number of distinct clients so far.
+func (z *Sessionizer) Clients() int {
+	n := len(z.sparse)
+	for i := range z.direct {
+		if z.direct[i].sessions > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// SessionsPerClient returns each client's session count, in ascending
+// client-id order.
+func (z *Sessionizer) SessionsPerClient() []int {
+	ids := make([]int32, 0, len(z.sparse))
+	for id := range z.sparse { //lsm:nondet -- the ids are sorted below
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	neg, _ := slices.BinarySearch(ids, 0) // ids[:neg] < 0 <= ids[neg:], all of which are at least directClients
+	out := make([]int, 0, z.Clients())
+	for _, id := range ids[:neg] {
+		out = append(out, int(z.sparse[id].sessions))
+	}
+	for i := range z.direct {
+		if n := z.direct[i].sessions; n > 0 {
+			out = append(out, int(n))
+		}
+	}
+	for _, id := range ids[neg:] {
+		out = append(out, int(z.sparse[id].sessions))
+	}
+	return out
+}
+
+// OffTimes returns the session OFF times f(i) = t(j) - t(i) - l(i) for
+// every pair of consecutive sessions (i, j) of the same client, in the
+// order the second sessions opened. The slice is the Sessionizer's.
+func (z *Sessionizer) OffTimes() []float64 { return z.offs }
+
+// IntraArrivals returns the gaps between consecutive transfer starts
+// within each session (Figure 14's variable), in session order — the
+// order the session layer's fit sums them in. The gaps were kept in
+// walk order; the first call permutes them into session order in place,
+// each session's k-1 gaps to its own window, and drops the session
+// indices. The slice is the Sessionizer's.
+func (z *Sessionizer) IntraArrivals() []float64 {
+	if z.gapSession == nil {
+		return z.gaps
+	}
+	// next[s] is where session s's next gap goes: its sessions' gaps
+	// come in walk order, which within one session is session order.
+	next := make([]int32, 0, z.nspans)
+	var at int32
+	for s := range z.Spans() {
+		next = append(next, at)
+		at += s.Count - 1
+	}
+	dest := z.gapSession // rewritten in place: gap i's place in session order
+	for i, s := range dest {
+		dest[i] = next[s]
+		next[s]++
+	}
+	for i := range dest {
+		for int(dest[i]) != i {
+			j := dest[i]
+			z.gaps[i], z.gaps[j] = z.gaps[j], z.gaps[i]
+			dest[i], dest[j] = dest[j], dest[i]
+		}
+	}
+	z.gapSession = nil
+	return z.gaps
+}
+
 // Count returns the number of sessions.
 func (s *Set) Count() int { return len(s.Sessions) }
 
@@ -110,26 +339,23 @@ func (s *Set) OnTimes() []float64 {
 	return out
 }
 
+// Sessionizer returns a Sessionizer fed the set's trace: the set in
+// its streaming form, with the samples the session and client layers
+// read. Every call walks the trace afresh and returns a Sessionizer of
+// the caller's own.
+func (s *Set) Sessionizer() *Sessionizer {
+	z, _ := NewSessionizer(s.Timeout, 0) // the set's timeout is valid: Sessionize checked it
+	for i := range s.tr.Transfers {
+		z.Add(&s.tr.Transfers[i])
+	}
+	return z
+}
+
 // OffTimes returns the session OFF times f(i) = t(j) - t(i) - l(i) for
 // every pair of consecutive sessions (i, j) of the same client, sorted
-// ascending. Every client has a session, so there are at most
-// Count() - clients pairs: the slice is made once at that size.
+// ascending (Sessionizer.OffTimes).
 func (s *Set) OffTimes() []float64 {
-	// Sessions is start-sorted, so a client's previous session is the
-	// last one of that client walked so far.
-	ci := s.tr.ByClient()
-	prev := make([]int32, ci.Len()) // 1 + index of the client's previous session
-	out := make([]float64, 0, max(len(s.Sessions)-ci.Len(), 0))
-	for i := range s.Sessions {
-		next := &s.Sessions[i]
-		k := ci.Slot(next.Transfers[0])
-		if p := prev[k]; p != 0 {
-			if off := next.Start - s.Sessions[p-1].End; off >= 0 {
-				out = append(out, float64(off))
-			}
-		}
-		prev[k] = int32(i + 1)
-	}
+	out := s.Sessionizer().OffTimes()
 	stats.SortInPlace(out)
 	return out
 }
@@ -145,18 +371,9 @@ func (s *Set) TransfersPerSession() []int {
 
 // IntraSessionInterarrivals returns the gaps between consecutive transfer
 // start times within each session (Figure 14's variable), in session
-// order. Each session of k transfers has k-1 gaps, so the slice is made
-// once at the trace's transfer count less the session count.
+// order (Sessionizer.IntraArrivals).
 func (s *Set) IntraSessionInterarrivals() []float64 {
-	out := make([]float64, 0, max(s.tr.NumTransfers()-len(s.Sessions), 0))
-	for _, sess := range s.Sessions {
-		for k := 1; k < len(sess.Transfers); k++ {
-			a := s.tr.Transfers[sess.Transfers[k-1]].Start
-			b := s.tr.Transfers[sess.Transfers[k]].Start
-			out = append(out, float64(b-a))
-		}
-	}
-	return out
+	return s.Sessionizer().IntraArrivals()
 }
 
 // TransferOffTimes returns the silent gaps inside sessions — the "think"

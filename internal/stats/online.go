@@ -94,8 +94,8 @@ func (w *Welford) Max() float64 { return w.max }
 // over [0, horizon), accumulated one timestamp at a time. Exact — the
 // resulting series equals BinCounts on the same timestamps.
 type OnlineBins struct {
-	width  int64
-	values []float64
+	horizon, width int64
+	values         []float64
 }
 
 // NewOnlineBins allocates the bins.
@@ -103,18 +103,16 @@ func NewOnlineBins(horizon, width int64) (*OnlineBins, error) {
 	if width <= 0 || horizon <= 0 {
 		return nil, fmt.Errorf("%w: horizon=%d width=%d", ErrBadArgument, horizon, width)
 	}
-	return &OnlineBins{width: width, values: make([]float64, numBins(horizon, width))}, nil
+	return &OnlineBins{horizon: horizon, width: width, values: make([]float64, numBins(horizon, width))}, nil
 }
 
 // Add counts one event at timestamp t (seconds since trace start);
 // timestamps outside the horizon are ignored, as in BinCounts.
 func (b *OnlineBins) Add(t int64) {
-	if t < 0 {
+	if t < 0 || t >= b.horizon {
 		return
 	}
-	if i := t / b.width; i < int64(len(b.values)) {
-		b.values[i]++
-	}
+	b.values[t/b.width]++
 }
 
 // Series returns the accumulated series (shared backing array).

@@ -63,29 +63,34 @@ func TestWelfordMerge(t *testing.T) {
 	}
 }
 
+// TestOnlineBinsMatchesBinCounts: on a horizon of whole bins and on
+// one that cuts its last bin short — where a timestamp past the
+// horizon still has a bin to land in, and must not.
 func TestOnlineBinsMatchesBinCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const horizon, width = 86_400, 900
-	ts := make([]int64, 20_000)
-	ob, err := NewOnlineBins(horizon, width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ts {
-		ts[i] = int64(rng.Intn(horizon + 100)) // some beyond horizon
-		ob.Add(ts[i])
-	}
-	batch, err := BinCounts(ts, horizon, width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ob.Series()
-	if len(got.Values) != len(batch.Values) {
-		t.Fatalf("bins: %d vs %d", len(got.Values), len(batch.Values))
-	}
-	for i := range got.Values {
-		if got.Values[i] != batch.Values[i] {
-			t.Fatalf("bin %d: %v vs %v", i, got.Values[i], batch.Values[i])
+	const width = 900
+	for _, horizon := range []int{86_400, 86_000} {
+		ts := make([]int64, 20_000)
+		ob, err := NewOnlineBins(int64(horizon), width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ts {
+			ts[i] = int64(rng.Intn(horizon + 500)) // some beyond horizon
+			ob.Add(ts[i])
+		}
+		batch, err := BinCounts(ts, int64(horizon), width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ob.Series()
+		if len(got.Values) != len(batch.Values) {
+			t.Fatalf("horizon %d: bins: %d vs %d", horizon, len(got.Values), len(batch.Values))
+		}
+		for i := range got.Values {
+			if got.Values[i] != batch.Values[i] {
+				t.Fatalf("horizon %d: bin %d: %v vs %v", horizon, i, got.Values[i], batch.Values[i])
+			}
 		}
 	}
 	if _, err := NewOnlineBins(0, 900); err == nil {

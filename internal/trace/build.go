@@ -28,13 +28,17 @@ import (
 //     file-name order, each as soon as it is parsed, and numbers all four
 //     columns through one ordinary wmslog.Interner, writing the ids into
 //     the rows. It is the sequential pass, so its ids are the sequential
-//     ones by construction;
-//   - sort and merge: each numbered run is sorted on a goroutine of its
-//     own, and a galloping merge joins the sorted runs. The trace order
-//     is total (before), so the result depends on the transfers alone,
-//     not on how they were split into runs.
+//     ones by construction. The numbered run is then sanitized into the
+//     build's one slice of transfers, behind the runs before it, and the
+//     run itself is garbage;
+//   - sort and merge: each run's segment of that slice is sorted in
+//     place on a goroutine of its own, and neighbouring segments are
+//     merged in place (mergeInPlace), with a buffer holding only where
+//     they overlap. The trace order is total (before), so the result
+//     depends on the transfers alone, not on how they were split into
+//     runs.
 //
-// FromEntries is the same identity stage, sort and merge over one run.
+// FromEntries is the same identity stage and sort over one run.
 
 // idLimit is, per column, how many distinct values the Transfer field
 // holding its id can tell apart. A build that meets more is ErrBadTrace:
@@ -125,22 +129,19 @@ func (r *run) add(e *wmslog.Entry, epoch time.Time) {
 	})
 }
 
-// assembler is the identity stage and what follows it: it numbers the
-// runs it is handed, in the order it is handed them, sorts each on a
-// goroutine of its own, and merges them into a trace.
+// assembler is the identity stage: it numbers the runs it is handed,
+// in the order it is handed them.
 type assembler struct {
-	ids   *wmslog.Interner // the build's one numbering of all four columns
-	uri   []uint16         // scratch: a run's local URI id → global id
-	cc    []uint16         // the same for countries
-	runs  [][]Transfer     // the numbered runs, in order
-	sorts sync.WaitGroup   // one per run handed to sortAsync
+	ids *wmslog.Interner // the build's one numbering of all four columns
+	uri []uint16         // scratch: a run's local URI id → global id
+	cc  []uint16         // the same for countries
 }
 
 func newAssembler() *assembler { return &assembler{ids: wmslog.NewInterner()} }
 
-// take numbers r — the run after every run taken before it — and starts
-// its sort. The ids it writes into r's rows are first-seen over the rows
-// of the runs taken so far, in order.
+// take numbers r — the run after every run taken before it. The ids it
+// writes into r's rows are first-seen over the rows of the runs taken
+// so far, in order.
 //
 //lsm:hotpath
 func (a *assembler) take(r *run) error {
@@ -171,8 +172,6 @@ func (a *assembler) take(r *run) error {
 	if uint64(len(a.ids.Names(wmslog.ColIP))) > idLimit[wmslog.ColIP] {
 		return errTooMany(wmslog.ColIP)
 	}
-	a.runs = append(a.runs, r.rows)
-	sortAsync(&a.sorts, r.rows)
 	return nil
 }
 
@@ -188,114 +187,116 @@ func (a *assembler) remap(c wmslog.Column, local []string, to []uint16) ([]uint1
 	return to, nil
 }
 
-// trace waits for the sorts and merges the runs into a trace over
-// horizon seconds, with the build's IP and country names.
-func (a *assembler) trace(horizon int64) (*Trace, error) {
-	a.sorts.Wait()
-	if err := checkHorizon(horizon); err != nil {
-		return nil, err
-	}
-	return &Trace{
-		Horizon:   horizon,
-		Transfers: merge(a.runs),
-		Names:     &Names{IPs: a.ids.Names(wmslog.ColIP), Countries: a.ids.Names(wmslog.ColCountry)},
-	}, nil
+// names returns the build's IP and country tables.
+func (a *assembler) names() *Names {
+	return &Names{IPs: a.ids.Names(wmslog.ColIP), Countries: a.ids.Names(wmslog.ColCountry)}
 }
 
-// sortAsync sorts run into the trace order on a goroutine of its own,
-// which wg counts.
-func sortAsync(wg *sync.WaitGroup, run []Transfer) {
-	wg.Add(1)
+// segments is the sort-and-merge stage of FromLogs: one slice holding
+// every numbered run's kept transfers back to back, each run's segment
+// sorted in place on a goroutine of its own.
+type segments struct {
+	rows   []Transfer
+	ends   []int // segment k is rows[ends[k-1]:ends[k]]
+	report SanitizeReport
+	sorts  sync.WaitGroup // one per segment being sorted
+}
+
+// add sanitizes run over horizon seconds into a new segment behind the
+// others and starts the segment's sort. The rows grow only when the
+// run's transfers might not fit, and then only after every running
+// sort has finished: a sort holds a window onto the old array.
+func (s *segments) add(run []Transfer, horizon int64) {
+	if len(s.rows)+len(run) > cap(s.rows) {
+		s.sorts.Wait()
+		s.rows = slices.Grow(s.rows, len(run))
+	}
+	from := len(s.rows)
+	for i := range run {
+		if s.report.keep(&run[i], horizon) {
+			s.rows = append(s.rows, run[i])
+		}
+	}
+	s.ends = append(s.ends, len(s.rows))
+	seg := s.rows[from:]
+	s.sorts.Add(1)
 	go func() {
-		defer wg.Done()
-		sort.Sort(byStart(run))
+		defer s.sorts.Done()
+		sort.Sort(byStart(seg))
 	}()
 }
 
-// merge joins sorted runs into one sorted slice; one run is returned as
-// it is. A heap keeps the runs by their first transfer; the run on top
-// gives up, as one block, every transfer that sorts no later than the
-// next run's first, found by galloping. Daily files overlap only where a
-// transfer spans midnight, so merging them costs about one copy.
-func merge(runs [][]Transfer) []Transfer {
-	if len(runs) == 1 {
-		return runs[0]
+// merged waits for the sorts and merges the segments, each into the
+// merged ones before it, in place; the rows are then in the trace
+// order.
+func (s *segments) merged() []Transfer {
+	s.sorts.Wait()
+	var buf []Transfer
+	for k := 1; k < len(s.ends); k++ {
+		buf = mergeInPlace(s.rows[:s.ends[k]], s.ends[k-1], buf)
 	}
-	h := make([][]Transfer, 0, len(runs))
-	n := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			h = append(h, r)
-			n += len(r)
-		}
-	}
-	out := make([]Transfer, 0, n)
-	less := func(i, j int) bool { return before(&h[i][0], &h[j][0]) }
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && less(c+1, c) {
-				c++
-			}
-			if !less(c, i) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(h) > 1 {
-		next := &h[1][0] // the least first transfer of the other runs
-		if len(h) > 2 && before(&h[2][0], next) {
-			next = &h[2][0]
-		}
-		k := gallop(h[0], next)
-		out = append(out, h[0][:k]...)
-		if h[0] = h[0][k:]; len(h[0]) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
-	if len(h) == 1 {
-		out = append(out, h[0]...)
-	}
-	return out
+	return s.rows
 }
 
-// gallop returns how many leading transfers of r sort no later than x,
-// given that r[0] does: it probes r at 1, 2, 4, … and then bisects the
-// last step, so a block of k costs O(log k) comparisons.
-func gallop(r []Transfer, x *Transfer) int {
-	lo, hi := 0, 1 // r[lo] sorts no later than x
-	for hi < len(r) && !before(x, &r[hi]) {
-		lo, hi = hi, 2*hi
+// mergeInPlace merges the sorted halves s[:mid] and s[mid:] of s into
+// one sorted run in place, with buf (returned, perhaps grown, for
+// reuse) holding only the smaller side of where they overlap. The
+// leading transfers of s[:mid] that sort no later than s[mid], and the
+// trailing ones of s[mid:] that sort no earlier than s[mid-1], are
+// already in place and are not moved; of the two overlapping parts
+// left, the shorter is copied out and the two are merged into the gap
+// — from the front when it is the left part (Timsort's merge_lo), from
+// the back when it is the right (merge_hi). Daily files overlap only
+// where a transfer spans midnight: the right part is then the few
+// transfers that started the day before.
+func mergeInPlace(s []Transfer, mid int, buf []Transfer) []Transfer {
+	if mid == 0 || mid == len(s) || !before(&s[mid], &s[mid-1]) {
+		return buf
 	}
-	hi = min(hi, len(r)) // r[hi] sorts after x, or hi is the end
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if before(x, &r[mid]) {
-			hi = mid
-		} else {
-			lo = mid
+	// s[lo:mid] sorts after s[mid]; s[mid:hi] sorts before s[mid-1].
+	lo := sort.Search(mid, func(i int) bool { return before(&s[mid], &s[i]) })
+	hi := mid + sort.Search(len(s)-mid, func(j int) bool { return !before(&s[mid+j], &s[mid-1]) })
+	if mid-lo <= hi-mid {
+		buf = append(buf[:0], s[lo:mid]...)
+		d, p, q := lo, 0, mid // merge buf and s[mid:hi] into s[lo:hi] from the front
+		for p < len(buf) && q < hi {
+			if before(&s[q], &buf[p]) {
+				s[d] = s[q]
+				q++
+			} else {
+				s[d] = buf[p]
+				p++
+			}
+			d++
 		}
+		copy(s[d:], buf[p:])
+		return buf
 	}
-	return hi
+	buf = append(buf[:0], s[mid:hi]...)
+	d, p, q := hi-1, mid-1, len(buf)-1 // merge s[lo:mid] and buf into s[lo:hi] from the back
+	for p >= lo && q >= 0 {
+		if before(&buf[q], &s[p]) {
+			s[d] = s[p]
+			p--
+		} else {
+			s[d] = buf[q]
+			q--
+		}
+		d--
+	}
+	copy(s[lo:], buf[:q+1])
+	return buf
 }
 
 // Collector accumulates transfers, in any order, for a trace that will
-// own them — the in-memory counterpart of FromLogs, for a caller (the
-// calibration twin) that is handed transfers one at a time and cannot
-// know their number in advance. Transfers gather in fixed-size chunks,
-// so collecting allocates the sample once more than its size instead of
-// the several times over that append's geometric growth, with its
-// copying, costs. The zero value is ready to use.
+// own them — the in-memory counterpart of FromLogs, for a caller that
+// is handed transfers one at a time and cannot know their number in
+// advance: core.Serve, so core.Run, lsmrepro and the examples. (The
+// calibration twin builds no trace: its rows go through a Stream
+// straight into core's observer.) Transfers gather in fixed-size
+// chunks, so collecting allocates the sample once more than its size
+// instead of the several times over that append's geometric growth,
+// with its copying, costs. The zero value is ready to use.
 type Collector struct {
 	// Names are the tables the collected transfers' IP and Country ids
 	// index, if the caller has them; Trace attaches them to its result.
@@ -361,7 +362,11 @@ func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trac
 	if err := a.take(r); err != nil {
 		return nil, err
 	}
-	return a.trace(horizon)
+	if err := checkHorizon(horizon); err != nil {
+		return nil, err
+	}
+	sort.Sort(byStart(r.rows))
+	return &Trace{Horizon: horizon, Transfers: r.rows, Names: a.names()}, nil
 }
 
 // FromLogs is the one-call ingest: it parses the daily log files
@@ -373,10 +378,13 @@ func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trac
 //
 // The files are parsed on min(GOMAXPROCS, files) workers while the
 // identity stage numbers them in name order and their sorts run beside
-// both (see the note above run). On error the first failing file in
-// name order is reported, as a sequential pass would; a parse error
-// anywhere wins over an id overflow, because ReadFiles fails before
-// FromEntries numbers anything.
+// both (see the note above run). The kept transfers are held once: in
+// one slice sized up front by the files' wmslog.EntryHint, which the
+// runs are sanitized into and which is sorted and merged in place. On
+// error the first failing file in name order is reported, as a
+// sequential pass would; a parse error anywhere wins over an id
+// overflow, because ReadFiles fails before FromEntries numbers
+// anything.
 func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport, error) {
 	if horizon <= 0 {
 		return nil, wmslog.ParseStats{}, SanitizeReport{}, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
@@ -384,14 +392,18 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 	sorted := slices.Sorted(slices.Values(paths))
 
 	type file struct {
+		hint   int // wmslog.EntryHint
 		r      *run
 		st     wmslog.ParseStats
 		err    error
 		parsed chan struct{} // closed once r, st and err are final
 	}
 	files := make([]file, len(sorted))
+	total := 0
 	for k := range files {
+		files[k].hint = wmslog.EntryHint(sorted[k])
 		files[k].parsed = make(chan struct{})
+		total += files[k].hint
 	}
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -406,7 +418,7 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 				return
 			}
 			f := &files[k]
-			r := newRun(wmslog.EntryHint(sorted[k]))
+			r := newRun(f.hint)
 			f.st, f.err = wmslog.ScanFile(sorted[k], true, in, func(e *wmslog.Entry) error {
 				ip, pid := in.Identity(e)
 				r.ids = appendID(appendID(r.ids, ip), pid)
@@ -433,6 +445,7 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 	// parse — every file before it was claimed, so it never waits on one
 	// nobody will parse — or at its own first error.
 	a := newAssembler()
+	segs := segments{rows: make([]Transfer, 0, total)}
 	var idErr error
 	for k := range files {
 		<-files[k].parsed
@@ -442,10 +455,11 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 		if idErr = a.take(files[k].r); idErr != nil {
 			break
 		}
-		files[k].r = nil // the assembler holds the rows
+		segs.add(files[k].r.rows, horizon)
+		files[k].r = nil // the run is garbage once copied
 	}
 	workers.Wait()
-	a.sorts.Wait()
+	segs.sorts.Wait()
 
 	var st wmslog.ParseStats
 	for k := range files {
@@ -457,10 +471,8 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 	if idErr != nil {
 		return nil, st, SanitizeReport{}, idErr
 	}
-	tr, err := a.trace(horizon)
-	if err != nil {
+	if err := checkHorizon(horizon); err != nil {
 		return nil, st, SanitizeReport{}, err
 	}
-	report := tr.sanitizeInto(tr.Transfers[:0])
-	return tr, st, report, nil
+	return &Trace{Horizon: horizon, Transfers: segs.merged(), Names: a.names()}, st, segs.report, nil
 }

@@ -193,6 +193,14 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 		t.Fatalf("fixture lost its entries to sanitize: %v", wantReport)
 	}
 
+	checkFromLogs(t, paths, horizon, want, wantStats, wantReport)
+}
+
+// checkFromLogs runs FromLogs over paths at GOMAXPROCS 1, 2 and 8 and
+// holds its result to want, wantStats and wantReport: the rows bit for
+// bit, the name tables, the parse bookkeeping and the sanitize report.
+func checkFromLogs(t *testing.T, paths []string, horizon int64, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport) {
+	t.Helper()
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			setGOMAXPROCS(t, procs)
@@ -220,6 +228,127 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 					len(got.Names.IPs), got.Names.Countries, len(want.Names.IPs), want.Names.Countries)
 			}
 		})
+	}
+}
+
+// fromEntriesSanitized is the sequential reference FromLogs is held
+// to: every file read into entries, one trace built, then sanitized.
+func fromEntriesSanitized(t *testing.T, paths []string, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport) {
+	t.Helper()
+	entries, st, err := wmslog.ReadFiles(paths, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := FromEntries(entries, wmslog.TraceEpoch, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, report := raw.Sanitize()
+	return want, st, report
+}
+
+// writeDays writes one text log per element of days, each entry
+// stamped at its transfer's end, an empty element an empty file. terse
+// leaves out every optional field and keeps the others short, so the
+// lines are about half as long as wmslog.EntryHint assumes.
+func writeDays(t *testing.T, dir string, days [][][2]int64, terse bool) []string {
+	t.Helper()
+	var paths []string
+	for d, rows := range days {
+		path := filepath.Join(dir, "wms-"+wmslog.TraceEpoch.Add(time.Duration(d)*24*time.Hour).Format("2006-01-02")+".log")
+		var b []byte
+		for i, r := range rows { // r: (end, duration)
+			e := &wmslog.Entry{
+				Timestamp: wmslog.TraceEpoch.Add(time.Duration(r[0]) * time.Second), Duration: r[1],
+				ClientIP: fmt.Sprintf("10.0.%d.%d", i%7, d), PlayerID: fmt.Sprintf("p%d", (i*7+d)%23),
+				ClientOS: "Windows 98", ClientCPU: "Pentium III", Referer: "http://show.example.br/aovivo",
+				URIStem: "/live/feed1", Bytes: int64(i), AvgBandwidth: 56000, Status: 200, ASNumber: 7, Country: "BR",
+			}
+			if terse {
+				e.ClientIP, e.PlayerID, e.URIStem, e.AvgBandwidth = fmt.Sprintf("1.0.0.%d", i%7), "p", "/a", 1
+				e.ClientOS, e.ClientCPU, e.Referer, e.Country = "", "", "", ""
+			}
+			b = append(wmslog.AppendEntry(b, e), '\n')
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
+// TestFromLogsInPlaceMergeEdges: the in-place merge of the daily
+// segments, where they overlap most and least — transfers that span two
+// and more midnights, so a day's segment reaches back across whole
+// segments before it; an empty daily file among full ones; and files
+// holding more lines than wmslog.EntryHint assumes (terse ones), so
+// that the presized slice of rows must grow while segments are being
+// sorted. Each is what
+// ReadFiles + FromEntries + Sanitize builds, at GOMAXPROCS 1, 2 and 8.
+func TestFromLogsInPlaceMergeEdges(t *testing.T) {
+	const days = 6
+	const horizon = days * 86400
+	rng := rand.New(rand.NewSource(36))
+	day := func(d int, n int, maxSpan int64) [][2]int64 {
+		rows := make([][2]int64, n)
+		for i := range rows {
+			end := int64(d)*86400 + rng.Int63n(86400)
+			rows[i] = [2]int64{end, min(rng.Int63n(maxSpan), end)}
+		}
+		slices.SortFunc(rows, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+		return rows
+	}
+	cases := []struct {
+		name  string
+		days  [][][2]int64
+		terse bool
+	}{
+		{"spans midnights", [][][2]int64{day(0, 300, 600), day(1, 300, 3*86400), day(2, 40, 200), day(3, 300, 2*86400+5000), day(4, 300, 600), day(5, 5, 5*86400)}, false},
+		{"empty day", [][][2]int64{day(0, 200, 4000), {}, day(2, 200, 2*86400), {}, day(4, 1, 600), day(5, 200, 600)}, false},
+		{"more lines than hinted", [][][2]int64{day(0, 400, 4000), day(1, 400, 2*86400), day(2, 400, 600), day(3, 400, 90000)}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			paths := writeDays(t, t.TempDir(), c.days, c.terse)
+			want, st, report := fromEntriesSanitized(t, paths, horizon)
+			hints := 0
+			for _, p := range paths {
+				hints += wmslog.EntryHint(p)
+			}
+			if c.terse && hints >= st.Entries {
+				t.Fatalf("the hints cover %d rows of %d: nothing grows", hints, st.Entries)
+			}
+			checkFromLogs(t, paths, horizon, want, st, report)
+		})
+	}
+}
+
+// TestMergeInPlaceMatchesSort: merging two sorted halves in place gives
+// the sorted whole, whichever side of the overlap is shorter, for
+// halves that do not overlap, that overlap entirely, that are empty,
+// and that hold duplicates.
+func TestMergeInPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var buf []Transfer
+	for round := 0; round < 500; round++ {
+		n := rng.Intn(60)
+		s := make([]Transfer, n)
+		for i := range s {
+			s[i] = Transfer{Start: rng.Int63n(int64(1 + rng.Intn(80))), Client: int32(rng.Intn(3)), Bytes: rng.Int63n(2)}
+		}
+		mid := 0
+		if n > 0 {
+			mid = rng.Intn(n + 1)
+		}
+		sort.Sort(byStart(s[:mid]))
+		sort.Sort(byStart(s[mid:]))
+		want := slices.Clone(s)
+		sort.Sort(byStart(want))
+		buf = mergeInPlace(s, mid, buf)
+		if !slices.Equal(s, want) {
+			t.Fatalf("round %d: n %d, mid %d: merged %v, want %v", round, n, mid, s, want)
+		}
 	}
 }
 
@@ -706,4 +835,69 @@ func overflowLogs(t *testing.T, dir, col string) []string {
 		paths = append(paths, path)
 	}
 	return paths
+}
+
+// TestStreamMatchesCollector: rows handed to a Stream in start order —
+// ties in arrival order, spanning rows out of order among them, rows
+// for sanitizing to drop — come out as the rows of the trace a
+// Collector builds from the same transfers, in its order, with the same
+// report; and a kept row that starts before an earlier kept one is an
+// error.
+func TestStreamMatchesCollector(t *testing.T) {
+	const horizon = 20000
+	rng := rand.New(rand.NewSource(38))
+	for _, n := range []int{0, 1, 7, 5000} {
+		in := make([]Transfer, 0, n)
+		start := int64(-2)
+		for i := 0; i < n; i++ {
+			start += rng.Int63n(3) // ties, a few before 0
+			x := Transfer{Client: int32(rng.Intn(5)), Object: uint16(rng.Intn(2)), Start: start, Duration: rng.Int63n(horizon / 4), Bytes: rng.Int63n(3)}
+			if i%97 == 96 {
+				x.Duration = -1
+			}
+			in = append(in, x)
+			if i%50 == 49 { // a spanning twin, out of start order
+				in = append(in, Transfer{Client: x.Client, Start: x.End() - horizon - 5, Duration: horizon + 5})
+			}
+		}
+		var c Collector
+		var got []Transfer
+		s, err := NewStream(horizon, func(x *Transfer) { got = append(got, *x) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range in {
+			c.Add(x)
+			if err := s.Add(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report := s.Close()
+		want, wantReport, err := c.Trace(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report != wantReport {
+			t.Errorf("n=%d: report %v, want %v", n, report, wantReport)
+		}
+		if !slices.Equal(got, want.Transfers) {
+			t.Errorf("n=%d: streamed %d rows, want the collected trace's %d, in its order", n, len(got), want.NumTransfers())
+		}
+		if n == 5000 && (wantReport.DroppedSpanning == 0 || wantReport.DroppedNegative == 0 || wantReport.DroppedOutside == 0) {
+			t.Errorf("fixture exercises too little: %v", wantReport)
+		}
+	}
+	s, err := NewStream(horizon, func(*Transfer) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(Transfer{Start: 10, Duration: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(Transfer{Start: 9, Duration: 1}); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("a kept row out of start order: err %v, want ErrBadTrace", err)
+	}
+	if _, err := NewStream(0, func(*Transfer) {}); err == nil {
+		t.Error("zero horizon: want error")
+	}
 }

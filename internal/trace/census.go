@@ -31,67 +31,96 @@ func upTo[T any](s []T, i int) []T {
 	return append(s, make([]T, i+1-len(s))...)
 }
 
-// Census counts the trace's population. Everything is indexed by id:
-// AS numbers, sparse in 32 bits, are first remapped to dense indices in
+// Census counts the trace's population: a CensusCounter walked over
+// its transfers.
+func (tr *Trace) Census() *Census {
+	var cc *CensusCounter
+	if tr.Names != nil {
+		cc = NewCensusCounter(len(tr.Names.IPs), len(tr.Names.Countries))
+	} else {
+		cc = NewCensusCounter(0, 0)
+	}
+	for i := range tr.Transfers {
+		cc.Add(&tr.Transfers[i])
+	}
+	return cc.Census()
+}
+
+// CensusCounter is a Census taken one transfer at a time, in any order
+// of transfers that keeps the order their ASes are first met in — the
+// trace order for a trace's own Census. Everything is indexed by id:
+// AS numbers, sparse in 32 bits, are remapped to dense indices in
 // first-seen order; an IP's distinctness within its AS is one slot
 // holding the first AS the IP was seen under, and only an IP that turns
 // up under a second AS — a renumbered block, a multihomed client —
 // costs a set entry. No name is read.
+type CensusCounter struct {
+	c        Census
+	asDirect []int32         // 1 + dense index of an AS number below asDirectMax
+	asSparse map[uint32]int  // dense index of the others
+	ipAS     []uint32        // per IP id: 1 + dense index of the first AS it was seen under
+	moved    map[uint64]bool // (IP, AS) pairs beyond an IP's first AS
+}
+
+// NewCensusCounter returns an empty counter with its per-IP and
+// per-country tables sized for ips and countries ids — the lengths of
+// the transfers' name tables; ids beyond them are counted all the same.
+func NewCensusCounter(ips, countries int) *CensusCounter {
+	cc := &CensusCounter{asSparse: make(map[uint32]int, 8), moved: make(map[uint64]bool, 8)}
+	if ips > 0 {
+		cc.ipAS = make([]uint32, ips)
+	}
+	if countries > 0 {
+		cc.c.CountryTransfers = make([]int, countries)
+	}
+	return cc
+}
+
+// Add counts one transfer.
 //
 //lsm:hotpath
-func (tr *Trace) Census() *Census {
-	c := &Census{}
-	var (
-		asDirect []int32                    // 1 + dense index of an AS number below asDirectMax
-		asSparse = make(map[uint32]int, 8)  // dense index of the others
-		ipAS     []uint32                   // per IP id: 1 + dense index of the first AS it was seen under
-		moved    = make(map[uint64]bool, 8) // (IP, AS) pairs beyond an IP's first AS
-	)
-	if tr.Names != nil {
-		ipAS = make([]uint32, len(tr.Names.IPs))
-		c.CountryTransfers = make([]int, len(tr.Names.Countries))
+func (cc *CensusCounter) Add(t *Transfer) {
+	c := &cc.c
+	a := len(c.ASTransfers) // t.AS's dense index; a new AS takes the next one
+	if t.AS < asDirectMax {
+		cc.asDirect = upTo(cc.asDirect, int(t.AS))
+		if cc.asDirect[t.AS] == 0 {
+			cc.asDirect[t.AS] = int32(a) + 1
+		}
+		a = int(cc.asDirect[t.AS]) - 1
+	} else if known, ok := cc.asSparse[t.AS]; ok {
+		a = known
+	} else {
+		cc.asSparse[t.AS] = a
 	}
-	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
+	if a == len(c.ASTransfers) {
+		c.ASTransfers = append(c.ASTransfers, 0)
+		c.ASIPs = append(c.ASIPs, 0)
+	}
+	c.ASTransfers[a]++
 
-		a := len(c.ASTransfers) // t.AS's dense index; a new AS takes the next one
-		if t.AS < asDirectMax {
-			asDirect = upTo(asDirect, int(t.AS))
-			if asDirect[t.AS] == 0 {
-				asDirect[t.AS] = int32(a) + 1
-			}
-			a = int(asDirect[t.AS]) - 1
-		} else if known, ok := asSparse[t.AS]; ok {
-			a = known
-		} else {
-			asSparse[t.AS] = a
-		}
-		if a == len(c.ASTransfers) {
-			c.ASTransfers = append(c.ASTransfers, 0)
-			c.ASIPs = append(c.ASIPs, 0)
-		}
-		c.ASTransfers[a]++
-
-		ipAS = upTo(ipAS, int(t.IP))
-		switch first := ipAS[t.IP]; {
-		case first == 0:
-			ipAS[t.IP] = uint32(a) + 1
-			c.IPs++
+	cc.ipAS = upTo(cc.ipAS, int(t.IP))
+	switch first := cc.ipAS[t.IP]; {
+	case first == 0:
+		cc.ipAS[t.IP] = uint32(a) + 1
+		c.IPs++
+		c.ASIPs[a]++
+	case first != uint32(a)+1:
+		if pair := uint64(t.IP)<<32 | uint64(a); !cc.moved[pair] {
+			cc.moved[pair] = true
 			c.ASIPs[a]++
-		case first != uint32(a)+1:
-			if pair := uint64(t.IP)<<32 | uint64(a); !moved[pair] {
-				moved[pair] = true
-				c.ASIPs[a]++
-			}
 		}
-
-		c.CountryTransfers = upTo(c.CountryTransfers, int(t.Country))
-		c.CountryTransfers[t.Country]++
-		c.ObjectTransfers = upTo(c.ObjectTransfers, int(t.Object))
-		c.ObjectTransfers[t.Object]++
 	}
-	return c
+
+	c.CountryTransfers = upTo(c.CountryTransfers, int(t.Country))
+	c.CountryTransfers[t.Country]++
+	c.ObjectTransfers = upTo(c.ObjectTransfers, int(t.Object))
+	c.ObjectTransfers[t.Object]++
 }
+
+// Census returns the count of the transfers added so far. It is the
+// counter's own: adding more transfers changes it.
+func (cc *CensusCounter) Census() *Census { return &cc.c }
 
 // DistinctIPs counts distinct client IPs in the trace.
 func (tr *Trace) DistinctIPs() int { return tr.Census().IPs }

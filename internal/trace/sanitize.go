@@ -39,25 +39,35 @@ func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
 
 // sanitizeInto filters tr's transfers into kept, which becomes tr's
 // slice. kept may be tr.Transfers[:0] — an owner compacting its trace
-// in place, as FromLogs does: a kept transfer only ever moves down.
+// in place, as Collector does: a kept transfer only ever moves down.
 func (tr *Trace) sanitizeInto(kept []Transfer) SanitizeReport {
-	report := SanitizeReport{Input: len(tr.Transfers)}
+	report := SanitizeReport{}
 	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
-		switch {
-		case t.Duration < 0:
-			report.DroppedNegative++
-		case t.Duration > tr.Horizon:
-			report.DroppedSpanning++
-		case t.Start < 0 || t.End() > tr.Horizon:
-			report.DroppedOutside++
-		default:
-			kept = append(kept, *t)
+		if report.keep(&tr.Transfers[i], tr.Horizon) {
+			kept = append(kept, tr.Transfers[i])
 		}
 	}
-	report.Kept = len(kept)
 	tr.Transfers, tr.byClient = kept, nil
 	return report
+}
+
+// keep is the Section 2.4 test of one transfer over horizon seconds
+// (see Sanitize): it counts t into the report, as kept or as dropped
+// for its reason, and reports whether t is kept.
+func (r *SanitizeReport) keep(t *Transfer, horizon int64) bool {
+	r.Input++
+	switch {
+	case t.Duration < 0:
+		r.DroppedNegative++
+	case t.Duration > horizon:
+		r.DroppedSpanning++
+	case t.Start < 0 || t.End() > horizon:
+		r.DroppedOutside++
+	default:
+		r.Kept++
+		return true
+	}
+	return false
 }
 
 // OverloadAudit is the server-load check of Section 2.4: the fraction of

@@ -75,9 +75,13 @@ func (tr *Trace) IPName(id uint32) string {
 
 // CountryName returns the country code behind Country id; an id the
 // trace has no name for is rendered as "#id".
-func (tr *Trace) CountryName(id uint16) string {
-	if tr.Names != nil && int(id) < len(tr.Names.Countries) {
-		return tr.Names.Countries[id]
+func (tr *Trace) CountryName(id uint16) string { return tr.Names.CountryName(id) }
+
+// CountryName returns the country code behind Country id; an id the
+// tables have no name for — nil tables included — is rendered as "#id".
+func (n *Names) CountryName(id uint16) string {
+	if n != nil && int(id) < len(n.Countries) {
+		return n.Countries[id]
 	}
 	return "#" + strconv.FormatUint(uint64(id), 10)
 }

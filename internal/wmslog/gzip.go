@@ -41,13 +41,16 @@ func openLog(path string) (io.Reader, io.Closer, error) {
 	return zr, &stackedCloser{inner: zr, outer: f}, nil
 }
 
-// Bytes one entry takes on disk, rounded down so EntryHint errs high: a
-// canonical text line is ~145 bytes; gzip packs it into ~27, and a
-// binary record is 25–45 depending on how often the file's dictionary
-// already holds its strings.
+// Bytes one entry takes on disk, rounded down so EntryHint errs high,
+// but by little: a trace build presizes its rows from the hints, so
+// what they overshoot is resident memory. On a generated day a
+// canonical text line is ~146 bytes, gzip packs it into 26–27, and a
+// binary record with its share of the file's dictionary takes 40–44 —
+// hints of 1.0–1.2× the entries in each format.
 const (
 	textBytesPerEntry   = 128
-	packedBytesPerEntry = 24 // gzip or binary
+	gzipBytesPerEntry   = 24
+	binaryBytesPerEntry = 38
 )
 
 // EntryHint estimates, from its size and format alone, how many entries
@@ -66,8 +69,10 @@ func EntryHint(path string) int {
 	}
 	per := int64(textBytesPerEntry)
 	magic := make([]byte, len(binaryMagic))
-	if n, _ := io.ReadFull(f, magic); strings.HasSuffix(path, ".gz") || bytes.Equal(magic[:n], binaryMagic) {
-		per = packedBytesPerEntry
+	if n, _ := io.ReadFull(f, magic); strings.HasSuffix(path, ".gz") {
+		per = gzipBytesPerEntry
+	} else if bytes.Equal(magic[:n], binaryMagic) {
+		per = binaryBytesPerEntry
 	}
 	return int(st.Size()/per) + 1
 }
