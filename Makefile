@@ -53,7 +53,9 @@ BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Sh
 BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|EncodeBinaryLog|GenerateMaterialized)$$|BenchmarkZipfRankOfU$$|BenchmarkPopulation$$
 
 # BENCH_CHAR selects the measurement-half benchmarks: the log ingest
-# (files on disk → sanitized trace), sessionization, the whole
+# (files on disk → sanitized trace) and lsmcal's observe half (the
+# ingest streamed into the calibration core, core.ObserveLogs —
+# matched by Observe), sessionization, the whole
 # core.Characterize and its calibration core alone (core.Observe),
 # the calibration loop's regenerate and validate
 # halves (calibrate.Twin, calibrate.Validate), the concurrency report
@@ -65,12 +67,13 @@ BENCH_CODEC := BenchmarkStreaming((Encode|Parse)Entry|Parse(Text|Binary)Log|Enco
 BENCH_CHAR := BenchmarkPipeline(LoadLogs|Sessionize|FullCharacterization|Observe|Twin|Validate|Diversity|Concurrency)|BenchmarkFigure(8Autocorrelation|9SessionsVsTimeout)|BenchmarkSortSample
 
 # BENCH_INGEST is the measurement-half benchmarks that scale with
-# GOMAXPROCS alone — the log ingest (a parse worker per core) and
-# core.Characterize (a task per layer): their -cpu 1 rows come from
+# GOMAXPROCS alone — the log ingest (a parse worker per core), alone
+# and streamed into the observer, and core.Characterize (a task per
+# layer): their -cpu 1 rows come from
 # BENCH_CHAR, so the matrix pass adds only -cpu 2,4,8 and the record
 # still holds one row per (name, gomaxprocs); benchjson annotates those
 # rows with speedup_vs_sequential against the -cpu 1 row.
-BENCH_INGEST := BenchmarkPipeline(LoadLogs|FullCharacterization)$$
+BENCH_INGEST := BenchmarkPipeline(LoadLogs|ObserveLogs|FullCharacterization)$$
 
 # bench runs the codec benchmarks (BENCH_CODEC), the streaming-pipeline
 # benchmarks (BENCH_MATRIX: sequential vs sharded generation, streamed

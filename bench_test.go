@@ -785,13 +785,9 @@ func buildLoadLogsFixture() error {
 	return nil
 }
 
-// BenchmarkPipelineLoadLogs times the observe path's front half as
-// lsmcal and lsmchar run it: daily log files on disk → sanitized trace
-// (core.LoadLogs: find, parse a file per core, merge, sort, sanitize).
-// At -cpu 1 it is the sequential ingest; the -cpu 2,4,8 rows are the
-// same call with more workers, which benchjson annotates with
-// speedup_vs_sequential against the -cpu 1 row.
-func BenchmarkPipelineLoadLogs(b *testing.B) {
+// loadLogsDir writes the ingest benchmarks' daily logs under b's temp
+// dir and returns the dir and the logs' size in bytes.
+func loadLogsDir(b *testing.B) (string, int64) {
 	fx := &loadLogsFixture
 	fx.once.Do(func() { fx.err = buildLoadLogsFixture() })
 	if fx.err != nil {
@@ -805,6 +801,18 @@ func BenchmarkPipelineLoadLogs(b *testing.B) {
 		}
 		size += int64(len(data))
 	}
+	return dir, size
+}
+
+// BenchmarkPipelineLoadLogs times the observe path's front half as
+// lsmchar runs it: daily log files on disk → sanitized trace
+// (core.LoadLogs: find, parse a file per core, number, sort, merge,
+// sanitize). At -cpu 1 it is the sequential ingest; the -cpu 2,4,8
+// rows are the same call with more workers, which benchjson annotates
+// with speedup_vs_sequential against the -cpu 1 row.
+func BenchmarkPipelineLoadLogs(b *testing.B) {
+	dir, size := loadLogsDir(b)
+	fx := &loadLogsFixture
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -816,6 +824,32 @@ func BenchmarkPipelineLoadLogs(b *testing.B) {
 		// Sanitization drops the few injected spanning entries.
 		if n := int64(tr.NumTransfers()); n == 0 || n > fx.entries {
 			b.Fatalf("loaded %d transfers from %d entries", n, fx.entries)
+		}
+	}
+	b.ReportMetric(float64(fx.entries), "entries")
+}
+
+// BenchmarkPipelineObserveLogs times lsmcal's whole observe half on the
+// LoadLogs fixture: daily log files on disk → calibration core
+// (core.ObserveLogs: the ingest's merge streamed into the observer, no
+// trace built). Its B/op against LoadLogs' is the trace not built plus
+// what the observer keeps; its -cpu rows are annotated like LoadLogs'.
+func BenchmarkPipelineObserveLogs(b *testing.B) {
+	dir, size := loadLogsDir(b)
+	fx := &loadLogsFixture
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		char, ing, err := core.ObserveLogs(dir, 14, 1500, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ing.Ordered {
+			b.Fatal("the generated logs did not stream in order")
+		}
+		if n := int64(char.Basic.Transfers); n == 0 || n > fx.entries {
+			b.Fatalf("observed %d transfers from %d entries", n, fx.entries)
 		}
 	}
 	b.ReportMetric(float64(fx.entries), "entries")

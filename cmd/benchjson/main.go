@@ -109,11 +109,13 @@ type speedupSpec struct {
 // sequential baseline: sharded generation vs single-shard generation;
 // and the passes whose only parallelism knob is GOMAXPROCS — the
 // generate → serve pipeline (generator shards, serve goroutine,
-// emitter), the log ingest (a worker per core, inline at 1) and the
-// characterization (a task per layer) — vs their own -cpu 1 rows.
+// emitter), the log ingest (a worker per core, inline at 1) alone and
+// streamed into the observer, and the characterization (a task per
+// layer) — vs their own -cpu 1 rows.
 const defaultSpeedup = "BenchmarkStreamingServe=BenchmarkStreamingServe," +
 	"BenchmarkStreamingGenerateShards=BenchmarkStreamingGenerateSequential," +
 	"BenchmarkPipelineLoadLogs=BenchmarkPipelineLoadLogs," +
+	"BenchmarkPipelineObserveLogs=BenchmarkPipelineObserveLogs," +
 	"BenchmarkPipelineFullCharacterization=BenchmarkPipelineFullCharacterization"
 
 // compareOpts parameterizes the gate.

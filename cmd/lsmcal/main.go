@@ -71,13 +71,12 @@ func main() {
 }
 
 func run(w io.Writer, logDir string, days int, timeout, seed int64, outPath string, twin, strict bool) (int, error) {
-	clean, err := core.LoadLogs(logDir, days, w)
+	source, ing, err := core.ObserveLogs(logDir, days, timeout, w)
 	if err != nil {
 		return 0, err
 	}
-	source, err := core.Observe(clean, timeout)
-	if err != nil {
-		return 0, err
+	if !ing.Ordered {
+		fmt.Fprintln(os.Stderr, "lsmcal: the log files overlap by more than a daily harvest's: observed from a full trace")
 	}
 	fmt.Fprintf(w, "source: %d clients, %d sessions, %d transfers over %d day(s)\n",
 		source.Basic.Users, source.Basic.Sessions, source.Basic.Transfers, source.Basic.Days)

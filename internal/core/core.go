@@ -283,21 +283,72 @@ func serve(m gismo.Model, server simulate.Config, seed int64, sinks simulate.Str
 // (trace.FromLogs), a file per core. The parse and sanitize summaries
 // are written to w.
 func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
-	paths, err := wmslog.FindLogs(dir)
+	paths, err := findLogs(dir)
 	if err != nil {
 		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", dir)
 	}
 	clean, st, sanReport, err := trace.FromLogs(paths, wmslog.TraceEpoch, int64(days)*86400)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "parsed %d entries from %d files (%d malformed lines skipped)\n",
-		st.Entries, len(paths), st.Malformed)
-	fmt.Fprintln(w, sanReport)
+	writeIngest(w, st, len(paths), sanReport)
 	return clean, nil
+}
+
+// findLogs returns the daily log files under dir, refusing a directory
+// that has none.
+func findLogs(dir string) ([]string, error) {
+	paths, err := wmslog.FindLogs(dir)
+	if err == nil && len(paths) == 0 {
+		err = fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", dir)
+	}
+	return paths, err
+}
+
+// writeIngest writes the parse and sanitize summaries of an ingest of
+// files log files.
+func writeIngest(w io.Writer, st wmslog.ParseStats, files int, report trace.SanitizeReport) {
+	fmt.Fprintf(w, "parsed %d entries from %d files (%d malformed lines skipped)\n",
+		st.Entries, files, st.Malformed)
+	fmt.Fprintln(w, report)
+}
+
+// ObserveLogs is Observe(LoadLogs(dir, days, w), timeout) with no trace
+// built: the logs' rows go from the ingest's merge (trace.StreamLogs)
+// straight into an Observer, so what is held is the observer's state
+// and a few files' rows. The characterization and what is written to w
+// are LoadLogs' and Observe's. Logs whose files reach back further than
+// a daily harvest's (the returned Ingest is not Ordered), and a timeout
+// the observer refuses, take that path itself; the Ingest is then the
+// stream's, as far as it went.
+func ObserveLogs(dir string, days int, timeout int64, w io.Writer) (*Characterization, trace.Ingest, error) {
+	paths, err := findLogs(dir)
+	if err != nil {
+		return nil, trace.Ingest{}, err
+	}
+	rows := 0
+	for _, path := range paths {
+		rows += wmslog.EntryHint(path)
+	}
+	horizon := int64(days) * 86400
+	var ing trace.Ingest
+	if o, err := NewObserver(horizon, timeout, rows, 0); err == nil {
+		if ing, err = trace.StreamLogs(paths, wmslog.TraceEpoch, horizon, o.Add); err != nil {
+			return nil, ing, err
+		}
+		if ing.Ordered {
+			writeIngest(w, ing.Stats, len(paths), ing.Report)
+			o.SetNames(ing.Names)
+			char, err := o.Characterization()
+			return char, ing, err
+		}
+	}
+	clean, err := LoadLogs(dir, days, w)
+	if err != nil {
+		return nil, ing, err
+	}
+	char, err := Observe(clean, timeout)
+	return char, ing, err
 }
 
 // Observe runs the calibration core of the Sections 3–5 pipeline on an
@@ -370,12 +421,13 @@ func NewObserver(horizon, timeout int64, transfers, clients int) (*Observer, err
 
 // SetNames gives the observer the tables the transfers' IP and Country
 // ids index (trace.Names): it keeps the country names, which key the
-// country shares, and sizes its census by both tables. Set them before
-// the first transfer, as a serve run's Names sink does.
+// country shares. It counts nothing, so it may come at any time before
+// Characterization — before the first transfer, as a serve run's Names
+// sink sends them, or after the last, once a log ingest has numbered
+// every file.
 func (o *Observer) SetNames(n *trace.Names) {
 	if n != nil {
 		o.countries = n.Countries
-		o.census = trace.NewCensusCounter(len(n.IPs), len(n.Countries))
 	}
 }
 

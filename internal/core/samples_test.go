@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"slices"
 	"testing"
@@ -136,4 +137,41 @@ func TestObserveAllocationBudget(t *testing.T) {
 		t.Errorf("Observe allocated %d bytes, Characterize %d: want less", got, full)
 	}
 	t.Logf("Observe %d B, Characterize %d B", got, full)
+}
+
+// TestObserveLogsAllocationBudget bounds the heap bytes one ObserveLogs
+// of lsmgen's daily logs allocates, at a fixed core count (each parse
+// worker holds its own buffers). The logs' rows go from the merge into
+// the observer, so it allocates less than LoadLogs and Observe do
+// together by about the trace they build (56 B a row). Like
+// TestObserveAllocationBudget, the bound is the measured count plus
+// about 10 % headroom.
+func TestObserveLogsAllocationBudget(t *testing.T) {
+	dir := t.TempDir()
+	writeGenLogs(t, dir, 50, 7, 11)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	got := allocated(func() {
+		if _, _, err := ObserveLogs(dir, 7, sessions.DefaultTimeout, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var rows int
+	full := allocated(func() {
+		tr, err := LoadLogs(dir, 7, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Observe(tr, sessions.DefaultTimeout); err != nil {
+			t.Fatal(err)
+		}
+		rows = tr.NumTransfers()
+	})
+	t.Logf("ObserveLogs %d B, LoadLogs + Observe %d B, %d rows", got, full, rows)
+	const budget = 5_460_000 // measured 4,965,600–4,967,400; LoadLogs + Observe 5,331,300–5,337,000
+	if got > budget {
+		t.Errorf("ObserveLogs allocated %d bytes, budget %d", got, budget)
+	}
+	if got+28*uint64(rows) > full {
+		t.Errorf("ObserveLogs allocated %d bytes, LoadLogs + Observe %d: want less by the trace's 56 B a row, half of it at least, over %d rows", got, full, rows)
+	}
 }

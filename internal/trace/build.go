@@ -17,26 +17,28 @@ import (
 // The trace build numbers four columns of every entry — player ID, IP,
 // URI stem and country — 0, 1, 2, … in the order a sequential pass over
 // the accepted entries first meets each value; Transfer carries the
-// numbers. FromLogs runs it in three stages:
+// numbers. A log ingest (StreamLogs, FromLogs) runs in four stages:
 //
-//   - parse: workers claim the files in name order and turn each into a
-//     run — its transfers, every numeric field set, and beside each the
-//     c-ip and c-playerid bytes, copied out of the parser's buffer (a
-//     deferred wmslog.Interner never makes them strings). URI and
-//     country, a handful of values, are numbered within the file;
-//   - identity: the calling goroutine takes the runs strictly in
-//     file-name order, each as soon as it is parsed, and numbers all four
-//     columns through one ordinary wmslog.Interner, writing the ids into
-//     the rows. It is the sequential pass, so its ids are the sequential
-//     ones by construction. The numbered run is then sanitized into the
-//     build's one slice of transfers, behind the runs before it, and the
-//     run itself is garbage;
-//   - sort and merge: each run's segment of that slice is sorted in
-//     place on a goroutine of its own, and neighbouring segments are
-//     merged in place (mergeInPlace), with a buffer holding only where
-//     they overlap. The trace order is total (before), so the result
-//     depends on the transfers alone, not on how they were split into
-//     runs.
+//   - parse: workers claim the files in name order, at most ParseAhead
+//     runs ahead of the merge, and turn each into a run — its
+//     transfers, every numeric field set, and beside each the c-ip and
+//     c-playerid bytes, copied out of the parser's buffer (a deferred
+//     wmslog.Interner never makes them strings) — noting the least start
+//     Sanitize will keep (run.low). URI and country, a handful of
+//     values, are numbered within the file;
+//   - identity: one goroutine takes the runs strictly in file-name
+//     order and numbers all four columns through one ordinary
+//     wmslog.Interner, writing the ids into the rows. It is the
+//     sequential pass, so its ids are the sequential ones by
+//     construction;
+//   - sort: each numbered run is sanitized and sorted in place on a
+//     goroutine of its own;
+//   - merge: the calling goroutine merges the held tail with each sorted
+//     run in turn, hands on every row that starts before the next run's
+//     low — the watermark: that run holds nothing earlier — and holds
+//     the rest as the new tail (merger). The trace order is total
+//     (before), so the rows depend on the transfers alone, not on how
+//     they were split into runs.
 //
 // FromEntries is the same identity stage and sort over one run.
 
@@ -74,18 +76,21 @@ type run struct {
 	// each as a uvarint length followed by the bytes.
 	ids []byte
 	// local numbers the run's URIs and countries in first-seen order.
-	local wmslog.Interner
-	badAS bool // some AS number did not fit its field
+	local   wmslog.Interner
+	horizon int64 // the trace length Sanitize will hold the rows to
+	low     int64 // the least start of a row Sanitize keeps; MaxInt64 if none
+	badAS   bool  // some AS number did not fit its field
 }
 
 // idBytes is what one row's identity takes in a run's arena, rounded
 // up: two length bytes, a dotted quad and a player ID.
 const idBytes = 32
 
-// newRun returns a run with room for sizeHint rows: a close hint means
-// the rows and the arena are allocated once each.
-func newRun(sizeHint int) *run {
-	return &run{rows: make([]Transfer, 0, sizeHint), ids: make([]byte, 0, sizeHint*idBytes)}
+// newRun returns a run over horizon seconds with room for sizeHint
+// rows: a close hint means the rows and the arena are allocated once
+// each.
+func newRun(sizeHint int, horizon int64) *run {
+	return &run{rows: make([]Transfer, 0, sizeHint), ids: make([]byte, 0, sizeHint*idBytes), horizon: horizon, low: math.MaxInt64}
 }
 
 // appendID appends one identity column to a run's arena.
@@ -101,11 +106,12 @@ func nextID(ids []byte) (b, rest []byte) {
 	return ids[k:end], ids[end:]
 }
 
-// add appends the transfer e records; its identity goes into the arena
-// beside it (appendID). Entries are timestamped at transfer end (that
-// is when the server logs them), so Start = timestamp - duration;
-// entries whose computed interval escapes [0, horizon] are kept here
-// and removed by Sanitize, mirroring the paper's two-step handling.
+// add appends the transfer e records, its identity into the arena
+// beside it (appendID), and lowers the run's low if Sanitize keeps the
+// transfer. Entries are timestamped at transfer end (that is when the
+// server logs them), so Start = timestamp - duration; entries whose
+// computed interval escapes [0, horizon] are kept here and removed by
+// Sanitize, mirroring the paper's two-step handling.
 //
 // add keeps nothing of the entry itself — numbers by value, URI and
 // country as run-local ids — as the scan's entry-reuse contract demands
@@ -117,6 +123,9 @@ func (r *run) add(e *wmslog.Entry, epoch time.Time) {
 		r.badAS = true
 	}
 	end := int64(e.Timestamp.Sub(epoch) / time.Second)
+	if start := end - e.Duration; start < r.low && kept(start, e.Duration, r.horizon) {
+		r.low = start
+	}
 	r.rows = append(r.rows, Transfer{
 		Start:     end - e.Duration,
 		Duration:  e.Duration,
@@ -192,168 +201,13 @@ func (a *assembler) names() *Names {
 	return &Names{IPs: a.ids.Names(wmslog.ColIP), Countries: a.ids.Names(wmslog.ColCountry)}
 }
 
-// segments is the sort-and-merge stage of FromLogs: one slice holding
-// every numbered run's kept transfers back to back, each run's segment
-// sorted in place on a goroutine of its own.
-type segments struct {
-	rows   []Transfer
-	ends   []int // segment k is rows[ends[k-1]:ends[k]]
-	report SanitizeReport
-	sorts  sync.WaitGroup // one per segment being sorted
-}
-
-// add sanitizes run over horizon seconds into a new segment behind the
-// others and starts the segment's sort. The rows grow only when the
-// run's transfers might not fit, and then only after every running
-// sort has finished: a sort holds a window onto the old array.
-func (s *segments) add(run []Transfer, horizon int64) {
-	if len(s.rows)+len(run) > cap(s.rows) {
-		s.sorts.Wait()
-		s.rows = slices.Grow(s.rows, len(run))
-	}
-	from := len(s.rows)
-	for i := range run {
-		if s.report.keep(&run[i], horizon) {
-			s.rows = append(s.rows, run[i])
-		}
-	}
-	s.ends = append(s.ends, len(s.rows))
-	seg := s.rows[from:]
-	s.sorts.Add(1)
-	go func() {
-		defer s.sorts.Done()
-		sort.Sort(byStart(seg))
-	}()
-}
-
-// merged waits for the sorts and merges the segments, each into the
-// merged ones before it, in place; the rows are then in the trace
-// order.
-func (s *segments) merged() []Transfer {
-	s.sorts.Wait()
-	var buf []Transfer
-	for k := 1; k < len(s.ends); k++ {
-		buf = mergeInPlace(s.rows[:s.ends[k]], s.ends[k-1], buf)
-	}
-	return s.rows
-}
-
-// mergeInPlace merges the sorted halves s[:mid] and s[mid:] of s into
-// one sorted run in place, with buf (returned, perhaps grown, for
-// reuse) holding only the smaller side of where they overlap. The
-// leading transfers of s[:mid] that sort no later than s[mid], and the
-// trailing ones of s[mid:] that sort no earlier than s[mid-1], are
-// already in place and are not moved; of the two overlapping parts
-// left, the shorter is copied out and the two are merged into the gap
-// — from the front when it is the left part (Timsort's merge_lo), from
-// the back when it is the right (merge_hi). Daily files overlap only
-// where a transfer spans midnight: the right part is then the few
-// transfers that started the day before.
-func mergeInPlace(s []Transfer, mid int, buf []Transfer) []Transfer {
-	if mid == 0 || mid == len(s) || !before(&s[mid], &s[mid-1]) {
-		return buf
-	}
-	// s[lo:mid] sorts after s[mid]; s[mid:hi] sorts before s[mid-1].
-	lo := sort.Search(mid, func(i int) bool { return before(&s[mid], &s[i]) })
-	hi := mid + sort.Search(len(s)-mid, func(j int) bool { return !before(&s[mid+j], &s[mid-1]) })
-	if mid-lo <= hi-mid {
-		buf = append(buf[:0], s[lo:mid]...)
-		d, p, q := lo, 0, mid // merge buf and s[mid:hi] into s[lo:hi] from the front
-		for p < len(buf) && q < hi {
-			if before(&s[q], &buf[p]) {
-				s[d] = s[q]
-				q++
-			} else {
-				s[d] = buf[p]
-				p++
-			}
-			d++
-		}
-		copy(s[d:], buf[p:])
-		return buf
-	}
-	buf = append(buf[:0], s[mid:hi]...)
-	d, p, q := hi-1, mid-1, len(buf)-1 // merge s[lo:mid] and buf into s[lo:hi] from the back
-	for p >= lo && q >= 0 {
-		if before(&buf[q], &s[p]) {
-			s[d] = s[p]
-			p--
-		} else {
-			s[d] = buf[q]
-			q--
-		}
-		d--
-	}
-	copy(s[lo:], buf[:q+1])
-	return buf
-}
-
-// Collector accumulates transfers, in any order, for a trace that will
-// own them — the in-memory counterpart of FromLogs, for a caller that
-// is handed transfers one at a time and cannot know their number in
-// advance: core.Serve, so core.Run, lsmrepro and the examples. (The
-// calibration twin builds no trace: its rows go through a Stream
-// straight into core's observer.) Transfers gather in fixed-size
-// chunks, so collecting allocates the sample once more than its size
-// instead of the several times over that append's geometric growth,
-// with its copying, costs. The zero value is ready to use.
-type Collector struct {
-	// Names are the tables the collected transfers' IP and Country ids
-	// index, if the caller has them; Trace attaches them to its result.
-	Names *Names
-
-	chunks [][]Transfer // every chunk but the last is full
-}
-
-// collectorChunk is the chunk length in transfers (1.5 MB): large
-// enough that the chunk list stays short at paper scale, small enough
-// that a short trace does not pay for it.
-const collectorChunk = 1 << 14
-
-// Add appends one transfer.
-func (c *Collector) Add(t Transfer) {
-	k := len(c.chunks) - 1
-	if k < 0 || len(c.chunks[k]) == collectorChunk {
-		c.chunks = append(c.chunks, make([]Transfer, 0, collectorChunk))
-		k++
-	}
-	c.chunks[k] = append(c.chunks[k], t)
-}
-
-// Trace moves the collected transfers into one exactly-sized slice,
-// sanitizes it in place (Section 2.4) and sorts what is kept into a
-// trace over horizon seconds: the result is what New followed by
-// Sanitize yields over the same transfers, without either copy.
-// Sanitizing first drops a serve run's spanning rows — the only ones it
-// adds out of start order — before the sort sees them. The collector is
-// empty afterwards.
-func (c *Collector) Trace(horizon int64) (*Trace, SanitizeReport, error) {
-	n := 0
-	for _, chunk := range c.chunks {
-		n += len(chunk)
-	}
-	all := make([]Transfer, 0, n)
-	for i, chunk := range c.chunks {
-		all = append(all, chunk...)
-		c.chunks[i] = nil // a chunk is garbage as soon as it is copied
-	}
-	c.chunks = nil
-	if err := checkHorizon(horizon); err != nil {
-		return nil, SanitizeReport{}, err
-	}
-	tr := &Trace{Horizon: horizon, Transfers: all, Names: c.Names}
-	report := tr.sanitizeInto(all[:0])
-	sortTraceOrder(tr.Transfers)
-	return tr, report, nil
-}
-
 // FromEntries converts parsed log entries into a Trace. epoch is the
 // wall-clock instant of trace second 0; horizon is the trace length in
 // seconds. The entries are one run through the identity stage (see the
 // note above run), so their ids are first-seen in slice order; see
 // run.add for the interval convention.
 func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trace, error) {
-	r := newRun(len(entries))
+	r := newRun(len(entries), horizon)
 	for _, e := range entries {
 		r.ids = appendID(appendID(r.ids, e.ClientIP), e.PlayerID)
 		r.add(e, epoch)
@@ -369,57 +223,125 @@ func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trac
 	return &Trace{Horizon: horizon, Transfers: r.rows, Names: a.names()}, nil
 }
 
+// ParseAhead bounds the runs in flight — claimed by a parse worker and
+// not yet merged — so that an ingest holds a few files' rows whatever
+// the number of files, and the same few at any GOMAXPROCS. The merge
+// needs two: the run it merges and the next, whose low is its
+// watermark.
+const ParseAhead = 4
+
+// Ingest is what a log ingest reports beside its rows.
+type Ingest struct {
+	Stats  wmslog.ParseStats
+	Report SanitizeReport
+	Names  *Names // the tables the rows' IP and Country ids index
+	// Ordered is false when some file held a kept row that sorts before
+	// a row already handed on: its transfers reached back further than
+	// a daily harvest's do (see StreamLogs).
+	Ordered bool
+	// Held is the most transfers the ingest held at once: the held tail
+	// plus every row of the ParseAhead runs from the one being merged.
+	// It is counted from the files, so it is the same at any GOMAXPROCS.
+	Held int
+}
+
+// logFile is one log file on its way through the ingest.
+type logFile struct {
+	path   string
+	hint   int // wmslog.EntryHint
+	r      *run
+	n      int // the rows parsed, kept or not
+	st     wmslog.ParseStats
+	err    error
+	parsed chan struct{}  // closed once r, n, st and err are final
+	rows   []Transfer     // r's kept rows in the trace order
+	report SanitizeReport // what sanitizing r kept and dropped
+	ok     bool           // r was numbered and sorted
+	sorted chan struct{}  // closed once rows, report and ok are final
+	tail   int            // the rows held in the tail as the run was merged
+}
+
+// logFiles returns paths in name order as files to ingest, and the sum
+// of their hints.
+func logFiles(paths []string) ([]logFile, int) {
+	files := make([]logFile, len(paths))
+	total := 0
+	for k, path := range slices.Sorted(slices.Values(paths)) {
+		files[k] = logFile{path: path, hint: wmslog.EntryHint(path), parsed: make(chan struct{}), sorted: make(chan struct{})}
+		total += files[k].hint
+	}
+	return files, total
+}
+
 // FromLogs is the one-call ingest: it parses the daily log files
 // (text, ".gz" or framed binary, tolerantly), rebuilds the trace and
 // sanitizes it (Section 2.4), without ever materializing the entries.
 // The result — trace, parse bookkeeping, sanitize report and error —
 // is what FromEntries(wmslog.ReadFiles(paths, true)) followed by
-// Sanitize yields, bit for bit, at any GOMAXPROCS.
-//
-// The files are parsed on min(GOMAXPROCS, files) workers while the
-// identity stage numbers them in name order and their sorts run beside
-// both (see the note above run). The kept transfers are held once: in
-// one slice sized up front by the files' wmslog.EntryHint, which the
-// runs are sanitized into and which is sorted and merged in place. On
-// error the first failing file in name order is reported, as a
-// sequential pass would; a parse error anywhere wins over an id
+// Sanitize yields, bit for bit, at any GOMAXPROCS. It is StreamLogs
+// collected into one slice sized by the files' wmslog.EntryHint;
+// should the files overlap more than it can order, every row is
+// collected all the same and the slice sorted once.
+func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport, error) {
+	files, total := logFiles(paths)
+	rows := make([]Transfer, 0, total)
+	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false)
+	if err != nil {
+		return nil, ing.Stats, SanitizeReport{}, err
+	}
+	if !ing.Ordered {
+		sort.Sort(byStart(rows))
+	}
+	return &Trace{Horizon: horizon, Transfers: rows, Names: ing.Names}, ing.Stats, ing.Report, nil
+}
+
+// StreamLogs is FromLogs without the trace: it hands each kept transfer
+// to emit in the trace order — the pointer valid only for the call —
+// as soon as no file still to merge can hold one that sorts before it,
+// and reports the rest in the Ingest. Every row can go in order when
+// the files' least kept starts do not decrease in name order — no file
+// reaches back further than the file before it — as with logs harvested
+// daily, whose only rows from before their midnight are the transfers
+// that span it. A file holding a row that sorts before one already
+// handed on ends the stream there: Ordered false, the later files
+// unread. On error the first failing file in name order is reported,
+// as a sequential pass would; a parse error anywhere wins over an id
 // overflow, because ReadFiles fails before FromEntries numbers
 // anything.
-func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport, error) {
-	if horizon <= 0 {
-		return nil, wmslog.ParseStats{}, SanitizeReport{}, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
-	}
-	sorted := slices.Sorted(slices.Values(paths))
+func StreamLogs(paths []string, epoch time.Time, horizon int64, emit func(*Transfer)) (Ingest, error) {
+	files, _ := logFiles(paths)
+	return ingest(files, epoch, horizon, emit, true)
+}
 
-	type file struct {
-		hint   int // wmslog.EntryHint
-		r      *run
-		st     wmslog.ParseStats
-		err    error
-		parsed chan struct{} // closed once r, st and err are final
-	}
-	files := make([]file, len(sorted))
-	total := 0
-	for k := range files {
-		files[k].hint = wmslog.EntryHint(sorted[k])
-		files[k].parsed = make(chan struct{})
-		total += files[k].hint
+// ingest runs the four stages over files on min(GOMAXPROCS, files,
+// ParseAhead) parse workers, handing the rows to emit; with stop it
+// ends at the first run that breaks the order.
+func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stop bool) (Ingest, error) {
+	if horizon <= 0 {
+		return Ingest{}, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
 	}
 	var next atomic.Int64
 	var failed atomic.Bool
+	slots := make(chan struct{}, ParseAhead) // a semaphore: a token per run in flight
+	quit := make(chan struct{})              // closed once no stage needs another file
 	parse := func() {
 		in := wmslog.NewDeferredInterner()
 		// Files are claimed in name order, so once one fails every
 		// earlier file is already claimed and will finish; the later
 		// ones cannot change which error is first and are left alone.
 		for !failed.Load() {
+			select {
+			case slots <- struct{}{}:
+			case <-quit:
+				return
+			}
 			k := int(next.Add(1)) - 1
-			if k >= len(sorted) {
+			if k >= len(files) {
 				return
 			}
 			f := &files[k]
-			r := newRun(f.hint)
-			f.st, f.err = wmslog.ScanFile(sorted[k], true, in, func(e *wmslog.Entry) error {
+			r := newRun(f.hint, horizon)
+			f.st, f.err = wmslog.ScanFile(f.path, true, in, func(e *wmslog.Entry) error {
 				ip, pid := in.Identity(e)
 				r.ids = appendID(appendID(r.ids, ip), pid)
 				r.add(e, epoch)
@@ -428,12 +350,12 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 			if f.err != nil {
 				failed.Store(true)
 			}
-			f.r = r
+			f.r, f.n = r, len(r.rows)
 			close(f.parsed)
 		}
 	}
-	var workers sync.WaitGroup
-	for i := min(runtime.GOMAXPROCS(0), len(sorted)); i > 0; i-- {
+	var workers, sorts sync.WaitGroup
+	for i := min(runtime.GOMAXPROCS(0), len(files), ParseAhead); i > 0; i-- {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
@@ -441,38 +363,104 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 		}()
 	}
 
-	// The identity stage. It stops at the first file that failed to
-	// parse — every file before it was claimed, so it never waits on one
-	// nobody will parse — or at its own first error.
+	// The identity stage stops at the first file that failed to parse —
+	// every file before it was claimed, so it never waits on one nobody
+	// will parse. After an id error it numbers nothing more but goes on
+	// releasing the parsed runs: a later parse error is still the one to
+	// report. A run it does not number is marked sorted, not ok.
 	a := newAssembler()
-	segs := segments{rows: make([]Transfer, 0, total)}
 	var idErr error
+	numbered := make(chan struct{})
+	go func() {
+		defer close(numbered)
+		k := 0
+		for ; k < len(files); k++ {
+			f := &files[k]
+			select {
+			case <-f.parsed:
+			case <-quit:
+				return
+			}
+			if f.err != nil {
+				break
+			}
+			if idErr == nil {
+				idErr = a.take(f.r)
+			}
+			if idErr != nil {
+				close(f.sorted)
+				<-slots
+				continue
+			}
+			sorts.Add(1)
+			go func() {
+				defer sorts.Done()
+				part := &Trace{Horizon: horizon, Transfers: f.r.rows}
+				f.report = part.sanitizeInto(part.Transfers[:0])
+				sort.Sort(byStart(part.Transfers))
+				f.rows, f.ok = part.Transfers, true
+				close(f.sorted)
+			}()
+		}
+		for ; k < len(files); k++ {
+			close(files[k].sorted)
+		}
+	}()
+
+	// The merge stage: run k goes once it is sorted and run k+1, whose
+	// low is the watermark, is parsed.
+	m := merger{emit: emit, stop: stop, last: Transfer{Start: -1}, ordered: true}
+	var report SanitizeReport
 	for k := range files {
-		<-files[k].parsed
-		if files[k].err != nil {
+		f := &files[k]
+		if <-f.sorted; !f.ok {
 			break
 		}
-		if idErr = a.take(files[k].r); idErr != nil {
+		w := int64(math.MaxInt64)
+		if k+1 < len(files) {
+			g := &files[k+1]
+			if <-g.parsed; g.err != nil {
+				break
+			}
+			w = g.r.low
+		}
+		f.tail = len(m.tail)
+		report.add(f.report)
+		m.merge(f.rows, w)
+		f.r, f.rows = nil, nil // garbage once merged
+		<-slots
+		if stop && !m.ordered {
+			close(quit) // before the identity stage is done: it may wait on a file nobody will parse
 			break
 		}
-		segs.add(files[k].r.rows, horizon)
-		files[k].r = nil // the run is garbage once copied
+	}
+	<-numbered
+	if m.ordered || !stop {
+		close(quit)
 	}
 	workers.Wait()
-	segs.sorts.Wait()
+	sorts.Wait()
 
-	var st wmslog.ParseStats
+	ing := Ingest{Report: report, Ordered: m.ordered}
 	for k := range files {
-		st.Add(files[k].st)
+		ing.Stats.Add(files[k].st)
 		if err := files[k].err; err != nil {
-			return nil, st, SanitizeReport{}, err
+			return ing, err
 		}
 	}
 	if idErr != nil {
-		return nil, st, SanitizeReport{}, idErr
+		return ing, idErr
 	}
 	if err := checkHorizon(horizon); err != nil {
-		return nil, st, SanitizeReport{}, err
+		return ing, err
 	}
-	return &Trace{Horizon: horizon, Transfers: segs.merged(), Names: a.names()}, st, segs.report, nil
+	ing.Names = a.names()
+	for k := range files {
+		held := files[k].tail
+		for _, f := range files[k:min(k+ParseAhead, len(files))] {
+			held += f.n
+		}
+		ing.Held = max(ing.Held, held)
+	}
+	return ing, nil
 }

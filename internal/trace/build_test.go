@@ -193,13 +193,18 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 		t.Fatalf("fixture lost its entries to sanitize: %v", wantReport)
 	}
 
-	checkFromLogs(t, paths, horizon, want, wantStats, wantReport)
+	// Day 6 holds a kept transfer that starts on day 0: the merge has
+	// handed on later rows by then.
+	checkFromLogs(t, paths, horizon, want, wantStats, wantReport, false)
 }
 
 // checkFromLogs runs FromLogs over paths at GOMAXPROCS 1, 2 and 8 and
 // holds its result to want, wantStats and wantReport: the rows bit for
 // bit, the name tables, the parse bookkeeping and the sanitize report.
-func checkFromLogs(t *testing.T, paths []string, horizon int64, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport) {
+// StreamLogs must report ordered as given: when the files stream in
+// order it hands on exactly want's rows with the same bookkeeping, and
+// when they do not, only rows in the trace order before it stops.
+func checkFromLogs(t *testing.T, paths []string, horizon int64, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport, ordered bool) {
 	t.Helper()
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -227,7 +232,37 @@ func checkFromLogs(t *testing.T, paths []string, horizon int64, want *Trace, wan
 				t.Errorf("name tables differ: %d IPs, countries %q; want %d, %q",
 					len(got.Names.IPs), got.Names.Countries, len(want.Names.IPs), want.Names.Countries)
 			}
+			checkStreamLogs(t, paths, want, wantStats, wantReport, ordered)
 		})
+	}
+}
+
+// checkStreamLogs holds StreamLogs over paths to want, the trace
+// FromLogs builds from them: see checkFromLogs.
+func checkStreamLogs(t *testing.T, paths []string, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport, ordered bool) {
+	t.Helper()
+	var rows []Transfer
+	ing, err := StreamLogs(paths, wmslog.TraceEpoch, want.Horizon, func(x *Transfer) { rows = append(rows, *x) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ing.Ordered != ordered {
+		t.Fatalf("StreamLogs ordered %v, want %v", ing.Ordered, ordered)
+	}
+	if !ordered {
+		for i := 1; i < len(rows); i++ {
+			if before(&rows[i], &rows[i-1]) {
+				t.Fatalf("StreamLogs handed on row %d out of the trace order before it stopped", i)
+			}
+		}
+		return
+	}
+	if ing.Stats != wantStats || ing.Report != wantReport || !reflect.DeepEqual(ing.Names, want.Names) {
+		t.Errorf("StreamLogs reports %+v, %v and %d IPs; want %+v, %v and %d", ing.Stats, ing.Report, len(ing.Names.IPs),
+			wantStats, wantReport, len(want.Names.IPs))
+	}
+	if !slices.Equal(rows, want.Transfers) {
+		t.Errorf("StreamLogs handed on %d rows, want the trace's %d in its order", len(rows), want.NumTransfers())
 	}
 }
 
@@ -278,14 +313,17 @@ func writeDays(t *testing.T, dir string, days [][][2]int64, terse bool) []string
 	return paths
 }
 
-// TestFromLogsInPlaceMergeEdges: the in-place merge of the daily
-// segments, where they overlap most and least — transfers that span two
-// and more midnights, so a day's segment reaches back across whole
-// segments before it; an empty daily file among full ones; and files
-// holding more lines than wmslog.EntryHint assumes (terse ones), so
-// that the presized slice of rows must grow while segments are being
-// sorted. Each is what
-// ReadFiles + FromEntries + Sanitize builds, at GOMAXPROCS 1, 2 and 8.
+// TestFromLogsInPlaceMergeEdges: the streaming merge of the daily
+// files, where they overlap most and least — a daily harvest, whose
+// files reach back only by the transfers that span a midnight, streams
+// in order, and so does a file reaching back past only the file before
+// it; transfers that span two and more midnights reach back past rows
+// already handed on, so StreamLogs stops and FromLogs sorts; an
+// empty daily file (no watermark: the run before it is handed on
+// whole) among full ones; and files holding more lines than
+// wmslog.EntryHint assumes (terse ones), so that the presized slice of
+// rows must grow. Each is what ReadFiles + FromEntries + Sanitize
+// builds, at GOMAXPROCS 1, 2 and 8.
 func TestFromLogsInPlaceMergeEdges(t *testing.T) {
 	const days = 6
 	const horizon = days * 86400
@@ -300,13 +338,18 @@ func TestFromLogsInPlaceMergeEdges(t *testing.T) {
 		return rows
 	}
 	cases := []struct {
-		name  string
-		days  [][][2]int64
-		terse bool
+		name    string
+		days    [][][2]int64
+		terse   bool
+		ordered bool
 	}{
-		{"spans midnights", [][][2]int64{day(0, 300, 600), day(1, 300, 3*86400), day(2, 40, 200), day(3, 300, 2*86400+5000), day(4, 300, 600), day(5, 5, 5*86400)}, false},
-		{"empty day", [][][2]int64{day(0, 200, 4000), {}, day(2, 200, 2*86400), {}, day(4, 1, 600), day(5, 200, 600)}, false},
-		{"more lines than hinted", [][][2]int64{day(0, 400, 4000), day(1, 400, 2*86400), day(2, 400, 600), day(3, 400, 90000)}, true},
+		{"daily harvest", [][][2]int64{day(0, 300, 600), day(1, 300, 12*3600), day(2, 300, 5000), day(3, 300, 12*3600), day(4, 300, 600), day(5, 300, 3600)}, false, true},
+		{"spans midnights", [][][2]int64{day(0, 300, 600), day(1, 300, 3*86400), day(2, 40, 200), day(3, 300, 2*86400+5000), day(4, 300, 600), day(5, 5, 5*86400)}, false, false},
+		{"empty day", [][][2]int64{day(0, 200, 4000), {}, day(2, 200, 2*86400), {}, day(4, 1, 600), day(5, 200, 600)}, false, false},
+		{"empty day, short spans", [][][2]int64{day(0, 200, 4000), {}, day(2, 200, 4000), {}, day(4, 1, 600), day(5, 200, 600)}, false, true},
+		// Day 1 reaches back to day 0 and day 3 to day 2, but each only
+		// past the file before it: its low is that file's watermark.
+		{"more lines than hinted", [][][2]int64{day(0, 400, 4000), day(1, 400, 2*86400), day(2, 400, 600), day(3, 400, 90000)}, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -319,36 +362,8 @@ func TestFromLogsInPlaceMergeEdges(t *testing.T) {
 			if c.terse && hints >= st.Entries {
 				t.Fatalf("the hints cover %d rows of %d: nothing grows", hints, st.Entries)
 			}
-			checkFromLogs(t, paths, horizon, want, st, report)
+			checkFromLogs(t, paths, horizon, want, st, report, c.ordered)
 		})
-	}
-}
-
-// TestMergeInPlaceMatchesSort: merging two sorted halves in place gives
-// the sorted whole, whichever side of the overlap is shorter, for
-// halves that do not overlap, that overlap entirely, that are empty,
-// and that hold duplicates.
-func TestMergeInPlaceMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	var buf []Transfer
-	for round := 0; round < 500; round++ {
-		n := rng.Intn(60)
-		s := make([]Transfer, n)
-		for i := range s {
-			s[i] = Transfer{Start: rng.Int63n(int64(1 + rng.Intn(80))), Client: int32(rng.Intn(3)), Bytes: rng.Int63n(2)}
-		}
-		mid := 0
-		if n > 0 {
-			mid = rng.Intn(n + 1)
-		}
-		sort.Sort(byStart(s[:mid]))
-		sort.Sort(byStart(s[mid:]))
-		want := slices.Clone(s)
-		sort.Sort(byStart(want))
-		buf = mergeInPlace(s, mid, buf)
-		if !slices.Equal(s, want) {
-			t.Fatalf("round %d: n %d, mid %d: merged %v, want %v", round, n, mid, s, want)
-		}
 	}
 }
 
@@ -358,7 +373,8 @@ func TestMergeInPlaceMatchesSort(t *testing.T) {
 // FromLogs returns. Three failures: two corrupt files, the first of
 // which the identity stage is waiting on when it fails; the last file
 // failing; and an id overflow raised inside the identity stage, after
-// every file parsed.
+// every file parsed. StreamLogs reports the same error, unless it
+// stopped out of order before it read the failing file.
 func TestFromLogsReportsFirstFailingFile(t *testing.T) {
 	dayPath := func(dir string, day int) string {
 		return filepath.Join(dir, "wms-"+wmslog.TraceEpoch.Add(time.Duration(day)*24*time.Hour).Format("2006-01-02")+".log")
@@ -412,6 +428,11 @@ func TestFromLogsReportsFirstFailingFile(t *testing.T) {
 				tr, _, _, err := FromLogs(paths, wmslog.TraceEpoch, fixtureDays*86400)
 				if tr != nil || err == nil || err.Error() != wantErr.Error() {
 					t.Fatalf("run %d: trace %v, error %v, want the sequential error %v", run, tr != nil, err, wantErr)
+				}
+				// A stream that stops out of order first has read no further.
+				ing, err := StreamLogs(paths, wmslog.TraceEpoch, fixtureDays*86400, func(*Transfer) {})
+				if (err == nil) == ing.Ordered || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("run %d: StreamLogs ordered %v, error %v, want the sequential error %v", run, ing.Ordered, err, wantErr)
 				}
 			}
 			// FromLogs joins its workers and sorts before returning; allow

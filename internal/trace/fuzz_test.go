@@ -94,13 +94,23 @@ func fuzzSeedLog() []byte {
 	return b
 }
 
+// ObserveLogsCheck holds core.ObserveLogs over the daily logs in dir,
+// days long, to core.Observe of want — the trace they hold — or to
+// wantErr, the error reading them gives. core imports this package, so
+// only an external test package can make the call: observe_test.go
+// sets it.
+var ObserveLogsCheck func(t *testing.T, dir string, days int, want *Trace, wantErr error)
+
 // FuzzFromLogsMatchesFromEntries: whatever the bytes and however they
-// are cut into files — text, binary, gzip, truncated — the parallel
-// ingest yields what reading every file sequentially and building the
-// trace from the materialized entries does: the same rows in the same
-// order, the same name tables, parse bookkeeping and sanitize report,
-// and the same first error, which names its file — at GOMAXPROCS 1 and
-// 4.
+// are cut into files — text, binary, gzip, truncated, overlapping
+// arbitrarily — the parallel ingest yields what reading every file
+// sequentially and building the trace from the materialized entries
+// does: the same rows in the same order, the same name tables, parse
+// bookkeeping and sanitize report, and the same first error, which
+// names its file — at GOMAXPROCS 1 and 4. StreamLogs hands on only rows
+// in the trace order, and all of the trace's when it reports them
+// ordered; and core.ObserveLogs observes what core.Observe does over
+// the trace (ObserveLogsCheck).
 func FuzzFromLogsMatchesFromEntries(f *testing.F) {
 	seed := fuzzSeedLog()
 	for _, shape := range []uint8{0, 1, 3, 3 | 4, 3 | 4 | 8, 3 | 4 | 16, 2 | 8} {
@@ -108,9 +118,14 @@ func FuzzFromLogsMatchesFromEntries(f *testing.F) {
 	}
 	f.Add([]byte("2002-01-06 00:01:30 1.2.3.4 p1 - - /live/feed1 10 1000 800 0 1.00 - 200 1 BR"), uint8(0))
 	f.Add([]byte{}, uint8(3))
+	// The log twice over: the third file reaches back past rows the
+	// merge has handed on, so the stream stops and the trace is sorted.
+	f.Add(append(slices.Clip(seed), seed...), uint8(3))
+	f.Add(append(slices.Clip(seed), seed...), uint8(3|4|8))
 
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
-		paths := writeFuzzLogs(t, t.TempDir(), data, shape)
+		dir := t.TempDir()
+		paths := writeFuzzLogs(t, dir, data, shape)
 		entries, wantSt, wantErr := wmslog.ReadFiles(paths, true)
 		var want *Trace
 		var wantReport SanitizeReport
@@ -144,6 +159,23 @@ func FuzzFromLogsMatchesFromEntries(f *testing.F) {
 			if !reflect.DeepEqual(got.Names, want.Names) {
 				t.Fatalf("GOMAXPROCS=%d: names %+v, want %+v", procs, got.Names, want.Names)
 			}
+			var rows []Transfer
+			ing, err := StreamLogs(paths, wmslog.TraceEpoch, fuzzHorizon, func(x *Transfer) { rows = append(rows, *x) })
+			switch {
+			case err != nil:
+				t.Fatalf("GOMAXPROCS=%d: StreamLogs: %v", procs, err)
+			case ing.Ordered && (!slices.Equal(rows, want.Transfers) || ing.Stats != wantSt || ing.Report != wantReport):
+				t.Fatalf("GOMAXPROCS=%d: StreamLogs handed on %d rows (%v), want the trace's %d (%v)", procs, len(rows), ing.Report, len(want.Transfers), wantReport)
+			}
+			for i := 1; i < len(rows); i++ {
+				if before(&rows[i], &rows[i-1]) {
+					t.Fatalf("GOMAXPROCS=%d: StreamLogs handed on row %d out of the trace order", procs, i)
+				}
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			setGOMAXPROCS(t, procs)
+			ObserveLogsCheck(t, dir, fuzzHorizon/86400, want, wantErr)
 		}
 	})
 }

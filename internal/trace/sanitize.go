@@ -70,6 +70,22 @@ func (r *SanitizeReport) keep(t *Transfer, horizon int64) bool {
 	return false
 }
 
+// kept reports whether Sanitize keeps a transfer that starts at start
+// and lasts duration seconds, over horizon seconds: keep's test,
+// counting nothing.
+func kept(start, duration, horizon int64) bool {
+	return duration >= 0 && duration <= horizon && start >= 0 && start+duration <= horizon
+}
+
+// add counts o's transfers into r.
+func (r *SanitizeReport) add(o SanitizeReport) {
+	r.Input += o.Input
+	r.Kept += o.Kept
+	r.DroppedSpanning += o.DroppedSpanning
+	r.DroppedOutside += o.DroppedOutside
+	r.DroppedNegative += o.DroppedNegative
+}
+
 // OverloadAudit is the server-load check of Section 2.4: the fraction of
 // time (in 1-second bins spanned by at least one transfer) and the
 // fraction of transfers for which server CPU utilization stayed below the
