@@ -158,7 +158,8 @@ bench-history:
 # cursor = the eager expansion, event for event and draw for draw) and
 # the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
-# 4) and the observer fuzzer (core.Observe's one streaming walk over a
+# 4; trace.StreamLogs and core.ObserveLogs held to the same trace) and
+# the observer fuzzer (core.Observe's one streaming walk over a
 # small random trace — tied starts, overlapping transfers of a client,
 # gaps of exactly T_o and T_o+1 — = the batch reference, every core
 # field). `go test` runs one fuzz target per invocation, hence the
