@@ -367,6 +367,41 @@ func TestFromLogsInPlaceMergeEdges(t *testing.T) {
 	}
 }
 
+// TestStreamLogsHeldFlatInHorizon: what the ingest holds at once is set
+// by the days' rows, not by how many days there are. A log whose every
+// day holds the same transfers — some spanning midnight, so the merge
+// holds a tail — streams in order and holds the same most at 7 days as
+// at 28, within ParseAhead + 2 days of rows.
+func TestStreamLogsHeldFlatInHorizon(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	day := make([][2]int64, 300)
+	for i := range day {
+		day[i] = [2]int64{rng.Int63n(86400), rng.Int63n(6 * 3600)} // up to 6 h: some span midnight
+	}
+	slices.SortFunc(day, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	held := map[int]int{}
+	for _, days := range []int{7, 28} {
+		log := make([][][2]int64, days)
+		for d := range log {
+			for _, r := range day {
+				log[d] = append(log[d], [2]int64{r[0] + int64(d)*86400, r[1]})
+			}
+		}
+		paths := writeDays(t, t.TempDir(), log, false)
+		ing, err := StreamLogs(paths, wmslog.TraceEpoch, int64(days)*86400, func(*Transfer) {})
+		if err != nil || !ing.Ordered {
+			t.Fatalf("%d days: ordered %v, error %v", days, ing.Ordered, err)
+		}
+		if ing.Held <= len(day) || ing.Held > (ParseAhead+2)*len(day) {
+			t.Errorf("%d days: held %d rows at once, want more than a day and at most %d days of %d", days, ing.Held, ParseAhead+2, len(day))
+		}
+		held[days] = ing.Held
+	}
+	if held[7] != held[28] {
+		t.Errorf("held %d rows at once over 7 days, %d over 28", held[7], held[28])
+	}
+}
+
 // TestFromLogsReportsFirstFailingFile: whatever fails, the error is
 // the one a sequential ReadFiles + FromEntries pass returns, on every
 // run, however the workers interleave; and every goroutine is gone when
