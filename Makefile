@@ -16,8 +16,9 @@ build:
 	$(GO) build ./...
 
 # lint runs lsmvet, the repo's contract checker (DESIGN.md "Enforced
-# invariants"): determinism, hotpath allocations, entry retention, and
-# seed-lane uniqueness, with //lsm: directives for audited exceptions.
+# invariants"): determinism, hotpath allocations, entry retention,
+# seed-lane uniqueness, and internal functions no program reaches, with
+# //lsm: directives for audited exceptions.
 lint:
 	$(GO) run ./cmd/lsmvet ./...
 

@@ -309,11 +309,14 @@ func BenchmarkFigure10OnTimeVsHour(b *testing.B) {
 
 func BenchmarkFigure11SessionOnTime(b *testing.B) {
 	f := getFixture(b)
-	on := analyze.ToDisplay(f.set.OnTimes())
+	sl, err := analyze.SessionLayerFrom(f.set.Sessionizer())
+	if err != nil {
+		b.Fatal(err)
+	}
+	on := sl.OnTimes
 	b.ResetTimer()
 	var fit dist.Lognormal
 	for i := 0; i < b.N; i++ {
-		var err error
 		fit, err = dist.FitLognormal(on)
 		if err != nil {
 			b.Fatal(err)
@@ -325,14 +328,17 @@ func BenchmarkFigure11SessionOnTime(b *testing.B) {
 
 func BenchmarkFigure12SessionOffTime(b *testing.B) {
 	f := getFixture(b)
-	off := f.set.OffTimes()
+	sl, err := analyze.SessionLayerFrom(f.set.Sessionizer())
+	if err != nil {
+		b.Fatal(err)
+	}
+	off := sl.OffTimes
 	if len(off) == 0 {
 		b.Skip("no OFF times at this scale")
 	}
 	b.ResetTimer()
 	var fit dist.Exponential
 	for i := 0; i < b.N; i++ {
-		var err error
 		fit, err = dist.FitExponential(off)
 		if err != nil {
 			b.Fatal(err)
@@ -360,7 +366,7 @@ func BenchmarkFigure14SessionTransferInterarrivals(b *testing.B) {
 	b.ResetTimer()
 	var fit dist.Lognormal
 	for i := 0; i < b.N; i++ {
-		gaps := analyze.ToDisplay(f.set.IntraSessionInterarrivals())
+		gaps := analyze.ToDisplay(f.set.Sessionizer().IntraArrivals())
 		var err error
 		fit, err = dist.FitLognormal(gaps)
 		if err != nil {
@@ -906,10 +912,12 @@ func BenchmarkAblationPoissonWindow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		synth := pp.Arrivals(rand.New(rand.NewSource(seed)), float64(f.tr.Horizon), nil)
-		gaps := make([]float64, 0, len(synth))
-		for i := 1; i < len(synth); i++ {
-			gaps = append(gaps, stats.LogDisplayValue(synth[i]-synth[i-1]))
+		synth := pp.Stream(rand.New(rand.NewSource(seed)), float64(f.tr.Horizon))
+		var gaps []float64
+		prev, _ := synth.Next()
+		for t, more := synth.Next(); more; t, more = synth.Next() {
+			gaps = append(gaps, stats.LogDisplayValue(t-prev))
+			prev = t
 		}
 		ks, err := dist.KolmogorovSmirnov2(measured, gaps)
 		if err != nil {

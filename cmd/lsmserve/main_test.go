@@ -31,7 +31,7 @@ func TestShutdownFlushesTransferLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Watch("/live/feed1", 300*time.Millisecond); err != nil {
+	if _, err := c.WatchTagged("/live/feed1", liveserver.UntaggedSession, 0, 300*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -109,7 +109,7 @@ func TestShutdownWithActiveTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := done1.Watch("/live/feed1", 200*time.Millisecond); err != nil {
+	if _, err := done1.WatchTagged("/live/feed1", liveserver.UntaggedSession, 0, 200*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	done1.Close()
@@ -122,7 +122,7 @@ func TestShutdownWithActiveTransfer(t *testing.T) {
 	defer mid.Close()
 	watchDone := make(chan error, 1)
 	go func() {
-		_, err := mid.Watch("/live/feed2", time.Hour)
+		_, err := mid.WatchTagged("/live/feed2", liveserver.UntaggedSession, 0, time.Hour)
 		watchDone <- err
 	}()
 	time.Sleep(200 * time.Millisecond) // let the transfer start streaming

@@ -5,7 +5,8 @@
 // deterministic packages, no allocating calls in //lsm:hotpath
 // functions, never retaining a pooled *wmslog.Entry, unique splitmix
 // seed lanes) that fixture-md5 tests only catch after the fact; lsmvet
-// fails the diff that breaks them.
+// fails the diff that breaks them. It also fails an internal function
+// that no program under cmd/ or examples/ reaches.
 //
 // Usage:
 //
@@ -43,7 +44,7 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Printf("\ndirectives: //lsm:hotpath (annotation), //lsm:wallclock, //lsm:nondet, //lsm:alloc, //lsm:retain, //lsm:lanedup (audited exceptions; add `-- reason`)\n")
+		fmt.Printf("\n%s\n", lint.VerbHelp())
 		return
 	}
 

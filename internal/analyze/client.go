@@ -48,6 +48,8 @@ type ClientFigures struct {
 
 // AnalyzeClientLayer runs the Section 3 pipeline on a sessionized trace:
 // ClientLayerFrom the set's Sessionizer.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 	tr := set.Trace()
 	if tr == nil || set.Count() == 0 {
@@ -162,6 +164,8 @@ type Diversity struct {
 
 // AnalyzeDiversity computes the Figure 2 series from a trace: one
 // counting walk over integer ids (trace.Census), then DiversityFrom.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func AnalyzeDiversity(tr *trace.Trace) (*Diversity, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)

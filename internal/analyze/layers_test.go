@@ -323,26 +323,6 @@ func TestAnalyzeEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestOffRipples(t *testing.T) {
-	sl := &SessionLayer{OffTimes: []float64{
-		86000, 86400, 86800, // ~1 day
-		172800,         // 2 days
-		259200, 260000, // ~3 days
-		5000, 40000, // noise
-	}}
-	r := sl.OffRipples(3, 3600)
-	if r[0] < 0.3 {
-		t.Errorf("day-1 ripple share = %v", r[0])
-	}
-	if r[1] <= 0 || r[2] <= 0 {
-		t.Errorf("ripples = %v", r)
-	}
-	empty := &SessionLayer{}
-	if got := empty.OffRipples(2, 100); len(got) != 2 || got[0] != 0 {
-		t.Errorf("empty ripples = %v", got)
-	}
-}
-
 // TestInterarrivalDisplay: ToDisplay maps each time to ⌊t+1⌋ in place.
 func TestInterarrivalDisplay(t *testing.T) {
 	xs := []float64{0, 0.5, 1, 2.9}

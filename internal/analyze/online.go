@@ -48,6 +48,8 @@ type OnlineLayer struct {
 
 // NewOnlineLayer builds the accumulator for a trace of the given
 // horizon (seconds).
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func NewOnlineLayer(horizon int64) (*OnlineLayer, error) {
 	if horizon <= 0 {
 		return nil, fmt.Errorf("%w: horizon %d", ErrBadInput, horizon)
@@ -82,6 +84,8 @@ func NewOnlineLayer(horizon int64) (*OnlineLayer, error) {
 
 // Add absorbs one served transfer. Transfers must arrive in
 // non-decreasing start order (the serving stream's order).
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func (o *OnlineLayer) Add(t trace.Transfer) error {
 	if o.transfers > 0 && t.Start < o.lastStart {
 		return fmt.Errorf("%w: transfers not in start order (%d after %d)", ErrBadInput, t.Start, o.lastStart)
@@ -139,6 +143,8 @@ type OnlineSnapshot struct {
 
 // Snapshot renders the current state. The binned series share backing
 // arrays with the accumulator.
+//
+//lsm:keep -- online_test.go holds OnlineLayer to the batch layers through it; ROADMAP item 4 deletes
 func (o *OnlineLayer) Snapshot() OnlineSnapshot {
 	s := OnlineSnapshot{
 		Transfers:        o.transfers,

@@ -497,7 +497,7 @@ func oracleDiversity(tr *trace.Trace) *Diversity {
 		}
 		set[tr.IPName(t.IP)] = struct{}{}
 		allIPs[tr.IPName(t.IP)] = struct{}{}
-		countryCount[tr.CountryName(t.Country)]++
+		countryCount[tr.Names.CountryName(t.Country)]++
 	}
 
 	d := &Diversity{NumAS: len(transferPerAS), NumIPs: len(allIPs), CountryShare: make(map[string]float64, len(countryCount))}

@@ -63,6 +63,8 @@ type SessionFigures struct {
 
 // AnalyzeSessionLayer runs the Section 4 pipeline on a sessionized
 // trace: SessionLayerFrom the set's Sessionizer.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func AnalyzeSessionLayer(set *sessions.Set) (*SessionLayer, error) {
 	if set.Count() == 0 {
 		return nil, fmt.Errorf("%w: empty session set", ErrBadInput)
@@ -219,29 +221,6 @@ func (sf *SessionFigures) computeOnByHour(z *sessions.Sessionizer) {
 		sf.OnHourSlope = slope
 		sf.OnHourR2 = r2
 	}
-}
-
-// OffRipples inspects the session OFF distribution for the daily revisit
-// ripples the paper observes ("around 1 day, 2 days, 3 days"): it returns
-// the fraction of OFF times that land within tolerance of each multiple
-// of a day, up to maxDays.
-func (sl *SessionLayer) OffRipples(maxDays int, tolerance float64) []float64 {
-	out := make([]float64, maxDays)
-	if len(sl.OffTimes) == 0 {
-		return out
-	}
-	for _, off := range sl.OffTimes {
-		for d := 1; d <= maxDays; d++ {
-			center := float64(d) * 86400
-			if off >= center-tolerance && off <= center+tolerance {
-				out[d-1]++
-			}
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(sl.OffTimes))
-	}
-	return out
 }
 
 // OnMarginal returns the ECDF of session ON display values for plotting

@@ -70,6 +70,8 @@ type BandwidthMode struct {
 
 // AnalyzeTransferLayer runs the Section 5 pipeline on a trace: a
 // TransferAccumulator fed its transfers.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)

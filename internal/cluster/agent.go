@@ -58,6 +58,8 @@ func StartAgent(frontend, advertise string, interval time.Duration, load func() 
 // Registers returns how many REGISTER lines the agent has sent —
 // greater than one means the agent recovered from an expiry or a
 // dropped front-end connection.
+//
+//lsm:keep -- cluster_test.go checks an agent re-registers after expiry
 func (a *Agent) Registers() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -66,6 +68,8 @@ func (a *Agent) Registers() int64 {
 
 // BeatErrors returns how many heartbeats the front-end refused (each
 // one triggers an in-place re-registration).
+//
+//lsm:keep -- cluster_test.go checks the refused heartbeats behind a re-registration
 func (a *Agent) BeatErrors() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

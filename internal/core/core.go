@@ -593,6 +593,8 @@ func firstError(tasks ...func() error) error {
 // measured is the client interarrival sample in its ⌊t+1⌋ display form
 // — ClientLayer.Interarrivals, which is stored sorted and so is read in
 // place; a sample in any other order is sorted into a temporary copy.
+//
+//lsm:keep -- benchmark/layers/core.go probe; ROADMAP item 4 deletes
 func BuildPoissonReplica(set *sessions.Set, horizon int64, measured []float64, seed int64) PoissonReplica {
 	counts, err := stats.BinCounts(set.ArrivalTimes(), horizon, analyze.TemporalBin)
 	if err != nil {

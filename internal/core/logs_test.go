@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -89,6 +90,17 @@ func TestObserveLogsMatchesObserve(t *testing.T) {
 	checkObserveLogs(t, dir, 7, 0)
 	checkObserveLogs(t, dir, 0, sessions.DefaultTimeout)
 	checkObserveLogs(t, t.TempDir(), 7, sessions.DefaultTimeout)
+}
+
+// TestObserveLogsRefusesHorizonUpFront: 24,856 days is past 2³¹ s, and
+// ObserveLogs fails on it as the ingest does, before reading a line.
+func TestObserveLogsRefusesHorizonUpFront(t *testing.T) {
+	dir := t.TempDir()
+	writeGenLogs(t, dir, 150, 7, 11)
+	var out bytes.Buffer
+	if _, ing, err := ObserveLogs(dir, 24856, sessions.DefaultTimeout, &out); !errors.Is(err, trace.ErrBadTrace) || ing.Stats != (wmslog.ParseStats{}) || out.Len() != 0 {
+		t.Errorf("ObserveLogs over 24,856 days: err = %v, stats %+v, wrote %q; want ErrBadTrace and nothing read", err, ing.Stats, out.String())
+	}
 }
 
 // TestObserveLogsFallsBack: a kept three-day transfer logged in the

@@ -150,7 +150,7 @@ func referenceSessionLayer(tr *trace.Trace, set []sessions.Session) (*analyze.Se
 	}
 	prev := make([]int, ci.Len()) // 1 + index of the client's previous session
 	for i, s := range set {
-		out.OnTimes[i] = stats.LogDisplayValue(float64(s.On()))
+		out.OnTimes[i] = stats.LogDisplayValue(float64(s.End - s.Start))
 		out.TransfersPerSession[i] = s.Count()
 		k := ci.Slot(s.Transfers[0])
 		if p := prev[k]; p != 0 {

@@ -79,7 +79,7 @@ type namedRow struct {
 func namedRows(tr *trace.Trace) []namedRow {
 	rows := make([]namedRow, len(tr.Transfers))
 	for i, t := range tr.Transfers {
-		rows[i] = namedRow{ip: tr.IPName(t.IP), country: tr.CountryName(t.Country), client: t.Client, object: t.Object}
+		rows[i] = namedRow{ip: tr.IPName(t.IP), country: tr.Names.CountryName(t.Country), client: t.Client, object: t.Object}
 		t.Client, t.IP, t.Country, t.Object = 0, 0, 0, 0
 		rows[i].t = t
 	}

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Alias draws indices from an arbitrary discrete weight vector in O(1)
@@ -69,15 +68,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 		a.alias[i] = i
 	}
 	return a, nil
-}
-
-// Draw returns an index distributed per the construction weights.
-func (a *Alias) Draw(rng *rand.Rand) int {
-	i := rng.Intn(len(a.prob))
-	if rng.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
 }
 
 // Len returns the number of categories.

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Exponential is the one-parameter exponential law, parameterized by its
@@ -14,19 +13,6 @@ type Exponential struct {
 	MeanValue float64
 }
 
-// NewExponential validates the mean.
-func NewExponential(mean float64) (Exponential, error) {
-	if mean <= 0 || math.IsNaN(mean) || math.IsInf(mean, 0) {
-		return Exponential{}, fmt.Errorf("%w: exponential mean %v", ErrBadParam, mean)
-	}
-	return Exponential{MeanValue: mean}, nil
-}
-
-// Sample draws one variate.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() * e.MeanValue
-}
-
 // CDF evaluates P[X <= x].
 func (e Exponential) CDF(x float64) float64 {
 	if x <= 0 {
@@ -34,9 +20,6 @@ func (e Exponential) CDF(x float64) float64 {
 	}
 	return 1 - math.Exp(-x/e.MeanValue)
 }
-
-// Rate returns λ = 1/mean.
-func (e Exponential) Rate() float64 { return 1 / e.MeanValue }
 
 // String renders the fit.
 func (e Exponential) String() string {

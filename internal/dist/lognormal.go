@@ -43,7 +43,7 @@ func (l Lognormal) CDF(x float64) float64 {
 func (l Lognormal) Median() float64 { return math.Exp(l.Mu) }
 
 // Mean returns exp(Mu + Sigma²/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
+func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) } //lsm:keep -- sample_test.go checks the law's closed form
 
 // String renders the fit the way the paper's Table 2 states it.
 func (l Lognormal) String() string {

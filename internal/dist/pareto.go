@@ -36,6 +36,8 @@ func (p Pareto) Sample(rng *rand.Rand) float64 {
 }
 
 // CDF evaluates P[X <= x].
+//
+//lsm:keep -- sample_test.go checks the law's closed form
 func (p Pareto) CDF(x float64) float64 {
 	if x < p.Xm {
 		return 0
@@ -44,6 +46,8 @@ func (p Pareto) CDF(x float64) float64 {
 }
 
 // Mean returns Alpha·Xm/(Alpha-1), or +Inf when Alpha <= 1.
+//
+//lsm:keep -- sample_test.go checks the law's closed form
 func (p Pareto) Mean() float64 {
 	if p.Alpha <= 1 {
 		return math.Inf(1)

@@ -73,44 +73,11 @@ func (p *PiecewisePoisson) windowRates(horizon float64) []float64 {
 	return rates
 }
 
-// Arrivals generates all arrival instants in [0, horizon) by Lewis–
+// PoissonStream is a lazy arrival iterator over [0, horizon) by Lewis–
 // Shedler thinning: candidates are drawn from a homogeneous process at
-// the maximum window rate and accepted with probability λ(window)/λmax.
-// Results are appended to buf (pass nil to allocate fresh) and are
-// strictly increasing.
-func (p *PiecewisePoisson) Arrivals(rng *rand.Rand, horizon float64, buf []float64) []float64 {
-	out := buf[:0]
-	if horizon <= 0 {
-		return out
-	}
-	rates := p.windowRates(horizon)
-	var maxRate float64
-	for _, r := range rates {
-		if r > maxRate {
-			maxRate = r
-		}
-	}
-	if maxRate == 0 {
-		return out
-	}
-	t := rng.ExpFloat64() / maxRate
-	for t < horizon {
-		k := int(t / p.window)
-		if k >= len(rates) {
-			k = len(rates) - 1
-		}
-		if rng.Float64()*maxRate < rates[k] {
-			out = append(out, t)
-		}
-		t += rng.ExpFloat64() / maxRate
-	}
-	return out
-}
-
-// PoissonStream is a lazy arrival iterator over [0, horizon): the same
-// Lewis–Shedler thinning as Arrivals, pulled one arrival at a time so
-// the consumer never materializes the arrival slice. Given the same rng
-// state, the emitted sequence is draw-for-draw identical to Arrivals.
+// the maximum window rate and accepted with probability
+// λ(window)/λmax, pulled one arrival at a time so the consumer never
+// materializes the arrival slice.
 type PoissonStream struct {
 	rates   []float64
 	maxRate float64

@@ -46,6 +46,18 @@ func TestPoissonProcessReusesBuffer(t *testing.T) {
 	}
 }
 
+// drain pulls every arrival out of s.
+func drain(s *PoissonStream) []float64 {
+	var out []float64
+	for {
+		t, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+	}
+}
+
 func TestPiecewisePoissonModulation(t *testing.T) {
 	// Rate 1/s in the first half, 0.1/s in the second half.
 	const horizon = 40000.0
@@ -59,7 +71,7 @@ func TestPiecewisePoissonModulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := pp.Arrivals(rand.New(rand.NewSource(12)), horizon, nil)
+	arr := drain(pp.Stream(rand.New(rand.NewSource(12)), horizon))
 	var first, second int
 	for i, a := range arr {
 		if a < 0 || a >= horizon {
@@ -98,7 +110,7 @@ func TestPiecewisePoissonZeroRateWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := pp.Arrivals(rand.New(rand.NewSource(13)), 5000, nil)
+	arr := drain(pp.Stream(rand.New(rand.NewSource(13)), 5000))
 	if len(arr) == 0 {
 		t.Fatal("no arrivals in the active region")
 	}
@@ -112,7 +124,7 @@ func TestPiecewisePoissonZeroRateWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pp0.Arrivals(rand.New(rand.NewSource(14)), 5000, nil); len(got) != 0 {
+	if got := drain(pp0.Stream(rand.New(rand.NewSource(14)), 5000)); len(got) != 0 {
 		t.Errorf("zero-rate process produced %d arrivals", len(got))
 	}
 	if got := pp0.ExpectedCount(5000); got != 0 {
@@ -141,8 +153,8 @@ func TestPiecewisePoissonDeterministicUnderSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := pp.Arrivals(rand.New(rand.NewSource(15)), 30000, nil)
-	b := pp.Arrivals(rand.New(rand.NewSource(15)), 30000, nil)
+	a := drain(pp.Stream(rand.New(rand.NewSource(15)), 30000))
+	b := drain(pp.Stream(rand.New(rand.NewSource(15)), 30000))
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

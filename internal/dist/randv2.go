@@ -5,16 +5,18 @@ import (
 	randv2 "math/rand/v2"
 )
 
-// This file holds the math/rand/v2 entry points of the samplers. The
-// repo is migrating generator-side draws off legacy math/rand one
-// consumer at a time (simulate moved in PR 4; topology and the
-// flash-crowd scenario move in this PR); the legacy methods stay until
-// the last consumer (gismo's session machinery, vbr) crosses over.
-// SplitMix64 satisfies both source interfaces, so a migrated consumer
-// keeps its seed-lane derivation and changes only the stream drawn
-// from it.
+// This file holds the math/rand/v2 entry points of the samplers, for
+// consumers that key their draws to a splitmix seed lane: topology's
+// placement, the flash-crowd scenario and core's Poisson replica. The
+// v1 entry points that remain (PiecewisePoisson.Stream,
+// PoissonProcess.ArrivalsIn, Zipf.SampleRank, Lognormal.Sample and
+// Pareto.Sample) are the generator's draws: gismo's live and stored
+// streams consume them, so its output, and with it the paper-scale
+// digest f1d985ae…, is keyed to math/rand v1 and moving them would
+// change every log. vbr's ON/OFF periods (examples/selfsimilar) draw
+// Pareto.Sample too. SplitMix64 satisfies both source interfaces.
 
-// DrawV2 is Draw for a math/rand/v2 generator.
+// DrawV2 returns an index distributed per the construction weights.
 func (a *Alias) DrawV2(rng *randv2.Rand) int {
 	i := rng.IntN(len(a.prob))
 	if rng.Float64() < a.prob[i] {
@@ -28,12 +30,11 @@ func (l Lognormal) SampleV2(rng *randv2.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
 }
 
-// EachArrivalV2 is Arrivals for a math/rand/v2 generator, handing each
-// arrival instant to emit instead of appending it to a slice: the same
-// Lewis–Shedler thinning, draw for draw, over a v2 source. It exists
-// for consumers that key their randomness to a splitmix seed lane and
-// keep only something derived from the instants (core's Figure 6
-// Poisson replica keeps the gaps between them).
+// EachArrivalV2 is PoissonStream's Lewis–Shedler thinning over a
+// math/rand/v2 generator, draw for draw, handing each arrival instant
+// to emit. It exists for consumers that key their randomness to a
+// splitmix seed lane and keep only something derived from the instants
+// (core's Figure 6 Poisson replica keeps the gaps between them).
 func (p *PiecewisePoisson) EachArrivalV2(rng *randv2.Rand, horizon float64, emit func(t float64)) {
 	if horizon <= 0 {
 		return

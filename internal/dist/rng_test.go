@@ -72,7 +72,8 @@ func TestPoissonStreamMatchesArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 200_000
-	batch := pp.Arrivals(rand.New(rand.NewSource(11)), horizon, nil)
+	ref := rand.New(rand.NewSource(11))
+	batch := referenceArrivals(pp, ref.ExpFloat64, ref.Float64, horizon)
 	st := pp.Stream(rand.New(rand.NewSource(11)), horizon)
 	var streamed []float64
 	for {
@@ -106,10 +107,11 @@ func TestPoissonStreamEmptyHorizon(t *testing.T) {
 	}
 }
 
-// referenceArrivalsV2 is the slice-returning ArrivalsV2 that
-// EachArrivalV2 replaced, kept as its reference.
-func referenceArrivalsV2(p *PiecewisePoisson, rng *randv2.Rand, horizon float64, buf []float64) []float64 {
-	out := buf[:0]
+// referenceArrivals is the slice-returning Lewis–Shedler thinning that
+// PoissonStream and EachArrivalV2 replaced, kept as their reference;
+// exp and unif are a generator's ExpFloat64 and Float64.
+func referenceArrivals(p *PiecewisePoisson, exp, unif func() float64, horizon float64) []float64 {
+	var out []float64
 	if horizon <= 0 {
 		return out
 	}
@@ -123,16 +125,16 @@ func referenceArrivalsV2(p *PiecewisePoisson, rng *randv2.Rand, horizon float64,
 	if maxRate == 0 {
 		return out
 	}
-	t := rng.ExpFloat64() / maxRate
+	t := exp() / maxRate
 	for t < horizon {
 		k := int(t / p.window)
 		if k >= len(rates) {
 			k = len(rates) - 1
 		}
-		if rng.Float64()*maxRate < rates[k] {
+		if unif()*maxRate < rates[k] {
 			out = append(out, t)
 		}
-		t += rng.ExpFloat64() / maxRate
+		t += exp() / maxRate
 	}
 	return out
 }
@@ -159,7 +161,7 @@ func TestEachArrivalV2MatchesReference(t *testing.T) {
 		}
 		for _, horizon := range []float64{0, 1000, 86_400.5, 200_000} {
 			ref := randv2.New(NewSplitMix64(Mix64(11, 7)))
-			want := referenceArrivalsV2(pp, ref, horizon, nil)
+			want := referenceArrivals(pp, ref.ExpFloat64, ref.Float64, horizon)
 			rng := randv2.New(NewSplitMix64(Mix64(11, 7)))
 			var got []float64
 			pp.EachArrivalV2(rng, horizon, func(t float64) { got = append(got, t) })

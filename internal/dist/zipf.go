@@ -122,6 +122,8 @@ func (z *Zipf) RankOfU(u float64) int {
 }
 
 // PMF returns P[rank = k], or 0 outside [1, N].
+//
+//lsm:keep -- test oracle: fit_test.go and sample_test.go hold the fit and the sampler to it
 func (z *Zipf) PMF(k int) float64 {
 	if k < 1 || k > z.N {
 		return 0
@@ -132,6 +134,8 @@ func (z *Zipf) PMF(k int) float64 {
 
 // CDF returns P[rank <= k] treating the rank as a real-valued threshold,
 // so it can feed the one-sample KS machinery.
+//
+//lsm:keep -- sample_test.go checks it against PMF
 func (z *Zipf) CDF(x float64) float64 {
 	k := int(math.Floor(x))
 	if k < 1 {

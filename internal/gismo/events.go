@@ -110,6 +110,8 @@ func (s *EventSchedule) Boost(t float64) float64 {
 
 // ActiveSeconds returns the number of seconds covered by at least one
 // event (union length).
+//
+//lsm:keep -- events_test.go measures a schedule's active share with it
 func (s *EventSchedule) ActiveSeconds() int64 {
 	var total int64
 	var coverEnd int64 = -1

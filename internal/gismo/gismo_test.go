@@ -286,8 +286,8 @@ func TestPopulation(t *testing.T) {
 			t.Fatal("player IDs must be unique and non-empty")
 		}
 		ids[id] = true
-		if int(c.AS) >= pop.Topology().NumAS() {
-			t.Fatalf("client %d in AS %d of %d", i, c.AS, pop.Topology().NumAS())
+		if int(c.AS) >= len(pop.Topology().ASes) {
+			t.Fatalf("client %d in AS %d of %d", i, c.AS, len(pop.Topology().ASes))
 		}
 		if AccessClasses[c.Access].Bps <= 0 {
 			t.Fatal("client without access class")

@@ -334,9 +334,6 @@ func (ws *WorkloadStream) Close() {
 // Population returns the generated client population.
 func (ws *WorkloadStream) Population() *Population { return ws.pop }
 
-// Model returns the generating model.
-func (ws *WorkloadStream) Model() Model { return ws.model }
-
 // Sessions returns the number of generated sessions (client arrivals).
 func (ws *WorkloadStream) Sessions() int { return ws.sessions }
 

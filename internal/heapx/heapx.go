@@ -69,14 +69,6 @@ func (h *Heap[T]) Pop() T {
 	return top
 }
 
-// ReplaceTop overwrites the minimum element with v and restores heap
-// order — a pop/push pair without the slide. It panics on an empty
-// heap.
-func (h *Heap[T]) ReplaceTop(v T) {
-	h.items[0] = v
-	h.siftDown()
-}
-
 // FixTop restores heap order after the caller mutated the minimum
 // element in place (e.g. advanced a cursor).
 func (h *Heap[T]) FixTop() { h.siftDown() }

@@ -33,9 +33,10 @@ func TestHeapReplaceTopAndFixTop(t *testing.T) {
 	for _, v := range []int{5, 1, 9, 3, 7} {
 		h.Push(v)
 	}
-	h.ReplaceTop(8) // 1 -> 8
+	*h.Top() = 8 // 1 -> 8
+	h.FixTop()
 	if h.Peek() != 3 {
-		t.Fatalf("peek after ReplaceTop = %d, want 3", h.Peek())
+		t.Fatalf("peek after replacing the top = %d, want 3", h.Peek())
 	}
 	*h.Top() = 100
 	h.FixTop()
@@ -74,7 +75,7 @@ func TestHeapStructElements(t *testing.T) {
 	}
 }
 
-// TestHeapMixedOpsAgainstReference drives Push, Pop, ReplaceTop and
+// TestHeapMixedOpsAgainstReference drives Push, Pop, a replaced top and
 // Top+FixTop at random over wide elements with heavy key ties and
 // checks every minimum against a sorted reference multiset.
 func TestHeapMixedOpsAgainstReference(t *testing.T) {
@@ -115,7 +116,8 @@ func TestHeapMixedOpsAgainstReference(t *testing.T) {
 			ref = ref[1:]
 		case op < 8:
 			v := next()
-			h.ReplaceTop(v)
+			*h.Top() = v
+			h.FixTop()
 			ref = ref[1:]
 			insert(v)
 		default: // advance the minimum in place, as the session cursors do

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -33,6 +35,9 @@ const (
 	VerbRetain = "retain"
 	// VerbLanedup grants a deliberately shared splitmix seed lane.
 	VerbLanedup = "lanedup"
+	// VerbKeep exempts a function no program reaches from the
+	// unreached analyzer; its reason must name the function's reader.
+	VerbKeep = "keep"
 )
 
 var knownVerbs = map[string]bool{
@@ -42,6 +47,19 @@ var knownVerbs = map[string]bool{
 	VerbAlloc:     true,
 	VerbRetain:    true,
 	VerbLanedup:   true,
+	VerbKeep:      true,
+}
+
+// Verbs returns the known directive verbs, sorted: the one list the
+// unknown-directive finding and `lsmvet -list` (VerbHelp) print.
+func Verbs() []string {
+	return slices.Sorted(maps.Keys(knownVerbs))
+}
+
+// VerbHelp is `lsmvet -list`'s directive line.
+func VerbHelp() string {
+	return "directives: //lsm:" + strings.Join(Verbs(), ", //lsm:") +
+		" (hotpath is an annotation, the rest are audited exceptions; add `-- reason`)"
 }
 
 const directivePrefix = "//lsm:"
@@ -84,6 +102,12 @@ func parseDirective(text string) (verb string, ok bool) {
 		verb = rest[:i]
 	}
 	return verb, knownVerbs[verb]
+}
+
+// directiveReason returns the text after a directive's "--", or "".
+func directiveReason(text string) string {
+	_, reason, _ := strings.Cut(text, "--")
+	return strings.TrimSpace(reason)
 }
 
 func collectDirectives(fset *token.FileSet, files []*ast.File) *Directives {

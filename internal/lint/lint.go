@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
+	"strings"
 )
 
 // Diagnostic is one analyzer finding, position-resolved.
@@ -78,7 +79,7 @@ func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			sink.add(Diagnostic{
 				Analyzer: "directive",
 				Pos:      l.Fset.Position(u.Pos),
-				Message:  fmt.Sprintf("unknown //lsm: directive %q (want one of hotpath, wallclock, nondet, alloc, retain, lanedup)", u.Text),
+				Message:  fmt.Sprintf("unknown //lsm: directive %q (want one of %s)", u.Text, strings.Join(Verbs(), ", ")),
 			})
 		}
 	}

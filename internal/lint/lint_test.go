@@ -135,8 +135,30 @@ func TestSeedlaneFixture(t *testing.T) {
 	runFixture(t, "testdata/src/seedlane", NewSeedlane())
 }
 
+func TestUnreachedFixture(t *testing.T) {
+	const fixture = "repro/internal/lint/testdata/src/unreached"
+	only := func(p string) bool { return p == fixture }
+	runFixture(t, "testdata/src/unreached", NewUnreached(only, only))
+}
+
+// TestUnreachedPartialRun: a run that loaded one package, not the
+// module's programs, cannot tell dead code from code it did not load,
+// so the only finding left is the reasonless keep.
+func TestUnreachedPartialRun(t *testing.T) {
+	l := testLoader(t)
+	pkg, err := l.LoadDir("testdata/src/unreached")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run(l, []*Package{pkg}, []*Analyzer{NewUnreached(nil, nil)})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "needs a reason") {
+		t.Fatalf("got %v, want the one reasonless keep", diags)
+	}
+}
+
 // TestUnknownDirective pins the driver behavior that a typoed //lsm:
-// verb is itself a finding rather than a silent no-op suppression.
+// verb is itself a finding rather than a silent no-op suppression, and
+// that the finding and `lsmvet -list` name every verb, from one list.
 func TestUnknownDirective(t *testing.T) {
 	l := testLoader(t)
 	pkg, err := l.LoadDir("testdata/src/directive")
@@ -149,6 +171,14 @@ func TestUnknownDirective(t *testing.T) {
 	}
 	if diags[0].Analyzer != "directive" || !strings.Contains(diags[0].Message, "unknown //lsm: directive") {
 		t.Fatalf("unexpected diagnostic: %v", diags[0])
+	}
+	if verbs := Verbs(); len(verbs) != len(knownVerbs) || !sort.StringsAreSorted(verbs) {
+		t.Fatalf("Verbs() = %v, want the %d known verbs sorted", verbs, len(knownVerbs))
+	}
+	for verb := range knownVerbs {
+		if !strings.Contains(diags[0].Message, verb) || !strings.Contains(VerbHelp(), directivePrefix+verb) {
+			t.Errorf("%s missing from the finding %q or from lsmvet -list's %q", verb, diags[0].Message, VerbHelp())
+		}
 	}
 }
 

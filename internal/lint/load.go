@@ -1,7 +1,7 @@
 // Package lint is the repo's compile-time contract checker: a small
 // go/analysis-style framework plus the analyzers behind `lsmvet`
-// (determinism, hotpath, entryretain, seedlane — see DESIGN.md
-// "Enforced invariants").
+// (determinism, hotpath, entryretain, seedlane, unreached — see
+// DESIGN.md "Enforced invariants").
 //
 // The framework is built on the standard library only (go/parser,
 // go/types, go/importer): the build environment pins no external
@@ -229,6 +229,23 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 // LoadAll loads every package under the module root, skipping testdata,
 // hidden directories, and build outputs — the `./...` pattern.
 func (l *Loader) LoadAll() ([]*Package, error) {
+	dirs, err := l.packageDirs()
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		p, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
+}
+
+// packageDirs lists the directories LoadAll loads, sorted.
+func (l *Loader) packageDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -251,15 +268,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	var pkgs []*Package
-	for _, dir := range dirs {
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
+	return dirs, nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -102,7 +102,7 @@ func TestWatchFrameCutShort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = c.Watch("/x", time.Second)
+		_, err = c.WatchTagged("/x", UntaggedSession, 0, time.Second)
 		want := io.ErrUnexpectedEOF
 		if sent == 0 {
 			want = io.EOF

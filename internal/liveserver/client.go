@@ -67,17 +67,12 @@ func Dial(addr, playerID string) (*Client, error) {
 	return c, nil
 }
 
-// Watch runs one transfer: START the object, receive frames for the given
-// wall-clock duration, then STOP and drain to END. The STOP is sent by a
-// timer goroutine (net.Conn writes are safe for concurrent use), so the
-// read loop never has to poll.
-func (c *Client) Watch(uri string, duration time.Duration) (TransferResult, error) {
-	return c.WatchTagged(uri, UntaggedSession, 0, duration)
-}
-
-// WatchTagged is Watch with a workload tag: the server logs the
+// WatchTagged runs one transfer: START the object, receive frames for
+// the given wall-clock duration, then STOP and drain to END. The STOP
+// is sent by a timer goroutine (net.Conn writes are safe for concurrent
+// use), so the read loop never has to poll. The server logs the
 // transfer with the (session, seq) identity of the workload event it
-// realizes. Pass UntaggedSession to omit the tag.
+// realizes; pass UntaggedSession to omit the tag.
 func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.Duration) (TransferResult, error) {
 	res := TransferResult{URI: uri}
 	start := "START " + uri
@@ -148,7 +143,7 @@ func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.D
 }
 
 // Close sends QUIT and closes the connection. The client is spent: a
-// Watch after Close fails on the closed connection.
+// WatchTagged after Close fails on the closed connection.
 func (c *Client) Close() error {
 	if c.reader == nil {
 		return c.conn.Close()

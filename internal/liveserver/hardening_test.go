@@ -44,7 +44,7 @@ func TestMalformedHelloGetsERR(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Watch("/live/feed1", 30*time.Millisecond); err != nil {
+	if _, err := c.WatchTagged("/live/feed1", UntaggedSession, 0, 30*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,9 +171,9 @@ func TestIdleTimeoutDoesNotCutActiveTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Watch far longer than the idle timeout: the client is silent the
+	// Watch for far longer than the idle timeout: the client is silent the
 	// whole time, which is legitimate mid-transfer.
-	res, err := c.Watch("/live/feed1", 400*time.Millisecond)
+	res, err := c.WatchTagged("/live/feed1", UntaggedSession, 0, 400*time.Millisecond)
 	if err != nil {
 		t.Fatalf("transfer cut by idle timeout: %v", err)
 	}

@@ -110,7 +110,7 @@ func TestSingleTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.Watch("/live/feed1", 100*time.Millisecond)
+	res, err := c.WatchTagged("/live/feed1", UntaggedSession, 0, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMultipleTransfersOneConnection(t *testing.T) {
 		if i%2 == 1 {
 			uri = "/live/feed2"
 		}
-		if _, err := c.Watch(uri, 30*time.Millisecond); err != nil {
+		if _, err := c.WatchTagged(uri, UntaggedSession, 0, 30*time.Millisecond); err != nil {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, err := c.Watch("/live/feed1", 60*time.Millisecond); err != nil {
+			if _, err := c.WatchTagged("/live/feed1", UntaggedSession, 0, 60*time.Millisecond); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -192,7 +192,7 @@ func TestUnknownObjectRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Watch("/live/nope", 20*time.Millisecond)
+	_, err = c.WatchTagged("/live/nope", UntaggedSession, 0, 20*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "unknown object") {
 		t.Fatalf("want unknown-object error, got %v", err)
 	}

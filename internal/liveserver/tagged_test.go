@@ -37,7 +37,7 @@ func TestWatchTaggedLogsSessionRef(t *testing.T) {
 	if _, err := c.WatchTagged("/live/feed1", 4242, 7, 30*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Watch("/live/feed2", 30*time.Millisecond); err != nil {
+	if _, err := c.WatchTagged("/live/feed2", UntaggedSession, 0, 30*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 

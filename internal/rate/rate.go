@@ -95,11 +95,6 @@ func (p *Profile) Rate(t float64) float64 {
 	return p.Base * hourly * p.Daily[day]
 }
 
-// RateFunc adapts the profile to the dist.RateFunc signature.
-func (p *Profile) RateFunc() func(float64) float64 {
-	return p.Rate
-}
-
 // MeanRate integrates Rate over [0, horizon) seconds (by 60-second
 // midpoint quadrature, exact enough for piecewise-linear profiles) and
 // returns the average arrival rate.
@@ -124,11 +119,4 @@ func (p *Profile) MeanRate(horizon float64) float64 {
 // [0, horizon) seconds.
 func (p *Profile) ExpectedArrivals(horizon float64) float64 {
 	return p.MeanRate(horizon) * horizon
-}
-
-// Scaled returns a copy of the profile with the base rate multiplied by
-// factor, preserving shape. It is how examples re-scale the workload to
-// different population sizes.
-func (p *Profile) Scaled(factor float64) (*Profile, error) {
-	return New(p.Base*factor, p.Hourly, p.Daily, p.DayOffset)
 }

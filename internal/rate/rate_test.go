@@ -52,7 +52,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestFlatProfileIsConstant(t *testing.T) {
-	p, err := Flat(2.5)
+	p, err := New(2.5, flatHourly(), flatDaily(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFlatProfileIsConstant(t *testing.T) {
 }
 
 func TestRateNegativeTimeClamped(t *testing.T) {
-	p, _ := Flat(1)
+	p, _ := New(1, flatHourly(), flatDaily(), 0)
 	if got := p.Rate(-100); got != 1 {
 		t.Errorf("Rate(-100) = %v", got)
 	}
@@ -124,7 +124,7 @@ func TestDayOffsetRotation(t *testing.T) {
 }
 
 func TestMeanRateFlat(t *testing.T) {
-	p, _ := Flat(3)
+	p, _ := New(3, flatHourly(), flatDaily(), 0)
 	if got := p.MeanRate(float64(SecondsPerDay)); math.Abs(got-3) > 1e-9 {
 		t.Errorf("MeanRate = %v, want 3", got)
 	}
@@ -133,25 +133,6 @@ func TestMeanRateFlat(t *testing.T) {
 	}
 	if p.MeanRate(0) != 0 {
 		t.Error("MeanRate(0) should be 0")
-	}
-}
-
-func TestScaledPreservesShape(t *testing.T) {
-	p, err := RealityShow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Scaled(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []float64{0, 7777, 50000, 300000} {
-		if math.Abs(s.Rate(tt)-3*p.Rate(tt)) > 1e-9 {
-			t.Errorf("Scaled rate mismatch at %v", tt)
-		}
-	}
-	if _, err := p.Scaled(0); err == nil {
-		t.Error("scale to zero: want error")
 	}
 }
 

@@ -52,21 +52,6 @@ func RealityShow(base float64) (*Profile, error) {
 	return New(base, RealityShowHourly, RealityShowDaily, 0)
 }
 
-// Flat returns a constant-rate profile, useful as the stationary baseline
-// in ablation benches (what Figure 6 would look like without diurnal
-// modulation).
-func Flat(base float64) (*Profile, error) {
-	var hourly [24]float64
-	for i := range hourly {
-		hourly[i] = 1
-	}
-	var daily [7]float64
-	for i := range daily {
-		daily[i] = 1
-	}
-	return New(base, hourly, daily, 0)
-}
-
 // SoccerGame returns a profile for the paper's hypothesized alternative
 // application (Section 6: "the periodicity observed in our reality TV
 // application is likely to be very different from that observed in live

@@ -4,7 +4,6 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,9 +13,6 @@ import (
 
 	"repro/internal/stats"
 )
-
-// ErrBadReport reports malformed report construction.
-var ErrBadReport = errors.New("report: bad report")
 
 // Series is one plottable (X, Y) data series.
 type Series struct {

@@ -8,8 +8,8 @@ import (
 
 func TestSPSCFIFO(t *testing.T) {
 	r := NewSPSC[int](8, NewGate(), NewGate())
-	if r.Cap() != 8 {
-		t.Fatalf("cap = %d, want 8", r.Cap())
+	if len(r.buf) != 8 {
+		t.Fatalf("cap = %d, want 8", len(r.buf))
 	}
 	for i := 0; i < 8; i++ {
 		if !r.TryPush(i) {
@@ -32,7 +32,7 @@ func TestSPSCFIFO(t *testing.T) {
 
 func TestSPSCCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {512, 512}, {513, 1024}} {
-		if got := NewSPSC[byte](tc.ask, NewGate(), NewGate()).Cap(); got != tc.want {
+		if got := len(NewSPSC[byte](tc.ask, NewGate(), NewGate()).buf); got != tc.want {
 			t.Errorf("capacity %d rounded to %d, want %d", tc.ask, got, tc.want)
 		}
 	}

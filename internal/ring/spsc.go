@@ -59,9 +59,6 @@ func NewSPSC[T any](capacity int, prod, cons *Gate) *SPSC[T] {
 	}
 }
 
-// Cap returns the ring's capacity.
-func (r *SPSC[T]) Cap() int { return len(r.buf) }
-
 // TryPush appends v if the ring has space, reporting whether it did.
 // Producer side only.
 //

@@ -208,7 +208,7 @@ func TestSessionizerMatchesOracle(t *testing.T) {
 			t.Fatalf("round %d, T_o %d: %d spans, oracle %d sessions", round, timeout, len(spans), len(want))
 		}
 		for i, w := range want {
-			if got := spans[i]; got != (Span{Start: w.Start, End: w.End, Client: int32(w.Client), Count: int32(w.Count())}) || got.On() != w.On() {
+			if got := spans[i]; got != (Span{Start: w.Start, End: w.End, Client: int32(w.Client), Count: int32(w.Count())}) || got.On() != w.End-w.Start {
 				t.Fatalf("round %d, session %d: span %+v, oracle %+v", round, i, got, w)
 			}
 		}

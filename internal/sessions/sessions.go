@@ -20,7 +20,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -38,9 +37,6 @@ type Session struct {
 	Start     int64 // start of the first transfer
 	End       int64 // latest end among the session's transfers
 }
-
-// On returns the session ON time l(i) = End - Start, in seconds.
-func (s Session) On() int64 { return s.End - s.Start }
 
 // Count returns the number of transfers in the session.
 func (s Session) Count() int { return len(s.Transfers) }
@@ -327,22 +323,14 @@ func (z *Sessionizer) IntraArrivals() []float64 {
 func (s *Set) Count() int { return len(s.Sessions) }
 
 // Trace returns the underlying trace.
-func (s *Set) Trace() *trace.Trace { return s.tr }
-
-// OnTimes returns l(i) for every session, honoring the paper's ⌊t+1⌋
-// convention via +1 applied by callers when needed; raw seconds here.
-func (s *Set) OnTimes() []float64 {
-	out := make([]float64, len(s.Sessions))
-	for i, sess := range s.Sessions {
-		out[i] = float64(sess.On())
-	}
-	return out
-}
+func (s *Set) Trace() *trace.Trace { return s.tr } //lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 
 // Sessionizer returns a Sessionizer fed the set's trace: the set in
 // its streaming form, with the samples the session and client layers
 // read. Every call walks the trace afresh and returns a Sessionizer of
 // the caller's own.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func (s *Set) Sessionizer() *Sessionizer {
 	z, _ := NewSessionizer(s.Timeout, 0) // the set's timeout is valid: Sessionize checked it
 	for i := range s.tr.Transfers {
@@ -351,81 +339,9 @@ func (s *Set) Sessionizer() *Sessionizer {
 	return z
 }
 
-// OffTimes returns the session OFF times f(i) = t(j) - t(i) - l(i) for
-// every pair of consecutive sessions (i, j) of the same client, sorted
-// ascending (Sessionizer.OffTimes).
-func (s *Set) OffTimes() []float64 {
-	out := s.Sessionizer().OffTimes()
-	stats.SortInPlace(out)
-	return out
-}
-
-// TransfersPerSession returns the transfer count of every session.
-func (s *Set) TransfersPerSession() []int {
-	out := make([]int, len(s.Sessions))
-	for i, sess := range s.Sessions {
-		out[i] = sess.Count()
-	}
-	return out
-}
-
-// IntraSessionInterarrivals returns the gaps between consecutive transfer
-// start times within each session (Figure 14's variable), in session
-// order (Sessionizer.IntraArrivals).
-func (s *Set) IntraSessionInterarrivals() []float64 {
-	return s.Sessionizer().IntraArrivals()
-}
-
-// TransferOffTimes returns the silent gaps inside sessions — the "think"
-// (active OFF) times of Figure 1. Every value is <= T_o by construction.
-func (s *Set) TransferOffTimes() []float64 {
-	var out []float64
-	for _, sess := range s.Sessions {
-		coverageEnd := int64(-1)
-		for _, ti := range sess.Transfers {
-			t := &s.tr.Transfers[ti]
-			if coverageEnd >= 0 && t.Start > coverageEnd {
-				out = append(out, float64(t.Start-coverageEnd))
-			}
-			if t.End() > coverageEnd {
-				coverageEnd = t.End()
-			}
-		}
-	}
-	return out
-}
-
-// TransferOnRuns returns the lengths of maximal intervals within sessions
-// during which at least one transfer is active (the transfer ON times of
-// Figure 1, which can span overlapped transfers of multiple objects).
-func (s *Set) TransferOnRuns() []float64 {
-	var out []float64
-	for _, sess := range s.Sessions {
-		runStart := int64(-1)
-		coverageEnd := int64(-1)
-		for _, ti := range sess.Transfers {
-			t := &s.tr.Transfers[ti]
-			if runStart < 0 {
-				runStart, coverageEnd = t.Start, t.End()
-				continue
-			}
-			if t.Start > coverageEnd {
-				out = append(out, float64(coverageEnd-runStart))
-				runStart, coverageEnd = t.Start, t.End()
-				continue
-			}
-			if t.End() > coverageEnd {
-				coverageEnd = t.End()
-			}
-		}
-		if runStart >= 0 {
-			out = append(out, float64(coverageEnd-runStart))
-		}
-	}
-	return out
-}
-
 // ArrivalTimes returns every session's start time in seconds, sorted.
+//
+//lsm:keep -- benchmark/layers/core.go probe; ROADMAP item 4 deletes
 func (s *Set) ArrivalTimes() []int64 {
 	out := make([]int64, len(s.Sessions))
 	for i, sess := range s.Sessions {

@@ -25,6 +25,20 @@ func mk(t *testing.T, horizon int64, rows ...[3]int64) *trace.Trace {
 	return tr
 }
 
+// sessionizer feeds tr's transfers, in the trace order, to a fresh
+// Sessionizer at timeout.
+func sessionizer(t *testing.T, tr *trace.Trace, timeout int64) *Sessionizer {
+	t.Helper()
+	z, err := NewSessionizer(timeout, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Transfers {
+		z.Add(&tr.Transfers[i])
+	}
+	return z
+}
+
 func TestSessionizeSplitsOnTimeout(t *testing.T) {
 	// Client 1: transfers at [0,10], [100,110], [2000,2010] with To=500:
 	// gap 0->100 is 90 (same session), gap 110->2000 is 1890 (new session).
@@ -47,8 +61,8 @@ func TestSessionizeSplitsOnTimeout(t *testing.T) {
 	if s1.Start != 2000 || s1.End != 2010 || s1.Count() != 1 {
 		t.Errorf("s1 = %+v", s1)
 	}
-	if s0.On() != 110 || s1.On() != 10 {
-		t.Errorf("ON times: %d, %d", s0.On(), s1.On())
+	if s0.End-s0.Start != 110 || s1.End-s1.Start != 10 {
+		t.Errorf("ON times: %d, %d", s0.End-s0.Start, s1.End-s1.Start)
 	}
 }
 
@@ -81,8 +95,8 @@ func TestSessionizeOverlappingTransfersNeverSplit(t *testing.T) {
 	if set.Count() != 1 {
 		t.Fatalf("sessions = %d, want 1", set.Count())
 	}
-	if set.Sessions[0].On() != 1500 {
-		t.Errorf("ON = %d, want 1500", set.Sessions[0].On())
+	if on := set.Sessions[0].End - set.Sessions[0].Start; on != 1500 {
+		t.Errorf("ON = %d, want 1500", on)
 	}
 }
 
@@ -126,11 +140,7 @@ func TestOffTimes(t *testing.T) {
 		[3]int64{1, 100, 10},
 		[3]int64{1, 5000, 10},
 	)
-	set, err := Sessionize(tr, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := set.OffTimes()
+	off := sessionizer(t, tr, 1500).OffTimes()
 	if len(off) != 1 || off[0] != 4890 {
 		t.Errorf("OffTimes = %v, want [4890]", off)
 	}
@@ -143,53 +153,19 @@ func TestTransfersPerSessionAndInterarrivals(t *testing.T) {
 		[3]int64{1, 90, 10},
 		[3]int64{2, 1000, 20},
 	)
-	set, err := Sessionize(tr, 1500)
-	if err != nil {
-		t.Fatal(err)
+	z := sessionizer(t, tr, 1500)
+	var counts []int
+	for s := range z.Spans() {
+		counts = append(counts, int(s.Count))
 	}
-	counts := set.TransfersPerSession()
 	sort.Ints(counts)
 	if len(counts) != 2 || counts[0] != 1 || counts[1] != 3 {
 		t.Errorf("TransfersPerSession = %v", counts)
 	}
-	inter := set.IntraSessionInterarrivals()
+	inter := z.IntraArrivals()
 	sort.Float64s(inter)
 	if len(inter) != 2 || inter[0] != 30 || inter[1] != 60 {
 		t.Errorf("interarrivals = %v, want [30 60]", inter)
-	}
-}
-
-func TestTransferOffTimesAndOnRuns(t *testing.T) {
-	// One session: [0,10], gap 20, [30,40] overlapped by [35,60], gap 40, [100,110].
-	tr := mk(t, 100000,
-		[3]int64{1, 0, 10},
-		[3]int64{1, 30, 10},
-		[3]int64{1, 35, 25},
-		[3]int64{1, 100, 10},
-	)
-	set, err := Sessionize(tr, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Count() != 1 {
-		t.Fatalf("sessions = %d", set.Count())
-	}
-	off := set.TransferOffTimes()
-	sort.Float64s(off)
-	if len(off) != 2 || off[0] != 20 || off[1] != 40 {
-		t.Errorf("TransferOffTimes = %v, want [20 40]", off)
-	}
-	on := set.TransferOnRuns()
-	sort.Float64s(on)
-	// Runs: [0,10]=10, [30,60]=30, [100,110]=10.
-	if len(on) != 3 || on[0] != 10 || on[1] != 10 || on[2] != 30 {
-		t.Errorf("TransferOnRuns = %v, want [10 10 30]", on)
-	}
-	// Every transfer OFF must be <= To by construction.
-	for _, o := range off {
-		if o > float64(set.Timeout) {
-			t.Errorf("transfer OFF %v exceeds To", o)
-		}
 	}
 }
 
@@ -202,7 +178,10 @@ func TestOnTimesAndArrivalTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := set.OnTimes()
+	var on []float64
+	for s := range sessionizer(t, tr, 1500).Spans() {
+		on = append(on, float64(s.On()))
+	}
 	sort.Float64s(on)
 	if on[0] != 50 || on[1] != 70 {
 		t.Errorf("OnTimes = %v", on)

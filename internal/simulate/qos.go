@@ -37,6 +37,8 @@ type QoSConfig struct {
 }
 
 // DefaultQoSConfig models impatient (stored-media-like) viewers.
+//
+//lsm:keep -- the Section 8 QoS-abandonment study (DESIGN.md §5), run by BenchmarkExtensionQoSAbandonment
 func DefaultQoSConfig() QoSConfig {
 	return QoSConfig{AbandonProb: 0.8, MinFraction: 0.02}
 }
@@ -44,6 +46,8 @@ func DefaultQoSConfig() QoSConfig {
 // ApplyQoSAbandonment returns a copy of the trace with congestion-bound
 // transfers (bandwidth below the threshold) truncated per the config.
 // The returned count reports how many transfers were cut.
+//
+//lsm:keep -- the Section 8 QoS-abandonment study (DESIGN.md §5), run by BenchmarkExtensionQoSAbandonment
 func ApplyQoSAbandonment(tr *trace.Trace, cfg QoSConfig, congestionBps int64, rng *rand.Rand) (*trace.Trace, int, error) {
 	transfers := make([]trace.Transfer, len(tr.Transfers))
 	copy(transfers, tr.Transfers)
@@ -79,6 +83,8 @@ func ApplyQoSAbandonment(tr *trace.Trace, cfg QoSConfig, congestionBps int64, rn
 // between per-transfer bandwidth and transfer length — the QoS/viewing-
 // time relationship the introduction reasons about. It is computed over
 // display lengths (⌊t+1⌋).
+//
+//lsm:keep -- the Section 8 QoS-abandonment study (DESIGN.md §5), run by BenchmarkExtensionQoSAbandonment
 func LengthBandwidthCorrelation(tr *trace.Trace) (float64, error) {
 	lengths := make([]float64, tr.NumTransfers())
 	bws := make([]float64, tr.NumTransfers())
@@ -86,12 +92,7 @@ func LengthBandwidthCorrelation(tr *trace.Trace) (float64, error) {
 		lengths[i] = float64(t.Duration) + 1
 		bws[i] = float64(t.Bandwidth)
 	}
-	return spearman(lengths, bws)
-}
-
-// spearman defers to the stats package.
-func spearman(xs, ys []float64) (float64, error) {
-	return stats.SpearmanCorrelation(xs, ys)
+	return stats.SpearmanCorrelation(lengths, bws)
 }
 
 // QoSStudy runs the abandonment counterfactual end to end on a workload:
@@ -106,6 +107,8 @@ type QoSStudy struct {
 
 // RunQoSStudy executes the study. rng seeds the serving pass and
 // drives the abandonment draws.
+//
+//lsm:keep -- the Section 8 QoS-abandonment study (DESIGN.md §5), run by BenchmarkExtensionQoSAbandonment
 func RunQoSStudy(w *gismo.Workload, serverCfg Config, qos QoSConfig, congestionBps int64, rng *rand.Rand) (*QoSStudy, error) {
 	res, err := Run(w, serverCfg, rng.Uint64())
 	if err != nil {

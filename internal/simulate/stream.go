@@ -619,10 +619,12 @@ func (p *pendingRecords) push(r *logRecord) *logRecord {
 
 // RunStreamSharded is RunStream; lanes is ignored. It remains for
 // callers written against the former laned serve driver.
+//
+//lsm:keep -- benchmark/layers/simulate.go probe; ROADMAP item 4 deletes
 func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, lanes int, sinks StreamSinks) (*StreamResult, error) {
 	return RunStream(src, pop, horizon, cfg, seed, sinks)
 }
 
 // DefaultServeLanes is the lane count RunStreamSharded ignores: one,
 // the number of serve goroutines RunStream runs.
-func DefaultServeLanes() int { return 1 }
+func DefaultServeLanes() int { return 1 } //lsm:keep -- benchmark/layers/pipeline.go probe; ROADMAP item 4 deletes

@@ -10,6 +10,8 @@ import "fmt"
 // This is the estimator behind Figure 8 (autocorrelation of the number of
 // active clients, showing daily peaks at lags that are multiples of 1,440
 // minutes).
+//
+//lsm:keep -- test oracle: the Figure 8 ACF tests check AutocorrelationFunction against it
 func Autocorrelation(series []float64, lag int) (float64, error) {
 	if lag < 0 {
 		return 0, fmt.Errorf("%w: negative lag %d", ErrBadArgument, lag)
@@ -95,17 +97,4 @@ func lagSum(dev []float64, lag, from int, sum float64) float64 {
 		sum += dev[t] * lagged[t]
 	}
 	return sum
-}
-
-// LocalMaxima returns the indices of strict local maxima of the series that
-// exceed the threshold, skipping index 0. It is used to verify the ACF's
-// daily periodicity (peaks near multiples of 1,440 minutes).
-func LocalMaxima(series []float64, threshold float64) []int {
-	var out []int
-	for i := 1; i+1 < len(series); i++ {
-		if series[i] > threshold && series[i] > series[i-1] && series[i] >= series[i+1] {
-			out = append(out, i)
-		}
-	}
-	return out
 }

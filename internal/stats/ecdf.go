@@ -84,6 +84,8 @@ func (e *ECDF) at(i int) float64 {
 }
 
 // CDF returns P[X <= x].
+//
+//lsm:keep -- test oracle: ecdf_test.go, oracle_test.go and analyze's concurrency tests read the ECDF through it
 func (e *ECDF) CDF(x float64) float64 {
 	if e.N() == 0 {
 		return 0
@@ -94,6 +96,8 @@ func (e *ECDF) CDF(x float64) float64 {
 
 // CCDF returns P[X >= x] — the inclusive complementary form the paper
 // plots (e.g. "P[l(i) >= x]" in Figure 19).
+//
+//lsm:keep -- test oracle: ecdf_test.go, oracle_test.go and analyze's concurrency tests read the ECDF through it
 func (e *ECDF) CCDF(x float64) float64 {
 	if e.N() == 0 {
 		return 0
@@ -114,17 +118,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 		return e.vals[len(e.vals)-1]
 	}
 	return quantileAt(e.N(), e.at, p)
-}
-
-// Values returns the sorted sample, expanded into a new slice.
-func (e *ECDF) Values() []float64 {
-	out := make([]float64, 0, e.N())
-	for j, v := range e.vals {
-		for k := e.below(j); k < e.cum[j]; k++ {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Point is one (X, Y) pair of a plottable series.

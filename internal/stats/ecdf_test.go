@@ -175,20 +175,3 @@ func TestAutocorrelationFunction(t *testing.T) {
 		t.Error("negative maxLag: want error")
 	}
 }
-
-func TestLocalMaxima(t *testing.T) {
-	series := []float64{0, 1, 0, 2, 0, 3, 0}
-	got := LocalMaxima(series, 0.5)
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("maxima = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("maxima = %v, want %v", got, want)
-		}
-	}
-	if got := LocalMaxima(series, 2.5); len(got) != 1 || got[0] != 5 {
-		t.Errorf("thresholded maxima = %v, want [5]", got)
-	}
-}

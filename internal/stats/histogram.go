@@ -22,6 +22,8 @@ type Histogram struct {
 
 // NewLinearHistogram builds a histogram of n equal-width bins over
 // [lo, hi].
+//
+//lsm:keep -- histogram_test.go and report_test.go build their histograms with it
 func NewLinearHistogram(lo, hi float64, n int) (*Histogram, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d bins", ErrBadArgument, n)
@@ -114,11 +116,8 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// Total returns the number of observations recorded (including out-of-range).
-func (h *Histogram) Total() int { return h.total }
-
 // OutOfRange returns the counts below and above the histogram range.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
+func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over } //lsm:keep -- histogram_test.go checks the out-of-range counts
 
 // Frequencies returns each bin count divided by the total number of
 // observations — the "Frequency" axis of the paper's marginal plots.

@@ -13,8 +13,8 @@ func TestLinearHistogramBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.AddAll([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if h.Total() != 11 {
-		t.Errorf("Total = %d, want 11", h.Total())
+	if h.total != 11 {
+		t.Errorf("Total = %d, want 11", h.total)
 	}
 	// Bins: [0,2) [2,4) [4,6) [6,8) [8,10]; the value 10 lands in the last.
 	want := []int{2, 2, 2, 2, 3}
@@ -41,8 +41,8 @@ func TestLinearHistogramOutOfRange(t *testing.T) {
 	if u != 1 || o != 1 {
 		t.Errorf("under=%d over=%d, want 1, 1", u, o)
 	}
-	if h.Total() != 3 {
-		t.Errorf("Total = %d, want 3", h.Total())
+	if h.total != 3 {
+		t.Errorf("Total = %d, want 3", h.total)
 	}
 }
 

@@ -40,29 +40,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Merge absorbs another accumulator (Chan et al. parallel update), so
-// per-shard accumulators can combine into the global one.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.n + o.n)
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / n
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/n
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n += o.n
-}
-
 // N returns the observation count.
 func (w *Welford) N() int { return w.n }
 
@@ -70,6 +47,8 @@ func (w *Welford) N() int { return w.n }
 func (w *Welford) Mean() float64 { return w.mean }
 
 // Variance returns the population variance (0 when empty).
+//
+//lsm:keep -- online_test.go checks it against Summarize; OnlineLayer.Snapshot reads it
 func (w *Welford) Variance() float64 {
 	if w.n == 0 {
 		return 0
@@ -82,10 +61,10 @@ func (w *Welford) Variance() float64 {
 }
 
 // Stddev returns the population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
+func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) } //lsm:keep -- OnlineLayer.Snapshot; ROADMAP item 4 deletes
 
 // Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
+func (w *Welford) Min() float64 { return w.min } //lsm:keep -- online_test.go checks it against Summarize
 
 // Max returns the largest observation (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
@@ -203,6 +182,8 @@ type HyperLogLog struct {
 }
 
 // NewHyperLogLog builds an estimator with 2^p registers, 4 ≤ p ≤ 18.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func NewHyperLogLog(p uint8) (*HyperLogLog, error) {
 	if p < 4 || p > 18 {
 		return nil, fmt.Errorf("%w: hyperloglog precision %d", ErrBadArgument, p)
@@ -213,6 +194,8 @@ func NewHyperLogLog(p uint8) (*HyperLogLog, error) {
 // AddHash absorbs one hashed key. A splitmix64 finalizer is applied
 // first, so weakly-avalanched hashes (FNV-1a over short keys leaves the
 // high bits badly distributed) are safe to feed directly.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func (h *HyperLogLog) AddHash(x uint64) {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
@@ -227,22 +210,22 @@ func (h *HyperLogLog) AddHash(x uint64) {
 	}
 }
 
-// AddString hashes and absorbs a string key (FNV-1a 64).
-func (h *HyperLogLog) AddString(s string) {
-	h.AddHash(fnv1a([]byte(s)))
-}
-
-// AddInt absorbs an integer key.
+// AddInt absorbs an integer key, hashed by FNV-1a 64.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func (h *HyperLogLog) AddInt(v int64) {
-	var buf [8]byte
+	x := uint64(14695981039346656037) // over v's bytes, least significant first
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		x ^= uint64(byte(v >> (8 * i)))
+		x *= 1099511628211
 	}
-	h.AddHash(fnv1a(buf[:]))
+	h.AddHash(x)
 }
 
 // Count returns the cardinality estimate, with the standard small-range
 // (linear counting) correction.
+//
+//lsm:keep -- OnlineLayer.Snapshot and online_test.go; ROADMAP item 4 deletes
 func (h *HyperLogLog) Count() float64 {
 	m := float64(len(h.registers))
 	var sum float64
@@ -259,18 +242,4 @@ func (h *HyperLogLog) Count() float64 {
 		return m * math.Log(m/float64(zeros))
 	}
 	return est
-}
-
-// fnv1a is the 64-bit FNV-1a hash.
-func fnv1a(data []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	var h uint64 = offset
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
 }

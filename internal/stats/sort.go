@@ -33,7 +33,7 @@ var sampleSorts atomic.Int64
 // been asked to sort since the program started — a work counter that
 // does not depend on the machine: a consumer that sorts a sample it
 // could have read in place shows as one count more.
-func SampleSorts() int64 { return sampleSorts.Load() }
+func SampleSorts() int64 { return sampleSorts.Load() } //lsm:keep -- calibrate/budget_test.go and core/samples_test.go count the sorts with it
 
 // SortedForm reports whether xs is ascending by IEEE-754 bit pattern
 // and holds no NaN, no negative value and no −0. On that domain the

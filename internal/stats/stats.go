@@ -78,6 +78,8 @@ func Mean(xs []float64) float64 {
 // Quantile returns the p-quantile of xs using linear interpolation between
 // order statistics. p must be in [0, 1]. A sample in sorted form is read
 // in place (SortedView).
+//
+//lsm:keep -- test oracle: the stats, dist and analyze oracle tests hold the streaming quantiles to it
 func Quantile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty

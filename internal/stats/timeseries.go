@@ -14,9 +14,6 @@ type BinnedSeries struct {
 	Values []float64 // one aggregate per bin
 }
 
-// Bins returns the number of bins.
-func (b BinnedSeries) Bins() int { return len(b.Values) }
-
 // numBins computes ceil(horizon/width).
 func numBins(horizon, width int64) int {
 	return int((horizon + width - 1) / width)
@@ -25,6 +22,8 @@ func numBins(horizon, width int64) int {
 // BinCounts buckets event timestamps (seconds since trace start) into
 // fixed-width bins and returns per-bin counts. Timestamps outside
 // [0, horizon) are ignored.
+//
+//lsm:keep -- benchmark/layers/core.go probe; ROADMAP item 4 deletes
 func BinCounts(timestamps []int64, horizon, width int64) (BinnedSeries, error) {
 	if width <= 0 || horizon <= 0 {
 		return BinnedSeries{}, fmt.Errorf("%w: horizon=%d width=%d", ErrBadArgument, horizon, width)
@@ -39,26 +38,10 @@ func BinCounts(timestamps []int64, horizon, width int64) (BinnedSeries, error) {
 	return BinnedSeries{Width: width, Values: values}, nil
 }
 
-// BinMeans buckets (timestamp, value) samples into fixed-width bins and
-// returns the per-bin mean of the values; empty bins hold 0.
-func BinMeans(timestamps []int64, values []float64, horizon, width int64) (BinnedSeries, error) {
-	if len(timestamps) != len(values) {
-		return BinnedSeries{}, fmt.Errorf("%w: %d timestamps vs %d values", ErrBadArgument, len(timestamps), len(values))
-	}
-	bins, err := NewMeanBins(horizon, width)
-	if err != nil {
-		return BinnedSeries{}, err
-	}
-	for i, t := range timestamps {
-		bins.Add(t, values[i])
-	}
-	return bins.Series(), nil
-}
-
-// MeanBins is BinMeans one sample at a time, for a caller whose
-// timestamps are not a column: fixed-width bins over [0, horizon), each
-// summing its values in the order they arrive. It backs Figure 18 (mean
-// transfer interarrival per 15-minute bin).
+// MeanBins buckets (timestamp, value) samples one at a time into
+// fixed-width bins over [0, horizon), each summing its values in the
+// order they arrive; Series returns the per-bin means. It backs
+// Figure 18 (mean transfer interarrival per 15-minute bin).
 type MeanBins struct {
 	horizon, width int64
 	sums           []float64

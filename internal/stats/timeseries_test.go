@@ -11,8 +11,8 @@ func TestBinCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Bins() != 3 {
-		t.Fatalf("bins = %d, want 3", b.Bins())
+	if len(b.Values) != 3 {
+		t.Fatalf("bins = %d, want 3", len(b.Values))
 	}
 	want := []float64{3, 2, 1} // out-of-range (-5, 2700, 99999) dropped
 	for i := range want {
@@ -36,18 +36,31 @@ func TestBinCountsPartialLastBin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Bins() != 2 {
-		t.Fatalf("bins = %d, want 2 (ceil)", b.Bins())
+	if len(b.Values) != 2 {
+		t.Fatalf("bins = %d, want 2 (ceil)", len(b.Values))
 	}
 	if b.Values[0] != 1 || b.Values[1] != 1 {
 		t.Errorf("values = %v", b.Values)
 	}
 }
 
+// binMeans feeds (ts[i], vs[i]) to fresh MeanBins and returns the
+// per-bin means.
+func binMeans(ts []int64, vs []float64, horizon, width int64) (BinnedSeries, error) {
+	bins, err := NewMeanBins(horizon, width)
+	if err != nil {
+		return BinnedSeries{}, err
+	}
+	for i, t := range ts {
+		bins.Add(t, vs[i])
+	}
+	return bins.Series(), nil
+}
+
 func TestBinMeans(t *testing.T) {
 	ts := []int64{10, 20, 1000, 1100}
 	vs := []float64{2, 4, 10, 20}
-	b, err := BinMeans(ts, vs, 1800, 900)
+	b, err := binMeans(ts, vs, 1800, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +70,7 @@ func TestBinMeans(t *testing.T) {
 }
 
 func TestBinMeansEmptyBinIsZero(t *testing.T) {
-	b, err := BinMeans([]int64{10}, []float64{5}, 2700, 900)
+	b, err := binMeans([]int64{10}, []float64{5}, 2700, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +80,7 @@ func TestBinMeansEmptyBinIsZero(t *testing.T) {
 }
 
 func TestBinMeansErrors(t *testing.T) {
-	if _, err := BinMeans([]int64{1}, []float64{1, 2}, 900, 900); err == nil {
-		t.Error("length mismatch: want error")
-	}
-	if _, err := BinMeans(nil, nil, 0, 900); err == nil {
+	if _, err := binMeans(nil, nil, 0, 900); err == nil {
 		t.Error("zero horizon: want error")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -85,17 +84,6 @@ func (r *Registry) Handler() http.Handler {
 		r.Render(w)
 	})
 	return mux
-}
-
-// Names returns the registered metric names, sorted — the stable
-// inventory a test asserts against.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	sort.Strings(out)
-	return out
 }
 
 // Server is a running /metrics endpoint.

@@ -132,9 +132,6 @@ func (m *Model) PlaceAddr(rng *rand.Rand) (as int, ip uint32) {
 	return as, m.ASes[as].ipBase | host
 }
 
-// NumAS returns the number of ASes in the model.
-func (m *Model) NumAS() int { return len(m.ASes) }
-
 // AppendIPv4 appends v as a dotted quad. A log writer renders one per
 // generated line, so each octet is one to three digits appended
 // directly rather than a strconv call.

@@ -151,7 +151,7 @@ func TestPlaceProducesValidIPs(t *testing.T) {
 	seenCountry := map[string]bool{}
 	for i := 0; i < 5000; i++ {
 		p := place(m, rng)
-		if p.ASIndex < 0 || p.ASIndex >= m.NumAS() {
+		if p.ASIndex < 0 || p.ASIndex >= len(m.ASes) {
 			t.Fatalf("AS index %d out of range", p.ASIndex)
 		}
 		if net.ParseIP(p.IP) == nil {
@@ -174,7 +174,7 @@ func TestASPopularityIsZipf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, m.NumAS())
+	counts := make([]int, len(m.ASes))
 	const draws = 500000
 	for i := 0; i < draws; i++ {
 		counts[place(m, rng).ASIndex]++

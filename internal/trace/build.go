@@ -317,8 +317,8 @@ func StreamLogs(paths []string, epoch time.Time, horizon int64, emit func(*Trans
 // ParseAhead) parse workers, handing the rows to emit; with stop it
 // ends at the first run that breaks the order.
 func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stop bool) (Ingest, error) {
-	if horizon <= 0 {
-		return Ingest{}, fmt.Errorf("%w: horizon %d", ErrBadTrace, horizon)
+	if err := checkHorizon(horizon); err != nil {
+		return Ingest{}, err
 	}
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -450,9 +450,6 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 	}
 	if idErr != nil {
 		return ing, idErr
-	}
-	if err := checkHorizon(horizon); err != nil {
-		return ing, err
 	}
 	ing.Names = a.names()
 	for k := range files {

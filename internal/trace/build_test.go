@@ -845,6 +845,23 @@ func TestIDOverflowIsAnError(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesHorizonUpFront: a horizon no trace can have — 0, or
+// one past 2³¹ s — fails before any file is parsed: no line read, no
+// row emitted.
+func TestIngestRefusesHorizonUpFront(t *testing.T) {
+	paths := writeLogFixture(t, t.TempDir())
+	for _, horizon := range []int64{0, math.MaxInt32 + 1} {
+		emitted := 0
+		ing, err := StreamLogs(paths, wmslog.TraceEpoch, horizon, func(*Transfer) { emitted++ })
+		if !errors.Is(err, ErrBadTrace) || emitted != 0 || ing.Stats != (wmslog.ParseStats{}) {
+			t.Errorf("StreamLogs at horizon %d: err = %v, %d rows emitted, stats %+v; want ErrBadTrace and nothing read", horizon, err, emitted, ing.Stats)
+		}
+		if tr, stats, _, err := FromLogs(paths, wmslog.TraceEpoch, horizon); tr != nil || !errors.Is(err, ErrBadTrace) || stats != (wmslog.ParseStats{}) {
+			t.Errorf("FromLogs at horizon %d: trace %v, err = %v, stats %+v; want ErrBadTrace and nothing read", horizon, tr != nil, err, stats)
+		}
+	}
+}
+
 // overflowEntries returns 2¹⁶ + 1 entries with as many distinct values
 // of one column ("country" or "object") — one more than a transfer can
 // number.

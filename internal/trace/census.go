@@ -33,6 +33,8 @@ func upTo[T any](s []T, i int) []T {
 
 // Census counts the trace's population: a CensusCounter walked over
 // its transfers.
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func (tr *Trace) Census() *Census {
 	var cc *CensusCounter
 	if tr.Names != nil {
@@ -123,12 +125,14 @@ func (cc *CensusCounter) Add(t *Transfer) {
 func (cc *CensusCounter) Census() *Census { return &cc.c }
 
 // DistinctIPs counts distinct client IPs in the trace.
-func (tr *Trace) DistinctIPs() int { return tr.Census().IPs }
+func (tr *Trace) DistinctIPs() int { return tr.Census().IPs } //lsm:keep -- test oracle: the integration and online tests
 
 // DistinctAS counts distinct origin ASes.
-func (tr *Trace) DistinctAS() int { return len(tr.Census().ASTransfers) }
+func (tr *Trace) DistinctAS() int { return len(tr.Census().ASTransfers) } //lsm:keep -- test oracle: the integration and online tests
 
 // DistinctObjects counts distinct live objects.
+//
+//lsm:keep -- test oracle: trace, analyze and core tests
 func (tr *Trace) DistinctObjects() int {
 	n := 0
 	for _, transfers := range tr.Census().ObjectTransfers {

@@ -66,16 +66,14 @@ type Trace struct {
 
 // IPName returns the address behind IP id; an id the trace has no name
 // for is rendered as "#id".
+//
+//lsm:keep -- analyze and core tests render a row's address with it
 func (tr *Trace) IPName(id uint32) string {
 	if tr.Names != nil && int(id) < len(tr.Names.IPs) {
 		return tr.Names.IPs[id]
 	}
 	return "#" + strconv.FormatUint(uint64(id), 10)
 }
-
-// CountryName returns the country code behind Country id; an id the
-// trace has no name for is rendered as "#id".
-func (tr *Trace) CountryName(id uint16) string { return tr.Names.CountryName(id) }
 
 // CountryName returns the country code behind Country id; an id the
 // tables have no name for — nil tables included — is rendered as "#id".
@@ -299,6 +297,8 @@ func newClientIndex(ts []Transfer) *ClientIndex {
 }
 
 // TotalBytes sums bytes served across all transfers.
+//
+//lsm:keep -- test oracle: the simulate, trace, analyze, core and integration tests
 func (tr *Trace) TotalBytes() int64 {
 	var sum int64
 	for i := range tr.Transfers {

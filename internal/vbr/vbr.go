@@ -147,56 +147,6 @@ func (g *Generator) addSource(agg []float64, rng *rand.Rand) {
 	}
 }
 
-// BitrateSeries generates a per-second bit-rate series for a stream with
-// the given mean encoding rate (bits/second): the ON/OFF aggregate is
-// normalized to mean 1 and scaled, with a floor at 10% of the mean so the
-// stream never stalls entirely.
-func (g *Generator) BitrateSeries(n int, meanBps float64, rng *rand.Rand) ([]float64, error) {
-	if meanBps <= 0 {
-		return nil, fmt.Errorf("%w: mean bitrate %v", ErrBadConfig, meanBps)
-	}
-	agg := g.ActiveSources(n, rng)
-	if len(agg) == 0 {
-		return nil, fmt.Errorf("%w: empty series", ErrBadConfig)
-	}
-	var sum float64
-	for _, v := range agg {
-		sum += v
-	}
-	mean := sum / float64(len(agg))
-	if mean == 0 {
-		// Degenerate: no source ever ON; emit the floor.
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = meanBps * 0.1
-		}
-		return out, nil
-	}
-	out := make([]float64, n)
-	for i, v := range agg {
-		r := meanBps * v / mean
-		if floor := meanBps * 0.1; r < floor {
-			r = floor
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// BytesOver integrates a bit-rate series over [start, end) seconds and
-// returns the byte count — how the simulator would account a transfer
-// overlapping the series.
-func BytesOver(series []float64, start, end int) (int64, error) {
-	if start < 0 || end > len(series) || start >= end {
-		return 0, fmt.Errorf("%w: range [%d, %d) over %d samples", ErrBadConfig, start, end, len(series))
-	}
-	var bits float64
-	for i := start; i < end; i++ {
-		bits += series[i]
-	}
-	return int64(bits / 8), nil
-}
-
 // PoissonReference generates a memoryless (short-range-dependent)
 // reference series with the same mean as an aggregate of the config's
 // sources: each second's value is an independent Poisson-like draw. It

@@ -114,51 +114,6 @@ func TestHeavierTailsRaiseHurst(t *testing.T) {
 	}
 }
 
-func TestBitrateSeries(t *testing.T) {
-	g, err := NewGenerator(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	const meanBps = 110000.0
-	series, err := g.BitrateSeries(10000, meanBps, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := stats.Mean(series)
-	if math.Abs(got-meanBps)/meanBps > 0.05 {
-		t.Errorf("mean bitrate = %v, want ~%v", got, meanBps)
-	}
-	for _, v := range series {
-		if v < meanBps*0.1-1e-9 {
-			t.Fatalf("bitrate %v below the 10%% floor", v)
-		}
-	}
-	if _, err := g.BitrateSeries(100, 0, rng); err == nil {
-		t.Error("zero mean bitrate: want error")
-	}
-}
-
-func TestBytesOver(t *testing.T) {
-	series := []float64{800, 800, 1600}
-	got, err := BytesOver(series, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 400 {
-		t.Errorf("bytes = %d, want 400", got)
-	}
-	if _, err := BytesOver(series, 2, 2); err == nil {
-		t.Error("empty range: want error")
-	}
-	if _, err := BytesOver(series, -1, 2); err == nil {
-		t.Error("negative start: want error")
-	}
-	if _, err := BytesOver(series, 0, 9); err == nil {
-		t.Error("end beyond series: want error")
-	}
-}
-
 func TestGeneratorDeterministic(t *testing.T) {
 	gen := func() []float64 {
 		g, err := NewGenerator(DefaultConfig())

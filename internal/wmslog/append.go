@@ -192,6 +192,8 @@ func appendDashField(b []byte, s string) []byte {
 // repeated whitespace and arbitrary float formats).
 //
 // The line must not include the trailing newline.
+//
+//lsm:keep -- wmslog's round-trip and fuzz tests, and BenchmarkStreamingParseEntry
 func ParseAppend(e *Entry, line []byte) error {
 	return parseAppend(e, line, nil)
 }

@@ -144,6 +144,8 @@ func optionalSafe(s string) bool {
 }
 
 // Start returns the transfer start time (Timestamp minus Duration).
+//
+//lsm:keep -- wmslog_test.go checks a parsed entry's start with it
 func (e *Entry) Start() time.Time {
 	return e.Timestamp.Add(-time.Duration(e.Duration) * time.Second)
 }

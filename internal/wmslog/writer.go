@@ -317,7 +317,7 @@ func (dw *DailyWriter) Files() []string {
 }
 
 // Entries returns the total number of entries written across all files.
-func (dw *DailyWriter) Entries() int64 { return dw.entries }
+func (dw *DailyWriter) Entries() int64 { return dw.entries } //lsm:keep -- the wmslog tests and bench_test.go's log fixture
 
 // TraceEpoch is the default wall-clock instant of trace second 0:
 // midnight, Sunday 2002-01-06 — "28 days in early 2002" starting on a
