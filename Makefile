@@ -143,7 +143,9 @@ bench-history:
 # and table strings = AppendEntry of its Entry, byte for byte, and a
 # ParseAppend fixpoint), the framed-binary round trip, the scan differential
 # (arbitrary bytes through the reusing, interning scan and through the
-# deferred scan = through the allocating parser, with the interner's
+# deferred scan = through the allocating parser — c-os, c-cpu and
+# cs(Referer) cleared, the three the deferred scan keeps no string of —
+# with the interner's
 # ordinals naming every entry's strings and Identity's bytes equal to
 # them) and the fixed-2 s-cpu-util encoder (any float64 bit pattern
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
@@ -159,12 +161,16 @@ bench-history:
 # cursor = the eager expansion, event for event and draw for draw) and
 # the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
-# 4; trace.StreamLogs and core.ObserveLogs held to the same trace) and
-# the observer fuzzer (core.Observe's one streaming walk over a
+# 4; trace.StreamLogs and core.ObserveLogs held to the same trace), the
+# observer fuzzer (core.Observe's one streaming walk over a
 # small random trace — tied starts, overlapping transfers of a client,
 # gaps of exactly T_o and T_o+1 — = the batch reference, every core
-# field). `go test` runs one fuzz target per invocation, hence the
-# twelve steps; new failing inputs are minimized into the package's
+# field) and the two ingest kernels against their references: the
+# word-at-a-time column splitter = the byte loop over any bytes from any
+# position, and the keyed trace-order sort = sort.Sort(byStart) over
+# tie-heavy rows with NaN/±0 readings and starts too wide for a key.
+# `go test` runs one fuzz target per invocation, hence the
+# fourteen steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -176,12 +182,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesReadAll$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed2$$' -fuzztime $(FUZZTIME) ./internal/wmslog
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitterMatchesByteLoop$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzConcurrencyMatchesPerSecond$$' -fuzztime $(FUZZTIME) ./internal/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzPopulationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/gismo
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionCursorMatchesExpand$$' -fuzztime $(FUZZTIME) ./internal/gismo
 	$(GO) test -run '^$$' -fuzz '^FuzzFromLogsMatchesFromEntries$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSortTraceOrderMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzObserverMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # e2e exercises the full socket path: build lsmserve, lsmload and

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -221,5 +223,59 @@ func TestObserverSetNamesAfterWalk(t *testing.T) {
 		if got := dumpChar(observe(namesFirst)); got != want {
 			t.Errorf("names set first %v: %s", namesFirst, firstDiff(got, want))
 		}
+	}
+}
+
+// TestTaggedLogsAllocateNoMorePerLine: a log whose every referer is a
+// distinct wmslog.SessionRef — what lsmserve writes — costs the ingest
+// no allocation per line. StreamLogs over lsmgen's daily logs and over
+// a copy of them tagged line by line allocates the same count, within
+// a few allocations: the ingest keeps no referer, so it makes no string
+// of one.
+func TestTaggedLogsAllocateNoMorePerLine(t *testing.T) {
+	plain, tagged := t.TempDir(), t.TempDir()
+	var paths, taggedPaths []string
+	lines := 0
+	for _, path := range writeGenLogs(t, plain, 400, 28, 5) {
+		out, err := os.Create(filepath.Join(tagged, filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := wmslog.NewWriter(out)
+		if _, err := wmslog.ScanFile(path, false, nil, func(e *wmslog.Entry) error {
+			lines++
+			e.Referer = wmslog.SessionRef(int64(lines), lines%7)
+			return w.Write(e)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths, taggedPaths = append(paths, path), append(taggedPaths, out.Name())
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	mallocs := func(paths []string) float64 {
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := trace.StreamLogs(paths, wmslog.TraceEpoch, 28*86400, func(*trace.Transfer) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs
+	}
+	got, want := mallocs(taggedPaths), mallocs(paths)
+	t.Logf("%d lines: %.0f allocations tagged, %.0f untagged", lines, got, want)
+	const slack = 32 // goroutine and timing noise, not a per-line cost
+	if got > want+slack {
+		t.Errorf("StreamLogs allocates %.0f times over the tagged log, %.0f over the same log untagged: more than %d apart over %d lines",
+			got, want, slack, lines)
 	}
 }

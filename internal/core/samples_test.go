@@ -167,7 +167,7 @@ func TestObserveLogsAllocationBudget(t *testing.T) {
 		rows = tr.NumTransfers()
 	})
 	t.Logf("ObserveLogs %d B, LoadLogs + Observe %d B, %d rows", got, full, rows)
-	const budget = 5_460_000 // measured 4,965,600–4,967,400; LoadLogs + Observe 5,331,300–5,337,000
+	const budget = 5_340_000 // measured 4,853,300–4,855,700; LoadLogs + Observe 5,217,000–5,219,000
 	if got > budget {
 		t.Errorf("ObserveLogs allocated %d bytes, budget %d", got, budget)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,17 +21,19 @@ import (
 //   - parse: workers claim the files in name order, at most ParseAhead
 //     runs ahead of the merge, and turn each into a run — its
 //     transfers, every numeric field set, and beside each the c-ip and
-//     c-playerid bytes, copied out of the parser's buffer (a deferred
-//     wmslog.Interner never makes them strings) — noting the least start
-//     Sanitize will keep (run.low). URI and country, a handful of
-//     values, are numbered within the file;
+//     c-playerid bytes, copied out of the parser's buffer — noting the
+//     least start Sanitize will keep (run.low). Each file is scanned
+//     through the run's own deferred wmslog.Interner, which makes no
+//     string of c-ip, c-playerid, c-os, c-cpu or cs(Referer) and
+//     numbers URI and country, a handful of values, within the file;
 //   - identity: one goroutine takes the runs strictly in file-name
-//     order and numbers all four columns through one ordinary
-//     wmslog.Interner, writing the ids into the rows. It is the
+//     order and numbers all four columns, writing the ids into the
+//     rows: players and IPs in the assembler's arena tables (idTable),
+//     URIs and countries through a wmslog.Interner. It is the
 //     sequential pass, so its ids are the sequential ones by
 //     construction;
-//   - sort: each numbered run is sanitized and sorted in place on a
-//     goroutine of its own;
+//   - sort: each numbered run is sanitized and sorted in place
+//     (sortByKeys) on a goroutine of its own;
 //   - merge: the calling goroutine merges the held tail with each sorted
 //     run in turn, hands on every row that starts before the next run's
 //     low — the watermark: that run holds nothing earlier — and holds
@@ -75,8 +76,9 @@ type run struct {
 	// ids holds each row's c-ip and then its c-playerid, in row order,
 	// each as a uvarint length followed by the bytes.
 	ids []byte
-	// local numbers the run's URIs and countries in first-seen order.
-	local   wmslog.Interner
+	// local numbers the run's URIs and countries in first-seen order. A
+	// file is scanned through it: it is deferred.
+	local   *wmslog.Interner
 	horizon int64 // the trace length Sanitize will hold the rows to
 	low     int64 // the least start of a row Sanitize keeps; MaxInt64 if none
 	badAS   bool  // some AS number did not fit its field
@@ -90,7 +92,8 @@ const idBytes = 32
 // rows: a close hint means the rows and the arena are allocated once
 // each.
 func newRun(sizeHint int, horizon int64) *run {
-	return &run{rows: make([]Transfer, 0, sizeHint), ids: make([]byte, 0, sizeHint*idBytes), horizon: horizon, low: math.MaxInt64}
+	return &run{rows: make([]Transfer, 0, sizeHint), ids: make([]byte, 0, sizeHint*idBytes),
+		local: wmslog.NewDeferredInterner(), horizon: horizon, low: math.MaxInt64}
 }
 
 // appendID appends one identity column to a run's arena.
@@ -141,12 +144,17 @@ func (r *run) add(e *wmslog.Entry, epoch time.Time) {
 // assembler is the identity stage: it numbers the runs it is handed,
 // in the order it is handed them.
 type assembler struct {
-	ids *wmslog.Interner // the build's one numbering of all four columns
-	uri []uint16         // scratch: a run's local URI id → global id
-	cc  []uint16         // the same for countries
+	clients identities      // the build's numbering of players and IPs
+	objects wmslog.Interner // and of URIs and countries
+	uri     []uint16        // scratch: a run's local URI id → global id
+	cc      []uint16        // the same for countries
 }
 
-func newAssembler() *assembler { return &assembler{ids: wmslog.NewInterner()} }
+func newAssembler() *assembler {
+	return &assembler{clients: identities{players: newIDTable(), ips: newIDTable()}}
+}
+
+var errArena = fmt.Errorf("%w: client identities beyond 4 GiB", ErrBadTrace)
 
 // take numbers r — the run after every run taken before it. The ids it
 // writes into r's rows are first-seen over the rows of the runs taken
@@ -170,15 +178,18 @@ func (a *assembler) take(r *run) error {
 		ip, ids = nextID(ids)
 		pid, ids = nextID(ids)
 		t := &r.rows[i]
-		ipOrd, pidOrd := a.ids.Client(ip, pid)
+		ipOrd, pidOrd, ok := a.clients.client(ip, pid)
+		if !ok {
+			return errArena
+		}
 		t.Client, t.IP = int32(pidOrd), ipOrd
 		t.Object, t.Country = a.uri[t.Object], a.cc[t.Country]
 	}
 	r.ids = nil // the arena is garbage once read
-	if uint64(len(a.ids.Names(wmslog.ColPlayer))) > idLimit[wmslog.ColPlayer] {
+	if uint64(a.clients.players.len()) > idLimit[wmslog.ColPlayer] {
 		return errTooMany(wmslog.ColPlayer)
 	}
-	if uint64(len(a.ids.Names(wmslog.ColIP))) > idLimit[wmslog.ColIP] {
+	if uint64(a.clients.ips.len()) > idLimit[wmslog.ColIP] {
 		return errTooMany(wmslog.ColIP)
 	}
 	return nil
@@ -188,17 +199,18 @@ func (a *assembler) take(r *run) error {
 func (a *assembler) remap(c wmslog.Column, local []string, to []uint16) ([]uint16, error) {
 	to = to[:0]
 	for _, name := range local {
-		to = append(to, uint16(a.ids.Ordinal(c, name)))
+		to = append(to, uint16(a.objects.Ordinal(c, name)))
 	}
-	if uint64(len(a.ids.Names(c))) > idLimit[c] {
+	if uint64(len(a.objects.Names(c))) > idLimit[c] {
 		return nil, errTooMany(c)
 	}
 	return to, nil
 }
 
-// names returns the build's IP and country tables.
+// names returns the build's IP and country tables, the IPs cut from
+// their arena.
 func (a *assembler) names() *Names {
-	return &Names{IPs: a.ids.Names(wmslog.ColIP), Countries: a.ids.Names(wmslog.ColCountry)}
+	return &Names{IPs: a.clients.ips.strings(), Countries: a.objects.Names(wmslog.ColCountry)}
 }
 
 // FromEntries converts parsed log entries into a Trace. epoch is the
@@ -219,7 +231,7 @@ func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trac
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err
 	}
-	sort.Sort(byStart(r.rows))
+	sortTraceOrder(r.rows)
 	return &Trace{Horizon: horizon, Transfers: r.rows, Names: a.names()}, nil
 }
 
@@ -290,7 +302,7 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 		return nil, ing.Stats, SanitizeReport{}, err
 	}
 	if !ing.Ordered {
-		sort.Sort(byStart(rows))
+		sortByKeys(rows)
 	}
 	return &Trace{Horizon: horizon, Transfers: rows, Names: ing.Names}, ing.Stats, ing.Report, nil
 }
@@ -325,7 +337,6 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 	slots := make(chan struct{}, ParseAhead) // a semaphore: a token per run in flight
 	quit := make(chan struct{})              // closed once no stage needs another file
 	parse := func() {
-		in := wmslog.NewDeferredInterner()
 		// Files are claimed in name order, so once one fails every
 		// earlier file is already claimed and will finish; the later
 		// ones cannot change which error is first and are left alone.
@@ -341,6 +352,7 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 			}
 			f := &files[k]
 			r := newRun(f.hint, horizon)
+			in := r.local
 			f.st, f.err = wmslog.ScanFile(f.path, true, in, func(e *wmslog.Entry) error {
 				ip, pid := in.Identity(e)
 				r.ids = appendID(appendID(r.ids, ip), pid)
@@ -397,7 +409,7 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 				defer sorts.Done()
 				part := &Trace{Horizon: horizon, Transfers: f.r.rows}
 				f.report = part.sanitizeInto(part.Transfers[:0])
-				sort.Sort(byStart(part.Transfers))
+				sortByKeys(part.Transfers)
 				f.rows, f.ok = part.Transfers, true
 				close(f.sorted)
 			}()

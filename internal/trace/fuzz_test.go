@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -185,4 +188,73 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// fuzzRows decodes data, six bytes a row, into rows that tie heavily:
+// eight starts, four clients, two objects, three values of a few other
+// fields, and CPU readings among ±0, two NaNs and ±Inf. With wide, a
+// row may start at an extreme of int64, so that the starts span more
+// than a sort key can hold beside the index.
+func fuzzRows(data []byte, wide bool) []Transfer {
+	cpus := [8]float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(math.Float64bits(math.NaN()) + 1), 1, 0.5, math.Inf(1), math.Inf(-1)}
+	extremes := [4]int64{math.MinInt64, math.MaxInt64, -1, 1 << 62}
+	var rows []Transfer
+	for ; len(data) >= 6; data = data[6:] {
+		t := Transfer{
+			Start:     int64(data[0] & 7),
+			Client:    int32(data[1] & 3),
+			Object:    uint16(data[1] >> 2 & 1),
+			Duration:  int64(data[2] % 3),
+			ServerCPU: cpus[data[3]&7],
+			Bytes:     int64(data[4] % 3),
+			IP:        uint32(data[5] % 3),
+		}
+		if wide && data[0]&0x80 != 0 {
+			t.Start = extremes[data[0]>>3&3]
+		}
+		rows = append(rows, t)
+	}
+	return rows
+}
+
+// sameRows reports whether two row slices are equal bit for bit — a NaN
+// reading equal to itself, −0 not to +0.
+func sameRows(a, b []Transfer) bool {
+	return slices.EqualFunc(a, b, func(x, y Transfer) bool {
+		bx, by := math.Float64bits(x.ServerCPU), math.Float64bits(y.ServerCPU)
+		x.ServerCPU, y.ServerCPU = 0, 0
+		return x == y && bx == by
+	})
+}
+
+// FuzzSortTraceOrderMatchesSort: sortByKeys, and sortTraceOrder over
+// the same rows and over them already sorted by start, give what
+// sort.Sort(byStart) gives, bit for bit — over rows with many equal
+// starts and ties broken only by the CPU reading's bits, and over
+// starts too far apart for the keys (the fallback).
+func FuzzSortTraceOrderMatchesSort(f *testing.F) {
+	f.Add([]byte("\x03\x01\x00\x02\x00\x00\x03\x01\x00\x03\x00\x00\x01\x00\x00\x00\x00\x00"), false)
+	f.Add([]byte("\x80\x00\x00\x00\x00\x00\x88\x00\x00\x00\x00\x00\x02\x00\x00\x01\x00\x00"), true)
+	f.Add([]byte("\x07\x02\x01\x02\x01\x02\x07\x02\x01\x03\x01\x02\x07\x02\x01\x00\x01\x02\x07\x02\x01\x01\x01\x02"), false)
+	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
+		rows := fuzzRows(data, wide)
+		want := slices.Clone(rows)
+		sort.Sort(byStart(want))
+		got := slices.Clone(rows)
+		sortByKeys(got)
+		if !sameRows(got, want) {
+			t.Fatalf("sortByKeys(%v) = %v, sort.Sort gives %v", rows, got, want)
+		}
+		got = slices.Clone(rows)
+		sortTraceOrder(got)
+		if !sameRows(got, want) {
+			t.Fatalf("sortTraceOrder(%v) = %v, sort.Sort gives %v", rows, got, want)
+		}
+		got = slices.Clone(rows)
+		slices.SortStableFunc(got, func(x, y Transfer) int { return cmp.Compare(x.Start, y.Start) })
+		sortTraceOrder(got)
+		if !sameRows(got, want) {
+			t.Fatalf("sortTraceOrder of start-ordered %v = %v, sort.Sort gives %v", rows, got, want)
+		}
+	})
 }

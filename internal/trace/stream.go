@@ -118,9 +118,7 @@ func (s *Stream) Close() SanitizeReport {
 
 // flush passes on the held group of equal starts in the trace order.
 func (s *Stream) flush() {
-	if len(s.group) > 1 {
-		sort.Sort(byStart(s.group))
-	}
+	sortGroup(s.group)
 	for i := range s.group {
 		s.emit(&s.group[i])
 	}
@@ -133,17 +131,16 @@ type merger struct {
 	emit    func(*Transfer)
 	stop    bool       // merge nothing more once the order breaks
 	tail    []Transfer // the held rows, sorted, none starting before the last watermark
-	spare   []Transfer // the tail's other buffer
 	last    Transfer   // the last row handed on; at first, one before every kept row
 	ordered bool       // no row handed on sorts before one handed on earlier
 }
 
 // merge merges the sorted run with the held tail, hands on every row
 // that starts before the watermark w and holds the rest: only the rows
-// at or after w are copied. Every row of run must sort no earlier than
-// the last row handed on — the tail's do by construction — and since
-// run is sorted its first row tells; one that does not breaks the
-// order.
+// at or after w are copied, and into the tail's own buffer. Every row
+// of run must sort no earlier than the last row handed on — the tail's
+// do by construction — and since run is sorted its first row tells;
+// one that does not breaks the order.
 func (m *merger) merge(run []Transfer, w int64) {
 	if len(run) > 0 && before(&run[0], &m.last) {
 		if m.ordered = false; m.stop {
@@ -159,9 +156,24 @@ func (m *merger) merge(run []Transfer, w int64) {
 	} else if b > 0 {
 		m.last = run[b-1]
 	}
-	next := slices.Grow(m.spare[:0], len(t)-a+len(run)-b)
-	mergeRuns(t[a:], run[b:], func(x *Transfer) { next = append(next, *x) })
-	m.tail, m.spare = next, t[:0]
+	// The held rows move to the front of the buffer, which grows once
+	// to the new tail's length; the merge then fills it from the back.
+	// Its write index stays at or past the tail row it reads next — it
+	// is that index plus the run rows still to place — so it never
+	// overwrites a row still to be read.
+	i := copy(t, t[a:]) - 1
+	rest := run[b:]
+	t = slices.Grow(t[:i+1], len(rest))[:i+1+len(rest)]
+	for j, k := len(rest)-1, len(t)-1; j >= 0; k-- {
+		if i >= 0 && before(&rest[j], &t[i]) {
+			t[k] = t[i]
+			i--
+		} else {
+			t[k] = rest[j]
+			j--
+		}
+	}
+	m.tail = t
 }
 
 // mergeRuns hands the rows of the sorted runs x and y to out in the

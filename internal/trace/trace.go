@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -104,8 +105,8 @@ func newOwned(horizon int64, ts []Transfer) (*Trace, error) {
 // already in start order — a serve run hands them to its Transfer sink
 // so — need only each run of equal starts put in order: one walk
 // checks the starts and sorts those runs, and the first start out of
-// order sends the whole slice to the full sort instead. The order is
-// total, so either way the result is the same.
+// order sends the whole slice to the full sort (sortByKeys) instead.
+// The order is total, so either way the result is the same.
 func sortTraceOrder(ts []Transfer) {
 	for a := 0; a < len(ts); {
 		b := a + 1
@@ -113,13 +114,81 @@ func sortTraceOrder(ts []Transfer) {
 			b++
 		}
 		if b < len(ts) && ts[b].Start < ts[a].Start {
-			sort.Sort(byStart(ts))
+			sortByKeys(ts)
 			return
 		}
-		if b-a > 1 {
-			sort.Sort(byStart(ts[a:b]))
-		}
+		sortGroup(ts[a:b])
 		a = b
+	}
+}
+
+// sortByKeys sorts ts into the trace order, whatever order it is in. It
+// sorts one uint64 a row, (Start − least start) << idxBits | index, with
+// slices.Sort — integer compares on 8-byte keys instead of calls to
+// before that move 56-byte rows — then moves each row to its place by
+// following the permutation's cycles, one row of scratch however long
+// the slice, and last puts each group of equal starts in order with
+// sortTraceOrder's walk (the index breaks ties in the key, not in the
+// trace order).
+// When the starts span too much to share 64 bits with the index, it is
+// sort.Sort(byStart) outright.
+func sortByKeys(ts []Transfer) {
+	if len(ts) < 2 {
+		return
+	}
+	lo, hi := ts[0].Start, ts[0].Start
+	for i := range ts {
+		lo, hi = min(lo, ts[i].Start), max(hi, ts[i].Start)
+	}
+	idxBits := bits.Len(uint(len(ts) - 1))
+	if bits.Len64(uint64(hi)-uint64(lo)) > 64-idxBits {
+		sort.Sort(byStart(ts))
+		return
+	}
+	keys := make([]uint64, len(ts))
+	for i := range ts {
+		keys[i] = (uint64(ts[i].Start)-uint64(lo))<<idxBits | uint64(i)
+	}
+	slices.Sort(keys)
+	// Place k takes the row at index keys[k]&mask. Each cycle of that
+	// permutation is walked once; a place filled gets its own index as
+	// its key, so the walk skips it after.
+	mask := uint64(1)<<idxBits - 1
+	for k := range keys {
+		from := int(keys[k] & mask)
+		if from == k {
+			continue
+		}
+		held := ts[k]
+		to := k
+		for from != k {
+			ts[to] = ts[from]
+			keys[to] = uint64(to)
+			to, from = from, int(keys[from]&mask)
+		}
+		ts[to] = held
+		keys[to] = uint64(to)
+	}
+	sortTraceOrder(ts) // in start order now: only the groups are left
+}
+
+// groupMax is the largest group of equal starts sortGroup sorts by
+// insertion.
+const groupMax = 12
+
+// sortGroup puts a group of rows with equal starts in the trace order.
+// Such groups are a few rows long — a log's starts are whole seconds —
+// so it sorts by insertion and passes only a larger group to
+// sort.Sort(byStart), whose interface value costs an allocation a call.
+func sortGroup(g []Transfer) {
+	if len(g) > groupMax {
+		sort.Sort(byStart(g))
+		return
+	}
+	for i := 1; i < len(g); i++ {
+		for j := i; j > 0 && before(&g[j], &g[j-1]); j-- {
+			g[j], g[j-1] = g[j-1], g[j]
+		}
 	}
 }
 
@@ -177,9 +246,10 @@ func tieBefore(a, b *Transfer) bool {
 	return math.Float64bits(a.ServerCPU) < math.Float64bits(b.ServerCPU)
 }
 
-// byStart sorts by the trace order. It compares by index: handing two
-// 56-byte transfers by value to a comparison function
-// (slices.SortFunc) costs more than the comparison.
+// byStart sorts by the trace order, comparing rows in place by index.
+// A full sort goes by sortByKeys, which leaves byStart only the large
+// groups of equal starts (sortGroup) and the slices whose starts do
+// not fit its keys.
 type byStart []Transfer
 
 func (s byStart) Len() int           { return len(s) }

@@ -2,8 +2,10 @@ package wmslog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"time"
 )
@@ -202,8 +204,9 @@ func ParseAppend(e *Entry, line []byte) error {
 // field that repeats the value *e already holds (the previous record
 // of a reused entry) or one the interner knows costs no allocation, so
 // a scan over a real log allocates per distinct value. Referer takes
-// only the first shortcut, and a deferred interner takes c-ip and
-// c-playerid as bytes instead — see Interner.
+// only the first shortcut. A deferred interner takes c-ip and
+// c-playerid as bytes instead and leaves c-os, c-cpu and cs(Referer)
+// empty, their columns checked but made into no string — see Interner.
 //
 //lsm:hotpath
 func parseAppend(e *Entry, line []byte, in *Interner) error {
@@ -227,10 +230,11 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 		return errMissing("c-playerid")
 	}
 	in.identity(e, ip, pid)
-	if e.ClientOS, ok = cols.nextUndashed(in, colOS, e.ClientOS); !ok {
+	drop := in.drops()
+	if e.ClientOS, ok = cols.nextOptional(drop, in, colOS, e.ClientOS); !ok {
 		return errMissing("c-os")
 	}
-	if e.ClientCPU, ok = cols.nextUndashed(in, colCPU, e.ClientCPU); !ok {
+	if e.ClientCPU, ok = cols.nextOptional(drop, in, colCPU, e.ClientCPU); !ok {
 		return errMissing("c-cpu")
 	}
 	uri, ok := cols.next()
@@ -253,7 +257,7 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 	if e.ServerCPU, err = cols.nextFixed2("s-cpu-util"); err != nil {
 		return err
 	}
-	if e.Referer, ok = cols.nextUndashed(nil, 0, e.Referer); !ok {
+	if e.Referer, ok = cols.nextOptional(drop, nil, 0, e.Referer); !ok {
 		return errMissing("cs(Referer)")
 	}
 	status, err := cols.nextInt("sc-status")
@@ -301,11 +305,28 @@ type fieldSplitter struct {
 // path must never *accept* a line `strings.Fields` would split
 // differently (tabs, unicode whitespace), and over-rejecting is safe
 // because rejection only means falling back.
+//
+// A column byte is printable ASCII, 0x21..0x7f, and the column is
+// scanned 8 bytes a step: in m = ((x − 0x21…21) | x) & 0x80…80 the
+// lowest set bit marks the first byte outside that range. Every byte
+// below it is in range, so its subtraction borrows nothing, leaves
+// 0x00..0x5e and sets no bit of m; the first byte outside sets its bit
+// either through x (0x80..0xff) or through the borrow its own
+// subtraction makes (0x00..0x20). A bit above it may be a borrow's
+// artefact, and is never read. The last < 8 bytes take the byte loop.
+//
+//lsm:hotpath
 func (f *fieldSplitter) next() ([]byte, bool) {
 	line, start := f.line, f.pos
-	// A column byte is printable ASCII, 0x21..0x7f: one unsigned compare,
-	// on locals the loop keeps in registers.
+	const ones, highs = 0x2121212121212121, 0x8080808080808080
 	i := start
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:])
+		if m := ((x - ones) | x) & highs; m != 0 {
+			i += bits.TrailingZeros64(m) >> 3
+			break
+		}
+	}
 	for i < len(line) && line[i]-0x21 < 0x5f {
 		i++
 	}
@@ -324,6 +345,17 @@ func (f *fieldSplitter) next() ([]byte, bool) {
 }
 
 func (f *fieldSplitter) done() bool { return f.pos >= len(f.line) }
+
+// nextOptional reads a dash-encoded optional column: with drop, as
+// empty — the column checked, no string made — and as nextUndashed
+// reads it otherwise.
+func (f *fieldSplitter) nextOptional(drop bool, in *Interner, c Column, prev string) (string, bool) {
+	if drop {
+		_, ok := f.next()
+		return "", ok
+	}
+	return f.nextUndashed(in, c, prev)
+}
 
 // nextUndashed reads a dash-encoded optional field: "-" decodes to the
 // empty string without allocating; underscores decode back to spaces

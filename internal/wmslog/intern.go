@@ -43,16 +43,23 @@ const (
 // An interner made by NewDeferredInterner does not intern c-ip and
 // c-playerid at all: a scan through it hands them to its callback as
 // bytes (Identity), for a consumer that numbers identities in one place
-// for many parsing goroutines and would only throw per-worker strings
-// away.
+// for many parsing goroutines and would only throw per-file strings
+// away. Nor does such a scan keep c-os, c-cpu or cs(Referer): it checks
+// their columns and leaves the fields empty on every entry, for a
+// consumer that reads none of the three — the trace ingest, whose rows
+// hold none of them — so a line costs no string for them, not even the
+// referer a tagged serve log makes unique per line (SessionRef). What a
+// deferred scan does intern — URI and country — it numbers like any
+// interner (Ordinal), which makes one deferred interner a file's own
+// numbering of its handful of objects and countries.
 //
 // The tables grow with the number of distinct values, never with the
 // number of entries: the referer column, the one field a tagged serve
-// log makes unique per entry (SessionRef), bypasses them. An Interner
-// is not safe for concurrent use; a parallel ingest gives each worker
-// its own. The nil *Interner is valid and interns nothing; the zero
-// Interner is an empty interning one (NewInterner only presizes the
-// player and IP indexes).
+// log makes unique per entry, bypasses them. An Interner is not safe
+// for concurrent use; a parallel ingest gives each file its own. The
+// nil *Interner is valid and interns nothing; the zero Interner is an
+// empty interning one (NewInterner only presizes the player and IP
+// indexes).
 type Interner struct {
 	cols [numInterned]table
 	// last is, per column, the value most recently handed out: the next
@@ -204,10 +211,24 @@ func NewInterner() *Interner {
 }
 
 // NewDeferredInterner returns an empty interner in deferred mode: a scan
-// through it interns OS, CPU, URI and country as usual, but leaves a
-// canonical text line's c-ip and c-playerid empty in the entry and
-// hands them to the callback as bytes instead (Identity).
+// through it interns URI and country as usual, leaves a canonical text
+// line's c-ip and c-playerid empty in the entry and hands them to the
+// callback as bytes instead (Identity), and leaves c-os, c-cpu and
+// cs(Referer) empty on every entry, text or binary. It is the trace
+// ingest's interner, one per file.
 func NewDeferredInterner() *Interner { return &Interner{deferred: true} }
+
+// drops reports whether a scan through in leaves c-os, c-cpu and
+// cs(Referer) empty: in deferred mode.
+func (in *Interner) drops() bool { return in != nil && in.deferred }
+
+// drop empties the fields a deferred scan does not keep, on an entry a
+// path other than the fast one decoded.
+func (in *Interner) drop(e *Entry) {
+	if in.drops() {
+		e.ClientOS, e.ClientCPU, e.Referer = "", "", ""
+	}
+}
 
 // Names returns column c's values by ordinal. The slice is the
 // interner's own: read it, and only until the next value is added.
@@ -263,17 +284,6 @@ func (in *Interner) identity(e *Entry, ip, pid []byte) {
 	}
 }
 
-// Client returns the ordinals of one line's c-ip and c-playerid, given
-// as bytes — the way a deferred scan hands them out — and gives a value
-// the interner has not met the next ordinal, with a copy of its bytes as
-// its name.
-//
-//lsm:hotpath
-func (in *Interner) Client(ip, pid []byte) (ipOrd, pidOrd uint32) {
-	in.client(ip, pid)
-	return in.last[ColIP].ord, in.last[ColPlayer].ord
-}
-
 // client interns a c-ip and c-playerid pair together, leaving both in
 // last: the player through its hashed table (unless it is the player
 // last handed out), the IP by comparing it with the one that player's
@@ -306,10 +316,10 @@ func (in *Interner) ipOf(p uint32) *ref {
 // until the callback returns: copy them, never keep the slices (lsmvet's
 // entryretain analyzer holds callers to that, as it does for e itself).
 // In deferred mode a canonical text line's columns are handed out as
-// they lie in the parser's buffer; an entry that carries the two as
-// strings — a binary record, a line only the tolerant splitter read, any
-// entry of an interning scan — has them copied into a buffer the next
-// call reuses.
+// they lie in the parser's buffer, with no string made of either; an
+// entry that carries the two as strings — a binary record, a line only
+// the tolerant splitter read, any entry of an interning scan — has them
+// copied into a buffer the next call reuses.
 func (in *Interner) Identity(e *Entry) (ip, pid []byte) {
 	if e.PlayerID == "" { // a valid entry's player ID never is: deferred
 		return in.ip, in.player

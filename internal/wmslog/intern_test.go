@@ -75,7 +75,7 @@ func TestASNumberAndStatusRange(t *testing.T) {
 }
 
 // checkOrdinals holds an interner to its contract over the entries one
-// or more scans hand out: the ordinals Client and Ordinal give name
+// or more scans hand out: the ordinals client and Ordinal give name
 // exactly the entry's player ID, IP, URI and country, equal strings get
 // equal ordinals, and different strings different ones.
 type checkOrdinals struct {
@@ -95,7 +95,8 @@ func newCheckOrdinals() *checkOrdinals {
 // interner.
 func (c *checkOrdinals) ordinals(e *Entry) [NumColumns]uint32 {
 	var ord [NumColumns]uint32
-	ord[ColIP], ord[ColPlayer] = c.in.Client([]byte(e.ClientIP), []byte(e.PlayerID))
+	c.in.client([]byte(e.ClientIP), []byte(e.PlayerID))
+	ord[ColIP], ord[ColPlayer] = c.in.last[ColIP].ord, c.in.last[ColPlayer].ord
 	ord[ColURI] = c.in.Ordinal(ColURI, e.URIStem)
 	ord[ColCountry] = c.in.Ordinal(ColCountry, e.Country)
 	return ord

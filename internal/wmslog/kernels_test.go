@@ -392,3 +392,78 @@ func TestDailyWriterReusesOneBuffer(t *testing.T) {
 		}
 	})
 }
+
+// nextByteLoop is what the word-at-a-time fieldSplitter.next replaced:
+// the same column, one byte a step.
+func nextByteLoop(f *fieldSplitter) ([]byte, bool) {
+	line, start := f.line, f.pos
+	i := start
+	for i < len(line) && line[i]-0x21 < 0x5f {
+		i++
+	}
+	if i == start {
+		return nil, false
+	}
+	if i < len(line) {
+		if line[i] != ' ' {
+			return nil, false
+		}
+		f.pos = i + 1
+	} else {
+		f.pos = i
+	}
+	return line[start:i], true
+}
+
+// checkSplitter walks line from pos with both splitters, column by
+// column until one refuses, and fails on the first column, verdict or
+// position they disagree on.
+func checkSplitter(t *testing.T, line []byte, pos int) {
+	t.Helper()
+	got, want := fieldSplitter{line: line, pos: pos}, fieldSplitter{line: line, pos: pos}
+	for {
+		gc, gok := got.next()
+		wc, wok := nextByteLoop(&want)
+		if gok != wok || !bytes.Equal(gc, wc) || got.pos != want.pos {
+			t.Fatalf("line %q from %d: next = %q, %v (pos %d); the byte loop gives %q, %v (pos %d)",
+				line, pos, gc, gok, got.pos, wc, wok, want.pos)
+		}
+		if !gok {
+			return
+		}
+	}
+}
+
+// TestSplitterEveryEdgeByte: in every line of 0 to 24 column bytes,
+// each byte at the edges of the accept set — 0x00, 0x20, 0x21, 0x7f,
+// 0x80, 0xff — at every offset splits as the byte loop splits it, from
+// every start position.
+func TestSplitterEveryEdgeByte(t *testing.T) {
+	for n := 0; n <= 24; n++ {
+		for at := 0; at < n; at++ {
+			for _, c := range []byte{0x00, 0x20, 0x21, 0x7f, 0x80, 0xff} {
+				line := bytes.Repeat([]byte{'a'}, n)
+				line[at] = c
+				for pos := 0; pos <= n; pos++ {
+					checkSplitter(t, line, pos)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSplitterMatchesByteLoop: over arbitrary bytes and any start
+// position, the word-at-a-time fieldSplitter.next hands out the columns
+// the byte loop does, refuses where it refuses and leaves the same
+// position behind.
+func FuzzSplitterMatchesByteLoop(f *testing.F) {
+	f.Add([]byte(goodLine), uint8(0))
+	f.Add([]byte("ab cd"), uint8(1))
+	f.Add([]byte("abcdefgh ijklmnop\x7fq"), uint8(3))
+	f.Add([]byte("abcdefg\x00"), uint8(0))
+	f.Add([]byte("abcdefghijklmno\x80"), uint8(0))
+	f.Add([]byte("a  b\tc\xff"), uint8(0))
+	f.Fuzz(func(t *testing.T, line []byte, pos uint8) {
+		checkSplitter(t, line, int(pos)%(len(line)+1))
+	})
+}

@@ -247,6 +247,7 @@ func (p *parser) scanBinary(e *Entry) error {
 	if err := ParseBinary(e, rec, p.dict); err != nil {
 		return fmt.Errorf("wmslog: binary record %d: %w", p.stats.Lines+1, err)
 	}
+	p.in.drop(e)
 	if perr == nil {
 		p.br.Discard(int(n))
 	}
@@ -322,7 +323,11 @@ func (p *parser) parseLine(e *Entry, line string) error {
 	if e.ASNumber, err = strconv.Atoi(cols[14]); err != nil {
 		return fmt.Errorf("%w: s-as %q", ErrFormat, cols[14])
 	}
-	return e.Validate()
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	p.in.drop(e)
+	return nil
 }
 
 func parseInt(s, field string) (int64, error) {

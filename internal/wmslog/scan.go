@@ -14,7 +14,8 @@ import (
 // for a binary one; with a nil in every text string is a fresh
 // allocation. Through a deferred interner a canonical text line's c-ip
 // and c-playerid are not strings at all but bytes, read with
-// in.Identity(e).
+// in.Identity(e), and every entry's c-os, c-cpu and cs(Referer) are
+// left empty (NewDeferredInterner).
 //
 // The entry-reuse contract: *e is overwritten by the next record, so fn
 // must not retain the pointer (lsmvet's entryretain analyzer checks
