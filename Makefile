@@ -168,9 +168,11 @@ bench-history:
 # field) and the two ingest kernels against their references: the
 # word-at-a-time column splitter = the byte loop over any bytes from any
 # position, and the keyed trace-order sort = sort.Sort(byStart) over
-# tie-heavy rows with NaN/±0 readings and starts too wide for a key.
+# tie-heavy rows with NaN/±0 readings and starts too wide for a key —
+# and the monotone radix queue (any monotone pushes and PopAtMost
+# limits = a sort-based reference, pop for pop).
 # `go test` runs one fuzz target per invocation, hence the
-# fourteen steps; new failing inputs are minimized into the package's
+# fifteen steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -191,6 +193,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromLogsMatchesFromEntries$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSortTraceOrderMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzObserverMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRadixMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/heapx
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

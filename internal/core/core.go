@@ -320,10 +320,8 @@ func writeIngest(w io.Writer, st wmslog.ParseStats, files int, report trace.Sani
 // are LoadLogs' and Observe's. Logs whose files reach back further than
 // a daily harvest's (the returned Ingest is not Ordered), and a timeout
 // the observer refuses, take that path itself; the Ingest is then the
-// stream's, as far as it went. The streamed Ingest's Names keep the
-// countries only: the observer reads no IP name, so the ingest's IP
-// table is let go before the characterization runs, not held through
-// it.
+// stream's, as far as it went. The streamed Ingest's Names hold the
+// countries only (see trace.StreamLogs): the observer reads no IP name.
 func ObserveLogs(dir string, days int, timeout int64, w io.Writer) (*Characterization, trace.Ingest, error) {
 	paths, err := findLogs(dir)
 	if err != nil {
@@ -342,7 +340,6 @@ func ObserveLogs(dir string, days int, timeout int64, w io.Writer) (*Characteriz
 		if ing.Ordered {
 			writeIngest(w, ing.Stats, len(paths), ing.Report)
 			o.SetNames(ing.Names)
-			ing.Names = &trace.Names{Countries: ing.Names.Countries}
 			char, err := o.Characterization()
 			return char, ing, err
 		}

@@ -147,15 +147,15 @@ func FuzzSessionCursorMatchesExpand(f *testing.F) {
 }
 
 // TestCursorHeapMatchesReferenceSort opens randomly shaped sessions
-// into the cursor heap and drains it exactly as runShard does — every
-// cursor's draws interleaved through the one shared source — and checks
-// the emitted sequence against the eagerly expanded sessions sorted by
-// the stream's total order. The fixture forces what the compact key and
-// the state swap have to get right: sessions that start in the same
-// second (the session index decides), zero gaps inside a session (equal
-// starts within one cursor), single-transfer sessions (popped on their
-// first advance), and sessions interleaving with each other for many
-// steps.
+// into a shard's cursor queue and drains it exactly as runShard does —
+// sessions opened between releases, every cursor's draws interleaved
+// through the one shared source — and checks the emitted sequence
+// against the eagerly expanded sessions sorted by the stream's total
+// order. The fixture forces what the packed key, the slot pool and the
+// state swap have to get right: sessions that start in the same second
+// (the session index decides), zero gaps inside a session (equal starts
+// within one cursor), single-transfer sessions (freed on their first
+// advance), and sessions interleaving with each other for many steps.
 func TestCursorHeapMatchesReferenceSort(t *testing.T) {
 	m := Default()
 	m.Horizon = 3600
@@ -165,30 +165,38 @@ func TestCursorHeapMatchesReferenceSort(t *testing.T) {
 	sd := f.draws()
 	pick := rand.New(rand.NewSource(16))
 
-	h := newCursorHeap()
-	var want []workload.Event
-	singles := 0
+	var q cursorQueue
+	var want, got []workload.Event
+	release := func(limit uint64) {
+		for {
+			_, slot, ok := q.q.PopAtMost(limit)
+			if !ok {
+				return
+			}
+			got = append(got, q.slots[slot].head())
+			q.advance(sd, slot)
+		}
+	}
+	singles, peak := 0, 0
+	var start int64
 	for s := 0; s < 400; s++ {
+		start += int64(pick.Intn(3) / 2) // 400 sessions over ~130 seconds: plenty of (start) ties
+		release(cursorKey(start, s))
 		seed, client := pick.Uint64(), pick.Intn(100)
-		start := int64(pick.Intn(50)) // 400 sessions over 50 seconds: plenty of (start) ties
 		events, _ := f.reference(seed, s, client, start)
 		want = append(want, events...)
 		if len(events) == 1 {
 			singles++
 		}
 		if c, ok := sd.open(seed, s, client, start); ok {
-			h.Push(c)
+			q.push(c)
 		}
+		peak = max(peak, q.q.Len())
 	}
+	release(math.MaxUint64)
 	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-	if singles == 0 || len(want) < 2000 {
-		t.Fatalf("fixture lost its shape: %d single-transfer sessions, %d events", singles, len(want))
-	}
-
-	var got []workload.Event
-	for h.Len() > 0 {
-		got = append(got, h.Top().head())
-		sd.advance(&h)
+	if singles == 0 || len(want) < 2000 || peak < 30 {
+		t.Fatalf("fixture lost its shape: %d single-transfer sessions, %d events, at most %d sessions pending", singles, len(want), peak)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("emitted %d events, want %d", len(got), len(want))
@@ -205,10 +213,15 @@ func TestCursorHeapMatchesReferenceSort(t *testing.T) {
 	if zeroGaps == 0 {
 		t.Fatal("fixture has no equal starts")
 	}
+	if q.q.Len() != 0 || len(q.free) != len(q.slots) || len(q.slots) > peak {
+		t.Errorf("drained queue: %d queued, %d of %d slots free; pool should stop at the %d sessions open at once",
+			q.q.Len(), len(q.free), len(q.slots), peak)
+	}
 }
 
-// TestCursorSize pins the heap element at 48 bytes, the size PR 16
-// measured the generate gain at, with every field fixed-width.
+// TestCursorSize pins a pending session at 48 bytes, with every field
+// fixed-width and no pointer: a shard's slot pool holds one cursor per
+// open session, and TestStreamBytesPerSession counts on its width.
 func TestCursorSize(t *testing.T) {
 	c := reflect.TypeOf(cursor{})
 	if c.Size() != 48 {
@@ -223,22 +236,27 @@ func TestCursorSize(t *testing.T) {
 	}
 }
 
-// TestCursorBefore pins the release bound runShard uses: the head
-// precedes an arrival at (start, session) exactly when Event.Less says
-// so for the arrival's first possible event.
+// TestCursorBefore pins the release bound runShard uses: a head's key
+// is below the key of an arrival at (start, session) exactly when
+// Event.Less puts the head before the arrival's first possible event,
+// at the edges of both fields.
 func TestCursorBefore(t *testing.T) {
+	const maxStart, maxSession = math.MaxInt32, maxSessions - 1
 	for _, head := range []workload.Event{
 		{Start: 10, Session: 3, Seq: 0},
 		{Start: 10, Session: 3, Seq: 7},
 		{Start: 9, Session: 8, Seq: 2},
 		{Start: 11, Session: 1, Seq: 0},
+		{Start: 0, Session: maxSession, Seq: 1},
+		{Start: maxStart, Session: 0, Seq: 0},
+		{Start: maxStart - 1, Session: maxSession, Seq: 0},
 	} {
-		c := cursor{start: head.Start, session: head.Session, seq: int32(head.Seq)}
 		for _, bound := range []workload.Event{
 			{Start: 10, Session: 2}, {Start: 10, Session: 4}, {Start: 9, Session: 9},
 			{Start: 11, Session: 0}, {Start: 12, Session: 0}, {Start: 0, Session: 0},
+			{Start: 1, Session: 0}, {Start: maxStart, Session: 0}, {Start: maxStart, Session: 1},
 		} {
-			if got, want := c.before(bound.Start, bound.Session), head.Less(bound); got != want {
+			if got, want := cursorKey(head.Start, head.Session) < cursorKey(bound.Start, bound.Session), head.Less(bound); got != want {
 				t.Errorf("head %+v before (%d, %d) = %v, Event.Less says %v", head, bound.Start, bound.Session, got, want)
 			}
 		}

@@ -364,8 +364,8 @@ func TestModelJSONWithProfile(t *testing.T) {
 // TestValidateRejectsUnrepresentable: every float field refuses NaN
 // and ±Inf — the ordered comparisons Validate used to make are all
 // false on NaN, so a fit on a degenerate trace passed — and the sizes
-// refuse what the generator's client rows and session cursors cannot
-// number.
+// refuse what the generator's client rows, session cursors and cursor
+// keys cannot number.
 func TestValidateRejectsUnrepresentable(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	floats := []struct {
@@ -412,6 +412,7 @@ func TestValidateRejectsUnrepresentable(t *testing.T) {
 		{"Topology.NumAS", func(m *Model) { m.Topology.NumAS = topology.MaxAS + 1 }},
 		{"NumObjects", func(m *Model) { m.NumObjects = math.MaxInt32 + 1 }},
 		{"TransfersPerSession.N", func(m *Model) { m.TransfersPerSession.N = math.MaxInt32 + 1 }},
+		{"Horizon", func(m *Model) { m.Horizon = math.MaxInt32 + 1 }},
 	}
 	for _, s := range sizes {
 		m := Default()
@@ -423,6 +424,7 @@ func TestValidateRejectsUnrepresentable(t *testing.T) {
 	m = Default()
 	m.NumClients, m.Topology.NumAS = MaxClients, topology.MaxAS
 	m.NumObjects, m.TransfersPerSession.N = math.MaxInt32, math.MaxInt32
+	m.Horizon = math.MaxInt32
 	if err := m.Validate(); err != nil {
 		t.Errorf("the largest representable model: %v", err)
 	}

@@ -182,12 +182,14 @@ func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Validate checks all parameters, including that the generator can
 // hold the model: a population or topology the client rows cannot
-// number, or an object count or transfer count a session cursor's
-// int32 fields cannot, is an error here, not a panic or a wrapped
-// value when it is built.
+// number, an object count or transfer count a session cursor's int32
+// fields cannot, or a horizon whose starts a cursor's queue key cannot,
+// is an error here, not a panic or a wrapped value when it is built.
 func (m *Model) Validate() error {
-	if m.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon %d", ErrBadModel, m.Horizon)
+	// A start must fit above the session in cursorKey, and the log
+	// ingest refuses a trace of 2³¹ s or more: 68 years is horizon enough.
+	if m.Horizon <= 0 || m.Horizon > math.MaxInt32 {
+		return fmt.Errorf("%w: horizon %d, want 1..%d", ErrBadModel, m.Horizon, math.MaxInt32)
 	}
 	if m.NumClients < 1 || m.NumClients > MaxClients {
 		return fmt.Errorf("%w: num_clients %d, want 1..%d", ErrBadModel, m.NumClients, MaxClients)

@@ -163,6 +163,10 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	// per-session happens in them.
 	arrRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals)))
 	ws.schedule, ws.sessions = drawSchedule(pp.Stream(arrRng, float64(m.Horizon)), scheduleHint(pp.ExpectedCount(float64(m.Horizon)), m.Horizon))
+	if err := checkSessions(ws.sessions); err != nil {
+		<-popCh // let the population build finish before giving up
+		return nil, err
+	}
 
 	ws.rings = make([]shardRings, shards)
 	for s := 0; s < shards; s++ {
@@ -236,6 +240,19 @@ func drawSchedule(arrivals *dist.PoissonStream, hint int) (gaps []byte, n int) {
 		prev = t
 		n++
 	}
+}
+
+// maxSessions bounds a schedule: a session index must fit the low 32
+// bits of cursorKey.
+const maxSessions = 1 << 32
+
+// checkSessions refuses a schedule of n sessions that cursorKey cannot
+// number.
+func checkSessions(n int) error {
+	if uint64(n) >= maxSessions {
+		return fmt.Errorf("%w: %d sessions in the schedule, at most %d", ErrBadModel, n, maxSessions-1)
+	}
+	return nil
 }
 
 // interestUniform is session idx's interest variate in [0, 1): the
@@ -349,7 +366,7 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 	interestTotal := interest.Total()
 	sd := newSessionDraws(&ws.model, perSession, gap, length)
 
-	pending := newCursorHeap()
+	var pending cursorQueue
 	newSlab := func() []workload.Event {
 		if slab, ok := rr.rec.TryPop(); ok {
 			return slab
@@ -365,6 +382,22 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 		batch = newSlab()
 		return true
 	}
+	// release emits, in stream order, every pending head whose key is at
+	// most limit, drawing each session's next transfer as its head goes;
+	// false means the stream was closed under it.
+	release := func(limit uint64) bool {
+		for {
+			_, slot, ok := pending.q.PopAtMost(limit)
+			if !ok {
+				return true
+			}
+			batch = append(batch, pending.slots[slot].head())
+			if len(batch) == streamBatch && !flushBatch() {
+				return false
+			}
+			pending.advance(sd, slot)
+		}
+	}
 
 	var at int64
 	for idx, pos := 0, 0; pos < len(ws.schedule); idx++ {
@@ -372,29 +405,22 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 		pos += w
 		at += int64(delta)
 		// Release pending events that precede the next arrival: no
-		// later session can produce anything earlier.
-		for pending.Len() > 0 && pending.Top().before(at, idx) {
-			batch = append(batch, pending.Top().head())
-			if len(batch) == streamBatch && !flushBatch() {
-				return
-			}
-			sd.advance(&pending)
+		// later session can produce anything earlier. No pending key
+		// equals the arrival's, whose session is not open yet.
+		if !release(cursorKey(at, idx)) {
+			return
 		}
 		u := interestUniform(interestRoot, idx)
 		if owner := int(u * float64(ws.shards)); owner == s ||
 			(owner >= ws.shards && s == ws.shards-1) { // guard float rounding at u→1
 			client := interest.RankOfU(u*interestTotal) - 1
 			if c, ok := sd.open(dist.Mix64(sessionRoot, uint64(idx)), idx, client, at); ok {
-				pending.Push(c)
+				pending.push(c)
 			}
 		}
 	}
-	for pending.Len() > 0 {
-		batch = append(batch, pending.Top().head())
-		if len(batch) == streamBatch && !flushBatch() {
-			return
-		}
-		sd.advance(&pending)
+	if !release(math.MaxUint64) {
+		return
 	}
 	if len(batch) > 0 {
 		flushBatch()
@@ -407,10 +433,10 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 // instead of the whole session being expanded at arrival. Events within
 // a session are in stream order by construction (gaps are
 // non-negative, Seq increases), and no two cursors share a session, so
-// (start, session) decides every heap comparison. The element the heap
-// sifts — the hottest loop of the generator — stays at 48 bytes:
-// Model.Validate bounds every int32 field (client < NumClients, object
-// < NumObjects, seq and left < TransfersPerSession.N).
+// (start, session) orders the pending heads. A pending session costs
+// its shard 48 bytes: Model.Validate bounds every int32 field (client
+// < NumClients, object < NumObjects, seq and left <
+// TransfersPerSession.N).
 type cursor struct {
 	start    int64 // head event's Start
 	session  int   // the session every event of this cursor belongs to
@@ -437,19 +463,54 @@ func (c *cursor) head() workload.Event {
 	}
 }
 
-// before reports whether the head event precedes an event of another
-// session at (start, session) in the stream's total order.
-func (c *cursor) before(start int64, session int) bool {
-	if c.start != start {
-		return c.start < start
-	}
-	return c.session < session
+// cursorKey packs a head at (start, session) into one key ordered as
+// the stream orders heads of different sessions. Model.Validate holds
+// start below 2³¹ and NewStream the session index below 2³², so the
+// key is unique and never wraps.
+func cursorKey(start int64, session int) uint64 {
+	return uint64(start)<<32 | uint64(session)
 }
 
-// newCursorHeap builds the min-heap of session cursors keyed by head
-// event.
-func newCursorHeap() heapx.Heap[cursor] {
-	return heapx.New(func(a, b *cursor) bool { return a.before(b.start, b.session) })
+// cursorQueue is a shard's pending sessions: the cursors by value in a
+// slot pool, and a monotone radix queue of their slots keyed by head
+// (cursorKey). A slot returns to the freelist when its session ends,
+// so the pool grows to the shard's most sessions open at once. The
+// queue's precondition holds by construction: a session's next head
+// starts no earlier than the head just released, and a session is
+// opened only once every head before its arrival has been released.
+type cursorQueue struct {
+	q     heapx.Radix
+	slots []cursor
+	free  []int32
+}
+
+// push queues c under its head.
+//
+//lsm:hotpath
+func (cq *cursorQueue) push(c cursor) {
+	var slot int32
+	if n := len(cq.free); n > 0 {
+		slot = cq.free[n-1]
+		cq.free = cq.free[:n-1]
+	} else {
+		slot = int32(len(cq.slots))
+		cq.slots = append(cq.slots, cursor{})
+	}
+	cq.slots[slot] = c
+	cq.q.Push(cursorKey(c.start, c.session), slot)
+}
+
+// advance consumes the head of the popped cursor in slot: draws the
+// session's next transfer into it in place and queues it again, or
+// frees the slot when the session has none left inside the horizon.
+//
+//lsm:hotpath
+func (cq *cursorQueue) advance(sd *sessionDraws, slot int32) {
+	if c := &cq.slots[slot]; sd.step(c) {
+		cq.q.Push(cursorKey(c.start, c.session), slot)
+		return
+	}
+	cq.free = append(cq.free, slot)
 }
 
 // sessionDraws is a shard's session-body sampler. It owns one splitmix
@@ -478,19 +539,6 @@ func (sd *sessionDraws) open(seed uint64, session, client int, start int64) (cur
 	n := sd.perSession.SampleRank(sd.rng)
 	c := cursor{session: session, client: int32(client), left: int32(n - 1)}
 	return c, sd.transfer(&c, start)
-}
-
-// advance consumes the top cursor's head event: draws the session's
-// next transfer into it in place, or removes the cursor when the
-// session has none left inside the horizon.
-//
-//lsm:hotpath
-func (sd *sessionDraws) advance(h *heapx.Heap[cursor]) {
-	if sd.step(h.Top()) {
-		h.FixTop()
-		return
-	}
-	h.Pop()
 }
 
 // step draws c's next transfer — the gap from the head, then the

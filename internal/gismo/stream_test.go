@@ -2,6 +2,7 @@ package gismo
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
@@ -210,6 +211,23 @@ func TestNewStreamRejectsBadInputs(t *testing.T) {
 	bad.Horizon = -1
 	if _, err := NewStream(bad, 1, 1); err == nil {
 		t.Error("invalid model accepted")
+	}
+}
+
+// TestNewStreamRefusesUnkeyableSchedule: a schedule of 2³² sessions
+// or more is refused, since a session index beyond 32 bits would spill
+// into the start in the shards' cursor keys and misorder the stream.
+// The guard is tested at its bound, as no test can draw that many.
+func TestNewStreamRefusesUnkeyableSchedule(t *testing.T) {
+	for _, n := range []int{0, 1, maxSessions - 1} {
+		if err := checkSessions(n); err != nil {
+			t.Errorf("%d sessions: %v", n, err)
+		}
+	}
+	for _, n := range []int{maxSessions, maxSessions + 1, math.MaxInt} {
+		if err := checkSessions(n); !errors.Is(err, ErrBadModel) {
+			t.Errorf("%d sessions: %v, want ErrBadModel", n, err)
+		}
 	}
 }
 

@@ -1,10 +1,16 @@
-// Package heapx is a minimal generic binary min-heap. The streaming
-// pipeline keeps several per-event heaps on hot paths — active transfer
-// end times, the log-entry reorder buffer, per-shard session cursors —
-// and they all share this one implementation instead of hand-rolling
-// sift loops. Unlike container/heap there is no interface indirection,
-// and FixTop supports the mutate-the-minimum pattern (advance a cursor
-// in place) without a pop/push pair.
+// Package heapx holds the priority queues the pipeline's hot paths
+// share instead of hand-rolling sift loops.
+//
+// Heap is a generic binary min-heap ordered by a caller's less, which
+// asks nothing of the order of pushes: active transfer ends, the log
+// merge's file cursors, the time-warp scenario's events. Unlike
+// container/heap there is no interface indirection, and FixTop supports
+// the mutate-the-minimum pattern without a pop/push pair.
+//
+// Radix is a monotone radix heap over uint64 keys, for queues where no
+// key pushed is below the last key popped: the generator shards'
+// session cursors and the serve emitter's log reorder buffer, each with
+// a key packed so that every key is unique.
 package heapx
 
 // Heap is a binary min-heap ordered by less. The zero value with a
@@ -13,9 +19,8 @@ package heapx
 // less takes pointers into the heap's own storage, so a comparison
 // copies no element whatever its size, and the sift loops move the
 // element being placed once — into the hole its smaller children or
-// larger parents leave — instead of swapping it level by level: wide
-// elements (session cursors, pending log entries) cost one copy per
-// level, not three. less must not retain or mutate its arguments.
+// larger parents leave — instead of swapping it level by level: a wide
+// element costs one copy per level, not three. less must not retain or mutate its arguments.
 type Heap[T any] struct {
 	items []T
 	less  func(a, b *T) bool

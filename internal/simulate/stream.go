@@ -371,7 +371,7 @@ type emitter struct {
 }
 
 func newEmitter(cfg *Config, pop *gismo.Population, sinks StreamSinks) (*emitter, error) {
-	em := &emitter{sinks: sinks, pending: newPendingRecords()}
+	em := &emitter{sinks: sinks}
 	if sinks.Line == nil && sinks.Entry == nil {
 		return em, nil
 	}
@@ -402,9 +402,14 @@ func (em *emitter) emit(sv *served) error {
 		}
 	}
 	if em.log != nil {
-		em.pending.push(&sv.rec)
+		if _, err := em.pending.push(&sv.rec); err != nil {
+			return err
+		}
 		if sv.span > 0 {
-			twin := em.pending.push(&sv.rec)
+			twin, err := em.pending.push(&sv.rec)
+			if err != nil {
+				return err
+			}
 			twin.duration = sv.span
 			twin.bytes = sv.span * 1000
 		}
@@ -442,14 +447,20 @@ func (em *emitter) finish(peak int) (*StreamResult, error) {
 // can end earlier — or everything when all is set.
 func (em *emitter) flushThrough(start int64, all bool) error {
 	p := &em.pending
-	for p.heap.Len() > 0 && (all || p.heap.Peek().end <= start) {
-		slot := p.heap.Pop().slot
+	limit := uint64(math.MaxUint64)
+	if !all {
+		limit = p.through(start)
+	}
+	for {
+		slot, ok := p.pop(limit)
+		if !ok {
+			return nil
+		}
 		p.free = append(p.free, slot)
 		if err := em.release(&p.slots[slot]); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // served is one transfer's complete serving outcome, by value: the
@@ -570,39 +581,52 @@ func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 }
 
 // pendingRecords is the reorder buffer of not-yet-released log records:
-// the records by value in a slot pool, and a min-heap of (transfer end,
-// admission order, slot) over it. The secondary key makes the release
-// order — and therefore the log bytes — fully deterministic under
-// timestamp ties. A slot returns to the freelist as its record is
-// released, so the pool grows to the buffer's high-water mark (~peak
-// concurrency), not to the transfer count.
+// the records by value in a slot pool, and a monotone radix queue of
+// their slots keyed by (transfer end, admission order) packed into one
+// key, end − base above 32 bits of seq, base the run's first start. The
+// admission order makes the release order — and therefore the log
+// bytes — fully deterministic under timestamp ties. A slot returns to
+// the freelist as its record is released, so the pool grows to the
+// buffer's high-water mark (~peak concurrency), not to the transfer
+// count.
+//
+// The queue's precondition — no key below the last one released —
+// holds for every record that ends after the watermark, the start the
+// buffer was last flushed through: every record released so far ended
+// at or before it. A record that ends at or before it (Duration ≤ 0,
+// only from a stream that is not a generator's) is held outside the
+// queue instead, with its spanning twin, which shares its end. It
+// precedes everything queued, whose ends are past the watermark, and
+// the next flush releases it first; until then no other record is
+// pushed, so at most those two are held.
 type pendingRecords struct {
-	heap  heapx.Heap[pendingKey]
-	seq   int64
-	slots []logRecord
-	free  []int32
+	queue     heapx.Radix
+	held      []int32 // slots of records that end at or before the watermark, in admission order
+	based     bool    // base and watermark are set: a flush has run
+	base      int64   // the first start flushed through; keys count ends from it
+	watermark int64   // the start last flushed through
+	seq       uint64  // admission order of the next record pushed
+	slots     []logRecord
+	free      []int32
 }
 
-type pendingKey struct {
-	end  int64
-	seq  int64
-	slot int32
-}
-
-func newPendingRecords() pendingRecords {
-	return pendingRecords{heap: heapx.New(func(a, b *pendingKey) bool {
-		if a.end != b.end {
-			return a.end < b.end
-		}
-		return a.seq < b.seq
-	})}
-}
+// maxKeyPart is the bound of both halves of a reorder key: an end past
+// the base, and an admission order.
+const maxKeyPart = 1 << 32
 
 // push buffers a copy of *r until the start watermark passes its end,
-// and returns the copy.
+// and returns the copy. It refuses a record whose key does not fit:
+// one ending 2³² s or more past the run's first start, or the 2³²nd
+// record of a run.
 //
 //lsm:hotpath
-func (p *pendingRecords) push(r *logRecord) *logRecord {
+func (p *pendingRecords) push(r *logRecord) (*logRecord, error) {
+	seq := p.seq
+	held := r.end <= p.watermark
+	if !held && (uint64(r.end-p.base) >= maxKeyPart || seq >= maxKeyPart) {
+		return nil, p.unkeyable(r)
+	}
+	p.seq++
 	var slot int32
 	if n := len(p.free); n > 0 {
 		slot = p.free[n-1]
@@ -612,9 +636,47 @@ func (p *pendingRecords) push(r *logRecord) *logRecord {
 		p.slots = append(p.slots, logRecord{})
 	}
 	p.slots[slot] = *r
-	p.heap.Push(pendingKey{end: r.end, seq: p.seq, slot: slot})
-	p.seq++
-	return &p.slots[slot]
+	if held {
+		p.held = append(p.held, slot)
+	} else {
+		p.queue.Push(uint64(r.end-p.base)<<32|seq, slot)
+	}
+	return &p.slots[slot], nil
+}
+
+// unkeyable is push's error for a record it cannot key.
+func (p *pendingRecords) unkeyable(r *logRecord) error {
+	return fmt.Errorf("%w: log record %d, ending at %d s, has no reorder key: at most 2^32 records, ending under 2^32 s past the first start %d",
+		ErrBadConfig, p.seq, r.end, p.base)
+}
+
+// through moves the watermark to start and returns the limit of the
+// keys a flush through it releases: every record ending at or before
+// start. The first call sets the base.
+func (p *pendingRecords) through(start int64) uint64 {
+	if !p.based {
+		p.base, p.based = start, true
+	}
+	p.watermark = start
+	if d := uint64(start - p.base); d < maxKeyPart {
+		return d<<32 | (maxKeyPart - 1)
+	}
+	return math.MaxUint64
+}
+
+// pop removes the slot of the next record to release under limit: a
+// held record first, then the queue's least key if it is at most
+// limit.
+//
+//lsm:hotpath
+func (p *pendingRecords) pop(limit uint64) (int32, bool) {
+	if len(p.held) > 0 {
+		slot := p.held[0]
+		p.held = append(p.held[:0], p.held[1:]...)
+		return slot, true
+	}
+	_, slot, ok := p.queue.PopAtMost(limit)
+	return slot, ok
 }
 
 // RunStreamSharded is RunStream; lanes is ignored. It remains for

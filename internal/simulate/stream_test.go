@@ -3,8 +3,10 @@ package simulate
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -189,29 +191,52 @@ func TestRunStreamMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestPendingEntriesOrdering: the reorder buffer releases by (end,
+// admission order), a flush stopping at its watermark; a record that
+// ends at or before the watermark, and its twin, are held outside the
+// queue and go first at the next flush.
 func TestPendingEntriesOrdering(t *testing.T) {
-	p := newPendingRecords()
-	ends := []int64{9, 3, 7, 3, 11, 1, 3}
-	for i, e := range ends {
-		p.push(&logRecord{end: e, duration: int64(i)})
+	var p pendingRecords
+	type rel struct{ end, order int64 }
+	var got []rel
+	flush := func(limit uint64) {
+		for {
+			slot, ok := p.pop(limit)
+			if !ok {
+				return
+			}
+			r := p.slots[slot]
+			got = append(got, rel{r.end, r.duration})
+			p.free = append(p.free, slot)
+		}
 	}
-	var lastEnd int64 = -1
-	var lastSeq int64 = -1
-	for range ends {
-		top := p.heap.Pop()
-		if rec := p.slots[top.slot]; rec.end != top.end || ends[rec.duration] != rec.end {
-			t.Fatalf("slot %d holds %+v under key end %d", top.slot, rec, top.end)
+	order := int64(0)
+	push := func(end int64) {
+		if _, err := p.push(&logRecord{end: end, duration: order}); err != nil {
+			t.Fatal(err)
 		}
-		if top.end < lastEnd {
-			t.Fatalf("pop out of end order: %d after %d", top.end, lastEnd)
-		}
-		if top.end == lastEnd && top.seq < lastSeq {
-			t.Fatalf("tie not broken by admission order")
-		}
-		lastEnd, lastSeq = top.end, top.seq
+		order++
 	}
-	if p.heap.Len() != 0 {
-		t.Fatal("heap not drained")
+	flush(p.through(0))
+	for _, end := range []int64{9, 3, 7, 3, 11, 1, 3} {
+		push(end)
+	}
+	flush(p.through(3))
+	push(3) // ends at the watermark: held, with its twin
+	push(3)
+	if len(p.held) != 2 {
+		t.Fatalf("%d records held, want the two ending at the watermark", len(p.held))
+	}
+	push(4)
+	flush(p.through(3))
+	push(2) // below the last end released: held
+	flush(math.MaxUint64)
+	want := []rel{{1, 5}, {3, 1}, {3, 3}, {3, 6}, {3, 7}, {3, 8}, {2, 10}, {4, 9}, {7, 2}, {9, 0}, {11, 4}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("released (end, order) %v, want %v", got, want)
+	}
+	if p.queue.Len() != 0 || len(p.held) != 0 || len(p.free) != len(p.slots) {
+		t.Fatalf("buffer not drained: %d queued, %d held, %d of %d slots free", p.queue.Len(), len(p.held), len(p.free), len(p.slots))
 	}
 }
 

@@ -207,10 +207,14 @@ func (a *assembler) remap(c wmslog.Column, local []string, to []uint16) ([]uint1
 	return to, nil
 }
 
-// names returns the build's IP and country tables, the IPs cut from
-// their arena.
-func (a *assembler) names() *Names {
-	return &Names{IPs: a.clients.ips.strings(), Countries: a.objects.Names(wmslog.ColCountry)}
+// names returns the build's country table and, with ips, its IP table,
+// the IPs cut from their arena.
+func (a *assembler) names(ips bool) *Names {
+	n := &Names{Countries: a.objects.Names(wmslog.ColCountry)}
+	if ips {
+		n.IPs = a.clients.ips.strings()
+	}
+	return n
 }
 
 // FromEntries converts parsed log entries into a Trace. epoch is the
@@ -232,7 +236,7 @@ func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trac
 		return nil, err
 	}
 	sortTraceOrder(r.rows)
-	return &Trace{Horizon: horizon, Transfers: r.rows, Names: a.names()}, nil
+	return &Trace{Horizon: horizon, Transfers: r.rows, Names: a.names(true)}, nil
 }
 
 // ParseAhead bounds the runs in flight — claimed by a parse worker and
@@ -246,7 +250,7 @@ const ParseAhead = 4
 type Ingest struct {
 	Stats  wmslog.ParseStats
 	Report SanitizeReport
-	Names  *Names // the tables the rows' IP and Country ids index
+	Names  *Names // the tables the rows' IP and Country ids index; no IPs from StreamLogs
 	// Ordered is false when some file held a kept row that sorts before
 	// a row already handed on: its transfers reached back further than
 	// a daily harvest's do (see StreamLogs).
@@ -297,7 +301,7 @@ func logFiles(paths []string) ([]logFile, int) {
 func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport, error) {
 	files, total := logFiles(paths)
 	rows := make([]Transfer, 0, total)
-	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false)
+	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false, true)
 	if err != nil {
 		return nil, ing.Stats, SanitizeReport{}, err
 	}
@@ -319,16 +323,18 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 // unread. On error the first failing file in name order is reported,
 // as a sequential pass would; a parse error anywhere wins over an id
 // overflow, because ReadFiles fails before FromEntries numbers
-// anything.
+// anything. The Ingest's Names hold the countries only: a row's IP id
+// still tells its IPs apart, but no IP is cut into a string.
 func StreamLogs(paths []string, epoch time.Time, horizon int64, emit func(*Transfer)) (Ingest, error) {
 	files, _ := logFiles(paths)
-	return ingest(files, epoch, horizon, emit, true)
+	return ingest(files, epoch, horizon, emit, true, false)
 }
 
 // ingest runs the four stages over files on min(GOMAXPROCS, files,
 // ParseAhead) parse workers, handing the rows to emit; with stop it
-// ends at the first run that breaks the order.
-func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stop bool) (Ingest, error) {
+// ends at the first run that breaks the order, and with ips its Names
+// carry the IP table.
+func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stop, ips bool) (Ingest, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return Ingest{}, err
 	}
@@ -463,7 +469,7 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 	if idErr != nil {
 		return ing, idErr
 	}
-	ing.Names = a.names()
+	ing.Names = a.names(ips)
 	for k := range files {
 		held := files[k].tail
 		for _, f := range files[k:min(k+ParseAhead, len(files))] {

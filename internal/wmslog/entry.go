@@ -86,30 +86,36 @@ func (e *Entry) Validate() error {
 
 // validateValues is Validate without the rules for the text fields —
 // the check of a line the canonical fast path split, whose columns
-// satisfy those rules by construction, and of a Line, whose Fields
-// were checked when they were made.
+// satisfy those rules by construction.
 func (e *Entry) validateValues() error {
-	if e.Timestamp.IsZero() {
+	return checkValues(e.Timestamp, e.Duration, e.Bytes, e.AvgBandwidth, e.PacketsLost, e.ServerCPU, e.Status, e.ASNumber)
+}
+
+// checkValues is the rule for a log line's timestamp and numeric
+// fields, wherever a caller holds them: an Entry's and a Line's
+// Validate both apply it to their own fields.
+func checkValues(ts time.Time, duration, bytes, bandwidth, lost int64, cpu float64, status, as int) error {
+	if ts.IsZero() {
 		return fmt.Errorf("%w: zero timestamp", ErrFormat)
 	}
-	if e.Duration < 0 {
-		return fmt.Errorf("%w: negative duration %d", ErrFormat, e.Duration)
+	if duration < 0 {
+		return fmt.Errorf("%w: negative duration %d", ErrFormat, duration)
 	}
-	if e.Bytes < 0 || e.AvgBandwidth < 0 || e.PacketsLost < 0 {
+	if bytes < 0 || bandwidth < 0 || lost < 0 {
 		return fmt.Errorf("%w: negative transfer statistics", ErrFormat)
 	}
 	// The sign bit, not "< 0": −0 prints as "-0.00", reads back as 0 and
 	// re-encodes as "0.00" — a line that is not its own round trip.
-	if math.Signbit(e.ServerCPU) || e.ServerCPU > 100 {
-		return fmt.Errorf("%w: server CPU %v out of [0,100]", ErrFormat, e.ServerCPU)
+	if math.Signbit(cpu) || cpu > 100 {
+		return fmt.Errorf("%w: server CPU %v out of [0,100]", ErrFormat, cpu)
 	}
-	if e.Status < 0 {
-		return fmt.Errorf("%w: negative status %d", ErrFormat, e.Status)
+	if status < 0 {
+		return fmt.Errorf("%w: negative status %d", ErrFormat, status)
 	}
 	// AS numbers are 32-bit (RFC 6793); one unsigned compare turns away
 	// the negatives with the oversized.
-	if uint64(e.ASNumber) > math.MaxUint32 {
-		return fmt.Errorf("%w: AS number %d out of [0, 2^32)", ErrFormat, e.ASNumber)
+	if uint64(as) > math.MaxUint32 {
+		return fmt.Errorf("%w: AS number %d out of [0, 2^32)", ErrFormat, as)
 	}
 	return nil
 }

@@ -67,23 +67,13 @@ type Line struct {
 	Country      Field
 }
 
-// Validate checks l's numeric fields by Entry.Validate's rule for them,
-// and that it names a URI.
+// Validate checks l's numeric fields by Entry.Validate's rule for them
+// (checkValues, on l's own fields), and that it names a URI.
 func (l *Line) Validate() error {
 	if l.URIStem.s == "" {
 		return fmt.Errorf("%w: missing URI", ErrFormat)
 	}
-	e := Entry{
-		Timestamp:    l.Timestamp,
-		Duration:     l.Duration,
-		Bytes:        l.Bytes,
-		AvgBandwidth: l.AvgBandwidth,
-		PacketsLost:  l.PacketsLost,
-		ServerCPU:    l.ServerCPU,
-		Status:       l.Status,
-		ASNumber:     l.ASNumber,
-	}
-	return e.validateValues()
+	return checkValues(l.Timestamp, l.Duration, l.Bytes, l.AvgBandwidth, l.PacketsLost, l.ServerCPU, l.Status, l.ASNumber)
 }
 
 // AppendLine appends l rendered as one log line (no trailing newline)
