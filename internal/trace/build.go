@@ -301,7 +301,7 @@ func logFiles(paths []string) ([]logFile, int) {
 func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport, error) {
 	files, total := logFiles(paths)
 	rows := make([]Transfer, 0, total)
-	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false, true)
+	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false)
 	if err != nil {
 		return nil, ing.Stats, SanitizeReport{}, err
 	}
@@ -327,14 +327,15 @@ func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.Pa
 // still tells its IPs apart, but no IP is cut into a string.
 func StreamLogs(paths []string, epoch time.Time, horizon int64, emit func(*Transfer)) (Ingest, error) {
 	files, _ := logFiles(paths)
-	return ingest(files, epoch, horizon, emit, true, false)
+	return ingest(files, epoch, horizon, emit, true)
 }
 
 // ingest runs the four stages over files on min(GOMAXPROCS, files,
-// ParseAhead) parse workers, handing the rows to emit; with stop it
-// ends at the first run that breaks the order, and with ips its Names
-// carry the IP table.
-func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stop, ips bool) (Ingest, error) {
+// ParseAhead) parse workers, handing the rows to emit. With stream (for
+// StreamLogs) it ends at the first run that breaks the order and cuts
+// no IP string; without (for FromLogs) it reads every file and its
+// Names carry the IP table.
+func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stream bool) (Ingest, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return Ingest{}, err
 	}
@@ -427,7 +428,7 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 
 	// The merge stage: run k goes once it is sorted and run k+1, whose
 	// low is the watermark, is parsed.
-	m := merger{emit: emit, stop: stop, last: Transfer{Start: -1}, ordered: true}
+	m := merger{emit: emit, stop: stream, last: Transfer{Start: -1}, ordered: true}
 	var report SanitizeReport
 	for k := range files {
 		f := &files[k]
@@ -447,13 +448,13 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 		m.merge(f.rows, w)
 		f.r, f.rows = nil, nil // garbage once merged
 		<-slots
-		if stop && !m.ordered {
+		if stream && !m.ordered {
 			close(quit) // before the identity stage is done: it may wait on a file nobody will parse
 			break
 		}
 	}
 	<-numbered
-	if m.ordered || !stop {
+	if m.ordered || !stream {
 		close(quit)
 	}
 	workers.Wait()
@@ -469,7 +470,7 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 	if idErr != nil {
 		return ing, idErr
 	}
-	ing.Names = a.names(ips)
+	ing.Names = a.names(!stream)
 	for k := range files {
 		held := files[k].tail
 		for _, f := range files[k:min(k+ParseAhead, len(files))] {
