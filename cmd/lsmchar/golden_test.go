@@ -1,0 +1,276 @@
+package main
+
+import (
+	"bytes"
+	"crypto/md5"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/wmslog"
+)
+
+// Fixture shape for the goldens and the metamorphic relations: long
+// enough for every weekly fold, so all 39 series are written.
+const (
+	fixtureScale = 400
+	fixtureDays  = 8
+	fixtureSeed  = 7
+)
+
+// characterize runs lsmchar over dir with -figs and returns its stdout,
+// the figure directory written as FIGS, and the md5 of every figure
+// series in md5sum's format, in name order.
+func characterize(t *testing.T, dir string) (stdout, series string) {
+	t.Helper()
+	figDir := filepath.Join(t.TempDir(), "figs")
+	var out bytes.Buffer
+	if err := run(&out, dir, fixtureDays, 1500, figDir, 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	dats, err := filepath.Glob(filepath.Join(figDir, "*.dat")) // sorted
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums strings.Builder
+	for _, path := range dats {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sums, "%x  %s\n", md5.Sum(data), filepath.Base(path))
+	}
+	return strings.ReplaceAll(out.String(), figDir, "FIGS"), sums.String()
+}
+
+// appendReachBack appends to the fourth daily file of dir a kept
+// three-day transfer that starts on day 0: a file reaching back past
+// rows a streamed merge would already have handed on.
+func appendReachBack(t *testing.T, dir string) {
+	t.Helper()
+	paths, err := wmslog.FindLogs(dir)
+	if err != nil || len(paths) < 4 {
+		t.Fatalf("%d log files (%v): want at least 4", len(paths), err)
+	}
+	long := &wmslog.Entry{
+		Timestamp: wmslog.TraceEpoch.Add((3*86400 + 50000) * time.Second), Duration: 3*86400 - 1000,
+		ClientIP: "10.200.0.1", PlayerID: "a-long-listener", ClientOS: "Windows_98", ClientCPU: "Pentium_III",
+		URIStem: "/live/feed1", Bytes: 123456, AvgBandwidth: 56000, Status: 200, ASNumber: 7, Country: "BR",
+	}
+	f, err := os.OpenFile(paths[3], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(wmslog.AppendEntry(nil, long), '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCharGolden pins lsmchar's stdout and the md5 of each of its 39
+// figure series over two scale-400, 8-day fixtures: lsmgen-shaped daily
+// logs, and the same logs with one file reaching back three days, which
+// no streamed merge can take in order. Regenerate only on purpose, with
+// UPDATE_GOLDEN=1 go test ./cmd/lsmchar -run TestCharGolden.
+func TestCharGolden(t *testing.T) {
+	for _, name := range []string{"ordered", "reachback"} {
+		t.Run(name, func(t *testing.T) {
+			dir := writeLogs(t, fixtureScale, fixtureDays, fixtureSeed)
+			if name == "reachback" {
+				appendReachBack(t, dir)
+			}
+			stdout, series := characterize(t, dir)
+			if n := strings.Count(series, "\n"); n != 39 {
+				t.Errorf("%d figure series, want 39", n)
+			}
+			for suffix, data := range map[string]string{"stdout": stdout, "series": series} {
+				path := filepath.Join("testdata", name+"."+suffix+".golden")
+				if os.Getenv("UPDATE_GOLDEN") != "" {
+					if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if data != string(want) {
+					t.Errorf("%s differs from the golden:\n%s", path, data)
+				}
+			}
+		})
+	}
+}
+
+// logFile is one daily log file as lines: its '#' header and its
+// entries, in file order.
+type logFile struct {
+	name            string
+	header, entries []string
+}
+
+// readLogFiles reads every daily log file under dir, in name order.
+func readLogFiles(t *testing.T, dir string) []logFile {
+	t.Helper()
+	paths, err := wmslog.FindLogs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []logFile
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := logFile{name: filepath.Base(path)}
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			if strings.HasPrefix(line, "#") {
+				f.header = append(f.header, line)
+			} else {
+				f.entries = append(f.entries, line)
+			}
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// writeLogFiles writes files into a fresh directory, header first.
+func writeLogFiles(t *testing.T, files []logFile) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, f := range files {
+		lines := append(slices.Clone(f.header), f.entries...)
+		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// Entry fields the relations rewrite, by their place on a text line
+// (#Fields: date time c-ip c-playerid c-os c-cpu cs-uri-stem x-duration ...).
+const (
+	fieldIP       = 2
+	fieldPlayer   = 3
+	fieldDuration = 7
+)
+
+// mapField rewrites field k of every entry line with f.
+func mapField(files []logFile, k int, f func(string) string) []logFile {
+	for i := range files {
+		for j, line := range files[i].entries {
+			fields := strings.Split(line, " ")
+			fields[k] = f(fields[k])
+			files[i].entries[j] = strings.Join(fields, " ")
+		}
+	}
+	return files
+}
+
+// reverseOctets maps a dotted quad to its octets in reverse order, a
+// bijection on addresses.
+func reverseOctets(ip string) string {
+	octets := strings.Split(ip, ".")
+	slices.Reverse(octets)
+	return strings.Join(octets, ".")
+}
+
+// fileCount matches the ingest line's count of files read, which only
+// the re-split relation changes.
+var fileCount = regexp.MustCompile(`entries from \d+ files`)
+
+// TestMetamorphicRelations: transformations of the input logs that do
+// not change the workload leave lsmchar's stdout and its 39 figure
+// series byte-identical — a bijective relabelling of client addresses
+// and player ids, a shuffle of the lines within each daily file, and a
+// re-split of the same lines into more files, one of them reaching
+// back to the first day (the files read are counted in the ingest line,
+// so that count is masked). A negative control keeps the relations
+// from passing vacuously: doubling every transfer's duration must move
+// the length fit.
+func TestMetamorphicRelations(t *testing.T) {
+	base := writeLogs(t, fixtureScale, fixtureDays, fixtureSeed)
+	wantOut, wantSeries := characterize(t, base)
+	for _, c := range []struct {
+		name      string
+		transform func([]logFile) []logFile
+		same      bool // the relation: output unchanged
+	}{
+		{"relabel c-ip and c-playerid", func(files []logFile) []logFile {
+			files = mapField(files, fieldIP, reverseOctets)
+			return mapField(files, fieldPlayer, func(id string) string { return "relabelled-" + id })
+		}, true},
+		{"shuffle lines within each file", func(files []logFile) []logFile {
+			rng := rand.New(rand.NewSource(42))
+			for _, f := range files {
+				rng.Shuffle(len(f.entries), func(i, j int) { f.entries[i], f.entries[j] = f.entries[j], f.entries[i] })
+			}
+			return files
+		}, true},
+		{"re-split into more files, one reaching back", func(files []logFile) []logFile {
+			var out []logFile
+			for _, f := range files {
+				stem := strings.TrimSuffix(f.name, ".log")
+				half := len(f.entries) / 2
+				out = append(out,
+					logFile{stem + "-0.log", f.header, f.entries[:half]},
+					logFile{stem + "-1.log", f.header, f.entries[half:]})
+			}
+			// The first day's leading lines move to a file read last.
+			first := &out[0]
+			k := max(len(first.entries)/3, 1)
+			out = append(out, logFile{"wms-9999-12-31.log", first.header, first.entries[:k]})
+			first.entries = first.entries[k:]
+			return out
+		}, true},
+		{"negative control: double every x-duration", func(files []logFile) []logFile {
+			return mapField(files, fieldDuration, func(d string) string {
+				n, err := strconv.ParseInt(d, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return strconv.FormatInt(2*n, 10)
+			})
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := writeLogFiles(t, c.transform(readLogFiles(t, base)))
+			gotOut, gotSeries := characterize(t, dir)
+			if !c.same {
+				if lengthFit(gotOut) == lengthFit(wantOut) {
+					t.Errorf("the length fit did not move: %q", lengthFit(gotOut))
+				}
+				return
+			}
+			gotOut = fileCount.ReplaceAllString(gotOut, "entries from N files")
+			if want := fileCount.ReplaceAllString(wantOut, "entries from N files"); gotOut != want {
+				t.Errorf("stdout changed:\n%s\nwant:\n%s", gotOut, want)
+			}
+			if gotSeries != wantSeries {
+				t.Errorf("figure series changed:\n%s\nwant:\n%s", gotSeries, wantSeries)
+			}
+		})
+	}
+}
+
+// lengthFit returns the stdout line that reports the transfer length
+// fit.
+func lengthFit(stdout string) string {
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "  lengths: ") {
+			return line
+		}
+	}
+	return ""
+}

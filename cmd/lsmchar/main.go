@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -45,7 +46,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lsmchar:", err)
 		os.Exit(1)
 	}
-	err := run(*logs, *days, *timeout, *figs, *seed, *plot)
+	err := run(os.Stdout, *logs, *days, *timeout, *figs, *seed, *plot)
 	if perr := profiles.Stop(); err == nil {
 		err = perr
 	}
@@ -55,20 +56,20 @@ func main() {
 	}
 }
 
-func run(logDir string, days int, timeout int64, figDir string, seed int64, plot string) error {
-	clean, err := core.LoadLogs(logDir, days, os.Stdout)
+func run(w io.Writer, logDir string, days int, timeout int64, figDir string, seed int64, plot string) error {
+	clean, err := core.LoadLogs(logDir, days, w)
 	if err != nil {
 		return err
 	}
 	audit := clean.AuditServerLoad(10)
-	fmt.Printf("server load audit: %.4f%% of active time and %.4f%% of transfers below %.0f%% CPU\n",
+	fmt.Fprintf(w, "server load audit: %.4f%% of active time and %.4f%% of transfers below %.0f%% CPU\n",
 		audit.TimeBelowFrac*100, audit.TransferBelowFrac*100, audit.Threshold)
 
 	char, err := core.Characterize(clean, timeout, nil, seed)
 	if err != nil {
 		return err
 	}
-	printCharacterization(char)
+	printCharacterization(w, char)
 
 	if figDir != "" {
 		var count int
@@ -83,21 +84,21 @@ func run(logDir string, days int, timeout int64, figDir string, seed int64, plot
 				count++
 			}
 		}
-		fmt.Printf("wrote %d figure series under %s\n", count, figDir)
+		fmt.Fprintf(w, "wrote %d figure series under %s\n", count, figDir)
 	}
 	if plot != "" {
-		return renderPlot(char, plot)
+		return renderPlot(w, char, plot)
 	}
 	return nil
 }
 
 // renderPlot draws one figure's panels as ASCII scatter plots. The
 // marginal figures render on log-log axes like the paper's panels.
-func renderPlot(char *core.Characterization, id string) error {
+func renderPlot(w io.Writer, char *core.Characterization, id string) error {
 	figs := char.Plots()
 	if id == "list" {
 		for _, f := range figs {
-			fmt.Printf("  %s  %s\n", f.ID, f.Caption)
+			fmt.Fprintf(w, "  %s  %s\n", f.ID, f.Caption)
 		}
 		return nil
 	}
@@ -105,7 +106,7 @@ func renderPlot(char *core.Characterization, id string) error {
 		if f.ID != id {
 			continue
 		}
-		fmt.Printf("\n%s: %s\n\n", f.ID, f.Caption)
+		fmt.Fprintf(w, "\n%s: %s\n\n", f.ID, f.Caption)
 		for _, s := range f.Series {
 			if len(s.Points) == 0 {
 				continue
@@ -116,51 +117,51 @@ func renderPlot(char *core.Characterization, id string) error {
 				strings.Contains(s.Name, "fig02_as") || strings.Contains(s.Name, "hist") {
 				cfg.LogX, cfg.LogY = true, true
 			}
-			if err := s.Plot(os.Stdout, cfg); err != nil {
+			if err := s.Plot(w, cfg); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	}
 	return fmt.Errorf("unknown figure %q (use -plot list)", id)
 }
 
-func printCharacterization(c *core.Characterization) {
+func printCharacterization(w io.Writer, c *core.Characterization) {
 	b, f := c.Basic, c.Figures
-	fmt.Printf("\nTable 1 (measured): %d days, %d objects, %d ASes, %d IPs, %d users, %d sessions, %d transfers, %.2f GB\n",
+	fmt.Fprintf(w, "\nTable 1 (measured): %d days, %d objects, %d ASes, %d IPs, %d users, %d sessions, %d transfers, %.2f GB\n",
 		b.Days, b.Objects, b.ASes, b.IPs, b.Users, b.Sessions, b.Transfers, float64(b.TotalBytes)/1e9)
 
-	fmt.Println("\nClient layer (Section 3):")
-	fmt.Printf("  peak concurrent clients: %d\n", c.Client.Concurrency.Peak)
-	fmt.Printf("  interest (transfers/client): %s\n", f.Client.InterestTransfers)
-	fmt.Printf("  interest (sessions/client):  %s\n", c.Client.InterestSessions)
+	fmt.Fprintln(w, "\nClient layer (Section 3):")
+	fmt.Fprintf(w, "  peak concurrent clients: %d\n", c.Client.Concurrency.Peak)
+	fmt.Fprintf(w, "  interest (transfers/client): %s\n", f.Client.InterestTransfers)
+	fmt.Fprintf(w, "  interest (sessions/client):  %s\n", c.Client.InterestSessions)
 	if acf := c.Client.Concurrency.ACF(); len(acf) > 1440 {
-		fmt.Printf("  ACF at 1-day lag: %.3f\n", acf[1440])
+		fmt.Fprintf(w, "  ACF at 1-day lag: %.3f\n", acf[1440])
 	}
-	fmt.Printf("  piecewise-Poisson replica KS: %.4f (window %d s)\n", f.Poisson.KS, f.Poisson.Window)
+	fmt.Fprintf(w, "  piecewise-Poisson replica KS: %.4f (window %d s)\n", f.Poisson.KS, f.Poisson.Window)
 
-	fmt.Println("\nSession layer (Section 4):")
-	fmt.Printf("  ON times:  %s (KS %.4f)\n", c.Session.OnFit, f.Session.OnKS)
+	fmt.Fprintln(w, "\nSession layer (Section 4):")
+	fmt.Fprintf(w, "  ON times:  %s (KS %.4f)\n", c.Session.OnFit, f.Session.OnKS)
 	if len(c.Session.OffTimes) > 0 {
-		fmt.Printf("  OFF times: %s (KS %.4f)\n", f.Session.OffFit, f.Session.OffKS)
+		fmt.Fprintf(w, "  OFF times: %s (KS %.4f)\n", f.Session.OffFit, f.Session.OffKS)
 	}
-	fmt.Printf("  transfers/session: %s\n", c.Session.PerSessionFit)
-	fmt.Printf("  intra-session gaps: %s (KS %.4f)\n", c.Session.IntraFit, f.Session.IntraKS)
-	fmt.Printf("  ON-vs-hour correlation R2: %.4f (weak per Figure 10)\n", f.Session.OnHourR2)
+	fmt.Fprintf(w, "  transfers/session: %s\n", c.Session.PerSessionFit)
+	fmt.Fprintf(w, "  intra-session gaps: %s (KS %.4f)\n", c.Session.IntraFit, f.Session.IntraKS)
+	fmt.Fprintf(w, "  ON-vs-hour correlation R2: %.4f (weak per Figure 10)\n", f.Session.OnHourR2)
 
-	fmt.Println("\nTransfer layer (Section 5):")
-	fmt.Printf("  peak concurrent transfers: %d\n", c.Transfer.Concurrency.Peak)
+	fmt.Fprintln(w, "\nTransfer layer (Section 5):")
+	fmt.Fprintf(w, "  peak concurrent transfers: %d\n", c.Transfer.Concurrency.Peak)
 	if f.Transfer.TailBody.Points > 0 {
-		fmt.Printf("  interarrival tail (<=100 s): %s\n", f.Transfer.TailBody)
+		fmt.Fprintf(w, "  interarrival tail (<=100 s): %s\n", f.Transfer.TailBody)
 	}
 	if f.Transfer.TailFar.Points > 0 {
-		fmt.Printf("  interarrival tail (>100 s):  %s\n", f.Transfer.TailFar)
+		fmt.Fprintf(w, "  interarrival tail (>100 s):  %s\n", f.Transfer.TailFar)
 	}
-	fmt.Printf("  lengths: %s (KS %.4f)\n", c.Transfer.LengthFit, f.Transfer.LengthKS)
-	fmt.Printf("  bandwidth modes: %d detected, congestion-bound fraction %.3f\n",
+	fmt.Fprintf(w, "  lengths: %s (KS %.4f)\n", c.Transfer.LengthFit, f.Transfer.LengthKS)
+	fmt.Fprintf(w, "  bandwidth modes: %d detected, congestion-bound fraction %.3f\n",
 		len(f.Transfer.BandwidthModes), f.Transfer.CongestionFrac)
 	for _, m := range f.Transfer.BandwidthModes {
-		fmt.Printf("    mode at %.0f bps (share %.3f)\n", m.Bps, m.Share)
+		fmt.Fprintf(w, "    mode at %.0f bps (share %.3f)\n", m.Bps, m.Share)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -12,29 +13,36 @@ import (
 // writeTestLogs fabricates a small log directory.
 func writeTestLogs(t *testing.T) (dir string, days int) {
 	t.Helper()
-	m, err := gismo.Scaled(500, 2)
+	return writeLogs(t, 500, 2, 5), 2
+}
+
+// writeLogs generates a scale-scaled, days-long workload from seed,
+// serves it and writes its daily logs into a fresh directory.
+func writeLogs(t *testing.T, scale float64, days int, seed int64) string {
+	t.Helper()
+	m, err := gismo.Scaled(scale, days)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gismo.GenerateSeeded(m, 5)
+	w, err := gismo.GenerateSeeded(m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simulate.Run(w, simulate.DefaultConfig(), 5)
+	res, err := simulate.Run(w, simulate.DefaultConfig(), uint64(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir = t.TempDir()
+	dir := t.TempDir()
 	if _, err := res.WriteLogs(dir); err != nil {
 		t.Fatal(err)
 	}
-	return dir, 2
+	return dir
 }
 
 func TestRunCharacterizesLogs(t *testing.T) {
 	dir, days := writeTestLogs(t)
 	figDir := filepath.Join(t.TempDir(), "figs")
-	if err := run(dir, days, 1500, figDir, 1, ""); err != nil {
+	if err := run(io.Discard, dir, days, 1500, figDir, 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	dats, err := filepath.Glob(filepath.Join(figDir, "*.dat"))
@@ -48,19 +56,19 @@ func TestRunCharacterizesLogs(t *testing.T) {
 
 func TestRunPlotModes(t *testing.T) {
 	dir, days := writeTestLogs(t)
-	if err := run(dir, days, 1500, "", 1, "list"); err != nil {
+	if err := run(io.Discard, dir, days, 1500, "", 1, "list"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, days, 1500, "", 1, "fig19"); err != nil {
+	if err := run(io.Discard, dir, days, 1500, "", 1, "fig19"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, days, 1500, "", 1, "fig99"); err == nil {
+	if err := run(io.Discard, dir, days, 1500, "", 1, "fig99"); err == nil {
 		t.Error("unknown figure: want error")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(t.TempDir(), 2, 1500, "", 1, ""); err == nil {
+	if err := run(io.Discard, t.TempDir(), 2, 1500, "", 1, ""); err == nil {
 		t.Error("empty log dir: want error")
 	}
 }
@@ -77,7 +85,7 @@ func TestRunAcceptsCompressedLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := run(dir, days, 1500, "", 1, ""); err != nil {
+	if err := run(io.Discard, dir, days, 1500, "", 1, ""); err != nil {
 		t.Fatal(err)
 	}
 }
