@@ -161,11 +161,13 @@ bench-history:
 # cursor = the eager expansion, event for event and draw for draw) and
 # the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
-# 4; trace.StreamLogs and core.ObserveLogs held to the same trace), the
-# observer fuzzer (core.Observe's one streaming walk over a
-# small random trace — tied starts, overlapping transfers of a client,
-# gaps of exactly T_o and T_o+1 — = the batch reference, every core
-# field) and the two ingest kernels against their references: the
+# 4; trace.StreamLogs and core.ObserveLogs, figures off and on, held to
+# the same trace), the observer fuzzer (the one core.Observer, walked
+# over a small random trace — tied starts, overlapping transfers of a
+# client, gaps of exactly T_o and T_o+1 — = the batch reference, every
+# core field, and with the figure material = the trace-walking figure
+# step, every figure field and the audit) and the two ingest kernels
+# against their references: the
 # word-at-a-time column splitter = the byte loop over any bytes from any
 # position, and the keyed trace-order sort = sort.Sort(byStart) over
 # tie-heavy rows with NaN/±0 readings and starts too wide for a key —

@@ -103,7 +103,7 @@ func BenchmarkTable1BasicStats(b *testing.B) {
 	b.ResetTimer()
 	var users, transfers int
 	for i := 0; i < b.N; i++ {
-		users = f.tr.NumClients()
+		users = f.tr.ByClient().Len()
 		transfers = f.tr.NumTransfers()
 		_ = f.tr.TotalBytes()
 		_ = f.tr.DistinctAS()
@@ -247,6 +247,7 @@ func BenchmarkFigure6PiecewisePoisson(b *testing.B) {
 
 func BenchmarkFigure7ClientInterest(b *testing.B) {
 	f := getFixture(b)
+	z := f.set.Sessionizer()
 	b.ResetTimer()
 	var cl *analyze.ClientLayer
 	var cf *analyze.ClientFigures
@@ -255,7 +256,7 @@ func BenchmarkFigure7ClientInterest(b *testing.B) {
 		if cl, err = analyze.AnalyzeClientLayer(f.set); err != nil {
 			b.Fatal(err)
 		}
-		if cf, err = analyze.DescribeClientLayer(f.tr); err != nil {
+		if cf, err = analyze.DescribeClientLayer(z); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -482,11 +483,16 @@ func BenchmarkFigure20TransferBandwidth(b *testing.B) {
 // transferFigures runs the whole Section 5 analysis — the layer and its
 // figure step — on the fixture's trace.
 func transferFigures(b *testing.B, f *benchFixture) *analyze.TransferFigures {
-	tl, err := analyze.AnalyzeTransferLayer(f.tr)
+	a := analyze.NewTransferAccumulator(f.tr.Horizon, f.tr.NumTransfers(), true)
+	for i := range f.tr.Transfers {
+		a.Add(&f.tr.Transfers[i])
+	}
+	tl, err := a.Layer()
 	if err != nil {
 		b.Fatal(err)
 	}
-	tf, err := analyze.DescribeTransferLayer(f.tr, tl)
+	binned, bandwidths := a.Figures()
+	tf, err := analyze.DescribeTransferLayer(tl, binned, bandwidths)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -810,20 +816,25 @@ func loadLogsDir(b *testing.B) (string, int64) {
 	return dir, size
 }
 
-// BenchmarkPipelineLoadLogs times the observe path's front half as
-// lsmchar runs it: daily log files on disk → sanitized trace
-// (core.LoadLogs: find, parse a file per core, number, sort, merge,
-// sanitize). At -cpu 1 it is the sequential ingest; the -cpu 2,4,8
-// rows are the same call with more workers, which benchjson annotates
-// with speedup_vs_sequential against the -cpu 1 row.
+// BenchmarkPipelineLoadLogs times the ingest into a whole trace: daily
+// log files on disk → sanitized trace (trace.FromLogs: parse a file per
+// core, number, sort, merge, sanitize — what lsmchar did before it
+// observed the stream, less finding the files). At -cpu 1 it is the
+// sequential ingest; the -cpu 2,4,8 rows are the same call with more
+// workers, which benchjson annotates with speedup_vs_sequential against
+// the -cpu 1 row.
 func BenchmarkPipelineLoadLogs(b *testing.B) {
 	dir, size := loadLogsDir(b)
 	fx := &loadLogsFixture
+	paths, err := wmslog.FindLogs(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := core.LoadLogs(dir, 14, io.Discard)
+		tr, _, _, err := trace.FromLogs(paths, wmslog.TraceEpoch, 14*86400)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -847,7 +858,7 @@ func BenchmarkPipelineObserveLogs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		char, ing, err := core.ObserveLogs(dir, 14, 1500, io.Discard)
+		char, ing, err := core.ObserveLogs(dir, 14, 1500, nil, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

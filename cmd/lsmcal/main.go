@@ -71,7 +71,7 @@ func main() {
 }
 
 func run(w io.Writer, logDir string, days int, timeout, seed int64, outPath string, twin, strict bool) (int, error) {
-	source, ing, err := core.ObserveLogs(logDir, days, timeout, w)
+	source, ing, err := core.ObserveLogs(logDir, days, timeout, nil, w)
 	if err != nil {
 		return 0, err
 	}

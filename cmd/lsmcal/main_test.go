@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/gismo"
+	"repro/internal/sessions"
 	"repro/internal/simulate"
 )
 
@@ -122,6 +123,16 @@ func TestRunWithoutTwinWritesSpecOnly(t *testing.T) {
 func TestRunRejectsEmptyDir(t *testing.T) {
 	if _, err := run(io.Discard, t.TempDir(), 2, 1500, 1, "", false, false); err == nil {
 		t.Error("empty log dir: want error")
+	}
+}
+
+// TestRunRefusesBadTimeoutUpFront: a non-positive -timeout fails before
+// a log is read, so nothing reaches stdout — it used to print the
+// parse and sanitize summaries of the whole directory first.
+func TestRunRefusesBadTimeoutUpFront(t *testing.T) {
+	var stdout bytes.Buffer
+	if _, err := run(&stdout, writeTestLogs(t), 2, 0, 1, "", false, false); !errors.Is(err, sessions.ErrBadTimeout) || stdout.Len() != 0 {
+		t.Errorf("-timeout 0: err %v, stdout %q; want ErrBadTimeout and nothing printed", err, stdout.String())
 	}
 }
 

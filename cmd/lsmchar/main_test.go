@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/gismo"
+	"repro/internal/sessions"
 	"repro/internal/simulate"
 	"repro/internal/wmslog"
 )
@@ -70,6 +73,13 @@ func TestRunPlotModes(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	if err := run(io.Discard, t.TempDir(), 2, 1500, "", 1, ""); err == nil {
 		t.Error("empty log dir: want error")
+	}
+	// A non-positive timeout fails before a log is read: nothing is
+	// printed, not even the ingest's summaries or the audit.
+	dir, days := writeTestLogs(t)
+	var stdout bytes.Buffer
+	if err := run(&stdout, dir, days, 0, "", 1, ""); !errors.Is(err, sessions.ErrBadTimeout) || stdout.Len() != 0 {
+		t.Errorf("-timeout 0: err %v, stdout %q; want ErrBadTimeout and nothing printed", err, stdout.String())
 	}
 }
 

@@ -9,10 +9,11 @@
 //	lsmrepro [-scale 150] [-days 7] [-seed 1] [-outdir repro-out/]
 //
 // lsmrepro runs core.Run: generation streams straight into the
-// simulator, and only the trace the log holds is kept in memory, so
-// paper scale (-scale 1 -days 28, 2.47M transfers) runs in well under a
-// GB. For equal -scale, -days and -seed it characterizes the workload
-// lsmgen writes to disk.
+// simulator, whose rows are characterized as they are served — no trace
+// is built, so what is held is the observer's state, and paper scale
+// (-scale 1 -days 28, 2.47M transfers) peaks near 0.4 GB. For equal
+// -scale, -days and -seed it characterizes the workload lsmgen writes
+// to disk.
 package main
 
 import (

@@ -17,13 +17,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/simulate"
-	"repro/internal/trace"
-	"repro/internal/wmslog"
 )
 
 func main() {
@@ -53,20 +50,12 @@ func main() {
 		len(files), res.Injected)
 
 	// --- 2. The operator's pipeline. -----------------------------------
-	paths, err := filepath.Glob(filepath.Join(dir, "wms-*.log"))
+	// One call from bytes to characterization: a tolerant parse (a file
+	// per core, no entry ever materialized) and the sanitize, each row
+	// observed as the files merge — no trace is built.
+	char, _, err := core.ObserveLogs(dir, int(model.Horizon/86400), 1500, &core.FigureOptions{Seed: 1}, os.Stdout)
 	fatal(err)
-	// One call from bytes to trace: a tolerant parse (a file per core,
-	// no entry ever materialized), the trace rebuild and the sanitize.
-	clean, st, sanReport, err := trace.FromLogs(paths, wmslog.TraceEpoch, model.Horizon)
-	fatal(err)
-	fmt.Printf("parsed %d entries, skipped %d malformed lines\n", st.Entries, st.Malformed)
-	fmt.Println(sanReport)
-
-	audit := clean.AuditServerLoad(10)
-	fmt.Printf("server health: %.2f%% of active time below 10%% CPU\n", audit.TimeBelowFrac*100)
-
-	char, err := core.Characterize(clean, 1500, nil, 1)
-	fatal(err)
+	fmt.Printf("server health: %.2f%% of active time below 10%% CPU\n", char.Figures.Audit.TimeBelowFrac*100)
 
 	fmt.Println("\noperational summary:")
 	fmt.Printf("  audience:        %d distinct players from %d ASes in %d countries\n",

@@ -84,8 +84,8 @@ func TestEndToEndDiskRoundTrip(t *testing.T) {
 	if clean.NumTransfers() != mem.NumTransfers() {
 		t.Errorf("transfers: %d vs %d", clean.NumTransfers(), mem.NumTransfers())
 	}
-	if clean.NumClients() != mem.NumClients() {
-		t.Errorf("clients: %d vs %d", clean.NumClients(), mem.NumClients())
+	if clean.ByClient().Len() != mem.ByClient().Len() {
+		t.Errorf("clients: %d vs %d", clean.ByClient().Len(), mem.ByClient().Len())
 	}
 	if clean.TotalBytes() != mem.TotalBytes() {
 		t.Errorf("bytes: %d vs %d", clean.TotalBytes(), mem.TotalBytes())

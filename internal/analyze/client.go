@@ -95,16 +95,13 @@ func ClientLayerFrom(z *sessions.Sessionizer, horizon int64) (*ClientLayer, erro
 }
 
 // DescribeClientLayer computes the figure-only part of the Section 3
-// characterization of a trace: the Figure 7 left panel.
-func DescribeClientLayer(tr *trace.Trace) (*ClientFigures, error) {
-	if tr.NumTransfers() == 0 {
+// characterization from the sessions z holds: the Figure 7 left panel,
+// each client's transfers summed over its sessions.
+func DescribeClientLayer(z *sessions.Sessionizer) (*ClientFigures, error) {
+	if z.Sessions() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	byClient := tr.ByClient()
-	out := &ClientFigures{TransfersPerClient: make([]int, byClient.Len())}
-	for k := range out.TransfersPerClient {
-		out.TransfersPerClient[k] = len(byClient.Transfers(k))
-	}
+	out := &ClientFigures{TransfersPerClient: z.TransfersPerClient()}
 	var err error
 	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
 		return nil, fmt.Errorf("interest (transfers): %w", err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/sessions"
 	"repro/internal/simulate"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -48,6 +49,26 @@ func getFixture(t *testing.T) *fixture {
 	return cachedFixture
 }
 
+// describeTransfers feeds tr's transfers to an accumulator that gathers
+// the figure material and returns the Section 5 layer and its figures.
+func describeTransfers(t *testing.T, tr *trace.Trace) (*TransferLayer, *TransferFigures) {
+	t.Helper()
+	a := NewTransferAccumulator(tr.Horizon, tr.NumTransfers(), true)
+	for i := range tr.Transfers {
+		a.Add(&tr.Transfers[i])
+	}
+	tl, err := a.Layer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binned, bandwidths := a.Figures()
+	tf, err := DescribeTransferLayer(tl, binned, bandwidths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl, tf
+}
+
 func TestClientLayer(t *testing.T) {
 	f := getFixture(t)
 	cl, err := AnalyzeClientLayer(f.set)
@@ -65,7 +86,7 @@ func TestClientLayer(t *testing.T) {
 			t.Fatal("negative interarrival")
 		}
 	}
-	cf, err := DescribeClientLayer(f.set.Trace())
+	cf, err := DescribeClientLayer(f.set.Sessionizer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +193,7 @@ func TestSessionLayerOnByHourPopulated(t *testing.T) {
 
 func TestTransferLayer(t *testing.T) {
 	f := getFixture(t)
-	tl, err := AnalyzeTransferLayer(f.tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, err := DescribeTransferLayer(f.tr, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl, tf := describeTransfers(t, f.tr)
 	// Transfer lengths: recover lognormal(4.384, 1.427).
 	if math.Abs(tl.LengthFit.Mu-f.model.TransferLength.Mu) > 0.25 {
 		t.Errorf("length mu = %v, want ~%v", tl.LengthFit.Mu, f.model.TransferLength.Mu)
@@ -213,14 +227,7 @@ func TestTransferLayer(t *testing.T) {
 
 func TestTransferLayerTemporalInterarrivals(t *testing.T) {
 	f := getFixture(t)
-	tl, err := AnalyzeTransferLayer(f.tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, err := DescribeTransferLayer(f.tr, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tf := describeTransfers(t, f.tr)
 	if len(tf.InterarrivalDay.Values) != 96 {
 		t.Fatalf("day fold bins = %d", len(tf.InterarrivalDay.Values))
 	}
@@ -312,13 +319,13 @@ func TestAnalyzeEmptyInputs(t *testing.T) {
 	if _, err := AnalyzeSessionLayer(set); err == nil {
 		t.Error("empty session set: want error")
 	}
-	if _, err := DescribeClientLayer(set.Trace()); err == nil {
+	if _, err := DescribeClientLayer(set.Sessionizer()); err == nil {
 		t.Error("empty session set: want error")
 	}
 	if _, err := DescribeSessionLayer(set.Sessionizer(), &SessionLayer{}); err == nil {
 		t.Error("empty session set: want error")
 	}
-	if _, err := DescribeTransferLayer(tr, &TransferLayer{}); err == nil {
+	if _, err := DescribeTransferLayer(&TransferLayer{}, stats.BinnedSeries{}, nil); err == nil {
 		t.Error("empty trace: want error")
 	}
 }

@@ -76,7 +76,7 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	a := NewTransferAccumulator(tr.Horizon, tr.NumTransfers())
+	a := NewTransferAccumulator(tr.Horizon, tr.NumTransfers(), false)
 	for i := range tr.Transfers {
 		a.Add(&tr.Transfers[i])
 	}
@@ -86,25 +86,38 @@ func AnalyzeTransferLayer(tr *trace.Trace) (*TransferLayer, error) {
 // TransferAccumulator is the Section 5 pipeline fed one transfer at a
 // time, in the trace order: each transfer adds its concurrency event,
 // its length and its gap from the previous start, and Layer sorts and
-// fits what was gathered.
+// fits what was gathered. Asked for the figure material too, it also
+// bins each gap under the previous start (Figure 18) and keeps each
+// transfer's bandwidth (Figure 20): Figures.
 type TransferAccumulator struct {
 	ev      *events
 	evErr   error // why there are no events: a horizon they cannot have
 	lengths []float64
 	gaps    []float64
 	last    int64 // the previous transfer's start
+
+	bins       *stats.MeanBins // the gaps by the 15-minute bin of the earlier start; nil without figures or events
+	bandwidths []float64       // nil without figures
 }
 
 // NewTransferAccumulator returns an empty accumulator for a trace of
-// horizon seconds, with room for sizeHint transfers.
-func NewTransferAccumulator(horizon int64, sizeHint int) *TransferAccumulator {
+// horizon seconds, with room for sizeHint transfers, that gathers the
+// figure material too if figures is set.
+func NewTransferAccumulator(horizon int64, sizeHint int, figures bool) *TransferAccumulator {
 	ev, err := newEvents(sizeHint, horizon)
-	return &TransferAccumulator{
+	a := &TransferAccumulator{
 		ev:      ev,
 		evErr:   err,
 		lengths: make([]float64, 0, sizeHint),
 		gaps:    make([]float64, 0, max(sizeHint-1, 0)),
 	}
+	if figures {
+		if err == nil { // a horizon the events take, the bins take too
+			a.bins, _ = stats.NewMeanBins(horizon, TemporalBin)
+		}
+		a.bandwidths = make([]float64, 0, sizeHint)
+	}
+	return a
 }
 
 // Add takes the next transfer in the trace order.
@@ -113,10 +126,17 @@ func (a *TransferAccumulator) Add(t *trace.Transfer) {
 		a.ev.add(t.Start, t.End())
 	}
 	if len(a.lengths) > 0 {
-		a.gaps = append(a.gaps, stats.LogDisplayValue(float64(t.Start-a.last)))
+		gap := stats.LogDisplayValue(float64(t.Start - a.last))
+		a.gaps = append(a.gaps, gap)
+		if a.bins != nil {
+			a.bins.Add(a.last, gap)
+		}
 	}
 	a.last = t.Start
 	a.lengths = append(a.lengths, stats.LogDisplayValue(float64(t.Duration)))
+	if a.bandwidths != nil {
+		a.bandwidths = append(a.bandwidths, float64(t.Bandwidth))
+	}
 }
 
 // Layer finishes the pipeline: the concurrency report, the sorted
@@ -147,33 +167,40 @@ func (a *TransferAccumulator) Layer() (*TransferLayer, error) {
 	return out, nil
 }
 
-// transferGap is the display-form gap between the starts of transfers
-// i and i+1 of a start-sorted trace.
-func transferGap(tr *trace.Trace, i int) float64 {
-	return stats.LogDisplayValue(float64(tr.Transfers[i+1].Start - tr.Transfers[i].Start))
+// Figures returns the figure material the accumulator gathered — the
+// interarrivals binned by the earlier start (Figure 18; empty below two
+// transfers) and the bandwidths (Figure 20) — for DescribeTransferLayer;
+// nil bandwidths if it was not asked to gather it.
+func (a *TransferAccumulator) Figures() (binned stats.BinnedSeries, bandwidths []float64) {
+	if a.bins != nil && len(a.lengths) > 1 {
+		binned = a.bins.Series()
+	}
+	return binned, a.bandwidths
 }
 
 // DescribeTransferLayer computes the figure-only part of the Section 5
-// characterization from the trace and its layer: the two interarrival
-// tail regimes, the Figure 18 bins, the length fit's KS distance and the
-// Figure 20 bandwidth sample and modes.
-func DescribeTransferLayer(tr *trace.Trace, tl *TransferLayer) (*TransferFigures, error) {
-	if tr.NumTransfers() == 0 {
+// characterization from its layer and the figure material gathered in
+// the trace order (TransferAccumulator.Figures): the two interarrival
+// tail regimes, the Figure 18 bins and their folds, the length fit's KS
+// distance and the Figure 20 bandwidth sample and modes. The figures
+// take over the bandwidths, sorted.
+func DescribeTransferLayer(tl *TransferLayer, binned stats.BinnedSeries, bandwidths []float64) (*TransferFigures, error) {
+	if len(tl.Lengths) == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadInput)
 	}
-	out := &TransferFigures{}
+	out := &TransferFigures{InterarrivalBinned: binned}
 	out.fitInterarrivalTails(tl.Interarrivals)
-	if err := out.binInterarrivals(tr); err != nil {
-		return nil, err
+	if week, err := binned.FoldModulo(7 * 86400); err == nil {
+		out.InterarrivalWeek = week
+	}
+	if day, err := binned.FoldModulo(86400); err == nil {
+		out.InterarrivalDay = day
 	}
 	var err error
 	if out.LengthKS, err = dist.KolmogorovSmirnov(tl.Lengths, tl.LengthFit.CDF); err != nil {
 		return nil, err
 	}
-	out.Bandwidths = make([]float64, tr.NumTransfers())
-	for i := range tr.Transfers {
-		out.Bandwidths[i] = float64(tr.Transfers[i].Bandwidth)
-	}
+	out.Bandwidths = bandwidths
 	stats.SortInPlace(out.Bandwidths)
 	out.BandwidthModes, out.CongestionFrac = detectBandwidthModes(out.Bandwidths)
 	return out, nil
@@ -194,33 +221,6 @@ func (tf *TransferFigures) fitInterarrivalTails(sorted []float64) {
 			tf.TailFar = fit
 		}
 	}
-}
-
-// binInterarrivals computes the Figure 18 temporal views: each
-// interarrival sample (in display form: rounded up to the closest
-// second, minimum 1) is attributed to the 15-minute bin of the earlier
-// transfer's start. The bins sum in trace order, so they walk the
-// trace's starts again rather than the sorted sample.
-func (tf *TransferFigures) binInterarrivals(tr *trace.Trace) error {
-	if tr.NumTransfers() < 2 {
-		return nil
-	}
-	bins, err := stats.NewMeanBins(tr.Horizon, TemporalBin)
-	if err != nil {
-		return err
-	}
-	for i := 0; i+1 < tr.NumTransfers(); i++ {
-		bins.Add(tr.Transfers[i].Start, transferGap(tr, i))
-	}
-	binned := bins.Series()
-	tf.InterarrivalBinned = binned
-	if week, err := binned.FoldModulo(7 * 86400); err == nil {
-		tf.InterarrivalWeek = week
-	}
-	if day, err := binned.FoldModulo(86400); err == nil {
-		tf.InterarrivalDay = day
-	}
-	return nil
 }
 
 // detectBandwidthModes finds spikes in the bandwidth distribution: values

@@ -104,14 +104,7 @@ func TestAnalyzeTransferLayerSyntheticTwoRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := AnalyzeTransferLayer(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, err := DescribeTransferLayer(tr, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tf := describeTransfers(t, tr)
 	if tf.TailBody.Points == 0 || tf.TailFar.Points == 0 {
 		t.Fatal("expected both tail fits")
 	}

@@ -19,9 +19,10 @@ import (
 	"repro/internal/trace"
 )
 
-// characterizeSequential is the oracle for Characterize: the same layer
-// calls composed one after the other on the calling goroutine, returning
-// at the first failure — the core's layers, then the figure step's.
+// characterizeSequential is the oracle for Characterize: the layer
+// calls — the figure step's as the trace-walking reference has them —
+// composed one after the other on the calling goroutine, returning at
+// the first failure: the core's layers, then the figure step's.
 func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
 	set, err := sessions.Sessionize(tr, timeout)
 	if err != nil {
@@ -43,7 +44,7 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 	if err != nil {
 		return nil, fmt.Errorf("diversity: %w", err)
 	}
-	clientFigs, err := analyze.DescribeClientLayer(tr)
+	clientFigs, err := referenceClientFigures(tr)
 	if err != nil {
 		return nil, fmt.Errorf("client layer: %w", err)
 	}
@@ -51,14 +52,14 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 	if err != nil {
 		return nil, fmt.Errorf("session layer: %w", err)
 	}
-	transferFigs, err := analyze.DescribeTransferLayer(tr, transfer)
+	transferFigs, err := referenceTransferFigures(tr, transfer)
 	if err != nil {
 		return nil, fmt.Errorf("transfer layer: %w", err)
 	}
 	if sweep == nil {
 		sweep = DefaultTimeoutSweep
 	}
-	sweepPoints, err := sessions.SweepTimeout(tr, sweep)
+	sweepPoints, err := referenceSweep(tr, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("timeout sweep: %w", err)
 	}
@@ -75,6 +76,7 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 			Session:  sessionFigs,
 			Transfer: transferFigs,
 			Sweep:    sweepPoints,
+			Audit:    referenceAudit(tr, auditThreshold),
 			Poisson:  BuildPoissonReplica(set, tr.Horizon, client.Interarrivals, seed),
 		},
 	}
@@ -102,7 +104,7 @@ func basicStatsOracle(tr *trace.Trace, set *sessions.Set) BasicStats {
 		Objects:    len(objects),
 		ASes:       len(ases),
 		IPs:        len(ips),
-		Users:      tr.NumClients(),
+		Users:      tr.ByClient().Len(),
 		Sessions:   set.Count(),
 		Transfers:  tr.NumTransfers(),
 		TotalBytes: tr.TotalBytes(),

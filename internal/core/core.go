@@ -6,7 +6,7 @@
 //
 //	gismo.NewStreamSeeded -> synthetic request stream (Section 6 model)
 //	simulate.RunStream    -> served transfers, as the WMS-style log holds them
-//	trace.Collector       -> Section 2.4 cleaning (trace.Stream for the twin)
+//	trace.Stream          -> Section 2.4 cleaning, rows in the trace order
 //	sessions              -> Section 2.2 sessionization at T_o
 //	analyze               -> Sections 3-5 layer characterizations
 //	report                -> figures, tables, paper-vs-measured comparisons
@@ -109,10 +109,9 @@ type BasicStats struct {
 }
 
 // Characterization bundles the layer analyses of a sanitized trace.
-// Observe fills the calibration core — every field calibrate.Fit,
-// calibrate.Validate and lsmcal's report read — and leaves Figures nil;
-// Characterize fills Figures too, which with the core is all the
-// material behind Figures 2–20.
+// The calibration core is every field calibrate.Fit, calibrate.Validate
+// and lsmcal's report read; with Figures it is all the material behind
+// Figures 2–20.
 type Characterization struct {
 	// Horizon is the trace length in seconds — carried so downstream
 	// consumers (the calibrate.Fit parameter recovery) need no second
@@ -130,19 +129,32 @@ type Characterization struct {
 	// series calibrate.Fit reads the empirical rate profile off.
 	ArrivalBins stats.BinnedSeries
 
-	// Figures is the figure-only material: nil after Observe, set by
-	// Characterize.
+	// Figures is the figure-only material: nil without FigureOptions.
 	Figures *FigureData
 }
 
+// FigureOptions asks an Observer for the figure material too: the
+// figure step's two inputs.
+type FigureOptions struct {
+	Sweep []int64 // the Figure 9 timeouts; nil selects DefaultTimeoutSweep
+	// Seed drives the Figure 6 Poisson replica through its own splitmix
+	// lane (lanePoissonReplica): equal inputs characterize identically.
+	Seed int64
+}
+
+// auditThreshold is the server-load audit's CPU threshold (percent).
+const auditThreshold = 10
+
 // FigureData is what only the paper's figures, lsmchar's report and the
 // paper comparison read: the figure-only part of each layer, the
-// Figure 9 timeout sweep and the Figure 6 Poisson replica.
+// Figure 9 timeout sweep, the Figure 6 Poisson replica and the
+// server-load audit.
 type FigureData struct {
 	Client   *analyze.ClientFigures
 	Session  *analyze.SessionFigures
 	Transfer *analyze.TransferFigures
 	Sweep    []sessions.SweepPoint
+	Audit    trace.OverloadAudit // Section 2.4's, at auditThreshold
 
 	// Poisson is the Figure 6 replica: interarrivals synthesized from a
 	// piecewise-stationary Poisson process whose rates are read off the
@@ -173,25 +185,23 @@ type Report struct {
 	Char     *Characterization
 }
 
-// Run executes the full pipeline: generate and serve (Serve), then
-// characterize the sanitized trace and audit its server load.
+// Run executes the full pipeline: generate and serve, then characterize
+// the served rows as ObserveServed does, with the figure material. The
+// result is Characterize's of Serve's trace.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := Serve(cfg.Model, cfg.Server, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	char, err := Characterize(s.Trace, cfg.SessionTimeout, cfg.TimeoutSweep, cfg.Seed)
+	char, res, sanitized, err := observeServed(cfg.Model, cfg.Server, cfg.Seed, cfg.SessionTimeout,
+		&FigureOptions{Sweep: cfg.TimeoutSweep, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	return &Report{
 		Config:   cfg,
-		Sanitize: s.Sanitize,
-		Audit:    s.Trace.AuditServerLoad(10),
-		Peak:     s.Peak,
+		Sanitize: sanitized,
+		Audit:    char.Figures.Audit,
+		Peak:     res.PeakConcurrency,
 		Char:     char,
 	}, nil
 }
@@ -212,29 +222,32 @@ type Served struct {
 
 // Serve generates m's workload from seed on the sharded event stream
 // (gismo.DefaultShards), serves it (simulate.RunStream) and returns the
-// trace its log holds, sanitized — the model → trace path behind Run
-// and the examples. The served rows, the injected spanning entries'
-// included, go straight into a trace.Collector: no workload, log or
-// entry slice is materialized, and the trace equals the one
-// trace.FromEntries rebuilds from the same run's log (up to how the two
-// number clients and IPs). The result is a pure function of
-// (m, server, seed) at any GOMAXPROCS.
+// trace its log holds, sanitized — the model → trace path behind the
+// examples that study a whole trace. The served rows, the injected
+// spanning entries' included, are collected and built into a trace
+// (trace.New, then Sanitize): no workload, log or entry slice is
+// materialized, and the trace equals the one trace.FromEntries rebuilds
+// from the same run's log (up to how the two number clients and IPs).
+// The result is a pure function of (m, server, seed) at any GOMAXPROCS.
 func Serve(m gismo.Model, server simulate.Config, seed int64) (*Served, error) {
-	var c trace.Collector
+	var rows []trace.Transfer
+	var names *trace.Names
 	res, sessions, err := serve(m, server, seed, simulate.StreamSinks{
 		Transfer: func(t trace.Transfer) error {
-			c.Add(t)
+			rows = append(rows, t)
 			return nil
 		},
-		Names: func(n *trace.Names) { c.Names = n },
+		Names: func(n *trace.Names) { names = n },
 	})
 	if err != nil {
 		return nil, err
 	}
-	clean, report, err := c.Trace(m.Horizon)
+	tr, err := trace.New(m.Horizon, rows)
 	if err != nil {
 		return nil, err
 	}
+	tr.Names = names
+	clean, report := tr.Sanitize()
 	return &Served{Trace: clean, Sanitize: report, Peak: res.PeakConcurrency, Sessions: sessions}, nil
 }
 
@@ -244,19 +257,29 @@ func Serve(m gismo.Model, server simulate.Config, seed int64) (*Served, error) {
 // Observe(Serve(m, server, seed).Trace, timeout) — the calibration
 // twin's path (calibrate.Twin).
 func ObserveServed(m gismo.Model, server simulate.Config, seed, timeout int64) (*Characterization, error) {
-	o, err := NewObserver(m.Horizon, timeout, 0, m.NumClients)
+	char, _, _, err := observeServed(m, server, seed, timeout, nil)
+	return char, err
+}
+
+// observeServed serves m's workload from seed through a trace.Stream
+// into an Observer given figs, and returns its characterization, the
+// run's summary and the sanitize report.
+func observeServed(m gismo.Model, server simulate.Config, seed, timeout int64, figs *FigureOptions) (
+	char *Characterization, res *simulate.StreamResult, report trace.SanitizeReport, err error) {
+	o, err := NewObserver(m.Horizon, timeout, 0, m.NumClients, figs)
 	if err != nil {
-		return nil, err
+		return nil, nil, report, err
 	}
 	rows, err := trace.NewStream(m.Horizon, o.Add)
 	if err != nil {
-		return nil, err
+		return nil, nil, report, err
 	}
-	if _, _, err := serve(m, server, seed, simulate.StreamSinks{Transfer: rows.Add, Names: o.SetNames}); err != nil {
-		return nil, err
+	if res, _, err = serve(m, server, seed, simulate.StreamSinks{Transfer: rows.Add, Names: o.SetNames}); err != nil {
+		return nil, nil, report, err
 	}
-	rows.Close()
-	return o.Characterization()
+	report = rows.Close()
+	char, err = o.Characterization()
+	return char, res, report, err
 }
 
 // serve is the one model → rows driver under Serve and ObserveServed:
@@ -274,25 +297,6 @@ func serve(m gismo.Model, server simulate.Config, seed int64, sinks simulate.Str
 		return nil, 0, fmt.Errorf("simulate: %w", err)
 	}
 	return res, ws.Sessions(), nil
-}
-
-// LoadLogs is the front half every log-reading command shares: find the
-// daily wms-*.log files under dir (text, gzip or framed binary), parse
-// them tolerantly, rebuild the trace over a days-long horizon and
-// sanitize it (Section 2.4) — one pass from bytes to trace
-// (trace.FromLogs), a file per core. The parse and sanitize summaries
-// are written to w.
-func LoadLogs(dir string, days int, w io.Writer) (*trace.Trace, error) {
-	paths, err := findLogs(dir)
-	if err != nil {
-		return nil, err
-	}
-	clean, st, sanReport, err := trace.FromLogs(paths, wmslog.TraceEpoch, int64(days)*86400)
-	if err != nil {
-		return nil, err
-	}
-	writeIngest(w, st, len(paths), sanReport)
-	return clean, nil
 }
 
 // findLogs returns the daily log files under dir, refusing a directory
@@ -313,16 +317,20 @@ func writeIngest(w io.Writer, st wmslog.ParseStats, files int, report trace.Sani
 	fmt.Fprintln(w, report)
 }
 
-// ObserveLogs is Observe(LoadLogs(dir, days, w), timeout) with no trace
-// built: the logs' rows go from the ingest's merge (trace.StreamLogs)
+// ObserveLogs characterizes the daily wms-*.log files under dir (text,
+// gzip or framed binary) over a days-long horizon, parsed tolerantly
+// and sanitized (Section 2.4), and writes the parse and sanitize
+// summaries to w; figs asks for the figure material. No trace is
+// built: the rows go from the ingest's merge (trace.StreamLogs)
 // straight into an Observer, so what is held is the observer's state
-// and a few files' rows. The characterization and what is written to w
-// are LoadLogs' and Observe's. Logs whose files reach back further than
-// a daily harvest's (the returned Ingest is not Ordered), and a timeout
-// the observer refuses, take that path itself; the Ingest is then the
-// stream's, as far as it went. The streamed Ingest's Names hold the
-// countries only (see trace.StreamLogs): the observer reads no IP name.
-func ObserveLogs(dir string, days int, timeout int64, w io.Writer) (*Characterization, trace.Ingest, error) {
+// and a few files' rows. Logs whose files reach back further than a
+// daily harvest's (the Ingest is not Ordered) are read whole instead
+// (trace.FromLogs) and that trace is walked into a fresh observer; the
+// Ingest is then the stream's, as far as it went. Either way the result
+// is Observe's, or with figs Characterize's, of the logs' trace. A
+// timeout the observer refuses fails before a log is read. The streamed
+// Ingest's Names hold the countries only: the observer reads no IP.
+func ObserveLogs(dir string, days int, timeout int64, figs *FigureOptions, w io.Writer) (*Characterization, trace.Ingest, error) {
 	paths, err := findLogs(dir)
 	if err != nil {
 		return nil, trace.Ingest{}, err
@@ -332,23 +340,26 @@ func ObserveLogs(dir string, days int, timeout int64, w io.Writer) (*Characteriz
 		rows += wmslog.EntryHint(path)
 	}
 	horizon := int64(days) * 86400
-	var ing trace.Ingest
-	if o, err := NewObserver(horizon, timeout, rows, 0); err == nil {
-		if ing, err = trace.StreamLogs(paths, wmslog.TraceEpoch, horizon, o.Add); err != nil {
-			return nil, ing, err
-		}
-		if ing.Ordered {
-			writeIngest(w, ing.Stats, len(paths), ing.Report)
-			o.SetNames(ing.Names)
-			char, err := o.Characterization()
-			return char, ing, err
-		}
+	o, err := NewObserver(horizon, timeout, rows, 0, figs)
+	if err != nil {
+		return nil, trace.Ingest{}, err
 	}
-	clean, err := LoadLogs(dir, days, w)
+	ing, err := trace.StreamLogs(paths, wmslog.TraceEpoch, horizon, o.Add)
 	if err != nil {
 		return nil, ing, err
 	}
-	char, err := Observe(clean, timeout)
+	if !ing.Ordered {
+		clean, st, report, err := trace.FromLogs(paths, wmslog.TraceEpoch, horizon)
+		if err != nil {
+			return nil, ing, err
+		}
+		writeIngest(w, st, len(paths), report)
+		char, err := observeTrace(clean, timeout, figs)
+		return char, ing, err
+	}
+	writeIngest(w, ing.Stats, len(paths), ing.Report)
+	o.SetNames(ing.Names)
+	char, err := o.Characterization()
 	return char, ing, err
 }
 
@@ -357,39 +368,49 @@ func ObserveLogs(dir string, days int, timeout int64, w io.Writer) (*Characteriz
 // session arrivals, and each layer's samples and the fits the model
 // takes. It is an Observer walked over the trace's transfers: it draws
 // nothing at random, so it takes no seed, and it leaves Figures nil.
+//
+//lsm:keep -- test oracle: the core, calibrate, trace and root tests observe a trace
 func Observe(tr *trace.Trace, timeout int64) (*Characterization, error) {
-	char, _, err := observe(tr, timeout)
-	return char, err
+	return observeTrace(tr, timeout, nil)
 }
 
-// observe is Observe, also returning the sessions it observed.
-func observe(tr *trace.Trace, timeout int64) (*Characterization, *sessions.Sessionizer, error) {
+// Characterize runs the whole Sections 3–5 pipeline on an
+// already-sanitized trace: an Observer given FigureOptions{sweep, seed}
+// walked over the trace's transfers. sweep holds the Figure 9 timeouts
+// (nil selects DefaultTimeoutSweep); seed drives the Figure 6 Poisson
+// replica, so equal (trace, seed) pairs characterize identically.
+func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
+	return observeTrace(tr, timeout, &FigureOptions{Sweep: sweep, Seed: seed})
+}
+
+// observeTrace walks tr's transfers into an Observer given figs.
+func observeTrace(tr *trace.Trace, timeout int64, figs *FigureOptions) (*Characterization, error) {
 	clients := 0 // the ids a direct client table spans
 	for i := range tr.Transfers {
 		clients = max(clients, int(tr.Transfers[i].Client)+1)
 	}
-	o, err := NewObserver(tr.Horizon, timeout, tr.NumTransfers(), clients)
+	o, err := NewObserver(tr.Horizon, timeout, tr.NumTransfers(), clients, figs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	o.SetNames(tr.Names)
 	for i := range tr.Transfers {
 		o.Add(&tr.Transfers[i])
 	}
-	char, err := o.Characterization()
-	return char, o.sessions, err
+	return o.Characterization()
 }
 
-// Observer is the calibration core taken one transfer at a time: fed a
-// sanitized trace's transfers in the trace order (trace order: Start,
-// Client, Object, then every other field — what trace.New sorts into
-// and trace.Stream emits), it returns the Characterization Observe
-// returns for that trace, without the trace. It holds, per client, the
-// open session at T_o (sessions.Sessionizer), a compact span per
-// session, the population census (trace.CensusCounter), the
-// concurrency events and the per-transfer samples
-// (analyze.TransferAccumulator) — nothing that refers back to a
-// transfer.
+// Observer is the Sections 3–5 pipeline taken one transfer at a time:
+// fed a sanitized trace's transfers in the trace order (Start, Client,
+// Object, then every other field — what trace.New sorts into and
+// trace.Stream emits), it characterizes that trace without the trace.
+// It holds, per client, the open session at T_o (sessions.Sessionizer),
+// a compact span per session, the population census
+// (trace.CensusCounter), the concurrency events and the per-transfer
+// samples (analyze.TransferAccumulator) — nothing that refers back to a
+// transfer. With FigureOptions the Sessionizer also tallies Figure 9's
+// silent gaps, the accumulator keeps Figure 18's bins and Figure 20's
+// bandwidths, and a trace.Auditor sweeps the server load.
 type Observer struct {
 	horizon, timeout int64
 	countries        []string // the country table the transfers' ids index
@@ -398,26 +419,42 @@ type Observer struct {
 	transfers *analyze.TransferAccumulator
 	census    *trace.CensusCounter
 
+	figs     *FigureOptions // nil: the calibration core only
+	sweepErr error          // why the Figure 9 sweep cannot run
+	audit    *trace.Auditor // nil without figs
+
 	n     int
 	bytes int64
 }
 
 // NewObserver returns an observer for a trace of horizon seconds at
 // session timeout T_o, with room for transfers transfers and for client
-// ids in [0, clients) — 0 for either if unknown. A non-positive timeout
-// is sessions.ErrBadTimeout, as for Sessionize.
-func NewObserver(horizon, timeout int64, transfers, clients int) (*Observer, error) {
+// ids in [0, clients) — 0 for either if unknown — that gathers the
+// figure material too if figs is not nil. A non-positive timeout is
+// sessions.ErrBadTimeout; a bad sweep timeout is reported in the figure
+// step's order by Characterization.
+func NewObserver(horizon, timeout int64, transfers, clients int, figs *FigureOptions) (*Observer, error) {
 	z, err := sessions.NewSessionizer(timeout, clients)
 	if err != nil {
 		return nil, err
 	}
-	return &Observer{
+	o := &Observer{
 		horizon:   horizon,
 		timeout:   timeout,
 		sessions:  z,
-		transfers: analyze.NewTransferAccumulator(horizon, transfers),
+		transfers: analyze.NewTransferAccumulator(horizon, transfers, figs != nil),
 		census:    trace.NewCensusCounter(0, 0),
-	}, nil
+		figs:      figs,
+	}
+	if figs != nil {
+		sweep := figs.Sweep
+		if sweep == nil {
+			sweep = DefaultTimeoutSweep
+		}
+		o.sweepErr = z.TallyGaps(sweep)
+		o.audit = trace.NewAuditor(horizon, auditThreshold)
+	}
+	return o, nil
 }
 
 // SetNames gives the observer the tables the transfers' IP and Country
@@ -437,6 +474,9 @@ func (o *Observer) Add(t *trace.Transfer) {
 	o.sessions.Add(t)
 	o.transfers.Add(t)
 	o.census.Add(t)
+	if o.audit != nil {
+		o.audit.Add(t)
+	}
 	o.n++
 	o.bytes += t.Bytes
 }
@@ -447,7 +487,9 @@ func (o *Observer) Add(t *trace.Transfer) {
 // only its own result — the session layer takes over the Sessionizer's
 // samples, which no other task reads — so the Characterization is the
 // same at any GOMAXPROCS, and a failure is reported in the fixed layer
-// order below whichever task hit it first. The observer is used up.
+// order below whichever task hit it first. The figure step, if asked
+// for, then runs its tasks the same way, so the core's errors come
+// before its. The observer is used up.
 func (o *Observer) Characterization() (*Characterization, error) {
 	char := &Characterization{Horizon: o.horizon, Timeout: o.timeout}
 	names := &trace.Names{Countries: o.countries}
@@ -491,62 +533,43 @@ func (o *Observer) Characterization() (*Characterization, error) {
 	if err != nil {
 		return nil, err
 	}
-	return char, nil
-}
-
-// Characterize runs the whole Sections 3–5 pipeline on an
-// already-sanitized trace: Observe, then the figure step that fills
-// Figures from the trace, the sessions Observe found and the core.
-// sweep holds the Figure 9 timeouts (nil selects DefaultTimeoutSweep).
-// seed drives the Figure 6 Poisson replica through a dedicated
-// splitmix lane (lanePoissonReplica), so equal (trace, seed) pairs
-// characterize identically — the measurement side honors the same
-// determinism contract as the generator and the server.
-//
-// The figure step's tasks run concurrently like Observe's, each
-// reading the core and writing only its own part of Figures, so the
-// result does not depend on GOMAXPROCS either; an error is reported in
-// the same layer order, Observe's before the figure step's.
-func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
-	char, z, err := observe(tr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if char.Figures, err = describe(tr, z, char, sweep, seed); err != nil {
-		return nil, err
+	if o.figs != nil {
+		if char.Figures, err = o.figures(char); err != nil {
+			return nil, err
+		}
 	}
 	return char, nil
 }
 
-// describe is the figure step: everything Characterize adds to
-// Observe's core.
-func describe(tr *trace.Trace, z *sessions.Sessionizer, char *Characterization, sweep []int64, seed int64) (*FigureData, error) {
-	if sweep == nil {
-		sweep = DefaultTimeoutSweep
-	}
-	figs := &FigureData{}
-	tr.ByClient() // built once here: two of the tasks read it
+// figures is the figure step over the core char: each task reads char
+// and the observer's state and writes only its own part of the result.
+func (o *Observer) figures(char *Characterization) (*FigureData, error) {
+	figs := &FigureData{Audit: o.audit.Audit()}
 	err := firstError(
 		func() (err error) {
-			if figs.Client, err = analyze.DescribeClientLayer(tr); err != nil {
+			if figs.Client, err = analyze.DescribeClientLayer(o.sessions); err != nil {
 				return taskError("client layer", err)
 			}
 			if len(char.ArrivalBins.Values) > 0 { // empty only if the arrivals could not be binned
-				figs.Poisson = poissonReplica(char.ArrivalBins, tr.Horizon, char.Client.Interarrivals, seed)
+				figs.Poisson = poissonReplica(char.ArrivalBins, o.horizon, char.Client.Interarrivals, o.figs.Seed)
 			}
 			return nil
 		},
 		func() (err error) {
-			figs.Session, err = analyze.DescribeSessionLayer(z, char.Session)
+			figs.Session, err = analyze.DescribeSessionLayer(o.sessions, char.Session)
 			return taskError("session layer", err)
 		},
 		func() (err error) {
-			figs.Transfer, err = analyze.DescribeTransferLayer(tr, char.Transfer)
+			binned, bandwidths := o.transfers.Figures()
+			figs.Transfer, err = analyze.DescribeTransferLayer(char.Transfer, binned, bandwidths)
 			return taskError("transfer layer", err)
 		},
-		func() (err error) {
-			figs.Sweep, err = sessions.SweepTimeout(tr, sweep)
-			return taskError("timeout sweep", err)
+		func() error {
+			if o.sweepErr != nil {
+				return taskError("timeout sweep", o.sweepErr)
+			}
+			figs.Sweep = o.sessions.Sweep()
+			return nil
 		},
 	)
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/sessions"
 	"repro/internal/wmslog"
 )
 
@@ -297,31 +297,16 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestLoadLogsRejectsDuplicateDay: a log directory that keeps a day
+// TestObserveLogsRejectsDuplicateDay: a log directory that keeps a day
 // both as the original and as its ".gz" copy does not load — it used to
 // load that day twice, silently.
-func TestLoadLogsRejectsDuplicateDay(t *testing.T) {
+func TestObserveLogsRejectsDuplicateDay(t *testing.T) {
 	dir := t.TempDir()
-	dw, err := wmslog.NewDailyWriter(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for day := 0; day < 2; day++ {
-		e := &wmslog.Entry{
-			Timestamp: wmslog.TraceEpoch.Add(time.Duration(day*24+1) * time.Hour), ClientIP: "10.0.0.1", PlayerID: "p1",
-			URIStem: "/live/feed1", Duration: 60, Bytes: 1000, AvgBandwidth: 56000, Status: 200, ASNumber: 7, Country: "BR",
-		}
-		if err := dw.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadLogs(dir, 2, io.Discard); err != nil {
+	files := writeGenLogs(t, dir, 500, 2, 5)
+	if _, _, err := ObserveLogs(dir, 2, sessions.DefaultTimeout, nil, io.Discard); err != nil {
 		t.Fatalf("each day once: %v", err)
 	}
-	second := dw.Files()[1]
+	second := files[1]
 	data, err := os.ReadFile(second)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +318,7 @@ func TestLoadLogsRejectsDuplicateDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if tr, err := LoadLogs(dir, 2, &out); tr != nil || err == nil || !strings.Contains(err.Error(), "2002-01-07") {
-		t.Fatalf("day 2002-01-07 twice: trace %v, err %v, output %q; want an error naming the day", tr != nil, err, out.String())
+	if char, _, err := ObserveLogs(dir, 2, sessions.DefaultTimeout, nil, &out); char != nil || err == nil || !strings.Contains(err.Error(), "2002-01-07") {
+		t.Fatalf("day 2002-01-07 twice: characterization %v, err %v, output %q; want an error naming the day", char != nil, err, out.String())
 	}
 }

@@ -46,39 +46,54 @@ func writeGenLogs(t *testing.T, dir string, scale float64, days int, seed int64)
 	return dw.Files()
 }
 
-// checkObserveLogs holds ObserveLogs over dir to Observe(LoadLogs):
-// the characterization field by field and bit by bit, the lines written
-// and the error. It returns the ingest ObserveLogs reports.
+// checkObserveLogs holds ObserveLogs over dir to the characterization
+// of the trace trace.FromLogs reads from it — Observe's, and with the
+// figure material Characterize's — field by field and bit by bit, the
+// lines written and the error. It returns the ingest ObserveLogs
+// reports.
 func checkObserveLogs(t *testing.T, dir string, days int, timeout int64) trace.Ingest {
 	t.Helper()
-	var wantOut, gotOut bytes.Buffer
-	want, wantErr := func() (*Characterization, error) {
-		tr, err := LoadLogs(dir, days, &wantOut)
-		if err != nil {
-			return nil, err
+	var ing trace.Ingest
+	for _, figs := range []*FigureOptions{nil, {Seed: 7}} {
+		var wantOut, gotOut bytes.Buffer
+		want, wantErr := func() (*Characterization, error) {
+			paths, err := findLogs(dir)
+			if err != nil {
+				return nil, err
+			}
+			tr, st, report, err := trace.FromLogs(paths, wmslog.TraceEpoch, int64(days)*86400)
+			if err != nil {
+				return nil, err
+			}
+			writeIngest(&wantOut, st, len(paths), report)
+			if figs == nil {
+				return Observe(tr, timeout)
+			}
+			return Characterize(tr, timeout, nil, figs.Seed)
+		}()
+		got, gotIng, err := ObserveLogs(dir, days, timeout, figs, &gotOut)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("figures %v: ObserveLogs error %v, want %v", figs != nil, err, wantErr)
 		}
-		return Observe(tr, timeout)
-	}()
-	got, ing, err := ObserveLogs(dir, days, timeout, &gotOut)
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-		t.Fatalf("ObserveLogs error %v, want %v", err, wantErr)
-	}
-	if gotOut.String() != wantOut.String() {
-		t.Errorf("ObserveLogs wrote %q, want %q", gotOut.String(), wantOut.String())
-	}
-	if err == nil && !reflect.DeepEqual(got, want) {
-		if g, w := dumpChar(got), dumpChar(want); g != w { // the dump tells a NaN from itself
-			t.Fatalf("ObserveLogs differs from Observe(LoadLogs): %s", firstDiff(g, w))
+		if gotOut.String() != wantOut.String() {
+			t.Errorf("figures %v: ObserveLogs wrote %q, want %q", figs != nil, gotOut.String(), wantOut.String())
 		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			if g, w := dumpChar(got), dumpChar(want); g != w { // the dump tells a NaN from itself
+				t.Fatalf("figures %v: ObserveLogs differs from the trace's characterization: %s", figs != nil, firstDiff(g, w))
+			}
+		}
+		ing = gotIng
 	}
 	return ing
 }
 
 // TestObserveLogsMatchesObserve: over lsmgen's daily logs ObserveLogs
 // streams the merge into the observer — no fallback — and gives what
-// Observe of LoadLogs' trace gives, at any core count and timeout; and
-// it fails as that path fails, on a directory with no logs and on a
-// timeout the observer refuses.
+// the characterization of FromLogs' trace gives, at any core count and
+// timeout, figures on and off; it fails as that path fails, over a
+// horizon of no days and over a directory with no logs; and it refuses
+// a timeout the observer refuses before it reads a log.
 func TestObserveLogsMatchesObserve(t *testing.T) {
 	dir := t.TempDir()
 	writeGenLogs(t, dir, 150, 7, 11)
@@ -89,9 +104,14 @@ func TestObserveLogsMatchesObserve(t *testing.T) {
 			}
 		}
 	})
-	checkObserveLogs(t, dir, 7, 0)
 	checkObserveLogs(t, dir, 0, sessions.DefaultTimeout)
 	checkObserveLogs(t, t.TempDir(), 7, sessions.DefaultTimeout)
+	for _, figs := range []*FigureOptions{nil, {}} {
+		var out bytes.Buffer
+		if _, ing, err := ObserveLogs(dir, 7, 0, figs, &out); !errors.Is(err, sessions.ErrBadTimeout) || ing.Stats != (wmslog.ParseStats{}) || out.Len() != 0 {
+			t.Errorf("figures %v, timeout 0: err = %v, stats %+v, wrote %q; want ErrBadTimeout and nothing read", figs != nil, err, ing.Stats, out.String())
+		}
+	}
 }
 
 // TestObserveLogsRefusesHorizonUpFront: 24,856 days is past 2³¹ s, and
@@ -100,7 +120,7 @@ func TestObserveLogsRefusesHorizonUpFront(t *testing.T) {
 	dir := t.TempDir()
 	writeGenLogs(t, dir, 150, 7, 11)
 	var out bytes.Buffer
-	if _, ing, err := ObserveLogs(dir, 24856, sessions.DefaultTimeout, &out); !errors.Is(err, trace.ErrBadTrace) || ing.Stats != (wmslog.ParseStats{}) || out.Len() != 0 {
+	if _, ing, err := ObserveLogs(dir, 24856, sessions.DefaultTimeout, nil, &out); !errors.Is(err, trace.ErrBadTrace) || ing.Stats != (wmslog.ParseStats{}) || out.Len() != 0 {
 		t.Errorf("ObserveLogs over 24,856 days: err = %v, stats %+v, wrote %q; want ErrBadTrace and nothing read", err, ing.Stats, out.String())
 	}
 }
@@ -108,7 +128,8 @@ func TestObserveLogsRefusesHorizonUpFront(t *testing.T) {
 // TestObserveLogsFallsBack: a kept three-day transfer logged in the
 // fourth daily file starts on day 0, before rows the merge has already
 // handed to the observer. ObserveLogs must notice, say so, and still
-// give exactly Observe(LoadLogs) — which then holds the transfer.
+// give exactly the characterization of FromLogs' trace — which then
+// holds the transfer.
 func TestObserveLogsFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	files := writeGenLogs(t, dir, 150, 7, 11)
@@ -127,7 +148,7 @@ func TestObserveLogsFallsBack(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := LoadLogs(dir, 7, &bytes.Buffer{})
+	tr, _, _, err := trace.FromLogs(files, wmslog.TraceEpoch, 7*86400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +212,7 @@ func TestObserveLogsHeldRows(t *testing.T) {
 func TestObserverSetNamesAfterWalk(t *testing.T) {
 	tr := logTrace(t)
 	observe := func(namesFirst bool) *Characterization {
-		o, err := NewObserver(tr.Horizon, sessions.DefaultTimeout, 0, 0)
+		o, err := NewObserver(tr.Horizon, sessions.DefaultTimeout, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

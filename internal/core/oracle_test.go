@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/analyze"
@@ -15,6 +15,7 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/wmslog"
 )
 
 // referenceObserve is Observe as it ran before the observer, kept as
@@ -58,7 +59,7 @@ func referenceObserve(tr *trace.Trace, timeout int64) (*Characterization, error)
 					Objects:    len(char.Divers.ObjectShare),
 					ASes:       char.Divers.NumAS,
 					IPs:        char.Divers.NumIPs,
-					Users:      tr.NumClients(),
+					Users:      tr.ByClient().Len(),
 					Sessions:   len(set),
 					Transfers:  tr.NumTransfers(),
 					TotalBytes: tr.TotalBytes(),
@@ -243,26 +244,305 @@ func referenceTransferLayer(tr *trace.Trace) (*analyze.TransferLayer, error) {
 	return out, nil
 }
 
+// referenceCharacterize is Characterize as it ran before the figure
+// step streamed: referenceObserve, then referenceFigures.
+func referenceCharacterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
+	char, err := referenceObserve(tr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if char.Figures, err = referenceFigures(tr, char, timeout, sweep, seed); err != nil {
+		return nil, err
+	}
+	return char, nil
+}
+
+// referenceFigures is the figure step as it ran over a whole trace,
+// kept as the reference: Figure 7's transfers per client through the
+// trace's client index, the Figure 9 sweep over the silent gaps a walk
+// of the trace finds, the Figure 18 bins and the Figure 20 bandwidths
+// read off the trace's rows, and the server-load audit over a
+// per-second array. Its tasks run one after the other and the first
+// failure in task order is reported.
+func referenceFigures(tr *trace.Trace, char *Characterization, timeout int64, sweep []int64, seed int64) (*FigureData, error) {
+	if sweep == nil {
+		sweep = DefaultTimeoutSweep
+	}
+	figs := &FigureData{Audit: referenceAudit(tr, auditThreshold)}
+	var err error
+	if figs.Client, err = referenceClientFigures(tr); err != nil {
+		return nil, taskError("client layer", err)
+	}
+	if len(char.ArrivalBins.Values) > 0 {
+		figs.Poisson = poissonReplica(char.ArrivalBins, tr.Horizon, char.Client.Interarrivals, seed)
+	}
+	z, _ := sessions.NewSessionizer(timeout, 0)
+	for i := range tr.Transfers {
+		z.Add(&tr.Transfers[i])
+	}
+	if figs.Session, err = analyze.DescribeSessionLayer(z, char.Session); err != nil {
+		return nil, taskError("session layer", err)
+	}
+	if figs.Transfer, err = referenceTransferFigures(tr, char.Transfer); err != nil {
+		return nil, taskError("transfer layer", err)
+	}
+	if figs.Sweep, err = referenceSweep(tr, sweep); err != nil {
+		return nil, taskError("timeout sweep", err)
+	}
+	return figs, nil
+}
+
+// referenceClientFigures is Figure 7's left panel as it was read off the
+// trace: a transfer count per slot of its client index.
+func referenceClientFigures(tr *trace.Trace) (*analyze.ClientFigures, error) {
+	if tr.NumTransfers() == 0 {
+		return nil, fmt.Errorf("%w: empty trace", analyze.ErrBadInput)
+	}
+	byClient := tr.ByClient()
+	out := &analyze.ClientFigures{TransfersPerClient: make([]int, byClient.Len())}
+	for k := range out.TransfersPerClient {
+		out.TransfersPerClient[k] = len(byClient.Transfers(k))
+	}
+	var err error
+	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
+		return nil, fmt.Errorf("interest (transfers): %w", err)
+	}
+	return out, nil
+}
+
+// referenceTransferFigures is the Section 5 figure material as it was
+// read off the trace: each gap between consecutive starts binned under
+// the earlier start, and every row's bandwidth.
+func referenceTransferFigures(tr *trace.Trace, tl *analyze.TransferLayer) (*analyze.TransferFigures, error) {
+	if tr.NumTransfers() == 0 {
+		return nil, fmt.Errorf("%w: empty trace", analyze.ErrBadInput)
+	}
+	var binned stats.BinnedSeries
+	if tr.NumTransfers() >= 2 {
+		bins, err := stats.NewMeanBins(tr.Horizon, analyze.TemporalBin)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i+1 < tr.NumTransfers(); i++ {
+			bins.Add(tr.Transfers[i].Start, stats.LogDisplayValue(float64(tr.Transfers[i+1].Start-tr.Transfers[i].Start)))
+		}
+		binned = bins.Series()
+	}
+	bandwidths := make([]float64, tr.NumTransfers())
+	for i := range tr.Transfers {
+		bandwidths[i] = float64(tr.Transfers[i].Bandwidth)
+	}
+	return analyze.DescribeTransferLayer(tl, binned, bandwidths)
+}
+
+// referenceSweep is the Figure 9 sweep as it ran over the trace:
+// sessions(T_o) = clients + #{silent gaps > T_o}, each gap the start of
+// a transfer minus the latest end among its client's earlier transfers.
+func referenceSweep(tr *trace.Trace, timeouts []int64) ([]sessions.SweepPoint, error) {
+	for _, to := range timeouts {
+		if to <= 0 {
+			return nil, fmt.Errorf("%w: %d", sessions.ErrBadTimeout, to)
+		}
+	}
+	latest := make(map[int32]int64) // latest end per client so far
+	var gaps []int64
+	for _, t := range tr.Transfers {
+		if end, seen := latest[t.Client]; seen && t.Start > end {
+			gaps = append(gaps, t.Start-end)
+		}
+		latest[t.Client] = max(latest[t.Client], t.End())
+	}
+	out := make([]sessions.SweepPoint, 0, len(timeouts))
+	for _, to := range timeouts {
+		n := len(latest)
+		for _, gap := range gaps {
+			if gap > to {
+				n++
+			}
+		}
+		out = append(out, sessions.SweepPoint{Timeout: to, Sessions: n})
+	}
+	return out, nil
+}
+
+// perSecondReadings is the overload audit's walk as it shipped before
+// the event sweep, kept as the reference: a float64 and an int32 slot
+// for every second of the horizon, each transfer's reading scattered
+// into its first second and out of the second after its last, then one
+// integration over the horizon. It returns the reading (running sum ÷
+// running count) of every second at least one transfer spans.
+func perSecondReadings(tr *trace.Trace) []float64 {
+	sum := make([]float64, tr.Horizon+1)
+	cnt := make([]int32, tr.Horizon+1)
+	for _, t := range tr.Transfers {
+		lo, hi := t.Start, t.End()
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > tr.Horizon {
+			hi = tr.Horizon
+		}
+		if hi <= lo {
+			hi = lo + 1 // zero-length transfers still occupy their second
+			if hi > tr.Horizon {
+				continue
+			}
+		}
+		sum[lo] += t.ServerCPU
+		sum[hi] -= t.ServerCPU
+		cnt[lo]++
+		cnt[hi]--
+	}
+	var readings []float64
+	var runSum float64
+	var runCnt int32
+	for s := int64(0); s < tr.Horizon; s++ {
+		runSum += sum[s]
+		runCnt += cnt[s]
+		if runCnt > 0 {
+			readings = append(readings, runSum/float64(runCnt))
+		}
+	}
+	return readings
+}
+
+// referenceAudit is the server-load audit over perSecondReadings.
+func referenceAudit(tr *trace.Trace, threshold float64) trace.OverloadAudit {
+	audit := trace.OverloadAudit{Threshold: threshold, TimeBelowFrac: 1, TransferBelowFrac: 1}
+	if tr.NumTransfers() == 0 {
+		return audit
+	}
+	below := 0
+	for _, t := range tr.Transfers {
+		if t.ServerCPU < threshold {
+			below++
+		}
+	}
+	audit.TransferBelowFrac = float64(below) / float64(tr.NumTransfers())
+	if readings := perSecondReadings(tr); len(readings) > 0 {
+		below = 0
+		for _, r := range readings {
+			if r < threshold {
+				below++
+			}
+		}
+		audit.TimeBelowFrac = float64(below) / float64(len(readings))
+	}
+	return audit
+}
+
+// auditOf feeds tr's transfers to a trace.Auditor at threshold.
+func auditOf(tr *trace.Trace, threshold float64) trace.OverloadAudit {
+	a := trace.NewAuditor(tr.Horizon, threshold)
+	for i := range tr.Transfers {
+		a.Add(&tr.Transfers[i])
+	}
+	return a.Audit()
+}
+
+// TestAuditMatchesPerSecondReference: the auditor's event sweep counts
+// the seconds the per-second walk counts. The threshold is put on
+// readings the reference itself produced, so a running sum that differs
+// in its last bit — readings added in another order — moves a second
+// across it.
+func TestAuditMatchesPerSecondReference(t *testing.T) {
+	tx := func(client int, start, dur int64, cpu float64) trace.Transfer {
+		return trace.Transfer{Client: int32(client), AS: 1, Start: start, Duration: dur, ServerCPU: cpu}
+	}
+	rng := rand.New(rand.NewSource(17))
+	random := func(n int, horizon int64) []trace.Transfer {
+		ts := make([]trace.Transfer, n)
+		for i := range ts {
+			start := rng.Int63n(horizon+400) - 200 // some before 0, some past the horizon
+			dur := rng.Int63n(900)
+			if rng.Intn(5) == 0 {
+				dur = 0
+			}
+			ts[i] = tx(rng.Intn(50), start, dur, float64(rng.Intn(997))/10+rng.Float64()/1e6)
+		}
+		return ts
+	}
+	fixtures := map[string]struct {
+		horizon   int64
+		transfers []trace.Transfer
+	}{
+		// Two transfers end and one starts in second 40; a zero-length
+		// one sits in the last second; 0.1 + 0.2 − 0.1 is not 0.2.
+		"same second": {100, []trace.Transfer{
+			tx(1, 10, 30, 0.1),
+			tx(2, 20, 20, 0.2),
+			tx(3, 40, 25, 0.3),
+			tx(4, 5, 80, 0.7),
+			tx(5, 99, 0, 12.5),
+		}},
+		"outside the horizon": {60, []trace.Transfer{
+			tx(1, -30, 10, 3.3), // wholly before 0: the walk counts it in second 0
+			tx(2, -5, 20, 1.1),
+			tx(3, 50, 500, 9.9),
+			tx(4, 60, 5, 50),
+			tx(5, 200, 0, 50),
+			tx(6, 59, 1, 0.3),
+		}},
+		"one second":   {1, random(40, 1)},
+		"random":       {3000, random(300, 3000)},
+		"past radix":   {86400, random(5000, 86400)},
+		"dense events": {500, random(20000, 500)},
+	}
+	for name, f := range fixtures {
+		tr, err := trace.New(f.horizon, f.transfers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readings := perSecondReadings(tr)
+		if len(readings) == 0 {
+			t.Fatalf("%s: no active second", name)
+		}
+		thresholds := []float64{0, 10, math.Inf(1)}
+		distinct := slices.Compact(slices.Sorted(slices.Values(readings)))
+		for i := 0; i < len(distinct); i += max(1, len(distinct)/40) {
+			thresholds = append(thresholds, distinct[i], math.Nextafter(distinct[i], math.Inf(1)))
+		}
+		for _, threshold := range thresholds {
+			want := referenceAudit(tr, threshold)
+			if got := auditOf(tr, threshold); math.Float64bits(got.TimeBelowFrac) != math.Float64bits(want.TimeBelowFrac) || got != want {
+				t.Errorf("%s, threshold %v: audit %+v, per-second walk %+v", name, threshold, got, want)
+			}
+		}
+	}
+}
+
 // checkObserveMatchesReference observes tr and holds the result to
 // the reference, every core field deep-equal — the minute series the
-// on-demand ACFs are computed from included — or the same error.
+// on-demand ACFs are computed from included — or the same error; and
+// characterizes it and holds that to the reference too, every figure
+// field and the audit included.
 func checkObserveMatchesReference(t *testing.T, tr *trace.Trace, timeout int64) {
 	t.Helper()
 	want, wantErr := referenceObserve(tr, timeout)
 	got, err := Observe(tr, timeout)
+	sameCharacterization(t, "Observe", got, err, want, wantErr)
+	want, wantErr = referenceCharacterize(tr, timeout, nil, 5)
+	got, err = Characterize(tr, timeout, nil, 5)
+	sameCharacterization(t, "Characterize", got, err, want, wantErr)
+}
+
+// sameCharacterization fails t unless got and err are want and wantErr,
+// field for field and bit for bit.
+func sameCharacterization(t *testing.T, name string, got *Characterization, err error, want *Characterization, wantErr error) {
+	t.Helper()
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("Observe error %v, reference %v", err, wantErr)
+		t.Fatalf("%s error %v, reference %v", name, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
 	if !reflect.DeepEqual(got, want) && dumpChar(got) != dumpChar(want) { // the dump tells a NaN from itself
-		t.Fatalf("Observe differs from the reference: %s", firstDiff(dumpChar(got), dumpChar(want)))
+		t.Fatalf("%s differs from the reference: %s", name, firstDiff(dumpChar(got), dumpChar(want)))
 	}
 }
 
 // logTrace writes a served week with spanning entries as daily logs
-// and loads them back (LoadLogs → trace.FromLogs).
+// and loads them back (trace.FromLogs).
 func logTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	m, err := gismo.Scaled(150, 7)
@@ -279,11 +559,11 @@ func logTrace(t *testing.T) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if _, err := res.WriteLogs(dir); err != nil {
+	files, err := res.WriteLogs(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := LoadLogs(dir, 7, io.Discard)
+	tr, _, _, err := trace.FromLogs(files, wmslog.TraceEpoch, 7*86400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +573,10 @@ func logTrace(t *testing.T) *trace.Trace {
 // TestObserverMatchesReference: the observer's one walk gives every
 // core field the batch reference gives, bit for bit, at any core count
 // — on a trace ingested from daily logs and on a served run whose log
-// carries spanning entries — and so does the twin's path, which
-// observes the served rows as they come and builds no trace.
+// carries spanning entries — and, with the figure material, every
+// figure field and the audit the trace-walking figure step gives; and
+// so do the twin's path and Run, which observe the served rows as they
+// come and build no trace.
 func TestObserverMatchesReference(t *testing.T) {
 	fromLogs := logTrace(t)
 	m, err := gismo.Scaled(150, 7)
@@ -332,6 +614,21 @@ func TestObserverMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("ObserveServed differs from the reference over Serve's trace: %s", firstDiff(dumpChar(got), dumpChar(want)))
+			}
+			rep, err := Run(Config{Model: m, Server: cfg, SessionTimeout: sessions.DefaultTimeout, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err = referenceCharacterize(served.Trace, sessions.DefaultTimeout, nil, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, w := dumpChar(rep.Char), dumpChar(want); d != w {
+				t.Fatalf("Run differs from the reference over Serve's trace: %s", firstDiff(d, w))
+			}
+			if rep.Sanitize != served.Sanitize || rep.Peak != served.Peak || rep.Audit != want.Figures.Audit {
+				t.Fatalf("Run reports %+v, peak %d, audit %+v; Serve %+v, peak %d, audit %+v",
+					rep.Sanitize, rep.Peak, rep.Audit, served.Sanitize, served.Peak, want.Figures.Audit)
 			}
 		})
 	})
@@ -417,7 +714,8 @@ func fuzzTrace(seed int64, n uint8, timeout int64) *trace.Trace {
 // FuzzObserverMatchesReference: over small random traces — equal
 // starts, overlapping transfers of one client, gaps of exactly T_o and
 // T_o+1, one-transfer sessions — Observe equals the reference field
-// for field, or fails with the same error.
+// for field, and so does Characterize with the figure material on, or
+// each fails with the same error.
 func FuzzObserverMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(1500))
 	f.Add(int64(2), uint8(40), int64(1500))

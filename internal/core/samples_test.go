@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/sessions"
 	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/wmslog"
 )
 
 // sampleFields names every marginal sample a characterization stores:
@@ -87,7 +89,7 @@ func TestCharacterizeAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 1_320_000 // measured 1,201,500–1,202,800 (1,194,900–1,197,000 before the observer); 1,334,400–1,343,600 before the sweep counted its gaps
+	const budget = 1_320_000 // measured 1,163,400–1,165,300 since the figure material streams (1,240,500 when the figure step walked the trace); 1,334,400–1,343,600 before the sweep counted its gaps
 	if got > budget {
 		t.Errorf("Characterize allocated %d bytes, budget %d", got, budget)
 	}
@@ -112,10 +114,10 @@ func TestObserveSortsEachSampleOnce(t *testing.T) {
 
 // TestObserveAllocationBudget bounds the heap bytes one Observe of the
 // served week allocates, below Characterize's budget by the figure
-// step's share: the Figure 9 sweep, the Figure 6 replica, the Figure 18
-// bins and the Figure 20 bandwidth sample are not made, and neither is
-// the client index they need — the observer walks the trace once and
-// keeps no per-transfer index. Like TestCharacterizeAllocationBudget,
+// material's share: the Figure 9 tally, the Figure 6 replica, the
+// Figure 18 bins, the Figure 20 bandwidth sample and the audit are not
+// made — the observer walks the trace once and keeps no per-transfer
+// index. Like TestCharacterizeAllocationBudget,
 // the bound is the measured count plus about 10 % headroom.
 func TestObserveAllocationBudget(t *testing.T) {
 	week := weekTrace(t)
@@ -142,8 +144,8 @@ func TestObserveAllocationBudget(t *testing.T) {
 // TestObserveLogsAllocationBudget bounds the heap bytes one ObserveLogs
 // of lsmgen's daily logs allocates, at a fixed core count (each parse
 // worker holds its own buffers). The logs' rows go from the merge into
-// the observer, so it allocates less than LoadLogs and Observe do
-// together by about the trace they build (56 B a row). Like
+// the observer, so it allocates less than trace.FromLogs and Observe
+// do together by about the trace they build (56 B a row). Like
 // TestObserveAllocationBudget, the bound is the measured count plus
 // about 10 % headroom.
 func TestObserveLogsAllocationBudget(t *testing.T) {
@@ -151,13 +153,17 @@ func TestObserveLogsAllocationBudget(t *testing.T) {
 	writeGenLogs(t, dir, 50, 7, 11)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	got := allocated(func() {
-		if _, _, err := ObserveLogs(dir, 7, sessions.DefaultTimeout, io.Discard); err != nil {
+		if _, _, err := ObserveLogs(dir, 7, sessions.DefaultTimeout, nil, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	})
+	paths, err := findLogs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rows int
 	full := allocated(func() {
-		tr, err := LoadLogs(dir, 7, io.Discard)
+		tr, _, _, err := trace.FromLogs(paths, wmslog.TraceEpoch, 7*86400)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,12 +172,12 @@ func TestObserveLogsAllocationBudget(t *testing.T) {
 		}
 		rows = tr.NumTransfers()
 	})
-	t.Logf("ObserveLogs %d B, LoadLogs + Observe %d B, %d rows", got, full, rows)
-	const budget = 5_340_000 // measured 4,853,300–4,855,700; LoadLogs + Observe 5,217,000–5,219,000
+	t.Logf("ObserveLogs %d B, FromLogs + Observe %d B, %d rows", got, full, rows)
+	const budget = 5_340_000 // measured 4,853,300–4,855,700; FromLogs + Observe 5,217,000–5,219,000
 	if got > budget {
 		t.Errorf("ObserveLogs allocated %d bytes, budget %d", got, budget)
 	}
 	if got+28*uint64(rows) > full {
-		t.Errorf("ObserveLogs allocated %d bytes, LoadLogs + Observe %d: want less by the trace's 56 B a row, half of it at least, over %d rows", got, full, rows)
+		t.Errorf("ObserveLogs allocated %d bytes, FromLogs + Observe %d: want less by the trace's 56 B a row, half of it at least, over %d rows", got, full, rows)
 	}
 }

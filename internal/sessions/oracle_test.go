@@ -55,10 +55,18 @@ func oracleSessionizeClient(tr *trace.Trace, client int, idxs []int, timeout int
 	return out
 }
 
-// silentGaps collects the gaps walkSilentGaps visits, in trace order.
+// silentGaps collects, in trace order, every positive gap between a
+// transfer's start and the latest end among the same client's earlier
+// transfers — the gaps SweepTimeout tallies, found without sessions.
 func silentGaps(tr *trace.Trace) []int64 {
 	var gaps []int64
-	walkSilentGaps(tr, func(gap int64) { gaps = append(gaps, gap) })
+	latest := make(map[int32]int64) // latest end per client so far
+	for _, t := range tr.Transfers {
+		if end, seen := latest[t.Client]; seen && t.Start > end {
+			gaps = append(gaps, t.Start-end)
+		}
+		latest[t.Client] = max(latest[t.Client], t.End())
+	}
 	return gaps
 }
 
@@ -225,8 +233,8 @@ func TestSessionizerMatchesOracle(t *testing.T) {
 		if got := z.SessionsPerClient(); !reflect.DeepEqual(got, perClient) && len(got)+len(perClient) > 0 {
 			t.Fatalf("round %d: SessionsPerClient %v, oracle %v", round, got, perClient)
 		}
-		if z.Clients() != len(perClient) || z.Clients() != tr.NumClients() {
-			t.Fatalf("round %d: Clients %d, oracle %d, trace %d", round, z.Clients(), len(perClient), tr.NumClients())
+		if z.Clients() != len(perClient) || z.Clients() != tr.ByClient().Len() {
+			t.Fatalf("round %d: Clients %d, oracle %d, trace %d", round, z.Clients(), len(perClient), tr.ByClient().Len())
 		}
 	}
 	if _, err := NewSessionizer(0, 0); err == nil {

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"slices"
 
 	"repro/internal/trace"
@@ -53,27 +52,25 @@ type Set struct {
 // gap (next start minus the latest end so far) exceeds the timeout.
 // Overlapping transfers extend coverage and can never split a session.
 //
-// It is one walk over the trace. Transfers are (Start, Client)-sorted
-// and a session starts with its first transfer, so opening sessions in
-// walk order emits them already (Start, Client)-sorted; a session's
+// It walks the trace twice: a Sessionizer counts the sessions, so the
+// set is allocated once, then the sessions are cut. Transfers are
+// (Start, Client)-sorted and a session starts with its first transfer,
+// so opening sessions in walk order emits them already (Start,
+// Client)-sorted; a session's
 // transfers are consecutive in its client's index row, so Transfers is
 // a window onto that row, not a copy.
 func Sessionize(tr *trace.Trace, timeout int64) (*Set, error) {
 	if timeout <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadTimeout, timeout)
 	}
+	z, _ := NewSessionizer(timeout, 0)
+	for i := range tr.Transfers {
+		z.Add(&tr.Transfers[i])
+	}
 	ci := tr.ByClient()
 	seen := make([]int, ci.Len())   // transfers of the client walked so far
 	open := make([]int32, ci.Len()) // 1 + index in out of its running session
-	// A session opens at a client's first transfer and at every silent
-	// gap above the timeout (see SweepTimeout), so out is allocated once.
-	splits := 0
-	walkSilentGaps(tr, func(gap int64) {
-		if gap > timeout {
-			splits++
-		}
-	})
-	out := make([]Session, 0, ci.Len()+splits)
+	out := make([]Session, 0, z.Sessions())
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		k := ci.Slot(i)
@@ -128,6 +125,11 @@ type Sessionizer struct {
 	// permutes them into session order.
 	gaps       []float64
 	gapSession []int32
+
+	// Figure 9's sweep (TallyGaps): the timeouts as given and sorted;
+	// exceeds[k] counts the silent gaps above exactly the k smallest.
+	sweepTimeouts, sweepSorted []int64
+	exceeds                    []int
 }
 
 // clientState is what a Sessionizer holds per client.
@@ -196,6 +198,10 @@ func (z *Sessionizer) Add(t *trace.Transfer) (session int, opened bool) {
 	c := z.client(t.Client)
 	if c.latest != 0 {
 		cur := z.span(int(c.latest - 1))
+		if z.exceeds != nil && t.Start > cur.End {
+			k, _ := slices.BinarySearch(z.sweepSorted, t.Start-cur.End) // sorted[:k] < gap <= sorted[k:]
+			z.exceeds[k]++
+		}
 		if t.Start-cur.End <= z.timeout {
 			cur.End = max(cur.End, t.End())
 			cur.Count++
@@ -259,25 +265,54 @@ func (z *Sessionizer) Clients() int {
 // SessionsPerClient returns each client's session count, in ascending
 // client-id order.
 func (z *Sessionizer) SessionsPerClient() []int {
+	out := make([]int, 0, z.Clients())
+	z.eachClient(func(_ int32, c *clientState) { out = append(out, int(c.sessions)) })
+	return out
+}
+
+// TransfersPerClient returns each client's transfer count, in ascending
+// client-id order: the sum of its sessions' counts.
+func (z *Sessionizer) TransfersPerClient() []int {
+	direct := make([]int, len(z.direct))
+	sparse := make(map[int32]int, len(z.sparse))
+	for s := range z.Spans() {
+		if s.Client >= 0 && s.Client < directClients {
+			direct[s.Client] += int(s.Count)
+		} else {
+			sparse[s.Client] += int(s.Count)
+		}
+	}
+	out := make([]int, 0, z.Clients())
+	z.eachClient(func(id int32, _ *clientState) {
+		if id >= 0 && id < directClients {
+			out = append(out, direct[id])
+		} else {
+			out = append(out, sparse[id])
+		}
+	})
+	return out
+}
+
+// eachClient calls f with every client seen and its state, in ascending
+// client-id order.
+func (z *Sessionizer) eachClient(f func(id int32, c *clientState)) {
 	ids := make([]int32, 0, len(z.sparse))
 	for id := range z.sparse { //lsm:nondet -- the ids are sorted below
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	neg, _ := slices.BinarySearch(ids, 0) // ids[:neg] < 0 <= ids[neg:], all of which are at least directClients
-	out := make([]int, 0, z.Clients())
 	for _, id := range ids[:neg] {
-		out = append(out, int(z.sparse[id].sessions))
+		f(id, z.sparse[id])
 	}
 	for i := range z.direct {
-		if n := z.direct[i].sessions; n > 0 {
-			out = append(out, int(n))
+		if c := &z.direct[i]; c.sessions > 0 {
+			f(int32(i), c)
 		}
 	}
 	for _, id := range ids[neg:] {
-		out = append(out, int(z.sparse[id].sessions))
+		f(id, z.sparse[id])
 	}
-	return out
 }
 
 // OffTimes returns the session OFF times f(i) = t(j) - t(i) - l(i) for
@@ -358,64 +393,53 @@ type SweepPoint struct {
 
 // SweepTimeout evaluates the number of sessions at each timeout value —
 // the sensitivity analysis of Figure 9 ("the number of sessions does not
-// change drastically for T_o > 1,500 seconds").
+// change drastically for T_o > 1,500 seconds") — by walking tr into a
+// Sessionizer that tallies its silent gaps (TallyGaps).
 //
-// It sessionizes nothing. A client's silent gap before its k-th transfer
-// is Start_k minus the latest end among its earlier transfers, whatever
-// the timeout (see walkSilentGaps), and a session opens at a client's
-// first transfer and at every gap above T_o, so
-// sessions(T_o) = clients + #{gaps > T_o}. One walk tallies each gap
-// against the sorted timeouts — the number of timeouts it exceeds, by
-// binary search — and a suffix sum over the tally counts, for each
-// timeout, the gaps above it. No gap is kept.
+//lsm:keep -- benchmark/layers/sessions.go probe; ROADMAP item 4 deletes
 func SweepTimeout(tr *trace.Trace, timeouts []int64) ([]SweepPoint, error) {
+	z, _ := NewSessionizer(DefaultTimeout, 0) // the sweep does not depend on the Sessionizer's own timeout
+	if err := z.TallyGaps(timeouts); err != nil {
+		return nil, err
+	}
+	for i := range tr.Transfers {
+		z.Add(&tr.Transfers[i])
+	}
+	return z.Sweep(), nil
+}
+
+// TallyGaps makes z tally, from the next transfer on, each silent gap
+// — a start minus the latest end among its client's earlier transfers —
+// against the sorted timeouts, for Sweep. That latest end is the End of
+// the client's running session: a split at transfer j means Start_j
+// exceeded every earlier end of the client, and later starts are no
+// smaller. A session opens at a client's first transfer and at every
+// gap above T_o, so sessions(T_o) = clients + #{gaps > T_o}; no gap is
+// kept. A non-positive timeout is ErrBadTimeout.
+func (z *Sessionizer) TallyGaps(timeouts []int64) error {
 	for _, to := range timeouts {
 		if to <= 0 {
-			return nil, fmt.Errorf("%w: %d", ErrBadTimeout, to)
+			return fmt.Errorf("%w: %d", ErrBadTimeout, to)
 		}
 	}
-	sorted := slices.Clone(timeouts)
-	slices.Sort(sorted)
-	// exceeds[k] counts the gaps above exactly the k smallest timeouts.
-	exceeds := make([]int, len(sorted)+1)
-	walkSilentGaps(tr, func(gap int64) {
-		k, _ := slices.BinarySearch(sorted, gap) // sorted[:k] < gap <= sorted[k:]
-		exceeds[k]++
-	})
+	z.sweepTimeouts, z.sweepSorted = timeouts, slices.Sorted(slices.Values(timeouts))
+	z.exceeds = make([]int, len(timeouts)+1)
+	return nil
+}
+
+// Sweep returns the number of sessions at each timeout given to
+// TallyGaps, in its order, over the transfers added since.
+func (z *Sessionizer) Sweep() []SweepPoint {
 	// above[j] = #{gaps > sorted[j]} = the tally of every k > j.
-	above := exceeds[1:]
+	above := slices.Clone(z.exceeds[1:])
 	for j := len(above) - 2; j >= 0; j-- {
 		above[j] += above[j+1]
 	}
-	out := make([]SweepPoint, 0, len(timeouts))
-	for _, to := range timeouts {
-		j, _ := slices.BinarySearch(sorted, to)
-		out = append(out, SweepPoint{Timeout: to, Sessions: tr.NumClients() + above[j]})
+	clients := z.Clients()
+	out := make([]SweepPoint, 0, len(z.sweepTimeouts))
+	for _, to := range z.sweepTimeouts {
+		j, _ := slices.BinarySearch(z.sweepSorted, to)
+		out = append(out, SweepPoint{Timeout: to, Sessions: clients + above[j]})
 	}
-	return out, nil
-}
-
-// walkSilentGaps calls visit, in trace order, with every positive gap
-// between a transfer's start and the latest end among the same
-// client's earlier transfers. These are exactly the gaps Sessionize
-// compares with T_o: its running End is the latest end within the
-// current session only, but a session split at transfer j means
-// Start_j exceeded every earlier end of the client, and later starts
-// are no smaller, so ends from closed sessions can never be the latest
-// that matters.
-func walkSilentGaps(tr *trace.Trace, visit func(gap int64)) {
-	ci := tr.ByClient()
-	const unseen = math.MinInt64
-	latest := make([]int64, ci.Len()) // latest end per client so far
-	for k := range latest {
-		latest[k] = unseen
-	}
-	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
-		k := ci.Slot(i)
-		if latest[k] != unseen && t.Start > latest[k] {
-			visit(t.Start - latest[k])
-		}
-		latest[k] = max(latest[k], t.End())
-	}
+	return out
 }

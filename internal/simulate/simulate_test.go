@@ -140,7 +140,11 @@ func TestServerStaysUnloaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := res.Trace.AuditServerLoad(10)
+	a := trace.NewAuditor(res.Trace.Horizon, 10)
+	for i := range res.Trace.Transfers {
+		a.Add(&res.Trace.Transfers[i])
+	}
+	audit := a.Audit()
 	if audit.TransferBelowFrac < 0.99 {
 		t.Errorf("transfers below 10%% CPU = %v, want >= 0.99 (Section 2.4)", audit.TransferBelowFrac)
 	}
@@ -239,8 +243,8 @@ func TestWriteLogsRoundTrip(t *testing.T) {
 	if tr.NumTransfers() != res.Trace.NumTransfers() {
 		t.Errorf("trace transfers: %d vs %d", tr.NumTransfers(), res.Trace.NumTransfers())
 	}
-	if tr.NumClients() != res.Trace.NumClients() {
-		t.Errorf("trace clients: %d vs %d", tr.NumClients(), res.Trace.NumClients())
+	if tr.ByClient().Len() != res.Trace.ByClient().Len() {
+		t.Errorf("trace clients: %d vs %d", tr.ByClient().Len(), res.Trace.ByClient().Len())
 	}
 	if tr.TotalBytes() != res.Trace.TotalBytes() {
 		t.Errorf("bytes: %d vs %d", tr.TotalBytes(), res.Trace.TotalBytes())

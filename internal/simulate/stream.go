@@ -54,7 +54,7 @@ const (
 // than the horizon), Start end − span (negative, out of start order),
 // Bytes span·1000, every other field the genuine row's. The rows are
 // the log's trace, spanning entries included: sanitize them (Section
-// 2.4; trace.Collector does) before analysis. StreamResult's Transfers
+// 2.4; trace.Stream does) before analysis. StreamResult's Transfers
 // and TotalBytes count the genuine transfers only.
 //
 // A transfer names its client's IP and country by dense id; Names, if

@@ -167,9 +167,9 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 	for _, x := range want.Transfers {
 		clientIPs[pair{uint32(x.Client), x.IP}], ipASes[pair{x.IP, x.AS}] = true, true
 	}
-	if c := want.Census(); len(clientIPs) <= want.NumClients() || len(clientIPs) <= c.IPs || len(ipASes) <= c.IPs || len(want.Names.Countries) < 3 {
+	if c := want.Census(); len(clientIPs) <= want.ByClient().Len() || len(clientIPs) <= c.IPs || len(ipASes) <= c.IPs || len(want.Names.Countries) < 3 {
 		t.Fatalf("fixture lost its players under two IPs, its shared IPs, its IPs under two ASes or its countries: %d clients, %d IPs, %d client-IP and %d IP-AS pairs, countries %q",
-			want.NumClients(), c.IPs, len(clientIPs), len(ipASes), want.Names.Countries)
+			want.ByClient().Len(), c.IPs, len(clientIPs), len(ipASes), want.Names.Countries)
 	}
 	// The name tables are what a sequential pass over the entries meets,
 	// in the order it meets them.
@@ -611,7 +611,7 @@ func TestTraceOrderMatchesReference(t *testing.T) {
 
 // TestTraceOrderIsTotal: a trace is a function of the multiset of its
 // transfers. Twenty shuffles of one tie-heavy input give one trace
-// through New and a Collector; and, for transfers whose ids a build
+// through New; and, for transfers whose ids a build
 // hands out (one player, IP, object and country, so no shuffle can
 // renumber them), through FromEntries and through FromLogs over the
 // entries written out as 1, 3 or 7 files.
@@ -646,14 +646,6 @@ func TestTraceOrderIsTotal(t *testing.T) {
 		if !slices.Equal(tr.Transfers, want.Transfers) {
 			t.Fatalf("shuffle %d: New's trace differs", shuffle)
 		}
-		var c Collector
-		for _, x := range ts {
-			c.Add(x)
-		}
-		if got, _, err := c.Trace(horizon); err != nil || !slices.Equal(got.Transfers, want.Transfers) {
-			t.Fatalf("shuffle %d: Collector's trace differs (err %v)", shuffle, err)
-		}
-
 		entries := make([]*wmslog.Entry, len(lts))
 		for i, x := range lts {
 			entries[i] = &wmslog.Entry{
@@ -700,69 +692,6 @@ func TestTraceOrderIsTotal(t *testing.T) {
 				t.Fatalf("shuffle %d, %d files: FromLogs' trace differs (%s)", shuffle, files, report)
 			}
 		}
-	}
-}
-
-// TestCollectorMatchesNewSanitize: a Collector's trace and report are
-// those of New followed by Sanitize over the transfers in the order
-// they were added — ties and dropped entries included — for an empty
-// collector, a part-filled chunk, an exactly full one and several,
-// with the transfers added out of start order (the full sort) and in
-// start order with ties in arrival order (a sort per run of equal
-// starts, as a serve run adds them); and the collector is reusable
-// afterwards.
-func TestCollectorMatchesNewSanitize(t *testing.T) {
-	const horizon = 20000
-	rng := rand.New(rand.NewSource(20))
-	var c Collector
-	for _, n := range []int{0, 5, collectorChunk, 2*collectorChunk + 77} {
-		in := make([]Transfer, n)
-		for i := range in {
-			in[i] = Transfer{
-				Client:   int32(rng.Intn(50)),
-				Object:   uint16(rng.Intn(2)),
-				IP:       uint32(rng.Intn(200)),
-				Start:    int64(i/4) + rng.Int63n(3) - 1, // nearly sorted, tie-heavy, a few before 0
-				Duration: rng.Int63n(horizon/2) - 5,      // some negative, some past the horizon
-				Bytes:    int64(i),                       // tells tied transfers apart
-			}
-			if i%1000 == 999 {
-				in[i].Duration = horizon + 1 // spanning
-			}
-		}
-		startOrdered := slices.Clone(in)
-		slices.SortStableFunc(startOrdered, func(a, b Transfer) int { return cmp.Compare(a.Start, b.Start) })
-		for _, o := range []struct {
-			order string
-			in    []Transfer
-		}{{"drawn", in}, {"start-ordered", startOrdered}} {
-			order, in := o.order, o.in
-			for _, x := range in {
-				c.Add(x)
-			}
-			tr, err := New(horizon, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantReport := tr.Sanitize()
-			got, gotReport, err := c.Trace(horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotReport != wantReport {
-				t.Errorf("n=%d %s: report %+v, want %+v", n, order, gotReport, wantReport)
-			}
-			if n > 5 && (wantReport.DroppedNegative == 0 || wantReport.DroppedOutside == 0 || wantReport.DroppedSpanning == 0) {
-				t.Errorf("n=%d %s: fixture exercises too little: %s", n, order, wantReport)
-			}
-			if got.Horizon != want.Horizon || !slices.Equal(got.Transfers, want.Transfers) {
-				t.Errorf("n=%d %s: collected trace differs from New + Sanitize (%d vs %d transfers)", n, order, got.NumTransfers(), want.NumTransfers())
-			}
-		}
-	}
-	c.Add(Transfer{})
-	if _, _, err := c.Trace(0); err == nil {
-		t.Error("zero horizon: want error")
 	}
 }
 
@@ -912,13 +841,13 @@ func overflowLogs(t *testing.T, dir, col string) []string {
 	return paths
 }
 
-// TestStreamMatchesCollector: rows handed to a Stream in start order —
-// ties in arrival order, spanning rows out of order among them, rows
-// for sanitizing to drop — come out as the rows of the trace a
-// Collector builds from the same transfers, in its order, with the same
-// report; and a kept row that starts before an earlier kept one is an
-// error.
-func TestStreamMatchesCollector(t *testing.T) {
+// TestStreamMatchesNewSanitize: rows handed to a Stream in start order
+// — ties in arrival order, spanning rows out of order among them, rows
+// for sanitizing to drop — come out as the rows of the trace New
+// followed by Sanitize builds from the same transfers, in its order,
+// with the same report; and a kept row that starts before an earlier
+// kept one is an error.
+func TestStreamMatchesNewSanitize(t *testing.T) {
 	const horizon = 20000
 	rng := rand.New(rand.NewSource(38))
 	for _, n := range []int{0, 1, 7, 5000} {
@@ -935,28 +864,27 @@ func TestStreamMatchesCollector(t *testing.T) {
 				in = append(in, Transfer{Client: x.Client, Start: x.End() - horizon - 5, Duration: horizon + 5})
 			}
 		}
-		var c Collector
 		var got []Transfer
 		s, err := NewStream(horizon, func(x *Transfer) { got = append(got, *x) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, x := range in {
-			c.Add(x)
 			if err := s.Add(x); err != nil {
 				t.Fatal(err)
 			}
 		}
 		report := s.Close()
-		want, wantReport, err := c.Trace(horizon)
+		all, err := New(horizon, in)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want, wantReport := all.Sanitize()
 		if report != wantReport {
 			t.Errorf("n=%d: report %v, want %v", n, report, wantReport)
 		}
 		if !slices.Equal(got, want.Transfers) {
-			t.Errorf("n=%d: streamed %d rows, want the collected trace's %d, in its order", n, len(got), want.NumTransfers())
+			t.Errorf("n=%d: streamed %d rows, want the sanitized trace's %d, in its order", n, len(got), want.NumTransfers())
 		}
 		if n == 5000 && (wantReport.DroppedSpanning == 0 || wantReport.DroppedNegative == 0 || wantReport.DroppedOutside == 0) {
 			t.Errorf("fixture exercises too little: %v", wantReport)

@@ -98,8 +98,9 @@ func fuzzSeedLog() []byte {
 }
 
 // ObserveLogsCheck holds core.ObserveLogs over the daily logs in dir,
-// days long, to core.Observe of want — the trace they hold — or to
-// wantErr, the error reading them gives. core imports this package, so
+// days long, to core.Observe of want — the trace they hold — and, with
+// the figure material, to core.Characterize of it; or to wantErr, the
+// error reading them gives. core imports this package, so
 // only an external test package can make the call: observe_test.go
 // sets it.
 var ObserveLogsCheck func(t *testing.T, dir string, days int, want *Trace, wantErr error)
@@ -112,8 +113,8 @@ var ObserveLogsCheck func(t *testing.T, dir string, days int, want *Trace, wantE
 // bookkeeping and sanitize report, and the same first error, which
 // names its file — at GOMAXPROCS 1 and 4. StreamLogs hands on only rows
 // in the trace order, and all of the trace's when it reports them
-// ordered; and core.ObserveLogs observes what core.Observe does over
-// the trace (ObserveLogsCheck).
+// ordered; and core.ObserveLogs observes what core.Observe and
+// core.Characterize do over the trace (ObserveLogsCheck).
 func FuzzFromLogsMatchesFromEntries(f *testing.F) {
 	seed := fuzzSeedLog()
 	for _, shape := range []uint8{0, 1, 3, 3 | 4, 3 | 4 | 8, 3 | 4 | 16, 2 | 8} {

@@ -18,16 +18,23 @@ import (
 func init() {
 	trace.ObserveLogsCheck = func(t *testing.T, dir string, days int, want *trace.Trace, wantErr error) {
 		t.Helper()
-		got, _, err := core.ObserveLogs(dir, days, sessions.DefaultTimeout, io.Discard)
-		var ref *core.Characterization
-		if wantErr == nil {
-			ref, wantErr = core.Observe(want, sessions.DefaultTimeout)
-		}
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("ObserveLogs error %v, want %v", err, wantErr)
-		}
-		if err == nil && dumpBits(got) != dumpBits(ref) {
-			t.Fatalf("ObserveLogs differs from Observe over the trace:\n got %s\nwant %s", dumpBits(got), dumpBits(ref))
+		for _, figs := range []*core.FigureOptions{nil, {Seed: 3}} {
+			got, _, err := core.ObserveLogs(dir, days, sessions.DefaultTimeout, figs, io.Discard)
+			var ref *core.Characterization
+			refErr := wantErr
+			if refErr == nil {
+				if figs == nil {
+					ref, refErr = core.Observe(want, sessions.DefaultTimeout)
+				} else {
+					ref, refErr = core.Characterize(want, sessions.DefaultTimeout, nil, figs.Seed)
+				}
+			}
+			if fmt.Sprint(err) != fmt.Sprint(refErr) {
+				t.Fatalf("figures %v: ObserveLogs error %v, want %v", figs != nil, err, refErr)
+			}
+			if err == nil && dumpBits(got) != dumpBits(ref) {
+				t.Fatalf("figures %v: ObserveLogs differs from the trace's characterization:\n got %s\nwant %s", figs != nil, dumpBits(got), dumpBits(ref))
+			}
 		}
 	}
 }

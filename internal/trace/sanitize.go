@@ -2,9 +2,9 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 
-	"repro/internal/stats"
+	"repro/internal/heapx"
 )
 
 // SanitizeReport records what sanitization removed and why, echoing
@@ -39,7 +39,7 @@ func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
 
 // sanitizeInto filters tr's transfers into kept, which becomes tr's
 // slice. kept may be tr.Transfers[:0] — an owner compacting its trace
-// in place, as Collector does: a kept transfer only ever moves down.
+// in place: a kept transfer only ever moves down.
 func (tr *Trace) sanitizeInto(kept []Transfer) SanitizeReport {
 	report := SanitizeReport{}
 	for i := range tr.Transfers {
@@ -97,95 +97,116 @@ type OverloadAudit struct {
 	TransferBelowFrac float64 // fraction of transfers below threshold
 }
 
-// AuditServerLoad computes the overload audit at the given CPU threshold
-// (percent). Each transfer contributes its logged CPU reading to every
-// second it spans (a faithful stand-in for the paper's per-second
-// averaging of CPU samples).
-func (tr *Trace) AuditServerLoad(threshold float64) OverloadAudit {
-	audit := OverloadAudit{Threshold: threshold}
-	if len(tr.Transfers) == 0 {
-		audit.TimeBelowFrac = 1
-		audit.TransferBelowFrac = 1
+// Auditor is the overload audit taken one transfer at a time, fed a
+// trace's transfers in the trace order. Each transfer contributes its
+// logged CPU reading to every second it spans (a faithful stand-in for
+// the paper's per-second averaging of CPU samples).
+//
+// It sweeps events, not seconds: a start adds the transfer's reading to
+// the running sum, an end takes it away, and between two event seconds
+// every second reads the same runSum / runCnt. A second's events are
+// summed from zero in transfer order, as a per-second array's slot
+// would add them, before runSum takes them. An end waits in a monotone
+// queue keyed by its second above the transfer's sequence number, so a
+// second's ends leave in transfer order and ahead of its starts, whose
+// transfers all come later.
+type Auditor struct {
+	horizon   int64
+	threshold float64
+	n, below  int // transfers added, and those read below the threshold
+
+	ends heapx.Radix // pending ends: second<<32 | sequence → slot of cpu
+	cpu  []float64   // each pending end's reading, by slot
+	free []int32     // the slots of cpu no pending end holds
+
+	second            int64   // the second whose events are being summed
+	delta             float64 // their net reading so far
+	runSum            float64
+	runCnt            int64 // the transfers spanning the current second
+	active, belowTime int64 // seconds spanned, and those read below the threshold
+}
+
+// NewAuditor returns an auditor for a trace of horizon seconds at a CPU
+// threshold in percent.
+func NewAuditor(horizon int64, threshold float64) *Auditor {
+	return &Auditor{horizon: horizon, threshold: threshold}
+}
+
+// Add takes the next transfer in the trace order.
+func (a *Auditor) Add(t *Transfer) {
+	seq := uint64(a.n)
+	a.n++
+	if t.ServerCPU < a.threshold {
+		a.below++
+	}
+	lo, hi := max(t.Start, 0), min(t.End(), a.horizon)
+	if hi <= lo {
+		hi = lo + 1 // zero-length transfers still occupy their second
+		if hi > a.horizon {
+			return
+		}
+	}
+	a.advance(lo)
+	a.delta += t.ServerCPU
+	a.runCnt++
+	if hi < a.horizon { // an end at the horizon changes no second below it
+		var slot int32
+		if k := len(a.free); k > 0 {
+			slot, a.free = a.free[k-1], a.free[:k-1]
+		} else {
+			slot, a.cpu = int32(len(a.cpu)), append(a.cpu, 0)
+		}
+		a.cpu[slot] = t.ServerCPU
+		a.ends.Push(uint64(hi)<<32|seq, slot)
+	}
+}
+
+// advance moves the sweep on to second s, through every pending end up
+// to s.
+func (a *Auditor) advance(s int64) {
+	for {
+		key, slot, ok := a.ends.PopAtMost(uint64(s)<<32 | math.MaxUint32)
+		if !ok {
+			break
+		}
+		a.moveTo(int64(key >> 32))
+		a.delta -= a.cpu[slot]
+		a.runCnt--
+		a.free = append(a.free, slot)
+	}
+	a.moveTo(s)
+}
+
+// moveTo closes the current second if s is a later one, and accounts
+// for the seconds up to s, which all read the running sum.
+func (a *Auditor) moveTo(s int64) {
+	if s == a.second {
+		return
+	}
+	a.runSum += a.delta
+	a.delta = 0
+	if a.runCnt > 0 {
+		a.active += s - a.second
+		if a.runSum/float64(a.runCnt) < a.threshold {
+			a.belowTime += s - a.second
+		}
+	}
+	a.second = s
+}
+
+// Audit finishes the sweep over the transfers added and returns the
+// audit. The auditor is used up.
+func (a *Auditor) Audit() OverloadAudit {
+	audit := OverloadAudit{Threshold: a.threshold, TimeBelowFrac: 1, TransferBelowFrac: 1}
+	if a.n == 0 {
 		return audit
 	}
-	var below int
-	for _, t := range tr.Transfers {
-		if t.ServerCPU < threshold {
-			below++
-		}
+	audit.TransferBelowFrac = float64(a.below) / float64(a.n)
+	if a.horizon > 0 {
+		a.advance(a.horizon)
 	}
-	audit.TransferBelowFrac = float64(below) / float64(len(tr.Transfers))
-
-	// Per-second audit as a sweep over events, not over seconds: a start
-	// adds the transfer's reading to the running sum, an end takes it
-	// away, and between two event seconds every second reads the same
-	// runSum / runCnt. An event is its second packed above its
-	// transfer's index (a horizon fits 31 bits: New), so one stable
-	// sort by second leaves each second's events in transfer order —
-	// the order their readings must be added in for the float sum to
-	// be the per-second array's.
-	if tr.Horizon <= 0 {
-		audit.TimeBelowFrac = 1
-		return audit
-	}
-	events := make([]uint64, 0, 2*len(tr.Transfers))
-	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
-		lo, hi := t.Start, t.End()
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > tr.Horizon {
-			hi = tr.Horizon
-		}
-		if hi <= lo {
-			hi = lo + 1 // zero-length transfers still occupy their second
-			if hi > tr.Horizon {
-				continue
-			}
-		}
-		events = append(events, uint64(lo)<<32|uint64(i)<<1)
-		if hi < tr.Horizon { // an end at the horizon changes no second below it
-			events = append(events, uint64(hi)<<32|uint64(i)<<1|1)
-		}
-	}
-	stats.SortByKeyBits(events, 32, bits.Len64(uint64(tr.Horizon)))
-
-	var active, belowTime int64
-	var runSum float64
-	var runCnt int64
-	// elapse accounts for the seconds [from, to) at the current reading.
-	elapse := func(from, to int64) {
-		if runCnt > 0 {
-			active += to - from
-			if runSum/float64(runCnt) < threshold {
-				belowTime += to - from
-			}
-		}
-	}
-	var prev int64
-	for k := 0; k < len(events); {
-		second := int64(events[k] >> 32)
-		elapse(prev, second)
-		prev = second
-		var delta float64 // the second's net reading, summed from zero as its array slot was
-		for ; k < len(events) && int64(events[k]>>32) == second; k++ {
-			cpu := tr.Transfers[uint32(events[k])>>1].ServerCPU
-			if events[k]&1 == 0 {
-				delta += cpu
-				runCnt++
-			} else {
-				delta -= cpu
-				runCnt--
-			}
-		}
-		runSum += delta
-	}
-	elapse(prev, tr.Horizon)
-	if active == 0 {
-		audit.TimeBelowFrac = 1
-	} else {
-		audit.TimeBelowFrac = float64(belowTime) / float64(active)
+	if a.active > 0 {
+		audit.TimeBelowFrac = float64(a.belowTime) / float64(a.active)
 	}
 	return audit
 }

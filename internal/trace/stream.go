@@ -6,73 +6,14 @@ import (
 	"sort"
 )
 
-// Collector accumulates transfers, in any order, for a trace that will
-// own them — the in-memory counterpart of FromLogs, for a caller that
-// is handed transfers one at a time and cannot know their number in
-// advance: core.Serve, so core.Run, lsmrepro and the examples. (The
-// calibration twin builds no trace: its rows go through a Stream
-// straight into core's observer.) Transfers gather in fixed-size
-// chunks, so collecting allocates the sample once more than its size
-// instead of the several times over that append's geometric growth,
-// with its copying, costs. The zero value is ready to use.
-type Collector struct {
-	// Names are the tables the collected transfers' IP and Country ids
-	// index, if the caller has them; Trace attaches them to its result.
-	Names *Names
-
-	chunks [][]Transfer // every chunk but the last is full
-}
-
-// collectorChunk is the chunk length in transfers (1.5 MB): large
-// enough that the chunk list stays short at paper scale, small enough
-// that a short trace does not pay for it.
-const collectorChunk = 1 << 14
-
-// Add appends one transfer.
-func (c *Collector) Add(t Transfer) {
-	k := len(c.chunks) - 1
-	if k < 0 || len(c.chunks[k]) == collectorChunk {
-		c.chunks = append(c.chunks, make([]Transfer, 0, collectorChunk))
-		k++
-	}
-	c.chunks[k] = append(c.chunks[k], t)
-}
-
-// Trace moves the collected transfers into one exactly-sized slice,
-// sanitizes it in place (Section 2.4) and sorts what is kept into a
-// trace over horizon seconds: the result is what New followed by
-// Sanitize yields over the same transfers, without either copy.
-// Sanitizing first drops a serve run's spanning rows — the only ones it
-// adds out of start order — before the sort sees them. The collector is
-// empty afterwards.
-func (c *Collector) Trace(horizon int64) (*Trace, SanitizeReport, error) {
-	n := 0
-	for _, chunk := range c.chunks {
-		n += len(chunk)
-	}
-	all := make([]Transfer, 0, n)
-	for i, chunk := range c.chunks {
-		all = append(all, chunk...)
-		c.chunks[i] = nil // a chunk is garbage as soon as it is copied
-	}
-	c.chunks = nil
-	if err := checkHorizon(horizon); err != nil {
-		return nil, SanitizeReport{}, err
-	}
-	tr := &Trace{Horizon: horizon, Transfers: all, Names: c.Names}
-	report := tr.sanitizeInto(all[:0])
-	sortTraceOrder(tr.Transfers)
-	return tr, report, nil
-}
-
 // Stream is the sanitize-and-order stage for transfers handed over one
 // at a time in start order — a serve run's Transfer sink — on their way
 // to a consumer that reads them in the trace order without a trace
 // being built (core.Observer). Each transfer goes through Section 2.4's
 // test (Sanitize); the kept ones are passed on in the trace order
 // (before), a group of equal starts at a time, so a consumer sees
-// exactly the rows, in exactly the order, of the trace Collector would
-// have built from the same transfers.
+// exactly the rows, in exactly the order, of the trace New followed by
+// Sanitize builds from the same transfers.
 type Stream struct {
 	horizon int64
 	emit    func(*Transfer)

@@ -259,9 +259,6 @@ func (s byStart) Less(i, j int) bool { return before(&s[i], &s[j]) }
 // NumTransfers returns the number of transfers.
 func (tr *Trace) NumTransfers() int { return len(tr.Transfers) }
 
-// NumClients returns the number of distinct clients.
-func (tr *Trace) NumClients() int { return tr.ByClient().Len() }
-
 // ByClient returns the per-client index of the trace's transfers. It is
 // computed once and cached.
 func (tr *Trace) ByClient() *ClientIndex {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -58,8 +59,8 @@ func TestByClientAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumClients() != 2 || tr.NumTransfers() != 3 {
-		t.Errorf("clients=%d transfers=%d", tr.NumClients(), tr.NumTransfers())
+	if tr.ByClient().Len() != 2 || tr.NumTransfers() != 3 {
+		t.Errorf("clients=%d transfers=%d", tr.ByClient().Len(), tr.NumTransfers())
 	}
 	byC := tr.ByClient()
 	if byC.Len() != 2 || byC.Client(0) != 1 || byC.Client(1) != 2 {
@@ -132,6 +133,15 @@ func TestSanitizeReportString(t *testing.T) {
 	}
 }
 
+// audit feeds tr's transfers to an Auditor at threshold.
+func audit(tr *Trace, threshold float64) OverloadAudit {
+	a := NewAuditor(tr.Horizon, threshold)
+	for i := range tr.Transfers {
+		a.Add(&tr.Transfers[i])
+	}
+	return a.Audit()
+}
+
 func TestAuditServerLoadAllLow(t *testing.T) {
 	transfers := make([]Transfer, 100)
 	for i := range transfers {
@@ -143,12 +153,12 @@ func TestAuditServerLoadAllLow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := tr.AuditServerLoad(10)
-	if audit.TransferBelowFrac != 1 {
-		t.Errorf("TransferBelowFrac = %v", audit.TransferBelowFrac)
+	got := audit(tr, 10)
+	if got.TransferBelowFrac != 1 {
+		t.Errorf("TransferBelowFrac = %v", got.TransferBelowFrac)
 	}
-	if audit.TimeBelowFrac != 1 {
-		t.Errorf("TimeBelowFrac = %v", audit.TimeBelowFrac)
+	if got.TimeBelowFrac != 1 {
+		t.Errorf("TimeBelowFrac = %v", got.TimeBelowFrac)
 	}
 }
 
@@ -161,13 +171,13 @@ func TestAuditServerLoadDetectsOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := tr.AuditServerLoad(10)
-	if audit.TransferBelowFrac != 0.5 {
-		t.Errorf("TransferBelowFrac = %v, want 0.5", audit.TransferBelowFrac)
+	got := audit(tr, 10)
+	if got.TransferBelowFrac != 0.5 {
+		t.Errorf("TransferBelowFrac = %v, want 0.5", got.TransferBelowFrac)
 	}
 	// 100 low seconds + 100 high seconds active.
-	if audit.TimeBelowFrac != 0.5 {
-		t.Errorf("TimeBelowFrac = %v, want 0.5", audit.TimeBelowFrac)
+	if got.TimeBelowFrac != 0.5 {
+		t.Errorf("TimeBelowFrac = %v, want 0.5", got.TimeBelowFrac)
 	}
 }
 
@@ -176,9 +186,9 @@ func TestAuditServerLoadEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := tr.AuditServerLoad(10)
-	if audit.TimeBelowFrac != 1 || audit.TransferBelowFrac != 1 {
-		t.Errorf("empty audit = %+v", audit)
+	got := audit(tr, 10)
+	if got.TimeBelowFrac != 1 || got.TransferBelowFrac != 1 {
+		t.Errorf("empty audit = %+v", got)
 	}
 }
 
@@ -189,10 +199,10 @@ func TestAuditZeroLengthTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := tr.AuditServerLoad(10)
+	got := audit(tr, 10)
 	// The zero-length transfer occupies one second at CPU 50.
-	if audit.TimeBelowFrac != 0 {
-		t.Errorf("TimeBelowFrac = %v, want 0", audit.TimeBelowFrac)
+	if got.TimeBelowFrac != 0 {
+		t.Errorf("TimeBelowFrac = %v, want 0", got.TimeBelowFrac)
 	}
 }
 
@@ -222,9 +232,9 @@ func TestFromEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumTransfers() != 3 || tr.NumClients() != 2 || tr.DistinctObjects() != 2 {
+	if tr.NumTransfers() != 3 || tr.ByClient().Len() != 2 || tr.DistinctObjects() != 2 {
 		t.Fatalf("trace: %d transfers, %d clients, %d objects",
-			tr.NumTransfers(), tr.NumClients(), tr.DistinctObjects())
+			tr.NumTransfers(), tr.ByClient().Len(), tr.DistinctObjects())
 	}
 	// First entry: end=200, duration=50 -> start=150.
 	if tr.Transfers[0].Start != 150 || tr.Transfers[0].Duration != 50 {
@@ -264,7 +274,7 @@ func TestClientIndexMatchesMapGrouping(t *testing.T) {
 			want[int(tx.Client)] = append(want[int(tx.Client)], i)
 		}
 		ci := tr.ByClient()
-		if ci.Len() != len(want) || tr.NumClients() != len(want) {
+		if ci.Len() != len(want) || tr.ByClient().Len() != len(want) {
 			t.Fatalf("ids %v: %d clients, want %d", ids, ci.Len(), len(want))
 		}
 		for k := 0; k < ci.Len(); k++ {
@@ -285,7 +295,18 @@ func TestClientIndexMatchesMapGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.NumClients() != 0 {
-		t.Errorf("empty trace has %d clients", empty.NumClients())
+	if empty.ByClient().Len() != 0 {
+		t.Errorf("empty trace has %d clients", empty.ByClient().Len())
+	}
+}
+
+// TestNewRejectsHorizonBeyondInt32: the sweeps downstream hold a second
+// in 31 bits.
+func TestNewRejectsHorizonBeyondInt32(t *testing.T) {
+	if _, err := New(math.MaxInt32, nil); err != nil {
+		t.Errorf("horizon 2^31-1: %v", err)
+	}
+	if _, err := New(math.MaxInt32+1, nil); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("horizon 2^31: err = %v, want ErrBadTrace", err)
 	}
 }
