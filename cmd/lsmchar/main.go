@@ -57,12 +57,9 @@ func main() {
 }
 
 func run(w io.Writer, logDir string, days int, timeout int64, figDir string, seed int64, plot string) error {
-	char, ing, err := core.ObserveLogs(logDir, days, timeout, &core.FigureOptions{Seed: seed}, w)
+	char, _, err := core.ObserveLogs(logDir, days, timeout, &core.FigureOptions{Seed: seed}, w)
 	if err != nil {
 		return err
-	}
-	if !ing.Ordered {
-		fmt.Fprintln(os.Stderr, "lsmchar: the log files overlap by more than a daily harvest's: characterized from a full trace")
 	}
 	audit := char.Figures.Audit
 	fmt.Fprintf(w, "server load audit: %.4f%% of active time and %.4f%% of transfers below %.0f%% CPU\n",

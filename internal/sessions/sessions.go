@@ -52,25 +52,34 @@ type Set struct {
 // gap (next start minus the latest end so far) exceeds the timeout.
 // Overlapping transfers extend coverage and can never split a session.
 //
-// It walks the trace twice: a Sessionizer counts the sessions, so the
-// set is allocated once, then the sessions are cut. Transfers are
-// (Start, Client)-sorted and a session starts with its first transfer,
-// so opening sessions in walk order emits them already (Start,
-// Client)-sorted; a session's
+// It is two walks over the trace, one counting the sessions and one
+// cutting them. Transfers are (Start, Client)-sorted and a session
+// starts with its first transfer, so opening sessions in walk order
+// emits them already (Start, Client)-sorted; a session's
 // transfers are consecutive in its client's index row, so Transfers is
 // a window onto that row, not a copy.
 func Sessionize(tr *trace.Trace, timeout int64) (*Set, error) {
 	if timeout <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadTimeout, timeout)
 	}
-	z, _ := NewSessionizer(timeout, 0)
-	for i := range tr.Transfers {
-		z.Add(&tr.Transfers[i])
-	}
 	ci := tr.ByClient()
 	seen := make([]int, ci.Len())   // transfers of the client walked so far
 	open := make([]int32, ci.Len()) // 1 + index in out of its running session
-	out := make([]Session, 0, z.Sessions())
+	// A session opens at a client's first transfer and at every start
+	// more than T_o past its running session's end: counted first, so
+	// out is allocated once.
+	ends, n := make([]int64, ci.Len()), 0
+	for i := range tr.Transfers {
+		t, k := &tr.Transfers[i], ci.Slot(i)
+		if seen[k] == 0 || t.Start-ends[k] > timeout {
+			n, ends[k] = n+1, t.End()
+		} else {
+			ends[k] = max(ends[k], t.End())
+		}
+		seen[k]++
+	}
+	clear(seen)
+	out := make([]Session, 0, n)
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
 		k := ci.Slot(i)

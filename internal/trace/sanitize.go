@@ -202,9 +202,7 @@ func (a *Auditor) Audit() OverloadAudit {
 		return audit
 	}
 	audit.TransferBelowFrac = float64(a.below) / float64(a.n)
-	if a.horizon > 0 {
-		a.advance(a.horizon)
-	}
+	a.advance(a.horizon)
 	if a.active > 0 {
 		audit.TimeBelowFrac = float64(a.belowTime) / float64(a.active)
 	}
