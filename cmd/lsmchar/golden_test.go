@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/md5"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -145,13 +147,26 @@ func readLogFiles(t *testing.T, dir string) []logFile {
 	return files
 }
 
-// writeLogFiles writes files into a fresh directory, header first.
+// writeLogFiles writes files into a fresh directory, header first; a
+// name ending in ".gz" is written gzip-compressed.
 func writeLogFiles(t *testing.T, files []logFile) string {
 	t.Helper()
 	dir := t.TempDir()
 	for _, f := range files {
 		lines := append(slices.Clone(f.header), f.entries...)
-		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		data := []byte(strings.Join(lines, "\n") + "\n")
+		if strings.HasSuffix(f.name, ".gz") {
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			if _, err := zw.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data = buf.Bytes()
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,6 +193,19 @@ func mapField(files []logFile, k int, f func(string) string) []logFile {
 	return files
 }
 
+// mapLines rewrites every line of every file, header lines included,
+// with f.
+func mapLines(files []logFile, f func(string) string) []logFile {
+	for i := range files {
+		for _, lines := range [][]string{files[i].header, files[i].entries} {
+			for j, line := range lines {
+				lines[j] = f(line)
+			}
+		}
+	}
+	return files
+}
+
 // reverseOctets maps a dotted quad to its octets in reverse order, a
 // bijection on addresses.
 func reverseOctets(ip string) string {
@@ -186,38 +214,49 @@ func reverseOctets(ip string) string {
 	return strings.Join(octets, ".")
 }
 
-// fileCount matches the ingest line's count of files read, which only
-// the re-split relation changes.
+// fileCount matches the ingest line's count of files read, which the
+// re-split and merge relations change.
 var fileCount = regexp.MustCompile(`entries from \d+ files`)
+
+// userCount matches Table 1's count of distinct clients.
+var userCount = regexp.MustCompile(`\d+ users`)
 
 // TestMetamorphicRelations: transformations of the input logs that do
 // not change the workload leave lsmchar's stdout and its 39 figure
 // series byte-identical — a bijective relabelling of client addresses
-// and player ids, a shuffle of the lines within each daily file, and a
+// and player ids, a shuffle of the lines within each daily file, a
 // re-split of the same lines into more files, one of them reaching
-// back to the first day (the files read are counted in the ingest line,
-// so that count is masked). A negative control keeps the relations
-// from passing vacuously: doubling every transfer's duration must move
-// the length fit.
+// back to the first day, a merge of each two consecutive days into one
+// file (the files read are counted in the ingest line, so that count
+// is masked), gzip on every file, a re-spacing of every line with tabs
+// and runs of spaces, and the same logs read at GOMAXPROCS 1 and 4.
+// Negative controls keep the relations from passing vacuously:
+// doubling every transfer's duration must move the length fit, and
+// merging two clients' identities must take one from the distinct
+// client count.
 func TestMetamorphicRelations(t *testing.T) {
 	base := writeLogs(t, fixtureScale, fixtureDays, fixtureSeed)
 	wantOut, wantSeries := characterize(t, base)
+	identity := func(files []logFile) []logFile { return files }
 	for _, c := range []struct {
 		name      string
 		transform func([]logFile) []logFile
-		same      bool // the relation: output unchanged
+		procs     int // GOMAXPROCS for the run; 0 leaves it as it is
+		// control, for a negative control, picks the part of stdout the
+		// transform must move; nil for a relation: output unchanged.
+		control func(stdout string) string
 	}{
 		{"relabel c-ip and c-playerid", func(files []logFile) []logFile {
 			files = mapField(files, fieldIP, reverseOctets)
 			return mapField(files, fieldPlayer, func(id string) string { return "relabelled-" + id })
-		}, true},
+		}, 0, nil},
 		{"shuffle lines within each file", func(files []logFile) []logFile {
 			rng := rand.New(rand.NewSource(42))
 			for _, f := range files {
 				rng.Shuffle(len(f.entries), func(i, j int) { f.entries[i], f.entries[j] = f.entries[j], f.entries[i] })
 			}
 			return files
-		}, true},
+		}, 0, nil},
 		{"re-split into more files, one reaching back", func(files []logFile) []logFile {
 			var out []logFile
 			for _, f := range files {
@@ -233,7 +272,39 @@ func TestMetamorphicRelations(t *testing.T) {
 			out = append(out, logFile{"wms-9999-12-31.log", first.header, first.entries[:k]})
 			first.entries = first.entries[k:]
 			return out
-		}, true},
+		}, 0, nil},
+		{"merge two days per file, in order", func(files []logFile) []logFile {
+			var out []logFile
+			for i := 0; i < len(files); i += 2 {
+				f := files[i]
+				if i+1 < len(files) {
+					f.entries = append(f.entries, files[i+1].entries...)
+				}
+				out = append(out, f)
+			}
+			return out
+		}, 0, nil},
+		{"gzip every file", func(files []logFile) []logFile {
+			for i := range files {
+				files[i].name += ".gz"
+			}
+			return files
+		}, 0, nil},
+		{"re-space with tabs and runs of spaces", func(files []logFile) []logFile {
+			rng := rand.New(rand.NewSource(43))
+			return mapLines(files, func(line string) string {
+				var b strings.Builder
+				for _, col := range strings.Split(line, " ") {
+					if b.Len() > 0 {
+						b.WriteString([]string{"\t", "  "}[rng.Intn(2)])
+					}
+					b.WriteString(col)
+				}
+				return b.String()
+			})
+		}, 0, nil},
+		{"GOMAXPROCS 1", identity, 1, nil},
+		{"GOMAXPROCS 4", identity, 4, nil},
 		{"negative control: double every x-duration", func(files []logFile) []logFile {
 			return mapField(files, fieldDuration, func(d string) string {
 				n, err := strconv.ParseInt(d, 10, 64)
@@ -242,14 +313,34 @@ func TestMetamorphicRelations(t *testing.T) {
 				}
 				return strconv.FormatInt(2*n, 10)
 			})
-		}, false},
+		}, 0, lengthFit},
+		{"negative control: merge two clients' identities", func(files []logFile) []logFile {
+			a := strings.Split(files[0].entries[0], " ")
+			var b []string
+			for _, line := range files[0].entries {
+				if b = strings.Split(line, " "); b[fieldPlayer] != a[fieldPlayer] {
+					break
+				}
+			}
+			return mapLines(files, func(line string) string {
+				fields := strings.Split(line, " ")
+				if len(fields) <= fieldPlayer || fields[fieldPlayer] != b[fieldPlayer] {
+					return line
+				}
+				fields[fieldIP], fields[fieldPlayer] = a[fieldIP], a[fieldPlayer]
+				return strings.Join(fields, " ")
+			})
+		}, 0, userCount.FindString},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := writeLogFiles(t, c.transform(readLogFiles(t, base)))
+			if c.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			}
 			gotOut, gotSeries := characterize(t, dir)
-			if !c.same {
-				if lengthFit(gotOut) == lengthFit(wantOut) {
-					t.Errorf("the length fit did not move: %q", lengthFit(gotOut))
+			if c.control != nil {
+				if got := c.control(gotOut); got == c.control(wantOut) {
+					t.Errorf("%q did not move", got)
 				}
 				return
 			}
