@@ -256,12 +256,15 @@ func newApp(ac appConfig) (*app, error) {
 // every handler before shutdown closes the file, so the writer is
 // always live here.
 func (a *app) logTransfer(r liveserver.TransferRecord) {
-	if err := a.logWriter.Write(liveserver.RecordEntry(r)); err != nil {
+	err := a.logWriter.Write(liveserver.RecordEntry(r))
+	if err == nil {
+		// Flush per entry: transfer completions are rare enough that
+		// durability (ungraceful kills, tail -f) beats write batching.
+		err = a.logWriter.Flush()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmserve: log:", err)
 	}
-	// Flush per entry: transfer completions are rare enough that
-	// durability (ungraceful kills, tail -f) beats write batching.
-	a.logWriter.Flush()
 }
 
 // loop prints periodic status until a signal arrives, then shuts down.

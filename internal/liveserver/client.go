@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wmslog"
 )
 
 // Client is one media player connected to the streaming server.
@@ -43,10 +45,12 @@ type TransferResult struct {
 	StartLatency time.Duration
 }
 
-// Dial connects and performs the HELLO handshake.
+// Dial connects and performs the HELLO handshake. It refuses, without
+// connecting, a player ID the server's log could not hold (the rule of
+// wmslog.MandatoryField, which the server's HELLO check applies too).
 func Dial(addr, playerID string) (*Client, error) {
-	if playerID == "" || strings.ContainsAny(playerID, " \t\n") {
-		return nil, fmt.Errorf("%w: bad player ID %q", ErrProtocol, playerID)
+	if _, err := wmslog.MandatoryField(playerID); err != nil {
+		return nil, fmt.Errorf("%w: bad player ID: %v", ErrProtocol, err)
 	}
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {

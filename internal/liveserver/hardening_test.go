@@ -1,10 +1,13 @@
 package liveserver
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wmslog"
 )
 
 // readAll reads until deadline or EOF and returns everything received.
@@ -22,9 +25,17 @@ func readAvailable(t *testing.T, conn net.Conn, wait time.Duration) string {
 	}
 }
 
+// TestMalformedHelloGetsERR: a HELLO without one player ID the log can
+// hold — none, two, or one holding a \t, \r or \v the log's columns
+// split at — and any other garbage get ERR; the server then still
+// serves a real client, whose UTF-8 player ID reaches the log and reads
+// back from it.
 func TestMalformedHelloGetsERR(t *testing.T) {
-	s := startServer(t, fastConfig())
-	for _, line := range []string{"HELLO\n", "HELLO two words\n", "BOGUS x\n", "\n"} {
+	cfg := fastConfig()
+	records := make(chan TransferRecord, 1)
+	cfg.Sink = func(r TransferRecord) { records <- r }
+	s := startServer(t, cfg)
+	for _, line := range []string{"HELLO\n", "HELLO two words\n", "HELLO p\tx\n", "HELLO p\rx\n", "HELLO p\vx\n", "BOGUS x\n", "\n"} {
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -39,13 +50,32 @@ func TestMalformedHelloGetsERR(t *testing.T) {
 		conn.Close()
 	}
 	// The server survives garbage and still serves real clients.
-	c, err := Dial(s.Addr(), "p-after")
+	const player = "jogador-São\u00a0Paulo"
+	c, err := Dial(s.Addr(), player)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if _, err := c.WatchTagged("/live/feed1", UntaggedSession, 0, 30*time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+	var r TransferRecord
+	select {
+	case r = <-records:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no transfer record")
+	}
+	var log bytes.Buffer
+	w := wmslog.NewWriter(&log)
+	if err := w.Write(RecordEntry(r)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := wmslog.ReadAll(&log, false)
+	if err != nil || len(entries) != 1 || entries[0].PlayerID != player {
+		t.Fatalf("the log reads back %v, err %v; want one entry of player %q", entries, err, player)
 	}
 }
 

@@ -1,6 +1,7 @@
 package liveserver
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -97,11 +98,13 @@ func TestServeRejectsBadConfig(t *testing.T) {
 func TestSingleTransfer(t *testing.T) {
 	var mu sync.Mutex
 	var records []TransferRecord
+	sunk := make(chan struct{}, 1)
 	cfg := fastConfig()
 	cfg.Sink = func(r TransferRecord) {
 		mu.Lock()
 		records = append(records, r)
 		mu.Unlock()
+		sunk <- struct{}{}
 	}
 	s := startServer(t, cfg)
 
@@ -120,6 +123,7 @@ func TestSingleTransfer(t *testing.T) {
 	if res.Bytes != int64(res.Frames)*int64(cfg.FrameBytes) {
 		t.Errorf("bytes = %d for %d frames of %d", res.Bytes, res.Frames, cfg.FrameBytes)
 	}
+	awaitRecords(t, sunk, 1)
 	if s.ServedTransfers() != 1 {
 		t.Errorf("served = %d", s.ServedTransfers())
 	}
@@ -134,8 +138,32 @@ func TestSingleTransfer(t *testing.T) {
 	}
 }
 
+// awaitRecords returns once n transfer records have reached a sink that
+// signals sunk: the server answers END before it counts a transfer and
+// emits its record, so both can trail the client's return.
+func awaitRecords(t *testing.T, sunk <-chan struct{}, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-sunk:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d transfer records", i, n)
+		}
+	}
+}
+
+// signalSink is fastConfig with a sink that signals each record on the
+// returned channel, buffered for n.
+func signalSink(n int) (ServerConfig, <-chan struct{}) {
+	sunk := make(chan struct{}, n)
+	cfg := fastConfig()
+	cfg.Sink = func(TransferRecord) { sunk <- struct{}{} }
+	return cfg, sunk
+}
+
 func TestMultipleTransfersOneConnection(t *testing.T) {
-	s := startServer(t, fastConfig())
+	cfg, sunk := signalSink(3)
+	s := startServer(t, cfg)
 	c, err := Dial(s.Addr(), "p1")
 	if err != nil {
 		t.Fatal(err)
@@ -150,14 +178,16 @@ func TestMultipleTransfersOneConnection(t *testing.T) {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 	}
+	awaitRecords(t, sunk, 3)
 	if s.ServedTransfers() != 3 {
 		t.Errorf("served = %d", s.ServedTransfers())
 	}
 }
 
 func TestConcurrentClients(t *testing.T) {
-	s := startServer(t, fastConfig())
 	const n = 16
+	cfg, sunk := signalSink(n)
+	s := startServer(t, cfg)
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -180,6 +210,7 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	awaitRecords(t, sunk, n)
 	if s.ServedTransfers() != n {
 		t.Errorf("served = %d, want %d", s.ServedTransfers(), n)
 	}
@@ -264,11 +295,20 @@ func TestServerCloseDrainsConnections(t *testing.T) {
 	}
 }
 
+// TestDialRejectsBadPlayerID: a player ID the server's log could not
+// hold is a protocol error before any connection is made (nothing
+// listens on port 1, so a dial would fail with another error); a UTF-8
+// one is accepted.
 func TestDialRejectsBadPlayerID(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", ""); err == nil {
-		t.Error("empty player ID accepted")
+	for _, id := range []string{"", "two words", "p\tx", "p\rx", "p\vx", "p\fx", "p\nx"} {
+		if _, err := Dial("127.0.0.1:1", id); !errors.Is(err, ErrProtocol) {
+			t.Errorf("player ID %q: err = %v, want ErrProtocol", id, err)
+		}
 	}
-	if _, err := Dial("127.0.0.1:1", "two words"); err == nil {
-		t.Error("spacey player ID accepted")
+	s := startServer(t, fastConfig())
+	c, err := Dial(s.Addr(), "jogador-São")
+	if err != nil {
+		t.Fatal(err)
 	}
+	c.Close()
 }

@@ -43,6 +43,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/wmslog"
 )
 
 // Protocol limits.
@@ -77,8 +79,10 @@ func parseCommand(line string) (command, error) {
 	verb, arg, _ := strings.Cut(line, " ")
 	switch verb {
 	case "HELLO":
-		if arg == "" || strings.ContainsAny(arg, " \t") {
-			return command{}, fmt.Errorf("%w: %s needs one argument", ErrProtocol, verb)
+		// The player ID goes into the log as c-playerid: refuse what the
+		// log's writer would refuse, before a transfer is served for it.
+		if _, err := wmslog.MandatoryField(arg); err != nil {
+			return command{}, fmt.Errorf("%w: %s needs one player ID: %v", ErrProtocol, verb, err)
 		}
 		return command{verb: verb, arg: arg, session: UntaggedSession}, nil
 	case "START":

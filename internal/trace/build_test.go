@@ -24,8 +24,8 @@ const fixtureDays = 7
 // writeLogFixture writes seven daily logs that between them hold what
 // an ingest has to get right: a text, a gzip and a binary file next to
 // each other; garbage lines inside a text file; a file whose every line
-// the fast path refuses and the legacy splitter accepts, between a
-// binary file and a canonical one; spanning entries (duration beyond
+// is re-spaced (runs of tabs, spaces, \v and \r between and around the
+// columns), between a binary file and a canonical one; spanning entries (duration beyond
 // the horizon) and an entry stamped before the epoch for Sanitize to
 // drop; a player first seen on day 4 and reused on the days after, so
 // its id depends on every earlier file; players that turn up under a
@@ -97,9 +97,7 @@ func writeLogFixture(t *testing.T, dir string) []string {
 		}
 		for i, e := range entries {
 			if day == 5 {
-				// A doubled separator: the fast path refuses every line of
-				// this file, the legacy splitter reads them all.
-				line := strings.Replace(string(wmslog.AppendEntry(nil, e)), " ", "  ", 1)
+				line := "  " + strings.ReplaceAll(string(wmslog.AppendEntry(nil, e)), " ", "\t \v") + "\r"
 				if _, err := fmt.Fprintln(f, line); err != nil {
 					t.Fatal(err)
 				}
@@ -142,8 +140,8 @@ func setGOMAXPROCS(t *testing.T, n int) {
 // TestFromLogsMatchesFromEntries: the one-pass, file-parallel ingest
 // must yield exactly what materializing every entry and building the
 // trace sequentially does — same transfers in the same order with the
-// same ids, same name tables, same parse bookkeeping (the count of
-// legacy-fallback lines included), same sanitize report — whether it
+// same ids, same name tables, same parse bookkeeping, same sanitize
+// report — whether it
 // runs inline or on more workers than there are files.
 func TestFromLogsMatchesFromEntries(t *testing.T) {
 	paths := writeLogFixture(t, t.TempDir())
@@ -158,9 +156,8 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantReport := raw.Sanitize()
-	if wantStats.Malformed == 0 || wantStats.Binary == 0 || wantStats.Fallback == 0 ||
-		wantStats.Binary+wantStats.Fallback >= wantStats.Entries {
-		t.Fatalf("fixture lost its mix of garbage, binary, legacy and canonical text: %+v", wantStats)
+	if wantStats.Malformed == 0 || wantStats.Binary == 0 || wantStats.Binary >= wantStats.Entries {
+		t.Fatalf("fixture lost its mix of garbage, binary and text: %+v", wantStats)
 	}
 	type pair struct{ a, b uint32 }
 	clientIPs, ipASes := map[pair]bool{}, map[pair]bool{}

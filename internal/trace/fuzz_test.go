@@ -71,8 +71,8 @@ func writeFuzzLogs(t *testing.T, dir string, data []byte, shape uint8) []string 
 // player that moves to a second IP and back, an IP two players share, a
 // second country and object, transfers that tie on (Start, Client,
 // Object) and differ elsewhere, a transfer spanning the horizon, one
-// reaching back before the epoch, and lines the fast path refuses or
-// nothing accepts.
+// reaching back before the epoch, a re-spaced line and one nothing
+// accepts.
 func fuzzSeedLog() []byte {
 	var b []byte
 	add := func(sec int64, ip, player, uri string, dur, bytes int64, cpu float64, country string) {
@@ -87,7 +87,7 @@ func fuzzSeedLog() []byte {
 	add(100, "10.0.0.1", "p1", "/live/feed1", 50, 999, 1.5, "BR")   // a tie on (Start, Client, Object)
 	add(130, "10.0.0.2", "p1", "/live/feed1", 80, 2000, 0.25, "BR") // moved, ties by start with the two above
 	add(140, "10.0.0.2", "p2", "/live/feed2", 20, 3000, 0, "US")    // a shared IP
-	b = append(b, "garbage line\n2002-01-06  00:03:00 10.0.0.1 p1 - - /live/feed1 10 1 1 0 1.00 - 200 7 BR\n"...)
+	b = append(b, "garbage line\n2002-01-06  00:03:00 10.0.0.1\tp1 - - /live/feed1 10 1 1 0 1.00 - 200 7 BR\n"...)
 	add(90000, "10.0.0.1", "p1", "/live/feed1", 60, 500, 3, "BR") // back at the first IP
 	add(90000, "10.0.0.3", "p3", "/live/feed1", 60, 500, 3, "PT")
 	add(90030, "10.0.0.3", "p3", "/live/feed1", 90, 500, 3, "PT")

@@ -12,7 +12,7 @@ import (
 
 // AppendEntry appends e rendered as one log line (no trailing newline)
 // to b and returns the extended slice. The output is byte-identical to
-// the legacy fmt.Fprintf encoder for every valid entry — the
+// the fmt.Fprintf encoder it replaced for every valid entry — the
 // equivalence the property tests in append_test.go pin against their
 // copy of it (marshalLine) — but does
 // not allocate: integer fields go through strconv.Append*, s-cpu-util
@@ -65,7 +65,7 @@ const fixed2Limit = 1 << 46
 
 // exactCenti reports the k with v == float64(k)/100, when v is a
 // non-negative value below fixed2Limit that has one — every value the
-// parser's nextFixed2 produces and every math.Round(x*100)/100 the
+// parser's fixed2 produces and every math.Round(x*100)/100 the
 // simulator logs. Then "%.2f" of v is k's digits: v is the double
 // nearest k/100, so |v − k/100| ≤ ulp(v)/2 < 0.005, while every other
 // two-decimal value is at least 0.01 − ulp(v)/2 > 0.005 away — k/100 is
@@ -83,7 +83,7 @@ func exactCenti(v float64) (uint64, bool) {
 }
 
 // appendFixed2 renders v exactly as strconv.AppendFloat(b, v, 'f', 2, 64)
-// does — the encode twin of nextFixed2: integer digits when exactCenti
+// does — the encode twin of fixed2: integer digits when exactCenti
 // finds v's centi-units, strconv for everything else.
 //
 //lsm:hotpath
@@ -163,7 +163,7 @@ func appendPadInt(b []byte, v, width int) []byte {
 }
 
 // appendRawField copies a mandatory field (validated non-empty and
-// space-free) verbatim.
+// separator-free) verbatim.
 func appendRawField(b []byte, s string) []byte {
 	return append(b, s...)
 }
@@ -184,14 +184,16 @@ func appendDashField(b []byte, s string) []byte {
 	return b
 }
 
-// ParseAppend is the decoding twin of AppendEntry: it parses one
-// canonical data line (exactly 16 single-space-separated columns in
-// Fields order, 2-decimal s-cpu-util) into *e, overwriting every field.
-// It allocates only the retained string fields — timestamps and all
-// numeric columns are decoded in place, with no scratch split or
-// sub-string slices — so it is the fast path the parser tries before
-// falling back to the tolerant legacy column splitter (which accepts
-// repeated whitespace and arbitrary float formats).
+// ParseAppend is the decoding twin of AppendEntry and the one text
+// decoder: it parses one data line in Fields order into *e,
+// overwriting every field. Columns are separated by runs of ASCII
+// whitespace — space, \t, \v, \f and \r (isSpace) — and hold every
+// other byte, control bytes and non-ASCII UTF-8 included, which is
+// exactly what Entry.Validate lets a writer put in a field. An
+// s-cpu-util not in AppendEntry's fixed-2 form is read by
+// strconv.ParseFloat. It allocates only the retained string fields —
+// timestamps and all numeric columns are decoded in place, with no
+// scratch split or sub-string slices.
 //
 // The line must not include the trailing newline.
 //
@@ -254,7 +256,7 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 	if e.PacketsLost, err = cols.nextInt("c-pkts-lost"); err != nil {
 		return err
 	}
-	if e.ServerCPU, err = cols.nextFixed2("s-cpu-util"); err != nil {
+	if e.ServerCPU, err = cols.nextCPU(); err != nil {
 		return err
 	}
 	if e.Referer, ok = cols.nextOptional(drop, nil, 0, e.Referer); !ok {
@@ -276,16 +278,15 @@ func parseAppend(e *Entry, line []byte, in *Interner) error {
 	if !cols.done() {
 		return errTrailing()
 	}
-	// The splitter hands out only non-empty runs of printable ASCII, so
-	// the mandatory text fields pass Validate's charset rule by
+	// The splitter hands out only non-empty runs of non-separator
+	// bytes, so the text fields pass Validate's charset rules by
 	// construction — c-ip and c-playerid included where deferred mode
 	// never made them strings.
 	return e.validateValues()
 }
 
-// The fast path's error constructors live outside the //lsm:hotpath
-// decoder body: they run only on malformed input, where the line is
-// about to take the allocating legacy fallback anyway.
+// The decoder's error constructors live outside the //lsm:hotpath
+// decoder body: they run only on malformed input.
 
 func errTruncated() error { return fmt.Errorf("%w: truncated line", ErrFormat) }
 
@@ -293,27 +294,27 @@ func errMissing(field string) error { return fmt.Errorf("%w: missing %s", ErrFor
 
 func errTrailing() error { return fmt.Errorf("%w: trailing columns", ErrFormat) }
 
-// fieldSplitter walks single-space-separated columns without allocating.
+// fieldSplitter walks columns separated by runs of isSpace bytes
+// without allocating.
 type fieldSplitter struct {
 	line []byte
 	pos  int
 }
 
-// next returns the next column. It is deliberately stricter than the
-// tolerant splitter: control bytes (tab included) and non-ASCII bytes
-// fail the column, sending the line to the legacy path — the fast
-// path must never *accept* a line `strings.Fields` would split
-// differently (tabs, unicode whitespace), and over-rejecting is safe
-// because rejection only means falling back.
+// next returns the column at pos, after any separators, or false at
+// the end of the line.
 //
-// A column byte is printable ASCII, 0x21..0x7f, and the column is
-// scanned 8 bytes a step: in m = ((x − 0x21…21) | x) & 0x80…80 the
-// lowest set bit marks the first byte outside that range. Every byte
-// below it is in range, so its subtraction borrows nothing, leaves
-// 0x00..0x5e and sets no bit of m; the first byte outside sets its bit
-// either through x (0x80..0xff) or through the borrow its own
-// subtraction makes (0x00..0x20). A bit above it may be a borrow's
-// artefact, and is never read. The last < 8 bytes take the byte loop.
+// A column followed by one space or by the end of the line — every
+// column of a line AppendEntry wrote — is scanned 8 bytes a step for
+// its first byte ≤ 0x20: in m = (x − 0x21…21) &^ x & 0x80…80 the lowest
+// set bit marks it. Every byte below it is above 0x20, so its
+// subtraction borrows nothing; a byte 0x21..0x7f then leaves
+// 0x00..0x5e, and a byte ≥ 0x80 has its bit cleared by &^ x, so neither
+// sets a bit of m; the first byte ≤ 0x20 borrows, which sets its bit,
+// and keeps it through &^ x. A bit above it may be a borrow's artefact,
+// and is never read. The last < 8 bytes take the byte loop. Any other
+// stop — a run of separators, a control byte, which is column content
+// — hands the column to nextSlow.
 //
 //lsm:hotpath
 func (f *fieldSplitter) next() ([]byte, bool) {
@@ -322,29 +323,58 @@ func (f *fieldSplitter) next() ([]byte, bool) {
 	i := start
 	for ; i+8 <= len(line); i += 8 {
 		x := binary.LittleEndian.Uint64(line[i:])
-		if m := ((x - ones) | x) & highs; m != 0 {
+		if m := (x - ones) &^ x & highs; m != 0 {
 			i += bits.TrailingZeros64(m) >> 3
 			break
 		}
 	}
-	for i < len(line) && line[i]-0x21 < 0x5f {
+	for i < len(line) && line[i] > ' ' {
 		i++
 	}
-	if i == start {
-		return nil, false // end of line, or an empty column: doubled space, not canonical
-	}
-	if i < len(line) {
-		if line[i] != ' ' {
-			return nil, false // control or non-ASCII byte
-		}
-		f.pos = i + 1 // skip the single separator
-	} else {
+	if i == len(line) {
 		f.pos = i
+		return line[start:i], i > start
 	}
+	if i == start || line[i] != ' ' {
+		return f.nextSlow(start)
+	}
+	f.pos = i + 1 // skip the single separator
 	return line[start:i], true
 }
 
-func (f *fieldSplitter) done() bool { return f.pos >= len(f.line) }
+// nextSlow is next one byte a step: skip the separators at i, then take
+// every byte up to the next separator.
+func (f *fieldSplitter) nextSlow(i int) ([]byte, bool) {
+	line := f.line
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	start := i
+	for i < len(line) && !isSpace(line[i]) {
+		i++
+	}
+	f.pos = i
+	return line[start:i], i > start
+}
+
+// done reports whether only separators are left.
+func (f *fieldSplitter) done() bool {
+	_, more := f.nextSlow(f.pos)
+	return !more
+}
+
+// trimSpace returns b without its leading and trailing separators
+// (isSpace). Unlike bytes.TrimSpace it leaves non-ASCII whitespace,
+// which is column content, where it is.
+func trimSpace(b []byte) []byte {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
 
 // nextOptional reads a dash-encoded optional column: with drop, as
 // empty — the column checked, no string made — and as nextUndashed
@@ -395,37 +425,52 @@ func (f *fieldSplitter) nextInt(field string) (int64, error) {
 	return v, nil
 }
 
-// nextFixed2 parses the fixed 2-decimal float the encoder emits
-// ("%.2f"). Anything else — scientific notation, other precisions,
-// magnitudes beyond exact centi-unit range — fails, sending the line
-// down the legacy strconv.ParseFloat path. The value is computed as
-// one correctly-rounded division of exact integers, so it is
-// bit-identical to what strconv.ParseFloat returns for the same text.
-func (f *fieldSplitter) nextFixed2(field string) (float64, error) {
+// nextCPU parses s-cpu-util: the fixed 2-decimal form the encoder
+// emits ("%.2f") through fixed2, anything else through
+// strconv.ParseFloat. A −0 reads as +0, which is what it prints as.
+func (f *fieldSplitter) nextCPU() (float64, error) {
 	col, ok := f.next()
 	if !ok {
-		return 0, fmt.Errorf("%w: missing %s", ErrFormat, field)
+		return 0, errMissing("s-cpu-util")
 	}
+	if v, ok := fixed2(col); ok {
+		return v, nil
+	}
+	v, err := strconv.ParseFloat(string(col), 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: s-cpu-util %q", ErrFormat, col)
+	}
+	if v == 0 {
+		v = 0 // −0
+	}
+	return v, nil
+}
+
+// fixed2 parses col when it is in the fixed 2-decimal form within
+// exact centi-unit range. The value is computed as one
+// correctly-rounded division of exact integers, so it is bit-identical
+// to what strconv.ParseFloat returns for the same text.
+func fixed2(col []byte) (float64, bool) {
 	if len(col) < 4 || col[len(col)-3] != '.' {
-		return 0, fmt.Errorf("%w: %s %q not fixed-point", ErrFormat, field, col)
+		return 0, false
 	}
 	whole, err := atoi64(col[:len(col)-3])
 	if err != nil {
-		return 0, fmt.Errorf("%w: %s %q", ErrFormat, field, col)
+		return 0, false
 	}
 	d1, d2 := col[len(col)-2], col[len(col)-1]
 	if d1 < '0' || d1 > '9' || d2 < '0' || d2 > '9' {
-		return 0, fmt.Errorf("%w: %s %q", ErrFormat, field, col)
+		return 0, false
 	}
 	const maxExact = (1 << 53) / 100 // centi-units stay exactly representable
 	if whole > maxExact || whole < -maxExact {
-		return 0, fmt.Errorf("%w: %s %q out of fast-path range", ErrFormat, field, col)
+		return 0, false
 	}
 	centi := whole*100 + int64(int(d1-'0')*10+int(d2-'0'))
 	if col[0] == '-' {
 		centi = whole*100 - int64(int(d1-'0')*10+int(d2-'0'))
 	}
-	return float64(centi) / 100, nil
+	return float64(centi) / 100, true
 }
 
 // atoi64 is a strict base-10 integer parse over bytes (optional
@@ -503,7 +548,7 @@ func atoiFixed(b []byte) (int, error) {
 	return v, nil
 }
 
-// daysIn mirrors time.Date's normalization boundary so the fast path
+// daysIn mirrors time.Date's normalization boundary so the decoder
 // rejects exactly the dates time.Parse would reject.
 func daysIn(year, month int) int {
 	switch month {

@@ -1,8 +1,10 @@
 package wmslog
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +12,11 @@ import (
 
 // randomEntry draws a structurally valid entry: exactly what Validate
 // accepts, over wide value ranges including the dash/underscore
-// encodings of the optional fields.
+// encodings of the optional fields, control bytes and the bytes of
+// non-ASCII UTF-8 ("á", U+00A0, U+0085).
 func randomEntry(rng *rand.Rand) *Entry {
 	word := func(minLen int, spaces bool) string {
-		const letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.:/-%"
+		const letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.:/-%\x01\x1f\x7f\xc3\xa1\xc2\xa0\x85"
 		n := minLen + rng.IntN(12)
 		var b strings.Builder
 		for i := 0; i < n; i++ {
@@ -149,11 +152,13 @@ func TestAppendEntryMatchesLegacyEdgeCases(t *testing.T) {
 }
 
 // TestAppendEntryParseRoundTrip is the decode property: ParseAppend
-// over AppendEntry output recovers the entry. ServerCPU is quantized
-// by the %.2f wire format, so the re-encoded line — not the float bit
-// pattern — is the fixpoint; underscores decode as spaces by design,
-// so optional fields containing literal underscores are excluded (the
-// legacy parser has the same lossiness).
+// over AppendEntry output recovers the entry, and so does a strict and
+// a tolerant ReadAll of the same line re-spaced — every separator a run
+// of space, \t, \v, \f and \r (respaceAll), runs at both ends too — or
+// with its s-cpu-util in exponent form. ServerCPU is quantized by the
+// %.2f wire format, so the re-encoded line — not the float bit pattern
+// — is the fixpoint; underscores decode as spaces by design, so
+// optional fields containing literal underscores are excluded.
 func TestAppendEntryParseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 0))
 	for i := 0; i < 5000; i++ {
@@ -170,8 +175,8 @@ func TestAppendEntryParseRoundTrip(t *testing.T) {
 		cmp := *e
 		cmp.ServerCPU = back.ServerCPU // quantized by the wire format
 		// Optional fields fold through the dash encoding: a literal
-		// "-" reads back as absent (same lossiness as the legacy
-		// parser); the wire bytes above are the authoritative check.
+		// "-" reads back as absent; the wire bytes above are the
+		// authoritative check.
 		for _, f := range []*string{&cmp.ClientOS, &cmp.ClientCPU, &cmp.Referer, &cmp.Country} {
 			if *f == "-" {
 				*f = ""
@@ -180,45 +185,38 @@ func TestAppendEntryParseRoundTrip(t *testing.T) {
 		if cmp != back {
 			t.Fatalf("iteration %d: fields differ\nin:  %+v\nout: %+v", i, e, back)
 		}
-	}
-}
 
-// TestParseAppendAgreesWithLegacyParser: every canonical line must
-// decode identically through the fast path and the tolerant splitter.
-func TestParseAppendAgreesWithLegacyParser(t *testing.T) {
-	rng := rand.New(rand.NewPCG(47, 0))
-	p := &parser{}
-	for i := 0; i < 2000; i++ {
-		e := randomEntry(rng)
-		line := AppendEntry(nil, e)
-		var fast Entry
-		if err := ParseAppend(&fast, line); err != nil {
-			t.Fatalf("fast path rejected canonical line %q: %v", line, err)
-		}
-		var legacy Entry
-		if err := p.parseLine(&legacy, string(line)); err != nil {
-			t.Fatalf("legacy parser rejected canonical line %q: %v", line, err)
-		}
-		if fast != legacy {
-			t.Fatalf("parsers disagree on %q\nfast:   %+v\nlegacy: %+v", line, fast, legacy)
+		cols := strings.Split(string(line), " ")
+		cols[11] = strconv.FormatFloat(back.ServerCPU, 'e', -1, 64)
+		for _, variant := range []string{" \v" + string(respaceAll(line)) + "\r\t", strings.Join(cols, " ")} {
+			for _, tolerant := range []bool{false, true} {
+				got, st, err := ReadAll(strings.NewReader(variant), tolerant)
+				if err != nil || len(got) != 1 || *got[0] != back {
+					t.Fatalf("iteration %d, tolerant=%v: %q reads as %v (stats %+v, err %v), want %+v", i, tolerant, variant, got, st, err, back)
+				}
+			}
 		}
 	}
 }
 
-// TestParseAppendRejectsMalformed: the fast path must fail (never
-// mis-parse) on lines outside the canonical format.
+// TestParseAppendRejectsMalformed: the decoder must fail (never
+// mis-parse) on lines outside the format, in ParseAppend, in a strict
+// scan (an error) and in a tolerant one (a malformed line). The last
+// rows are the leniencies of the strings.Fields/time.Parse decoder the
+// column splitter replaced, which no producer of these logs emits:
+// non-ASCII whitespace as a separator (it is column content), a '+' on
+// an integer, fractional seconds in the clock column.
 func TestParseAppendRejectsMalformed(t *testing.T) {
 	good := string(AppendEntry(nil, &Entry{
 		Timestamp: time.Date(2002, 1, 6, 1, 2, 3, 0, time.UTC),
 		ClientIP:  "10.0.0.1", PlayerID: "p", URIStem: "/u", ServerCPU: 1.25,
 	}))
 	bad := []string{
-		"",
 		"2002-01-06",
 		good + " extra",
-		strings.Replace(good, " ", "  ", 1),     // doubled separator
-		strings.Replace(good, "1.25", "1.2", 1), // not 2 decimals
-		strings.Replace(good, "1.25", "1.2e0", 1), // scientific
+		strings.Replace(good, "1.25", "1.2.5", 1),
+		strings.Replace(good, "1.25", "1,25", 1),
+		strings.Replace(good, "1.25", "NaN", 1), // out of [0,100], as Validate has it
 		strings.Replace(good, "2002-01-06", "2002-13-06", 1),
 		strings.Replace(good, "2002-01-06", "2002-02-30", 1),
 		strings.Replace(good, "01:02:03", "25:02:03", 1),
@@ -226,18 +224,31 @@ func TestParseAppendRejectsMalformed(t *testing.T) {
 		// int64 overflow must error like strconv's ErrRange, not wrap:
 		// 19 digits > MaxInt64 in the sc-status column.
 		strings.Replace(good, " 0 -", " 9300000000000000000 -", 1),
-		// A tab inside a column: strings.Fields would split it into an
-		// extra column, so the fast path must not accept it as one.
+		// A tab inside a column splits it in two: one column too many.
 		strings.Replace(good, "10.0.0.1", "10.0\t0.1", 1),
-		// Non-ASCII (incl. unicode whitespace like U+00A0) defers to
-		// the legacy splitter rather than risking a field mismatch.
-		strings.Replace(good, "10.0.0.1", "10.0\u00a00.1", 1),
+		// Dropped leniencies.
+		strings.Replace(good, " ", "\u00a0", 1),
+		strings.Replace(good, " p ", "\u0085p ", 1),
+		strings.Replace(good, " p ", " p\u3000", 1),
+		strings.Replace(good, " /u 0 ", " /u +0 ", 1),
+		strings.Replace(good, "01:02:03", "01:02:03.5", 1),
 	}
 	for _, line := range bad {
 		var e Entry
 		if err := ParseAppend(&e, []byte(line)); err == nil {
 			t.Errorf("ParseAppend accepted %q", line)
 		}
+		text := good + "\n" + line + "\n" + good + "\n"
+		if _, _, err := ReadAll(strings.NewReader(text), false); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("strict scan of %q: err = %v, want ErrFormat at line 2", line, err)
+		}
+		if entries, st, err := ReadAll(strings.NewReader(text), true); err != nil || len(entries) != 2 || st.Malformed != 1 {
+			t.Errorf("tolerant scan of %q: %d entries, stats %+v, err %v", line, len(entries), st, err)
+		}
+	}
+	var e Entry
+	if err := ParseAppend(&e, nil); err == nil {
+		t.Error("ParseAppend accepted an empty line")
 	}
 }
 

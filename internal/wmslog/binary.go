@@ -45,7 +45,7 @@ import (
 // repeat heavily — player IDs, URIs, OS/CPU classes, countries — so a
 // steady-state record is all varints and back-references: decoding
 // allocates no strings at all, which is where the ~10× parse win over
-// the text fast path comes from.
+// the text decoder comes from.
 //
 // ServerCPU travels in centi-percent rather than float bits because the
 // text form renders it as "%.2f": centi-units are exactly the precision
@@ -81,8 +81,8 @@ const (
 )
 
 // dictEntry is one interned string with its cached charset verdict:
-// whether it is clean for the mandatory text fields (no space/tab/
-// newline — Entry.Validate's charset rule), computed once at admission
+// whether it is clean for the mandatory text fields (no separator byte
+// — Entry.Validate's charset rule, stringSafe), computed once at admission
 // so per-record validation of repeated strings is an index lookup, not
 // a scan. One struct per entry keeps the decode-side access a single
 // cache line instead of two parallel slices.
@@ -346,7 +346,7 @@ func takeUvarintSlow(rec []byte) (uint64, []byte, bool) {
 }
 
 // takeBinaryString consumes one dictionary-coded string. safe reports
-// the cached charset verdict (no space/tab/newline) for the string.
+// the cached charset verdict (stringSafe) for the string.
 //
 //lsm:hotpath
 func takeBinaryString(rec []byte, d *BinaryDict) (s string, safe bool, rest []byte, ok bool) {

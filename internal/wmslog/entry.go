@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 )
 
@@ -78,15 +77,15 @@ func (e *Entry) Validate() error {
 		return fmt.Errorf("%w: bad URI %q", ErrFormat, e.URIStem)
 	}
 	if !optionalSafe(e.ClientOS) || !optionalSafe(e.ClientCPU) || !optionalSafe(e.Referer) || !optionalSafe(e.Country) {
-		return fmt.Errorf("%w: a tab or newline in c-os %q, c-cpu %q, cs(Referer) %q or s-country %q",
+		return fmt.Errorf("%w: a separator other than space in c-os %q, c-cpu %q, cs(Referer) %q or s-country %q",
 			ErrFormat, e.ClientOS, e.ClientCPU, e.Referer, e.Country)
 	}
 	return e.validateValues()
 }
 
 // validateValues is Validate without the rules for the text fields —
-// the check of a line the canonical fast path split, whose columns
-// satisfy those rules by construction.
+// the check of a line the decoder split, whose columns satisfy those
+// rules by construction.
 func (e *Entry) validateValues() error {
 	return checkValues(e.Timestamp, e.Duration, e.Bytes, e.AvgBandwidth, e.PacketsLost, e.ServerCPU, e.Status, e.ASNumber)
 }
@@ -105,8 +104,9 @@ func checkValues(ts time.Time, duration, bytes, bandwidth, lost int64, cpu float
 		return fmt.Errorf("%w: negative transfer statistics", ErrFormat)
 	}
 	// The sign bit, not "< 0": −0 prints as "-0.00", reads back as 0 and
-	// re-encodes as "0.00" — a line that is not its own round trip.
-	if math.Signbit(cpu) || cpu > 100 {
+	// re-encodes as "0.00" — a line that is not its own round trip. And
+	// "!(cpu <= 100)", not "cpu > 100": a NaN has no binary encoding.
+	if math.Signbit(cpu) || !(cpu <= 100) {
 		return fmt.Errorf("%w: server CPU %v out of [0,100]", ErrFormat, cpu)
 	}
 	if status < 0 {
@@ -120,15 +120,20 @@ func checkValues(ts time.Time, duration, bytes, bandwidth, lost int64, cpu float
 	return nil
 }
 
-// stringSafe is the charset rule of the mandatory text fields: no space,
-// tab or newline, the bytes that would break the space-separated line.
-// One byte loop instead of strings.ContainsAny, which builds an ASCII
-// set per call — Validate runs on every entry written and every line
-// parsed.
+// isSpace reports whether c separates the columns of a log line: ASCII
+// whitespace, that is space, \t, \v, \f, \r — and \n, which ends the
+// line before the column splitter sees it. Every other byte is column
+// content. It is the one rule the decoder splits by and the writers
+// check by (stringSafe, optionalSafe).
+func isSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
+
+// stringSafe is the charset rule of the mandatory text fields, which
+// are written verbatim: no separator byte (isSpace). One byte loop
+// instead of strings.ContainsAny, which builds an ASCII set per call —
+// Validate runs on every entry written.
 func stringSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n':
+		if isSpace(s[i]) {
 			return false
 		}
 	}
@@ -136,13 +141,12 @@ func stringSafe(s string) bool {
 }
 
 // optionalSafe is the charset rule of the optional, dash-encoded text
-// fields: no tab or newline. A space is encoded as an underscore, but
-// either of those would split the line, which a tolerant scan then
-// drops without an error.
+// fields: no separator byte but the space, which is written as an
+// underscore. Any other would split the line, which a tolerant scan
+// then drops without an error.
 func optionalSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\t', '\n':
+		if c := s[i]; c != ' ' && isSpace(c) {
 			return false
 		}
 	}
@@ -154,11 +158,4 @@ func optionalSafe(s string) bool {
 //lsm:keep -- wmslog_test.go checks a parsed entry's start with it
 func (e *Entry) Start() time.Time {
 	return e.Timestamp.Add(-time.Duration(e.Duration) * time.Second)
-}
-
-func undash(s string) string {
-	if s == "-" {
-		return ""
-	}
-	return strings.ReplaceAll(s, "_", " ")
 }

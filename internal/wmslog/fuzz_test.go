@@ -9,9 +9,9 @@ import (
 )
 
 // FuzzAppendEntryRoundTrip fuzzes the encode/decode pair over
-// arbitrary field values: any structurally valid entry must encode
-// identically to the legacy Fprintf path, parse back through
-// ParseAppend, and re-encode to the same bytes.
+// arbitrary field values: any entry Validate accepts must encode
+// identically to the Fprintf encoder AppendEntry replaced, parse back
+// through ParseAppend, and re-encode to the same bytes.
 func FuzzAppendEntryRoundTrip(f *testing.F) {
 	f.Add(int64(1010275384), "10.0.0.1", "player-1", "Windows 98", "Pentium III",
 		"/live/feed1", int64(1742), int64(23953750), int64(110000), int64(3),
@@ -32,6 +32,12 @@ func FuzzAppendEntryRoundTrip(f *testing.F) {
 	// A tab or newline in an optional field would split the line: refused.
 	f.Add(int64(1010275384), "10.0.0.1", "player-1", "Win\n98", "Pentium\tIII",
 		"/live/feed1", int64(1), int64(1), int64(1), int64(0), int64(1), "a\tb", 200, 1, "B\nR")
+	// \r, \v and \f split it too: refused; control bytes and non-ASCII
+	// UTF-8 (U+00A0 and U+0085 among it) are content: accepted.
+	f.Add(int64(1010275384), "10.0\r0.1", "p\vq", "Win\f98", "", "/u", int64(1), int64(1),
+		int64(1), int64(0), int64(1), "", 200, 1, "BR")
+	f.Add(int64(1010275384), "10.0.0.1", "jogador-\u00e1", "Win\x0198", "\x7f",
+		"/live/São", int64(1), int64(1), int64(1), int64(0), int64(5), "a\u0085b", 200, 1, "Brasil\u00a0")
 
 	f.Fuzz(func(t *testing.T, unix int64, ip, player, osName, cpu, uri string,
 		duration, bytesServed, bw, lost int64, cpuCenti int64,
@@ -66,31 +72,23 @@ func FuzzAppendEntryRoundTrip(f *testing.F) {
 		}
 
 		line := AppendEntry(nil, e)
-		if strings.ContainsAny(string(line), "\t\n") {
-			t.Fatalf("a field's tab or newline split the line %q", line)
+		if strings.ContainsAny(string(line), "\t\n\v\f\r") {
+			t.Fatalf("a field's separator split the line %q", line)
 		}
 
-		// Property 1: byte-identical to the legacy encoder.
-		var legacy strings.Builder
-		e.marshalLine(&legacy)
-		if string(line) != legacy.String() {
-			t.Fatalf("encoders disagree\nappend: %q\nlegacy: %q", line, legacy.String())
+		// Property 1: byte-identical to the Fprintf encoder.
+		var fprintf strings.Builder
+		e.marshalLine(&fprintf)
+		if string(line) != fprintf.String() {
+			t.Fatalf("encoders disagree\nappend:  %q\nfprintf: %q", line, fprintf.String())
 		}
 
-		// Property 2: ParseAppend accepts every encoder-produced line
-		// made of the fast path's byte alphabet and re-encodes it to
-		// the same bytes. Lines carrying control or non-ASCII bytes in
-		// field content — never a tab or newline, which Validate
-		// refuses — are deliberately deferred to the tolerant legacy
-		// parser, so a rejection is only legal for those.
+		// Property 2: ParseAppend accepts every line the encoder makes
+		// of an entry Validate accepts, and re-encodes it to the same
+		// bytes.
 		var back Entry
 		if err := ParseAppend(&back, line); err != nil {
-			for _, c := range line {
-				if c != ' ' && (c < 0x21 || c >= 0x80) {
-					return // justified conservative rejection
-				}
-			}
-			t.Fatalf("fast path rejected all-ASCII canonical line %q: %v", line, err)
+			t.Fatalf("ParseAppend rejected the line %q: %v", line, err)
 		}
 		if got := AppendEntry(nil, &back); string(got) != string(line) {
 			t.Fatalf("round trip not a fixpoint\nfirst:  %q\nsecond: %q", line, got)
@@ -199,16 +197,10 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 
 		// Entry → text → Entry: the decoded entry renders to canonical
 		// text that parses back equal, so a binary detour never disturbs
-		// the text-form digest contracts. Lines outside the fast path's
-		// byte alphabet are deferred to the tolerant parser by design.
+		// the text-form digest contracts.
 		line := AppendEntry(nil, &got1)
 		var back Entry
 		if err := ParseAppend(&back, line); err != nil {
-			for _, c := range line {
-				if c != ' ' && (c < 0x21 || c >= 0x80) {
-					return // justified conservative rejection
-				}
-			}
 			t.Fatalf("text reparse rejected %q: %v", line, err)
 		}
 		if got := AppendEntry(nil, &back); string(got) != string(line) {

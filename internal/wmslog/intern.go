@@ -1,9 +1,6 @@
 package wmslog
 
-import (
-	"hash/maphash"
-	"strings"
-)
+import "hash/maphash"
 
 // Column names one of the four string columns that identify who asked
 // for what from where — the columns an Interner numbers.
@@ -211,7 +208,7 @@ func NewInterner() *Interner {
 }
 
 // NewDeferredInterner returns an empty interner in deferred mode: a scan
-// through it interns URI and country as usual, leaves a canonical text
+// through it interns URI and country as usual, leaves a text
 // line's c-ip and c-playerid empty in the entry and hands them to the
 // callback as bytes instead (Identity), and leaves c-os, c-cpu and
 // cs(Referer) empty on every entry, text or binary. It is the trace
@@ -222,8 +219,8 @@ func NewDeferredInterner() *Interner { return &Interner{deferred: true} }
 // cs(Referer) empty: in deferred mode.
 func (in *Interner) drops() bool { return in != nil && in.deferred }
 
-// drop empties the fields a deferred scan does not keep, on an entry a
-// path other than the fast one decoded.
+// drop empties the fields a deferred scan does not keep, on a binary
+// record (a text line's are never made).
 func (in *Interner) drop(e *Entry) {
 	if in.drops() {
 		e.ClientOS, e.ClientCPU, e.Referer = "", "", ""
@@ -315,33 +312,17 @@ func (in *Interner) ipOf(p uint32) *ref {
 // through in has just handed its callback, as bytes that are valid only
 // until the callback returns: copy them, never keep the slices (lsmvet's
 // entryretain analyzer holds callers to that, as it does for e itself).
-// In deferred mode a canonical text line's columns are handed out as
+// In deferred mode a text line's columns are handed out as
 // they lie in the parser's buffer, with no string made of either; an
-// entry that carries the two as strings — a binary record, a line only
-// the tolerant splitter read, any entry of an interning scan — has them
-// copied into a buffer the next call reuses.
+// entry that carries the two as strings — a binary record, any entry
+// of an interning scan — has them copied into a buffer the next call
+// reuses.
 func (in *Interner) Identity(e *Entry) (ip, pid []byte) {
 	if e.PlayerID == "" { // a valid entry's player ID never is: deferred
 		return in.ip, in.player
 	}
 	in.scratch = append(append(in.scratch[:0], e.ClientIP...), e.PlayerID...)
 	return in.scratch[:len(e.ClientIP)], in.scratch[len(e.ClientIP):]
-}
-
-// internString is intern for a value that is already a string (the
-// tolerant splitter's columns, which alias the whole line): the
-// canonical instance, so the entry does not pin the line.
-func (in *Interner) internString(c Column, s string) string {
-	if in == nil {
-		return s
-	}
-	t := &in.cols[c]
-	o, hash, ok := t.findString(s)
-	if !ok {
-		o = t.add(strings.Clone(s), hash)
-	}
-	in.last[c] = ref{name: t.names[o], ord: o, set: true}
-	return t.names[o]
 }
 
 // Ordinal returns s's ordinal in column c: the last one handed out

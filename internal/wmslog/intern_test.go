@@ -11,40 +11,37 @@ import (
 
 // TestASNumberAndStatusRange: an s-as outside [0, 2³²) or a negative
 // sc-status is a malformed line — skipped and counted in tolerant mode,
-// an error naming its line in strict mode — on the fast path, on the
-// legacy splitter and in a binary record alike; the boundary values
-// read; and neither writer emits such an entry.
+// an error naming its line in strict mode — in a canonical line, in a
+// re-spaced one and in a binary record alike; the boundary values read;
+// and neither writer emits such an entry.
 func TestASNumberAndStatusRange(t *testing.T) {
 	line := func(status, as string) string {
 		return "2002-01-06 00:01:30 1.2.3.4 p1 - - /live/feed1 10 1000 800 0 1.00 - " + status + " " + as + " BR"
 	}
 	bad := [][2]string{{"200", "99999999999"}, {"200", "4294967296"}, {"200", "-5"}, {"-1", "7"}}
 	good := [][2]string{{"200", "4294967295"}, {"0", "0"}}
-	for _, legacy := range []bool{false, true} {
+	for _, respaced := range []bool{false, true} {
 		shape := func(l string) string {
-			if legacy {
-				return strings.Replace(l, " p1 ", "  p1\t", 1) // refused by the fast path only
+			if respaced {
+				return strings.Replace(l, " p1 ", "  p1\t", 1)
 			}
 			return l
 		}
 		for _, c := range bad {
 			text := goodLine + "\n" + shape(line(c[0], c[1])) + "\n" + goodLine + "\n"
 			entries, st, err := ReadAll(strings.NewReader(text), true)
-			if err != nil || len(entries) != 2 || st.Malformed != 1 || st.Fallback != 0 {
-				t.Errorf("legacy=%v status %s s-as %s tolerant: %d entries, stats %+v, err %v", legacy, c[0], c[1], len(entries), st, err)
+			if err != nil || len(entries) != 2 || st.Malformed != 1 {
+				t.Errorf("respaced=%v status %s s-as %s tolerant: %d entries, stats %+v, err %v", respaced, c[0], c[1], len(entries), st, err)
 			}
 			_, _, err = ReadAll(strings.NewReader(text), false)
 			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "line 2") {
-				t.Errorf("legacy=%v status %s s-as %s strict: err = %v, want ErrFormat at line 2", legacy, c[0], c[1], err)
+				t.Errorf("respaced=%v status %s s-as %s strict: err = %v, want ErrFormat at line 2", respaced, c[0], c[1], err)
 			}
 		}
 		for _, c := range good {
-			entries, st, err := ReadAll(strings.NewReader(shape(line(c[0], c[1]))), false)
+			entries, _, err := ReadAll(strings.NewReader(shape(line(c[0], c[1]))), false)
 			if err != nil || len(entries) != 1 || fmt.Sprint(entries[0].Status, entries[0].ASNumber) != c[0]+" "+c[1] {
-				t.Errorf("legacy=%v status %s s-as %s: entries %v, err %v", legacy, c[0], c[1], entries, err)
-			}
-			if want := map[bool]int{false: 0, true: 1}[legacy]; st.Fallback != want {
-				t.Errorf("legacy=%v: Fallback = %d, want %d", legacy, st.Fallback, want)
+				t.Errorf("respaced=%v status %s s-as %s: entries %v, err %v", respaced, c[0], c[1], entries, err)
 			}
 		}
 	}
@@ -125,8 +122,8 @@ func (c *checkOrdinals) check(e *Entry) error {
 
 // TestInternerOrdinals: the ordinals are right whichever path decoded
 // the entry and however the paths interleave through one interner — a
-// fast-path file, a file of legacy-fallback lines only, a binary file,
-// a fast-path file again — with players that change IP, IPs shared by
+// canonical text file, a re-spaced one, a binary file, the canonical
+// file again — with players that change IP, IPs shared by
 // two players, empty countries, more OS values than a linear table
 // holds, malformed lines that intern a player and are then refused,
 // and materialized entries that were never scanned through it.
@@ -142,7 +139,7 @@ func TestInternerOrdinals(t *testing.T) {
 		e.ASNumber = 1 + i%5
 		entries = append(entries, e)
 	}
-	var text, legacy, bin bytes.Buffer
+	var text, respaced, bin bytes.Buffer
 	bw := NewBinaryWriter(&bin)
 	for i, e := range entries {
 		line := string(AppendEntry(nil, e))
@@ -151,7 +148,7 @@ func TestInternerOrdinals(t *testing.T) {
 			// Interns a new player, then fails on the duration column.
 			fmt.Fprintf(&text, "2002-01-06 00:01:30 9.9.9.%d ghost-%d - - /live/ghost%d x 1 1 1 1.00 - 200 1 ZZ\n", i, i, i)
 		}
-		legacy.WriteString(strings.Replace(line, " ", "  ", 1) + "\n")
+		respaced.WriteString(strings.ReplaceAll(line, " ", "\t ") + "\n")
 		if err := bw.Write(e); err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +159,9 @@ func TestInternerOrdinals(t *testing.T) {
 
 	c := newCheckOrdinals()
 	for _, file := range []struct {
-		name     string
-		data     []byte
-		fallback int
-	}{{"text", text.Bytes(), 0}, {"legacy", legacy.Bytes(), len(entries)}, {"binary", bin.Bytes(), 0}, {"text again", text.Bytes(), 0}} {
+		name string
+		data []byte
+	}{{"text", text.Bytes()}, {"re-spaced", respaced.Bytes()}, {"binary", bin.Bytes()}, {"text again", text.Bytes()}} {
 		i := 0
 		st, err := Scan(bytes.NewReader(file.data), true, c.in, func(e *Entry) error {
 			if *e != *entries[i] {
@@ -177,8 +173,8 @@ func TestInternerOrdinals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file.name, err)
 		}
-		if i != len(entries) || st.Fallback != file.fallback {
-			t.Errorf("%s: %d entries, %d through the fallback; want %d and %d", file.name, i, st.Fallback, len(entries), file.fallback)
+		if i != len(entries) || st.Entries != len(entries) {
+			t.Errorf("%s: %d entries (stats %+v), want %d", file.name, i, st, len(entries))
 		}
 	}
 	for _, e := range entries { // never scanned through c.in: plain structs

@@ -393,40 +393,35 @@ func TestDailyWriterReusesOneBuffer(t *testing.T) {
 	})
 }
 
-// nextByteLoop is what the word-at-a-time fieldSplitter.next replaced:
-// the same column, one byte a step.
+// nextByteLoop is the splitting rule one byte a step: skip the
+// separators, then take every byte up to the next separator.
 func nextByteLoop(f *fieldSplitter) ([]byte, bool) {
-	line, start := f.line, f.pos
-	i := start
-	for i < len(line) && line[i]-0x21 < 0x5f {
+	line, i := f.line, f.pos
+	for i < len(line) && isSpace(line[i]) {
 		i++
 	}
-	if i == start {
-		return nil, false
+	start := i
+	for i < len(line) && !isSpace(line[i]) {
+		i++
 	}
-	if i < len(line) {
-		if line[i] != ' ' {
-			return nil, false
-		}
-		f.pos = i + 1
-	} else {
-		f.pos = i
-	}
-	return line[start:i], true
+	f.pos = i
+	return line[start:i], i > start
 }
 
 // checkSplitter walks line from pos with both splitters, column by
-// column until one refuses, and fails on the first column, verdict or
-// position they disagree on.
+// column until one refuses, and fails on the first column or verdict
+// they disagree on; done must agree with the refusal.
 func checkSplitter(t *testing.T, line []byte, pos int) {
 	t.Helper()
 	got, want := fieldSplitter{line: line, pos: pos}, fieldSplitter{line: line, pos: pos}
 	for {
+		rest := got
+		done := rest.done()
 		gc, gok := got.next()
 		wc, wok := nextByteLoop(&want)
-		if gok != wok || !bytes.Equal(gc, wc) || got.pos != want.pos {
-			t.Fatalf("line %q from %d: next = %q, %v (pos %d); the byte loop gives %q, %v (pos %d)",
-				line, pos, gc, gok, got.pos, wc, wok, want.pos)
+		if gok != wok || !bytes.Equal(gc, wc) || done == gok {
+			t.Fatalf("line %q from %d: next = %q, %v, done %v; the byte loop gives %q, %v",
+				line, pos, gc, gok, done, wc, wok)
 		}
 		if !gok {
 			return
@@ -435,13 +430,14 @@ func checkSplitter(t *testing.T, line []byte, pos int) {
 }
 
 // TestSplitterEveryEdgeByte: in every line of 0 to 24 column bytes,
-// each byte at the edges of the accept set — 0x00, 0x20, 0x21, 0x7f,
-// 0x80, 0xff — at every offset splits as the byte loop splits it, from
-// every start position.
+// each separator and each byte at the edges of the word loop's stop
+// set (≤ 0x20) and of the separator set — 0x00, 0x08 to 0x0e, 0x1f,
+// 0x20, 0x21, 0x7f, 0x80, 0xff — at every offset splits as the byte
+// loop splits it, from every start position.
 func TestSplitterEveryEdgeByte(t *testing.T) {
 	for n := 0; n <= 24; n++ {
 		for at := 0; at < n; at++ {
-			for _, c := range []byte{0x00, 0x20, 0x21, 0x7f, 0x80, 0xff} {
+			for _, c := range []byte{0x00, 0x08, '\t', '\n', '\v', '\f', '\r', 0x0e, 0x1f, ' ', 0x21, 0x7f, 0x80, 0xff} {
 				line := bytes.Repeat([]byte{'a'}, n)
 				line[at] = c
 				for pos := 0; pos <= n; pos++ {
@@ -454,8 +450,7 @@ func TestSplitterEveryEdgeByte(t *testing.T) {
 
 // FuzzSplitterMatchesByteLoop: over arbitrary bytes and any start
 // position, the word-at-a-time fieldSplitter.next hands out the columns
-// the byte loop does, refuses where it refuses and leaves the same
-// position behind.
+// the byte loop does and refuses where it refuses.
 func FuzzSplitterMatchesByteLoop(f *testing.F) {
 	f.Add([]byte(goodLine), uint8(0))
 	f.Add([]byte("ab cd"), uint8(1))
@@ -463,6 +458,7 @@ func FuzzSplitterMatchesByteLoop(f *testing.F) {
 	f.Add([]byte("abcdefg\x00"), uint8(0))
 	f.Add([]byte("abcdefghijklmno\x80"), uint8(0))
 	f.Add([]byte("a  b\tc\xff"), uint8(0))
+	f.Add([]byte(" \v\fabcdefgh\x01ijklmnop\r\t\x1fq \u00a0"), uint8(0))
 	f.Fuzz(func(t *testing.T, line []byte, pos uint8) {
 		checkSplitter(t, line, int(pos)%(len(line)+1))
 	})

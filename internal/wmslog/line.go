@@ -14,8 +14,10 @@ import (
 type Field struct{ s string }
 
 // MandatoryField checks s against the rule Entry.Validate applies to
-// c-ip, c-playerid and cs-uri-stem — non-empty, no space, tab or
-// newline — and returns it as a Field.
+// c-ip, c-playerid and cs-uri-stem — non-empty, no separator byte
+// (space, \t, \n, \v, \f, \r) — and returns it as a Field. It is the
+// test anything bound for one of those columns can be put to, a live
+// client's player ID included.
 func MandatoryField(s string) (Field, error) {
 	if s == "" || !stringSafe(s) {
 		return Field{}, fmt.Errorf("%w: bad mandatory field %q", ErrFormat, s)
@@ -24,8 +26,8 @@ func MandatoryField(s string) (Field, error) {
 }
 
 // OptionalField checks s against the rule Entry.Validate applies to
-// c-os, c-cpu, cs(Referer) and s-country — no tab or newline — and
-// returns it dash-encoded, as AppendEntry renders it: "-" for the
+// c-os, c-cpu, cs(Referer) and s-country — no separator byte but the
+// space — and returns it dash-encoded, as AppendEntry renders it: "-" for the
 // empty string, spaces as underscores.
 func OptionalField(s string) (Field, error) {
 	if !optionalSafe(s) {
@@ -46,8 +48,8 @@ func OptionalField(s string) (Field, error) {
 //
 // Validate checks what the Fields cannot: the numeric fields, by
 // Entry.Validate's rules, and a present cs-uri-stem. ClientIP and
-// PlayerID are the caller's to keep non-empty and free of spaces, tabs
-// and newlines; a generator renders them from numbers (digits and dots,
+// PlayerID are the caller's to keep non-empty and free of separator
+// bytes (MandatoryField's rule); a generator renders them from numbers (digits and dots,
 // "player-" and digits), so they hold that by construction.
 type Line struct {
 	Timestamp    time.Time

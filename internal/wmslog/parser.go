@@ -7,17 +7,16 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
-	"strings"
-	"time"
 )
 
 // ParseStats accumulates per-parse bookkeeping: how many lines were
-// consumed, how many were comments/headers, and how many were malformed
-// (and skipped, in tolerant mode). Binary records count as both a line
-// and an entry, and additionally under Binary, so a mixed-format
-// ReadFiles pass can report how much of its input took the fast
-// framing.
+// consumed, how many were comments/headers (blank lines included), how
+// many were entries and how many were malformed (and skipped, in
+// tolerant mode). Every text data line goes through the one decoder,
+// so a line is either an entry or malformed. Binary records count as
+// both a line and an entry, and additionally under Binary, so a
+// mixed-format ReadFiles pass can report how much of its input took
+// the binary framing.
 type ParseStats struct {
 	Lines     int
 	Comments  int
@@ -25,10 +24,6 @@ type ParseStats struct {
 	Malformed int
 	// Binary counts entries decoded from the binary framing.
 	Binary int
-	// Fallback counts text entries the canonical fast path refused and
-	// the tolerant legacy splitter accepted (repeated whitespace, tabs,
-	// a foreign float format).
-	Fallback int
 }
 
 // parserMode is the detected stream format.
@@ -84,7 +79,6 @@ func (s *ParseStats) Add(o ParseStats) {
 	s.Entries += o.Entries
 	s.Malformed += o.Malformed
 	s.Binary += o.Binary
-	s.Fallback += o.Fallback
 }
 
 // detect sniffs the stream format from its first bytes. A stream too
@@ -105,12 +99,9 @@ func (p *parser) detect() {
 // behind Scan, and so behind ScanFile, ReadAll and ReadFiles. After an
 // error *e holds garbage.
 //
-// Text data lines go through the parseAppend fast path first — the
-// strict canonical format the encoder emits, decoded without scratch
-// allocations — and only fall back to the tolerant legacy column
-// splitter (repeated whitespace, arbitrary float formats) when the
-// fast path rejects them. Binary streams decode record by record
-// through ParseBinary.
+// Text data lines are decoded by parseAppend, the one text decoder
+// (see ParseAppend for the column rule); binary streams decode record
+// by record through ParseBinary.
 //
 //lsm:hotpath
 func (p *parser) scan(e *Entry) error {
@@ -129,7 +120,7 @@ func (p *parser) scan(e *Entry) error {
 		if tooLong {
 			err = errLineTooLong
 		} else {
-			raw := bytes.TrimSpace(line)
+			raw := trimSpace(line)
 			if len(raw) == 0 {
 				p.stats.Comments++
 				continue
@@ -165,7 +156,11 @@ func (p *parser) header(raw []byte) {
 	if !ok {
 		return
 	}
-	p.fields = strings.Fields(string(rest))
+	p.fields = []string{} // non-nil: an empty column set is not the canonical one
+	cols := fieldSplitter{line: rest}
+	for col, ok := cols.next(); ok; col, ok = cols.next() {
+		p.fields = append(p.fields, string(col))
+	}
 	if slices.Equal(p.fields, Fields) {
 		p.fields = nil
 	}
@@ -257,83 +252,10 @@ func (p *parser) scanBinary(e *Entry) error {
 	return nil
 }
 
-// parseData decodes one data line into *e: canonical fast path, then
-// the tolerant legacy splitter. The splitter stays as the only reader
-// of foreign lines — tabs, repeated whitespace, floats not in the
-// fixed-2 form — and serves none of the generator's: ParseStats.Fallback
-// is 0 over the char_logs fixture's 240,814 entries.
+// parseData decodes one data line under the canonical #Fields header.
 func (p *parser) parseData(e *Entry, raw []byte) error {
 	if p.fields != nil {
 		return fmt.Errorf("%w: unsupported field set %v", ErrFormat, p.fields)
 	}
-	if err := parseAppend(e, raw, p.in); err == nil {
-		return nil
-	}
-	if err := p.parseLine(e, string(raw)); err != nil {
-		return err
-	}
-	p.stats.Fallback++
-	return nil
-}
-
-// parseLine decodes one data line according to the canonical Fields
-// order with the tolerant legacy splitter. The columns alias line, so
-// the retained ones go through the interner (which clones on first
-// sight) rather than pinning the whole line per entry.
-func (p *parser) parseLine(e *Entry, line string) error {
-	cols := strings.Fields(line)
-	if len(cols) != len(Fields) {
-		return fmt.Errorf("%w: %d columns, want %d", ErrFormat, len(cols), len(Fields))
-	}
-	ts, err := time.Parse("2006-01-02 15:04:05", cols[0]+" "+cols[1])
-	if err != nil {
-		return fmt.Errorf("%w: timestamp %q %q: %v", ErrFormat, cols[0], cols[1], err)
-	}
-	*e = Entry{
-		Timestamp: ts,
-		ClientIP:  p.in.internString(ColIP, cols[2]),
-		PlayerID:  p.in.internString(ColPlayer, cols[3]),
-		ClientOS:  p.in.internString(colOS, undash(cols[4])),
-		ClientCPU: p.in.internString(colCPU, undash(cols[5])),
-		URIStem:   p.in.internString(ColURI, cols[6]),
-		Referer:   strings.Clone(undash(cols[12])),
-		Country:   p.in.internString(ColCountry, undash(cols[15])),
-	}
-	if e.Duration, err = parseInt(cols[7], "x-duration"); err != nil {
-		return err
-	}
-	if e.Bytes, err = parseInt(cols[8], "sc-bytes"); err != nil {
-		return err
-	}
-	if e.AvgBandwidth, err = parseInt(cols[9], "avgbandwidth"); err != nil {
-		return err
-	}
-	if e.PacketsLost, err = parseInt(cols[10], "c-pkts-lost"); err != nil {
-		return err
-	}
-	if e.ServerCPU, err = strconv.ParseFloat(cols[11], 64); err != nil {
-		return fmt.Errorf("%w: s-cpu-util %q", ErrFormat, cols[11])
-	}
-	if e.ServerCPU == 0 {
-		e.ServerCPU = 0 // a foreign "-0.00" reads as 0, as on the fast path
-	}
-	if e.Status, err = strconv.Atoi(cols[13]); err != nil {
-		return fmt.Errorf("%w: sc-status %q", ErrFormat, cols[13])
-	}
-	if e.ASNumber, err = strconv.Atoi(cols[14]); err != nil {
-		return fmt.Errorf("%w: s-as %q", ErrFormat, cols[14])
-	}
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	p.in.drop(e)
-	return nil
-}
-
-func parseInt(s, field string) (int64, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s %q", ErrFormat, field, s)
-	}
-	return v, nil
+	return parseAppend(e, raw, p.in)
 }

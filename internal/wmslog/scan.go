@@ -12,7 +12,7 @@ import (
 // materialized, and the entry's string fields are canonical instances —
 // owned by in (when non-nil) for a text log, by the file's dictionary
 // for a binary one; with a nil in every text string is a fresh
-// allocation. Through a deferred interner a canonical text line's c-ip
+// allocation. Through a deferred interner a text line's c-ip
 // and c-playerid are not strings at all but bytes, read with
 // in.Identity(e), and every entry's c-os, c-cpu and cs(Referer) are
 // left empty (NewDeferredInterner).
@@ -24,8 +24,11 @@ import (
 // keeping any of its strings: strings are immutable, and a string field
 // is never rewritten in place.
 //
-// Tolerant and strict mode, ParseStats and errors are the parser's; an
-// error returned by fn stops the scan and is returned as is.
+// A text data line is decoded by ParseAppend's rule: columns separated
+// by runs of ASCII whitespace, every other byte column content — so an
+// entry a Writer accepted reads back. Tolerant and strict mode,
+// ParseStats and errors are the parser's; an error returned by fn stops
+// the scan and is returned as is.
 //
 //lsm:hotpath
 func Scan(r io.Reader, tolerant bool, in *Interner, fn func(*Entry) error) (ParseStats, error) {

@@ -72,8 +72,8 @@ func TestLongLineWithinLimit(t *testing.T) {
 }
 
 // TestValidateCharsetEveryByte pins the accept/reject set of the three
-// mandatory text fields byte by byte against the strings.ContainsAny
-// rule the byte loop replaced.
+// mandatory text fields byte by byte against a strings.ContainsAny rule:
+// no ASCII whitespace, the bytes the decoder splits columns at.
 func TestValidateCharsetEveryByte(t *testing.T) {
 	fields := map[string]func(*Entry) *string{
 		"ClientIP": func(e *Entry) *string { return &e.ClientIP },
@@ -85,7 +85,7 @@ func TestValidateCharsetEveryByte(t *testing.T) {
 			for _, v := range []string{string([]byte{byte(c)}), "ab" + string([]byte{byte(c)}) + "cd"} {
 				e := sampleEntry(TraceEpoch)
 				*field(e) = v
-				reject := strings.ContainsAny(v, " \t\n")
+				reject := strings.ContainsAny(v, " \t\n\v\f\r")
 				if err := e.Validate(); (err != nil) != reject {
 					t.Errorf("%s = %q: Validate error %v, want reject=%v", name, v, err, reject)
 				}
@@ -161,7 +161,8 @@ func errText(err error) string {
 // that accepts a different set of lines, as a differing deferred entry
 // or count. A deferred entry is compared with its c-os, c-cpu and
 // cs(Referer) cleared: the deferred scan checks those columns but keeps
-// none of the three.
+// none of the three. And a text input re-spaced — every space a run of
+// separators — scans to the same entries, stats and error.
 func FuzzScanMatchesReadAll(f *testing.F) {
 	var bin bytes.Buffer
 	bw := NewBinaryWriter(&bin)
@@ -184,6 +185,8 @@ func FuzzScanMatchesReadAll(f *testing.F) {
 		return strings.Replace(goodLine, " - 200 ", " "+SessionRef(41, seq)+" 200 ", 1)
 	}
 	f.Add([]byte(goodLine + "\n" + tagged(2) + "\n" + tagged(3) + "\n"))
+	f.Add([]byte("\t2002-01-06\v00:01:30  1.2.3.4\f\fp1\r-\t-  /live/feed1 10\t1000 800 0 1e0 - 200 1 BR\u00a0\r\n" +
+		"2002-01-06 00:01:31 10.0\x010.1 jogador-\u00e1 - - /live/São 10 1000 800 0 1.00 a\u0085b 200 1 Brasília\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tolerant := range []bool{true, false} {
@@ -201,6 +204,13 @@ func FuzzScanMatchesReadAll(f *testing.F) {
 					t.Fatalf("tolerant=%v: entry %d differs\nscan: %+v\nnext: %+v", tolerant, i, got[i], want[i])
 				}
 			}
+			if len(data) <= maxLineBytes/4 && !bytes.HasPrefix(data, binaryMagic) {
+				spaced, spacedSt, spacedErr := nextAll(respaceAll(data), tolerant)
+				if spacedSt != wantSt || errText(spacedErr) != errText(wantErr) || !slices.Equal(spaced, want) {
+					t.Fatalf("tolerant=%v: re-spaced scan %d entries, stats %+v, err %v; want %d, %+v, %v",
+						tolerant, len(spaced), spacedSt, spacedErr, len(want), wantSt, wantErr)
+				}
+			}
 			for i := range want {
 				want[i].ClientOS, want[i].ClientCPU, want[i].Referer = "", "", ""
 			}
@@ -211,4 +221,21 @@ func FuzzScanMatchesReadAll(f *testing.F) {
 			}
 		}
 	})
+}
+
+// respaceAll returns data with its k-th space replaced by the k-th of
+// a cycle of separator runs, none longer than three bytes.
+func respaceAll(data []byte) []byte {
+	runs := []string{"\t", "  ", " \v", "\f\r", "\r\t ", "\v"}
+	var out []byte
+	k := 0
+	for _, c := range data {
+		if c != ' ' {
+			out = append(out, c)
+			continue
+		}
+		out = append(out, runs[k%len(runs)]...)
+		k++
+	}
+	return out
 }

@@ -50,6 +50,7 @@ func TestEntryValidate(t *testing.T) {
 		func(e *Entry) { e.ServerCPU = -0.1 },
 		func(e *Entry) { e.ServerCPU = math.Copysign(0, -1) },
 		func(e *Entry) { e.ServerCPU = 101 },
+		func(e *Entry) { e.ServerCPU = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		e := sampleEntry(ts)
@@ -206,10 +207,117 @@ func TestWriterRejectsInvalidEntry(t *testing.T) {
 	}
 }
 
+// textFields are the seven text fields of an entry, by column name.
+var textFields = map[string]func(*Entry) *string{
+	"c-ip":        func(e *Entry) *string { return &e.ClientIP },
+	"c-playerid":  func(e *Entry) *string { return &e.PlayerID },
+	"c-os":        func(e *Entry) *string { return &e.ClientOS },
+	"c-cpu":       func(e *Entry) *string { return &e.ClientCPU },
+	"cs-uri-stem": func(e *Entry) *string { return &e.URIStem },
+	"cs(Referer)": func(e *Entry) *string { return &e.Referer },
+	"s-country":   func(e *Entry) *string { return &e.Country },
+}
+
+// TestWriterReaderAgree: what a writer accepts in a text field reads
+// back. Non-ASCII content — a trailing U+00A0 in the last column
+// included, which bytes.TrimSpace would strip — and control bytes are
+// written, read by a strict ReadAll to the same entry, and re-encoded
+// to the same bytes; \r, \v and \f, which the decoder splits columns
+// at, are ErrFormat from both writers and from the Field constructors.
+func TestWriterReaderAgree(t *testing.T) {
+	for name, field := range textFields {
+		for _, v := range []string{"Brasília", "São\u00a0Paulo", "BR\u00a0", "\u0085x", "x\x01y", "\x01", "\x7f\xff"} {
+			e := sampleEntry(TraceEpoch.Add(time.Hour))
+			*field(e) = v
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			if err := w.Write(e); err != nil {
+				t.Errorf("%s = %q: Write: %v", name, v, err)
+				continue
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := ReadAll(bytes.NewReader(buf.Bytes()), false)
+			if err != nil || len(got) != 1 || *got[0] != *e {
+				t.Errorf("%s = %q: reads back as %v, err %v", name, v, got, err)
+				continue
+			}
+			if line := AppendEntry(nil, got[0]); !bytes.Contains(buf.Bytes(), append(line, '\n')) {
+				t.Errorf("%s = %q: re-encodes to %q, not in %q", name, v, line, buf.Bytes())
+			}
+		}
+		for _, v := range []string{"a\rb", "a\vb", "a\fb", "\r", "\v", "\f"} {
+			e := sampleEntry(TraceEpoch.Add(time.Hour))
+			*field(e) = v
+			for wname, w := range map[string]EntryWriter{"text": NewWriter(&bytes.Buffer{}), "binary": NewBinaryWriter(&bytes.Buffer{})} {
+				if err := w.Write(e); !errors.Is(err, ErrFormat) {
+					t.Errorf("%s = %q: %s writer err = %v, want ErrFormat", name, v, wname, err)
+				}
+			}
+		}
+	}
+	for _, v := range []string{"a\rb", "a\vb", "a\fb"} {
+		if _, err := MandatoryField(v); !errors.Is(err, ErrFormat) {
+			t.Errorf("MandatoryField(%q): err = %v, want ErrFormat", v, err)
+		}
+		if _, err := OptionalField(v); !errors.Is(err, ErrFormat) {
+			t.Errorf("OptionalField(%q): err = %v, want ErrFormat", v, err)
+		}
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return len(p), nil
+	}
+	k := f.n
+	f.n = 0
+	return k, errDiskFull
+}
+
+// TestWriterReportsFailedWrite: a Writer over an io.Writer that fails —
+// at once, within the first buffer, or after several — returns the
+// failure from Write, WriteLine or Flush; it never ends in a short log
+// that looks written.
+func TestWriterReportsFailedWrite(t *testing.T) {
+	e := sampleEntry(TraceEpoch.Add(time.Hour))
+	line := AppendEntry(nil, e)
+	for _, n := range []int{0, 100, 3 << 16} {
+		for _, viaLine := range []bool{false, true} {
+			w := NewWriter(&failingWriter{n: n})
+			var err error
+			for i := 0; i < 5000 && err == nil; i++ {
+				if viaLine {
+					err = w.WriteLine(line)
+				} else {
+					err = w.Write(e)
+				}
+			}
+			if err == nil {
+				err = w.Flush()
+			}
+			if !errors.Is(err, errDiskFull) {
+				t.Errorf("failing after %d bytes, WriteLine=%v: err = %v, want the write's failure", n, viaLine, err)
+			}
+			if ferr := w.Flush(); !errors.Is(ferr, errDiskFull) {
+				t.Errorf("failing after %d bytes, WriteLine=%v: a later Flush says %v", n, viaLine, ferr)
+			}
+		}
+	}
+}
+
 // TestNegativeZeroServerCPU: −0 is not its own round trip ("-0.00"
 // reads back as 0, which prints "0.00"; the binary framing writes centi
 // 0), so both writers refuse it — while a foreign "-0.00" still reads,
-// as 0, on the fast path and on the tolerant legacy one.
+// as 0, in fixed-2 form on a canonical line and in exponent form on a
+// re-spaced one.
 func TestNegativeZeroServerCPU(t *testing.T) {
 	e := sampleEntry(TraceEpoch.Add(time.Hour))
 	e.ServerCPU = math.Copysign(0, -1)
@@ -230,14 +338,13 @@ func TestNegativeZeroServerCPU(t *testing.T) {
 	if err := ParseAppend(&fast, []byte(foreign)); err != nil {
 		t.Fatalf("ParseAppend(%q): %v", foreign, err)
 	}
-	// The fast path refuses a doubled separator, so this line goes
-	// through the legacy splitter and strconv.ParseFloat.
-	doubled := strings.Replace(foreign, " -0.00 ", "  -0.00 ", 1)
-	entries, _, err := ReadAll(strings.NewReader(doubled), false)
+	// Not fixed-2, so through strconv.ParseFloat.
+	respaced := strings.Replace(foreign, " -0.00 ", "\t -0e0\v", 1)
+	entries, _, err := ReadAll(strings.NewReader(respaced), false)
 	if err != nil || len(entries) != 1 {
-		t.Fatalf("legacy parse of %q: %d entries, err %v", doubled, len(entries), err)
+		t.Fatalf("parse of %q: %d entries, err %v", respaced, len(entries), err)
 	}
-	for name, got := range map[string]*Entry{"fast": &fast, "legacy": entries[0]} {
+	for name, got := range map[string]*Entry{"fixed-2": &fast, "re-spaced exponent": entries[0]} {
 		if got.ServerCPU != 0 || math.Signbit(got.ServerCPU) {
 			t.Errorf("%s path: ServerCPU = %v, want +0", name, got.ServerCPU)
 		}
