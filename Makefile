@@ -172,9 +172,12 @@ bench-history:
 # position, and the keyed trace-order sort = sort.Sort(byStart) over
 # tie-heavy rows with NaN/±0 readings and starts too wide for a key —
 # and the monotone radix queue (any monotone pushes and PopAtMost
-# limits = a sort-based reference, pop for pop).
+# limits = a sort-based reference, pop for pop) — and the live server's
+# control-line parser (any bytes are a command or an ErrProtocol error,
+# an accepted HELLO's player ID passes wmslog.MandatoryField, and an
+# accepted command rendered back parses to itself).
 # `go test` runs one fuzz target per invocation, hence the
-# fifteen steps; new failing inputs are minimized into the package's
+# sixteen steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -196,6 +199,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortTraceOrderMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzObserverMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRadixMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/heapx
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime $(FUZZTIME) ./internal/liveserver
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

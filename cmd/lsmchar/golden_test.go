@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"crypto/md5"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,29 +29,52 @@ const (
 	fixtureSeed  = 7
 )
 
-// characterize runs lsmchar over dir with -figs and returns its stdout,
-// the figure directory written as FIGS, and the md5 of every figure
-// series in md5sum's format, in name order.
-func characterize(t *testing.T, dir string) (stdout, series string) {
+// charRun is one lsmchar -figs run: its stdout, with the figure
+// directory written as FIGS, and the bytes of each figure series by
+// file name.
+type charRun struct {
+	stdout string
+	series map[string][]byte
+}
+
+// characterizeDays runs lsmchar over dir with a horizon of days and
+// -figs.
+func characterizeDays(t *testing.T, dir string, days int) charRun {
 	t.Helper()
 	figDir := filepath.Join(t.TempDir(), "figs")
 	var out bytes.Buffer
-	if err := run(&out, dir, fixtureDays, 1500, figDir, 1, ""); err != nil {
+	if err := run(&out, dir, days, 1500, figDir, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	dats, err := filepath.Glob(filepath.Join(figDir, "*.dat")) // sorted
+	dats, err := filepath.Glob(filepath.Join(figDir, "*.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sums strings.Builder
+	r := charRun{stdout: strings.ReplaceAll(out.String(), figDir, "FIGS"), series: make(map[string][]byte)}
 	for _, path := range dats {
-		data, err := os.ReadFile(path)
-		if err != nil {
+		if r.series[filepath.Base(path)], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&sums, "%x  %s\n", md5.Sum(data), filepath.Base(path))
 	}
-	return strings.ReplaceAll(out.String(), figDir, "FIGS"), sums.String()
+	return r
+}
+
+// sums returns the md5 of every figure series in md5sum's format, in
+// name order.
+func (r charRun) sums() string {
+	var sums strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(r.series)) {
+		fmt.Fprintf(&sums, "%x  %s\n", md5.Sum(r.series[name]), name)
+	}
+	return sums.String()
+}
+
+// characterize runs lsmchar over dir at the fixture's horizon with
+// -figs and returns its stdout and its series' md5s (charRun.sums).
+func characterize(t *testing.T, dir string) (stdout, series string) {
+	t.Helper()
+	r := characterizeDays(t, dir, fixtureDays)
+	return r.stdout, r.sums()
 }
 
 // appendReachBack appends to the fourth daily file of dir a kept
@@ -176,6 +201,8 @@ func writeLogFiles(t *testing.T, files []logFile) string {
 // Entry fields the relations rewrite, by their place on a text line
 // (#Fields: date time c-ip c-playerid c-os c-cpu cs-uri-stem x-duration ...).
 const (
+	fieldDate     = 0
+	fieldTime     = 1
 	fieldIP       = 2
 	fieldPlayer   = 3
 	fieldDuration = 7
@@ -214,6 +241,97 @@ func reverseOctets(ip string) string {
 	return strings.Join(octets, ".")
 }
 
+// shiftDays moves every entry's timestamp, and each daily file's name
+// with it, days later.
+func shiftDays(t *testing.T, files []logFile, days int) []logFile {
+	for i := range files {
+		day, err := time.Parse("wms-2006-01-02.log", files[i].name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i].name = day.AddDate(0, 0, days).Format("wms-2006-01-02.log")
+		for j, line := range files[i].entries {
+			fields := strings.Split(line, " ")
+			ts, err := time.Parse(time.DateTime, fields[fieldDate]+" "+fields[fieldTime])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fields[fieldDate], fields[fieldTime], _ = strings.Cut(ts.AddDate(0, 0, days).Format(time.DateTime), " ")
+			files[i].entries[j] = strings.Join(fields, " ")
+		}
+	}
+	return files
+}
+
+// Relation (f) shifts the fixture by shiftWeeks whole weeks inside a
+// horizon of shiftHorizon days: long enough that the shifted logs still
+// fit (their last file holds the transfers that end at the fixture's
+// last midnight), and not a whole number of weeks, so each fold
+// averages some phases over one more week than others.
+const (
+	shiftWeeks   = 2
+	shiftHorizon = fixtureDays + 7*shiftWeeks + 1
+	// shiftBins is how far a 15-minute binned series moves.
+	shiftBins = shiftWeeks * 7 * 96
+)
+
+// acfLine matches stdout's Figure 8 autocorrelation line.
+var acfLine = regexp.MustCompile(`ACF at 1-day lag: .*`)
+
+// checkWeekShift holds relation (f): logs shifted by whole weeks inside
+// the horizon keep Table 1, every fitted law, the Figure 6 replica
+// (drawn from the day fold), every marginal and both folds of each
+// temporal figure, while each 15-minute binned trace series moves by
+// shiftBins bins. Left out is the one output that sees the zero padding
+// before and after the traffic move: Figure 8's minute-lag
+// autocorrelation (fig08_acf, and stdout's 1-day lag), whose lagged
+// products pair padding with traffic at other places once the traffic
+// moves.
+func checkWeekShift(t *testing.T, want, got charRun) {
+	mask := func(s string) string { return acfLine.ReplaceAllString(s, "ACF at 1-day lag: X") }
+	if mask(got.stdout) != mask(want.stdout) {
+		t.Errorf("stdout changed:\n%s\nwant:\n%s", got.stdout, want.stdout)
+	}
+	if len(got.series) != len(want.series) {
+		t.Errorf("%d figure series, want %d", len(got.series), len(want.series))
+	}
+	for name, w := range want.series {
+		g := got.series[name]
+		switch {
+		case name == "fig08_acf.dat":
+		case strings.HasSuffix(name, "_trace.dat"):
+			wx, wy := datColumns(t, w)
+			gx, gy := datColumns(t, g)
+			n := len(wy)
+			if !slices.Equal(gx, wx) || n <= shiftBins || !slices.Equal(gy[shiftBins:], wy[:n-shiftBins]) ||
+				slices.ContainsFunc(gy[:shiftBins], isNonZero) || slices.ContainsFunc(wy[n-shiftBins:], isNonZero) {
+				t.Errorf("%s: not the series shifted by %d bins", name, shiftBins)
+			}
+		case !bytes.Equal(g, w):
+			t.Errorf("%s changed", name)
+		}
+	}
+}
+
+// datColumns splits a .dat file's points into their x and y columns,
+// as written.
+func datColumns(t *testing.T, data []byte) (xs, ys []string) {
+	t.Helper()
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		x, y, ok := strings.Cut(line, "\t")
+		if !ok {
+			t.Fatalf("bad .dat line %q", line)
+		}
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	return xs, ys
+}
+
+func isNonZero(y string) bool { return y != "0" }
+
 // fileCount matches the ingest line's count of files read, which the
 // re-split and merge relations change.
 var fileCount = regexp.MustCompile(`entries from \d+ files`)
@@ -230,33 +348,41 @@ var userCount = regexp.MustCompile(`\d+ users`)
 // file (the files read are counted in the ingest line, so that count
 // is masked), gzip on every file, a re-spacing of every line with tabs
 // and runs of spaces, and the same logs read at GOMAXPROCS 1 and 4.
-// Negative controls keep the relations from passing vacuously:
+// A row with a horizon of its own is compared with the untransformed
+// logs read over that horizon, and a row with a relation checks only
+// the outputs the relation fixes: relation (f), a shift by whole weeks
+// (checkWeekShift). Negative controls keep the relations from passing vacuously:
 // doubling every transfer's duration must move the length fit, and
 // merging two clients' identities must take one from the distinct
 // client count.
 func TestMetamorphicRelations(t *testing.T) {
 	base := writeLogs(t, fixtureScale, fixtureDays, fixtureSeed)
-	wantOut, wantSeries := characterize(t, base)
+	wants := map[int]charRun{fixtureDays: characterizeDays(t, base, fixtureDays)}
 	identity := func(files []logFile) []logFile { return files }
 	for _, c := range []struct {
 		name      string
 		transform func([]logFile) []logFile
 		procs     int // GOMAXPROCS for the run; 0 leaves it as it is
 		// control, for a negative control, picks the part of stdout the
-		// transform must move; nil for a relation: output unchanged.
+		// transform must move; nil for a relation.
 		control func(stdout string) string
+		// days is the horizon read; 0 is the fixture's.
+		days int
+		// relation checks what the transform fixes; nil: every byte of
+		// stdout (the count of files read masked) and of the 39 series.
+		relation func(t *testing.T, want, got charRun)
 	}{
 		{"relabel c-ip and c-playerid", func(files []logFile) []logFile {
 			files = mapField(files, fieldIP, reverseOctets)
 			return mapField(files, fieldPlayer, func(id string) string { return "relabelled-" + id })
-		}, 0, nil},
+		}, 0, nil, 0, nil},
 		{"shuffle lines within each file", func(files []logFile) []logFile {
 			rng := rand.New(rand.NewSource(42))
 			for _, f := range files {
 				rng.Shuffle(len(f.entries), func(i, j int) { f.entries[i], f.entries[j] = f.entries[j], f.entries[i] })
 			}
 			return files
-		}, 0, nil},
+		}, 0, nil, 0, nil},
 		{"re-split into more files, one reaching back", func(files []logFile) []logFile {
 			var out []logFile
 			for _, f := range files {
@@ -272,7 +398,7 @@ func TestMetamorphicRelations(t *testing.T) {
 			out = append(out, logFile{"wms-9999-12-31.log", first.header, first.entries[:k]})
 			first.entries = first.entries[k:]
 			return out
-		}, 0, nil},
+		}, 0, nil, 0, nil},
 		{"merge two days per file, in order", func(files []logFile) []logFile {
 			var out []logFile
 			for i := 0; i < len(files); i += 2 {
@@ -283,13 +409,13 @@ func TestMetamorphicRelations(t *testing.T) {
 				out = append(out, f)
 			}
 			return out
-		}, 0, nil},
+		}, 0, nil, 0, nil},
 		{"gzip every file", func(files []logFile) []logFile {
 			for i := range files {
 				files[i].name += ".gz"
 			}
 			return files
-		}, 0, nil},
+		}, 0, nil, 0, nil},
 		{"re-space with tabs and runs of spaces", func(files []logFile) []logFile {
 			rng := rand.New(rand.NewSource(43))
 			return mapLines(files, func(line string) string {
@@ -302,9 +428,9 @@ func TestMetamorphicRelations(t *testing.T) {
 				}
 				return b.String()
 			})
-		}, 0, nil},
-		{"GOMAXPROCS 1", identity, 1, nil},
-		{"GOMAXPROCS 4", identity, 4, nil},
+		}, 0, nil, 0, nil},
+		{"GOMAXPROCS 1", identity, 1, nil, 0, nil},
+		{"GOMAXPROCS 4", identity, 4, nil, 0, nil},
 		{"negative control: double every x-duration", func(files []logFile) []logFile {
 			return mapField(files, fieldDuration, func(d string) string {
 				n, err := strconv.ParseInt(d, 10, 64)
@@ -313,7 +439,7 @@ func TestMetamorphicRelations(t *testing.T) {
 				}
 				return strconv.FormatInt(2*n, 10)
 			})
-		}, 0, lengthFit},
+		}, 0, lengthFit, 0, nil},
 		{"negative control: merge two clients' identities", func(files []logFile) []logFile {
 			a := strings.Split(files[0].entries[0], " ")
 			var b []string
@@ -330,26 +456,38 @@ func TestMetamorphicRelations(t *testing.T) {
 				fields[fieldIP], fields[fieldPlayer] = a[fieldIP], a[fieldPlayer]
 				return strings.Join(fields, " ")
 			})
-		}, 0, userCount.FindString},
+		}, 0, userCount.FindString, 0, nil},
+		{"shift every timestamp by whole weeks", func(files []logFile) []logFile {
+			return shiftDays(t, files, 7*shiftWeeks)
+		}, 0, nil, shiftHorizon, checkWeekShift},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			days := cmp.Or(c.days, fixtureDays)
+			want, ok := wants[days]
+			if !ok {
+				want = characterizeDays(t, base, days)
+				wants[days] = want
+			}
 			dir := writeLogFiles(t, c.transform(readLogFiles(t, base)))
 			if c.procs > 0 {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			}
-			gotOut, gotSeries := characterize(t, dir)
-			if c.control != nil {
-				if got := c.control(gotOut); got == c.control(wantOut) {
-					t.Errorf("%q did not move", got)
+			got := characterizeDays(t, dir, days)
+			switch {
+			case c.control != nil:
+				if moved := c.control(got.stdout); moved == c.control(want.stdout) {
+					t.Errorf("%q did not move", moved)
 				}
-				return
-			}
-			gotOut = fileCount.ReplaceAllString(gotOut, "entries from N files")
-			if want := fileCount.ReplaceAllString(wantOut, "entries from N files"); gotOut != want {
-				t.Errorf("stdout changed:\n%s\nwant:\n%s", gotOut, want)
-			}
-			if gotSeries != wantSeries {
-				t.Errorf("figure series changed:\n%s\nwant:\n%s", gotSeries, wantSeries)
+			case c.relation != nil:
+				c.relation(t, want, got)
+			default:
+				gotOut := fileCount.ReplaceAllString(got.stdout, "entries from N files")
+				if wantOut := fileCount.ReplaceAllString(want.stdout, "entries from N files"); gotOut != wantOut {
+					t.Errorf("stdout changed:\n%s\nwant:\n%s", gotOut, wantOut)
+				}
+				if gotSeries, wantSeries := got.sums(), want.sums(); gotSeries != wantSeries {
+					t.Errorf("figure series changed:\n%s\nwant:\n%s", gotSeries, wantSeries)
+				}
 			}
 		})
 	}

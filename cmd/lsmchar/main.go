@@ -67,17 +67,9 @@ func run(w io.Writer, logDir string, days int, timeout int64, figDir string, see
 	printCharacterization(w, char)
 
 	if figDir != "" {
-		var count int
-		for _, fig := range char.Plots() {
-			for _, s := range fig.Series {
-				if len(s.Points) == 0 {
-					continue
-				}
-				if _, err := s.SaveDat(figDir); err != nil {
-					return err
-				}
-				count++
-			}
+		count, err := char.SaveFigures(figDir)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "wrote %d figure series under %s\n", count, figDir)
 	}
@@ -106,7 +98,7 @@ func renderPlot(w io.Writer, char *core.Characterization, id string) error {
 			if len(s.Points) == 0 {
 				continue
 			}
-			cfg := report.DefaultPlotConfig()
+			var cfg report.PlotConfig
 			// CCDF and rank-share panels live on log-log axes.
 			if strings.Contains(s.Name, "ccdf") || strings.Contains(s.Name, "fig07") ||
 				strings.Contains(s.Name, "fig02_as") || strings.Contains(s.Name, "hist") {

@@ -69,17 +69,9 @@ func run(w io.Writer, scale float64, days int, seed int64, outdir string) error 
 
 	if outdir != "" {
 		figDir := filepath.Join(outdir, "figures")
-		var count int
-		for _, fig := range rep.Char.Plots() {
-			for _, s := range fig.Series {
-				if len(s.Points) == 0 {
-					continue
-				}
-				if _, err := s.SaveDat(figDir); err != nil {
-					return err
-				}
-				count++
-			}
+		count, err := rep.Char.SaveFigures(figDir)
+		if err != nil {
+			return err
 		}
 		compPath := filepath.Join(outdir, "comparisons.md")
 		f, err := os.Create(compPath)

@@ -60,7 +60,7 @@ func TestEndToEndDiskRoundTrip(t *testing.T) {
 		t.Fatalf("entries: wrote %d, read %d", len(res.Entries), len(entries))
 	}
 
-	tr, err := trace.FromEntries(entries, cfg.Epoch, m.Horizon)
+	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, m.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,10 +62,6 @@ func NewOnlineLayer(horizon int64) (*OnlineLayer, error) {
 	if err != nil {
 		return nil, err
 	}
-	lengthQ, err := stats.NewLogQuantile(32)
-	if err != nil {
-		return nil, err
-	}
 	arrivals, err := stats.NewOnlineBins(horizon, TemporalBin)
 	if err != nil {
 		return nil, err
@@ -76,7 +72,7 @@ func NewOnlineLayer(horizon int64) (*OnlineLayer, error) {
 		ips:      ips,
 		ases:     make(map[uint32]struct{}),
 		objects:  make(map[uint16]struct{}),
-		lengthQ:  lengthQ,
+		lengthQ:  stats.NewLogQuantile(),
 		arrivals: arrivals,
 		ends:     heapx.New(func(a, b *int64) bool { return *a < *b }),
 	}, nil

@@ -19,20 +19,22 @@ type RedirectorConfig struct {
 	// usually detected faster — the registration connection dropping
 	// deregisters immediately — so the TTL is the wedged-process bound.
 	TTL time.Duration
-	// IdleTimeout drops client connections silent between commands;
-	// WriteTimeout bounds every reply write. Zero disables either.
-	IdleTimeout  time.Duration
-	WriteTimeout time.Duration
 }
+
+// The redirector's connection deadlines.
+const (
+	// idleTimeout drops a connection silent between commands.
+	idleTimeout = 60 * time.Second
+	// writeTimeout bounds every reply write.
+	writeTimeout = 5 * time.Second
+)
 
 // DefaultRedirectorConfig expires silent nodes after 2 seconds.
 func DefaultRedirectorConfig() RedirectorConfig {
 	p, _ := NewPolicy("hash")
 	return RedirectorConfig{
-		Policy:       p,
-		TTL:          2 * time.Second,
-		IdleTimeout:  60 * time.Second,
-		WriteTimeout: 5 * time.Second,
+		Policy: p,
+		TTL:    2 * time.Second,
 	}
 }
 
@@ -152,9 +154,7 @@ func (r *Redirector) untrack(conn net.Conn) {
 
 // reply writes one line under the write deadline.
 func (r *Redirector) reply(conn net.Conn, w *bufio.Writer, line string) error {
-	if r.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := w.WriteString(line + "\n"); err != nil {
 		return err
 	}
@@ -185,9 +185,7 @@ func readCommand(reader *bufio.Reader) (string, []string, error) {
 func (r *Redirector) handle(conn net.Conn) {
 	reader := bufio.NewReaderSize(conn, MaxLineBytes)
 	writer := bufio.NewWriterSize(conn, 4096)
-	if r.cfg.IdleTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
-	}
+	conn.SetReadDeadline(time.Now().Add(idleTimeout))
 	verb, args, err := readCommand(reader)
 	if err != nil {
 		return
@@ -253,9 +251,7 @@ func (r *Redirector) nodeSession(conn net.Conn, reader *bufio.Reader, writer *bu
 			r.reply(conn, writer, "ERR unknown verb "+verb)
 			return
 		}
-		if r.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		var err error
 		verb, args, err = readCommand(reader)
 		if err != nil {
@@ -294,9 +290,7 @@ func (r *Redirector) clientSession(conn net.Conn, reader *bufio.Reader, writer *
 		return
 	}
 	for {
-		if r.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		verb, args, err := readCommand(reader)
 		if err != nil {
 			return

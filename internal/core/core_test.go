@@ -61,7 +61,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		t.Error("bad model: want error")
 	}
 	bad = cfg
-	bad.Server.EncodingBps = 0
+	bad.Server.SpanningPerMillion = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("bad server: want error")
 	}

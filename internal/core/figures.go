@@ -216,6 +216,24 @@ func (c *Characterization) Plots() []Figure {
 	return out
 }
 
+// SaveFigures writes every non-empty series of Plots as a .dat file
+// under dir (report.Series.SaveDat) and returns how many it wrote.
+func (c *Characterization) SaveFigures(dir string) (int, error) {
+	var count int
+	for _, fig := range c.Plots() {
+		for _, s := range fig.Series {
+			if len(s.Points) == 0 {
+				continue
+			}
+			if _, err := s.SaveDat(dir); err != nil {
+				return count, err
+			}
+			count++
+		}
+	}
+	return count, nil
+}
+
 func countrySeries(name string, shares map[string]float64) report.Series {
 	// Render in the paper's fixed country order where present.
 	order := []string{"BR", "US", "AR", "JP", "DE", "CH", "AU", "BE", "BO", "SG", "SV"}

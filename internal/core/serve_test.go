@@ -10,6 +10,7 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/simulate"
 	"repro/internal/trace"
+	"repro/internal/wmslog"
 )
 
 // TestServeMatchesLog: Serve's trace is the log's. With one transfer in
@@ -37,7 +38,7 @@ func TestServeMatchesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged, err := trace.FromEntries(res.Entries, server.Epoch, m.Horizon)
+	logged, err := trace.FromEntries(res.Entries, wmslog.TraceEpoch, m.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,11 +82,10 @@ func TestParseDataHeaderAndEnd(t *testing.T) {
 
 func TestServeRejectsBadConfig(t *testing.T) {
 	bad := []ServerConfig{
-		{FrameBytes: 0, FrameInterval: time.Millisecond, MaxConns: 1, Objects: []string{"/x"}},
-		{FrameBytes: MaxFrameBytes + 1, FrameInterval: time.Millisecond, MaxConns: 1, Objects: []string{"/x"}},
-		{FrameBytes: 100, FrameInterval: 0, MaxConns: 1, Objects: []string{"/x"}},
-		{FrameBytes: 100, FrameInterval: time.Millisecond, MaxConns: 0, Objects: []string{"/x"}},
-		{FrameBytes: 100, FrameInterval: time.Millisecond, MaxConns: 1, Objects: nil},
+		{FrameBytes: 0, FrameInterval: time.Millisecond, MaxConns: 1},
+		{FrameBytes: MaxFrameBytes + 1, FrameInterval: time.Millisecond, MaxConns: 1},
+		{FrameBytes: 100, FrameInterval: 0, MaxConns: 1},
+		{FrameBytes: 100, FrameInterval: time.Millisecond, MaxConns: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := Serve("127.0.0.1:0", cfg); err == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,8 +52,6 @@ type ServerConfig struct {
 	// point: live viewers cannot be deferred, so this is capacity
 	// exhaustion made visible, never a hang).
 	MaxConns int
-	// Objects lists the valid live-object URIs.
-	Objects []string
 	// Sink receives a record for every completed transfer. May be nil.
 	Sink func(TransferRecord)
 
@@ -75,7 +74,6 @@ func DefaultServerConfig() ServerConfig {
 		FrameBytes:    1375,
 		FrameInterval: 100 * time.Millisecond,
 		MaxConns:      256,
-		Objects:       []string{"/live/feed1", "/live/feed2"},
 		WriteTimeout:  10 * time.Second,
 		IdleTimeout:   60 * time.Second,
 	}
@@ -112,9 +110,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.WriteTimeout < 0 || cfg.IdleTimeout < 0 {
 		return nil, fmt.Errorf("%w: negative timeout", ErrProtocol)
-	}
-	if len(cfg.Objects) == 0 {
-		return nil, fmt.Errorf("%w: no objects", ErrProtocol)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -355,7 +350,7 @@ func (s *Server) handle(conn net.Conn) {
 				sendErr("HELLO required before START", "")
 				return
 			}
-			if !s.validObject(msg.cmd.arg) {
+			if !validObject(msg.cmd.arg) {
 				sendErr("unknown object ", msg.cmd.arg)
 				return
 			}
@@ -477,13 +472,12 @@ func (s *Server) emit(playerID, remoteIP, uri string, start time.Time, bytes int
 	})
 }
 
-func (s *Server) validObject(uri string) bool {
-	for _, o := range s.cfg.Objects {
-		if o == uri {
-			return true
-		}
-	}
-	return false
+// objects are the live-object URIs the server streams: the paper's two
+// feeds (Table 1), named as the simulator names them.
+var objects = []string{"/live/feed1", "/live/feed2"}
+
+func validObject(uri string) bool {
+	return slices.Contains(objects, uri)
 }
 
 func remoteIPOf(conn net.Conn) string {

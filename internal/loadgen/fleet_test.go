@@ -341,7 +341,7 @@ func TestFleetNodeDiesBetweenRedirectAndConnect(t *testing.T) {
 		cfg:      cfg,
 		slots:    make(chan struct{}, 4),
 		m:        m,
-		resolver: newResolver(rd.Addr(), time.Second, m),
+		resolver: newResolver(rd.Addr(), m),
 		begin:    time.Now(),
 		origin:   0,
 	}
@@ -388,7 +388,6 @@ func TestFleetRedirectLoopBounded(t *testing.T) {
 
 	cfg := fastReplayConfig()
 	cfg.Frontend = true
-	cfg.FailoverAttempts = 3
 	events := []workload.Event{{Session: 1, Seq: 0, Client: 9999, Object: 0, Start: 0, Duration: 1}}
 
 	// 9999 does not collide with the live node's routes; keep resolving

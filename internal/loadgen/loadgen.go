@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/gismo"
 	"repro/internal/liveserver"
 	"repro/internal/simulate"
 	"repro/internal/workload"
@@ -71,33 +72,28 @@ type Config struct {
 	// REDIRECT — and the transfer runs against the redirected node.
 	// Routes are cached sticky per (client, object); exactly one
 	// redirect hop is ever followed. When a node dies, affected
-	// transfers re-resolve through the front-end (bounded retries) and
-	// the recovery is recorded in the metrics as a failover.
+	// transfers re-resolve through the front-end (failoverAttempts
+	// retries) and the recovery is recorded in the metrics as a failover.
 	Frontend bool
-	// ResolveTimeout bounds one front-end route lookup.
-	ResolveTimeout time.Duration
-	// FailoverAttempts is how many times a failed transfer re-resolves
-	// and retries before being counted lost (fleet mode only).
-	FailoverAttempts int
-
-	// PlayerOf maps a client index to the player ID sent in HELLO. Nil
-	// uses the generator's population naming (player-%07d).
-	PlayerOf func(client int) string
-	// URIOf maps an object index to its live URI. Nil uses the
-	// simulator's object naming (/live/feedN).
-	URIOf func(object int) string
 }
+
+// Fleet mode's fixed bounds.
+const (
+	// resolveTimeout bounds one front-end route lookup.
+	resolveTimeout = 5 * time.Second
+	// failoverAttempts is how many times a failed transfer re-resolves
+	// and retries before being counted lost.
+	failoverAttempts = 3
+)
 
 // DefaultConfig replays one trace hour in six wall seconds over at most
 // 256 connections.
 func DefaultConfig() Config {
 	return Config{
-		Compression:      600,
-		MaxConns:         256,
-		MinWatch:         40 * time.Millisecond,
-		IdleConn:         2 * time.Second,
-		ResolveTimeout:   5 * time.Second,
-		FailoverAttempts: 3,
+		Compression: 600,
+		MaxConns:    256,
+		MinWatch:    40 * time.Millisecond,
+		IdleConn:    2 * time.Second,
 	}
 }
 
@@ -118,29 +114,13 @@ func (c *Config) Validate() error {
 	if c.MaxTransfers < 0 {
 		return fmt.Errorf("%w: max transfers %d", ErrBadConfig, c.MaxTransfers)
 	}
-	if c.Frontend {
-		if c.ResolveTimeout <= 0 {
-			return fmt.Errorf("%w: resolve timeout %v", ErrBadConfig, c.ResolveTimeout)
-		}
-		if c.FailoverAttempts < 0 {
-			return fmt.Errorf("%w: failover attempts %d", ErrBadConfig, c.FailoverAttempts)
-		}
-	}
 	return nil
 }
 
-func (c *Config) playerOf(client int) string {
-	if c.PlayerOf != nil {
-		return c.PlayerOf(client)
-	}
-	return fmt.Sprintf("player-%07d", client)
-}
-
-func (c *Config) uriOf(object int) string {
-	if c.URIOf != nil {
-		return c.URIOf(object)
-	}
-	return simulate.ObjectURI(object)
+// playerOf is the player ID a client sends in HELLO: the generator's
+// population naming, so the served log names clients as lsmgen does.
+func playerOf(client int) string {
+	return string(gismo.AppendPlayerID(nil, client))
 }
 
 // Replay drives the stream against the server at addr. It consumes the
@@ -160,7 +140,7 @@ func Replay(addr string, stream workload.Stream, cfg Config) (*Result, error) {
 		m:     newMetrics(),
 	}
 	if cfg.Frontend {
-		r.resolver = newResolver(addr, cfg.ResolveTimeout, r.m)
+		r.resolver = newResolver(addr, r.m)
 	}
 	workers := make(map[int]*worker)
 
@@ -397,7 +377,7 @@ func (r *runner) perform(c *liveserver.Client, cAddr string, ev workload.Event, 
 		}
 		key := routeKey{ev.Client, ev.Object}
 		failedAddr := addr
-		for attempt := 0; attempt < r.cfg.FailoverAttempts && err != nil; attempt++ {
+		for attempt := 0; attempt < failoverAttempts && err != nil; attempt++ {
 			r.resolver.invalidate(key, addr)
 			// Give the front-end a beat to notice the death; the first
 			// retry is immediate (a killed node deregisters instantly).
@@ -439,14 +419,14 @@ func (r *runner) routeOf(ev workload.Event) (string, error) {
 	if r.resolver == nil {
 		return r.addr, nil
 	}
-	return r.resolver.resolve(routeKey{ev.Client, ev.Object}, r.cfg.playerOf(ev.Client), r.cfg.uriOf(ev.Object))
+	return r.resolver.resolve(routeKey{ev.Client, ev.Object}, playerOf(ev.Client), simulate.ObjectURI(ev.Object))
 }
 
 // dial opens and HELLOs a connection to addr for the client, recording
 // dial latency on success.
 func (r *runner) dial(addr string, client int) (*liveserver.Client, error) {
 	begin := time.Now()
-	c, err := liveserver.Dial(addr, r.cfg.playerOf(client))
+	c, err := liveserver.Dial(addr, playerOf(client))
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +444,7 @@ func (r *runner) watch(c *liveserver.Client, ev workload.Event) error {
 	if dur < r.cfg.MinWatch {
 		dur = r.cfg.MinWatch
 	}
-	res, err := c.WatchTagged(r.cfg.uriOf(ev.Object), int64(ev.Session), ev.Seq, dur)
+	res, err := c.WatchTagged(simulate.ObjectURI(ev.Object), int64(ev.Session), ev.Seq, dur)
 	if err != nil {
 		return err
 	}

@@ -58,11 +58,7 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	q, err := stats.NewLogQuantile(32)
-	if err != nil {
-		panic(err) // static argument; cannot fail
-	}
-	return &metrics{startQ: q}
+	return &metrics{startQ: stats.NewLogQuantile()}
 }
 
 func (m *metrics) addLag(d time.Duration) {

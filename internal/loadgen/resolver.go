@@ -28,17 +28,15 @@ type routeKey struct {
 // wander.
 type resolver struct {
 	frontend string
-	timeout  time.Duration
 	m        *metrics
 
 	mu    sync.Mutex
 	cache map[routeKey]string
 }
 
-func newResolver(frontend string, timeout time.Duration, m *metrics) *resolver {
+func newResolver(frontend string, m *metrics) *resolver {
 	return &resolver{
 		frontend: frontend,
-		timeout:  timeout,
 		m:        m,
 		cache:    make(map[routeKey]string),
 	}
@@ -55,7 +53,7 @@ func (r *resolver) resolve(key routeKey, player, uri string) (string, error) {
 		return addr, nil
 	}
 	begin := time.Now()
-	addr, err := cluster.Lookup(r.frontend, player, uri, r.timeout)
+	addr, err := cluster.Lookup(r.frontend, player, uri, resolveTimeout)
 	if err != nil {
 		return "", err
 	}

@@ -7,30 +7,22 @@ import (
 	"strings"
 )
 
-// PlotConfig controls ASCII rendering of a Series.
+// PlotConfig picks the axes of an ASCII rendering of a Series.
 type PlotConfig struct {
-	Width  int  // plot area columns (default 72)
-	Height int  // plot area rows (default 20)
-	LogX   bool // logarithmic x axis (x must be > 0)
-	LogY   bool // logarithmic y axis (y must be > 0)
+	LogX bool // logarithmic x axis (x must be > 0)
+	LogY bool // logarithmic y axis (y must be > 0)
 }
 
-// DefaultPlotConfig is the terminal-friendly default.
-func DefaultPlotConfig() PlotConfig {
-	return PlotConfig{Width: 72, Height: 20}
-}
+// The plot area of a terminal: columns and rows.
+const (
+	plotWidth  = 72
+	plotHeight = 20
+)
 
 // Plot renders the series as an ASCII scatter plot — the closest a
 // terminal gets to the paper's gnuplot panels. Points that cannot be
 // represented on a log axis (non-positive values) are skipped.
 func (s Series) Plot(w io.Writer, cfg PlotConfig) error {
-	if cfg.Width < 8 {
-		cfg.Width = 72
-	}
-	if cfg.Height < 4 {
-		cfg.Height = 20
-	}
-
 	type xy struct{ x, y float64 }
 	pts := make([]xy, 0, len(s.Points))
 	for _, p := range s.Points {
@@ -72,14 +64,14 @@ func (s Series) Plot(w io.Writer, cfg PlotConfig) error {
 		maxY = minY + 1
 	}
 
-	grid := make([][]byte, cfg.Height)
+	grid := make([][]byte, plotHeight)
 	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", cfg.Width))
+		grid[i] = []byte(strings.Repeat(" ", plotWidth))
 	}
 	for _, p := range pts {
-		col := int((p.x - minX) / (maxX - minX) * float64(cfg.Width-1))
-		row := int((p.y - minY) / (maxY - minY) * float64(cfg.Height-1))
-		grid[cfg.Height-1-row][col] = '*'
+		col := int((p.x - minX) / (maxX - minX) * float64(plotWidth-1))
+		row := int((p.y - minY) / (maxY - minY) * float64(plotHeight-1))
+		grid[plotHeight-1-row][col] = '*'
 	}
 
 	if _, err := fmt.Fprintf(w, "%s\n", s.Name); err != nil {
@@ -96,7 +88,7 @@ func (s Series) Plot(w io.Writer, cfg PlotConfig) error {
 		switch i {
 		case 0:
 			label = yLabel(maxY)
-		case cfg.Height - 1:
+		case plotHeight - 1:
 			label = yLabel(minY)
 		}
 		if _, err := fmt.Fprintf(w, "%s |%s\n", label, string(row)); err != nil {
@@ -108,9 +100,9 @@ func (s Series) Plot(w io.Writer, cfg PlotConfig) error {
 		xLo, xHi = math.Pow(10, minX), math.Pow(10, maxX)
 	}
 	footer := fmt.Sprintf("%9.3g%s%.3g", xLo,
-		strings.Repeat(" ", maxInt(1, cfg.Width-10)), xHi)
+		strings.Repeat(" ", plotWidth-10), xHi)
 	if _, err := fmt.Fprintf(w, "%s +%s\n%s  %s\n",
-		strings.Repeat(" ", 9), strings.Repeat("-", cfg.Width),
+		strings.Repeat(" ", 9), strings.Repeat("-", plotWidth),
 		strings.Repeat(" ", 9), footer); err != nil {
 		return err
 	}
@@ -127,11 +119,4 @@ func (s Series) Plot(w io.Writer, cfg PlotConfig) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

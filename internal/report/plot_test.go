@@ -15,7 +15,7 @@ func TestPlotLinear(t *testing.T) {
 		Points: []stats.Point{{X: 0, Y: 0}, {X: 5, Y: 5}, {X: 10, Y: 10}},
 	}
 	var buf bytes.Buffer
-	if err := s.Plot(&buf, DefaultPlotConfig()); err != nil {
+	if err := s.Plot(&buf, PlotConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -46,7 +46,7 @@ func TestPlotLogAxes(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	cfg := DefaultPlotConfig()
+	cfg := PlotConfig{}
 	cfg.LogX, cfg.LogY = true, true
 	if err := s.Plot(&buf, cfg); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestPlotLogAxes(t *testing.T) {
 func TestPlotEmptyAndDegenerate(t *testing.T) {
 	var buf bytes.Buffer
 	empty := Series{Name: "empty"}
-	if err := empty.Plot(&buf, DefaultPlotConfig()); err != nil {
+	if err := empty.Plot(&buf, PlotConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no plottable points") {
@@ -85,7 +85,7 @@ func TestPlotEmptyAndDegenerate(t *testing.T) {
 
 	buf.Reset()
 	single := Series{Name: "single", Points: []stats.Point{{X: 3, Y: 7}}}
-	if err := single.Plot(&buf, DefaultPlotConfig()); err != nil {
+	if err := single.Plot(&buf, PlotConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(buf.String(), "*") != 1 {
@@ -94,23 +94,12 @@ func TestPlotEmptyAndDegenerate(t *testing.T) {
 
 	buf.Reset()
 	logEmpty := Series{Name: "neg", Points: []stats.Point{{X: -1, Y: -1}}}
-	cfg := DefaultPlotConfig()
+	cfg := PlotConfig{}
 	cfg.LogX = true
 	if err := logEmpty.Plot(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no plottable points") {
 		t.Error("all-dropped series should say so")
-	}
-}
-
-func TestPlotTinyConfigClamped(t *testing.T) {
-	s := Series{Name: "t", Points: []stats.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}}
-	var buf bytes.Buffer
-	if err := s.Plot(&buf, PlotConfig{Width: 1, Height: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if len(strings.Split(buf.String(), "\n")) < 10 {
-		t.Error("config should clamp to usable defaults")
 	}
 }

@@ -4,6 +4,7 @@
 package report
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -86,7 +87,9 @@ func (s Series) WriteDat(w io.Writer) error {
 }
 
 // SaveDat writes the series to a .dat file under dir, deriving the file
-// name from the series name.
+// name from the series name. The file is written through a buffer, and
+// a failed write, flush or close is an error: a full disk never leaves
+// a short file reported as written.
 func (s Series) SaveDat(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -106,8 +109,15 @@ func (s Series) SaveDat(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	if err := s.WriteDat(f); err != nil {
+	w := bufio.NewWriter(f)
+	err = s.WriteDat(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return "", err
 	}
 	return path, nil

@@ -48,6 +48,23 @@ func TestSeriesSaveDat(t *testing.T) {
 	}
 }
 
+// TestSeriesSaveDatReportsWriteError: a write that fails — here the
+// file is /dev/full, a disk with no room — is SaveDat's error, not a
+// short file reported as written.
+func TestSeriesSaveDatReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "full.dat")); err != nil {
+		t.Fatal(err)
+	}
+	s := Series{Name: "full", Points: []stats.Point{{X: 1, Y: 2}}}
+	if path, err := s.SaveDat(dir); err == nil {
+		t.Fatalf("SaveDat into a full file returned %s, want an error", path)
+	}
+}
+
 func TestFromHelpers(t *testing.T) {
 	e := stats.NewECDF([]float64{1, 2, 3})
 	if s := FromECDFCDF("c", e); len(s.Points) != 3 || s.YLabel != "P[X <= x]" {

@@ -7,7 +7,7 @@ import (
 
 // drawBandwidth models Figure 20's two modes.
 //
-// With probability CongestionFrac the transfer is congestion-bound:
+// With probability congestionFrac the transfer is congestion-bound:
 // "extremely limited network resources" put its average bandwidth far
 // below any access-link speed, here a low lognormal mode. Otherwise the
 // transfer is client-bound: it runs at the client's access-link speed
@@ -15,9 +15,9 @@ import (
 // of the distribution.
 //
 // The returned bool reports whether the transfer was congestion-bound.
-func (c *Config) drawBandwidth(accessBps int64, rng *rand.Rand) (int64, bool) {
-	if rng.Float64() < c.CongestionFrac {
-		bw := int64(math.Exp(c.CongestionMu + c.CongestionSigma*rng.NormFloat64()))
+func drawBandwidth(accessBps int64, rng *rand.Rand) (int64, bool) {
+	if rng.Float64() < congestionFrac {
+		bw := int64(math.Exp(congestionMu + congestionSigma*rng.NormFloat64()))
 		if bw < 100 {
 			bw = 100
 		}
@@ -27,7 +27,7 @@ func (c *Config) drawBandwidth(accessBps int64, rng *rand.Rand) (int64, bool) {
 		}
 		return bw, true
 	}
-	jitter := 1 + c.BandwidthJitter*(2*rng.Float64()-1)
+	jitter := 1 + bandwidthJitter*(2*rng.Float64()-1)
 	bw := int64(float64(accessBps) * jitter)
 	if bw < 100 {
 		bw = 100
@@ -37,8 +37,8 @@ func (c *Config) drawBandwidth(accessBps int64, rng *rand.Rand) (int64, bool) {
 
 // drawLoss models client-side packet loss: a small base rate for
 // client-bound transfers, an order of magnitude worse under congestion.
-func (c *Config) drawLoss(duration int64, congested bool, rng *rand.Rand) int64 {
-	rate := c.BaseLossRate
+func drawLoss(duration int64, congested bool, rng *rand.Rand) int64 {
+	rate := baseLossRate
 	if congested {
 		rate *= 12
 	}
@@ -73,11 +73,11 @@ func (c *Config) drawLoss(duration int64, congested bool, rng *rand.Rand) int64 
 
 // cpuAt models server CPU utilization at a given concurrency level: a
 // linear per-transfer cost plus bounded measurement noise, clamped to
-// [0, 100]. With the default calibration the server stays far below 10%
+// [0, 100]. With this calibration the server stays far below 10%
 // at the paper's peak concurrency (~4,000 transfers), reproducing the
 // Section 2.4 audit.
-func (c *Config) cpuAt(concurrent int, rng *rand.Rand) float64 {
-	cpu := c.CPUPerTransfer*float64(concurrent) + c.CPUNoise*rng.Float64()
+func cpuAt(concurrent int, rng *rand.Rand) float64 {
+	cpu := cpuPerTransfer*float64(concurrent) + cpuNoise*rng.Float64()
 	if cpu < 0 {
 		cpu = 0
 	}

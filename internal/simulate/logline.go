@@ -16,7 +16,7 @@ import (
 // release hands one log record to the Line sink as text and to the
 // Entry sink as the reused entry.
 func (em *emitter) release(r *logRecord) error {
-	ts := em.log.epoch.Add(time.Duration(r.end) * time.Second)
+	ts := wmslog.TraceEpoch.Add(time.Duration(r.end) * time.Second)
 	if em.sinks.Line != nil {
 		if err := em.writeLine(ts, r); err != nil {
 			return err
@@ -76,13 +76,12 @@ const (
 )
 
 // logTables is what a run with a Line or Entry sink renders its log
-// records from beyond the records themselves: the epoch, and each text
-// column's values — as checked wmslog.Fields for the Line sink, as
-// strings for the Entry sink, each made once per run (per object for
-// the URIs, as the object first appears).
+// records from beyond the records themselves: each text column's
+// values — as checked wmslog.Fields for the Line sink, as strings for
+// the Entry sink, each made once per run (per object for the URIs, as
+// the object first appears). Timestamps count from wmslog.TraceEpoch.
 type logTables struct {
-	epoch time.Time
-	ases  []topology.AS
+	ases []topology.AS
 
 	uris []objectURI // per object, made on first use
 
@@ -95,8 +94,8 @@ type logTables struct {
 	names *entryNames
 }
 
-func newLogTables(cfg *Config, pop *gismo.Population, sinks StreamSinks) (*logTables, error) {
-	t := &logTables{epoch: cfg.Epoch, ases: pop.Topology().ASes}
+func newLogTables(pop *gismo.Population, sinks StreamSinks) (*logTables, error) {
+	t := &logTables{ases: pop.Topology().ASes}
 	if sinks.Entry != nil {
 		t.names = newEntryNames(pop)
 	}

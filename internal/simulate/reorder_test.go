@@ -28,7 +28,7 @@ type heapKey struct {
 // emitter's own release: the log RunStream wrote before its reorder
 // buffer became a radix queue.
 func referenceHeapRun(events []workload.Event, pop *gismo.Population, horizon int64, cfg Config, seed uint64, sinks StreamSinks) error {
-	em, err := newEmitter(&cfg, pop, sinks)
+	em, err := newEmitter(pop, sinks)
 	if err != nil {
 		return err
 	}

@@ -218,7 +218,7 @@ func TestRunStreamShardedMatchesSinks(t *testing.T) {
 func TestRunStreamShardedValidation(t *testing.T) {
 	m := liveModel(t)
 	badCfg := DefaultConfig()
-	badCfg.EncodingBps = 0
+	badCfg.SpanningPerMillion = -1
 	for _, c := range []struct {
 		name    string
 		cfg     Config

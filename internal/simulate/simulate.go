@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/gismo"
 	"repro/internal/heapx"
@@ -34,76 +33,54 @@ import (
 // ErrBadConfig reports invalid simulator configuration.
 var ErrBadConfig = errors.New("simulate: bad config")
 
-// Config parameterizes the server model.
-type Config struct {
-	// CongestionFrac is the probability that a transfer is congestion-
+// The server model. The paper measured one production server, so its
+// behaviour is fixed numbers, not settings.
+const (
+	// congestionFrac is the probability that a transfer is congestion-
 	// bound rather than client-bound. The paper estimates "around 10% of
 	// all transfers were congestion-bound" (Section 5.4).
-	CongestionFrac float64
-	// CongestionMu/CongestionSigma are the lognormal parameters of the
-	// congestion-bound bandwidth mode, in log-bits/second.
-	CongestionMu, CongestionSigma float64
-	// BandwidthJitter is the relative jitter applied to client-bound
+	congestionFrac = 0.10
+	// congestionSigma is the log-space spread of the congestion-bound
+	// bandwidth mode around congestionMu.
+	congestionSigma = 1.0
+	// bandwidthJitter is the relative jitter applied to client-bound
 	// bandwidth (access-link speed), smearing the Figure 20 spikes.
-	BandwidthJitter float64
-	// EncodingBps caps the effective payload rate used for byte
-	// accounting: a live stream cannot deliver more payload than its
-	// encoding rate even over a fast link.
-	EncodingBps int64
-	// CPUPerTransfer is the server CPU percentage consumed per concurrent
-	// transfer; CPUNoise adds measurement jitter.
-	CPUPerTransfer float64
-	CPUNoise       float64
-	// LossPerKbps scales packet loss with congestion severity.
-	BaseLossRate float64
+	bandwidthJitter = 0.04
+	// encodingBps caps the effective payload rate used for byte
+	// accounting (~110 kbit/s): a live stream cannot deliver more
+	// payload than its encoding rate even over a fast link.
+	encodingBps = 110000
+	// cpuPerTransfer is the server CPU percentage consumed per
+	// concurrent transfer (2,500 concurrent transfers make 5% CPU);
+	// cpuNoise adds measurement jitter.
+	cpuPerTransfer = 0.002
+	cpuNoise       = 0.3
+	// baseLossRate is the packet loss rate of a client-bound transfer;
+	// congestion multiplies it.
+	baseLossRate = 0.001
+)
 
+// congestionMu is the lognormal location of the congestion-bound
+// bandwidth mode, in log-bits/second: a ~9 kbit/s center.
+var congestionMu = math.Log(9000)
+
+// Config parameterizes the server model's one setting.
+type Config struct {
 	// SpanningPerMillion injects, per million genuine transfers, one
 	// corrupt entry whose duration exceeds the trace period — the
 	// multi-harvest artifacts of Section 2.4. Zero disables injection.
 	SpanningPerMillion int
-
-	// Epoch is the wall-clock instant of trace second 0 for log entries.
-	Epoch time.Time
 }
 
-// DefaultConfig returns the calibrated server model.
+// DefaultConfig injects 40 spanning entries per million transfers.
 func DefaultConfig() Config {
-	return Config{
-		CongestionFrac:     0.10,
-		CongestionMu:       math.Log(9000), // ~9 kbit/s center
-		CongestionSigma:    1.0,
-		BandwidthJitter:    0.04,
-		EncodingBps:        110000, // ~110 kbit/s effective payload
-		CPUPerTransfer:     0.002,  // 2,500 concurrent transfers -> 5% CPU
-		CPUNoise:           0.3,
-		BaseLossRate:       0.001,
-		SpanningPerMillion: 40,
-		Epoch:              wmslog.TraceEpoch,
-	}
+	return Config{SpanningPerMillion: 40}
 }
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	if c.CongestionFrac < 0 || c.CongestionFrac > 1 {
-		return fmt.Errorf("%w: congestion fraction %v", ErrBadConfig, c.CongestionFrac)
-	}
-	if c.CongestionSigma <= 0 {
-		return fmt.Errorf("%w: congestion sigma %v", ErrBadConfig, c.CongestionSigma)
-	}
-	if c.BandwidthJitter < 0 || c.BandwidthJitter >= 1 {
-		return fmt.Errorf("%w: bandwidth jitter %v", ErrBadConfig, c.BandwidthJitter)
-	}
-	if c.EncodingBps <= 0 {
-		return fmt.Errorf("%w: encoding rate %d", ErrBadConfig, c.EncodingBps)
-	}
-	if c.CPUPerTransfer < 0 || c.CPUNoise < 0 {
-		return fmt.Errorf("%w: CPU model", ErrBadConfig)
-	}
 	if c.SpanningPerMillion < 0 {
 		return fmt.Errorf("%w: spanning injection %d", ErrBadConfig, c.SpanningPerMillion)
-	}
-	if c.Epoch.IsZero() {
-		return fmt.Errorf("%w: zero epoch", ErrBadConfig)
 	}
 	return nil
 }

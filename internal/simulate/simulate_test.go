@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/gismo"
 	"repro/internal/trace"
@@ -34,16 +33,7 @@ func TestDefaultConfigValidates(t *testing.T) {
 
 func TestConfigValidateCatchesEachField(t *testing.T) {
 	mutations := []func(*Config){
-		func(c *Config) { c.CongestionFrac = -0.1 },
-		func(c *Config) { c.CongestionFrac = 1.1 },
-		func(c *Config) { c.CongestionSigma = 0 },
-		func(c *Config) { c.BandwidthJitter = -0.1 },
-		func(c *Config) { c.BandwidthJitter = 1 },
-		func(c *Config) { c.EncodingBps = 0 },
-		func(c *Config) { c.CPUPerTransfer = -1 },
-		func(c *Config) { c.CPUNoise = -1 },
 		func(c *Config) { c.SpanningPerMillion = -1 },
-		func(c *Config) { c.Epoch = time.Time{} },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()
@@ -96,7 +86,7 @@ func TestRunRejectsEmptyWorkload(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	w := testWorkload(t, 1)
 	cfg := DefaultConfig()
-	cfg.EncodingBps = 0
+	cfg.SpanningPerMillion = -1
 	if _, err := Run(w, cfg, 1); err == nil {
 		t.Fatal("bad config accepted")
 	}
@@ -117,7 +107,7 @@ func TestBandwidthBimodal(t *testing.T) {
 		}
 		// Within jitter of an access class speed?
 		for _, ac := range gismo.AccessClasses {
-			if math.Abs(float64(tr.Bandwidth-ac.Bps))/float64(ac.Bps) <= cfg.BandwidthJitter+1e-9 {
+			if math.Abs(float64(tr.Bandwidth-ac.Bps))/float64(ac.Bps) <= bandwidthJitter+1e-9 {
 				clientBound++
 				break
 			}
@@ -174,7 +164,7 @@ func TestSpanningInjection(t *testing.T) {
 		t.Errorf("spanning entries in log = %d, injected = %d", spanning, res.Injected)
 	}
 	// The sanitization pipeline must drop exactly the injected ones.
-	tr, err := trace.FromEntries(res.Entries, cfg.Epoch, w.Model.Horizon)
+	tr, err := trace.FromEntries(res.Entries, wmslog.TraceEpoch, w.Model.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +226,7 @@ func TestWriteLogsRoundTrip(t *testing.T) {
 		t.Fatalf("read %d entries, wrote %d", len(entries), len(res.Entries))
 	}
 	// Round trip into a trace must preserve transfer count and durations.
-	tr, err := trace.FromEntries(entries, cfg.Epoch, w.Model.Horizon)
+	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, w.Model.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

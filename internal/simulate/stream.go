@@ -127,7 +127,7 @@ func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Co
 		return nil, err
 	}
 
-	em, err := newEmitter(&cfg, pop, sinks)
+	em, err := newEmitter(pop, sinks)
 	if err != nil {
 		return nil, err
 	}
@@ -370,12 +370,12 @@ type emitter struct {
 	entry   wmslog.Entry
 }
 
-func newEmitter(cfg *Config, pop *gismo.Population, sinks StreamSinks) (*emitter, error) {
+func newEmitter(pop *gismo.Population, sinks StreamSinks) (*emitter, error) {
 	em := &emitter{sinks: sinks}
 	if sinks.Line == nil && sinks.Entry == nil {
 		return em, nil
 	}
-	log, err := newLogTables(cfg, pop, sinks)
+	log, err := newLogTables(pop, sinks)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +498,6 @@ type logRecord struct {
 // that makes the log independent of how the stream was generated. Not
 // safe for concurrent use.
 type eventServer struct {
-	cfg     *Config
 	pop     *gismo.Population
 	root    uint64
 	src     *dist.SplitMix64
@@ -511,7 +510,6 @@ type eventServer struct {
 func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint64, rows *rowIDs) *eventServer {
 	src := dist.NewSplitMix64(0)
 	return &eventServer{
-		cfg:     cfg,
 		pop:     pop,
 		root:    dist.Mix64(seed, serveLane),
 		src:     src,
@@ -535,15 +533,11 @@ func newEventServer(cfg *Config, pop *gismo.Population, horizon int64, seed uint
 func (es *eventServer) serve(ev workload.Event, conc int, sv *served) {
 	es.src.Seed(int64(dist.Mix64(dist.Mix64(es.root, uint64(ev.Session)), uint64(ev.Seq))))
 	row := es.pop.Row(ev.Client)
-	cfg := es.cfg
-	cpu := cfg.cpuAt(conc, es.rng)
-	bw, congested := cfg.drawBandwidth(gismo.AccessClasses[row.Access].Bps, es.rng)
-	payload := bw
-	if payload > cfg.EncodingBps {
-		payload = cfg.EncodingBps
-	}
+	cpu := cpuAt(conc, es.rng)
+	bw, congested := drawBandwidth(gismo.AccessClasses[row.Access].Bps, es.rng)
+	payload := min(bw, encodingBps)
 	bytes := payload * ev.Duration / 8
-	loss := cfg.drawLoss(ev.Duration, congested, es.rng)
+	loss := drawLoss(ev.Duration, congested, es.rng)
 
 	// admission has checked that client and object fit their fields.
 	*sv = served{start: ev.Start, rec: logRecord{

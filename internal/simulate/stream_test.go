@@ -286,9 +286,8 @@ func TestEmitAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
 	lines := 0
-	em, err := newEmitter(&cfg, pop, StreamSinks{
+	em, err := newEmitter(pop, StreamSinks{
 		Line:  func(time.Time, []byte) error { lines++; return nil },
 		Entry: func(*wmslog.Entry) error { return nil },
 	})
@@ -370,7 +369,7 @@ func referenceRunStream(src workload.Stream, pop *gismo.Population, horizon int6
 	if err != nil {
 		return nil, err
 	}
-	em, err := newEmitter(&cfg, pop, sinks)
+	em, err := newEmitter(pop, sinks)
 	if err != nil {
 		return nil, err
 	}

@@ -107,32 +107,28 @@ func (b *OnlineBins) Series() BinnedSeries {
 // clamped into the first bucket (the paper's ⌊t+1⌋ display convention
 // makes 1 the natural floor for timing data).
 type LogQuantile struct {
-	perDecade float64
-	counts    []int64
-	total     int64
+	counts [logQuantilePerDecade*logQuantileDecades + 1]int64
+	total  int64
 }
 
-// logQuantileDecades spans [1, 10^8) — transfer durations, gaps and
-// bandwidths all fit well inside.
-const logQuantileDecades = 8
+const (
+	// logQuantilePerDecade is the sketch's buckets per decade.
+	logQuantilePerDecade = 32
+	// logQuantileDecades spans [1, 10^8) — transfer durations, gaps and
+	// bandwidths all fit well inside.
+	logQuantileDecades = 8
+)
 
-// NewLogQuantile builds the sketch with the given buckets per decade
-// (≥ 1; 32 is a good default).
-func NewLogQuantile(perDecade int) (*LogQuantile, error) {
-	if perDecade < 1 {
-		return nil, fmt.Errorf("%w: %d buckets per decade", ErrBadArgument, perDecade)
-	}
-	return &LogQuantile{
-		perDecade: float64(perDecade),
-		counts:    make([]int64, perDecade*logQuantileDecades+1),
-	}, nil
+// NewLogQuantile builds an empty sketch.
+func NewLogQuantile() *LogQuantile {
+	return &LogQuantile{}
 }
 
 // Add absorbs one observation.
 func (q *LogQuantile) Add(x float64) {
 	i := 0
 	if x > 1 {
-		i = int(math.Log10(x) * q.perDecade)
+		i = int(math.Log10(x) * logQuantilePerDecade)
 		if i < 0 {
 			i = 0
 		}
@@ -165,7 +161,7 @@ func (q *LogQuantile) Quantile(p float64) float64 {
 		cum += c
 		if cum > target {
 			// Geometric midpoint of bucket i.
-			return math.Pow(10, (float64(i)+0.5)/q.perDecade)
+			return math.Pow(10, (float64(i)+0.5)/logQuantilePerDecade)
 		}
 	}
 	return math.Pow(10, float64(logQuantileDecades))
