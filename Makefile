@@ -146,8 +146,8 @@ bench-history:
 # deferred scan = through the allocating parser — c-os, c-cpu and
 # cs(Referer) cleared, the three the deferred scan keeps no string of —
 # with the interner's
-# ordinals naming every entry's strings and Identity's bytes equal to
-# them) and the fixed-2 s-cpu-util encoder (any float64 bit pattern
+# ordinals naming every entry's URI and country and Identity's bytes
+# equal to its c-ip and c-playerid) and the fixed-2 s-cpu-util encoder (any float64 bit pattern
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
 # = Sessionize's count at every timeout, plus the Section 2.2 gap
 # invariants), the sample-sort fuzzer (stats.SortedCopy, SortInPlace
@@ -175,9 +175,11 @@ bench-history:
 # limits = a sort-based reference, pop for pop) — and the live server's
 # control-line parser (any bytes are a command or an ErrProtocol error,
 # an accepted HELLO's player ID passes wmslog.MandatoryField, and an
-# accepted command rendered back parses to itself).
+# accepted command rendered back parses to itself) — and the model-spec
+# fuzzer (gismo.LoadModel over any bytes never panics, and a spec it
+# accepts saves, re-loads to the same model and re-saves byte for byte).
 # `go test` runs one fuzz target per invocation, hence the
-# sixteen steps; new failing inputs are minimized into the package's
+# seventeen steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -200,6 +202,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzObserverMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRadixMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/heapx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime $(FUZZTIME) ./internal/liveserver
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/gismo
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

@@ -96,6 +96,9 @@ func runMerge(out string, inputs []string, w io.Writer) error {
 		}
 	}
 
+	if err := wmslog.CheckOutput(out, paths); err != nil {
+		return err
+	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err

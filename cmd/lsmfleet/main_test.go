@@ -95,6 +95,51 @@ func TestRunMerge(t *testing.T) {
 	}
 }
 
+// TestRunMergeRefusesInputAsOutput: a merge whose output is one of its
+// inputs — named as a file, found under a directory input, or a hard
+// link to one — is
+// refused before anything is written, and every input keeps its bytes:
+// creating the output first would empty that input, and the merge would
+// report the other logs' entries and a digest of the wrong set.
+func TestRunMergeRefusesInputAsOutput(t *testing.T) {
+	dir := t.TempDir()
+	day6 := filepath.Join(dir, "wms-2002-01-06.log")
+	day7 := filepath.Join(dir, "wms-2002-01-07.log")
+	writeTaggedLog(t, day6, 0, 2, 4)
+	writeTaggedLog(t, day7, 1, 3)
+	alias := filepath.Join(t.TempDir(), "alias.log")
+	if err := os.Link(day7, alias); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, p := range []string{day6, day7} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = data
+	}
+	for _, c := range []struct {
+		out    string
+		inputs []string
+	}{
+		{day6, []string{day6, day7}},
+		{day7, []string{day6, day7}},
+		{day6, []string{dir}},
+		{alias, []string{day6, day7}},
+	} {
+		var out bytes.Buffer
+		if err := runMerge(c.out, c.inputs, &out); err == nil {
+			t.Errorf("merge into %s from %v accepted: %q", c.out, c.inputs, out.String())
+		}
+		for p, data := range want {
+			if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("merge into %s from %v: %s now %d bytes (err %v), want %d", c.out, c.inputs, p, len(got), err, len(data))
+			}
+		}
+	}
+}
+
 // TestRunRedirectorLifecycle: the redirector comes up, reports node
 // registrations, serves a lookup, and shuts down on interrupt.
 func TestRunRedirectorLifecycle(t *testing.T) {

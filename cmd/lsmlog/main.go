@@ -68,6 +68,9 @@ func runConvert(args []string, w io.Writer) error {
 		return fmt.Errorf("convert: want <in> <out>, got %d arguments", fs.NArg())
 	}
 	inPath, outPath := fs.Arg(0), fs.Arg(1)
+	if err := wmslog.CheckOutput(outPath, []string{inPath}); err != nil {
+		return err
+	}
 
 	r, closer, err := wmslog.Open(inPath)
 	if err != nil {

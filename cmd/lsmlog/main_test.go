@@ -161,3 +161,32 @@ func TestConvertErrors(t *testing.T) {
 		t.Fatalf("partial output left behind: %v", err)
 	}
 }
+
+// TestConvertRefusesSameFile: an output that names the input — by the
+// same path, or by another name for the same file — is refused before
+// anything is written, and the input keeps every byte: creating the
+// output first would truncate the input, and the conversion would
+// report 0 entries and succeed.
+func TestConvertRefusesSameFile(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.log")
+	orig := writeTextLog(t, src, 20)
+	symlink, hardlink := filepath.Join(dir, "symlink.log"), filepath.Join(dir, "hardlink.log")
+	if err := os.Symlink(src, symlink); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(src, hardlink); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{src, symlink, hardlink} {
+		for _, to := range []string{"text", "binary"} {
+			var buf bytes.Buffer
+			if err := runConvert([]string{"-to", to, src, out}, &buf); err == nil {
+				t.Errorf("-to %s %s %s accepted: %q", to, src, out, buf.String())
+			}
+			if got, err := os.ReadFile(src); err != nil || !bytes.Equal(got, orig) {
+				t.Fatalf("-to %s into %s: input now %d bytes (err %v), want %d", to, out, len(got), err, len(orig))
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/rate"
@@ -67,7 +68,7 @@ func LoadModel(path string) (Model, error) {
 		return Model{}, fmt.Errorf("gismo: load model %s: %w", path, err)
 	}
 	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil {
+	if err := dec.Decode(&trailing); err != io.EOF {
 		return Model{}, fmt.Errorf("gismo: load model %s: trailing data after spec object", path)
 	}
 	m := Model(aux.modelAlias)

@@ -205,8 +205,9 @@ func ParseAppend(e *Entry, line []byte) error {
 // parseAppend is ParseAppend with the string fields drawn from in: a
 // field that repeats the value *e already holds (the previous record
 // of a reused entry) or one the interner knows costs no allocation, so
-// a scan over a real log allocates per distinct value. Referer takes
-// only the first shortcut. A deferred interner takes c-ip and
+// a scan over a real log allocates per distinct c-os, c-cpu, URI and
+// country. c-ip, c-playerid and Referer take only the first shortcut.
+// A deferred interner takes c-ip and
 // c-playerid as bytes instead and leaves c-os, c-cpu and cs(Referer)
 // empty, their columns checked but made into no string — see Interner.
 //

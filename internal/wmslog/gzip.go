@@ -128,6 +128,23 @@ func CompressFile(path string) (string, error) {
 	return outPath, nil
 }
 
+// CheckOutput refuses an output path that names one of the logs a
+// command is about to read — the same file under any name — before
+// anything creates it: os.Create truncates the file, and the scan would
+// then read nothing. An output that does not exist yet names none.
+func CheckOutput(out string, inputs []string) error {
+	ofi, err := os.Stat(out)
+	if err != nil {
+		return nil
+	}
+	for _, in := range inputs {
+		if fi, err := os.Stat(in); err == nil && os.SameFile(ofi, fi) {
+			return fmt.Errorf("wmslog: output %s is the input %s", out, in)
+		}
+	}
+	return nil
+}
+
 // FindLogs globs a directory for daily log files, compressed or not,
 // returning them in name (= date) order. A day kept both ways — the
 // harvested original beside its ".gz" copy — is an error that names the

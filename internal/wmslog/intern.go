@@ -1,9 +1,10 @@
 package wmslog
 
-import "hash/maphash"
-
 // Column names one of the four string columns that identify who asked
-// for what from where — the columns an Interner numbers.
+// for what from where. An Interner numbers URIs and countries (Ordinal);
+// players and IPs are numbered by the trace ingest's identity stage,
+// which reads them through Identity, and their Column values name them
+// there.
 type Column int
 
 const (
@@ -20,52 +21,44 @@ const (
 	numInterned = NumColumns + 2
 )
 
-// Interner deduplicates the string fields of entries scanned from text
-// logs and numbers what it holds. An access log repeats its strings
-// heavily — every transfer of a player repeats the player ID and usually
-// the IP, and OS, CPU, URI and country come from small sets — so a scan
-// that hands out one canonical string per distinct value allocates per
-// distinct value, not per entry. What the interner hands out it also
-// numbers: a value's ordinal is its position in its column's table, the
-// order the interner first met it (Ordinal, Client). (A binary log's
-// strings are dictionary-coded, one allocation per distinct value per
-// file already; it bypasses the tables.)
+// Interner deduplicates the handful-valued string fields of entries
+// scanned from text logs — c-os, c-cpu, cs-uri-stem and s-country come
+// from a few dozen values — and numbers what it holds: a scan through it
+// hands out one canonical string per distinct value, so those fields
+// allocate per distinct value, not per entry, and a value's ordinal is
+// the order the interner first met it (Ordinal). (A binary log's strings
+// are dictionary-coded, one allocation per distinct value per file
+// already; it bypasses the tables.)
 //
-// Each column has its own table. OS, CPU, URI and country are searched
-// linearly until they outgrow linearMax values; the player table is
-// hashed, and remembers the IP each player was last seen under, so in
-// steady state a line costs one string hash: its player ID, and not
-// even that when the previous line was the same player's.
-//
-// An interner made by NewDeferredInterner does not intern c-ip and
-// c-playerid at all: a scan through it hands them to its callback as
-// bytes (Identity), for a consumer that numbers identities in one place
-// for many parsing goroutines and would only throw per-file strings
-// away. Nor does such a scan keep c-os, c-cpu or cs(Referer): it checks
-// their columns and leaves the fields empty on every entry, for a
-// consumer that reads none of the three — the trace ingest, whose rows
-// hold none of them — so a line costs no string for them, not even the
-// referer a tagged serve log makes unique per line (SessionRef). What a
-// deferred scan does intern — URI and country — it numbers like any
-// interner (Ordinal), which makes one deferred interner a file's own
-// numbering of its handful of objects and countries.
+// c-ip and c-playerid, which number in the tens of thousands, are not
+// interned: a scan fills them as a nil interner does — the string the
+// reused entry already holds when the line repeats it, a fresh one
+// otherwise. The one table for them is the trace ingest's identity
+// stage, fed by an interner made by NewDeferredInterner: a scan through
+// that hands a text line's c-ip and c-playerid to its callback as bytes
+// (Identity), for a consumer that numbers identities in one place for
+// many parsing goroutines and would only throw per-file strings away.
+// Nor does such a scan keep c-os, c-cpu or cs(Referer): it checks their
+// columns and leaves the fields empty on every entry, for a consumer
+// that reads none of the three — the trace ingest, whose rows hold none
+// of them — so a line costs no string for them, not even the referer a
+// tagged serve log makes unique per line (SessionRef). What a deferred
+// scan does intern — URI and country — it numbers like any interner,
+// which makes one deferred interner a file's own numbering of its
+// handful of objects and countries.
 //
 // The tables grow with the number of distinct values, never with the
 // number of entries: the referer column, the one field a tagged serve
 // log makes unique per entry, bypasses them. An Interner is not safe
 // for concurrent use; a parallel ingest gives each file its own. The
 // nil *Interner is valid and interns nothing; the zero Interner is an
-// empty interning one (NewInterner only presizes the player and IP
-// indexes).
+// empty interning one.
 type Interner struct {
 	cols [numInterned]table
 	// last is, per column, the value most recently handed out: the next
 	// request for that value's ordinal is one string compare, usually of
 	// a string with itself.
 	last [numInterned]ref
-	// playerIP is indexed by player ordinal (and grown on demand): the
-	// IP that player's latest line carried.
-	playerIP []ref
 
 	// deferred selects the deferred mode; ip and player are then the
 	// c-ip and c-playerid columns of the line just scanned, aliasing the
@@ -87,125 +80,71 @@ type ref struct {
 func (r *ref) is(s string) bool { return r.set && r.name == s }
 
 // linearMax is the size up to which a table is searched linearly: a
-// handful of short string compares beats a hash.
+// handful of short string compares beats a hash. No column a media
+// server logs outgrows it.
 const linearMax = 16
 
-// hashSeed keys the tables' hash function. The hash only decides where
-// in a table a value sits; ordinals are handed out in arrival order, so
-// nothing a caller can observe depends on it.
-var hashSeed = maphash.MakeSeed()
-
 // table numbers the distinct values of one column 0, 1, 2, … in the
-// order they are added. A small table is a list; a large one adds an
-// open-addressed index (linear probing, at most half full) whose slot
-// holds a value's hash beside its ordinal: unlike a map[string]uint32
-// it finds-or-places a value with one hash, compares the stored hash
-// before it touches a name — one cache line per probe until the name
-// itself — and regrows by re-placing slots without reading a name.
+// order they are added: a list, searched linearly, until it outgrows
+// linearMax values, and from then on also indexed by a map.
 type table struct {
 	names []string
-	slots []uint64 // hash<<32 | 1 + ordinal, 0 for an empty slot; a power of two long; nil while the table is a list
+	index map[string]uint32 // nil while the table is a list
 }
 
-// find returns the ordinal of b, if the table holds it, and b's hash
-// for add.
+// find returns the ordinal of b, if the table holds it.
 //
 //lsm:hotpath
-func (t *table) find(b []byte) (o, hash uint32, ok bool) {
-	if t.slots == nil {
-		for i, v := range t.names {
-			if v == string(b) {
-				return uint32(i), 0, true
-			}
-		}
-		return 0, 0, false
+func (t *table) find(b []byte) (uint32, bool) {
+	if t.index != nil {
+		o, ok := t.index[string(b)]
+		return o, ok
 	}
-	hash = uint32(maphash.Bytes(hashSeed, b))
-	mask := uint32(len(t.slots) - 1)
-	for i := hash & mask; t.slots[i] != 0; i = (i + 1) & mask {
-		if s := t.slots[i]; uint32(s>>32) == hash && t.names[uint32(s)-1] == string(b) {
-			return uint32(s) - 1, hash, true
+	for i, v := range t.names {
+		if v == string(b) {
+			return uint32(i), true
 		}
 	}
-	return 0, hash, false
+	return 0, false
 }
 
 // findString is find for a value that is already a string.
 //
 //lsm:hotpath
-func (t *table) findString(s string) (o, hash uint32, ok bool) {
-	if t.slots == nil {
-		for i, v := range t.names {
-			if v == s {
-				return uint32(i), 0, true
-			}
-		}
-		return 0, 0, false
+func (t *table) findString(s string) (uint32, bool) {
+	if t.index != nil {
+		o, ok := t.index[s]
+		return o, ok
 	}
-	hash = uint32(maphash.String(hashSeed, s))
-	mask := uint32(len(t.slots) - 1)
-	for i := hash & mask; t.slots[i] != 0; i = (i + 1) & mask {
-		if v := t.slots[i]; uint32(v>>32) == hash && t.names[uint32(v)-1] == s {
-			return uint32(v) - 1, hash, true
+	for i, v := range t.names {
+		if v == s {
+			return uint32(i), true
 		}
 	}
-	return 0, hash, false
+	return 0, false
 }
 
-// add appends s, which find has just missed with the given hash and
-// which the table keeps, and returns its ordinal.
-func (t *table) add(s string, hash uint32) uint32 {
+// add appends s, which find has just missed and which the table keeps,
+// and returns its ordinal.
+func (t *table) add(s string) uint32 {
 	o := uint32(len(t.names))
 	t.names = append(t.names, s)
 	switch {
-	case t.slots != nil:
-		if 2*len(t.names) > len(t.slots) {
-			t.index(2 * len(t.slots))
-		}
-		t.place(hash, o)
+	case t.index != nil:
+		t.index[s] = o
 	case len(t.names) > linearMax:
-		// Outgrew the list: hash what it holds.
-		t.index(8 * linearMax)
+		t.index = make(map[string]uint32, len(t.names))
 		for i, v := range t.names {
-			t.place(uint32(maphash.String(hashSeed, v)), uint32(i))
+			t.index[v] = uint32(i)
 		}
 	}
 	return o
 }
 
-// index gives the table a slot array of the given size, re-placing what
-// the old one held; no name is read.
-func (t *table) index(size int) {
-	old := t.slots
-	t.slots = make([]uint64, size)
-	for _, v := range old {
-		if v != 0 {
-			t.place(uint32(v>>32), uint32(v)-1)
-		}
-	}
-}
-
-// place puts ordinal o, whose value hashes to hash, in the first free
-// slot of its probe sequence.
-func (t *table) place(hash, o uint32) {
-	mask := uint32(len(t.slots) - 1)
-	i := hash & mask
-	for t.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = uint64(hash)<<32 | uint64(o+1)
-}
-
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	in := &Interner{}
-	// Players and IPs number in the tens of thousands: indexed from the
-	// start. (Presizing them further bought no time and cost resident
-	// memory — EXPERIMENTS.md "PR 21".)
-	in.cols[ColPlayer].index(1024)
-	in.cols[ColIP].index(1024)
-	return in
-}
+// NewInterner returns an empty interner: a scan through it interns
+// c-os, c-cpu, cs-uri-stem and s-country, numbering the last two, and
+// fills c-ip and c-playerid as a nil interner does.
+func NewInterner() *Interner { return &Interner{} }
 
 // NewDeferredInterner returns an empty interner in deferred mode: a scan
 // through it interns URI and country as usual, leaves a text
@@ -238,74 +177,44 @@ func (in *Interner) Names(c Column) []string { return in.cols[c].names }
 //
 //lsm:hotpath
 func (in *Interner) intern(c Column, b []byte, prev string) string {
+	if in == nil {
+		return reuse(b, prev)
+	}
 	if string(b) == prev {
 		return prev
 	}
-	if in == nil {
-		return string(b)
-	}
-	in.lookup(c, b)
-	return in.last[c].name
-}
-
-// lookup finds b in column c's table, adding a copy when the table does
-// not hold it, and leaves it in last.
-//
-//lsm:hotpath
-func (in *Interner) lookup(c Column, b []byte) {
 	t := &in.cols[c]
-	o, hash, ok := t.find(b)
+	o, ok := t.find(b)
 	if !ok {
-		o = t.add(string(b), hash)
+		o = t.add(string(b))
 	}
 	in.last[c] = ref{name: t.names[o], ord: o, set: true}
+	return t.names[o]
+}
+
+// reuse returns prev when b still holds it, a fresh string of b
+// otherwise.
+//
+//lsm:hotpath
+func reuse(b []byte, prev string) string {
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 // identity fills e's c-ip and c-playerid from a text line's columns:
-// fresh strings (after the free check against the values e already
-// holds) without an interner, the canonical instances with one, and
-// nothing at all in deferred mode — the columns are kept for Identity
-// and the fields left empty.
+// as reuse does, and in deferred mode not at all — the columns are kept
+// for Identity and the fields left empty.
 //
 //lsm:hotpath
 func (in *Interner) identity(e *Entry, ip, pid []byte) {
-	switch {
-	case in == nil:
-		e.ClientIP, e.PlayerID = in.intern(ColIP, ip, e.ClientIP), in.intern(ColPlayer, pid, e.PlayerID)
-	case in.deferred:
+	if in.drops() {
 		in.ip, in.player = ip, pid
 		e.ClientIP, e.PlayerID = "", ""
-	default:
-		in.client(ip, pid)
-		e.ClientIP, e.PlayerID = in.last[ColIP].name, in.last[ColPlayer].name
+		return
 	}
-}
-
-// client interns a c-ip and c-playerid pair together, leaving both in
-// last: the player through its hashed table (unless it is the player
-// last handed out), the IP by comparing it with the one that player's
-// record holds, and through the IP table only when the player is new
-// or has moved.
-//
-//lsm:hotpath
-func (in *Interner) client(ip, pid []byte) {
-	if p := &in.last[ColPlayer]; !p.set || string(pid) != p.name {
-		in.lookup(ColPlayer, pid)
-	}
-	at := in.ipOf(in.last[ColPlayer].ord)
-	if !at.set || string(ip) != at.name {
-		in.lookup(ColIP, ip)
-		*at = in.last[ColIP]
-	}
-	in.last[ColIP] = *at
-}
-
-// ipOf returns player p's IP record.
-func (in *Interner) ipOf(p uint32) *ref {
-	if int(p) >= len(in.playerIP) {
-		in.playerIP = append(in.playerIP, make([]ref, int(p)+1-len(in.playerIP))...)
-	}
-	return &in.playerIP[p]
+	e.ClientIP, e.PlayerID = reuse(ip, e.ClientIP), reuse(pid, e.PlayerID)
 }
 
 // Identity returns the c-ip and c-playerid of e, the entry a Scan
@@ -315,7 +224,7 @@ func (in *Interner) ipOf(p uint32) *ref {
 // In deferred mode a text line's columns are handed out as
 // they lie in the parser's buffer, with no string made of either; an
 // entry that carries the two as strings — a binary record, any entry
-// of an interning scan — has them copied into a buffer the next call
+// of a non-deferred scan — has them copied into a buffer the next call
 // reuses.
 func (in *Interner) Identity(e *Entry) (ip, pid []byte) {
 	if e.PlayerID == "" { // a valid entry's player ID never is: deferred
@@ -335,9 +244,9 @@ func (in *Interner) Ordinal(c Column, s string) uint32 {
 		return in.last[c].ord
 	}
 	t := &in.cols[c]
-	o, hash, ok := t.findString(s)
+	o, ok := t.findString(s)
 	if !ok {
-		o = t.add(s, hash)
+		o = t.add(s)
 	}
 	in.last[c] = ref{name: t.names[o], ord: o, set: true}
 	return o

@@ -72,28 +72,25 @@ func TestASNumberAndStatusRange(t *testing.T) {
 }
 
 // checkOrdinals holds an interner to its contract over the entries one
-// or more scans hand out: the ordinals client and Ordinal give name
-// exactly the entry's player ID, IP, URI and country, equal strings get
-// equal ordinals, and different strings different ones.
+// or more scans hand out: the ordinals Ordinal gives name exactly the
+// entry's URI and country, equal strings get equal ordinals, and
+// different strings different ones.
 type checkOrdinals struct {
 	in   *Interner
 	seen [NumColumns]map[string]uint32
 }
 
-func newCheckOrdinals() *checkOrdinals {
-	c := &checkOrdinals{in: NewInterner()}
+func newCheckOrdinals(in *Interner) *checkOrdinals {
+	c := &checkOrdinals{in: in}
 	for i := range c.seen {
 		c.seen[i] = make(map[string]uint32)
 	}
 	return c
 }
 
-// ordinals numbers e's four identity columns through the checked
-// interner.
+// ordinals numbers e's URI and country through the checked interner.
 func (c *checkOrdinals) ordinals(e *Entry) [NumColumns]uint32 {
 	var ord [NumColumns]uint32
-	c.in.client([]byte(e.ClientIP), []byte(e.PlayerID))
-	ord[ColIP], ord[ColPlayer] = c.in.last[ColIP].ord, c.in.last[ColPlayer].ord
 	ord[ColURI] = c.in.Ordinal(ColURI, e.URIStem)
 	ord[ColCountry] = c.in.Ordinal(ColCountry, e.Country)
 	return ord
@@ -101,8 +98,8 @@ func (c *checkOrdinals) ordinals(e *Entry) [NumColumns]uint32 {
 
 func (c *checkOrdinals) check(e *Entry) error {
 	ord := c.ordinals(e)
-	for col, want := range [NumColumns]string{ColPlayer: e.PlayerID, ColIP: e.ClientIP, ColURI: e.URIStem, ColCountry: e.Country} {
-		names := c.in.Names(Column(col))
+	for col, want := range map[Column]string{ColURI: e.URIStem, ColCountry: e.Country} {
+		names := c.in.Names(col)
 		if int(ord[col]) >= len(names) || names[ord[col]] != want {
 			return fmt.Errorf("column %d: ordinal %d does not name %q (table %q)", col, ord[col], want, names)
 		}
@@ -123,18 +120,22 @@ func (c *checkOrdinals) check(e *Entry) error {
 // TestInternerOrdinals: the ordinals are right whichever path decoded
 // the entry and however the paths interleave through one interner — a
 // canonical text file, a re-spaced one, a binary file, the canonical
-// file again — with players that change IP, IPs shared by
-// two players, empty countries, more OS values than a linear table
-// holds, malformed lines that intern a player and are then refused,
-// and materialized entries that were never scanned through it.
+// file again — with more URIs and more OS values than a linear table
+// holds (so the map index takes over mid-scan), empty countries,
+// players that change IP, malformed lines that intern a URI and are then
+// refused, and materialized entries that were never scanned through it.
+// A deferred interner numbers the same URIs and countries and hands out
+// the same entries, c-ip and c-playerid through Identity and c-os, c-cpu
+// and cs(Referer) empty.
 func TestInternerOrdinals(t *testing.T) {
+	const uris = 2*linearMax + 3
 	var entries []*Entry
 	for i := 0; i < 400; i++ {
 		e := sampleEntry(TraceEpoch)
 		e.PlayerID = fmt.Sprintf("player-%03d", i*7%90)
 		e.ClientIP = fmt.Sprintf("10.0.%d.%d", i%3, i*7%90%40) // players share IPs, and move
 		e.ClientOS = fmt.Sprintf("OS %d", i%(2*linearMax))
-		e.URIStem = fmt.Sprintf("/live/feed%d", 1+i%3)
+		e.URIStem = fmt.Sprintf("/live/feed%d", 1+i*11%uris)
 		e.Country = []string{"BR", "", "US", "PT"}[i%4]
 		e.ASNumber = 1 + i%5
 		entries = append(entries, e)
@@ -145,7 +146,7 @@ func TestInternerOrdinals(t *testing.T) {
 		line := string(AppendEntry(nil, e))
 		text.WriteString(line + "\n")
 		if i%9 == 0 {
-			// Interns a new player, then fails on the duration column.
+			// Interns a new URI, then fails on the duration column.
 			fmt.Fprintf(&text, "2002-01-06 00:01:30 9.9.9.%d ghost-%d - - /live/ghost%d x 1 1 1 1.00 - 200 1 ZZ\n", i, i, i)
 		}
 		respaced.WriteString(strings.ReplaceAll(line, " ", "\t ") + "\n")
@@ -157,35 +158,48 @@ func TestInternerOrdinals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := newCheckOrdinals()
-	for _, file := range []struct {
-		name string
-		data []byte
-	}{{"text", text.Bytes()}, {"re-spaced", respaced.Bytes()}, {"binary", bin.Bytes()}, {"text again", text.Bytes()}} {
-		i := 0
-		st, err := Scan(bytes.NewReader(file.data), true, c.in, func(e *Entry) error {
-			if *e != *entries[i] {
-				return fmt.Errorf("entry %d is %+v, want %+v", i, *e, *entries[i])
+	for _, deferred := range []bool{false, true} {
+		in := NewInterner()
+		if deferred {
+			in = NewDeferredInterner()
+		}
+		c := newCheckOrdinals(in)
+		for _, file := range []struct {
+			name string
+			data []byte
+		}{{"text", text.Bytes()}, {"re-spaced", respaced.Bytes()}, {"binary", bin.Bytes()}, {"text again", text.Bytes()}} {
+			i := 0
+			st, err := Scan(bytes.NewReader(file.data), true, in, func(e *Entry) error {
+				got, want := *e, *entries[i]
+				if deferred {
+					ip, pid := in.Identity(e)
+					got.ClientIP, got.PlayerID = string(ip), string(pid)
+					want.ClientOS, want.ClientCPU, want.Referer = "", "", ""
+				}
+				if got != want {
+					return fmt.Errorf("entry %d is %+v, want %+v", i, got, want)
+				}
+				i++
+				return c.check(e)
+			})
+			if err != nil {
+				t.Fatalf("deferred=%v %s: %v", deferred, file.name, err)
 			}
-			i++
-			return c.check(e)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", file.name, err)
+			if i != len(entries) || st.Entries != len(entries) {
+				t.Errorf("deferred=%v %s: %d entries (stats %+v), want %d", deferred, file.name, i, st, len(entries))
+			}
 		}
-		if i != len(entries) || st.Entries != len(entries) {
-			t.Errorf("%s: %d entries (stats %+v), want %d", file.name, i, st, len(entries))
+		for _, e := range entries { // never scanned through in: plain structs
+			if err := c.check(e); err != nil {
+				t.Fatalf("deferred=%v materialized entry: %v", deferred, err)
+			}
 		}
-	}
-	for _, e := range entries { // never scanned through c.in: plain structs
-		if err := c.check(e); err != nil {
-			t.Fatalf("materialized entry: %v", err)
+		if got := len(in.Names(ColURI)); got <= uris {
+			t.Errorf("deferred=%v: URI table has %d names; the refused lines' ghosts should be in it", deferred, got)
 		}
-	}
-	if got := len(c.in.Names(ColPlayer)); got <= 90 {
-		t.Errorf("player table has %d names; the refused lines' ghosts should be in it", got)
-	}
-	if len(c.seen[ColPlayer]) != 90 || len(c.seen[ColCountry]) != 4 {
-		t.Errorf("accepted entries name %d players and %d countries, want 90 and 4", len(c.seen[ColPlayer]), len(c.seen[ColCountry]))
+		if len(c.seen[ColURI]) != uris || len(c.seen[ColCountry]) != 4 {
+			t.Errorf("deferred=%v: accepted entries name %d URIs and %d countries, want %d and 4",
+				deferred, len(c.seen[ColURI]), len(c.seen[ColCountry]), uris)
+		}
 	}
 }

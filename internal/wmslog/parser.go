@@ -55,7 +55,7 @@ type parser struct {
 
 	br      *bufio.Reader
 	mode    parserMode
-	in      *Interner   // text mode; nil: every string field is a fresh allocation
+	in      *Interner   // text mode; nil: every string field is the reused entry's or a fresh allocation
 	dict    *BinaryDict // binary mode
 	spill   []byte      // a text line or binary record spanning br's window
 	stats   ParseStats

@@ -10,9 +10,11 @@ import (
 // magic bytes (see parser) — into ONE reused Entry and hands it to fn,
 // record by record. It is the one way to read a log: nothing is
 // materialized, and the entry's string fields are canonical instances —
-// owned by in (when non-nil) for a text log, by the file's dictionary
-// for a binary one; with a nil in every text string is a fresh
-// allocation. Through a deferred interner a text line's c-ip
+// owned by in (when non-nil) for a text log's handful-valued columns,
+// by the file's dictionary for a binary one; a text line's c-ip and
+// c-playerid, and with a nil in every text string, are the reused
+// entry's when the line repeats them and fresh allocations otherwise.
+// Through a deferred interner a text line's c-ip
 // and c-playerid are not strings at all but bytes, read with
 // in.Identity(e), and every entry's c-os, c-cpu and cs(Referer) are
 // left empty (NewDeferredInterner).

@@ -99,7 +99,7 @@ func TestValidateCharsetEveryByte(t *testing.T) {
 // ordinal contract (checkOrdinals) on every entry as it goes by.
 func scanAll(data []byte, tolerant bool) ([]Entry, ParseStats, error) {
 	var out []Entry
-	c := newCheckOrdinals()
+	c := newCheckOrdinals(NewInterner())
 	st, err := Scan(bytes.NewReader(data), tolerant, c.in, func(e *Entry) error {
 		out = append(out, *e)
 		return c.check(e)
