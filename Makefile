@@ -177,9 +177,12 @@ bench-history:
 # an accepted HELLO's player ID passes wmslog.MandatoryField, and an
 # accepted command rendered back parses to itself) — and the model-spec
 # fuzzer (gismo.LoadModel over any bytes never panics, and a spec it
-# accepts saves, re-loads to the same model and re-saves byte for byte).
+# accepts saves, re-loads to the same model and re-saves byte for byte)
+# — and the streamed-schedule fuzzer (a stream whose schedule is drawn
+# beside its 1–8 shards drains to the 1-shard stream, and the schedule
+# to the thinning pass, on a dense and a sparse model).
 # `go test` runs one fuzz target per invocation, hence the
-# seventeen steps; new failing inputs are minimized into the package's
+# eighteen steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -203,6 +206,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRadixMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/heapx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime $(FUZZTIME) ./internal/liveserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/gismo
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamedSchedule$$' -fuzztime $(FUZZTIME) ./internal/gismo
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
 # lsmlog, start the server, replay a generated workload (with a

@@ -31,6 +31,12 @@
 // GOMAXPROCS. -stream is accepted and ignored: streaming is the only
 // mode.
 //
+// -out must not hold a daily log yet (wms-*.log or wms-*.log.gz): a
+// second run into one directory would leave its days beside, or over,
+// the first run's, and every reader would take the mix for one log.
+// lsmgen refuses such a directory before it generates or writes
+// anything.
+//
 // The profiling flags (internal/prof) capture the run as pprof/trace
 // artifacts; `make profile` is the canonical profiling invocation.
 //
@@ -68,7 +74,7 @@ type options struct {
 
 // registerFlags binds the workload flags to o.
 func registerFlags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.out, "out", "", "directory for daily log files (required)")
+	fs.StringVar(&o.out, "out", "", "directory for daily log files (required; must hold none yet)")
 	fs.Float64Var(&o.scale, "scale", 150, "population/rate scale-down factor (1 = paper scale)")
 	fs.IntVar(&o.days, "days", 7, "trace length in days")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed")
@@ -108,12 +114,28 @@ func main() {
 	}
 }
 
+// refuseOldLogs refuses an output directory that already holds a file
+// the log readers read (the package comment says why).
+func refuseOldLogs(dir string) error {
+	paths, err := wmslog.FindLogs(dir)
+	if err != nil {
+		return err
+	}
+	if len(paths) > 0 {
+		return fmt.Errorf("-out %s already holds daily logs (%s): give an empty or new directory", dir, paths[0])
+	}
+	return nil
+}
+
 // run pipes the sharded generator straight into the simulator and the
 // simulator straight into the daily log writer: no workload, trace or
 // entry slice is ever materialized. Session expansion runs across the
 // generator's shards, the server-model draws on the serve goroutine,
 // and log rendering on this one.
 func run(o options) error {
+	if err := refuseOldLogs(o.out); err != nil {
+		return err
+	}
 	model, err := resolveModel(o)
 	if err != nil {
 		return err
@@ -147,8 +169,12 @@ func run(o options) error {
 	if err := dw.Close(); err != nil {
 		return err
 	}
+	sessions, err := ws.Sessions()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("served %d transfers from %d sessions (peak concurrency %d, %d corrupt entries injected)\n",
-		res.Transfers, ws.Sessions(), res.PeakConcurrency, res.Injected)
+		res.Transfers, sessions, res.PeakConcurrency, res.Injected)
 	fmt.Printf("wrote %d daily log files under %s\n", len(dw.Files()), o.out)
 	if o.savePath != "" {
 		if err := model.Save(o.savePath); err != nil {

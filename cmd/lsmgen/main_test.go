@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/gismo"
@@ -146,6 +147,71 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if err := run(options{out: dir, scale: 100, days: 2, seed: 1, shards: -1}); err == nil {
 		t.Error("negative shard count: want error")
+	}
+}
+
+// TestRunRefusesDirWithLogs: a second run into a directory that already
+// holds daily logs — text, binary or gzipped — is refused before it
+// writes anything, with an error naming one of them; the first run's
+// files are left as they were.
+func TestRunRefusesDirWithLogs(t *testing.T) {
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first")
+	if err := run(options{out: first, scale: 400, days: 7, seed: 1, logFormat: "text"}); err != nil {
+		t.Fatal(err)
+	}
+	before := logBytes(t, first)
+	if len(before) == 0 {
+		t.Fatal("no logs written")
+	}
+	for _, args := range [][]string{
+		{"-scale", "400", "-days", "3", "-seed", "2"},
+		{"-scale", "400", "-days", "7", "-seed", "1"},
+		{"-scale", "400", "-days", "3", "-seed", "2", "-log-format", "binary"},
+	} {
+		o, err := parseArgs(append([]string{"-out", first}, args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run(o)
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(first, "wms-")) {
+			t.Errorf("%v into a directory of logs: %v, want an error naming one", args, err)
+		}
+		after := logBytes(t, first)
+		if len(after) != len(before) {
+			t.Fatalf("%v: %d files before, %d after", args, len(before), len(after))
+		}
+		for name, data := range before {
+			if !bytes.Equal(after[name], data) {
+				t.Errorf("%v: %s changed", args, name)
+			}
+		}
+	}
+
+	gz := filepath.Join(dir, "gz")
+	if err := os.MkdirAll(gz, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(gz, "wms-20020101.log.gz"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(options{out: gz, scale: 400, days: 3, seed: 2, logFormat: "text"}); err == nil || !strings.Contains(err.Error(), "wms-20020101.log.gz") {
+		t.Errorf("into a directory of gzipped logs: %v, want an error naming it", err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(gz, "*")); len(names) != 1 {
+		t.Errorf("refused run left %v", names)
+	}
+
+	// Files the readers do not read do not make a directory a log.
+	other := filepath.Join(dir, "other")
+	if err := os.MkdirAll(other, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(other, "model.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(options{out: other, scale: 400, days: 3, seed: 2, logFormat: "text"}); err != nil {
+		t.Errorf("a directory with no log in it: %v", err)
 	}
 }
 

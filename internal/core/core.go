@@ -296,7 +296,11 @@ func serve(m gismo.Model, server simulate.Config, seed int64, sinks simulate.Str
 	if err != nil {
 		return nil, 0, fmt.Errorf("simulate: %w", err)
 	}
-	return res, ws.Sessions(), nil
+	sessions, err := ws.Sessions()
+	if err != nil {
+		return nil, 0, fmt.Errorf("generate: %w", err)
+	}
+	return res, sessions, nil
 }
 
 // findLogs returns the daily log files under dir, refusing a directory

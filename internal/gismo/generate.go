@@ -46,11 +46,15 @@ func GenerateSeeded(m Model, seed int64) (*Workload, error) {
 		return nil, err
 	}
 	defer ws.Close()
+	sessions, err := ws.Sessions()
+	if err != nil {
+		return nil, err
+	}
 	return &Workload{
 		Model:        m,
 		Population:   ws.Population(),
-		Requests:     workload.Drain(ws, ws.Sessions()*2),
-		SessionCount: ws.Sessions(),
+		Requests:     workload.Drain(ws, sessions*2),
+		SessionCount: sessions,
 	}, nil
 }
 

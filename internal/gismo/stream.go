@@ -2,11 +2,13 @@ package gismo
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/dist"
@@ -53,20 +55,24 @@ const (
 // session) plus a 48-byte cursor per active session — never the
 // materialized request slice.
 //
-// Construction draws the global arrival schedule once — the Poisson
-// thinning, the inherently serial sliver of the work — from the seed's
-// arrival lane, overlapped with the population build (the other serial
-// prologue cost) on a second goroutine, so cold-start latency is the
-// max of the two, not their sum. Each of K shards then walks that
-// shared read-only schedule; a session's interest variate comes from a
-// counter-mode splitmix draw keyed by (seed, session index), so any
-// shard can compute it in O(1), and ownership is the variate's
-// K-quantile band: clients are partitioned across shards in contiguous
-// interest-weight bands, each carrying ~1/K of the sessions, and only
-// the owner pays the O(log N) Zipf inversion. An owned session is a
-// cursor over its per-session splitmix RNG: each transfer is drawn when
-// the one before it is released, which happens once the schedule walk
-// guarantees nothing earlier can appear.
+// The global arrival schedule — the Poisson thinning, the inherently
+// serial sliver of the work — is drawn from the seed's arrival lane by
+// a producer goroutine of its own while the shards already walk it:
+// the producer appends varint gaps to one buffer and publishes, every
+// few thousand sessions, how many whole gaps it holds, and a shard that
+// reaches the published end parks until more is published (type
+// schedule). The producer waits on nothing — not a shard, not the
+// merge, not a ring — so it always runs to its end, and a shard's wait
+// always ends. Each of K shards walks that shared schedule; a
+// session's interest variate comes from a counter-mode splitmix draw
+// keyed by (seed, session index), so any shard can compute it in
+// O(1), and ownership is the variate's K-quantile band: clients are
+// partitioned across shards in contiguous interest-weight bands, each
+// carrying ~1/K of the sessions, and only the owner pays the O(log N)
+// Zipf inversion. An owned session is a cursor over its per-session
+// splitmix RNG: each transfer is drawn when the one before it is
+// released, which happens once the schedule walk guarantees nothing
+// earlier can appear.
 //
 // Each shard emits 512-event slabs over a bounded SPSC ring
 // (internal/ring) — park/wake backpressure, no channel scheduling —
@@ -79,8 +85,7 @@ type WorkloadStream struct {
 	seed       int64
 	shards     int
 	pop        *Population
-	schedule   []byte // uvarint gaps between session arrival seconds
-	sessions   int    // arrivals in schedule
+	sched      *schedule
 	rings      []shardRings
 	cursors    []mergeCursor // Next()'s K-way merge state; nil until the first call
 	done       chan struct{}
@@ -105,8 +110,14 @@ type mergeCursor struct {
 	shard int
 }
 
-// NewStream validates the model and starts the sharded generator.
-// Callers must either drain the stream or Close it.
+// NewStream validates the model and starts the sharded generator: the
+// schedule's producer and the population build first, each on a
+// goroutine of its own, then the samplers and the shards. It returns
+// once the population is built, so it blocks for the longer of the
+// population build and the sampler tables, not for the thinning pass.
+// A spec whose expected session count, six standard deviations
+// included, does not fit a session index is refused here, before any
+// of it is drawn. Callers must either drain the stream or Close it.
 func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	if shards < 1 || shards > MaxShards {
 		return nil, fmt.Errorf("%w: shard count %d", ErrBadModel, shards)
@@ -118,29 +129,25 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	interest, err := dist.NewZipf(m.Interest.Alpha, m.Interest.N)
-	if err != nil {
+	mean := pp.ExpectedCount(float64(m.Horizon))
+	if err := checkExpectedSessions(mean); err != nil {
 		return nil, err
 	}
-	perSession, err := dist.NewZipf(m.TransfersPerSession.Alpha, m.TransfersPerSession.N)
-	if err != nil {
-		return nil, err
+
+	ws := &WorkloadStream{
+		model:  m,
+		seed:   seed,
+		shards: shards,
+		sched:  newSchedule(),
+		done:   make(chan struct{}),
 	}
-	gap, err := m.gapSampler()
-	if err != nil {
-		return nil, err
-	}
-	length, err := m.lengthSampler()
-	if err != nil {
-		return nil, err
-	}
-	// The serial prologue used to run population build, then thinning,
-	// then shard spin-up, back to back. The population draws from its
-	// own seed lane and the shards never touch it (only the serve side
-	// does), so it overlaps with the thinning pass and the shard
-	// launch: cold-start latency is max(population, thinning) instead
-	// of their sum, and the shards are already drawing sessions while
-	// the population is still placing clients.
+	// One pass of Poisson thinning fixes every session's arrival
+	// instant; the shards walk it as it is drawn.
+	arrRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals)))
+	go ws.sched.draw(pp.Stream(arrRng, float64(m.Horizon)), scheduleHint(mean, m.Horizon))
+	// The population draws from its own seed lane and the shards never
+	// touch it (only the serve side does), so it is built beside the
+	// thinning pass, the sampler tables and the shards.
 	type popOutcome struct {
 		pop *Population
 		err error
@@ -152,38 +159,48 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 		popCh <- popOutcome{pop, err}
 	}()
 
-	ws := &WorkloadStream{
-		model:  m,
-		seed:   seed,
-		shards: shards,
-		done:   make(chan struct{}),
+	err = ws.startShards()
+	outcome := <-popCh
+	if err == nil {
+		err = outcome.err
 	}
-	// One pass of Poisson thinning fixes every session's arrival
-	// instant. Shards share this schedule read-only; everything
-	// per-session happens in them.
-	arrRng := rand.New(dist.NewSplitMix64(dist.Mix64(uint64(seed), laneArrivals)))
-	ws.schedule, ws.sessions = drawSchedule(pp.Stream(arrRng, float64(m.Horizon)), scheduleHint(pp.ExpectedCount(float64(m.Horizon)), m.Horizon))
-	if err := checkSessions(ws.sessions); err != nil {
-		<-popCh // let the population build finish before giving up
+	if err != nil {
+		ws.Close() // stop the producer and the shards already running
 		return nil, err
 	}
+	ws.pop = outcome.pop
+	return ws, nil
+}
 
-	ws.rings = make([]shardRings, shards)
-	for s := 0; s < shards; s++ {
+// startShards builds the samplers the shards share and starts the
+// shards, which walk the schedule as it is published.
+func (ws *WorkloadStream) startShards() error {
+	m := &ws.model
+	interest, err := dist.NewZipf(m.Interest.Alpha, m.Interest.N)
+	if err != nil {
+		return err
+	}
+	perSession, err := dist.NewZipf(m.TransfersPerSession.Alpha, m.TransfersPerSession.N)
+	if err != nil {
+		return err
+	}
+	gap, err := m.gapSampler()
+	if err != nil {
+		return err
+	}
+	length, err := m.lengthSampler()
+	if err != nil {
+		return err
+	}
+	ws.rings = make([]shardRings, ws.shards)
+	for s := range ws.rings {
 		ws.rings[s] = shardRings{
 			out: ring.NewSPSC[[]workload.Event](streamBatchDepth, ring.NewGate(), ring.NewGate()),
 			rec: ring.NewSPSC[[]workload.Event](recycleDepth, ring.NewGate(), ring.NewGate()),
 		}
 		go ws.runShard(s, ws.rings[s], interest, perSession, gap, length)
 	}
-
-	outcome := <-popCh
-	if outcome.err != nil {
-		ws.Close() // release the already-running shards
-		return nil, outcome.err
-	}
-	ws.pop = outcome.pop
-	return ws, nil
+	return nil
 }
 
 // arrivalProcess is the session arrival process under seed: the
@@ -223,25 +240,6 @@ func scheduleHint(mean float64, horizon int64) int {
 	return int(hint)
 }
 
-// drawSchedule drains the thinning pass into a schedule of varint gaps
-// between consecutive arrival seconds (the first from 0), made with
-// capacity hint, and counts the arrivals; a short hint costs growth,
-// never arrivals.
-func drawSchedule(arrivals *dist.PoissonStream, hint int) (gaps []byte, n int) {
-	gaps = make([]byte, 0, hint)
-	var prev int64
-	for {
-		at, ok := arrivals.Next()
-		if !ok {
-			return gaps, n
-		}
-		t := int64(at)
-		gaps = binary.AppendUvarint(gaps, uint64(t-prev))
-		prev = t
-		n++
-	}
-}
-
 // maxSessions bounds a schedule: a session index must fit the low 32
 // bits of cursorKey.
 const maxSessions = 1 << 32
@@ -253,6 +251,158 @@ func checkSessions(n int) error {
 		return fmt.Errorf("%w: %d sessions in the schedule, at most %d", ErrBadModel, n, maxSessions-1)
 	}
 	return nil
+}
+
+// checkExpectedSessions refuses, before anything is drawn, a schedule
+// whose expected count mean, plus six standard deviations, reaches
+// maxSessions: such a spec would first fill gigabytes of schedule and
+// then fail. The producer still checks the exact count (publish).
+func checkExpectedSessions(mean float64) error {
+	if hi := mean + 6*math.Sqrt(mean); !(hi < maxSessions) { // also NaN
+		return fmt.Errorf("%w: %.4g sessions expected in the schedule (six standard deviations included), at most %d", ErrBadModel, hi, maxSessions-1)
+	}
+	return nil
+}
+
+// publishEvery is how many arrivals the producer draws between two
+// publishes of the schedule. It divides 2³², so the first publish past
+// the session bound is the one at the bound, and no unkeyable session
+// index is ever published.
+const publishEvery = 4096
+
+// errClosedEarly is the error of a schedule whose stream was closed
+// before the thinning pass ended: its count is of a prefix.
+var errClosedEarly = errors.New("gismo: stream closed before its schedule was drawn")
+
+// schedule is the arrival schedule while it is drawn: varint gaps
+// between consecutive arrival seconds (the first from 0) that one
+// producer (draw) appends and any number of readers (scheduleReader)
+// decode. The producer publishes gaps, a prefix of its buffer holding
+// whole gaps only, under mu; it writes only past what it has published,
+// and when it outgrows the buffer it publishes the grown copy with the
+// new length, so a reader that picked up a prefix reads bytes nothing
+// writes any more. The producer never waits for a reader, so a reader
+// parked on cond is always woken: by the next publish, by the draw's
+// end or by Close.
+type schedule struct {
+	mu      sync.Mutex
+	cond    sync.Cond // L is &mu
+	gaps    []byte    // the published prefix
+	n       int       // arrivals in gaps
+	done    bool      // the producer has returned; err says how
+	stopped bool      // Close was called: stop at the next publish
+	err     error
+}
+
+func newSchedule() *schedule {
+	s := &schedule{}
+	s.cond.L = &s.mu
+	return s
+}
+
+// draw is the producer: it drains the thinning pass into a buffer made
+// with capacity hint, publishing every publishEvery arrivals and once
+// at the end; a short hint costs growth, never arrivals. It returns at
+// the end of the pass, at the publish after stop, or at the publish
+// whose count no session index can hold.
+func (s *schedule) draw(arrivals *dist.PoissonStream, hint int) {
+	buf := make([]byte, 0, hint)
+	var prev int64
+	for n := 1; ; n++ {
+		at, ok := arrivals.Next()
+		if !ok {
+			s.publish(buf, n-1, true)
+			return
+		}
+		t := int64(at)
+		buf = binary.AppendUvarint(buf, uint64(t-prev))
+		prev = t
+		if n%publishEvery == 0 && !s.publish(buf, n, false) {
+			return
+		}
+	}
+}
+
+// publish makes the first n arrivals, gaps, visible to the readers and
+// ends the draw when last; false means the draw is to stop.
+func (s *schedule) publish(gaps []byte, n int, last bool) bool {
+	err := checkSessions(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.cond.Broadcast()
+	switch {
+	case s.stopped && !last:
+		s.done, s.err = true, errClosedEarly
+	case err != nil:
+		s.done, s.err = true, err
+	default:
+		s.gaps, s.n, s.done = gaps, n, last
+	}
+	return !s.done
+}
+
+// wait returns the published gaps once they are longer than have
+// bytes, the draw has ended, or the stream is closed; false means the
+// reader is to stop: the stream was closed or the draw failed.
+func (s *schedule) wait(have int) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.gaps) == have && !s.done && !s.stopped {
+		s.cond.Wait()
+	}
+	return s.gaps, !s.stopped && s.err == nil
+}
+
+// stop asks the producer to stop at its next publish and wakes every
+// parked reader.
+func (s *schedule) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// count waits for the producer to return and gives the number of
+// arrivals drawn and how the draw ended.
+func (s *schedule) count() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.done {
+		s.cond.Wait()
+	}
+	return s.n, s.err
+}
+
+// scheduleReader walks a schedule as it is drawn, one arrival at a
+// time, parking at the published end.
+type scheduleReader struct {
+	s    *schedule
+	gaps []byte // the prefix picked up last
+	pos  int
+	idx  int // arrivals read
+	at   int64
+	cut  bool // the walk stopped before the schedule's end
+}
+
+// next returns the next arrival's index and second; false at the
+// schedule's end, or (cut) when the stream was closed or the draw
+// failed first.
+func (r *scheduleReader) next() (idx int, at int64, ok bool) {
+	if r.pos == len(r.gaps) {
+		var live bool
+		if r.gaps, live = r.s.wait(r.pos); !live {
+			r.cut = true
+			return 0, 0, false
+		}
+		if r.pos == len(r.gaps) {
+			return 0, 0, false
+		}
+	}
+	delta, w := binary.Uvarint(r.gaps[r.pos:])
+	r.pos += w
+	r.at += int64(delta)
+	r.idx++
+	return r.idx - 1, r.at, true
 }
 
 // interestUniform is session idx's interest variate in [0, 1): the
@@ -341,18 +491,24 @@ func (ws *WorkloadStream) popSlab(s int) ([]workload.Event, bool) {
 }
 
 // Close releases the shard goroutines of a stream that will not be
-// drained. It is idempotent; draining to exhaustion makes it a no-op.
+// drained, and stops the schedule's producer at its next publish. It
+// is idempotent; draining to exhaustion makes it a no-op.
 func (ws *WorkloadStream) Close() {
 	if ws.closed.CompareAndSwap(false, true) {
 		close(ws.done)
+		ws.sched.stop()
 	}
 }
 
 // Population returns the generated client population.
 func (ws *WorkloadStream) Population() *Population { return ws.pop }
 
-// Sessions returns the number of generated sessions (client arrivals).
-func (ws *WorkloadStream) Sessions() int { return ws.sessions }
+// Sessions waits for the arrival schedule to be drawn and returns the
+// number of generated sessions (client arrivals). The error is
+// ErrBadModel when the schedule outgrew what a session index can
+// number (the stream then ended early) and an error too when the
+// stream was closed before the schedule was drawn.
+func (ws *WorkloadStream) Sessions() (int, error) { return ws.sched.count() }
 
 // runShard generates the events of the sessions owned by shard s, in
 // stream order, batching them into slabs on the shard's output ring.
@@ -399,11 +555,12 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 		}
 	}
 
-	var at int64
-	for idx, pos := 0, 0; pos < len(ws.schedule); idx++ {
-		delta, w := binary.Uvarint(ws.schedule[pos:])
-		pos += w
-		at += int64(delta)
+	r := scheduleReader{s: ws.sched}
+	for {
+		idx, at, ok := r.next()
+		if !ok {
+			break
+		}
 		// Release pending events that precede the next arrival: no
 		// later session can produce anything earlier. No pending key
 		// equals the arrival's, whose session is not open yet.
@@ -418,6 +575,9 @@ func (ws *WorkloadStream) runShard(s int, rr shardRings, interest, perSession *d
 				pending.push(c)
 			}
 		}
+	}
+	if r.cut {
+		return
 	}
 	if !release(math.MaxUint64) {
 		return

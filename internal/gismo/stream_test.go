@@ -1,12 +1,16 @@
 package gismo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +27,11 @@ func drainStream(t *testing.T, m Model, seed int64, shards int) ([]workload.Even
 	}
 	defer ws.Close()
 	events := workload.Drain(ws, 0)
-	return events, ws.Sessions()
+	sessions, err := ws.Sessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, sessions
 }
 
 // TestStreamShardCountInvariant is the determinism contract of the
@@ -217,7 +225,10 @@ func TestNewStreamRejectsBadInputs(t *testing.T) {
 // TestNewStreamRefusesUnkeyableSchedule: a schedule of 2³² sessions
 // or more is refused, since a session index beyond 32 bits would spill
 // into the start in the shards' cursor keys and misorder the stream.
-// The guard is tested at its bound, as no test can draw that many.
+// The producer's guard on the exact count is tested at its bound, as
+// no test can draw that many; a spec expected to reach it, six
+// standard deviations included, is refused by NewStream before the
+// producer starts, so before a multi-gigabyte schedule is drawn.
 func TestNewStreamRefusesUnkeyableSchedule(t *testing.T) {
 	for _, n := range []int{0, 1, maxSessions - 1} {
 		if err := checkSessions(n); err != nil {
@@ -228,6 +239,34 @@ func TestNewStreamRefusesUnkeyableSchedule(t *testing.T) {
 		if err := checkSessions(n); !errors.Is(err, ErrBadModel) {
 			t.Errorf("%d sessions: %v, want ErrBadModel", n, err)
 		}
+	}
+	if maxSessions%publishEvery != 0 {
+		t.Errorf("publishEvery %d does not divide 2³²: a publish could pass the bound", publishEvery)
+	}
+
+	below := float64(maxSessions) - 6*math.Sqrt(maxSessions) - 1024
+	for _, mean := range []float64{0, 1, 1e9, below} {
+		if err := checkExpectedSessions(mean); err != nil {
+			t.Errorf("mean %v: %v", mean, err)
+		}
+	}
+	for _, mean := range []float64{maxSessions - 1, maxSessions, 1e30, math.Inf(1), math.NaN()} {
+		if err := checkExpectedSessions(mean); !errors.Is(err, ErrBadModel) {
+			t.Errorf("mean %v: %v, want ErrBadModel", mean, err)
+		}
+	}
+
+	m := testModel()
+	m.BaseArrivalRate *= 1e8 // some 10¹¹ sessions over three days
+	before := runtime.NumGoroutine()
+	if ws, err := NewStream(m, 1, 2); !errors.Is(err, ErrBadModel) {
+		if ws != nil {
+			ws.Close()
+		}
+		t.Fatalf("a spec at %g sessions a second: %v, want ErrBadModel", m.BaseArrivalRate, err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines before the refused NewStream, %d after", before, got)
 	}
 }
 
@@ -306,12 +345,17 @@ func decodeSchedule(t *testing.T, gaps []byte) (instants []int64, widths map[int
 	return instants, widths
 }
 
-// sameSchedule holds a stream's gap schedule to the int64 thinning pass.
+// sameSchedule waits for a stream's schedule to be drawn and holds its
+// gaps to the int64 thinning pass.
 func sameSchedule(t *testing.T, ws *WorkloadStream, want []int64) map[int]int {
 	t.Helper()
-	got, widths := decodeSchedule(t, ws.schedule)
-	if len(got) != len(want) || ws.Sessions() != len(want) {
-		t.Fatalf("schedule decodes to %d arrivals, Sessions() = %d, the thinning pass drew %d", len(got), ws.Sessions(), len(want))
+	sessions, err := ws.Sessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, widths := decodeSchedule(t, ws.sched.gaps)
+	if len(got) != len(want) || sessions != len(want) {
+		t.Fatalf("schedule decodes to %d arrivals, Sessions() = %d, the thinning pass drew %d", len(got), sessions, len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -339,11 +383,11 @@ func sparseModel(t *testing.T) Model {
 
 // TestScheduleSizedOnce: a stream's schedule of varint gaps decodes to
 // exactly the arrivals the thinning pass draws, including gaps that take
-// two and three bytes; on the dense fixture it never outgrows the
+// two and three bytes, and on the dense fixture it never outgrows the
 // capacity it was made with — no doubling, no old and new copy alive at
-// once — and a hint that is too short (a clamped one) costs growth, not
-// arrivals. The sizing holds at any rate: the gaps past a byte are
-// bounded by the horizon, not the count.
+// once. The sizing holds at any rate: the gaps past a byte are bounded
+// by the horizon, not the count. (TestScheduleGrowsUnderReaders covers
+// a hint that is too short.)
 func TestScheduleSizedOnce(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		pp, m := scheduleFixture(t, seed)
@@ -352,10 +396,10 @@ func TestScheduleSizedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws.Close()
 		sameSchedule(t, ws, referenceSchedule(arrivalStream(pp, m, seed)))
-		if cap(ws.schedule) != hint {
-			t.Errorf("seed %d: schedule of %d bytes has capacity %d, made with %d", seed, len(ws.schedule), cap(ws.schedule), hint)
+		ws.Close()
+		if cap(ws.sched.gaps) != hint {
+			t.Errorf("seed %d: schedule of %d bytes has capacity %d, made with %d", seed, len(ws.sched.gaps), cap(ws.sched.gaps), hint)
 		}
 
 		sparse := sparseModel(t)
@@ -367,21 +411,13 @@ func TestScheduleSizedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sws.Close()
 		widths := sameSchedule(t, sws, referenceSchedule(arrivalStream(spp, sparse, seed)))
+		sws.Close()
 		if widths[2] == 0 || widths[3] == 0 {
 			t.Errorf("seed %d: sparse schedule's varint widths %v, want 2- and 3-byte gaps", seed, widths)
 		}
-		if hint := scheduleHint(spp.ExpectedCount(float64(sparse.Horizon)), sparse.Horizon); cap(sws.schedule) != hint {
-			t.Errorf("seed %d: sparse schedule of %d bytes has capacity %d, made with %d", seed, len(sws.schedule), cap(sws.schedule), hint)
-		}
-
-		if seed > 1 {
-			continue
-		}
-		short, n := drawSchedule(arrivalStream(pp, m, seed), 16)
-		if n != ws.Sessions() || string(short) != string(ws.schedule) {
-			t.Fatalf("short hint: %d arrivals in %d bytes, want %d in %d", n, len(short), ws.Sessions(), len(ws.schedule))
+		if hint := scheduleHint(spp.ExpectedCount(float64(sparse.Horizon)), sparse.Horizon); cap(sws.sched.gaps) != hint {
+			t.Errorf("seed %d: sparse schedule of %d bytes has capacity %d, made with %d", seed, len(sws.sched.gaps), cap(sws.sched.gaps), hint)
 		}
 	}
 	for _, mean := range []float64{math.NaN(), math.Inf(1), 1e30, maxScheduleHint} {
@@ -395,6 +431,156 @@ func TestScheduleSizedOnce(t *testing.T) {
 	if got := scheduleHint(0, 127); got != 17 {
 		t.Errorf("scheduleHint(0, 127) = %d, want 17", got)
 	}
+}
+
+// TestScheduleGrowsUnderReaders: a producer whose 16-byte hint is
+// outgrown many times over publishes each grown buffer with its length
+// while readers walk the schedule as the shards do; every reader
+// decodes exactly the thinning pass, and the count is its length. Run
+// it under -race: a reader that read an unpublished byte, or a
+// published byte the producer moved, is a race.
+func TestScheduleGrowsUnderReaders(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		pp, m := scheduleFixture(t, seed)
+		want := referenceSchedule(arrivalStream(pp, m, seed))
+		s := newSchedule()
+		got := make([][]int64, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := scheduleReader{s: s}
+				for {
+					idx, at, ok := r.next()
+					if !ok {
+						break
+					}
+					if idx != len(got[i]) {
+						t.Errorf("reader %d: arrival %d read as index %d", i, len(got[i]), idx)
+						return
+					}
+					got[i] = append(got[i], at)
+				}
+				if r.cut {
+					t.Errorf("reader %d: walk cut short", i)
+				}
+			}()
+		}
+		go s.draw(arrivalStream(pp, m, seed), 16)
+		wg.Wait()
+		if n, err := s.count(); n != len(want) || err != nil {
+			t.Fatalf("seed %d: count %d, %v; the thinning pass drew %d", seed, n, err, len(want))
+		}
+		if cap(s.gaps) <= 16 {
+			t.Errorf("seed %d: a %d-byte schedule never grew past its 16-byte hint", seed, len(s.gaps))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want) {
+				t.Fatalf("seed %d: reader %d decoded %d arrivals unlike the %d of the thinning pass", seed, i, len(got[i]), len(want))
+			}
+		}
+	}
+}
+
+// TestStreamCloseWhileShardsWaitForSchedule: shards that have walked
+// all of a published prefix park until more is published, and a
+// consumer parks in Next on their unflushed slabs. Close wakes them
+// all: every goroutine exits, and the goroutine count returns to its
+// baseline.
+func TestStreamCloseWhileShardsWaitForSchedule(t *testing.T) {
+	const seed, shards = 1, 4
+	pp, m := scheduleFixture(t, seed)
+	arrivals := referenceSchedule(arrivalStream(pp, m, seed))
+	var prefix []byte
+	var prev int64
+	for _, at := range arrivals[:len(arrivals)/2] {
+		prefix = binary.AppendUvarint(prefix, uint64(at-prev))
+		prev = at
+	}
+
+	before := runtime.NumGoroutine()
+	ws := &WorkloadStream{model: m, seed: seed, shards: shards, sched: newSchedule(), done: make(chan struct{})}
+	ws.sched.publish(prefix, len(arrivals)/2, false) // and no producer to publish the rest
+	if err := ws.startShards(); err != nil {
+		t.Fatal(err)
+	}
+	var consumed atomic.Int64
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			if _, ok := ws.Next(); !ok {
+				return
+			}
+			consumed.Add(1)
+		}
+	}()
+	// Wait for every shard to park in schedule.wait on the half that was
+	// published.
+	deadline := time.Now().Add(5 * time.Second)
+	stacks := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(stacks, true)
+		if bytes.Count(stacks[:n], []byte("gismo.(*schedule).wait(")) == shards {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shards never all parked on the schedule (%d events consumed)", consumed.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-drained:
+		t.Fatal("the stream ended on half a schedule that was never finished")
+	default:
+	}
+
+	t.Logf("%d events consumed when Close was called", consumed.Load())
+	ws.Close()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("consumer still parked in Next after Close")
+	}
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline.Add(5*time.Second)) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines before the stream, %d after Close — shards leaked", before, got)
+	}
+}
+
+// FuzzStreamedSchedule: for any seed and 1–8 shards, on the dense bench
+// fixture and the sparse model, the drained stream equals the 1-shard
+// stream and the schedule drawn beside the shards equals the thinning
+// pass.
+func FuzzStreamedSchedule(f *testing.F) {
+	f.Add(int64(1), uint8(1), false)
+	f.Add(int64(2002), uint8(7), false)
+	f.Add(int64(-7), uint8(2), true)
+	f.Add(int64(31337), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed int64, shards uint8, sparse bool) {
+		pp, m := scheduleFixture(t, seed)
+		if sparse {
+			m = sparseModel(t)
+			var err error
+			if pp, err = m.arrivalProcess(seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base, _ := drainStream(t, m, seed, 1)
+		ws, err := NewStream(m, seed, int(shards)%8+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ws.Close()
+		got := workload.Drain(ws, len(base))
+		sameSchedule(t, ws, referenceSchedule(arrivalStream(pp, m, seed)))
+		if !slices.Equal(got, base) {
+			t.Fatalf("%d shards: %d events unlike the 1-shard stream's %d", int(shards)%8+1, len(got), len(base))
+		}
+	})
 }
 
 // TestStreamBytesPerSession: everything a drained stream allocates
@@ -435,7 +621,10 @@ func TestStreamBytesPerSession(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		stream := after.TotalAlloc - before.TotalAlloc - population
-		sessions := ws.Sessions()
+		sessions, err := ws.Sessions()
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Logf("%d days: %d sessions, %d events, %d B beyond the population (%.2f B/session)",
 			days, sessions, events, stream, float64(stream)/float64(sessions))
 		if limit := uint64(perSession*sessions + allowance); stream > limit {
