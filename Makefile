@@ -149,8 +149,12 @@ bench-history:
 # ordinals naming every entry's URI and country and Identity's bytes
 # equal to its c-ip and c-playerid) and the fixed-2 s-cpu-util encoder (any float64 bit pattern
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
-# = Sessionize's count at every timeout, plus the Section 2.2 gap
-# invariants), the sample-sort fuzzer (stats.SortedCopy, SortInPlace
+# = the reference sessionization's count at every timeout, plus the
+# Section 2.2 gap invariants and Sessionize's spans), the replay-check
+# fuzzer (loadgen.Check and the event-walk SafeTimeout over fuzzed
+# offered and served sets — a dropped transfer, a split session, two
+# merged clients, tied starts — = the trace-based check they replaced),
+# the sample-sort fuzzer (stats.SortedCopy, SortInPlace
 # and SortedView of any float64 bit patterns = sort.Float64s of a
 # copy), the concurrency
 # fuzzer (the event sweep's report = a count of every second, field by
@@ -182,7 +186,7 @@ bench-history:
 # beside its 1–8 shards drains to the 1-shard stream, and the schedule
 # to the thinning pass, on a dense and a sparse model).
 # `go test` runs one fuzz target per invocation, hence the
-# eighteen steps; new failing inputs are minimized into the package's
+# nineteen steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
 # An ingest execution writes its files to disk, so that target bounds
 # the minimizing of each new input at 2 s: at the default 60 s it
@@ -196,6 +200,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed2$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitterMatchesByteLoop$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckMatchesTraceOracle$$' -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzConcurrencyMatchesPerSecond$$' -fuzztime $(FUZZTIME) ./internal/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzPopulationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/gismo

@@ -77,13 +77,13 @@ func getFixture(b *testing.B) *benchFixture {
 			return
 		}
 		clean := served.Trace
-		char, err := core.Characterize(clean, cfg.SessionTimeout, cfg.TimeoutSweep, cfg.Seed)
+		char, err := core.Characterize(clean, sessions.DefaultTimeout, nil, cfg.Seed)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
 		rep := &core.Report{Config: cfg, Sanitize: served.Sanitize, Peak: served.Peak, Char: char}
-		set, err := sessions.Sessionize(clean, cfg.SessionTimeout)
+		set, err := sessions.Sessionize(clean, sessions.DefaultTimeout)
 		if err != nil {
 			fixtureErr = err
 			return
@@ -100,10 +100,10 @@ func getFixture(b *testing.B) *benchFixture {
 
 func BenchmarkTable1BasicStats(b *testing.B) {
 	f := getFixture(b)
+	users := f.set.Sessionizer().Clients()
 	b.ResetTimer()
-	var users, transfers int
+	var transfers int
 	for i := 0; i < b.N; i++ {
-		users = f.tr.ByClient().Len()
 		transfers = f.tr.NumTransfers()
 		_ = f.tr.TotalBytes()
 		_ = f.tr.DistinctAS()
@@ -134,9 +134,9 @@ func BenchmarkFigure2ClientDiversity(b *testing.B) {
 // --- Figures 3, 4, 8: client concurrency, temporal, ACF --------------
 
 func clientIntervals(f *benchFixture) []analyze.Interval {
-	iv := make([]analyze.Interval, f.set.Count())
-	for i, s := range f.set.Sessions {
-		iv[i] = analyze.Interval{Start: s.Start, End: s.End}
+	iv := make([]analyze.Interval, 0, f.set.Count())
+	for s := range f.set.Sessionizer().Spans() {
+		iv = append(iv, analyze.Interval{Start: s.Start, End: s.End})
 	}
 	return iv
 }
@@ -970,11 +970,7 @@ func BenchmarkAblationConcurrencyResolution(b *testing.B) {
 // top decade of ranks versus all ranks.
 func BenchmarkAblationZipfFitRange(b *testing.B) {
 	f := getFixture(b)
-	byClient := f.tr.ByClient()
-	counts := make([]int, byClient.Len())
-	for k := range counts {
-		counts[k] = len(byClient.Transfers(k))
-	}
+	counts := f.set.Sessionizer().TransfersPerClient()
 	full, err := dist.FitZipfCounts(counts)
 	if err != nil {
 		b.Fatal(err)

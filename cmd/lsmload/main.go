@@ -31,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analyze"
 	"repro/internal/gismo"
 	"repro/internal/loadgen"
 	"repro/internal/prof"
@@ -371,6 +370,17 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 	if err := json.Unmarshal(data, &mf); err != nil {
 		return fmt.Errorf("parse meta: %w", err)
 	}
+	// A directory holding no daily log would read as a server that
+	// served nothing: refuse it before regenerating anything.
+	paths := []string{logPath}
+	if fi, err := os.Stat(logPath); err == nil && fi.IsDir() {
+		if paths, err = wmslog.FindLogs(logPath); err != nil {
+			return err
+		}
+		if len(paths) == 0 {
+			return fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", logPath)
+		}
+	}
 
 	events, m, err := mf.Spec.offeredEvents()
 	if err != nil {
@@ -397,18 +407,6 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 		}
 		events = kept
 		fmt.Fprintf(out, "excluding %d transfers lost during the replay\n", len(mf.Failed))
-	}
-	offered, err := loadgen.OfferedTrace(events, m.Horizon)
-	if err != nil {
-		return err
-	}
-
-	paths := []string{logPath}
-	if fi, err := os.Stat(logPath); err == nil && fi.IsDir() {
-		paths, err = wmslog.FindLogs(logPath)
-		if err != nil {
-			return err
-		}
 	}
 	entries, st, err := wmslog.ReadFiles(paths, true)
 	if err != nil {
@@ -444,14 +442,14 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 	if timeout == 0 {
 		slack := int64(3 * mf.Compression)
 		var ok bool
-		timeout, ok = loadgen.SafeTimeout(offered, slack)
+		timeout, ok = loadgen.SafeTimeout(events, m.Horizon, slack)
 		if !ok {
 			return fmt.Errorf("no session timeout is %d trace-seconds clear of every silent gap; lower -compression or pass -timeout", slack)
 		}
 		fmt.Fprintf(out, "auto-picked session timeout %d s (quantization slack %d s)\n", timeout, slack)
 	}
 
-	report, err := analyze.CompareTraces(offered, served, timeout)
+	report, err := loadgen.Check(events, served, timeout)
 	if err != nil {
 		return err
 	}

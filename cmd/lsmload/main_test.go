@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/gismo"
@@ -165,5 +168,45 @@ func TestSpecTransformValidation(t *testing.T) {
 		if _, err := sp.transform(m); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
+	}
+}
+
+// TestCheckRefusesDirWithoutDailyLogs: -check -logs DIR over a
+// directory holding no wms-*.log(.gz) — here only lsmserve's
+// transfers.log — is refused with an error naming the directory, and
+// nothing is regenerated or compared (no output), instead of reading
+// an empty served workload and reporting a mismatch.
+func TestCheckRefusesDirWithoutDailyLogs(t *testing.T) {
+	dir := t.TempDir()
+	sp := spec{Scale: 6000, Days: 1, Hours: 1, Seed: 5, Shards: 2, Rate: 0.05, NoRamp: true}
+	events, _, err := sp.offeredEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(&metaFile{Spec: sp, Compression: 600, Attempted: len(events), Completed: len(events)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, logs := filepath.Join(dir, "meta.json"), filepath.Join(dir, "logs")
+	if err := os.WriteFile(meta, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(logs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(logs, "transfers.log"), []byte("#Fields: date time\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	err = runCheck(meta, logs, 0, out)
+	if err == nil || !strings.Contains(err.Error(), "no wms-*.log or wms-*.log.gz files under "+logs) {
+		t.Fatalf("runCheck over a directory without daily logs: %v", err)
+	}
+	if printed, _ := os.ReadFile(out.Name()); len(printed) != 0 {
+		t.Errorf("runCheck printed %q before refusing the directory", printed)
 	}
 }

@@ -98,10 +98,9 @@ func main() {
 
 func characterize(m gismo.Model, seed int64) (*core.Characterization, int, int, error) {
 	cfg := core.Config{
-		Model:          m,
-		Server:         simulate.DefaultConfig(),
-		SessionTimeout: 1500,
-		Seed:           seed,
+		Model:  m,
+		Server: simulate.DefaultConfig(),
+		Seed:   seed,
 	}
 	rep, err := core.Run(cfg)
 	if err != nil {

@@ -2,11 +2,9 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sessions"
-	"repro/internal/trace"
 )
 
 // ClientShape is one client's workload footprint at the granularity the
@@ -67,65 +65,36 @@ func (m *MatchReport) String() string {
 	return b.String()
 }
 
-// CompareTraces sessionizes both traces at the given timeout and
-// compares them: totals and the multiset of per-client shapes. It is
-// the validation step that closes the loop — the workload parsed back
-// out of the server's log must be the workload that was offered.
-func CompareTraces(offered, served *trace.Trace, timeout int64) (*MatchReport, error) {
-	offSet, err := sessions.Sessionize(offered, timeout)
-	if err != nil {
-		return nil, err
-	}
-	srvSet, err := sessions.Sessionize(served, timeout)
-	if err != nil {
-		return nil, err
-	}
-	offShapes := clientShapes(offered, offSet)
-	srvShapes := clientShapes(served, srvSet)
-
+// CompareSessions compares two workloads sessionized at one timeout —
+// the offered one and the one a server logged: totals (the transfers
+// each Sessionizer was fed, its sessions and its clients) and the
+// multiset of per-client (transfers, sessions) shapes. It is the
+// validation step that closes the loop: the workload parsed back out
+// of the server's log must be the workload that was offered.
+func CompareSessions(offered, served *sessions.Sessionizer) *MatchReport {
 	report := &MatchReport{
-		OfferedTransfers: offered.NumTransfers(),
-		ServedTransfers:  served.NumTransfers(),
-		OfferedSessions:  offSet.Count(),
-		ServedSessions:   srvSet.Count(),
-		OfferedClients:   len(offShapes),
-		ServedClients:    len(srvShapes),
-		Timeout:          timeout,
+		OfferedSessions: offered.Sessions(),
+		ServedSessions:  served.Sessions(),
+		OfferedClients:  offered.Clients(),
+		ServedClients:   served.Clients(),
+		Timeout:         offered.Timeout(),
 	}
-
 	diff := make(map[ClientShape]int)
-	for _, s := range offShapes {
-		diff[s]++
-	}
-	for _, s := range srvShapes {
-		diff[s]--
-	}
+	report.OfferedTransfers = tallyShapes(diff, offered, 1)
+	report.ServedTransfers = tallyShapes(diff, served, -1)
 	for _, d := range diff { //lsm:nondet -- integer sum of absolute differences
-		if d > 0 {
-			report.ShapeMismatches += d
-		} else {
-			report.ShapeMismatches -= d
-		}
+		report.ShapeMismatches += max(d, -d)
 	}
-	return report, nil
+	return report
 }
 
-// clientShapes folds a sessionized trace into one shape per client,
-// sorted for determinism.
-func clientShapes(tr *trace.Trace, set *sessions.Set) []ClientShape {
-	byClient := tr.ByClient()
-	out := make([]ClientShape, byClient.Len())
-	for i := range set.Sessions {
-		s := &set.Sessions[i]
-		sh := &out[byClient.Slot(s.Transfers[0])]
-		sh.Sessions++
-		sh.Transfers += s.Count()
+// tallyShapes adds weight to diff's count of each of z's per-client
+// shapes and returns the transfers z was fed.
+func tallyShapes(diff map[ClientShape]int, z *sessions.Sessionizer, weight int) (transfers int) {
+	perClient := z.SessionsPerClient()
+	for i, n := range z.TransfersPerClient() {
+		diff[ClientShape{Transfers: n, Sessions: perClient[i]}] += weight
+		transfers += n
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Transfers != out[j].Transfers {
-			return out[i].Transfers < out[j].Transfers
-		}
-		return out[i].Sessions < out[j].Sessions
-	})
-	return out
+	return transfers
 }

@@ -3,6 +3,7 @@ package analyze
 import (
 	"testing"
 
+	"repro/internal/sessions"
 	"repro/internal/trace"
 )
 
@@ -25,6 +26,22 @@ func matchTrace(t *testing.T, rows ...[3]int64) *trace.Trace {
 	return tr
 }
 
+// compareTraces walks each trace into a Sessionizer at timeout and
+// compares the two.
+func compareTraces(offered, served *trace.Trace, timeout int64) (*MatchReport, error) {
+	var z [2]*sessions.Sessionizer
+	for k, tr := range []*trace.Trace{offered, served} {
+		var err error
+		if z[k], err = sessions.NewSessionizer(timeout, 0); err != nil {
+			return nil, err
+		}
+		for i := range tr.Transfers {
+			z[k].Add(&tr.Transfers[i])
+		}
+	}
+	return CompareSessions(z[0], z[1]), nil
+}
+
 func TestCompareTracesIdentical(t *testing.T) {
 	rows := [][3]int64{
 		{0, 100, 50}, {0, 200, 50}, // client 0, one session
@@ -33,14 +50,14 @@ func TestCompareTracesIdentical(t *testing.T) {
 	}
 	a := matchTrace(t, rows...)
 	b := matchTrace(t, rows...)
-	rep, err := CompareTraces(a, b, 1500)
+	rep, err := compareTraces(a, b, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Match() {
 		t.Fatalf("identical traces mismatch:\n%s", rep)
 	}
-	if rep.OfferedSessions != 3 || rep.OfferedClients != 2 {
+	if rep.OfferedTransfers != 4 || rep.OfferedSessions != 3 || rep.OfferedClients != 2 || rep.Timeout != 1500 {
 		t.Fatalf("sessionization off: %+v", rep)
 	}
 }
@@ -50,7 +67,7 @@ func TestCompareTracesIdentical(t *testing.T) {
 func TestCompareTracesIdentityAgnostic(t *testing.T) {
 	a := matchTrace(t, [3]int64{0, 100, 50}, [3]int64{0, 200, 50}, [3]int64{1, 300, 100})
 	b := matchTrace(t, [3]int64{7, 100, 50}, [3]int64{7, 200, 50}, [3]int64{2, 300, 100})
-	rep, err := CompareTraces(a, b, 1500)
+	rep, err := compareTraces(a, b, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +79,16 @@ func TestCompareTracesIdentityAgnostic(t *testing.T) {
 func TestCompareTracesDetectsLostTransfer(t *testing.T) {
 	a := matchTrace(t, [3]int64{0, 100, 50}, [3]int64{0, 200, 50}, [3]int64{1, 300, 100})
 	b := matchTrace(t, [3]int64{0, 100, 50}, [3]int64{1, 300, 100})
-	rep, err := CompareTraces(a, b, 1500)
+	rep, err := compareTraces(a, b, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Match() {
 		t.Fatal("lost transfer not detected")
 	}
-	if rep.ShapeMismatches == 0 {
-		t.Error("shape mismatch not counted")
+	// Client 0's shape went from (2, 1) to (1, 1): one on each side.
+	if rep.ShapeMismatches != 2 || rep.OfferedTransfers != 3 || rep.ServedTransfers != 2 {
+		t.Errorf("lost transfer counted as %+v", rep)
 	}
 }
 
@@ -80,7 +98,7 @@ func TestCompareTracesDetectsLostTransfer(t *testing.T) {
 func TestCompareTracesDetectsSessionDrift(t *testing.T) {
 	a := matchTrace(t, [3]int64{0, 100, 50}, [3]int64{0, 1000, 50})  // gap 850 < 1500: one session
 	b := matchTrace(t, [3]int64{0, 100, 50}, [3]int64{0, 10000, 50}) // gap: two sessions
-	rep, err := CompareTraces(a, b, 1500)
+	rep, err := compareTraces(a, b, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +112,7 @@ func TestCompareTracesDetectsSessionDrift(t *testing.T) {
 
 func TestCompareTracesBadTimeout(t *testing.T) {
 	a := matchTrace(t, [3]int64{0, 100, 50})
-	if _, err := CompareTraces(a, a, 0); err == nil {
+	if _, err := compareTraces(a, a, 0); err == nil {
 		t.Fatal("zero timeout accepted")
 	}
 }

@@ -41,8 +41,12 @@ func TestOnlineLayerMatchesBatch(t *testing.T) {
 	}
 
 	// Sketched: distinct clients and IPs within ~3%.
-	if rel := math.Abs(snap.Clients-float64(tr.ByClient().Len())) / float64(tr.ByClient().Len()); rel > 0.03 {
-		t.Errorf("clients: estimate %v vs %d (rel %.4f)", snap.Clients, tr.ByClient().Len(), rel)
+	clients := make(map[int32]bool)
+	for _, x := range tr.Transfers {
+		clients[x.Client] = true
+	}
+	if rel := math.Abs(snap.Clients-float64(len(clients))) / float64(len(clients)); rel > 0.03 {
+		t.Errorf("clients: estimate %v vs %d (rel %.4f)", snap.Clients, len(clients), rel)
 	}
 	if rel := math.Abs(snap.IPs-float64(tr.DistinctIPs())) / float64(tr.DistinctIPs()); rel > 0.03 {
 		t.Errorf("IPs: estimate %v vs %d (rel %.4f)", snap.IPs, tr.DistinctIPs(), rel)

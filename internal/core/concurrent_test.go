@@ -104,7 +104,7 @@ func basicStatsOracle(tr *trace.Trace, set *sessions.Set) BasicStats {
 		Objects:    len(objects),
 		ASes:       len(ases),
 		IPs:        len(ips),
-		Users:      tr.ByClient().Len(),
+		Users:      referenceUsers(tr),
 		Sessions:   set.Count(),
 		Transfers:  tr.NumTransfers(),
 		TotalBytes: tr.TotalBytes(),

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -34,9 +33,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 )
-
-// ErrBadConfig reports invalid pipeline configuration.
-var ErrBadConfig = errors.New("core: bad config")
 
 // lanePoissonReplica is the seed-derivation lane of the measurement
 // side's only random draw — the Figure 6 piecewise-Poisson replica —
@@ -54,11 +50,6 @@ type Config struct {
 	Model gismo.Model
 	// Server is the simulator configuration.
 	Server simulate.Config
-	// SessionTimeout is T_o in seconds (paper: 1,500).
-	SessionTimeout int64
-	// TimeoutSweep holds the T_o values for the Figure 9 sensitivity
-	// curve; nil selects DefaultTimeoutSweep.
-	TimeoutSweep []int64
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
 }
@@ -75,10 +66,9 @@ func DefaultConfig(scale float64, days int, seed int64) (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Model:          m,
-		Server:         simulate.DefaultConfig(),
-		SessionTimeout: sessions.DefaultTimeout,
-		Seed:           seed,
+		Model:  m,
+		Server: simulate.DefaultConfig(),
+		Seed:   seed,
 	}, nil
 }
 
@@ -87,13 +77,7 @@ func (c *Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
 	}
-	if err := c.Server.Validate(); err != nil {
-		return err
-	}
-	if c.SessionTimeout <= 0 {
-		return fmt.Errorf("%w: session timeout %d", ErrBadConfig, c.SessionTimeout)
-	}
-	return nil
+	return c.Server.Validate()
 }
 
 // BasicStats is Table 1: the trace's basic statistics.
@@ -192,8 +176,8 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	char, res, sanitized, err := observeServed(cfg.Model, cfg.Server, cfg.Seed, cfg.SessionTimeout,
-		&FigureOptions{Sweep: cfg.TimeoutSweep, Seed: cfg.Seed})
+	char, res, sanitized, err := observeServed(cfg.Model, cfg.Server, cfg.Seed, sessions.DefaultTimeout,
+		&FigureOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

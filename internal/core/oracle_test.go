@@ -19,10 +19,10 @@ import (
 )
 
 // referenceObserve is Observe as it ran before the observer, kept as
-// the reference: the trace sessionized into windows of its client
-// index, then the four layers as concurrent tasks, each drawing its
-// samples from the session set and the trace's rows. Its sessionizer
-// and its layer bodies are those of that version, so the observer is
+// the reference: the trace sessionized into lists of transfer indices,
+// then the four layers as concurrent tasks, each drawing its samples
+// from the session set and the trace's rows. Its sessionizer and its
+// layer bodies compute what that version's did, so the observer is
 // held to code it shares nothing with but the fits and the sorts.
 func referenceObserve(tr *trace.Trace, timeout int64) (*Characterization, error) {
 	set, err := referenceSessionize(tr, timeout)
@@ -59,7 +59,7 @@ func referenceObserve(tr *trace.Trace, timeout int64) (*Characterization, error)
 					Objects:    len(char.Divers.ObjectShare),
 					ASes:       char.Divers.NumAS,
 					IPs:        char.Divers.NumIPs,
-					Users:      tr.ByClient().Len(),
+					Users:      referenceUsers(tr),
 					Sessions:   len(set),
 					Transfers:  tr.NumTransfers(),
 					TotalBytes: tr.TotalBytes(),
@@ -74,38 +74,66 @@ func referenceObserve(tr *trace.Trace, timeout int64) (*Characterization, error)
 	return char, nil
 }
 
-// referenceSessionize is the one-walk sessionization over the client
-// index that Sessionize was before the Sessionizer.
-func referenceSessionize(tr *trace.Trace, timeout int64) ([]sessions.Session, error) {
+// referenceSession is one session as referenceSessionize cuts it: the
+// client, its transfers' indices into the trace in start order, its
+// first start and its latest end.
+type referenceSession struct {
+	Client     int32
+	Transfers  []int
+	Start, End int64
+}
+
+// referenceSessionize is the one-walk sessionization Sessionize was
+// before the Sessionizer: the trace walked in order, each client's
+// running session closed by a start more than T_o past its latest end,
+// sessions kept in the order they open.
+func referenceSessionize(tr *trace.Trace, timeout int64) ([]referenceSession, error) {
 	if timeout <= 0 {
 		return nil, fmt.Errorf("%w: %d", sessions.ErrBadTimeout, timeout)
 	}
-	ci := tr.ByClient()
-	seen := make([]int, ci.Len())
-	open := make([]int32, ci.Len())
-	var out []sessions.Session
+	open := make(map[int32]int) // client → 1 + index in out of its running session
+	var out []referenceSession
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
-		k := ci.Slot(i)
-		row, p := ci.Transfers(k), seen[k]
-		seen[k]++
-		if o := open[k]; o != 0 && t.Start-out[o-1].End <= timeout {
+		if o := open[t.Client]; o != 0 && t.Start-out[o-1].End <= timeout {
 			cur := &out[o-1]
-			cur.Transfers = row[p-len(cur.Transfers) : p+1 : p+1]
+			cur.Transfers = append(cur.Transfers, i)
 			cur.End = max(cur.End, t.End())
 			continue
 		}
-		out = append(out, sessions.Session{Client: ci.Client(k), Transfers: row[p : p+1 : p+1], Start: t.Start, End: t.End()})
-		open[k] = int32(len(out))
+		out = append(out, referenceSession{Client: t.Client, Transfers: []int{i}, Start: t.Start, End: t.End()})
+		open[t.Client] = len(out)
 	}
 	return out, nil
+}
+
+// referenceUsers counts tr's distinct clients.
+func referenceUsers(tr *trace.Trace) int {
+	_, n := referenceSlots(tr)
+	return n
+}
+
+// referenceSlots numbers tr's distinct clients 0..n-1 in ascending id
+// order: it returns each transfer's client number and n.
+func referenceSlots(tr *trace.Trace) (slot []int, n int) {
+	ids := make([]int32, len(tr.Transfers))
+	for i := range tr.Transfers {
+		ids[i] = tr.Transfers[i].Client
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	slot = make([]int, len(tr.Transfers))
+	for i := range tr.Transfers {
+		slot[i], _ = slices.BinarySearch(ids, tr.Transfers[i].Client)
+	}
+	return slot, len(ids)
 }
 
 var errEmptySet = fmt.Errorf("%w: empty session set", analyze.ErrBadInput)
 
 // referenceClientLayer is the Section 3 layer as it was computed from a
 // session set.
-func referenceClientLayer(tr *trace.Trace, set []sessions.Session) (*analyze.ClientLayer, error) {
+func referenceClientLayer(tr *trace.Trace, set []referenceSession) (*analyze.ClientLayer, error) {
 	if len(set) == 0 {
 		return nil, errEmptySet
 	}
@@ -124,10 +152,10 @@ func referenceClientLayer(tr *trace.Trace, set []sessions.Session) (*analyze.Cli
 		}
 	}
 	stats.SortInPlace(out.Interarrivals)
-	ci := tr.ByClient()
-	out.SessionsPerClient = make([]int, ci.Len())
+	slot, clients := referenceSlots(tr)
+	out.SessionsPerClient = make([]int, clients)
 	for _, s := range set {
-		out.SessionsPerClient[ci.Slot(s.Transfers[0])]++
+		out.SessionsPerClient[slot[s.Transfers[0]]]++
 	}
 	if out.InterestSessions, err = dist.FitZipfCounts(out.SessionsPerClient); err != nil {
 		return nil, fmt.Errorf("interest (sessions): %w", err)
@@ -136,24 +164,24 @@ func referenceClientLayer(tr *trace.Trace, set []sessions.Session) (*analyze.Cli
 }
 
 // referenceSessionLayer is the Section 4 layer as it was computed from
-// a session set: OFF times through the client index, intra-session
-// gaps through each session's window of transfer indices.
-func referenceSessionLayer(tr *trace.Trace, set []sessions.Session) (*analyze.SessionLayer, error) {
+// a session set: OFF times through each client's previous session,
+// intra-session gaps through each session's transfer indices.
+func referenceSessionLayer(tr *trace.Trace, set []referenceSession) (*analyze.SessionLayer, error) {
 	if len(set) == 0 {
 		return nil, errEmptySet
 	}
-	ci := tr.ByClient()
+	slot, clients := referenceSlots(tr)
 	out := &analyze.SessionLayer{
 		OnTimes:             make([]float64, len(set)),
 		OffTimes:            make([]float64, 0, len(set)),
 		TransfersPerSession: make([]int, len(set)),
 		IntraArrivals:       make([]float64, 0, tr.NumTransfers()),
 	}
-	prev := make([]int, ci.Len()) // 1 + index of the client's previous session
+	prev := make([]int, clients) // 1 + index of the client's previous session
 	for i, s := range set {
 		out.OnTimes[i] = stats.LogDisplayValue(float64(s.End - s.Start))
-		out.TransfersPerSession[i] = s.Count()
-		k := ci.Slot(s.Transfers[0])
+		out.TransfersPerSession[i] = len(s.Transfers)
+		k := slot[s.Transfers[0]]
 		if p := prev[k]; p != 0 {
 			if off := s.Start - set[p-1].End; off >= 0 {
 				out.OffTimes = append(out.OffTimes, float64(off))
@@ -293,15 +321,15 @@ func referenceFigures(tr *trace.Trace, char *Characterization, timeout int64, sw
 }
 
 // referenceClientFigures is Figure 7's left panel as it was read off the
-// trace: a transfer count per slot of its client index.
+// trace: a transfer count per client, in ascending client-id order.
 func referenceClientFigures(tr *trace.Trace) (*analyze.ClientFigures, error) {
 	if tr.NumTransfers() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", analyze.ErrBadInput)
 	}
-	byClient := tr.ByClient()
-	out := &analyze.ClientFigures{TransfersPerClient: make([]int, byClient.Len())}
-	for k := range out.TransfersPerClient {
-		out.TransfersPerClient[k] = len(byClient.Transfers(k))
+	slot, clients := referenceSlots(tr)
+	out := &analyze.ClientFigures{TransfersPerClient: make([]int, clients)}
+	for _, k := range slot {
+		out.TransfersPerClient[k]++
 	}
 	var err error
 	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
@@ -615,7 +643,7 @@ func TestObserverMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("ObserveServed differs from the reference over Serve's trace: %s", firstDiff(dumpChar(got), dumpChar(want)))
 			}
-			rep, err := Run(Config{Model: m, Server: cfg, SessionTimeout: sessions.DefaultTimeout, Seed: 9})
+			rep, err := Run(Config{Model: m, Server: cfg, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,9 +3,12 @@ package loadgen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/analyze"
+	"repro/internal/sessions"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
@@ -59,25 +62,27 @@ func DecompressEntries(entries []*wmslog.Entry, begin time.Time, origin int64, c
 // session counts can be compared exactly. Reasonable slack is a few
 // multiples of the compression factor (the log's wall-second resolution
 // re-expanded). Returns false if no gap-free band that wide exists.
-func SafeTimeout(tr *trace.Trace, slack int64) (int64, bool) {
+//
+// The events are walked in stream order, tracking each client's
+// coverage (the latest end among its transfers so far): no client's
+// starts decrease in that order, so a gap is a start past its client's
+// coverage.
+func SafeTimeout(events []workload.Event, horizon, slack int64) (int64, bool) {
 	gaps := []int64{0}
-	ci := tr.ByClient()
-	for k := 0; k < ci.Len(); k++ {
-		coverage := int64(-1)
-		for _, i := range ci.Transfers(k) {
-			tx := &tr.Transfers[i]
-			if coverage >= 0 && tx.Start > coverage {
-				gaps = append(gaps, tx.Start-coverage)
-			}
-			if end := tx.End(); end > coverage {
-				coverage = end
-			}
+	coverage := make(map[int]int64)
+	for _, e := range events {
+		c, seen := coverage[e.Client]
+		if seen && e.Start > c {
+			gaps = append(gaps, e.Start-c)
+		}
+		if !seen || e.End() > c {
+			coverage[e.Client] = e.End()
 		}
 	}
 	// A timeout above every observed gap is valid too (no session ever
 	// splits), so the search space extends past the horizon.
-	gaps = append(gaps, 4*tr.Horizon)
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	gaps = append(gaps, 4*horizon)
+	slices.Sort(gaps)
 
 	var best, bestWidth int64
 	for i := 1; i < len(gaps); i++ {
@@ -92,30 +97,26 @@ func SafeTimeout(tr *trace.Trace, slack int64) (int64, bool) {
 	return best, true
 }
 
-// OfferedTrace materializes a replayed event sequence as a trace, so
-// the offered workload can run through the same sessionization and
-// characterization as the served one. Only the fields the session and
-// transfer layers read from a replay comparison — client, start,
-// duration — carry workload information; wire-level fields are stubbed.
-func OfferedTrace(events []workload.Event, horizon int64) (*trace.Trace, error) {
-	transfers := make([]trace.Transfer, 0, len(events))
-	for _, e := range events {
-		if e.Client != int(int32(e.Client)) || e.Object != int(uint16(e.Object)) {
-			return nil, fmt.Errorf("%w: client %d or object %d beyond what a transfer can number", trace.ErrBadTrace, e.Client, e.Object)
-		}
-		transfers = append(transfers, trace.Transfer{
-			Client:   int32(e.Client),
-			AS:       1,
-			Object:   uint16(e.Object),
-			Start:    e.Start,
-			Duration: e.Duration,
-			Bytes:    1,
-		})
-	}
-	tr, err := trace.New(horizon, transfers)
+// Check sessionizes a replay's offered events, in stream order, and the
+// trace the server logged, each into a Sessionizer at timeout, and
+// compares the two (analyze.CompareSessions).
+func Check(offered []workload.Event, served *trace.Trace, timeout int64) (*analyze.MatchReport, error) {
+	off, err := sessions.NewSessionizer(timeout, 0)
 	if err != nil {
 		return nil, err
 	}
-	tr.Names = &trace.Names{IPs: []string{"0.0.0.0"}, Countries: []string{"BR"}}
-	return tr, nil
+	srv, _ := sessions.NewSessionizer(timeout, 0)
+	for i, e := range offered {
+		if e.Client != int(int32(e.Client)) {
+			return nil, fmt.Errorf("%w: client %d beyond what a transfer can number", trace.ErrBadTrace, e.Client)
+		}
+		if i > 0 && e.Start < offered[i-1].Start {
+			return nil, fmt.Errorf("%w: offered event %d starts at %d, before its predecessor", trace.ErrBadTrace, i, e.Start)
+		}
+		off.Add(&trace.Transfer{Client: int32(e.Client), Start: e.Start, Duration: e.Duration})
+	}
+	for i := range served.Transfers {
+		srv.Add(&served.Transfers[i])
+	}
+	return analyze.CompareSessions(off, srv), nil
 }

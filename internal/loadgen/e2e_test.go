@@ -57,11 +57,7 @@ func runClosedLoop(t *testing.T, events []workload.Event, horizon int64, cfg Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered, err := OfferedTrace(events, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := analyze.CompareTraces(offered, served, timeout)
+	report, err := Check(events, served, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +163,7 @@ func TestClosedLoopGismoFlashCrowd(t *testing.T) {
 	}
 
 	const compression = 300
-	offered, err := OfferedTrace(events, m.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timeout, ok := SafeTimeout(offered, 3*compression)
+	timeout, ok := SafeTimeout(events, m.Horizon, 3*compression)
 	if !ok {
 		t.Fatal("no quantization-safe session timeout exists for this seed; adjust the workload")
 	}

@@ -131,10 +131,6 @@ func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Ev
 			kept = append(kept, ev)
 		}
 	}
-	offered, err := OfferedTrace(kept, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Reconcile the end-of-transfer race around a node kill: an entry a
 	// node committed for an event the client recorded lost, or a
 	// double-serve from a successful retry.
@@ -150,7 +146,7 @@ func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Ev
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := analyze.CompareTraces(offered, served, timeout)
+	report, err := Check(kept, served, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,258 @@
+package loadgen
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/analyze"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// The replay check as it ran before it moved onto the Sessionizer, kept
+// as the reference: the offered events materialized as a trace, both
+// traces sessionized through a per-client grouping of their rows, and
+// the safe timeout found by walking that grouping. It shares nothing
+// with Check and SafeTimeout but the trace rows and the report type.
+
+// oracleOfferedTrace is the offered events as a trace, wire-level
+// fields stubbed.
+func oracleOfferedTrace(events []workload.Event, horizon int64) (*trace.Trace, error) {
+	transfers := make([]trace.Transfer, 0, len(events))
+	for _, e := range events {
+		if e.Client != int(int32(e.Client)) || e.Object != int(uint16(e.Object)) {
+			return nil, fmt.Errorf("%w: client %d or object %d beyond what a transfer can number", trace.ErrBadTrace, e.Client, e.Object)
+		}
+		transfers = append(transfers, trace.Transfer{
+			Client:   int32(e.Client),
+			AS:       1,
+			Object:   uint16(e.Object),
+			Start:    e.Start,
+			Duration: e.Duration,
+			Bytes:    1,
+		})
+	}
+	tr, err := trace.New(horizon, transfers)
+	if err != nil {
+		return nil, err
+	}
+	tr.Names = &trace.Names{IPs: []string{"0.0.0.0"}, Countries: []string{"BR"}}
+	return tr, nil
+}
+
+// oracleByClient groups tr's row indices by client, each group in the
+// trace order.
+func oracleByClient(tr *trace.Trace) map[int32][]int {
+	out := make(map[int32][]int)
+	for i, t := range tr.Transfers {
+		out[t.Client] = append(out[t.Client], i)
+	}
+	return out
+}
+
+// oracleSafeTimeout is SafeTimeout over a trace: each client's rows in
+// the trace order, a gap wherever a start passes the client's coverage.
+func oracleSafeTimeout(tr *trace.Trace, slack int64) (int64, bool) {
+	gaps := []int64{0}
+	for _, rows := range oracleByClient(tr) { //lsm:nondet -- the gaps are sorted below
+		coverage := int64(-1)
+		for _, i := range rows {
+			tx := &tr.Transfers[i]
+			if coverage >= 0 && tx.Start > coverage {
+				gaps = append(gaps, tx.Start-coverage)
+			}
+			if end := tx.End(); end > coverage {
+				coverage = end
+			}
+		}
+	}
+	gaps = append(gaps, 4*tr.Horizon)
+	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	var best, bestWidth int64
+	for i := 1; i < len(gaps); i++ {
+		if w := gaps[i] - gaps[i-1]; w > bestWidth {
+			bestWidth = w
+			best = gaps[i-1] + w/2
+		}
+	}
+	if bestWidth/2 < slack || best < 1 {
+		return 0, false
+	}
+	return best, true
+}
+
+// oracleShapes sessionizes tr at timeout client by client and returns
+// each client's (transfers, sessions) shape and the session total.
+func oracleShapes(tr *trace.Trace, timeout int64) (shapes []analyze.ClientShape, sessions int) {
+	for _, rows := range oracleByClient(tr) { //lsm:nondet -- the shapes are compared as a multiset
+		sh := analyze.ClientShape{Transfers: len(rows)}
+		var end int64
+		for k, i := range rows {
+			t := &tr.Transfers[i]
+			if k == 0 || t.Start-end > timeout {
+				sh.Sessions++
+				end = t.End()
+			}
+			end = max(end, t.End())
+		}
+		shapes = append(shapes, sh)
+		sessions += sh.Sessions
+	}
+	return shapes, sessions
+}
+
+// oracleCompareTraces is CompareTraces: totals and the symmetric
+// difference of the per-client shape multisets.
+func oracleCompareTraces(offered, served *trace.Trace, timeout int64) (*analyze.MatchReport, error) {
+	if timeout <= 0 {
+		return nil, fmt.Errorf("bad timeout %d", timeout)
+	}
+	offShapes, offSessions := oracleShapes(offered, timeout)
+	srvShapes, srvSessions := oracleShapes(served, timeout)
+	report := &analyze.MatchReport{
+		OfferedTransfers: offered.NumTransfers(),
+		ServedTransfers:  served.NumTransfers(),
+		OfferedSessions:  offSessions,
+		ServedSessions:   srvSessions,
+		OfferedClients:   len(offShapes),
+		ServedClients:    len(srvShapes),
+		Timeout:          timeout,
+	}
+	diff := make(map[analyze.ClientShape]int)
+	for _, s := range offShapes {
+		diff[s]++
+	}
+	for _, s := range srvShapes {
+		diff[s]--
+	}
+	for _, d := range diff { //lsm:nondet -- integer sum of absolute differences
+		report.ShapeMismatches += max(d, -d)
+	}
+	return report, nil
+}
+
+// fuzzClients are the client ids the fuzz input picks from: dense ones,
+// a negative one and two past a Sessionizer's direct table.
+var fuzzClients = []int{0, 1, 2, 3, 5, 8, -3, 1<<22 + 1, 1 << 30}
+
+// FuzzCheckMatchesTraceOracle decodes bytes into an offered event
+// stream and a served trace derived from it — renumbered clients, and
+// one of: nothing changed, a dropped transfer, a session split by
+// moving a client's later transfers past the timeout, two clients
+// merged, a start tied to its predecessor's — and holds Check and the
+// event-walk SafeTimeout to the trace-based reference, report for
+// report and timeout for timeout.
+func FuzzCheckMatchesTraceOracle(f *testing.F) {
+	// Header: mutation, its position, timeout, slack; then (client,
+	// start step, duration) triples.
+	f.Add([]byte{0, 0, 40, 10, 0, 5, 20, 1, 0, 30, 0, 200, 10, 1, 90, 5})
+	f.Add([]byte{1, 2, 40, 10, 0, 5, 20, 1, 0, 30, 0, 200, 10, 1, 90, 5, 2, 0, 0})
+	f.Add([]byte{2, 1, 30, 3, 0, 5, 20, 0, 10, 5, 0, 10, 5, 7, 0, 9, 0, 3, 1})
+	f.Add([]byte{3, 1, 100, 1, 0, 5, 20, 1, 0, 30, 2, 0, 4, 8, 250, 1})
+	f.Add([]byte{4, 3, 60, 20, 2, 0, 0, 2, 0, 0, 6, 90, 250, 2, 255, 0, 7, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		mutation, at := data[0]%5, int(data[1])
+		timeout, slack := 1+int64(data[2]), 1+int64(data[3]%64)
+		data = data[4:]
+		const horizon = 1 << 20
+		var events []workload.Event
+		var start int64
+		for ; len(data) >= 3; data = data[3:] {
+			start += int64(data[1])
+			events = append(events, workload.Event{
+				Session: len(events), Client: fuzzClients[int(data[0])%len(fuzzClients)],
+				Object: int(data[0] & 1), Start: start, Duration: int64(data[2]),
+			})
+		}
+		if len(events) > 0 && mutation == 4 { // a start tied to its predecessor's
+			k := at % len(events)
+			if k > 0 {
+				events[k].Start = events[k-1].Start
+			}
+		}
+
+		served := make([]trace.Transfer, 0, len(events))
+		for _, e := range events {
+			// The server numbers clients its own way.
+			served = append(served, trace.Transfer{Client: int32(7*e.Client + 11), Start: e.Start, Duration: e.Duration})
+		}
+		if len(served) > 0 {
+			k := at % len(served)
+			switch mutation {
+			case 1: // a dropped transfer
+				served = append(served[:k], served[k+1:]...)
+			case 2: // a split session: the client's later transfers move past T_o
+				for i := k; i < len(served); i++ {
+					if served[i].Client == served[k].Client {
+						served[i].Start += served[k].Duration + timeout + 1
+					}
+				}
+			case 3: // two clients merged
+				from := served[k].Client
+				for i := range served {
+					if served[i].Client == from {
+						served[i].Client = served[0].Client
+					}
+				}
+			}
+		}
+		servedTrace, err := trace.New(horizon, served)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offeredTrace, err := oracleOfferedTrace(events, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		got, gotOK := SafeTimeout(events, horizon, slack)
+		want, wantOK := oracleSafeTimeout(offeredTrace, slack)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("SafeTimeout(slack %d) = %d, %v; the reference %d, %v", slack, got, gotOK, want, wantOK)
+		}
+		if gotOK {
+			timeout = got
+		}
+		report, err := Check(events, servedTrace, timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReport, err := oracleCompareTraces(offeredTrace, servedTrace, timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(report, wantReport) {
+			t.Fatalf("mutation %d, T_o %d: Check\n%s\nthe reference\n%s", mutation, timeout, report, wantReport)
+		}
+		if mutation == 0 && !report.Match() {
+			t.Fatalf("an unchanged served trace does not match:\n%s", report)
+		}
+	})
+}
+
+// TestCheckRejectsUnorderedOrBadTimeout: Check refuses offered events
+// out of start order, a client id a transfer cannot hold and a
+// non-positive timeout.
+func TestCheckRejectsUnorderedOrBadTimeout(t *testing.T) {
+	served, err := trace.New(100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		events  []workload.Event
+		timeout int64
+	}{
+		{[]workload.Event{{Client: 1, Start: 10}, {Client: 2, Start: 5}}, 60},
+		{[]workload.Event{{Client: 1 << 40, Start: 10}}, 60},
+		{nil, 0},
+	} {
+		if _, err := Check(tc.events, served, tc.timeout); err == nil {
+			t.Errorf("Check(%v, T_o %d) accepted", tc.events, tc.timeout)
+		}
+	}
+}

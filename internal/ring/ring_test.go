@@ -1,7 +1,10 @@
 package ring
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -256,5 +259,178 @@ func TestGateLostWakeupStress(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("consumed %d items, want %d", got, n)
+	}
+}
+
+// TestSPSCMatchesSliceQueue drives one ring from a single goroutine
+// through random TryPush, Push, Peek, Advance, TryPop, Pop and Close
+// calls and holds every result to a slice queue of the same capacity:
+// a push succeeds exactly when the queue has room, a pop or peek yields
+// exactly its head, and after Close the ring drains what it holds,
+// refuses nothing it holds and reports Done only when empty.
+func TestSPSCMatchesSliceQueue(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 0))
+	for _, capacity := range []int{1, 2, 3, 8} {
+		for round := 0; round < 50; round++ {
+			r := NewSPSC[int](capacity, NewGate(), NewGate())
+			size := len(r.buf)
+			var ref []int // the reference queue
+			next, closed := 0, false
+			for op := 0; op < 300; op++ {
+				switch k := rng.IntN(8); {
+				case k <= 1 && !closed: // TryPush
+					ok := r.TryPush(next)
+					if ok != (len(ref) < size) {
+						t.Fatalf("cap %d: TryPush with %d queued = %v", size, len(ref), ok)
+					}
+					if ok {
+						ref = append(ref, next)
+						next++
+					}
+				case k == 2 && !closed && len(ref) < size: // Push with room never parks
+					if !r.Push(next, nil) {
+						t.Fatal("Push with room reported an abort")
+					}
+					ref = append(ref, next)
+					next++
+				case k == 3: // Peek, then Advance
+					p, ok := r.Peek()
+					if ok != (len(ref) > 0) || ok && *p != ref[0] {
+						t.Fatalf("cap %d: Peek = %v with queue %v", size, ok, ref)
+					}
+					if ok {
+						if q, _ := r.Peek(); q != p {
+							t.Fatal("a second Peek moved")
+						}
+						r.Advance()
+						ref = ref[1:]
+					}
+				case k <= 5: // TryPop
+					v, ok := r.TryPop()
+					if ok != (len(ref) > 0) || ok && v != ref[0] {
+						t.Fatalf("cap %d: TryPop = (%d, %v) with queue %v", size, v, ok, ref)
+					}
+					if ok {
+						ref = ref[1:]
+					}
+				case k == 6 && (len(ref) > 0 || closed): // Pop: an item, or done once closed and drained
+					v, ok := r.Pop(nil)
+					if ok != (len(ref) > 0) || ok && v != ref[0] {
+						t.Fatalf("cap %d: Pop = (%d, %v) with queue %v, closed %v", size, v, ok, ref, closed)
+					}
+					if ok {
+						ref = ref[1:]
+					}
+				case k == 7 && op > 200 && !closed:
+					r.Close()
+					closed = true
+				}
+				if r.Done() != (closed && len(ref) == 0) {
+					t.Fatalf("Done = %v with queue %v, closed %v", r.Done(), ref, closed)
+				}
+			}
+		}
+	}
+}
+
+// TestSPSCModelConcurrent runs the two sides on their own goroutines,
+// each choosing its calls at random — the producer TryPush and Push,
+// then Close; the consumer TryPop, Pop, and Peek with Advance — and
+// holds them to the queue the ring stands for: the consumer receives
+// every pushed value once, in push order; a TryPush fails only when
+// the values pushed minus those already consumed fill the ring; a
+// TryPop or Peek comes back empty only when the consumer has taken
+// every value already pushed; and after Close the consumer drains the
+// rest and then sees Pop report done, with Done true. Most rounds are
+// short, so the last push racing the consumer's look at Close comes up
+// often; one is long, so both sides park and wake many times.
+func TestSPSCModelConcurrent(t *testing.T) {
+	rounds := rand.New(rand.NewPCG(17, 0))
+	for round := 0; round < 400; round++ {
+		capacity, n := 1+rounds.IntN(4), rounds.IntN(24)
+		if round == 0 {
+			n = 20_000
+		}
+		r := NewSPSC[int](capacity, NewGate(), NewGate())
+		size := uint64(len(r.buf))
+		var pushed, popped atomic.Uint64 // each side's count, published after its call
+		errs := make(chan error, 2)
+		go func() {
+			rng := rand.New(rand.NewPCG(11, uint64(round)))
+			for v := 0; v < n; {
+				if rng.IntN(2) == 0 {
+					seen := popped.Load()
+					if !r.TryPush(v) {
+						if uint64(v)-seen < size {
+							errs <- fmt.Errorf("TryPush failed with %d pushed, at least %d consumed, capacity %d", v, seen, size)
+							return
+						}
+						continue
+					}
+				} else if !r.Push(v, nil) {
+					errs <- fmt.Errorf("Push(%d) reported an abort", v)
+					return
+				}
+				v++
+				pushed.Store(uint64(v))
+			}
+			r.Close()
+			errs <- nil
+		}()
+		go func() {
+			rng := rand.New(rand.NewPCG(13, uint64(round)))
+			want := 0
+			for {
+				seen := pushed.Load()
+				var v int
+				var ok bool
+				switch rng.IntN(3) {
+				case 0:
+					v, ok = r.TryPop()
+				case 1:
+					if v, ok = r.Pop(nil); !ok {
+						if want != n || !r.Done() {
+							errs <- fmt.Errorf("Pop reported done after %d of %d values (Done %v)", want, n, r.Done())
+							return
+						}
+						if _, ok := r.TryPop(); ok {
+							errs <- fmt.Errorf("TryPop found a value after Pop reported done")
+							return
+						}
+						errs <- nil
+						return
+					}
+				default:
+					var p *int
+					if p, ok = r.Peek(); ok {
+						v = *p
+						r.Advance()
+					}
+				}
+				if !ok {
+					if uint64(want) < seen {
+						errs <- fmt.Errorf("empty with %d pushed and %d consumed", seen, want)
+						return
+					}
+					continue
+				}
+				if v != want {
+					errs <- fmt.Errorf("consumed %d, want %d: lost, duplicated or reordered", v, want)
+					return
+				}
+				want++
+				popped.Store(uint64(want))
+			}
+		}()
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("round %d, capacity %d, %d values: %v", round, size, n, err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatalf("round %d, capacity %d, %d values: the two sides wedged", round, size, n)
+			}
+		}
 	}
 }

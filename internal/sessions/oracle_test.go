@@ -10,16 +10,30 @@ import (
 	"repro/internal/trace"
 )
 
+// oracleSession is one session as the reference cuts it: the client,
+// its transfers' indices into the trace in start order, its first start
+// and its latest end.
+type oracleSession struct {
+	Client     int
+	Transfers  []int
+	Start, End int64
+}
+
+// span is the session as a Sessionizer keeps it.
+func (s oracleSession) span() Span {
+	return Span{Start: s.Start, End: s.End, Client: int32(s.Client), Count: int32(len(s.Transfers))}
+}
+
 // oracleSessionize is the sessionization this package shipped before the
 // one-walk rewrite, kept verbatim as the reference: group indices per
 // client in a map, walk each client copying transfers, grow each
 // session's index slice, sort the lot by (Start, Client).
-func oracleSessionize(tr *trace.Trace, timeout int64) []Session {
+func oracleSessionize(tr *trace.Trace, timeout int64) []oracleSession {
 	byClient := make(map[int][]int)
 	for i, t := range tr.Transfers {
 		byClient[int(t.Client)] = append(byClient[int(t.Client)], i)
 	}
-	var out []Session
+	var out []oracleSession
 	for client, idxs := range byClient {
 		out = append(out, oracleSessionizeClient(tr, client, idxs, timeout)...)
 	}
@@ -32,9 +46,18 @@ func oracleSessionize(tr *trace.Trace, timeout int64) []Session {
 	return out
 }
 
-func oracleSessionizeClient(tr *trace.Trace, client int, idxs []int, timeout int64) []Session {
-	var out []Session
-	var cur *Session
+// spansOf returns the sessions as spans, in their order.
+func spansOf(ss []oracleSession) []Span {
+	out := make([]Span, len(ss))
+	for i, s := range ss {
+		out[i] = s.span()
+	}
+	return out
+}
+
+func oracleSessionizeClient(tr *trace.Trace, client int, idxs []int, timeout int64) []oracleSession {
+	var out []oracleSession
+	var cur *oracleSession
 	for _, i := range idxs {
 		t := tr.Transfers[i]
 		if cur != nil && t.Start-cur.End > timeout {
@@ -42,7 +65,7 @@ func oracleSessionizeClient(tr *trace.Trace, client int, idxs []int, timeout int
 			cur = nil
 		}
 		if cur == nil {
-			cur = &Session{Client: client, Start: t.Start, End: t.End()}
+			cur = &oracleSession{Client: client, Start: t.Start, End: t.End()}
 		}
 		cur.Transfers = append(cur.Transfers, i)
 		if t.End() > cur.End {
@@ -114,6 +137,9 @@ func randomTrace(t testing.TB, rng *rand.Rand, n int) *trace.Trace {
 	return tr
 }
 
+// TestSessionizeMatchesOracle: a Set holds the oracle's sessions, as
+// spans in (Start, Client) order, and its arrival times are their
+// starts.
 func TestSessionizeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for round := 0; round < 300; round++ {
@@ -124,17 +150,14 @@ func TestSessionizeMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := oracleSessionize(tr, timeout)
-		if len(set.Sessions) != len(want) {
-			t.Fatalf("round %d, T_o %d: %d sessions, oracle %d", round, timeout, len(set.Sessions), len(want))
+		spans := slices.Collect(set.z.Spans())
+		if set.Count() != len(want) || len(spans) != len(want) {
+			t.Fatalf("round %d, T_o %d: %d sessions (%d spans), oracle %d", round, timeout, set.Count(), len(spans), len(want))
 		}
-		// Sessionize counts its sessions before it walks: one exact
-		// allocation, never grown.
-		if cap(set.Sessions) != len(want) {
-			t.Fatalf("round %d, T_o %d: Sessions has capacity %d for %d sessions", round, timeout, cap(set.Sessions), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(set.Sessions[i], want[i]) {
-				t.Fatalf("round %d, T_o %d, session %d:\n got %+v\nwant %+v", round, timeout, i, set.Sessions[i], want[i])
+		arrivals := set.ArrivalTimes()
+		for i, w := range want {
+			if spans[i] != w.span() || arrivals[i] != w.Start {
+				t.Fatalf("round %d, T_o %d, session %d:\n got %+v, arrival %d\nwant %+v", round, timeout, i, spans[i], arrivals[i], w)
 			}
 		}
 	}
@@ -146,7 +169,7 @@ func TestSessionizeMatchesOracle(t *testing.T) {
 // (unsorted), intra-session gaps through each session's window of
 // transfer indices, and per-client session counts in ascending
 // client-id order.
-func oracleSamples(tr *trace.Trace, ss []Session) (offs, intra []float64, perClient []int) {
+func oracleSamples(tr *trace.Trace, ss []oracleSession) (offs, intra []float64, perClient []int) {
 	offs, intra = []float64{}, []float64{}
 	prev := make(map[int]int) // client → 1 + index of its previous session
 	counts := make(map[int]int)
@@ -216,7 +239,7 @@ func TestSessionizerMatchesOracle(t *testing.T) {
 			t.Fatalf("round %d, T_o %d: %d spans, oracle %d sessions", round, timeout, len(spans), len(want))
 		}
 		for i, w := range want {
-			if got := spans[i]; got != (Span{Start: w.Start, End: w.End, Client: int32(w.Client), Count: int32(w.Count())}) || got.On() != w.End-w.Start {
+			if got := spans[i]; got != w.span() || got.On() != w.End-w.Start {
 				t.Fatalf("round %d, session %d: span %+v, oracle %+v", round, i, got, w)
 			}
 		}
@@ -233,33 +256,12 @@ func TestSessionizerMatchesOracle(t *testing.T) {
 		if got := z.SessionsPerClient(); !reflect.DeepEqual(got, perClient) && len(got)+len(perClient) > 0 {
 			t.Fatalf("round %d: SessionsPerClient %v, oracle %v", round, got, perClient)
 		}
-		if z.Clients() != len(perClient) || z.Clients() != tr.ByClient().Len() {
-			t.Fatalf("round %d: Clients %d, oracle %d, trace %d", round, z.Clients(), len(perClient), tr.ByClient().Len())
+		if z.Clients() != len(perClient) {
+			t.Fatalf("round %d: Clients %d, oracle %d", round, z.Clients(), len(perClient))
 		}
 	}
 	if _, err := NewSessionizer(0, 0); err == nil {
 		t.Error("zero timeout: want error")
-	}
-}
-
-// A session's Transfers is a window onto the shared client index;
-// appending to it must not write into the next session's window.
-func TestSessionTransfersAreClipped(t *testing.T) {
-	tr := mk(t, 100000,
-		[3]int64{1, 0, 10},
-		[3]int64{1, 5000, 10},
-		[3]int64{1, 5020, 10},
-	)
-	set, err := Sessionize(tr, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Count() != 2 {
-		t.Fatalf("sessions = %d, want 2", set.Count())
-	}
-	_ = append(set.Sessions[0].Transfers, 99)
-	if got := set.Sessions[1].Transfers; len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("append to session 0 leaked into session 1: %v", got)
 	}
 }
 
@@ -301,9 +303,10 @@ func TestSweepTimeoutEmptyTrace(t *testing.T) {
 // FuzzSweepMatchesSessionize decodes bytes into a small trace and a
 // timeout list and checks the identity SweepTimeout rests on —
 // sessions(T_o) = clients + #{silent gaps > T_o} must equal the count
-// Sessionize produces — and that Sessionize still means what Section 2.2
-// says: inside a session no silent gap exceeds T_o, between consecutive
-// sessions of a client the gap does.
+// the reference sessionization (oracleSessionize) produces — that the
+// reference still means what Section 2.2 says (inside a session no
+// silent gap exceeds T_o, between consecutive sessions of a client the
+// gap does) and that Sessionize keeps its sessions, span for span.
 func FuzzSweepMatchesSessionize(f *testing.F) {
 	// One client, transfers [0,5] and [35,35]: the gap is 30; timeouts 30 and 29.
 	f.Add([]byte{1, 29, 28, 0, 0, 10, 0, 35, 0})
@@ -346,15 +349,19 @@ func FuzzSweepMatchesSessionize(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i, to := range timeouts {
+			want := oracleSessionize(tr, to)
+			if points[i].Timeout != to || points[i].Sessions != len(want) {
+				t.Fatalf("T_o %d: sweep says %+v, the reference %d sessions", to, points[i], len(want))
+			}
 			set, err := Sessionize(tr, to)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if points[i].Timeout != to || points[i].Sessions != set.Count() {
-				t.Fatalf("T_o %d: sweep says %+v, Sessionize %d sessions", to, points[i], set.Count())
+			if got := slices.Collect(set.z.Spans()); !slices.Equal(got, spansOf(want)) {
+				t.Fatalf("T_o %d: Sessionize keeps %+v, the reference %+v", to, got, want)
 			}
 			lastEnd := make(map[int]int64) // client -> End of its previous session
-			for _, sess := range set.Sessions {
+			for _, sess := range want {
 				if end, ok := lastEnd[sess.Client]; ok && sess.Start-end <= to {
 					t.Fatalf("T_o %d: client %d sessions split by a gap of only %d", to, sess.Client, sess.Start-end)
 				}

@@ -28,77 +28,32 @@ const DefaultTimeout int64 = 1500
 // ErrBadTimeout reports a non-positive T_o.
 var ErrBadTimeout = errors.New("sessions: timeout must be positive")
 
-// Session is one client session: a maximal run of transfers by one client
-// with no silent gap exceeding T_o.
-type Session struct {
-	Client    int
-	Transfers []int // indices into the trace's Transfers slice, start order
-	Start     int64 // start of the first transfer
-	End       int64 // latest end among the session's transfers
-}
-
-// Count returns the number of transfers in the session.
-func (s Session) Count() int { return len(s.Transfers) }
-
-// Set is the result of sessionizing a trace at a given timeout.
+// Set is a trace sessionized at a given timeout: the trace walked once
+// into a Sessionizer.
 type Set struct {
-	Timeout  int64
-	Sessions []Session // sorted by (Start, Client)
-	tr       *trace.Trace
+	z  *Sessionizer
+	tr *trace.Trace
 }
 
 // Sessionize groups each client's transfers into sessions using timeout
 // T_o (seconds): a client's running session closes whenever the silent
 // gap (next start minus the latest end so far) exceeds the timeout.
 // Overlapping transfers extend coverage and can never split a session.
+// It walks tr into a Sessionizer, which keeps one Span per session.
 //
-// It is two walks over the trace, one counting the sessions and one
-// cutting them. Transfers are (Start, Client)-sorted and a session
-// starts with its first transfer, so opening sessions in walk order
-// emits them already (Start, Client)-sorted; a session's
-// transfers are consecutive in its client's index row, so Transfers is
-// a window onto that row, not a copy.
+//lsm:keep -- benchmark/layers/sessions.go probe; ROADMAP item 4a deletes
 func Sessionize(tr *trace.Trace, timeout int64) (*Set, error) {
-	if timeout <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadTimeout, timeout)
+	z, err := NewSessionizer(timeout, 0)
+	if err != nil {
+		return nil, err
 	}
-	ci := tr.ByClient()
-	seen := make([]int, ci.Len())   // transfers of the client walked so far
-	open := make([]int32, ci.Len()) // 1 + index in out of its running session
-	// A session opens at a client's first transfer and at every start
-	// more than T_o past its running session's end: counted first, so
-	// out is allocated once.
-	ends, n := make([]int64, ci.Len()), 0
-	for i := range tr.Transfers {
-		t, k := &tr.Transfers[i], ci.Slot(i)
-		if seen[k] == 0 || t.Start-ends[k] > timeout {
-			n, ends[k] = n+1, t.End()
-		} else {
-			ends[k] = max(ends[k], t.End())
-		}
-		seen[k]++
-	}
-	clear(seen)
-	out := make([]Session, 0, n)
-	for i := range tr.Transfers {
-		t := &tr.Transfers[i]
-		k := ci.Slot(i)
-		row, p := ci.Transfers(k), seen[k]
-		seen[k]++
-		if o := open[k]; o != 0 && t.Start-out[o-1].End <= timeout {
-			cur := &out[o-1]
-			cur.Transfers = row[p-len(cur.Transfers) : p+1 : p+1]
-			cur.End = max(cur.End, t.End())
-			continue
-		}
-		out = append(out, Session{Client: ci.Client(k), Transfers: row[p : p+1 : p+1], Start: t.Start, End: t.End()})
-		open[k] = int32(len(out))
-	}
-	return &Set{Timeout: timeout, Sessions: out, tr: tr}, nil
+	return &Set{z: z.feed(tr), tr: tr}, nil
 }
 
-// Span is a session without its transfer list: whose it is, when it
-// starts and ends (as Session's) and how many transfers it holds.
+// Span is one client session — a maximal run of transfers by one
+// client with no silent gap exceeding T_o — without its transfer list:
+// whose it is, when it starts (its first transfer's start) and ends
+// (the latest end among its transfers) and how many transfers it holds.
 type Span struct {
 	Start, End int64
 	Client     int32
@@ -109,13 +64,14 @@ type Span struct {
 func (s Span) On() int64 { return s.End - s.Start }
 
 // Sessionizer is sessionization one transfer at a time: fed a trace's
-// transfers in the trace order, it assigns each to its client's session
-// as Sessionize does over the whole trace, and keeps only what the
-// session and client layers read — a Span per session, each client's
-// session count, the session OFF times and the intra-session
-// interarrival times — never the transfers or their indices. Its
-// memory is a few words per session and per client, and 12 bytes per
-// transfer that joins a running session.
+// transfers in the trace order (or any order in which no client's
+// starts decrease: the sessions are the same), it assigns each to its
+// client's session and keeps only what the session and client layers
+// read — a Span per session, each client's session count, the session
+// OFF times and the intra-session interarrival times — never the
+// transfers or their indices. Its memory is a few words per session
+// and per client, and 12 bytes per transfer that joins a running
+// session.
 type Sessionizer struct {
 	timeout int64
 
@@ -246,8 +202,8 @@ func (z *Sessionizer) span(i int) *Span { return &z.spans[i/spanBlock][i%spanBlo
 // Sessions returns the number of sessions so far.
 func (z *Sessionizer) Sessions() int { return z.nspans }
 
-// Spans yields every session so far in the trace's session order,
-// (Start, Client) — Sessionize's.
+// Spans yields every session so far in the order they opened: for
+// transfers fed in the trace order, the (Start, Client) order.
 func (z *Sessionizer) Spans() iter.Seq[Span] {
 	return func(yield func(Span) bool) {
 		for _, block := range z.spans {
@@ -363,33 +319,45 @@ func (z *Sessionizer) IntraArrivals() []float64 {
 	return z.gaps
 }
 
+// feed adds tr's transfers to z in the trace order and returns z.
+//
+//lsm:keep -- benchmark/layers/sessions.go probe; ROADMAP item 4a deletes
+func (z *Sessionizer) feed(tr *trace.Trace) *Sessionizer {
+	for i := range tr.Transfers {
+		z.Add(&tr.Transfers[i])
+	}
+	return z
+}
+
+// Timeout returns the Sessionizer's T_o in seconds.
+func (z *Sessionizer) Timeout() int64 { return z.timeout }
+
 // Count returns the number of sessions.
-func (s *Set) Count() int { return len(s.Sessions) }
+//
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4a deletes
+func (s *Set) Count() int { return s.z.Sessions() }
 
 // Trace returns the underlying trace.
-func (s *Set) Trace() *trace.Trace { return s.tr } //lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
+func (s *Set) Trace() *trace.Trace { return s.tr } //lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4a deletes
 
 // Sessionizer returns a Sessionizer fed the set's trace: the set in
 // its streaming form, with the samples the session and client layers
 // read. Every call walks the trace afresh and returns a Sessionizer of
 // the caller's own.
 //
-//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
+//lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4a deletes
 func (s *Set) Sessionizer() *Sessionizer {
-	z, _ := NewSessionizer(s.Timeout, 0) // the set's timeout is valid: Sessionize checked it
-	for i := range s.tr.Transfers {
-		z.Add(&s.tr.Transfers[i])
-	}
-	return z
+	z, _ := NewSessionizer(s.z.timeout, 0) // the set's timeout is valid: Sessionize checked it
+	return z.feed(s.tr)
 }
 
 // ArrivalTimes returns every session's start time in seconds, sorted.
 //
-//lsm:keep -- benchmark/layers/core.go probe; ROADMAP item 4 deletes
+//lsm:keep -- benchmark/layers/core.go probe; ROADMAP item 4a deletes
 func (s *Set) ArrivalTimes() []int64 {
-	out := make([]int64, len(s.Sessions))
-	for i, sess := range s.Sessions {
-		out[i] = sess.Start
+	out := make([]int64, 0, s.z.Sessions())
+	for sp := range s.z.Spans() {
+		out = append(out, sp.Start)
 	}
 	return out
 }
@@ -405,16 +373,13 @@ type SweepPoint struct {
 // change drastically for T_o > 1,500 seconds") — by walking tr into a
 // Sessionizer that tallies its silent gaps (TallyGaps).
 //
-//lsm:keep -- benchmark/layers/sessions.go probe; ROADMAP item 4 deletes
+//lsm:keep -- benchmark/layers/sessions.go probe; ROADMAP item 4a deletes
 func SweepTimeout(tr *trace.Trace, timeouts []int64) ([]SweepPoint, error) {
 	z, _ := NewSessionizer(DefaultTimeout, 0) // the sweep does not depend on the Sessionizer's own timeout
 	if err := z.TallyGaps(timeouts); err != nil {
 		return nil, err
 	}
-	for i := range tr.Transfers {
-		z.Add(&tr.Transfers[i])
-	}
-	return z.Sweep(), nil
+	return z.feed(tr).Sweep(), nil
 }
 
 // TallyGaps makes z tally, from the next transfer on, each silent gap

@@ -2,6 +2,7 @@ package sessions
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -54,15 +55,16 @@ func TestSessionizeSplitsOnTimeout(t *testing.T) {
 	if set.Count() != 2 {
 		t.Fatalf("sessions = %d, want 2", set.Count())
 	}
-	s0, s1 := set.Sessions[0], set.Sessions[1]
-	if s0.Start != 0 || s0.End != 110 || s0.Count() != 2 {
+	spans := slices.Collect(set.z.Spans())
+	s0, s1 := spans[0], spans[1]
+	if s0.Start != 0 || s0.End != 110 || s0.Count != 2 {
 		t.Errorf("s0 = %+v", s0)
 	}
-	if s1.Start != 2000 || s1.End != 2010 || s1.Count() != 1 {
+	if s1.Start != 2000 || s1.End != 2010 || s1.Count != 1 {
 		t.Errorf("s1 = %+v", s1)
 	}
-	if s0.End-s0.Start != 110 || s1.End-s1.Start != 10 {
-		t.Errorf("ON times: %d, %d", s0.End-s0.Start, s1.End-s1.Start)
+	if s0.On() != 110 || s1.On() != 10 {
+		t.Errorf("ON times: %d, %d", s0.On(), s1.On())
 	}
 }
 
@@ -95,7 +97,7 @@ func TestSessionizeOverlappingTransfersNeverSplit(t *testing.T) {
 	if set.Count() != 1 {
 		t.Fatalf("sessions = %d, want 1", set.Count())
 	}
-	if on := set.Sessions[0].End - set.Sessions[0].Start; on != 1500 {
+	if on := slices.Collect(set.z.Spans())[0].On(); on != 1500 {
 		t.Errorf("ON = %d, want 1500", on)
 	}
 }
@@ -125,10 +127,8 @@ func TestSessionizeMultipleClientsIndependent(t *testing.T) {
 		t.Fatalf("sessions = %d, want 4", set.Count())
 	}
 	// Globally start-sorted.
-	for i := 1; i < len(set.Sessions); i++ {
-		if set.Sessions[i].Start < set.Sessions[i-1].Start {
-			t.Error("sessions not start-sorted")
-		}
+	if arr := set.ArrivalTimes(); !slices.IsSorted(arr) {
+		t.Errorf("sessions not start-sorted: %v", arr)
 	}
 }
 
@@ -242,30 +242,37 @@ func TestSessionizePartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		set, err := Sessionize(tr, to)
+		z, err := NewSessionizer(to, 0)
 		if err != nil {
 			return false
 		}
-		seen := make(map[int]bool)
+		// Each transfer goes to exactly one session: group them by
+		// the session Add assigns.
+		members := make(map[int][]trace.Transfer)
+		for i := range tr.Transfers {
+			s, _ := z.Add(&tr.Transfers[i])
+			members[s] = append(members[s], tr.Transfers[i])
+		}
 		total := 0
-		for _, sess := range set.Sessions {
+		for s, sp := range slices.Collect(z.Spans()) {
 			coverageEnd := int64(math.MinInt64)
-			for _, ti := range sess.Transfers {
-				if seen[ti] {
-					return false // transfer in two sessions
-				}
-				seen[ti] = true
+			for _, tt := range members[s] {
 				total++
-				tt := tr.Transfers[ti]
+				if int32(tt.Client) != sp.Client {
+					return false // another client's transfer
+				}
 				if coverageEnd != math.MinInt64 && tt.Start-coverageEnd > to {
 					return false // uncut gap
 				}
 				if tt.End() > coverageEnd {
 					coverageEnd = tt.End()
 				}
-				if tt.Start < sess.Start || tt.End() > sess.End {
+				if tt.Start < sp.Start || tt.End() > sp.End {
 					return false // transfer escapes session bounds
 				}
+			}
+			if len(members[s]) != int(sp.Count) {
+				return false // the span miscounts its transfers
 			}
 		}
 		return total == len(tr.Transfers)

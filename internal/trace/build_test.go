@@ -164,9 +164,9 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 	for _, x := range want.Transfers {
 		clientIPs[pair{uint32(x.Client), x.IP}], ipASes[pair{x.IP, x.AS}] = true, true
 	}
-	if c := want.Census(); len(clientIPs) <= want.ByClient().Len() || len(clientIPs) <= c.IPs || len(ipASes) <= c.IPs || len(want.Names.Countries) < 3 {
+	if c := want.Census(); len(clientIPs) <= numClients(want) || len(clientIPs) <= c.IPs || len(ipASes) <= c.IPs || len(want.Names.Countries) < 3 {
 		t.Fatalf("fixture lost its players under two IPs, its shared IPs, its IPs under two ASes or its countries: %d clients, %d IPs, %d client-IP and %d IP-AS pairs, countries %q",
-			want.ByClient().Len(), c.IPs, len(clientIPs), len(ipASes), want.Names.Countries)
+			numClients(want), c.IPs, len(clientIPs), len(ipASes), want.Names.Countries)
 	}
 	// The name tables are what a sequential pass over the entries meets,
 	// in the order it meets them.

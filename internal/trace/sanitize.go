@@ -47,7 +47,7 @@ func (tr *Trace) sanitizeInto(kept []Transfer) SanitizeReport {
 			kept = append(kept, tr.Transfers[i])
 		}
 	}
-	tr.Transfers, tr.byClient = kept, nil
+	tr.Transfers = kept
 	return report
 }
 

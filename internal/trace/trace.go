@@ -61,8 +61,6 @@ type Trace struct {
 	// nil for a trace assembled from bare ids (New); a trace derived
 	// from another (Sanitize, a what-if copy) shares its parent's.
 	Names *Names
-
-	byClient *ClientIndex // built on first use
 }
 
 // IPName returns the address behind IP id; an id the trace has no name
@@ -258,110 +256,6 @@ func (s byStart) Less(i, j int) bool { return before(&s[i], &s[j]) }
 
 // NumTransfers returns the number of transfers.
 func (tr *Trace) NumTransfers() int { return len(tr.Transfers) }
-
-// ByClient returns the per-client index of the trace's transfers. It is
-// computed once and cached.
-func (tr *Trace) ByClient() *ClientIndex {
-	if tr.byClient == nil {
-		tr.byClient = newClientIndex(tr.Transfers)
-	}
-	return tr.byClient
-}
-
-// ClientIndex groups a trace's transfer indices by client in compressed
-// sparse row form. The distinct client ids are numbered 0..Len()-1 in
-// ascending id order; slot k's row is the indices of that client's
-// transfers in trace (start) order. Every row is a window onto one
-// shared array, so the index costs two allocations of the trace's
-// length however many clients there are.
-type ClientIndex struct {
-	ids   []int32 // ids[k] is slot k's client id, ascending
-	off   []int   // slot k's row is order[off[k]:off[k+1]]
-	order []int   // transfer indices grouped by slot
-	slot  []int32 // slot[i] is the slot of transfer i
-}
-
-// Len returns the number of distinct clients.
-func (ci *ClientIndex) Len() int { return len(ci.ids) }
-
-// Client returns the client id of slot k.
-func (ci *ClientIndex) Client(k int) int { return int(ci.ids[k]) }
-
-// Transfers returns slot k's transfer indices in start order. The slice
-// is shared with the index (and with every sessions.Session cut from
-// it): treat it as read-only. Its capacity is clipped, so an append
-// copies instead of running into the next client's row.
-func (ci *ClientIndex) Transfers(k int) []int {
-	return ci.order[ci.off[k]:ci.off[k+1]:ci.off[k+1]]
-}
-
-// Slot returns the slot of the client that made transfer i.
-func (ci *ClientIndex) Slot(i int) int { return int(ci.slot[i]) }
-
-// denseSpan reports whether client ids spanning [lo, hi] over n
-// transfers are compact enough for a direct-address table: at most a
-// few table entries per transfer, or a few MB outright (a short trace
-// of a large population).
-func denseSpan(lo, hi int32, n int) bool {
-	return int64(hi)-int64(lo) <= int64(8*n)+1<<20
-}
-
-func newClientIndex(ts []Transfer) *ClientIndex {
-	n := len(ts)
-	ci := &ClientIndex{order: make([]int, n), slot: make([]int32, n)}
-	if n == 0 {
-		ci.off = []int{0}
-		return ci
-	}
-	lo, hi := ts[0].Client, ts[0].Client
-	for i := range ts {
-		lo, hi = min(lo, ts[i].Client), max(hi, ts[i].Client)
-	}
-	if denseSpan(lo, hi, n) {
-		// Generator, server and FromEntries all hand out dense ids.
-		base := int64(lo)
-		table := make([]int32, int64(hi)-base+1)
-		for i := range ts {
-			table[int64(ts[i].Client)-base] = 1
-		}
-		for v, seen := range table {
-			if seen != 0 {
-				table[v] = int32(len(ci.ids))
-				ci.ids = append(ci.ids, int32(base+int64(v)))
-			}
-		}
-		for i := range ts {
-			ci.slot[i] = table[int64(ts[i].Client)-base]
-		}
-	} else {
-		ci.ids = make([]int32, n)
-		for i := range ts {
-			ci.ids[i] = ts[i].Client
-		}
-		slices.Sort(ci.ids)
-		ci.ids = slices.Compact(ci.ids)
-		for i := range ts {
-			k, _ := slices.BinarySearch(ci.ids, ts[i].Client)
-			ci.slot[i] = int32(k)
-		}
-	}
-
-	// Counting sort of the transfer indices by slot; stable, so each row
-	// keeps trace order.
-	ci.off = make([]int, len(ci.ids)+1)
-	for _, k := range ci.slot {
-		ci.off[k+1]++
-	}
-	for k := range ci.ids {
-		ci.off[k+1] += ci.off[k]
-	}
-	next := slices.Clone(ci.off[:len(ci.ids)])
-	for i, k := range ci.slot {
-		ci.order[next[k]] = i
-		next[k]++
-	}
-	return ci
-}
 
 // TotalBytes sums bytes served across all transfers.
 //

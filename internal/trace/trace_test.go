@@ -3,8 +3,6 @@ package trace
 import (
 	"errors"
 	"math"
-	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +17,15 @@ func mkTransfer(client int, start, dur int64) Transfer {
 		Duration: dur,
 		Bytes:    dur * 4000,
 	}
+}
+
+// numClients counts the distinct clients of tr.
+func numClients(tr *Trace) int {
+	seen := make(map[int32]bool)
+	for _, t := range tr.Transfers {
+		seen[t.Client] = true
+	}
+	return len(seen)
 }
 
 func TestNewSortsTransfers(t *testing.T) {
@@ -47,32 +54,6 @@ func TestNewRejectsBadHorizon(t *testing.T) {
 	}
 	if _, err := New(-5, nil); err == nil {
 		t.Error("negative horizon: want error")
-	}
-}
-
-func TestByClientAndCounts(t *testing.T) {
-	tr, err := New(1000, []Transfer{
-		mkTransfer(1, 100, 10),
-		mkTransfer(2, 150, 10),
-		mkTransfer(1, 300, 10),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.ByClient().Len() != 2 || tr.NumTransfers() != 3 {
-		t.Errorf("clients=%d transfers=%d", tr.ByClient().Len(), tr.NumTransfers())
-	}
-	byC := tr.ByClient()
-	if byC.Len() != 2 || byC.Client(0) != 1 || byC.Client(1) != 2 {
-		t.Fatalf("ByClient clients = %d, want ids 1 and 2 ascending", byC.Len())
-	}
-	c1, c2 := byC.Transfers(0), byC.Transfers(1)
-	if len(c1) != 2 || len(c2) != 1 {
-		t.Errorf("ByClient rows = %v, %v", c1, c2)
-	}
-	// Indices must reference client-1 transfers in start order.
-	if tr.Transfers[c1[0]].Start != 100 || tr.Transfers[c1[1]].Start != 300 {
-		t.Error("ByClient indices out of order")
 	}
 }
 
@@ -232,9 +213,9 @@ func TestFromEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumTransfers() != 3 || tr.ByClient().Len() != 2 || tr.DistinctObjects() != 2 {
+	if tr.NumTransfers() != 3 || numClients(tr) != 2 || tr.DistinctObjects() != 2 {
 		t.Fatalf("trace: %d transfers, %d clients, %d objects",
-			tr.NumTransfers(), tr.ByClient().Len(), tr.DistinctObjects())
+			tr.NumTransfers(), numClients(tr), tr.DistinctObjects())
 	}
 	// First entry: end=200, duration=50 -> start=150.
 	if tr.Transfers[0].Start != 150 || tr.Transfers[0].Duration != 50 {
@@ -246,57 +227,6 @@ func TestFromEntries(t *testing.T) {
 	}
 	if _, err := FromEntries(nil, epoch, 0); err == nil {
 		t.Error("zero horizon: want error")
-	}
-}
-
-// The client index must list, for every distinct client in ascending id
-// order, exactly that client's transfers in trace order — whether the
-// ids are compact enough for the direct-address table or not.
-func TestClientIndexMatchesMapGrouping(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, ids := range [][]int{
-		{0, 1, 2, 3, 4, 5},             // dense
-		{7, 900, 901, 5000},            // dense table with holes
-		{-3, 0, 4},                     // negative ids
-		{-1 << 30, 12, 1 << 30},        // too sparse for a table
-		{math.MinInt32, math.MaxInt32}, // span overflows the id type
-	} {
-		transfers := make([]Transfer, 1+rng.Intn(200))
-		for i := range transfers {
-			transfers[i] = mkTransfer(ids[rng.Intn(len(ids))], rng.Int63n(1000), 10)
-		}
-		tr, err := New(2000, transfers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[int][]int)
-		for i, tx := range tr.Transfers {
-			want[int(tx.Client)] = append(want[int(tx.Client)], i)
-		}
-		ci := tr.ByClient()
-		if ci.Len() != len(want) || tr.ByClient().Len() != len(want) {
-			t.Fatalf("ids %v: %d clients, want %d", ids, ci.Len(), len(want))
-		}
-		for k := 0; k < ci.Len(); k++ {
-			if k > 0 && ci.Client(k-1) >= ci.Client(k) {
-				t.Fatalf("ids %v: client ids not ascending at slot %d", ids, k)
-			}
-			if got := ci.Transfers(k); !slices.Equal(got, want[ci.Client(k)]) {
-				t.Fatalf("ids %v: client %d row = %v, want %v", ids, ci.Client(k), got, want[ci.Client(k)])
-			}
-			for _, i := range ci.Transfers(k) {
-				if ci.Slot(i) != k {
-					t.Fatalf("ids %v: transfer %d has slot %d, is in row %d", ids, i, ci.Slot(i), k)
-				}
-			}
-		}
-	}
-	empty, err := New(10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.ByClient().Len() != 0 {
-		t.Errorf("empty trace has %d clients", empty.ByClient().Len())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // A fleet of media servers produces one transfer log per node; the
-// verification machinery (analyze.CompareTraces, md5-identical log
+// verification machinery (loadgen.Check, md5-identical log
 // contracts) wants one log. MergeFiles is the bridge: a deterministic
 // K-way merge of per-node logs into a single log whose entry order
 // depends only on entry content — (end-time, session, seq, rendered
