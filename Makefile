@@ -31,10 +31,17 @@ race:
 # examples runs every program under examples/ to completion: they are
 # compiled by `build` but exercised by no test. Each gets 120 s; an
 # example that outgrows the budget gets a smaller scale, not a skip.
+# An example with a stdout.golden must print it byte for byte: every
+# one but livereplay, whose output follows the wall clock. Regenerate a
+# golden only on purpose: go run ./examples/NAME > examples/NAME/stdout.golden
 examples:
-	@for d in examples/*/; do \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in examples/*/; do \
 	    echo "go run ./$$d"; \
-	    timeout 120 $(GO) run ./$$d > /dev/null || { echo "FAIL: $$d" >&2; exit 1; }; \
+	    timeout 120 $(GO) run ./$$d > "$$out" || { echo "FAIL: $$d" >&2; exit 1; }; \
+	    if [ -f "$${d}stdout.golden" ]; then \
+	        diff -u "$${d}stdout.golden" "$$out" || { echo "FAIL: $$d differs from $${d}stdout.golden" >&2; exit 1; }; \
+	    fi; \
 	done
 
 # BENCH_MATRIX selects the benchmarks that run the -cpu 1,2,4,8
@@ -151,9 +158,11 @@ bench-history:
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
 # = the reference sessionization's count at every timeout, plus the
 # Section 2.2 gap invariants and Sessionize's spans), the replay-check
-# fuzzer (loadgen.Check and the event-walk SafeTimeout over fuzzed
-# offered and served sets — a dropped transfer, a split session, two
-# merged clients, tied starts — = the trace-based check they replaced),
+# fuzzer (loadgen.Check and the event-walk SafeTimeout over a fuzzed
+# offered set and the log its replay leaves — whole wall seconds, a
+# dropped transfer, a split session, two merged clients, tied starts, a
+# duplicate serve, a logged lost event — = the trace-based check they
+# replaced),
 # the sample-sort fuzzer (stats.SortedCopy, SortInPlace
 # and SortedView of any float64 bit patterns = sort.Float64s of a
 # copy), the concurrency
@@ -163,7 +172,7 @@ bench-history:
 # every client and the draws consumed), the
 # session-cursor fuzzer (a session drawn transfer by transfer from its
 # cursor = the eager expansion, event for event and draw for draw) and
-# the ingest fuzzer (trace.FromLogs over bytes cut into text, binary and
+# the ingest fuzzer (trace.SortLogs over bytes cut into text, binary and
 # gzip files = ReadFiles + FromEntries + Sanitize, at GOMAXPROCS 1 and
 # 4; trace.StreamLogs and core.ObserveLogs, figures off and on, held to
 # the same trace), the observer fuzzer (the one core.Observer, walked

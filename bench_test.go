@@ -71,18 +71,23 @@ func getFixture(b *testing.B) *benchFixture {
 			fixtureErr = err
 			return
 		}
-		served, err := core.Serve(cfg.Model, cfg.Server, cfg.Seed)
+		w, err := gismo.GenerateSeeded(cfg.Model, cfg.Seed)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		clean := served.Trace
+		served, err := simulate.Run(w, cfg.Server, uint64(cfg.Seed))
+		if err != nil {
+			fixtureErr = err
+			return
+		}
+		clean, report := served.Trace.Sanitize()
 		char, err := core.Characterize(clean, sessions.DefaultTimeout, nil, cfg.Seed)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		rep := &core.Report{Config: cfg, Sanitize: served.Sanitize, Peak: served.Peak, Char: char}
+		rep := &core.Report{Config: cfg, Sanitize: report, Peak: served.PeakConcurrency, Char: char}
 		set, err := sessions.Sessionize(clean, sessions.DefaultTimeout)
 		if err != nil {
 			fixtureErr = err
@@ -816,10 +821,11 @@ func loadLogsDir(b *testing.B) (string, int64) {
 	return dir, size
 }
 
-// BenchmarkPipelineLoadLogs times the ingest into a whole trace: daily
-// log files on disk → sanitized trace (trace.FromLogs: parse a file per
-// core, number, sort, merge, sanitize — what lsmchar did before it
-// observed the stream, less finding the files). At -cpu 1 it is the
+// BenchmarkPipelineLoadLogs times the held ingest: daily log files on
+// disk → sanitized rows in the trace order, every one held in one slice
+// (trace.SortLogs: parse a file per core, number, sort, merge,
+// sanitize — ObserveLogs' path for logs that reach back, less finding
+// the files and the observer). At -cpu 1 it is the
 // sequential ingest; the -cpu 2,4,8 rows are the same call with more
 // workers, which benchjson annotates with speedup_vs_sequential against
 // the -cpu 1 row.
@@ -834,12 +840,12 @@ func BenchmarkPipelineLoadLogs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, _, _, err := trace.FromLogs(paths, wmslog.TraceEpoch, 14*86400)
-		if err != nil {
+		var n int64
+		if _, err := trace.SortLogs(paths, wmslog.TraceEpoch, 14*86400, func(*trace.Transfer) { n++ }); err != nil {
 			b.Fatal(err)
 		}
 		// Sanitization drops the few injected spanning entries.
-		if n := int64(tr.NumTransfers()); n == 0 || n > fx.entries {
+		if n == 0 || n > fx.entries {
 			b.Fatalf("loaded %d transfers from %d entries", n, fx.entries)
 		}
 	}
@@ -849,7 +855,7 @@ func BenchmarkPipelineLoadLogs(b *testing.B) {
 // BenchmarkPipelineObserveLogs times lsmcal's whole observe half on the
 // LoadLogs fixture: daily log files on disk → calibration core
 // (core.ObserveLogs: the ingest's merge streamed into the observer, no
-// trace built). Its B/op against LoadLogs' is the trace not built plus
+// trace built). Its B/op against LoadLogs' is the rows not held plus
 // what the observer keeps; its -cpu rows are annotated like LoadLogs'.
 func BenchmarkPipelineObserveLogs(b *testing.B) {
 	dir, size := loadLogsDir(b)

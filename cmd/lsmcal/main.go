@@ -76,7 +76,7 @@ func run(w io.Writer, logDir string, days int, timeout, seed int64, outPath stri
 		return 0, err
 	}
 	if !ing.Ordered {
-		fmt.Fprintln(os.Stderr, "lsmcal: the log files overlap by more than a daily harvest's: observed from a full trace")
+		fmt.Fprintln(os.Stderr, "lsmcal: the log files overlap by more than a daily harvest's: observed from every row held and sorted once")
 	}
 	fmt.Fprintf(w, "source: %d clients, %d sessions, %d transfers over %d day(s)\n",
 		source.Basic.Users, source.Basic.Sessions, source.Basic.Transfers, source.Basic.Days)

@@ -35,7 +35,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/prof"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
@@ -434,10 +433,7 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	served, err := trace.FromEntries(decompressed, wmslog.TraceEpoch, m.Horizon)
-	if err != nil {
-		return err
-	}
+	served := loadgen.ServedRows(decompressed, wmslog.TraceEpoch)
 
 	if timeout == 0 {
 		slack := int64(3 * mf.Compression)

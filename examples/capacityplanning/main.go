@@ -23,10 +23,10 @@ import (
 	"os"
 
 	"repro/internal/analyze"
-	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/report"
 	"repro/internal/simulate"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -64,17 +64,20 @@ func planAt(scale float64) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.Serve(m, simulate.DefaultConfig(), 1234)
+	// The transfers the server logs, sanitized, as they are served: each
+	// one's activity interval for the concurrency profile, and its
+	// average bandwidth summed.
+	var intervals []analyze.Interval
+	var bwSum float64
+	sessions, err := serve(m, 1234, func(t *trace.Transfer) {
+		intervals = append(intervals, analyze.Interval{Start: t.Start, End: t.End()})
+		bwSum += float64(t.Bandwidth)
+	})
 	if err != nil {
 		return nil, err
 	}
-	tr := s.Trace
 
 	// Concurrency profile of transfers.
-	intervals := make([]analyze.Interval, tr.NumTransfers())
-	for i, t := range tr.Transfers {
-		intervals[i] = analyze.Interval{Start: t.Start, End: t.End()}
-	}
 	conc, err := analyze.Concurrency(intervals, m.Horizon)
 	if err != nil {
 		return nil, err
@@ -85,11 +88,7 @@ func planAt(scale float64) ([]string, error) {
 	// Peak bandwidth: admitted transfers during the busiest 15-minute
 	// window, each at its average transfer bandwidth. Approximate with
 	// peak concurrency x mean per-transfer bandwidth.
-	var bwSum float64
-	for _, t := range tr.Transfers {
-		bwSum += float64(t.Bandwidth)
-	}
-	meanBw := bwSum / float64(tr.NumTransfers())
+	meanBw := bwSum / float64(len(intervals))
 	peakMbps := peakConc * meanBw / 1e6
 
 	ratio := 0.0
@@ -98,13 +97,34 @@ func planAt(scale float64) ([]string, error) {
 	}
 	return []string{
 		fmt.Sprintf("%.0f", scale),
-		fmt.Sprintf("%d", s.Sessions),
-		fmt.Sprintf("%d", tr.NumTransfers()),
+		fmt.Sprintf("%d", sessions),
+		fmt.Sprintf("%d", len(intervals)),
 		fmt.Sprintf("%.0f", peakConc),
 		fmt.Sprintf("%.1f", meanConc),
 		fmt.Sprintf("%.1fx", ratio),
 		fmt.Sprintf("%.1f", peakMbps),
 	}, nil
+}
+
+// serve generates and serves m's workload from seed, hands each
+// transfer the log holds, sanitized, to add, and returns the sessions.
+func serve(m gismo.Model, seed int64, add func(*trace.Transfer)) (int, error) {
+	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
+	if err != nil {
+		return 0, err
+	}
+	defer ws.Close()
+	rows, err := trace.NewStream(m.Horizon, add)
+	if err != nil {
+		return 0, err
+	}
+	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), uint64(seed),
+		simulate.StreamSinks{Transfer: rows.Add})
+	if err != nil {
+		return 0, err
+	}
+	rows.Close()
+	return ws.Sessions()
 }
 
 func mean(xs []float64) float64 {

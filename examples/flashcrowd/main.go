@@ -20,10 +20,10 @@ import (
 	"log"
 
 	"repro/internal/analyze"
-	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/rate"
 	"repro/internal/simulate"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -64,15 +64,17 @@ type eventStats struct {
 }
 
 func study(name string, m gismo.Model, seed int64) (eventStats, error) {
-	s, err := core.Serve(m, simulate.DefaultConfig(), seed)
+	// The transfers the server logs, sanitized, as they are served: each
+	// one's activity interval for the concurrency profile, and its start
+	// counted into its 15-minute bin.
+	var intervals []analyze.Interval
+	perBin := make([]int, (m.Horizon+899)/900)
+	sessions, err := serve(m, seed, func(t *trace.Transfer) {
+		intervals = append(intervals, analyze.Interval{Start: t.Start, End: t.End()})
+		perBin[t.Start/900]++
+	})
 	if err != nil {
 		return eventStats{}, err
-	}
-	tr := s.Trace
-
-	intervals := make([]analyze.Interval, tr.NumTransfers())
-	for i, t := range tr.Transfers {
-		intervals[i] = analyze.Interval{Start: t.Start, End: t.End()}
 	}
 	conc, err := analyze.Concurrency(intervals, m.Horizon)
 	if err != nil {
@@ -87,10 +89,6 @@ func study(name string, m gismo.Model, seed int64) (eventStats, error) {
 	meanV := sum / float64(len(conc.Binned.Values))
 
 	// Busiest contiguous 2-hour (8-bin) window share of transfer starts.
-	perBin := make([]int, (m.Horizon+899)/900)
-	for _, t := range tr.Transfers {
-		perBin[t.Start/900]++
-	}
 	best, window := 0, 8
 	cur := 0
 	for i, c := range perBin {
@@ -104,12 +102,33 @@ func study(name string, m gismo.Model, seed int64) (eventStats, error) {
 	}
 
 	fmt.Printf("%-28s %7d sessions %8d transfers, peak concurrency %4.0f\n",
-		name+":", s.Sessions, tr.NumTransfers(), peak)
+		name+":", sessions, len(intervals), peak)
 
 	return eventStats{
 		peakToMean: peak / meanV,
-		busiest2h:  float64(best) / float64(tr.NumTransfers()),
+		busiest2h:  float64(best) / float64(len(intervals)),
 	}, nil
+}
+
+// serve generates and serves m's workload from seed, hands each
+// transfer the log holds, sanitized, to add, and returns the sessions.
+func serve(m gismo.Model, seed int64, add func(*trace.Transfer)) (int, error) {
+	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
+	if err != nil {
+		return 0, err
+	}
+	defer ws.Close()
+	rows, err := trace.NewStream(m.Horizon, add)
+	if err != nil {
+		return 0, err
+	}
+	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), uint64(seed),
+		simulate.StreamSinks{Transfer: rows.Add})
+	if err != nil {
+		return 0, err
+	}
+	rows.Close()
+	return ws.Sessions()
 }
 
 func fatal(err error) {

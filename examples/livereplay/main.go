@@ -4,8 +4,9 @@
 // step, but over an actual TCP streaming server: generate one trace hour
 // with the paper's model, replay it against the in-process live server
 // in compressed time (1 trace hour ≈ 6 wall seconds), decompress the
-// server's transfer log back into trace time, and run the
-// characterization pipeline on what the *network* actually did.
+// server's transfer log back into trace time, write it as a daily log,
+// and run the operator's characterization pipeline (core.ObserveLogs)
+// on what the *network* actually did.
 //
 // The server logs at 1-second resolution, so at 600× compression every
 // reconstructed instant is quantized to ±600 trace seconds: who watched
@@ -20,6 +21,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -27,7 +29,6 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/liveserver"
 	"repro/internal/loadgen"
-	"repro/internal/trace"
 	"repro/internal/wmslog"
 )
 
@@ -70,17 +71,23 @@ func main() {
 	fatal(err)
 	fmt.Println(res)
 
-	// Decompress the server's log back into trace time and characterize.
+	// Decompress the server's log back into trace time, write it as a
+	// daily log and characterize that, as an operator would.
 	mu.Lock()
 	entries, err := loadgen.DecompressEntries(logged, res.Begin, res.Origin, res.Compression, wmslog.TraceEpoch)
 	mu.Unlock()
 	fatal(err)
-	tr, err := trace.FromEntries(entries, wmslog.TraceEpoch, model.Horizon)
+	dir, err := os.MkdirTemp("", "lsm-wire-*")
 	fatal(err)
-	clean, report := tr.Sanitize()
-	fmt.Println(report)
+	defer os.RemoveAll(dir)
+	dw, err := wmslog.NewDailyWriter(dir)
+	fatal(err)
+	for _, e := range entries {
+		fatal(dw.Write(e))
+	}
+	fatal(dw.Close())
 
-	char, err := core.Characterize(clean, 1500, []int64{500, 1500, 3000}, 1)
+	char, _, err := core.ObserveLogs(dir, 1, 1500, &core.FigureOptions{Sweep: []int64{500, 1500, 3000}, Seed: 1}, os.Stdout)
 	fatal(err)
 	fmt.Printf("\ncharacterization of the wire trace:\n")
 	fmt.Printf("  %d clients, %d sessions, %d transfers (%d offered)\n",

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/simulate"
+	"repro/internal/wmslog"
 )
 
 func main() {
@@ -29,16 +30,23 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// --- 1. Fabricate a week of logs, imperfections included. ---------
+	// The generator's stream is served straight into daily log files,
+	// as lsmgen writes them: no workload or entry is held.
 	model, err := gismo.Scaled(400, 7)
 	fatal(err)
-	w, err := gismo.GenerateSeeded(model, 99)
+	ws, err := gismo.NewStreamSeeded(model, 99, gismo.DefaultShards())
+	fatal(err)
+	defer ws.Close()
+	dw, err := wmslog.NewDailyWriter(dir)
 	fatal(err)
 	scfg := simulate.DefaultConfig()
 	scfg.SpanningPerMillion = 20000 // 2%: visible multi-harvest artifacts
-	res, err := simulate.Run(w, scfg, 99)
+	res, err := simulate.RunStream(ws, ws.Population(), model.Horizon, scfg, 99, simulate.StreamSinks{Line: dw.WriteLine})
+	if cerr := dw.Close(); err == nil {
+		err = cerr
+	}
 	fatal(err)
-	files, err := res.WriteLogs(dir)
-	fatal(err)
+	files := dw.Files()
 
 	// Vandalize one file with garbage lines, as real logs deserve.
 	f, err := os.OpenFile(files[0], os.O_APPEND|os.O_WRONLY, 0)

@@ -478,12 +478,12 @@ func TestACFOnDemand(t *testing.T) {
 }
 
 // oracleDiversity is AnalyzeDiversity as it shipped before the counts
-// moved onto integer ids, kept as the reference: a map per tally, IPs
-// and countries keyed by their strings, a set of IP strings per AS.
+// moved onto the census counter, kept as the reference: a map per
+// tally, countries keyed by their strings, a set of IPs per AS.
 func oracleDiversity(tr *trace.Trace) *Diversity {
 	transferPerAS := make(map[uint32]int)
-	ipsPerAS := make(map[uint32]map[string]struct{})
-	allIPs := make(map[string]struct{})
+	ipsPerAS := make(map[uint32]map[uint32]struct{})
+	allIPs := make(map[uint32]struct{})
 	countryCount := make(map[string]int)
 	objectCount := make(map[uint16]int)
 	for i := range tr.Transfers {
@@ -492,11 +492,11 @@ func oracleDiversity(tr *trace.Trace) *Diversity {
 		objectCount[t.Object]++
 		set := ipsPerAS[t.AS]
 		if set == nil {
-			set = make(map[string]struct{})
+			set = make(map[uint32]struct{})
 			ipsPerAS[t.AS] = set
 		}
-		set[tr.IPName(t.IP)] = struct{}{}
-		allIPs[tr.IPName(t.IP)] = struct{}{}
+		set[t.IP] = struct{}{}
+		allIPs[t.IP] = struct{}{}
 		countryCount[tr.Names.CountryName(t.Country)]++
 	}
 

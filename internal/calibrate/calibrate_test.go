@@ -38,11 +38,24 @@ func sourceTrace(t *testing.T) (*trace.Trace, gismo.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.Serve(truth, simulate.DefaultConfig(), 11)
+	return servedTrace(t, truth, 11), truth
+}
+
+// servedTrace is the trace m's workload from seed leaves in the default
+// server's log, sanitized: the materialized workload served
+// (simulate.Run), its rows built into a trace, then sanitized.
+func servedTrace(t *testing.T, m gismo.Model, seed int64) *trace.Trace {
+	t.Helper()
+	w, err := gismo.GenerateSeeded(m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Trace, truth
+	res, err := simulate.Run(w, simulate.DefaultConfig(), uint64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := res.Trace.Sanitize()
+	return clean
 }
 
 // TestObserveMatchesCharacterize: Observe is Characterize without the
@@ -54,11 +67,7 @@ func sourceTrace(t *testing.T) (*trace.Trace, gismo.Model) {
 func TestObserveMatchesCharacterize(t *testing.T) {
 	src, _ := sourceTrace(t)
 	m, _ := Fit(observe(t, src))
-	served, err := core.Serve(m, simulate.DefaultConfig(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := served.Trace
+	tw := servedTrace(t, m, 11)
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -10,8 +10,8 @@ import (
 
 // Twin regenerates a synthetic workload from a fitted model and runs it
 // through the same serve → sanitize → observe pipeline the source went
-// through (core.ObserveServed with the default server: core.Serve's
-// rows observed as they are served, with no trace built), so Validate
+// through (core.ObserveServed with the default server: the served rows
+// observed as they come, with no trace built), so Validate
 // compares like with like. It observes rather than characterizes:
 // Validate reads only the calibration core. The realization is a pure
 // function of (model, seed) at any GOMAXPROCS.

@@ -6,15 +6,15 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/simulate"
 	"repro/internal/trace"
 )
 
-// TestTwinOwnedTraceMatchesNew: the trace the twin's rows add up to —
-// core.Serve's under the default server — is the one trace.New
-// followed by Sanitize builds over the same served transfers.
+// TestTwinOwnedTraceMatchesNew: the rows the twin observes — the
+// sharded stream served into a Transfer sink under the default server —
+// build (trace.New, then Sanitize) the trace the materialized workload
+// served leaves in its log (servedTrace), country table included.
 func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 	char, _ := buildSource(t)
 	m, _ := Fit(char)
@@ -37,30 +37,22 @@ func TestTwinOwnedTraceMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.Serve(m, simulate.DefaultConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s.Trace
+	got := servedTrace(t, m, seed)
 	sameTrace(t, "twin trace", got, served, m.Horizon, 0)
-	if names == nil || len(names.IPs) == 0 || !reflect.DeepEqual(got.Names, names) {
-		t.Errorf("twin trace does not carry the serving run's name tables")
+	if names == nil || len(names.Countries) == 0 || !reflect.DeepEqual(got.Names, names) {
+		t.Errorf("twin trace does not carry the serving run's country table")
 	}
 
 }
 
 // TestTwinMatchesObserveOfServe: the twin, observed as it is served
-// with no trace built, is core.Observe of core.Serve's trace under the
-// default server, field for field, at every core count.
+// with no trace built, is core.Observe of the served trace under the
+// default server (servedTrace), field for field, at every core count.
 func TestTwinMatchesObserveOfServe(t *testing.T) {
 	char, _ := buildSource(t)
 	m, _ := Fit(char)
 	const seed = 11
-	s, err := core.Serve(m, simulate.DefaultConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := observe(t, s.Trace)
+	want := observe(t, servedTrace(t, m, seed))
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -69,7 +61,7 @@ func TestTwinMatchesObserveOfServe(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Error("Twin differs from Observe of Serve's trace")
+				t.Error("Twin differs from Observe of the served trace")
 			}
 		})
 	}

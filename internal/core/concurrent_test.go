@@ -88,14 +88,14 @@ func characterizeSequential(tr *trace.Trace, timeout int64, sweep []int64, seed 
 
 // basicStatsOracle is basicStats as it shipped before Table 1's counts
 // moved onto integer ids, kept as the reference: a pass and a set per
-// count, IPs keyed by their strings.
+// count.
 func basicStatsOracle(tr *trace.Trace, set *sessions.Set) BasicStats {
-	ips := make(map[string]struct{})
+	ips := make(map[uint32]struct{})
 	ases := make(map[uint32]struct{})
 	objects := make(map[uint16]struct{})
 	for i := range tr.Transfers {
 		t := &tr.Transfers[i]
-		ips[tr.IPName(t.IP)] = struct{}{}
+		ips[t.IP] = struct{}{}
 		ases[t.AS] = struct{}{}
 		objects[t.Object] = struct{}{}
 	}
@@ -247,11 +247,7 @@ func weekTrace(t *testing.T) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Serve(m, simulate.DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := s.Trace
+	clean, _, _ := servedTrace(t, m, simulate.DefaultConfig(), 7)
 	if clean.DistinctObjects() < 2 || clean.Horizon < 7*86400 {
 		t.Fatalf("fixture has %d object(s) over %d s, want >= 2 over a week", clean.DistinctObjects(), clean.Horizon)
 	}

@@ -171,7 +171,7 @@ type Report struct {
 
 // Run executes the full pipeline: generate and serve, then characterize
 // the served rows as ObserveServed does, with the figure material. The
-// result is Characterize's of Serve's trace.
+// result is Characterize's of the trace the run's log holds, sanitized.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -190,56 +190,14 @@ func Run(cfg Config) (*Report, error) {
 	}, nil
 }
 
-// Served is a model's workload as its server logged it: Serve's result.
-type Served struct {
-	// Trace is the log's trace, sanitized (Section 2.4).
-	Trace *trace.Trace
-	// Sanitize is what sanitizing dropped: the spanning entries the
-	// server injected (simulate.Config.SpanningPerMillion) and any
-	// transfer that escapes the horizon.
-	Sanitize trace.SanitizeReport
-	// Peak is the peak number of concurrent transfers in the simulator.
-	Peak int
-	// Sessions is the number of sessions the generator emitted.
-	Sessions int
-}
-
-// Serve generates m's workload from seed on the sharded event stream
-// (gismo.DefaultShards), serves it (simulate.RunStream) and returns the
-// trace its log holds, sanitized — the model → trace path behind the
-// examples that study a whole trace. The served rows, the injected
-// spanning entries' included, are collected and built into a trace
-// (trace.New, then Sanitize): no workload, log or entry slice is
-// materialized, and the trace equals the one trace.FromEntries rebuilds
-// from the same run's log (up to how the two number clients and IPs).
-// The result is a pure function of (m, server, seed) at any GOMAXPROCS.
-func Serve(m gismo.Model, server simulate.Config, seed int64) (*Served, error) {
-	var rows []trace.Transfer
-	var names *trace.Names
-	res, sessions, err := serve(m, server, seed, simulate.StreamSinks{
-		Transfer: func(t trace.Transfer) error {
-			rows = append(rows, t)
-			return nil
-		},
-		Names: func(n *trace.Names) { names = n },
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trace.New(m.Horizon, rows)
-	if err != nil {
-		return nil, err
-	}
-	tr.Names = names
-	clean, report := tr.Sanitize()
-	return &Served{Trace: clean, Sanitize: report, Peak: res.PeakConcurrency, Sessions: sessions}, nil
-}
-
-// ObserveServed is Observe of Serve's trace, with no trace built: the
-// served rows are sanitized and put in the trace order as they come
-// (trace.Stream) and fed straight into an Observer. The result equals
-// Observe(Serve(m, server, seed).Trace, timeout) — the calibration
-// twin's path (calibrate.Twin).
+// ObserveServed characterizes m's workload from seed as its server
+// logs it, with no trace built: the sharded event stream is served
+// (simulate.RunStream), and the rows the log holds are sanitized and
+// put in the trace order as they come (trace.Stream) and fed straight
+// into an Observer. The result is Observe's of those rows built into a
+// trace (trace.New) and sanitized, and a pure function of (m, server,
+// seed, timeout) at any GOMAXPROCS — the calibration twin's path
+// (calibrate.Twin).
 func ObserveServed(m gismo.Model, server simulate.Config, seed, timeout int64) (*Characterization, error) {
 	char, _, _, err := observeServed(m, server, seed, timeout, nil)
 	return char, err
@@ -258,33 +216,22 @@ func observeServed(m gismo.Model, server simulate.Config, seed, timeout int64, f
 	if err != nil {
 		return nil, nil, report, err
 	}
-	if res, _, err = serve(m, server, seed, simulate.StreamSinks{Transfer: rows.Add, Names: o.SetNames}); err != nil {
-		return nil, nil, report, err
+	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
+	if err != nil {
+		return nil, nil, report, fmt.Errorf("generate: %w", err)
+	}
+	defer ws.Close()
+	res, err = simulate.RunStream(ws, ws.Population(), m.Horizon, server, uint64(seed),
+		simulate.StreamSinks{Transfer: rows.Add, Names: o.SetNames})
+	if err != nil {
+		return nil, nil, report, fmt.Errorf("simulate: %w", err)
+	}
+	if _, err := ws.Sessions(); err != nil { // the stream ended early
+		return nil, nil, report, fmt.Errorf("generate: %w", err)
 	}
 	report = rows.Close()
 	char, err = o.Characterization()
 	return char, res, report, err
-}
-
-// serve is the one model → rows driver under Serve and ObserveServed:
-// it runs m's sharded event stream from seed through the server into
-// sinks, and returns the run's summary and the number of sessions the
-// generator emitted.
-func serve(m gismo.Model, server simulate.Config, seed int64, sinks simulate.StreamSinks) (*simulate.StreamResult, int, error) {
-	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
-	if err != nil {
-		return nil, 0, fmt.Errorf("generate: %w", err)
-	}
-	defer ws.Close()
-	res, err := simulate.RunStream(ws, ws.Population(), m.Horizon, server, uint64(seed), sinks)
-	if err != nil {
-		return nil, 0, fmt.Errorf("simulate: %w", err)
-	}
-	sessions, err := ws.Sessions()
-	if err != nil {
-		return nil, 0, fmt.Errorf("generate: %w", err)
-	}
-	return res, sessions, nil
 }
 
 // findLogs returns the daily log files under dir, refusing a directory
@@ -312,12 +259,12 @@ func writeIngest(w io.Writer, st wmslog.ParseStats, files int, report trace.Sani
 // built: the rows go from the ingest's merge (trace.StreamLogs)
 // straight into an Observer, so what is held is the observer's state
 // and a few files' rows. Logs whose files reach back further than a
-// daily harvest's (the Ingest is not Ordered) are read whole instead
-// (trace.FromLogs) and that trace is walked into a fresh observer; the
-// Ingest is then the stream's, as far as it went. Either way the result
-// is Observe's, or with figs Characterize's, of the logs' trace. A
-// timeout the observer refuses fails before a log is read. The streamed
-// Ingest's Names hold the countries only: the observer reads no IP.
+// daily harvest's (the Ingest is not Ordered) are read again with
+// every row held and sorted once (trace.SortLogs) into a fresh
+// observer; the Ingest is then SortLogs'.
+// Either way the result is Observe's, or with figs Characterize's, of
+// the logs' trace. A timeout the observer refuses fails before a log is
+// read.
 func ObserveLogs(dir string, days int, timeout int64, figs *FigureOptions, w io.Writer) (*Characterization, trace.Ingest, error) {
 	paths, err := findLogs(dir)
 	if err != nil {
@@ -337,13 +284,12 @@ func ObserveLogs(dir string, days int, timeout int64, figs *FigureOptions, w io.
 		return nil, ing, err
 	}
 	if !ing.Ordered {
-		clean, st, report, err := trace.FromLogs(paths, wmslog.TraceEpoch, horizon)
-		if err != nil {
+		if o, err = NewObserver(horizon, timeout, rows, 0, figs); err != nil {
 			return nil, ing, err
 		}
-		writeIngest(w, st, len(paths), report)
-		char, err := observeTrace(clean, timeout, figs)
-		return char, ing, err
+		if ing, err = trace.SortLogs(paths, wmslog.TraceEpoch, horizon, o.Add); err != nil {
+			return nil, ing, err
+		}
 	}
 	writeIngest(w, ing.Stats, len(paths), ing.Report)
 	o.SetNames(ing.Names)
@@ -357,7 +303,7 @@ func ObserveLogs(dir string, days int, timeout int64, figs *FigureOptions, w io.
 // takes. It is an Observer walked over the trace's transfers: it draws
 // nothing at random, so it takes no seed, and it leaves Figures nil.
 //
-//lsm:keep -- test oracle: the core, calibrate, trace and root tests observe a trace
+//lsm:keep -- test oracle: the core, calibrate, trace and root tests observe a trace; ROADMAP item 19 moves it into the tests
 func Observe(tr *trace.Trace, timeout int64) (*Characterization, error) {
 	return observeTrace(tr, timeout, nil)
 }
@@ -367,11 +313,15 @@ func Observe(tr *trace.Trace, timeout int64) (*Characterization, error) {
 // walked over the trace's transfers. sweep holds the Figure 9 timeouts
 // (nil selects DefaultTimeoutSweep); seed drives the Figure 6 Poisson
 // replica, so equal (trace, seed) pairs characterize identically.
+//
+//lsm:keep -- benchmark/layers/core.go and pipeline.go probes, and the tests' oracle; ROADMAP item 4a deletes
 func Characterize(tr *trace.Trace, timeout int64, sweep []int64, seed int64) (*Characterization, error) {
 	return observeTrace(tr, timeout, &FigureOptions{Sweep: sweep, Seed: seed})
 }
 
 // observeTrace walks tr's transfers into an Observer given figs.
+//
+//lsm:keep -- Observe and Characterize, which only benchmark/ and tests reach; ROADMAP item 4a deletes
 func observeTrace(tr *trace.Trace, timeout int64, figs *FigureOptions) (*Characterization, error) {
 	clients := 0 // the ids a direct client table spans
 	for i := range tr.Transfers {

@@ -46,8 +46,24 @@ func writeGenLogs(t *testing.T, dir string, scale float64, days int, seed int64)
 	return dw.Files()
 }
 
+// logsTrace is the trace the log files hold: every file read into
+// entries (wmslog.ReadFiles), one trace built (trace.FromEntries), then
+// sanitized — the sequential reference the log ingest is held to.
+func logsTrace(paths []string, horizon int64) (*trace.Trace, wmslog.ParseStats, trace.SanitizeReport, error) {
+	entries, st, err := wmslog.ReadFiles(paths, true)
+	if err != nil {
+		return nil, st, trace.SanitizeReport{}, err
+	}
+	raw, err := trace.FromEntries(entries, wmslog.TraceEpoch, horizon)
+	if err != nil {
+		return nil, st, trace.SanitizeReport{}, err
+	}
+	clean, report := raw.Sanitize()
+	return clean, st, report, nil
+}
+
 // checkObserveLogs holds ObserveLogs over dir to the characterization
-// of the trace trace.FromLogs reads from it — Observe's, and with the
+// of the trace the logs hold (logsTrace) — Observe's, and with the
 // figure material Characterize's — field by field and bit by bit, the
 // lines written and the error. It returns the ingest ObserveLogs
 // reports.
@@ -61,7 +77,7 @@ func checkObserveLogs(t *testing.T, dir string, days int, timeout int64) trace.I
 			if err != nil {
 				return nil, err
 			}
-			tr, st, report, err := trace.FromLogs(paths, wmslog.TraceEpoch, int64(days)*86400)
+			tr, st, report, err := logsTrace(paths, int64(days)*86400)
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +106,7 @@ func checkObserveLogs(t *testing.T, dir string, days int, timeout int64) trace.I
 
 // TestObserveLogsMatchesObserve: over lsmgen's daily logs ObserveLogs
 // streams the merge into the observer — no fallback — and gives what
-// the characterization of FromLogs' trace gives, at any core count and
+// the characterization of the logs' trace gives, at any core count and
 // timeout, figures on and off; it fails as that path fails, over a
 // horizon of no days and over a directory with no logs; and it refuses
 // a timeout the observer refuses before it reads a log.
@@ -127,9 +143,9 @@ func TestObserveLogsRefusesHorizonUpFront(t *testing.T) {
 
 // TestObserveLogsFallsBack: a kept three-day transfer logged in the
 // fourth daily file starts on day 0, before rows the merge has already
-// handed to the observer. ObserveLogs must notice, say so, and still
-// give exactly the characterization of FromLogs' trace — which then
-// holds the transfer.
+// handed to the observer. ObserveLogs must notice, read the logs again
+// held whole (trace.SortLogs), and still give exactly the
+// characterization of the logs' trace — which then holds the transfer.
 func TestObserveLogsFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	files := writeGenLogs(t, dir, 150, 7, 11)
@@ -148,7 +164,7 @@ func TestObserveLogsFallsBack(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, _, _, err := trace.FromLogs(files, wmslog.TraceEpoch, 7*86400)
+	tr, _, _, err := logsTrace(files, 7*86400)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/wmslog"
 )
 
 // referenceObserve is Observe as it ran before the observer, kept as
@@ -570,7 +569,7 @@ func sameCharacterization(t *testing.T, name string, got *Characterization, err 
 }
 
 // logTrace writes a served week with spanning entries as daily logs
-// and loads them back (trace.FromLogs).
+// and loads them back (logsTrace).
 func logTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	m, err := gismo.Scaled(150, 7)
@@ -591,7 +590,7 @@ func logTrace(t *testing.T) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, _, err := trace.FromLogs(files, wmslog.TraceEpoch, 7*86400)
+	tr, _, _, err := logsTrace(files, 7*86400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,18 +612,15 @@ func TestObserverMatchesReference(t *testing.T) {
 	}
 	cfg := simulate.DefaultConfig()
 	cfg.SpanningPerMillion = 20000
-	served, err := Serve(m, cfg, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Sanitize.DroppedSpanning == 0 {
+	served, sanitized, peak := servedTrace(t, m, cfg, 9)
+	if sanitized.DroppedSpanning == 0 {
 		t.Fatal("the served run has no spanning entries")
 	}
 	atGOMAXPROCS(t, func(t *testing.T) {
 		for _, c := range []struct {
 			name string
 			tr   *trace.Trace
-		}{{"FromLogs", fromLogs}, {"Serve", served.Trace}} {
+		}{{"FromLogs", fromLogs}, {"Serve", served}} {
 			t.Run(c.name, func(t *testing.T) {
 				for _, timeout := range []int64{sessions.DefaultTimeout, 60} {
 					checkObserveMatchesReference(t, c.tr, timeout)
@@ -636,27 +632,27 @@ func TestObserverMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := referenceObserve(served.Trace, sessions.DefaultTimeout)
+			want, err := referenceObserve(served, sessions.DefaultTimeout)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ObserveServed differs from the reference over Serve's trace: %s", firstDiff(dumpChar(got), dumpChar(want)))
+				t.Fatalf("ObserveServed differs from the reference over the served trace: %s", firstDiff(dumpChar(got), dumpChar(want)))
 			}
 			rep, err := Run(Config{Model: m, Server: cfg, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err = referenceCharacterize(served.Trace, sessions.DefaultTimeout, nil, 9)
+			want, err = referenceCharacterize(served, sessions.DefaultTimeout, nil, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d, w := dumpChar(rep.Char), dumpChar(want); d != w {
-				t.Fatalf("Run differs from the reference over Serve's trace: %s", firstDiff(d, w))
+				t.Fatalf("Run differs from the reference over the served trace: %s", firstDiff(d, w))
 			}
-			if rep.Sanitize != served.Sanitize || rep.Peak != served.Peak || rep.Audit != want.Figures.Audit {
-				t.Fatalf("Run reports %+v, peak %d, audit %+v; Serve %+v, peak %d, audit %+v",
-					rep.Sanitize, rep.Peak, rep.Audit, served.Sanitize, served.Peak, want.Figures.Audit)
+			if rep.Sanitize != sanitized || rep.Peak != peak || rep.Audit != want.Figures.Audit {
+				t.Fatalf("Run reports %+v, peak %d, audit %+v; the served run %+v, peak %d, audit %+v",
+					rep.Sanitize, rep.Peak, rep.Audit, sanitized, peak, want.Figures.Audit)
 			}
 		})
 	})

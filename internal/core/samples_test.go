@@ -144,10 +144,11 @@ func TestObserveAllocationBudget(t *testing.T) {
 // TestObserveLogsAllocationBudget bounds the heap bytes one ObserveLogs
 // of lsmgen's daily logs allocates, at a fixed core count (each parse
 // worker holds its own buffers). The logs' rows go from the merge into
-// the observer, so it allocates less than trace.FromLogs and Observe
-// do together by about the trace they build (56 B a row). Like
-// TestObserveAllocationBudget, the bound is the measured count plus
-// about 10 % headroom.
+// the observer, so it allocates less than the held ingest
+// (trace.SortLogs) into an observer sized the same — its path for logs
+// that reach back — by about the slice of rows that holds (56 B a row).
+// Like TestObserveAllocationBudget, the bound is the measured count
+// plus about 10 % headroom.
 func TestObserveLogsAllocationBudget(t *testing.T) {
 	dir := t.TempDir()
 	writeGenLogs(t, dir, 50, 7, 11)
@@ -161,23 +162,32 @@ func TestObserveLogsAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hint := 0
+	for _, path := range paths {
+		hint += wmslog.EntryHint(path)
+	}
 	var rows int
 	full := allocated(func() {
-		tr, _, _, err := trace.FromLogs(paths, wmslog.TraceEpoch, 7*86400)
+		o, err := NewObserver(7*86400, sessions.DefaultTimeout, hint, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Observe(tr, sessions.DefaultTimeout); err != nil {
+		ing, err := trace.SortLogs(paths, wmslog.TraceEpoch, 7*86400, o.Add)
+		if err != nil {
 			t.Fatal(err)
 		}
-		rows = tr.NumTransfers()
+		o.SetNames(ing.Names)
+		if _, err := o.Characterization(); err != nil {
+			t.Fatal(err)
+		}
+		rows = ing.Report.Kept
 	})
-	t.Logf("ObserveLogs %d B, FromLogs + Observe %d B, %d rows", got, full, rows)
-	const budget = 5_340_000 // measured 4,853,300–4,855,700; FromLogs + Observe 5,217,000–5,219,000
+	t.Logf("ObserveLogs %d B, SortLogs into an observer %d B, %d rows", got, full, rows)
+	const budget = 5_340_000 // measured 4,853,300–4,855,700
 	if got > budget {
 		t.Errorf("ObserveLogs allocated %d bytes, budget %d", got, budget)
 	}
 	if got+28*uint64(rows) > full {
-		t.Errorf("ObserveLogs allocated %d bytes, FromLogs + Observe %d: want less by the trace's 56 B a row, half of it at least, over %d rows", got, full, rows)
+		t.Errorf("ObserveLogs allocated %d bytes, SortLogs into an observer %d: want less by the held rows' 56 B a row, half of it at least, over %d rows", got, full, rows)
 	}
 }

@@ -68,6 +68,8 @@ func NewStreamSeeded(m Model, seed int64, shards int) (*WorkloadStream, error) {
 
 // Stream replays the materialized workload as an event stream, reading
 // the request slice in place (no copy).
+//
+//lsm:keep -- simulate.Run, which only benchmark/layers/simulate.go and tests reach; ROADMAP item 4a deletes
 func (w *Workload) Stream() workload.Stream {
 	return workload.NewSliceStream(w.Requests)
 }

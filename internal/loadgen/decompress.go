@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -97,10 +98,30 @@ func SafeTimeout(events []workload.Event, horizon, slack int64) (int64, bool) {
 	return best, true
 }
 
-// Check sessionizes a replay's offered events, in stream order, and the
-// trace the server logged, each into a Sessionizer at timeout, and
-// compares the two (analyze.CompareSessions).
-func Check(offered []workload.Event, served *trace.Trace, timeout int64) (*analyze.MatchReport, error) {
+// ServedRows turns a replay's served entries, decompressed onto the
+// trace clock that starts at epoch (DecompressEntries), into the rows
+// Check sessionizes: each entry's start and duration, and as its client
+// the first-seen ordinal of its c-playerid, in start order.
+func ServedRows(entries []*wmslog.Entry, epoch time.Time) []trace.Transfer {
+	clients := make(map[string]int32)
+	rows := make([]trace.Transfer, 0, len(entries))
+	for _, e := range entries {
+		id, ok := clients[e.PlayerID]
+		if !ok {
+			id = int32(len(clients))
+			clients[e.PlayerID] = id
+		}
+		end := int64(e.Timestamp.Sub(epoch) / time.Second)
+		rows = append(rows, trace.Transfer{Client: id, Start: end - e.Duration, Duration: e.Duration})
+	}
+	slices.SortStableFunc(rows, func(a, b trace.Transfer) int { return cmp.Compare(a.Start, b.Start) })
+	return rows
+}
+
+// Check sessionizes a replay's offered events and the rows the server
+// logged (ServedRows), each in start order into a Sessionizer at
+// timeout, and compares the two (analyze.CompareSessions).
+func Check(offered []workload.Event, served []trace.Transfer, timeout int64) (*analyze.MatchReport, error) {
 	off, err := sessions.NewSessionizer(timeout, 0)
 	if err != nil {
 		return nil, err
@@ -115,8 +136,11 @@ func Check(offered []workload.Event, served *trace.Trace, timeout int64) (*analy
 		}
 		off.Add(&trace.Transfer{Client: int32(e.Client), Start: e.Start, Duration: e.Duration})
 	}
-	for i := range served.Transfers {
-		srv.Add(&served.Transfers[i])
+	for i := range served {
+		if i > 0 && served[i].Start < served[i-1].Start {
+			return nil, fmt.Errorf("%w: served row %d starts at %d, before its predecessor", trace.ErrBadTrace, i, served[i].Start)
+		}
+		srv.Add(&served[i])
 	}
 	return analyze.CompareSessions(off, srv), nil
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/liveserver"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
@@ -53,11 +52,7 @@ func runClosedLoop(t *testing.T, events []workload.Event, horizon int64, cfg Con
 			t.Fatalf("decompressed entry invalid: %v (%+v)", err, e)
 		}
 	}
-	served, err := trace.FromEntries(decompressed, wmslog.TraceEpoch, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := Check(events, served, timeout)
+	report, err := Check(events, ServedRows(decompressed, wmslog.TraceEpoch), timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

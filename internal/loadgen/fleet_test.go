@@ -10,7 +10,6 @@ import (
 	"repro/internal/analyze"
 	"repro/internal/cluster"
 	"repro/internal/liveserver"
-	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
@@ -142,11 +141,7 @@ func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Ev
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := trace.FromEntries(decompressed, wmslog.TraceEpoch, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := Check(kept, served, timeout)
+	report, err := Check(kept, ServedRows(decompressed, wmslog.TraceEpoch), timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,16 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/analyze"
 	"repro/internal/trace"
+	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
 
@@ -38,7 +42,7 @@ func oracleOfferedTrace(events []workload.Event, horizon int64) (*trace.Trace, e
 	if err != nil {
 		return nil, err
 	}
-	tr.Names = &trace.Names{IPs: []string{"0.0.0.0"}, Countries: []string{"BR"}}
+	tr.Names = &trace.Names{Countries: []string{"BR"}}
 	return tr, nil
 }
 
@@ -137,28 +141,54 @@ func oracleCompareTraces(offered, served *trace.Trace, timeout int64) (*analyze.
 // a negative one and two past a Sessionizer's direct table.
 var fuzzClients = []int{0, 1, 2, 3, 5, 8, -3, 1<<22 + 1, 1 << 30}
 
+// fuzzBegin is the wall instant of trace second 0 in the fuzzed replays.
+var fuzzBegin = time.Date(2002, 3, 1, 12, 0, 0, 0, time.UTC)
+
+// servedEntry is the entry a server logs for event e of a replay at
+// compression c that began at fuzzBegin: its player, its tag, and the
+// wall clock's whole seconds — the end truncated, the duration rounded.
+func servedEntry(e workload.Event, player int, c float64) *wmslog.Entry {
+	wall := func(s int64) time.Duration { return time.Duration(float64(s) / c * float64(time.Second)) }
+	return &wmslog.Entry{
+		Timestamp: fuzzBegin.Add(wall(e.End())).Truncate(time.Second),
+		Duration:  int64(math.Round(float64(e.Duration) / c)),
+		PlayerID:  fmt.Sprintf("p%d", player),
+		Referer:   wmslog.SessionRef(int64(e.Session), e.Seq),
+		Status:    200,
+	}
+}
+
 // FuzzCheckMatchesTraceOracle decodes bytes into an offered event
-// stream and a served trace derived from it — renumbered clients, and
-// one of: nothing changed, a dropped transfer, a session split by
-// moving a client's later transfers past the timeout, two clients
-// merged, a start tied to its predecessor's — and holds Check and the
-// event-walk SafeTimeout to the trace-based reference, report for
-// report and timeout for timeout.
+// stream and the log a compressed-time replay of it leaves — renumbered
+// players, whole wall seconds, and one of: nothing changed, a dropped
+// transfer, a session split by moving a client's later transfers past
+// the timeout, two clients merged, a start tied to its predecessor's, a
+// duplicate serve, a recorded-lost event that was logged all the same —
+// and holds the served side as lsmload -check builds it (ReconcileServed,
+// DecompressEntries, ServedRows, Check) and the event-walk SafeTimeout
+// to the trace-based reference over FromEntries of the same
+// decompressed entries, report for report and timeout for timeout.
+// Nothing changed, a duplicate serve and a logged lost event match when
+// the timeout is safe by more than the quantization.
 func FuzzCheckMatchesTraceOracle(f *testing.F) {
-	// Header: mutation, its position, timeout, slack; then (client,
-	// start step, duration) triples.
-	f.Add([]byte{0, 0, 40, 10, 0, 5, 20, 1, 0, 30, 0, 200, 10, 1, 90, 5})
-	f.Add([]byte{1, 2, 40, 10, 0, 5, 20, 1, 0, 30, 0, 200, 10, 1, 90, 5, 2, 0, 0})
-	f.Add([]byte{2, 1, 30, 3, 0, 5, 20, 0, 10, 5, 0, 10, 5, 7, 0, 9, 0, 3, 1})
-	f.Add([]byte{3, 1, 100, 1, 0, 5, 20, 1, 0, 30, 2, 0, 4, 8, 250, 1})
-	f.Add([]byte{4, 3, 60, 20, 2, 0, 0, 2, 0, 0, 6, 90, 250, 2, 255, 0, 7, 1, 1})
+	// Header: mutation, its position, timeout, slack, compression; then
+	// (client, start step, duration) triples.
+	f.Add([]byte{0, 0, 40, 10, 0, 0, 5, 20, 1, 0, 30, 0, 200, 10, 1, 90, 5})
+	f.Add([]byte{1, 2, 40, 10, 0, 0, 5, 20, 1, 0, 30, 0, 200, 10, 1, 90, 5, 2, 0, 0})
+	f.Add([]byte{2, 1, 30, 3, 1, 0, 5, 20, 0, 10, 5, 0, 10, 5, 7, 0, 9, 0, 3, 1})
+	f.Add([]byte{3, 1, 100, 1, 0, 0, 5, 20, 1, 0, 30, 2, 0, 4, 8, 250, 1})
+	f.Add([]byte{4, 3, 60, 20, 2, 2, 0, 0, 2, 0, 0, 6, 90, 250, 2, 255, 0, 7, 1, 1})
+	f.Add([]byte{0, 0, 40, 40, 3, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5, 0, 255, 7, 1, 200, 30})
+	f.Add([]byte{5, 1, 40, 30, 1, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5, 0, 255, 7})
+	f.Add([]byte{6, 2, 40, 30, 2, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5, 0, 255, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 5 {
 			return
 		}
-		mutation, at := data[0]%5, int(data[1])
+		mutation, at := data[0]%7, int(data[1])
 		timeout, slack := 1+int64(data[2]), 1+int64(data[3]%64)
-		data = data[4:]
+		c := float64(1 + data[4]%4)
+		data = data[5:]
 		const horizon = 1 << 20
 		var events []workload.Event
 		var start int64
@@ -176,16 +206,18 @@ func FuzzCheckMatchesTraceOracle(f *testing.F) {
 			}
 		}
 
-		served := make([]trace.Transfer, 0, len(events))
-		for _, e := range events {
-			// The server numbers clients its own way.
-			served = append(served, trace.Transfer{Client: int32(7*e.Client + 11), Start: e.Start, Duration: e.Duration})
+		served := slices.Clone(events)
+		players := make([]int, len(served)) // the server numbers clients its own way
+		for i, e := range served {
+			players[i] = 7*e.Client + 11
 		}
+		var failed []workload.Event
 		if len(served) > 0 {
 			k := at % len(served)
 			switch mutation {
 			case 1: // a dropped transfer
-				served = append(served[:k], served[k+1:]...)
+				served = slices.Delete(served, k, k+1)
+				players = slices.Delete(players, k, k+1)
 			case 2: // a split session: the client's later transfers move past T_o
 				for i := k; i < len(served); i++ {
 					if served[i].Client == served[k].Client {
@@ -193,24 +225,45 @@ func FuzzCheckMatchesTraceOracle(f *testing.F) {
 					}
 				}
 			case 3: // two clients merged
-				from := served[k].Client
 				for i := range served {
-					if served[i].Client == from {
-						served[i].Client = served[0].Client
+					if served[i].Client == served[k].Client {
+						players[i] = players[0]
 					}
 				}
+			case 6: // recorded lost, but logged before the node died
+				failed = append(failed, events[k])
 			}
 		}
-		servedTrace, err := trace.New(horizon, served)
+		var logged []*wmslog.Entry
+		for i, e := range served {
+			logged = append(logged, servedEntry(e, players[i], c))
+		}
+		if len(served) > 0 && mutation == 5 { // a retry logged the event again, later
+			dup := *logged[at%len(logged)]
+			dup.Timestamp = dup.Timestamp.Add(time.Duration(1+at%5) * time.Second)
+			logged = append(logged, &dup)
+		}
+		kept, droppedLost, droppedDup := ReconcileServed(logged, failed)
+		if len(events) > 0 && ((mutation == 5) != (droppedDup == 1) || (mutation == 6) != (droppedLost == 1)) || droppedDup+droppedLost > 1 {
+			t.Fatalf("mutation %d: reconciling dropped %d lost and %d duplicate entries", mutation, droppedLost, droppedDup)
+		}
+		offered := slices.DeleteFunc(slices.Clone(events), func(e workload.Event) bool {
+			return slices.ContainsFunc(failed, func(f workload.Event) bool { return f.Session == e.Session && f.Seq == e.Seq })
+		})
+		decompressed, err := DecompressEntries(kept, fuzzBegin, 0, c, wmslog.TraceEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		offeredTrace, err := oracleOfferedTrace(events, horizon)
+		servedTrace, err := trace.FromEntries(decompressed, wmslog.TraceEpoch, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offeredTrace, err := oracleOfferedTrace(offered, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		got, gotOK := SafeTimeout(events, horizon, slack)
+		got, gotOK := SafeTimeout(offered, horizon, slack)
 		want, wantOK := oracleSafeTimeout(offeredTrace, slack)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("SafeTimeout(slack %d) = %d, %v; the reference %d, %v", slack, got, gotOK, want, wantOK)
@@ -218,7 +271,7 @@ func FuzzCheckMatchesTraceOracle(f *testing.F) {
 		if gotOK {
 			timeout = got
 		}
-		report, err := Check(events, servedTrace, timeout)
+		report, err := Check(offered, ServedRows(decompressed, wmslog.TraceEpoch), timeout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,30 +282,30 @@ func FuzzCheckMatchesTraceOracle(f *testing.F) {
 		if !reflect.DeepEqual(report, wantReport) {
 			t.Fatalf("mutation %d, T_o %d: Check\n%s\nthe reference\n%s", mutation, timeout, report, wantReport)
 		}
-		if mutation == 0 && !report.Match() {
-			t.Fatalf("an unchanged served trace does not match:\n%s", report)
+		// The log's whole seconds move a reconstructed gap by less than
+		// 4 trace seconds a unit of compression.
+		if (mutation == 0 || mutation == 5 || mutation == 6) && gotOK && float64(slack) >= 4*c && !report.Match() {
+			t.Fatalf("mutation %d at compression %v: the reconciled served log does not match:\n%s", mutation, c, report)
 		}
 	})
 }
 
 // TestCheckRejectsUnorderedOrBadTimeout: Check refuses offered events
-// out of start order, a client id a transfer cannot hold and a
-// non-positive timeout.
+// or served rows out of start order, a client id a transfer cannot
+// hold and a non-positive timeout.
 func TestCheckRejectsUnorderedOrBadTimeout(t *testing.T) {
-	served, err := trace.New(100, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		events  []workload.Event
+		served  []trace.Transfer
 		timeout int64
 	}{
-		{[]workload.Event{{Client: 1, Start: 10}, {Client: 2, Start: 5}}, 60},
-		{[]workload.Event{{Client: 1 << 40, Start: 10}}, 60},
-		{nil, 0},
+		{[]workload.Event{{Client: 1, Start: 10}, {Client: 2, Start: 5}}, nil, 60},
+		{[]workload.Event{{Client: 1 << 40, Start: 10}}, nil, 60},
+		{nil, []trace.Transfer{{Client: 1, Start: 10}, {Client: 2, Start: 5}}, 60},
+		{nil, nil, 0},
 	} {
-		if _, err := Check(tc.events, served, tc.timeout); err == nil {
-			t.Errorf("Check(%v, T_o %d) accepted", tc.events, tc.timeout)
+		if _, err := Check(tc.events, tc.served, tc.timeout); err == nil {
+			t.Errorf("Check(%v, %v, T_o %d) accepted", tc.events, tc.served, tc.timeout)
 		}
 	}
 }

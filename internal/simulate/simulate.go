@@ -108,6 +108,8 @@ type Result struct {
 // pool). seed drives every server-model draw; equal seeds give
 // identical results. Scale-sensitive callers should use RunStream with
 // sinks instead.
+//
+//lsm:keep -- benchmark/layers/simulate.go probe, and the tests' reference run; ROADMAP item 4a deletes
 func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
 	if w == nil || len(w.Requests) == 0 {
 		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
@@ -146,6 +148,8 @@ func Run(w *gismo.Workload, cfg Config, seed uint64) (*Result, error) {
 // WriteLogs streams the result's entries through a DailyWriter rooted at
 // dir, mirroring the paper's daily log harvests. It returns the file
 // paths written.
+//
+//lsm:keep -- the tests' log fixtures: simulate, core, cmd/lsmcal, cmd/lsmchar, cmd/lsmgen and the root tests; ROADMAP item 19 moves it into the tests
 func (r *Result) WriteLogs(dir string) ([]string, error) {
 	dw, err := wmslog.NewDailyWriter(dir)
 	if err != nil {

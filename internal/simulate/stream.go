@@ -10,7 +10,6 @@ import (
 	"repro/internal/gismo"
 	"repro/internal/heapx"
 	"repro/internal/ring"
-	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
@@ -58,7 +57,7 @@ const (
 // and TotalBytes count the genuine transfers only.
 //
 // A transfer names its client's IP and country by dense id; Names, if
-// set, is handed the id → name tables once, before the first transfer.
+// set, is handed the country table once, before the first transfer.
 //
 // Line is handed each log record rendered as one text line (no
 // newline) stamped ts: wmslog.AppendLine's bytes, equal to
@@ -254,9 +253,9 @@ func checkServeArgs(cfg *Config, pop *gismo.Population, horizon int64) error {
 // rowIDs is what a run with a Transfer sink holds beyond the
 // population: every client's IP and country as the dense ids a
 // trace.Transfer carries, numbered in client order once per run — one
-// map probe per client, none per transfer — and the id → name tables
-// the resulting trace needs. A run without a Transfer sink (lsmgen)
-// never builds one.
+// map probe per client, none per transfer — and the country table the
+// resulting rows index. A run without a Transfer sink (lsmgen) never
+// builds one.
 type rowIDs struct {
 	ip      []uint32 // per client
 	country []uint16 // per client
@@ -267,10 +266,10 @@ type rowIDs struct {
 // apart.
 const maxRowObjects = math.MaxUint16 + 1
 
-// newRowIDs numbers pop for sinks' Transfer sink and hands the tables
-// to its Names sink; it returns nil when there is no Transfer sink. An
-// IP is numbered by its address, in the order its first client comes,
-// and named by its dotted quad, all of them rendered into one string.
+// newRowIDs numbers pop for sinks' Transfer sink and hands the country
+// table to its Names sink; it returns nil when there is no Transfer
+// sink. An IP is numbered by its address, in the order its first
+// client comes; no address is rendered.
 func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 	if sinks.Transfer == nil {
 		return nil, nil
@@ -283,8 +282,6 @@ func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 	countries := wmslog.NewInterner()
 	ases := pop.Topology().ASes
 	ipIDs := make(map[uint32]uint32, n)
-	text := make([]byte, 0, n*len("255.255.255.255"))
-	ends := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		row := pop.Row(i)
 		country := countries.Ordinal(wmslog.ColCountry, ases[row.AS].Country)
@@ -293,18 +290,12 @@ func newRowIDs(pop *gismo.Population, sinks StreamSinks) (*rowIDs, error) {
 		}
 		id, ok := ipIDs[row.IP]
 		if !ok {
-			id = uint32(len(ends))
+			id = uint32(len(ipIDs))
 			ipIDs[row.IP] = id
-			text = topology.AppendIPv4(text, row.IP)
-			ends = append(ends, len(text))
 		}
 		r.ip[i], r.country[i] = id, uint16(country)
 	}
-	all, ips, start := string(text), make([]string, len(ends)), 0
-	for k, end := range ends {
-		ips[k], start = all[start:end], end
-	}
-	r.names = trace.Names{IPs: ips, Countries: countries.Names(wmslog.ColCountry)}
+	r.names = trace.Names{Countries: countries.Names(wmslog.ColCountry)}
 	if sinks.Names != nil {
 		sinks.Names(&r.names)
 	}

@@ -16,7 +16,7 @@ import (
 // The trace build numbers four columns of every entry — player ID, IP,
 // URI stem and country — 0, 1, 2, … in the order a sequential pass over
 // the accepted entries first meets each value; Transfer carries the
-// numbers. A log ingest (StreamLogs, FromLogs) runs in four stages:
+// numbers. A log ingest (StreamLogs, SortLogs) runs in four stages:
 //
 //   - parse: workers claim the files in name order, at most ParseAhead
 //     runs ahead of the merge, and turn each into a run — its
@@ -207,21 +207,13 @@ func (a *assembler) remap(c wmslog.Column, local []string, to []uint16) ([]uint1
 	return to, nil
 }
 
-// names returns the build's country table and, with ips, its IP table,
-// the IPs cut from their arena.
-func (a *assembler) names(ips bool) *Names {
-	n := &Names{Countries: a.objects.Names(wmslog.ColCountry)}
-	if ips {
-		n.IPs = a.clients.ips.strings()
-	}
-	return n
-}
-
 // FromEntries converts parsed log entries into a Trace. epoch is the
 // wall-clock instant of trace second 0; horizon is the trace length in
 // seconds. The entries are one run through the identity stage (see the
 // note above run), so their ids are first-seen in slice order; see
 // run.add for the interval convention.
+//
+//lsm:keep -- benchmark/layers/trace.go and pipeline.go probes, and the ingest tests' sequential reference; ROADMAP item 4a deletes
 func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trace, error) {
 	r := newRun(len(entries), horizon)
 	for _, e := range entries {
@@ -236,7 +228,7 @@ func FromEntries(entries []*wmslog.Entry, epoch time.Time, horizon int64) (*Trac
 		return nil, err
 	}
 	sortTraceOrder(r.rows)
-	return &Trace{Horizon: horizon, Transfers: r.rows, Names: a.names(true)}, nil
+	return &Trace{Horizon: horizon, Transfers: r.rows, Names: &Names{Countries: a.objects.Names(wmslog.ColCountry)}}, nil
 }
 
 // ParseAhead bounds the runs in flight — claimed by a parse worker and
@@ -250,7 +242,7 @@ const ParseAhead = 4
 type Ingest struct {
 	Stats  wmslog.ParseStats
 	Report SanitizeReport
-	Names  *Names // the tables the rows' IP and Country ids index; no IPs from StreamLogs
+	Names  *Names // the table the rows' Country ids index
 	// Ordered is false when some file held a kept row that sorts before
 	// a row already handed on: its transfers reached back further than
 	// a daily harvest's do (see StreamLogs).
@@ -289,52 +281,57 @@ func logFiles(paths []string) ([]logFile, int) {
 	return files, total
 }
 
-// FromLogs is the one-call ingest: it parses the daily log files
-// (text, ".gz" or framed binary, tolerantly), rebuilds the trace and
-// sanitizes it (Section 2.4), without ever materializing the entries.
-// The result — trace, parse bookkeeping, sanitize report and error —
-// is what FromEntries(wmslog.ReadFiles(paths, true)) followed by
-// Sanitize yields, bit for bit, at any GOMAXPROCS. It is StreamLogs
-// collected into one slice sized by the files' wmslog.EntryHint;
-// should the files overlap more than it can order, every row is
-// collected all the same and the slice sorted once.
-func FromLogs(paths []string, epoch time.Time, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport, error) {
-	files, total := logFiles(paths)
-	rows := make([]Transfer, 0, total)
-	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false)
-	if err != nil {
-		return nil, ing.Stats, SanitizeReport{}, err
-	}
-	if !ing.Ordered {
-		sortByKeys(rows)
-	}
-	return &Trace{Horizon: horizon, Transfers: rows, Names: ing.Names}, ing.Stats, ing.Report, nil
-}
-
-// StreamLogs is FromLogs without the trace: it hands each kept transfer
-// to emit in the trace order — the pointer valid only for the call —
-// as soon as no file still to merge can hold one that sorts before it,
-// and reports the rest in the Ingest. Every row can go in order when
-// the files' least kept starts do not decrease in name order — no file
-// reaches back further than the file before it — as with logs harvested
-// daily, whose only rows from before their midnight are the transfers
-// that span it. A file holding a row that sorts before one already
-// handed on ends the stream there: Ordered false, the later files
-// unread. On error the first failing file in name order is reported,
-// as a sequential pass would; a parse error anywhere wins over an id
-// overflow, because ReadFiles fails before FromEntries numbers
-// anything. The Ingest's Names hold the countries only: a row's IP id
-// still tells its IPs apart, but no IP is cut into a string.
+// StreamLogs parses the daily log files (text, ".gz" or framed binary,
+// tolerantly), rebuilds their transfers and sanitizes them (Section
+// 2.4), without ever materializing the entries, and hands each kept
+// transfer to emit in the trace order — the pointer valid only for the
+// call — as soon as no file still to merge can hold one that sorts
+// before it; the rest it reports in the Ingest. The rows, parse
+// bookkeeping, sanitize report and error are what
+// FromEntries(wmslog.ReadFiles(paths, true)) followed by Sanitize
+// yields, bit for bit, at any GOMAXPROCS. Every row can go in order
+// when the files' least kept starts do not decrease in name order — no
+// file reaches back further than the file before it — as with logs
+// harvested daily, whose only rows from before their midnight are the
+// transfers that span it. A file holding a row that sorts before one
+// already handed on ends the stream there: Ordered false, the later
+// files unread (SortLogs reads such logs). On error the first failing
+// file in name order is reported, as a sequential pass would; a parse
+// error anywhere wins over an id overflow, because ReadFiles fails
+// before FromEntries numbers anything.
 func StreamLogs(paths []string, epoch time.Time, horizon int64, emit func(*Transfer)) (Ingest, error) {
 	files, _ := logFiles(paths)
 	return ingest(files, epoch, horizon, emit, true)
 }
 
+// SortLogs is StreamLogs for logs that reach back further than a daily
+// harvest's: it reads every file, holds every kept row in one slice
+// sized by the files' wmslog.EntryHint (text 128, gzip 24, binary 38
+// bytes an entry), sorts the slice once if the files broke the order,
+// and then hands each row to emit in the trace order, the pointer valid
+// only for the call: every row StreamLogs would hand on. The Ingest's
+// Ordered tells whether the files broke the order; its other fields
+// are StreamLogs'. On error no row is handed on.
+func SortLogs(paths []string, epoch time.Time, horizon int64, emit func(*Transfer)) (Ingest, error) {
+	files, total := logFiles(paths)
+	rows := make([]Transfer, 0, total)
+	ing, err := ingest(files, epoch, horizon, func(t *Transfer) { rows = append(rows, *t) }, false)
+	if err != nil {
+		return ing, err
+	}
+	if !ing.Ordered {
+		sortByKeys(rows)
+	}
+	for i := range rows {
+		emit(&rows[i])
+	}
+	return ing, nil
+}
+
 // ingest runs the four stages over files on min(GOMAXPROCS, files,
 // ParseAhead) parse workers, handing the rows to emit. With stream (for
-// StreamLogs) it ends at the first run that breaks the order and cuts
-// no IP string; without (for FromLogs) it reads every file and its
-// Names carry the IP table.
+// StreamLogs) it ends at the first run that breaks the order; without
+// (for SortLogs) it reads every file.
 func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer), stream bool) (Ingest, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return Ingest{}, err
@@ -470,7 +467,7 @@ func ingest(files []logFile, epoch time.Time, horizon int64, emit func(*Transfer
 	if idErr != nil {
 		return ing, idErr
 	}
-	ing.Names = a.names(!stream)
+	ing.Names = &Names{Countries: a.objects.Names(wmslog.ColCountry)}
 	for k := range files {
 		held := files[k].tail
 		for _, f := range files[k:min(k+ParseAhead, len(files))] {

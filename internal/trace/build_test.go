@@ -138,11 +138,11 @@ func setGOMAXPROCS(t *testing.T, n int) {
 }
 
 // TestFromLogsMatchesFromEntries: the one-pass, file-parallel ingest
-// must yield exactly what materializing every entry and building the
-// trace sequentially does — same transfers in the same order with the
-// same ids, same name tables, same parse bookkeeping, same sanitize
-// report — whether it
-// runs inline or on more workers than there are files.
+// held whole (SortLogs) must yield exactly what materializing every
+// entry and building the trace sequentially does — same transfers in
+// the same order with the same ids, same country table, same parse
+// bookkeeping, same sanitize report — whether it runs inline or on
+// more workers than there are files.
 func TestFromLogsMatchesFromEntries(t *testing.T) {
 	paths := writeLogFixture(t, t.TempDir())
 	const horizon = fixtureDays * 86400
@@ -168,23 +168,45 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 		t.Fatalf("fixture lost its players under two IPs, its shared IPs, its IPs under two ASes or its countries: %d clients, %d IPs, %d client-IP and %d IP-AS pairs, countries %q",
 			numClients(want), c.IPs, len(clientIPs), len(ipASes), want.Names.Countries)
 	}
-	// The name tables are what a sequential pass over the entries meets,
-	// in the order it meets them.
+	// The ids are what a sequential pass over the entries meets, in the
+	// order it meets them: each row's player and IP by their first-seen
+	// ordinals, and the country table in first-seen order.
+	type ids struct {
+		start, duration, bytes int64
+		client                 int32
+		ip                     uint32
+	}
+	byFields := func(a, b ids) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.duration, b.duration), cmp.Compare(a.bytes, b.bytes),
+			cmp.Compare(a.client, b.client), cmp.Compare(a.ip, b.ip))
+	}
+	var wantIDs, gotIDs []ids
 	var wantNames Names
-	seenIP, seenCountry := map[string]bool{}, map[string]bool{}
+	player, ip, seenCountry := map[string]int32{}, map[string]uint32{}, map[string]bool{}
 	for _, e := range entries {
-		if !seenIP[e.ClientIP] {
-			seenIP[e.ClientIP] = true
-			wantNames.IPs = append(wantNames.IPs, e.ClientIP)
+		if _, ok := player[e.PlayerID]; !ok {
+			player[e.PlayerID] = int32(len(player))
+		}
+		if _, ok := ip[e.ClientIP]; !ok {
+			ip[e.ClientIP] = uint32(len(ip))
 		}
 		if !seenCountry[e.Country] {
 			seenCountry[e.Country] = true
 			wantNames.Countries = append(wantNames.Countries, e.Country)
 		}
+		end := int64(e.Timestamp.Sub(wmslog.TraceEpoch) / time.Second)
+		wantIDs = append(wantIDs, ids{end - e.Duration, e.Duration, e.Bytes, player[e.PlayerID], ip[e.ClientIP]})
+	}
+	for _, x := range raw.Transfers {
+		gotIDs = append(gotIDs, ids{x.Start, x.Duration, x.Bytes, x.Client, x.IP})
+	}
+	slices.SortFunc(wantIDs, byFields)
+	slices.SortFunc(gotIDs, byFields)
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Fatal("FromEntries numbers players or IPs other than in first-seen order")
 	}
 	if !reflect.DeepEqual(*want.Names, wantNames) {
-		t.Fatalf("FromEntries name tables differ from first-seen order: %d IPs, countries %q; want %d, %q",
-			len(want.Names.IPs), want.Names.Countries, len(wantNames.IPs), wantNames.Countries)
+		t.Fatalf("FromEntries country table %q differs from first-seen order %q", want.Names.Countries, wantNames.Countries)
 	}
 	if wantReport.DroppedSpanning == 0 || wantReport.DroppedOutside == 0 {
 		t.Fatalf("fixture lost its entries to sanitize: %v", wantReport)
@@ -192,50 +214,59 @@ func TestFromLogsMatchesFromEntries(t *testing.T) {
 
 	// Day 6 holds a kept transfer that starts on day 0: the merge has
 	// handed on later rows by then.
-	checkFromLogs(t, paths, horizon, want, wantStats, wantReport, false)
+	checkSortLogs(t, paths, horizon, want, wantStats, wantReport, false)
 }
 
-// checkFromLogs runs FromLogs over paths at GOMAXPROCS 1, 2 and 8 and
-// holds its result to want, wantStats and wantReport: the rows bit for
-// bit, the name tables, the parse bookkeeping and the sanitize report.
-// StreamLogs must report ordered as given: when the files stream in
-// order it hands on exactly want's rows with the same bookkeeping, and
-// when they do not, only rows in the trace order before it stops.
-func checkFromLogs(t *testing.T, paths []string, horizon int64, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport, ordered bool) {
+// sortLogs is SortLogs over paths with the rows it hands on collected.
+func sortLogs(paths []string, horizon int64) ([]Transfer, Ingest, error) {
+	var rows []Transfer
+	ing, err := SortLogs(paths, wmslog.TraceEpoch, horizon, func(x *Transfer) { rows = append(rows, *x) })
+	return rows, ing, err
+}
+
+// checkSortLogs runs SortLogs over paths at GOMAXPROCS 1, 2 and 8 and
+// holds what it hands on and reports to want, wantStats and wantReport:
+// the rows bit for bit, the country table, the parse bookkeeping and
+// the sanitize report, and ordered as given. StreamLogs must report
+// ordered as given too: when the files stream in order it hands on
+// exactly want's rows with the same bookkeeping, and when they do not,
+// only rows in the trace order before it stops.
+func checkSortLogs(t *testing.T, paths []string, horizon int64, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport, ordered bool) {
 	t.Helper()
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			setGOMAXPROCS(t, procs)
-			got, st, report, err := FromLogs(paths, wmslog.TraceEpoch, horizon)
+			rows, ing, err := sortLogs(paths, horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st != wantStats {
-				t.Errorf("parse stats %+v, want %+v", st, wantStats)
+			if ing.Stats != wantStats {
+				t.Errorf("parse stats %+v, want %+v", ing.Stats, wantStats)
 			}
-			if report != wantReport {
-				t.Errorf("sanitize report %v, want %v", report, wantReport)
+			if ing.Report != wantReport {
+				t.Errorf("sanitize report %v, want %v", ing.Report, wantReport)
 			}
-			if got.Horizon != want.Horizon || len(got.Transfers) != len(want.Transfers) {
-				t.Fatalf("trace of %d transfers over %d s, want %d over %d s",
-					len(got.Transfers), got.Horizon, len(want.Transfers), want.Horizon)
+			if ing.Ordered != ordered {
+				t.Errorf("SortLogs ordered %v, want %v", ing.Ordered, ordered)
 			}
-			for i := range got.Transfers {
-				if got.Transfers[i] != want.Transfers[i] {
-					t.Fatalf("transfer %d:\n got %+v\nwant %+v", i, got.Transfers[i], want.Transfers[i])
+			if len(rows) != len(want.Transfers) {
+				t.Fatalf("%d rows, want %d", len(rows), len(want.Transfers))
+			}
+			for i := range rows {
+				if rows[i] != want.Transfers[i] {
+					t.Fatalf("transfer %d:\n got %+v\nwant %+v", i, rows[i], want.Transfers[i])
 				}
 			}
-			if !reflect.DeepEqual(got.Names, want.Names) {
-				t.Errorf("name tables differ: %d IPs, countries %q; want %d, %q",
-					len(got.Names.IPs), got.Names.Countries, len(want.Names.IPs), want.Names.Countries)
+			if !reflect.DeepEqual(ing.Names, want.Names) {
+				t.Errorf("countries %q, want %q", ing.Names.Countries, want.Names.Countries)
 			}
 			checkStreamLogs(t, paths, want, wantStats, wantReport, ordered)
 		})
 	}
 }
 
-// checkStreamLogs holds StreamLogs over paths to want, the trace
-// FromLogs builds from them: see checkFromLogs.
+// checkStreamLogs holds StreamLogs over paths to want, the trace the
+// logs hold: see checkSortLogs.
 func checkStreamLogs(t *testing.T, paths []string, want *Trace, wantStats wmslog.ParseStats, wantReport SanitizeReport, ordered bool) {
 	t.Helper()
 	var rows []Transfer
@@ -254,18 +285,16 @@ func checkStreamLogs(t *testing.T, paths []string, want *Trace, wantStats wmslog
 		}
 		return
 	}
-	// The stream's names are the trace's countries; its IPs are never
-	// cut into strings.
-	if ing.Stats != wantStats || ing.Report != wantReport || !reflect.DeepEqual(ing.Names, &Names{Countries: want.Names.Countries}) {
-		t.Errorf("StreamLogs reports %+v, %v, %d IPs and %d countries; want %+v, %v, no IPs and %d countries",
-			ing.Stats, ing.Report, len(ing.Names.IPs), len(ing.Names.Countries), wantStats, wantReport, len(want.Names.Countries))
+	if ing.Stats != wantStats || ing.Report != wantReport || !reflect.DeepEqual(ing.Names, want.Names) {
+		t.Errorf("StreamLogs reports %+v, %v and countries %q; want %+v, %v and %q",
+			ing.Stats, ing.Report, ing.Names.Countries, wantStats, wantReport, want.Names.Countries)
 	}
 	if !slices.Equal(rows, want.Transfers) {
 		t.Errorf("StreamLogs handed on %d rows, want the trace's %d in its order", len(rows), want.NumTransfers())
 	}
 }
 
-// fromEntriesSanitized is the sequential reference FromLogs is held
+// fromEntriesSanitized is the sequential reference the ingest is held
 // to: every file read into entries, one trace built, then sanitized.
 func fromEntriesSanitized(t *testing.T, paths []string, horizon int64) (*Trace, wmslog.ParseStats, SanitizeReport) {
 	t.Helper()
@@ -317,7 +346,7 @@ func writeDays(t *testing.T, dir string, days [][][2]int64, terse bool) []string
 // files reach back only by the transfers that span a midnight, streams
 // in order, and so does a file reaching back past only the file before
 // it; transfers that span two and more midnights reach back past rows
-// already handed on, so StreamLogs stops and FromLogs sorts; an
+// already handed on, so StreamLogs stops and SortLogs sorts; an
 // empty daily file (no watermark: the run before it is handed on
 // whole) among full ones; and files holding more lines than
 // wmslog.EntryHint assumes (terse ones), so that the presized slice of
@@ -361,7 +390,7 @@ func TestFromLogsInPlaceMergeEdges(t *testing.T) {
 			if c.terse && hints >= st.Entries {
 				t.Fatalf("the hints cover %d rows of %d: nothing grows", hints, st.Entries)
 			}
-			checkFromLogs(t, paths, horizon, want, st, report, c.ordered)
+			checkSortLogs(t, paths, horizon, want, st, report, c.ordered)
 		})
 	}
 }
@@ -404,7 +433,7 @@ func TestStreamLogsHeldFlatInHorizon(t *testing.T) {
 // TestFromLogsReportsFirstFailingFile: whatever fails, the error is
 // the one a sequential ReadFiles + FromEntries pass returns, on every
 // run, however the workers interleave; and every goroutine is gone when
-// FromLogs returns. Three failures: two corrupt files, the first of
+// SortLogs returns. Three failures: two corrupt files, the first of
 // which the identity stage is waiting on when it fails; the last file
 // failing; and an id overflow raised inside the identity stage, after
 // every file parsed. StreamLogs reports the same error, unless it
@@ -459,9 +488,9 @@ func TestFromLogsReportsFirstFailingFile(t *testing.T) {
 			setGOMAXPROCS(t, 8)
 			before := runtime.NumGoroutine()
 			for run := 0; run < 25; run++ {
-				tr, _, _, err := FromLogs(paths, wmslog.TraceEpoch, fixtureDays*86400)
-				if tr != nil || err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("run %d: trace %v, error %v, want the sequential error %v", run, tr != nil, err, wantErr)
+				rows, _, err := sortLogs(paths, fixtureDays*86400)
+				if rows != nil || err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("run %d: %d rows, error %v, want none and the sequential error %v", run, len(rows), err, wantErr)
 				}
 				// A stream that stops out of order first has read no further.
 				ing, err := StreamLogs(paths, wmslog.TraceEpoch, fixtureDays*86400, func(*Transfer) {})
@@ -469,7 +498,7 @@ func TestFromLogsReportsFirstFailingFile(t *testing.T) {
 					t.Fatalf("run %d: StreamLogs ordered %v, error %v, want the sequential error %v", run, ing.Ordered, err, wantErr)
 				}
 			}
-			// FromLogs joins its workers and sorts before returning; allow
+			// SortLogs joins its workers and sorts before returning; allow
 			// the runtime a bounded moment to retire them.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -523,7 +552,7 @@ func TestFromLogsAllocationsFlatInWorkers(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		for i := 0; i < runs; i++ {
-			if _, _, _, err := FromLogs(paths, wmslog.TraceEpoch, 14*86400); err != nil {
+			if _, err := SortLogs(paths, wmslog.TraceEpoch, 14*86400, func(*Transfer) {}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -610,7 +639,7 @@ func TestTraceOrderMatchesReference(t *testing.T) {
 // transfers. Twenty shuffles of one tie-heavy input give one trace
 // through New; and, for transfers whose ids a build
 // hands out (one player, IP, object and country, so no shuffle can
-// renumber them), through FromEntries and through FromLogs over the
+// renumber them), through FromEntries and through SortLogs over the
 // entries written out as 1, 3 or 7 files.
 func TestTraceOrderIsTotal(t *testing.T) {
 	const horizon = 86400
@@ -681,12 +710,12 @@ func TestTraceOrderIsTotal(t *testing.T) {
 				}
 				paths = append(paths, path)
 			}
-			got, _, report, err := FromLogs(paths, wmslog.TraceEpoch, horizon)
+			got, ing, err := sortLogs(paths, horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if report.Kept != len(in) || !slices.Equal(got.Transfers, wantLogged.Transfers) {
-				t.Fatalf("shuffle %d, %d files: FromLogs' trace differs (%s)", shuffle, files, report)
+			if ing.Report.Kept != len(in) || !slices.Equal(got, wantLogged.Transfers) {
+				t.Fatalf("shuffle %d, %d files: SortLogs' rows differ (%s)", shuffle, files, ing.Report)
 			}
 		}
 	}
@@ -761,8 +790,8 @@ func TestIDOverflowIsAnError(t *testing.T) {
 		}
 
 		// Two files, neither over the limit alone.
-		if tr, _, _, err := FromLogs(overflowLogs(t, t.TempDir(), col), wmslog.TraceEpoch, 86400); tr != nil || !errors.Is(err, ErrBadTrace) {
-			t.Errorf("%d distinct %s values across two files: trace %v, err = %v, want ErrBadTrace", limit+1, col, tr != nil, err)
+		if rows, _, err := sortLogs(overflowLogs(t, t.TempDir(), col), 86400); rows != nil || !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%d distinct %s values across two files: %d rows, err = %v, want ErrBadTrace", limit+1, col, len(rows), err)
 		}
 	}
 
@@ -784,8 +813,8 @@ func TestIngestRefusesHorizonUpFront(t *testing.T) {
 		if !errors.Is(err, ErrBadTrace) || emitted != 0 || ing.Stats != (wmslog.ParseStats{}) {
 			t.Errorf("StreamLogs at horizon %d: err = %v, %d rows emitted, stats %+v; want ErrBadTrace and nothing read", horizon, err, emitted, ing.Stats)
 		}
-		if tr, stats, _, err := FromLogs(paths, wmslog.TraceEpoch, horizon); tr != nil || !errors.Is(err, ErrBadTrace) || stats != (wmslog.ParseStats{}) {
-			t.Errorf("FromLogs at horizon %d: trace %v, err = %v, stats %+v; want ErrBadTrace and nothing read", horizon, tr != nil, err, stats)
+		if rows, ing, err := sortLogs(paths, horizon); rows != nil || !errors.Is(err, ErrBadTrace) || ing.Stats != (wmslog.ParseStats{}) {
+			t.Errorf("SortLogs at horizon %d: %d rows, err = %v, stats %+v; want ErrBadTrace and nothing read", horizon, len(rows), err, ing.Stats)
 		}
 	}
 }

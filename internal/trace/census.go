@@ -36,12 +36,14 @@ func upTo[T any](s []T, i int) []T {
 //
 //lsm:keep -- benchmark/layers/analyze.go probe; ROADMAP item 4 deletes
 func (tr *Trace) Census() *Census {
-	var cc *CensusCounter
-	if tr.Names != nil {
-		cc = NewCensusCounter(len(tr.Names.IPs), len(tr.Names.Countries))
-	} else {
-		cc = NewCensusCounter(0, 0)
+	ips, countries := 0, 0 // the ids the per-IP and per-country tables span
+	for i := range tr.Transfers {
+		ips = max(ips, int(tr.Transfers[i].IP)+1)
 	}
+	if tr.Names != nil {
+		countries = len(tr.Names.Countries)
+	}
+	cc := NewCensusCounter(ips, countries)
 	for i := range tr.Transfers {
 		cc.Add(&tr.Transfers[i])
 	}
@@ -65,8 +67,8 @@ type CensusCounter struct {
 }
 
 // NewCensusCounter returns an empty counter with its per-IP and
-// per-country tables sized for ips and countries ids — the lengths of
-// the transfers' name tables; ids beyond them are counted all the same.
+// per-country tables sized for ips and countries ids; ids beyond them
+// are counted all the same.
 func NewCensusCounter(ips, countries int) *CensusCounter {
 	cc := &CensusCounter{asSparse: make(map[uint32]int, 8), moved: make(map[uint64]bool, 8)}
 	if ips > 0 {

@@ -107,11 +107,11 @@ var ObserveLogsCheck func(t *testing.T, dir string, days int, want *Trace, wantE
 
 // FuzzFromLogsMatchesFromEntries: whatever the bytes and however they
 // are cut into files — text, binary, gzip, truncated, overlapping
-// arbitrarily — the parallel ingest yields what reading every file
-// sequentially and building the trace from the materialized entries
-// does: the same rows in the same order, the same name tables, parse
-// bookkeeping and sanitize report, and the same first error, which
-// names its file — at GOMAXPROCS 1 and 4. StreamLogs hands on only rows
+// arbitrarily — the parallel ingest held whole (SortLogs) yields what
+// reading every file sequentially and building the trace from the
+// materialized entries does: the same rows in the same order, the same
+// country table, parse bookkeeping and sanitize report, and the same
+// first error, which names its file — at GOMAXPROCS 1 and 4. StreamLogs hands on only rows
 // in the trace order, and all of the trace's when it reports them
 // ordered; and core.ObserveLogs observes what core.Observe and
 // core.Characterize do over the trace (ObserveLogsCheck).
@@ -141,27 +141,27 @@ func FuzzFromLogsMatchesFromEntries(f *testing.F) {
 		}
 		for _, procs := range []int{1, 4} {
 			setGOMAXPROCS(t, procs)
-			got, st, report, err := FromLogs(paths, wmslog.TraceEpoch, fuzzHorizon)
+			got, held, err := sortLogs(paths, fuzzHorizon)
 			if errText(err) != errText(wantErr) {
 				t.Fatalf("GOMAXPROCS=%d: error %v, want %v", procs, err, wantErr)
 			}
-			if st != wantSt {
-				t.Fatalf("GOMAXPROCS=%d: parse stats %+v, want %+v", procs, st, wantSt)
+			if held.Stats != wantSt {
+				t.Fatalf("GOMAXPROCS=%d: parse stats %+v, want %+v", procs, held.Stats, wantSt)
 			}
 			if wantErr != nil {
 				if got != nil {
-					t.Fatalf("GOMAXPROCS=%d: a trace beside the error", procs)
+					t.Fatalf("GOMAXPROCS=%d: rows beside the error", procs)
 				}
 				continue
 			}
-			if report != wantReport {
-				t.Fatalf("GOMAXPROCS=%d: sanitize report %v, want %v", procs, report, wantReport)
+			if held.Report != wantReport {
+				t.Fatalf("GOMAXPROCS=%d: sanitize report %v, want %v", procs, held.Report, wantReport)
 			}
-			if got.Horizon != want.Horizon || !slices.Equal(got.Transfers, want.Transfers) {
-				t.Fatalf("GOMAXPROCS=%d: rows differ\n got %+v\nwant %+v", procs, got.Transfers, want.Transfers)
+			if !slices.Equal(got, want.Transfers) {
+				t.Fatalf("GOMAXPROCS=%d: rows differ\n got %+v\nwant %+v", procs, got, want.Transfers)
 			}
-			if !reflect.DeepEqual(got.Names, want.Names) {
-				t.Fatalf("GOMAXPROCS=%d: names %+v, want %+v", procs, got.Names, want.Names)
+			if !reflect.DeepEqual(held.Names, want.Names) {
+				t.Fatalf("GOMAXPROCS=%d: names %+v, want %+v", procs, held.Names, want.Names)
 			}
 			var rows []Transfer
 			ing, err := StreamLogs(paths, wmslog.TraceEpoch, fuzzHorizon, func(x *Transfer) { rows = append(rows, *x) })

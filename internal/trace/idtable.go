@@ -84,19 +84,6 @@ func (t *idTable) regrow() {
 	}
 }
 
-// strings returns the values as strings by ordinal, cut from one copy
-// of the arena: two allocations however many values there are.
-func (t *idTable) strings() []string {
-	all := string(t.arena)
-	out := make([]string, len(t.ends))
-	from := uint32(0)
-	for o, end := range t.ends {
-		out[o] = all[from:end]
-		from = end
-	}
-	return out
-}
-
 // identities numbers a line's c-ip and c-playerid together, the way the
 // sequential pass meets them: the player through its table, unless it
 // is the player of the line before; the IP by comparing it with the one

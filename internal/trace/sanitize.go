@@ -31,6 +31,8 @@ func (r SanitizeReport) String() string {
 //     accesses spanning multiple log harvests, and excluded them;
 //   - transfers whose [start, end] interval escapes [0, horizon];
 //   - transfers with negative start or duration.
+//
+//lsm:keep -- benchmark/layers/trace.go and pipeline.go probes, and the tests' reference; ROADMAP item 4a deletes
 func (tr *Trace) Sanitize() (*Trace, SanitizeReport) {
 	out := &Trace{Horizon: tr.Horizon, Transfers: tr.Transfers, Names: tr.Names}
 	report := out.sanitizeInto(make([]Transfer, 0, len(tr.Transfers)))

@@ -35,7 +35,7 @@ type Transfer struct {
 	Bandwidth int64 // average bits/second
 	ServerCPU float64
 	Client    int32  // dense client index (player ID)
-	IP        uint32 // client IP for this session: Trace.IPName
+	IP        uint32 // client IP for this session, numbered first-seen
 	AS        uint32 // origin autonomous system number
 	Country   uint16 // Trace.CountryName
 	Object    uint16 // live object index (0-based; the paper has 2)
@@ -44,11 +44,10 @@ type Transfer struct {
 // End returns Start + Duration.
 func (t Transfer) End() int64 { return t.Start + t.Duration }
 
-// Names are the id → name tables behind Transfer.IP and
-// Transfer.Country. A table may be longer than the ids a trace uses
-// (sanitizing drops transfers, not names).
+// Names is the id → name table behind Transfer.Country. It may be
+// longer than the ids a trace uses (sanitizing drops transfers, not
+// names). An IP has no name: its id tells it apart from every other.
 type Names struct {
-	IPs       []string
 	Countries []string
 }
 
@@ -57,21 +56,10 @@ type Names struct {
 type Trace struct {
 	Horizon   int64 // trace length in seconds (paper: 28 days)
 	Transfers []Transfer
-	// Names gives the transfers' IP and Country ids their strings. It is
-	// nil for a trace assembled from bare ids (New); a trace derived
-	// from another (Sanitize, a what-if copy) shares its parent's.
+	// Names gives the transfers' Country ids their strings. It is nil
+	// for a trace assembled from bare ids (New); a trace derived from
+	// another (Sanitize, a what-if copy) shares its parent's.
 	Names *Names
-}
-
-// IPName returns the address behind IP id; an id the trace has no name
-// for is rendered as "#id".
-//
-//lsm:keep -- analyze and core tests render a row's address with it
-func (tr *Trace) IPName(id uint32) string {
-	if tr.Names != nil && int(id) < len(tr.Names.IPs) {
-		return tr.Names.IPs[id]
-	}
-	return "#" + strconv.FormatUint(uint64(id), 10)
 }
 
 // CountryName returns the country code behind Country id; an id the
@@ -85,16 +73,13 @@ func (n *Names) CountryName(id uint16) string {
 
 // New builds a trace from transfers, sorting them into the trace order
 // (before). The caller keeps its slice: New sorts a copy.
+//
+//lsm:keep -- simulate.Run, which only benchmark/layers/simulate.go and tests reach, and the tests' traces; ROADMAP item 4a deletes
 func New(horizon int64, transfers []Transfer) (*Trace, error) {
-	return newOwned(horizon, slices.Clone(transfers))
-}
-
-// newOwned is New for a slice the caller hands over: it is sorted in
-// place and becomes the trace's.
-func newOwned(horizon int64, ts []Transfer) (*Trace, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err
 	}
+	ts := slices.Clone(transfers)
 	sortTraceOrder(ts)
 	return &Trace{Horizon: horizon, Transfers: ts}, nil
 }
@@ -255,6 +240,8 @@ func (s byStart) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 func (s byStart) Less(i, j int) bool { return before(&s[i], &s[j]) }
 
 // NumTransfers returns the number of transfers.
+//
+//lsm:keep -- benchmark/layers probes, observeTrace and the tests; ROADMAP item 4a deletes
 func (tr *Trace) NumTransfers() int { return len(tr.Transfers) }
 
 // TotalBytes sums bytes served across all transfers.

@@ -41,7 +41,11 @@ cleanup() {
     for p in "${PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done
     wait 2>/dev/null || true
     if [ "$STATUS" = ok ]; then
-        [ "$CLEAN_OUT" = 1 ] && rm -rf "$OUT"
+        # An if, not `[ … ] && rm`: as the trap's last command a false
+        # test would become the script's exit status on a pass.
+        if [ "$CLEAN_OUT" = 1 ]; then
+            rm -rf "$OUT"
+        fi
     else
         echo "e2e fleet: FAIL — artifacts kept in $OUT" >&2
     fi
