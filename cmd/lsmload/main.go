@@ -433,7 +433,6 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	served := loadgen.ServedRows(decompressed, wmslog.TraceEpoch)
 
 	if timeout == 0 {
 		slack := int64(3 * mf.Compression)
@@ -445,7 +444,7 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 		fmt.Fprintf(out, "auto-picked session timeout %d s (quantization slack %d s)\n", timeout, slack)
 	}
 
-	report, err := loadgen.Check(events, served, timeout)
+	report, err := loadgen.Check(events, decompressed, wmslog.TraceEpoch, timeout)
 	if err != nil {
 		return err
 	}

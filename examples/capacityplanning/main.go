@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"repro/internal/analyze"
+	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/report"
 	"repro/internal/simulate"
@@ -69,10 +70,10 @@ func planAt(scale float64) ([]string, error) {
 	// average bandwidth summed.
 	var intervals []analyze.Interval
 	var bwSum float64
-	sessions, err := serve(m, 1234, func(t *trace.Transfer) {
+	_, sessions, _, err := core.ServeRows(m, simulate.DefaultConfig(), 1234, func(t *trace.Transfer) {
 		intervals = append(intervals, analyze.Interval{Start: t.Start, End: t.End()})
 		bwSum += float64(t.Bandwidth)
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -104,27 +105,6 @@ func planAt(scale float64) ([]string, error) {
 		fmt.Sprintf("%.1fx", ratio),
 		fmt.Sprintf("%.1f", peakMbps),
 	}, nil
-}
-
-// serve generates and serves m's workload from seed, hands each
-// transfer the log holds, sanitized, to add, and returns the sessions.
-func serve(m gismo.Model, seed int64, add func(*trace.Transfer)) (int, error) {
-	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
-	if err != nil {
-		return 0, err
-	}
-	defer ws.Close()
-	rows, err := trace.NewStream(m.Horizon, add)
-	if err != nil {
-		return 0, err
-	}
-	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), uint64(seed),
-		simulate.StreamSinks{Transfer: rows.Add})
-	if err != nil {
-		return 0, err
-	}
-	rows.Close()
-	return ws.Sessions()
 }
 
 func mean(xs []float64) float64 {

@@ -20,6 +20,7 @@ import (
 	"log"
 
 	"repro/internal/analyze"
+	"repro/internal/core"
 	"repro/internal/gismo"
 	"repro/internal/rate"
 	"repro/internal/simulate"
@@ -69,10 +70,10 @@ func study(name string, m gismo.Model, seed int64) (eventStats, error) {
 	// counted into its 15-minute bin.
 	var intervals []analyze.Interval
 	perBin := make([]int, (m.Horizon+899)/900)
-	sessions, err := serve(m, seed, func(t *trace.Transfer) {
+	_, sessions, _, err := core.ServeRows(m, simulate.DefaultConfig(), seed, func(t *trace.Transfer) {
 		intervals = append(intervals, analyze.Interval{Start: t.Start, End: t.End()})
 		perBin[t.Start/900]++
-	})
+	}, nil)
 	if err != nil {
 		return eventStats{}, err
 	}
@@ -108,27 +109,6 @@ func study(name string, m gismo.Model, seed int64) (eventStats, error) {
 		peakToMean: peak / meanV,
 		busiest2h:  float64(best) / float64(len(intervals)),
 	}, nil
-}
-
-// serve generates and serves m's workload from seed, hands each
-// transfer the log holds, sanitized, to add, and returns the sessions.
-func serve(m gismo.Model, seed int64, add func(*trace.Transfer)) (int, error) {
-	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
-	if err != nil {
-		return 0, err
-	}
-	defer ws.Close()
-	rows, err := trace.NewStream(m.Horizon, add)
-	if err != nil {
-		return 0, err
-	}
-	_, err = simulate.RunStream(ws, ws.Population(), m.Horizon, simulate.DefaultConfig(), uint64(seed),
-		simulate.StreamSinks{Transfer: rows.Add})
-	if err != nil {
-		return 0, err
-	}
-	rows.Close()
-	return ws.Sessions()
 }
 
 func fatal(err error) {

@@ -203,35 +203,49 @@ func ObserveServed(m gismo.Model, server simulate.Config, seed, timeout int64) (
 	return char, err
 }
 
-// observeServed serves m's workload from seed through a trace.Stream
-// into an Observer given figs, and returns its characterization, the
-// run's summary and the sanitize report.
+// observeServed serves m's workload from seed into an Observer given
+// figs (ServeRows), and returns its characterization, the run's summary
+// and the sanitize report.
 func observeServed(m gismo.Model, server simulate.Config, seed, timeout int64, figs *FigureOptions) (
 	char *Characterization, res *simulate.StreamResult, report trace.SanitizeReport, err error) {
 	o, err := NewObserver(m.Horizon, timeout, 0, m.NumClients, figs)
 	if err != nil {
 		return nil, nil, report, err
 	}
-	rows, err := trace.NewStream(m.Horizon, o.Add)
+	res, _, report, err = ServeRows(m, server, seed, o.Add, o.SetNames)
 	if err != nil {
 		return nil, nil, report, err
 	}
+	char, err = o.Characterization()
+	return char, res, report, err
+}
+
+// ServeRows generates m's workload from seed as a sharded stream,
+// serves it (simulate.RunStream) and hands each row the log holds,
+// sanitized and in the trace order (trace.Stream), to add; names, when
+// not nil, gets the run's name table. No trace is built. It returns the
+// run's summary, the number of sessions generated and the sanitize
+// report.
+func ServeRows(m gismo.Model, server simulate.Config, seed int64, add func(*trace.Transfer), names func(*trace.Names)) (
+	res *simulate.StreamResult, sessionCount int, report trace.SanitizeReport, err error) {
+	rows, err := trace.NewStream(m.Horizon, add)
+	if err != nil {
+		return nil, 0, report, err
+	}
 	ws, err := gismo.NewStreamSeeded(m, seed, gismo.DefaultShards())
 	if err != nil {
-		return nil, nil, report, fmt.Errorf("generate: %w", err)
+		return nil, 0, report, fmt.Errorf("generate: %w", err)
 	}
 	defer ws.Close()
 	res, err = simulate.RunStream(ws, ws.Population(), m.Horizon, server, uint64(seed),
-		simulate.StreamSinks{Transfer: rows.Add, Names: o.SetNames})
+		simulate.StreamSinks{Transfer: rows.Add, Names: names})
 	if err != nil {
-		return nil, nil, report, fmt.Errorf("simulate: %w", err)
+		return nil, 0, report, fmt.Errorf("simulate: %w", err)
 	}
-	if _, err := ws.Sessions(); err != nil { // the stream ended early
-		return nil, nil, report, fmt.Errorf("generate: %w", err)
+	if sessionCount, err = ws.Sessions(); err != nil { // the stream ended early
+		return nil, 0, report, fmt.Errorf("generate: %w", err)
 	}
-	report = rows.Close()
-	char, err = o.Characterization()
-	return char, res, report, err
+	return res, sessionCount, rows.Close(), nil
 }
 
 // findLogs returns the daily log files under dir, refusing a directory

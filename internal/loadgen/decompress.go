@@ -98,30 +98,14 @@ func SafeTimeout(events []workload.Event, horizon, slack int64) (int64, bool) {
 	return best, true
 }
 
-// ServedRows turns a replay's served entries, decompressed onto the
-// trace clock that starts at epoch (DecompressEntries), into the rows
-// Check sessionizes: each entry's start and duration, and as its client
-// the first-seen ordinal of its c-playerid, in start order.
-func ServedRows(entries []*wmslog.Entry, epoch time.Time) []trace.Transfer {
-	clients := make(map[string]int32)
-	rows := make([]trace.Transfer, 0, len(entries))
-	for _, e := range entries {
-		id, ok := clients[e.PlayerID]
-		if !ok {
-			id = int32(len(clients))
-			clients[e.PlayerID] = id
-		}
-		end := int64(e.Timestamp.Sub(epoch) / time.Second)
-		rows = append(rows, trace.Transfer{Client: id, Start: end - e.Duration, Duration: e.Duration})
-	}
-	slices.SortStableFunc(rows, func(a, b trace.Transfer) int { return cmp.Compare(a.Start, b.Start) })
-	return rows
-}
-
-// Check sessionizes a replay's offered events and the rows the server
-// logged (ServedRows), each in start order into a Sessionizer at
-// timeout, and compares the two (analyze.CompareSessions).
-func Check(offered []workload.Event, served []trace.Transfer, timeout int64) (*analyze.MatchReport, error) {
+// Check compares a replay's offered events with what the server
+// logged: the offered events go in stream order into one Sessionizer at
+// timeout, and the served entries, decompressed onto the trace clock
+// that starts at epoch (DecompressEntries), into another as rows in
+// start order — each entry's start and duration, and as its client the
+// first-seen ordinal of its c-playerid. analyze.CompareSessions
+// compares the two.
+func Check(offered []workload.Event, served []*wmslog.Entry, epoch time.Time, timeout int64) (*analyze.MatchReport, error) {
 	off, err := sessions.NewSessionizer(timeout, 0)
 	if err != nil {
 		return nil, err
@@ -136,11 +120,20 @@ func Check(offered []workload.Event, served []trace.Transfer, timeout int64) (*a
 		}
 		off.Add(&trace.Transfer{Client: int32(e.Client), Start: e.Start, Duration: e.Duration})
 	}
-	for i := range served {
-		if i > 0 && served[i].Start < served[i-1].Start {
-			return nil, fmt.Errorf("%w: served row %d starts at %d, before its predecessor", trace.ErrBadTrace, i, served[i].Start)
+	clients := make(map[string]int32)
+	rows := make([]trace.Transfer, 0, len(served))
+	for _, e := range served {
+		id, ok := clients[e.PlayerID]
+		if !ok {
+			id = int32(len(clients))
+			clients[e.PlayerID] = id
 		}
-		srv.Add(&served[i])
+		end := int64(e.Timestamp.Sub(epoch) / time.Second)
+		rows = append(rows, trace.Transfer{Client: id, Start: end - e.Duration, Duration: e.Duration})
+	}
+	slices.SortStableFunc(rows, func(a, b trace.Transfer) int { return cmp.Compare(a.Start, b.Start) })
+	for i := range rows {
+		srv.Add(&rows[i])
 	}
 	return analyze.CompareSessions(off, srv), nil
 }

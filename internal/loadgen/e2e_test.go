@@ -52,7 +52,7 @@ func runClosedLoop(t *testing.T, events []workload.Event, horizon int64, cfg Con
 			t.Fatalf("decompressed entry invalid: %v (%+v)", err, e)
 		}
 	}
-	report, err := Check(events, ServedRows(decompressed, wmslog.TraceEpoch), timeout)
+	report, err := Check(events, decompressed, wmslog.TraceEpoch, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

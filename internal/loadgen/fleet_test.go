@@ -141,7 +141,7 @@ func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Ev
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := Check(kept, ServedRows(decompressed, wmslog.TraceEpoch), timeout)
+	report, err := Check(kept, decompressed, wmslog.TraceEpoch, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
