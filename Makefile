@@ -158,11 +158,12 @@ bench-history:
 # prints as strconv's %.2f) — the sessions fuzzer (SweepTimeout's count
 # = the reference sessionization's count at every timeout, plus the
 # Section 2.2 gap invariants and Sessionize's spans), the replay-check
-# fuzzer (loadgen.Check and the event-walk SafeTimeout over a fuzzed
-# offered set and the log its replay leaves — whole wall seconds, a
-# dropped transfer, a split session, two merged clients, tied starts, a
-# duplicate serve, a logged lost event — = the trace-based check they
-# replaced),
+# fuzzer (loadgen.ReadServed and Check and the event-walk SafeTimeout
+# over a fuzzed offered set and the log its replay leaves — whole wall
+# seconds, a dropped transfer, a split session, two merged clients, tied
+# starts, a duplicate serve in a later or the same second, a logged lost
+# event — split over two text, binary or gzip files read in both orders
+# = the trace-based check they replaced),
 # the sample-sort fuzzer (stats.SortedCopy, SortInPlace
 # and SortedView of any float64 bit patterns = sort.Float64s of a
 # copy), the concurrency
@@ -188,18 +189,23 @@ bench-history:
 # limits = a sort-based reference, pop for pop) — and the live server's
 # control-line parser (any bytes are a command or an ErrProtocol error,
 # an accepted HELLO's player ID passes wmslog.MandatoryField, and an
-# accepted command rendered back parses to itself) — and the model-spec
+# accepted command rendered back parses to itself) and its connection
+# handler (any client bytes through net.Pipe: no panic, every reply one
+# the protocol defines in the order the state machine owes it, ERR for
+# anything malformed, and a return within a second of the client's last
+# act) — and the model-spec
 # fuzzer (gismo.LoadModel over any bytes never panics, and a spec it
 # accepts saves, re-loads to the same model and re-saves byte for byte)
 # — and the streamed-schedule fuzzer (a stream whose schedule is drawn
 # beside its 1–8 shards drains to the 1-shard stream, and the schedule
 # to the thinning pass, on a dense and a sparse model).
 # `go test` runs one fuzz target per invocation, hence the
-# nineteen steps; new failing inputs are minimized into the package's
+# twenty steps; new failing inputs are minimized into the package's
 # testdata/fuzz/ and reproduce with a plain `go test` of that package.
-# An ingest execution writes its files to disk, so that target bounds
-# the minimizing of each new input at 2 s: at the default 60 s it
-# spends its whole budget minimizing.
+# An ingest or replay-check execution writes its files to disk, and a
+# connection execution can wait out the handler's 50 ms idle timeout,
+# so those three targets bound the minimizing of each new input at 2 s:
+# at the default 60 s they spend their whole budget minimizing.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEntryRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wmslog
@@ -209,7 +215,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed2$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitterMatchesByteLoop$$' -fuzztime $(FUZZTIME) ./internal/wmslog
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesSessionize$$' -fuzztime $(FUZZTIME) ./internal/sessions
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckMatchesTraceOracle$$' -fuzztime $(FUZZTIME) ./internal/loadgen
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckMatchesTraceOracle$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzConcurrencyMatchesPerSecond$$' -fuzztime $(FUZZTIME) ./internal/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzPopulationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/gismo
@@ -219,6 +225,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzObserverMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRadixMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/heapx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime $(FUZZTIME) ./internal/liveserver
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleConn$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/liveserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/gismo
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamedSchedule$$' -fuzztime $(FUZZTIME) ./internal/gismo
 
@@ -226,7 +233,8 @@ fuzz:
 # lsmlog, start the server, replay a generated workload (with a
 # flash-crowd scenario) over real TCP in compressed time, shut the
 # server down, verify the served log matches the offered workload
-# exactly, and round-trip the log through the binary format.
+# exactly, and round-trip the log through the binary format, which must
+# check to the same realization digest.
 e2e:
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmserve ./cmd/lsmserve
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmload ./cmd/lsmload
@@ -245,8 +253,10 @@ e2e-twin:
 
 # e2e-fleet exercises the horizontal axis: three lsmserve nodes behind
 # the lsmfleet redirector serve a replayed flash-crowd workload (hash
-# policy, merged-log MATCH, md5 parity with a single-node serve), then
-# a second pass SIGKILLs a node mid-replay and validates failover.
+# policy; lsmload -check over the three node logs MATCHes, and its
+# realization digest equals the one it prints for a single-node serve,
+# which MATCHes too), then a second pass SIGKILLs a node mid-replay and
+# validates failover over the node logs.
 e2e-fleet:
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmserve ./cmd/lsmserve
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmload ./cmd/lsmload

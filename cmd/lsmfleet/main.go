@@ -1,10 +1,7 @@
 // Command lsmfleet runs the fleet front-end for a cluster of lsmserve
-// nodes, and merges their per-node transfer logs into one canonical
-// log.
-//
-// Redirector mode (default): accept client HELLO/START lookups and
-// answer REDIRECT to a node picked by the configured policy; accept
-// node REGISTER/BEAT registrations with heartbeat-TTL liveness:
+// nodes: it answers client HELLO/START lookups with a REDIRECT to a
+// node picked by the configured policy, and accepts node REGISTER/BEAT
+// registrations with heartbeat-TTL liveness:
 //
 //	lsmfleet [-addr 127.0.0.1:8600] [-policy hash|least-loaded|round-robin]
 //	         [-ttl 2s] [-metrics host:port]
@@ -18,18 +15,8 @@
 // http://host:port/metrics — the machine-readable form of those status
 // lines, and what scripts/e2e_fleet.sh polls.
 //
-// Merge mode: deterministically merge per-node logs (files or
-// directories of daily logs) by (end-time, session, seq) and print the
-// realization digest — the md5 over the timing-independent identity of
-// the served workload, equal across any node assignment that served
-// the same transfers:
-//
-//	lsmfleet -merge merged.log node1.log node2.log node3.log
-//
-// Inputs may be canonical text or binary-framed wmslog files in any
-// mix (format auto-detected by magic bytes, gzip transparent); the
-// merged output is always canonical text, so the digest contracts stay
-// anchored on the text form.
+// The nodes' transfer logs are validated as they are, one -logs per
+// node: `lsmload -check meta.json -logs node1.log -logs node2.log ...`.
 package main
 
 import (
@@ -43,78 +30,23 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
-	"repro/internal/wmslog"
 )
 
 func main() {
 	var (
-		addr    = flag.String("addr", "127.0.0.1:8600", "listen address (redirector mode)")
+		addr    = flag.String("addr", "127.0.0.1:8600", "listen address")
 		policy  = flag.String("policy", "hash", "node pick policy: hash, least-loaded, round-robin")
 		ttl     = flag.Duration("ttl", 2*time.Second, "node heartbeat TTL; silent nodes expire and stop receiving routes")
-		metrics = flag.String("metrics", "", "optional address for the plain-text /metrics endpoint (redirector mode)")
-		merge   = flag.String("merge", "", "merge mode: write the merged per-node logs (positional args) here")
+		metrics = flag.String("metrics", "", "optional address for the plain-text /metrics endpoint")
 	)
 	flag.Parse()
 
-	var err error
-	if *merge != "" {
-		err = runMerge(*merge, flag.Args(), os.Stdout)
-	} else {
-		interrupt := make(chan os.Signal, 1)
-		signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
-		err = runRedirector(*addr, *policy, *ttl, *metrics, interrupt, os.Stdout)
-	}
-	if err != nil {
+	interrupt := make(chan os.Signal, 1)
+	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
+	if err := runRedirector(*addr, *policy, *ttl, *metrics, interrupt, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lsmfleet:", err)
 		os.Exit(1)
 	}
-}
-
-// runMerge merges per-node logs (each input a file or a directory of
-// daily logs) into one canonical log at out.
-func runMerge(out string, inputs []string, w io.Writer) error {
-	if len(inputs) == 0 {
-		return fmt.Errorf("merge mode wants per-node log files or directories as arguments")
-	}
-	var paths []string
-	for _, in := range inputs {
-		fi, err := os.Stat(in)
-		if err != nil {
-			return err
-		}
-		if fi.IsDir() {
-			found, err := wmslog.FindLogs(in)
-			if err != nil {
-				return err
-			}
-			if len(found) == 0 {
-				return fmt.Errorf("no logs under %s", in)
-			}
-			paths = append(paths, found...)
-		} else {
-			paths = append(paths, in)
-		}
-	}
-
-	if err := wmslog.CheckOutput(out, paths); err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	stats, err := wmslog.MergeFiles(f, paths)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(out)
-		return err
-	}
-	fmt.Fprintf(w, "merged %d entries (%d tagged, %d binary-framed) from %d logs into %s\n",
-		stats.Entries, stats.Tagged, stats.Binary, stats.Files, out)
-	fmt.Fprintf(w, "realization md5=%s\n", stats.Realization)
-	return nil
 }
 
 // runRedirector serves the fleet front-end until interrupted, printing

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -13,132 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/wmslog"
 )
-
-func writeTaggedLog(t *testing.T, path string, sessions ...int64) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w := wmslog.NewWriter(f)
-	for _, s := range sessions {
-		e := &wmslog.Entry{
-			Timestamp:    time.Date(2002, 1, 7, 0, 0, int(s%50), 0, time.UTC),
-			ClientIP:     "127.0.0.1",
-			PlayerID:     "player-1",
-			URIStem:      "/live/feed1",
-			Duration:     5,
-			Bytes:        100,
-			AvgBandwidth: 160,
-			Referer:      wmslog.SessionRef(s, 0),
-			Status:       200,
-			ASNumber:     1,
-			Country:      "BR",
-		}
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunMerge: per-node logs merge into one parseable log with a
-// partition-independent realization digest.
-func TestRunMerge(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "node1.log")
-	b := filepath.Join(dir, "node2.log")
-	writeTaggedLog(t, a, 0, 2, 4)
-	writeTaggedLog(t, b, 1, 3)
-	single := filepath.Join(dir, "single.log")
-	writeTaggedLog(t, single, 0, 1, 2, 3, 4)
-
-	var out bytes.Buffer
-	merged := filepath.Join(dir, "merged.log")
-	if err := runMerge(merged, []string{a, b}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "merged 5 entries (5 tagged, 0 binary-framed) from 2 logs") {
-		t.Fatalf("merge output: %s", out.String())
-	}
-	entries, _, err := wmslog.ReadFiles([]string{merged}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 5 {
-		t.Fatalf("merged log has %d entries", len(entries))
-	}
-
-	var out2 bytes.Buffer
-	merged2 := filepath.Join(dir, "merged2.log")
-	if err := runMerge(merged2, []string{single}, &out2); err != nil {
-		t.Fatal(err)
-	}
-	digest := func(s string) string {
-		i := strings.Index(s, "realization md5=")
-		if i < 0 {
-			t.Fatalf("no digest in %q", s)
-		}
-		return strings.TrimSpace(s[i:])
-	}
-	if digest(out.String()) != digest(out2.String()) {
-		t.Fatalf("fleet and single digests differ:\n%s\n%s", out.String(), out2.String())
-	}
-
-	if err := runMerge(filepath.Join(dir, "x.log"), nil, &out); err == nil {
-		t.Fatal("merge with no inputs accepted")
-	}
-}
-
-// TestRunMergeRefusesInputAsOutput: a merge whose output is one of its
-// inputs — named as a file, found under a directory input, or a hard
-// link to one — is
-// refused before anything is written, and every input keeps its bytes:
-// creating the output first would empty that input, and the merge would
-// report the other logs' entries and a digest of the wrong set.
-func TestRunMergeRefusesInputAsOutput(t *testing.T) {
-	dir := t.TempDir()
-	day6 := filepath.Join(dir, "wms-2002-01-06.log")
-	day7 := filepath.Join(dir, "wms-2002-01-07.log")
-	writeTaggedLog(t, day6, 0, 2, 4)
-	writeTaggedLog(t, day7, 1, 3)
-	alias := filepath.Join(t.TempDir(), "alias.log")
-	if err := os.Link(day7, alias); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]byte{}
-	for _, p := range []string{day6, day7} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[p] = data
-	}
-	for _, c := range []struct {
-		out    string
-		inputs []string
-	}{
-		{day6, []string{day6, day7}},
-		{day7, []string{day6, day7}},
-		{day6, []string{dir}},
-		{alias, []string{day6, day7}},
-	} {
-		var out bytes.Buffer
-		if err := runMerge(c.out, c.inputs, &out); err == nil {
-			t.Errorf("merge into %s from %v accepted: %q", c.out, c.inputs, out.String())
-		}
-		for p, data := range want {
-			if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("merge into %s from %v: %s now %d bytes (err %v), want %d", c.out, c.inputs, p, len(got), err, len(data))
-			}
-		}
-	}
-}
 
 // TestRunRedirectorLifecycle: the redirector comes up, reports node
 // registrations, serves a lookup, and shuts down on interrupt.

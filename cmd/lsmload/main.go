@@ -13,20 +13,27 @@
 //
 // -meta records the replay's virtual-clock anchors and the full
 // workload/scenario specification. Check mode then regenerates the
-// offered workload from that record, parses the server's transfer log,
-// maps it back onto the trace clock, and verifies the served workload
-// matches the offered one exactly at session and transfer granularity:
+// offered workload from that record, scans the servers' transfer logs
+// once — one -logs per file or directory, as many as the fleet had
+// nodes, text or binary, gzip transparent — onto the trace clock,
+// reconciles them by event identity and verifies the served workload
+// matches the offered one exactly at session and transfer granularity.
+// It prints the realization digest of every logged entry, equal for
+// any split of the same served transfers over nodes:
 //
-//	lsmload -check meta.json -logs transfers.log
+//	lsmload -check meta.json -logs node1.log [-logs node2.log]...
 //
 // It exits non-zero on a mismatch, which is what makes it a CI gate.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -43,7 +50,7 @@ func main() {
 	var (
 		addr  = flag.String("addr", "", "lsmserve (or, with -frontend, lsmfleet) address to replay against (required unless -check)")
 		check = flag.String("check", "", "meta JSON from a previous replay: validate the server log instead of replaying")
-		logs  = flag.String("logs", "", "server transfer log (file or directory) for -check")
+		logs  multiFlag
 		meta  = flag.String("meta", "", "write replay metadata JSON here (enables a later -check)")
 
 		scale   = flag.Float64("scale", 3000, "population/rate scale-down factor (1 = paper scale)")
@@ -73,6 +80,7 @@ func main() {
 		profiles prof.Profiles
 	)
 	flag.Var(&flash, "flash", "inject a flash crowd as at:dur:sessions (trace seconds); repeatable")
+	flag.Var(&logs, "logs", "a server transfer log (file or directory of daily logs) for -check; repeatable, one per fleet node")
 	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -80,7 +88,7 @@ func main() {
 	// never exits with an unflushed (truncated) cpu/trace artifact.
 	switch {
 	case *check != "":
-		if *logs == "" {
+		if len(logs) == 0 {
 			fmt.Fprintln(os.Stderr, "lsmload: -check requires -logs")
 			os.Exit(2)
 		}
@@ -103,7 +111,7 @@ func main() {
 
 	var err error
 	if *check != "" {
-		err = runCheck(*check, *logs, *timeout, os.Stdout)
+		err = runCheck(*check, logs, *timeout, os.Stdout)
 	} else {
 		ro := replayOpts{
 			Compression: *compression, Conns: *conns, MinWatch: *minWatch,
@@ -120,7 +128,7 @@ func main() {
 	}
 }
 
-// multiFlag collects repeated -flash values.
+// multiFlag collects repeated -flash and -logs values.
 type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
@@ -360,25 +368,81 @@ func runReplay(addr string, sp spec, ro replayOpts, metaPath string, out *os.Fil
 	return nil
 }
 
-func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
-	data, err := os.ReadFile(metaPath)
+// readMeta decodes a -meta record as strictly as gismo.LoadModel
+// decodes a model spec: an unknown field at any level (a misspelled
+// "failed" would leave the lost events in the offered side and blame
+// the server) or bytes after the record are refused, and so is a
+// compression that cannot map the log back onto the trace clock.
+func readMeta(path string) (metaFile, error) {
+	var mf metaFile
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return mf, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&mf); err != nil {
+		return mf, fmt.Errorf("parse meta %s: %w", path, err)
+	}
+	var trailing json.RawMessage
+	if err := dec.Decode(&trailing); err != io.EOF {
+		return mf, fmt.Errorf("parse meta %s: trailing data after the record", path)
+	}
+	if !(mf.Compression > 0) {
+		return mf, fmt.Errorf("meta %s: compression %v is not positive", path, mf.Compression)
+	}
+	return mf, nil
+}
+
+// servedLogs expands the -logs arguments into log files: a file as
+// named, a directory into its daily logs. A directory holding no daily
+// log would read as a server that served nothing, and a log named
+// twice — by the same path, a symlink or a hard link — would reconcile
+// away as duplicate serves: both are refused.
+func servedLogs(args []string) ([]string, error) {
+	var paths []string
+	for _, arg := range args {
+		fi, err := os.Stat(arg)
+		if err != nil {
+			return nil, err
+		}
+		if !fi.IsDir() {
+			paths = append(paths, arg)
+			continue
+		}
+		found, err := wmslog.FindLogs(arg)
+		if err != nil {
+			return nil, err
+		}
+		if len(found) == 0 {
+			return nil, fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", arg)
+		}
+		paths = append(paths, found...)
+	}
+	seen := make([]os.FileInfo, 0, len(paths))
+	for _, path := range paths {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return nil, err
+		}
+		if k := slices.IndexFunc(seen, func(o os.FileInfo) bool { return os.SameFile(o, fi) }); k >= 0 {
+			return nil, fmt.Errorf("log %s is named twice (as %s)", path, paths[k])
+		}
+		seen = append(seen, fi)
+	}
+	return paths, nil
+}
+
+// runCheck validates the logs a replay's servers wrote against the
+// offered workload regenerated from its meta record.
+func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error {
+	mf, err := readMeta(metaPath)
 	if err != nil {
 		return err
 	}
-	var mf metaFile
-	if err := json.Unmarshal(data, &mf); err != nil {
-		return fmt.Errorf("parse meta: %w", err)
-	}
-	// A directory holding no daily log would read as a server that
-	// served nothing: refuse it before regenerating anything.
-	paths := []string{logPath}
-	if fi, err := os.Stat(logPath); err == nil && fi.IsDir() {
-		if paths, err = wmslog.FindLogs(logPath); err != nil {
-			return err
-		}
-		if len(paths) == 0 {
-			return fmt.Errorf("no wms-*.log or wms-*.log.gz files under %s", logPath)
-		}
+	paths, err := servedLogs(logs)
+	if err != nil {
+		return err
 	}
 
 	events, m, err := mf.Spec.offeredEvents()
@@ -390,10 +454,12 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 	}
 	// A failover replay records the transfers it lost; the served log
 	// cannot contain them, so the offered side excludes exactly those.
+	lostEvents := make([]workload.Event, 0, len(mf.Failed))
 	if len(mf.Failed) > 0 {
 		lost := make(map[eventRef]bool, len(mf.Failed))
 		for _, ref := range mf.Failed {
 			lost[ref] = true
+			lostEvents = append(lostEvents, workload.Event{Session: ref.Session, Seq: ref.Seq})
 		}
 		kept := events[:0]
 		for _, ev := range events {
@@ -407,31 +473,22 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 		events = kept
 		fmt.Fprintf(out, "excluding %d transfers lost during the replay\n", len(mf.Failed))
 	}
-	entries, st, err := wmslog.ReadFiles(paths, true)
+
+	// A node that dies between committing a log entry and the client
+	// reading END makes the raw logs disagree with the replay's
+	// accounting (a recorded-lost event that was actually logged, or a
+	// retry double-serving one event). The scan reconciles by event
+	// identity and says so — the exactness claim below is over the
+	// reconciled set; the realization digest is over every logged entry.
+	served, st, err := loadgen.ReadServed(paths, time.Unix(0, mf.BeginUnixNano), mf.Origin, mf.Compression, lostEvents)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "parsed %d served entries (%d binary-framed, %d malformed skipped)\n", st.Entries, st.Binary, st.Malformed)
-
-	// A node that dies between committing a log entry and the client
-	// reading END makes the raw log disagree with the replay's
-	// accounting (a recorded-lost event that was actually logged, or a
-	// retry double-serving one event). Reconcile by event identity and
-	// say so — the exactness claim below is over the reconciled set.
-	lostEvents := make([]workload.Event, 0, len(mf.Failed))
-	for _, ref := range mf.Failed {
-		lostEvents = append(lostEvents, workload.Event{Session: ref.Session, Seq: ref.Seq})
-	}
-	entries, droppedLost, droppedDup := loadgen.ReconcileServed(entries, lostEvents)
-	if droppedLost > 0 || droppedDup > 0 {
+	fmt.Fprintf(out, "realization md5=%s\n", served.Realization())
+	if served.DroppedLost > 0 || served.DroppedDup > 0 {
 		fmt.Fprintf(out, "reconciled served log: dropped %d entries for recorded-lost events, %d duplicate serves\n",
-			droppedLost, droppedDup)
-	}
-
-	begin := time.Unix(0, mf.BeginUnixNano)
-	decompressed, err := loadgen.DecompressEntries(entries, begin, mf.Origin, mf.Compression, wmslog.TraceEpoch)
-	if err != nil {
-		return err
+			served.DroppedLost, served.DroppedDup)
 	}
 
 	if timeout == 0 {
@@ -444,7 +501,7 @@ func runCheck(metaPath, logPath string, timeout int64, out *os.File) error {
 		fmt.Fprintf(out, "auto-picked session timeout %d s (quantization slack %d s)\n", timeout, slack)
 	}
 
-	report, err := loadgen.Check(events, decompressed, wmslog.TraceEpoch, timeout)
+	report, err := loadgen.Check(events, served, timeout)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@
 //
 // -log-format binary writes the transfer log in the framed binary
 // wmslog format (decoded transparently by every reader — lsmload
-// -check, lsmfleet -merge, lsmlog). -metrics serves the plain-text
+// -check, lsmlog). -metrics serves the plain-text
 // counters endpoint (conns, refusals, transfers) at
 // http://host:port/metrics, the ops surface scripts poll instead of
 // grepping logs.

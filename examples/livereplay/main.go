@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,15 +75,17 @@ func main() {
 	// Decompress the server's log back into trace time, write it as a
 	// daily log and characterize that, as an operator would.
 	mu.Lock()
-	entries, err := loadgen.DecompressEntries(logged, res.Begin, res.Origin, res.Compression, wmslog.TraceEpoch)
+	for _, e := range logged {
+		loadgen.Decompress(e, res.Begin, res.Origin, res.Compression)
+	}
+	slices.SortStableFunc(logged, func(a, b *wmslog.Entry) int { return a.Timestamp.Compare(b.Timestamp) })
 	mu.Unlock()
-	fatal(err)
 	dir, err := os.MkdirTemp("", "lsm-wire-*")
 	fatal(err)
 	defer os.RemoveAll(dir)
 	dw, err := wmslog.NewDailyWriter(dir)
 	fatal(err)
-	for _, e := range entries {
+	for _, e := range logged {
 		fatal(dw.Write(e))
 	}
 	fatal(dw.Close())

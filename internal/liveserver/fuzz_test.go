@@ -1,9 +1,13 @@
 package liveserver
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/wmslog"
 )
@@ -54,3 +58,172 @@ func FuzzParseCommand(f *testing.F) {
 		}
 	})
 }
+
+// expectReplies is the reply sequence a connection's handler owes a
+// client that sent in and keeps its end open, DATA frames left out and
+// each END line as "END": the handler's state machine run over the
+// complete lines of in, each parsed by parseCommand. A malformed line
+// is answered with ERR and the close, except inside a transfer, where
+// it ends the transfer and the connection without a reply, as QUIT
+// does there.
+func expectReplies(in []byte) []string {
+	var out []string
+	hello, streaming := false, false
+	for {
+		i := bytes.IndexByte(in, '\n')
+		if i < 0 {
+			return out
+		}
+		line := string(in[:i+1])
+		in = in[i+1:]
+		cmd, err := parseCommand(line)
+		if len(line) > MaxLineBytes {
+			err = errors.New("line exceeds " + strconv.Itoa(MaxLineBytes) + " bytes")
+		}
+		switch {
+		case err != nil && streaming:
+			return out
+		case err != nil:
+			return append(out, "ERR "+trimErr(err))
+		case streaming && cmd.verb == "STOP":
+			streaming = false
+			out = append(out, "END")
+		case streaming && cmd.verb == "QUIT":
+			return out
+		case streaming:
+			return append(out, "ERR "+cmd.verb+" during transfer")
+		case cmd.verb == "HELLO" && hello:
+			return append(out, "ERR duplicate HELLO")
+		case cmd.verb == "HELLO":
+			hello = true
+			out = append(out, "OK HELLO")
+		case cmd.verb == "START" && !hello:
+			return append(out, "ERR HELLO required before START")
+		case cmd.verb == "START" && !validObject(cmd.arg):
+			return append(out, "ERR unknown object "+cmd.arg)
+		case cmd.verb == "START":
+			streaming = true
+			out = append(out, "OK START "+cmd.arg)
+		case cmd.verb == "STOP":
+			return append(out, "ERR STOP without active transfer")
+		default: // QUIT
+			return append(out, "OK BYE")
+		}
+	}
+}
+
+// FuzzHandleConn feeds arbitrary client bytes into one connection's
+// handler over net.Pipe. The handler never panics, and every line it
+// writes is a reply the protocol defines, in expectReplies' order:
+// ERR <reason> for anything malformed, DATA frames of the configured
+// size only inside a transfer, and END counting exactly the frames
+// sent. The first input byte picks how the client leaves: it sends
+// QUIT and reads every reply (the handler ends on its own, by QUIT, an
+// error or the idle timeout), or it closes its end right after its
+// last byte, and then the replies read are a prefix of the owed ones.
+// Either way the handler returns within handleBound of the client's
+// last act.
+func FuzzHandleConn(f *testing.F) {
+	for _, in := range []string{
+		"HELLO p1\nSTART /live/feed1 3 4\nSTOP\n",
+		"HELLO p1\nSTART /live/feed2\nSTOP\nSTART /live/feed1\nSTOP\nQUIT\n",
+		"HELLO p1\nSTART /live/feed1\n",
+		"HELLO p1\nSTART /live/feed1\nHELLO p2\n",
+		"HELLO p1\nSTART /live/feed1\n\x00garbage\n",
+		"HELLO p1\nHELLO p1\n", "START /live/feed1\n", "HELLO p1\nSTART /bogus\n",
+		"HELLO p1\nSTOP\n", "BOGUS\n", "\n", "HELLO p\x00\n", "HELLO p1\r\nQUI",
+		"HELLO " + string(bytes.Repeat([]byte("x"), MaxLineBytes)) + "\n",
+		"\xff\xfe\x00\x01", "",
+	} {
+		f.Add(byte(0), []byte(in))
+		f.Add(byte(1), []byte(in))
+	}
+	const frameBytes = 16
+	f.Fuzz(func(t *testing.T, mode byte, in []byte) {
+		s := &Server{
+			cfg: ServerConfig{
+				FrameBytes: frameBytes, FrameInterval: time.Millisecond, MaxConns: 1,
+				WriteTimeout: time.Second, IdleTimeout: 50 * time.Millisecond,
+			},
+			conns:      make(map[net.Conn]struct{}),
+			payload:    make([]byte, frameBytes),
+			dataHeader: []byte("DATA " + strconv.Itoa(frameBytes) + "\n"),
+		}
+		client, server := net.Pipe()
+		handled := make(chan struct{})
+		go func() {
+			defer close(handled)
+			defer server.Close()
+			s.handle(server)
+		}()
+		replies := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(client)
+			replies <- b
+		}()
+		closing := mode&1 == 1
+		if !closing {
+			in = append(in[:len(in):len(in)], "QUIT\n"...)
+		}
+		client.Write(in) // fails once the handler has closed its end
+		if closing {
+			client.Close()
+		}
+		select {
+		case <-handled:
+		case <-time.After(handleBound):
+			t.Fatalf("the handler had not returned %v after the client's last act", handleBound)
+		}
+		client.Close()
+		got := <-replies
+
+		want := expectReplies(in)
+		frames := -1 // DATA frames since OK START; -1 outside a transfer
+		k := 0
+		for len(got) > 0 {
+			i := bytes.IndexByte(got, '\n')
+			if i < 0 {
+				if closing {
+					break // the close cut the last reply short
+				}
+				t.Fatalf("reply %q has no newline", got)
+			}
+			line := string(got[:i])
+			got = got[i+1:]
+			if n, err := parseDataHeader(line); err == nil {
+				if frames < 0 || n != frameBytes || len(got) < n {
+					if closing && frames >= 0 && len(got) < n {
+						break
+					}
+					t.Fatalf("DATA %d outside a transfer or short (%d bytes left)", n, len(got))
+				}
+				frames++
+				got = got[n:]
+				continue
+			}
+			if k == len(want) {
+				t.Fatalf("reply %q past the owed replies %q", line, want)
+			}
+			switch w := want[k]; {
+			case w == "END":
+				sent, n, err := parseEnd(line)
+				if err != nil || n != frames || sent != int64(frames)*frameBytes {
+					t.Fatalf("reply %q after %d frames (%v)", line, frames, err)
+				}
+				frames = -1
+			case line != w:
+				t.Fatalf("reply %d is %q, owed %q (all owed: %q)", k, line, w, want)
+			case len(w) > 9 && w[:9] == "OK START ":
+				frames = 0
+			}
+			k++
+		}
+		if !closing && k != len(want) {
+			t.Fatalf("replies end after %d of the owed %q", k, want)
+		}
+	})
+}
+
+// handleBound is how long a connection's handler may take to return
+// once its client has closed, sent QUIT or gone idle.
+const handleBound = time.Second

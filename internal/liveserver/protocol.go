@@ -28,13 +28,14 @@
 // The optional session/seq tag on START identifies the workload event
 // the transfer realizes (the generator's global session index and the
 // transfer's position within it). A tagged transfer is logged with the
-// tag, which is what makes per-node fleet logs mergeable into one
-// deterministic realization (wmslog.MergeFiles) and lets a replay
-// harness account for individual lost events under failover. Untagged
-// STARTs behave exactly as before.
+// tag, which is what lets a replay check read per-node fleet logs as
+// one realization (loadgen.Served, wmslog.Realization) and account for
+// individual lost events under failover. Untagged STARTs behave exactly
+// as before.
 //
-// Any protocol violation produces "ERR <reason>" and closes the
-// connection.
+// Outside a transfer, any protocol violation produces "ERR <reason>"
+// and closes the connection. Inside one, a malformed line ends the
+// transfer and the connection without a reply, as QUIT does there.
 package liveserver
 
 import (

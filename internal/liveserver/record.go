@@ -10,7 +10,7 @@ import (
 // Windows-Media-Server-style log entry — the server-side log format the
 // whole characterization pipeline consumes. lsmserve writes these
 // directly; a compressed-time replay decompresses them back onto the
-// trace clock first (loadgen.DecompressEntries).
+// trace clock first (loadgen.Decompress).
 //
 // The duration is rounded (not truncated) to the log's 1-second
 // resolution: under time compression every wall second is worth many
@@ -23,8 +23,8 @@ import (
 // non-UTC machines.
 // A tagged transfer (Session >= 0) is logged with its workload identity
 // in the referer field — the only free-text column the WMS format
-// offers — so per-node fleet logs can be merged and diffed by event
-// identity (wmslog.SessionRef / Entry.SessionSeq).
+// offers — so per-node fleet logs can be reconciled and digested by
+// event identity (wmslog.SessionRef / Entry.SessionSeq).
 func RecordEntry(r TransferRecord) *wmslog.Entry {
 	referer := ""
 	if r.Session >= 0 {

@@ -14,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// runClosedLoop replays events against a real TCP server, decompresses
-// the entries the server logged, and compares the served workload
-// against the offered one. This is the loop the package exists to
+// runClosedLoop replays events against a real TCP server, takes the
+// entries the server logged onto the trace clock, and compares the
+// served workload against the offered one. This is the loop the package exists to
 // close: generate → replay over sockets → parse the log → re-analyze.
 func runClosedLoop(t *testing.T, events []workload.Event, horizon int64, cfg Config, maxConns int, timeout int64) (*analyze.MatchReport, *Result) {
 	t.Helper()
@@ -43,16 +43,19 @@ func runClosedLoop(t *testing.T, events []workload.Event, horizon int64, cfg Con
 	mu.Lock()
 	logged := append([]*wmslog.Entry(nil), entries...)
 	mu.Unlock()
-	decompressed, err := DecompressEntries(logged, res.Begin, res.Origin, res.Compression, wmslog.TraceEpoch)
+	served, err := newServed(res.Begin, res.Origin, res.Compression, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range decompressed {
-		if err := e.Validate(); err != nil {
-			t.Fatalf("decompressed entry invalid: %v (%+v)", err, e)
+	for _, e := range logged {
+		served.add(e)
+		d := *e
+		Decompress(&d, res.Begin, res.Origin, res.Compression)
+		if err := d.Validate(); err != nil {
+			t.Fatalf("decompressed entry invalid: %v (%+v)", err, d)
 		}
 	}
-	report, err := Check(events, decompressed, wmslog.TraceEpoch, timeout)
+	report, err := Check(events, served, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"cmp"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/analyze"
 	"repro/internal/cluster"
 	"repro/internal/liveserver"
+	"repro/internal/trace"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
@@ -116,9 +119,10 @@ func singleSessionEvents(clients, transfers int, spread, gap int64) []workload.E
 	return events
 }
 
-// compareFiltered compares offered-minus-failed against the merged
-// served entries.
-func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Event, merged []*wmslog.Entry, res *Result, horizon, timeout int64) *analyze.MatchReport {
+// compareFiltered compares offered-minus-failed against the per-node
+// served entries, read into one Served as lsmload -check reads the
+// node logs.
+func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Event, perNode [][]*wmslog.Entry, res *Result, timeout int64) *analyze.MatchReport {
 	t.Helper()
 	lost := make(map[[2]int]bool, len(failed))
 	for _, ev := range failed {
@@ -130,35 +134,50 @@ func compareFiltered(t *testing.T, events []workload.Event, failed []workload.Ev
 			kept = append(kept, ev)
 		}
 	}
-	// Reconcile the end-of-transfer race around a node kill: an entry a
-	// node committed for an event the client recorded lost, or a
-	// double-serve from a successful retry.
-	merged, droppedLost, droppedDup := ReconcileServed(merged, failed)
-	if droppedLost > 0 || droppedDup > 0 {
-		t.Logf("reconciled served log: %d recorded-lost entries, %d duplicate serves", droppedLost, droppedDup)
-	}
-	decompressed, err := DecompressEntries(merged, res.Begin, res.Origin, res.Compression, wmslog.TraceEpoch)
+	served, err := newServed(res.Begin, res.Origin, res.Compression, failed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := Check(kept, decompressed, wmslog.TraceEpoch, timeout)
+	for _, entries := range perNode {
+		for _, e := range entries {
+			served.add(e)
+		}
+	}
+	// The end-of-transfer race around a node kill: an entry a node
+	// committed for an event the client recorded lost, or a
+	// double-serve from a successful retry.
+	if served.DroppedLost > 0 || served.DroppedDup > 0 {
+		t.Logf("reconciled served log: %d recorded-lost entries, %d duplicate serves", served.DroppedLost, served.DroppedDup)
+	}
+	report, err := Check(kept, served, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return report
 }
 
+// realization digests entry sets as one realization.
+func realization(sets ...[]*wmslog.Entry) string {
+	var r wmslog.Realization
+	for _, entries := range sets {
+		for _, e := range entries {
+			r.Add(e)
+		}
+	}
+	return r.Digest()
+}
+
 // TestFleetClosedLoopMatchesSingleNode is the acceptance loop in
 // process: a 3-node fleet behind the hash redirector serves a replayed
-// workload with zero losses, the merged per-node logs MATCH the offered
-// workload, and the fleet's realization digest equals a single-node
-// serve of the same workload.
+// workload with zero losses, the per-node logs read as one served side
+// MATCH the offered workload, and the fleet's realization digest equals
+// a single-node serve of the same workload.
 func TestFleetClosedLoopMatchesSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket e2e in -short mode")
 	}
 	events := singleSessionEvents(30, 3, 20000, 500)
-	const horizon, timeout, compression = 40000, 10000, 20000
+	const timeout, compression = 10000, 20000
 
 	rd, nodes := startFleet(t, 3, "hash")
 	cfg := fastReplayConfig()
@@ -187,13 +206,16 @@ func TestFleetClosedLoopMatchesSingleNode(t *testing.T) {
 	if servingNodes < 2 {
 		t.Fatalf("hash policy routed everything to %d node(s)", servingNodes)
 	}
-	merged := wmslog.MergeEntries(perNode)
-	if len(merged) != len(events) {
-		t.Fatalf("merged %d entries for %d events", len(merged), len(events))
+	logged := 0
+	for _, entries := range perNode {
+		logged += len(entries)
 	}
-	report := compareFiltered(t, events, nil, merged, res, horizon, timeout)
+	if logged != len(events) {
+		t.Fatalf("the nodes logged %d entries for %d events", logged, len(events))
+	}
+	report := compareFiltered(t, events, nil, perNode, res, timeout)
 	if !report.Match() {
-		t.Fatalf("merged fleet log does not match offered workload:\n%s", report)
+		t.Fatalf("fleet logs do not match offered workload:\n%s", report)
 	}
 
 	// Single-node serve of the same workload: same realization digest.
@@ -216,9 +238,9 @@ func TestFleetClosedLoopMatchesSingleNode(t *testing.T) {
 		t.Fatalf("single-node replay lost transfers: %s", sres)
 	}
 	mu.Lock()
-	singleMerged := wmslog.MergeEntries([][]*wmslog.Entry{single})
+	want := realization(single)
 	mu.Unlock()
-	if got, want := wmslog.RealizationDigest(merged), wmslog.RealizationDigest(singleMerged); got != want {
+	if got := realization(perNode...); got != want {
 		t.Fatalf("fleet realization %s != single-node realization %s", got, want)
 	}
 	t.Logf("fleet closed loop:\n%s\n%s", report, res)
@@ -226,7 +248,7 @@ func TestFleetClosedLoopMatchesSingleNode(t *testing.T) {
 
 // TestFleetFailoverReroutesMidRun kills one of three nodes mid-replay:
 // transfers re-route through the front-end, the recovery shows up in
-// the metrics, and the merged logs still MATCH the offered workload
+// the metrics, and the per-node logs still MATCH the offered workload
 // minus exactly the recorded lost events.
 func TestFleetFailoverReroutesMidRun(t *testing.T) {
 	if testing.Short() {
@@ -237,7 +259,7 @@ func TestFleetFailoverReroutesMidRun(t *testing.T) {
 	// lands with many clients mid-session — cached routes to the dead
 	// node must fail over on their next transfer.
 	events := singleSessionEvents(40, 4, 30000, 6000)
-	const horizon, timeout, compression = 50000, 14000, 10000
+	const timeout, compression = 14000, 10000
 
 	rd, nodes := startFleet(t, 3, "hash")
 	cfg := fastReplayConfig()
@@ -271,38 +293,58 @@ func TestFleetFailoverReroutesMidRun(t *testing.T) {
 	for i, n := range nodes {
 		perNode[i] = n.logged()
 	}
-	merged := wmslog.MergeEntries(perNode)
-	report := compareFiltered(t, events, res.FailedEvents, merged, res, horizon, timeout)
+	report := compareFiltered(t, events, res.FailedEvents, perNode, res, timeout)
 	if !report.Match() {
-		t.Fatalf("post-failover merged log does not match offered-minus-lost:\n%s\n%s", report, res)
+		t.Fatalf("post-failover node logs do not match offered-minus-lost:\n%s\n%s", report, res)
 	}
 	t.Logf("failover loop: %d failovers, %d lost\n%s", res.Failovers, res.Failed, res)
 }
 
 // TestReconcileServed pins the two end-of-transfer races: a
 // recorded-lost event whose entry a node had already committed, and a
-// duplicate serve from a successful retry. Untagged entries pass
-// through untouched.
+// duplicate serve from a successful retry, ending in a later second
+// or in the same one. The kept serve — the one that ended first, then
+// the smaller rendered line — and the counts do not depend on the
+// order the entries come in; untagged entries pass through untouched.
 func TestReconcileServed(t *testing.T) {
-	entry := func(session int64, seq int) *wmslog.Entry {
-		return &wmslog.Entry{PlayerID: "p", URIStem: "/u", Referer: wmslog.SessionRef(session, seq)}
+	at := time.Date(2002, 3, 1, 12, 0, 0, 0, time.UTC)
+	entry := func(session int64, seq int, end, duration int64) *wmslog.Entry {
+		return &wmslog.Entry{
+			Timestamp: at.Add(time.Duration(end) * time.Second), ClientIP: "10.0.0.1",
+			PlayerID: "p", URIStem: "/u", Duration: duration, Referer: wmslog.SessionRef(session, seq),
+		}
 	}
-	untagged := &wmslog.Entry{PlayerID: "p", URIStem: "/u"}
+	untagged := entry(0, 0, 50, 4)
+	untagged.Referer = ""
 	entries := []*wmslog.Entry{
-		entry(1, 0), entry(2, 0), entry(2, 0), // duplicate serve of 2.0
-		entry(3, 0), // committed but recorded lost
+		entry(1, 0, 10, 2),
+		entry(2, 0, 20, 5), entry(2, 0, 21, 1), // 2.0 served again, a second later
+		entry(3, 0, 30, 3),                     // committed but recorded lost
+		entry(4, 0, 40, 9), entry(4, 0, 40, 2), // 4.0 served twice in one second
 		untagged,
 	}
+	// The kept rows on the trace clock of a replay that began at at, at
+	// compression 1: 2.0's first serve and 4.0's serve with the smaller
+	// line, "… 2 0 …" before "… 9 0 …".
+	want := []trace.Transfer{{Start: 8, Duration: 2}, {Start: 15, Duration: 5}, {Start: 38, Duration: 2}, {Start: 46, Duration: 4}}
 	failed := []workload.Event{{Session: 3, Seq: 0}}
-	kept, droppedLost, droppedDup := ReconcileServed(entries, failed)
-	if droppedLost != 1 || droppedDup != 1 {
-		t.Fatalf("dropped lost=%d dup=%d", droppedLost, droppedDup)
-	}
-	if len(kept) != 3 {
-		t.Fatalf("kept %d entries", len(kept))
-	}
-	if kept[2] != untagged {
-		t.Fatal("untagged entry did not pass through")
+	reversed := slices.Clone(entries)
+	slices.Reverse(reversed)
+	for _, order := range [][]*wmslog.Entry{entries, reversed} {
+		served, err := newServed(at, 0, 1, failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range order {
+			served.add(e)
+		}
+		if served.DroppedLost != 1 || served.DroppedDup != 2 {
+			t.Fatalf("dropped lost=%d dup=%d, want 1 and 2", served.DroppedLost, served.DroppedDup)
+		}
+		got := slices.SortedFunc(slices.Values(served.rows), func(a, b trace.Transfer) int { return cmp.Compare(a.Start, b.Start) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("kept rows %v, want %v", got, want)
+		}
 	}
 }
 

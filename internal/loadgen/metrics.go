@@ -158,8 +158,8 @@ type Result struct {
 
 	// Begin, Origin and Compression pin the virtual clock: trace second
 	// Origin replayed at wall instant Begin, Compression trace seconds
-	// per wall second. DecompressEntries needs all three to map the
-	// server's wall-clock log back onto the trace clock.
+	// per wall second. Decompress needs all three to map the server's
+	// wall-clock log back onto the trace clock.
 	Begin       time.Time
 	Origin      int64
 	Compression float64

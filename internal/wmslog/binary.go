@@ -13,9 +13,9 @@ import (
 // Binary framing ("trace v2"): a compact length-prefixed record format
 // for the same Entry the text log carries, designed for fleet-scale
 // re-analysis where the ~704 ns / 11 allocs per parsed text line is the
-// floor under `lsmload -check`, MergeFiles, and every characterization
-// pass. The text form stays canonical — RealizationDigest and all
-// committed md5 contracts are defined over the text rendering — and
+// floor under `lsmload -check` and every characterization pass. The
+// text form stays canonical — the committed md5 contracts are defined
+// over the text rendering — and
 // the binary form is a lossless carrier for it: text → binary → text
 // is byte-identical for every canonical line.
 //

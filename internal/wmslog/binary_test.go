@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -349,110 +348,6 @@ func TestDailyWriterBinary(t *testing.T) {
 	}
 	if dw.Entries() != int64(len(entries)) {
 		t.Fatalf("Entries() %d want %d", dw.Entries(), len(entries))
-	}
-}
-
-// TestMergeFilesMixedFormats: a merge across text, binary and gzipped
-// inputs yields the same bytes and realization digest as an all-text
-// merge of the same entries.
-func TestMergeFilesMixedFormats(t *testing.T) {
-	dir := t.TempDir()
-	epoch := time.Date(2002, 1, 7, 0, 0, 0, 0, time.UTC)
-	var all []*Entry
-	for s := int64(0); s < 60; s++ {
-		for q := 0; q < 3; q++ {
-			e := testEntryAt(epoch.Add(time.Duration(s)*5*time.Second), s, q)
-			e.PlayerID = "player-" + string(rune('a'+s%5))
-			all = append(all, e)
-		}
-	}
-	parts := make([][]*Entry, 3)
-	for i, e := range all {
-		parts[(i*7)%3] = append(parts[(i*7)%3], e)
-	}
-
-	writeText := func(name string, es []*Entry) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := NewWriter(f)
-		for _, e := range es {
-			if err := w.Write(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w.Flush()
-		f.Close()
-		return path
-	}
-	writeBinary := func(name string, es []*Entry) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := NewBinaryWriter(f)
-		for _, e := range es {
-			if err := w.Write(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w.Flush()
-		f.Close()
-		return path
-	}
-
-	mixed := []string{
-		writeText("wms-a.log", parts[0]),
-		writeBinary("wms-b.log", parts[1]),
-		writeBinary("wms-c.log", parts[2]),
-	}
-	// Gzip the binary one: format detection must compose with the gz layer.
-	gz, err := CompressFile(mixed[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed[1] = gz
-
-	allText := []string{
-		writeText("wms-x.log", parts[0]),
-		writeText("wms-y.log", parts[1]),
-		writeText("wms-z.log", parts[2]),
-	}
-
-	var mixedOut, textOut bytes.Buffer
-	mixedStats, err := MergeFiles(&mixedOut, mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	textStats, err := MergeFiles(&textOut, allText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixedStats.Entries != len(all) || textStats.Entries != len(all) {
-		t.Fatalf("entries: mixed %d text %d want %d", mixedStats.Entries, textStats.Entries, len(all))
-	}
-	if mixedStats.Realization != textStats.Realization {
-		t.Fatalf("mixed realization %s != text %s", mixedStats.Realization, textStats.Realization)
-	}
-	if !bytes.Equal(mixedOut.Bytes(), textOut.Bytes()) {
-		t.Fatal("mixed-format merge is not byte-identical to the all-text merge")
-	}
-
-	// A truncated binary input fails the merge loudly.
-	data, err := os.ReadFile(mixed[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(dir, "wms-trunc.log")
-	if err := os.WriteFile(trunc, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var sink bytes.Buffer
-	if _, err := MergeFiles(&sink, []string{trunc}); err == nil {
-		t.Fatal("truncated binary log merged without error")
 	}
 }
 

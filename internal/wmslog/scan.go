@@ -67,7 +67,10 @@ func ScanFile(path string, tolerant bool, in *Interner, fn func(*Entry) error) (
 
 // collector is the materializing scan callback behind ReadAll and
 // ReadFiles: it clones each scanned entry into a batch-allocated slab
-// (one allocation per 512 entries) and keeps the clone.
+// (one allocation per 512 entries) and keeps the clone. No program
+// holds a log's entries: every reader scans (core.ObserveLogs through
+// trace.StreamLogs, loadgen.ReadServed, lsmlog convert), and ReadAll
+// and ReadFiles are left to the benchmark's parse probe and the tests.
 type collector struct {
 	out  []*Entry
 	slab []Entry
@@ -78,6 +81,7 @@ type collector struct {
 // slab's, never the scan's.
 //
 //lsm:retain -- keeps &slab[0], a clone of *e; the reused scan entry itself is not retained
+//lsm:keep -- ReadAll and ReadFiles' callback
 func (c *collector) add(e *Entry) error {
 	if len(c.slab) == 0 {
 		c.slab = make([]Entry, 512)
@@ -89,6 +93,8 @@ func (c *collector) add(e *Entry) error {
 }
 
 // ReadAll parses every entry from r, in tolerant or strict mode.
+//
+//lsm:keep -- tests: the wmslog codec and scan tests, the trace ingest fuzzer, liveserver's hardening test and the root streaming benchmark
 func ReadAll(r io.Reader, tolerant bool) ([]*Entry, ParseStats, error) {
 	var c collector
 	st, err := Scan(r, tolerant, NewInterner(), c.add)
@@ -97,6 +103,8 @@ func ReadAll(r io.Reader, tolerant bool) ([]*Entry, ParseStats, error) {
 
 // ReadFiles parses a set of daily log files (in name order, which is date
 // order for DailyWriter output) and concatenates their entries.
+//
+//lsm:keep -- benchmark/layers/wmslog.go's parse probe and pipeline.go's CalReplica, and the tests' sequential ingest reference
 func ReadFiles(paths []string, tolerant bool) ([]*Entry, ParseStats, error) {
 	var c collector
 	var total ParseStats

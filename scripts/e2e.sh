@@ -5,7 +5,8 @@
 # back and compared against the offered workload — exact session and
 # transfer counts or the script fails. The served log is then detoured
 # through the framed binary format: text → binary → text must be
-# byte-identical and -check must accept the binary file directly.
+# byte-identical, and -check must accept the binary file directly and
+# print the same realization digest as for the text log.
 set -euo pipefail
 
 BIN=${BIN:-bin}
@@ -37,14 +38,21 @@ done
 kill -INT "$SRV"
 wait "$SRV" || true
 
-"$BIN"/lsmload -check "$DIR/meta.json" -logs "$DIR/transfers.log"
+"$BIN"/lsmload -check "$DIR/meta.json" -logs "$DIR/transfers.log" | tee "$DIR/check.out"
 
 # Binary fast-path detour over the real served log: the conversion must
 # round-trip byte for byte, and -check must parse the binary file
-# directly (format auto-detected by magic bytes, no flag).
+# directly (format auto-detected by magic bytes, no flag) to the same
+# realization digest.
 "$BIN"/lsmlog convert -to binary "$DIR/transfers.log" "$DIR/transfers.bin"
 "$BIN"/lsmlog convert -to text "$DIR/transfers.bin" "$DIR/roundtrip.log"
 cmp "$DIR/transfers.log" "$DIR/roundtrip.log"
-"$BIN"/lsmload -check "$DIR/meta.json" -logs "$DIR/transfers.bin"
-echo "binary round trip: PASS"
+"$BIN"/lsmload -check "$DIR/meta.json" -logs "$DIR/transfers.bin" | tee "$DIR/check-bin.out"
+TEXT_MD5=$(grep -o 'realization md5=.*' "$DIR/check.out")
+BIN_MD5=$(grep -o 'realization md5=.*' "$DIR/check-bin.out")
+if [ -z "$TEXT_MD5" ] || [ "$TEXT_MD5" != "$BIN_MD5" ]; then
+    echo "binary log realization ($BIN_MD5) != text log realization ($TEXT_MD5)" >&2
+    exit 1
+fi
+echo "binary round trip: PASS ($TEXT_MD5)"
 echo "e2e smoke: PASS"

@@ -3,14 +3,14 @@
 # serve a replayed flash-crowd workload over real TCP.
 #
 # Phase A (hash policy): the replay must complete with zero lost
-# transfers, the per-node logs K-way-merge into one canonical log that
-# MATCHes the offered workload exactly, and the merged realization
-# digest must be md5-identical to a single-node serve of the same
-# workload.
+# transfers, `lsmload -check` over the three node logs must MATCH the
+# offered workload exactly, and the realization digest it prints must
+# be md5-identical to the one it prints for a single-node serve of the
+# same workload (phase A', which must MATCH too).
 #
 # Phase B (failover): one node is SIGKILLed mid-replay; transfers must
 # re-route through the front-end (visible in the loadgen metrics), and
-# the merged logs must still MATCH the offered workload minus exactly
+# the node logs must still MATCH the offered workload minus exactly
 # the transfers the replay recorded as lost.
 #
 # Readiness and fleet-side assertions go through the /metrics ops
@@ -18,7 +18,7 @@
 # node registration, redirect counts, per-node serve counters, busy
 # refusals, and the post-kill live-node count are all read with curl.
 #
-# Artifacts (server/client output, per-node logs, merged logs, metas)
+# Artifacts (server/client output, per-node logs, check output, metas)
 # land in $OUT; on success a temp OUT is removed, on failure it is kept
 # (CI sets OUT inside the workspace and uploads it).
 set -euo pipefail
@@ -111,7 +111,7 @@ stop_fleet() { # graceful: flush node logs, then stop the redirector
     wait "$FLEET_PID" 2>/dev/null || true
 }
 
-echo "=== phase A: 3-node hash fleet, exact merged-log match ==="
+echo "=== phase A: 3-node hash fleet, exact node-log match ==="
 start_fleet a
 "$BIN"/lsmload -addr "127.0.0.1:$PORT" -frontend \
     "${WORKLOAD[@]}" "${REPLAY[@]}" -meta "$OUT/a/meta.json" | tee "$OUT/a/replay.out"
@@ -154,9 +154,8 @@ fi
 echo "front-end issued $REDIRECTS redirects across $SERVING serving nodes"
 stop_fleet
 
-"$BIN"/lsmfleet -merge "$OUT/a/merged.log" \
-    "$OUT/a/node1.log" "$OUT/a/node2.log" "$OUT/a/node3.log" | tee "$OUT/a/merge.out"
-"$BIN"/lsmload -check "$OUT/a/meta.json" -logs "$OUT/a/merged.log"
+"$BIN"/lsmload -check "$OUT/a/meta.json" \
+    -logs "$OUT/a/node1.log" -logs "$OUT/a/node2.log" -logs "$OUT/a/node3.log" | tee "$OUT/a/check.out"
 
 echo "=== phase A': single-node serve of the same workload ==="
 mkdir -p "$OUT/single"
@@ -168,10 +167,10 @@ wait_grep "$OUT/single/server.out" "live streaming server on"
 "$BIN"/lsmload -addr "127.0.0.1:$((PORT + 4))" \
     "${WORKLOAD[@]}" "${REPLAY[@]}" -meta "$OUT/single/meta.json" > "$OUT/single/replay.out" 2>&1
 kill -INT "$SINGLE_PID" && wait "$SINGLE_PID" || true
-"$BIN"/lsmfleet -merge "$OUT/single/merged.log" "$OUT/single/single.log" | tee "$OUT/single/merge.out"
+"$BIN"/lsmload -check "$OUT/single/meta.json" -logs "$OUT/single/single.log" | tee "$OUT/single/check.out"
 
-FLEET_MD5=$(grep -o 'realization md5=.*' "$OUT/a/merge.out")
-SINGLE_MD5=$(grep -o 'realization md5=.*' "$OUT/single/merge.out")
+FLEET_MD5=$(grep -o 'realization md5=.*' "$OUT/a/check.out")
+SINGLE_MD5=$(grep -o 'realization md5=.*' "$OUT/single/check.out")
 if [ "$FLEET_MD5" != "$SINGLE_MD5" ]; then
     echo "fleet realization ($FLEET_MD5) != single-node realization ($SINGLE_MD5)" >&2
     exit 1
@@ -211,11 +210,10 @@ if [ -z "$REROUTED" ] || [ "$REROUTED" -eq 0 ]; then
 fi
 echo "loadgen rerouted $REROUTED transfers after the kill"
 
-# Merged logs (including the killed node's flushed prefix) must match
+# The node logs (including the killed node's flushed prefix) must match
 # the offered workload minus exactly the recorded lost transfers.
-"$BIN"/lsmfleet -merge "$OUT/b/merged.log" \
-    "$OUT/b/node1.log" "$OUT/b/node2.log" "$OUT/b/node3.log" | tee "$OUT/b/merge.out"
-"$BIN"/lsmload -check "$OUT/b/meta.json" -logs "$OUT/b/merged.log"
+"$BIN"/lsmload -check "$OUT/b/meta.json" \
+    -logs "$OUT/b/node1.log" -logs "$OUT/b/node2.log" -logs "$OUT/b/node3.log" | tee "$OUT/b/check.out"
 
 STATUS=ok
 echo "e2e fleet: PASS"
