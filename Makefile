@@ -230,11 +230,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamedSchedule$$' -fuzztime $(FUZZTIME) ./internal/gismo
 
 # e2e exercises the full socket path: build lsmserve, lsmload and
-# lsmlog, start the server, replay a generated workload (with a
-# flash-crowd scenario) over real TCP in compressed time, shut the
-# server down, verify the served log matches the offered workload
-# exactly, and round-trip the log through the binary format, which must
-# check to the same realization digest.
+# lsmlog, start the server, replay the committed model spec
+# scripts/e2e_model.json (its in-show events draw a crowd) over real
+# TCP in compressed time, shut the server down, verify the served log
+# matches the offered workload exactly, and round-trip the log through
+# the binary format, which must check to the same realization digest.
 e2e:
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmserve ./cmd/lsmserve
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmload ./cmd/lsmload
@@ -252,7 +252,7 @@ e2e-twin:
 	BIN=$(BIN) ./scripts/e2e_twin.sh
 
 # e2e-fleet exercises the horizontal axis: three lsmserve nodes behind
-# the lsmfleet redirector serve a replayed flash-crowd workload (hash
+# the lsmfleet redirector serve the replayed e2e model spec (hash
 # policy; lsmload -check over the three node logs MATCHes, and its
 # realization digest equals the one it prints for a single-node serve,
 # which MATCHes too), then a second pass SIGKILLs a node mid-replay and

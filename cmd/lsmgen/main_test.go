@@ -44,11 +44,8 @@ func TestRunGeneratesLogsAndModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m gismo.Model
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
+	m, err := gismo.ParseModel(data)
+	if err != nil {
 		t.Fatalf("written model invalid: %v", err)
 	}
 	if m.Horizon != 2*86400 {

@@ -1,19 +1,23 @@
-// Command lsmload replays generated live-streaming workloads against a
-// running lsmserve over real TCP — the load-generation half of the
-// closed loop generate → scenario-transform → replay → re-analyze.
+// Command lsmload replays a live-streaming workload against a running
+// lsmserve over real TCP — the load-generation half of the closed loop
+// generate → replay → re-analyze.
 //
-// Replay mode generates a workload with the sharded GISMO generator,
-// optionally reshapes it with scenario transforms, and drives the
+// Replay mode generates the workload a model spec (the JSON that
+// lsmgen -model reads and lsmgen -save-model and lsmcal -o write)
+// describes at a seed — the same requests lsmgen -model spec.json
+// -seed N logs — with the sharded GISMO generator, and drives the
 // server on a virtual clock:
 //
-//	lsmload -addr 127.0.0.1:8555 -scale 3000 -hours 1 -seed 7 \
-//	        -compression 600 -conns 256 \
-//	        [-thin 0.9] [-churn 0.3:1.5] [-speedup 2] [-warp 0.8:86400] \
-//	        [-flash at:dur:sessions]... [-meta meta.json]
+//	lsmload -addr 127.0.0.1:8555 -model spec.json -seed 7 \
+//	        -compression 600 -conns 256 [-meta meta.json]
 //
-// -meta records the replay's virtual-clock anchors and the full
-// workload/scenario specification. Check mode then regenerates the
-// offered workload from that record, scans the servers' transfer logs
+// A crowd is part of the model: its events (per_day,
+// mean_duration_seconds, amplitude) draw the in-show bursts.
+//
+// -meta records the replay's virtual-clock anchors, the model spec
+// verbatim, the seed and the transfer cap. Check mode then regenerates
+// the offered workload from that record — the spec decoded as strictly
+// as gismo.LoadModel decodes a file — scans the servers' transfer logs
 // once — one -logs per file or directory, as many as the fleet had
 // nodes, text or binary, gzip transparent — onto the trace clock,
 // reconciles them by event identity and verifies the served workload
@@ -34,65 +38,65 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/gismo"
 	"repro/internal/loadgen"
 	"repro/internal/prof"
-	"repro/internal/scenario"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
 
+// options collects the CLI parameters.
+type options struct {
+	addr, check, meta, model string
+	logs                     multiFlag
+	timeout                  int64
+	replay                   replayOpts
+}
+
+// registerFlags binds the command's flags to o.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.addr, "addr", "", "lsmserve (or, with -frontend, lsmfleet) address to replay against (required unless -check)")
+	fs.StringVar(&o.check, "check", "", "meta JSON from a previous replay: validate the server log instead of replaying")
+	fs.Var(&o.logs, "logs", "a server transfer log (file or directory of daily logs) for -check; repeatable, one per fleet node")
+	fs.StringVar(&o.meta, "meta", "", "write replay metadata JSON here (enables a later -check)")
+
+	fs.StringVar(&o.model, "model", "", "model spec JSON to replay, as lsmgen -model reads it (required unless -check)")
+	fs.Int64Var(&o.replay.Seed, "seed", 1, "generator seed")
+	fs.IntVar(&o.replay.Shards, "shards", 0, "generator shards (0 = one per CPU)")
+	fs.IntVar(&o.replay.MaxTransfers, "max-transfers", 0, "cap replayed transfers (0 = all)")
+
+	fs.Float64Var(&o.replay.Compression, "compression", 600, "trace seconds per wall second")
+	fs.IntVar(&o.replay.Conns, "conns", 256, "connection budget (pooled + overflow)")
+	fs.DurationVar(&o.replay.MinWatch, "min-watch", 40*time.Millisecond, "floor on per-transfer wall watch time")
+	fs.DurationVar(&o.replay.IdleConn, "idle-conn", 2*time.Second, "idle pooled connection retirement age")
+	fs.Int64Var(&o.timeout, "timeout", 0, "session timeout for -check (0 = widest-void auto pick)")
+	fs.BoolVar(&o.replay.Frontend, "frontend", false, "-addr is an lsmfleet redirector: resolve each (client, object) route through it and follow one redirect hop")
+	fs.IntVar(&o.replay.MaxFailures, "max-failures", 0, "tolerate up to this many lost transfers (failover runs); lost events are recorded in -meta so -check can exclude exactly them")
+}
+
 func main() {
-	var (
-		addr  = flag.String("addr", "", "lsmserve (or, with -frontend, lsmfleet) address to replay against (required unless -check)")
-		check = flag.String("check", "", "meta JSON from a previous replay: validate the server log instead of replaying")
-		logs  multiFlag
-		meta  = flag.String("meta", "", "write replay metadata JSON here (enables a later -check)")
-
-		scale   = flag.Float64("scale", 3000, "population/rate scale-down factor (1 = paper scale)")
-		days    = flag.Int("days", 1, "trace horizon in days")
-		hours   = flag.Int("hours", 0, "trace horizon in hours (overrides -days when > 0)")
-		seed    = flag.Int64("seed", 1, "generator seed")
-		shards  = flag.Int("shards", 0, "generator shards (0 = one per CPU)")
-		rate    = flag.Float64("rate", 0, "override the model's base arrival rate in sessions/second (0 = model default)")
-		noRamp  = flag.Bool("no-ramp", false, "disable the premiere ramp-up (recommended for sub-day horizons)")
-		maxTx   = flag.Int("max-transfers", 0, "cap replayed transfers (0 = all)")
-		scnSeed = flag.Int64("scenario-seed", 1, "seed for scenario transforms")
-
-		thin    = flag.Float64("thin", 0, "keep each session with this probability (0 = off)")
-		churn   = flag.String("churn", "", "viewer churn as frac:meanKept, e.g. 0.3:1.5")
-		speedup = flag.Float64("speedup", 0, "compress trace time by this factor before replay (0 = off)")
-		warp    = flag.String("warp", "", "diurnal reshaping as amplitude:period, e.g. 0.8:86400")
-		flash   = multiFlag{}
-
-		compression = flag.Float64("compression", 600, "trace seconds per wall second")
-		conns       = flag.Int("conns", 256, "connection budget (pooled + overflow)")
-		minWatch    = flag.Duration("min-watch", 40*time.Millisecond, "floor on per-transfer wall watch time")
-		idleConn    = flag.Duration("idle-conn", 2*time.Second, "idle pooled connection retirement age")
-		timeout     = flag.Int64("timeout", 0, "session timeout for -check (0 = widest-void auto pick)")
-		frontend    = flag.Bool("frontend", false, "-addr is an lsmfleet redirector: resolve each (client, object) route through it and follow one redirect hop")
-		maxFail     = flag.Int("max-failures", 0, "tolerate up to this many lost transfers (failover runs); lost events are recorded in -meta so -check can exclude exactly them")
-
-		profiles prof.Profiles
-	)
-	flag.Var(&flash, "flash", "inject a flash crowd as at:dur:sessions (trace seconds); repeatable")
-	flag.Var(&logs, "logs", "a server transfer log (file or directory of daily logs) for -check; repeatable, one per fleet node")
+	var o options
+	var profiles prof.Profiles
+	registerFlags(flag.CommandLine, &o)
 	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Resolve the mode before starting any profile, so a usage error
 	// never exits with an unflushed (truncated) cpu/trace artifact.
 	switch {
-	case *check != "":
-		if len(logs) == 0 {
+	case o.check != "":
+		if len(o.logs) == 0 {
 			fmt.Fprintln(os.Stderr, "lsmload: -check requires -logs")
 			os.Exit(2)
 		}
-	case *addr != "":
+	case o.addr != "":
+		if o.model == "" {
+			fmt.Fprintln(os.Stderr, "lsmload: -addr requires -model")
+			os.Exit(2)
+		}
 	default:
 		fmt.Fprintln(os.Stderr, "lsmload: either -addr (replay) or -check (validate) is required")
 		flag.Usage()
@@ -103,21 +107,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	sp := spec{
-		Scale: *scale, Days: *days, Hours: *hours, Seed: *seed, Shards: *shards,
-		Rate: *rate, NoRamp: *noRamp, MaxTransfers: *maxTx, ScenarioSeed: *scnSeed,
-		Thin: *thin, Churn: *churn, SpeedUp: *speedup, Warp: *warp, Flash: flash,
-	}
-
 	var err error
-	if *check != "" {
-		err = runCheck(*check, logs, *timeout, os.Stdout)
+	if o.check != "" {
+		err = runCheck(o.check, o.logs, o.timeout, os.Stdout)
 	} else {
-		ro := replayOpts{
-			Compression: *compression, Conns: *conns, MinWatch: *minWatch,
-			IdleConn: *idleConn, Frontend: *frontend, MaxFailures: *maxFail,
-		}
-		err = runReplay(*addr, sp, ro, *meta, os.Stdout)
+		err = runReplay(o.addr, o.model, o.replay, o.meta, os.Stdout)
 	}
 	if perr := profiles.Stop(); err == nil {
 		err = perr
@@ -128,39 +122,22 @@ func main() {
 	}
 }
 
-// multiFlag collects repeated -flash and -logs values.
+// multiFlag collects repeated -logs values.
 type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// spec is the full workload + scenario parameterization. It is what
-// -meta persists: check mode rebuilds the identical offered workload
-// from it, which is only possible because generation and every
-// transform are deterministic in their seeds.
-type spec struct {
-	Scale        float64  `json:"scale"`
-	Days         int      `json:"days"`
-	Hours        int      `json:"hours"`
-	Seed         int64    `json:"seed"`
-	Shards       int      `json:"shards"`
-	Rate         float64  `json:"rate"`
-	NoRamp       bool     `json:"no_ramp"`
-	MaxTransfers int      `json:"max_transfers"`
-	ScenarioSeed int64    `json:"scenario_seed"`
-	Thin         float64  `json:"thin,omitempty"`
-	Churn        string   `json:"churn,omitempty"`
-	SpeedUp      float64  `json:"speedup,omitempty"`
-	Warp         string   `json:"warp,omitempty"`
-	Flash        []string `json:"flash,omitempty"`
-}
-
-// replayOpts bundles the wire-level replay knobs.
+// replayOpts bundles the replay knobs: how the workload is generated
+// and capped, then the wire-level ones.
 type replayOpts struct {
-	Compression float64
-	Conns       int
-	MinWatch    time.Duration
-	IdleConn    time.Duration
+	Seed         int64
+	Shards       int
+	MaxTransfers int
+	Compression  float64
+	Conns        int
+	MinWatch     time.Duration
+	IdleConn     time.Duration
 	// Frontend marks the target as a fleet redirector; MaxFailures is
 	// how many lost transfers a (failover) replay may shed and still
 	// succeed — the lost events land in the meta for exact validation.
@@ -175,146 +152,71 @@ type eventRef struct {
 	Seq     int `json:"seq"`
 }
 
-// metaFile anchors a finished replay for later validation.
+// metaFile anchors a finished replay for later validation. Model,
+// Seed and MaxTransfers are the offered workload: -check regenerates
+// it from them, which is only possible because generation is
+// deterministic in the seed. No shard count is kept: the offered
+// stream is the same at any.
 type metaFile struct {
-	Spec          spec       `json:"spec"`
-	BeginUnixNano int64      `json:"begin_unix_nano"`
-	Origin        int64      `json:"origin_trace_sec"`
-	Compression   float64    `json:"compression"`
-	Attempted     int        `json:"attempted"`
-	Completed     int        `json:"completed"`
-	Frontend      bool       `json:"frontend,omitempty"`
-	Failed        []eventRef `json:"failed,omitempty"`
+	Model         json.RawMessage `json:"model"`
+	Seed          int64           `json:"seed"`
+	MaxTransfers  int             `json:"max_transfers"`
+	BeginUnixNano int64           `json:"begin_unix_nano"`
+	Origin        int64           `json:"origin_trace_sec"`
+	Compression   float64         `json:"compression"`
+	Attempted     int             `json:"attempted"`
+	Completed     int             `json:"completed"`
+	Frontend      bool            `json:"frontend,omitempty"`
+	Failed        []eventRef      `json:"failed,omitempty"`
 }
 
-// model builds the generator model for the spec.
-func (sp *spec) model() (gismo.Model, error) {
-	m, err := gismo.Scaled(sp.Scale, max(sp.Days, 1))
-	if err != nil {
-		return m, err
-	}
-	if sp.Hours > 0 {
-		m.Horizon = int64(sp.Hours) * 3600
-	}
-	if sp.Rate > 0 {
-		m.BaseArrivalRate = sp.Rate
-	}
-	if sp.NoRamp {
-		m.RampUpDays = 0
-	}
-	return m, m.Validate()
-}
-
-// transform builds the scenario chain for the spec.
-func (sp *spec) transform(m gismo.Model) (scenario.Transform, error) {
-	var ts []scenario.Transform
-	if sp.Thin > 0 {
-		t, err := scenario.Thin(sp.Thin, sp.ScenarioSeed)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	if sp.Churn != "" {
-		frac, mean, err := parsePair(sp.Churn, "churn")
-		if err != nil {
-			return nil, err
-		}
-		t, err := scenario.Churn(frac, mean, sp.ScenarioSeed)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	if sp.SpeedUp > 0 {
-		w, err := scenario.SpeedUp(sp.SpeedUp)
-		if err != nil {
-			return nil, err
-		}
-		t, err := scenario.TimeWarp(w)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	if sp.Warp != "" {
-		amp, period, err := parsePair(sp.Warp, "warp")
-		if err != nil {
-			return nil, err
-		}
-		w, err := scenario.Diurnal(amp, int64(period))
-		if err != nil {
-			return nil, err
-		}
-		t, err := scenario.TimeWarp(w)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	for i, f := range sp.Flash {
-		fc, err := parseFlash(f)
-		if err != nil {
-			return nil, err
-		}
-		fc.Clients = m.NumClients
-		fc.Objects = m.NumObjects
-		fc.Horizon = m.Horizon
-		// Disjoint session-index bands per injection.
-		fc.SessionBase = scenario.FlashSessionBase + i*(1<<24)
-		t, err := fc.Inject(sp.ScenarioSeed)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	return scenario.Chain(ts...), nil
-}
-
-// stream opens the transformed workload stream.
-func (sp *spec) stream() (workload.Stream, gismo.Model, error) {
-	m, err := sp.model()
-	if err != nil {
-		return nil, m, err
-	}
-	chain, err := sp.transform(m)
-	if err != nil {
-		return nil, m, err
-	}
-	shards := sp.Shards
+// openStream starts the generator on the model at seed — lsmgen's
+// stream, so the replay offers the requests lsmgen logs.
+func openStream(m gismo.Model, seed int64, shards int) (workload.Stream, error) {
 	if shards == 0 {
 		shards = gismo.DefaultShards()
 	}
-	ws, err := gismo.NewStreamSeeded(m, sp.Seed, shards)
-	if err != nil {
-		return nil, m, err
-	}
-	return chain(ws), m, nil
+	return gismo.NewStreamSeeded(m, seed, shards)
 }
 
 // offeredEvents materializes the replayed event prefix for validation.
-func (sp *spec) offeredEvents() ([]workload.Event, gismo.Model, error) {
-	s, m, err := sp.stream()
+func offeredEvents(m gismo.Model, seed int64, shards, maxTransfers int) ([]workload.Event, error) {
+	s, err := openStream(m, seed, shards)
 	if err != nil {
-		return nil, m, err
+		return nil, err
 	}
 	defer workload.CloseStream(s)
 	var events []workload.Event
-	for {
-		if sp.MaxTransfers > 0 && len(events) >= sp.MaxTransfers {
-			break
-		}
+	for maxTransfers <= 0 || len(events) < maxTransfers {
 		e, ok := s.Next()
 		if !ok {
 			break
 		}
 		events = append(events, e)
 	}
-	return events, m, nil
+	return events, nil
 }
 
-func runReplay(addr string, sp spec, ro replayOpts, metaPath string, out *os.File) error {
-	stream, m, err := sp.stream()
+// readSpec reads a model spec file: its bytes, which -meta embeds
+// verbatim, and the model they decode to.
+func readSpec(path string) ([]byte, gismo.Model, error) {
+	spec, err := os.ReadFile(path)
+	if err != nil {
+		return nil, gismo.Model{}, err
+	}
+	m, err := gismo.ParseModel(spec)
+	if err != nil {
+		return nil, gismo.Model{}, fmt.Errorf("model %s: %w", path, err)
+	}
+	return spec, m, nil
+}
+
+func runReplay(addr, modelPath string, ro replayOpts, metaPath string, out *os.File) error {
+	spec, m, err := readSpec(modelPath)
+	if err != nil {
+		return err
+	}
+	stream, err := openStream(m, ro.Seed, ro.Shards)
 	if err != nil {
 		return err
 	}
@@ -325,7 +227,7 @@ func runReplay(addr string, sp spec, ro replayOpts, metaPath string, out *os.Fil
 	cfg.MaxConns = ro.Conns
 	cfg.MinWatch = ro.MinWatch
 	cfg.IdleConn = ro.IdleConn
-	cfg.MaxTransfers = sp.MaxTransfers
+	cfg.MaxTransfers = ro.MaxTransfers
 	cfg.Frontend = ro.Frontend
 
 	target := "server"
@@ -342,7 +244,9 @@ func runReplay(addr string, sp spec, ro replayOpts, metaPath string, out *os.Fil
 
 	if metaPath != "" {
 		mf := metaFile{
-			Spec:          sp,
+			Model:         spec,
+			Seed:          ro.Seed,
+			MaxTransfers:  ro.MaxTransfers,
 			BeginUnixNano: res.Begin.UnixNano(),
 			Origin:        res.Origin,
 			Compression:   res.Compression,
@@ -353,11 +257,7 @@ func runReplay(addr string, sp spec, ro replayOpts, metaPath string, out *os.Fil
 		for _, ev := range res.FailedEvents {
 			mf.Failed = append(mf.Failed, eventRef{Session: ev.Session, Seq: ev.Seq})
 		}
-		data, err := json.MarshalIndent(&mf, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(metaPath, data, 0o644); err != nil {
+		if err := writeMeta(metaPath, &mf); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "replay metadata written to %s\n", metaPath)
@@ -368,30 +268,52 @@ func runReplay(addr string, sp spec, ro replayOpts, metaPath string, out *os.Fil
 	return nil
 }
 
+// writeMeta writes the -meta record, indented.
+func writeMeta(path string, mf *metaFile) error {
+	data, err := json.MarshalIndent(mf, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
 // readMeta decodes a -meta record as strictly as gismo.LoadModel
-// decodes a model spec: an unknown field at any level (a misspelled
-// "failed" would leave the lost events in the offered side and blame
-// the server) or bytes after the record are refused, and so is a
-// compression that cannot map the log back onto the trace clock.
-func readMeta(path string) (metaFile, error) {
+// decodes a model spec, and the spec it embeds through the same
+// decoder: an unknown field at any level (a misspelled "failed" would
+// leave the lost events in the offered side and blame the server), a
+// spec that does not validate or bytes after the record are refused,
+// and so is a compression that cannot map the log back onto the trace
+// clock. A record from an lsmload that took the workload as flags
+// names that instead of the unknown field.
+func readMeta(path string) (metaFile, gismo.Model, error) {
 	var mf metaFile
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return mf, err
+		return mf, gismo.Model{}, err
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&mf); err != nil {
-		return mf, fmt.Errorf("parse meta %s: %w", path, err)
+		var old struct {
+			Spec json.RawMessage `json:"spec"`
+		}
+		if json.Unmarshal(data, &old) == nil && old.Spec != nil {
+			return mf, gismo.Model{}, fmt.Errorf("meta %s holds a workload \"spec\" record from an lsmload that predates -model: replay with -model to check", path)
+		}
+		return mf, gismo.Model{}, fmt.Errorf("parse meta %s: %w", path, err)
 	}
 	var trailing json.RawMessage
 	if err := dec.Decode(&trailing); err != io.EOF {
-		return mf, fmt.Errorf("parse meta %s: trailing data after the record", path)
+		return mf, gismo.Model{}, fmt.Errorf("parse meta %s: trailing data after the record", path)
 	}
 	if !(mf.Compression > 0) {
-		return mf, fmt.Errorf("meta %s: compression %v is not positive", path, mf.Compression)
+		return mf, gismo.Model{}, fmt.Errorf("meta %s: compression %v is not positive", path, mf.Compression)
 	}
-	return mf, nil
+	m, err := gismo.ParseModel(mf.Model)
+	if err != nil {
+		return mf, gismo.Model{}, fmt.Errorf("meta %s: model: %w", path, err)
+	}
+	return mf, m, nil
 }
 
 // servedLogs expands the -logs arguments into log files: a file as
@@ -436,7 +358,7 @@ func servedLogs(args []string) ([]string, error) {
 // runCheck validates the logs a replay's servers wrote against the
 // offered workload regenerated from its meta record.
 func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error {
-	mf, err := readMeta(metaPath)
+	mf, m, err := readMeta(metaPath)
 	if err != nil {
 		return err
 	}
@@ -445,7 +367,7 @@ func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error
 		return err
 	}
 
-	events, m, err := mf.Spec.offeredEvents()
+	events, err := offeredEvents(m, mf.Seed, 0, mf.MaxTransfers)
 	if err != nil {
 		return err
 	}
@@ -510,38 +432,4 @@ func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error
 		return fmt.Errorf("served workload does not match offered workload")
 	}
 	return nil
-}
-
-// parsePair splits "a:b" into two floats.
-func parsePair(s, what string) (float64, float64, error) {
-	a, b, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-%s wants a:b, got %q", what, s)
-	}
-	x, err := strconv.ParseFloat(a, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("-%s: %v", what, err)
-	}
-	y, err := strconv.ParseFloat(b, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("-%s: %v", what, err)
-	}
-	return x, y, nil
-}
-
-// parseFlash parses "at:dur:sessions".
-func parseFlash(s string) (scenario.FlashCrowd, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return scenario.FlashCrowd{}, fmt.Errorf("-flash wants at:dur:sessions, got %q", s)
-	}
-	vals := make([]int64, 3)
-	for i, p := range parts {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return scenario.FlashCrowd{}, fmt.Errorf("-flash %q: %v", s, err)
-		}
-		vals[i] = v
-	}
-	return scenario.FlashCrowd{At: vals[0], Duration: vals[1], Sessions: int(vals[2])}, nil
 }

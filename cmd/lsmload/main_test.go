@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,163 +18,203 @@ import (
 	"repro/internal/wmslog"
 )
 
-func TestParsePair(t *testing.T) {
-	a, b, err := parsePair("0.3:1.5", "churn")
-	if err != nil || a != 0.3 || b != 1.5 {
-		t.Fatalf("got %v %v %v", a, b, err)
-	}
-	for _, bad := range []string{"", "0.3", "x:1", "1:y"} {
-		if _, _, err := parsePair(bad, "churn"); err == nil {
-			t.Errorf("parsePair(%q) accepted", bad)
-		}
-	}
-}
-
-func TestParseFlash(t *testing.T) {
-	fc, err := parseFlash("300:600:100")
+// specFixture saves the model of a one-hour replay of 1/6000 of the
+// paper's population — no premiere ramp, 0.05 sessions a second — as
+// a spec file and returns its path.
+func specFixture(t *testing.T) string {
+	t.Helper()
+	m, err := gismo.Scaled(6000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.At != 300 || fc.Duration != 600 || fc.Sessions != 100 {
-		t.Fatalf("parsed %+v", fc)
+	m.Horizon, m.BaseArrivalRate, m.RampUpDays = 3600, 0.05, 0
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "1:2", "1:2:3:4", "a:2:3"} {
-		if _, err := parseFlash(bad); err == nil {
-			t.Errorf("parseFlash(%q) accepted", bad)
-		}
-	}
+	return path
 }
 
-// TestSpecSeedMatchesGenerateSeeded: one -seed means one workload in
-// every command — the untransformed stream lsmload offers is exactly
-// the request sequence GenerateSeeded (and so lsmgen) produces for the
-// same model and seed.
+// TestSpecSeedMatchesGenerateSeeded: one spec and one -seed mean one
+// workload in every command — what lsmload -model X -seed N offers,
+// and what -check regenerates from the meta record, is exactly the
+// request sequence GenerateSeeded(LoadModel(X), N) (and so lsmgen
+// -model X -seed N) produces.
 func TestSpecSeedMatchesGenerateSeeded(t *testing.T) {
-	sp := spec{Scale: 6000, Days: 1, Hours: 1, Seed: 5, Shards: 2, Rate: 0.05, NoRamp: true}
-	offered, m, err := sp.offeredEvents()
+	const seed = 5
+	path := specFixture(t)
+	m, err := gismo.LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gismo.GenerateSeeded(m, sp.Seed)
+	w, err := gismo.GenerateSeeded(m, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, replayed, err := readSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered, err := offeredEvents(replayed, seed, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(offered) == 0 || !slices.Equal(offered, w.Requests) {
 		t.Fatalf("lsmload offers %d events, GenerateSeeded %d requests, or they differ", len(offered), len(w.Requests))
 	}
+
+	meta := filepath.Join(t.TempDir(), "meta.json")
+	if err := writeMeta(meta, &metaFile{Model: spec, Seed: seed, Compression: 600}); err != nil {
+		t.Fatal(err)
+	}
+	mf, checked, err := readMeta(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regenerated, err := offeredEvents(checked, mf.Seed, 0, mf.MaxTransfers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(regenerated, w.Requests) {
+		t.Fatalf("-check regenerates %d events, GenerateSeeded %d requests, or they differ", len(regenerated), len(w.Requests))
+	}
 }
 
 // TestSpecOfferedEventsDeterministicAndCapped: the -check contract
-// rests on the spec regenerating the identical event prefix.
+// rests on the spec and seed regenerating the identical event prefix,
+// at any shard count, cut where the transfer cap says.
 func TestSpecOfferedEventsDeterministicAndCapped(t *testing.T) {
-	sp := spec{
-		Scale: 6000, Days: 1, Hours: 1, Seed: 5, Shards: 2,
-		Rate: 0.05, NoRamp: true, ScenarioSeed: 3,
-		Thin: 0.9, Flash: []string{"100:400:20"},
+	m, err := gismo.LoadModel(specFixture(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, m, err := sp.offeredEvents()
+	a, err := offeredEvents(m, 5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a) == 0 {
 		t.Fatal("no events generated")
 	}
-	if m.Horizon != 3600 {
-		t.Fatalf("hours override ignored: horizon %d", m.Horizon)
-	}
-	b, _, err := sp.offeredEvents()
+	b, err := offeredEvents(m, 5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("regeneration drift: %d vs %d events", len(a), len(b))
+	if !slices.Equal(a, b) {
+		t.Fatalf("regeneration drift: %d vs %d events, or they differ", len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-
-	// Shard count must not change the offered sequence.
-	sp2 := sp
-	sp2.Shards = 5
-	c, _, err := sp2.offeredEvents()
+	c, err := offeredEvents(m, 5, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(c) {
-		t.Fatalf("shard count changed the workload: %d vs %d", len(a), len(c))
+	if !slices.Equal(a, c) {
+		t.Fatalf("shard count changed the workload: %d vs %d events, or they differ", len(a), len(c))
 	}
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatalf("shard count changed event %d", i)
-		}
-	}
-
-	capped := sp
-	capped.MaxTransfers = 7
-	d, _, err := capped.offeredEvents()
+	d, err := offeredEvents(m, 5, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d) != 7 {
-		t.Fatalf("cap ignored: %d events", len(d))
-	}
-	for i := range d {
-		if d[i] != a[i] {
-			t.Fatalf("capped prefix diverges at %d", i)
-		}
+	if !slices.Equal(d, a[:7]) {
+		t.Fatalf("cap ignored or the capped prefix diverges: %d events", len(d))
 	}
 }
 
 // TestSpecSurvivesMetaRoundTrip: what -meta writes, -check must read
-// back into the same spec.
+// back — the embedded spec decoding to the replayed model.
 func TestSpecSurvivesMetaRoundTrip(t *testing.T) {
-	mf := metaFile{
-		Spec: spec{
-			Scale: 692, Days: 1, Hours: 2, Seed: 11, Shards: 4,
-			Rate: 0.05, NoRamp: true, MaxTransfers: 100, ScenarioSeed: 9,
-			Thin: 0.8, Churn: "0.3:1.5", SpeedUp: 2, Warp: "0.5:86400",
-			Flash: []string{"600:900:2000", "1800:300:50"},
-		},
-		BeginUnixNano: 123456789,
-		Origin:        42,
-		Compression:   600,
-		Attempted:     99,
-		Completed:     99,
-	}
-	data, err := json.Marshal(&mf)
+	spec, m, err := readSpec(specFixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back metaFile
-	if err := json.Unmarshal(data, &back); err != nil {
+	mf := metaFile{
+		Model: spec, Seed: 11, MaxTransfers: 100,
+		BeginUnixNano: 123456789, Origin: 42, Compression: 600,
+		Attempted: 99, Completed: 98, Failed: []eventRef{{Session: 3, Seq: 1}},
+	}
+	path := filepath.Join(t.TempDir(), "meta.json")
+	if err := writeMeta(path, &mf); err != nil {
 		t.Fatal(err)
 	}
-	if back.Spec.Scale != mf.Spec.Scale || back.Spec.Seed != mf.Spec.Seed ||
-		back.Spec.Thin != mf.Spec.Thin || back.Spec.Churn != mf.Spec.Churn ||
-		len(back.Spec.Flash) != 2 || back.Origin != 42 || back.Compression != 600 {
+	back, checked, err := readMeta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(must(json.Marshal(checked)), must(json.Marshal(m))) {
+		t.Errorf("embedded spec decodes to another model:\n%s\nwant\n%s", must(json.Marshal(checked)), must(json.Marshal(m)))
+	}
+	back.Model = mf.Model
+	if !reflect.DeepEqual(back, mf) {
 		t.Fatalf("round trip lost fields: %+v", back)
 	}
 }
 
-// TestSpecTransformValidation: bad scenario specs surface as errors,
-// not silent no-ops.
-func TestSpecTransformValidation(t *testing.T) {
-	bad := []spec{
-		{Scale: 6000, Days: 1, Thin: 1.5},
-		{Scale: 6000, Days: 1, Churn: "nonsense"},
-		{Scale: 6000, Days: 1, Warp: "2:-1"},
-		{Scale: 6000, Days: 1, Flash: []string{"1:2"}},
+// TestRemovedFlagsRejected: the workload is a model spec; the flags
+// that built and reshaped one are gone, not silently accepted, and
+// -model is the one flag in their place.
+func TestRemovedFlagsRejected(t *testing.T) {
+	parse := func(args ...string) error {
+		var o options
+		fs := flag.NewFlagSet("lsmload", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &o)
+		return fs.Parse(args)
 	}
-	for i, sp := range bad {
-		m, err := sp.model()
-		if err != nil {
-			t.Fatalf("model %d: %v", i, err)
+	for _, args := range [][]string{
+		{"-scale", "3000"}, {"-days", "1"}, {"-hours", "1"}, {"-rate", "0.03"}, {"-no-ramp"},
+		{"-scenario-seed", "1"}, {"-thin", "0.9"}, {"-churn", "0.3:1.5"}, {"-speedup", "2"},
+		{"-warp", "0.8:86400"}, {"-flash", "300:600:100"},
+	} {
+		if err := parse(args...); err == nil {
+			t.Errorf("%v: want a flag-parsing error", args)
 		}
-		if _, err := sp.transform(m); err == nil {
-			t.Errorf("bad spec %d accepted", i)
+	}
+	if err := parse("-model", "spec.json", "-seed", "7"); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fs := flag.NewFlagSet("lsmload", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := []string{"addr", "check", "compression", "conns", "frontend", "idle-conn", "logs", "max-failures",
+		"max-transfers", "meta", "min-watch", "model", "seed", "shards", "timeout"}
+	if !slices.Equal(names, want) {
+		t.Errorf("flags %v, want %v", names, want)
+	}
+}
+
+// TestE2ESpecCanonicalWithBurst: the spec the e2e scripts replay is in
+// Save's canonical form, and at their seed its events draw a crowd —
+// the busiest 15-minute window opens at least twice the sessions of
+// the quietest.
+func TestE2ESpecCanonicalWithBurst(t *testing.T) {
+	const path = "../../scripts/e2e_model.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := gismo.LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved := filepath.Join(t.TempDir(), "model.json")
+	if err := m.Save(resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(must(os.ReadFile(resaved)), data) {
+		t.Errorf("%s is not what LoadModel then Save writes", path)
+	}
+
+	events, err := offeredEvents(m, 7, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := make([]int, (m.Horizon+899)/900)
+	for _, ev := range events {
+		if ev.Seq == 0 {
+			windows[ev.Start/900]++
 		}
+	}
+	if lo, hi := slices.Min(windows), slices.Max(windows); hi < 2*lo {
+		t.Errorf("sessions per 15-minute window %v: no burst", windows)
 	}
 }
 
@@ -181,17 +225,16 @@ func TestSpecTransformValidation(t *testing.T) {
 // an empty served workload and reporting a mismatch.
 func TestCheckRefusesDirWithoutDailyLogs(t *testing.T) {
 	dir := t.TempDir()
-	sp := spec{Scale: 6000, Days: 1, Hours: 1, Seed: 5, Shards: 2, Rate: 0.05, NoRamp: true}
-	events, _, err := sp.offeredEvents()
+	spec, m, err := readSpec(specFixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(&metaFile{Spec: sp, Compression: 600, Attempted: len(events), Completed: len(events)})
+	events, err := offeredEvents(m, 5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	meta, logs := filepath.Join(dir, "meta.json"), filepath.Join(dir, "logs")
-	if err := os.WriteFile(meta, data, 0o644); err != nil {
+	if err := writeMeta(meta, &metaFile{Model: spec, Seed: 5, Compression: 600, Attempted: len(events), Completed: len(events)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Mkdir(logs, 0o755); err != nil {
@@ -221,13 +264,16 @@ func TestCheckRefusesDirWithoutDailyLogs(t *testing.T) {
 func checkFixture(t *testing.T) (metaFile, string, []string) {
 	t.Helper()
 	dir := t.TempDir()
-	sp := spec{Scale: 6000, Days: 1, Hours: 1, Seed: 5, Shards: 2, Rate: 0.05, NoRamp: true}
-	events, _, err := sp.offeredEvents()
+	spec, m, err := readSpec(specFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := offeredEvents(m, 5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	begin := time.Date(2002, 3, 1, 12, 0, 0, 0, time.UTC)
-	mf := metaFile{Spec: sp, BeginUnixNano: begin.UnixNano(), Compression: 1, Attempted: len(events), Completed: len(events)}
+	mf := metaFile{Model: spec, Seed: 5, BeginUnixNano: begin.UnixNano(), Compression: 1, Attempted: len(events), Completed: len(events)}
 	var logs []string
 	for node := range 2 {
 		path := filepath.Join(dir, fmt.Sprintf("node%d.log", node+1))
@@ -254,20 +300,11 @@ func checkFixture(t *testing.T) (metaFile, string, []string) {
 		f.Close()
 		logs = append(logs, path)
 	}
-	return mf, writeMeta(t, dir, mf), logs
-}
-
-func writeMeta(t *testing.T, dir string, mf metaFile) string {
-	t.Helper()
-	data, err := json.Marshal(&mf)
-	if err != nil {
+	meta := filepath.Join(dir, "meta.json")
+	if err := writeMeta(meta, &mf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "meta.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return mf, meta, logs
 }
 
 // runCheckOutput runs the check and returns its error and stdout.
@@ -343,11 +380,14 @@ func TestCheckRefusesLogNamedTwice(t *testing.T) {
 	}
 }
 
-// TestCheckMetaIsStrict: -check decodes the meta record strictly. An
+// TestCheckMetaIsStrict: -check decodes the meta record strictly, and
+// the model spec it embeds through gismo.LoadModel's decoder. An
 // unknown field at any level (a misspelled "failed" would leave the
 // lost event in the offered side and report the server as at fault),
-// bytes after the record and a compression that is not positive are
-// refused before anything is regenerated or printed.
+// an embedded spec that does not validate, bytes after the record, a
+// compression that is not positive and the workload record of an
+// lsmload that took the workload as flags are refused before anything
+// is regenerated or printed.
 func TestCheckMetaIsStrict(t *testing.T) {
 	mf, meta, logs := checkFixture(t)
 	if printed, err := runCheckOutput(t, meta, logs...); err != nil {
@@ -358,17 +398,28 @@ func TestCheckMetaIsStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	record := string(data)
-	zero, negative := mf, mf
+	zero, negative, invalid := mf, mf, mf
 	zero.Compression, negative.Compression = 0, -600
+	m, err := gismo.ParseModel(mf.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.NumClients = 0
+	invalid.Model = must(json.Marshal(m))
+	old := fmt.Sprintf(`{"spec":{"scale":6000,"days":1,"hours":1,"seed":5,"shards":2,"rate":0.05,"no_ramp":true,`+
+		`"max_transfers":0,"scenario_seed":1,"flash":["300:600:100"]},"begin_unix_nano":%d,"origin_trace_sec":0,`+
+		`"compression":1,"attempted":%d,"completed":%d}`, mf.BeginUnixNano, mf.Attempted, mf.Completed)
 	dir := t.TempDir()
 	for name, bad := range map[string]string{
-		"unknown top-level field": strings.Replace(record, `{"spec"`, `{"operator":"x","spec"`, 1),
-		"unknown spec field":      strings.Replace(record, `"scale"`, `"sclae":1,"scale"`, 1),
-		"misspelled failed":       strings.Replace(record, `"spec"`, `"failled":[{"session":0,"seq":0}],"spec"`, 1),
-		"unknown failed field":    strings.Replace(record, `"spec"`, `"failed":[{"session":0,"seq":0,"node":2}],"spec"`, 1),
+		"unknown top-level field": strings.Replace(record, `"model"`, `"operator":"x","model"`, 1),
+		"unknown model field":     strings.Replace(record, `"horizon_seconds"`, `"horizn_seconds":1,"horizon_seconds"`, 1),
+		"invalid model":           string(must(json.Marshal(&invalid))),
+		"misspelled failed":       strings.Replace(record, `"model"`, `"failled":[{"session":0,"seq":0}],"model"`, 1),
+		"unknown failed field":    strings.Replace(record, `"model"`, `"failed":[{"session":0,"seq":0,"node":2}],"model"`, 1),
 		"trailing record":         record + `{}`,
 		"zero compression":        string(must(json.Marshal(&zero))),
 		"negative compression":    string(must(json.Marshal(&negative))),
+		"old spec record":         old,
 	} {
 		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".json")
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
@@ -377,6 +428,9 @@ func TestCheckMetaIsStrict(t *testing.T) {
 		printed, err := runCheckOutput(t, path, logs...)
 		if err == nil || printed != "" {
 			t.Errorf("%s: err %v, printed %q", name, err, printed)
+		}
+		if name == "old spec record" && (err == nil || !strings.Contains(err.Error(), "predates -model")) {
+			t.Errorf("%s: %v, want an error naming the old record", name, err)
 		}
 	}
 }

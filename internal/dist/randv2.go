@@ -1,20 +1,17 @@
 package dist
 
-import (
-	"math"
-	randv2 "math/rand/v2"
-)
+import randv2 "math/rand/v2"
 
 // This file holds the math/rand/v2 entry points of the samplers, for
 // consumers that key their draws to a splitmix seed lane: topology's
-// placement, the flash-crowd scenario and core's Poisson replica. The
-// v1 entry points that remain (PiecewisePoisson.Stream,
-// PoissonProcess.ArrivalsIn, Zipf.SampleRank, Lognormal.Sample and
-// Pareto.Sample) are the generator's draws: gismo's live and stored
-// streams consume them, so its output, and with it the paper-scale
-// digest f1d985ae…, is keyed to math/rand v1 and moving them would
-// change every log. vbr's ON/OFF periods (examples/selfsimilar) draw
-// Pareto.Sample too. SplitMix64 satisfies both source interfaces.
+// placement and core's Poisson replica. The v1 entry points that
+// remain (PiecewisePoisson.Stream, PoissonProcess.ArrivalsIn,
+// Zipf.SampleRank, Lognormal.Sample and Pareto.Sample) are the
+// generator's draws: gismo's live and stored streams consume them, so
+// its output, and with it the paper-scale digest f1d985ae…, is keyed
+// to math/rand v1 and moving them would change every log. vbr's ON/OFF
+// periods (examples/selfsimilar) draw Pareto.Sample too. SplitMix64
+// satisfies both source interfaces.
 
 // DrawV2 returns an index distributed per the construction weights.
 func (a *Alias) DrawV2(rng *randv2.Rand) int {
@@ -23,11 +20,6 @@ func (a *Alias) DrawV2(rng *randv2.Rand) int {
 		return i
 	}
 	return a.alias[i]
-}
-
-// SampleV2 is Sample for a math/rand/v2 generator.
-func (l Lognormal) SampleV2(rng *randv2.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
 }
 
 // EachArrivalV2 is PoissonStream's Lewis–Shedler thinning over a

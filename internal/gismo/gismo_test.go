@@ -317,8 +317,8 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Model
-	if err := json.Unmarshal(data, &back); err != nil {
+	back, err := ParseModel(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Horizon != m.Horizon || back.NumClients != m.NumClients {
@@ -333,9 +333,6 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if back.Topology.NumAS == 0 {
 		t.Error("topology default not restored")
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestModelJSONWithProfile(t *testing.T) {
@@ -349,8 +346,8 @@ func TestModelJSONWithProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Model
-	if err := json.Unmarshal(data, &back); err != nil {
+	back, err := ParseModel(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Profile == nil {

@@ -246,22 +246,6 @@ func (m Model) MarshalJSON() ([]byte, error) {
 	return json.Marshal(aux)
 }
 
-// UnmarshalJSON restores the profile if its shape was serialized. Unlike
-// LoadModel it tolerates unknown fields and skips validation — it is
-// the embedding-friendly form for containers that carry a Model among
-// other fields.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	aux := struct {
-		*modelAlias
-		ProfileHourly *[24]float64 `json:"profile_hourly"`
-		ProfileDaily  *[7]float64  `json:"profile_daily"`
-	}{modelAlias: (*modelAlias)(m)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	return m.finishDecode(aux.ProfileHourly, aux.ProfileDaily)
-}
-
 // profile resolves the effective arrival profile.
 func (m *Model) profile() (*rate.Profile, error) {
 	if m.Profile != nil {

@@ -3,6 +3,7 @@ package gismo
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,10 +21,8 @@ import (
 // canonical shortest form and struct fields in declaration order, so
 // load → save reproduces the file exactly.
 
-// modelAlias strips Model's custom JSON methods so the spec codec
-// controls field handling directly — including LoadModel's
-// unknown-field strictness, which would stop at the method boundary if
-// the decoder saw a type with its own UnmarshalJSON.
+// modelAlias strips Model's MarshalJSON so the spec codec controls
+// field handling directly instead of recursing into it.
 type modelAlias Model
 
 // modelSpec is the on-disk shape: the Table 2 scalars plus the arrival
@@ -35,48 +34,53 @@ type modelSpec struct {
 	ProfileDaily  *[7]float64  `json:"profile_daily,omitempty"`
 }
 
-// finishDecode rebuilds the non-serialized fields after a decode: the
-// rate profile from its serialized shape (anchored at BaseArrivalRate)
-// and the default topology when none was set.
-func (m *Model) finishDecode(hourly *[24]float64, daily *[7]float64) error {
-	if hourly != nil && daily != nil {
-		p, err := rate.New(m.BaseArrivalRate, *hourly, *daily, 0)
+// LoadModel reads a model spec from path and decodes it with
+// ParseModel.
+func LoadModel(path string) (Model, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Model{}, fmt.Errorf("gismo: load model: %w", err)
+	}
+	m, err := ParseModel(data)
+	if err != nil {
+		return Model{}, fmt.Errorf("gismo: load model %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// ParseModel decodes and validates a model spec. Decoding is strict:
+// unknown fields anywhere in the document and data after the spec
+// object are errors, so a typoed parameter name fails loudly instead
+// of silently falling back to a zero value. It is the one spec
+// decoder: LoadModel reads files through it, and lsmload's -check the
+// spec a replay's meta record embeds.
+func ParseModel(data []byte) (Model, error) {
+	var aux modelSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&aux); err != nil {
+		return Model{}, err
+	}
+	var trailing json.RawMessage
+	if err := dec.Decode(&trailing); err != io.EOF {
+		return Model{}, errors.New("trailing data after spec object")
+	}
+	m := Model(aux.modelAlias)
+	// Rebuild what the spec does not carry: the rate profile from its
+	// serialized shape, anchored at BaseArrivalRate, and the default
+	// topology when none was set.
+	if aux.ProfileHourly != nil && aux.ProfileDaily != nil {
+		p, err := rate.New(m.BaseArrivalRate, *aux.ProfileHourly, *aux.ProfileDaily, 0)
 		if err != nil {
-			return err
+			return Model{}, err
 		}
 		m.Profile = p
 	}
 	if m.Topology.NumAS == 0 {
 		m.Topology = topology.DefaultConfig()
 	}
-	return nil
-}
-
-// LoadModel reads a model spec from path and validates it. Decoding is
-// strict: unknown fields anywhere in the document are errors, so a
-// typoed parameter name fails loudly instead of silently falling back
-// to a zero value.
-func LoadModel(path string) (Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Model{}, fmt.Errorf("gismo: load model: %w", err)
-	}
-	var aux modelSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&aux); err != nil {
-		return Model{}, fmt.Errorf("gismo: load model %s: %w", path, err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return Model{}, fmt.Errorf("gismo: load model %s: trailing data after spec object", path)
-	}
-	m := Model(aux.modelAlias)
-	if err := m.finishDecode(aux.ProfileHourly, aux.ProfileDaily); err != nil {
-		return Model{}, fmt.Errorf("gismo: load model %s: %w", path, err)
-	}
 	if err := m.Validate(); err != nil {
-		return Model{}, fmt.Errorf("gismo: load model %s: %w", path, err)
+		return Model{}, err
 	}
 	return m, nil
 }

@@ -2,10 +2,10 @@
 // share instead of hand-rolling sift loops.
 //
 // Heap is a generic binary min-heap ordered by a caller's less, which
-// asks nothing of the order of pushes: active transfer ends, the log
-// merge's file cursors, the time-warp scenario's events. Unlike
-// container/heap there is no interface indirection, and FixTop supports
-// the mutate-the-minimum pattern without a pop/push pair.
+// asks nothing of the order of pushes: the active transfer ends of the
+// simulator's far window and of the online concurrency estimator.
+// Unlike container/heap there is no interface indirection, and FixTop
+// supports the mutate-the-minimum pattern without a pop/push pair.
 //
 // Radix is a monotone radix heap over uint64 keys, for queues where no
 // key pushed is below the last key popped: the generator shards'

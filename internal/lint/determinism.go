@@ -12,7 +12,6 @@ import (
 var DeterministicPackages = map[string]bool{
 	"repro/internal/gismo":    true,
 	"repro/internal/simulate": true,
-	"repro/internal/scenario": true,
 	"repro/internal/workload": true,
 	"repro/internal/wmslog":   true,
 	"repro/internal/dist":     true,

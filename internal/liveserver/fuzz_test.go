@@ -63,9 +63,7 @@ func FuzzParseCommand(f *testing.F) {
 // client that sent in and keeps its end open, DATA frames left out and
 // each END line as "END": the handler's state machine run over the
 // complete lines of in, each parsed by parseCommand. A malformed line
-// is answered with ERR and the close, except inside a transfer, where
-// it ends the transfer and the connection without a reply, as QUIT
-// does there.
+// is answered with ERR and the close, inside a transfer or outside.
 func expectReplies(in []byte) []string {
 	var out []string
 	hello, streaming := false, false
@@ -81,8 +79,6 @@ func expectReplies(in []byte) []string {
 			err = errors.New("line exceeds " + strconv.Itoa(MaxLineBytes) + " bytes")
 		}
 		switch {
-		case err != nil && streaming:
-			return out
 		case err != nil:
 			return append(out, "ERR "+trimErr(err))
 		case streaming && cmd.verb == "STOP":

@@ -33,9 +33,9 @@
 // individual lost events under failover. Untagged STARTs behave exactly
 // as before.
 //
-// Outside a transfer, any protocol violation produces "ERR <reason>"
-// and closes the connection. Inside one, a malformed line ends the
-// transfer and the connection without a reply, as QUIT does there.
+// Any protocol violation, inside a transfer or outside one, produces
+// "ERR <reason>" and closes the connection; inside a transfer it ends
+// the transfer unlogged, as QUIT does there.
 package liveserver
 
 import (

@@ -357,6 +357,11 @@ func (s *Server) handle(conn net.Conn) {
 			s.disarmIdle(conn)
 			err := s.stream(conn, writer, in, &scratch, playerID, remoteIP, msg.cmd)
 			if err != nil {
+				// A protocol violation inside the transfer gets its
+				// reason before the close, as one outside it does.
+				if errors.Is(err, ErrProtocol) {
+					sendErr(trimErr(err), "")
+				}
 				return
 			}
 		case "STOP":
@@ -390,8 +395,9 @@ func trimErr(err error) string {
 // The data path is allocation-free: the "DATA <n>" header is
 // preformatted once per server (the frame size is fixed), the header
 // and payload are batched into the bufio writer and flushed as one
-// burst per frame, and the END/ERR replies are appended into the
-// connection's scratch buffer.
+// burst per frame, and the END reply is appended into the connection's
+// scratch buffer. A protocol violation is returned for handle to
+// answer with ERR.
 //
 //lsm:hotpath
 func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, scratch *[]byte, playerID, remoteIP string, start0 command) error {
@@ -413,8 +419,11 @@ func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, 
 	for {
 		select {
 		case msg, ok := <-in:
-			if !ok || msg.err != nil {
-				return io.EOF // client went away (or garbled) mid-stream
+			if !ok {
+				return io.EOF // client went away mid-stream
+			}
+			if msg.err != nil {
+				return msg.err // a read error, or a malformed line handle answers with ERR
 			}
 			switch msg.cmd.verb {
 			case "STOP":
@@ -433,11 +442,7 @@ func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, 
 				return nil
 			case "QUIT":
 				return io.EOF
-			default:
-				s.armWrite(conn)
-				*scratch = append(append(append(append((*scratch)[:0], "ERR "...), msg.cmd.verb...), " during transfer"...), '\n')
-				writer.Write(*scratch)
-				writer.Flush()
+			default: // handle answers with ERR
 				return fmt.Errorf("%w: %s during transfer", ErrProtocol, msg.cmd.verb) //lsm:alloc -- teardown path: runs once per dead connection, never per frame
 			}
 		case <-ticker.C:

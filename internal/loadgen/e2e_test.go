@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/analyze"
 	"repro/internal/gismo"
 	"repro/internal/liveserver"
-	"repro/internal/scenario"
 	"repro/internal/wmslog"
 	"repro/internal/workload"
 )
@@ -114,11 +114,12 @@ func TestClosedLoopSyntheticExactMatch(t *testing.T) {
 	t.Logf("synthetic closed loop:\n%s\n%s", report, res)
 }
 
-// TestClosedLoopGismoFlashCrowd drives the full pipeline the tentpole
-// names: sharded generator → scenario transforms (thin + flash crowd)
-// → TCP replay → log decompression → re-analysis, with the session
-// timeout chosen in the largest silent-gap void so the log's wall-clock
-// quantization cannot flip a session boundary.
+// TestClosedLoopGismoFlashCrowd drives the full pipeline over a model
+// whose in-show events draw a crowd: sharded generator → TCP replay →
+// log decompression → re-analysis, with the session timeout chosen in
+// the largest silent-gap void so the log's wall-clock quantization
+// cannot flip a session boundary. The crowd is the model's own
+// (gismo.EventConfig), not a transform of the generated stream.
 func TestClosedLoopGismoFlashCrowd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket e2e in -short mode")
@@ -130,23 +131,8 @@ func TestClosedLoopGismoFlashCrowd(t *testing.T) {
 	m.Horizon = 1800 // half a trace hour is plenty for the loop
 	m.RampUpDays = 0 // the premiere ramp would empty a 30-minute trace
 	m.BaseArrivalRate = 0.25
+	m.Events = gismo.EventConfig{PerDay: 96, MeanDuration: 300, Amplitude: 3}
 	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	thin, err := scenario.Thin(0.9, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inject, err := scenario.FlashCrowd{
-		At:       300,
-		Duration: 600,
-		Sessions: 80,
-		Clients:  m.NumClients,
-		Objects:  m.NumObjects,
-		Horizon:  m.Horizon,
-	}.Inject(23)
-	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,9 +141,18 @@ func TestClosedLoopGismoFlashCrowd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	events := workload.Drain(scenario.Chain(thin, inject)(ws), 0)
+	events := workload.Drain(ws, 0)
 	if len(events) < 100 {
 		t.Fatalf("workload too thin for a meaningful loop: %d events", len(events))
+	}
+	windows := make([]int, m.Horizon/300)
+	for _, ev := range events {
+		if ev.Seq == 0 {
+			windows[ev.Start/300]++
+		}
+	}
+	if lo, hi := slices.Min(windows), slices.Max(windows); hi < 2*lo {
+		t.Fatalf("sessions per 5-minute window %v: the events drew no crowd", windows)
 	}
 
 	const compression = 300
@@ -177,5 +172,5 @@ func TestClosedLoopGismoFlashCrowd(t *testing.T) {
 	if res.PeakConns < 2 {
 		t.Errorf("suspiciously serial replay: peak conns %d", res.PeakConns)
 	}
-	t.Logf("gismo+flash closed loop (%d events, timeout %d):\n%s\n%s", len(events), timeout, report, res)
+	t.Logf("gismo+events closed loop (%d events, sessions per 5 minutes %v, timeout %d):\n%s\n%s", len(events), windows, timeout, report, res)
 }

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"cmp"
+	"hash/fnv"
 	"net"
 	"slices"
 	"sort"
@@ -304,8 +305,9 @@ func TestFleetFailoverReroutesMidRun(t *testing.T) {
 // recorded-lost event whose entry a node had already committed, and a
 // duplicate serve from a successful retry, ending in a later second
 // or in the same one. The kept serve — the one that ended first, then
-// the smaller rendered line — and the counts do not depend on the
-// order the entries come in; untagged entries pass through untouched.
+// the one whose rendered line has the smaller FNV-1a hash — and the
+// counts do not depend on the order the entries come in; untagged
+// entries pass through untouched.
 func TestReconcileServed(t *testing.T) {
 	at := time.Date(2002, 3, 1, 12, 0, 0, 0, time.UTC)
 	entry := func(session int64, seq int, end, duration int64) *wmslog.Entry {
@@ -324,9 +326,18 @@ func TestReconcileServed(t *testing.T) {
 		untagged,
 	}
 	// The kept rows on the trace clock of a replay that began at at, at
-	// compression 1: 2.0's first serve and 4.0's serve with the smaller
-	// line, "… 2 0 …" before "… 9 0 …".
-	want := []trace.Transfer{{Start: 8, Duration: 2}, {Start: 15, Duration: 5}, {Start: 38, Duration: 2}, {Start: 46, Duration: 4}}
+	// compression 1: 2.0's first serve and the serve of 4.0 whose line
+	// hashes smaller.
+	lineHash := func(e *wmslog.Entry) uint64 {
+		h := fnv.New64a()
+		h.Write(wmslog.AppendEntry(nil, e))
+		return h.Sum64()
+	}
+	same := trace.Transfer{Start: 31, Duration: 9}
+	if lineHash(entries[5]) < lineHash(entries[4]) {
+		same = trace.Transfer{Start: 38, Duration: 2}
+	}
+	want := []trace.Transfer{{Start: 8, Duration: 2}, {Start: 15, Duration: 5}, same, {Start: 46, Duration: 4}}
 	failed := []workload.Event{{Session: 3, Seq: 0}}
 	reversed := slices.Clone(entries)
 	slices.Reverse(reversed)

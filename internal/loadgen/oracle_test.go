@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -141,14 +142,14 @@ func oracleCompareTraces(offered, served *trace.Trace, timeout int64) (*analyze.
 
 // referenceReconcile is the reconciling rule over a whole entry list,
 // as a sort: tagged entries of lost events go, and of the serves of one
-// event the one that ended first, then the one with the smaller
-// rendered line, stays.
+// event the one that ended first, then the one whose rendered line has
+// the smaller FNV-1a hash, stays.
 func referenceReconcile(logged []*wmslog.Entry, failed []workload.Event) (kept []*wmslog.Entry, droppedLost, droppedDup int) {
 	type serve struct {
 		session int64
 		seq     int
 		end     int64
-		line    string
+		hash    uint64
 		e       *wmslog.Entry
 	}
 	var tagged []serve
@@ -160,7 +161,9 @@ func referenceReconcile(logged []*wmslog.Entry, failed []workload.Event) (kept [
 		case slices.ContainsFunc(failed, func(f workload.Event) bool { return int64(f.Session) == s && f.Seq == q }):
 			droppedLost++
 		default:
-			tagged = append(tagged, serve{s, q, e.Timestamp.Unix(), string(wmslog.AppendEntry(nil, e)), e})
+			h := fnv.New64a()
+			h.Write(wmslog.AppendEntry(nil, e))
+			tagged = append(tagged, serve{s, q, e.Timestamp.Unix(), h.Sum64(), e})
 		}
 	}
 	sort.Slice(tagged, func(i, j int) bool {
@@ -168,7 +171,7 @@ func referenceReconcile(logged []*wmslog.Entry, failed []workload.Event) (kept [
 		if a.session != b.session || a.seq != b.seq {
 			return a.session < b.session || a.session == b.session && a.seq < b.seq
 		}
-		return a.end < b.end || a.end == b.end && a.line < b.line
+		return a.end < b.end || a.end == b.end && a.hash < b.hash
 	})
 	for i, sv := range tagged {
 		if i > 0 && sv.session == tagged[i-1].session && sv.seq == tagged[i-1].seq {
@@ -268,10 +271,10 @@ func FuzzCheckMatchesTraceOracle(f *testing.F) {
 	f.Add([]byte{5, 1, 40, 2, 0, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5})
 	f.Add([]byte{6, 2, 40, 1, 0, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5})
 	// Two files in mixed formats (bits 2–5 of the compression byte,
-	// node1's then node2's): a same-second duplicate with the larger
-	// line (gzipped binary, text), one with the smaller line (binary,
-	// gzipped text), a later duplicate (text, gzipped binary) and a
-	// logged lost event (gzipped text, binary).
+	// node1's then node2's): a same-second duplicate from the address
+	// that sorts last (gzipped binary, text), one from the address that
+	// sorts first (binary, gzipped text), a later duplicate (text,
+	// gzipped binary) and a logged lost event (gzipped text, binary).
 	f.Add([]byte{7, 0x51, 40, 30, 0x0c, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5})
 	f.Add([]byte{7, 0xa2, 40, 30, 0x24, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5, 0, 255, 7})
 	f.Add([]byte{5, 0x33, 40, 30, 0x30, 0, 5, 20, 1, 0, 30, 0, 250, 10, 1, 90, 5, 0, 255, 7})

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"time"
 
@@ -49,9 +51,11 @@ func Decompress(e *wmslog.Entry, begin time.Time, origin int64, compression floa
 //     (DroppedLost).
 //   - A retry succeeds on another node, so the event is logged twice.
 //     One serve is kept by the entries' content alone — the one that
-//     ended first, then the smaller rendered line — so the kept set does
-//     not depend on the order the logs are read in (DroppedDup counts
-//     the others).
+//     ended first, then the one whose rendered line has the smaller
+//     64-bit FNV-1a hash (lineHash) — so the kept set does not depend
+//     on the order the logs are read in (DroppedDup counts the others).
+//     Equal hashes mean equal lines, but for a 2⁻⁶⁴ collision, and so
+//     equal rows: either choice keeps the same row.
 //
 // Untagged entries carry no event and are all kept.
 type Served struct {
@@ -65,6 +69,8 @@ type Served struct {
 	rows    []trace.Transfer // Client, Start and Duration on the trace clock
 
 	realization wmslog.Realization
+	line        []byte      // scratch: a tagged entry's rendered line
+	hash        hash.Hash64 // FNV-1a over line, reset per entry
 
 	DroppedLost, DroppedDup int
 }
@@ -78,8 +84,8 @@ type eventID struct {
 // the reconciling rule compares a later serve of the event against.
 type keptServe struct {
 	row  int
-	end  int64 // the logged end, in Unix seconds
-	line string
+	end  int64  // the logged end, in Unix seconds
+	hash uint64 // lineHash of the logged line
 }
 
 // newServed starts an empty served side (ReadServed's arguments).
@@ -92,6 +98,7 @@ func newServed(begin time.Time, origin int64, compression float64, lost []worklo
 		lost:    make(map[eventID]bool, len(lost)),
 		kept:    make(map[eventID]keptServe),
 		clients: make(map[string]int32),
+		hash:    fnv.New64a(),
 	}
 	for _, ev := range lost {
 		s.lost[eventID{int64(ev.Session), ev.Seq}] = true
@@ -124,9 +131,9 @@ func ReadServed(paths []string, begin time.Time, origin int64, compression float
 	return s, total, nil
 }
 
-// add takes one logged entry. It keeps the entry's player, URI and
-// rendered line as strings, never the entry, so it can be a scan
-// callback's sink.
+// add takes one logged entry. It keeps the entry's player as a string
+// and a hash of its rendered line, never the entry, so it can be a
+// scan callback's sink.
 func (s *Served) add(e *wmslog.Entry) {
 	s.realization.Add(e)
 	d := *e
@@ -149,12 +156,12 @@ func (s *Served) add(e *wmslog.Entry) {
 		s.DroppedLost++
 		return
 	}
-	serve := keptServe{row: len(s.rows), end: e.Timestamp.Unix(), line: string(wmslog.AppendEntry(nil, e))}
+	serve := keptServe{row: len(s.rows), end: e.Timestamp.Unix(), hash: s.lineHash(e)}
 	prev, dup := s.kept[ev]
 	switch {
 	case !dup:
 		s.rows = append(s.rows, row)
-	case serve.end < prev.end || serve.end == prev.end && serve.line < prev.line:
+	case serve.end < prev.end || serve.end == prev.end && serve.hash < prev.hash:
 		s.DroppedDup++
 		serve.row = prev.row
 		s.rows[prev.row] = row
@@ -163,6 +170,15 @@ func (s *Served) add(e *wmslog.Entry) {
 		return
 	}
 	s.kept[ev] = serve
+}
+
+// lineHash is the 64-bit FNV-1a hash of e's rendered log line, which
+// is rendered into a reused buffer: it allocates nothing.
+func (s *Served) lineHash(e *wmslog.Entry) uint64 {
+	s.line = wmslog.AppendEntry(s.line[:0], e)
+	s.hash.Reset()
+	s.hash.Write(s.line)
+	return s.hash.Sum64()
 }
 
 // Realization is the hex realization digest of every entry scanned,

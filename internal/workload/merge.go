@@ -6,6 +6,8 @@ package workload
 // inputs — the property the sharded generator's reproducibility rests
 // on. Inputs must each be in stream order; events must not repeat a
 // (Session, Seq) pair across inputs.
+//
+//lsm:keep -- benchmark/layers/workload.go's merge probe; ROADMAP item 4a deletes
 func Merge(streams ...Stream) Stream {
 	switch len(streams) {
 	case 0:
@@ -34,6 +36,8 @@ type mergeStream struct {
 }
 
 // Next implements Stream.
+//
+//lsm:keep -- benchmark/layers/workload.go's merge probe, through Merge; ROADMAP item 4a deletes
 func (m *mergeStream) Next() (Event, bool) {
 	if len(m.inputs) == 0 {
 		return Event{}, false
@@ -56,6 +60,8 @@ func (m *mergeStream) Next() (Event, bool) {
 }
 
 // Close implements Closer, closing any input that needs it.
+//
+//lsm:keep -- benchmark/layers/workload.go's merge probe, through Merge; ROADMAP item 4a deletes
 func (m *mergeStream) Close() {
 	for _, in := range m.inputs {
 		CloseStream(in.src)

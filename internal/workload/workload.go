@@ -74,11 +74,15 @@ type SliceStream struct {
 
 // NewSliceStream wraps events, which must be in (Start, Session, Seq)
 // order.
+//
+//lsm:keep -- benchmark/layers probes (simulate.go, loadgen.go, workload.go, fixture.go) and Workload.Stream; ROADMAP item 4a deletes
 func NewSliceStream(events []Event) *SliceStream {
 	return &SliceStream{events: events}
 }
 
 // Next implements Stream.
+//
+//lsm:keep -- benchmark/layers probes, through NewSliceStream; ROADMAP item 4a deletes
 func (s *SliceStream) Next() (Event, bool) {
 	if s.pos >= len(s.events) {
 		return Event{}, false

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the closed loop: lsmserve serves over real TCP,
-# lsmload replays a generated ~100-client workload with a flash-crowd
-# scenario at compressed virtual time, and the served WMS log is parsed
-# back and compared against the offered workload — exact session and
-# transfer counts or the script fails. The served log is then detoured
+# lsmload replays the workload of the committed model spec
+# scripts/e2e_model.json (~100 clients, one trace hour, in-show events
+# that draw a crowd) at compressed virtual time, and the served WMS log
+# is parsed back and compared against the offered workload — exact
+# session and transfer counts or the script fails. The served log is then detoured
 # through the framed binary format: text → binary → text must be
 # byte-identical, and -check must accept the binary file directly and
 # print the same realization digest as for the text log.
@@ -28,10 +29,10 @@ for _ in $(seq 1 50); do
 done
 
 # ~100 clients (paper population / 6919), 1 trace hour in ~6 wall
-# seconds, plus 100 flash-crowd sessions in a 10-minute window.
-"$BIN"/lsmload -addr "127.0.0.1:$PORT" \
-    -scale 6919 -hours 1 -no-ramp -rate 0.03 -seed 7 \
-    -flash 300:600:100 \
+# seconds; at seed 7 the spec's events more than double the sessions
+# opening in the third quarter hour over the second.
+WORKLOAD=(-model "$(dirname "$0")/e2e_model.json" -seed 7)
+"$BIN"/lsmload -addr "127.0.0.1:$PORT" "${WORKLOAD[@]}" \
     -compression 600 -conns 200 -meta "$DIR/meta.json"
 
 # Flush the transfer log via graceful shutdown before validating.

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Fleet end-to-end: three lsmserve nodes behind an lsmfleet redirector
-# serve a replayed flash-crowd workload over real TCP.
+# serve a replayed workload — the committed model spec
+# scripts/e2e_model.json, whose in-show events draw a crowd — over real
+# TCP.
 #
 # Phase A (hash policy): the replay must complete with zero lost
 # transfers, `lsmload -check` over the three node logs must MATCH the
@@ -77,10 +79,10 @@ wait_metric() {
     return 1
 }
 
-# The same ~100-client, 1-trace-hour flash-crowd workload the single
-# node e2e replays, so fleet and single-node realizations are
-# comparable.
-WORKLOAD=(-scale 6919 -hours 1 -no-ramp -rate 0.03 -seed 7 -flash 300:600:100)
+# The same committed model spec and seed the single-node e2e replays
+# (~100 clients, 1 trace hour, in-show events that draw a crowd), so
+# fleet and single-node realizations are comparable.
+WORKLOAD=(-model "$(dirname "$0")/e2e_model.json" -seed 7)
 REPLAY=(-compression 600 -conns 200)
 
 start_fleet() { # $1 = phase dir
