@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: verify build lint test race examples bench bench-gate bench-history fuzz e2e e2e-fleet e2e-twin profile
+.PHONY: verify build lint test race examples bench bench-gate bench-history fuzz e2e e2e-twin profile
 
 # Extra flags for the e2e binaries (CI passes E2E_BUILDFLAGS=-race to
 # run the socket smokes under the race detector).
@@ -250,18 +250,6 @@ e2e-twin:
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmgen ./cmd/lsmgen
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmcal ./cmd/lsmcal
 	BIN=$(BIN) ./scripts/e2e_twin.sh
-
-# e2e-fleet exercises the horizontal axis: three lsmserve nodes behind
-# the lsmfleet redirector serve the replayed e2e model spec (hash
-# policy; lsmload -check over the three node logs MATCHes, and its
-# realization digest equals the one it prints for a single-node serve,
-# which MATCHes too), then a second pass SIGKILLs a node mid-replay and
-# validates failover over the node logs.
-e2e-fleet:
-	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmserve ./cmd/lsmserve
-	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmload ./cmd/lsmload
-	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmfleet ./cmd/lsmfleet
-	BIN=$(BIN) ./scripts/e2e_fleet.sh
 
 # profile captures pprof/trace artifacts from a representative
 # streaming run (the generate → simulate → log pipeline at bench-like

@@ -17,15 +17,15 @@
 // -meta records the replay's virtual-clock anchors, the model spec
 // verbatim, the seed and the transfer cap. Check mode then regenerates
 // the offered workload from that record — the spec decoded as strictly
-// as gismo.LoadModel decodes a file — scans the servers' transfer logs
-// once — one -logs per file or directory, as many as the fleet had
-// nodes, text or binary, gzip transparent — onto the trace clock,
-// reconciles them by event identity and verifies the served workload
-// matches the offered one exactly at session and transfer granularity.
-// It prints the realization digest of every logged entry, equal for
-// any split of the same served transfers over nodes:
+// as gismo.LoadModel decodes a file — scans the server's transfer log
+// once — one -logs per file or directory, as many as the log spans,
+// text or binary, gzip transparent — onto the trace clock, reconciles
+// it by event identity and verifies the served workload matches the
+// offered one exactly at session and transfer granularity. It prints
+// the realization digest of every logged entry, equal for any split of
+// the same served transfers over files:
 //
-//	lsmload -check meta.json -logs node1.log [-logs node2.log]...
+//	lsmload -check meta.json -logs served.log [-logs more.log]...
 //
 // It exits non-zero on a mismatch, which is what makes it a CI gate.
 package main
@@ -58,9 +58,9 @@ type options struct {
 
 // registerFlags binds the command's flags to o.
 func registerFlags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.addr, "addr", "", "lsmserve (or, with -frontend, lsmfleet) address to replay against (required unless -check)")
+	fs.StringVar(&o.addr, "addr", "", "lsmserve address to replay against (required unless -check)")
 	fs.StringVar(&o.check, "check", "", "meta JSON from a previous replay: validate the server log instead of replaying")
-	fs.Var(&o.logs, "logs", "a server transfer log (file or directory of daily logs) for -check; repeatable, one per fleet node")
+	fs.Var(&o.logs, "logs", "a server transfer log (file or directory of daily logs) for -check; repeatable, one per file the log spans")
 	fs.StringVar(&o.meta, "meta", "", "write replay metadata JSON here (enables a later -check)")
 
 	fs.StringVar(&o.model, "model", "", "model spec JSON to replay, as lsmgen -model reads it (required unless -check)")
@@ -73,8 +73,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&o.replay.MinWatch, "min-watch", 40*time.Millisecond, "floor on per-transfer wall watch time")
 	fs.DurationVar(&o.replay.IdleConn, "idle-conn", 2*time.Second, "idle pooled connection retirement age")
 	fs.Int64Var(&o.timeout, "timeout", 0, "session timeout for -check (0 = widest-void auto pick)")
-	fs.BoolVar(&o.replay.Frontend, "frontend", false, "-addr is an lsmfleet redirector: resolve each (client, object) route through it and follow one redirect hop")
-	fs.IntVar(&o.replay.MaxFailures, "max-failures", 0, "tolerate up to this many lost transfers (failover runs); lost events are recorded in -meta so -check can exclude exactly them")
+	fs.IntVar(&o.replay.MaxFailures, "max-failures", 0, "tolerate up to this many lost transfers; lost events are recorded in -meta so -check can exclude exactly them")
 }
 
 func main() {
@@ -138,10 +137,9 @@ type replayOpts struct {
 	Conns        int
 	MinWatch     time.Duration
 	IdleConn     time.Duration
-	// Frontend marks the target as a fleet redirector; MaxFailures is
-	// how many lost transfers a (failover) replay may shed and still
-	// succeed — the lost events land in the meta for exact validation.
-	Frontend    bool
+	// MaxFailures is how many lost transfers a replay may shed and
+	// still succeed — the lost events land in the meta for exact
+	// validation.
 	MaxFailures int
 }
 
@@ -166,7 +164,6 @@ type metaFile struct {
 	Compression   float64         `json:"compression"`
 	Attempted     int             `json:"attempted"`
 	Completed     int             `json:"completed"`
-	Frontend      bool            `json:"frontend,omitempty"`
 	Failed        []eventRef      `json:"failed,omitempty"`
 }
 
@@ -228,14 +225,9 @@ func runReplay(addr, modelPath string, ro replayOpts, metaPath string, out *os.F
 	cfg.MinWatch = ro.MinWatch
 	cfg.IdleConn = ro.IdleConn
 	cfg.MaxTransfers = ro.MaxTransfers
-	cfg.Frontend = ro.Frontend
 
-	target := "server"
-	if ro.Frontend {
-		target = "fleet front-end"
-	}
-	fmt.Fprintf(out, "replaying %d-client model (horizon %ds) against %s %s at %gx compression\n",
-		m.NumClients, m.Horizon, target, addr, ro.Compression)
+	fmt.Fprintf(out, "replaying %d-client model (horizon %ds) against server %s at %gx compression\n",
+		m.NumClients, m.Horizon, addr, ro.Compression)
 	res, err := loadgen.Replay(addr, stream, cfg)
 	if err != nil {
 		return err
@@ -252,7 +244,6 @@ func runReplay(addr, modelPath string, ro replayOpts, metaPath string, out *os.F
 			Compression:   res.Compression,
 			Attempted:     res.Attempted,
 			Completed:     res.Completed,
-			Frontend:      ro.Frontend,
 		}
 		for _, ev := range res.FailedEvents {
 			mf.Failed = append(mf.Failed, eventRef{Session: ev.Session, Seq: ev.Seq})
@@ -355,7 +346,7 @@ func servedLogs(args []string) ([]string, error) {
 	return paths, nil
 }
 
-// runCheck validates the logs a replay's servers wrote against the
+// runCheck validates the log a replay's server wrote against the
 // offered workload regenerated from its meta record.
 func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error {
 	mf, m, err := readMeta(metaPath)
@@ -374,8 +365,8 @@ func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error
 	if len(events) != mf.Attempted {
 		return fmt.Errorf("regenerated %d events but the replay attempted %d — meta/spec drift", len(events), mf.Attempted)
 	}
-	// A failover replay records the transfers it lost; the served log
-	// cannot contain them, so the offered side excludes exactly those.
+	// A replay records the transfers it lost; the served log cannot
+	// contain them, so the offered side excludes exactly those.
 	lostEvents := make([]workload.Event, 0, len(mf.Failed))
 	if len(mf.Failed) > 0 {
 		lost := make(map[eventRef]bool, len(mf.Failed))
@@ -396,12 +387,13 @@ func runCheck(metaPath string, logs []string, timeout int64, out *os.File) error
 		fmt.Fprintf(out, "excluding %d transfers lost during the replay\n", len(mf.Failed))
 	}
 
-	// A node that dies between committing a log entry and the client
-	// reading END makes the raw logs disagree with the replay's
-	// accounting (a recorded-lost event that was actually logged, or a
-	// retry double-serving one event). The scan reconciles by event
-	// identity and says so — the exactness claim below is over the
-	// reconciled set; the realization digest is over every logged entry.
+	// A transfer that fails between the server committing its log entry
+	// and the client reading END makes the raw log disagree with the
+	// replay's accounting (a recorded-lost event that was actually
+	// logged, or a redial double-serving one event). The scan
+	// reconciles by event identity and says so — the exactness claim
+	// below is over the reconciled set; the realization digest is over
+	// every logged entry.
 	served, st, err := loadgen.ReadServed(paths, time.Unix(0, mf.BeginUnixNano), mf.Origin, mf.Compression, lostEvents)
 	if err != nil {
 		return err

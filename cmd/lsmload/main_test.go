@@ -11,10 +11,12 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/gismo"
+	"repro/internal/liveserver"
 	"repro/internal/wmslog"
 )
 
@@ -149,7 +151,8 @@ func TestSpecSurvivesMetaRoundTrip(t *testing.T) {
 
 // TestRemovedFlagsRejected: the workload is a model spec; the flags
 // that built and reshaped one are gone, not silently accepted, and
-// -model is the one flag in their place.
+// -model is the one flag in their place. -frontend went with the fleet:
+// the replay target is always one lsmserve.
 func TestRemovedFlagsRejected(t *testing.T) {
 	parse := func(args ...string) error {
 		var o options
@@ -161,7 +164,7 @@ func TestRemovedFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "3000"}, {"-days", "1"}, {"-hours", "1"}, {"-rate", "0.03"}, {"-no-ramp"},
 		{"-scenario-seed", "1"}, {"-thin", "0.9"}, {"-churn", "0.3:1.5"}, {"-speedup", "2"},
-		{"-warp", "0.8:86400"}, {"-flash", "300:600:100"},
+		{"-warp", "0.8:86400"}, {"-flash", "300:600:100"}, {"-frontend"},
 	} {
 		if err := parse(args...); err == nil {
 			t.Errorf("%v: want a flag-parsing error", args)
@@ -174,7 +177,7 @@ func TestRemovedFlagsRejected(t *testing.T) {
 	fs := flag.NewFlagSet("lsmload", flag.ContinueOnError)
 	registerFlags(fs, new(options))
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"addr", "check", "compression", "conns", "frontend", "idle-conn", "logs", "max-failures",
+	want := []string{"addr", "check", "compression", "conns", "idle-conn", "logs", "max-failures",
 		"max-transfers", "meta", "min-watch", "model", "seed", "shards", "timeout"}
 	if !slices.Equal(names, want) {
 		t.Errorf("flags %v, want %v", names, want)
@@ -307,32 +310,33 @@ func checkFixture(t *testing.T) (metaFile, string, []string) {
 	return mf, meta, logs
 }
 
-// runCheckOutput runs the check and returns its error and stdout.
-func runCheckOutput(t *testing.T, meta string, logs ...string) (string, error) {
+// runCheckOutput runs the check at timeout (0 = auto-pick) and returns
+// its error and stdout.
+func runCheckOutput(t *testing.T, meta string, timeout int64, logs ...string) (string, error) {
 	t.Helper()
 	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	err = runCheck(meta, logs, 1500, out)
+	err = runCheck(meta, logs, timeout, out)
 	printed, _ := os.ReadFile(out.Name())
 	return string(printed), err
 }
 
-// TestCheckReadsNodeLogs: the check over a replay's node logs MATCHes
-// and prints the realization digest, the same in either name order,
-// and the same over the directory holding them as daily logs.
+// TestCheckReadsNodeLogs: the check over a replay's log split over two
+// files MATCHes and prints the realization digest, the same in either
+// name order and over the directory holding them as daily logs.
 func TestCheckReadsNodeLogs(t *testing.T) {
 	_, meta, logs := checkFixture(t)
-	want, err := runCheckOutput(t, meta, logs...)
+	want, err := runCheckOutput(t, meta, 1500, logs...)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, want)
 	}
 	if !strings.Contains(want, "MATCH at timeout 1500 s") || !strings.Contains(want, "realization md5=") {
 		t.Fatalf("check output:\n%s", want)
 	}
-	if got, err := runCheckOutput(t, meta, logs[1], logs[0]); err != nil || got != want {
+	if got, err := runCheckOutput(t, meta, 1500, logs[1], logs[0]); err != nil || got != want {
 		t.Fatalf("logs named the other way round: %v\n%s\nwant\n%s", err, got, want)
 	}
 	dir := t.TempDir()
@@ -341,7 +345,7 @@ func TestCheckReadsNodeLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := runCheckOutput(t, meta, dir); err != nil || got != want {
+	if got, err := runCheckOutput(t, meta, 1500, dir); err != nil || got != want {
 		t.Fatalf("logs as a directory: %v\n%s\nwant\n%s", err, got, want)
 	}
 }
@@ -370,7 +374,7 @@ func TestCheckRefusesLogNamedTwice(t *testing.T) {
 		{hardlink, logs[1], logs[0]},
 		{logs[1], daily},
 	} {
-		printed, err := runCheckOutput(t, meta, args...)
+		printed, err := runCheckOutput(t, meta, 1500, args...)
 		if err == nil || !strings.Contains(err.Error(), "named twice") {
 			t.Errorf("-logs %v: %v", args, err)
 		}
@@ -390,7 +394,7 @@ func TestCheckRefusesLogNamedTwice(t *testing.T) {
 // is regenerated or printed.
 func TestCheckMetaIsStrict(t *testing.T) {
 	mf, meta, logs := checkFixture(t)
-	if printed, err := runCheckOutput(t, meta, logs...); err != nil {
+	if printed, err := runCheckOutput(t, meta, 1500, logs...); err != nil {
 		t.Fatalf("the fixture does not pass: %v\n%s", err, printed)
 	}
 	data, err := os.ReadFile(meta)
@@ -425,13 +429,103 @@ func TestCheckMetaIsStrict(t *testing.T) {
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		printed, err := runCheckOutput(t, path, logs...)
+		printed, err := runCheckOutput(t, path, 1500, logs...)
 		if err == nil || printed != "" {
 			t.Errorf("%s: err %v, printed %q", name, err, printed)
 		}
 		if name == "old spec record" && (err == nil || !strings.Contains(err.Error(), "predates -model")) {
 			t.Errorf("%s: %v, want an error naming the old record", name, err)
 		}
+	}
+}
+
+// lossyServer serves with room for only maxConns connections, logging
+// every transfer it completes to a text log, and returns its address
+// and a stop function that closes it and returns the log's path.
+func lossyServer(t *testing.T, maxConns int) (string, func() string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "transfers.log")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wmslog.NewSyncWriter(wmslog.NewWriter(f))
+	cfg := liveserver.DefaultServerConfig()
+	cfg.FrameBytes = 256
+	cfg.FrameInterval = 5 * time.Millisecond
+	cfg.MaxConns = maxConns
+	cfg.Sink = func(r liveserver.TransferRecord) {
+		if err := w.Write(liveserver.RecordEntry(r)); err != nil {
+			t.Error(err)
+		}
+	}
+	srv, err := liveserver.Serve("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	stop := func() string {
+		once.Do(func() {
+			srv.Close()
+			if err := w.Flush(); err != nil {
+				t.Error(err)
+			}
+			f.Close()
+		})
+		return path
+	}
+	t.Cleanup(func() { stop() })
+	return srv.Addr(), stop
+}
+
+// TestReplayRecordsLostTransfersForCheck: a server with room for eight
+// connections refuses the rest of the replay's clients ("ERR busy").
+// Under -max-failures the replay still succeeds and -meta records the
+// lost events; -check excludes exactly those and MATCHes the served
+// log. The same replay with -max-failures 0 fails. Transfers must be
+// both lost and served, or the test proves nothing.
+func TestReplayRecordsLostTransfersForCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket replay in -short mode")
+	}
+	model := specFixture(t)
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	ro := replayOpts{Seed: 5, Shards: 2, MaxTransfers: 80, Compression: 1200, Conns: 64,
+		MinWatch: 20 * time.Millisecond, IdleConn: 2 * time.Second, MaxFailures: 80}
+
+	addr, stop := lossyServer(t, 8)
+	meta := filepath.Join(dir, "meta.json")
+	if err := runReplay(addr, model, ro, meta, stdout); err != nil {
+		t.Fatalf("replay under -max-failures %d: %v", ro.MaxFailures, err)
+	}
+	log := stop()
+	mf, _, err := readMeta(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mf.Failed) == 0 || mf.Completed == 0 || mf.Completed+len(mf.Failed) != mf.Attempted {
+		t.Fatalf("meta records %d lost and %d completed of %d attempted: want some of each, adding up",
+			len(mf.Failed), mf.Completed, mf.Attempted)
+	}
+	// The auto-picked timeout clears the log's wall-second quantization,
+	// ±compression trace seconds.
+	out, err := runCheckOutput(t, meta, 0, log)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if want := fmt.Sprintf("excluding %d transfers lost during the replay", len(mf.Failed)); !strings.Contains(out, want) || !strings.Contains(out, "\nMATCH at timeout") {
+		t.Fatalf("check output lacks %q or a MATCH:\n%s", want, out)
+	}
+
+	addr, _ = lossyServer(t, 8)
+	ro.MaxFailures = 0
+	if err := runReplay(addr, model, ro, "", stdout); err == nil || !strings.Contains(err.Error(), "max-failures 0") {
+		t.Fatalf("replay under -max-failures 0: %v, want the lost transfers refused", err)
 	}
 }
 

@@ -8,9 +8,10 @@
 //	lsmserve [-addr 127.0.0.1:8555] [-log transfers.log] [-log-format text|binary]
 //	         [-metrics host:port] [-rate 110000]
 //	         [-max-conns 256] [-write-timeout 10s] [-idle-timeout 60s]
-//	         [-fleet host:port] [-advertise host:port] [-beat 500ms]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
+// -log names a new file: a path that already holds one is refused, so
+// a restart cannot truncate the log a later lsmload -check reads.
 // -log-format binary writes the transfer log in the framed binary
 // wmslog format (decoded transparently by every reader — lsmload
 // -check, lsmlog). -metrics serves the plain-text
@@ -20,11 +21,6 @@
 //
 // The GOMAXPROCS environment variable caps how many CPUs the server
 // schedules across; by default it uses every schedulable CPU.
-//
-// -fleet joins the node to an lsmfleet redirector: the node registers
-// its address (-advertise overrides what it announces, for NAT or
-// multi-interface hosts) and heartbeats its load every -beat, so the
-// front-end routes client transfers here and detects the node's death.
 //
 // -max-conns bounds concurrently served connections: a connection
 // beyond the limit is answered with "ERR busy" and closed immediately —
@@ -41,6 +37,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/liveserver"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
@@ -63,23 +59,18 @@ type options struct {
 	addr, logPath, logFmt, metrics string
 	rate, maxConn                  int
 	writeTO, idleTO                time.Duration
-	fleet, advertise               string
-	beat                           time.Duration
 }
 
 // registerFlags binds the command's flags to o.
 func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8555", "listen address")
-	fs.StringVar(&o.logPath, "log", "", "optional path for WMS-style transfer log")
+	fs.StringVar(&o.logPath, "log", "", "optional path for WMS-style transfer log; must not exist yet")
 	fs.StringVar(&o.logFmt, "log-format", "text", "transfer log format: text (canonical) or binary (framed fast path)")
 	fs.StringVar(&o.metrics, "metrics", "", "optional address for the plain-text /metrics endpoint")
 	fs.IntVar(&o.rate, "rate", 110000, "stream rate in bits/second")
 	fs.IntVar(&o.maxConn, "max-conns", 256, "maximum concurrent connections; extras get 'ERR busy', never a hang")
 	fs.DurationVar(&o.writeTO, "write-timeout", 10*time.Second, "disconnect a client that stops reading after this long (0 disables)")
 	fs.DurationVar(&o.idleTO, "idle-timeout", 60*time.Second, "drop connections silent outside a transfer for this long (0 disables)")
-	fs.StringVar(&o.fleet, "fleet", "", "register with the lsmfleet redirector at this address and heartbeat load")
-	fs.StringVar(&o.advertise, "advertise", "", "address to advertise to the fleet (default: the actual listen address)")
-	fs.DurationVar(&o.beat, "beat", 500*time.Millisecond, "fleet heartbeat interval")
 }
 
 func main() {
@@ -117,15 +108,6 @@ func main() {
 	if app.metrics != nil {
 		fmt.Printf("metrics on http://%s/metrics\n", app.metrics.Addr())
 	}
-	if o.fleet != "" {
-		if err := app.joinFleet(o.fleet, o.advertise, o.beat); err != nil {
-			app.shutdown()
-			profiles.Stop()
-			fmt.Fprintln(os.Stderr, "lsmserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("registered with fleet redirector %s\n", o.fleet)
-	}
 
 	interrupt := make(chan os.Signal, 1)
 	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
@@ -142,7 +124,7 @@ func main() {
 	}
 }
 
-// appConfig collects what newApp needs to assemble a node.
+// appConfig collects what newApp needs to assemble a server.
 type appConfig struct {
 	addr    string
 	logPath string
@@ -164,7 +146,6 @@ type appConfig struct {
 // serializes them.
 type app struct {
 	srv     *liveserver.Server
-	agent   *cluster.Agent    // nil unless the node joined a fleet
 	metrics *telemetry.Server // nil unless -metrics was given
 
 	logWriter *wmslog.SyncWriter
@@ -172,23 +153,6 @@ type app struct {
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// joinFleet registers the node with the redirector and starts the
-// heartbeat loop, advertising the given address (default: the actual
-// listen address).
-func (a *app) joinFleet(frontend, advertise string, beat time.Duration) error {
-	if advertise == "" {
-		advertise = a.srv.Addr()
-	}
-	agent, err := cluster.StartAgent(frontend, advertise, beat, func() (int64, int64) {
-		return a.srv.ActiveTransfers(), a.srv.ServedTransfers()
-	})
-	if err != nil {
-		return err
-	}
-	a.agent = agent
-	return nil
 }
 
 // newApp starts the server, wiring completed transfers into the log
@@ -208,7 +172,12 @@ func newApp(ac appConfig) (*app, error) {
 
 	a := &app{}
 	if ac.logPath != "" {
-		f, err := os.Create(ac.logPath)
+		// O_EXCL: the log of an earlier run at this path is what a
+		// later lsmload -check reads, so it is refused, not truncated.
+		f, err := os.OpenFile(ac.logPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, os.ErrExist) {
+			return nil, fmt.Errorf("-log %s already holds a file: give a new path", ac.logPath)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -283,16 +252,12 @@ func (a *app) loop(interrupt <-chan os.Signal, statusEvery time.Duration, w io.W
 	}
 }
 
-// shutdown leaves the fleet first (so the redirector stops routing new
-// transfers here), then stops the server — which drains the connection
-// handlers, so every completed transfer has reached the sink and
-// nothing logs concurrently anymore — then flushes and closes the log.
-// Idempotent; the first error wins.
+// shutdown stops the server — which drains the connection handlers,
+// so every completed transfer has reached the sink and nothing logs
+// concurrently anymore — then flushes and closes the log. Idempotent;
+// the first error wins.
 func (a *app) shutdown() error {
 	a.closeOnce.Do(func() {
-		if a.agent != nil {
-			a.agent.Close()
-		}
 		if a.metrics != nil {
 			a.metrics.Close()
 		}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,13 +161,54 @@ func TestShutdownWithActiveTransfer(t *testing.T) {
 }
 
 // TestRemovedFlagsRejected: the removed -serve-lanes flag (GOMAXPROCS
-// does its job) is a flag-parsing error, not silently accepted.
+// does its job) and the fleet's -fleet, -advertise and -beat (the
+// server is always one standalone node) are flag-parsing errors, not
+// silently accepted, and the remaining flags are pinned.
 func TestRemovedFlagsRejected(t *testing.T) {
-	var o options
+	parse := func(args ...string) error {
+		var o options
+		fs := flag.NewFlagSet("lsmserve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &o)
+		return fs.Parse(args)
+	}
+	for _, args := range [][]string{
+		{"-serve-lanes", "2"}, {"-fleet", "127.0.0.1:8600"}, {"-advertise", "127.0.0.1:8555"}, {"-beat", "500ms"},
+	} {
+		if err := parse(args...); err == nil {
+			t.Errorf("%v: want a flag-parsing error", args)
+		}
+	}
+	var names []string
 	fs := flag.NewFlagSet("lsmserve", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	registerFlags(fs, &o)
-	if err := fs.Parse([]string{"-serve-lanes", "2"}); err == nil {
-		t.Error("-serve-lanes 2: want a flag-parsing error")
+	registerFlags(fs, new(options))
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := []string{"addr", "idle-timeout", "log", "log-format", "max-conns", "metrics", "rate", "write-timeout"}
+	if !slices.Equal(names, want) {
+		t.Errorf("flags %v, want %v", names, want)
+	}
+}
+
+// TestLogRefusesExistingFile: a -log path that already holds a file —
+// the log of an earlier run, which a later lsmload -check reads — is
+// refused with an error naming it, and the file is left as it was
+// instead of being truncated.
+func TestLogRefusesExistingFile(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "transfers.log")
+	const earlier = "#Fields: date time\nan earlier run's entries\n"
+	if err := os.WriteFile(logPath, []byte(earlier), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := newApp(appConfig{addr: "127.0.0.1:0", logPath: logPath, rateBps: 110000,
+		maxConns: 4, writeTimeout: 10 * time.Second, idleTimeout: time.Minute})
+	if err == nil {
+		a.shutdown()
+		t.Fatal("newApp over an existing -log file: want an error")
+	}
+	if !strings.Contains(err.Error(), logPath) {
+		t.Errorf("error %q does not name %s", err, logPath)
+	}
+	if got, _ := os.ReadFile(logPath); string(got) != earlier {
+		t.Errorf("existing log changed to %q", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Agent is the node-side half of the fleet protocol: it registers a
+// Agent is the node-side half of the redirector protocol: it registers a
 // liveserver with the redirector and heartbeats its load until closed,
 // reconnecting with backoff when the front-end drops, and
 // re-registering in place when a beat is answered with
@@ -24,15 +24,13 @@ type Agent struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	mu         sync.Mutex
-	registers  int64
-	beatErrors int64
 }
 
 // StartAgent registers advertise with the redirector at frontend and
 // heartbeats every interval. load supplies the node's current
 // (active, served) counters.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func StartAgent(frontend, advertise string, interval time.Duration, load func() (int64, int64)) (*Agent, error) {
 	if frontend == "" || advertise == "" {
 		return nil, fmt.Errorf("%w: empty frontend or advertise address", ErrCluster)
@@ -55,33 +53,15 @@ func StartAgent(frontend, advertise string, interval time.Duration, load func() 
 	return a, nil
 }
 
-// Registers returns how many REGISTER lines the agent has sent —
-// greater than one means the agent recovered from an expiry or a
-// dropped front-end connection.
-//
-//lsm:keep -- cluster_test.go checks an agent re-registers after expiry
-func (a *Agent) Registers() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.registers
-}
-
-// BeatErrors returns how many heartbeats the front-end refused (each
-// one triggers an in-place re-registration).
-//
-//lsm:keep -- cluster_test.go checks the refused heartbeats behind a re-registration
-func (a *Agent) BeatErrors() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.beatErrors
-}
-
 // Close stops the heartbeat loop and its connection. Idempotent.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (a *Agent) Close() {
 	a.stopOnce.Do(func() { close(a.stop) })
 	a.wg.Wait()
 }
 
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (a *Agent) run() {
 	defer a.wg.Done()
 	backoff := a.interval
@@ -107,6 +87,8 @@ func (a *Agent) run() {
 // session runs one registration connection to completion. It returns
 // true when the connection was established (so the reconnect backoff
 // resets), false on dial failure.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (a *Agent) session() bool {
 	conn, err := net.DialTimeout("tcp", a.frontend, 2*time.Second)
 	if err != nil {
@@ -130,13 +112,7 @@ func (a *Agent) session() bool {
 			return false
 		}
 		line, err := recv()
-		if err != nil || line != "OK REGISTER" {
-			return false
-		}
-		a.mu.Lock()
-		a.registers++
-		a.mu.Unlock()
-		return true
+		return err == nil && line == "OK REGISTER"
 	}
 
 	if !register() {
@@ -159,9 +135,6 @@ func (a *Agent) session() bool {
 			return true
 		}
 		if line != "OK" {
-			a.mu.Lock()
-			a.beatErrors++
-			a.mu.Unlock()
 			// Expired (or otherwise refused): re-register in place.
 			if !register() {
 				return true
@@ -172,8 +145,8 @@ func (a *Agent) session() bool {
 
 // Lookup asks the redirector at frontend where (player, uri) is served:
 // one HELLO/START/QUIT exchange, returning the redirected node address.
-// It is the client-side resolve primitive the load generator's
-// redirect-following cache is built on.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func Lookup(frontend, player, uri string, timeout time.Duration) (string, error) {
 	conn, err := net.DialTimeout("tcp", frontend, timeout)
 	if err != nil {

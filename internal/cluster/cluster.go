@@ -1,12 +1,12 @@
-// Package cluster is the horizontal-scale axis of the live streaming
-// service: a fleet of liveserver nodes behind a deterministic
-// redirector front-end, the way the paper's production workload was
-// actually served (a server farm, not one socket loop).
+// Package cluster is a redirector front-end over registered
+// liveserver nodes. No program runs it: it stays as the subject of the
+// benchmark/layers/cluster.go probe, which times one redirect hop, and
+// goes with that probe (ROADMAP item 4a).
 //
 // The front-end speaks two line protocols on one listener, dispatched
 // by the first verb of a connection:
 //
-// Clients (media players / the load generator):
+// Clients:
 //
 //	C: HELLO <player-id>
 //	S: OK HELLO
@@ -17,11 +17,9 @@
 //	S: OK BYE
 //
 // The client then dials the redirected node and replays the transfer
-// there with the full liveserver protocol. One hop, bounded: a node
-// never redirects, so a client that receives a second REDIRECT is
-// talking to a misconfigured fleet and must stop following.
+// there with the full liveserver protocol. A node never redirects.
 //
-// Nodes (liveserver processes):
+// Nodes:
 //
 //	N: REGISTER <host:port>
 //	S: OK REGISTER
@@ -29,25 +27,20 @@
 //	S: OK                            (or "ERR unregistered" after expiry)
 //
 // Liveness is dual: the registration connection dropping deregisters
-// the node immediately (a killed process fails over in milliseconds),
-// and a heartbeat older than the TTL expires it even while the
-// connection lingers (a wedged process fails over within one TTL). A
-// node whose BEAT is answered with "ERR unregistered" re-REGISTERs on
-// the same connection — the heartbeat-expiry re-registration path.
+// the node immediately, and a heartbeat older than the TTL expires it
+// even while the connection lingers. A node whose BEAT is answered with
+// "ERR unregistered" re-REGISTERs on the same connection.
 //
-// Node choice is a pluggable Policy over (player, uri): "hash"
-// (rendezvous hashing — deterministic for a fixed node set, the policy
-// under which a fleet serve is byte-comparable to a single-node serve),
-// "least-loaded" (minimum reported active transfers), and
-// "round-robin".
+// Node choice is rendezvous hashing over (player, uri): deterministic
+// for a fixed node set, and removing a node moves only its routes.
 package cluster
 
 import (
 	"errors"
 )
 
-// ErrCluster reports a fleet-protocol violation.
+// ErrCluster reports a redirector-protocol violation.
 var ErrCluster = errors.New("cluster: protocol error")
 
-// MaxLineBytes bounds one control line on the fleet port.
+// MaxLineBytes bounds one control line on the redirector port.
 const MaxLineBytes = 512

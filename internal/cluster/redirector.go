@@ -11,10 +11,8 @@ import (
 	"time"
 )
 
-// RedirectorConfig parameterizes the fleet front-end.
+// RedirectorConfig parameterizes the redirector.
 type RedirectorConfig struct {
-	// Policy picks the serving node per (player, uri) route.
-	Policy Policy
 	// TTL expires a node whose heartbeats stop arriving. Node death is
 	// usually detected faster — the registration connection dropping
 	// deregisters immediately — so the TTL is the wedged-process bound.
@@ -30,16 +28,14 @@ const (
 )
 
 // DefaultRedirectorConfig expires silent nodes after 2 seconds.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func DefaultRedirectorConfig() RedirectorConfig {
-	p, _ := NewPolicy("hash")
-	return RedirectorConfig{
-		Policy: p,
-		TTL:    2 * time.Second,
-	}
+	return RedirectorConfig{TTL: 2 * time.Second}
 }
 
-// Redirector is the fleet front-end: one TCP listener serving both the
-// client redirect protocol and the node registration protocol.
+// Redirector is one TCP listener serving both the client redirect
+// protocol and the node registration protocol.
 type Redirector struct {
 	cfg RedirectorConfig
 	reg *Registry
@@ -51,15 +47,13 @@ type Redirector struct {
 	wg     sync.WaitGroup
 
 	redirects atomic.Int64
-	noNodes   atomic.Int64
 }
 
 // ServeRedirector starts a redirector on addr ("127.0.0.1:0" for an
 // ephemeral port).
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func ServeRedirector(addr string, cfg RedirectorConfig) (*Redirector, error) {
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("%w: nil policy", ErrCluster)
-	}
 	if cfg.TTL <= 0 {
 		return nil, fmt.Errorf("%w: TTL %v", ErrCluster, cfg.TTL)
 	}
@@ -79,26 +73,23 @@ func ServeRedirector(addr string, cfg RedirectorConfig) (*Redirector, error) {
 }
 
 // Addr returns the listening address.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) Addr() string { return r.ln.Addr().String() }
 
-// Registry exposes the node registry (status displays, tests).
+// Registry exposes the node registry.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) Registry() *Registry { return r.reg }
 
 // Redirects returns the number of REDIRECT replies issued.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) Redirects() int64 { return r.redirects.Load() }
 
-// NoNodeErrors returns the number of STARTs refused for lack of nodes.
-func (r *Redirector) NoNodeErrors() int64 { return r.noNodes.Load() }
-
-// OpenConns returns the number of currently open connections (client
-// and node sessions alike), for the /metrics surface.
-func (r *Redirector) OpenConns() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int64(len(r.conns))
-}
-
 // Close stops accepting, closes every connection, and drains handlers.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -115,6 +106,7 @@ func (r *Redirector) Close() error {
 	return err
 }
 
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) acceptLoop() {
 	defer r.wg.Done()
 	for {
@@ -135,6 +127,7 @@ func (r *Redirector) acceptLoop() {
 	}
 }
 
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) track(conn net.Conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -145,6 +138,7 @@ func (r *Redirector) track(conn net.Conn) bool {
 	return true
 }
 
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) untrack(conn net.Conn) {
 	r.mu.Lock()
 	delete(r.conns, conn)
@@ -153,6 +147,8 @@ func (r *Redirector) untrack(conn net.Conn) {
 }
 
 // reply writes one line under the write deadline.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) reply(conn net.Conn, w *bufio.Writer, line string) error {
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := w.WriteString(line + "\n"); err != nil {
@@ -165,6 +161,8 @@ func (r *Redirector) reply(conn net.Conn, w *bufio.Writer, line string) error {
 // The reader's buffer is sized to MaxLineBytes (see handle), so a peer
 // streaming an endless newline-free line is rejected as soon as the
 // buffer fills rather than accumulating without limit.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func readCommand(reader *bufio.Reader) (string, []string, error) {
 	line, err := reader.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
@@ -182,6 +180,8 @@ func readCommand(reader *bufio.Reader) (string, []string, error) {
 
 // handle dispatches one connection by its first verb: REGISTER starts a
 // node session, HELLO a client session; anything else is an error.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) handle(conn net.Conn) {
 	reader := bufio.NewReaderSize(conn, MaxLineBytes)
 	writer := bufio.NewWriterSize(conn, 4096)
@@ -204,6 +204,8 @@ func (r *Redirector) handle(conn net.Conn) {
 // BEAT lines until EOF, which deregisters the node immediately (dead
 // process → fast failover). A BEAT after TTL expiry is answered with
 // "ERR unregistered"; the node re-REGISTERs on the same connection.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) nodeSession(conn net.Conn, reader *bufio.Reader, writer *bufio.Writer, verb string, args []string) {
 	registered := ""
 	var gen int64
@@ -260,6 +262,7 @@ func (r *Redirector) nodeSession(conn net.Conn, reader *bufio.Reader, writer *bu
 	}
 }
 
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func parseBeat(args []string) (active, served int64, err error) {
 	if len(args) != 2 {
 		return 0, 0, fmt.Errorf("BEAT wants <active> <served>")
@@ -276,10 +279,12 @@ func parseBeat(args []string) (active, served int64, err error) {
 }
 
 // clientSession serves one client's route lookups: HELLO has been read;
-// each START is answered with a REDIRECT to the picked node. The
+// each START is answered with a REDIRECT to the node pick names. The
 // session/seq tag, if present, is accepted and ignored — routing is by
 // (player, uri) only, so a route's node does not depend on which
 // transfer of a session asks.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Redirector) clientSession(conn net.Conn, reader *bufio.Reader, writer *bufio.Writer, args []string) {
 	if len(args) != 1 || args[0] == "" {
 		r.reply(conn, writer, "ERR HELLO wants <player-id>")
@@ -302,9 +307,8 @@ func (r *Redirector) clientSession(conn net.Conn, reader *bufio.Reader, writer *
 				return
 			}
 			uri := args[0]
-			addr, ok := r.cfg.Policy.Pick(player, uri, r.reg.Alive(time.Now()))
+			addr, ok := pick(player, uri, r.reg.Alive(time.Now()))
 			if !ok {
-				r.noNodes.Add(1)
 				if err := r.reply(conn, writer, "ERR no nodes"); err != nil {
 					return
 				}

@@ -29,11 +29,12 @@ type Registry struct {
 	nodes map[string]*Node
 
 	registered int64 // lifetime REGISTER count (re-registrations included)
-	expired    int64 // nodes dropped by TTL expiry
 }
 
 // NewRegistry returns a registry expiring nodes whose last heartbeat is
 // older than ttl.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func NewRegistry(ttl time.Duration) *Registry {
 	return &Registry{ttl: ttl, nodes: make(map[string]*Node)}
 }
@@ -42,6 +43,8 @@ func NewRegistry(ttl time.Duration) *Registry {
 // generation token. A later registration of the same address (a node
 // that reconnected) gets a new generation; Deregister requires the
 // token, so a stale connection's cleanup cannot wipe the fresh entry.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Registry) Register(addr string, now time.Time) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -53,6 +56,8 @@ func (r *Registry) Register(addr string, now time.Time) int64 {
 // Beat refreshes a node's liveness and load. It returns false when the
 // node is not currently registered — either never was, or its TTL
 // expired — in which case the caller must re-register.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Registry) Beat(addr string, active, served int64, now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -62,7 +67,6 @@ func (r *Registry) Beat(addr string, active, served int64, now time.Time) bool {
 	}
 	if now.Sub(n.LastBeat) > r.ttl {
 		delete(r.nodes, addr)
-		r.expired++
 		return false
 	}
 	n.Active, n.Served, n.LastBeat = active, served, now
@@ -73,6 +77,8 @@ func (r *Registry) Beat(addr string, active, served int64, now time.Time) bool {
 // while the entry still belongs to the given registration generation —
 // if the node already re-registered over a new connection, the stale
 // connection's cleanup must not remove it.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Registry) Deregister(addr string, gen int64) {
 	r.mu.Lock()
 	if n, ok := r.nodes[addr]; ok && n.gen == gen {
@@ -84,6 +90,8 @@ func (r *Registry) Deregister(addr string, gen int64) {
 // Alive returns the unexpired node set, sorted by address so every
 // caller sees the same deterministic order. Expired nodes are pruned as
 // a side effect.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Registry) Alive(now time.Time) []Node {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -91,7 +99,6 @@ func (r *Registry) Alive(now time.Time) []Node {
 	for addr, n := range r.nodes {
 		if now.Sub(n.LastBeat) > r.ttl {
 			delete(r.nodes, addr)
-			r.expired++
 			continue
 		}
 		out = append(out, *n)
@@ -100,17 +107,12 @@ func (r *Registry) Alive(now time.Time) []Node {
 	return out
 }
 
-// Registered returns the lifetime REGISTER count; Expired the number of
-// TTL expiries. Together they make re-registration observable.
+// Registered returns the lifetime REGISTER count, re-registrations
+// included.
+//
+//lsm:keep -- benchmark/layers/cluster.go probe; ROADMAP item 4a deletes
 func (r *Registry) Registered() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.registered
-}
-
-// Expired returns the number of nodes dropped by TTL expiry.
-func (r *Registry) Expired() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.expired
 }

@@ -15,6 +15,14 @@ import (
 // profile; EventConfig models the third — the object-driven component
 // that makes live access live: when something happens on camera, viewers
 // flock in, regardless of the hour.
+//
+// An event shapes arrivals at the granularity of the model's Poisson
+// window (poisson_window_seconds), not its own: the piecewise Poisson
+// process samples the effective rate once at each window's midpoint
+// (dist.PiecewisePoisson), so an event boosts a whole window when it
+// runs at that midpoint and none of it otherwise. Its start and length
+// inside a window do not shape arrivals, and an event shorter than the
+// window that misses every midpoint draws no crowd at all.
 type EventConfig struct {
 	// PerDay is the mean number of in-show events per day (Poisson).
 	PerDay float64 `json:"per_day"`

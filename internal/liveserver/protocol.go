@@ -28,10 +28,9 @@
 // The optional session/seq tag on START identifies the workload event
 // the transfer realizes (the generator's global session index and the
 // transfer's position within it). A tagged transfer is logged with the
-// tag, which is what lets a replay check read per-node fleet logs as
-// one realization (loadgen.Served, wmslog.Realization) and account for
-// individual lost events under failover. Untagged STARTs behave exactly
-// as before.
+// tag, which is what lets a replay check read the server's log as one
+// realization (loadgen.Served, wmslog.Realization) and account for
+// individual lost events. Untagged STARTs behave exactly as before.
 //
 // Any protocol violation, inside a transfer or outside one, produces
 // "ERR <reason>" and closes the connection; inside a transfer it ends

@@ -23,8 +23,8 @@ import (
 // non-UTC machines.
 // A tagged transfer (Session >= 0) is logged with its workload identity
 // in the referer field — the only free-text column the WMS format
-// offers — so per-node fleet logs can be reconciled and digested by
-// event identity (wmslog.SessionRef / Entry.SessionSeq).
+// offers — so a replay's log can be reconciled and digested by event
+// identity (wmslog.SessionRef / Entry.SessionSeq).
 func RecordEntry(r TransferRecord) *wmslog.Entry {
 	referer := ""
 	if r.Session >= 0 {

@@ -9,7 +9,7 @@ import (
 
 // TestWatchTaggedLogsSessionRef: a tagged transfer's (session, seq)
 // must round-trip through the wire, the sink record, and the rendered
-// log entry — the substrate of the fleet's merged-log contract.
+// log entry — the substrate of the replay check's event reconciling.
 func TestWatchTaggedLogsSessionRef(t *testing.T) {
 	var mu sync.Mutex
 	var records []TransferRecord

@@ -65,26 +65,7 @@ type Config struct {
 	IdleConn time.Duration
 	// MaxTransfers caps replayed events (0 = drain the stream).
 	MaxTransfers int
-
-	// Frontend marks the replay target as a fleet redirector front-end
-	// (internal/cluster) rather than a liveserver: every (client,
-	// object) route is resolved through it — HELLO/START answered with
-	// REDIRECT — and the transfer runs against the redirected node.
-	// Routes are cached sticky per (client, object); exactly one
-	// redirect hop is ever followed. When a node dies, affected
-	// transfers re-resolve through the front-end (failoverAttempts
-	// retries) and the recovery is recorded in the metrics as a failover.
-	Frontend bool
 }
-
-// Fleet mode's fixed bounds.
-const (
-	// resolveTimeout bounds one front-end route lookup.
-	resolveTimeout = 5 * time.Second
-	// failoverAttempts is how many times a failed transfer re-resolves
-	// and retries before being counted lost.
-	failoverAttempts = 3
-)
 
 // DefaultConfig replays one trace hour in six wall seconds over at most
 // 256 connections.
@@ -139,9 +120,6 @@ func Replay(addr string, stream workload.Stream, cfg Config) (*Result, error) {
 		slots: make(chan struct{}, cfg.MaxConns),
 		m:     newMetrics(),
 	}
-	if cfg.Frontend {
-		r.resolver = newResolver(addr, r.m)
-	}
 	workers := make(map[int]*worker)
 
 	dispatched := 0
@@ -187,14 +165,13 @@ func Replay(addr string, stream workload.Stream, cfg Config) (*Result, error) {
 
 // runner is the shared state of one replay.
 type runner struct {
-	addr     string
-	cfg      Config
-	slots    chan struct{} // connection budget: one token per open conn
-	wg       sync.WaitGroup
-	m        *metrics
-	resolver *resolver // non-nil in fleet (front-end) mode
-	begin    time.Time
-	origin   int64
+	addr   string
+	cfg    Config
+	slots  chan struct{} // connection budget: one token per open conn
+	wg     sync.WaitGroup
+	m      *metrics
+	begin  time.Time
+	origin int64
 }
 
 // wallAt maps a trace instant onto the replay's wall clock.
@@ -231,8 +208,7 @@ func (r *runner) dispatch(workers map[int]*worker, ev workload.Event) {
 		go func() {
 			defer r.wg.Done()
 			defer r.releaseSlot()
-			c, _ := r.perform(nil, "", ev, false)
-			if c != nil {
+			if c := r.perform(nil, ev, false); c != nil {
 				c.Close()
 			}
 		}()
@@ -310,18 +286,14 @@ func (r *runner) reap(workers map[int]*worker) {
 
 // runWorker serves one client's transfer sequence over a pooled
 // connection, dialing lazily and holding its connection slot until
-// retired. In fleet mode the connection is pinned to the node of the
-// client's most recent route: a route to a different node closes it and
-// redials (clients mostly re-watch one object, so the pin rarely
-// moves).
+// retired.
 func (r *runner) runWorker(w *worker) {
 	defer r.wg.Done()
 	defer r.releaseSlot()
 	var c *liveserver.Client
-	var cAddr string
 	for ev := range w.jobs {
 		w.busy.Store(true)
-		c, cAddr = r.perform(c, cAddr, ev, true)
+		c = r.perform(c, ev, true)
 		w.busy.Store(false)
 	}
 	if c != nil {
@@ -329,78 +301,26 @@ func (r *runner) runWorker(w *worker) {
 	}
 }
 
-// perform runs one transfer, returning the connection and its node
-// address for reuse (nil if it died). A pooled connection that fails
-// gets one redial-and-retry against the same node: the usual cause is
-// the server's idle timeout having harvested it between transfers,
-// which is the pool's fault, not the workload's. In fleet mode a
-// transfer that still fails re-resolves its route through the front-end
-// and retries on whatever node the fleet now names — the failover path;
-// recoveries are counted, and a transfer lost after all retries is
-// recorded with its workload event so validation can exclude exactly
-// the lost events.
-func (r *runner) perform(c *liveserver.Client, cAddr string, ev workload.Event, pooled bool) (*liveserver.Client, string) {
-	addr, err := r.routeOf(ev)
-	if err == nil {
-		if c != nil && cAddr != addr {
-			c.Close()
-			c = nil
-		}
-		fresh := c == nil
-		if c == nil {
-			c, err = r.dial(addr, ev.Client)
-		}
-		if err == nil {
-			err = r.watch(c, ev)
-			if err != nil && pooled && !fresh {
-				c.Close()
-				c, err = r.dial(addr, ev.Client)
-				if err == nil {
-					err = r.watch(c, ev)
-				}
-			}
-		}
-	} else if c != nil {
-		// Route lookup failed; the pooled connection's node is unknown
-		// for this event, so it cannot be reused.
-		c.Close()
-		c = nil
+// perform runs one transfer, returning the connection for reuse (nil
+// if it died). A pooled connection that fails gets one
+// redial-and-retry: the usual cause is the server's idle timeout having
+// harvested it between transfers, which is the pool's fault, not the
+// workload's. A transfer that still fails is recorded with its workload
+// event so validation can exclude exactly the lost events.
+func (r *runner) perform(c *liveserver.Client, ev workload.Event, pooled bool) *liveserver.Client {
+	fresh := c == nil
+	var err error
+	if fresh {
+		c, err = r.dial(ev.Client)
 	}
-	// Fleet failover: every failure — including the initial route
-	// lookup's — gets the same bounded re-resolve-and-retry, except a
-	// redirect loop, where re-resolving would hand back the same
-	// misconfigured answer: that fails fast under the one-hop bound.
-	if err != nil && r.resolver != nil && classify(err) != failureRedirectLoop {
-		if c != nil {
+	if err == nil {
+		err = r.watch(c, ev)
+		if err != nil && pooled && !fresh {
 			c.Close()
-			c = nil
-		}
-		key := routeKey{ev.Client, ev.Object}
-		failedAddr := addr
-		for attempt := 0; attempt < failoverAttempts && err != nil; attempt++ {
-			r.resolver.invalidate(key, addr)
-			// Give the front-end a beat to notice the death; the first
-			// retry is immediate (a killed node deregisters instantly).
-			time.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
-			if addr, err = r.routeOf(ev); err != nil {
-				continue
+			c, err = r.dial(ev.Client)
+			if err == nil {
+				err = r.watch(c, ev)
 			}
-			if c, err = r.dial(addr, ev.Client); err != nil {
-				continue
-			}
-			if err = r.watch(c, ev); err != nil {
-				c.Close()
-				c = nil
-				if classify(err) == failureRedirectLoop {
-					break // misconfigured fleet: retrying cannot help
-				}
-			}
-		}
-		// A failover is a recovery whose route actually moved — a retry
-		// that succeeded on the same node was a transient blip, not a
-		// reroute, and must not inflate the node-failure evidence.
-		if err == nil && addr != failedAddr {
-			r.m.failedOver()
 		}
 	}
 	if err != nil {
@@ -408,25 +328,16 @@ func (r *runner) perform(c *liveserver.Client, cAddr string, ev workload.Event, 
 		if c != nil {
 			c.Close()
 		}
-		return nil, ""
+		return nil
 	}
-	return c, addr
+	return c
 }
 
-// routeOf names the node serving the event: the fixed server address in
-// direct mode, the front-end's (cached) answer in fleet mode.
-func (r *runner) routeOf(ev workload.Event) (string, error) {
-	if r.resolver == nil {
-		return r.addr, nil
-	}
-	return r.resolver.resolve(routeKey{ev.Client, ev.Object}, playerOf(ev.Client), simulate.ObjectURI(ev.Object))
-}
-
-// dial opens and HELLOs a connection to addr for the client, recording
-// dial latency on success.
-func (r *runner) dial(addr string, client int) (*liveserver.Client, error) {
+// dial opens and HELLOs a connection to the server for the client,
+// recording dial latency on success.
+func (r *runner) dial(client int) (*liveserver.Client, error) {
 	begin := time.Now()
-	c, err := liveserver.Dial(addr, playerOf(client))
+	c, err := liveserver.Dial(r.addr, playerOf(client))
 	if err != nil {
 		return nil, err
 	}
@@ -437,8 +348,8 @@ func (r *runner) dial(addr string, client int) (*liveserver.Client, error) {
 // watch runs the transfer: watch until the event's end instant on the
 // virtual clock (so a late start shortens the watch instead of shifting
 // the transfer's end), floored at MinWatch. The transfer is tagged with
-// its workload event identity, which the server logs — the key the
-// fleet's merged-log verification joins on.
+// its workload event identity, which the server logs — the key
+// validation joins the served log on.
 func (r *runner) watch(c *liveserver.Client, ev workload.Event) error {
 	dur := time.Until(r.wallAt(ev.End()))
 	if dur < r.cfg.MinWatch {
@@ -459,8 +370,6 @@ func classify(err error) failureKind {
 		return failureNone
 	case strings.Contains(err.Error(), "busy"):
 		return failureRefused
-	case strings.Contains(err.Error(), "REDIRECT"):
-		return failureRedirectLoop
 	case strings.Contains(err.Error(), "dial"):
 		return failureDial
 	default:

@@ -18,7 +18,6 @@ const (
 	failureDial
 	failureRefused
 	failureProtocol
-	failureRedirectLoop
 )
 
 // metrics is the online measurement rail of a replay: Welford moments
@@ -45,15 +44,6 @@ type metrics struct {
 	peakConns int
 	dials     int
 
-	// Fleet-mode rail: front-end lookups, sticky-cache hits, redirect
-	// latency, transfers recovered by re-routing after a node failure,
-	// and redirect-loop refusals (a "node" that answered with another
-	// REDIRECT — the one-hop bound tripping).
-	redirects    int
-	redirHits    int
-	redirLat     stats.Welford // milliseconds
-	failovers    int
-	loops        int
 	failedEvents []workload.Event
 }
 
@@ -90,42 +80,21 @@ func (m *metrics) dialed(d time.Duration) {
 }
 
 // lost records one ultimately failed transfer: exactly one failure
-// count and one taxonomy bucket per lost workload event, however many
-// retries it took to give up, plus the event itself so a validation
-// pass can exclude exactly the lost events from the offered workload.
+// count and one taxonomy bucket per lost workload event, redial or
+// not, plus the event itself so a validation pass can exclude exactly
+// the lost events from the offered workload.
 func (m *metrics) lost(ev workload.Event, err error) {
 	m.mu.Lock()
 	m.failed++
 	switch classify(err) {
 	case failureRefused:
 		m.refused++
-	case failureRedirectLoop:
-		m.loops++
 	case failureDial:
 		m.dialErrs++
 	default:
 		m.protoErrs++
 	}
 	m.failedEvents = append(m.failedEvents, ev)
-	m.mu.Unlock()
-}
-
-func (m *metrics) redirected(d time.Duration) {
-	m.mu.Lock()
-	m.redirects++
-	m.redirLat.Add(float64(d) / float64(time.Millisecond))
-	m.mu.Unlock()
-}
-
-func (m *metrics) redirectHit() {
-	m.mu.Lock()
-	m.redirHits++
-	m.mu.Unlock()
-}
-
-func (m *metrics) failedOver() {
-	m.mu.Lock()
-	m.failovers++
 	m.mu.Unlock()
 }
 
@@ -169,22 +138,9 @@ type Result struct {
 	Conns     int
 	PeakConns int
 
-	// Fleet-mode measurements (all zero in a direct replay): Redirects
-	// counts front-end route lookups, RedirectCacheHits sticky-cache
-	// hits, RedirectLatencyMean the lookup round trip in milliseconds.
-	// Failovers counts transfers recovered by re-resolving through the
-	// front-end after their node failed; RedirectLoops counts transfers
-	// refused because the redirected "node" answered with another
-	// REDIRECT (the one-hop bound).
-	Redirects           int
-	RedirectCacheHits   int
-	RedirectLatencyMean float64
-	Failovers           int
-	RedirectLoops       int
-
 	// FailedEvents are the workload events of ultimately lost transfers
-	// (empty on a clean replay): exactly what a merged-log validation
-	// must exclude from the offered workload under failover.
+	// (empty on a clean replay): exactly what validation must exclude
+	// from the offered workload.
 	FailedEvents []workload.Event
 
 	// DialLatency and Lag are in seconds, StartLatency* in
@@ -215,15 +171,7 @@ func (m *metrics) result() *Result {
 		DialLatencyMean:  m.dialLat.Mean(),
 		StartLatencyMean: m.startLat.Mean(),
 		LagSamples:       m.lag.N(),
-
-		Redirects:         m.redirects,
-		RedirectCacheHits: m.redirHits,
-		Failovers:         m.failovers,
-		RedirectLoops:     m.loops,
-		FailedEvents:      append([]workload.Event(nil), m.failedEvents...),
-	}
-	if m.redirLat.N() > 0 {
-		res.RedirectLatencyMean = m.redirLat.Mean()
+		FailedEvents:     append([]workload.Event(nil), m.failedEvents...),
 	}
 	if m.startQ.N() > 0 {
 		res.StartLatencyP50 = m.startQ.Quantile(0.5)
@@ -248,10 +196,6 @@ func (r *Result) String() string {
 		float64(r.Bytes)/1e6, r.ThroughputBps/1e6, r.Frames)
 	fmt.Fprintf(&b, "start latency mean %.2f ms (p50 %.2f, p95 %.2f, p99 %.2f); dial mean %.2f ms\n",
 		r.StartLatencyMean, r.StartLatencyP50, r.StartLatencyP95, r.StartLatencyP99, r.DialLatencyMean*1e3)
-	if r.Redirects > 0 || r.RedirectCacheHits > 0 {
-		fmt.Fprintf(&b, "fleet: %d redirect lookups (%d cached, mean %.2f ms), %d rerouted after node failure, %d redirect loops blocked\n",
-			r.Redirects, r.RedirectCacheHits, r.RedirectLatencyMean, r.Failovers, r.RedirectLoops)
-	}
 	if r.LagSamples > 0 {
 		fmt.Fprintf(&b, "scheduler lag: mean %.1f ms, max %.1f ms over %d late dispatches",
 			r.LagMean*1e3, r.LagMax*1e3, r.LagSamples)

@@ -329,7 +329,7 @@ func FuzzCheckMatchesTraceOracle(f *testing.F) {
 						players[i] = players[0]
 					}
 				}
-			case 6: // recorded lost, but logged before the node died
+			case 6: // recorded lost, but logged before the transfer failed
 				failed = append(failed, events[k])
 			}
 		}

@@ -35,25 +35,25 @@ func Decompress(e *wmslog.Entry, begin time.Time, origin int64, compression floa
 }
 
 // Served is the served side of a replay check: the entries the
-// replay's servers logged, scanned one at a time (ReadServed) onto the
+// replay's server logged, scanned one at a time (ReadServed) onto the
 // trace clock as rows, reconciled against the replay's failure record,
 // with the realization digest of every logged entry. Check reads it;
 // no entry is kept.
 //
-// Reconciling covers the at-least-once semantics of failover retries.
-// A node commits a transfer's log entry just before sending END, and
-// the client can fail after that commit, so the raw log can disagree
-// with the client's accounting in two ways:
+// Reconciling covers the at-least-once semantics of a pooled
+// connection's redial. The server commits a transfer's log entry just
+// before sending END, and the client can fail after that commit (a
+// timeout, a dropped connection), so the raw log can disagree with the
+// client's accounting in two ways:
 //
-//   - The client's retries all fail and the event is recorded lost, but
-//     a node had already logged it. The check excludes the event from
-//     the offered side, so the tagged entry is dropped too
-//     (DroppedLost).
-//   - A retry succeeds on another node, so the event is logged twice.
-//     One serve is kept by the entries' content alone — the one that
-//     ended first, then the one whose rendered line has the smaller
-//     64-bit FNV-1a hash (lineHash) — so the kept set does not depend
-//     on the order the logs are read in (DroppedDup counts the others).
+//   - The transfer fails and the event is recorded lost, but the server
+//     had already logged it. The check excludes the event from the
+//     offered side, so the tagged entry is dropped too (DroppedLost).
+//   - The redial's retry succeeds, so the event is logged twice. One
+//     serve is kept by the entries' content alone — the one that ended
+//     first, then the one whose rendered line has the smaller 64-bit
+//     FNV-1a hash (lineHash) — so the kept set does not depend on the
+//     order the log files are read in (DroppedDup counts the others).
 //     Equal hashes mean equal lines, but for a 2⁻⁶⁴ collision, and so
 //     equal rows: either choice keeps the same row.
 //

@@ -46,7 +46,7 @@ func TestInvalidNamePanics(t *testing.T) {
 
 func TestServeEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Set("redirects", func() int64 { return 7 })
+	reg.Set("transfers_served", func() int64 { return 7 })
 	srv, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestServeEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
 	}
-	if string(body) != "redirects 7\n" {
+	if string(body) != "transfers_served 7\n" {
 		t.Fatalf("body %q", body)
 	}
 

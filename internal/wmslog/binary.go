@@ -11,7 +11,7 @@ import (
 )
 
 // Binary framing ("trace v2"): a compact length-prefixed record format
-// for the same Entry the text log carries, designed for fleet-scale
+// for the same Entry the text log carries, designed for large-scale
 // re-analysis where the ~704 ns / 11 allocs per parsed text line is the
 // floor under `lsmload -check` and every characterization pass. The
 // text form stays canonical — the committed md5 contracts are defined

@@ -9,11 +9,10 @@ import (
 	"strings"
 )
 
-// A fleet of media servers produces one transfer log per node. A
-// tagged transfer carries the workload event it realizes in its referer
-// column, so the logs of a replay can be reconciled event by event
-// (loadgen.Served) and digested as one realization (Realization), in
-// any order and whichever node served each transfer.
+// A tagged transfer carries the workload event it realizes in its
+// referer column, so the log of a replay — one file or several — can
+// be reconciled event by event (loadgen.Served) and digested as one
+// realization (Realization), whatever order its files are read in.
 
 // SessionRef renders a workload event identity as the referer-field tag
 // a tagged transfer is logged with. The format has no spaces (referer
@@ -55,10 +54,10 @@ func (e *Entry) SessionSeq() (session int64, seq int, ok bool) {
 // workload realization, added to one logged entry at a time: the
 // multiset of (session, seq, player, URI) tuples, canonically ordered.
 // Wall-clock fields (timestamps, measured durations, byte counts) are
-// excluded, so two serves of the same offered workload — one split over
-// a fleet's nodes, one single-node — digest identically exactly when
+// excluded, so two serves of the same offered workload — one log split
+// over several files, one single file — digest identically exactly when
 // they served the same transfers for the same clients, regardless of
-// node assignment, file order or scheduling jitter. Only tagged entries
+// file order or scheduling jitter. Only tagged entries
 // carry an identity; an untagged entry's tuple degenerates to
 // (-1, 0, player, URI), which still pins the per-client object
 // multiset.
