@@ -18,9 +18,13 @@ build:
 # lint runs lsmvet, the repo's contract checker (DESIGN.md "Enforced
 # invariants"): determinism, hotpath allocations, entry retention,
 # seed-lane uniqueness, and internal functions no program reaches, with
-# //lsm: directives for audited exceptions.
+# //lsm: directives for audited exceptions. The two cross-system vets
+# compile the live client's non-Linux stop timer, which no Linux build
+# touches.
 lint:
 	$(GO) run ./cmd/lsmvet ./...
+	GOOS=darwin $(GO) vet ./internal/liveserver
+	GOOS=windows $(GO) vet ./internal/liveserver
 
 test:
 	$(GO) test ./...

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -504,6 +506,21 @@ func TestReplayRecordsLostTransfersForCheck(t *testing.T) {
 		t.Fatalf("replay under -max-failures %d: %v", ro.MaxFailures, err)
 	}
 	log := stop()
+	// The report's connection counts are of connections that opened:
+	// a refused dial is in neither, so the peak is at most the lifetime
+	// count and at most the server's room.
+	report, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(\d+) conns \(peak (\d+) concurrent\)`).FindSubmatch(report)
+	if m == nil {
+		t.Fatalf("no connection counts in the report:\n%s", report)
+	}
+	conns, peak := must(strconv.Atoi(string(m[1]))), must(strconv.Atoi(string(m[2])))
+	if peak > conns || peak > 8 {
+		t.Errorf("report reads %s: the peak exceeds the connections opened or the server's 8", m[0])
+	}
 	mf, _, err := readMeta(meta)
 	if err != nil {
 		t.Fatal(err)

@@ -156,6 +156,19 @@ func TestUnreachedPartialRun(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints: a file whose //go:build line leaves
+// it out of this system's build is not loaded, so a symbol declared
+// once a system (a Linux file and its fallback) is no redeclaration.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	pkg, err := testLoader(t).LoadDir("testdata/src/buildtags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 1 {
+		t.Fatalf("loaded %d files, want the one that builds", len(pkg.Files))
+	}
+}
+
 // TestUnknownDirective pins the driver behavior that a typoed //lsm:
 // verb is itself a finding rather than a silent no-op suppression, and
 // that the finding and `lsmvet -list` name every verb, from one list.

@@ -199,8 +199,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return p, nil
 }
 
-// parseDir parses the non-test Go files of one directory, in a fixed
-// filename order so diagnostics are stable run to run.
+// parseDir parses the non-test Go files of one directory that build
+// for this system (file-name suffixes and //go:build lines, as the go
+// command selects them), in a fixed filename order so diagnostics are
+// stable run to run.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -210,6 +212,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

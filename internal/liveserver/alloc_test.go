@@ -40,7 +40,7 @@ func TestWatchAllocatesNoFrameBuffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Frames == 0 || res.Bytes != int64(res.Frames)*int64(cfg.FrameBytes) {
+			if res.Frames < 5 || res.Bytes != int64(res.Frames)*int64(cfg.FrameBytes) {
 				t.Fatalf("watch %d: %d frames, %d bytes", i, res.Frames, res.Bytes)
 			}
 		}

@@ -18,6 +18,7 @@ type Client struct {
 	conn   net.Conn
 	reader *bufio.Reader // from readers; nil once Close has handed it back
 	player string
+	stop   *stopTimer // sends STOP; made at the first watch, closed by Close
 }
 
 // readers recycles the clients' 64 KB read buffers: a session dials,
@@ -73,12 +74,21 @@ func Dial(addr, playerID string) (*Client, error) {
 
 // WatchTagged runs one transfer: START the object, receive frames for
 // the given wall-clock duration, then STOP and drain to END. The STOP
-// is sent by a timer goroutine (net.Conn writes are safe for concurrent
-// use), so the read loop never has to poll. The server logs the
-// transfer with the (session, seq) identity of the workload event it
-// realizes; pass UntaggedSession to omit the tag.
+// is sent by a goroutine waiting on the client's stopTimer (net.Conn
+// writes are safe for concurrent use), so the read loop never has to
+// poll; the goroutine is gone when WatchTagged returns, and on an error
+// return the timer is cancelled first, so no STOP follows. The server
+// logs the transfer with the (session, seq) identity of the workload
+// event it realizes; pass UntaggedSession to omit the tag.
 func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.Duration) (TransferResult, error) {
 	res := TransferResult{URI: uri}
+	if c.stop == nil {
+		t, err := newStopTimer()
+		if err != nil {
+			return res, err
+		}
+		c.stop = t
+	}
 	start := "START " + uri
 	if session >= 0 {
 		start += " " + strconv.FormatInt(session, 10) + " " + strconv.Itoa(seq)
@@ -98,8 +108,25 @@ func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.D
 	res.StartLatency = time.Since(requested)
 
 	begin := time.Now()
-	stop := time.AfterFunc(duration, func() { _ = c.send("STOP") })
-	defer stop.Stop()
+	timer := c.stop
+	if err := timer.arm(duration); err != nil {
+		return res, err
+	}
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		if timer.wait() == nil {
+			_ = c.send("STOP")
+		}
+	}()
+	defer func() {
+		select {
+		case <-stopped: // STOP went out: the usual way to END
+		default:
+			timer.cancel()
+			<-stopped
+		}
+	}()
 
 	// The whole transfer must finish within the requested duration plus a
 	// generous drain allowance.
@@ -146,9 +173,14 @@ func (c *Client) WatchTagged(uri string, session int64, seq int, duration time.D
 	}
 }
 
-// Close sends QUIT and closes the connection. The client is spent: a
-// WatchTagged after Close fails on the closed connection.
+// Close sends QUIT and closes the connection and the stop timer. The
+// client is spent: a WatchTagged after Close fails on the closed
+// connection.
 func (c *Client) Close() error {
+	if c.stop != nil {
+		c.stop.close()
+		c.stop = nil
+	}
 	if c.reader == nil {
 		return c.conn.Close()
 	}

@@ -63,22 +63,26 @@ func FuzzParseCommand(f *testing.F) {
 // client that sent in and keeps its end open, DATA frames left out and
 // each END line as "END": the handler's state machine run over the
 // complete lines of in, each parsed by parseCommand. A malformed line
-// is answered with ERR and the close, inside a transfer or outside.
+// is answered with ERR and the close, inside a transfer or outside, and
+// so is an unterminated tail that fills the handler's read buffer.
 func expectReplies(in []byte) []string {
 	var out []string
 	hello, streaming := false, false
+	tooLong := "ERR line exceeds " + strconv.Itoa(MaxLineBytes) + " bytes"
 	for {
 		i := bytes.IndexByte(in, '\n')
 		if i < 0 {
+			if len(in) >= readBufferBytes {
+				return append(out, tooLong)
+			}
 			return out
 		}
 		line := string(in[:i+1])
 		in = in[i+1:]
 		cmd, err := parseCommand(line)
-		if len(line) > MaxLineBytes {
-			err = errors.New("line exceeds " + strconv.Itoa(MaxLineBytes) + " bytes")
-		}
 		switch {
+		case len(line) > MaxLineBytes:
+			return append(out, tooLong)
 		case err != nil:
 			return append(out, "ERR "+trimErr(err))
 		case streaming && cmd.verb == "STOP":
@@ -129,6 +133,7 @@ func FuzzHandleConn(f *testing.F) {
 		"HELLO p1\nHELLO p1\n", "START /live/feed1\n", "HELLO p1\nSTART /bogus\n",
 		"HELLO p1\nSTOP\n", "BOGUS\n", "\n", "HELLO p\x00\n", "HELLO p1\r\nQUI",
 		"HELLO " + string(bytes.Repeat([]byte("x"), MaxLineBytes)) + "\n",
+		"HELLO p1\nSTART /live/feed1\n" + string(bytes.Repeat([]byte("x"), readBufferBytes+1)),
 		"\xff\xfe\x00\x01", "",
 	} {
 		f.Add(byte(0), []byte(in))

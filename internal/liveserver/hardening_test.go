@@ -1,8 +1,11 @@
 package liveserver
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +96,72 @@ func TestOversizedControlLineRejected(t *testing.T) {
 	got := readAvailable(t, conn, 2*time.Second)
 	if got != "" && !strings.HasPrefix(got, "ERR ") {
 		t.Errorf("server said %q, want ERR or close", got)
+	}
+}
+
+// TestUnterminatedLineBounded: a client inside a transfer that sends a
+// control line with no newline, 64 MB of it, gets ERR and the close
+// once the handler's read buffer is full; the server holds no more of
+// the line than that buffer (ReadString grew by the 64 MB).
+func TestUnterminatedLineBounded(t *testing.T) {
+	s := startServer(t, fastConfig())
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	for _, exchange := range [][2]string{{"HELLO p1\n", "OK HELLO\n"}, {"START /live/feed1\n", "OK START /live/feed1\n"}} {
+		if _, err := conn.Write([]byte(exchange[0])); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.ReadString('\n'); got != exchange[1] {
+			t.Fatalf("sent %q, got %q (%v)", exchange[0], got, err)
+		}
+	}
+
+	chunk := bytes.Repeat([]byte("x"), 64<<10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	wrote := make(chan int64, 1)
+	go func() {
+		var n int64
+		for n < 64<<20 {
+			k, err := conn.Write(chunk)
+			n += int64(k)
+			if err != nil {
+				break // the server closed
+			}
+		}
+		wrote <- n
+	}()
+	var reply string
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read after %q: %v; want ERR", reply, err)
+		}
+		if n, err := parseDataHeader(line); err == nil {
+			if _, err := r.Discard(n); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		reply = line
+		break
+	}
+	if want := fmt.Sprintf("ERR line exceeds %d bytes\n", MaxLineBytes); reply != want {
+		t.Fatalf("server said %q, want %q", reply, want)
+	}
+	if _, err := r.ReadByte(); err == nil {
+		t.Fatal("the server kept the connection open after its ERR")
+	}
+	n := <-wrote
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Errorf("the process allocated %d B while the client sent %d B of one line, want under 1 MB", grown, n)
 	}
 }
 

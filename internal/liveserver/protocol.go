@@ -21,9 +21,16 @@
 //	S: OK START <uri>
 //	S: DATA <n>        (followed by n raw bytes; repeated)
 //	C: STOP            (any time after START)
+//	S: DATA <n>        (every frame the pace owed by the STOP and not yet sent)
 //	S: END <bytes> <frames>
 //	C: QUIT
 //	S: OK BYE
+//
+// Frames are paced at the server's frame interval from OK START, and
+// END counts every frame due by the STOP: ⌊elapsed ÷ interval⌋ of them,
+// the ones a late tick had not yet sent written just before END. A
+// transfer's frames therefore follow how long it ran, not how late the
+// server's ticker fired.
 //
 // The optional session/seq tag on START identifies the workload event
 // the transfer realizes (the generator's global session index and the
@@ -113,16 +120,19 @@ func parseCommand(line string) (command, error) {
 	}
 }
 
-// readLine reads one bounded control line.
+// readLine reads one bounded control line. It reads within r's buffer
+// (ReadSlice), so a peer that never sends a newline costs one buffer,
+// not memory without bound: a line that fills the buffer is refused as
+// one over MaxLineBytes is.
 func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull || err == nil && len(line) > MaxLineBytes {
+		return "", fmt.Errorf("%w: line exceeds %d bytes", ErrProtocol, MaxLineBytes)
+	}
 	if err != nil {
 		return "", err
 	}
-	if len(line) > MaxLineBytes {
-		return "", fmt.Errorf("%w: line exceeds %d bytes", ErrProtocol, MaxLineBytes)
-	}
-	return line, nil
+	return string(line), nil
 }
 
 // parseDataHeader parses a "DATA <n>" server line.

@@ -257,6 +257,10 @@ type inbound struct {
 // connections; one is in the pool only while no handler holds it.
 var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32*1024) }}
 
+// readBufferBytes is a handler's control-line read buffer, the most
+// it holds of a line: a line that fills it is refused (readLine).
+const readBufferBytes = 4096
+
 // handle runs one connection's control state machine. Control lines are
 // read by a dedicated goroutine and forwarded over a channel so the
 // streaming loop can notice STOP between frames; the done channel keeps
@@ -264,7 +268,7 @@ var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32*102
 // otherwise block forever on a channel send after handle stopped
 // receiving).
 func (s *Server) handle(conn net.Conn) {
-	reader := bufio.NewReaderSize(conn, 4096)
+	reader := bufio.NewReaderSize(conn, readBufferBytes)
 	// Only this goroutine writes, so the write buffer can go back the
 	// moment it returns. The read buffer cannot: its goroutine may
 	// still be inside a read then.
@@ -386,7 +390,10 @@ func trimErr(err error) string {
 }
 
 // stream serves one transfer: frames at the configured pace until the
-// client sends STOP (or disconnects). Every write burst runs under the
+// client sends STOP (or disconnects). A ticker paces the frames; on STOP
+// the frames the pace owes and a late tick has not sent go out in the
+// same flush as END, so END counts ⌊elapsed ÷ FrameInterval⌋ frames
+// however late the ticker ran. Every write burst runs under the
 // configured write deadline, so a reader that has stopped draining its
 // socket is disconnected after WriteTimeout instead of blocking the
 // handler on a full send buffer; no server lock is ever held across the
@@ -402,6 +409,9 @@ func trimErr(err error) string {
 //lsm:hotpath
 func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, scratch *[]byte, playerID, remoteIP string, start0 command) error {
 	uri := start0.arg
+	// The pace runs from before OK START goes out, so a client that
+	// times its watch from OK START never stops ahead of a frame due.
+	start := time.Now()
 	s.armWrite(conn)
 	*scratch = append(append(append((*scratch)[:0], "OK START "...), uri...), '\n')
 	writer.Write(*scratch)
@@ -411,7 +421,6 @@ func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, 
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
-	start := time.Now()
 	var sent int64
 	var frames int
 	ticker := time.NewTicker(s.cfg.FrameInterval)
@@ -428,6 +437,13 @@ func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, 
 			switch msg.cmd.verb {
 			case "STOP":
 				s.armWrite(conn)
+				// The pace owes a frame for every interval elapsed; a
+				// late or dropped tick has not sent them all yet.
+				for due := int(time.Since(start) / s.cfg.FrameInterval); frames < due; frames++ {
+					writer.Write(s.dataHeader)
+					writer.Write(s.payload)
+					sent += int64(len(s.payload))
+				}
 				b := append((*scratch)[:0], "END "...)
 				b = strconv.AppendInt(b, sent, 10)
 				b = append(b, ' ')

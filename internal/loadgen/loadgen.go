@@ -209,7 +209,7 @@ func (r *runner) dispatch(workers map[int]*worker, ev workload.Event) {
 			defer r.wg.Done()
 			defer r.releaseSlot()
 			if c := r.perform(nil, ev, false); c != nil {
-				c.Close()
+				r.hangUp(c)
 			}
 		}()
 		return
@@ -231,24 +231,20 @@ func (r *runner) acquireSlot(workers map[int]*worker) {
 	for {
 		select {
 		case r.slots <- struct{}{}:
-			r.m.connOpened()
 			return
 		default:
 		}
 		r.reap(workers)
 		select {
 		case r.slots <- struct{}{}:
-			r.m.connOpened()
 			return
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
 }
 
-// releaseSlot books the close before freeing the token, or a waiting
-// acquireSlot books its open first and the peak gauge overshoots MaxConns.
+// releaseSlot frees a connection token.
 func (r *runner) releaseSlot() {
-	r.m.connClosed()
 	<-r.slots
 }
 
@@ -297,7 +293,7 @@ func (r *runner) runWorker(w *worker) {
 		w.busy.Store(false)
 	}
 	if c != nil {
-		c.Close()
+		r.hangUp(c)
 	}
 }
 
@@ -316,7 +312,7 @@ func (r *runner) perform(c *liveserver.Client, ev workload.Event, pooled bool) *
 	if err == nil {
 		err = r.watch(c, ev)
 		if err != nil && pooled && !fresh {
-			c.Close()
+			r.hangUp(c)
 			c, err = r.dial(ev.Client)
 			if err == nil {
 				err = r.watch(c, ev)
@@ -326,7 +322,7 @@ func (r *runner) perform(c *liveserver.Client, ev workload.Event, pooled bool) *
 	if err != nil {
 		r.m.lost(ev, err)
 		if c != nil {
-			c.Close()
+			r.hangUp(c)
 		}
 		return nil
 	}
@@ -334,7 +330,8 @@ func (r *runner) perform(c *liveserver.Client, ev workload.Event, pooled bool) *
 }
 
 // dial opens and HELLOs a connection to the server for the client,
-// recording dial latency on success.
+// recording dial latency on success. The connection counts as open
+// until hangUp: a dial the server refuses ("ERR busy") never opened.
 func (r *runner) dial(client int) (*liveserver.Client, error) {
 	begin := time.Now()
 	c, err := liveserver.Dial(r.addr, playerOf(client))
@@ -343,6 +340,14 @@ func (r *runner) dial(client int) (*liveserver.Client, error) {
 	}
 	r.m.dialed(time.Since(begin))
 	return c, nil
+}
+
+// hangUp closes a connection dial opened. The close is booked first:
+// the server frees its slot on QUIT, and a dial that takes the slot
+// must not find this connection still counted.
+func (r *runner) hangUp(c *liveserver.Client) {
+	r.m.connClosed()
+	c.Close()
 }
 
 // watch runs the transfer: watch until the event's end instant on the

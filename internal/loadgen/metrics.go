@@ -57,25 +57,20 @@ func (m *metrics) addLag(d time.Duration) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) connOpened() {
-	m.mu.Lock()
-	m.curConns++
-	if m.curConns > m.peakConns {
-		m.peakConns = m.curConns
-	}
-	m.mu.Unlock()
-}
-
 func (m *metrics) connClosed() {
 	m.mu.Lock()
 	m.curConns--
 	m.mu.Unlock()
 }
 
+// dialed books a connection opened: its dial latency, the lifetime
+// count and the open gauge.
 func (m *metrics) dialed(d time.Duration) {
 	m.mu.Lock()
 	m.dials++
 	m.dialLat.Add(d.Seconds())
+	m.curConns++
+	m.peakConns = max(m.peakConns, m.curConns)
 	m.mu.Unlock()
 }
 
@@ -133,8 +128,9 @@ type Result struct {
 	Origin      int64
 	Compression float64
 
-	// Conns is the lifetime number of connections opened; PeakConns the
-	// maximum simultaneously open.
+	// Conns is the lifetime number of connections opened (dialed and
+	// past HELLO); PeakConns the most of them open at once, so
+	// PeakConns ≤ Conns. A dial the server refused counts in neither.
 	Conns     int
 	PeakConns int
 
